@@ -5,9 +5,13 @@ node and sends user code along with configurations specified by the
 lab. The worker node then compiles, executes, and evaluates the code
 using the datasets provided by the instructor."
 
-Each dataset evaluation runs the full sandbox pipeline: blacklist scan,
-time-limited compile, seccomp-gated execution confined to a fresh temp
-directory. Results (or error messages) go back to the web-server.
+One attempt is one compile and N runs: the sandbox scans and compiles
+the source once (through the ``CompileCache`` when one is attached),
+then runs that artifact once per dataset, each run seccomp-gated,
+time-limited and confined to its own temp directory. Simulated time
+follows: the nvcc charge is paid once (``compile`` stage), each ``exec``
+stage is run seconds only. Results or error messages go back to the
+web-server.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from typing import Any
 from repro.cluster.job import DatasetOutcome, Job, JobKind, JobResult, JobStatus
 from repro.cluster.node import Clock, ManualClock, Node
 from repro.gpusim.device import DeviceSpec, KEPLER_K20
-from repro.labs.base import LabDefinition, execute_lab_source
+from repro.labs.base import LabDefinition, execute_lab_program
 from repro.minicuda import CompileError, compile_source
 from repro.profiler import LineProfile, check_line_budgets
 from repro.sandbox import (
@@ -192,15 +196,13 @@ class GpuWorker(Node):
         else:
             indices = [min(job.dataset_index, len(lab.dataset_sizes) - 1)]
 
-        # compile-only check first so pure compile jobs still sandbox-scan
         compile_start = started + elapsed
-        compile_probe = sandbox.execute(
-            job.source, self._compile_fn(lab), lambda artifact, env: None)
-        result.compile_ok = compile_probe.ok
-        result.compile_message = compile_probe.stderr
-        result.compile_seconds = compile_probe.compile_seconds
-        elapsed += compile_probe.compile_seconds
-        self.telemetry.record_stage("compile", compile_probe.compile_seconds,
+        compiled = sandbox.compile(job.source, self._compile_fn(lab))
+        result.compile_ok = compiled.ok
+        result.compile_message = compiled.stderr
+        result.compile_seconds = compiled.compile_seconds
+        elapsed += compiled.compile_seconds
+        self.telemetry.record_stage("compile", compiled.compile_seconds,
                                     tag=tag, trace=job.trace)
         if tracer.enabled:
             # end at started + elapsed (not compile_start + seconds):
@@ -208,23 +210,24 @@ class GpuWorker(Node):
             # so nesting survives float non-associativity
             tracer.start_span(
                 "compile", parent=span, time=compile_start,
-                job_id=job.job_id, ok=compile_probe.ok).end(
+                job_id=job.job_id, ok=compiled.ok).end(
                     time=started + elapsed)
-        if not compile_probe.ok:
+        if not compiled.ok:
             result.finished_at = started + elapsed
             return result
+        if not indices:
+            # nothing to execute: the pipeline ends in an empty run, so
+            # a compile-only job is one sandbox execution like any other
+            sandbox.run(compiled.value, lambda program, env: None)
 
+        max_steps = int(lab.run_limit_s * STEPS_PER_LIMIT_SECOND)
         for index in indices:
-            data = lab.dataset(index)
-            max_steps = int(lab.run_limit_s * STEPS_PER_LIMIT_SECOND)
             exec_start = started + elapsed
-            run = sandbox.execute(
-                job.source, self._compile_fn(lab),
-                self._run_fn(lab, data, max_steps))
-            elapsed += run.compile_seconds + run.run_seconds
-            self.telemetry.record_stage(
-                "exec", run.compile_seconds + run.run_seconds, tag=tag,
-                trace=job.trace)
+            run = sandbox.run(compiled.value, self._run_fn(
+                lab, lab.dataset(index), max_steps))
+            elapsed += run.run_seconds
+            self.telemetry.record_stage("exec", run.run_seconds, tag=tag,
+                                        trace=job.trace)
             if tracer.enabled:
                 tracer.start_span(
                     "exec", parent=span, time=exec_start,
@@ -330,10 +333,10 @@ class GpuWorker(Node):
         from repro.minicuda.interpreter import KernelHang
         from repro.sandbox.limits import TimeLimitExceeded
 
-        def run_fn(artifact: Any, env: SandboxEnv):
+        def run_fn(program: Any, env: SandboxEnv):
             try:
-                execution = execute_lab_source(
-                    lab, artifact.source, data, spec=self.config.gpu_spec,
+                execution = execute_lab_program(
+                    lab, program, data, spec=self.config.gpu_spec,
                     max_steps=max_steps,
                     stdout_hook=lambda _line: None,
                     syscall_hook=env.gate.invoke,

@@ -7,7 +7,8 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from repro.gpusim import Device, DeviceSpec, GpuRuntime, KEPLER_K20
-from repro.minicuda import CompileError, HostEnv, compile_source
+from repro.minicuda import (CompileError, CompiledProgram, HostEnv,
+                            compile_source)
 from repro.mpisim import run_mpi
 from repro.profiler import LineBudget, merge_stats_profiles
 from repro.wb.comparison import CompareResult, compare_solution
@@ -96,19 +97,30 @@ class LabExecution:
 
 
 def execute_lab_source(lab: LabDefinition, source: str, data: GeneratedData,
-                       spec: DeviceSpec = KEPLER_K20,
-                       max_steps: int = 50_000_000,
-                       stdout_hook: Any = None,
-                       syscall_hook: Any = None,
-                       engine: str | None = None,
-                       telemetry: Any = None,
-                       profile: bool = False) -> LabExecution:
-    """Compile + run ``source`` for ``lab`` against one dataset.
+                       **options: Any) -> LabExecution:
+    """Compile ``source``, then :func:`execute_lab_program` it against
+    one dataset (same ``options``) — the one-shot form for the CLI, the
+    platform's on-demand line profile and the offline harness. Compile
+    errors propagate as :class:`repro.minicuda.CompileError`. A worker
+    compiles once per attempt and calls ``execute_lab_program`` itself.
+    """
+    return execute_lab_program(lab, compile_source(source), data, **options)
 
-    This is the worker's inner evaluation step, shared with the offline
-    harness and the grader. Compile errors propagate as
-    :class:`repro.minicuda.CompileError`; runtime faults propagate as
-    their interpreter/simulator exceptions (the sandbox layer catches
+
+def execute_lab_program(lab: LabDefinition, program: CompiledProgram,
+                        data: GeneratedData,
+                        spec: DeviceSpec = KEPLER_K20,
+                        max_steps: int = 50_000_000,
+                        stdout_hook: Any = None,
+                        syscall_hook: Any = None,
+                        engine: str | None = None,
+                        telemetry: Any = None,
+                        profile: bool = False) -> LabExecution:
+    """Run a compiled ``program`` for ``lab`` against one dataset.
+
+    This is the worker's inner evaluation step: one program serves
+    every dataset of an attempt. Runtime faults propagate as their
+    interpreter/simulator exceptions (the sandbox layer catches
     and classifies them). ``engine`` selects the kernel execution
     engine (``"closure"``/``"codegen"``/``"simd"``/``"ast"``; None → env var /
     default).
@@ -120,25 +132,24 @@ def execute_lab_source(lab: LabDefinition, source: str, data: GeneratedData,
     launch and ``fingerprint`` the CAS key for caching it.
     """
     if lab.mode is EvaluationMode.KERNEL_ONLY:
-        return _execute_kernel_only(lab, source, data, spec, max_steps,
+        return _execute_kernel_only(lab, program, data, spec, max_steps,
                                     engine, telemetry, profile)
     if lab.mode is EvaluationMode.MPI:
-        return _execute_mpi(lab, source, data, spec, max_steps,
+        return _execute_mpi(lab, program, data, spec, max_steps,
                             stdout_hook, syscall_hook, engine, telemetry,
                             profile)
-    return _execute_full_program(lab, source, data, spec, max_steps,
+    return _execute_full_program(lab, program, data, spec, max_steps,
                                  stdout_hook, syscall_hook, engine,
                                  telemetry, profile)
 
 
-def _execute_full_program(lab: LabDefinition, source: str,
+def _execute_full_program(lab: LabDefinition, program: CompiledProgram,
                           data: GeneratedData, spec: DeviceSpec,
                           max_steps: int, stdout_hook: Any = None,
                           syscall_hook: Any = None,
                           engine: str | None = None,
                           telemetry: Any = None,
                           profile: bool = False) -> LabExecution:
-    program = compile_source(source)
     runtime = GpuRuntime(Device(spec), telemetry=telemetry)
     env = HostEnv(datasets=dict(data.inputs), stdout_hook=stdout_hook,
                   syscall_hook=syscall_hook)
@@ -167,7 +178,7 @@ def _execute_full_program(lab: LabDefinition, source: str,
         fingerprint=program.info.fingerprint or "")
 
 
-def _execute_kernel_only(lab: LabDefinition, source: str,
+def _execute_kernel_only(lab: LabDefinition, program: CompiledProgram,
                          data: GeneratedData, spec: DeviceSpec,
                          max_steps: int,
                          engine: str | None = None,
@@ -175,7 +186,6 @@ def _execute_kernel_only(lab: LabDefinition, source: str,
                          profile: bool = False) -> LabExecution:
     """OpenCL-style labs: the student writes only the kernel; the
     harness owns the host side (create buffers, launch, read back)."""
-    program = compile_source(source)
     runtime = GpuRuntime(Device(spec), telemetry=telemetry)
     if lab.kernel_name not in program.kernel_names:
         raise CompileError(
@@ -201,14 +211,13 @@ def _execute_kernel_only(lab: LabDefinition, source: str,
                         fingerprint=program.info.fingerprint or "")
 
 
-def _execute_mpi(lab: LabDefinition, source: str, data: GeneratedData,
-                 spec: DeviceSpec, max_steps: int, stdout_hook: Any = None,
-                 syscall_hook: Any = None,
+def _execute_mpi(lab: LabDefinition, program: CompiledProgram,
+                 data: GeneratedData, spec: DeviceSpec, max_steps: int,
+                 stdout_hook: Any = None, syscall_hook: Any = None,
                  engine: str | None = None,
                  telemetry: Any = None,
                  profile: bool = False) -> LabExecution:
     """Multi-GPU MPI labs: one rank per (simulated) GPU."""
-    program = compile_source(source)
     ranks = int(data.params.get("ranks", 4))
     envs: list[HostEnv] = [HostEnv(datasets=dict(data.inputs),
                                    stdout_hook=stdout_hook,

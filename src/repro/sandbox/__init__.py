@@ -11,14 +11,15 @@ WebGPU defends worker nodes with four mechanisms, all modelled here:
    only an instructor-provided whitelist of POSIX calls, configurable
    per lab (:mod:`repro.sandbox.seccomp`, :mod:`repro.sandbox.syscalls`).
 3. **Unprivileged execution** — ``setuid`` to a throwaway user that can
-   write only to a unique per-compilation temporary directory
+   write only to a unique per-run temporary directory
    (:mod:`repro.sandbox.privileges`).
 4. **Resource limits** — wall-clock limits on compilation and execution
    plus a per-user submission rate limit, adjustable per lab
    (:mod:`repro.sandbox.limits`).
 
 :class:`repro.sandbox.sandbox.SandboxExecutor` composes all four around
-a compile/run callback pair.
+a compile/run callback pair: one compile per submission, one confined
+run per dataset.
 """
 
 from repro.sandbox.blacklist import (
@@ -42,6 +43,7 @@ from repro.sandbox.limits import (
 )
 from repro.sandbox.sandbox import (
     ExecutionOutcome,
+    SandboxArtifact,
     SandboxConfig,
     SandboxExecutor,
     SandboxResult,
@@ -57,6 +59,7 @@ __all__ = [
     "PermissionDenied",
     "PrivilegeContext",
     "RateLimitExceeded",
+    "SandboxArtifact",
     "SandboxConfig",
     "SandboxExecutor",
     "SandboxResult",

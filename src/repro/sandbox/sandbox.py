@@ -1,12 +1,18 @@
 """The composed sandbox executor used by worker nodes.
 
-Pipeline for one job (paper Sections III-C/III-D):
+One submission goes through two phases (paper Sections III-C/III-D):
 
-1. blacklist scan of the raw source;
-2. compilation under a compile-time limit, writing artifacts only to a
-   unique per-compilation temp directory as an unprivileged user;
-3. execution under a seccomp-style syscall gate and a run-time limit;
-4. cleanup of the temp directory.
+* :meth:`SandboxExecutor.compile`, once — blacklist scan of the raw
+  source, then compilation of that same text under the compile-time
+  limit. Every way ``compile_fn`` can end is classified; on success the
+  product comes back in a :class:`SandboxArtifact` bound to the scanned
+  source and to this executor.
+* :meth:`SandboxExecutor.run`, once per dataset — a new unprivileged
+  identity confined to a new temp directory, a new syscall gate and a
+  new run-time limiter, with the directory removed in ``finally``.
+  Nothing but the artifact carries over from one run to the next.
+
+:meth:`SandboxExecutor.execute` is ``compile`` then one ``run``.
 
 The executor is agnostic to the language toolchain: callers supply
 ``compile_fn`` and ``run_fn``. The worker node wires these to the
@@ -104,92 +110,113 @@ class CompileFailure(Exception):
         super().__init__(message)
 
 
+@dataclass(frozen=True, eq=False)
+class SandboxArtifact:
+    """A successful :meth:`SandboxExecutor.compile`: what ``compile_fn``
+    built, bound to the source that passed the scan."""
+
+    source: str
+    product: Any
+    compile_seconds: float
+    issuer: "SandboxExecutor"
+
+
 class SandboxExecutor:
-    """Runs one compile+execute job under the full security stack."""
+    """Runs compile + execute jobs under the full security stack."""
 
     def __init__(self, config: SandboxConfig, fs: FileSystemModel | None = None,
                  telemetry: Telemetry | None = None):
         self.config = config
         self.fs = fs if fs is not None else FileSystemModel()
         self.telemetry = telemetry if telemetry is not None else Telemetry()
-        self.jobs_run = 0
+        self.jobs_run = 0  # submissions that entered compile()
         self.kills_by_outcome: dict[ExecutionOutcome, int] = {}
 
-    def execute(
-        self,
-        source: str,
-        compile_fn: Callable[[str, TimeLimiter], Any],
-        run_fn: Callable[[Any, SandboxEnv], Any],
-    ) -> SandboxResult:
-        """Run the full pipeline for one submission.
+    def execute(self, source: str,
+                compile_fn: Callable[[str, TimeLimiter], Any],
+                run_fn: Callable[[Any, SandboxEnv], Any]) -> SandboxResult:
+        """Run the full pipeline for one submission: compile, then one
+        run (see :meth:`compile` and :meth:`run` for the contracts)."""
+        compiled = self.compile(source, compile_fn)
+        return self.run(compiled.value, run_fn) if compiled.ok else compiled
+
+    def compile(self, source: str,
+                compile_fn: Callable[[str, TimeLimiter], Any]) -> SandboxResult:
+        """Scan ``source``, then compile exactly that text.
 
         ``compile_fn(source, limiter)`` must charge compile time to the
-        limiter and return an artifact, raising :class:`CompileFailure`
-        on user errors. ``run_fn(artifact, env)`` must route syscalls
-        through ``env.gate`` and charge run time to ``env.run_limiter``;
-        its return value lands in ``SandboxResult.value``.
+        limiter and return its product, raising :class:`CompileFailure`
+        on user errors. On success ``value`` is a
+        :class:`SandboxArtifact` for :meth:`run`. A failure is counted
+        as one execution; a success is not, its runs are.
         """
         self.jobs_run += 1
-
-        # 1. blacklist
         try:
             self.config.scanner.check(source)
         except BlacklistViolation as exc:
             return self._finish(SandboxResult(
                 outcome=ExecutionOutcome.BLACKLISTED, stderr=str(exc)))
 
-        # 2. compile (unprivileged, confined, time-limited)
-        ctx = make_sandbox_context(self.fs)
-        compile_limiter = TimeLimiter("compile", self.config.compile_limit_s)
+        limiter = TimeLimiter("compile", self.config.compile_limit_s)
         try:
-            artifact = compile_fn(source, compile_limiter)
+            product = compile_fn(source, limiter)
         except CompileFailure as exc:
-            return self._finish(SandboxResult(
-                outcome=ExecutionOutcome.COMPILE_ERROR, stderr=str(exc),
-                compile_seconds=compile_limiter.spent))
+            outcome, stderr = ExecutionOutcome.COMPILE_ERROR, str(exc)
         except TimeLimitExceeded as exc:
-            return self._finish(SandboxResult(
-                outcome=ExecutionOutcome.COMPILE_TIMEOUT, stderr=str(exc),
-                compile_seconds=compile_limiter.spent))
+            outcome, stderr = ExecutionOutcome.COMPILE_TIMEOUT, str(exc)
+        except RecursionError:
+            outcome, stderr = ExecutionOutcome.COMPILE_ERROR, (
+                "error: the program is nested too deeply to compile")
+        except Exception as exc:
+            # untrusted source crashed the compiler: still a classified
+            # outcome, and only the exception's type goes to the student
+            # (its text and traceback may name host paths)
+            outcome, stderr = ExecutionOutcome.COMPILE_ERROR, (
+                f"error: internal compiler error ({type(exc).__name__})")
+        else:
+            return SandboxResult(
+                outcome=ExecutionOutcome.OK, compile_seconds=limiter.spent,
+                value=SandboxArtifact(source, product, limiter.spent, self))
+        return self._finish(SandboxResult(
+            outcome=outcome, stderr=stderr, compile_seconds=limiter.spent))
 
-        # 3. run (seccomp gate + run limit + write confinement)
+    def run(self, artifact: SandboxArtifact,
+            run_fn: Callable[[Any, SandboxEnv], Any]) -> SandboxResult:
+        """Run a compiled artifact once, confined from scratch.
+
+        ``run_fn(product, env)`` must route syscalls through
+        ``env.gate`` and charge run time to ``env.run_limiter``; its
+        return value lands in ``SandboxResult.value``. Raises
+        :class:`SandboxViolation` for anything but an artifact of this
+        executor's own :meth:`compile`.
+        """
+        if (not isinstance(artifact, SandboxArtifact)
+                or artifact.issuer is not self):
+            raise SandboxViolation(
+                "run() takes only an artifact from this executor's compile()")
+        ctx = make_sandbox_context(self.fs)
         gate = SyscallGate(self.config.policy)
         run_limiter = TimeLimiter("run", self.config.run_limit_s)
         env = SandboxEnv(gate=gate, run_limiter=run_limiter,
                          privileges=ctx, fs=self.fs)
+        outcome, stderr, value = ExecutionOutcome.OK, "", None
         try:
-            value = run_fn(artifact, env)
-            result = SandboxResult(
-                outcome=ExecutionOutcome.OK,
-                compile_seconds=compile_limiter.spent,
-                run_seconds=run_limiter.spent,
-                syscall_counts=gate.counts(),
-                value=value,
-            )
+            value = run_fn(artifact.product, env)
         except SyscallViolation as exc:
-            result = SandboxResult(
-                outcome=ExecutionOutcome.SYSCALL_KILLED, stderr=str(exc),
-                compile_seconds=compile_limiter.spent,
-                run_seconds=run_limiter.spent, syscall_counts=gate.counts())
+            outcome, stderr = ExecutionOutcome.SYSCALL_KILLED, str(exc)
         except TimeLimitExceeded as exc:
-            result = SandboxResult(
-                outcome=ExecutionOutcome.RUN_TIMEOUT, stderr=str(exc),
-                compile_seconds=compile_limiter.spent,
-                run_seconds=run_limiter.spent, syscall_counts=gate.counts())
+            outcome, stderr = ExecutionOutcome.RUN_TIMEOUT, str(exc)
         except PermissionDenied as exc:
-            result = SandboxResult(
-                outcome=ExecutionOutcome.WRITE_DENIED, stderr=str(exc),
-                compile_seconds=compile_limiter.spent,
-                run_seconds=run_limiter.spent, syscall_counts=gate.counts())
+            outcome, stderr = ExecutionOutcome.WRITE_DENIED, str(exc)
         except Exception as exc:  # user program crashed
-            result = SandboxResult(
-                outcome=ExecutionOutcome.RUNTIME_ERROR, stderr=str(exc),
-                compile_seconds=compile_limiter.spent,
-                run_seconds=run_limiter.spent, syscall_counts=gate.counts())
+            outcome, stderr = ExecutionOutcome.RUNTIME_ERROR, str(exc)
         finally:
-            # 4. cleanup the per-compilation temp dir
             self.fs.remove_tree(ctx.writable_root)
-        return self._finish(result)
+        return self._finish(SandboxResult(
+            outcome=outcome, stderr=stderr,
+            compile_seconds=artifact.compile_seconds,
+            run_seconds=run_limiter.spent, syscall_counts=gate.counts(),
+            value=value))
 
     def _finish(self, result: SandboxResult) -> SandboxResult:
         if not result.ok:

@@ -33,20 +33,44 @@ def test_resubmitted_identical_attempt_compiles_once(platform_cls):
     ana = platform.users.register("ana@x.com", "Ana", "pw")
     course.enroll(ana.user_id)
 
-    first = _submit(platform, ana)
+    # the compile button first: the attempt's one and only front-end pass
+    platform.save_code("HPP-2015", ana, "vector-add", VECADD.solution)
+    clock.advance(600)
+    platform.compile_code("HPP-2015", ana, "vector-add")
+    clock.advance(600)
+    assert (caches.compile.stats.misses, caches.compile.stats.hits) == (1, 0)
+
+    first = _submit(platform, ana)   # a second compile of the same source
+    assert (caches.compile.stats.misses, caches.compile.stats.hits) == (1, 1)
     second = _submit(platform, ana)  # identical resubmission
 
     assert second.total_points == first.total_points
     assert second.program_points == first.program_points
     assert second.question_points == first.question_points
-    # the whole storm of identical compiles paid for ONE front-end pass
+    # three attempts on one source paid for ONE front-end pass, and the
+    # resubmission never reached the compiler at all
     assert caches.compile.compile_count == 1
-    assert caches.compile.stats.hits >= 1
+    assert (caches.compile.stats.misses, caches.compile.stats.hits) == (1, 1)
     # grading results were served from cache on the resubmission
     assert caches.results.stats.hits >= 1
     snap = caches.snapshot()
     assert snap["compile"]["hit_rate"] > 0.0
     assert snap["results"]["hits"] >= 1
+
+
+def test_cold_grading_attempt_is_one_compile_cache_miss_and_no_hit():
+    """An attempt compiles once however many datasets it grades, so it
+    can never hit the compile cache against itself."""
+    from repro.cluster import GpuWorker
+    from repro.cluster.job import Job, JobKind
+    from repro.minicuda import CompileCache
+
+    cache = CompileCache()
+    result = GpuWorker(compile_cache=cache).process(
+        Job(lab=VECADD, source=VECADD.solution, kind=JobKind.FULL_GRADING))
+    assert result.all_correct and len(result.datasets) >= 3
+    assert (cache.stats.misses, cache.stats.hits) == (1, 0)
+    assert cache.compile_count == 1
 
 
 def test_many_students_identical_solution_dedups_grading():
