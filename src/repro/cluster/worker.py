@@ -50,8 +50,8 @@ class WorkerConfig:
     health_interval_s: float = 10.0
     policy: SeccompPolicy = field(default_factory=SeccompPolicy.baseline)
     scanner: BlacklistScanner = field(default_factory=BlacklistScanner)
-    #: kernel execution engine ("closure"/"codegen"/"simd"/"ast");
-    #: None → env var/default
+    #: kernel execution engine ("simd"/"codegen"/"closure"/"ast");
+    #: None → WEBGPU_KERNEL_ENGINE, then "simd"
     kernel_engine: str | None = None
     #: run every dataset evaluation under the per-source-line kernel
     #: profiler; attempt results then carry the LineProfile ledger

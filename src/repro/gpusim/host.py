@@ -123,8 +123,8 @@ class GpuRuntime:
         """``kernel<<<grid, block>>>(*args)``; returns the launch stats.
 
         ``engine`` tags the per-engine exec-time histogram when
-        telemetry is attached (the interpreter passes its active
-        kernel engine through here)."""
+        telemetry is attached (the interpreter passes the tier that
+        actually runs this launch, not the one it was asked for)."""
         grid_d = dim3(grid)
         block_d = dim3(block)
         self.device.validate_launch(grid_d, block_d)

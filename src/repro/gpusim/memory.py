@@ -32,6 +32,104 @@ CTYPE_TO_DTYPE: dict[str, np.dtype] = {
 _alloc_ids = itertools.count(1)
 
 
+class LaneConflict(Exception):
+    """A speculative warp-vector launch made two accesses in an order
+    serial per-thread execution would have reversed. A control signal,
+    not a simulator error: the launch is rolled back and replayed on
+    the scalar engine."""
+
+
+class LaneTracker:
+    """Who touched each element of one allocation, for one warp and
+    one barrier interval of a speculative warp-vector launch.
+
+    The warp-SIMD engine runs each statement for every lane before the
+    next statement (statement-major); the oracle runs each thread to
+    the next barrier before the next thread (thread-major). Within a
+    warp and a barrier interval the two orders disagree about a pair of
+    accesses to one element only when the *later* one (statement-major)
+    comes from a *lower* lane and at least one of the pair is a store.
+    So it is enough to remember, per element, the highest lane that
+    stored and the highest lane that loaded so far, and to raise
+    :class:`LaneConflict` when a lower lane arrives. Lanes inside one
+    vector access are ordered by numpy itself (a scatter's last
+    duplicate wins, and active-lane vectors are ascending), which is
+    thread-major already.
+
+    Loads are only logged; the log is folded into ``reader`` when the
+    allocation is next stored to, so a read-only interval (a tiled
+    matmul's inner loop) pays one list append per load.
+    """
+
+    __slots__ = ("writer", "reader", "reads", "stored", "loaded")
+
+    #: fold the load log once it is this long, so a long read loop
+    #: does not keep every index vector alive until the warp ends
+    MAX_LOGGED_READS = 64
+
+    def __init__(self, num_elements: int):
+        # highest lane that stored / loaded each element, -1 for none
+        # (int8: a warp is 32 lanes on every DeviceSpec, far below 128)
+        self.writer = np.full(num_elements, -1, dtype=np.int8)
+        self.reader = np.full(num_elements, -1, dtype=np.int8)
+        # loads not yet folded into ``reader``: (index, highest lane)
+        self.reads: list[tuple[Any, Any]] = []
+        # the indices ``writer`` / ``reader`` are set at, for reset()
+        self.stored: list[Any] = []
+        self.loaded: list[Any] = []
+
+    def load(self, index: Any, lanes: np.ndarray) -> None:
+        """Note a bounds-checked load of ``index`` (one element for
+        every lane, or one per lane) by the ascending ``lanes``."""
+        vector = isinstance(index, np.ndarray)
+        if self.stored and \
+                (self.writer[index] > (lanes if vector else lanes[0])).any():
+            raise LaneConflict
+        self.reads.append((index, lanes if vector else lanes[-1]))
+        if len(self.reads) > self.MAX_LOGGED_READS:
+            self._fold_reads()
+
+    def store(self, index: Any, lanes: np.ndarray) -> None:
+        """Note a bounds-checked store (or atomic: a load and a store
+        by that lane) of ``index`` by the ascending ``lanes``."""
+        if self.reads:
+            self._fold_reads()
+        if isinstance(index, np.ndarray):
+            first = last = lanes
+        else:
+            first, last = lanes[0], lanes[-1]
+        writer = self.writer
+        if (self.stored and (writer[index] > first).any()) or \
+                (self.loaded and (self.reader[index] > first).any()):
+            raise LaneConflict
+        # no element was stored by a higher lane, so ``last`` is the
+        # new maximum (of duplicate indices the last, highest lane's
+        # assignment wins)
+        writer[index] = last
+        self.stored.append(index)
+
+    def _fold_reads(self) -> None:
+        reader = self.reader
+        for index, last in self.reads:
+            reader[index] = np.maximum(reader[index], last)
+            self.loaded.append(index)
+        self.reads.clear()
+
+    def reset(self) -> None:
+        """Forget everything: a barrier or the end of the warp."""
+        if self.stored:
+            writer = self.writer
+            for index in self.stored:
+                writer[index] = -1
+            self.stored.clear()
+        if self.loaded:
+            reader = self.reader
+            for index in self.loaded:
+                reader[index] = -1
+            self.loaded.clear()
+        self.reads.clear()
+
+
 class DeviceBuffer:
     """One global-memory allocation on a device."""
 
@@ -53,6 +151,9 @@ class DeviceBuffer:
         self._itemsize = int(self.dtype.itemsize)
         self._is_bool = self.dtype == np.bool_
         self._base = self.alloc_id << 40
+        #: set for the duration of a speculative warp-vector launch
+        #: that may store to this allocation (see :class:`LaneTracker`)
+        self.lanes: LaneTracker | None = None
 
     @property
     def num_elements(self) -> int:
@@ -178,7 +279,7 @@ class SharedArray:
     bank conflicts when threads of a warp hit the same bank.
     """
 
-    __slots__ = ("name", "data", "dtype", "_itemsize", "_cache")
+    __slots__ = ("name", "data", "dtype", "_itemsize", "_cache", "lanes")
 
     NUM_BANKS = 32
 
@@ -196,6 +297,8 @@ class SharedArray:
         # numpy scalar read + .item(). All writes go through write(),
         # so the mirror cannot go stale.
         self._cache: list[Any] = self.data.tolist()
+        #: attached by the warp-SIMD engine when it declares the array
+        self.lanes: LaneTracker | None = None
 
     @property
     def num_elements(self) -> int:

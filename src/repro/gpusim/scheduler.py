@@ -766,7 +766,10 @@ def run_block(device: Device, kernel: Callable[..., Any], grid: Dim3,
         # executor that runs a whole warp's lanes as batched operations
         # (per-thread access order is preserved, and the coalescing /
         # bank-conflict model keys on per-thread sequence numbers, so
-        # cross-lane interleaving is unobservable in the stats).
+        # cross-lane interleaving is unobservable in the stats). In
+        # *memory* it is observable; the executor answers for that —
+        # the warp-SIMD tier raises LaneConflict through here and its
+        # launcher replays the launch thread by thread.
         vector_run = getattr(kernel, "vector_run", None)
         if vector_run is not None:
             ctxs = [ctx_cls(Idx3(x, y, z), block_idx, block, grid,

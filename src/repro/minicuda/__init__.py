@@ -20,15 +20,20 @@ course (Table II):
   the scheduler's lockstep barrier and every memory access is profiled);
   host code runs against a CUDA-runtime + libwb host API
   (:mod:`repro.minicuda.hostapi`);
-* :mod:`repro.minicuda.codegen` — the ``closure`` kernel execution
-  engine (the default): lowers each checked kernel AST once into nested
-  Python closures, memoized per program fingerprint, with the
-  tree-walker kept as the ``ast`` reference oracle;
-* :mod:`repro.minicuda.srcgen` — the ``codegen`` engine: lowers each
-  checked kernel to generated Python source compiled once per program
-  fingerprint, with a warp-vectorized fast path for divergence-free
-  kernels (fastest; shares the closure engine's memo table under
-  versioned keys).
+* :mod:`repro.minicuda.simd` — the ``simd`` kernel execution engine
+  (the default): lowers each eligible kernel to whole-warp numpy array
+  programs and runs them speculatively, replaying a launch on the
+  scalar tier when two lanes' accesses would show the difference from
+  thread-by-thread order;
+* :mod:`repro.minicuda.srcgen` — the ``codegen`` engine, the scalar
+  tier ``simd`` falls back to and replays on: lowers each checked
+  kernel to generated Python source compiled once per program
+  fingerprint and run thread by thread;
+* :mod:`repro.minicuda.codegen` — the ``closure`` engine: lowers each
+  checked kernel AST once into nested Python closures; owns the kernel
+  memo table every compiled engine shares under versioned keys. The
+  tree-walker is kept as the ``ast`` reference oracle and every
+  compiled tier's last resort.
 
 The facade is :func:`repro.minicuda.compiler.compile_source`.
 """

@@ -350,13 +350,23 @@ class TranslationUnit:
         return [f for f in self.functions if f.is_kernel]
 
 
+_NODES = (Expr, Stmt, FuncDef, GlobalVar, TranslationUnit, Declarator, Param)
+_WALKED = _NODES + (list,)
+
+
 def walk(node: Any):
-    """Yield every AST node reachable from ``node`` (pre-order)."""
-    if isinstance(node, (Expr, Stmt, FuncDef, GlobalVar, TranslationUnit,
-                         Declarator, Param)):
-        yield node
-        for value in vars(node).values():
-            yield from walk(value)
-    elif isinstance(node, list):
-        for item in node:
-            yield from walk(item)
+    """Yield every AST node reachable from ``node`` (pre-order).
+
+    One flat loop over an explicit stack: the engines' eligibility and
+    name analyses walk every kernel several times per compile, and a
+    generator per field value (positions, names and literals included)
+    was most of an engine compile."""
+    stack = [node]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, list):
+            stack.extend(reversed(node))
+        elif isinstance(node, _NODES):
+            yield node
+            stack.extend([value for value in vars(node).values()
+                          if isinstance(value, _WALKED)][::-1])

@@ -43,7 +43,7 @@ from __future__ import annotations
 from operator import attrgetter
 from typing import Any, Callable
 
-from repro.cache import LRUPolicy, MemoTable
+from repro.cache import MemoTable, SizeCappedPolicy
 from repro.gpusim.grid import Dim3
 from repro.gpusim.memory import DevicePtr, SharedArray
 from repro.gpusim.scheduler import SYNC, ThreadContext
@@ -169,12 +169,15 @@ class CompiledKernel:
     """A kernel lowered to closures, bindable to any interpreter."""
 
     __slots__ = ("name", "run", "is_gen", "frame_size", "param_setup",
-                 "entry_pos", "profiled")
+                 "entry_pos", "nbytes", "profiled")
+
+    tier = "closure"
 
     def __init__(self, name: str, run: Callable[..., Any], is_gen: bool,
                  frame_size: int, param_setup: list, entry_pos: Any,
-                 profiled: bool = False):
+                 nbytes: int, profiled: bool = False):
         self.name = name
+        self.nbytes = nbytes
         self.run = run
         self.is_gen = is_gen
         self.frame_size = frame_size
@@ -332,7 +335,10 @@ class _FunctionCompiler:
         setup = self._bind_params(fn)
         body, is_gen = self._compile_body(fn)
         return CompiledKernel(fn.name, body, is_gen, self.frame_size,
-                              setup, fn.pos, profiled=self.profile)
+                              setup, fn.pos,
+                              _CLOSURE_BYTES_PER_NODE
+                              * sum(1 for _ in ast.walk(fn)),
+                              profiled=self.profile)
 
     def compile_device_function(self, fn: ast.FuncDef) -> Callable:
         setup = self._bind_params(fn)
@@ -1429,11 +1435,34 @@ class _FunctionCompiler:
 
 # -- memoized program → kernel compilation ---------------------------------
 
+#: Estimated resident bytes of a closure-engine kernel per AST node of
+#: its definition: tracemalloc growth over the catalog's 18 solution
+#: kernels (268 per node) times the 1.2 by which process RSS outgrew
+#: the traced bytes on ``catalog_grade``. What :data:`KERNEL_CACHE`
+#: charges an entry against its byte budget is the artifact's
+#: ``nbytes``; the other tiers estimate theirs from the generated
+#: source they have at hand (``srcgen.compile_kernel``).
+_CLOSURE_BYTES_PER_NODE = 320
+
+#: What a memoized ``None`` (unsupported-construct verdict) is charged:
+#: its key string and flight record.
+_VERDICT_NBYTES = 512
+
+
 #: Cross-program memo table: (engine, codegen version, program
 #: fingerprint, kernel name) → compiled kernel (or None for memoized
-#: unsupported-construct verdicts). Shared by the closure and codegen
-#: engines under distinct :func:`memo_key` prefixes.
-KERNEL_CACHE = MemoTable(policy=LRUPolicy(1024))
+#: unsupported-construct verdicts). Shared by every compiled engine
+#: under distinct :func:`memo_key` prefixes, one entry per kernel.
+#: Bounded by estimated bytes, not entries, so a tier with fatter
+#: artifacts holds fewer of them instead of more memory. The table only
+#: serves a source resubmitted unchanged to a worker without a
+#: ``CompileCache`` (which would hand back the program with its kernels
+#: attached), so the last ~200 kernels are ample; the 1024-entry cap
+#: this replaces let a worker's table grow to ~17 MB.
+KERNEL_CACHE = MemoTable(
+    policy=SizeCappedPolicy(4 * 1024 * 1024),
+    weigh=lambda kernel: (_VERDICT_NBYTES if kernel is None
+                          else kernel.nbytes))
 
 #: Bump when the closure engine's lowering or supported-construct set
 #: changes. The version is part of the memo key, so a table that

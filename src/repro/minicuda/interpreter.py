@@ -20,8 +20,8 @@ from typing import Any, Callable, Iterator
 
 from repro.gpusim.grid import Dim3
 from repro.gpusim.host import GpuRuntime
-from repro.telemetry import KERNEL_COMPILE_SECONDS
-from repro.gpusim.memory import DevicePtr, SharedArray
+from repro.telemetry import KERNEL_COMPILE_SECONDS, KERNEL_REPLAYS_TOTAL
+from repro.gpusim.memory import DevicePtr, LaneConflict, SharedArray
 from repro.gpusim.scheduler import SYNC, ThreadContext
 from repro.minicuda import ast_nodes as ast
 from repro.minicuda import builtins as bi
@@ -220,20 +220,22 @@ def write_indexed(base: Any, index: Any, value: Any,
         f"value of type {type(base).__name__} is not indexable", pos)
 
 
-#: Kernel execution engines: ``closure`` (compiled, default),
-#: ``ast`` (the tree-walking reference oracle), ``codegen``
-#: (generated Python source with a warp-vectorized fast path), and
-#: ``simd`` (warp-SIMD numpy batching with masked lane predication;
-#: falls back to ``codegen`` per kernel when ineligible).
+#: Kernel execution engines: ``simd`` (the default — speculative
+#: warp-SIMD numpy batching with masked lane predication; falls back
+#: per kernel to ``codegen`` when ineligible or when a launch hits a
+#: lane-order conflict), ``codegen`` (generated scalar Python source),
+#: ``closure`` (nested Python closures) and ``ast`` (the tree-walking
+#: reference oracle, also every compiled tier's last resort).
 ENGINES = ("closure", "ast", "codegen", "simd")
 
 
 def resolve_engine(engine: str | None) -> str:
     """Resolve an engine choice: explicit argument, then the
-    ``WEBGPU_KERNEL_ENGINE`` environment variable, then ``closure``."""
+    ``WEBGPU_KERNEL_ENGINE`` environment variable, then ``simd`` —
+    whose per-kernel ladder is simd → scalar codegen → tree-walker."""
     if engine is None:
         import os
-        engine = os.environ.get("WEBGPU_KERNEL_ENGINE") or "closure"
+        engine = os.environ.get("WEBGPU_KERNEL_ENGINE") or "simd"
     if engine not in ENGINES:
         raise InterpreterError(
             f"unknown kernel engine {engine!r} (expected one of {ENGINES})")
@@ -344,25 +346,32 @@ class Interpreter:
                     args: tuple[Any, ...]) -> Callable[[ThreadContext], Any]:
         """Package kernel ``name`` as a gpusim per-thread callable.
 
-        Under the default ``closure`` engine the kernel's AST is
-        lowered once into nested Python closures (memoized per
-        program+kernel); barrier-free kernels come back as plain
+        Under the default ``simd`` engine an eligible kernel is lowered
+        to whole-warp numpy array programs with masked lane predication
+        (memoized per program+kernel) and the callable carries the warp
+        executor plus the launch's ``speculation`` undo log — launch it
+        through :meth:`launch_kernel`, which replays on the scalar tier
+        when lane order would have shown. Ineligible or demoted kernels
+        fall to ``codegen``: real Python source per kernel (flat
+        locals, ``compile()``-d once per program fingerprint), run
+        thread by thread; barrier-free kernels come back as plain
         functions so the scheduler skips generator machinery entirely.
-        The ``codegen`` engine goes one step further and emits real
-        Python source per kernel (flat locals, ``compile()``-d once
-        per program fingerprint), attaching a warp-vectorized executor
-        to divergence-free kernels. The ``simd`` engine lowers eligible
-        kernels to whole-warp numpy array programs with masked lane
-        predication, falling back to ``codegen`` per kernel otherwise.
-        The ``ast`` engine — and any construct the compilers do not
-        support — takes the tree-walking path below.
+        The ``closure`` engine lowers the AST into nested Python
+        closures instead. The ``ast`` engine — and any construct the
+        compilers do not support — takes the tree-walking path.
         """
+        return self._bind_kernel(name, args)[0]
+
+    def _bind_kernel(self, name: str, args: tuple[Any, ...]
+                     ) -> tuple[Callable[[ThreadContext], Any], str]:
+        """:meth:`make_kernel`, plus the tier that will actually run
+        the kernel (what the engine histograms are labelled with)."""
         fn = self.info.kernels.get(name)
         if fn is None:
             raise InterpreterError(f"no kernel {name!r}")
         coerced = self._coerce_args(fn, args)
 
-        if self.engine in ("closure", "codegen", "simd"):
+        if self.engine != "ast":
             if self.engine == "closure":
                 from repro.minicuda import codegen as backend
             elif self.engine == "simd":
@@ -370,34 +379,59 @@ class Interpreter:
             else:
                 from repro.minicuda import srcgen as backend
             telemetry = getattr(self.runtime, "telemetry", None)
+            start = time.perf_counter() if telemetry is not None else 0.0
+            compiled = backend.compile_kernel(self.info, name,
+                                              profile=self.profile)
+            tier = compiled.tier if compiled is not None else "ast"
             if telemetry is not None:
-                start = time.perf_counter()
-                compiled = backend.compile_kernel(self.info, name,
-                                                  profile=self.profile)
                 telemetry.metrics.histogram(
                     KERNEL_COMPILE_SECONDS,
                     "Kernel compile wall time by engine",
                 ).observe(time.perf_counter() - start,
-                          engine=self.engine, kernel=name)
-            else:
-                compiled = backend.compile_kernel(self.info, name,
-                                                  profile=self.profile)
+                          engine=tier, kernel=name)
             if compiled is not None:
-                return compiled.bind(self, coerced)
+                return compiled.bind(self, coerced), tier
 
         def kernel_thread(ctx: ThreadContext) -> Iterator[Any]:
             yield from self._call_user_function(fn, coerced, ctx)
 
         if self.profile:
             kernel_thread.profiled = True
-        return kernel_thread
+        return kernel_thread, "ast"
 
     def launch_kernel(self, name: str, grid: Any, block: Any,
                       args: tuple[Any, ...]) -> Any:
-        """Host-side kernel launch helper (used by KernelLaunch)."""
-        kernel = self.make_kernel(name, args)
-        return self.runtime.launch(kernel, _as_dim3(grid), _as_dim3(block),
-                                   kernel_name=name, engine=self.engine)
+        """Host-side kernel launch: the one funnel every launch takes
+        (``KernelLaunch`` expressions and ``CompiledProgram.launch``).
+
+        A warp-SIMD kernel runs speculatively. If it raises
+        :class:`LaneConflict` — statement-major order was about to
+        differ from the oracle's thread-major order — the launch is
+        undone (written allocations, step budget; its stats never
+        reached the runtime) and replayed on the scalar kernel. Faults
+        and hangs are not conflicts and propagate as they always did.
+        """
+        kernel, tier = self._bind_kernel(name, args)
+        # only a warp-SIMD kernel carries (and can raise for) one
+        speculation = getattr(kernel, "speculation", None)
+        try:
+            grid, block = _as_dim3(grid), _as_dim3(block)
+            return self.runtime.launch(kernel, grid, block,
+                                       kernel_name=name, engine=tier)
+        except LaneConflict:
+            kernel = speculation.rollback()
+            telemetry = getattr(self.runtime, "telemetry", None)
+            if telemetry is not None:
+                telemetry.metrics.counter(
+                    KERNEL_REPLAYS_TOTAL,
+                    "Speculative simd launches replayed scalar",
+                ).inc(kernel=name)
+            return self.runtime.launch(kernel, grid, block,
+                                       kernel_name=name,
+                                       engine=speculation.kernel.src.tier)
+        finally:
+            if speculation is not None:
+                speculation.release()
 
     def _coerce_args(self, fn: ast.FuncDef, args: tuple[Any, ...]) -> tuple:
         if len(args) != len(fn.params):

@@ -24,10 +24,23 @@ error). Barrier kernels lower to a "spine": straight-line vectorized
 statements separated by yields, with uniform-condition loops driven
 by scalar conditions so whole warps arrive at every barrier together.
 
-Documented divergences from the scalar engines (shared with the
-codegen engine's ``vector_run``): faults surface in statement-major
-rather than thread-major order, and int64 carriers wrap where Python
-ints would grow unbounded.
+Execution is *speculative*. A warp runs statement-major where the
+oracle runs thread-major, and the two agree only while no lane touches
+an element a higher lane already touched in the same barrier interval
+(one of the two storing). Every access to an allocation the kernel may
+store to goes through that allocation's
+:class:`~repro.gpusim.memory.LaneTracker`; the first such access raises
+:class:`~repro.gpusim.memory.LaneConflict`, and
+``Interpreter.launch_kernel`` restores the :class:`Speculation`
+snapshot, marks the kernel demoted and replays the launch on the
+scalar ``codegen`` kernel — so results, ``KernelStats`` and line
+ledgers equal the oracle's for racy programs too. Kernels that name a
+writable file-scope ``__device__`` array or pointer are ineligible
+(that storage carries no tracker).
+
+Documented divergences from the scalar engines: faults surface in
+statement-major rather than thread-major order, and int64 carriers
+wrap where Python ints would grow unbounded.
 """
 
 from __future__ import annotations
@@ -37,7 +50,7 @@ from typing import Any, Callable
 
 import numpy as np
 
-from repro.gpusim.memory import DevicePtr, SharedArray
+from repro.gpusim.memory import DevicePtr, LaneTracker, SharedArray
 from repro.gpusim.scheduler import SYNC, ThreadContext
 from repro.minicuda import ast_nodes as ast
 from repro.minicuda import builtins as bi
@@ -72,7 +85,6 @@ from repro.minicuda.srcgen import (
     _resolve_atomic,
     _stmt_contains_barrier,
 )
-from repro.minicuda.srcgen import compile_kernel as _srcgen_compile
 from repro.minicuda.values import (
     NULL,
     MemoryFault,
@@ -82,9 +94,19 @@ from repro.minicuda.values import (
     sizeof_ctype,
 )
 
+#: Estimated resident bytes a lowered kernel adds to the scalar kernel
+#: it carries: a fixed part plus so much per expression or statement
+#: lowered (each becomes a closure or two) — a fit to tracemalloc
+#: growth over the catalog's solution and skeleton kernels
+#: (1500 + 400 per lowering), times the 1.2 by which process RSS
+#: outgrew the traced bytes on ``catalog_grade``. The kernel memo
+#: charges a simd entry this on top of its scalar kernel's estimate.
+_NBYTES_BASE = 1800
+_NBYTES_PER_LOWERED = 480
+
 #: Bump when SIMD lowering semantics change; part of the memo key so
 #: stale fallback verdicts are never recalled across upgrades.
-SIMD_VERSION = 1
+SIMD_VERSION = 2
 
 _I64 = np.int64
 _F64 = np.float64
@@ -248,36 +270,66 @@ def _stmt_contains_return(stmt: ast.Stmt) -> bool:
 _ALWAYS_VARYING = True
 
 
-def _analyze_varying(fn: ast.FuncDef, info: ProgramInfo) -> set[str]:
-    """Fixpoint analysis: names of params/locals that may hold
-    different values across the lanes of one warp.
+def _analyze_names(fn: ast.FuncDef,
+                   info: ProgramInfo) -> tuple[set[str], frozenset[int]]:
+    """One pass over the kernel body for two name-level, conservative
+    facts (shadowed declarations share one verdict).
 
-    A name becomes varying when it is assigned (a) a lane-dependent
-    value — anything touching ``threadIdx``, memory loads, derefs,
-    atomics, OpenCL index functions, device calls, or other varying
-    names — or (b) any value under lane-divergent control flow (an
-    enclosing condition that is itself varying, or a loop body with
-    break/continue/return). Name-level and conservative: shadowed
-    declarations share one verdict."""
+    **Varying names** — params/locals that may hold different values
+    across the lanes of one warp, by fixpoint: a name becomes varying
+    when it is assigned (a) a lane-dependent value — anything touching
+    ``threadIdx``, memory loads, derefs, atomics, OpenCL index
+    functions, device calls, or other varying names — or (b) any value
+    under lane-divergent control flow (an enclosing condition that is
+    itself varying, or a loop body with break/continue/return).
+
+    **Stored parameters** — indices of the pointer parameters the
+    kernel may store through (plain or compound assignment,
+    ``++``/``--``, atomics). Only their allocations need lane tracking
+    and a rollback snapshot: any other argument is written, if at all,
+    through an alias of one of these, and the tracker hangs off the
+    allocation, not the parameter. A pointer-typed local or a reseated
+    pointer parameter makes every pointer parameter count."""
     varying: set[str] = set()
     device_fns = info.device_functions
     # (target name, governing conds, rhs expr or None)
     records: list[tuple[str, tuple, Any]] = []
+    pointers = {p.name: i for i, p in enumerate(fn.params)
+                if p.type.is_pointer}
+    stored: set[str] = set()
+
+    def note_store(dest: ast.Expr) -> None:
+        if type(dest) is ast.Unary and dest.op == "&":  # atomic target
+            dest = dest.operand
+        while type(dest) is ast.Index:
+            dest = dest.base  # the subscript is only read
+        stored.update(n.name for n in ast.walk(dest)
+                      if type(n) is ast.Ident)
 
     def collect_expr(e: ast.Expr | None, conds: tuple) -> None:
         if e is None:
             return
         for node in ast.walk(e):
             cls = type(node)
-            if cls is ast.Assign and isinstance(node.target, ast.Ident):
-                records.append((node.target.name, conds, node.value))
-            elif cls is ast.IncDec and isinstance(node.operand, ast.Ident):
-                records.append((node.operand.name, conds, None))
+            if cls is ast.Assign or cls is ast.IncDec:
+                dest = node.target if cls is ast.Assign else node.operand
+                if type(dest) is not ast.Ident:
+                    note_store(dest)
+                    continue
+                records.append((dest.name, conds,
+                                node.value if cls is ast.Assign else None))
+                if dest.name in pointers:  # reseated: could be anything
+                    stored.update(pointers)
+            elif cls is ast.Call and node.name.startswith("atomic") \
+                    and node.args:
+                note_store(node.args[0])
 
     def scan_stmt(s: ast.Stmt, conds: tuple) -> None:
         cls = type(s)
         if cls is ast.DeclStmt:
             for d in s.declarators:
+                if d.type.is_pointer:  # may alias any parameter
+                    stored.update(pointers)
                 collect_expr(d.init, conds)
                 for a in d.ctor_args:
                     collect_expr(a, conds)
@@ -352,7 +404,8 @@ def _analyze_varying(fn: ast.FuncDef, info: ProgramInfo) -> set[str]:
                     (rhs is not None and expr_varying(rhs)):
                 varying.add(name)
                 changed = True
-    return varying
+    return varying, frozenset(
+        i for name, i in pointers.items() if name in stored)
 
 
 # -- per-warp execution state ------------------------------------------------
@@ -389,9 +442,10 @@ class _WarpSt:
 
     __slots__ = ("ctxs", "n", "interp", "frame", "stats", "block", "warp",
                  "seqs", "_tid", "ops", "slots", "idx_all", "md_ok",
-                 "prof", "line", "bseqs")
+                 "prof", "line", "bseqs", "trackers")
 
-    def __init__(self, ctxs: list, interp: Any, frame_size: int):
+    def __init__(self, ctxs: list, interp: Any, frame_size: int,
+                 trackers: list):
         self.ctxs = ctxs
         self.n = len(ctxs)
         self.interp = interp
@@ -412,6 +466,10 @@ class _WarpSt:
         # in range — tid vectors are warp constants, so one positive
         # verdict covers every later (masked or full) access
         self.md_ok: set = set()
+        # lane trackers this warp may have dirtied: the launch's
+        # tracked global allocations, plus each __shared__ array as its
+        # declaration runs
+        self.trackers = list(trackers)
         # line-profiled blocks expose themselves via .prof; profiled
         # closures keep ``line`` at the innermost enclosing statement
         # and ``bseqs`` tracks per-lane branch sequence numbers
@@ -450,6 +508,11 @@ class _WarpSt:
         if type(self.seqs) is int:
             self.seqs = np.full(self.n, self.seqs, dtype=np.int64)
         return self.seqs
+
+    def end_interval(self) -> None:
+        """A barrier, or the end of the warp: lane order starts over."""
+        for tracker in self.trackers:
+            tracker.reset()
 
     def add_steps(self, k: int, pos: Any) -> None:
         interp = self.interp
@@ -561,10 +624,20 @@ class _Lowerer:
         self.fn = fn
         self.gen_ok = gen_ok
         self.profile = profile
-        self.varying_names = _analyze_varying(fn, info)
+        self.varying_names, self.stored_params = _analyze_names(fn, info)
+        # writable file-scope arrays live outside device allocations,
+        # and a file-scope pointer may reach any of them: storage no
+        # LaneTracker is known to watch
+        self.untracked_globals = frozenset(
+            d.name for g in info.unit.globals if not g.decl.constant
+            for d in g.decl.declarators
+            if d.type.is_array or d.type.is_pointer)
         self.scopes: list[dict[str, _Slot]] = [{}]
         self.nslots = 0
         self.loop_depth = 0
+        #: expressions and statements lowered so far — what the
+        #: artifact's closures, and so its resident size, scale with
+        self.lowered = 0
 
     # -- line profiling helpers ------------------------------------------------
 
@@ -649,6 +722,7 @@ class _Lowerer:
     # -- expressions ----------------------------------------------------------
 
     def expr(self, e: ast.Expr) -> tuple[Callable, Any, bool]:
+        self.lowered += 1
         cls = type(e)
         if cls is ast.IntLit:
             v = e.value
@@ -695,6 +769,8 @@ class _Lowerer:
             return (lambda st, idx: st.frame[slot]), rec.kind, True
         name = e.name
         if name in self.global_names:
+            if name in self.untracked_globals:
+                raise _SimdUnsupported(f"__device__ storage {name!r}")
             return (lambda st, idx: st.interp.globals.get(name)), None, True
         if name == "threadIdx":
             raise _SimdUnsupported("bare threadIdx value")
@@ -1357,6 +1433,8 @@ class _Lowerer:
 
         def fn(st, idx):
             target, ind = resolve(st, idx)
+            if type(target) is DevicePtr:  # atomicAdd(p, v)
+                target, ind = target.buffer, target.offset + ind
             vals = [f(st, idx) for f in val_fns]
             if negate:
                 vals[0] = -vals[0]
@@ -1364,6 +1442,14 @@ class _Lowerer:
             ctxs = st.ctxs
             out = np.empty(len(idx), carrier)
             ind_arr = isinstance(ind, np.ndarray)
+            tracker = target.lanes
+            if tracker is not None:
+                # the tracker indexes by element: fault first
+                if ind_arr:
+                    target._check_lanes(ind)
+                else:
+                    target._check(ind)
+                tracker.store(ind, idx)
             val_arr = [isinstance(v, np.ndarray) for v in vals]
             for j, lane in enumerate(idx.tolist()):
                 c = ctxs[lane]
@@ -1510,6 +1596,7 @@ class _Lowerer:
     # that left via break (innermost loop) or return (whole kernel).
 
     def stmt(self, s: ast.Stmt) -> Callable:
+        self.lowered += 1
         sfn = self._stmt_dispatch(s)
         if not self.profile:
             return sfn
@@ -1826,7 +1913,12 @@ class _Lowerer:
             def dfn(st, idx):
                 # get-or-allocate on the block (no charge); the shared
                 # memory limit fault comes from ThreadContext.shared
-                st.frame[slot] = st.ctxs[0].shared(name, total, base)
+                arr = st.ctxs[0].shared(name, total, base)
+                if arr.lanes is None:
+                    arr.lanes = LaneTracker(total)
+                if arr.lanes not in st.trackers:
+                    st.trackers.append(arr.lanes)
+                st.frame[slot] = arr
             return dfn
         if ctype.array_dims:
             if d.init is not None:
@@ -1981,6 +2073,9 @@ class _Lowerer:
 # chunks), identical fault types and messages on the first offending
 # lane. Global accesses read/write storage before recording the trace;
 # shared accesses record first — the same order the scalar methods use.
+# Accesses to trackable storage then report to its LaneTracker (after
+# the bounds check: the tracker indexes by element), which raises
+# LaneConflict when thread-major order would have differed.
 
 def _lanes_in_range(v: np.ndarray, limit: int) -> bool:
     """True when every lane of ``v`` is in ``[0, limit)``. One
@@ -2041,6 +2136,9 @@ def _global_load(st: _WarpSt, idx: np.ndarray, base: Any, ind: Any,
         if isinstance(ind, np.ndarray):
             i = base.offset + ind
             vals = buf.gather(i)  # bounds-checks before the trace
+            tracker = buf.lanes
+            if tracker is not None:
+                tracker.load(i, idx)
             keys = st.next_seq(idx, k)
             st.block.load_chunks.append(
                 (k, st.warp, keys, buf._base + i * nb, nb) if st.prof is None
@@ -2049,6 +2147,9 @@ def _global_load(st: _WarpSt, idx: np.ndarray, base: Any, ind: Any,
             return vals.astype(carrier)
         i = base.offset + int(ind)
         val = buf.read(i)
+        tracker = buf.lanes
+        if tracker is not None:
+            tracker.load(i, idx)
         keys = st.next_seq(idx, k)
         st.block.load_chunks.append(
             (k, st.warp, keys, buf._base + i * nb, nb) if st.prof is None
@@ -2067,6 +2168,9 @@ def _global_store(st: _WarpSt, idx: np.ndarray, base: Any, ind: Any,
         if isinstance(ind, np.ndarray):
             i = base.offset + ind
             buf.scatter(i, values)
+            tracker = buf.lanes
+            if tracker is not None:
+                tracker.store(i, idx)
             keys = st.next_seq(idx, k)
             st.block.store_chunks.append(
                 (k, st.warp, keys, buf._base + i * nb, nb) if st.prof is None
@@ -2076,6 +2180,9 @@ def _global_store(st: _WarpSt, idx: np.ndarray, base: Any, ind: Any,
         i = base.offset + int(ind)
         v = values[-1] if isinstance(values, np.ndarray) else values
         buf.write(i, v)
+        tracker = buf.lanes
+        if tracker is not None:
+            tracker.store(i, idx)
         keys = st.next_seq(idx, k)
         st.block.store_chunks.append(
             (k, st.warp, keys, buf._base + i * nb, nb) if st.prof is None
@@ -2100,6 +2207,7 @@ def _shared_load_md(st: _WarpSt, idx: np.ndarray, arr: Any,
             (k, st.warp, keys, 0, words) if st.prof is None
             else (k, st.warp, keys, 0, words, st.line))
         st.stats.instructions += k
+        arr.lanes.load(ind, idx)
         return arr.data[ind].astype(carrier)
     i = int(ind)
     word = i * its // 4
@@ -2108,6 +2216,7 @@ def _shared_load_md(st: _WarpSt, idx: np.ndarray, arr: Any,
         (k, st.warp, keys, 0, word) if st.prof is None
         else (k, st.warp, keys, 0, word, st.line))
     st.stats.instructions += k
+    arr.lanes.load(i, idx)
     return np.full(k, arr._cache[i], carrier)
 
 
@@ -2123,7 +2232,9 @@ def _shared_load(st: _WarpSt, idx: np.ndarray, arr: Any,
             (k, st.warp, keys, 0, words) if st.prof is None
             else (k, st.warp, keys, 0, words, st.line))
         st.stats.instructions += k
-        return arr.read_lanes(ind).astype(carrier)
+        vals = arr.read_lanes(ind)
+        arr.lanes.load(ind, idx)
+        return vals.astype(carrier)
     i = int(ind)
     word = i * its // 4
     keys = st.next_seq(idx, k)
@@ -2131,7 +2242,9 @@ def _shared_load(st: _WarpSt, idx: np.ndarray, arr: Any,
         (k, st.warp, keys, 0, word) if st.prof is None
         else (k, st.warp, keys, 0, word, st.line))
     st.stats.instructions += k
-    return np.full(k, arr.read(i), carrier)
+    val = arr.read(i)
+    arr.lanes.load(i, idx)
+    return np.full(k, val, carrier)
 
 
 def _shared_store(st: _WarpSt, idx: np.ndarray, arr: Any, ind: Any,
@@ -2146,6 +2259,7 @@ def _shared_store(st: _WarpSt, idx: np.ndarray, arr: Any, ind: Any,
             else (k, st.warp, keys, 0, words, st.line))
         st.stats.instructions += k
         arr.write_lanes(ind, values)
+        arr.lanes.store(ind, idx)
         return
     i = int(ind)
     word = i * its // 4
@@ -2155,6 +2269,7 @@ def _shared_store(st: _WarpSt, idx: np.ndarray, arr: Any, ind: Any,
         else (k, st.warp, keys, 0, word, st.line))
     st.stats.instructions += k
     arr.write(i, values[-1] if isinstance(values, np.ndarray) else values)
+    arr.lanes.store(i, idx)
 
 
 def _local_oob(ind: Any, size: int, name: str) -> None:
@@ -2200,6 +2315,7 @@ def _spine_exec(node: tuple, st: _WarpSt, fr: tuple):
     elif tag == "sync":
         for argf in node[1]:
             argf(st, st.idx_all)
+        st.end_interval()
         yield SYNC
     elif tag == "blk":
         for child in node[1]:
@@ -2239,30 +2355,75 @@ def _spine_exec(node: tuple, st: _WarpSt, fr: tuple):
 
 # -- compiled kernel object ---------------------------------------------------
 
+class Speculation:
+    """Undo log of one speculative launch, carried by the bound kernel
+    as ``thread_fn.speculation`` for ``Interpreter.launch_kernel``.
+
+    Creating it snapshots every allocation the kernel may store to and
+    hangs a fresh :class:`LaneTracker` on each; everything else a
+    launch changes (block state, stats, printf output) is dropped with
+    the failed launch by the runtime itself."""
+
+    __slots__ = ("kernel", "interp", "args", "steps", "saved")
+
+    def __init__(self, kernel: "CompiledSimdKernel", interp: Any,
+                 args: tuple[Any, ...], buffers: list):
+        self.kernel = kernel
+        self.interp = interp
+        self.args = args
+        self.steps = interp.steps
+        self.saved = [(buf, buf.data.copy()) for buf in buffers]
+        for buf in buffers:
+            buf.lanes = LaneTracker(buf.num_elements)
+
+    def rollback(self) -> Callable:
+        """Undo the launch after a :class:`LaneConflict` and demote the
+        kernel (this and every later launch of the artifact run
+        scalar); returns the scalar kernel to replay on."""
+        for buf, data in self.saved:
+            buf.data[:] = data
+        self.interp.steps = self.steps
+        self.kernel.demoted = True
+        return self.kernel.src.bind(self.interp, self.args)
+
+    def release(self) -> None:
+        """The launch is over, either way: stop tracking."""
+        for buf, _data in self.saved:
+            buf.lanes = None
+
+
 class CompiledSimdKernel:
     """A kernel lowered to warp-SIMD closures.
 
     Binding delegates to the scalar codegen kernel (so per-thread
     fallback paths and generator-ness stay intact) and attaches the
-    warp executor the scheduler prefers: ``vector_run`` for plain
-    kernels, ``warp_run`` for barrier kernels."""
+    warp executor the scheduler prefers — ``vector_run`` for plain
+    kernels, ``warp_run`` for barrier kernels — plus the launch's
+    :class:`Speculation`."""
 
     __slots__ = ("name", "src", "param_plan", "nslots", "body_fns",
-                 "spine", "entry_pos", "lane_occupancy")
+                 "spine", "entry_pos", "stored_params", "nbytes",
+                 "demoted")
+
+    tier = "simd"
 
     def __init__(self, name: str, src: CompiledSrcKernel,
                  param_plan: list, nslots: int,
                  body_fns: list | None, spine: list | None,
-                 entry_pos: Any):
+                 entry_pos: Any, stored_params: frozenset[int],
+                 nbytes: int):
         self.name = name
+        self.nbytes = nbytes
         self.src = src
         self.param_plan = param_plan
         self.nslots = nslots
         self.body_fns = body_fns
         self.spine = spine
         self.entry_pos = entry_pos
-        # cumulative [active-lane ops, warp-width slots] across launches
-        self.lane_occupancy = [0, 0]
+        self.stored_params = stored_params
+        #: set by the first lane-conflict replay: ``compile_kernel``
+        #: hands out the scalar kernel from then on
+        self.demoted = False
 
     def bind(self, interp: Any, args: tuple[Any, ...]) -> Callable:
         thread_fn = self.src.bind(interp, args)
@@ -2271,14 +2432,23 @@ class CompiledSimdKernel:
         plan = self.param_plan
         nslots = self.nslots
         entry_pos = self.entry_pos
-        occ = self.lane_occupancy
+        # [active-lane ops, warp-width slots] of this launch
+        occ = [0, 0]
+        buffers: list = []
+        for i in self.stored_params:
+            arg = args2[i]
+            if type(arg) is DevicePtr and not arg.buffer.read_only \
+                    and arg.buffer not in buffers:
+                buffers.append(arg.buffer)
+        thread_fn.speculation = Speculation(self, interp, args, buffers)
+        trackers = [buf.lanes for buf in buffers]
 
         def _enter(ctxs: list) -> _WarpSt:
             n = len(ctxs)
             interp.steps += n
             if interp.steps > interp.max_steps:
                 raise KernelHang(_HANG_MSG, entry_pos)
-            st = _WarpSt(ctxs, interp, nslots)
+            st = _WarpSt(ctxs, interp, nslots, trackers)
             frame = st.frame
             for (slot, carrier), arg in zip(plan, args2):
                 frame[slot] = (np.full(n, arg, carrier)
@@ -2298,6 +2468,7 @@ class CompiledSimdKernel:
                     if not len(idx):
                         break
                     idx = f(st, idx, fr)
+                st.end_interval()
                 occ[0] += st.ops
                 occ[1] += st.slots
             thread_fn.vector_run = vector_run
@@ -2309,6 +2480,7 @@ class CompiledSimdKernel:
                 fr: tuple = ([], [])
                 for node in spine:
                     yield from _spine_exec(node, st, fr)
+                st.end_interval()
                 occ[0] += st.ops
                 occ[1] += st.slots
             thread_fn.warp_run = warp_run
@@ -2341,7 +2513,9 @@ def _compile_simd(info: ProgramInfo, fn: ast.FuncDef,
         spine = None
         body_fns = [lw.stmt(s) for s in fn.body.statements]
     return CompiledSimdKernel(fn.name, src, param_plan, lw.nslots,
-                              body_fns, spine, fn.pos)
+                              body_fns, spine, fn.pos, lw.stored_params,
+                              src.nbytes + _NBYTES_BASE
+                              + _NBYTES_PER_LOWERED * lw.lowered)
 
 
 def _kernel_for(info: ProgramInfo, name: str, profile: bool = False):
@@ -2352,13 +2526,15 @@ def _kernel_for(info: ProgramInfo, name: str, profile: bool = False):
         setattr(info, attr, cache)
     if name in cache:
         return cache[name]
-    src = _srcgen_compile(info, name, profile=profile)
+    # straight from the program's srcgen artifact: the scalar kernel
+    # rides inside this tier's memo entry, not in one of its own
+    artifact = _artifact_for(info, profile)
+    src = artifact.get_kernel(name)
     compiled = None
     if src is not None:
         try:
             compiled = _compile_simd(info, info.kernels[name],
-                                     _artifact_for(
-                                         info, profile).global_names,
+                                     artifact.global_names,
                                      src, profile=profile)
         except _SimdUnsupported:
             # memoized fallback verdict: the scalar codegen kernel
@@ -2373,18 +2549,22 @@ def compile_kernel(info: ProgramInfo, name: str, profile: bool = False):
 
     Returns a :class:`CompiledSimdKernel` when the kernel is eligible,
     the scalar :class:`CompiledSrcKernel` when the SIMD lowering hit an
-    unsupported construct (the fallback ladder: simd → codegen →
-    tree-walker), or None when even the source emitter declined. All
-    three verdicts are memoized — per program object and, when a
-    fingerprint is available, in the shared ``KERNEL_CACHE`` under a
-    versioned ``simd`` key. ``profile`` compiles the line-profiled
-    variant (separately memoized): closures pin the warp's current
-    source line, ``if`` conditions log per-lane branch outcomes, and
-    access chunks carry the charging line as a sixth column."""
+    unsupported construct or a lane-conflict replay has demoted the
+    kernel (the fallback ladder: simd → codegen → tree-walker), or None
+    when even the source emitter declined. All verdicts are memoized —
+    per program object and, when a fingerprint is available, in the
+    shared ``KERNEL_CACHE`` under a versioned ``simd`` key. ``profile``
+    compiles the line-profiled variant (separately memoized): closures
+    pin the warp's current source line, ``if`` conditions log per-lane
+    branch outcomes, and access chunks carry the charging line as a
+    sixth column."""
     if info.fingerprint:
         key = memo_key("simd-prof" if profile else "simd", SIMD_VERSION,
                        info.fingerprint, name)
         value, _ = KERNEL_CACHE.get_or_compute(
             key, lambda: _kernel_for(info, name, profile))
-        return value
-    return _kernel_for(info, name, profile)
+    else:
+        value = _kernel_for(info, name, profile)
+    if type(value) is CompiledSimdKernel and value.demoted:
+        return value.src
+    return value

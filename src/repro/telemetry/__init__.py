@@ -97,10 +97,16 @@ KERNEL_WALL_SECONDS = "webgpu_kernel_wall_seconds"
 KERNEL_SIM_SECONDS = "webgpu_kernel_sim_seconds"
 
 #: Per-engine kernel compile/exec breakdown (labeled ``engine=`` and
-#: ``kernel=``) — lets the dashboard compare the ast / closure /
-#: codegen backends launch-for-launch.
+#: ``kernel=``) — lets the dashboard compare the backends
+#: launch-for-launch. ``engine`` is the tier that actually compiled or
+#: ran the kernel (``simd`` / ``codegen`` / ``closure`` / ``ast``),
+#: which is below the requested one whenever the ladder fell back.
 KERNEL_COMPILE_SECONDS = "webgpu_kernel_engine_compile_seconds"
 KERNEL_EXEC_SECONDS = "webgpu_kernel_engine_exec_seconds"
+
+#: Counter (``kernel=``): speculative warp-SIMD launches that hit a
+#: lane-order conflict and were rolled back and replayed scalar.
+KERNEL_REPLAYS_TOTAL = "webgpu_kernel_engine_replays_total"
 
 #: Histogram: fraction of warp lane slots active per simd-engine launch
 #: (1.0 = divergence-free; lower means masked-off lanes rode along
@@ -322,5 +328,6 @@ __all__ = [
     "QUEUE_WAIT_SECONDS", "SLO_BURN", "ADMISSION_CLASSES", "job_class",
     "KERNEL_WALL_SECONDS", "KERNEL_SIM_SECONDS",
     "KERNEL_COMPILE_SECONDS", "KERNEL_EXEC_SECONDS",
+    "KERNEL_REPLAYS_TOTAL",
     "dump_jsonl", "write_jsonl", "read_jsonl", "waterfall", "render_trace",
 ]

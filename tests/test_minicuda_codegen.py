@@ -229,7 +229,7 @@ int main() { return 0; }
         program = compile_source(source)
         assert codegen.compile_kernel(program.info, "k") is None
         # the unsupported verdict is memoized, and the tree-walker
-        # still runs the kernel under the default closure engine
+        # still runs the kernel under the closure engine
         assert codegen.compile_kernel(program.info, "k") is None
         rt = GpuRuntime(Device())
         out = rt.malloc(1, "float")
@@ -372,7 +372,11 @@ int main() { return 0; }
         program.launch(rt, "k", 1, 1, out.ptr(), engine="codegen")
         assert rt.memcpy_dtoh(out)[0] == 9.0
 
-    def test_barrier_free_kernel_gets_warp_fast_path(self):
+    def test_codegen_kernels_carry_no_vector_run(self):
+        # the scalar tier is what the warp-SIMD tier replays on when
+        # lane order would show, so it must itself stay thread-major:
+        # no whole-warp executor for the scheduler to prefer, even for
+        # the loop- and barrier-free shape that used to get one
         source = """
 __global__ void k(float *out, int n) {
   int i = blockIdx.x * blockDim.x + threadIdx.x;
@@ -384,14 +388,14 @@ int main() { return 0; }
         compiled = srcgen.compile_kernel(program.info, "k")
         assert compiled is not None
         assert not compiled.is_gen
-        assert compiled.warp_factory is not None
         rt = GpuRuntime(Device())
         interp = Interpreter(program.info, rt, None, engine="codegen")
         thread_fn = interp.make_kernel(
             "k", (rt.malloc(8, "float").ptr(), 8))
         assert not inspect.isgeneratorfunction(thread_fn)
-        # the scheduler's warp-vectorized dispatch keys off this
-        assert callable(getattr(thread_fn, "vector_run", None))
+        assert not hasattr(thread_fn, "vector_run")
+        assert not hasattr(thread_fn, "warp_run")
+        assert not hasattr(thread_fn, "speculation")
 
     def test_barrier_kernel_compiles_to_generator(self):
         source = """

@@ -22,7 +22,11 @@ from repro.minicuda import compile_source
 from repro.minicuda.simd import CompiledSimdKernel, compile_kernel
 from repro.minicuda.srcgen import CompiledSrcKernel
 from repro.minicuda.values import f32
-from repro.telemetry import Telemetry, WARP_ACTIVE_LANE_RATIO
+from repro.telemetry import (
+    KERNEL_REPLAYS_TOTAL,
+    Telemetry,
+    WARP_ACTIVE_LANE_RATIO,
+)
 from repro.telemetry.metrics import MetricsRegistry, merge_registries
 
 ENGINES = ("ast", "closure", "codegen", "simd")
@@ -308,21 +312,34 @@ class TestLaneOccupancyGauge:
     SRC = """
 __global__ void half(int *out, int n) {
   int i = blockIdx.x * blockDim.x + threadIdx.x;
-  if (i < n) { out[i] = i; } else { out[0] = out[0]; }
+  if (i < n) { out[i] = i; } else { out[i] = -i; }
 }
 int main() { return 0; }
 """
 
-    def _ratio(self, n):
+    def _launch(self, source, n):
         tel = Telemetry()
         rt = GpuRuntime(Device(), telemetry=tel)
-        program = compile_source(self.SRC)
+        program = compile_source(source)
         out = rt.malloc(64, "int")
         program.launch(rt, "half", 2, 32, out.ptr(), n, engine="simd")
-        hist = tel.metrics.histogram(WARP_ACTIVE_LANE_RATIO)
+        return tel.metrics
+
+    def _ratio(self, n):
+        hist = self._launch(self.SRC, n).histogram(WARP_ACTIVE_LANE_RATIO)
         series = hist.merged(kernel="half")
         assert series.count == 1
         return series.max
+
+    def test_conflicting_launch_reports_no_occupancy_and_one_replay(self):
+        # the else-arm's lanes read out[0] after lane 0 of the same
+        # warp stored it: the launch replays scalar, and a scalar
+        # launch has no lane occupancy to report
+        racy = self.SRC.replace("out[i] = -i;", "out[0] = out[0];")
+        metrics = self._launch(racy, 16)
+        assert not metrics.histogram(WARP_ACTIVE_LANE_RATIO)._series
+        assert metrics.counter(KERNEL_REPLAYS_TOTAL).value(
+            kernel="half") == 1
 
     def test_divergence_free_kernel_is_full(self):
         assert self._ratio(64) == 1.0
