@@ -8,8 +8,8 @@ all, and profiled launches should cost a bounded multiple of the
 unprofiled run — the profile is built from the same per-access stream
 the engines already emit for KernelStats, not a second execution.
 
-This benchmark runs tiled matmul and a block reduction on all four
-engines, profiled vs unprofiled, checks ledgers stay bit-identical
+This benchmark runs tiled matmul and a block reduction on every
+engine, profiled vs unprofiled, checks ledgers stay bit-identical
 across engines, and records the slowdowns in ``BENCH_profiler.json``.
 No hard floor on the profiled multiple: the simd engine executes a
 warp per instruction but the ledger still charges per line, so its

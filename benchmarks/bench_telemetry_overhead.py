@@ -5,7 +5,7 @@ hook in :meth:`repro.gpusim.host.GpuRuntime.launch` is guarded: with
 ``telemetry=None`` (the default, and what every seed benchmark uses)
 the launch path gains a single ``is None`` test — no wall-clock read,
 no histogram update. This benchmark measures three configurations over
-repeated closure-engine launches of the tiled matmul kernel:
+repeated codegen-engine launches of the tiled matmul kernel:
 
 * ``baseline``  — ``telemetry=None`` (the seed path);
 * ``null``      — a :class:`~repro.telemetry.Telemetry` bundle with the
@@ -86,7 +86,7 @@ def _make_runtime(telemetry: Telemetry | None):
     return rt, [a.ptr(), b.ptr(), c.ptr(), N]
 
 
-def _one_launch(program, rt, args, engine="closure",
+def _one_launch(program, rt, args, engine="codegen",
                 profile=False) -> float:
     """Wall seconds for a single matmul launch."""
     t0 = time.perf_counter()

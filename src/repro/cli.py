@@ -30,7 +30,7 @@ from pathlib import Path
 from repro.gpusim import Device
 from repro.labs import EXTRA_LABS, execute_lab_source, get_lab
 from repro.labs.catalog import render_course_matrix
-from repro.minicuda import CompileError
+from repro.minicuda import ENGINES, CompileError
 from repro.simulate import HPP_2015, StudentPopulation
 from repro.simulate.funnel import funnel_table
 from repro.simulate.scenarios import COURSERA_OFFERINGS
@@ -312,9 +312,9 @@ def build_parser() -> argparse.ArgumentParser:
                                        "(default: reference solution)")
     prof.add_argument("--dataset", type=int, default=0,
                       help="dataset index to profile (default 0)")
-    prof.add_argument("--engine", default=None,
-                      help="kernel engine (ast|closure|codegen|simd; "
-                           "the ledger is engine-invariant)")
+    prof.add_argument("--engine", default=None, choices=ENGINES,
+                      help="kernel engine (the ledger is "
+                           "engine-invariant)")
     prof.add_argument("--top", type=int, default=5,
                       help="hot lines to summarize (default 5)")
     prof.set_defaults(fn=cmd_profile_attempt)

@@ -23,7 +23,7 @@ from repro.cluster.job import DatasetOutcome, Job, JobKind, JobResult, JobStatus
 from repro.cluster.node import Clock, ManualClock, Node
 from repro.gpusim.device import DeviceSpec, KEPLER_K20
 from repro.labs.base import LabDefinition, execute_lab_program
-from repro.minicuda import CompileError, compile_source
+from repro.minicuda import CompileError, compile_source, resolve_engine
 from repro.profiler import LineProfile, check_line_budgets
 from repro.sandbox import (
     BlacklistScanner,
@@ -50,7 +50,7 @@ class WorkerConfig:
     health_interval_s: float = 10.0
     policy: SeccompPolicy = field(default_factory=SeccompPolicy.baseline)
     scanner: BlacklistScanner = field(default_factory=BlacklistScanner)
-    #: kernel execution engine ("simd"/"codegen"/"closure"/"ast");
+    #: kernel execution engine ("simd"/"codegen"/"ast");
     #: None → WEBGPU_KERNEL_ENGINE, then "simd"
     kernel_engine: str | None = None
     #: run every dataset evaluation under the per-source-line kernel
@@ -72,6 +72,10 @@ class GpuWorker(Node):
         super().__init__(zone=zone, name=name)
         self.telemetry = telemetry if telemetry is not None else Telemetry()
         self.config = config or WorkerConfig()
+        #: resolved here, not inside the sandboxed run: a misnamed
+        #: engine (config or environment) must stop the worker at
+        #: start-up, not be graded as every student's runtime error
+        self.kernel_engine = resolve_engine(self.config.kernel_engine)
         self.clock = clock or ManualClock()
         self.jobs_processed = 0
         self.busy_seconds = 0.0
@@ -340,7 +344,7 @@ class GpuWorker(Node):
                     max_steps=max_steps,
                     stdout_hook=lambda _line: None,
                     syscall_hook=env.gate.invoke,
-                    engine=self.config.kernel_engine,
+                    engine=self.kernel_engine,
                     telemetry=self.telemetry,
                     profile=self.config.line_profile)
             except KernelHang:

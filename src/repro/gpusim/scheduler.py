@@ -573,8 +573,8 @@ class ThreadContext:
 
 class _LineStatsProxy:
     """Stands in for the raw ``KernelStats`` in engines that charge
-    instructions via bare ``stats.instructions += n`` (the closure
-    engine's frame slot): the setter forwards the delta to the real
+    instructions via bare ``stats.instructions += n`` (the codegen
+    engine's ``S`` local): the setter forwards the delta to the real
     stats *and* to the per-line ledger at the context's current line."""
 
     __slots__ = ("_ctx", "_count")

@@ -122,7 +122,7 @@ def execute_lab_program(lab: LabDefinition, program: CompiledProgram,
     every dataset of an attempt. Runtime faults propagate as their
     interpreter/simulator exceptions (the sandbox layer catches
     and classifies them). ``engine`` selects the kernel execution
-    engine (``"simd"``/``"codegen"``/``"closure"``/``"ast"``; None → env
+    engine (``"simd"``/``"codegen"``/``"ast"``; None → env
     var, then ``simd`` with its per-kernel codegen and ast fallbacks).
     ``telemetry`` (a :class:`repro.telemetry.Telemetry`) is handed to
     the :class:`GpuRuntime` so per-kernel wall time and KernelStats

@@ -29,11 +29,10 @@ course (Table II):
   tier ``simd`` falls back to and replays on: lowers each checked
   kernel to generated Python source compiled once per program
   fingerprint and run thread by thread;
-* :mod:`repro.minicuda.codegen` — the ``closure`` engine: lowers each
-  checked kernel AST once into nested Python closures; owns the kernel
-  memo table every compiled engine shares under versioned keys. The
-  tree-walker is kept as the ``ast`` reference oracle and every
-  compiled tier's last resort.
+* :mod:`repro.minicuda.codegen` — no engine of its own: the kernel
+  memo table both compiled engines share under versioned keys, plus
+  their common coercion helpers. The tree-walker is kept as the
+  ``ast`` reference oracle and every compiled tier's last resort.
 
 The facade is :func:`repro.minicuda.compiler.compile_source`.
 """

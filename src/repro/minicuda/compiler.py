@@ -69,7 +69,7 @@ class CompiledProgram:
         """Execute ``main`` (the usual lab entry point).
 
         ``engine`` picks the kernel execution engine (``"simd"``,
-        ``"codegen"``, ``"closure"`` or ``"ast"``); None defers to
+        ``"codegen"`` or ``"ast"``); None defers to
         ``WEBGPU_KERNEL_ENGINE``, then to ``simd`` (whose ladder is
         simd → codegen → ast per kernel). ``profile`` enables the
         per-source-line kernel profiler: each launch's ``KernelStats``

@@ -223,10 +223,11 @@ def write_indexed(base: Any, index: Any, value: Any,
 #: Kernel execution engines: ``simd`` (the default — speculative
 #: warp-SIMD numpy batching with masked lane predication; falls back
 #: per kernel to ``codegen`` when ineligible or when a launch hits a
-#: lane-order conflict), ``codegen`` (generated scalar Python source),
-#: ``closure`` (nested Python closures) and ``ast`` (the tree-walking
-#: reference oracle, also every compiled tier's last resort).
-ENGINES = ("closure", "ast", "codegen", "simd")
+#: lane-order conflict), ``codegen`` (generated scalar Python source)
+#: and ``ast`` (the tree-walking reference oracle, also every compiled
+#: tier's last resort). Oracle first, so ``ENGINES[1:]`` is "the
+#: compiled tiers" wherever a parity suite or bench walks the tuple.
+ENGINES = ("ast", "codegen", "simd")
 
 
 def resolve_engine(engine: str | None) -> str:
@@ -356,9 +357,8 @@ class Interpreter:
         locals, ``compile()``-d once per program fingerprint), run
         thread by thread; barrier-free kernels come back as plain
         functions so the scheduler skips generator machinery entirely.
-        The ``closure`` engine lowers the AST into nested Python
-        closures instead. The ``ast`` engine — and any construct the
-        compilers do not support — takes the tree-walking path.
+        The ``ast`` engine — and any construct the compilers do not
+        support — takes the tree-walking path.
         """
         return self._bind_kernel(name, args)[0]
 
@@ -372,9 +372,7 @@ class Interpreter:
         coerced = self._coerce_args(fn, args)
 
         if self.engine != "ast":
-            if self.engine == "closure":
-                from repro.minicuda import codegen as backend
-            elif self.engine == "simd":
+            if self.engine == "simd":
                 from repro.minicuda import simd as backend
             else:
                 from repro.minicuda import srcgen as backend

@@ -1,6 +1,6 @@
 """Warp-SIMD numpy execution engine: masked lane batching.
 
-The fourth execution tier. Where the ``codegen`` engine emits scalar
+The top execution tier. Where the ``codegen`` engine emits scalar
 Python source executed once per thread, this engine lowers an eligible
 kernel body to numpy array programs executed once per *warp*: builtin
 indices become lane vectors, arithmetic becomes dtype-correct numpy

@@ -1,19 +1,22 @@
-"""Source-codegen execution engine for minicuda kernels.
+"""Source-codegen execution engine for minicuda kernels (``codegen``).
 
-The closure engine (``repro.minicuda.codegen``) removed per-node AST
-dispatch but still pays one Python *call* per expression node. This
-module takes the next step — the pegen-experiments idiom of emitting
-**Python source text** and ``compile()``-ing it: each checked kernel is
-lowered to one generated Python function with flat local variables (no
-slot indirection, no closure chains), so per-thread execution is plain
-bytecode over plain locals.
+The tree-walking interpreter pays per-node ``isinstance`` dispatch on
+every statement and expression of every thread of every launch. This
+module lowers a kernel's *checked* AST once — the pegen idiom of
+emitting **Python source text** and ``compile()``-ing it: each kernel
+becomes one generated Python function with flat local variables (no
+``Env`` chains, no per-node calls), so per-thread execution is plain
+bytecode over plain locals. Barrier-free kernels compile to plain
+functions, which the scheduler runs as direct calls; kernels with a
+top-level ``__syncthreads()``/``barrier()`` compile to generators that
+``yield SYNC`` exactly like the tree-walker.
 
-Design points, mirroring the closure engine where it matters:
+The contract with the ``ast`` oracle:
 
 * **KernelStats parity** — every ``stats.instructions`` charge point of
-  the closure engine is preserved, and all memory traffic still routes
+  the tree-walker is preserved, and all memory traffic still routes
   through the profiling :class:`ThreadContext`, so the profiled
-  counters are bit-identical to the tree-walking oracle. Charges in a
+  counters are bit-identical to the oracle. Charges in a
   straight-line region are batched into one ``S.instructions += n``
   per region (totals are identical; only the interleaving of the
   counter bumps differs, which nothing observes mid-kernel).
@@ -21,14 +24,18 @@ Design points, mirroring the closure engine where it matters:
   hoisted onto its own generated line in C evaluation order, so the
   per-thread access sequence (and therefore the coalescing and
   bank-conflict model) matches the oracle exactly.
-* **Step accounting** is the closure engine's coarse scheme: one step
-  per kernel/device-function entry and per loop iteration, raising
-  :class:`KernelHang` with the same message.
+* **Step accounting** is deliberately coarser than the tree-walker's:
+  one step of the shared budget per kernel/device-function entry and
+  per loop iteration (rather than per AST node), which still bounds
+  every non-terminating program while keeping the hot loop free of
+  per-node bookkeeping. :class:`KernelHang` carries the same message.
 * **Fallback** — constructs the emitter cannot lower (address of a
   scalar local, barriers in expression/for-init position, calls to
   barrier device functions, ``continue`` inside ``switch``, OpenACC)
-  raise :class:`UnsupportedConstruct`; the caller falls back to the
-  tree-walker, and the verdict is memoized like the closure engine's.
+  raise :class:`UnsupportedConstruct`; the caller
+  (:meth:`Interpreter.make_kernel`) falls back to the tree-walker for
+  that kernel, and the verdict is memoized so the fallback decision is
+  also paid once.
 * **Thread-major, always** — every kernel executes lane by lane (one
   call of the generated function per thread, in linear thread order
   between barriers), exactly the oracle's order. The warp-SIMD tier
@@ -41,9 +48,11 @@ instead of wrapping them in :class:`InterpreterError`, and a kernel
 that faults mid-statement may have batched instruction charges not yet
 flushed. Successful runs are bit-identical.
 
-Compiled kernels are memoized per program fingerprint through the same
-:data:`repro.minicuda.codegen.KERNEL_CACHE` the closure engine uses,
-under engine- and version-tagged keys (see :func:`codegen.memo_key`).
+Compiled kernels are memoized per program fingerprint in the shared
+:data:`repro.minicuda.codegen.KERNEL_CACHE`, under engine- and
+version-tagged keys (see :func:`codegen.memo_key`), so repeated
+launches and repeated grading of the same submission pay compilation
+zero times.
 """
 
 from __future__ import annotations
@@ -799,7 +808,7 @@ class _FnEmitter:
 
     def _combine(self, bop: str, cur: str, curk: Any, val: str,
                  valk: Any) -> tuple[str, Any]:
-        """``cur bop val`` with the closure engine's pointer-aware
+        """``cur bop val`` with the tree-walker's pointer-aware
         semantics (the DevicePtr/HostPtr dunders already int() their
         operand, so plain + / - matches)."""
         if bop in ("+", "-", "*"):

@@ -31,9 +31,9 @@ statement at the static site of the charging construct**:
 
 Per-line counters are additive bags, so batching engines may flush
 charges in any order — only the (line, count) multiset must match.
-All four kernel engines (``ast``, ``closure``, ``codegen``, ``simd``)
-produce bit-identical ledgers under this contract; the differential
-fuzzer and ``tests/test_profiler_parity.py`` enforce it.
+All three kernel engines (``ast``, ``codegen``, ``simd``) produce
+bit-identical ledgers under this contract; the differential fuzzer
+and ``tests/test_profiler_parity.py`` enforce it.
 """
 
 from __future__ import annotations

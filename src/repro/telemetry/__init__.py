@@ -99,7 +99,7 @@ KERNEL_SIM_SECONDS = "webgpu_kernel_sim_seconds"
 #: Per-engine kernel compile/exec breakdown (labeled ``engine=`` and
 #: ``kernel=``) — lets the dashboard compare the backends
 #: launch-for-launch. ``engine`` is the tier that actually compiled or
-#: ran the kernel (``simd`` / ``codegen`` / ``closure`` / ``ast``),
+#: ran the kernel (``simd`` / ``codegen`` / ``ast``),
 #: which is below the requested one whenever the ladder fell back.
 KERNEL_COMPILE_SECONDS = "webgpu_kernel_engine_compile_seconds"
 KERNEL_EXEC_SECONDS = "webgpu_kernel_engine_exec_seconds"

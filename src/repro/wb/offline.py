@@ -41,7 +41,7 @@ def run_offline(source: str, data: GeneratedData,
     lets runtime faults propagate — offline development shows the raw
     toolchain behaviour, unlike the worker which wraps everything.
     ``engine`` selects the kernel execution engine
-    (simd/codegen/closure/ast; default simd).
+    (simd/codegen/ast; default simd).
     """
     program = compile_source(source)
     runtime = GpuRuntime(Device(spec))

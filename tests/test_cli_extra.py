@@ -29,6 +29,12 @@ class TestCliRemainder:
         with pytest.raises(KeyError):
             main(["show-lab", "nope"])
 
+    def test_profile_attempt_rejects_unknown_engine(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["profile-attempt", "vector-add", "--engine", "closur"])
+        assert exit_info.value.code == 2
+        assert "invalid choice: 'closur'" in capsys.readouterr().err
+
     def test_module_entry_point_importable(self):
         import repro.__main__  # noqa: F401 - import must not execute main
         # (the module calls main() at import... it must be guarded)

@@ -19,6 +19,7 @@ from repro.cluster import (
 )
 from repro.cluster.job import JobKind
 from repro.labs import get_lab
+from repro.minicuda.interpreter import InterpreterError
 
 
 @pytest.fixture
@@ -104,6 +105,20 @@ class TestWorkerEvaluation:
         dispatcher.dispatch(make_job())
         worker_counts = [w.outcome_counts for w in pool.workers]
         assert any(c.get("ok") for c in worker_counts)
+
+    @pytest.mark.parametrize("via", ["config", "env"])
+    def test_unknown_engine_stops_the_worker_at_start_up(
+            self, via, clock, monkeypatch):
+        # regression: the engine name was first resolved inside the
+        # sandboxed run, so a typo graded every dataset of every job
+        # as the student's runtime_error (and a result cache kept it)
+        if via == "env":
+            monkeypatch.setenv("WEBGPU_KERNEL_ENGINE", "closur")
+            config = WorkerConfig()
+        else:
+            config = WorkerConfig(kernel_engine="closur")
+        with pytest.raises(InterpreterError, match="unknown kernel engine"):
+            GpuWorker(config, clock=clock)
 
 
 class TestDispatchAndCapabilities:

@@ -4,7 +4,7 @@ The warp-SIMD tier runs a warp statement by statement; the tree-walking
 oracle runs it thread by thread. The two orders show whenever two lanes
 of one warp touch one address inside a barrier interval, one of them
 storing. The race-free parity corpora never reach that, so these probes
-do: each is a small racy kernel, run on all four engines with the line
+do: each is a small racy kernel, run on every engine with the line
 profiler off and on, and every output element, every ``KernelStats``
 counter and the whole ``LineProfile`` ledger must equal the oracle's.
 The simd tier gets there by detecting the conflict, rolling the launch
@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 
 from repro.gpusim import Device, GpuRuntime
-from repro.minicuda import compile_source
+from repro.minicuda import ENGINES, compile_source
 from repro.minicuda.simd import CompiledSimdKernel, compile_kernel
 from repro.minicuda.srcgen import CompiledSrcKernel
 from repro.telemetry import (
@@ -30,7 +30,6 @@ from repro.telemetry import (
     Telemetry,
 )
 
-ENGINES = ("ast", "closure", "codegen", "simd")
 THREADS = 64
 
 #: name -> (kernel source, elements in ``counts``). Every kernel is

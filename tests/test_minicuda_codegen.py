@@ -1,8 +1,9 @@
 """Compiled kernel engines: parity, memoization, fallback.
 
-Covers both compiled backends — ``closure`` (callable trees) and
-``codegen`` (generated Python source) — against the ``ast``
-tree-walker oracle.
+Stats parity runs every engine against the ``ast`` tree-walker
+oracle; the compilation, fallback and memo-key tests pin the
+``codegen`` tier (generated Python source) and the kernel memo it
+shares with ``simd`` (``repro.minicuda.codegen``).
 """
 
 import inspect
@@ -14,10 +15,10 @@ import pytest
 from repro.gpusim import Device, GpuRuntime
 from repro.gpusim.grid import Dim3
 from repro.minicuda import HostEnv, compile_source
-from repro.minicuda import codegen, srcgen
+from repro.minicuda import codegen, simd, srcgen
 from repro.minicuda.interpreter import ENGINES, Interpreter
 
-COMPILED_ENGINES = tuple(e for e in ENGINES if e != "ast")
+COMPILED_ENGINES = ENGINES[1:]
 
 STAT_FIELDS = (
     "blocks", "threads", "warps", "instructions",
@@ -151,71 +152,6 @@ int main() { return 0; }
             assert out_eng[1][0] == n
 
 
-class TestCompilation:
-    def test_barrier_free_kernel_compiles_to_plain_function(self):
-        source = """
-__global__ void k(float *out, int n) {
-  int i = blockIdx.x * blockDim.x + threadIdx.x;
-  if (i < n) out[i] = 2.0f * i;
-}
-int main() { return 0; }
-"""
-        program = compile_source(source)
-        compiled = codegen.compile_kernel(program.info, "k")
-        assert compiled is not None
-        assert not compiled.is_gen
-        rt = GpuRuntime(Device())
-        interp = Interpreter(program.info, rt, None, engine="closure")
-        thread_fn = interp.make_kernel(
-            "k", (rt.malloc(8, "float").ptr(), 8))
-        # the scheduler fast path keys off this
-        assert not inspect.isgeneratorfunction(thread_fn)
-
-    def test_barrier_kernel_compiles_to_generator(self):
-        source = """
-__global__ void k(float *out) {
-  __shared__ float s[32];
-  s[threadIdx.x] = 1.0f;
-  __syncthreads();
-  out[threadIdx.x] = s[31 - threadIdx.x];
-}
-int main() { return 0; }
-"""
-        program = compile_source(source)
-        compiled = codegen.compile_kernel(program.info, "k")
-        assert compiled is not None
-        assert compiled.is_gen
-        rt = GpuRuntime(Device())
-        interp = Interpreter(program.info, rt, None, engine="closure")
-        thread_fn = interp.make_kernel("k", (rt.malloc(32, "float").ptr(),))
-        assert inspect.isgeneratorfunction(thread_fn)
-
-    def test_artifact_memoized_on_program(self):
-        source = """
-__global__ void k(float *out) { out[0] = 1.0f; }
-int main() { return 0; }
-"""
-        program = compile_source(source)
-        first = codegen.compile_kernel(program.info, "k")
-        second = codegen.compile_kernel(program.info, "k")
-        assert first is second
-
-    def test_cross_program_memoization_by_fingerprint(self):
-        source = """
-__global__ void k(float *out) { out[0] = 3.0f; }
-int main() { return 0; }
-"""
-        # two compiles of the same source → same fingerprint → the
-        # second program gets the first program's compiled kernel
-        p1 = compile_source(source)
-        p2 = compile_source(source)
-        assert p1.info.fingerprint == p2.info.fingerprint
-        assert p1.info is not p2.info
-        k1 = codegen.compile_kernel(p1.info, "k")
-        k2 = codegen.compile_kernel(p2.info, "k")
-        assert k1 is k2
-
-
 class TestFallback:
     def test_address_of_local_scalar_falls_back(self):
         source = """
@@ -227,13 +163,17 @@ __global__ void k(float *out) {
 int main() { return 0; }
 """
         program = compile_source(source)
-        assert codegen.compile_kernel(program.info, "k") is None
-        # the unsupported verdict is memoized, and the tree-walker
-        # still runs the kernel under the closure engine
-        assert codegen.compile_kernel(program.info, "k") is None
+        assert srcgen.compile_kernel(program.info, "k") is None
+        # the unsupported verdict is memoized — a second program with
+        # the same fingerprint does not re-derive it — and the
+        # tree-walker still runs the kernel under the codegen engine
+        before = codegen.KERNEL_CACHE.compute_count
+        again = compile_source(source)
+        assert srcgen.compile_kernel(again.info, "k") is None
+        assert codegen.KERNEL_CACHE.compute_count == before
         rt = GpuRuntime(Device())
         out = rt.malloc(1, "float")
-        program.launch(rt, "k", 1, 1, out.ptr(), engine="closure")
+        program.launch(rt, "k", 1, 1, out.ptr(), engine="codegen")
         assert rt.memcpy_dtoh(out)[0] == 2.0
 
     def test_barrier_device_function_falls_back(self):
@@ -250,10 +190,10 @@ int main() { return 0; }
         program = compile_source(source)
         assert "phase_sync" in program.info.barrier_functions
         assert "k" in program.info.barrier_functions
-        assert codegen.compile_kernel(program.info, "k") is None
+        assert srcgen.compile_kernel(program.info, "k") is None
         rt = GpuRuntime(Device())
         out = rt.malloc(32, "float")
-        program.launch(rt, "k", 1, 32, out.ptr(), engine="closure")
+        program.launch(rt, "k", 1, 32, out.ptr(), engine="codegen")
         assert list(rt.memcpy_dtoh(out)) == [float(31 - i)
                                              for i in range(32)]
 
@@ -266,36 +206,43 @@ __global__ void k(float *out) {
 int main() { return 0; }
 """
         program = compile_source(source)
-        assert codegen.compile_kernel(program.info, "k") is not None
+        assert srcgen.compile_kernel(program.info, "k") is not None
         rt = GpuRuntime(Device())
         out = rt.malloc(8, "float")
-        program.launch(rt, "k", 1, 8, out.ptr(), engine="closure")
+        program.launch(rt, "k", 1, 8, out.ptr(), engine="codegen")
         assert list(rt.memcpy_dtoh(out)) == [float(i ** 3)
                                              for i in range(8)]
 
 
 class TestMemoVersioning:
+    """The shared kernel memo's key contract, against both engines
+    that write to it."""
+
     SOURCE = """
 __global__ void k(float *out) { out[0] = 7.0f; }
 int main() { return 0; }
 """
+    #: (backend module, its version constant, its memo_key engine tag)
+    BACKENDS = ((srcgen, "SRCGEN_VERSION", "codegen"),
+                (simd, "SIMD_VERSION", "simd"))
 
     def test_version_bump_invalidates_cached_artifact(self, monkeypatch):
         # regression: the memo key used to be
         # ``kernelcode:{fingerprint}:{name}`` with no engine or
         # version component, so a table outliving a compiler upgrade
         # replayed pre-upgrade artifacts (and stale None verdicts)
-        p1 = compile_source(self.SOURCE)
-        k1 = codegen.compile_kernel(p1.info, "k")
-        monkeypatch.setattr(codegen, "CLOSURE_CODEGEN_VERSION",
-                            codegen.CLOSURE_CODEGEN_VERSION + 1)
-        p2 = compile_source(self.SOURCE)
-        k2 = codegen.compile_kernel(p2.info, "k")
-        assert p1.info.fingerprint == p2.info.fingerprint
-        assert k1 is not k2  # fresh compile, not a stale replay
-        # same version + fingerprint still memoizes
-        p3 = compile_source(self.SOURCE)
-        assert codegen.compile_kernel(p3.info, "k") is k2
+        for backend, version, _ in self.BACKENDS:
+            p1 = compile_source(self.SOURCE)
+            k1 = backend.compile_kernel(p1.info, "k")
+            monkeypatch.setattr(backend, version,
+                                getattr(backend, version) + 1)
+            p2 = compile_source(self.SOURCE)
+            k2 = backend.compile_kernel(p2.info, "k")
+            assert p1.info.fingerprint == p2.info.fingerprint
+            assert k1 is not k2  # fresh compile, not a stale replay
+            # same version + fingerprint still memoizes
+            p3 = compile_source(self.SOURCE)
+            assert backend.compile_kernel(p3.info, "k") is k2
 
     def test_version_bump_recomputes_unsupported_verdict(self, monkeypatch):
         source = """
@@ -306,31 +253,30 @@ __global__ void k(float *out) {
 }
 int main() { return 0; }
 """
-        p1 = compile_source(source)
-        assert codegen.compile_kernel(p1.info, "k") is None
-        before = codegen.KERNEL_CACHE.compute_count
-        monkeypatch.setattr(codegen, "CLOSURE_CODEGEN_VERSION",
-                            codegen.CLOSURE_CODEGEN_VERSION + 1)
-        p2 = compile_source(source)
-        # still unsupported, but the verdict was re-derived by the
-        # "new" compiler generation, not replayed from the old key
-        assert codegen.compile_kernel(p2.info, "k") is None
-        assert codegen.KERNEL_CACHE.compute_count == before + 1
+        for backend, version, _ in self.BACKENDS:
+            p1 = compile_source(source)
+            assert backend.compile_kernel(p1.info, "k") is None
+            before = codegen.KERNEL_CACHE.compute_count
+            monkeypatch.setattr(backend, version,
+                                getattr(backend, version) + 1)
+            p2 = compile_source(source)
+            # still unsupported, but the verdict was re-derived by the
+            # "new" compiler generation, not replayed from the old key
+            assert backend.compile_kernel(p2.info, "k") is None
+            assert codegen.KERNEL_CACHE.compute_count == before + 1
 
     def test_engines_occupy_distinct_namespaces(self):
         p = compile_source(self.SOURCE)
         fp = p.info.fingerprint
-        closure_key = codegen.memo_key(
-            "closure", codegen.CLOSURE_CODEGEN_VERSION, fp, "k")
-        srcgen_key = codegen.memo_key(
-            "codegen", srcgen.SRCGEN_VERSION, fp, "k")
-        assert closure_key != srcgen_key
-        k_closure = codegen.compile_kernel(p.info, "k")
-        k_srcgen = srcgen.compile_kernel(p.info, "k")
-        assert isinstance(k_closure, codegen.CompiledKernel)
-        assert isinstance(k_srcgen, srcgen.CompiledSrcKernel)
-        assert closure_key in codegen.KERNEL_CACHE._done
-        assert srcgen_key in codegen.KERNEL_CACHE._done
+        keys = [codegen.memo_key(tag, getattr(backend, version), fp, "k")
+                for backend, version, tag in self.BACKENDS]
+        assert len(set(keys)) == len(keys)
+        assert isinstance(srcgen.compile_kernel(p.info, "k"),
+                          srcgen.CompiledSrcKernel)
+        assert isinstance(simd.compile_kernel(p.info, "k"),
+                          simd.CompiledSimdKernel)
+        for key in keys:
+            assert key in codegen.KERNEL_CACHE._done
         # the pre-fix unversioned key format is never written
         assert f"kernelcode:{fp}:k" not in codegen.KERNEL_CACHE._done
 

@@ -18,7 +18,7 @@ import pytest
 from repro.gpusim import Device, GpuRuntime
 from repro.gpusim.errors import InvalidPointerError
 from repro.gpusim.grid import Dim3
-from repro.minicuda import compile_source
+from repro.minicuda import ENGINES, compile_source
 from repro.minicuda.simd import CompiledSimdKernel, compile_kernel
 from repro.minicuda.srcgen import CompiledSrcKernel
 from repro.minicuda.values import f32
@@ -28,8 +28,6 @@ from repro.telemetry import (
     WARP_ACTIVE_LANE_RATIO,
 )
 from repro.telemetry.metrics import MetricsRegistry, merge_registries
-
-ENGINES = ("ast", "closure", "codegen", "simd")
 
 STAT_FIELDS = (
     "blocks", "threads", "warps", "instructions",
@@ -56,7 +54,7 @@ def run_kernel(source, kernel, grid, block, arrays, scalars, engine):
 
 
 def assert_engines_identical(source, kernel, grid, block, arrays, scalars):
-    """All four engines must agree on outputs and every counter."""
+    """Every engine must agree on outputs and every counter."""
     outs_ast, stats_ast = run_kernel(source, kernel, grid, block,
                                      arrays, scalars, "ast")
     for engine in ENGINES[1:]:

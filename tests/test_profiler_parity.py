@@ -1,8 +1,8 @@
 """Engine parity of the per-source-line profiler ledgers.
 
-Every kernel engine — the tree-walking oracle (``ast``), the closure
-compiler, the source-codegen tier, and the warp-SIMD tier — must
-produce **bit-identical** :class:`repro.profiler.LineProfile` ledgers
+Every kernel engine — the tree-walking oracle (``ast``), the
+source-codegen tier, and the warp-SIMD tier — must produce
+**bit-identical** :class:`repro.profiler.LineProfile` ledgers
 for the same launch. This is the profiler half of the engine-parity
 contract: outputs and whole-kernel counters already agree
 (``test_minicuda_simd.py``); this corpus pins the per-line attribution
@@ -19,10 +19,8 @@ from repro.gpusim import Device, GpuRuntime
 from repro.gpusim.grid import Dim3
 from repro.labs import get_lab
 from repro.labs.base import execute_lab_source
-from repro.minicuda import compile_source
+from repro.minicuda import ENGINES, compile_source
 from repro.profiler import LineProfile, render_annotated
-
-ENGINES = ("ast", "closure", "codegen", "simd")
 
 
 def profiled_ledgers(source, kernel, grid, block, arrays, scalars):
