@@ -7,7 +7,8 @@ course (Table II):
 
 * :mod:`repro.minicuda.preprocessor` — comments, ``#define`` object- and
   function-like macros, ``#include``, ``#ifdef`` conditionals;
-* :mod:`repro.minicuda.lexer` — tokens with line/column positions;
+* :mod:`repro.minicuda.lexer` — ``tokenize``: one master pattern turns
+  preprocessed text into tokens with line/column positions;
 * :mod:`repro.minicuda.parser` — recursive descent into a typed AST,
   including CUDA's ``kernel<<<grid, block>>>(...)`` launch syntax,
   ``__global__ / __device__ / __shared__ / __constant__`` qualifiers and
@@ -39,7 +40,7 @@ The facade is :func:`repro.minicuda.compiler.compile_source`.
 
 from repro.minicuda.diagnostics import CompileError, Diagnostic, SourcePos
 from repro.minicuda.preprocessor import Preprocessor, preprocess
-from repro.minicuda.lexer import Lexer, Token, TokenKind, tokenize
+from repro.minicuda.lexer import Token, TokenKind, tokenize
 from repro.minicuda.parser import Parser, parse
 from repro.minicuda.semantic import analyze
 from repro.minicuda.compiler import CompileCache, CompiledProgram, compile_source
@@ -53,7 +54,6 @@ __all__ = [
     "Diagnostic",
     "ENGINES",
     "HostEnv",
-    "Lexer",
     "Parser",
     "Preprocessor",
     "SolutionRecorded",

@@ -1,11 +1,10 @@
-"""Tokenizer for the CUDA-C subset."""
+"""Tokenizer for the CUDA-C subset: one master pattern, one pass."""
 
 from __future__ import annotations
 
 import enum
 import re
-from dataclasses import dataclass
-from typing import Any, Iterator
+from typing import Any
 
 from repro.minicuda.diagnostics import CompileError, SourcePos
 
@@ -49,23 +48,44 @@ PUNCTUATION = (
     "?", ":", ";", ",", ".", "(", ")", "[", "]", "{", "}",
 )
 
-_FLOAT_RE = re.compile(
-    r"(?:\d+\.\d*(?:[eE][-+]?\d+)?|\.\d+(?:[eE][-+]?\d+)?|\d+[eE][-+]?\d+)[fF]?"
-    r"|\d+[fF]"
-)
-_INT_RE = re.compile(r"0[xX][0-9a-fA-F]+[uUlL]*|\d+[uUlL]*")
-_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-
 _ESCAPES = {"n": "\n", "t": "\t", "r": "\r", "0": "\0", "\\": "\\",
             '"': '"', "'": "'"}
+_ESCAPE_RE = re.compile(r"\\(.)", re.DOTALL)
+
+# One token per match: leading whitespace, then the first alternative
+# that fits — so the order is the lexer's precedence. ``float`` sits
+# before ``int`` ("1.5" is not "1" "." "5") and before ``punct`` (".5"
+# is not "." "5"); an opening quote that does not begin a well-formed
+# literal falls through to ``badstring`` / ``badchar``; ``stray`` takes
+# whatever is left, so every offset short of the end matches something.
+_MASTER = re.compile(rf"""[ \t\r\n]*(?:
+    (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
+  | (?P<float>(?:\d+\.\d*(?:[eE][-+]?\d+)?|\.\d+(?:[eE][-+]?\d+)?|\d+[eE][-+]?\d+)[fF]?
+             |\d+[fF])
+  | (?P<int>0[xX][0-9a-fA-F]+[uUlL]*|\d+[uUlL]*)
+  | (?P<punct>{"|".join(map(re.escape, PUNCTUATION))})
+  | (?P<hash>\#[^\n]*)
+  | (?P<string>"(?:[^"\\\n]|\\.)*")
+  | (?P<char>'(?:\\.|.)')
+  | (?P<badstring>")
+  | (?P<badchar>')
+  | (?P<eof>\Z)
+  | (?P<stray>.)
+)""", re.VERBOSE | re.DOTALL)
+
+_ERRORS = {"badstring": "unterminated string literal",
+           "badchar": "malformed character literal"}
 
 
-@dataclass(frozen=True)
 class Token:
-    kind: TokenKind
-    text: str
-    pos: SourcePos
-    value: Any = None  # parsed literal value for INT/FLOAT/STRING/CHAR
+    __slots__ = ("kind", "text", "pos", "value")
+
+    def __init__(self, kind: TokenKind, text: str, pos: SourcePos,
+                 value: Any = None):
+        self.kind = kind
+        self.text = text
+        self.pos = pos
+        self.value = value  # parsed literal value for INT/FLOAT/STRING/CHAR
 
     def is_punct(self, *texts: str) -> bool:
         return self.kind is TokenKind.PUNCT and self.text in texts
@@ -73,131 +93,65 @@ class Token:
     def is_keyword(self, *names: str) -> bool:
         return self.kind is TokenKind.KEYWORD and self.text in names
 
+    def __repr__(self) -> str:
+        return (f"Token(kind={self.kind!r}, text={self.text!r}, "
+                f"pos={self.pos!r}, value={self.value!r})")
+
     def __str__(self) -> str:
         return f"{self.kind.value}({self.text!r})@{self.pos}"
 
 
-class Lexer:
-    """Streaming tokenizer with 1-based line/column tracking."""
-
-    def __init__(self, source: str):
-        self.source = source
-        self.i = 0
-        self.line = 1
-        self.col = 1
-
-    def _pos(self) -> SourcePos:
-        return SourcePos(self.line, self.col)
-
-    def _advance(self, n: int) -> None:
-        chunk = self.source[self.i:self.i + n]
-        newlines = chunk.count("\n")
-        if newlines:
-            self.line += newlines
-            self.col = n - chunk.rfind("\n")
-        else:
-            self.col += n
-        self.i += n
-
-    def tokens(self) -> Iterator[Token]:
-        src = self.source
-        n = len(src)
-        while self.i < n:
-            ch = src[self.i]
-            if ch in " \t\r\n":
-                self._advance(1)
-                continue
-            if ch == "#":
-                # surviving "#pragma" lines become PRAGMA tokens so the
-                # parser can attach OpenACC directives to loops; other
-                # stray hash lines are skipped
-                pos = self._pos()
-                end = src.find("\n", self.i)
-                line = src[self.i:end if end >= 0 else n]
-                self._advance(len(line))
-                stripped = line.lstrip("#").strip()
-                if stripped.startswith("pragma"):
-                    yield Token(TokenKind.PRAGMA, line, pos,
-                                stripped[len("pragma"):].strip())
-                continue
-            pos = self._pos()
-            if ch == '"':
-                text, value = self._string(pos)
-                yield Token(TokenKind.STRING, text, pos, value)
-                continue
-            if ch == "'":
-                text, value = self._char(pos)
-                yield Token(TokenKind.CHAR, text, pos, value)
-                continue
-            m = _FLOAT_RE.match(src, self.i)
-            if m:
-                text = m.group(0)
-                self._advance(len(text))
-                yield Token(TokenKind.FLOAT, text, pos,
-                            float(text.rstrip("fF")))
-                continue
-            m = _INT_RE.match(src, self.i)
-            if m:
-                text = m.group(0)
-                self._advance(len(text))
-                digits = text.rstrip("uUlL")
-                value = int(digits, 16) if digits.lower().startswith("0x") \
-                    else int(digits)
-                yield Token(TokenKind.INT, text, pos, value)
-                continue
-            m = _IDENT_RE.match(src, self.i)
-            if m:
-                text = m.group(0)
-                self._advance(len(text))
-                kind = TokenKind.KEYWORD if text in KEYWORDS else TokenKind.IDENT
-                yield Token(kind, text, pos)
-                continue
-            for punct in PUNCTUATION:
-                if src.startswith(punct, self.i):
-                    self._advance(len(punct))
-                    yield Token(TokenKind.PUNCT, punct, pos)
-                    break
-            else:
-                raise CompileError(f"unexpected character {ch!r}", pos)
-        yield Token(TokenKind.EOF, "", self._pos())
-
-    def _string(self, pos: SourcePos) -> tuple[str, str]:
-        src = self.source
-        j = self.i + 1
-        chars: list[str] = []
-        while j < len(src):
-            c = src[j]
-            if c == "\\" and j + 1 < len(src):
-                chars.append(_ESCAPES.get(src[j + 1], src[j + 1]))
-                j += 2
-                continue
-            if c == '"':
-                text = src[self.i:j + 1]
-                self._advance(j + 1 - self.i)
-                return text, "".join(chars)
-            if c == "\n":
-                break
-            chars.append(c)
-            j += 1
-        raise CompileError("unterminated string literal", pos)
-
-    def _char(self, pos: SourcePos) -> tuple[str, int]:
-        src = self.source
-        j = self.i + 1
-        if j < len(src) and src[j] == "\\" and j + 2 < len(src) \
-                and src[j + 2] == "'":
-            value = ord(_ESCAPES.get(src[j + 1], src[j + 1]))
-            text = src[self.i:j + 3]
-            self._advance(j + 3 - self.i)
-            return text, value
-        if j + 1 < len(src) and src[j + 1] == "'":
-            value = ord(src[j])
-            text = src[self.i:j + 2]
-            self._advance(j + 2 - self.i)
-            return text, value
-        raise CompileError("malformed character literal", pos)
+def _unescape(body: str) -> str:
+    return _ESCAPE_RE.sub(lambda m: _ESCAPES.get(m[1], m[1]), body)
 
 
 def tokenize(source: str) -> list[Token]:
     """Tokenize preprocessed source into a list ending with EOF."""
-    return list(Lexer(source).tokens())
+    # offset of each line's first character; the last entry is past the
+    # end of the source, so no token start ever reaches it
+    line_starts = [0]
+    for physical in source.split("\n"):
+        line_starts.append(line_starts[-1] + len(physical) + 1)
+    line, line_start, next_start = 1, 0, line_starts[1]
+    tokens: list[Token] = []
+    append = tokens.append
+    for m in _MASTER.finditer(source):
+        group = m.lastgroup
+        text = m[group]
+        start = m.end() - len(text)  # the token is what the match ends with
+        while start >= next_start:
+            line_start = next_start
+            line += 1
+            next_start = line_starts[line]
+        pos = SourcePos(line, start - line_start + 1)
+        if group == "ident":
+            append(Token(TokenKind.KEYWORD if text in KEYWORDS
+                         else TokenKind.IDENT, text, pos))
+        elif group == "punct":
+            append(Token(TokenKind.PUNCT, text, pos))
+        elif group == "int":
+            digits = text.rstrip("uUlL")
+            append(Token(TokenKind.INT, text, pos,
+                         int(digits, 16 if digits[:2] in ("0x", "0X") else 10)))
+        elif group == "float":
+            append(Token(TokenKind.FLOAT, text, pos, float(text.rstrip("fF"))))
+        elif group == "hash":
+            # surviving "#pragma" lines become PRAGMA tokens so the
+            # parser can attach OpenACC directives to loops; other
+            # stray hash lines are skipped
+            stripped = text.lstrip("#").strip()
+            if stripped.startswith("pragma"):
+                append(Token(TokenKind.PRAGMA, text, pos,
+                             stripped[len("pragma"):].strip()))
+        elif group == "string":
+            append(Token(TokenKind.STRING, text, pos, _unescape(text[1:-1])))
+        elif group == "char":
+            append(Token(TokenKind.CHAR, text, pos,
+                         ord(_unescape(text[1:-1]))))
+        elif group == "eof":
+            append(Token(TokenKind.EOF, "", pos))
+            break
+        else:
+            raise CompileError(_ERRORS.get(group)
+                               or f"unexpected character {text!r}", pos)
+    return tokens

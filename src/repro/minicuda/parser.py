@@ -705,6 +705,11 @@ def _fold(expr: ast.Expr) -> int | None:
 #: ``legacy`` (the hand-written descent oracle above).
 BACKENDS = ("pegen", "legacy")
 
+#: Where a "nested too deeply" diagnostic points: the first bracket
+#: opened inside this many others. Both backends recurse per nesting
+#: level and run out of Python stack near 50 levels of parentheses.
+MAX_BRACKET_DEPTH = 40
+
 
 def resolve_backend(backend: str | None = None) -> str:
     """Resolve a parser choice: explicit argument, then the
@@ -715,6 +720,19 @@ def resolve_backend(backend: str | None = None) -> str:
         raise ValueError(
             f"unknown parser backend {backend!r} (expected one of {BACKENDS})")
     return backend
+
+
+def _too_deep(tokens: list[Token]) -> SourcePos | None:
+    """The first bracket nested deeper than :data:`MAX_BRACKET_DEPTH`."""
+    depth = 0
+    for token in tokens:
+        if token.is_punct("(", "[", "{"):
+            depth += 1
+            if depth > MAX_BRACKET_DEPTH:
+                return token.pos
+        elif token.is_punct(")", "]", "}"):
+            depth -= 1
+    return None  # the recursion was not through brackets
 
 
 def parse(source: str,
@@ -737,7 +755,11 @@ def parse(source: str,
         from repro.minicuda.parser_gen import MiniCudaParser
         parser = MiniCudaParser(tokens, typedef_names)
     start = time.perf_counter()
-    unit = parser.parse_translation_unit()
+    try:
+        unit = parser.parse_translation_unit()
+    except RecursionError:
+        raise CompileError("program is nested too deeply",
+                           _too_deep(tokens)) from None
     if telemetry is not None:
         telemetry.record_parse(
             backend, time.perf_counter() - start,

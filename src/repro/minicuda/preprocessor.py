@@ -30,39 +30,52 @@ _IFDEF = re.compile(r"#\s*(ifdef|ifndef)\s+([A-Za-z_]\w*)")
 MAX_EXPANSION_DEPTH = 32
 
 
+# What _strip_comments looks for: a quoted run, a line comment, a block
+# comment, an unclosed "/*". A quoted run ends at its closing quote or,
+# unclosed, at the end of the source, and a backslash inside one always
+# takes the next character along. Every alternative opens with a literal
+# character, which lets the regex engine hop between candidates.
+_SKIP = re.compile(r""""(?:[^"\\]|\\.)*"?|'(?:[^'\\]|\\.)*'?"""
+                   r"""|//[^\n]*|/\*.*?\*/|/\*""", re.DOTALL)
+_NOT_NEWLINE = re.compile(r"[^\n]")
+_CONTINUATION = re.compile(r"\\\r?\n")
+
+
 def _strip_comments(source: str) -> str:
     """Blank out comments, preserving newlines and string literals."""
     out: list[str] = []
-    i, n = 0, len(source)
-    while i < n:
-        ch = source[i]
-        if ch == '"' or ch == "'":
-            quote = ch
-            out.append(ch)
-            i += 1
-            while i < n:
-                out.append(source[i])
-                if source[i] == "\\" and i + 1 < n:
-                    out.append(source[i + 1])
-                    i += 2
-                    continue
-                if source[i] == quote:
-                    i += 1
-                    break
-                i += 1
-        elif ch == "/" and i + 1 < n and source[i + 1] == "/":
-            while i < n and source[i] != "\n":
-                i += 1
-        elif ch == "/" and i + 1 < n and source[i + 1] == "*":
-            j = source.find("*/", i + 2)
-            if j < 0:
-                raise CompileError("unterminated block comment",
-                                   SourcePos(source.count("\n", 0, i) + 1, 1))
-            out.extend("\n" if c == "\n" else " " for c in source[i:j + 2])
-            i = j + 2
-        else:
-            out.append(ch)
-            i += 1
+    copied = 0
+    for m in _SKIP.finditer(source):
+        found = m[0]
+        if found[0] != "/":
+            continue  # quoted: copied with the run around it
+        out.append(source[copied:m.start()])
+        copied = m.end()
+        if found == "/*":
+            raise CompileError(
+                "unterminated block comment",
+                SourcePos(source.count("\n", 0, m.start()) + 1, 1))
+        if found[1] == "*":
+            out.append(_NOT_NEWLINE.sub(" ", found))
+    out.append(source[copied:])
+    return "".join(out)
+
+
+def _splice(source: str) -> str:
+    """Join each line ending in a backslash with the next one. The
+    newlines taken out go back in after the joined line, so every later
+    line keeps its number."""
+    pieces = _CONTINUATION.split(source)
+    out = [pieces[0]]
+    owed = 0
+    for piece in pieces[1:]:
+        owed += 1
+        head, newline, tail = piece.partition("\n")
+        if newline:  # the joined line ends inside this piece
+            piece = head + "\n" * (owed + 1) + tail
+            owed = 0
+        out.append(piece)
+    out.append("\n" * owed)
     return "".join(out)
 
 
@@ -92,7 +105,7 @@ class Preprocessor:
     def _process(self, source: str, depth: int) -> str:
         if depth > 16:
             raise CompileError("#include nesting too deep")
-        text = _strip_comments(source)
+        text = _strip_comments(_splice(source))
         out_lines: list[str] = []
         # stack of booleans: is the current conditional branch active?
         cond_stack: list[bool] = []
@@ -176,6 +189,8 @@ class Preprocessor:
     # -- macro expansion -----------------------------------------------------
 
     def _expand_line(self, line: str, lineno: int) -> str:
+        if self.macros.keys().isdisjoint(_IDENT.findall(line)):
+            return line  # nothing to expand: _expand would rebuild it as is
         return self._expand(line, frozenset(), lineno, 0)
 
     def _expand(self, text: str, hidden: frozenset[str], lineno: int,

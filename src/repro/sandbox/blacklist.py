@@ -76,6 +76,8 @@ _COMMENT_BLOCK = re.compile(r"/\*.*?\*/", re.DOTALL)
 _COMMENT_LINE = re.compile(r"//[^\n]*")
 _STRING = re.compile(r'"(?:\\.|[^"\\])*"')
 _CHAR = re.compile(r"'(?:\\.|[^'\\])*'")
+#: any run of backslash-newline pairs, which the compiler splices away
+_CONTINUATIONS = r"(?:\\\r?\n)*"
 
 
 def strip_comments_and_strings(source: str) -> str:
@@ -120,10 +122,13 @@ class BlacklistScanner:
         self.entries = tuple(entries)
         self.mode = mode
         self.preprocessor = preprocessor
-        escaped = "|".join(re.escape(e) for e in
+        # a backslash-newline may sit between any two characters of a
+        # name and not hide it
+        escaped = "|".join(_CONTINUATIONS.join(map(re.escape, e)) for e in
                            sorted(self.entries, key=len, reverse=True))
         # match as a standalone identifier token
-        self._pattern = re.compile(rf"(?<![A-Za-z0-9_])({escaped})(?![A-Za-z0-9_])")
+        self._pattern = re.compile(rf"(?<![A-Za-z0-9_])({escaped})"
+                                   rf"(?!{_CONTINUATIONS}[A-Za-z0-9_])")
 
     def scan(self, source: str) -> list[BlacklistMatch]:
         """Return all matches (empty list means the code is clean)."""
@@ -139,7 +144,8 @@ class BlacklistScanner:
             column = m.start() - (upto.rfind("\n") + 1) + 1
             line_text = text.splitlines()[line - 1] if text else ""
             matches.append(
-                BlacklistMatch(entry=m.group(1), line=line, column=column,
+                BlacklistMatch(entry=re.sub(_CONTINUATIONS, "", m.group(1)),
+                               line=line, column=column,
                                context=line_text.strip()[:80])
             )
         return matches

@@ -1,10 +1,14 @@
 """Tokenizer and parser for the CUDA-C subset."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from repro.minicuda import CompileError, parse, tokenize
+from repro.minicuda import (CompileCache, CompileError, compile_source, parse,
+                            tokenize)
 from repro.minicuda import ast_nodes as ast
-from repro.minicuda.lexer import TokenKind
+from repro.minicuda.lexer import KEYWORDS, PUNCTUATION, TokenKind
+from repro.minicuda.parser import BACKENDS
 
 
 def kinds(source):
@@ -202,6 +206,77 @@ void host() { k<<<1, 2, 1024>>>(); }
         with pytest.raises(CompileError) as exc:
             parse("void f() { int x = 1 int y; }")
         assert "1:" in str(exc.value)
+
+
+_WORDS = st.one_of(
+    st.sampled_from(sorted(KEYWORDS)),
+    st.sampled_from(PUNCTUATION),
+    st.sampled_from(["0", "42", "0x1Fu", "7ULL", "1.5", ".5", "2.", "1e-3",
+                     "3.0f", "7f", '"hi"', '"a  b"', r'"q\"q"', '"//"',
+                     "'a'", r"'\n'", "'\"'"]),
+    st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,8}", fullmatch=True),
+)
+#: what may sit between two tokens: never nothing (neighbours would
+#: fuse), sometimes a whole pragma line, which is a token of its own
+_GAPS = st.lists(
+    st.sampled_from([" ", "  ", "\t", "\n", "\r\n", "\n\n", " \n\t",
+                     "\n#pragma acc loop\n", "\r\n  # pragma omp for \r\n",
+                     "\n#pragma\n"]),
+    min_size=1, max_size=3).map("".join)
+
+
+class TestTokenPositions:
+    """An oracle that needs no second lexer: every token sits where its
+    position says, and nothing is dropped or split."""
+
+    @given(st.lists(st.tuples(_WORDS, _GAPS), max_size=40), _GAPS)
+    def test_every_token_is_found_at_its_position(self, pieces, lead):
+        source = lead + "".join(word + gap for word, gap in pieces)
+        emitted = len(pieces) + source.count("#")
+        tokens = tokenize(source)
+        assert len(tokens) == emitted + 1
+        lines = source.split("\n")
+        previous = (1, 0)
+        for token in tokens:
+            pos = token.pos
+            assert lines[pos.line - 1][pos.column - 1:].startswith(token.text)
+            assert (pos.line, pos.column) > previous
+            previous = (pos.line, pos.column)
+        assert tokens[-1].kind is TokenKind.EOF
+        assert previous == (len(lines), len(lines[-1]) + 1)
+
+
+class TestNestingDepth:
+    """Regression: nesting that overflows the parser's stack used to
+    leave the library as a raw RecursionError."""
+
+    DEEP = "int main(){return " + "(" * 3000 + "1" + ")" * 3000 + ";}"
+    #: column of the first parenthesis opened inside 40 other brackets
+    MESSAGE = "error: 1:58: program is nested too deeply"
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_both_backends_raise_the_same_positioned_diagnostic(self, backend):
+        with pytest.raises(CompileError) as exc:
+            parse(self.DEEP, backend=backend)
+        assert str(exc.value) == self.MESSAGE
+
+    def test_compile_source(self):
+        with pytest.raises(CompileError) as exc:
+            compile_source(self.DEEP)
+        assert str(exc.value) == self.MESSAGE
+
+    def test_compile_cache_diagnoses_once(self):
+        cache = CompileCache()
+        for _ in range(2):
+            with pytest.raises(CompileError) as exc:
+                cache.compile(self.DEEP)
+            assert str(exc.value) == self.MESSAGE
+        assert cache.compile_count == 1
+
+    def test_recursion_not_through_brackets_has_no_position(self):
+        with pytest.raises(CompileError) as exc:
+            parse("int main(){" + "if (x) " * 600 + "y = 1;}")
+        assert str(exc.value) == "error: 0:0: program is nested too deeply"
 
 
 class TestIntegerSuffixes:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.minicuda import CompileError, preprocess
+from repro.minicuda import CompileError, compile_source, preprocess
 
 
 class TestComments:
@@ -118,6 +118,42 @@ class TestIncludesAndConditionals:
     def test_unknown_directive_rejected(self):
         with pytest.raises(CompileError, match="unsupported"):
             preprocess("#error nope")
+
+
+class TestLineSplicing:
+    """A line ending in a backslash continues on the next one."""
+
+    def test_multi_line_macros_compile_and_evaluate(self):
+        source = ("#define BASE 40 + \\\n"
+                  "             2\n"
+                  "#define ADD3(a, b, c) ((a) + \\\n"
+                  "                       (b) + \\\r\n"
+                  "                       (c))\n"
+                  "int main() { return ADD3(BASE, 10, 5) - 1; }\n")
+        assert compile_source(source).run_main().exit_code == 56
+
+    def test_spliced_away_lines_stay_as_empty_lines(self):
+        out = preprocess("#define F(a) a + \\\n1\nint x = F(2);\nint y;")
+        assert out.split("\n") == ["", "", "int x = 2 + 1;", "int y;"]
+        out = preprocess('char *s = "ab\\\ncd";\nint y;')
+        assert out.split("\n") == ['char *s = "abcd";', "", "int y;"]
+
+    def test_error_after_the_macro_reports_its_original_line(self):
+        source = "#define F(a) a + \\\n  1\nint x = F(2);\nint y = @;\n"
+        with pytest.raises(CompileError, match="4:9: unexpected character '@'"):
+            compile_source(source)
+
+    def test_backslash_not_last_on_its_line_is_still_a_lexer_error(self):
+        with pytest.raises(CompileError,
+                           match=r"1:11: unexpected character '\\\\'"):
+            compile_source("int a = 1 \\ 2;\nint b;")
+        with pytest.raises(CompileError,
+                           match=r"3:25: unexpected character '\\\\'"):
+            # a space after the backslash: no splice, it stays in the body
+            compile_source("#define F(a) a + \\ \n1\nint main() { return F(2); }")
+        with pytest.raises(CompileError,
+                           match=r"2:7: unexpected character '\\\\'"):
+            compile_source("int a;\nint b;\\")  # no next line to join
 
 
 class TestLiteralBoundaries:

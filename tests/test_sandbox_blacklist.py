@@ -46,6 +46,15 @@ class TestRawMode:
     def test_clean_code_passes(self):
         BlacklistScanner().check("__global__ void k(float *a) { a[0] = 1.0f; }")
 
+    def test_backslash_newline_cannot_split_a_name(self):
+        """The preprocessor splices ``sys\\<newline>tem`` back together."""
+        scanner = BlacklistScanner()
+        for newline in ("\n", "\r\n"):
+            match, = scanner.scan(f"int x;\n  sys\\{newline}te\\{newline}m(\"ls\");")
+            assert (match.entry, match.line, match.column) == ("system", 2, 3)
+        # spliced, these are longer identifiers that only contain a name
+        assert scanner.scan("int fork\\\ns; int asm\\\n\\\n_x;") == []
+
 
 class TestPreprocessedMode:
     def test_comments_no_longer_trigger(self):
