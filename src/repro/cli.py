@@ -17,8 +17,9 @@ Subcommands:
   optionally write the spans as JSONL (``--trace-out traces.jsonl``);
 * ``profile-attempt SLUG``  — run one attempt with the per-source-line
   kernel profiler on and print the annotated listing (per-line
-  instruction/memory/divergence counters, heat bar, hottest lines)
-  plus any lab line-budget violations.
+  instruction/memory/divergence counters, heat bar, hottest lines),
+  per kernel the engine tier that actually ran it (and why the warp
+  tier declined, when it did), plus any lab line-budget violations.
 """
 
 from __future__ import annotations
@@ -30,7 +31,12 @@ from pathlib import Path
 from repro.gpusim import Device
 from repro.labs import EXTRA_LABS, execute_lab_source, get_lab
 from repro.labs.catalog import render_course_matrix
-from repro.minicuda import ENGINES, CompileError
+from repro.minicuda import (
+    ENGINES,
+    CompileError,
+    compile_source,
+    resolve_engine,
+)
 from repro.simulate import HPP_2015, StudentPopulation
 from repro.simulate.funnel import funnel_table
 from repro.simulate.scenarios import COURSERA_OFFERINGS
@@ -204,7 +210,10 @@ def cmd_trace_attempt(args: argparse.Namespace) -> int:
 
 
 def cmd_profile_attempt(args: argparse.Namespace) -> int:
+    from repro.labs.base import execute_lab_program
+    from repro.minicuda.simd import decline_reason
     from repro.profiler import check_line_budgets, render_annotated
+    from repro.telemetry import KERNEL_EXEC_SECONDS, Telemetry
 
     lab = get_lab(args.slug)
     if args.source:
@@ -213,16 +222,31 @@ def cmd_profile_attempt(args: argparse.Namespace) -> int:
         source = lab.solution
         print("(no --source given: profiling the reference solution)")
     data = lab.dataset(args.dataset)
+    telemetry = Telemetry()
     try:
-        result = execute_lab_source(lab, source, data, engine=args.engine,
-                                    profile=True)
+        program = compile_source(source)
+        result = execute_lab_program(lab, program, data, engine=args.engine,
+                                     profile=True, telemetry=telemetry)
     except CompileError as exc:
         print(f"COMPILE ERROR\n{exc}")
         return 2
     verdict = "PASS" if result.passed else "FAIL"
     print(f"dataset {args.dataset}: {verdict} "
-          f"(kernel {result.kernel_seconds * 1e6:.1f} us simulated, "
-          f"engine {args.engine or 'default'})")
+          f"(kernel {result.kernel_seconds * 1e6:.1f} us simulated)")
+    # what ran, not what was asked for: the exec histogram is labelled
+    # with the tier that executed each launch
+    ran = telemetry.metrics.histogram(KERNEL_EXEC_SECONDS)
+    asked_simd = resolve_engine(args.engine) == "simd"
+    for name in program.kernel_names:
+        tiers = [engine for engine in ENGINES
+                 if ran.series(engine=engine, kernel=name) is not None]
+        line = f"kernel {name}: " + (
+            f"ran on {' + '.join(tiers)}" if tiers else "not launched")
+        reason = (decline_reason(program.info, name, profile=True)
+                  if asked_simd else None)
+        if reason is not None:
+            line += f" (simd declined: {reason})"
+        print(line)
     profile = result.line_profile
     if profile is None or not profile.lines:
         print("no profiled kernel launches — nothing to attribute")

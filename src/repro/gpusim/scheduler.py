@@ -13,15 +13,20 @@ recorded with its warp id and per-thread access sequence number so the
 coalescing model can count 128-byte transactions per warp request, and
 shared accesses are checked for bank conflicts.
 
-Two execution fast paths keep the grading hot loop cheap:
+Three things keep the grading hot loop cheap:
 
 * barrier-free kernels (plain functions) run as direct calls — no
   generator allocation, no ``next()`` driving, no lockstep machinery;
-* access tracking appends to flat per-thread arrays and the per-block
-  :meth:`_BlockState.finalize` reduces them with vectorized numpy
-  segment/bank grouping instead of dict-of-lists bookkeeping. The
-  resulting :class:`KernelStats` are bit-identical to the historical
-  per-access dictionary implementation.
+* a kernel carrying a ``warp_run`` executor (the warp-SIMD engine's)
+  runs a warp at a time against one :class:`WarpContext` — launch
+  geometry as lane vectors, no per-thread objects — so such a launch
+  allocates O(warps), not O(threads);
+* access tracking appends to flat per-thread arrays (or whole-warp
+  chunks) and the per-block :meth:`_BlockState.finalize` reduces them
+  with vectorized numpy segment/bank grouping instead of
+  dict-of-lists bookkeeping. The resulting :class:`KernelStats` are
+  bit-identical to the historical per-access dictionary
+  implementation.
 """
 
 from __future__ import annotations
@@ -736,6 +741,64 @@ class ProfiledThreadContext(ThreadContext):
         return old
 
 
+class WarpContext:
+    """What a ``warp_run`` executor runs one warp against: the block
+    state and the launch geometry, with ``threadIdx`` as lane vectors
+    computed from the warp's first linear thread id rather than read
+    off 32 thread contexts. A real per-thread context exists only for
+    the lanes a per-lane fallback asks :meth:`lane` for."""
+
+    __slots__ = ("blockIdx", "blockDim", "gridDim", "n", "first",
+                 "_block", "_warp", "_tid", "_lanes")
+
+    def __init__(self, block_state: _BlockState, warp: int, first: int,
+                 n: int, blockIdx: Idx3, blockDim: Dim3, gridDim: Dim3):
+        self.blockIdx = blockIdx
+        self.blockDim = blockDim
+        self.gridDim = gridDim
+        self.n = n          # lanes in this warp (the last may be short)
+        self.first = first  # linear thread id of lane 0
+        self._block = block_state
+        self._warp = warp
+        self._tid: dict[str, np.ndarray] = {}
+        self._lanes: dict[int, ThreadContext] = {}
+
+    def tid_axis(self, axis: str) -> np.ndarray:
+        """``threadIdx.<axis>`` of every lane (int64, cached): the
+        warp's slice of :meth:`Dim3.iter_points` order, x fastest."""
+        arr = self._tid.get(axis)
+        if arr is None:
+            linear = np.arange(self.first, self.first + self.n,
+                               dtype=np.int64)
+            dim = self.blockDim
+            if axis == "x":
+                arr = linear % dim.x
+            elif axis == "y":
+                arr = linear // dim.x % dim.y
+            else:
+                arr = linear // (dim.x * dim.y)
+            self._tid[axis] = arr
+        return arr
+
+    #: the block's get-or-allocate (and its LaunchConfigError) as is:
+    #: it only touches ``self._block``
+    shared = ThreadContext.shared
+
+    def lane(self, i: int) -> ThreadContext:
+        """Lane ``i``'s own thread context, built on first request —
+        for the fault chains that must run through the scalar accessors
+        to stay byte-identical with the per-thread engines."""
+        ctx = self._lanes.get(i)
+        if ctx is None:
+            cls = (ThreadContext if self._block.prof is None
+                   else ProfiledThreadContext)
+            ctx = cls(Idx3(*(int(self.tid_axis(axis)[i]) for axis in "xyz")),
+                      self.blockIdx, self.blockDim, self.gridDim,
+                      self._block)
+            self._lanes[i] = ctx
+        return ctx
+
+
 def run_block(device: Device, kernel: Callable[..., Any], grid: Dim3,
               block: Dim3, block_idx: Idx3, args: tuple[Any, ...],
               is_generator: bool | None = None) -> BlockResult:
@@ -761,44 +824,25 @@ def run_block(device: Device, kernel: Callable[..., Any], grid: Dim3,
     warp_size = device.spec.warp_size
     state.stats.warps = (block.count + warp_size - 1) // warp_size
 
-    if not is_generator:
-        # Warp-vectorized fast path: an engine may attach a vector_run
-        # executor that runs a whole warp's lanes as batched operations
-        # (per-thread access order is preserved, and the coalescing /
-        # bank-conflict model keys on per-thread sequence numbers, so
-        # cross-lane interleaving is unobservable in the stats). In
-        # *memory* it is observable; the executor answers for that —
-        # the warp-SIMD tier raises LaneConflict through here and its
-        # launcher replays the launch thread by thread.
-        vector_run = getattr(kernel, "vector_run", None)
-        if vector_run is not None:
-            ctxs = [ctx_cls(Idx3(x, y, z), block_idx, block, grid,
-                            state)
-                    for (x, y, z) in block.iter_points()]
-            for start in range(0, len(ctxs), warp_size):
-                vector_run(ctxs[start:start + warp_size])
-            state.finalize()
-            return BlockResult(stats=state.stats, output=state.output)
-        # Barrier-free fast path: plain calls in linear-thread order —
-        # no generator allocation, no next() driving, no barrier checks.
-        for (x, y, z) in block.iter_points():
-            ctx = ctx_cls(Idx3(x, y, z), block_idx, block, grid, state)
-            kernel(ctx, *args)
-        state.finalize()
-        return BlockResult(stats=state.stats, output=state.output)
-
-    # Whole-warp lockstep path for barrier kernels: an engine may
-    # attach a warp_run executor — a generator factory taking a warp's
-    # contexts and yielding at each __syncthreads(). Warps advance in
-    # rounds exactly like threads do below, so the barrier counter and
-    # the per-round access ordering match the per-thread path.
+    # Whole-warp path: an engine may attach a warp_run executor — a
+    # generator factory taking one WarpContext and yielding at each
+    # __syncthreads(). Warps advance in rounds exactly like threads do
+    # below, so the barrier counter and the per-round access ordering
+    # match the per-thread path; a barrier-free warp simply finishes
+    # inside round one, warp after warp. Per-thread access order is
+    # preserved and the coalescing / bank-conflict model keys on
+    # per-thread sequence numbers, so cross-lane interleaving is
+    # unobservable in the stats. In *memory* it is observable; the
+    # executor answers for that — the warp-SIMD tier raises
+    # LaneConflict through here and its launcher replays the launch
+    # thread by thread.
     warp_run = getattr(kernel, "warp_run", None)
     if warp_run is not None:
-        ctxs = [ctx_cls(Idx3(x, y, z), block_idx, block, grid, state)
-                for (x, y, z) in block.iter_points()]
-        spans = list(range(0, len(ctxs), warp_size))
-        gens = [warp_run(ctxs[start:start + warp_size]) for start in spans]
-        lanes = [len(ctxs[start:start + warp_size]) for start in spans]
+        lanes = [min(warp_size, block.count - first)
+                 for first in range(0, block.count, warp_size)]
+        gens = [warp_run(WarpContext(state, w, w * warp_size, n,
+                                     block_idx, block, grid))
+                for w, n in enumerate(lanes)]
         live_warps = list(range(len(gens)))
         while live_warps:
             arrived_w: list[int] = []
@@ -823,6 +867,15 @@ def run_block(device: Device, kernel: Callable[..., Any], grid: Dim3,
             if arrived_w:
                 state.stats.barriers += 1
             live_warps = arrived_w
+        state.finalize()
+        return BlockResult(stats=state.stats, output=state.output)
+
+    if not is_generator:
+        # Barrier-free fast path: plain calls in linear-thread order —
+        # no generator allocation, no next() driving, no barrier checks.
+        for (x, y, z) in block.iter_points():
+            ctx = ctx_cls(Idx3(x, y, z), block_idx, block, grid, state)
+            kernel(ctx, *args)
         state.finalize()
         return BlockResult(stats=state.stats, output=state.output)
 

@@ -51,7 +51,7 @@ from typing import Any, Callable
 import numpy as np
 
 from repro.gpusim.memory import DevicePtr, LaneTracker, SharedArray
-from repro.gpusim.scheduler import SYNC, ThreadContext
+from repro.gpusim.scheduler import SYNC, WarpContext
 from repro.minicuda import ast_nodes as ast
 from repro.minicuda import builtins as bi
 from repro.minicuda.codegen import (
@@ -106,7 +106,7 @@ _NBYTES_PER_LOWERED = 480
 
 #: Bump when SIMD lowering semantics change; part of the memo key so
 #: stale fallback verdicts are never recalled across upgrades.
-SIMD_VERSION = 2
+SIMD_VERSION = 3
 
 _I64 = np.int64
 _F64 = np.float64
@@ -118,18 +118,21 @@ _EMPTY = np.empty(0, dtype=np.intp)
 _COMPARISONS = ("<", "<=", ">", ">=")
 _INT_LIKE = ("int", "bool")
 
-_ATOMIC_METHODS = {
-    "atomicAdd": ThreadContext.atomic_add,
-    "atomicSub": ThreadContext.atomic_add,  # add of the negation
-    "atomicMax": ThreadContext.atomic_max,
-    "atomicMin": ThreadContext.atomic_min,
-    "atomicExch": ThreadContext.atomic_exch,
-    "atomicCAS": ThreadContext.atomic_cas,
-}
-
 
 class _SimdUnsupported(Exception):
     """Kernel uses a construct the SIMD tier cannot lower; fall back."""
+
+
+class _Declined:
+    """The memoized fallback verdict: the scalar kernel that runs in
+    this tier's place, and the construct the lowering stopped at."""
+
+    __slots__ = ("src", "reason", "nbytes")
+
+    def __init__(self, src: CompiledSrcKernel, reason: str):
+        self.src = src
+        self.reason = reason
+        self.nbytes = src.nbytes
 
 
 def _is_numeric(kind: Any) -> bool:
@@ -440,25 +443,24 @@ class _WarpLineStats:
 class _WarpSt:
     """Runtime state for one warp's vectorized execution."""
 
-    __slots__ = ("ctxs", "n", "interp", "frame", "stats", "block", "warp",
-                 "seqs", "_tid", "ops", "slots", "idx_all", "md_ok",
-                 "prof", "line", "bseqs", "trackers")
+    __slots__ = ("wctx", "tid_axis", "n", "interp", "frame", "stats",
+                 "block", "warp", "seqs", "ops", "slots", "idx_all",
+                 "md_ok", "prof", "line", "bseqs", "trackers")
 
-    def __init__(self, ctxs: list, interp: Any, frame_size: int,
+    def __init__(self, wctx: WarpContext, interp: Any, frame_size: int,
                  trackers: list):
-        self.ctxs = ctxs
-        self.n = len(ctxs)
+        self.wctx = wctx
+        self.tid_axis = wctx.tid_axis
+        self.n = wctx.n
         self.interp = interp
         self.frame: list[Any] = [None] * frame_size
-        c0 = ctxs[0]
-        self.block = c0._block
-        self.stats = c0._stats
-        self.warp = c0._warp
+        self.block = wctx._block
+        self.stats = self.block.stats
+        self.warp = wctx._warp
         # per-lane access sequence numbers; kept as one Python int
         # while every access so far has been full-mask (the hot case),
         # materialized to an int64 array on the first partial-mask op
         self.seqs: Any = 0
-        self._tid: dict[str, np.ndarray] = {}
         self.ops = 0    # lane-occupancy numerator
         self.slots = 0  # lane-occupancy denominator
         self.idx_all = np.arange(self.n, dtype=np.intp)
@@ -479,15 +481,6 @@ class _WarpSt:
             self.line = 0
             self.bseqs = np.zeros(self.n, dtype=np.int64)
             self.stats = _WarpLineStats(self, self.stats)
-
-    def tid_axis(self, axis: str) -> np.ndarray:
-        arr = self._tid.get(axis)
-        if arr is None:
-            arr = np.fromiter(
-                (getattr(c.threadIdx, axis) for c in self.ctxs),
-                dtype=np.int64, count=self.n)
-            self._tid[axis] = arr
-        return arr
 
     def next_seq(self, idx: np.ndarray, k: int) -> Any:
         """Sequence keys for one whole-mask-or-masked access; bumps
@@ -523,15 +516,15 @@ class _WarpSt:
     def lane_read(self, idx: np.ndarray, base: Any, ind: Any,
                   pos: Any) -> Any:
         """Per-lane fallback for non-DevicePtr bases (NULL, host
-        pointers): routes through the thread context so the fault type
-        and message match the scalar engines exactly."""
+        pointers): routes through the lane's own thread context so the
+        fault type and message match the scalar engines exactly."""
         seqs = self.seq_array()
-        ctxs = self.ctxs
+        lane_ctx = self.wctx.lane
         prof = self.prof is not None
         out = []
         ind_arr = isinstance(ind, np.ndarray)
         for j, lane in enumerate(idx.tolist()):
-            c = ctxs[lane]
+            c = lane_ctx(lane)
             c._seq = int(seqs[lane])
             if prof:
                 c.line = self.line
@@ -543,12 +536,12 @@ class _WarpSt:
     def lane_write(self, idx: np.ndarray, base: Any, ind: Any,
                    values: Any, pos: Any) -> None:
         seqs = self.seq_array()
-        ctxs = self.ctxs
+        lane_ctx = self.wctx.lane
         prof = self.prof is not None
         ind_arr = isinstance(ind, np.ndarray)
         val_arr = isinstance(values, np.ndarray)
         for j, lane in enumerate(idx.tolist()):
-            c = ctxs[lane]
+            c = lane_ctx(lane)
             c._seq = int(seqs[lane])
             if prof:
                 c.line = self.line
@@ -566,6 +559,18 @@ _CMP_OPS = {"<": _op.lt, "<=": _op.le, ">": _op.gt, ">=": _op.ge,
 _ARITH_OPS = {"+": _op.add, "-": _op.sub, "*": _op.mul}
 _BIT_OPS = {"<<": _op.lshift, ">>": _op.rshift, "&": _op.and_,
             "|": _op.or_, "^": _op.xor}
+
+#: ``update(old, *operands) -> new`` per atomic: the expressions the
+#: ``ThreadContext.atomic_*`` methods apply
+_ATOMIC_UPDATES = {
+    "atomicAdd": _op.add,
+    "atomicSub": _op.add,  # of the negation
+    "atomicMax": max,
+    "atomicMin": min,
+    "atomicExch": lambda old, value: value,
+    "atomicCAS": lambda old, compare, value: (value if old == compare
+                                              else old),
+}
 
 _PTR_ELEM = {"float": "float", "double": "float", "int": "int",
              "unsigned": "int", "unsigned int": "int", "long": "int",
@@ -632,6 +637,12 @@ class _Lowerer:
             d.name for g in info.unit.globals if not g.decl.constant
             for d in g.decl.declarators
             if d.type.is_array or d.type.is_pointer)
+        # a 1-D __constant__ array is a DevicePtr into a read-only
+        # device allocation: an ordinary typed pointer to the lowering
+        self.constant_arrays = {
+            d.name: ("ptr", _PTR_ELEM.get(d.type.base))
+            for g in info.unit.globals if g.decl.constant
+            for d in g.decl.declarators if len(d.type.array_dims) == 1}
         self.scopes: list[dict[str, _Slot]] = [{}]
         self.nslots = 0
         self.loop_depth = 0
@@ -771,11 +782,12 @@ class _Lowerer:
         if name in self.global_names:
             if name in self.untracked_globals:
                 raise _SimdUnsupported(f"__device__ storage {name!r}")
-            return (lambda st, idx: st.interp.globals.get(name)), None, True
+            return ((lambda st, idx: st.interp.globals.get(name)),
+                    self.constant_arrays.get(name), True)
         if name == "threadIdx":
             raise _SimdUnsupported("bare threadIdx value")
         if name in _BUILTIN_IDX:
-            return (lambda st, idx: getattr(st.ctxs[0], name)), "dim3", True
+            return (lambda st, idx: getattr(st.wctx, name)), "dim3", True
         if name == "warpSize":
             return (lambda st, idx:
                     st.block.device.spec.warp_size), "int", True
@@ -800,7 +812,7 @@ class _Lowerer:
                         else st.tid_axis(field)[idx]), "int", False
             bname = obj.name
             return (lambda st, idx:
-                    getattr(getattr(st.ctxs[0], bname), field)), "int", True
+                    getattr(getattr(st.wctx, bname), field)), "int", True
         ofn, okind, ouni = self.expr(obj)
         if okind == "dim3" and ouni and field in ("x", "y", "z"):
             return (lambda st, idx:
@@ -1397,7 +1409,7 @@ class _Lowerer:
                 tid = st.tid_axis(axis)[idx]
                 if not glob:
                     return tid
-                c0 = st.ctxs[0]
+                c0 = st.wctx
                 return (getattr(c0.blockIdx, axis)
                         * getattr(c0.blockDim, axis) + tid)
             return fn, "int", False
@@ -1405,7 +1417,7 @@ class _Lowerer:
         def fn(st, idx):
             d = df(st, idx)
             axis = "xyz"[d] if 0 <= d < 3 else "x"
-            c0 = st.ctxs[0]
+            c0 = st.wctx
             if name == "get_group_id":
                 return getattr(c0.blockIdx, axis)
             if name == "get_local_size":
@@ -1418,9 +1430,9 @@ class _Lowerer:
 
     def _atomic(self, e: ast.Call) -> tuple[Callable, Any, bool]:
         name = e.name
-        method = _ATOMIC_METHODS.get(name)
+        update = _ATOMIC_UPDATES.get(name)
         nvals = 2 if name == "atomicCAS" else 1
-        if method is None or len(e.args) != 1 + nvals:
+        if update is None or len(e.args) != 1 + nvals:
             raise _SimdUnsupported(f"atomic {name!r}")
         negate = name == "atomicSub"
         resolve, ekind = self._atomic_target(e.args[0], e.pos)
@@ -1429,8 +1441,6 @@ class _Lowerer:
         val_fns = [self.expr(a)[0] for a in e.args[1:]]
         carrier = _carrier_for(ekind)
 
-        profile = self.profile
-
         def fn(st, idx):
             target, ind = resolve(st, idx)
             if type(target) is DevicePtr:  # atomicAdd(p, v)
@@ -1438,9 +1448,8 @@ class _Lowerer:
             vals = [f(st, idx) for f in val_fns]
             if negate:
                 vals[0] = -vals[0]
-            seqs = st.seq_array()
-            ctxs = st.ctxs
-            out = np.empty(len(idx), carrier)
+            k = len(idx)
+            out = np.empty(k, carrier)
             ind_arr = isinstance(ind, np.ndarray)
             tracker = target.lanes
             if tracker is not None:
@@ -1450,16 +1459,49 @@ class _Lowerer:
                 else:
                     target._check(ind)
                 tracker.store(ind, idx)
-            val_arr = [isinstance(v, np.ndarray) for v in vals]
-            for j, lane in enumerate(idx.tolist()):
-                c = ctxs[lane]
-                c._seq = int(seqs[lane])
-                if profile:
-                    c.line = st.line
-                i_j = int(ind[j]) if ind_arr else ind
-                a_j = [v[j] if va else v for v, va in zip(vals, val_arr)]
-                out[j] = method(c, target, i_j, *a_j)
-                seqs[lane] = c._seq
+            # the read-modify-write itself stays lane by lane, through
+            # the target's own checked accessors and on the operand
+            # values ThreadContext._atomic would see; what it charges
+            # and records is accounted for the warp as a whole below
+            stats = st.block.stats
+            shared = isinstance(target, SharedArray)
+            if shared:
+                hits, base, nb = (stats.shared_atomic_addresses,
+                                  id(target) << 20, 1)
+            else:
+                hits, base, nb = (stats.atomic_addresses, target._base,
+                                  target._itemsize)
+            columns = [ind.tolist() if ind_arr else [int(ind)] * k]
+            columns += [list(v) if isinstance(v, np.ndarray) else [v] * k
+                        for v in vals]
+            worst = 0
+            for j, (i, *operands) in enumerate(zip(*columns)):
+                old = target.read(i)
+                target.write(i, update(old, *operands))
+                out[j] = old
+                addr = base + i * nb
+                hit = hits[addr] = hits.get(addr, 0) + 1
+                if hit > worst:
+                    worst = hit
+            st.stats.instructions += k
+            stats.atomic_ops += k
+            prof = st.prof
+            if prof is not None:
+                al = prof.atomic_lines
+                al[st.line] = al.get(st.line, 0) + k
+            if shared:
+                # shared atomics serialise only within the block's SM
+                if worst > stats.max_shared_atomic_contention:
+                    stats.max_shared_atomic_contention = worst
+            else:
+                # a global atomic is a load and a store through the
+                # memory hierarchy, at consecutive sequence numbers
+                line = () if prof is None else (st.line,)
+                addrs = base + ind * nb
+                st.block.load_chunks.append(
+                    (k, st.warp, st.next_seq(idx, k), addrs, nb) + line)
+                st.block.store_chunks.append(
+                    (k, st.warp, st.next_seq(idx, k), addrs, nb) + line)
             return out
         return fn, ekind, False
 
@@ -1913,7 +1955,7 @@ class _Lowerer:
             def dfn(st, idx):
                 # get-or-allocate on the block (no charge); the shared
                 # memory limit fault comes from ThreadContext.shared
-                arr = st.ctxs[0].shared(name, total, base)
+                arr = st.wctx.shared(name, total, base)
                 if arr.lanes is None:
                     arr.lanes = LaneTracker(total)
                 if arr.lanes not in st.trackers:
@@ -2397,9 +2439,10 @@ class CompiledSimdKernel:
 
     Binding delegates to the scalar codegen kernel (so per-thread
     fallback paths and generator-ness stay intact) and attaches the
-    warp executor the scheduler prefers — ``vector_run`` for plain
-    kernels, ``warp_run`` for barrier kernels — plus the launch's
-    :class:`Speculation`."""
+    warp executor the scheduler prefers — ``warp_run``, a generator
+    over one :class:`~repro.gpusim.scheduler.WarpContext` that yields
+    at each barrier (a barrier-free kernel's never does) — plus the
+    launch's :class:`Speculation`."""
 
     __slots__ = ("name", "src", "param_plan", "nslots", "body_fns",
                  "spine", "entry_pos", "stored_params", "nbytes",
@@ -2443,47 +2486,35 @@ class CompiledSimdKernel:
         thread_fn.speculation = Speculation(self, interp, args, buffers)
         trackers = [buf.lanes for buf in buffers]
 
-        def _enter(ctxs: list) -> _WarpSt:
-            n = len(ctxs)
+        body_fns, spine = self.body_fns, self.spine
+
+        def warp_run(wctx: WarpContext):
+            n = wctx.n
             interp.steps += n
             if interp.steps > interp.max_steps:
                 raise KernelHang(_HANG_MSG, entry_pos)
-            st = _WarpSt(ctxs, interp, nslots, trackers)
+            st = _WarpSt(wctx, interp, nslots, trackers)
             frame = st.frame
             for (slot, carrier), arg in zip(plan, args2):
                 frame[slot] = (np.full(n, arg, carrier)
                                if carrier is not None else arg)
             st.ops += n
             st.slots += n
-            return st
-
-        if self.spine is None:
-            body_fns = self.body_fns
-
-            def vector_run(ctxs: list) -> None:
-                st = _enter(ctxs)
-                fr: tuple = ([], [])
+            fr: tuple = ([], [])
+            if spine is None:
+                # barrier-free: the generator ends without yielding
                 idx = st.idx_all
                 for f in body_fns:
                     if not len(idx):
                         break
                     idx = f(st, idx, fr)
-                st.end_interval()
-                occ[0] += st.ops
-                occ[1] += st.slots
-            thread_fn.vector_run = vector_run
-        else:
-            spine = self.spine
-
-            def warp_run(ctxs: list):
-                st = _enter(ctxs)
-                fr: tuple = ([], [])
+            else:
                 for node in spine:
                     yield from _spine_exec(node, st, fr)
-                st.end_interval()
-                occ[0] += st.ops
-                occ[1] += st.slots
-            thread_fn.warp_run = warp_run
+            st.end_interval()
+            occ[0] += st.ops
+            occ[1] += st.slots
+        thread_fn.warp_run = warp_run
         thread_fn.lane_occupancy = occ
         return thread_fn
 
@@ -2536,12 +2567,34 @@ def _kernel_for(info: ProgramInfo, name: str, profile: bool = False):
             compiled = _compile_simd(info, info.kernels[name],
                                      artifact.global_names,
                                      src, profile=profile)
-        except _SimdUnsupported:
+        except _SimdUnsupported as exc:
             # memoized fallback verdict: the scalar codegen kernel
             # runs this kernel; never an error
-            compiled = src
+            compiled = _Declined(src, str(exc))
     cache[name] = compiled
     return compiled
+
+
+def _verdict(info: ProgramInfo, name: str, profile: bool):
+    """The memoized outcome of lowering kernel ``name`` — per program
+    object and, when a fingerprint is available, in the shared
+    ``KERNEL_CACHE`` under a versioned ``simd`` key."""
+    if info.fingerprint:
+        key = memo_key("simd-prof" if profile else "simd", SIMD_VERSION,
+                       info.fingerprint, name)
+        return KERNEL_CACHE.get_or_compute(
+            key, lambda: _kernel_for(info, name, profile))[0]
+    return _kernel_for(info, name, profile)
+
+
+def decline_reason(info: ProgramInfo, name: str,
+                   profile: bool = False) -> str | None:
+    """Why the warp tier does not lower kernel ``name`` (the construct
+    it stopped at), or None when it does — or when the scalar emitter
+    declined first and this tier never got to try. Recalled from the
+    verdict :func:`compile_kernel` memoized for the same ``profile``."""
+    value = _verdict(info, name, profile)
+    return value.reason if type(value) is _Declined else None
 
 
 def compile_kernel(info: ProgramInfo, name: str, profile: bool = False):
@@ -2551,20 +2604,14 @@ def compile_kernel(info: ProgramInfo, name: str, profile: bool = False):
     the scalar :class:`CompiledSrcKernel` when the SIMD lowering hit an
     unsupported construct or a lane-conflict replay has demoted the
     kernel (the fallback ladder: simd → codegen → tree-walker), or None
-    when even the source emitter declined. All verdicts are memoized —
-    per program object and, when a fingerprint is available, in the
-    shared ``KERNEL_CACHE`` under a versioned ``simd`` key. ``profile``
-    compiles the line-profiled variant (separately memoized): closures
-    pin the warp's current source line, ``if`` conditions log per-lane
-    branch outcomes, and access chunks carry the charging line as a
-    sixth column."""
-    if info.fingerprint:
-        key = memo_key("simd-prof" if profile else "simd", SIMD_VERSION,
-                       info.fingerprint, name)
-        value, _ = KERNEL_CACHE.get_or_compute(
-            key, lambda: _kernel_for(info, name, profile))
-    else:
-        value = _kernel_for(info, name, profile)
-    if type(value) is CompiledSimdKernel and value.demoted:
+    when even the source emitter declined. All verdicts are memoized
+    (:func:`_verdict`; a declined one keeps its reason for
+    :func:`decline_reason`). ``profile`` compiles the line-profiled
+    variant (separately memoized): closures pin the warp's current
+    source line, ``if`` conditions log per-lane branch outcomes, and
+    access chunks carry the charging line as a sixth column."""
+    value = _verdict(info, name, profile)
+    if type(value) is _Declined or (
+            type(value) is CompiledSimdKernel and value.demoted):
         return value.src
     return value

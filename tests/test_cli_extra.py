@@ -35,6 +35,54 @@ class TestCliRemainder:
         assert exit_info.value.code == 2
         assert "invalid choice: 'closur'" in capsys.readouterr().err
 
+    def test_profile_attempt_names_the_tier_that_ran(self, capsys,
+                                                     tmp_path,
+                                                     monkeypatch):
+        monkeypatch.delenv("WEBGPU_KERNEL_ENGINE", raising=False)
+        assert main(["profile-attempt", "vector-add"]) == 0
+        out = capsys.readouterr().out
+        assert "kernel vecAdd: ran on simd\n" in out
+        assert "declined" not in out
+        # the same kernel through a device function: the warp tier
+        # declines it, and says at which construct
+        lab = get_lab("vector-add")
+        assert "out[i] = in1[i] + in2[i];" in lab.solution
+        probe = tmp_path / "probe.cu"
+        probe.write_text(
+            "__device__ float add(float a, float b) { return a + b; }\n"
+            + lab.solution.replace("out[i] = in1[i] + in2[i];",
+                                   "out[i] = add(in1[i], in2[i]);"))
+        assert main(["profile-attempt", "vector-add",
+                     "--source", str(probe)]) == 0
+        out = capsys.readouterr().out
+        assert ("kernel vecAdd: ran on codegen "
+                "(simd declined: call to 'add')\n") in out
+        # asked for the scalar tier: nothing declined anything
+        assert main(["profile-attempt", "vector-add", "--source",
+                     str(probe), "--engine", "codegen"]) == 0
+        out = capsys.readouterr().out
+        assert "kernel vecAdd: ran on codegen\n" in out
+
+    def test_decline_reason_is_memoized_with_the_verdict(self):
+        from repro.minicuda import compile_source
+        from repro.minicuda.codegen import KERNEL_CACHE
+        from repro.minicuda.simd import decline_reason
+
+        source = """
+__device__ int twice(int v) { return 2 * v; }
+__global__ void calls(int *out) { out[threadIdx.x] = twice(threadIdx.x); }
+__global__ void plain(int *out) { out[threadIdx.x] = threadIdx.x; }
+int main() { return 47; }"""
+        info = compile_source(source).info
+        assert decline_reason(info, "calls") == "call to 'twice'"
+        assert decline_reason(info, "plain") is None
+        # a second program with this fingerprint recalls it, not re-lowers
+        before = KERNEL_CACHE.compute_count
+        again = compile_source(source).info
+        assert again is not info
+        assert decline_reason(again, "calls") == "call to 'twice'"
+        assert KERNEL_CACHE.compute_count == before
+
     def test_module_entry_point_importable(self):
         import repro.__main__  # noqa: F401 - import must not execute main
         # (the module calls main() at import... it must be guarded)

@@ -15,11 +15,13 @@ that race-free kernels are *not* replayed.
 from __future__ import annotations
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
 
 from repro.gpusim import Device, GpuRuntime
+from repro.gpusim.grid import Dim3
 from repro.minicuda import ENGINES, compile_source
 from repro.minicuda.simd import CompiledSimdKernel, compile_kernel
 from repro.minicuda.srcgen import CompiledSrcKernel
@@ -274,6 +276,102 @@ int main() { return 0; }"""
         info = compile_source(source).info
         assert compile_kernel(info, "copy").stored_params == {0}
         assert compile_kernel(info, "k").stored_params == {0}
+
+
+#: The atomic parity matrix: statement -> what it pins. ``{a}`` is the
+#: target array (four elements, each starting at 1000): the global
+#: ``c`` or a ``__shared__`` copy of it. ``t`` is the linear thread id,
+#: ``g`` the global one.
+ATOMICS = {
+    "add-duplicate-addresses": "atomicAdd(&{a}[t % 4], 1);",
+    "sub": "atomicSub(&{a}[t % 4], 2);",
+    "max": "atomicMax(&{a}[t % 4], 990 + t);",
+    "min": "atomicMin(&{a}[t % 4], 1040 - t);",
+    "exch-result-used": "out[g] = atomicExch(&{a}[t % 4], t);",
+    "cas-result-used": "out[g] = atomicCAS(&{a}[t % 4], 1000, t);",
+    "bare-pointer": "atomicAdd({a}, 3); atomicAdd(c + 2, t);",
+    "masked": "if (t % 3 == 0) out[g] = atomicAdd(&{a}[t % 4], t);",
+}
+
+ATOMIC_BLOCKS = {"96": 96, "48": 48, "8x6": Dim3(8, 6)}
+
+
+def atomic_kernel(statement, ctype, shared):
+    head = f"""
+__global__ void k({ctype} *c, {ctype} *out, int n) {{
+  int t = threadIdx.y * blockDim.x + threadIdx.x;
+  int g = blockIdx.x * blockDim.x * blockDim.y + t;"""
+    if not shared:
+        return f"{head}\n  {statement.format(a='c')}\n}}"
+    return f"""{head}
+  __shared__ {ctype} s[4];
+  if (t < 4) s[t] = c[t];
+  __syncthreads();
+  {statement.format(a='s')}
+  __syncthreads();
+  if (t < 4) c[t] = s[t];
+}}"""
+
+
+def launch_atomic(source, ctype, block, engine, profile=False,
+                  telemetry=None):
+    rt = GpuRuntime(Device(), telemetry=telemetry)
+    c, out = rt.malloc(4, ctype), rt.malloc(2 * 96, ctype)
+    rt.memcpy_htod(c, np.full(4, 1000, dtype=c.dtype))
+    stats = program_of(source).launch(
+        rt, "k", 2, block, c.ptr(), out.ptr(), 4, engine=engine,
+        profile=profile)
+    return (rt.memcpy_dtoh(c).tolist(), rt.memcpy_dtoh(out).tolist(),
+            stats)
+
+
+class TestAtomicParity:
+    """The warp tier accounts for an atomic once per warp; every other
+    engine does it once per thread. Nobody may be able to tell."""
+
+    @pytest.mark.parametrize("profile", (False, True),
+                             ids=("plain", "profiled"))
+    @pytest.mark.parametrize("block", sorted(ATOMIC_BLOCKS))
+    @pytest.mark.parametrize("shared", (False, True),
+                             ids=("global", "shared"))
+    @pytest.mark.parametrize("ctype", ("float", "unsigned"))
+    @pytest.mark.parametrize("name", sorted(ATOMICS))
+    def test_outputs_stats_and_ledger(self, name, ctype, shared, block,
+                                      profile):
+        source = atomic_kernel(ATOMICS[name], ctype, shared)
+        block = ATOMIC_BLOCKS[block]
+        *ref_out, ref_stats = launch_atomic(source, ctype, block, "ast",
+                                            profile)
+        assert ref_stats.atomic_ops > 0
+        for engine in ENGINES[1:]:
+            telemetry = Telemetry()
+            *out, stats = launch_atomic(source, ctype, block, engine,
+                                        profile, telemetry)
+            assert out == ref_out, engine
+            assert ledger(stats) == ledger(ref_stats), engine
+            assert stats.line_profile == ref_stats.line_profile, engine
+            assert (stats.line_profile is not None) == profile
+            # lanes of one atomic statement are already thread-major
+            assert replays(telemetry) == 0, engine
+        assert isinstance(compile_kernel(program_of(source).info, "k"),
+                          CompiledSimdKernel)
+
+    @pytest.mark.parametrize("shared", (False, True),
+                             ids=("global", "shared"))
+    @pytest.mark.parametrize("index", ("t + 1000", "t - 1000", "4 - t"),
+                             ids=("above", "below", "some-lanes"))
+    def test_out_of_bounds_atomics_fault_like_the_oracle(self, index,
+                                                         shared):
+        source = atomic_kernel(f"atomicAdd(&{{a}}[{index}], 1);", "int",
+                               shared)
+        faults = {}
+        for engine in ENGINES:
+            with pytest.raises(Exception) as excinfo:
+                launch_atomic(source, "int", 48, engine)
+            faults[engine] = (type(excinfo.value).__name__, re.sub(
+                r"\balloc\d+\b", "alloc", str(excinfo.value)))
+        assert faults["ast"][0] == "OutOfBoundsError"
+        assert faults["simd"] == faults["codegen"] == faults["ast"]
 
 
 class TestDemotion:

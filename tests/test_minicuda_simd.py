@@ -18,6 +18,7 @@ import pytest
 from repro.gpusim import Device, GpuRuntime
 from repro.gpusim.errors import InvalidPointerError
 from repro.gpusim.grid import Dim3
+from repro.labs import execute_lab_source, get_lab
 from repro.minicuda import ENGINES, compile_source
 from repro.minicuda.simd import CompiledSimdKernel, compile_kernel
 from repro.minicuda.srcgen import CompiledSrcKernel
@@ -28,6 +29,7 @@ from repro.telemetry import (
     WARP_ACTIVE_LANE_RATIO,
 )
 from repro.telemetry.metrics import MetricsRegistry, merge_registries
+from tests.test_lane_conflicts import ledger
 
 STAT_FIELDS = (
     "blocks", "threads", "warps", "instructions",
@@ -226,6 +228,82 @@ int main() { return 0; }
         compiled = compile_kernel(program.info, "axpy")
         assert isinstance(compiled, CompiledSimdKernel)
         assert compile_kernel(program.info, "axpy") is compiled
+
+
+class TestConstantMemory:
+    """A 1-D ``__constant__`` array is a typed pointer into a read-only
+    device allocation: kernels reading one lower like any other."""
+
+    PROBE = """
+__constant__ float W[4] = {0.5f, 1.5f, 2.5f, 3.5f};
+__constant__ int STEP[2] = {3, 5};
+__global__ void k(float *out, int n) {
+  int i = blockIdx.x * blockDim.x + threadIdx.x;
+  if (i < n) out[i] = W[i % 4] * STEP[i % 2] + W[0];
+}
+int main() { return 0; }
+"""
+
+    def _probe(self, engine, profile):
+        program = compile_source(self.PROBE)
+        rt = GpuRuntime(Device())
+        out = rt.malloc(70, "float")
+        stats = program.launch(rt, "k", 2, 48, out.ptr(), 70,
+                               engine=engine, profile=profile)
+        return rt.memcpy_dtoh(out).tolist(), ledger(stats), \
+            stats.line_profile
+
+    @pytest.mark.parametrize("profile", (False, True),
+                             ids=("plain", "profiled"))
+    def test_constant_reads_lower_and_equal_the_oracle(self, profile):
+        info = compile_source(self.PROBE).info
+        assert isinstance(compile_kernel(info, "k", profile=profile),
+                          CompiledSimdKernel)
+        ref = self._probe("ast", profile)
+        assert ref[0][:3] == [2.0, 8.0, 8.0]
+        for engine in ENGINES[1:]:
+            assert self._probe(engine, profile) == ref, engine
+
+    @pytest.mark.parametrize("profile", (False, True),
+                             ids=("plain", "profiled"))
+    def test_convolution_lab_solution(self, profile):
+        lab = get_lab("convolution-2d")
+        info = compile_source(lab.solution).info
+        assert isinstance(compile_kernel(info, "convolution2D"),
+                          CompiledSimdKernel)
+        runs = {engine: execute_lab_source(lab, lab.solution,
+                                           lab.dataset(0), engine=engine,
+                                           profile=profile)
+                for engine in ENGINES}
+        ref = runs["ast"]
+        assert ref.passed and ref.kernel_stats
+        for engine in ENGINES[1:]:
+            run = runs[engine]
+            assert run.passed, engine
+            assert [ledger(s) for s in run.kernel_stats] == \
+                [ledger(s) for s in ref.kernel_stats], engine
+            assert run.line_profile == ref.line_profile, engine
+            assert (run.line_profile is not None) == profile
+
+    def test_writing_constant_memory_faults_like_the_scalar_engines(self):
+        source = """
+__constant__ int K[4] = {1, 2, 3, 4};
+__global__ void boom(int *out) {
+  K[threadIdx.x % 4] = 7;
+  out[threadIdx.x] = K[0];
+}
+int main() { return 0; }
+"""
+        assert isinstance(
+            compile_kernel(compile_source(source).info, "boom"),
+            CompiledSimdKernel)
+        arrays = [np.zeros(8, np.int32)]
+        faults = {engine: fault_of(source, "boom", 1, 8, arrays, [], engine)
+                  for engine in ENGINES}
+        assert faults["ast"] == (
+            "OutOfBoundsError",
+            "write to read-only memory __constant__ K")
+        assert faults["simd"] == faults["codegen"] == faults["ast"]
 
 
 class TestFaultParity:
