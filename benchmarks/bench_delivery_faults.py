@@ -4,9 +4,10 @@ Before the leased-delivery rework, a v2 worker crashing between polling
 a job and reporting its result silently lost the job — the queue had
 already deleted it, and the student waited forever. This benchmark
 replays a crash storm through the broker path twice: once with
-at-least-once delivery (leases + acks + redelivery) and once in the
-legacy delete-on-poll mode, and also drives one poison job (every
-delivery crashes its node) into the dead-letter queue.
+at-least-once delivery (leases + acks + redelivery) and once through
+:class:`AckAtHandOffBroker` — at-most-once, the legacy delete-on-poll
+semantics, which only this ablation still needs — and also drives one
+poison job (every delivery crashes its node) into the dead-letter queue.
 
 Acceptance:
 * at-least-once: **0 of N jobs lost** despite a node crash mid-job
@@ -53,6 +54,18 @@ POLICY = DeliveryPolicy(visibility_timeout_s=10.0, max_attempts=3,
 NUM_WORKERS = JOBS // CRASH_EVERY + 2
 
 
+class AckAtHandOffBroker(MessageBroker):
+    """At-most-once delivery: the lease is acked as the job is handed
+    over, so a consumer that dies holding it takes the job along."""
+
+    def poll(self, capabilities, num_gpus, now, zone=None, consumer=""):
+        polled = super().poll(capabilities, num_gpus, now, zone=zone,
+                              consumer=consumer)
+        if polled is not None:
+            self.ack(polled[0].job_id, now=now)
+        return polled
+
+
 def make_driver(broker, clock, metrics, name):
     worker = GpuWorker(WorkerConfig(), clock=clock, name=name)
     return WorkerDriver(worker, broker,
@@ -92,8 +105,8 @@ def crash_storm(at_least_once: bool) -> dict:
     # the CI artifact includes the lease-expiry/redelivery fault spans
     telemetry = (Telemetry(clock=clock, tracing=True)
                  if TRACE_OUT and at_least_once else None)
-    broker = MessageBroker(policy=POLICY, at_least_once=at_least_once,
-                           telemetry=telemetry)
+    broker_type = MessageBroker if at_least_once else AckAtHandOffBroker
+    broker = broker_type(policy=POLICY, telemetry=telemetry)
     metrics = Database("metrics")
     mode = "alo" if at_least_once else "amo"
     drivers = [make_driver(broker, clock, metrics, f"{mode}-w{i}")

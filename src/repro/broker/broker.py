@@ -33,13 +33,11 @@ class MessageBroker:
 
     def __init__(self, zones: tuple[str, ...] = ("us-east-1a",),
                  policy: DeliveryPolicy | None = None,
-                 at_least_once: bool = True,
                  telemetry: Telemetry | None = None):
         if not zones:
             raise ValueError("broker needs at least one zone")
         self.telemetry = telemetry if telemetry is not None else Telemetry()
-        self._queue = JobQueue(policy=policy, at_least_once=at_least_once,
-                               telemetry=self.telemetry)
+        self._queue = JobQueue(policy=policy, telemetry=self.telemetry)
         self._replicas = {zone: _Replica(zone) for zone in zones}
         self.failovers = 0
 

@@ -226,10 +226,14 @@ class Dashboard:
         if "stats" in cache:
             results = cache["stats"].get("results", {})
             compiles = cache["stats"].get("compile", {})
+            kernels = cache["stats"].get("kernels", {})
             lines.append(
                 f"  caches: grading {results.get('hit_rate', 0.0):.0%} hit "
                 f"({int(results.get('entries', 0))} entries, "
                 f"{int(results.get('cas_bytes', 0))} B), "
                 f"compile {compiles.get('hit_rate', 0.0):.0%} hit, "
+                f"kernels {kernels.get('hit_rate', 0.0):.0%} hit "
+                f"({int(kernels.get('bytes_live', 0))} B live, "
+                f"{int(kernels.get('evictions', 0))} evicted), "
                 f"{results.get('seconds_saved', 0.0):.1f}s saved")
         return "\n".join(lines)

@@ -122,13 +122,9 @@ class JobQueue:
 
     def __init__(self, name: str = "jobs",
                  policy: DeliveryPolicy | None = None,
-                 at_least_once: bool = True,
                  telemetry: Telemetry | None = None):
         self.name = name
         self.policy = policy or DeliveryPolicy()
-        #: False restores the pre-lease semantics (delete on poll) —
-        #: kept for the delivery-faults ablation benchmark.
-        self.at_least_once = at_least_once
         self.telemetry = telemetry if telemetry is not None else Telemetry()
         self._items: list[_Waiting] = []
         self._leases: dict[int, Lease] = {}
@@ -211,16 +207,11 @@ class JobQueue:
                         job_id=job.job_id, consumer=consumer,
                         attempt=job.delivery.attempts,
                         deadline=now + self.policy.visibility_timeout_s)
-                if self.at_least_once:
-                    self._leases[job.job_id] = Lease(
-                        job=job, consumer=consumer,
-                        enqueued_at=item.enqueued_at,
-                        deadline=now + self.policy.visibility_timeout_s,
-                        span=span)
-                elif span is not None:
-                    # legacy delete-on-poll: no ack will ever arrive,
-                    # so the delivery span closes at hand-off
-                    span.end(time=now, mode="at-most-once")
+                self._leases[job.job_id] = Lease(
+                    job=job, consumer=consumer,
+                    enqueued_at=item.enqueued_at,
+                    deadline=now + self.policy.visibility_timeout_s,
+                    span=span)
                 self._gauge_depths()
                 return job, now - item.enqueued_at
         self.stats.rejected_polls += 1

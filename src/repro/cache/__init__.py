@@ -11,8 +11,8 @@ compile/kernel cache in a training or inference stack:
   addresses, ref-counting, integrity verification on read) layered
   over :mod:`repro.storage`;
 * :mod:`repro.cache.policy` — pluggable eviction: LRU entry caps,
-  byte-size caps, TTL expiry, and compositions thereof, with explicit
-  per-policy eviction stats;
+  byte-size caps, and compositions thereof, with explicit per-policy
+  eviction stats;
 * :mod:`repro.cache.memo` — a single-flight memoization table that
   deduplicates concurrent identical requests, so N workers compiling
   the same source pay for one compile;
@@ -22,14 +22,14 @@ compile/kernel cache in a training or inference stack:
   as snapshots on the dashboard.
 
 Consumers: :class:`repro.minicuda.compiler.CompileCache` (front-end
-results keyed by preprocessed-source hash) and
+results keyed by preprocessed-source hash),
+:data:`repro.minicuda.codegen.KERNEL_CACHE` (compiled kernels keyed by
+engine, fingerprint and kernel name) and
 :class:`repro.cluster.result_cache.GradingResultCache` (grading job
 results keyed by ``(program_hash, dataset_hash, requirements)``).
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from repro.cache.cas import (
     CasError,
@@ -51,27 +51,10 @@ from repro.cache.policy import (
     LRUPolicy,
     PolicyStats,
     SizeCappedPolicy,
-    TTLPolicy,
 )
 from repro.cache.stats import CacheStats
 
-
-@dataclass(frozen=True)
-class CacheConfig:
-    """Knobs for the platform-level cache assembly.
-
-    ``ttl_s=None`` disables time-based expiry (pure LRU/size caps).
-    """
-
-    compile_entries: int = 512
-    result_entries: int = 4096
-    result_max_bytes: int = 64 * 1024 * 1024
-    ttl_s: float | None = None
-    verify_reads: bool = True
-
-
 __all__ = [
-    "CacheConfig",
     "CacheStats",
     "CasError",
     "CompositePolicy",
@@ -87,7 +70,6 @@ __all__ = [
     "OWNER",
     "PolicyStats",
     "SizeCappedPolicy",
-    "TTLPolicy",
     "compose_key",
     "hash_bytes",
     "hash_mapping",

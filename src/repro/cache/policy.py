@@ -18,13 +18,11 @@ class PolicyStats:
 
     evicted_capacity: int = 0
     evicted_bytes: int = 0
-    evicted_expired: int = 0
 
     def snapshot(self) -> dict[str, int]:
         return {
             "evicted_capacity": self.evicted_capacity,
             "evicted_bytes": self.evicted_bytes,
-            "evicted_expired": self.evicted_expired,
         }
 
 
@@ -122,44 +120,9 @@ class SizeCappedPolicy(EvictionPolicy):
         return self._total
 
 
-class TTLPolicy(EvictionPolicy):
-    """Time-to-live: entries idle longer than ``ttl_s`` expire.
-
-    The clock is whatever the caller reports via ``now`` — the caches
-    pass simulation time, so TTL expiry is deterministic in tests.
-    """
-
-    def __init__(self, ttl_s: float):
-        super().__init__()
-        if ttl_s <= 0:
-            raise ValueError("ttl_s must be positive")
-        self.ttl_s = ttl_s
-        self._last_touch: OrderedDict[str, float] = OrderedDict()
-
-    def record_store(self, key: str, size: int, now: float) -> None:
-        self._last_touch[key] = now
-        self._last_touch.move_to_end(key)
-
-    def record_access(self, key: str, now: float) -> None:
-        if key in self._last_touch:
-            self._last_touch[key] = now
-            self._last_touch.move_to_end(key)
-
-    def forget(self, key: str) -> None:
-        self._last_touch.pop(key, None)
-
-    def select_victims(self, now: float) -> list[str]:
-        victims = [k for k, touched in self._last_touch.items()
-                   if now - touched > self.ttl_s]
-        for key in victims:
-            del self._last_touch[key]
-        self.stats.evicted_expired += len(victims)
-        return victims
-
-
 @dataclass
 class CompositePolicy(EvictionPolicy):
-    """Union of several policies (e.g. LRU cap *and* TTL)."""
+    """Union of several policies (e.g. an entry cap *and* a byte cap)."""
 
     policies: tuple[EvictionPolicy, ...] = field(default_factory=tuple)
 

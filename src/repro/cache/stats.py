@@ -19,7 +19,6 @@ class CacheStats:
     misses: int = 0
     stores: int = 0
     evictions: int = 0
-    expirations: int = 0
     dedup_hits: int = 0          # single-flight joins (memo.py)
     integrity_failures: int = 0  # CAS blobs that failed verification
     bytes_stored: int = 0
@@ -51,10 +50,8 @@ class CacheStats:
         self.stores += 1
         self.bytes_stored += size
 
-    def record_eviction(self, size: int = 0, expired: bool = False) -> None:
+    def record_eviction(self, size: int = 0) -> None:
         self.evictions += 1
-        if expired:
-            self.expirations += 1
         self.bytes_evicted += size
 
     def merge(self, other: "CacheStats") -> "CacheStats":
@@ -64,7 +61,6 @@ class CacheStats:
             misses=self.misses + other.misses,
             stores=self.stores + other.stores,
             evictions=self.evictions + other.evictions,
-            expirations=self.expirations + other.expirations,
             dedup_hits=self.dedup_hits + other.dedup_hits,
             integrity_failures=(self.integrity_failures
                                 + other.integrity_failures),
@@ -80,7 +76,6 @@ class CacheStats:
             "hit_rate": round(self.hit_rate, 4),
             "stores": self.stores,
             "evictions": self.evictions,
-            "expirations": self.expirations,
             "dedup_hits": self.dedup_hits,
             "integrity_failures": self.integrity_failures,
             "bytes_stored": self.bytes_stored,

@@ -19,8 +19,8 @@ Result payloads are serialized to JSON and stored in the
 content-addressed store (:mod:`repro.cache.cas`), so identical results
 reached from *different* keys (e.g. two labs sharing a dataset) are
 stored once, integrity-verified on read, and ref-counted across keys.
-A pluggable eviction policy (LRU entries + byte cap + optional TTL)
-bounds the footprint and releases CAS references as entries age out.
+A pluggable eviction policy (LRU entries + byte cap) bounds the
+footprint and releases CAS references as entries age out.
 A cache hit re-materializes a fresh :class:`JobResult` without
 occupying a worker or a container slot.
 """
@@ -33,7 +33,6 @@ from typing import Any
 from repro.cache import (
     HIT,
     JOINED,
-    CacheConfig,
     CacheStats,
     CompositePolicy,
     ContentAddressedStore,
@@ -42,16 +41,20 @@ from repro.cache import (
     LRUPolicy,
     MemoTable,
     SizeCappedPolicy,
-    TTLPolicy,
 )
 from repro.cache.keys import compose_key, hash_text
 from repro.cluster.job import DatasetOutcome, Job, JobKind, JobResult, JobStatus
 from repro.labs.config import lab_fingerprint
+from repro.minicuda.codegen import KERNEL_CACHE
 from repro.minicuda.compiler import CompileCache
 from repro.storage import Bucket
 
 #: Synthetic seconds a cache hit costs (key lookup + payload fetch).
 CACHE_HIT_SECONDS = 0.002
+
+#: Default bounds of the result cache: entries, and CAS payload bytes.
+RESULT_ENTRIES = 4096
+RESULT_MAX_BYTES = 64 * 1024 * 1024
 
 
 def serialize_result(result: JobResult) -> bytes:
@@ -117,24 +120,16 @@ class GradingResultCache:
     the blob disappears when its last referencing key is gone.
     """
 
-    def __init__(self, config: CacheConfig | None = None,
-                 bucket: Bucket | None = None,
+    def __init__(self, bucket: Bucket | None = None,
                  policy: EvictionPolicy | None = None,
                  stats: CacheStats | None = None,
                  clock: Any = None,
                  base_seed: int = 1234):
-        config = config or CacheConfig()
         self.stats = stats if stats is not None else CacheStats()
-        self.cas = ContentAddressedStore(
-            bucket=bucket, verify_on_read=config.verify_reads)
+        self.cas = ContentAddressedStore(bucket=bucket)
         if policy is None:
-            policies: list[EvictionPolicy] = [
-                LRUPolicy(config.result_entries),
-                SizeCappedPolicy(config.result_max_bytes),
-            ]
-            if config.ttl_s is not None:
-                policies.append(TTLPolicy(config.ttl_s))
-            policy = CompositePolicy(tuple(policies))
+            policy = CompositePolicy((LRUPolicy(RESULT_ENTRIES),
+                                      SizeCappedPolicy(RESULT_MAX_BYTES)))
         self.memo = MemoTable(
             policy=policy, stats=self.stats, clock=clock,
             weigh=self._weigh_address, on_evict=self._release_address,
@@ -250,16 +245,17 @@ class PlatformCaches:
     * ``results`` — grading outcomes keyed by
       ``(program_hash, dataset_hash, requirements)``;
     * ``grades`` — rubric computations memoized by the Grader.
+
+    The snapshot also reports ``kernels``, the process-wide
+    :data:`repro.minicuda.codegen.KERNEL_CACHE` (read-only here: every
+    worker in the process shares it whether or not it has caches).
     """
 
-    def __init__(self, config: CacheConfig | None = None,
-                 clock: Any = None, bucket: Bucket | None = None,
+    def __init__(self, clock: Any = None, bucket: Bucket | None = None,
                  base_seed: int = 1234):
-        self.config = config or CacheConfig()
-        self.compile = CompileCache(max_entries=self.config.compile_entries,
-                                    clock=clock)
-        self.results = GradingResultCache(config=self.config, bucket=bucket,
-                                          clock=clock, base_seed=base_seed)
+        self.compile = CompileCache(clock=clock)
+        self.results = GradingResultCache(bucket=bucket, clock=clock,
+                                          base_seed=base_seed)
         self.grades = MemoTable(stats=CacheStats(), clock=clock,
                                 cache_name="grades")
 
@@ -277,4 +273,5 @@ class PlatformCaches:
             "compile": self.compile.snapshot(),
             "results": self.results.snapshot(),
             "grades": self.grades.stats.snapshot(),
+            "kernels": KERNEL_CACHE.stats.snapshot(),
         }

@@ -175,7 +175,7 @@ def _execute_full_program(lab: LabDefinition, program: CompiledProgram,
         exit_code=result.exit_code,
         kernel_stats=stats_list,
         line_profile=merge_stats_profiles(stats_list),
-        fingerprint=program.info.fingerprint or "")
+        fingerprint=program.info.fingerprint)
 
 
 def _execute_kernel_only(lab: LabDefinition, program: CompiledProgram,
@@ -208,7 +208,7 @@ def _execute_kernel_only(lab: LabDefinition, program: CompiledProgram,
                         device_seconds=runtime.device_time,
                         exit_code=0, kernel_stats=[stats],
                         line_profile=merge_stats_profiles([stats]),
-                        fingerprint=program.info.fingerprint or "")
+                        fingerprint=program.info.fingerprint)
 
 
 def _execute_mpi(lab: LabDefinition, program: CompiledProgram,
@@ -251,4 +251,4 @@ def _execute_mpi(lab: LabDefinition, program: CompiledProgram,
         exit_code=max(int(c or 0) for c in exit_codes),
         kernel_stats=stats_list,
         line_profile=merge_stats_profiles(stats_list),
-        fingerprint=program.info.fingerprint or "")
+        fingerprint=program.info.fingerprint)

@@ -6,7 +6,11 @@ kernel compilers — :mod:`repro.minicuda.srcgen` (``codegen``) and
 
 * :data:`KERNEL_CACHE` / :func:`memo_key` — the cross-program,
   single-flight kernel memo, keyed by engine tag, engine version,
-  preprocessed-source fingerprint and kernel name;
+  program fingerprint and kernel name. It is the *only* owner of a
+  compiled kernel or a decline verdict: nothing hangs off the
+  ``ProgramInfo`` (which a ``CompileCache`` may pin for much longer),
+  so an eviction frees the kernel, its byte cap is what the process
+  holds, and a relaunch after eviction recompiles;
 * :class:`UnsupportedConstruct` — how a compiler declines a kernel
   (memoized as a ``None`` verdict; the caller steps down the ladder);
 * the baked coercers (``_coerce_*`` / :func:`_make_coercer`) that
@@ -104,15 +108,17 @@ _VERDICT_NBYTES = 512
 #: Bounded by estimated bytes, not entries — each artifact reports its
 #: own ``nbytes`` (``srcgen.compile_kernel``, ``simd.compile_kernel``)
 #: — so a tier with fatter artifacts holds fewer of them instead of
-#: more memory. The table only serves a source resubmitted unchanged to
-#: a worker without a ``CompileCache`` (which would hand back the
-#: program with its kernels attached), so the last ~200 kernels are
-#: ample; the 1024-entry cap this replaces let a worker's table grow to
-#: ~17 MB.
+#: more memory. Every bind asks this table and nothing else holds a
+#: kernel, so the cap is the bound: the last ~200 kernels stay, an
+#: older one is freed and recompiled by its next launch — and a
+#: demotion (a flag on the memoized ``CompiledSimdKernel``) goes with
+#: it, at the price of one more aborted speculative launch. The
+#: 1024-entry cap this replaces let a worker's table grow to ~17 MB.
 KERNEL_CACHE = MemoTable(
     policy=SizeCappedPolicy(4 * 1024 * 1024),
     weigh=lambda kernel: (_VERDICT_NBYTES if kernel is None
-                          else kernel.nbytes))
+                          else kernel.nbytes),
+    cache_name="kernels")
 
 
 def memo_key(engine: str, version: int, fingerprint: str,

@@ -122,11 +122,19 @@ def compile_source(source: str,
         return cache.compile(source, headers=headers, defines=defines,
                              telemetry=telemetry)
     preprocessed = preprocess(source, headers=headers, predefined=defines)
+    return _front_end(source, preprocessed, hash_text(preprocessed),
+                      telemetry)
+
+
+def _front_end(source: str, preprocessed: str, fingerprint: str,
+               telemetry: Any) -> CompiledProgram:
+    """Lex, parse and check preprocessed text; ``fingerprint`` is its
+    content hash, the program's key in every cache downstream."""
     unit = parse(preprocessed,
                  typedef_names=frozenset(DEFAULT_TYPEDEFS) | EXTRA_TYPEDEFS,
                  telemetry=telemetry)
     info = analyze(unit)
-    info.fingerprint = hash_text(preprocessed)
+    info.fingerprint = fingerprint
     return CompiledProgram(source=source, preprocessed=preprocessed, info=info)
 
 
@@ -161,26 +169,14 @@ class CompileCache:
         """How many times the front end actually ran."""
         return self.memo.compute_count
 
-    def key_for(self, preprocessed: str) -> str:
-        return hash_text(preprocessed)
-
     def compile(self, source: str,
                 headers: Mapping[str, str] | None = None,
                 defines: Mapping[str, str] | None = None,
                 telemetry: Any = None) -> CompiledProgram:
         preprocessed = preprocess(source, headers=headers, predefined=defines)
-        key = self.key_for(preprocessed)
-
-        def front_end() -> CompiledProgram:
-            unit = parse(preprocessed, typedef_names=(
-                frozenset(DEFAULT_TYPEDEFS) | EXTRA_TYPEDEFS),
-                telemetry=telemetry)
-            info = analyze(unit)
-            info.fingerprint = key
-            return CompiledProgram(source=source, preprocessed=preprocessed,
-                                   info=info)
-
-        program, hit = self.memo.get_or_compute(key, front_end)
+        key = hash_text(preprocessed)
+        program, hit = self.memo.get_or_compute(
+            key, lambda: _front_end(source, preprocessed, key, telemetry))
         if not hit:
             return program
         # fresh wrapper: callers may submit whitespace-variant sources

@@ -7,6 +7,7 @@ points, or raises :class:`CompileError` with every diagnostic found
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 from repro.minicuda import ast_nodes as ast
@@ -16,6 +17,8 @@ from repro.minicuda.diagnostics import CompileError, Diagnostic, SourcePos
 
 #: Device builtins that hit a block-wide barrier when called.
 BARRIER_BUILTINS = frozenset({"__syncthreads", "barrier"})
+
+_anonymous = itertools.count(1)
 
 
 @dataclass
@@ -32,10 +35,12 @@ class ProgramInfo:
     #: over device-function calls. Execution engines use this to decide
     #: whether a kernel needs lockstep generator scheduling.
     barrier_functions: set[str] = field(default_factory=set)
-    #: sha256 of the preprocessed source this program was compiled
-    #: from; set by the compiler facade. Used as a stable memoization
-    #: key for per-kernel codegen artifacts ("" when unavailable).
-    fingerprint: str = ""
+    #: The kernel memo's key for this program, never empty: the
+    #: compiler facade sets the sha256 of the preprocessed source (so
+    #: a resubmission finds its kernels); a unit analysed directly
+    #: keeps a process-unique ``anon-<n>`` no other program can alias.
+    fingerprint: str = field(
+        default_factory=lambda: f"anon-{next(_anonymous)}")
 
     @property
     def has_main(self) -> bool:

@@ -77,9 +77,9 @@ from repro.minicuda.srcgen import (
     _FLOAT_MATH,
     _INT_MATH,
     _addr_of,
-    _artifact_for,
     _c_eq,
     _c_ne,
+    _compile_scalar,
     _ctype_kinds,
     _md_oob,
     _resolve_atomic,
@@ -622,10 +622,9 @@ class _Lowerer:
     surviving lane set. Every srcgen charge point becomes
     ``stats.instructions += len(idx)``."""
 
-    def __init__(self, info: ProgramInfo, global_names: frozenset,
-                 fn: ast.FuncDef, gen_ok: bool, profile: bool = False):
+    def __init__(self, info: ProgramInfo, fn: ast.FuncDef, gen_ok: bool,
+                 profile: bool = False):
         self.info = info
-        self.global_names = global_names
         self.fn = fn
         self.gen_ok = gen_ok
         self.profile = profile
@@ -779,7 +778,7 @@ class _Lowerer:
                 return (lambda st, idx: st.frame[slot][idx]), rec.kind, False
             return (lambda st, idx: st.frame[slot]), rec.kind, True
         name = e.name
-        if name in self.global_names:
+        if name in self.info.constants:
             if name in self.untracked_globals:
                 raise _SimdUnsupported(f"__device__ storage {name!r}")
             return ((lambda st, idx: st.interp.globals.get(name)),
@@ -803,7 +802,7 @@ class _Lowerer:
         if isinstance(obj, ast.Ident) and field in ("x", "y", "z") \
                 and obj.name in _BUILTIN_IDX \
                 and self.lookup(obj.name) is None \
-                and obj.name not in self.global_names:
+                and obj.name not in self.info.constants:
             if obj.name == "threadIdx":
                 # full-mask fast path returns the cached per-warp lane
                 # vector itself; downstream ops never mutate operands
@@ -829,7 +828,7 @@ class _Lowerer:
                 and isinstance(node.obj, ast.Ident)
                 and node.obj.name == "threadIdx"
                 and self.lookup(node.obj.name) is None
-                and node.obj.name not in self.global_names):
+                and node.obj.name not in self.info.constants):
             return node.field_name
         return None
 
@@ -2522,11 +2521,9 @@ class CompiledSimdKernel:
 # -- memoized program → kernel compilation ------------------------------------
 
 def _compile_simd(info: ProgramInfo, fn: ast.FuncDef,
-                  global_names: frozenset,
                   src: CompiledSrcKernel,
                   profile: bool = False) -> CompiledSimdKernel:
-    lw = _Lowerer(info, global_names, fn, gen_ok=src.is_gen,
-                  profile=profile)
+    lw = _Lowerer(info, fn, gen_ok=src.is_gen, profile=profile)
     lw.push()
     param_plan = []
     for i, p in enumerate(fn.params):
@@ -2549,42 +2546,30 @@ def _compile_simd(info: ProgramInfo, fn: ast.FuncDef,
                               + _NBYTES_PER_LOWERED * lw.lowered)
 
 
-def _kernel_for(info: ProgramInfo, name: str, profile: bool = False):
-    attr = "_simd_kernels_prof" if profile else "_simd_kernels"
-    cache = getattr(info, attr, None)
-    if cache is None:
-        cache = {}
-        setattr(info, attr, cache)
-    if name in cache:
-        return cache[name]
-    # straight from the program's srcgen artifact: the scalar kernel
-    # rides inside this tier's memo entry, not in one of its own
-    artifact = _artifact_for(info, profile)
-    src = artifact.get_kernel(name)
-    compiled = None
-    if src is not None:
-        try:
-            compiled = _compile_simd(info, info.kernels[name],
-                                     artifact.global_names,
-                                     src, profile=profile)
-        except _SimdUnsupported as exc:
-            # memoized fallback verdict: the scalar codegen kernel
-            # runs this kernel; never an error
-            compiled = _Declined(src, str(exc))
-    cache[name] = compiled
-    return compiled
+def _lower(info: ProgramInfo, name: str, profile: bool):
+    """Un-memoized: the scalar kernel, then its warp lowering on top.
+    The scalar compile is the plain ``srcgen`` function, not its
+    memoized front — the scalar kernel rides inside this tier's memo
+    entry (``nbytes`` counts it), not in one of its own."""
+    src = _compile_scalar(info, name, profile)
+    if src is None:
+        return None
+    try:
+        return _compile_simd(info, info.kernels[name], src, profile)
+    except _SimdUnsupported as exc:
+        # memoized fallback verdict: the scalar codegen kernel runs
+        # this kernel; never an error
+        return _Declined(src, str(exc))
 
 
 def _verdict(info: ProgramInfo, name: str, profile: bool):
-    """The memoized outcome of lowering kernel ``name`` — per program
-    object and, when a fingerprint is available, in the shared
-    ``KERNEL_CACHE`` under a versioned ``simd`` key."""
-    if info.fingerprint:
-        key = memo_key("simd-prof" if profile else "simd", SIMD_VERSION,
-                       info.fingerprint, name)
-        return KERNEL_CACHE.get_or_compute(
-            key, lambda: _kernel_for(info, name, profile))[0]
-    return _kernel_for(info, name, profile)
+    """The outcome of lowering kernel ``name``, memoized in the shared
+    ``KERNEL_CACHE`` under a versioned ``simd`` key and nowhere else:
+    an evicted verdict is recomputed."""
+    key = memo_key("simd-prof" if profile else "simd", SIMD_VERSION,
+                   info.fingerprint, name)
+    return KERNEL_CACHE.get_or_compute(
+        key, lambda: _lower(info, name, profile))[0]
 
 
 def decline_reason(info: ProgramInfo, name: str,

@@ -482,7 +482,7 @@ class _FnEmitter:
         hit = self.lookup(name)
         if hit is not None:
             return hit[0], hit[1]
-        if name in self.mod.global_names:
+        if name in self.mod.info.constants:
             return f"I.globals.get({name!r})", None
         if name in _BUILTIN_IDX:
             self.used_builtins.add(name)
@@ -504,7 +504,7 @@ class _FnEmitter:
         if isinstance(obj, ast.Ident) and field in ("x", "y", "z") \
                 and obj.name in _BUILTIN_IDX \
                 and self.lookup(obj.name) is None \
-                and obj.name not in self.mod.global_names:
+                and obj.name not in self.mod.info.constants:
             self.used_fields.add((obj.name, field))
             return f"_bi_{obj.name}_{field}", "int"
         obj_code, obj_kind = self.expr(obj)
@@ -782,7 +782,7 @@ class _FnEmitter:
             if self.lookup(name) is not None:
                 raise UnsupportedConstruct(
                     "address of a slot-allocated local")
-            if name in self.mod.global_names:
+            if name in self.mod.info.constants:
                 return f"VarRef(I.globals, {name!r})", None
             return (f"_err('cannot take address of {name!r}', "
                     f"{self.pos(operand.pos)})", None)
@@ -846,7 +846,7 @@ class _FnEmitter:
                     return t, vk
                 self.line(f"{py} = {self.coerced(vcode, vk, cokind)}")
                 return py, vkind
-            if name in self.mod.global_names:
+            if name in self.mod.info.constants:
                 vcode, vk = self.expr(e.value)
                 if compound:
                     cur = self.atom(f"I.globals.get({name!r})", force=True)
@@ -914,7 +914,7 @@ class _FnEmitter:
                 new = f"({old} {step})"
                 self.line(f"{py} = {self.coerced(new, vkind, cokind)}")
                 return old, vkind
-            if name in self.mod.global_names:
+            if name in self.mod.info.constants:
                 old = self.tmp()
                 new = self.tmp()
                 self.line(f"{old} = I.globals.get({name!r})")
@@ -1453,10 +1453,8 @@ class _ModuleEmitter:
     """One generated module per compiled kernel (self-contained: the
     kernel factory plus every device function it transitively calls)."""
 
-    def __init__(self, info: ProgramInfo, global_names: frozenset[str],
-                 profile: bool = False):
+    def __init__(self, info: ProgramInfo, profile: bool = False):
         self.info = info
-        self.global_names = global_names
         self.profile = bool(profile)
         self.module_lines: list[str] = []
         self.ns: dict[str, Any] = {}
@@ -1526,7 +1524,6 @@ class _ModuleEmitter:
 
     def _prologue(self, em: _FnEmitter, pos: Any, copies: list[str],
                   entry_steps: bool) -> list[str]:
-        pad = "    " * (em.indent - 0) if em.is_device else "        "
         pad = "    " if em.is_device else "        "
         out = []
         for copy in copies:
@@ -1580,44 +1577,15 @@ class _ModuleEmitter:
 
 # -- memoized program → kernel compilation -------------------------------------
 
-class _SrcArtifact:
-    """Per-program compilation workspace for the codegen engine."""
-
-    def __init__(self, info: ProgramInfo, profile: bool = False):
-        self.info = info
-        self.profile = bool(profile)
-        names = set()
-        for gvar in info.unit.globals:
-            for decl in gvar.decl.declarators:
-                names.add(decl.name)
-        self.global_names = frozenset(names)
-        self.kernels: dict[str, CompiledSrcKernel | None] = {}
-
-    def get_kernel(self, name: str) -> CompiledSrcKernel | None:
-        if name in self.kernels:
-            return self.kernels[name]
-        fn = self.info.kernels.get(name)
-        compiled: CompiledSrcKernel | None = None
-        if fn is not None:
-            gen_ok = name in self.info.barrier_functions
-            mod = _ModuleEmitter(self.info, self.global_names,
-                                 profile=self.profile)
-            try:
-                compiled = mod.compile_kernel(fn, gen_ok)
-            except UnsupportedConstruct:
-                compiled = None
-        self.kernels[name] = compiled
-        return compiled
-
-
-def _artifact_for(info: ProgramInfo,
-                  profile: bool = False) -> _SrcArtifact:
-    attr = "_srcgen_artifact_prof" if profile else "_srcgen_artifact"
-    art = getattr(info, attr, None)
-    if art is None:
-        art = _SrcArtifact(info, profile=profile)
-        setattr(info, attr, art)
-    return art
+def _compile_scalar(info: ProgramInfo, name: str,
+                    profile: bool = False) -> CompiledSrcKernel | None:
+    """Un-memoized :func:`compile_kernel`; the warp tier compiles its
+    scalar kernel through this, inside its own memo entry."""
+    try:
+        return _ModuleEmitter(info, profile=profile).compile_kernel(
+            info.kernels[name], gen_ok=name in info.barrier_functions)
+    except UnsupportedConstruct:
+        return None
 
 
 def compile_kernel(info: ProgramInfo, name: str,
@@ -1626,17 +1594,13 @@ def compile_kernel(info: ProgramInfo, name: str,
 
     Returns None when the kernel uses a construct the emitter does not
     support (the caller falls back to the tree-walker). Both outcomes
-    are memoized on the program's attached artifact and — when the
-    program carries a preprocessed-source fingerprint — in the shared
-    :data:`repro.minicuda.codegen.KERNEL_CACHE` under a versioned
-    ``codegen`` engine key. Profiled compilation (line-ledger emitting
-    source) memoizes under its own engine tag.
+    are memoized in the shared
+    :data:`repro.minicuda.codegen.KERNEL_CACHE` — and nowhere else: an
+    evicted kernel is recompiled — under a versioned ``codegen`` engine
+    key. Profiled compilation (line-ledger emitting source) memoizes
+    under its own engine tag.
     """
-    art = _artifact_for(info, profile=profile)
-    if info.fingerprint:
-        key = memo_key("codegen-prof" if profile else "codegen",
-                       SRCGEN_VERSION, info.fingerprint, name)
-        value, _ = KERNEL_CACHE.get_or_compute(
-            key, lambda: art.get_kernel(name))
-        return value
-    return art.get_kernel(name)
+    key = memo_key("codegen-prof" if profile else "codegen",
+                   SRCGEN_VERSION, info.fingerprint, name)
+    return KERNEL_CACHE.get_or_compute(
+        key, lambda: _compile_scalar(info, name, profile))[0]

@@ -184,15 +184,6 @@ class TestAtLeastOnceDelivery:
         q.nack(b.job_id, now=0.0)                     # backoff ends at 0.5
         assert q.next_wakeup(now=0.0) == 0.5
 
-    def test_at_most_once_mode_preserves_legacy_semantics(self):
-        q = JobQueue(at_least_once=False)
-        job = job_for(VECADD)
-        q.publish(job, now=0.0)
-        q.poll(frozenset({"cuda"}), 1, now=0.0)
-        assert q.in_flight_count == 0      # deleted on poll: crash loses it
-        assert not q.ack(job.job_id)
-        assert q.expire_leases(now=1e9) == []
-
     def test_redelivered_job_keeps_fifo_position(self):
         q = self.queue()
         first, second = job_for(VECADD), job_for(VECADD)

@@ -11,7 +11,6 @@ from repro.cache import (
     MemoTable,
     MissingBlobError,
     SizeCappedPolicy,
-    TTLPolicy,
     hash_bytes,
 )
 from repro.cache.cas import blob_key
@@ -101,28 +100,20 @@ def test_size_capped_policy_evicts_until_under_budget():
     assert set(p.select_victims(now=3.0)) == {"b", "c"}
 
 
-def test_ttl_policy_expires_idle_entries():
-    p = TTLPolicy(ttl_s=10.0)
-    p.record_store("a", 1, now=0.0)
-    p.record_store("b", 1, now=5.0)
-    p.record_access("a", now=8.0)  # touched -> young again
-    assert p.select_victims(now=16.0) == ["b"]
-    assert p.select_victims(now=100.0) == ["a"]
-    assert p.stats.evicted_expired == 2
-
-
 def test_composite_policy_unions_victims_and_syncs_members():
-    lru = LRUPolicy(max_entries=10)
-    ttl = TTLPolicy(ttl_s=5.0)
-    p = CompositePolicy((lru, ttl))
-    p.record_store("a", 1, now=0.0)
-    p.record_store("b", 1, now=4.0)
-    victims = p.select_victims(now=8.0)
-    assert victims == ["a"]
-    # the TTL victim must also be forgotten by the LRU member
-    assert p.select_victims(now=8.0) == []
-    p.record_store("c", 1, now=9.0)
-    assert sorted(k for k in ("b", "c") if k) == ["b", "c"]
+    size = SizeCappedPolicy(max_bytes=10)
+    p = CompositePolicy((LRUPolicy(max_entries=2), size))
+    p.record_store("a", 6, now=0.0)
+    p.record_store("b", 6, now=1.0)
+    assert p.select_victims(now=2.0) == ["a"]  # over the byte cap
+    # the byte-cap victim must also be forgotten by the LRU member:
+    # a third key is its second entry, not its third
+    p.record_store("c", 1, now=3.0)
+    assert p.select_victims(now=4.0) == []
+    p.record_store("d", 1, now=5.0)
+    assert p.select_victims(now=6.0) == ["b"]  # over the entry cap
+    # ... and the entry-cap victim by the byte-cap member
+    assert size.total_bytes == 2
 
 
 # -- single-flight memo table ----------------------------------------------

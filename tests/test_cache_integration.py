@@ -106,9 +106,13 @@ def test_v2_dashboard_surfaces_cache_hit_rate():
     per_worker = snap["cache"]["hit_rate_per_worker"]
     assert per_worker and max(per_worker.values()) > 0.0
     assert snap["cache"]["stats"]["results"]["hits"] >= 1
+    # the process-wide kernel memo is reported beside the platform's own
+    assert snap["cache"]["stats"]["kernels"]["stores"] >= 1
     rendered = platform.dashboard.render()
     assert "cache hit-rate" in rendered
-    assert "caches:" in rendered
+    (caches_line,) = [line for line in rendered.splitlines()
+                      if "caches:" in line]
+    assert "kernels " in caches_line and "B live" in caches_line
 
 
 def test_v2_cache_hit_skips_container_slot():
