@@ -206,6 +206,18 @@ class MemoTable:
             self._on_evict(key, flight.value)
         return True
 
+    def grow(self, key: str, nbytes: int) -> None:
+        """A memoized value grew by ``nbytes`` in place (it filled in a
+        part it had deferred): charge the byte counters and the policy
+        the difference, evicting if that overflows the budget. A no-op
+        for a key no longer held."""
+        flight = self._done.get(key)
+        if flight is None:
+            return
+        self.stats.bytes_stored += nbytes
+        self.policy.record_store(key, self._weigh(flight.value), self._now())
+        self._evict()
+
     def _evict(self) -> None:
         for key in self.policy.select_victims(self._now()):
             flight = self._done.pop(key, None)

@@ -18,8 +18,10 @@ Subcommands:
 * ``profile-attempt SLUG``  — run one attempt with the per-source-line
   kernel profiler on and print the annotated listing (per-line
   instruction/memory/divergence counters, heat bar, hottest lines),
-  per kernel the engine tier that actually ran it (and why the warp
-  tier declined, when it did), plus any lab line-budget violations.
+  per kernel the engine tier that actually ran it (and why a faster
+  tier declined, when it did), per host function whether it ran as
+  generated Python or was walked (and why), plus any lab line-budget
+  violations.
 """
 
 from __future__ import annotations
@@ -211,7 +213,7 @@ def cmd_trace_attempt(args: argparse.Namespace) -> int:
 
 def cmd_profile_attempt(args: argparse.Namespace) -> int:
     from repro.labs.base import execute_lab_program
-    from repro.minicuda.simd import decline_reason
+    from repro.minicuda import simd, srcgen
     from repro.profiler import check_line_budgets, render_annotated
     from repro.telemetry import KERNEL_EXEC_SECONDS, Telemetry
 
@@ -236,23 +238,32 @@ def cmd_profile_attempt(args: argparse.Namespace) -> int:
     # what ran, not what was asked for: the exec histogram is labelled
     # with the tier that executed each launch
     ran = telemetry.metrics.histogram(KERNEL_EXEC_SECONDS)
-    asked_simd = resolve_engine(args.engine) == "simd"
-    for name in program.kernel_names:
+    info = program.info
+    asked = resolve_engine(args.engine)
+    for name in (*info.kernels, *info.acc_kernels):
         tiers = [engine for engine in ENGINES
                  if ran.series(engine=engine, kernel=name) is not None]
         line = f"kernel {name}: " + (
             f"ran on {' + '.join(tiers)}" if tiers else "not launched")
-        reason = (decline_reason(program.info, name, profile=True)
-                  if asked_simd else None)
-        if reason is not None:
-            line += f" (simd declined: {reason})"
+        if asked == "simd":
+            reason = simd.decline_reason(info, name, profile=True)
+            if reason is not None:
+                line += f" (simd declined: {reason})"
+        if asked != "ast" and "ast" in tiers:
+            reason = srcgen.decline_reason(info, name, profile=True)
+            line += f" (codegen declined: {reason})"
         print(line)
+    for name, fn in info.host_functions.items():
+        if not fn.prototype:
+            reason = ("ast engine" if asked == "ast"
+                      else srcgen.decline_reason(info, name))
+            print(f"host {name}: "
+                  + ("lowered" if reason is None else f"walked: {reason}"))
     profile = result.line_profile
     if profile is None or not profile.lines:
         print("no profiled kernel launches — nothing to attribute")
         return 0
-    if result.fingerprint:
-        print(f"profile key: {result.fingerprint[:16]}")
+    print(f"profile key: {result.fingerprint[:16]}")
     print()
     print(render_annotated(source, profile, top=args.top))
     if lab.line_budgets:

@@ -270,7 +270,7 @@ class GpuWorker(Node):
         if job.lab.line_budgets:
             outcome.budget_violations = tuple(check_line_budgets(
                 job.lab.line_budgets, lp, job.source))
-        if self.profile_cas is None or not execution.fingerprint:
+        if self.profile_cas is None:
             return
         key = (execution.fingerprint, job.lab.slug, index)
         address = self._profile_index.get(key)

@@ -80,6 +80,8 @@ class LabExecution:
     """Result of running lab source against one dataset."""
 
     compare: CompareResult
+    #: Preprocessed-source fingerprint — the CAS key for the profile.
+    fingerprint: str
     stdout: list[str] = field(default_factory=list)
     kernel_seconds: float = 0.0
     device_seconds: float = 0.0
@@ -88,8 +90,6 @@ class LabExecution:
     #: Merged per-line ledger across every profiled launch (None when
     #: the run was not profiled).
     line_profile: Any = None
-    #: Preprocessed-source fingerprint — the CAS key for the profile.
-    fingerprint: str = ""
 
     @property
     def passed(self) -> bool:
@@ -234,6 +234,7 @@ def _execute_mpi(lab: LabDefinition, program: CompiledProgram,
                                   engine=engine, profile=profile)
         return result.exit_code
 
+    program.lower_main(engine)  # once, here: not once per rank thread
     exit_codes = run_mpi(ranks, rank_main)
     root_env = envs[0]
     compare = compare_solution(

@@ -299,6 +299,19 @@ class AccParallelLoop(Stmt):
     loop: "For"
 
 
+@dataclass
+class AccIndex(Stmt):
+    """First statement of an outlined OpenACC kernel (never parsed; see
+    ``interpreter.outline_acc``): declare the loop variable as
+    ``__acc_start`` plus this thread's global x index, or leave the
+    kernel when that index reaches ``__acc_count``. Every engine runs
+    it uncharged — the offloaded loop's index arithmetic is the
+    launcher's, not the student's."""
+
+    var: str
+    type: CType
+
+
 # ------------------------------------------------------------- top level
 
 @dataclass

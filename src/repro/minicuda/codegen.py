@@ -6,13 +6,15 @@ kernel compilers — :mod:`repro.minicuda.srcgen` (``codegen``) and
 
 * :data:`KERNEL_CACHE` / :func:`memo_key` — the cross-program,
   single-flight kernel memo, keyed by engine tag, engine version,
-  program fingerprint and kernel name. It is the *only* owner of a
-  compiled kernel or a decline verdict: nothing hangs off the
-  ``ProgramInfo`` (which a ``CompileCache`` may pin for much longer),
-  so an eviction frees the kernel, its byte cap is what the process
-  holds, and a relaunch after eviction recompiles;
-* :class:`UnsupportedConstruct` — how a compiler declines a kernel
-  (memoized as a ``None`` verdict; the caller steps down the ladder);
+  program fingerprint and function name. It is the *only* owner of a
+  compiled kernel, a compiled host function or a decline verdict:
+  nothing hangs off the ``ProgramInfo`` (which a ``CompileCache`` may
+  pin for much longer), so an eviction frees the artifact, its byte
+  cap is what the process holds, and a relaunch after eviction
+  recompiles;
+* :class:`UnsupportedConstruct` — how a compiler declines a function —
+  and :class:`Declined`, the verdict memoized in its place (the reason
+  kept; the caller steps down the ladder);
 * the baked coercers (``_coerce_*`` / :func:`_make_coercer`) that
   mirror :func:`repro.minicuda.values.coerce` branch for branch, and a
   few constants both emitters must agree on with the tree-walker.
@@ -34,6 +36,23 @@ from repro.minicuda.values import _INT_BASES, f32
 
 class UnsupportedConstruct(Exception):
     """A kernel compiler cannot lower this AST; use the next tier down."""
+
+
+#: What a memoized decline verdict is charged: its key string, reason
+#: and flight record.
+_VERDICT_NBYTES = 512
+
+
+class Declined:
+    """A memoized decline verdict: the construct (or rule) that keeps
+    a function off a compiled tier."""
+
+    __slots__ = ("reason",)
+
+    nbytes = _VERDICT_NBYTES
+
+    def __init__(self, reason: str):
+        self.reason = reason
 
 
 #: ``KernelHang`` message of every compiled tier: they charge the shared
@@ -96,15 +115,10 @@ def _flatten_init_exprs(expr: ast.Expr) -> list[ast.Expr]:
 
 # -- cross-program kernel memo ---------------------------------------------
 
-#: What a memoized ``None`` (unsupported-construct verdict) is charged:
-#: its key string and flight record.
-_VERDICT_NBYTES = 512
-
-
 #: Cross-program memo table: (engine, engine version, program
-#: fingerprint, kernel name) → compiled kernel (or None for memoized
-#: unsupported-construct verdicts). Shared by every compiled engine
-#: under distinct :func:`memo_key` prefixes, one entry per kernel.
+#: fingerprint, function name) → compiled kernel or host function (or
+#: a :class:`Declined` verdict). Shared by every compiled engine
+#: under distinct :func:`memo_key` prefixes, one entry per function.
 #: Bounded by estimated bytes, not entries — each artifact reports its
 #: own ``nbytes`` (``srcgen.compile_kernel``, ``simd.compile_kernel``)
 #: — so a tier with fatter artifacts holds fewer of them instead of
@@ -116,8 +130,7 @@ _VERDICT_NBYTES = 512
 #: 1024-entry cap this replaces let a worker's table grow to ~17 MB.
 KERNEL_CACHE = MemoTable(
     policy=SizeCappedPolicy(4 * 1024 * 1024),
-    weigh=lambda kernel: (_VERDICT_NBYTES if kernel is None
-                          else kernel.nbytes),
+    weigh=lambda artifact: artifact.nbytes,
     cache_name="kernels")
 
 

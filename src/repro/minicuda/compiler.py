@@ -10,7 +10,7 @@ from repro.cache.keys import hash_text
 from repro.gpusim.host import GpuRuntime
 from repro.minicuda.diagnostics import CompileError
 from repro.minicuda.hostapi import ExitProgram, HostEnv
-from repro.minicuda.interpreter import Interpreter
+from repro.minicuda.interpreter import Interpreter, resolve_engine
 from repro.minicuda.parser import DEFAULT_TYPEDEFS, parse
 from repro.minicuda.preprocessor import preprocess
 from repro.minicuda.semantic import ProgramInfo, analyze
@@ -93,6 +93,17 @@ class CompiledProgram:
             code = exc.code
         return HostRunResult(exit_code=int(code or 0), host_env=host_env,
                              interpreter=interp)
+
+    def lower_main(self, engine: str | None = None) -> None:
+        """Lower ``main`` for ``engine`` now, on the calling thread (a
+        memoized no-op once done, and under ``ast``). For a harness
+        about to run ``main`` on several threads at once: started
+        together, every MPI rank would miss the kernel memo and compile
+        it for itself — the memo's joiners compute rather than wait —
+        each in its own thread's malloc arena."""
+        if resolve_engine(engine) != "ast" and self.info.has_main:
+            from repro.minicuda import srcgen
+            srcgen.compile_host(self.info, "main")
 
     def launch(self, runtime: GpuRuntime, kernel: str, grid: Any, block: Any,
                *args: Any, host_env: HostEnv | None = None,

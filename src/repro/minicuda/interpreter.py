@@ -1,10 +1,12 @@
 """Tree-walking interpreter for the CUDA-C subset.
 
 One :class:`Interpreter` instance executes one program. Host code runs
-directly; device kernels are packaged as per-thread *generator*
-functions (:meth:`Interpreter.make_kernel`) that the gpusim scheduler
-executes in lockstep — every ``__syncthreads()`` becomes a ``yield
-SYNC`` and every global/shared access routes through the profiling
+directly — except, under a compiled engine, the host functions with a
+loop, which run as generated Python (``srcgen.compile_host``); device
+kernels are packaged as per-thread *generator* functions
+(:meth:`Interpreter.make_kernel`) that the gpusim scheduler executes in
+lockstep — every ``__syncthreads()`` becomes a ``yield SYNC`` and every
+global/shared access routes through the profiling
 :class:`~repro.gpusim.ThreadContext`.
 
 All execution methods are generators so barrier yields propagate
@@ -16,7 +18,7 @@ from __future__ import annotations
 
 import math
 import time
-from typing import Any, Callable, Iterator
+from typing import Any, Callable, Iterator, Sequence
 
 from repro.gpusim.grid import Dim3
 from repro.gpusim.host import GpuRuntime
@@ -283,6 +285,9 @@ class Interpreter:
         #: line-level profiling: kernels are bound in profiled mode and
         #: every charge is attributed to its enclosing statement's line
         self.profile = bool(profile)
+        #: host function name -> its compiled form, or None (walked):
+        #: the kernel memo is asked once per function per run
+        self._host_fns: dict[str, Callable | None] = {}
         self.globals = Env()
         self._init_globals()
 
@@ -366,7 +371,7 @@ class Interpreter:
                      ) -> tuple[Callable[[ThreadContext], Any], str]:
         """:meth:`make_kernel`, plus the tier that will actually run
         the kernel (what the engine histograms are labelled with)."""
-        fn = self.info.kernels.get(name)
+        fn = self.info.kernel_def(name)
         if fn is None:
             raise InterpreterError(f"no kernel {name!r}")
         coerced = self._coerce_args(fn, args)
@@ -389,13 +394,18 @@ class Interpreter:
                           engine=tier, kernel=name)
             if compiled is not None:
                 return compiled.bind(self, coerced), tier
+        return self._walk_kernel(fn, coerced), "ast"
 
+    def _walk_kernel(self, fn: ast.FuncDef, coerced: tuple[Any, ...]
+                     ) -> Callable[[ThreadContext], Any]:
+        """The tree-walking thread callable: the ``ast`` engine, and
+        the last rung under every compiled tier."""
         def kernel_thread(ctx: ThreadContext) -> Iterator[Any]:
             yield from self._call_user_function(fn, coerced, ctx)
 
         if self.profile:
             kernel_thread.profiled = True
-        return kernel_thread, "ast"
+        return kernel_thread
 
     def launch_kernel(self, name: str, grid: Any, block: Any,
                       args: tuple[Any, ...]) -> Any:
@@ -406,8 +416,9 @@ class Interpreter:
         :class:`LaneConflict` — statement-major order was about to
         differ from the oracle's thread-major order — the launch is
         undone (written allocations, step budget; its stats never
-        reached the runtime) and replayed on the scalar kernel. Faults
-        and hangs are not conflicts and propagate as they always did.
+        reached the runtime) and replayed on the scalar kernel, which
+        is compiled then if it never was. Faults and hangs are not
+        conflicts and propagate as they always did.
         """
         kernel, tier = self._bind_kernel(name, args)
         # only a warp-SIMD kernel carries (and can raise for) one
@@ -417,7 +428,7 @@ class Interpreter:
             return self.runtime.launch(kernel, grid, block,
                                        kernel_name=name, engine=tier)
         except LaneConflict:
-            kernel = speculation.rollback()
+            kernel, tier = speculation.rollback()
             telemetry = getattr(self.runtime, "telemetry", None)
             if telemetry is not None:
                 telemetry.metrics.counter(
@@ -425,8 +436,7 @@ class Interpreter:
                     "Speculative simd launches replayed scalar",
                 ).inc(kernel=name)
             return self.runtime.launch(kernel, grid, block,
-                                       kernel_name=name,
-                                       engine=speculation.kernel.src.tier)
+                                       kernel_name=name, engine=tier)
         finally:
             if speculation is not None:
                 speculation.release()
@@ -440,8 +450,27 @@ class Interpreter:
 
     # -- function invocation ------------------------------------------------------
 
+    def _host_fn(self, fn: ast.FuncDef) -> Callable | None:
+        """``fn`` as generated Python (``srcgen.compile_host``), or
+        None when it stays on the tree-walker: the ``ast`` engine, a
+        loop-free function, a construct the emitter declines. Generated
+        host code calls ``self.host`` unguarded, so there must be one."""
+        try:
+            return self._host_fns[fn.name]
+        except KeyError:
+            compiled = None
+            if self.engine != "ast" and self.host is not None:
+                from repro.minicuda import srcgen
+                compiled = srcgen.compile_host(self.info, fn.name)
+            self._host_fns[fn.name] = compiled
+            return compiled
+
     def _call_user_function(self, fn: ast.FuncDef, args: tuple[Any, ...],
                             ctx: ThreadContext | None) -> Iterator[Any]:
+        if ctx is None and len(args) == len(fn.params):
+            compiled = self._host_fn(fn)
+            if compiled is not None:
+                return compiled(self, *args)
         env = Env(self.globals)
         for param, arg in zip(fn.params, args):
             env.declare(param.name or "_", coerce(arg, param.type), param.type)
@@ -563,6 +592,12 @@ class Interpreter:
                     pass
         elif cls is ast.AccParallelLoop:
             yield from self._exec_acc_loop(stmt, env, ctx)
+        elif cls is ast.AccIndex:
+            i = ctx.blockIdx.x * ctx.blockDim.x + ctx.threadIdx.x
+            if i >= env.get(ACC_COUNT):
+                raise _Return(None)
+            env.declare(stmt.var, coerce(env.get(ACC_START) + i, stmt.type),
+                        stmt.type)
         elif cls is ast.Block:
             yield from self.exec_block(stmt, Env(env), ctx)
         elif cls is ast.Empty:
@@ -623,63 +658,61 @@ class Interpreter:
 
     def _exec_acc_loop(self, stmt: ast.AccParallelLoop, env: Env,
                        ctx: ThreadContext | None) -> Iterator[Any]:
-        """Offload an OpenACC-annotated loop: one device thread per
-        iteration, with interpreter-managed copyin/copyout of every
-        host array the body references (the implicit-data-clause model
-        the PGI compiler defaults to for `kernels` regions)."""
+        """Offload an OpenACC-annotated loop (tree-walked host code;
+        generated host code calls :meth:`launch_acc` itself)."""
         if ctx is not None:
             raise InterpreterError("OpenACC offload inside device code",
                                    stmt.pos)
         loop = stmt.loop
-        decl = loop.init.declarators[0]
-        var = decl.name
-        start = int((yield from self.eval(decl.init, env, ctx)))
+        start = int((yield from self.eval(loop.init.declarators[0].init,
+                                          env, ctx)))
         bound = int((yield from self.eval(loop.cond.right, env, ctx)))
         if loop.cond.op == "<=":
             bound += 1
+        fn = self.info.acc_kernels.get(acc_kernel_name(stmt))
+        if fn is None:
+            def captured(name: str) -> CType | None:
+                scope = env._find(name)
+                if scope is None:
+                    return None
+                ctype = scope.types[name]
+                if scope is self.globals and not (ctype and ctype.is_pointer):
+                    return None
+                return ctype
+
+            fn = outline_acc(stmt, captured)
+        self.launch_acc(fn, start, bound,
+                        [env.get(p.name) for p in fn.params[:-2]])
+
+    def launch_acc(self, fn: ast.FuncDef, start: int, bound: int,
+                   values: Sequence[Any]) -> None:
+        """Run the outlined OpenACC kernel ``fn`` (:func:`outline_acc`)
+        over ``[start, bound)``, one device thread per iteration,
+        through the same ladder as a written kernel. ``values`` are its
+        captures at the loop; every host array among them is mirrored
+        on the device, copied in, and copied back after the launch (the
+        implicit-data-clause model the PGI compiler defaults to for
+        ``kernels`` regions)."""
         count = bound - start
         if count <= 0:
             return
-
-        # implicit data clauses: mirror every host array the body uses
-        host_arrays: dict[str, HostPtr] = {}
-        for node in ast.walk(loop.body):
-            if isinstance(node, ast.Ident) and node.name not in host_arrays:
-                if env.has(node.name):
-                    value = env.get(node.name)
-                    if isinstance(value, HostPtr):
-                        host_arrays[node.name] = value
-        mirrors: dict[str, Any] = {}
-        buffers = []
-        for name, hptr in host_arrays.items():
-            view = hptr.as_array()
-            buf = self.runtime.device.malloc(max(1, int(view.size)),
-                                             view.dtype,
-                                             label=f"acc:{name}")
-            self.runtime.memcpy_htod(buf, view)
-            mirrors[name] = buf.ptr()
-            buffers.append((hptr, buf))
-
-        interp = self
-
-        def acc_kernel(kctx: ThreadContext) -> Iterator[Any]:
-            i = kctx.blockIdx.x * kctx.blockDim.x + kctx.threadIdx.x
-            if i >= count:
-                return
-            child = Env(env)
-            child.declare(var, start + i, decl.type)
-            for name, dptr in mirrors.items():
-                child.declare(name, dptr, None)
-            yield from interp.exec_stmt(loop.body, child, kctx)
-
-        if self.profile:
-            acc_kernel.profiled = True
+        self.info.acc_kernels.setdefault(fn.name, fn)
+        args, buffers = [], []
+        for param, value in zip(fn.params, values):
+            if isinstance(value, HostPtr):
+                view = value.as_array()
+                buf = self.runtime.device.malloc(max(1, int(view.size)),
+                                                 view.dtype,
+                                                 label=f"acc:{param.name}")
+                self.runtime.memcpy_htod(buf, view)
+                buffers.append((value, buf))
+                value = buf.ptr()
+            args.append(value)
         block = 128
-        grid = (count + block - 1) // block
-        stats = self.runtime.launch(acc_kernel, (grid,), (block,),
-                                    kernel_name=f"acc@{stmt.pos.line}")
+        stats = self.launch_kernel(fn.name, (count + block - 1) // block,
+                                   block, (*args, start, count))
         if self.host is not None:
-            self.host.on_kernel_launch(f"acc@{stmt.pos.line}", stats)
+            self.host.on_kernel_launch(fn.name, stats)
 
         # copyout: device results replace the host arrays
         for hptr, buf in buffers:
@@ -1077,6 +1110,46 @@ class Interpreter:
         if self.host is not None:
             self.host.on_kernel_launch(expr.name, stats)
         return 0
+
+
+#: Trailing parameters of an outlined OpenACC kernel: the loop's first
+#: iteration and its trip count (read by ``ast.AccIndex``).
+ACC_START, ACC_COUNT = "__acc_start", "__acc_count"
+
+
+def acc_kernel_name(stmt: ast.AccParallelLoop) -> str:
+    """Pragmas are one to a line, so the line names the loop."""
+    return f"acc@{stmt.pos.line}"
+
+
+def outline_acc(stmt: ast.AccParallelLoop,
+                captured: Callable[[str], CType | None]) -> ast.FuncDef:
+    """Outline an OpenACC loop into the kernel ``acc@<line>``.
+
+    Every name the body uses that ``captured`` resolves (to its
+    declared type) in the enclosing function — and every file-scope
+    pointer — becomes a parameter: arrays travel as pointers (host
+    arrays are mirrored per launch, :meth:`Interpreter.launch_acc`),
+    scalars by value, OpenACC's ``firstprivate`` default, so a write
+    to one inside the region stays in its thread. Other file-scope
+    names resolve in the kernel as they do in any kernel. The body is
+    the loop's, behind an :class:`ast.AccIndex` binding the loop
+    variable."""
+    decl = stmt.loop.init.declarators[0]
+    params: list[ast.Param] = []
+    seen = {decl.name}
+    for node in ast.walk(stmt.loop.body):
+        if type(node) is ast.Ident and node.name not in seen:
+            seen.add(node.name)
+            ctype = captured(node.name)
+            if ctype is not None:
+                params.append(ast.Param(node.name, ctype))
+    params += [ast.Param(ACC_START, CType("long")),
+               ast.Param(ACC_COUNT, CType("long"))]
+    body = ast.Block([ast.AccIndex(decl.name, decl.type, pos=stmt.pos),
+                      stmt.loop.body], pos=stmt.pos)
+    return ast.FuncDef(acc_kernel_name(stmt), CType("void"), params, body,
+                       frozenset({"__global__"}), stmt.pos)
 
 
 def _as_dim3(value: Any) -> Dim3:

@@ -35,6 +35,19 @@ class ProgramInfo:
     #: over device-function calls. Execution engines use this to decide
     #: whether a kernel needs lockstep generator scheduling.
     barrier_functions: set[str] = field(default_factory=set)
+    #: Host functions containing a ``for``/``while``/``do``, and the
+    #: defined host functions each host function calls — what picks the
+    #: host functions worth compiling (``srcgen.compile_host``) — and
+    #: the names each applies ``&`` to (those locals it boxes): noted
+    #: as the checks below pass each loop, call and ``&`` anyway.
+    host_loops: set[str] = field(default_factory=set)
+    host_calls: dict[str, set[str]] = field(default_factory=dict)
+    host_address_taken: dict[str, list[str]] = field(default_factory=dict)
+    #: OpenACC loops outlined into kernels (``acc@<line>``), filled as
+    #: each loop first executes — never by the front end, so a compile
+    #: pays nothing for them and ``kernels`` lists only what the
+    #: student wrote.
+    acc_kernels: dict[str, ast.FuncDef] = field(default_factory=dict)
     #: The kernel memo's key for this program, never empty: the
     #: compiler facade sets the sha256 of the preprocessed source (so
     #: a resubmission finds its kernels); a unit analysed directly
@@ -45,6 +58,10 @@ class ProgramInfo:
     @property
     def has_main(self) -> bool:
         return "main" in self.host_functions
+
+    def kernel_def(self, name: str) -> ast.FuncDef | None:
+        """The kernel ``name`` launches: written, or outlined."""
+        return self.kernels.get(name) or self.acc_kernels.get(name)
 
     def kernel_uses_barrier(self, name: str) -> bool:
         """May the named kernel reach a ``__syncthreads`` barrier?"""
@@ -84,7 +101,13 @@ class Analyzer:
         self._collect_top_level()
         for fn in self.unit.functions:
             if not self._is_prototype(fn):
-                self._check_function(fn)
+                try:
+                    self._check_function(fn)
+                except RecursionError:
+                    # e.g. a 2000-term sum: the parser folds it in a
+                    # loop, the checks below descend it
+                    raise CompileError("program is nested too deeply",
+                                       fn.pos) from None
         if self.diagnostics:
             raise CompileError(self.diagnostics)
         self._collect_barrier_functions()
@@ -187,12 +210,18 @@ class Analyzer:
                 self._check_stmt(stmt.otherwise, _Scope(scope), fn, device,
                                  in_loop)
         elif isinstance(stmt, ast.While):
+            if not device:
+                self.info.host_loops.add(fn.name)
             self._check_expr(stmt.cond, scope, fn, device)
             self._check_stmt(stmt.body, _Scope(scope), fn, device, True)
         elif isinstance(stmt, ast.DoWhile):
+            if not device:
+                self.info.host_loops.add(fn.name)
             self._check_stmt(stmt.body, _Scope(scope), fn, device, True)
             self._check_expr(stmt.cond, scope, fn, device)
         elif isinstance(stmt, ast.For):
+            if not device:
+                self.info.host_loops.add(fn.name)
             inner = _Scope(scope)
             if stmt.init is not None:
                 self._check_stmt(stmt.init, inner, fn, device, in_loop)
@@ -309,9 +338,13 @@ class Analyzer:
                 self._check_expr(arg, scope, fn, device)
             return
         if isinstance(expr, ast.Unary):
-            if expr.op == "&" and not self._is_lvalue(expr.operand):
-                self.error("cannot take the address of this expression",
-                           expr.pos)
+            if expr.op == "&":
+                if not self._is_lvalue(expr.operand):
+                    self.error("cannot take the address of this expression",
+                               expr.pos)
+                elif isinstance(expr.operand, ast.Ident) and not device:
+                    self.info.host_address_taken.setdefault(
+                        fn.name, []).append(expr.operand.name)
             self._check_expr(expr.operand, scope, fn, device)
             return
         if isinstance(expr, ast.IncDec):
@@ -359,6 +392,8 @@ class Analyzer:
                                                  bi.MATH_BUILTINS.get(name))
             known = name in bi.HOST_BUILTINS or name in bi.MATH_BUILTINS
         if user_fn is not None:
+            if not device and not user_fn.prototype:
+                self.info.host_calls.setdefault(fn.name, set()).add(name)
             if len(call.args) != len(user_fn.params):
                 self.error(
                     f"function {name!r} expects {len(user_fn.params)} "

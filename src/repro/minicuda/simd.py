@@ -56,12 +56,16 @@ from repro.minicuda import ast_nodes as ast
 from repro.minicuda import builtins as bi
 from repro.minicuda.codegen import (
     KERNEL_CACHE,
+    Declined,
     _HANG_MSG,
     _OPENCL_INDEX_FNS,
+    _make_coercer,
     memo_key,
 )
 from repro.minicuda.interpreter import (
     _MATH_IMPL,
+    ACC_COUNT,
+    ACC_START,
     KernelHang,
     _c_div,
     _c_mod,
@@ -84,6 +88,7 @@ from repro.minicuda.srcgen import (
     _md_oob,
     _resolve_atomic,
     _stmt_contains_barrier,
+    _TOO_DEEP,
 )
 from repro.minicuda.values import (
     NULL,
@@ -94,19 +99,19 @@ from repro.minicuda.values import (
     sizeof_ctype,
 )
 
-#: Estimated resident bytes a lowered kernel adds to the scalar kernel
-#: it carries: a fixed part plus so much per expression or statement
-#: lowered (each becomes a closure or two) — a fit to tracemalloc
-#: growth over the catalog's solution and skeleton kernels
-#: (1500 + 400 per lowering), times the 1.2 by which process RSS
-#: outgrew the traced bytes on ``catalog_grade``. The kernel memo
-#: charges a simd entry this on top of its scalar kernel's estimate.
+#: Estimated resident bytes of a lowered kernel: a fixed part plus so
+#: much per expression or statement lowered (each becomes a closure or
+#: two) — a fit to tracemalloc growth over the catalog's solution and
+#: skeleton kernels (1500 + 400 per lowering), times the 1.2 by which
+#: process RSS outgrew the traced bytes on ``catalog_grade``. The
+#: kernel memo charges a simd entry this, plus its scalar kernel's
+#: estimate once a replay has made it compile one.
 _NBYTES_BASE = 1800
 _NBYTES_PER_LOWERED = 480
 
 #: Bump when SIMD lowering semantics change; part of the memo key so
 #: stale fallback verdicts are never recalled across upgrades.
-SIMD_VERSION = 3
+SIMD_VERSION = 4
 
 _I64 = np.int64
 _F64 = np.float64
@@ -124,12 +129,13 @@ class _SimdUnsupported(Exception):
 
 
 class _Declined:
-    """The memoized fallback verdict: the scalar kernel that runs in
-    this tier's place, and the construct the lowering stopped at."""
+    """The memoized fallback verdict: the construct the lowering
+    stopped at, and the scalar tier's own verdict — the kernel that
+    runs in this tier's place, or its decline."""
 
     __slots__ = ("src", "reason", "nbytes")
 
-    def __init__(self, src: CompiledSrcKernel, reason: str):
+    def __init__(self, src: CompiledSrcKernel | Declined, reason: str):
         self.src = src
         self.reason = reason
         self.nbytes = src.nbytes
@@ -372,6 +378,8 @@ def _analyze_names(fn: ast.FuncDef,
                     scan_stmt(st2, inner)
         elif cls is ast.Return:
             collect_expr(s.value, conds)
+        elif cls is ast.AccIndex:
+            varying.add(s.var)  # one iteration per lane
         # Break/Continue/Empty: nothing to record
 
     scan_stmt(fn.body, ())
@@ -1683,7 +1691,27 @@ class _Lowerer:
             return lambda st, idx, fr: _EMPTY
         if cls is ast.Empty:
             return lambda st, idx, fr: idx
+        if cls is ast.AccIndex:
+            return self._acc_index(s)
         raise _SimdUnsupported(f"statement {cls.__name__}")
+
+    def _acc_index(self, s: ast.AccIndex) -> Callable:
+        vkind, cokind = self.kinds_of(s.type)
+        rec = self.declare(s.var, vkind, cokind)
+        if not rec.vary:
+            raise _SimdUnsupported("non-numeric OpenACC loop variable")
+        slot, carrier = rec.slot, _carrier_for(vkind)
+        start = self.lookup(ACC_START).slot
+        count = self.lookup(ACC_COUNT).slot
+
+        def sfn(st, idx, fr):
+            c0 = st.wctx
+            gid = c0.blockIdx.x * c0.blockDim.x + st.tid_axis("x")[idx]
+            arr = np.zeros(st.n, carrier)
+            arr[idx] = _co_vec(cokind, st.frame[start] + gid)
+            st.frame[slot] = arr
+            return idx[gid < st.frame[count]]
+        return sfn
 
     def _block(self, s: ast.Block) -> Callable:
         self.push()
@@ -2417,15 +2445,22 @@ class Speculation:
         for buf in buffers:
             buf.lanes = LaneTracker(buf.num_elements)
 
-    def rollback(self) -> Callable:
+    def rollback(self) -> tuple[Callable, str]:
         """Undo the launch after a :class:`LaneConflict` and demote the
         kernel (this and every later launch of the artifact run
-        scalar); returns the scalar kernel to replay on."""
+        scalar); returns the thread callable to replay on and its
+        tier — the scalar kernel, compiled now if it never was, or the
+        tree-walker where the scalar emitter declines."""
         for buf, data in self.saved:
             buf.data[:] = data
-        self.interp.steps = self.steps
+        interp = self.interp
+        interp.steps = self.steps
         self.kernel.demoted = True
-        return self.kernel.src.bind(self.interp, self.args)
+        src = self.kernel.scalar(interp.info)
+        if src is None:
+            fn = interp.info.kernel_def(self.kernel.name)
+            return interp._walk_kernel(fn, self.args), "ast"
+        return src.bind(interp, self.args), src.tier
 
     def release(self) -> None:
         """The launch is over, either way: stop tracking."""
@@ -2436,27 +2471,30 @@ class Speculation:
 class CompiledSimdKernel:
     """A kernel lowered to warp-SIMD closures.
 
-    Binding delegates to the scalar codegen kernel (so per-thread
-    fallback paths and generator-ness stay intact) and attaches the
-    warp executor the scheduler prefers — ``warp_run``, a generator
-    over one :class:`~repro.gpusim.scheduler.WarpContext` that yields
-    at each barrier (a barrier-free kernel's never does) — plus the
-    launch's :class:`Speculation`."""
+    Binding attaches the warp executor the scheduler prefers —
+    ``warp_run``, a generator over one
+    :class:`~repro.gpusim.scheduler.WarpContext` that yields at each
+    barrier (a barrier-free kernel's never does) — and the launch's
+    :class:`Speculation` to a carrier function the scheduler never
+    calls. The scalar kernel a lane-conflict replay runs on is
+    compiled by the first replay (:meth:`scalar`), inside this memo
+    entry."""
 
-    __slots__ = ("name", "src", "param_plan", "nslots", "body_fns",
-                 "spine", "entry_pos", "stored_params", "nbytes",
-                 "demoted")
+    __slots__ = ("name", "coercers", "profiled", "param_plan", "nslots",
+                 "body_fns", "spine", "entry_pos", "stored_params",
+                 "nbytes", "demoted", "_src")
 
     tier = "simd"
 
-    def __init__(self, name: str, src: CompiledSrcKernel,
+    def __init__(self, name: str, coercers: list, profiled: bool,
                  param_plan: list, nslots: int,
                  body_fns: list | None, spine: list | None,
                  entry_pos: Any, stored_params: frozenset[int],
                  nbytes: int):
         self.name = name
         self.nbytes = nbytes
-        self.src = src
+        self.coercers = coercers
+        self.profiled = profiled
         self.param_plan = param_plan
         self.nslots = nslots
         self.body_fns = body_fns
@@ -2466,11 +2504,27 @@ class CompiledSimdKernel:
         #: set by the first lane-conflict replay: ``compile_kernel``
         #: hands out the scalar kernel from then on
         self.demoted = False
+        self._src: CompiledSrcKernel | Declined | None = None
+
+    def scalar(self, info: ProgramInfo) -> CompiledSrcKernel | None:
+        """The scalar kernel of the same source (None where the scalar
+        emitter declines it), compiled on first use; the memo entry
+        weighs that much more from then on."""
+        src = self._src
+        if src is None:
+            src = self._src = _compile_scalar(info, self.name, self.profiled)
+            self.nbytes += src.nbytes
+            KERNEL_CACHE.grow(_memo_key(info, self.name, self.profiled),
+                              src.nbytes)
+        return None if type(src) is Declined else src
 
     def bind(self, interp: Any, args: tuple[Any, ...]) -> Callable:
-        thread_fn = self.src.bind(interp, args)
+        def thread_fn(ctx: Any) -> None:  # the scheduler runs warp_run
+            raise AssertionError("warp kernel called per thread")
+
+        thread_fn.profiled = self.profiled
         args2 = tuple(a if co is None else co(a)
-                      for co, a in zip(self.src.coercers, args))
+                      for co, a in zip(self.coercers, args))
         plan = self.param_plan
         nslots = self.nslots
         entry_pos = self.entry_pos
@@ -2521,9 +2575,9 @@ class CompiledSimdKernel:
 # -- memoized program → kernel compilation ------------------------------------
 
 def _compile_simd(info: ProgramInfo, fn: ast.FuncDef,
-                  src: CompiledSrcKernel,
                   profile: bool = False) -> CompiledSimdKernel:
-    lw = _Lowerer(info, fn, gen_ok=src.is_gen, profile=profile)
+    is_gen = fn.name in info.barrier_functions
+    lw = _Lowerer(info, fn, gen_ok=is_gen, profile=profile)
     lw.push()
     param_plan = []
     for i, p in enumerate(fn.params):
@@ -2532,7 +2586,7 @@ def _compile_simd(info: ProgramInfo, fn: ast.FuncDef,
         param_plan.append((rec.slot,
                            _carrier_for(vkind) if rec.vary else None))
     lw.push()
-    if src.is_gen:
+    if is_gen:
         if _stmt_contains_return(fn.body):
             raise _SimdUnsupported("return in barrier kernel")
         spine = [lw.spine_stmt(s) for s in fn.body.statements]
@@ -2540,44 +2594,51 @@ def _compile_simd(info: ProgramInfo, fn: ast.FuncDef,
     else:
         spine = None
         body_fns = [lw.stmt(s) for s in fn.body.statements]
-    return CompiledSimdKernel(fn.name, src, param_plan, lw.nslots,
+    return CompiledSimdKernel(fn.name,
+                              [_make_coercer(p.type) for p in fn.params],
+                              profile, param_plan, lw.nslots,
                               body_fns, spine, fn.pos, lw.stored_params,
-                              src.nbytes + _NBYTES_BASE
-                              + _NBYTES_PER_LOWERED * lw.lowered)
+                              _NBYTES_BASE + _NBYTES_PER_LOWERED * lw.lowered)
 
 
 def _lower(info: ProgramInfo, name: str, profile: bool):
-    """Un-memoized: the scalar kernel, then its warp lowering on top.
-    The scalar compile is the plain ``srcgen`` function, not its
-    memoized front — the scalar kernel rides inside this tier's memo
+    """Un-memoized: the warp lowering alone. A scalar kernel is
+    compiled only where one will run — here, when this tier declines;
+    otherwise by the first lane-conflict replay
+    (:meth:`CompiledSimdKernel.scalar`) — through the plain ``srcgen``
+    function, not its memoized front: it rides inside this tier's memo
     entry (``nbytes`` counts it), not in one of its own."""
-    src = _compile_scalar(info, name, profile)
-    if src is None:
-        return None
     try:
-        return _compile_simd(info, info.kernels[name], src, profile)
+        return _compile_simd(info, info.kernel_def(name), profile)
     except _SimdUnsupported as exc:
-        # memoized fallback verdict: the scalar codegen kernel runs
-        # this kernel; never an error
-        return _Declined(src, str(exc))
+        reason = str(exc)
+    except RecursionError:
+        reason = _TOO_DEEP
+    # memoized fallback verdict: the scalar codegen kernel (or, where
+    # that declines too, the tree-walker) runs this kernel; never an
+    # error
+    return _Declined(_compile_scalar(info, name, profile), reason)
+
+
+def _memo_key(info: ProgramInfo, name: str, profile: bool) -> str:
+    return memo_key("simd-prof" if profile else "simd", SIMD_VERSION,
+                    info.fingerprint, name)
 
 
 def _verdict(info: ProgramInfo, name: str, profile: bool):
     """The outcome of lowering kernel ``name``, memoized in the shared
     ``KERNEL_CACHE`` under a versioned ``simd`` key and nowhere else:
     an evicted verdict is recomputed."""
-    key = memo_key("simd-prof" if profile else "simd", SIMD_VERSION,
-                   info.fingerprint, name)
     return KERNEL_CACHE.get_or_compute(
-        key, lambda: _lower(info, name, profile))[0]
+        _memo_key(info, name, profile),
+        lambda: _lower(info, name, profile))[0]
 
 
 def decline_reason(info: ProgramInfo, name: str,
                    profile: bool = False) -> str | None:
     """Why the warp tier does not lower kernel ``name`` (the construct
-    it stopped at), or None when it does — or when the scalar emitter
-    declined first and this tier never got to try. Recalled from the
-    verdict :func:`compile_kernel` memoized for the same ``profile``."""
+    it stopped at), or None when it does. Recalled from the verdict
+    :func:`compile_kernel` memoized for the same ``profile``."""
     value = _verdict(info, name, profile)
     return value.reason if type(value) is _Declined else None
 
@@ -2589,14 +2650,13 @@ def compile_kernel(info: ProgramInfo, name: str, profile: bool = False):
     the scalar :class:`CompiledSrcKernel` when the SIMD lowering hit an
     unsupported construct or a lane-conflict replay has demoted the
     kernel (the fallback ladder: simd → codegen → tree-walker), or None
-    when even the source emitter declined. All verdicts are memoized
+    when the source emitter declines it too. All verdicts are memoized
     (:func:`_verdict`; a declined one keeps its reason for
     :func:`decline_reason`). ``profile`` compiles the line-profiled
     variant (separately memoized): closures pin the warp's current
     source line, ``if`` conditions log per-lane branch outcomes, and
     access chunks carry the charging line as a sixth column."""
     value = _verdict(info, name, profile)
-    if type(value) is _Declined or (
-            type(value) is CompiledSimdKernel and value.demoted):
-        return value.src
-    return value
+    if type(value) is CompiledSimdKernel:
+        return value.scalar(info) if value.demoted else value
+    return None if type(value.src) is Declined else value.src

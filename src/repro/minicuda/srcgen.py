@@ -1,4 +1,5 @@
-"""Source-codegen execution engine for minicuda kernels (``codegen``).
+"""Source-codegen execution engine for minicuda kernels (``codegen``)
+and, under every compiled engine, for host functions.
 
 The tree-walking interpreter pays per-node ``isinstance`` dispatch on
 every statement and expression of every thread of every launch. This
@@ -30,17 +31,33 @@ The contract with the ``ast`` oracle:
   every non-terminating program while keeping the hot loop free of
   per-node bookkeeping. :class:`KernelHang` carries the same message.
 * **Fallback** — constructs the emitter cannot lower (address of a
-  scalar local, barriers in expression/for-init position, calls to
-  barrier device functions, ``continue`` inside ``switch``, OpenACC)
-  raise :class:`UnsupportedConstruct`; the caller
+  scalar local in device code, barriers in expression/for-init
+  position, calls to barrier device functions, ``continue`` inside
+  ``switch``; a nesting CPython's own compiler refuses) raise
+  :class:`UnsupportedConstruct`; the caller
   (:meth:`Interpreter.make_kernel`) falls back to the tree-walker for
-  that kernel, and the verdict is memoized so the fallback decision is
-  also paid once.
+  that function, and the verdict is memoized *with its reason*
+  (:func:`decline_reason`) so the fallback decision is also paid once.
 * **Thread-major, always** — every kernel executes lane by lane (one
   call of the generated function per thread, in linear thread order
   between barriers), exactly the oracle's order. The warp-SIMD tier
   replays a launch here when its statement-major order would have
   shown, so this engine must never batch across lanes itself.
+
+**Host functions** take the same emitter in a third mode
+(:func:`compile_host`): ``def f(I, args)`` with no thread context, no
+charging and no barriers; indexed accesses go through
+``read_indexed``/``write_indexed`` with ``ctx=None`` so every
+host/device-pointer fault is the tree-walker's own; builtins go to
+``H.call`` (``&x`` of a scalar local is a ``VarRef`` into the one-name
+``Env`` such locals are boxed in, :func:`_box`), ``<<<>>>`` to
+``Interpreter.launch_kernel``, an OpenACC loop to
+``Interpreter.launch_acc`` with the kernel outlined for it; steps are
+charged per function entry and loop iteration, as in kernels. Which
+host functions take it is a static rule (:func:`_repeats`): the ones
+with a loop, or on a call cycle — each with everything it calls; a
+loop-free function runs each node at most once per call, which the
+tree-walker does in a third of the time it takes to compile it.
 
 Error-path divergence is deliberate and documented: generated code
 lets Python ``TypeError``s from malformed operand types surface raw
@@ -48,16 +65,16 @@ instead of wrapping them in :class:`InterpreterError`, and a kernel
 that faults mid-statement may have batched instruction charges not yet
 flushed. Successful runs are bit-identical.
 
-Compiled kernels are memoized per program fingerprint in the shared
-:data:`repro.minicuda.codegen.KERNEL_CACHE`, under engine- and
-version-tagged keys (see :func:`codegen.memo_key`), so repeated
-launches and repeated grading of the same submission pay compilation
-zero times.
+Compiled kernels and host functions are memoized per program
+fingerprint in the shared :data:`repro.minicuda.codegen.KERNEL_CACHE`,
+under engine- and version-tagged keys (see :func:`codegen.memo_key`),
+so repeated launches and repeated grading of the same submission pay
+compilation zero times.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -68,6 +85,7 @@ from repro.minicuda import ast_nodes as ast
 from repro.minicuda import builtins as bi
 from repro.minicuda.codegen import (
     KERNEL_CACHE,
+    Declined,
     UnsupportedConstruct,
     _HANG_MSG,
     _OPENCL_INDEX_FNS,
@@ -81,6 +99,8 @@ from repro.minicuda.codegen import (
 )
 from repro.minicuda.interpreter import (
     _MATH_IMPL,
+    ACC_COUNT,
+    ACC_START,
     InterpreterError,
     KernelHang,
     _c_div,
@@ -90,6 +110,7 @@ from repro.minicuda.interpreter import (
     _truthy,
     c_format,
     member_value,
+    outline_acc,
     read_indexed,
     write_indexed,
 )
@@ -97,6 +118,7 @@ from repro.minicuda.semantic import BARRIER_BUILTINS, ProgramInfo
 from repro.minicuda.values import (
     NULL,
     ElemRef,
+    Env,
     HostPtr,
     LocalArray,
     MDView,
@@ -111,7 +133,7 @@ from repro.minicuda.values import f32 as _f32_shared
 #: Bump when generated-source semantics change; part of the memo key so
 #: stale artifacts and unsupported verdicts are never recalled across
 #: compiler upgrades (see ``codegen.memo_key``).
-SRCGEN_VERSION = 2
+SRCGEN_VERSION = 3
 
 #: Estimated resident bytes of one compiled kernel — namespace and
 #: function objects, plus code-object bytes per character of generated
@@ -162,6 +184,16 @@ def _addr_of(base: Any, index: Any, pos: Any) -> Any:
     if isinstance(base, MDView) and base.is_scalar_level:
         return ElemRef(base.storage, base.flat_index(int(index)))
     raise InterpreterError("cannot take the address of this element", pos)
+
+
+def _box(name: str, ctype: ast.CType | None) -> Env:
+    """A one-name scope holding an address-taken host local, so that
+    ``&x`` is the tree-walker's own ``VarRef`` — the declared type,
+    the coercion on ``set`` and the name ``cudaMalloc`` labels its
+    allocation with all come with it."""
+    env = Env()
+    env.declare(name, None, ctype)
+    return env
 
 
 #: The shared binary32 rounding helper (``values.f32``): every engine
@@ -227,6 +259,7 @@ _BASE_NS: dict[str, Any] = {
     "MDView": MDView,
     "ElemRef": ElemRef,
     "VarRef": VarRef,
+    "_box": _box,
     "NULL": NULL,
     "Dim3": Dim3,
     "SYNC": SYNC,
@@ -316,14 +349,34 @@ class CompiledSrcKernel:
 # -- the scalar source emitter ----------------------------------------------
 
 class _FnEmitter:
-    """Lowers one function body to Python source lines."""
+    """Lowers one function body to Python source lines: a kernel, a
+    device function (``is_device``) or a host function (``host``,
+    shaped like a device function: ``def f(I, args)`` returning the C
+    return value). Host mode has no thread context and no stats:
+    ``charge`` is a no-op, pointers of unknown space go through
+    ``read_indexed``/``write_indexed`` with ``ctx=None`` (so every
+    host/device-pointer fault is the tree-walker's own), calls go to
+    ``H.call`` or to host functions compiled into the same module,
+    and ``<<<>>>`` and OpenACC loops launch through the interpreter.
+    ``boxed`` names the locals whose address is taken somewhere in
+    the function (``ProgramInfo.host_address_taken``; by name, so
+    shadowing declarations share the verdict): those live in a
+    one-name ``Env`` (:func:`_box`) instead of a flat local."""
 
     def __init__(self, mod: "_ModuleEmitter", gen_ok: bool,
-                 is_device: bool):
+                 is_device: bool, host: bool = False,
+                 boxed: Sequence[str] = ()):
         self.mod = mod
         self.gen_ok = gen_ok
         self.is_device = is_device
-        self.profile = mod.profile
+        self.host = host
+        self.boxed = boxed
+        #: python expression of a boxed local -> the name of its box
+        self.boxes: dict[str, str] = {}
+        #: python expression of a local -> its declared C type
+        self.ctypes: dict[str, ast.CType | None] = {}
+        self.uses_host_env = False
+        self.profile = mod.profile and not host
         self.scopes: list[dict[str, tuple[str, Any, str | None]]] = [{}]
         self.lines: list[str] = []
         self.indent = 2 if not is_device else 1
@@ -346,7 +399,8 @@ class _FnEmitter:
             self.pending = 0
 
     def charge(self, n: int = 1) -> None:
-        self.pending += n
+        if not self.host:
+            self.pending += n
 
     def tmp(self) -> str:
         return self.mod.tmp()
@@ -376,9 +430,21 @@ class _FnEmitter:
     def pop(self) -> None:
         self.scopes.pop()
 
-    def declare(self, name: str, vkind: Any, cokind: str | None) -> str:
-        py = f"_v{self.mod.nextvar()}_{name}"
+    def declare(self, name: str, vkind: Any, cokind: str | None,
+                ctype: ast.CType | None = None) -> str:
+        """Bind ``name`` in the innermost scope; returns the python
+        expression that reads it and, as an assignment target, writes
+        it — a flat local, or the slot of a box created here."""
+        n = self.mod.nextvar()
+        if name in self.boxed:
+            box = f"_b{n}_{name}"
+            self.line(f"{box} = _box({name!r}, {self.mod.obj(ctype, 'ct')})")
+            py = f"{box}.values[{name!r}]"
+            self.boxes[py] = box
+        else:
+            py = f"_v{n}_{name}"
         self.scopes[-1][name] = (py, vkind, cokind)
+        self.ctypes[py] = ctype
         return py
 
     def lookup(self, name: str) -> tuple[str, Any, str | None] | None:
@@ -474,6 +540,8 @@ class _FnEmitter:
         if cls is ast.Call:
             return self._call(e)
         if cls is ast.KernelLaunch:
+            if self.host:
+                return self._launch(e)
             return (f"_err('dynamic parallelism is not supported', "
                     f"{self.pos(e.pos)})", None)
         raise UnsupportedConstruct(f"expression {cls.__name__}")
@@ -484,14 +552,15 @@ class _FnEmitter:
             return hit[0], hit[1]
         if name in self.mod.info.constants:
             return f"I.globals.get({name!r})", None
-        if name in _BUILTIN_IDX:
+        if not self.host and name in _BUILTIN_IDX:
             self.used_builtins.add(name)
             return f"_bi_{name}", "dim3"
-        if name == "warpSize":
+        if not self.host and name == "warpSize":
             self.uses_warpsize = True
             return "_warpSize", "int"
-        if name in bi.DEVICE_CONSTANTS:
-            value = bi.DEVICE_CONSTANTS[name]
+        constants = bi.HOST_CONSTANTS if self.host else bi.DEVICE_CONSTANTS
+        if name in constants:
+            value = constants[name]
             cname = self.mod.const(name, value)
             kind = ("int" if isinstance(value, int) else
                     "float" if isinstance(value, float) else None)
@@ -502,7 +571,7 @@ class _FnEmitter:
     def _member(self, e: ast.Member) -> tuple[str, Any]:
         obj, field = e.obj, e.field_name
         if isinstance(obj, ast.Ident) and field in ("x", "y", "z") \
-                and obj.name in _BUILTIN_IDX \
+                and obj.name in _BUILTIN_IDX and not self.host \
                 and self.lookup(obj.name) is None \
                 and obj.name not in self.mod.info.constants:
             self.used_fields.add((obj.name, field))
@@ -558,21 +627,6 @@ class _FnEmitter:
 
     def _index_read(self, e: ast.Index) -> tuple[str, Any]:
         base, bkind, icode, ikind = self._index_pair(e)
-        t = self.tmp()
-        if bkind == "shared":
-            self.line(f"{t} = {self.cm('shared_load')}({base}, {icode})")
-            return t, None
-        if bkind == "localarray":
-            self.charge(1)
-            self.line(f"{t} = {base}.read({self.as_int(icode, ikind)})")
-            return t, None
-        if isinstance(bkind, tuple) and bkind[0] == "shared_flat":
-            self.line(f"{t} = {self.cm('shared_load')}({base}, {icode})")
-            return t, None
-        if isinstance(bkind, tuple) and bkind[0] == "local_flat":
-            self.charge(1)
-            self.line(f"{t} = {base}.read({icode})")
-            return t, None
         if isinstance(bkind, tuple) and bkind[0] in ("shared_md",
                                                      "local_md"):
             sub = self.tmp()
@@ -580,21 +634,7 @@ class _FnEmitter:
             if len(bkind[1]) == 2:
                 return sub, (bkind[0].split('_')[0] + "_sub",)
             return sub, None
-        if isinstance(bkind, tuple) and bkind[0] == "shared_sub":
-            self.line(f"{t} = {self.cm('shared_load')}({base}.storage, "
-                      f"{base}.flat_index({self.as_int(icode, ikind)}))")
-            return t, None
-        if isinstance(bkind, tuple) and bkind[0] == "local_sub":
-            self.charge(1)
-            self.line(f"{t} = {base}.storage.read("
-                      f"{base}.flat_index({self.as_int(icode, ikind)}))")
-            return t, None
-        idx = self.atom(icode)
-        self.line(
-            f"{t} = {self.cm('load')}({base}, {self.as_int(idx, ikind)}) "
-            f"if type({base}) is DevicePtr "
-            f"else read_indexed({base}, {idx}, C, {self.pos(e.pos)})")
-        return t, None
+        return self._emit_load_from(base, bkind, icode, ikind, e.pos), None
 
     def _emit_store(self, base: str, bkind: Any, icode: str, ikind: Any,
                     value: str, pos: Any) -> None:
@@ -625,6 +665,10 @@ class _FnEmitter:
                       f"{base}.flat_index({self.as_int(icode, ikind)}), "
                       f"{value})")
             return
+        if self.host:
+            self.line(f"write_indexed({base}, {icode}, {value}, None, "
+                      f"{self.pos(pos)})")
+            return
         self.line(f"if type({base}) is DevicePtr:")
         self.line(f"    {self.cm('store')}({base}, "
                   f"{self.as_int(icode, ikind)}, {value})")
@@ -652,7 +696,11 @@ class _FnEmitter:
             self.charge(1)
             self.line(f"{t} = {base}.storage.read("
                       f"{base}.flat_index({self.as_int(icode, ikind)}))")
+        elif self.host:
+            self.line(f"{t} = read_indexed({base}, {icode}, None, "
+                      f"{self.pos(pos)})")
         else:
+            icode = self.atom(icode)
             self.line(
                 f"{t} = {self.cm('load')}({base}, "
                 f"{self.as_int(icode, ikind)}) "
@@ -756,12 +804,8 @@ class _FnEmitter:
         code, kind = self.expr(e.operand)
         if op == "*":
             self.charge(1)
-            ptr = self.atom(code)
-            t = self.tmp()
-            self.line(f"{t} = {self.cm('load')}({ptr}, 0) "
-                      f"if type({ptr}) is DevicePtr "
-                      f"else read_indexed({ptr}, 0, C, {self.pos(e.pos)})")
-            return t, None
+            return self._emit_load_from(self.atom(code), None, "0", "int",
+                                        e.pos), None
         self.charge(1)
         if op == "-":
             return f"(-{code})", kind if _is_numeric(kind) else None
@@ -779,9 +823,13 @@ class _FnEmitter:
     def _addressof(self, operand: ast.Expr) -> tuple[str, Any]:
         if isinstance(operand, ast.Ident):
             name = operand.name
-            if self.lookup(name) is not None:
-                raise UnsupportedConstruct(
-                    "address of a slot-allocated local")
+            hit = self.lookup(name)
+            if hit is not None:
+                box = self.boxes.get(hit[0])
+                if box is None:
+                    raise UnsupportedConstruct(
+                        "address of a slot-allocated local")
+                return f"VarRef({box}, {name!r})", None
             if name in self.mod.info.constants:
                 return f"VarRef(I.globals, {name!r})", None
             return (f"_err('cannot take address of {name!r}', "
@@ -953,9 +1001,13 @@ class _FnEmitter:
             parts = [self.expr(a)[0] for a in e.args]
             return (f"_make_dim3([{', '.join(parts)}], "
                     f"{self.pos(e.pos)})", "dim3")
-        if name in BARRIER_BUILTINS:
+        if self.host:
+            if name not in bi.MATH_BUILTINS or \
+                    self._host_callee(name) is not None:
+                return self._host_call(e)
+        elif name in BARRIER_BUILTINS:
             raise UnsupportedConstruct("barrier call in expression position")
-        if name.startswith("atomic"):
+        elif name.startswith("atomic"):
             return self._atomic(e)
         if name in bi.MATH_BUILTINS:
             codes = [self.expr(a)[0] for a in e.args]
@@ -979,7 +1031,7 @@ class _FnEmitter:
             if name in self.mod.info.barrier_functions:
                 raise UnsupportedConstruct(
                     f"call to barrier device function {name!r}")
-            pyfn = self.mod.ensure_device(name)
+            pyfn = self.mod.ensure_callee(name)
             codes = [self.expr(a)[0] for a in e.args]
             self.charge(1)
             t = self.tmp()
@@ -997,6 +1049,41 @@ class _FnEmitter:
             return t, None
         return (f"_err('unknown device function {name!r}', "
                 f"{self.pos(e.pos)})", None)
+
+    def _host_callee(self, name: str) -> ast.FuncDef | None:
+        fn = self.mod.info.host_functions.get(name)
+        return fn if fn is not None and not fn.prototype else None
+
+    def _host_call(self, e: ast.Call) -> tuple[str, Any]:
+        """A host-side call other than a math builtin, in the
+        tree-walker's order of precedence: a defined host function
+        (compiled into this module), else the host environment —
+        ``&x`` arguments arrive as ``VarRef``s through ``_unary``."""
+        name = e.name
+        codes = [self.expr(a)[0] for a in e.args]
+        t = self.tmp()
+        if self._host_callee(name) is not None:
+            pyfn = self.mod.ensure_callee(name, host=True)
+            self.line(f"{t} = {pyfn}({', '.join(['I'] + codes)})")
+        else:
+            self.uses_host_env = True
+            self.line(f"{t} = H.call(I, {name!r}, "
+                      f"({''.join(c + ', ' for c in codes)}), "
+                      f"{self.pos(e.pos)})")
+        return t, None
+
+    def _launch(self, e: ast.KernelLaunch) -> tuple[str, Any]:
+        grid = self.atom(self.expr(e.grid)[0])
+        block = self.atom(self.expr(e.block)[0])
+        if e.shared is not None:
+            self.atom(self.expr(e.shared)[0])
+        codes = [self.expr(a)[0] for a in e.args]
+        stats = self.tmp()
+        self.uses_host_env = True
+        self.line(f"{stats} = I.launch_kernel({e.name!r}, {grid}, {block}, "
+                  f"({''.join(c + ', ' for c in codes)}))")
+        self.line(f"H.on_kernel_launch({e.name!r}, {stats})")
+        return "0", "int"
 
     def _atomic(self, e: ast.Call) -> tuple[str, Any]:
         name = e.name
@@ -1092,12 +1179,17 @@ class _FnEmitter:
             self.pop()
         elif cls is ast.Empty:
             pass
+        elif cls is ast.AccIndex:
+            self._acc_index(s)
+        elif cls is ast.AccParallelLoop and self.host:
+            self._acc_loop(s)
         else:
             raise UnsupportedConstruct(f"statement {cls.__name__}")
 
     def _expr_stmt(self, s: ast.ExprStmt) -> None:
         expr = s.expr
-        if isinstance(expr, ast.Call) and expr.name in BARRIER_BUILTINS:
+        if isinstance(expr, ast.Call) and expr.name in BARRIER_BUILTINS \
+                and not self.host:
             if not self.gen_ok:
                 raise UnsupportedConstruct("barrier outside a gen context")
             for a in expr.args:
@@ -1122,6 +1214,8 @@ class _FnEmitter:
         ctype = decl.type
         name = decl.name
         if s.shared:
+            if self.host:
+                raise UnsupportedConstruct("__shared__ outside device code")
             dims = tuple(ctype.array_dims or (1,))
             total = 1
             for d in dims:
@@ -1151,10 +1245,10 @@ class _FnEmitter:
                               for e2 in _flatten_init_exprs(decl.init)]
             if md:
                 arr = f"_s{self.mod.nextvar()}_{name}"
-                py = self.declare(name, ("local_md", dims, arr), None)
+                py = self.declare(name, ("local_md", dims, arr), None, ctype)
             else:
                 arr = self.tmp()
-                py = self.declare(name, "localarray", None)
+                py = self.declare(name, "localarray", None, ctype)
             self.line(f"{arr} = LocalArray({name!r}, {total}, "
                       f"{ctype.base!r})")
             if init_codes is not None:
@@ -1168,30 +1262,69 @@ class _FnEmitter:
         if ctype.base == "dim3" and not ctype.is_pointer:
             if decl.ctor_args:
                 parts = [self.expr(a)[0] for a in decl.ctor_args]
-                py = self.declare(name, "dim3", None)
+                py = self.declare(name, "dim3", None, ctype)
                 self.line(f"{py} = _make_dim3([{', '.join(parts)}], "
                           f"{self.pos(s.pos)})")
             elif decl.init is not None:
                 code, _ = self.expr(decl.init)
-                py = self.declare(name, "dim3", None)
+                py = self.declare(name, "dim3", None, ctype)
                 self.line(f"{py} = {code}")
             else:
-                py = self.declare(name, "dim3", None)
+                py = self.declare(name, "dim3", None, ctype)
                 self.line(f"{py} = Dim3(1, 1, 1)")
             return
         vkind, cokind = _ctype_kinds(ctype)
         if decl.init is not None:
             code, kind = self.expr(decl.init)
-            py = self.declare(name, vkind if cokind else (vkind or kind),
-                              cokind)
+            # an untyped (pointer) local takes its initialiser's kind —
+            # unless it is boxed: then ``set`` may reseat it to anything
+            inherit = not cokind and name not in self.boxed
+            py = self.declare(name, (vkind or kind) if inherit else vkind,
+                              cokind, ctype)
             self.line(f"{py} = {self.coerced(code, kind, cokind)}")
             return
-        py = self.declare(name, vkind, cokind)
+        py = self.declare(name, vkind, cokind, ctype)
         if ctype.is_pointer:
             self.line(f"{py} = NULL")
         else:
             default = coerce(0, ctype)
             self.line(f"{py} = {default!r}")
+
+    def _acc_index(self, s: ast.AccIndex) -> None:
+        gid = self.tmp()
+        self.line(f"{gid} = C.blockIdx.x * C.blockDim.x + C.threadIdx.x")
+        self.line(f"if {gid} >= {self.lookup(ACC_COUNT)[0]}:")
+        self.line("    return")
+        vkind, cokind = _ctype_kinds(s.type)
+        py = self.declare(s.var, vkind, cokind, s.type)
+        index = f"({self.lookup(ACC_START)[0]} + {gid})"
+        self.line(f"{py} = {self.coerced(index, 'int', cokind)}")
+
+    def _acc_loop(self, s: ast.AccParallelLoop) -> None:
+        """Host side of an OpenACC loop: evaluate the range and the
+        captures where the loop stands, hand them to
+        ``Interpreter.launch_acc`` with the kernel outlined here."""
+        loop = s.loop
+        scode, skind = self.expr(loop.init.declarators[0].init)
+        start = self.atom(self.as_int(scode, skind))
+        bcode, bkind = self.expr(loop.cond.right)
+        bound = self.as_int(bcode, bkind)
+        if loop.cond.op == "<=":
+            bound = f"{bound} + 1"
+
+        def captured(name: str) -> ast.CType | None:
+            hit = self.lookup(name)
+            if hit is not None:
+                return self.ctypes[hit[0]]
+            decl = self.mod.info.constants.get(name)
+            if decl is not None and decl.type.is_pointer:
+                return decl.type
+            return None
+
+        fn = outline_acc(s, captured)
+        values = [self._ident(p.name, s.pos)[0] for p in fn.params[:-2]]
+        self.line(f"I.launch_acc({self.mod.obj(fn, 'acc')}, {start}, "
+                  f"{bound}, [{', '.join(values)}])")
 
     def _if(self, s: ast.If) -> None:
         cond = self.cond(s.cond)
@@ -1450,8 +1583,9 @@ def _stmt_contains_barrier(stmt: ast.Stmt) -> bool:
 # -- module assembly ---------------------------------------------------------
 
 class _ModuleEmitter:
-    """One generated module per compiled kernel (self-contained: the
-    kernel factory plus every device function it transitively calls)."""
+    """One generated module per compiled kernel or host function
+    (self-contained: the entry point plus every device — or host —
+    function it transitively calls)."""
 
     def __init__(self, info: ProgramInfo, profile: bool = False):
         self.info = info
@@ -1459,8 +1593,8 @@ class _ModuleEmitter:
         self.module_lines: list[str] = []
         self.ns: dict[str, Any] = {}
         self._counter = 0
-        self._positions: dict[int, str] = {}
-        self.device_funcs: dict[str, str] = {}
+        self._objects: dict[int, str] = {}
+        self.callees: dict[str, str] = {}
 
     def tmp(self) -> str:
         self._counter += 1
@@ -1470,69 +1604,73 @@ class _ModuleEmitter:
         self._counter += 1
         return self._counter
 
-    def pos(self, p: Any) -> str:
-        name = self._positions.get(id(p))
+    def obj(self, value: Any, stem: str) -> str:
+        """The namespace name of a constant object the generated code
+        refers to (a position, a declared type, an outlined kernel)."""
+        name = self._objects.get(id(value))
         if name is None:
-            name = f"_pos{len(self._positions)}"
-            self._positions[id(p)] = name
-            self.ns[name] = p
+            name = f"_{stem}{len(self._objects)}"
+            self._objects[id(value)] = name
+            self.ns[name] = value
         return name
+
+    def pos(self, p: Any) -> str:
+        return self.obj(p, "pos")
 
     def const(self, name: str, value: Any) -> str:
         cname = f"_const_{name}"
         self.ns[cname] = value
         return cname
 
-    def ensure_device(self, name: str) -> str:
-        pyfn = self.device_funcs.get(name)
+    def ensure_callee(self, name: str, host: bool = False) -> str:
+        """Compile the device (or host) function ``name`` into this
+        module, once; returns its python name."""
+        pyfn = self.callees.get(name)
         if pyfn is not None:
             return pyfn
-        fn = self.info.device_functions[name]
-        pyfn = f"_dev_{name}"
-        self.device_funcs[name] = pyfn  # pre-register for recursion
-        em = _FnEmitter(self, gen_ok=False, is_device=True)
-        params, copies = self._bind_params(em, fn)
+        fn = (self.info.host_functions if host
+              else self.info.device_functions)[name]
+        pyfn = f"_host_{name}" if host else f"_dev_{name}"
+        self.callees[name] = pyfn  # pre-register for recursion
+        em = _FnEmitter(self, gen_ok=False, is_device=True, host=host,
+                        boxed=self.info.host_address_taken.get(name, ())
+                        if host else ())
+        params = self._bind_params(em, fn)
         for s2 in fn.body.statements:
             em.stmt(s2)
         em.flush()
         if em.has_yield:  # pragma: no cover - refused at the call site
             raise UnsupportedConstruct("barrier inside device function")
-        header = [f"def {pyfn}(C, I, S{params}):"]
-        prologue = self._prologue(em, fn.pos, copies, entry_steps=True)
+        header = [f"def {pyfn}({'I' if host else 'C, I, S'}{params}):"]
         self.module_lines.extend(
-            header + prologue + (em.lines or ["    pass"]) + [""])
+            header + self._prologue(em, fn.pos) + em.lines + [""])
         return pyfn
 
-    def _bind_params(self, em: _FnEmitter,
-                     fn: ast.FuncDef) -> tuple[str, list[str]]:
+    def _bind_params(self, em: _FnEmitter, fn: ast.FuncDef) -> str:
+        """Declare the parameters and emit their copies into locals
+        (coerced to the declared type for a called function; a
+        kernel's arguments are coerced once per launch, at bind)."""
         em.push()
-        params, copies = [], []
+        params = []
         for i, param in enumerate(fn.params):
             vkind, cokind = _ctype_kinds(param.type)
-            py = em.declare(param.name or f"_unnamed{i}", vkind, cokind)
+            py = em.declare(param.name or f"_unnamed{i}", vkind, cokind,
+                            param.type)
             params.append(f"_a{i}")
-            co = _make_coercer(param.type)
-            if co is None or not em.is_device:
-                copies.append(f"{py} = _a{i}")
+            if _make_coercer(param.type) is None or not em.is_device:
+                em.line(f"{py} = _a{i}")
             else:
                 fname = {"int": "_co_int", "f32": "_co_f32",
                          "f64": "_co_f64", "bool": "_co_bool"}[cokind]
-                copies.append(f"{py} = {fname}(_a{i})")
+                em.line(f"{py} = {fname}(_a{i})")
         em.push()
-        joined = ", ".join([""] + params) if params else ""
-        return joined, copies
+        return ", ".join([""] + params) if params else ""
 
-    def _prologue(self, em: _FnEmitter, pos: Any, copies: list[str],
-                  entry_steps: bool) -> list[str]:
+    def _prologue(self, em: _FnEmitter, pos: Any) -> list[str]:
         pad = "    " if em.is_device else "        "
-        out = []
-        for copy in copies:
-            out.append(pad + copy)
-        if entry_steps:
-            out.append(pad + "I.steps += 1")
-            out.append(pad + "if I.steps > I.max_steps:")
-            out.append(pad + f"    raise KernelHang(_HANG_MSG, "
-                             f"{self.pos(pos)})")
+        out = [pad + "I.steps += 1",
+               pad + "if I.steps > I.max_steps:",
+               pad + f"    raise KernelHang(_HANG_MSG, {self.pos(pos)})"]
         for name in sorted(em.used_builtins):
             out.append(pad + f"_bi_{name} = C.{name}")
         for name, fld in sorted(em.used_fields):
@@ -1541,51 +1679,77 @@ class _ModuleEmitter:
             out.append(pad + f"_cm_{method} = C.{method}")
         if em.uses_warpsize:
             out.append(pad + "_warpSize = C._block.device.spec.warp_size")
+        if em.uses_host_env:
+            out.append(pad + "H = I.host")
         return out
+
+    def _load(self, label: str) -> tuple[dict[str, Any], int]:
+        """Compile and execute the module; returns its namespace and
+        the estimated resident bytes the kernel memo charges for it."""
+        source = "\n".join(self.module_lines)
+        try:
+            code = compile(source, f"<minicuda-srcgen:{label}>", "exec")
+        except SyntaxError as exc:
+            # CPython's own nesting limit, e.g. a 250-term sum
+            raise UnsupportedConstruct(
+                f"generated source rejected: {exc.msg}") from None
+        ns = dict(_BASE_NS)
+        ns.update(self.ns)
+        exec(code, ns)  # noqa: S102 - our own generated source
+        return ns, _NBYTES_BASE + _NBYTES_PER_CHAR * len(source)
 
     def compile_kernel(self, fn: ast.FuncDef,
                        gen_ok: bool) -> CompiledSrcKernel:
         em = _FnEmitter(self, gen_ok=gen_ok, is_device=False)
-        params, copies = self._bind_params(em, fn)
+        params = self._bind_params(em, fn)
         for s in fn.body.statements:
             em.stmt(s)
         em.flush()
-        factory = f"_mk_{fn.name}"
         stats_src = ("        S = C.stats_proxy" if self.profile
                      else "        S = C._block.stats")
-        header = [f"def {factory}(I{params}):",
+        header = [f"def _mk(I{params}):",
                   "    def _t(C):",
                   stats_src]
-        prologue = self._prologue(em, fn.pos, copies, entry_steps=True)
         footer = ["    return _t", ""]
         self.module_lines.extend(
-            header + prologue + (em.lines or ["        pass"]) + footer)
-
-        source = "\n".join(self.module_lines)
-        code = compile(source, f"<minicuda-srcgen:{fn.name}>", "exec")
-        ns = dict(_BASE_NS)
-        ns.update(self.ns)
-        exec(code, ns)  # noqa: S102 - our own generated source
-
+            header + self._prologue(em, fn.pos) + em.lines + footer)
+        ns, nbytes = self._load(fn.name)
         coercers = [_make_coercer(p.type) for p in fn.params]
-        return CompiledSrcKernel(fn.name, ns[factory], em.has_yield,
-                                 coercers,
-                                 _NBYTES_BASE
-                                 + _NBYTES_PER_CHAR * len(source),
-                                 profiled=self.profile)
+        return CompiledSrcKernel(fn.name, ns["_mk"], em.has_yield,
+                                 coercers, nbytes, profiled=self.profile)
+
+    def compile_host(self, name: str) -> "CompiledHostFn":
+        pyfn = self.ensure_callee(name, host=True)
+        ns, nbytes = self._load(name)
+        return CompiledHostFn(ns[pyfn], nbytes)
 
 
-# -- memoized program → kernel compilation -------------------------------------
+# -- memoized program → compiled function -------------------------------------
+
+#: Why a lowering that ran out of Python stack declines (the same words
+#: the front end uses when *it* does).
+_TOO_DEEP = "program is nested too deeply"
+
 
 def _compile_scalar(info: ProgramInfo, name: str,
-                    profile: bool = False) -> CompiledSrcKernel | None:
+                    profile: bool = False) -> CompiledSrcKernel | Declined:
     """Un-memoized :func:`compile_kernel`; the warp tier compiles its
     scalar kernel through this, inside its own memo entry."""
     try:
         return _ModuleEmitter(info, profile=profile).compile_kernel(
-            info.kernels[name], gen_ok=name in info.barrier_functions)
-    except UnsupportedConstruct:
-        return None
+            info.kernel_def(name), gen_ok=name in info.barrier_functions)
+    except UnsupportedConstruct as exc:
+        return Declined(str(exc))
+    except RecursionError:
+        return Declined(_TOO_DEEP)
+
+
+def _kernel_verdict(info: ProgramInfo, name: str,
+                    profile: bool) -> CompiledSrcKernel | Declined:
+    key = memo_key("codegen-prof" if profile else "codegen",
+                   SRCGEN_VERSION, info.fingerprint, name)
+    return KERNEL_CACHE.get_or_compute(
+        key, lambda: _compile_scalar(info, name, profile))[0]
 
 
 def compile_kernel(info: ProgramInfo, name: str,
@@ -1593,14 +1757,86 @@ def compile_kernel(info: ProgramInfo, name: str,
     """Compile kernel ``name`` to generated Python source.
 
     Returns None when the kernel uses a construct the emitter does not
-    support (the caller falls back to the tree-walker). Both outcomes
-    are memoized in the shared
-    :data:`repro.minicuda.codegen.KERNEL_CACHE` — and nowhere else: an
-    evicted kernel is recompiled — under a versioned ``codegen`` engine
-    key. Profiled compilation (line-ledger emitting source) memoizes
-    under its own engine tag.
+    support (the caller falls back to the tree-walker;
+    :func:`decline_reason` says which). Both outcomes are memoized in
+    the shared :data:`repro.minicuda.codegen.KERNEL_CACHE` — and
+    nowhere else: an evicted kernel is recompiled — under a versioned
+    ``codegen`` engine key. Profiled compilation (line-ledger emitting
+    source) memoizes under its own engine tag.
     """
-    key = memo_key("codegen-prof" if profile else "codegen",
-                   SRCGEN_VERSION, info.fingerprint, name)
+    value = _kernel_verdict(info, name, profile)
+    return None if type(value) is Declined else value
+
+
+# -- host functions -----------------------------------------------------------
+
+class CompiledHostFn:
+    """A host function lowered to generated Python, with every host
+    function it calls: ``call(interp, *args)`` returns what the C
+    function returns."""
+
+    __slots__ = ("call", "nbytes")
+
+    def __init__(self, call: Callable, nbytes: int):
+        self.call = call
+        self.nbytes = nbytes
+
+
+def _repeats(info: ProgramInfo, name: str) -> bool:
+    """The rule that picks the host functions worth compiling: does
+    ``name`` contain a loop, or sit on a call cycle? Only then can one
+    AST node run more than once per call — and compiling a node costs
+    about three walks of it (measured over the catalog: 6.6 us a node
+    to emit and ``compile()``, 2 us to walk once)."""
+    if name in info.host_loops:
+        return True
+    calls = info.host_calls
+    seen: set[str] = set()
+    todo = list(calls.get(name, ()))
+    while todo:
+        callee = todo.pop()
+        if callee == name:
+            return True
+        if callee not in seen:
+            seen.add(callee)
+            todo.extend(calls.get(callee, ()))
+    return False
+
+
+def _compile_host(info: ProgramInfo, name: str) -> CompiledHostFn | Declined:
+    if not _repeats(info, name):
+        return Declined("loop-free")
+    try:
+        return _ModuleEmitter(info).compile_host(name)
+    except UnsupportedConstruct as exc:
+        return Declined(str(exc))
+    except RecursionError:
+        return Declined(_TOO_DEEP)
+
+
+def _host_verdict(info: ProgramInfo, name: str) -> CompiledHostFn | Declined:
+    key = memo_key("host", SRCGEN_VERSION, info.fingerprint, name)
     return KERNEL_CACHE.get_or_compute(
-        key, lambda: _compile_scalar(info, name, profile))[0]
+        key, lambda: _compile_host(info, name))[0]
+
+
+def compile_host(info: ProgramInfo, name: str) -> Callable | None:
+    """Host function ``name`` as generated Python, ``call(interp,
+    *args)`` — or None when it stays on the tree-walker: it is
+    loop-free (:func:`_repeats`), or it or something it calls uses a
+    construct the emitter declines. A function that does repeat is
+    lowered together with everything it calls. The verdict is memoized
+    in the kernel memo under a versioned ``host`` key and nowhere
+    else; :func:`decline_reason` recalls why."""
+    value = _host_verdict(info, name)
+    return None if type(value) is Declined else value.call
+
+
+def decline_reason(info: ProgramInfo, name: str,
+                   profile: bool = False) -> str | None:
+    """Why this emitter leaves kernel or host function ``name`` to the
+    tree-walker — the construct it stopped at, or ``loop-free`` — or
+    None when it lowers it. Recalled from the memoized verdict."""
+    value = (_host_verdict(info, name) if name in info.host_functions
+             else _kernel_verdict(info, name, profile))
+    return value.reason if type(value) is Declined else None

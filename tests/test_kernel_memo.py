@@ -1,7 +1,7 @@
 """One owner per compiled kernel: ``codegen.KERNEL_CACHE``.
 
-A compiled kernel (or a decline verdict) lives in the byte-capped memo
-and nowhere else — not on the ``ProgramInfo`` a ``CompileCache`` pins —
+A compiled kernel or host function (or a decline verdict) lives in the
+byte-capped memo and nowhere else — not on the ``ProgramInfo`` a ``CompileCache`` pins —
 so an eviction frees it, ``bytes_live`` is what the process holds, a
 relaunch recompiles to the same result, and a demotion lasts as long as
 the entry it is a flag on. The key contract (engine tag, version,
@@ -17,7 +17,7 @@ import weakref
 import pytest
 
 from repro.gpusim import Device, GpuRuntime
-from repro.minicuda import ENGINES, CompileCache, compile_source
+from repro.minicuda import ENGINES, CompileCache, HostEnv, compile_source
 from repro.minicuda import simd, srcgen
 from repro.minicuda.codegen import _VERDICT_NBYTES, KERNEL_CACHE
 from repro.minicuda.interpreter import Interpreter
@@ -61,7 +61,9 @@ def functions_of(kernel):
     watch, the kernel classes being slotted."""
     if type(kernel) is srcgen.CompiledSrcKernel:
         return [kernel.factory]
-    return [kernel.src.factory, *(kernel.body_fns or ())]
+    if type(kernel) is srcgen.CompiledHostFn:
+        return [kernel.call]
+    return list(kernel.body_fns or ())
 
 
 SAXPY = """
@@ -95,6 +97,51 @@ def test_eviction_frees_the_kernel_and_a_relaunch_recompiles(engine):
     assert KERNEL_CACHE.compute_count == before + 1
     assert out == first_out
     assert ledger(stats) == ledger(first_stats)
+
+
+HOST_LOOP = """
+int main() {
+  int total = 0;
+  for (int i = 0; i < 10; i++) { total += i; }
+  return total + %d;
+}
+"""
+
+
+def test_a_host_function_is_compiled_once_and_again_after_eviction():
+    cache = CompileCache()
+    source = HOST_LOOP % 100
+    program = compile_source(source, cache=cache)
+
+    def run():
+        before = KERNEL_CACHE.compute_count, KERNEL_CACHE.stats.hits
+        code = program.run_main(host_env=HostEnv()).exit_code
+        return (code, KERNEL_CACHE.compute_count - before[0],
+                KERNEL_CACHE.stats.hits - before[1])
+
+    assert run() == (145, 1, 0)
+    assert run() == (145, 0, 1)  # the memo is asked once per run
+    (held,) = memoized(program.info.fingerprint)
+    ref = weakref.ref(*functions_of(held))
+    del held
+
+    flood()
+    assert ref() is None
+    assert memoized(program.info.fingerprint) == []
+    assert run() == (145, 1, 0)
+
+
+def test_a_replay_weighs_its_scalar_kernel_when_it_compiles_it():
+    source, size = PROBES["global-rmw"]
+    program = program_of(source, exit_code=31)
+    launch(source, size, "simd", program=program)  # speculates, replays
+    (kernel,) = memoized(program.info.fingerprint)
+    assert kernel.demoted
+    scalar = kernel.scalar(program.info)
+    assert type(scalar) is srcgen.CompiledSrcKernel
+    assert kernel.nbytes > scalar.nbytes
+    assert KERNEL_CACHE.stats.bytes_live == sum(
+        flight.value.nbytes for flight in KERNEL_CACHE._done.values())
 
 
 def test_bytes_live_is_what_the_process_holds():

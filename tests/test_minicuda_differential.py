@@ -197,6 +197,55 @@ int main() {{ return 0; }}
     return int(rt.memcpy_dtoh(out)[0]), stats
 
 
+def run_host_loops(node: Node, n: int, stride: int, engine: str):
+    """A host ``main`` with a for, a while and a do loop over a
+    ``malloc``'d and a local array, seeded by a random expression;
+    returns (stdout, exit code)."""
+    source = f"""
+int mix(int a, int b) {{ return (a * 31 + b) % 1009; }}
+int main() {{
+  int n = {n};
+  int *heap = (int *)malloc(n * sizeof(int));
+  int local[16];
+  for (int i = 0; i < n; i++) {{
+    heap[i] = (({node.render()}) + i * {stride}) % 1000;
+  }}
+  int j = 0;
+  while (j < 16) {{
+    local[j] = heap[j % n] - j;
+    j++;
+  }}
+  int acc = 0;
+  int k = 15;
+  do {{
+    if (local[k] % 2 == 0) {{ k--; continue; }}
+    acc = mix(acc, local[k]);
+    heap[k % n] += acc;
+    k--;
+  }} while (k >= 0);
+  printf("%d %d %d\\n", acc, heap[0], heap[n - 1]);
+  free(heap);
+  return acc % 128;
+}}
+"""
+    env = HostEnv()
+    result = compile_source(source).run_main(host_env=env, engine=engine)
+    return env.stdout, result.exit_code
+
+
+def host_loops_reference(seed: int, n: int, stride: int):
+    """What :func:`run_host_loops` prints and returns, in Python."""
+    heap = [_c_mod(seed + i * stride, 1000) for i in range(n)]
+    local = [heap[j % n] - j for j in range(16)]
+    acc = 0
+    for k in range(15, -1, -1):
+        if _c_mod(local[k], 2) == 0:
+            continue
+        acc = _c_mod(acc * 31 + local[k], 1009)
+        heap[k % n] += acc
+    return [f"{acc} {heap[0]} {heap[n - 1]}\n"], _c_mod(acc, 128)
+
+
 class TestDifferential:
     @given(expressions())
     @settings(max_examples=120, deadline=None)
@@ -341,6 +390,19 @@ int main() {{ return 0; }}
         assert reference.total_instructions > 0
         for engine in ENGINES[1:]:
             assert ledgers[engine] == reference, (engine, node.render())
+
+    @given(expressions(max_depth=3), st.integers(1, 24), st.integers(-9, 9))
+    @settings(max_examples=30, deadline=None)
+    def test_engines_agree_on_host_loops(self, node, n, stride):
+        """Host code is compiled too (``srcgen.compile_host``): loops
+        over ``malloc``'d and local arrays, a called function, a
+        ``continue`` that must still reach the ``do`` condition — the
+        compiled engines, the walking oracle and a Python model of the
+        same program all print and return the same."""
+        reference = host_loops_reference(node.evaluate(), n, stride)
+        for engine in ENGINES:
+            assert run_host_loops(node, n, stride, engine) == reference, \
+                (engine, node.render(), n, stride)
 
     @given(st.integers(-100, 100), st.integers(-100, 100))
     @settings(max_examples=40, deadline=None)

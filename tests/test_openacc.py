@@ -222,3 +222,106 @@ class TestOpenAccLab:
         attempt = platform.run_attempt("598-2016", student,
                                        "openacc-vecadd")
         assert attempt.correct
+
+
+class TestOutlinedKernel:
+    """An OpenACC loop is outlined into a kernel ``acc@<line>`` and
+    launched like any other: it rides simd → codegen → ast, and its
+    ``KernelStats`` and line ledger are the same on every rung."""
+
+    SOURCE = """
+int main() {
+  int len;
+  float bias = 0.5f;
+  float *x = (float *)wbImport(wbArg_getInputFile(0, 0), &len);
+  float *out = (float *)malloc(len * sizeof(float));
+  #pragma acc parallel loop
+  for (int i = 2; i <= len - 3; i++) {
+    float left = x[i - 1];
+    if (i % 3 == 0) {
+      out[i] = left + x[i + 1] + bias;
+    } else {
+      out[i] = bias * (float)i;
+    }
+  }
+  wbSolution(0, out, len);
+  return 0;
+}
+"""
+
+    @staticmethod
+    def launch(source, engine, profile=False, telemetry=None):
+        from repro.gpusim import Device, GpuRuntime
+        env = HostEnv(datasets={"input0": np.arange(300, dtype=np.float32)})
+        result = compile_source(source).run_main(
+            runtime=GpuRuntime(Device(), telemetry=telemetry),
+            host_env=env, engine=engine, profile=profile)
+        return result.exit_code, env
+
+    @pytest.mark.parametrize("profile", (False, True),
+                             ids=("plain", "profiled"))
+    def test_stats_and_ledger_parity(self, profile):
+        from repro.minicuda import ENGINES
+        from tests.test_lane_conflicts import ledger
+        _, ref = self.launch(self.SOURCE, "ast", profile)
+        ((name, ref_stats),) = ref.kernel_launches
+        assert name == "acc@7"
+        assert ref_stats.instructions > 0
+        assert (ref_stats.line_profile is not None) == profile
+        for engine in ENGINES[1:]:
+            _, env = self.launch(self.SOURCE, engine, profile)
+            ((got, stats),) = env.kernel_launches
+            assert got == name
+            assert ledger(stats) == ledger(ref_stats), engine
+            assert stats.line_profile == ref_stats.line_profile, engine
+            assert env.solution.data.tobytes() == \
+                ref.solution.data.tobytes(), engine
+
+    def test_it_takes_the_warp_tier_and_says_so(self):
+        from repro.telemetry import KERNEL_EXEC_SECONDS, Telemetry
+        telemetry = Telemetry()
+        self.launch(self.SOURCE, "simd", telemetry=telemetry)
+        ran = telemetry.metrics.histogram(KERNEL_EXEC_SECONDS)
+        assert ran.series(engine="simd", kernel="acc@7") is not None
+
+    @pytest.mark.parametrize("engine", ("ast", "codegen", "simd"))
+    def test_enclosing_scalars_are_captured_by_value(self, engine):
+        # firstprivate: each iteration sees scale as it stood at the
+        # loop, a write to it stays in its thread, and the host's copy
+        # is untouched afterwards
+        source = """
+int main() {
+  float scale = 2.0f;
+  int hits = 0;
+  float *out = (float *)malloc(8 * sizeof(float));
+  #pragma acc parallel loop
+  for (int i = 0; i < 8; i++) {
+    scale = scale + (float)i;
+    hits = hits + 1;
+    out[i] = scale;
+  }
+  wbSolution(0, out, 8);
+  return (int)scale * 10 + hits;
+}
+"""
+        code, env = self.launch(source, engine)
+        assert code == 20
+        assert list(env.solution.data) == [2.0 + i for i in range(8)]
+
+    def test_a_file_scope_host_pointer_is_mirrored_too(self):
+        source = """
+float *table;
+void fill(int n) {
+  #pragma acc parallel loop
+  for (int i = 0; i < n; i++) { table[i] = (float)(i * i); }
+}
+int main() {
+  table = (float *)malloc(6 * sizeof(float));
+  fill(6);
+  wbSolution(0, table, 6);
+  return 0;
+}
+"""
+        for engine in ("ast", "codegen", "simd"):
+            _, env = self.launch(source, engine)
+            assert list(env.solution.data) == [0, 1, 4, 9, 16, 25], engine
