@@ -5,12 +5,31 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 
-@dataclass(frozen=True)
 class SourcePos:
-    """Line/column position in the (preprocessed) source, 1-based."""
+    """Line/column position in the (preprocessed) source, 1-based.
 
-    line: int = 0
-    column: int = 0
+    A value: equal and hashed by ``(line, column)`` and never mutated.
+    Hand-written rather than a frozen dataclass because the lexer makes
+    one per token, and the generated ``__init__`` (``object.__setattr__``
+    per field) was half the cost of a token.
+    """
+
+    __slots__ = ("line", "column")
+
+    def __init__(self, line: int = 0, column: int = 0):
+        self.line = line
+        self.column = column
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is SourcePos:
+            return (self.line, self.column) == (other.line, other.column)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.line, self.column))
+
+    def __repr__(self) -> str:
+        return f"SourcePos(line={self.line!r}, column={self.column!r})"
 
     def __str__(self) -> str:
         return f"{self.line}:{self.column}"

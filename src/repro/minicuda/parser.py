@@ -3,7 +3,7 @@
 Two interchangeable backends produce identical :mod:`ast_nodes` trees
 and identical :class:`CompileError` diagnostics:
 
-* ``pegen`` (default) — the packrat parser generated from
+* ``pegen`` (default) — the parser generated from
   ``minicuda.gram`` by :mod:`repro.minicuda.pegen` (checked in as
   ``parser_gen.py``; regenerate with ``python -m repro.minicuda.pegen``).
 * ``legacy`` — the hand-written recursive-descent :class:`Parser` below,
@@ -15,6 +15,7 @@ Select with the ``WEBGPU_PARSER`` environment variable or the
 
 from __future__ import annotations
 
+import operator
 import os
 import time
 from typing import Any, Iterable
@@ -209,7 +210,7 @@ class Parser:
                 while self.tok.is_punct("["):
                     self.advance()
                     if not self.tok.is_punct("]"):
-                        dims.append(self._const_int(self.parse_assignment()))
+                        dims.append(fold_dim(self.parse_assignment()))
                     else:
                         ptype = ast.CType(ptype.base, ptype.pointers + 1,
                                           (), ptype.const)
@@ -348,7 +349,7 @@ class Parser:
         dims: list[int] = []
         while self.tok.is_punct("["):
             self.advance()
-            dims.append(self._const_int(self.parse_conditional()))
+            dims.append(fold_dim(self.parse_conditional()))
             self.expect_punct("]")
         if dims:
             dtype = ast.CType(dtype.base, dtype.pointers, tuple(dims),
@@ -666,48 +667,58 @@ class Parser:
         return ast.KernelLaunch(name=name, grid=grid, block=block,
                                 shared=shared, args=args, pos=pos)
 
-    # -- constant folding ---------------------------------------------------
 
-    def _const_int(self, expr: ast.Expr) -> int:
-        value = _fold(expr)
-        if value is None:
-            raise CompileError("array dimension must be an integer constant",
-                               expr.pos)
-        return value
+# -- constant folding (shared with the generated backend) -------------------
+
+_FOLDERS = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+            "/": operator.floordiv, "%": operator.mod,
+            "<<": operator.lshift, ">>": operator.rshift}
 
 
 def _fold(expr: ast.Expr) -> int | None:
+    """Fold an integer constant expression in C ``long long`` range, or
+    None when it is not one: a literal or intermediate outside int64, a
+    shift count outside 0-63 and a zero divisor are "not a constant" —
+    never a Python integer that grows until the host runs out of memory."""
+    value = None
     if isinstance(expr, ast.IntLit):
-        return expr.value
-    if isinstance(expr, ast.Unary) and expr.op == "-":
-        inner = _fold(expr.operand)
-        return None if inner is None else -inner
-    if isinstance(expr, ast.Binary):
+        value = expr.value
+    elif isinstance(expr, ast.Unary) and expr.op == "-":
+        value = _fold(expr.operand)
+        value = None if value is None else -value
+    elif isinstance(expr, ast.Binary) and expr.op in _FOLDERS:
         left, right = _fold(expr.left), _fold(expr.right)
-        if left is None or right is None:
+        if left is None or right is None \
+                or (expr.op in ("<<", ">>") and not 0 <= right < 64) \
+                or (expr.op in ("/", "%") and right == 0):
             return None
-        try:
-            return {
-                "+": lambda: left + right,
-                "-": lambda: left - right,
-                "*": lambda: left * right,
-                "/": lambda: left // right,
-                "%": lambda: left % right,
-                "<<": lambda: left << right,
-                ">>": lambda: left >> right,
-            }[expr.op]()
-        except (KeyError, ZeroDivisionError):
-            return None
-    return None
+        value = _FOLDERS[expr.op](left, right)
+    if value is None or not -(1 << 63) <= value < (1 << 63):
+        return None
+    return value
 
 
-#: Parser backends: ``pegen`` (generated packrat parser, default) and
+def fold_dim(expr: ast.Expr) -> int:
+    """An array dimension: a constant, and not negative (both backends)."""
+    value = _fold(expr)
+    if value is None:
+        raise CompileError("array dimension must be an integer constant",
+                           expr.pos)
+    if value < 0:
+        raise CompileError("array dimension must not be negative", expr.pos)
+    return value
+
+
+#: Parser backends: ``pegen`` (generated parser, default) and
 #: ``legacy`` (the hand-written descent oracle above).
 BACKENDS = ("pegen", "legacy")
 
 #: Where a "nested too deeply" diagnostic points: the first bracket
 #: opened inside this many others. Both backends recurse per nesting
-#: level and run out of Python stack near 50 levels of parentheses.
+#: level and run out of Python stack: the legacy one (~19 frames a
+#: level) near 55 levels of parentheses, the generated one (6) near
+#: 160 — either way past this depth, so the position does not depend
+#: on which parser overflowed.
 MAX_BRACKET_DEPTH = 40
 
 
@@ -743,9 +754,9 @@ def parse(source: str,
 
     ``backend`` picks the parser (``"pegen"`` or ``"legacy"``); None
     defers to ``WEBGPU_PARSER`` / default. When a
-    :class:`repro.telemetry.Telemetry` bundle is passed, the parse is
-    timed into ``webgpu_parse_seconds{backend=}`` and the packrat memo
-    hit/miss counts land in ``webgpu_parser_memo_total``.
+    :class:`repro.telemetry.Telemetry` bundle is passed, the parse —
+    a failed one too: a syntax error is the compile button's commonest
+    outcome — is timed into ``webgpu_parse_seconds{backend=}``.
     """
     backend = resolve_backend(backend)
     tokens = tokenize(source)
@@ -756,13 +767,10 @@ def parse(source: str,
         parser = MiniCudaParser(tokens, typedef_names)
     start = time.perf_counter()
     try:
-        unit = parser.parse_translation_unit()
+        return parser.parse_translation_unit()
     except RecursionError:
         raise CompileError("program is nested too deeply",
                            _too_deep(tokens)) from None
-    if telemetry is not None:
-        telemetry.record_parse(
-            backend, time.perf_counter() - start,
-            memo_hits=getattr(parser, "memo_hits", 0),
-            memo_misses=getattr(parser, "memo_misses", 0))
-    return unit
+    finally:
+        if telemetry is not None:
+            telemetry.record_parse(backend, time.perf_counter() - start)

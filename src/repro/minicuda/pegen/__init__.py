@@ -1,9 +1,10 @@
 """pegen-style parser generator for the minicuda frontend.
 
 Pipeline: ``minicuda.gram`` (PEG grammar) -> :mod:`metaparser` (grammar
-file parser) -> :mod:`grammar` (model + nullable/left-recursion
-analyses) -> :mod:`generator` (emits ``parser_gen.py``) ->
-:mod:`runtime` (ParserBase, packrat memoization, AST assembly).
+file parser) -> :mod:`grammar` (model + nullable, left-recursion,
+FIRST-set and re-entry analyses) -> :mod:`generator` (emits
+``parser_gen.py``) -> :mod:`runtime` (ParserBase, the memo decorators,
+AST assembly).
 
 ``python -m repro.minicuda.pegen`` regenerates the checked-in
 ``parser_gen.py``; ``--check`` verifies it is fresh (used by CI).

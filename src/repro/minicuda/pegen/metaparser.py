@@ -6,9 +6,8 @@ The grammar-file dialect (a compact cousin of pegen's):
 @class MiniCudaParser
 @start start
 
-# one rule; flags in parens after the name; alts may span lines when
-# they start with '|'
-statement (memo):
+# one rule; alts may span lines when they start with '|'
+statement:
     | t="if" &&'(' c=expression &&')' s=statement { self.make_if(t, c, s) }
     | e=expression &&';' { ast.ExprStmt(expr=e, pos=e.pos) }
 
@@ -180,21 +179,11 @@ class MetaParser:
 
     def _rule(self) -> Rule:
         name = self._expect("name").text
-        memo = False
-        if self.tok.kind == "op" and self.tok.text == "(":
-            self._advance()
-            flag = self._expect("name").text
-            if flag != "memo":
-                raise GrammarError(
-                    f"grammar line {self.tok.line}: unknown rule flag "
-                    f"{flag!r}")
-            memo = True
-            self._expect("op", ")")
         self._expect("op", ":")
         alts = self._alts(top_level=True)
         if not alts:
             raise GrammarError(f"rule {name!r} has no alternatives")
-        return Rule(name, tuple(alts), memo=memo)
+        return Rule(name, tuple(alts))
 
     def _alts(self, top_level: bool) -> list[Alt]:
         alts: list[Alt] = []

@@ -1,14 +1,15 @@
-"""Runtime support for generated packrat parsers.
+"""Runtime support for generated parsers.
 
 The generated parser (:mod:`repro.minicuda.parser_gen`) contains only
-grammar-derived control flow; everything stateful lives here:
+grammar-derived control flow — soft terminal matches included, which
+it tests inline; everything else lives here:
 
-* the token cursor and terminal matchers (soft matchers return
-  :data:`FAIL`; *forced* matchers raise the same committed
-  ``CompileError`` diagnostics as the legacy recursive-descent parser);
-* the packrat memo table with the :func:`memoize` and
-  :func:`memoize_left_rec` decorators (seed-growing left recursion,
-  pegen-style) and hit/miss counters for telemetry;
+* the token cursor, rule-level lookahead and the *forced* matchers,
+  which raise the same committed ``CompileError`` diagnostics as the
+  legacy recursive-descent parser;
+* the :func:`memoize` and :func:`memoize_left_rec` decorators (packrat
+  memo; seed-growing left recursion, pegen-style) for the rules the
+  grammar model says need them — in ``minicuda.gram``, none;
 * AST assembly helpers that replicate the legacy parser's node
   construction — including its position conventions and its semantic
   validations (constant array dims, switch-label rules, OpenACC
@@ -27,6 +28,7 @@ from repro.minicuda.parser import (
     DEFAULT_TYPEDEFS,
     FUNCTION_QUALIFIERS,
     _fold,
+    fold_dim,
 )
 
 #: Unique soft-failure sentinel. ``None`` is a valid rule result (e.g.
@@ -36,12 +38,6 @@ FAIL: Any = object()
 _PUNCT = TokenKind.PUNCT
 _KEYWORD = TokenKind.KEYWORD
 _IDENT = TokenKind.IDENT
-_EOF = TokenKind.EOF
-
-
-def nfail(value: Any) -> Any:
-    """Map FAIL to None — the value of an absent optional item."""
-    return None if value is FAIL else value
 
 
 def memoize(method: Callable) -> Callable:
@@ -51,12 +47,12 @@ def memoize(method: Callable) -> Callable:
     def wrapper(self: "ParserBase") -> Any:
         key = (self._i, name)
         memo = self._memo
+        if memo is None:  # most grammars memoize nothing: no table
+            memo = self._memo = {}
         entry = memo.get(key)
         if entry is not None:
-            self.memo_hits += 1
             self._i = entry[1]
             return entry[0]
-        self.memo_misses += 1
         result = method(self)
         memo[key] = (result, self._i)
         return result
@@ -75,12 +71,12 @@ def memoize_left_rec(method: Callable) -> Callable:
     def wrapper(self: "ParserBase") -> Any:
         key = (self._i, name)
         memo = self._memo
+        if memo is None:  # most grammars memoize nothing: no table
+            memo = self._memo = {}
         entry = memo.get(key)
         if entry is not None:
-            self.memo_hits += 1
             self._i = entry[1]
             return entry[0]
-        self.memo_misses += 1
         mark = self._i
         # seed: the left-recursive alternatives see a failure first
         memo[key] = (FAIL, mark)
@@ -109,14 +105,15 @@ class ParserBase:
     #: Name of the generated start-rule method (grammar ``@start``).
     START_RULE = "start"
 
+    #: ``(position, rule) -> (result, end)``, allocated by the first
+    #: memoized rule that runs.
+    _memo: dict[tuple[int, str], tuple[Any, int]] | None = None
+
     def __init__(self, tokens: list[Token],
                  typedef_names: Iterable[str] = DEFAULT_TYPEDEFS):
         self._tokens = tokens
         self._i = 0
         self.typedefs = set(typedef_names)
-        self._memo: dict[tuple[int, str], tuple[Any, int]] = {}
-        self.memo_hits = 0
-        self.memo_misses = 0
 
     # -- entry point -------------------------------------------------------
 
@@ -135,62 +132,7 @@ class ParserBase:
     def pos_at(self, mark: int) -> SourcePos:
         return self._tokens[mark].pos
 
-    # -- soft terminal matchers (FAIL on mismatch) -------------------------
-
-    def punct(self, text: str) -> Any:
-        t = self._tokens[self._i]
-        if t.kind is _PUNCT and t.text == text:
-            self._i += 1
-            return t
-        return FAIL
-
-    def punct_in(self, texts: frozenset) -> Any:
-        t = self._tokens[self._i]
-        if t.kind is _PUNCT and t.text in texts:
-            self._i += 1
-            return t
-        return FAIL
-
-    def keyword(self, text: str) -> Any:
-        t = self._tokens[self._i]
-        if t.kind is _KEYWORD and t.text == text:
-            self._i += 1
-            return t
-        return FAIL
-
-    def keyword_in(self, texts: frozenset) -> Any:
-        t = self._tokens[self._i]
-        if t.kind is _KEYWORD and t.text in texts:
-            self._i += 1
-            return t
-        return FAIL
-
-    def match_ident(self) -> Any:
-        t = self._tokens[self._i]
-        if t.kind is _IDENT:
-            self._i += 1
-            return t
-        return FAIL
-
-    def match_kind(self, kind: TokenKind) -> Any:
-        t = self._tokens[self._i]
-        if t.kind is kind:
-            self._i += 1
-            return t
-        return FAIL
-
-    def match_eof(self) -> Any:
-        t = self._tokens[self._i]
-        return t if t.kind is _EOF else FAIL
-
-    def typedef_name(self) -> Any:
-        t = self._tokens[self._i]
-        if t.kind is _IDENT and t.text in self.typedefs:
-            self._i += 1
-            return t
-        return FAIL
-
-    # -- lookaheads --------------------------------------------------------
+    # -- lookaheads over a rule (single tokens are probed inline) ----------
 
     def pos_la(self, rule: Callable) -> bool:
         mark = self._i
@@ -203,28 +145,6 @@ class ParserBase:
         ok = rule() is FAIL
         self._i = mark
         return ok
-
-    def la_punct(self, text: str) -> bool:
-        t = self._tokens[self._i]
-        return t.kind is _PUNCT and t.text == text
-
-    def nla_punct(self, text: str) -> bool:
-        t = self._tokens[self._i]
-        return not (t.kind is _PUNCT and t.text == text)
-
-    def la_kw(self, text: str) -> bool:
-        t = self._tokens[self._i]
-        return t.kind is _KEYWORD and t.text == text
-
-    def nla_kw(self, text: str) -> bool:
-        t = self._tokens[self._i]
-        return not (t.kind is _KEYWORD and t.text == text)
-
-    def la_eof(self) -> bool:
-        return self._tokens[self._i].kind is _EOF
-
-    def nla_eof(self) -> bool:
-        return self._tokens[self._i].kind is not _EOF
 
     # -- forced matchers (commit: match or raise, legacy messages) --------
 
@@ -264,12 +184,7 @@ class ParserBase:
 
     # -- constant folding --------------------------------------------------
 
-    def fold_dim(self, expr: ast.Expr) -> int:
-        value = _fold(expr)
-        if value is None:
-            raise CompileError("array dimension must be an integer constant",
-                               expr.pos)
-        return value
+    fold_dim = staticmethod(fold_dim)
 
     def fold_case(self, case_tok: Token, expr: ast.Expr) -> tuple:
         folded = _fold(expr)
@@ -469,6 +384,9 @@ class ParserBase:
                           pos=tok.pos)
 
     def fold_binary(self, first: ast.Expr, rest: list) -> ast.Expr:
+        """Left-associate ``first (op operand)*``. The generator folds
+        a ladder of rules with this action into one precedence-climbing
+        loop that builds the same nodes; a lone rule still calls it."""
         left = first
         for op_tok, right in rest:
             left = ast.Binary(op=op_tok.text, left=left, right=right,

@@ -50,13 +50,10 @@ STAGES = ("queue_wait", "container_acquire", "compile", "exec",
 #: Histogram family name for the per-stage breakdown.
 STAGE_SECONDS = "webgpu_stage_seconds"
 
-#: Front-end parse latency, labeled by parser backend (``pegen`` is the
-#: generated packrat parser, ``legacy`` the hand-written descent oracle).
+#: Front-end parse latency, failed parses included, labeled by parser
+#: backend (``pegen`` is the generated parser, ``legacy`` the
+#: hand-written descent oracle).
 PARSE_SECONDS = "webgpu_parse_seconds"
-
-#: Packrat memo-table outcomes (``outcome=hit|miss``) per parse, so the
-#: dashboard can watch the memoization rate of the generated parser.
-PARSER_MEMO_TOTAL = "webgpu_parser_memo_total"
 
 #: Queue-level wait histogram, labeled by admission class — observed by
 #: the JobQueue itself at poll time so the SLO burn meter sees every
@@ -270,20 +267,12 @@ class Telemetry:
             "webgpu_kernel_launches_total",
             "kernel launches").inc(kernel=name)
 
-    def record_parse(self, backend: str, seconds: float,
-                     memo_hits: int = 0, memo_misses: int = 0) -> None:
-        """One front-end parse: wall time plus packrat memo outcomes."""
+    def record_parse(self, backend: str, seconds: float) -> None:
+        """One front-end parse, successful or not: wall time."""
         self.metrics.histogram(
             PARSE_SECONDS,
             "host wall seconds parsing one translation unit").observe(
                 max(0.0, seconds), backend=backend)
-        if memo_hits or memo_misses:
-            memo = self.metrics.counter(
-                PARSER_MEMO_TOTAL, "packrat memo-table lookups")
-            if memo_hits:
-                memo.inc(memo_hits, backend=backend, outcome="hit")
-            if memo_misses:
-                memo.inc(memo_misses, backend=backend, outcome="miss")
 
     def stage_summary(self, by_tag: bool = False) -> dict[str, dict]:
         """p50/p95/p99 etc. per stage (optionally nested per tag).
