@@ -4,18 +4,15 @@
 because workers *pull*: adding a node is just another poller, removing
 one is letting it finish and stop polling. The :class:`FleetManager`
 adds/retires drivers against min/max bounds with a cooldown, driven by
-one of two control signals:
-
-* **legacy depth mode** (default): broker queue depth and oldest-job
-  age against fixed thresholds — reactive, but blind to whether the
-  backlog is actually hurting students;
-* **SLO-burn mode** (pass ``slo=SLOPolicy(...)``): the observed p95
-  queue wait from the PR 4 telemetry divided by the SLO target,
-  multiplicative-increase while the SLO burns (a deadline storm can
-  double the fleet per cooldown, not inch up one node at a time) and
-  additive-decrease once it recovers. The same burn sample feeds the
-  optional admission controller, so scaling and load-shedding act on
-  one consistent view of the storm.
+one control signal, **SLO burn**: the observed p95 queue wait from the
+PR 4 telemetry divided by the SLO target (``slo=``, default
+``SLOPolicy()``). While nothing is delivered the age of the oldest
+queued job stands in for p95, so a deep queue that no worker drains
+reads as burning. Multiplicative-increase while the SLO burns (a
+deadline storm can double the fleet per cooldown, not inch up one node
+at a time) and additive-decrease once it recovers. The same burn
+sample feeds the optional admission controller, so scaling and
+load-shedding act on one consistent view of the storm.
 """
 
 from __future__ import annotations
@@ -57,12 +54,14 @@ class FleetManager:
                  spawn: Callable[[], WorkerDriver],
                  retire: Callable[[WorkerDriver], None],
                  min_workers: int = 1, max_workers: int = 16,
-                 scale_up_depth: int = 4, scale_up_wait_s: float = 30.0,
                  idle_polls_before_retire: int = 50,
                  cooldown_s: float = 60.0,
                  slo: "SLOPolicy | None" = None,
                  burn_policy: SLOBurnPolicy | None = None,
                  admission: "AdmissionController | None" = None):
+        # imported here: repro.fabric imports repro.broker
+        from repro.fabric.slo import SLOBurnMeter
+
         if min_workers < 1 or max_workers < min_workers:
             raise ValueError("need 1 <= min_workers <= max_workers")
         self.broker = broker
@@ -71,29 +70,20 @@ class FleetManager:
         self.retire = retire
         self.min_workers = min_workers
         self.max_workers = max_workers
-        self.scale_up_depth = scale_up_depth
-        self.scale_up_wait_s = scale_up_wait_s
         self.idle_polls_before_retire = idle_polls_before_retire
-        self.cooldown_s = cooldown_s
         self.drivers: list[WorkerDriver] = []
         self.events: list[ScaleEvent] = []
-        self._last_change = float("-inf")
         self._idle_counts: dict[str, int] = {}
-        #: SLO-burn mode: meter over the broker's telemetry + the
-        #: MIMD sizing policy; None keeps the legacy depth thresholds
-        self.meter = None
-        self.burn_policy: SLOBurnPolicy | None = None
-        self.admission = admission
-        if slo is not None:
-            from repro.fabric.slo import SLOBurnMeter
-            self.meter = SLOBurnMeter(broker.telemetry, slo)
-            self.burn_policy = burn_policy or SLOBurnPolicy(
-                min_workers=min_workers, max_workers=max_workers,
-                cooldown_s=cooldown_s)
-            # admission control rides the same burn samples; prefer
-            # the broker fabric's own controller when it has one
-            if admission is None:
-                self.admission = getattr(broker, "admission", None)
+        #: meter over the broker's telemetry (None = ``SLOPolicy()``)
+        #: and the MIMD sizing policy, which owns the cooldown
+        self.meter = SLOBurnMeter(broker.telemetry, slo)
+        self.burn_policy = burn_policy or SLOBurnPolicy(
+            min_workers=min_workers, max_workers=max_workers,
+            cooldown_s=cooldown_s)
+        # admission control rides the same burn samples; prefer the
+        # broker fabric's own controller when it has one
+        self.admission = admission if admission is not None \
+            else getattr(broker, "admission", None)
 
     @property
     def size(self) -> int:
@@ -104,46 +94,11 @@ class FleetManager:
         self.drivers.append(driver)
 
     def evaluate(self) -> ScaleEvent | None:
-        """One scaling decision; call periodically (the admin loop)."""
-        if self.meter is not None:
-            return self._evaluate_slo()
-        now = self.clock.now()
-        if now - self._last_change < self.cooldown_s:
-            return None
-
-        depth = self.broker.depth()
-        oldest = self.broker.queue.oldest_wait(now)
-        if (depth >= self.scale_up_depth or oldest >= self.scale_up_wait_s) \
-                and self.size < self.max_workers:
-            driver = self.spawn()
-            self.drivers.append(driver)
-            self._last_change = now
-            event = ScaleEvent(now, "add", driver.worker.name,
-                               f"depth={depth} oldest_wait={oldest:.0f}s")
-            self.events.append(event)
-            return event
-
-        if depth == 0 and self.size > self.min_workers:
-            # retire the driver that has been idle the longest
-            idle = [(self._idle_counts.get(d.worker.name, 0), i, d)
-                    for i, d in enumerate(self.drivers)]
-            idle.sort(key=lambda t: (-t[0], t[1]))
-            count, _, victim = idle[0]
-            if count >= self.idle_polls_before_retire:
-                self.drivers.remove(victim)
-                self.retire(victim)
-                self._last_change = now
-                event = ScaleEvent(now, "remove", victim.worker.name,
-                                   f"idle for {count} polls")
-                self.events.append(event)
-                return event
-        return None
-
-    def _evaluate_slo(self) -> ScaleEvent | None:
-        """SLO-burn control step: sample the meter, feed admission,
-        and move the fleet toward the policy's target size. Unlike the
-        one-node-per-cooldown legacy path, a burning SLO may add
-        several drivers in one decision."""
+        """One scaling decision; call periodically (the admin loop):
+        sample the meter, feed admission, and move the fleet toward
+        the policy's target size. A burning SLO may add several
+        drivers in one decision; shrinking is one idle driver at a
+        time."""
         now = self.clock.now()
         sample = self.meter.sample(
             now, stalled_wait_s=self.broker.queue.oldest_wait(now))
@@ -170,8 +125,6 @@ class FleetManager:
                 event = ScaleEvent(now, "remove", victim.worker.name,
                                    decision.reason)
                 self.events.append(event)
-        if event is not None:
-            self._last_change = now
         return event
 
     def pump(self) -> int:

@@ -35,10 +35,8 @@ class ContentAddressedStore:
     """sha256-addressed blobs with ref-counting over a :class:`Bucket`."""
 
     def __init__(self, bucket: Bucket | None = None,
-                 verify_on_read: bool = True,
                  stats: CacheStats | None = None):
         self.bucket = bucket if bucket is not None else Bucket("cas")
-        self.verify_on_read = verify_on_read
         self.stats = stats if stats is not None else CacheStats()
         self._refcounts: dict[str, int] = {}
         self._sizes: dict[str, int] = {}
@@ -93,7 +91,7 @@ class ContentAddressedStore:
         if address not in self._refcounts:
             raise MissingBlobError(address)
         data = self.bucket.get(blob_key(address))
-        if self.verify_on_read and hash_bytes(data) != address:
+        if hash_bytes(data) != address:
             self.stats.integrity_failures += 1
             raise IntegrityError(
                 f"blob {address[:12]}… failed sha256 verification")

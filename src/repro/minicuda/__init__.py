@@ -9,7 +9,8 @@ course (Table II):
   function-like macros, ``#include``, ``#ifdef`` conditionals;
 * :mod:`repro.minicuda.lexer` — ``tokenize``: one master pattern turns
   preprocessed text into tokens with line/column positions;
-* :mod:`repro.minicuda.parser` — recursive descent into a typed AST,
+* :mod:`repro.minicuda.parser` — ``parse``: the parser generated from
+  ``minicuda.gram`` by :mod:`repro.minicuda.pegen`, into a typed AST,
   including CUDA's ``kernel<<<grid, block>>>(...)`` launch syntax,
   ``__global__ / __device__ / __shared__ / __constant__`` qualifiers and
   OpenCL's ``__kernel / __global`` spellings;
@@ -41,7 +42,7 @@ The facade is :func:`repro.minicuda.compiler.compile_source`.
 from repro.minicuda.diagnostics import CompileError, Diagnostic, SourcePos
 from repro.minicuda.preprocessor import Preprocessor, preprocess
 from repro.minicuda.lexer import Token, TokenKind, tokenize
-from repro.minicuda.parser import Parser, parse
+from repro.minicuda.parser import parse
 from repro.minicuda.semantic import analyze
 from repro.minicuda.compiler import CompileCache, CompiledProgram, compile_source
 from repro.minicuda.hostapi import HostEnv, SolutionRecorded, WbTimer
@@ -54,7 +55,6 @@ __all__ = [
     "Diagnostic",
     "ENGINES",
     "HostEnv",
-    "Parser",
     "Preprocessor",
     "SolutionRecorded",
     "SourcePos",

@@ -6,11 +6,12 @@ it tests inline; everything else lives here:
 
 * the token cursor, rule-level lookahead and the *forced* matchers,
   which raise the same committed ``CompileError`` diagnostics as the
-  legacy recursive-descent parser;
+  hand-written descent parser the tests keep as their reference
+  (``tests/oracle_parser.py``);
 * the :func:`memoize` and :func:`memoize_left_rec` decorators (packrat
   memo; seed-growing left recursion, pegen-style) for the rules the
   grammar model says need them — in ``minicuda.gram``, none;
-* AST assembly helpers that replicate the legacy parser's node
+* AST assembly helpers that replicate that reference's node
   construction — including its position conventions and its semantic
   validations (constant array dims, switch-label rules, OpenACC
   annotation targets) — so both parsers produce byte-identical ASTs
@@ -146,7 +147,7 @@ class ParserBase:
         self._i = mark
         return ok
 
-    # -- forced matchers (commit: match or raise, legacy messages) --------
+    # -- forced matchers (commit: match or raise, the oracle's messages) --
 
     def expect_punct(self, text: str) -> Token:
         t = self._tokens[self._i]

@@ -50,9 +50,8 @@ STAGES = ("queue_wait", "container_acquire", "compile", "exec",
 #: Histogram family name for the per-stage breakdown.
 STAGE_SECONDS = "webgpu_stage_seconds"
 
-#: Front-end parse latency, failed parses included, labeled by parser
-#: backend (``pegen`` is the generated parser, ``legacy`` the
-#: hand-written descent oracle).
+#: Front-end parse latency, failed parses included (unlabelled: the
+#: product has one parser).
 PARSE_SECONDS = "webgpu_parse_seconds"
 
 #: Queue-level wait histogram, labeled by admission class — observed by
@@ -267,12 +266,12 @@ class Telemetry:
             "webgpu_kernel_launches_total",
             "kernel launches").inc(kernel=name)
 
-    def record_parse(self, backend: str, seconds: float) -> None:
+    def record_parse(self, seconds: float) -> None:
         """One front-end parse, successful or not: wall time."""
         self.metrics.histogram(
             PARSE_SECONDS,
             "host wall seconds parsing one translation unit").observe(
-                max(0.0, seconds), backend=backend)
+                max(0.0, seconds))
 
     def stage_summary(self, by_tag: bool = False) -> dict[str, dict]:
         """p50/p95/p99 etc. per stage (optionally nested per tag).

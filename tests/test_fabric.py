@@ -537,13 +537,6 @@ class TestSLOFleetManager:
         manager.evaluate()
         assert fabric.admission.state is not AdmissionState.OPEN
 
-    def test_legacy_depth_mode_untouched_without_slo(self):
-        clock = ManualClock()
-        broker = MessageBroker(telemetry=Telemetry(clock=clock))
-        manager = self.make_manager(broker, clock)
-        assert manager.meter is None
-        assert manager.evaluate() is None
-
 
 class TestFabricDashboard:
     def test_shard_and_admission_panels(self):

@@ -69,6 +69,10 @@ class TestLabConfigJson:
 
 
 class TestFleetManager:
+    #: a backlog this old with nothing delivered burns the default
+    #: 30 s queue-wait SLO twice over
+    STALLED_S = 60.0
+
     def make_manager(self, clock, broker, **kwargs):
         db = Database("metrics")
         cfg = ConfigServer()
@@ -90,11 +94,12 @@ class TestFleetManager:
     def test_scales_up_on_queue_depth(self):
         clock = ManualClock()
         broker = MessageBroker()
-        manager, _ = self.make_manager(clock, broker, scale_up_depth=3,
-                                       cooldown_s=0.0)
+        manager, _ = self.make_manager(clock, broker, cooldown_s=0.0)
         for _ in range(6):
             broker.publish(Job(lab=VECADD, source=VECADD.solution,
                                kind=JobKind.COMPILE_ONLY), clock.now())
+        assert manager.evaluate() is None  # queued this instant: no burn
+        clock.advance(self.STALLED_S)  # nothing delivered since
         event = manager.evaluate()
         assert event is not None and event.action == "add"
         assert manager.size == 2
@@ -102,11 +107,11 @@ class TestFleetManager:
     def test_cooldown_limits_thrash(self):
         clock = ManualClock()
         broker = MessageBroker()
-        manager, _ = self.make_manager(clock, broker, scale_up_depth=1,
-                                       cooldown_s=300.0)
+        manager, _ = self.make_manager(clock, broker, cooldown_s=300.0)
         for _ in range(10):
             broker.publish(Job(lab=VECADD, source=VECADD.solution,
                                kind=JobKind.COMPILE_ONLY), clock.now())
+        clock.advance(self.STALLED_S)
         assert manager.evaluate() is not None
         assert manager.evaluate() is None  # still cooling down
         clock.advance(301)
@@ -132,12 +137,13 @@ class TestFleetManager:
         clock = ManualClock()
         broker = MessageBroker()
         manager, _ = self.make_manager(clock, broker, min_workers=1,
-                                       max_workers=2, scale_up_depth=1,
+                                       max_workers=2,
                                        idle_polls_before_retire=1,
                                        cooldown_s=0.0)
         for _ in range(20):
             broker.publish(Job(lab=VECADD, source=VECADD.solution,
                                kind=JobKind.COMPILE_ONLY), clock.now())
+        clock.advance(self.STALLED_S)
         manager.evaluate()
         manager.evaluate()
         assert manager.size == 2  # capped at max
@@ -152,13 +158,14 @@ class TestFleetManager:
     def test_end_to_end_burst_absorbed(self):
         clock = ManualClock()
         broker = MessageBroker()
-        manager, _ = self.make_manager(clock, broker, scale_up_depth=2,
-                                       cooldown_s=0.0, max_workers=4)
+        manager, _ = self.make_manager(clock, broker, cooldown_s=0.0,
+                                       max_workers=4)
         for _ in range(8):
             broker.publish(Job(lab=VECADD, source=VECADD.solution,
                                kind=JobKind.COMPILE_ONLY), clock.now())
         done = 0
         for _ in range(30):
+            clock.advance(self.STALLED_S)
             manager.evaluate()
             done += manager.pump()
             if done == 8:

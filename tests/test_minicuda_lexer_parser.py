@@ -8,7 +8,6 @@ from repro.minicuda import (CompileCache, CompileError, compile_source, parse,
                             tokenize)
 from repro.minicuda import ast_nodes as ast
 from repro.minicuda.lexer import KEYWORDS, PUNCTUATION, TokenKind
-from repro.minicuda.parser import BACKENDS
 
 
 def kinds(source):
@@ -254,10 +253,9 @@ class TestNestingDepth:
     #: column of the first parenthesis opened inside 40 other brackets
     MESSAGE = "error: 1:58: program is nested too deeply"
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_both_backends_raise_the_same_positioned_diagnostic(self, backend):
+    def test_parse_raises_a_positioned_diagnostic(self):
         with pytest.raises(CompileError) as exc:
-            parse(self.DEEP, backend=backend)
+            parse(self.DEEP)
         assert str(exc.value) == self.MESSAGE
 
     def test_compile_source(self):
@@ -273,10 +271,29 @@ class TestNestingDepth:
             assert str(exc.value) == self.MESSAGE
         assert cache.compile_count == 1
 
-    def test_recursion_not_through_brackets_has_no_position(self):
-        with pytest.raises(CompileError) as exc:
-            parse("int main(){" + "if (x) " * 600 + "y = 1;}")
-        assert str(exc.value) == "error: 0:0: program is nested too deeply"
+    @pytest.mark.parametrize("body", [
+        "if (x) " * 600 + "x = 1;",
+        "if (x) x = 1; else " * 1500 + "x = 0;",
+        "return " + "- " * 3000 + "1;",
+        "x = " * 3000 + "1;",
+        "return " + "x ? 1 : " * 3000 + "0;",
+        "while (x) " * 3000 + "x = 0;",
+    ], ids=["if", "elif", "neg", "assign", "cond", "while"])
+    def test_unbracketed_recursion_is_positioned(self, body):
+        """Regression: these ended at ``0:0``. They point at the
+        definition that overflowed, from any depth of caller stack (the
+        token the parser stopped at moves with it)."""
+        source = "int g;\n#pragma once\n  int main(){ int x; " + body + " }"
+
+        def diagnose(frames_down):
+            if frames_down:
+                return diagnose(frames_down - 1)
+            with pytest.raises(CompileError) as exc:
+                compile_source(source)
+            return str(exc.value)
+
+        assert diagnose(0) == diagnose(200) == \
+            "error: 3:3: program is nested too deeply"
 
 
 class TestIntegerSuffixes:

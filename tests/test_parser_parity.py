@@ -1,8 +1,9 @@
-"""Differential tests: generated packrat parser vs the legacy oracle.
+"""Differential tests: the generated parser vs the hand-written oracle
+(``tests/oracle_parser.py``).
 
 Every source in the golden corpus (``examples/cuda/*.cu`` plus every
 lab skeleton, solution, and mutation) must parse to a byte-identical
-AST repr under both backends, and every snippet in the malformed
+AST repr under both parsers, and every snippet in the malformed
 corpus must raise a CompileError with the same message and position.
 """
 
@@ -19,9 +20,10 @@ from repro.labs.mutations import MUTATIONS, buggy_source
 from repro.minicuda.diagnostics import CompileError
 from repro.minicuda.compiler import EXTRA_TYPEDEFS
 from repro.minicuda.lexer import tokenize
-from repro.minicuda.parser import DEFAULT_TYPEDEFS, Parser, parse
+from repro.minicuda.parser import DEFAULT_TYPEDEFS, parse
 from repro.minicuda.parser_gen import MiniCudaParser
 from repro.minicuda.preprocessor import Preprocessor
+from tests.oracle_parser import Parser
 
 TYPEDEFS = frozenset(DEFAULT_TYPEDEFS) | EXTRA_TYPEDEFS
 
@@ -201,31 +203,17 @@ def test_quirky_but_legal_sources():
         assert legacy == pegen
 
 
-def test_parse_dispatch_env(monkeypatch):
-    source = "int x = 1;"
-    monkeypatch.setenv("WEBGPU_PARSER", "legacy")
-    legacy = parse(source)
-    monkeypatch.setenv("WEBGPU_PARSER", "pegen")
-    pegen = parse(source)
-    monkeypatch.delenv("WEBGPU_PARSER")
-    assert repr(legacy) == repr(pegen)
-    with pytest.raises(ValueError):
-        parse(source, backend="nonesuch")
-
-
 def test_parse_records_telemetry():
     from repro.telemetry import PARSE_SECONDS, Telemetry
 
     telemetry = Telemetry()
-    parse("int main() { return 1 + 2 * 3; }", backend="pegen",
-          telemetry=telemetry)
+    parse("int main() { return 1 + 2 * 3; }", telemetry=telemetry)
     histogram = telemetry.metrics.get(PARSE_SECONDS)
-    assert histogram.merged(backend="pegen").count == 1
+    assert histogram.series().count == 1  # the exact, unlabelled series
     # a syntax error is a parse too: the compile button's commonest outcome
     with pytest.raises(CompileError):
-        parse("int main() { return 1 + ; }", backend="pegen",
-              telemetry=telemetry)
-    assert histogram.merged(backend="pegen").count == 2
+        parse("int main() { return 1 + ; }", telemetry=telemetry)
+    assert histogram.series().count == 2
 
 
 # -- property-based round trip -------------------------------------------

@@ -14,7 +14,7 @@ from repro.minicuda import ENGINES, HostEnv, ast_nodes as ast, compile_source
 from repro.minicuda.compiler import EXTRA_TYPEDEFS
 from repro.minicuda.diagnostics import CompileError
 from repro.minicuda.lexer import TokenKind, tokenize
-from repro.minicuda.parser import BACKENDS, DEFAULT_TYPEDEFS, parse
+from repro.minicuda.parser import DEFAULT_TYPEDEFS, parse
 from repro.minicuda.parser_gen import MiniCudaParser
 from repro.minicuda.pegen import (
     FAIL,
@@ -26,6 +26,7 @@ from repro.minicuda.pegen import (
     parse_grammar,
 )
 from repro.minicuda.preprocessor import Preprocessor
+from tests.oracle_parser import Parser
 
 PKG_DIR = Path(__file__).parent.parent / "src" / "repro" / "minicuda"
 REAL_GRAMMAR = (PKG_DIR / "minicuda.gram").read_text()
@@ -446,12 +447,23 @@ class TestWorkGate:
         assert per_token <= self.LIMIT, f"{per_token:.2f} calls per token"
 
 
+def _oracle_parse(source):
+    return Parser(tokenize(source), DEFAULT_TYPEDEFS).parse_translation_unit()
+
+
+#: The product's entry point and the tests' reference parser, under the
+#: ids these cases have always had.
+BOTH_PARSERS = pytest.mark.parametrize("parse_with", [
+    pytest.param(parse, id="pegen"), pytest.param(_oracle_parse, id="legacy")])
+
+
 class TestConstantFolder:
-    """Folding happens in C long long range, on both backends."""
+    """Folding happens in C long long range, in the product and in the
+    oracle alike (they share ``_fold``)."""
 
     NOT_CONSTANT = "array dimension must be an integer constant"
 
-    @pytest.mark.parametrize("backend", BACKENDS)
+    @BOTH_PARSERS
     @pytest.mark.parametrize("dim,message", [
         ("1<<-1", NOT_CONSTANT),
         ("1<<4000000000", NOT_CONSTANT),
@@ -463,32 +475,32 @@ class TestConstantFolder:
         ("-1", "array dimension must not be negative"),
         ("2-3", "array dimension must not be negative"),
     ])
-    def test_dimension_is_rejected_with_a_position(self, backend, dim, message):
+    def test_dimension_is_rejected_with_a_position(self, parse_with, dim,
+                                                   message):
         start = time.perf_counter()
         with pytest.raises(CompileError) as exc:
-            parse(f"int a[{dim}];", backend=backend)
+            parse_with(f"int a[{dim}];")
         assert time.perf_counter() - start < 0.05
         assert str(exc.value) == f"error: 1:7: {message}"
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_what_still_folds(self, backend):
-        unit = parse("int a[1<<4][(1<<62)>>60][9223372036854775807-"
-                     "9223372036854775806];", backend=backend)
+    @BOTH_PARSERS
+    def test_what_still_folds(self, parse_with):
+        unit = parse_with("int a[1<<4][(1<<62)>>60][9223372036854775807-"
+                          "9223372036854775806];")
         assert unit.globals[0].decl.declarators[0].type.array_dims == (16, 4, 1)
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_case_labels_use_the_same_folder(self, backend):
+    @BOTH_PARSERS
+    def test_case_labels_use_the_same_folder(self, parse_with):
         with pytest.raises(CompileError) as exc:
-            parse("void f() { switch (x) { case 1<<64: ; } }",
-                  backend=backend)
+            parse_with("void f() { switch (x) { case 1<<64: ; } }")
         assert str(exc.value) == \
             "error: 1:25: case label must be an integer constant"
 
     def test_parameter_dimensions_too(self):
         errors = []
-        for backend in BACKENDS:
+        for parse_with in (parse, _oracle_parse):
             with pytest.raises(CompileError) as exc:
-                parse("void f(int a[-2]) {}", backend=backend)
+                parse_with("void f(int a[-2]) {}")
             errors.append(str(exc.value))
         assert errors[0] == errors[1] == \
             "error: 1:14: array dimension must not be negative"
@@ -509,8 +521,7 @@ class TestNewlyReachableDepth:
 
     DEPTH = 100
 
-    def test_call_and_index_nests_run_the_same_everywhere(self, monkeypatch):
-        monkeypatch.setenv("WEBGPU_PARSER", "pegen")  # legacy stops near 55
+    def test_call_and_index_nests_run_the_same_everywhere(self):
         calls = "f(" * self.DEPTH + "1" + ")" * self.DEPTH
         index = "a[" * self.DEPTH + "0" + "]" * self.DEPTH
         program = compile_source(
