@@ -38,6 +38,7 @@ from repro.broker import (
 from repro.broker.containers import CUDA_IMAGE
 from repro.cluster import FaultInjector, GpuWorker, ManualClock, WorkerConfig
 from repro.cluster.job import Job, JobKind
+from repro.core.platform_v2 import pump_drivers
 from repro.db import Database
 from repro.labs import get_lab
 from repro.telemetry import Telemetry, write_jsonl
@@ -58,11 +59,11 @@ class AckAtHandOffBroker(MessageBroker):
     """At-most-once delivery: the lease is acked as the job is handed
     over, so a consumer that dies holding it takes the job along."""
 
-    def poll(self, capabilities, num_gpus, now, zone=None, consumer=""):
-        polled = super().poll(capabilities, num_gpus, now, zone=zone,
-                              consumer=consumer)
-        if polled is not None:
-            self.ack(polled[0].job_id, now=now)
+    def poll_batch(self, capabilities, num_gpus, now, zone=None,
+                   consumer="", max_jobs=8):
+        polled = super().poll_batch(capabilities, num_gpus, now, zone=zone,
+                                    consumer=consumer, max_jobs=max_jobs)
+        self.ack_batch([job.job_id for job, _ in polled], now=now)
         return polled
 
 
@@ -71,32 +72,6 @@ def make_driver(broker, clock, metrics, name):
     return WorkerDriver(worker, broker,
                         ContainerPool([CUDA_IMAGE], warm_per_image=1),
                         ConfigServer(), metrics, clock=clock)
-
-
-def pump(drivers, broker, clock, max_steps=1000):
-    """Drive pull loops to quiescence, advancing simulated time across
-    lease expiries and redelivery backoffs (mirrors WebGPU2.pump)."""
-    results = []
-    steps = 0
-    while steps < max_steps:
-        progressed = False
-        for driver in drivers:
-            result = driver.step()
-            steps += 1
-            if result is not None:
-                results.append(result)
-                progressed = True
-        if progressed:
-            continue
-        now = clock.now()
-        changed = bool(broker.expire_leases(now))
-        wake = broker.next_wakeup(now)
-        if wake is not None:
-            clock.set(max(now, wake))
-            broker.expire_leases(clock.now())
-        elif not changed:
-            break
-    return results
 
 
 def crash_storm(at_least_once: bool) -> dict:
@@ -125,7 +100,7 @@ def crash_storm(at_least_once: bool) -> dict:
             victim = next(d.worker for d in drivers if d.worker.alive)
             injector.crash_mid_job(victim)
             crashes += 1
-        for result in pump(drivers, broker, clock):
+        for result in pump_drivers(drivers, broker, clock):
             deliveries[result.job_id] = deliveries.get(result.job_id, 0) + 1
         clock.advance(1.0)
 
@@ -160,7 +135,7 @@ def poison_run() -> dict:
     job = Job(lab=VECADD, source=VECADD.solution, kind=JobKind.RUN_DATASET,
               user="poison-student", submitted_at=clock.now())
     broker.publish(job, clock.now())
-    results = pump(drivers, broker, clock)
+    results = pump_drivers(drivers, broker, clock)
     return {"job": job, "results": results,
             "dead": broker.dead_letter(job.job_id)}
 

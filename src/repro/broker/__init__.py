@@ -11,7 +11,8 @@ driver), and reports metrics to a replicated database.
 
 * :mod:`repro.broker.queue` — the job queue with tag matching and
   at-least-once delivery (leases, acks, redelivery, dead-letter queue);
-* :mod:`repro.broker.broker` — zone-replicated broker;
+* :mod:`repro.broker.broker` — the replicated broker: zone front doors
+  over a queue whose mirrored standby promotes on loss;
 * :mod:`repro.broker.containers` — container images and the pool
   (delete after each job, replenish from the image);
 * :mod:`repro.broker.config_server` — remote config with restart
@@ -27,7 +28,11 @@ from repro.broker.queue import (
     Lease,
     QueueStats,
 )
-from repro.broker.broker import MessageBroker
+from repro.broker.broker import (
+    BrokerUnavailable,
+    FailoverReport,
+    MessageBroker,
+)
 from repro.broker.containers import Container, ContainerImage, ContainerPool
 from repro.broker.config_server import ConfigServer, WorkerRemoteConfig
 from repro.broker.driver import WorkerDriver
@@ -35,6 +40,7 @@ from repro.broker.dashboard import Dashboard
 from repro.broker.autoscaler import FleetManager, ScaleEvent
 
 __all__ = [
+    "BrokerUnavailable",
     "Container",
     "ContainerImage",
     "ContainerPool",
@@ -42,6 +48,7 @@ __all__ = [
     "Dashboard",
     "DeadLetter",
     "DeliveryPolicy",
+    "FailoverReport",
     "FleetManager",
     "Lease",
     "ScaleEvent",

@@ -27,6 +27,7 @@ from repro.cluster.scaling import SLOBurnPolicy
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.fabric.admission import AdmissionController
+    from repro.fabric.fabric import BrokerFabric
     from repro.fabric.slo import SLOPolicy
 
 
@@ -50,7 +51,7 @@ class FleetManager:
         Callback removing a driver from service.
     """
 
-    def __init__(self, broker: MessageBroker, clock: Clock,
+    def __init__(self, broker: "MessageBroker | BrokerFabric", clock: Clock,
                  spawn: Callable[[], WorkerDriver],
                  retire: Callable[[WorkerDriver], None],
                  min_workers: int = 1, max_workers: int = 16,

@@ -8,11 +8,14 @@ and broker state into a status snapshot and a text rendering.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from repro.broker.broker import MessageBroker
 from repro.db import Database
 from repro.telemetry import STAGES
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
+    from repro.fabric.fabric import BrokerFabric
 
 
 @dataclass
@@ -20,7 +23,7 @@ class Dashboard:
     """Reads (possibly replicated) metrics and renders fleet status."""
 
     metrics_db: Database
-    broker: MessageBroker
+    broker: "MessageBroker | BrokerFabric"
     #: optional repro.cluster.result_cache.PlatformCaches (or anything
     #: with a ``snapshot()``) for fleet-wide cache counters
     caches: Any = None

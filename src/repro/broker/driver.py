@@ -10,9 +10,9 @@ current requires the worker node to request a job from the queue."
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
-from repro.broker.broker import MessageBroker
+from repro.broker.broker import BrokerUnavailable, MessageBroker
 from repro.broker.config_server import ConfigServer, WorkerRemoteConfig
 from repro.broker.containers import ContainerPool
 from repro.cluster.job import JobResult, JobStatus
@@ -20,6 +20,9 @@ from repro.cluster.node import Clock, ManualClock
 from repro.cluster.worker import GpuWorker
 from repro.db import Column, ColumnType, Database, Schema
 from repro.telemetry import Telemetry, requirement_tag
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
+    from repro.fabric.fabric import BrokerFabric
 
 METRICS_SCHEMA = Schema(columns=[
     Column("worker", ColumnType.TEXT),
@@ -46,7 +49,7 @@ class DriverStats:
     nacks: int = 0               # deliveries handed back for redelivery
     crashes: int = 0             # jobs the node died holding (lease expires)
     wedged: int = 0              # jobs the node wedged holding (lease expires)
-    batches: int = 0             # batched pump ticks that leased work
+    batches: int = 0             # pump ticks that leased work
     renew_rpcs: int = 0          # batched lease-renew round-trips made
     renewed_leases: int = 0      # leases those round-trips covered
     container_seconds: float = 0.0
@@ -56,7 +59,8 @@ class DriverStats:
 class WorkerDriver:
     """One node's driver process (Figure 7, item 4)."""
 
-    def __init__(self, worker: GpuWorker, broker: MessageBroker,
+    def __init__(self, worker: GpuWorker,
+                 broker: "MessageBroker | BrokerFabric",
                  containers: ContainerPool, config_server: ConfigServer,
                  metrics_db: Database, clock: Clock | None = None,
                  zone: str = "us-east-1a", result_cache: Any = None,
@@ -82,11 +86,6 @@ class WorkerDriver:
         #: leases this node currently holds (poll -> ack/nack window);
         #: renewed in one batched round-trip per pump tick
         self._held: dict[int, Any] = {}
-        #: pump-cycle counter + the cycle that last renewed: coalesces
-        #: renew_held_leases to at most one round-trip per cycle no
-        #: matter how many call sites run in that cycle
-        self._pump_tick = 0
-        self._renewed_tick = -1
         ensure_metrics_table(metrics_db)
         containers.prestart()
 
@@ -127,19 +126,7 @@ class WorkerDriver:
     def renew_held_leases(self) -> int:
         """One batched renew round-trip covering every lease this node
         holds — instead of one round-trip per lease. The saved
-        round-trips are counted so the batching claim has receipts.
-
-        At most one renewal runs per pump cycle: both ``step`` and
-        ``step_batch`` historically called this at the top of the
-        cycle, where ``_held`` is always empty (leases are seated only
-        after the poll), so the renewal covered nothing — and a second
-        call site in the same cycle would double the RPC accounting.
-        The tick guard coalesces duplicate sites; ``step_batch`` now
-        renews right after seating its leases, when the batch is
-        actually held."""
-        if self._renewed_tick == self._pump_tick:
-            return 0
-        self._renewed_tick = self._pump_tick
+        round-trips are counted so the batching claim has receipts."""
         if not self._held:
             return 0
         held = list(self._held)
@@ -159,79 +146,45 @@ class WorkerDriver:
         return renewed
 
     def step(self) -> JobResult | None:
-        """One pull-loop iteration: config check, poll, run, ack, report.
-
-        Returns the job result if a job was processed, else ``None``.
-        A successful job acks its lease; an infrastructure failure with
-        the node still up nacks it for redelivery; a node that dies (or
-        wedges) holding a job acks nothing — the lease expires and the
-        broker redelivers the job to another matching node.
-        """
-        if not self.worker.alive or self.worker.wedged:
-            return None
-        self._pump_tick += 1
-        self.check_config()
-        self.stats.polls += 1
-        polled = self.broker.poll(self.capabilities,
-                                  self.worker.config.num_gpus,
-                                  self.clock.now(), zone=self.zone,
-                                  consumer=self.worker.name)
-        if polled is None:
-            self.stats.empty_polls += 1
-            return None
-        job, queue_wait = polled
-        self._held[job.job_id] = job
-        outcome, result, reason = self._process_delivery(job, queue_wait)
-        self._held.pop(job.job_id, None)
-        if outcome == "ack":
-            self.broker.ack(job.job_id,
-                            now=max(self.clock.now(), result.finished_at))
-            self.stats.acks += 1
-            return result
-        if outcome == "nack":
-            self.stats.nacks += 1
-            self.broker.nack(job.job_id, self.clock.now(), reason=reason)
-        return None
+        """The pull loop's batch of one: the job result if a job was
+        processed and acked, else ``None``."""
+        results = self.step_batch(max_jobs=1)
+        return results[0] if results else None
 
     def step_batch(self, max_jobs: int = 8) -> list[JobResult]:
-        """One *batched* pump tick: lease up to ``max_jobs`` jobs in a
-        single poll round-trip, process them, then flush all the acks
-        (and nacks) in one round-trip each — the chatty per-job I/O of
-        :meth:`step` coalesced per tick.
+        """One pull-loop tick: config check, lease up to ``max_jobs``
+        jobs in a single poll round-trip, process them, then flush all
+        the acks (and nacks) in one round-trip each.
 
-        Crash semantics stay honest: a node that dies or wedges
-        mid-batch reports nothing — its pending acks die with it, the
-        held leases expire, and the broker redelivers (the grading
-        result cache makes the re-runs cheap)."""
+        A successful job acks its lease; an infrastructure failure with
+        the node still up nacks it for redelivery. Crash semantics stay
+        honest: a node that dies or wedges mid-batch reports nothing —
+        its pending acks die with it, the held leases expire, and the
+        broker redelivers to another matching node (the grading result
+        cache makes the re-runs cheap). A broker with every zone down
+        is an empty poll."""
         if not self.worker.alive or self.worker.wedged:
             return []
-        self._pump_tick += 1
         self.check_config()
         self.stats.polls += 1
         now = self.clock.now()
-        if hasattr(self.broker, "poll_batch"):
+        try:
             polled = self.broker.poll_batch(
                 self.capabilities, self.worker.config.num_gpus, now,
-                consumer=self.worker.name, max_jobs=max_jobs)
-        else:
+                zone=self.zone, consumer=self.worker.name,
+                max_jobs=max_jobs)
+        except BrokerUnavailable:
             polled = []
-            while len(polled) < max_jobs:
-                one = self.broker.poll(self.capabilities,
-                                       self.worker.config.num_gpus,
-                                       now, zone=self.zone,
-                                       consumer=self.worker.name)
-                if one is None:
-                    break
-                polled.append(one)
         if not polled:
             self.stats.empty_polls += 1
             return []
         self.stats.batches += 1
         for job, _ in polled:
             self._held[job.job_id] = job
-        # renew once per cycle while the batch is actually held (the
-        # old top-of-cycle call always saw an empty held set)
-        self.renew_held_leases()
+        # a single lease is held only inside this tick: nothing to
+        # coalesce, so no renew round-trip
+        if len(polled) > 1:
+            self.renew_held_leases()
         acks: list[int] = []
         nacks: list[tuple[int, str]] = []
         results: list[JobResult] = []
@@ -251,22 +204,12 @@ class WorkerDriver:
                 # result cache by whoever picks them up)
                 self._held.clear()
                 return []
-        ack_time = max(self.clock.now(), latest)
         if acks:
-            if hasattr(self.broker, "ack_batch"):
-                self.broker.ack_batch(acks, now=ack_time)
-            else:
-                for job_id in acks:
-                    self.broker.ack(job_id, now=ack_time)
+            self.broker.ack_batch(acks, now=max(self.clock.now(), latest))
             self.stats.acks += len(acks)
         if nacks:
+            self.broker.nack_batch(nacks, self.clock.now())
             self.stats.nacks += len(nacks)
-            if hasattr(self.broker, "nack_batch"):
-                self.broker.nack_batch(nacks, self.clock.now())
-            else:
-                for job_id, reason in nacks:
-                    self.broker.nack(job_id, self.clock.now(),
-                                     reason=reason)
         self._held.clear()
         return results
 

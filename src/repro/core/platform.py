@@ -19,7 +19,7 @@ from repro.cluster import (
     WorkerConfig,
     WorkerPool,
 )
-from repro.cluster.job import Job, JobKind, JobResult
+from repro.cluster.job import Job, JobKind, JobResult, JobStatus
 from repro.cluster.node import Clock
 from repro.cluster.result_cache import PlatformCaches
 from repro.core.course import Course, CourseOffering
@@ -306,6 +306,8 @@ class WebGPU:
     def _run_job(self, course_key: str, user: User, lab_slug: str,
                  kind: JobKind,
                  dataset_index: int) -> tuple[Attempt, JobResult]:
+        """The submit template both architectures share; how the job
+        reaches a worker is :meth:`_dispatch`."""
         self._require_enrolled(course_key, user)
         lab = self._lab_for(course_key, lab_slug)
         self._validate_dataset_index(lab, kind, dataset_index)
@@ -319,39 +321,43 @@ class WebGPU:
         if revision is None:
             raise PlatformError("no code saved for this lab yet")
 
-        conn = self.db_pool.acquire()
+        job = Job(lab=lab, source=revision.source, kind=kind,
+                  dataset_index=dataset_index, user=user.email,
+                  course=course_key, submitted_at=now)
         tracer = self.telemetry.tracer
         root = NULL_SPAN
+        if tracer.enabled:
+            root = tracer.start_trace("submit", time=now,
+                                      job_id=job.job_id, user=user.email,
+                                      lab=lab_slug, kind=kind.value)
+            job.trace = root.context
+        self._last_root = root
+        result = self._dispatch(job, now)
+        root.end(time=max(self.clock.now(), result.finished_at),
+                 status=result.status.value)
+        attempt = self.attempts.record(
+            user.user_id, lab_slug, self._kind_for(kind),
+            revision.revision_id, dataset_index, now, result)
+        self._last_results[(user.user_id, lab_slug)] = result
+        return attempt, result
+
+    def _dispatch(self, job: Job, now: float) -> JobResult:
+        """v1 hand-over: hold a pooled connection and push the job to
+        a worker. A failure to deliver is returned as a FAILED result,
+        never raised."""
+        conn = self.db_pool.acquire()
         try:
-            job = Job(lab=lab, source=revision.source, kind=kind,
-                      dataset_index=dataset_index, user=user.email,
-                      submitted_at=now)
-            if tracer.enabled:
-                root = tracer.start_trace("submit", time=now,
-                                          job_id=job.job_id,
-                                          user=user.email, lab=lab_slug,
-                                          kind=kind.value)
-                job.trace = root.context
-            self._last_root = root
-            try:
-                result = self.dispatcher.dispatch(job)
-            except DispatchError as exc:
-                # no worker satisfies the job: surface it as a failed
-                # attempt rather than a crash (matches the v2 behaviour)
-                from repro.cluster.job import JobStatus
-                result = JobResult(job_id=job.job_id,
-                                   status=JobStatus.FAILED, error=str(exc))
-            root.end(time=max(now, result.finished_at),
-                     status=result.status.value)
-            self.telemetry.record_stage(
-                "queue_wait", 0.0, tag=requirement_tag(job))
-            attempt = self.attempts.record(
-                user.user_id, lab_slug, self._kind_for(kind),
-                revision.revision_id, dataset_index, now, result)
-            self._last_results[(user.user_id, lab_slug)] = result
-            return attempt, result
+            result = self.dispatcher.dispatch(job)
+        except DispatchError as exc:
+            # no worker satisfies the job: surface it as a failed
+            # attempt rather than a crash (matches the v2 behaviour)
+            result = JobResult(job_id=job.job_id,
+                               status=JobStatus.FAILED, error=str(exc))
         finally:
             conn.release()
+        self.telemetry.record_stage(
+            "queue_wait", 0.0, tag=requirement_tag(job))
+        return result
 
     @staticmethod
     def _kind_for(kind: JobKind) -> SubmissionKind:

@@ -16,6 +16,7 @@ from typing import Callable
 import numpy as np
 
 from repro.broker import (
+    BrokerUnavailable,
     ConfigServer,
     ContainerPool,
     Dashboard,
@@ -30,16 +31,15 @@ from repro.broker.containers import (
     ContainerImage,
 )
 from repro.cluster import GpuWorker, WorkerConfig
-from repro.cluster.job import Job, JobKind, JobResult, JobStatus
+from repro.cluster.job import Job, JobResult, JobStatus
 from repro.cluster.node import Clock, ManualClock
 from repro.cluster.result_cache import PlatformCaches
 from repro.core.gradebook import GradeEntry
-from repro.core.platform import PlatformError, WebGPU
-from repro.core.users import User
+from repro.core.platform import WebGPU
 from repro.db import Database, ReplicatedDatabase
-from repro.fabric import BrokerFabric, FabricConfig
+from repro.fabric import AdmissionDecision, BrokerFabric, FabricConfig
 from repro.storage import ObjectStore
-from repro.telemetry import NULL_SPAN, Telemetry, requirement_tag
+from repro.telemetry import Telemetry
 
 #: Images every v2 worker carries unless configured otherwise.
 DEFAULT_IMAGES: tuple[ContainerImage, ...] = (CUDA_IMAGE, OPENCL_IMAGE)
@@ -68,16 +68,17 @@ class WebGPU2(WebGPU):
                      else Telemetry(clock=clock))
         self.fabric_config = fabric
         if fabric is not None:
-            # sharded fabric: consistent-hash shards with replica
-            # failover, batched delivery I/O, and deadline-aware
-            # admission replacing the single zone-replicated queue
+            # sharded fabric: a consistent-hash ring of brokers with
+            # batched delivery I/O and deadline-aware admission
             self.broker = BrokerFabric.from_config(
                 fabric, policy=delivery, telemetry=telemetry)
             self._batch_size = fabric.batch_size
+            self._admit = self.broker.admit
         else:
             self.broker = MessageBroker(zones=zones, policy=delivery,
                                         telemetry=telemetry)
             self._batch_size = 1
+            self._admit = _admit_all
         self.config_server = ConfigServer()
         self.metrics = ReplicatedDatabase("metrics")
         for zone in zones:
@@ -134,47 +135,9 @@ class WebGPU2(WebGPU):
         return super().remove_worker(name)
 
     def pump(self, max_steps: int = 1000) -> list[JobResult]:
-        """Run driver pull loops until the queue drains (or step cap).
-
-        When no driver can make progress but deliveries are still
-        pending — leases held by crashed nodes, redeliveries waiting
-        out their backoff — simulated time is advanced to the next
-        delivery event so redelivery completes within one pump.
-        """
-        results: list[JobResult] = []
-        batched = self._batch_size > 1 and hasattr(self.broker,
-                                                   "poll_batch")
-        steps = 0
-        while steps < max_steps:
-            progressed = False
-            for driver in self.drivers:
-                if batched:
-                    batch = driver.step_batch(max_jobs=self._batch_size)
-                    steps += 1
-                    if batch:
-                        results.extend(batch)
-                        progressed = True
-                else:
-                    result = driver.step()
-                    steps += 1
-                    if result is not None:
-                        results.append(result)
-                        progressed = True
-            if not progressed and not self._advance_delivery():
-                break
-        return results
-
-    def _advance_delivery(self) -> bool:
-        """Drive lease expiry and redelivery backoffs; True if delivery
-        state changed (the pump should keep polling)."""
-        now = self.clock.now()
-        changed = bool(self.broker.expire_leases(now))
-        wake = self.broker.next_wakeup(now)
-        if wake is not None and hasattr(self.clock, "set"):
-            self.clock.set(max(now, wake))
-            self.broker.expire_leases(self.clock.now())
-            return True
-        return changed
+        """Run the fleet's pull loops until the queue drains."""
+        return pump_drivers(self.drivers, self.broker, self.clock,
+                            self._batch_size, max_steps)
 
     # -- lab authoring through the object store -----------------------------------
 
@@ -223,85 +186,90 @@ class WebGPU2(WebGPU):
 
     # -- job plumbing override: publish + pull instead of push -----------------------------
 
-    def _run_job(self, course_key: str, user: User, lab_slug: str,
-                 kind: JobKind, dataset_index: int):
-        from repro.core.platform import RateLimited
+    def _dispatch(self, job: Job, now: float) -> JobResult:
+        """v2 hand-over: admit, publish to the broker, pump the pull
+        loops, and account for a job no driver brought back."""
+        decision = self._admit(job, now)
+        if decision.action == "shed":
+            # admission shed (never a grading job): an honest
+            # REJECTED attempt, no broker round-trip spent on it
+            result = JobResult(
+                job_id=job.job_id, status=JobStatus.REJECTED,
+                error=f"shed by admission control: {decision.reason}")
+            result.extra["admission"] = decision.reason
+            return result
+        try:
+            self.broker.publish(job, now, delay_s=decision.delay_s)
+        except BrokerUnavailable as exc:
+            return JobResult(job_id=job.job_id, status=JobStatus.FAILED,
+                             error=f"broker unavailable: {exc}")
+        for result in self.pump():
+            if result.job_id == job.job_id:
+                return result
+        if self.broker.dead_letter(job.job_id) is not None:
+            # poison job: every delivery attempt crashed a node —
+            # surface an honest FAILED attempt with the history
+            history = "; ".join(
+                f"attempt {f['attempt']}: {f['reason']}"
+                for f in job.delivery.failures)
+            result = JobResult(
+                job_id=job.job_id, status=JobStatus.FAILED,
+                error=f"dead-lettered after {job.delivery.attempts} "
+                      f"delivery attempt(s): {history}")
+            result.extra["dead_lettered"] = True
+            result.extra["attempts"] = job.delivery.attempts
+            result.extra["redeliveries"] = job.delivery.redeliveries
+            return result
+        # no matching worker: cancel the job so a capable worker added
+        # later does not grade an orphan nobody is waiting for
+        self.broker.cancel(job.job_id)
+        suffix = (f" after {job.delivery.attempts} failed delivery "
+                  "attempt(s)" if job.delivery.attempts else "")
+        return JobResult(
+            job_id=job.job_id, status=JobStatus.FAILED,
+            error="no worker in the fleet can satisfy this job's "
+                  f"requirements ({sorted(job.requirements)}){suffix}")
 
-        self._require_enrolled(course_key, user)
-        lab = self._lab_for(course_key, lab_slug)
-        self._validate_dataset_index(lab, kind, dataset_index)
-        now = self.clock.now()
-        if not self.rate_limiter.try_submit(user.email, now):
-            raise RateLimited(
-                f"{user.email} is submitting too fast; try again shortly")
-        revision = self.revisions.latest(user.user_id, lab_slug)
-        if revision is None:
-            raise PlatformError("no code saved for this lab yet")
 
-        job = Job(lab=lab, source=revision.source, kind=kind,
-                  dataset_index=dataset_index, user=user.email,
-                  course=course_key, submitted_at=now)
-        tracer = self.telemetry.tracer
-        root = NULL_SPAN
-        if tracer.enabled:
-            root = tracer.start_trace("submit", time=now,
-                                      job_id=job.job_id, user=user.email,
-                                      lab=lab_slug, kind=kind.value)
-            job.trace = root.context
-        self._last_root = root
-        delay_s = 0.0
-        if hasattr(self.broker, "admit"):
-            decision = self.broker.admit(job, now)
-            if decision.action == "shed":
-                # admission shed (never a grading job): an honest
-                # REJECTED attempt, no broker round-trip spent on it
-                root.end(time=now, status=JobStatus.REJECTED.value)
-                result = JobResult(
-                    job_id=job.job_id, status=JobStatus.REJECTED,
-                    error=f"shed by admission control: {decision.reason}")
-                result.extra["admission"] = decision.reason
-                attempt = self.attempts.record(
-                    user.user_id, lab_slug, self._kind_for(kind),
-                    revision.revision_id, dataset_index, now, result)
-                self._last_results[(user.user_id, lab_slug)] = result
-                return attempt, result
-            delay_s = decision.delay_s
-            self.broker.publish(job, now, delay_s=delay_s)
-        else:
-            self.broker.publish(job, now)
-        results = self.pump()
-        result = next((r for r in results if r.job_id == job.job_id), None)
-        if result is None:
-            dead = self.broker.dead_letter(job.job_id)
-            if dead is not None:
-                # poison job: every delivery attempt crashed a node —
-                # surface an honest FAILED attempt with the history
-                history = "; ".join(
-                    f"attempt {f['attempt']}: {f['reason']}"
-                    for f in job.delivery.failures)
-                result = JobResult(
-                    job_id=job.job_id, status=JobStatus.FAILED,
-                    error=f"dead-lettered after {job.delivery.attempts} "
-                          f"delivery attempt(s): {history}")
-                result.extra["dead_lettered"] = True
-                result.extra["attempts"] = job.delivery.attempts
-                result.extra["redeliveries"] = job.delivery.redeliveries
-            else:
-                # no matching worker: cancel the job so a capable
-                # worker added later does not grade an orphan nobody
-                # is waiting for
-                self.broker.cancel(job.job_id)
-                suffix = (f" after {job.delivery.attempts} failed delivery "
-                          "attempt(s)" if job.delivery.attempts else "")
-                result = JobResult(
-                    job_id=job.job_id, status=JobStatus.FAILED,
-                    error="no worker in the fleet can satisfy this job's "
-                          f"requirements ({sorted(job.requirements)})"
-                          f"{suffix}")
-        root.end(time=max(self.clock.now(), result.finished_at),
-                 status=result.status.value)
-        attempt = self.attempts.record(
-            user.user_id, lab_slug, self._kind_for(kind),
-            revision.revision_id, dataset_index, now, result)
-        self._last_results[(user.user_id, lab_slug)] = result
-        return attempt, result
+_ADMITTED = AdmissionDecision("admit", "any")
+
+
+def _admit_all(job: Job, now: float) -> AdmissionDecision:
+    """The plain broker has no admission ladder."""
+    return _ADMITTED
+
+
+def pump_drivers(drivers: list[WorkerDriver],
+                 broker: MessageBroker | BrokerFabric, clock: Clock,
+                 batch_size: int = 1,
+                 max_steps: int = 1000) -> list[JobResult]:
+    """Run driver pull loops until the queue drains (or step cap).
+
+    When no driver can make progress but deliveries are still pending —
+    leases held by crashed nodes, redeliveries waiting out their
+    backoff — simulated time is advanced to the next delivery event so
+    redelivery completes within one pump.
+    """
+    results: list[JobResult] = []
+    steps = 0
+    while steps < max_steps:
+        progressed = False
+        for driver in drivers:
+            batch = driver.step_batch(batch_size)
+            steps += 1
+            if batch:
+                results.extend(batch)
+                progressed = True
+        if progressed:
+            continue
+        # drive lease expiry and redelivery backoffs; stop once
+        # delivery state can no longer change on its own
+        now = clock.now()
+        changed = bool(broker.expire_leases(now))
+        wake = broker.next_wakeup(now)
+        if wake is not None and hasattr(clock, "set"):
+            clock.set(max(now, wake))
+            broker.expire_leases(clock.now())
+        elif not changed:
+            break
+    return results

@@ -1,13 +1,14 @@
 """The sharded broker fabric: ring-routed queues behind one facade.
 
-Drop-in for :class:`repro.broker.broker.MessageBroker` (same delivery
-surface: publish/poll/ack/nack/expire/cancel/DLQ), plus the three
-things the single queue could not give a million-student semester:
+A ring of :class:`repro.broker.broker.MessageBroker` shards presented
+through the same delivery surface (publish/poll/ack/nack/expire/
+cancel/DLQ). How a queue survives the loss of a replica is the
+broker's job; the fabric adds the three things one queue could not
+give a million-student semester:
 
 * **sharding** — jobs route by ``(course, lab)`` over a consistent-hash
-  ring of independent ``JobQueue`` shards, each with a standby replica
-  (:class:`~repro.fabric.shard.FabricShard`) that promotes on loss
-  without dropping accepted work;
+  ring of independent brokers, each of which promotes its mirrored
+  standby on loss without dropping accepted work;
 * **batched I/O** — ``publish_batch`` / ``poll_batch`` / ``ack_batch``
   / ``renew`` coalesce the chatty per-job round-trips into one RPC per
   pump tick, with ``webgpu_fabric_{ops,rpcs}_total`` counting exactly
@@ -25,7 +26,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.broker.queue import DeadLetter, DeliveryPolicy, JobQueue, QueueStats
+from repro.broker.broker import FailoverReport, MessageBroker
+from repro.broker.queue import DeadLetter, DeliveryPolicy, QueueStats
 from repro.cluster.job import Job
 from repro.fabric.admission import (
     AdmissionController,
@@ -33,7 +35,6 @@ from repro.fabric.admission import (
     AdmissionPolicy,
 )
 from repro.fabric.ring import HashRing
-from repro.fabric.shard import FabricShard, FailoverReport
 from repro.fabric.slo import SLOBurnMeter, SLOPolicy
 from repro.telemetry import Telemetry
 
@@ -43,14 +44,10 @@ class FabricConfig:
     """How a platform builds its fabric (``WebGPU2(fabric=...)``)."""
 
     num_shards: int = 4
-    vnodes: int = 64
-    replicas_per_shard: int = 2
     #: batched-pump width: jobs a driver may lease per tick
     batch_size: int = 8
     slo: SLOPolicy | None = None
     admission: AdmissionPolicy | None = None
-    #: set False to run the fabric without admission control (ablation)
-    admission_enabled: bool = True
 
 
 class _FabricQueueView:
@@ -63,10 +60,8 @@ class _FabricQueueView:
     @property
     def stats(self) -> QueueStats:
         total = QueueStats()
-        for shard in self._fabric.shards.values():
+        for shard in self._fabric._all_shards():
             total.add(shard.queue.stats)
-        for queue in self._fabric._draining.values():
-            total.add(queue.stats)
         return total
 
     @property
@@ -86,10 +81,8 @@ class _FabricQueueView:
 
     def in_flight(self) -> list[Job]:
         out: list[Job] = []
-        for shard in self._fabric.shards.values():
+        for shard in self._fabric._all_shards():
             out.extend(shard.queue.in_flight())
-        for queue in self._fabric._draining.values():
-            out.extend(queue.in_flight())
         return out
 
     def dead_letters(self) -> list[DeadLetter]:
@@ -100,37 +93,27 @@ class _FabricQueueView:
 
 
 class BrokerFabric:
-    """N consistent-hash-routed shards presented as one broker."""
+    """N consistent-hash-routed brokers presented as one broker."""
 
     def __init__(self, num_shards: int = 4,
                  policy: DeliveryPolicy | None = None,
                  telemetry: Telemetry | None = None,
-                 vnodes: int = 64, replicas_per_shard: int = 2,
                  slo: SLOPolicy | None = None,
-                 admission: AdmissionPolicy | None = None,
-                 admission_enabled: bool = True,
-                 shard_names: tuple[str, ...] | None = None):
-        if shard_names is None:
-            if num_shards < 1:
-                raise ValueError("need at least one shard")
-            shard_names = tuple(f"shard-{i}" for i in range(num_shards))
+                 admission: AdmissionPolicy | None = None):
+        if num_shards < 1:
+            raise ValueError("need at least one shard")
         self.policy = policy or DeliveryPolicy()
         self.telemetry = telemetry if telemetry is not None else Telemetry()
-        self.replicas_per_shard = replicas_per_shard
-        self.ring = HashRing(shard_names, vnodes=vnodes)
-        self.shards: dict[str, FabricShard] = {
-            name: FabricShard(name, policy=self.policy,
-                              telemetry=self.telemetry,
-                              replicas=replicas_per_shard)
-            for name in shard_names}
+        self.ring = HashRing()
+        self.shards: dict[str, MessageBroker] = {}
+        for i in range(num_shards):
+            self._new_shard(f"shard-{i}")
         #: removed shards whose leases are still draining
-        self._draining: dict[str, JobQueue] = {}
+        self._draining: dict[str, MessageBroker] = {}
         self._route: dict[int, str] = {}      # job_id -> shard name
         self._poll_rr = 0
         self.slo = SLOBurnMeter(self.telemetry, slo or SLOPolicy())
-        self.admission: AdmissionController | None = (
-            AdmissionController(admission, self.telemetry)
-            if admission_enabled else None)
+        self.admission = AdmissionController(admission, self.telemetry)
         self.failovers: list[FailoverReport] = []
 
     @classmethod
@@ -138,10 +121,19 @@ class BrokerFabric:
                     policy: DeliveryPolicy | None = None,
                     telemetry: Telemetry | None = None) -> "BrokerFabric":
         return cls(num_shards=config.num_shards, policy=policy,
-                   telemetry=telemetry, vnodes=config.vnodes,
-                   replicas_per_shard=config.replicas_per_shard,
-                   slo=config.slo, admission=config.admission,
-                   admission_enabled=config.admission_enabled)
+                   telemetry=telemetry, slo=config.slo,
+                   admission=config.admission)
+
+    def _new_shard(self, name: str) -> MessageBroker:
+        self.ring.add(name)
+        shard = MessageBroker(name=name, policy=self.policy,
+                              telemetry=self.telemetry)
+        self.shards[name] = shard
+        return shard
+
+    def _all_shards(self) -> list[MessageBroker]:
+        """Ring members plus retired shards still draining leases."""
+        return [*self.shards.values(), *self._draining.values()]
 
     # -- routing -----------------------------------------------------------
 
@@ -149,9 +141,9 @@ class BrokerFabric:
     def key_for(job: Job) -> str:
         """The partition key: one course's one lab is one shard's
         problem (the deadline-storm unit of locality)."""
-        return f"{getattr(job, 'course', '')}/{job.lab.slug}"
+        return f"{job.course}/{job.lab.slug}"
 
-    def shard_of(self, job: Job) -> FabricShard:
+    def shard_of(self, job: Job) -> MessageBroker:
         return self.shards[self.ring.shard_for(self.key_for(job))]
 
     def _count_io(self, op: str, ops: int, rpcs: int = 1) -> None:
@@ -161,26 +153,11 @@ class BrokerFabric:
         metrics.counter("webgpu_fabric_rpcs_total",
                         "round-trips actually made").inc(rpcs, op=op)
 
-    def _gauge_shards(self) -> None:
-        metrics = self.telemetry.metrics
-        depth = metrics.gauge("webgpu_shard_depth",
-                              "waiting jobs per shard")
-        in_flight = metrics.gauge("webgpu_shard_in_flight",
-                                  "leased jobs per shard")
-        dlq = metrics.gauge("webgpu_shard_dlq",
-                            "dead letters per shard")
-        for name, shard in self.shards.items():
-            depth.set(shard.depth, shard=name)
-            in_flight.set(shard.in_flight_count, shard=name)
-            dlq.set(len(shard.queue.dead_letters()), shard=name)
-
     # -- admission ---------------------------------------------------------
 
     def admit(self, job: Job, now: float) -> AdmissionDecision:
         """Admission decision for one submission; samples the burn
         meter (rate-limited by the SLO policy) as a side effect."""
-        if self.admission is None:
-            return AdmissionDecision("admit", "run")
         if self.slo.due(now):
             sample = self.slo.sample(
                 now, stalled_wait_s=self.queue.oldest_wait(now))
@@ -195,10 +172,8 @@ class BrokerFabric:
         seats the job with a not-before (the admission deferral)."""
         shard = self.shard_of(job)
         self._route[job.job_id] = shard.name
-        not_before = now + delay_s if delay_s > 0 else 0.0
-        shard.publish(job, now, not_before=not_before)
+        shard.publish(job, now, delay_s=delay_s)
         self._count_io("publish", 1)
-        self._gauge_shards()
         return shard.name
 
     def publish_batch(self, jobs: list[Job], now: float) -> dict[str, int]:
@@ -214,7 +189,6 @@ class BrokerFabric:
                 self._route[job.job_id] = name
                 shard.publish(job, now)
             self._count_io("publish", len(batch))
-        self._gauge_shards()
         return {name: len(batch) for name, batch in per_shard.items()}
 
     def poll(self, capabilities: frozenset[str], num_gpus: int, now: float,
@@ -222,22 +196,16 @@ class BrokerFabric:
              consumer: str = "") -> tuple[Job, float] | None:
         """Lease the oldest satisfiable job, scanning shards from a
         rotating start so no shard starves behind shard-0."""
-        names = self.ring.shards
-        self._poll_rr += 1
-        start = self._poll_rr % len(names)
-        self._count_io("poll", 1)
-        for i in range(len(names)):
-            shard = self.shards[names[(start + i) % len(names)]]
-            polled = shard.poll(capabilities, num_gpus, now,
-                                consumer=consumer)
-            if polled is not None:
-                return polled
-        return None
+        polled = self.poll_batch(capabilities, num_gpus, now,
+                                 consumer=consumer, max_jobs=1)
+        return polled[0] if polled else None
 
     def poll_batch(self, capabilities: frozenset[str], num_gpus: int,
-                   now: float, consumer: str = "",
+                   now: float, zone: str | None = None, consumer: str = "",
                    max_jobs: int = 8) -> list[tuple[Job, float]]:
-        """Lease up to ``max_jobs`` jobs across shards in one RPC."""
+        """Lease up to ``max_jobs`` jobs across shards in one RPC,
+        scanning from a rotating start so no shard starves behind
+        shard-0."""
         names = self.ring.shards
         self._poll_rr += 1
         start = self._poll_rr % len(names)
@@ -252,23 +220,14 @@ class BrokerFabric:
         self._count_io("poll", max(1, len(out)))
         return out
 
-    def _owner(self, job_id: int) -> "FabricShard | JobQueue | None":
-        name = self._route.get(job_id)
-        if name is None:
-            return None
-        shard = self.shards.get(name)
-        if shard is not None:
-            return shard
-        return self._draining.get(name)
+    def _shard_named(self, name: str | None) -> MessageBroker | None:
+        return self.shards.get(name) or self._draining.get(name)
+
+    def _owner(self, job_id: int) -> MessageBroker | None:
+        return self._shard_named(self._route.get(job_id))
 
     def ack(self, job_id: int, now: float | None = None) -> bool:
-        owner = self._owner(job_id)
-        ok = owner is not None and owner.ack(job_id, now=now)
-        if ok:
-            self._route.pop(job_id, None)
-        self._count_io("ack", 1)
-        self._drop_drained()
-        return ok
+        return self.ack_batch([job_id], now=now) == 1
 
     def ack_batch(self, job_ids: list[int],
                   now: float | None = None) -> int:
@@ -284,10 +243,7 @@ class BrokerFabric:
 
     def nack(self, job_id: int, now: float,
              reason: str = "consumer nack") -> bool:
-        owner = self._owner(job_id)
-        self._count_io("nack", 1)
-        return owner is not None and owner.nack(job_id, now,
-                                                reason=reason)
+        return self.nack_batch([(job_id, reason)], now) == 1
 
     def nack_batch(self, failures: list[tuple[int, str]],
                    now: float) -> int:
@@ -310,7 +266,7 @@ class BrokerFabric:
                 per_owner.setdefault(name, []).append(job_id)
         renewed = 0
         for name, ids in per_owner.items():
-            owner = self.shards.get(name) or self._draining.get(name)
+            owner = self._shard_named(name)
             if owner is not None:
                 renewed += owner.renew(ids, now)
         self._count_io("renew", max(1, len(job_ids)),
@@ -319,10 +275,8 @@ class BrokerFabric:
 
     def expire_leases(self, now: float) -> list[Job]:
         expired: list[Job] = []
-        for shard in self.shards.values():
+        for shard in self._all_shards():
             expired.extend(shard.expire_leases(now))
-        for queue in self._draining.values():
-            expired.extend(queue.expire_leases(now))
         self._reroute_drained(now)
         return expired
 
@@ -335,38 +289,25 @@ class BrokerFabric:
 
     def dead_letters(self) -> list[DeadLetter]:
         out: list[DeadLetter] = []
-        for shard in self.shards.values():
-            out.extend(shard.queue.dead_letters())
-        for queue in self._draining.values():
-            out.extend(queue.dead_letters())
+        for shard in self._all_shards():
+            out.extend(shard.dead_letters())
         return out
 
     def dead_letter(self, job_id: int) -> DeadLetter | None:
         owner = self._owner(job_id)
-        if isinstance(owner, FabricShard):
-            return owner.queue.dead_letter(job_id)
-        if owner is not None:
-            return owner.dead_letter(job_id)
-        for dead in self.dead_letters():
-            if dead.job.job_id == job_id:
-                return dead
-        return None
+        return owner.dead_letter(job_id) if owner is not None else None
 
     def next_wakeup(self, now: float) -> float | None:
-        times = [t for shard in self.shards.values()
-                 if (t := shard.queue.next_wakeup(now)) is not None]
-        times += [t for queue in self._draining.values()
-                  if (t := queue.next_wakeup(now)) is not None]
+        times = [t for shard in self._all_shards()
+                 if (t := shard.next_wakeup(now)) is not None]
         return min(times, default=None)
 
     def depth(self) -> int:
-        return (sum(shard.depth for shard in self.shards.values())
-                + sum(len(q) for q in self._draining.values()))
+        return sum(shard.depth() for shard in self._all_shards())
 
     @property
     def in_flight_count(self) -> int:
-        return (sum(s.in_flight_count for s in self.shards.values())
-                + sum(q.in_flight_count for q in self._draining.values()))
+        return sum(s.in_flight_count for s in self._all_shards())
 
     @property
     def queue(self) -> _FabricQueueView:
@@ -388,78 +329,65 @@ class BrokerFabric:
         re-seats everything un-acked (waiting, leased, dead-lettered)."""
         report = self.shards[name].crash(now)
         self.failovers.append(report)
-        self._gauge_shards()
         return report
+
+    def _migrate(self, donor: MessageBroker, job: Job,
+                 not_before: float = 0.0) -> bool:
+        """Move one waiting job to its current ring owner, enqueue
+        time intact; False if it already is where it belongs."""
+        target = self.ring.shard_for(self.key_for(job))
+        if target == donor.name:
+            return False
+        taken = donor.take(job.job_id)
+        if taken is None:
+            return False
+        self.shards[target].restore(taken[0], taken[1],
+                                    not_before=not_before)
+        self._route[job.job_id] = target
+        return True
 
     def add_shard(self, name: str, now: float) -> int:
         """Grow the ring; waiting jobs whose key now maps to the new
         shard migrate with their enqueue times intact. In-flight
         leases stay put (their routing is pinned until terminal).
         Returns the number of jobs migrated."""
-        shard = FabricShard(name, policy=self.policy,
-                            telemetry=self.telemetry,
-                            replicas=self.replicas_per_shard)
-        self.shards[name] = shard
-        self.ring.add(name)
+        self._new_shard(name)
         moved = 0
         for donor in list(self.shards.values()):
             if donor.name == name:
                 continue
-            for job in list(donor.queue.waiting()):
-                target = self.ring.shard_for(self.key_for(job))
-                if target == donor.name:
-                    continue
-                taken = donor.take(job.job_id)
-                if taken is None:
-                    continue
-                self.shards[target].restore(taken[0], taken[1])
-                self._route[job.job_id] = target
-                moved += 1
-        self._gauge_shards()
+            moved += sum(self._migrate(donor, job)
+                         for job in list(donor.queue.waiting()))
         return moved
 
     def remove_shard(self, name: str, now: float) -> int:
         """Shrink the ring gracefully: waiting jobs migrate to their
-        new owners; in-flight leases drain in place (the retired queue
+        new owners; in-flight leases drain in place (the retired shard
         stays addressable for acks until its last lease resolves).
         Returns the number of jobs migrated."""
         if len(self.shards) <= 1:
             raise ValueError("cannot remove the last shard")
         shard = self.shards.pop(name)
         self.ring.remove(name)
-        moved = 0
-        for job in list(shard.queue.waiting()):
-            taken = shard.take(job.job_id)
-            if taken is None:
-                continue
-            target = self.ring.shard_for(self.key_for(job))
-            self.shards[target].restore(taken[0], taken[1])
-            self._route[job.job_id] = target
-            moved += 1
-        if shard.queue.in_flight_count or shard.queue.dead_letters():
-            self._draining[name] = shard.queue
-        self._gauge_shards()
+        moved = sum(self._migrate(shard, job)
+                    for job in list(shard.queue.waiting()))
+        if shard.in_flight_count or shard.dead_letters():
+            self._draining[name] = shard
         return moved
 
     def _reroute_drained(self, now: float) -> None:
         """Jobs whose lease expired on a *retired* shard re-enter via
-        their new ring owner instead of the draining queue."""
-        for name, queue in list(self._draining.items()):
-            for job in list(queue.waiting()):
-                taken = queue.take(job.job_id)
-                if taken is None:
-                    continue
-                target = self.ring.shard_for(self.key_for(job))
+        their new ring owner instead of the draining shard."""
+        for shard in list(self._draining.values()):
+            for job in list(shard.queue.waiting()):
                 delay = self.policy.backoff_for(job.delivery.attempts)
-                self.shards[target].restore(taken[0], taken[1],
-                                            not_before=now + delay)
-                self._route[job.job_id] = target
+                self._migrate(shard, job, not_before=now + delay)
         self._drop_drained()
 
     def _drop_drained(self) -> None:
-        for name, queue in list(self._draining.items()):
-            if (not queue.in_flight_count and not len(queue)
-                    and not queue.dead_letters()):
+        for name, shard in list(self._draining.items()):
+            if (not shard.in_flight_count and not shard.depth()
+                    and not shard.dead_letters()):
                 del self._draining[name]
 
     # -- introspection -----------------------------------------------------

@@ -1,8 +1,11 @@
 """Broker (v2): queue tag matching, replication, containers, driver."""
 
+from functools import partial
+
 import pytest
 
 from repro.broker import (
+    BrokerUnavailable,
     ConfigServer,
     ContainerPool,
     Dashboard,
@@ -26,6 +29,7 @@ from repro.cluster import (
 )
 from repro.cluster.job import Job
 from repro.db import Database
+from repro.fabric import BrokerFabric
 from repro.labs import get_lab
 
 VECADD = get_lab("vector-add")
@@ -232,6 +236,105 @@ class TestBrokerReplication:
         assert broker.publish(job_for(VECADD), 1.0, zone="a") == "b"
         assert broker.failovers == 1   # a known-but-down zone is one
 
+    def test_driver_counts_an_unreachable_broker_as_an_empty_poll(self):
+        clock = ManualClock()
+        broker = MessageBroker(zones=("a", "b"))
+        driver = WorkerDriver(GpuWorker(WorkerConfig(), clock=clock), broker,
+                              ContainerPool([CUDA_IMAGE]), ConfigServer(),
+                              Database("metrics"), clock=clock, zone="a")
+        broker.publish(job_for(VECADD), clock.now())
+        broker.fail_zone("a")
+        broker.fail_zone("b")
+        with pytest.raises(BrokerUnavailable):
+            broker.poll(frozenset({"cuda"}), 1, clock.now())
+        assert driver.step() is None
+        assert driver.step_batch(max_jobs=4) == []
+        assert driver.stats.empty_polls == 2
+        broker.restore_zone("b")
+        assert driver.step() is not None   # the job was never lost
+
+
+class TestBrokerFailover:
+    """The mirrored standby behind one bare broker (the fabric's
+    TestShardFailover cases without a ring in front)."""
+
+    CUDA = frozenset({"cuda"})
+
+    def test_waiting_jobs_survive_crash_in_fifo_order(self):
+        broker = MessageBroker()
+        jobs = [job_for(VECADD) for _ in range(5)]
+        for t, job in enumerate(jobs):
+            broker.publish(job, float(t))
+        report = broker.crash(now=10.0)
+        assert report.waiting == 5 and report.in_flight == 0
+        assert report.promoted_replica == "jobs/r1"
+        assert broker.depth() == 5
+        polled = [broker.poll(self.CUDA, 1, 20.0)[0] for _ in range(5)]
+        assert polled == jobs  # FIFO preserved
+
+    def test_crash_preserves_enqueue_time(self):
+        broker = MessageBroker()
+        broker.publish(job_for(VECADD), 0.0)
+        broker.crash(now=50.0)
+        _, wait = broker.poll(self.CUDA, 1, 100.0)
+        assert wait == 100.0  # measured from the original publish
+
+    def test_leased_job_redelivered_exactly_once(self):
+        broker = MessageBroker()
+        job = job_for(VECADD)
+        broker.publish(job, 0.0)
+        broker.poll(self.CUDA, 1, 1.0, consumer="w1")
+        assert job.delivery.attempts == 1
+        assert broker.crash(now=2.0).in_flight == 1
+        # the stale lease died with the primary: its ack misses
+        assert not broker.ack(job.job_id, now=2.5)
+        polled = broker.poll(self.CUDA, 1, 3.0, consumer="w2")
+        assert polled is not None and polled[0] is job
+        assert job.delivery.attempts == 1  # the lost attempt was voided
+        failover = job.delivery.failures[-1]
+        assert failover["counted"] is False
+        assert "failover" in failover["reason"]
+        assert broker.ack(job.job_id, now=4.0)
+        assert broker.depth() == 0 and broker.in_flight_count == 0
+
+    def test_acked_jobs_gone_after_crash(self):
+        broker = MessageBroker()
+        job = job_for(VECADD)
+        broker.publish(job, 0.0)
+        broker.poll(self.CUDA, 1, 1.0)
+        broker.ack(job.job_id, now=2.0)
+        assert broker.crash(now=3.0).recovered == 0
+        assert broker.depth() == 0
+
+    def test_dead_letters_carried_over(self):
+        broker = MessageBroker(
+            policy=DeliveryPolicy(max_attempts=1, backoff_base_s=0.0))
+        job = job_for(VECADD)
+        broker.publish(job, 0.0)
+        broker.poll(self.CUDA, 1, 1.0)
+        broker.nack(job.job_id, 1.0, reason="poison")
+        assert broker.crash(now=2.0).dead == 1
+        dead = broker.dead_letter(job.job_id)
+        assert dead is not None and dead.job is job
+
+    def test_zone_failure_and_crash_together_lose_nothing(self):
+        broker = MessageBroker(zones=("a", "b"))
+        jobs = [job_for(VECADD) for _ in range(4)]
+        broker.publish(jobs[0], 0.0, zone="a")
+        broker.poll(self.CUDA, 1, 0.5, zone="a", consumer="w1")
+        broker.fail_zone("a")
+        for t, job in enumerate(jobs[1:], start=1):
+            assert broker.publish(job, float(t), zone="a") == "b"
+        broker.crash(now=5.0)
+        done = []
+        while (polled := broker.poll(self.CUDA, 1, 6.0, zone="a")):
+            broker.ack(polled[0].job_id, now=6.0)
+            done.append(polled[0])
+        assert done == jobs
+        assert broker.depth() == 0 and broker.in_flight_count == 0
+        assert broker.snapshot()["failovers"] == 1  # one promotion
+        assert broker.failovers == 8    # 3 publishes + 5 polls rerouted
+
 
 class TestContainerPool:
     def test_prestart_fills_warm_pool(self):
@@ -299,9 +402,12 @@ class TestConfigServer:
 
 
 class TestWorkerDriver:
+    #: builds the broker under test (TestWorkerDriverOnFabric swaps it)
+    new_broker = staticmethod(MessageBroker)
+
     def make_driver(self, clock, tags=frozenset({"cuda"}), num_gpus=1,
                     images=(CUDA_IMAGE,), broker=None, db=None, cfg=None):
-        broker = broker or MessageBroker()
+        broker = broker or self.new_broker()
         db = db or Database("metrics")
         cfg = cfg or ConfigServer()
         worker = GpuWorker(WorkerConfig(tags=tags, num_gpus=num_gpus),
@@ -369,7 +475,7 @@ class TestWorkerDriver:
 
     def test_crash_mid_job_redelivered_to_second_worker(self):
         clock = ManualClock()
-        broker = MessageBroker(
+        broker = self.new_broker(
             policy=DeliveryPolicy(visibility_timeout_s=10.0,
                                   backoff_base_s=0.5))
         db = Database("metrics")
@@ -397,7 +503,7 @@ class TestWorkerDriver:
 
     def test_wedge_mid_job_silent_node_loses_its_lease(self):
         clock = ManualClock()
-        broker = MessageBroker(
+        broker = self.new_broker(
             policy=DeliveryPolicy(visibility_timeout_s=10.0,
                                   backoff_base_s=0.5))
         db = Database("metrics")
@@ -427,7 +533,7 @@ class TestWorkerDriver:
         single-flight owner, not a joiner of a dead computation."""
         clock = ManualClock()
         caches = PlatformCaches(clock=clock)
-        broker = MessageBroker(
+        broker = self.new_broker(
             policy=DeliveryPolicy(visibility_timeout_s=10.0,
                                   backoff_base_s=0.5))
         db = Database("metrics")
@@ -456,7 +562,7 @@ class TestWorkerDriver:
 
     def test_dashboard_shows_delivery_gauges(self):
         clock = ManualClock()
-        broker = MessageBroker(
+        broker = self.new_broker(
             policy=DeliveryPolicy(visibility_timeout_s=10.0,
                                   backoff_base_s=0.5, max_attempts=2))
         db = Database("metrics")
@@ -493,3 +599,12 @@ class TestWorkerDriver:
         snap = dashboard.snapshot()
         assert snap["queue_depth"] == 0
         assert driver.worker.name in snap["last_heartbeat"]
+
+
+class TestWorkerDriverOnFabric(TestWorkerDriver):
+    """Every driver case again with a ring in front of the broker."""
+
+    @pytest.fixture(autouse=True, params=[1, 3],
+                    ids=["one-shard", "three-shards"])
+    def fabric_broker(self, request):
+        self.new_broker = partial(BrokerFabric, num_shards=request.param)

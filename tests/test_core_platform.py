@@ -6,12 +6,13 @@ from repro.cluster import FaultInjector, ManualClock, WorkerConfig
 from repro.core import PlatformError, RateLimited, WebGPU, WebGPU2
 from repro.core.course import CourseOffering
 from repro.labs import get_lab
+from repro.telemetry import Telemetry
 
 VECADD = get_lab("vector-add")
 
 
-def make_platform(cls=WebGPU, **kwargs):
-    clock = ManualClock()
+def make_platform(cls=WebGPU, clock=None, **kwargs):
+    clock = clock or ManualClock()
     platform = cls(clock=clock, num_workers=2, **kwargs)
     course = platform.create_course(
         CourseOffering(code="HPP", year=2015,
@@ -294,6 +295,34 @@ class TestDeliveryResilience:
         assert platform.dashboard.delivery_summary()["dead_lettered"] == 1
 
 
+    def test_unreachable_broker_is_a_failed_attempt_not_a_crash(self):
+        clock = ManualClock()
+        telemetry = Telemetry(clock=clock, tracing=True)
+        platform, clock, _, student = make_platform(
+            WebGPU2, clock=clock, telemetry=telemetry)
+        platform.save_code("HPP-2015", student, "vector-add",
+                           VECADD.solution)
+        for zone in platform.broker.zones:
+            platform.broker.fail_zone(zone)
+        assert platform.pump() == []
+        clock.advance(30)
+        attempt = platform.run_attempt("HPP-2015", student, "vector-add")
+        assert attempt.status == "failed" and not attempt.correct
+        result = platform._last_results[(student.user_id, "vector-add")]
+        assert result.error == ("broker unavailable: "
+                                "all broker replicas are down")
+        assert platform.attempt_history("HPP-2015", student,
+                                        "vector-add") == [attempt]
+        root = platform._last_root
+        assert root.name == "submit" and root.finished
+        assert root.attrs["status"] == "failed"
+        # the outage over, the same student gets through
+        platform.broker.restore_zone(platform.broker.zones[0])
+        clock.advance(30)
+        assert platform.run_attempt("HPP-2015", student,
+                                    "vector-add").correct
+
+
 class TestDegradedFleet:
     def test_v1_no_capable_worker_is_failed_attempt_not_crash(self):
         """An MPI lab on a CUDA-only v1 fleet must produce a failed
@@ -315,3 +344,29 @@ class TestDegradedFleet:
         history = platform.attempt_history("PUMPS-2015", student,
                                            "mpi-stencil")
         assert len(history) == 1
+
+
+class TestSubmitTemplate:
+    def test_v1_and_v2_record_the_same_attempt_rows(self):
+        """One submit template: for the same actions the two
+        architectures differ only in who ran the job and for how long
+        (v2 pays a container acquire)."""
+        rows = {}
+        for cls in (WebGPU, WebGPU2):
+            platform, clock, _, student = make_platform(cls)
+            platform.save_code("HPP-2015", student, "vector-add",
+                               VECADD.solution)
+            clock.advance(30)
+            platform.compile_code("HPP-2015", student, "vector-add")
+            clock.advance(30)
+            platform.run_attempt("HPP-2015", student, "vector-add",
+                                 dataset_index=1)
+            clock.advance(30)
+            platform.submit_for_grading("HPP-2015", student, "vector-add")
+            rows[cls] = [
+                (a.kind, a.revision_id, a.dataset_index, a.status,
+                 a.compile_ok, a.correct, a.report)
+                for a in platform.attempt_history("HPP-2015", student,
+                                                  "vector-add")]
+        assert len(rows[WebGPU]) == 3
+        assert rows[WebGPU] == rows[WebGPU2]

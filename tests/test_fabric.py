@@ -303,6 +303,57 @@ class TestRebalancing:
             fabric.remove_shard("shard-0", now=0.0)
 
 
+class TestOneShardIsOneBroker:
+    POLICY = DeliveryPolicy(visibility_timeout_s=10.0, max_attempts=3,
+                            backoff_base_s=0.5)
+
+    def replay(self, broker, crash):
+        """30 jobs; the 4th delivery is nacked, the 9th is never
+        acked (its lease expires) and the primary is lost while the
+        25th is in flight. Returns what an observer can compare."""
+        jobs = [job_for() for _ in range(30)]
+        for t, job in enumerate(jobs):
+            broker.publish(job, float(t))
+        index = {job.job_id: i for i, job in enumerate(jobs)}
+        order, stats, now = [], [], 30.0
+        while broker.depth() or broker.in_flight_count:
+            now += 1.0
+            broker.expire_leases(now)
+            polled = broker.poll(CUDA, 1, now, consumer=f"w{len(order) % 3}")
+            if polled is None:
+                continue
+            job_id = polled[0].job_id
+            order.append(index[job_id])
+            if len(order) == 4:
+                broker.nack(job_id, now, reason="boom")
+            elif len(order) == 25:
+                stats.append(broker.queue.stats)   # the lost primary's
+                crash(now)
+            elif len(order) != 9:
+                broker.ack(job_id, now=now)
+        histories = [(job.delivery.attempts, job.delivery.failures)
+                     for job in jobs]
+        return order, histories, stats + [broker.queue.stats]
+
+    def test_same_script_same_delivery(self):
+        broker = MessageBroker(name="shard-0", policy=self.POLICY)
+        fabric = make_fabric(num_shards=1, policy=self.POLICY)
+        assert all(type(shard) is MessageBroker
+                   for shard in make_fabric(num_shards=3).shards.values())
+        plain = self.replay(broker, broker.crash)
+        ringed = self.replay(
+            fabric, lambda now: fabric.crash_shard("shard-0", now))
+        assert plain == ringed
+        order, histories, (lost, promoted) = plain
+        assert sorted(set(order)) == list(range(30))    # nothing lost
+        assert len(order) == 33                         # three redeliveries
+        assert (lost.nacked, lost.expired_leases, lost.acked) == (1, 1, 22)
+        assert promoted.restored == promoted.acked == 8
+        assert [a for a, _ in histories].count(2) == 2  # nack + expiry
+        assert sum(f.get("counted") is False            # the voided one
+                   for _, fs in histories for f in fs) == 1
+
+
 class TestSLOBurnMeter:
     def _observe(self, telemetry, seconds, klass="grade", n=1):
         hist = telemetry.metrics.histogram(QUEUE_WAIT_SECONDS)

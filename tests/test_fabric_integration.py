@@ -208,25 +208,6 @@ class TestBatchedDriver:
         assert driver.step() is not None
         assert driver.stats.renew_rpcs == 0
 
-    def test_renew_coalesced_to_one_rpc_per_pump_cycle(self):
-        from repro.fabric import BrokerFabric
-        clock = ManualClock()
-        fabric = BrokerFabric(num_shards=1)
-        driver = self.make_fabric_driver(clock, fabric)
-        self._publish(fabric, clock, 2)
-        polled = fabric.poll_batch(frozenset({"cuda"}), 1, clock.now(),
-                                   consumer=driver.worker.name, max_jobs=2)
-        for job, _ in polled:
-            driver._held[job.job_id] = job
-        driver._pump_tick += 1
-        assert driver.renew_held_leases() == 2
-        # a second call in the same cycle is a no-op
-        assert driver.renew_held_leases() == 0
-        assert driver.stats.renew_rpcs == 1
-        driver._pump_tick += 1
-        assert driver.renew_held_leases() == 2
-        assert driver.stats.renew_rpcs == 2
-
     def test_renew_extends_lease_deadline(self):
         from repro.broker import DeliveryPolicy
         from repro.fabric import BrokerFabric
