@@ -6,7 +6,9 @@ it (:mod:`repro.profiler`). That attribution is pay-for-what-you-use:
 launches without ``profile=True`` must not touch the ledger path at
 all, and profiled launches should cost a bounded multiple of the
 unprofiled run — the profile is built from the same per-access stream
-the engines already emit for KernelStats, not a second execution.
+the engines already emit for KernelStats, not a second execution —
+and not a second compiled kernel: both runs launch the one memoized
+artifact, and the profiled run must add nothing to the kernel memo.
 
 This benchmark runs tiled matmul and a block reduction on every
 engine, profiled vs unprofiled, checks ledgers stay bit-identical
@@ -14,9 +16,10 @@ across engines, and records the slowdowns in ``BENCH_profiler.json``.
 No hard floor on the profiled multiple: the simd engine executes a
 warp per instruction but the ledger still charges per line, so its
 relative overhead is structurally larger — the JSON is the artifact.
-The invariant asserted here is correctness: identical outputs with
-and without profiling, identical ledgers across engines, and a
-non-empty ledger covering every counter the kernels exercise.
+The invariants asserted here are correctness — identical outputs
+with and without profiling, identical ledgers across engines, and a
+non-empty ledger covering every counter the kernels exercise — and
+the single artifact: no kernel compiled for the profiled run.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ from conftest import print_table
 from repro.gpusim import Device, GpuRuntime
 from repro.gpusim.grid import Dim3
 from repro.minicuda import ENGINES, compile_source
+from repro.minicuda.codegen import KERNEL_CACHE
 
 FAST = bool(os.environ.get("WEBGPU_BENCH_FAST"))
 
@@ -131,8 +135,11 @@ def test_profiler_cost():
         for engine in ENGINES:
             wall_off, stats_off, outs_off = _run_case(
                 source, kernel, grid, block, bufs, scalars, engine, False)
+            computed = KERNEL_CACHE.compute_count
             wall_on, stats_on, outs_on = _run_case(
                 source, kernel, grid, block, bufs, scalars, engine, True)
+            # profiling is a launch flag: the unprofiled run's kernel
+            assert KERNEL_CACHE.compute_count == computed, (name, engine)
             # unprofiled launches never build a ledger
             assert stats_off.line_profile is None, (name, engine)
             assert stats_on.line_profile is not None, (name, engine)

@@ -25,7 +25,12 @@ the fastest tier, where any fixed per-launch cost is the largest
 relative share — comparing ``simd_baseline`` (no telemetry, no
 profile) against ``simd_prof_off`` (telemetry on, profile off, the
 worker's default) under the same 2% budget, and records the
-``simd_prof_on`` ledger-building cost informationally.
+``simd_prof_on`` ledger-building cost informationally. Both of those
+launch the same compiled kernel, whose source-line marks run whether
+or not the launch is profiled, so ``simd_prof_off`` vs
+``simd_baseline`` measures the cost of telemetry alone; what the line
+marks cost can only be measured across commits (the kernel compiled
+with and without them), not by any switch in one tree.
 """
 
 from __future__ import annotations

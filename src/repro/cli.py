@@ -246,11 +246,11 @@ def cmd_profile_attempt(args: argparse.Namespace) -> int:
         line = f"kernel {name}: " + (
             f"ran on {' + '.join(tiers)}" if tiers else "not launched")
         if asked == "simd":
-            reason = simd.decline_reason(info, name, profile=True)
+            reason = simd.decline_reason(info, name)
             if reason is not None:
                 line += f" (simd declined: {reason})"
         if asked != "ast" and "ast" in tiers:
-            reason = srcgen.decline_reason(info, name, profile=True)
+            reason = srcgen.decline_reason(info, name)
             line += f" (codegen declined: {reason})"
         print(line)
     for name, fn in info.host_functions.items():

@@ -67,9 +67,10 @@ class BlockResult:
 
 def _packed_rows(traces: list[tuple[int, list[int]]],
                  chunks: list[tuple] = (),
-                 banks_from_words: bool = False) -> np.ndarray | None:
-    """Concatenate per-thread flat traces into an (n, 3) int64 array
-    whose first column is the packed ``(warp << _SEQ_BITS) | seq``
+                 banks_from_words: bool = False,
+                 width: int = 3) -> np.ndarray | None:
+    """Concatenate per-thread flat traces into an (n, ``width``) int64
+    array whose first column is the packed ``(warp << _SEQ_BITS) | seq``
     warp-request key. Returns None when no thread recorded anything.
 
     ``chunks`` carries whole-warp access batches recorded by the SIMD
@@ -78,6 +79,9 @@ def _packed_rows(traces: list[tuple[int, list[int]]],
     broadcast — e.g. one uniform seq for a full-mask access). The row
     multiset is identical to per-thread recording, so the downstream
     coalescing / bank grouping is unaffected by who recorded the rows.
+    A line-profiled block records ``width`` 4: per-thread traces carry
+    the charging source line as a fourth int per access and chunks a
+    sixth field, ``lines``; columns 0-2 are the same either way.
 
     With ``banks_from_words`` the chunks' col1 is ignored and the bank
     column is derived from the word column in one vectorized pass —
@@ -88,16 +92,16 @@ def _packed_rows(traces: list[tuple[int, list[int]]],
     for warp, flat in traces:
         if not flat:
             continue
-        rows = np.asarray(flat, dtype=np.int64).reshape(-1, 3)
+        rows = np.asarray(flat, dtype=np.int64).reshape(-1, width)
         rows[:, 0] |= warp << _SEQ_BITS
         rows_list.append(rows)
     if chunks:
         total = sum(c[0] for c in chunks)
-        # (3, total) C-contiguous fill; the transposed view has the
-        # same (n, 3) layout downstream consumers index by column
-        buf = np.empty((3, total), dtype=np.int64)
+        # (width, total) C-contiguous fill; the transposed view has the
+        # same (n, width) layout downstream consumers index by column
+        buf = np.empty((width, total), dtype=np.int64)
         pos = 0
-        for count, warp, seqs, col1, col2 in chunks:
+        for count, warp, seqs, col1, col2, *line in chunks:
             end = pos + count
             key = buf[0, pos:end]
             key[...] = seqs
@@ -105,6 +109,8 @@ def _packed_rows(traces: list[tuple[int, list[int]]],
             if not banks_from_words:
                 buf[1, pos:end] = col1
             buf[2, pos:end] = col2
+            if line:
+                buf[3, pos:end] = line[0]
             pos = end
         if banks_from_words:
             np.mod(buf[2], _NUM_BANKS, out=buf[1])
@@ -127,47 +133,6 @@ def _first_of_group(*columns: np.ndarray) -> np.ndarray:
     return mask
 
 
-def _packed_rows4(traces: list[tuple[int, list[int]]],
-                  chunks: list[tuple] = (),
-                  banks_from_words: bool = False) -> np.ndarray | None:
-    """Line-profiled variant of :func:`_packed_rows`: per-thread traces
-    carry four ints per access (the base three plus the charging source
-    line), and SIMD chunks are six-tuples ``(count, warp, seqs, col1,
-    col2, lines)`` (``lines`` scalar or length-``count``). Columns 0-2
-    are identical to the unprofiled layout, so :meth:`_BlockState.
-    _coalesce` and :meth:`_BlockState._bank_replays` consume the result
-    unchanged; column 3 feeds the per-line attribution reductions."""
-    rows_list = []
-    for warp, flat in traces:
-        if not flat:
-            continue
-        rows = np.asarray(flat, dtype=np.int64).reshape(-1, 4)
-        rows[:, 0] |= warp << _SEQ_BITS
-        rows_list.append(rows)
-    if chunks:
-        total = sum(c[0] for c in chunks)
-        buf = np.empty((4, total), dtype=np.int64)
-        pos = 0
-        for count, warp, seqs, col1, col2, lines in chunks:
-            end = pos + count
-            key = buf[0, pos:end]
-            key[...] = seqs
-            key |= warp << _SEQ_BITS
-            if not banks_from_words:
-                buf[1, pos:end] = col1
-            buf[2, pos:end] = col2
-            buf[3, pos:end] = lines
-            pos = end
-        if banks_from_words:
-            np.mod(buf[2], _NUM_BANKS, out=buf[1])
-        rows_list.append(buf.T)
-    if not rows_list:
-        return None
-    if len(rows_list) == 1:
-        return rows_list[0]
-    return np.concatenate(rows_list)
-
-
 class _BlockState:
     """Mutable per-block execution state shared by its threads.
 
@@ -181,6 +146,8 @@ class _BlockState:
     #: set to ``self`` on :class:`_ProfiledBlockState`; engines test it
     #: to decide whether to record line attribution
     prof = None
+    #: ints per trace row: three, four with the source line
+    width = 3
 
     def __init__(self, device: Device, block_dim: Dim3):
         self.device = device
@@ -214,26 +181,31 @@ class _BlockState:
         self.shared_traces.append((warp, shared))
         return loads, stores, shared
 
-    def finalize(self) -> None:
-        """Convert raw access records into transaction/conflict counts."""
+    def finalize(self) -> tuple[np.ndarray | None, ...]:
+        """Convert raw access records into transaction/conflict counts;
+        returns the packed (loads, stores, shared hits) rows."""
         st = self.stats
-        loads = _packed_rows(self.load_traces, self.load_chunks)
+        width = self.width
+        loads = _packed_rows(self.load_traces, self.load_chunks,
+                             width=width)
         if loads is not None:
             requests, transactions = self._coalesce(loads)
             st.global_load_requests += requests
             st.global_load_transactions += transactions
             st.bytes_read += int(loads[:, 2].sum())
-        stores = _packed_rows(self.store_traces, self.store_chunks)
+        stores = _packed_rows(self.store_traces, self.store_chunks,
+                              width=width)
         if stores is not None:
             requests, transactions = self._coalesce(stores)
             st.global_store_requests += requests
             st.global_store_transactions += transactions
             st.bytes_written += int(stores[:, 2].sum())
         hits = _packed_rows(self.shared_traces, self.shared_chunks,
-                            banks_from_words=True)
+                            banks_from_words=True, width=width)
         if hits is not None:
             st.shared_accesses += len(hits)
             st.bank_conflicts += self._bank_replays(hits)
+        return loads, stores, hits
 
     @staticmethod
     def _coalesce(rows: np.ndarray) -> tuple[int, int]:
@@ -272,13 +244,15 @@ class _BlockState:
 class _ProfiledBlockState(_BlockState):
     """Block state that additionally builds a per-source-line ledger.
 
-    Totals are computed with the exact same reductions as the base
-    class — the 4th (line) trace column is invisible to them — and the
-    line attribution runs as extra vectorized passes at finalize. Per
-    the profiler's parity contract, every attribution below depends
-    only on the *multiset* of recorded rows, never on recording order,
-    so differently-batched engines produce bit-identical ledgers.
+    Totals are computed by the base class's reductions — the 4th
+    (line) trace column is invisible to them — and the line attribution
+    runs as extra vectorized passes over the same rows. Per the
+    profiler's parity contract, every attribution below depends only
+    on the *multiset* of recorded rows, never on recording order, so
+    differently-batched engines produce bit-identical ledgers.
     """
+
+    width = 4
 
     def __init__(self, device: Device, block_dim: Dim3):
         super().__init__(device, block_dim)
@@ -292,30 +266,16 @@ class _ProfiledBlockState(_BlockState):
         self.branch_traces: list[tuple[int, list[int]]] = []
         self.branch_chunks: list[tuple] = []
 
-    def finalize(self) -> None:
-        st = self.stats
+    def finalize(self) -> tuple[np.ndarray | None, ...]:
+        loads, stores, hits = super().finalize()
         profile = LineProfile()
-        loads = _packed_rows4(self.load_traces, self.load_chunks)
         if loads is not None:
-            requests, transactions = self._coalesce(loads)
-            st.global_load_requests += requests
-            st.global_load_transactions += transactions
-            st.bytes_read += int(loads[:, 2].sum())
             self._line_transactions(loads, profile,
                                     "global_load_transactions")
-        stores = _packed_rows4(self.store_traces, self.store_chunks)
         if stores is not None:
-            requests, transactions = self._coalesce(stores)
-            st.global_store_requests += requests
-            st.global_store_transactions += transactions
-            st.bytes_written += int(stores[:, 2].sum())
             self._line_transactions(stores, profile,
                                     "global_store_transactions")
-        hits = _packed_rows4(self.shared_traces, self.shared_chunks,
-                             banks_from_words=True)
         if hits is not None:
-            st.shared_accesses += len(hits)
-            st.bank_conflicts += self._bank_replays(hits)
             lines, counts = np.unique(hits[:, 3], return_counts=True)
             profile.bump("shared_accesses",
                          dict(zip(lines.tolist(), counts.tolist())))
@@ -325,7 +285,8 @@ class _ProfiledBlockState(_BlockState):
             self._line_divergence(branches, profile)
         profile.bump("instructions", self.instr_lines)
         profile.bump("atomic_ops", self.atomic_lines)
-        st.line_profile = profile
+        self.stats.line_profile = profile
+        return loads, stores, hits
 
     @staticmethod
     def _line_transactions(rows: np.ndarray, profile: LineProfile,
@@ -394,7 +355,7 @@ class ThreadContext:
     hand-written Python kernels both target this interface.
     """
 
-    __slots__ = ("threadIdx", "blockIdx", "blockDim", "gridDim",
+    __slots__ = ("threadIdx", "blockIdx", "blockDim", "gridDim", "line",
                  "_block", "_warp", "_seq", "_linear_tid", "_stats",
                  "_loads", "_stores", "_shared_trace")
 
@@ -407,6 +368,10 @@ class ThreadContext:
         self.blockIdx = blockIdx
         self.blockDim = blockDim
         self.gridDim = gridDim
+        #: source line of the innermost statement running: compiled
+        #: kernels mark it whether or not the launch is profiled, and
+        #: only :class:`ProfiledThreadContext` charges anything to it
+        self.line = 0
         self._block = block_state
         self._stats = block_state.stats
         self._linear_tid = blockDim.linear_index(
@@ -577,30 +542,33 @@ class ThreadContext:
 
 
 class _LineStatsProxy:
-    """Stands in for the raw ``KernelStats`` in engines that charge
-    instructions via bare ``stats.instructions += n`` (the codegen
-    engine's ``S`` local): the setter forwards the delta to the real
-    stats *and* to the per-line ledger at the context's current line."""
+    """Stands in for the block's ``KernelStats`` in compiled kernels
+    that charge instructions via bare ``stats.instructions += n`` (the
+    scalar engine's ``S`` local, the warp engine's ``st.stats``) when
+    the launch is line-profiled: the setter forwards the delta to the
+    real stats *and* to the per-line ledger at ``owner.line`` — a
+    thread context's or a warp's current source line."""
 
-    __slots__ = ("_ctx", "_count")
+    __slots__ = ("_owner", "_stats", "_lines")
 
-    def __init__(self, ctx: "ProfiledThreadContext"):
-        self._ctx = ctx
-        self._count = 0
+    def __init__(self, owner: Any, stats: KernelStats,
+                 lines: dict[int, int]):
+        self._owner = owner
+        self._stats = stats
+        self._lines = lines
 
     @property
     def instructions(self) -> int:
-        return self._count
+        return self._stats.instructions
 
     @instructions.setter
     def instructions(self, value: int) -> None:
-        delta = value - self._count
-        self._count = value
-        ctx = self._ctx
-        ctx._stats.instructions += delta
-        il = ctx._instr_lines
-        ln = ctx.line
-        il[ln] = il.get(ln, 0) + delta
+        stats = self._stats
+        delta = value - stats.instructions
+        stats.instructions = value
+        lines = self._lines
+        ln = self._owner.line
+        lines[ln] = lines.get(ln, 0) + delta
 
 
 class ProfiledThreadContext(ThreadContext):
@@ -616,7 +584,7 @@ class ProfiledThreadContext(ThreadContext):
     can detect intra-warp divergence.
     """
 
-    __slots__ = ("line", "bseq", "stats_proxy", "_instr_lines",
+    __slots__ = ("bseq", "stats_proxy", "_instr_lines",
                  "_atomic_lines", "_branches")
 
     profiled = True
@@ -625,14 +593,14 @@ class ProfiledThreadContext(ThreadContext):
                  gridDim: Dim3, block_state: _BlockState):
         super().__init__(threadIdx, blockIdx, blockDim, gridDim,
                          block_state)
-        self.line = 0
         self.bseq = 0
         self._instr_lines = block_state.instr_lines
         self._atomic_lines = block_state.atomic_lines
         branches: list[int] = []
         block_state.branch_traces.append((self._warp, branches))
         self._branches = branches
-        self.stats_proxy = _LineStatsProxy(self)
+        self.stats_proxy = _LineStatsProxy(self, self._stats,
+                                           self._instr_lines)
 
     def count_instr(self, n: int = 1) -> None:
         self._stats.instructions += n

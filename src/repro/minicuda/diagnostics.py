@@ -2,7 +2,25 @@
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
+
+#: What ends a source line: ``\n``, ``\r\n`` or a bare ``\r`` — not the
+#: form feeds, vertical tabs, separators and U+2028/2029 at which
+#: ``str.splitlines`` also breaks, and which editors and the lexer's
+#: line count treat as characters of the line.
+LINE_BREAK = re.compile(r"\r\n?|\n")
+
+
+def source_lines(source: str) -> list[str]:
+    """``source`` split into lines the way every position in this
+    package counts them (:data:`LINE_BREAK`); like ``splitlines``, a
+    final line break does not start another line."""
+    lines = (LINE_BREAK.split(source) if "\r" in source
+             else source.split("\n"))
+    if not lines[-1]:
+        lines.pop()
+    return lines
 
 
 class SourcePos:

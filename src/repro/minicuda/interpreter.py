@@ -383,8 +383,7 @@ class Interpreter:
                 from repro.minicuda import srcgen as backend
             telemetry = getattr(self.runtime, "telemetry", None)
             start = time.perf_counter() if telemetry is not None else 0.0
-            compiled = backend.compile_kernel(self.info, name,
-                                              profile=self.profile)
+            compiled = backend.compile_kernel(self.info, name)
             tier = compiled.tier if compiled is not None else "ast"
             if telemetry is not None:
                 telemetry.metrics.histogram(

@@ -58,7 +58,8 @@ _ESCAPE_RE = re.compile(r"\\(.)", re.DOTALL)
 # is not "." "5"); an opening quote that does not begin a well-formed
 # literal falls through to ``badstring`` / ``badchar``; ``stray`` takes
 # whatever is left, so every offset short of the end matches something.
-_MASTER = re.compile(rf"""[ \t\r\n]*(?:
+# Form feed and vertical tab are whitespace too (C11 6.4p3).
+_MASTER = re.compile(rf"""[ \t\r\n\f\v]*(?:
     (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
   | (?P<float>(?:\d+\.\d*(?:[eE][-+]?\d+)?|\.\d+(?:[eE][-+]?\d+)?|\d+[eE][-+]?\d+)[fF]?
              |\d+[fF])

@@ -18,7 +18,7 @@ from __future__ import annotations
 import re
 from typing import Mapping
 
-from repro.minicuda.diagnostics import CompileError, SourcePos
+from repro.minicuda.diagnostics import CompileError, SourcePos, source_lines
 
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _INCLUDE = re.compile(r'#\s*include\s+[<"]([^>"]+)[>"]')
@@ -111,7 +111,7 @@ class Preprocessor:
         cond_stack: list[bool] = []
         # parallel stack: has this level already consumed its #else?
         else_stack: list[bool] = []
-        for lineno, line in enumerate(text.splitlines(), start=1):
+        for lineno, line in enumerate(source_lines(text), start=1):
             stripped = line.strip()
             active = all(cond_stack)
             if stripped.startswith("#"):

@@ -51,7 +51,7 @@ from typing import Any, Callable
 import numpy as np
 
 from repro.gpusim.memory import DevicePtr, LaneTracker, SharedArray
-from repro.gpusim.scheduler import SYNC, WarpContext
+from repro.gpusim.scheduler import SYNC, WarpContext, _LineStatsProxy
 from repro.minicuda import ast_nodes as ast
 from repro.minicuda import builtins as bi
 from repro.minicuda.codegen import (
@@ -111,7 +111,7 @@ _NBYTES_PER_LOWERED = 480
 
 #: Bump when SIMD lowering semantics change; part of the memo key so
 #: stale fallback verdicts are never recalled across upgrades.
-SIMD_VERSION = 4
+SIMD_VERSION = 5
 
 _I64 = np.int64
 _F64 = np.float64
@@ -421,33 +421,6 @@ def _analyze_names(fn: ast.FuncDef,
 
 # -- per-warp execution state ------------------------------------------------
 
-class _WarpLineStats:
-    """Warp-level stand-in for the block ``KernelStats`` under line
-    profiling: ``instructions`` charges forward to the real stats and
-    the delta is also attributed to the profiled block's per-line
-    instruction ledger at the warp's current source line."""
-
-    __slots__ = ("_st", "_real")
-
-    def __init__(self, st: "_WarpSt", real: Any):
-        self._st = st
-        self._real = real
-
-    @property
-    def instructions(self) -> int:
-        return self._real.instructions
-
-    @instructions.setter
-    def instructions(self, value: int) -> None:
-        real = self._real
-        delta = value - real.instructions
-        real.instructions = value
-        st = self._st
-        il = st.prof.instr_lines
-        ln = st.line
-        il[ln] = il.get(ln, 0) + delta
-
-
 class _WarpSt:
     """Runtime state for one warp's vectorized execution."""
 
@@ -480,15 +453,16 @@ class _WarpSt:
         # tracked global allocations, plus each __shared__ array as its
         # declaration runs
         self.trackers = list(trackers)
-        # line-profiled blocks expose themselves via .prof; profiled
-        # closures keep ``line`` at the innermost enclosing statement
-        # and ``bseqs`` tracks per-lane branch sequence numbers
+        # statement closures keep ``line`` at the innermost enclosing
+        # statement. A line-profiled block exposes itself via .prof;
+        # then charges go through a proxy that attributes them to
+        # ``line``, and ``bseqs`` counts per-lane branch sequence numbers
+        self.line = 0
         prof = self.block.prof
         self.prof = prof
         if prof is not None:
-            self.line = 0
             self.bseqs = np.zeros(self.n, dtype=np.int64)
-            self.stats = _WarpLineStats(self, self.stats)
+            self.stats = _LineStatsProxy(self, self.stats, prof.instr_lines)
 
     def next_seq(self, idx: np.ndarray, k: int) -> Any:
         """Sequence keys for one whole-mask-or-masked access; bumps
@@ -521,6 +495,16 @@ class _WarpSt:
         if interp.steps > interp.max_steps:
             raise KernelHang(_HANG_MSG, pos)
 
+    def log_branch(self, idx: np.ndarray, line: int, taken: Any) -> None:
+        """Log one ``if`` outcome per active lane of a profiled block
+        (after the condition, before either arm runs), keyed by per-lane
+        branch sequence numbers so finalize detects intra-warp
+        divergence exactly like per-thread recording."""
+        keys = self.bseqs[idx]  # fancy indexing copies
+        self.bseqs[idx] += 1
+        self.prof.branch_chunks.append(
+            (len(idx), self.warp, keys, line, taken))
+
     def lane_read(self, idx: np.ndarray, base: Any, ind: Any,
                   pos: Any) -> Any:
         """Per-lane fallback for non-DevicePtr bases (NULL, host
@@ -528,14 +512,12 @@ class _WarpSt:
         fault type and message match the scalar engines exactly."""
         seqs = self.seq_array()
         lane_ctx = self.wctx.lane
-        prof = self.prof is not None
         out = []
         ind_arr = isinstance(ind, np.ndarray)
         for j, lane in enumerate(idx.tolist()):
             c = lane_ctx(lane)
             c._seq = int(seqs[lane])
-            if prof:
-                c.line = self.line
+            c.line = self.line
             out.append(read_indexed(base, ind[j] if ind_arr else ind,
                                     c, pos))
             seqs[lane] = c._seq
@@ -545,14 +527,12 @@ class _WarpSt:
                    values: Any, pos: Any) -> None:
         seqs = self.seq_array()
         lane_ctx = self.wctx.lane
-        prof = self.prof is not None
         ind_arr = isinstance(ind, np.ndarray)
         val_arr = isinstance(values, np.ndarray)
         for j, lane in enumerate(idx.tolist()):
             c = lane_ctx(lane)
             c._seq = int(seqs[lane])
-            if prof:
-                c.line = self.line
+            c.line = self.line
             write_indexed(base, ind[j] if ind_arr else ind,
                           values[j] if val_arr else values, c, pos)
             seqs[lane] = c._seq
@@ -630,12 +610,10 @@ class _Lowerer:
     surviving lane set. Every srcgen charge point becomes
     ``stats.instructions += len(idx)``."""
 
-    def __init__(self, info: ProgramInfo, fn: ast.FuncDef, gen_ok: bool,
-                 profile: bool = False):
+    def __init__(self, info: ProgramInfo, fn: ast.FuncDef, gen_ok: bool):
         self.info = info
         self.fn = fn
         self.gen_ok = gen_ok
-        self.profile = profile
         self.varying_names, self.stored_params = _analyze_names(fn, info)
         # writable file-scope arrays live outside device allocations,
         # and a file-scope pointer may reach any of them: storage no
@@ -656,47 +634,6 @@ class _Lowerer:
         #: expressions and statements lowered so far — what the
         #: artifact's closures, and so its resident size, scale with
         self.lowered = 0
-
-    # -- line profiling helpers ------------------------------------------------
-
-    @staticmethod
-    def _pin(f: Callable, ln: int) -> Callable:
-        """Wrap an expression closure so it re-points the warp's
-        current line first — loop condition/step charges attribute to
-        the loop statement's own line, matching the scalar engines."""
-        def pinned(st, idx):
-            st.line = ln
-            return f(st, idx)
-        return pinned
-
-    def _record_if_cond(self, condf: Callable, cuni: bool,
-                        line: int) -> Callable:
-        """Wrap an ``if`` condition closure to log one branch outcome
-        per active lane (after evaluation, before either arm runs),
-        keyed by per-lane branch sequence numbers so finalize detects
-        intra-warp divergence exactly like per-thread recording."""
-        if not self.profile:
-            return condf
-        if cuni:
-            def recording(st, idx):
-                st.line = line
-                cv = condf(st, idx)
-                keys = st.bseqs[idx].copy()
-                st.bseqs[idx] += 1
-                st.prof.branch_chunks.append(
-                    (len(idx), st.warp, keys, line, 1 if cv else 0))
-                return cv
-            return recording
-
-        def recording(st, idx):
-            st.line = line
-            t = condf(st, idx)
-            keys = st.bseqs[idx].copy()
-            st.bseqs[idx] += 1
-            st.prof.branch_chunks.append(
-                (len(idx), st.warp, keys, line, t.astype(np.int64)))
-            return t
-        return recording
 
     # -- scopes ---------------------------------------------------------------
 
@@ -1643,23 +1580,12 @@ class _Lowerer:
     # Statement closures follow ``sfn(st, idx, fr) -> surviving idx``
     # where ``fr = (break_parts, return_parts)`` collects the lanes
     # that left via break (innermost loop) or return (whole kernel).
+    # Each one, blocks and empty statements aside, sets ``st.line`` to
+    # its source line before it charges anything (a loop again before
+    # each condition and step): a profiled launch charges to it.
 
     def stmt(self, s: ast.Stmt) -> Callable:
         self.lowered += 1
-        sfn = self._stmt_dispatch(s)
-        if not self.profile:
-            return sfn
-        cls = type(s)
-        if cls is ast.Block or cls is ast.Empty:
-            return sfn
-        ln = s.pos.line
-
-        def stmt_at_line(st, idx, fr):
-            st.line = ln
-            return sfn(st, idx, fr)
-        return stmt_at_line
-
-    def _stmt_dispatch(self, s: ast.Stmt) -> Callable:
         cls = type(s)
         if cls is ast.Block:
             return self._block(s)
@@ -1677,18 +1603,24 @@ class _Lowerer:
             return self._for(s)
         if cls is ast.Return:
             return self._return(s)
+        ln = s.pos.line
         if cls is ast.Break:
             if self.loop_depth == 0:
                 raise _SimdUnsupported("break outside loop")
 
             def sfn(st, idx, fr):
+                st.line = ln
                 fr[0].append(idx)
                 return _EMPTY
             return sfn
         if cls is ast.Continue:
             if self.loop_depth == 0:
                 raise _SimdUnsupported("continue outside loop")
-            return lambda st, idx, fr: _EMPTY
+
+            def sfn(st, idx, fr):
+                st.line = ln
+                return _EMPTY
+            return sfn
         if cls is ast.Empty:
             return lambda st, idx, fr: idx
         if cls is ast.AccIndex:
@@ -1703,8 +1635,10 @@ class _Lowerer:
         slot, carrier = rec.slot, _carrier_for(vkind)
         start = self.lookup(ACC_START).slot
         count = self.lookup(ACC_COUNT).slot
+        ln = s.pos.line
 
         def sfn(st, idx, fr):
+            st.line = ln
             c0 = st.wctx
             gid = c0.blockIdx.x * c0.blockDim.x + st.tid_axis("x")[idx]
             arr = np.zeros(st.n, carrier)
@@ -1729,6 +1663,7 @@ class _Lowerer:
     def _expr_stmt(self, s: ast.ExprStmt) -> Callable:
         e = s.expr
         cls = type(e)
+        ln = s.pos.line
         if cls is ast.Call and e.name in BARRIER_BUILTINS:
             # barriers are legal only on the uniform spine
             raise _SimdUnsupported("barrier under lane-divergent control")
@@ -1739,11 +1674,15 @@ class _Lowerer:
         elif cls in (ast.Ident, ast.IntLit, ast.FloatLit, ast.BoolLit,
                      ast.NullLit):
             # srcgen skips bare identifier/literal statements entirely
-            return lambda st, idx, fr: idx
+            def sfn(st, idx, fr):
+                st.line = ln
+                return idx
+            return sfn
         else:
             fn = self.expr(e)[0]
 
         def sfn(st, idx, fr):
+            st.line = ln
             fn(st, idx)
             return idx
         return sfn
@@ -1751,15 +1690,17 @@ class _Lowerer:
     def _return(self, s: ast.Return) -> Callable:
         if s.value is not None:
             raise _SimdUnsupported("return with a value")
+        ln = s.pos.line
 
         def sfn(st, idx, fr):
+            st.line = ln
             fr[1].append(idx)
             return _EMPTY
         return sfn
 
     def _if(self, s: ast.If) -> Callable:
         condf, cuni = self._cond(s.cond)
-        condf = self._record_if_cond(condf, cuni, s.pos.line)
+        ln = s.pos.line
         self.push()
         tf = self.stmt(s.then)
         self.pop()
@@ -1770,7 +1711,11 @@ class _Lowerer:
             self.pop()
         if cuni:
             def sfn(st, idx, fr):
-                if condf(st, idx):
+                st.line = ln
+                cv = condf(st, idx)
+                if st.prof is not None:
+                    st.log_branch(idx, ln, 1 if cv else 0)
+                if cv:
                     return tf(st, idx, fr)
                 if ef is not None:
                     return ef(st, idx, fr)
@@ -1778,7 +1723,10 @@ class _Lowerer:
             return sfn
 
         def sfn(st, idx, fr):
+            st.line = ln
             t = condf(st, idx)
+            if st.prof is not None:
+                st.log_branch(idx, ln, t.astype(np.int64))
             t_idx = idx[t]
             f_idx = idx[~t]
             parts = []
@@ -1805,9 +1753,8 @@ class _Lowerer:
 
     def _while(self, s: ast.While) -> Callable:
         pos = s.pos
+        ln = pos.line
         condf, cuni = self._cond(s.cond)
-        if self.profile:
-            condf = self._pin(condf, pos.line)
         bodyf = self._compile_loop_parts(s.body)
 
         def sfn(st, idx, fr):
@@ -1819,6 +1766,7 @@ class _Lowerer:
                 # whose condition check fails (srcgen places _steps at
                 # the top of the while body)
                 st.add_steps(len(active), pos)
+                st.line = ln
                 cv = condf(st, active)
                 if cuni:
                     if not cv:
@@ -1846,12 +1794,12 @@ class _Lowerer:
 
     def _dowhile(self, s: ast.DoWhile) -> Callable:
         pos = s.pos
+        ln = pos.line
         condf, cuni = self._cond(s.cond)
-        if self.profile:
-            condf = self._pin(condf, pos.line)
         bodyf = self._compile_loop_parts(s.body)
 
         def sfn(st, idx, fr):
+            st.line = ln
             active = idx
             ret = fr[1]
             r0 = len(ret)
@@ -1868,6 +1816,7 @@ class _Lowerer:
                     cand = np.setdiff1d(active, gone, assume_unique=True)
                 if not len(cand):
                     break
+                st.line = ln
                 cv = condf(st, cand)
                 if cuni:
                     if not cv:
@@ -1881,30 +1830,29 @@ class _Lowerer:
             return idx
         return sfn
 
+    def _step(self, se: ast.Expr | None) -> Callable | None:
+        """A ``for`` step's closure (None for no step)."""
+        if se is None:
+            return None
+        if type(se) is ast.Assign:
+            return self._assign(se, want_value=False)[0]
+        if type(se) is ast.IncDec:
+            return self._incdec(se, want_value=False)[0]
+        return self.expr(se)[0]
+
     def _for(self, s: ast.For) -> Callable:
         pos = s.pos
         self.push()  # for-scope: holds init declarations
         initf = self.stmt(s.init) if s.init is not None else None
         condf, cuni = (self._cond(s.cond) if s.cond is not None
                        else (None, True))
-        stepf = None
-        if s.step is not None:
-            se = s.step
-            if type(se) is ast.Assign:
-                stepf = self._assign(se, want_value=False)[0]
-            elif type(se) is ast.IncDec:
-                stepf = self._incdec(se, want_value=False)[0]
-            else:
-                stepf = self.expr(se)[0]
-        if self.profile:
-            if condf is not None:
-                condf = self._pin(condf, pos.line)
-            if stepf is not None:
-                stepf = self._pin(stepf, pos.line)
+        stepf = self._step(s.step)
         bodyf = self._compile_loop_parts(s.body)
         self.pop()
+        ln = pos.line
 
         def sfn(st, idx, fr):
+            st.line = ln
             if initf is not None:
                 initf(st, idx, fr)
             active = idx
@@ -1912,6 +1860,7 @@ class _Lowerer:
             r0 = len(ret)
             while len(active):
                 if condf is not None:
+                    st.line = ln
                     cv = condf(st, active)
                     if cuni:
                         if not cv:
@@ -1936,6 +1885,7 @@ class _Lowerer:
                     comp = np.setdiff1d(live, gone, assume_unique=True)
                 if len(comp):
                     if stepf is not None:
+                        st.line = ln
                         stepf(st, comp)
                     st.add_steps(len(comp), pos)
                 active = comp
@@ -1949,15 +1899,18 @@ class _Lowerer:
 
     def _decl(self, s: ast.DeclStmt) -> Callable:
         fns = [self._declarator(s, d) for d in s.declarators]
+        ln = s.pos.line
         if len(fns) == 1:
             f0 = fns[0]
 
             def sfn(st, idx, fr):
+                st.line = ln
                 f0(st, idx)
                 return idx
             return sfn
 
         def sfn(st, idx, fr):
+            st.line = ln
             for f in fns:
                 f(st, idx)
             return idx
@@ -2068,9 +2021,7 @@ class _Lowerer:
             e = s.expr
             if type(e) is ast.Call and e.name in BARRIER_BUILTINS:
                 argfs = [self.expr(a)[0] for a in e.args]
-                if self.profile:
-                    argfs = [self._pin(f, s.pos.line) for f in argfs]
-                return ("sync", argfs)
+                return ("sync", s.pos.line, argfs)
             raise _SimdUnsupported("barrier inside expression statement")
         if cls is ast.Block:
             self.push()
@@ -2081,7 +2032,6 @@ class _Lowerer:
             condf, cuni = self._cond(s.cond)
             if not cuni:
                 raise _SimdUnsupported("barrier under divergent if")
-            condf = self._record_if_cond(condf, cuni, s.pos.line)
             self.push()
             tn = self.spine_stmt(s.then)
             self.pop()
@@ -2090,7 +2040,7 @@ class _Lowerer:
                 self.push()
                 en = self.spine_stmt(s.otherwise)
                 self.pop()
-            return ("if", condf, tn, en)
+            return ("if", s.pos.line, condf, tn, en)
         if cls in (ast.While, ast.DoWhile):
             br, co = _body_signals(s.body)
             if br or co:
@@ -2098,8 +2048,6 @@ class _Lowerer:
             condf, cuni = self._cond(s.cond)
             if not cuni:
                 raise _SimdUnsupported("barrier in divergent loop")
-            if self.profile:
-                condf = self._pin(condf, s.pos.line)
             self.push()
             bn = self.spine_stmt(s.body)
             self.pop()
@@ -2115,20 +2063,7 @@ class _Lowerer:
                            else (None, True))
             if not cuni:
                 raise _SimdUnsupported("barrier in divergent loop")
-            stepf = None
-            if s.step is not None:
-                se = s.step
-                if type(se) is ast.Assign:
-                    stepf = self._assign(se, want_value=False)[0]
-                elif type(se) is ast.IncDec:
-                    stepf = self._incdec(se, want_value=False)[0]
-                else:
-                    stepf = self.expr(se)[0]
-            if self.profile:
-                if condf is not None:
-                    condf = self._pin(condf, s.pos.line)
-                if stepf is not None:
-                    stepf = self._pin(stepf, s.pos.line)
+            stepf = self._step(s.step)
             bn = self.spine_stmt(s.body)
             self.pop()
             return ("for", s.pos, initf, condf, stepf, bn)
@@ -2377,21 +2312,28 @@ def _local_store(st: _WarpSt, idx: np.ndarray, rows: np.ndarray,
 def _spine_exec(node: tuple, st: _WarpSt, fr: tuple):
     """Recursive generator driving one warp down the uniform spine,
     yielding SYNC at each barrier. Step charges sit exactly where the
-    scalar emitters place them."""
+    scalar emitters place them, and so do the line marks."""
     tag = node[0]
+    idx = st.idx_all
     if tag == "s":
-        node[1](st, st.idx_all, fr)
+        node[1](st, idx, fr)
     elif tag == "sync":
-        for argf in node[1]:
-            argf(st, st.idx_all)
+        _t, ln, argfs = node
+        st.line = ln
+        for argf in argfs:
+            argf(st, idx)
         st.end_interval()
         yield SYNC
     elif tag == "blk":
         for child in node[1]:
             yield from _spine_exec(child, st, fr)
     elif tag == "if":
-        _t, condf, tn, en = node
-        if condf(st, st.idx_all):
+        _t, ln, condf, tn, en = node
+        st.line = ln
+        cv = condf(st, idx)
+        if st.prof is not None:
+            st.log_branch(idx, ln, 1 if cv else 0)
+        if cv:
             yield from _spine_exec(tn, st, fr)
         elif en is not None:
             yield from _spine_exec(en, st, fr)
@@ -2399,7 +2341,8 @@ def _spine_exec(node: tuple, st: _WarpSt, fr: tuple):
         _t, pos, condf, bn = node
         while True:
             st.add_steps(st.n, pos)
-            if not condf(st, st.idx_all):
+            st.line = pos.line
+            if not condf(st, idx):
                 break
             yield from _spine_exec(bn, st, fr)
     elif tag == "dowhile":
@@ -2407,18 +2350,22 @@ def _spine_exec(node: tuple, st: _WarpSt, fr: tuple):
         while True:
             st.add_steps(st.n, pos)
             yield from _spine_exec(bn, st, fr)
-            if not condf(st, st.idx_all):
+            st.line = pos.line
+            if not condf(st, idx):
                 break
     else:  # "for"
         _t, pos, initf, condf, stepf, bn = node
         if initf is not None:
-            initf(st, st.idx_all, fr)
+            initf(st, idx, fr)
         while True:
-            if condf is not None and not condf(st, st.idx_all):
-                break
+            if condf is not None:
+                st.line = pos.line
+                if not condf(st, idx):
+                    break
             yield from _spine_exec(bn, st, fr)
             if stepf is not None:
-                stepf(st, st.idx_all)
+                st.line = pos.line
+                stepf(st, idx)
             st.add_steps(st.n, pos)
 
 
@@ -2480,13 +2427,13 @@ class CompiledSimdKernel:
     compiled by the first replay (:meth:`scalar`), inside this memo
     entry."""
 
-    __slots__ = ("name", "coercers", "profiled", "param_plan", "nslots",
+    __slots__ = ("name", "coercers", "param_plan", "nslots",
                  "body_fns", "spine", "entry_pos", "stored_params",
                  "nbytes", "demoted", "_src")
 
     tier = "simd"
 
-    def __init__(self, name: str, coercers: list, profiled: bool,
+    def __init__(self, name: str, coercers: list,
                  param_plan: list, nslots: int,
                  body_fns: list | None, spine: list | None,
                  entry_pos: Any, stored_params: frozenset[int],
@@ -2494,7 +2441,6 @@ class CompiledSimdKernel:
         self.name = name
         self.nbytes = nbytes
         self.coercers = coercers
-        self.profiled = profiled
         self.param_plan = param_plan
         self.nslots = nslots
         self.body_fns = body_fns
@@ -2512,17 +2458,16 @@ class CompiledSimdKernel:
         weighs that much more from then on."""
         src = self._src
         if src is None:
-            src = self._src = _compile_scalar(info, self.name, self.profiled)
+            src = self._src = _compile_scalar(info, self.name)
             self.nbytes += src.nbytes
-            KERNEL_CACHE.grow(_memo_key(info, self.name, self.profiled),
-                              src.nbytes)
+            KERNEL_CACHE.grow(_memo_key(info, self.name), src.nbytes)
         return None if type(src) is Declined else src
 
     def bind(self, interp: Any, args: tuple[Any, ...]) -> Callable:
         def thread_fn(ctx: Any) -> None:  # the scheduler runs warp_run
             raise AssertionError("warp kernel called per thread")
 
-        thread_fn.profiled = self.profiled
+        thread_fn.profiled = interp.profile
         args2 = tuple(a if co is None else co(a)
                       for co, a in zip(self.coercers, args))
         plan = self.param_plan
@@ -2574,10 +2519,9 @@ class CompiledSimdKernel:
 
 # -- memoized program → kernel compilation ------------------------------------
 
-def _compile_simd(info: ProgramInfo, fn: ast.FuncDef,
-                  profile: bool = False) -> CompiledSimdKernel:
+def _compile_simd(info: ProgramInfo, fn: ast.FuncDef) -> CompiledSimdKernel:
     is_gen = fn.name in info.barrier_functions
-    lw = _Lowerer(info, fn, gen_ok=is_gen, profile=profile)
+    lw = _Lowerer(info, fn, gen_ok=is_gen)
     lw.push()
     param_plan = []
     for i, p in enumerate(fn.params):
@@ -2596,12 +2540,12 @@ def _compile_simd(info: ProgramInfo, fn: ast.FuncDef,
         body_fns = [lw.stmt(s) for s in fn.body.statements]
     return CompiledSimdKernel(fn.name,
                               [_make_coercer(p.type) for p in fn.params],
-                              profile, param_plan, lw.nslots,
+                              param_plan, lw.nslots,
                               body_fns, spine, fn.pos, lw.stored_params,
                               _NBYTES_BASE + _NBYTES_PER_LOWERED * lw.lowered)
 
 
-def _lower(info: ProgramInfo, name: str, profile: bool):
+def _lower(info: ProgramInfo, name: str):
     """Un-memoized: the warp lowering alone. A scalar kernel is
     compiled only where one will run — here, when this tier declines;
     otherwise by the first lane-conflict replay
@@ -2609,7 +2553,7 @@ def _lower(info: ProgramInfo, name: str, profile: bool):
     function, not its memoized front: it rides inside this tier's memo
     entry (``nbytes`` counts it), not in one of its own."""
     try:
-        return _compile_simd(info, info.kernel_def(name), profile)
+        return _compile_simd(info, info.kernel_def(name))
     except _SimdUnsupported as exc:
         reason = str(exc)
     except RecursionError:
@@ -2617,33 +2561,30 @@ def _lower(info: ProgramInfo, name: str, profile: bool):
     # memoized fallback verdict: the scalar codegen kernel (or, where
     # that declines too, the tree-walker) runs this kernel; never an
     # error
-    return _Declined(_compile_scalar(info, name, profile), reason)
+    return _Declined(_compile_scalar(info, name), reason)
 
 
-def _memo_key(info: ProgramInfo, name: str, profile: bool) -> str:
-    return memo_key("simd-prof" if profile else "simd", SIMD_VERSION,
-                    info.fingerprint, name)
+def _memo_key(info: ProgramInfo, name: str) -> str:
+    return memo_key("simd", SIMD_VERSION, info.fingerprint, name)
 
 
-def _verdict(info: ProgramInfo, name: str, profile: bool):
+def _verdict(info: ProgramInfo, name: str):
     """The outcome of lowering kernel ``name``, memoized in the shared
     ``KERNEL_CACHE`` under a versioned ``simd`` key and nowhere else:
     an evicted verdict is recomputed."""
     return KERNEL_CACHE.get_or_compute(
-        _memo_key(info, name, profile),
-        lambda: _lower(info, name, profile))[0]
+        _memo_key(info, name), lambda: _lower(info, name))[0]
 
 
-def decline_reason(info: ProgramInfo, name: str,
-                   profile: bool = False) -> str | None:
+def decline_reason(info: ProgramInfo, name: str) -> str | None:
     """Why the warp tier does not lower kernel ``name`` (the construct
     it stopped at), or None when it does. Recalled from the verdict
-    :func:`compile_kernel` memoized for the same ``profile``."""
-    value = _verdict(info, name, profile)
+    :func:`compile_kernel` memoized."""
+    value = _verdict(info, name)
     return value.reason if type(value) is _Declined else None
 
 
-def compile_kernel(info: ProgramInfo, name: str, profile: bool = False):
+def compile_kernel(info: ProgramInfo, name: str):
     """Compile kernel ``name`` for the warp-SIMD tier.
 
     Returns a :class:`CompiledSimdKernel` when the kernel is eligible,
@@ -2652,11 +2593,12 @@ def compile_kernel(info: ProgramInfo, name: str, profile: bool = False):
     kernel (the fallback ladder: simd → codegen → tree-walker), or None
     when the source emitter declines it too. All verdicts are memoized
     (:func:`_verdict`; a declined one keeps its reason for
-    :func:`decline_reason`). ``profile`` compiles the line-profiled
-    variant (separately memoized): closures pin the warp's current
-    source line, ``if`` conditions log per-lane branch outcomes, and
-    access chunks carry the charging line as a sixth column."""
-    value = _verdict(info, name, profile)
+    :func:`decline_reason`). One artifact serves profiled and
+    unprofiled launches alike: its statement closures always mark the
+    warp's current source line, and only a launch bound by a profiling
+    interpreter logs branches and charges lines — access chunks then
+    carry the charging line as a sixth column."""
+    value = _verdict(info, name)
     if type(value) is CompiledSimdKernel:
         return value.scalar(info) if value.demoted else value
     return None if type(value.src) is Declined else value.src

@@ -18,9 +18,16 @@ The contract with the ``ast`` oracle:
   the tree-walker is preserved, and all memory traffic still routes
   through the profiling :class:`ThreadContext`, so the profiled
   counters are bit-identical to the oracle. Charges in a
-  straight-line region are batched into one ``S.instructions += n``
-  per region (totals are identical; only the interleaving of the
-  counter bumps differs, which nothing observes mid-kernel).
+  straight-line stretch of one statement are batched into one
+  ``S.instructions += n`` (totals are identical; only the interleaving
+  of the counter bumps differs, which nothing observes mid-kernel).
+* **One artifact, profiled or not** — the generated code always marks
+  ``C.line`` at each statement (and before loop conditions and steps)
+  and flushes its charge batch at statement boundaries; whether a
+  launch builds a line ledger is decided at bind time. A profiled
+  launch runs on ``ProfiledThreadContext`` objects; the prologue's
+  ``_P = C.profiled`` then picks the line-charging ``S`` and lets
+  ``if`` arms log their branch.
 * **Memory-effect order** — every load/store/atomic/user-call is
   hoisted onto its own generated line in C evaluation order, so the
   per-thread access sequence (and therefore the coalescing and
@@ -133,7 +140,7 @@ from repro.minicuda.values import f32 as _f32_shared
 #: Bump when generated-source semantics change; part of the memo key so
 #: stale artifacts and unsupported verdicts are never recalled across
 #: compiler upgrades (see ``codegen.memo_key``).
-SRCGEN_VERSION = 3
+SRCGEN_VERSION = 4
 
 #: Estimated resident bytes of one compiled kernel — namespace and
 #: function objects, plus code-object bytes per character of generated
@@ -320,29 +327,26 @@ def _arith_kind(left: Any, right: Any) -> Any:
 class CompiledSrcKernel:
     """A kernel lowered to generated Python source."""
 
-    __slots__ = ("name", "factory", "is_gen", "coercers", "nbytes",
-                 "profiled")
+    __slots__ = ("name", "factory", "is_gen", "coercers", "nbytes")
 
     tier = "codegen"
 
     def __init__(self, name: str, factory: Callable, is_gen: bool,
-                 coercers: list, nbytes: int, profiled: bool = False):
+                 coercers: list, nbytes: int):
         self.name = name
         self.nbytes = nbytes
         self.factory = factory
         self.is_gen = is_gen
         self.coercers = coercers
-        self.profiled = profiled
 
     def bind(self, interp: Any, args: tuple[Any, ...]) -> Callable:
         """Per-launch thread callable; plain function unless the kernel
-        barriers. Profiled kernels carry the ``profiled`` marker the
-        scheduler dispatches on."""
+        barriers. A profiling interpreter's launch carries the
+        ``profiled`` marker the scheduler dispatches on."""
         args2 = tuple(a if co is None else co(a)
                       for co, a in zip(self.coercers, args))
         thread_fn = self.factory(interp, *args2)
-        if self.profiled:
-            thread_fn.profiled = True
+        thread_fn.profiled = interp.profile
         return thread_fn
 
 
@@ -376,7 +380,9 @@ class _FnEmitter:
         #: python expression of a local -> its declared C type
         self.ctypes: dict[str, ast.CType | None] = {}
         self.uses_host_env = False
-        self.profile = mod.profile and not host
+        #: an ``if`` was emitted: it tests ``_P`` (is the launch
+        #: profiled) to log its branch
+        self.uses_profiled = False
         self.scopes: list[dict[str, tuple[str, Any, str | None]]] = [{}]
         self.lines: list[str] = []
         self.indent = 2 if not is_device else 1
@@ -401,6 +407,12 @@ class _FnEmitter:
     def charge(self, n: int = 1) -> None:
         if not self.host:
             self.pending += n
+
+    def mark(self, line: int) -> None:
+        """Point ``C.line`` at source line ``line`` (device code only):
+        a profiled launch charges what follows to it."""
+        if not self.host:
+            self.line(f"C.line = {line}")
 
     def tmp(self) -> str:
         return self.mod.tmp()
@@ -1036,16 +1048,13 @@ class _FnEmitter:
             self.charge(1)
             t = self.tmp()
             argstr = ", ".join([""] + codes) if codes else ""
-            if self.profile:
-                # callee statements re-pin C.line; the call charge and
-                # everything after belongs to the call site
-                self.flush()
-                sv = self.tmp()
-                self.line(f"{sv} = C.line")
-                self.line(f"{t} = {pyfn}(C, I, S{argstr})")
-                self.line(f"C.line = {sv}")
-            else:
-                self.line(f"{t} = {pyfn}(C, I, S{argstr})")
+            # callee statements re-mark C.line; the call charge and
+            # everything after belongs to the call site
+            self.flush()
+            sv = self.tmp()
+            self.line(f"{sv} = C.line")
+            self.line(f"{t} = {pyfn}(C, I, S{argstr})")
+            self.line(f"C.line = {sv}")
             return t, None
         return (f"_err('unknown device function {name!r}', "
                 f"{self.pos(e.pos)})", None)
@@ -1134,20 +1143,19 @@ class _FnEmitter:
     # -- statements -------------------------------------------------------------------
 
     def stmt(self, s: ast.Stmt) -> None:
-        if self.profile:
-            # Pin the attribution line and flush the charge batch at
-            # both statement boundaries: with ``S`` bound to the
-            # thread's stats proxy, every ``S.instructions += n``
-            # lands on whatever ``C.line`` holds at flush time, so a
-            # batch must never straddle a line change.
-            cls = type(s)
-            if cls is not ast.Block and cls is not ast.Empty:
-                self.flush()
-                self.line(f"C.line = {s.pos.line}")
-                self._stmt_dispatch(s)
-                self.flush()
-                return
+        cls = type(s)
+        if self.host or cls is ast.Block or cls is ast.Empty:
+            self._stmt_dispatch(s)
+            return
+        # Mark the statement's line and flush the charge batch at both
+        # statement boundaries: when a profiled launch binds ``S`` to
+        # the thread's stats proxy, every ``S.instructions += n`` lands
+        # on whatever ``C.line`` holds at flush time, so a batch must
+        # never straddle a line change.
+        self.flush()
+        self.mark(s.pos.line)
         self._stmt_dispatch(s)
+        self.flush()
 
     def _stmt_dispatch(self, s: ast.Stmt) -> None:
         cls = type(s)
@@ -1329,32 +1337,28 @@ class _FnEmitter:
     def _if(self, s: ast.If) -> None:
         cond = self.cond(s.cond)
         self.flush()
-        if self.profile:
-            t = self.tmp()
-            self.line(f"{t} = 1 if ({cond}) else 0")
-            self.line(f"C.record_branch({s.pos.line}, {t})")
-            cond = t
         self.line(f"if {cond}:")
+        self._arm(s.then, s.pos.line, 1)
+        if s.otherwise is not None or not self.host:
+            self.line("else:")
+            self._arm(s.otherwise, s.pos.line, 0)
+
+    def _arm(self, body: ast.Stmt | None, line: int, taken: int) -> None:
+        """One arm of an ``if``; in device code it first logs which arm
+        ran when the launch is profiled."""
         self.indent += 1
         self.push()
         mark = len(self.lines)
-        self.stmt(s.then)
-        self.flush()
+        if not self.host:
+            self.uses_profiled = True
+            self.line(f"if _P: C.record_branch({line}, {taken})")
+        if body is not None:
+            self.stmt(body)
+            self.flush()
         if len(self.lines) == mark:
             self.line("pass")
         self.pop()
         self.indent -= 1
-        if s.otherwise is not None:
-            self.line("else:")
-            self.indent += 1
-            self.push()
-            mark = len(self.lines)
-            self.stmt(s.otherwise)
-            self.flush()
-            if len(self.lines) == mark:
-                self.line("pass")
-            self.pop()
-            self.indent -= 1
 
     def _steps(self, pos: Any) -> None:
         self.line("I.steps += 1")
@@ -1426,9 +1430,8 @@ class _FnEmitter:
         self.line("while True:")
         self.indent += 1
         self._steps(s.pos)
-        if self.profile:
-            # the body moved C.line; condition charges belong here
-            self.line(f"C.line = {s.pos.line}")
+        # the body moved C.line; condition charges belong here
+        self.mark(s.pos.line)
         cond = self.cond(s.cond)
         self.flush()
         self.line(f"if not {cond}:")
@@ -1449,8 +1452,7 @@ class _FnEmitter:
             self._loop_body(s.body, wrapped=False, flag=None)
             # simple form: C continue would rerun the body without the
             # condition test; _body_signals guarantees there is none.
-        if self.profile:
-            self.line(f"C.line = {s.pos.line}")
+        self.mark(s.pos.line)
         cond = self.cond(s.cond)
         self.flush()
         self.line(f"if not {cond}:")
@@ -1469,8 +1471,7 @@ class _FnEmitter:
         self.line("while True:")
         self.indent += 1
         if s.cond is not None:
-            if self.profile:
-                self.line(f"C.line = {s.pos.line}")
+            self.mark(s.pos.line)
             cond = self.cond(s.cond)
             self.flush()
             self.line(f"if not {cond}:")
@@ -1481,8 +1482,7 @@ class _FnEmitter:
         else:
             self._loop_body(s.body, wrapped=False, flag=None)
         if s.step is not None:
-            if self.profile:
-                self.line(f"C.line = {s.pos.line}")
+            self.mark(s.pos.line)
             code, _ = self.expr(s.step)
             if not (code.isidentifier() or code.isdigit()):
                 self.line(code)
@@ -1587,9 +1587,8 @@ class _ModuleEmitter:
     (self-contained: the entry point plus every device — or host —
     function it transitively calls)."""
 
-    def __init__(self, info: ProgramInfo, profile: bool = False):
+    def __init__(self, info: ProgramInfo):
         self.info = info
-        self.profile = bool(profile)
         self.module_lines: list[str] = []
         self.ns: dict[str, Any] = {}
         self._counter = 0
@@ -1681,6 +1680,8 @@ class _ModuleEmitter:
             out.append(pad + "_warpSize = C._block.device.spec.warp_size")
         if em.uses_host_env:
             out.append(pad + "H = I.host")
+        if em.uses_profiled:
+            out.append(pad + "_P = C.profiled")
         return out
 
     def _load(self, label: str) -> tuple[dict[str, Any], int]:
@@ -1705,18 +1706,19 @@ class _ModuleEmitter:
         for s in fn.body.statements:
             em.stmt(s)
         em.flush()
-        stats_src = ("        S = C.stats_proxy" if self.profile
-                     else "        S = C._block.stats")
+        # the one per-launch fork: a profiled launch charges through
+        # the thread's line-attributing stats proxy
+        em.uses_profiled = True
         header = [f"def _mk(I{params}):",
-                  "    def _t(C):",
-                  stats_src]
+                  "    def _t(C):"]
+        stats = ["        S = C.stats_proxy if _P else C._block.stats"]
         footer = ["    return _t", ""]
         self.module_lines.extend(
-            header + self._prologue(em, fn.pos) + em.lines + footer)
+            header + self._prologue(em, fn.pos) + stats + em.lines + footer)
         ns, nbytes = self._load(fn.name)
         coercers = [_make_coercer(p.type) for p in fn.params]
         return CompiledSrcKernel(fn.name, ns["_mk"], em.has_yield,
-                                 coercers, nbytes, profiled=self.profile)
+                                 coercers, nbytes)
 
     def compile_host(self, name: str) -> "CompiledHostFn":
         pyfn = self.ensure_callee(name, host=True)
@@ -1731,12 +1733,12 @@ class _ModuleEmitter:
 _TOO_DEEP = "program is nested too deeply"
 
 
-def _compile_scalar(info: ProgramInfo, name: str,
-                    profile: bool = False) -> CompiledSrcKernel | Declined:
+def _compile_scalar(info: ProgramInfo,
+                    name: str) -> CompiledSrcKernel | Declined:
     """Un-memoized :func:`compile_kernel`; the warp tier compiles its
     scalar kernel through this, inside its own memo entry."""
     try:
-        return _ModuleEmitter(info, profile=profile).compile_kernel(
+        return _ModuleEmitter(info).compile_kernel(
             info.kernel_def(name), gen_ok=name in info.barrier_functions)
     except UnsupportedConstruct as exc:
         return Declined(str(exc))
@@ -1744,16 +1746,14 @@ def _compile_scalar(info: ProgramInfo, name: str,
         return Declined(_TOO_DEEP)
 
 
-def _kernel_verdict(info: ProgramInfo, name: str,
-                    profile: bool) -> CompiledSrcKernel | Declined:
-    key = memo_key("codegen-prof" if profile else "codegen",
-                   SRCGEN_VERSION, info.fingerprint, name)
+def _kernel_verdict(info: ProgramInfo,
+                    name: str) -> CompiledSrcKernel | Declined:
+    key = memo_key("codegen", SRCGEN_VERSION, info.fingerprint, name)
     return KERNEL_CACHE.get_or_compute(
-        key, lambda: _compile_scalar(info, name, profile))[0]
+        key, lambda: _compile_scalar(info, name))[0]
 
 
-def compile_kernel(info: ProgramInfo, name: str,
-                   profile: bool = False) -> CompiledSrcKernel | None:
+def compile_kernel(info: ProgramInfo, name: str) -> CompiledSrcKernel | None:
     """Compile kernel ``name`` to generated Python source.
 
     Returns None when the kernel uses a construct the emitter does not
@@ -1761,10 +1761,11 @@ def compile_kernel(info: ProgramInfo, name: str,
     :func:`decline_reason` says which). Both outcomes are memoized in
     the shared :data:`repro.minicuda.codegen.KERNEL_CACHE` — and
     nowhere else: an evicted kernel is recompiled — under a versioned
-    ``codegen`` engine key. Profiled compilation (line-ledger emitting
-    source) memoizes under its own engine tag.
+    ``codegen`` engine key. Profiled and unprofiled launches share the
+    one artifact: it always marks ``C.line``, and only a profiled
+    launch (``bind``) charges anything to it.
     """
-    value = _kernel_verdict(info, name, profile)
+    value = _kernel_verdict(info, name)
     return None if type(value) is Declined else value
 
 
@@ -1832,11 +1833,10 @@ def compile_host(info: ProgramInfo, name: str) -> Callable | None:
     return None if type(value) is Declined else value.call
 
 
-def decline_reason(info: ProgramInfo, name: str,
-                   profile: bool = False) -> str | None:
+def decline_reason(info: ProgramInfo, name: str) -> str | None:
     """Why this emitter leaves kernel or host function ``name`` to the
     tree-walker — the construct it stopped at, or ``loop-free`` — or
     None when it lowers it. Recalled from the memoized verdict."""
     value = (_host_verdict(info, name) if name in info.host_functions
-             else _kernel_verdict(info, name, profile))
+             else _kernel_verdict(info, name))
     return value.reason if type(value) is Declined else None

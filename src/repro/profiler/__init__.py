@@ -214,7 +214,9 @@ def render_annotated(source: str, profile: LineProfile,
                      top: int = 5) -> str:
     """Annotated source listing: per-line counters, a heat bar, and a
     top-N hot-line summary (the ``profile-attempt`` CLI output)."""
-    src_lines = source.splitlines()
+    # lazily: repro.minicuda imports this module (via gpusim)
+    from repro.minicuda.diagnostics import source_lines
+    src_lines = source_lines(source)
     heats = {line: c.heat() for line, c in profile.lines.items()}
     max_heat = max(heats.values(), default=0)
     header = ("line " + " ".join(f"{label:>8}" for _, label in _COLUMNS)
@@ -300,7 +302,9 @@ def check_line_budgets(budgets: Iterable[LineBudget],
                        source: str) -> list[BudgetViolation]:
     """Evaluate every budget against the profiled source; returns one
     violation per (line, budget) that exceeded its ceiling."""
-    src_lines = source.splitlines()
+    # lazily: repro.minicuda imports this module (via gpusim)
+    from repro.minicuda.diagnostics import source_lines
+    src_lines = source_lines(source)
     violations: list[BudgetViolation] = []
     for budget in budgets:
         matcher = re.compile(budget.pattern)

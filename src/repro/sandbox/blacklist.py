@@ -22,6 +22,8 @@ import re
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
+from repro.minicuda.diagnostics import LINE_BREAK, source_lines
+
 #: Strings WebGPU refuses at compile time. Each is matched as an
 #: identifier-ish token followed by optional whitespace and ``(`` where
 #: that makes sense, or as a plain substring for include-style entries.
@@ -138,15 +140,16 @@ class BlacklistScanner:
                 text = self.preprocessor(text)
             text = strip_comments_and_strings(text)
         matches: list[BlacklistMatch] = []
+        lines = None
         for m in self._pattern.finditer(text):
-            upto = text[: m.start()]
-            line = upto.count("\n") + 1
-            column = m.start() - (upto.rfind("\n") + 1) + 1
-            line_text = text.splitlines()[line - 1] if text else ""
+            if lines is None:
+                lines = source_lines(text)
+            before = LINE_BREAK.split(text[: m.start()])
+            line, column = len(before), len(before[-1]) + 1
             matches.append(
                 BlacklistMatch(entry=re.sub(_CONTINUATIONS, "", m.group(1)),
                                line=line, column=column,
-                               context=line_text.strip()[:80])
+                               context=lines[line - 1].strip()[:80])
             )
         return matches
 

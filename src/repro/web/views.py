@@ -14,6 +14,7 @@ from repro.core.history import Revision
 from repro.core.instructor import RosterRow
 from repro.core.submission import Attempt
 from repro.labs.base import LabDefinition
+from repro.minicuda.diagnostics import source_lines
 from repro.web.markdown import render_markdown
 
 
@@ -157,11 +158,11 @@ def render_profile_view(lab: LabDefinition, source: str, profile,
 
     heats = {line: c.heat() for line, c in profile.lines.items()}
     max_heat = max(heats.values(), default=0)
+    src_lines = source_lines(source)
 
     hot_rows = []
     for line, counters in profile.top_lines(top):
-        text = source.splitlines()[line - 1] if \
-            line <= len(source.splitlines()) else ""
+        text = src_lines[line - 1] if line <= len(src_lines) else ""
         hot_rows.append(
             f"<tr><td>{line}</td><td>{counters.heat()}</td>"
             f"<td><code>{html.escape(text.strip())}</code></td></tr>")
@@ -181,7 +182,7 @@ def render_profile_view(lab: LabDefinition, source: str, profile,
                         for _, label in _PROFILE_COLUMNS)
               + "<th>heat</th><th>source</th></tr>")
     rows = []
-    for number, text in enumerate(source.splitlines(), start=1):
+    for number, text in enumerate(src_lines, start=1):
         counters = profile.lines.get(number)
         heat = heats.get(number, 0)
         # shade the row by its share of the hottest line's heat

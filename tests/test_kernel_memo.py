@@ -23,7 +23,7 @@ from repro.minicuda.codegen import _VERDICT_NBYTES, KERNEL_CACHE
 from repro.minicuda.interpreter import Interpreter
 from repro.minicuda.parser import parse
 from repro.minicuda.semantic import ProgramInfo, analyze
-from repro.telemetry import Telemetry
+from repro.telemetry import KERNEL_EXEC_SECONDS, Telemetry
 from tests.test_lane_conflicts import (
     PROBES,
     launch,
@@ -186,6 +186,56 @@ def test_an_evicted_demotion_speculates_once_more(profile):
     assert replays(telemetry) == 2
     every_compiled_engine_equals_the_oracle()
     assert replays(telemetry) == 2
+
+
+@pytest.mark.parametrize("engine", COMPILED)
+def test_profiled_and_unprofiled_launches_share_one_kernel(engine):
+    source = SAXPY % (10 + COMPILED.index(engine))
+    program = compile_source(source)
+    before = KERNEL_CACHE.compute_count
+    plain_out, plain_stats = launch(source, 64, engine, program=program)
+    assert KERNEL_CACHE.compute_count == before + 1
+    keys = set(KERNEL_CACHE._done)
+    out, stats = launch(source, 64, engine, True, program=program)
+    assert KERNEL_CACHE.compute_count == before + 1
+    assert set(KERNEL_CACHE._done) <= keys
+    assert out == plain_out
+    assert ledger(stats) == ledger(plain_stats)
+    assert plain_stats.line_profile is None
+    assert stats.line_profile.total_instructions == stats.instructions
+
+
+def test_no_memo_key_is_profile_specific():
+    source = SAXPY % 12
+    program = compile_source(source)
+    for engine in COMPILED:
+        for profile in (True, False):
+            launch(source, 64, engine, profile, program=program)
+    assert KERNEL_CACHE._done
+    assert [key for key in KERNEL_CACHE._done if "-prof" in key] == []
+
+
+def test_a_demotion_by_an_unprofiled_launch_serves_the_profiled_one():
+    source, size = PROBES["global-rmw"]
+    program = program_of(source, exit_code=41)
+    telemetry = Telemetry()
+    launch(source, size, "simd", telemetry=telemetry, program=program)
+    assert replays(telemetry) == 1
+    (kernel,) = memoized(program.info.fingerprint)
+    assert kernel.demoted
+    scalar = kernel.scalar(program.info)
+    before = KERNEL_CACHE.compute_count
+    out, stats = launch(source, size, "simd", True, telemetry=telemetry,
+                        program=program)
+    assert replays(telemetry) == 1  # no second speculation
+    assert KERNEL_CACHE.compute_count == before
+    assert simd.compile_kernel(program.info, "k") is scalar
+    assert telemetry.metrics.histogram(KERNEL_EXEC_SECONDS).series(
+        engine="codegen", kernel="k").count == 2
+    ref_out, ref_stats = launch(source, size, "ast", True, program=program)
+    assert out == ref_out == [16, 16, 16, 16]
+    assert ledger(stats) == ledger(ref_stats)
+    assert stats.line_profile == ref_stats.line_profile
 
 
 @pytest.mark.parametrize("engine", COMPILED)

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.minicuda import CompileError, compile_source, preprocess
+from repro.minicuda.diagnostics import source_lines
 
 
 class TestComments:
@@ -154,6 +155,38 @@ class TestLineSplicing:
         with pytest.raises(CompileError,
                            match=r"2:7: unexpected character '\\\\'"):
             compile_source("int a;\nint b;\\")  # no next line to join
+
+
+class TestLineBreaks:
+    """A source line ends at ``\\n``, ``\\r\\n`` or a bare ``\\r`` — where
+    editors and the lexer's positions end it — and at nothing else
+    ``str.splitlines`` would split at."""
+
+    def test_source_lines(self):
+        assert source_lines("a\fb\vc\x1cd\x85e\u2028f\u2029g\n") == \
+            ["a\fb\vc\x1cd\x85e\u2028f\u2029g"]
+        assert source_lines("a\r\nb\rc\n\nd") == ["a", "b", "c", "", "d"]
+        for text in ("", "\n", "a", "a\n", "a\n\n", "a\r\n", "\r\r\n"):
+            assert source_lines(text) == text.splitlines(), repr(text)
+
+    def test_line_separator_inside_a_string_literal(self):
+        source = 'int main() {\n  printf("a\u2028b\\n");\n  return 0;\n}\n'
+        result = compile_source(source).run_main()
+        assert result.exit_code == 0
+        assert result.host_env.stdout == ["a\u2028b\n"]
+
+    def test_form_feed_is_whitespace_on_the_editor_line(self):
+        source = "int main() {\n  int x = 1;\f  int y = zz;\n  return 0;\n}\n"
+        with pytest.raises(CompileError,
+                           match="2:24: use of undeclared identifier 'zz'"):
+            compile_source(source)
+        assert compile_source("int main() {\v\f return 0;\f}").run_main() \
+            .exit_code == 0
+
+    def test_other_splitlines_breaks_are_stray_characters(self):
+        with pytest.raises(CompileError,
+                           match=r"2:9: unexpected character '\\x1c'"):
+            compile_source("int a;\nint b = \x1c1;\nint c = 2;")
 
 
 class TestLiteralBoundaries:

@@ -257,8 +257,7 @@ int main() { return 0; }
                              ids=("plain", "profiled"))
     def test_constant_reads_lower_and_equal_the_oracle(self, profile):
         info = compile_source(self.PROBE).info
-        assert isinstance(compile_kernel(info, "k", profile=profile),
-                          CompiledSimdKernel)
+        assert isinstance(compile_kernel(info, "k"), CompiledSimdKernel)
         ref = self._probe("ast", profile)
         assert ref[0][:3] == [2.0, 8.0, 8.0]
         for engine in ENGINES[1:]:

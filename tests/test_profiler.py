@@ -16,8 +16,10 @@ from repro.cache.cas import ContentAddressedStore
 from repro.cluster import GpuWorker, ManualClock, WorkerConfig
 from repro.cluster.job import DatasetOutcome, Job, JobKind
 from repro.core.feedback import FeedbackEngine
+from repro.gpusim import Device, GpuRuntime
 from repro.labs import get_lab
 from repro.labs.base import LabDefinition, execute_lab_source
+from repro.minicuda import ENGINES, compile_source
 from repro.profiler import (
     LINE_COUNTER_FIELDS,
     BudgetViolation,
@@ -147,6 +149,45 @@ class TestRenderAnnotated:
         assert "50" in text and "9" in text
 
 
+class TestViewersCountLinesLikeTheCompiler:
+    """A form feed in a comment is a character of its line for the
+    compiler, so every view of the ledger must show that line's text
+    beside that line's counters (``str.splitlines`` broke there)."""
+
+    SOURCE = ("__global__ void k(int *out) {  // one\f two\n"
+              "  out[threadIdx.x] = 7;\n"
+              "}\n"
+              "int main() { return 0; }\n")
+
+    @pytest.fixture(scope="class")
+    def profile(self):
+        program = compile_source(self.SOURCE)
+        rt = GpuRuntime(Device())
+        out = rt.malloc(4, "int")
+        stats = program.launch(rt, "k", 1, 4, out.ptr(), profile=True)
+        assert stats.line_profile.counters(2).global_store_transactions
+        return stats.line_profile
+
+    def test_render_annotated(self, profile):
+        listing = render_annotated(self.SOURCE, profile, top=1)
+        (row,) = [r for r in listing.splitlines() if r.startswith("   2 ")]
+        assert row.endswith("out[threadIdx.x] = 7;")
+        assert "#1 line 2:" in listing
+        assert listing.rstrip().endswith("out[threadIdx.x] = 7;")
+
+    def test_check_line_budgets(self, profile):
+        budget = LineBudget(r"out\[", "global_store_transactions", 0)
+        (violation,) = check_line_budgets((budget,), profile, self.SOURCE)
+        assert (violation.line, violation.source_text) == (
+            2, "out[threadIdx.x] = 7;")
+
+    def test_profile_view(self, profile):
+        page = render_profile_view(VECADD, self.SOURCE, profile, top=1)
+        assert "<tr><td>2</td><td>" in page
+        assert "<code>out[threadIdx.x] = 7;</code>" in page
+        assert page.count("<pre class='src'>") == 4
+
+
 # -- end-to-end ledgers from the lab harness ---------------------------------
 
 class TestExecuteLabProfiled:
@@ -164,6 +205,19 @@ class TestExecuteLabProfiled:
         result = execute_lab_source(VECADD, VECADD.solution, data)
         assert result.passed
         assert result.line_profile is None
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_unprofiled_launch_of_a_profiled_kernel_has_no_ledger(
+            self, engine):
+        # one compiled artifact serves both: profiling is the launch's
+        data = VECADD.dataset(0)
+        runs = [execute_lab_source(VECADD, VECADD.solution, data,
+                                   engine=engine, profile=profile)
+                for profile in (True, False, True)]
+        assert [run.line_profile is None for run in runs] == \
+            [False, True, False]
+        assert runs[0].line_profile == runs[2].line_profile
+        assert all(run.passed for run in runs)
 
 
 # -- worker integration: ledger on the outcome, CAS caching, budgets ---------

@@ -22,6 +22,15 @@ class TestRawMode:
         match = scanner.scan("int x;\n  asm();\n")[0]
         assert (match.line, match.column) == (2, 3)
 
+    def test_position_and_context_count_lines_like_the_compiler(self):
+        # a form feed is a character of its line, any line break is one
+        scanner = BlacklistScanner()
+        for text in ("// a\fb\n  fork();\n", "// a\fb\r\n  fork();",
+                     "// a\fb\r  fork();"):
+            match, = scanner.scan(text)
+            assert (match.line, match.column, match.context) == \
+                (2, 3, "fork();"), repr(text)
+
     def test_substrings_do_not_match(self):
         scanner = BlacklistScanner()
         # identifiers merely containing blacklisted words are fine
