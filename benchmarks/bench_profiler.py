@@ -14,7 +14,7 @@ This benchmark runs tiled matmul and a block reduction on every
 engine, profiled vs unprofiled, checks ledgers stay bit-identical
 across engines, and records the slowdowns in ``BENCH_profiler.json``.
 No hard floor on the profiled multiple: the simd engine executes a
-warp per instruction but the ledger still charges per line, so its
+block per instruction but the ledger still charges per line, so its
 relative overhead is structurally larger — the JSON is the artifact.
 The invariants asserted here are correctness — identical outputs
 with and without profiling, identical ledgers across engines, and a

@@ -40,15 +40,16 @@ class LaneConflict(Exception):
 
 
 class LaneTracker:
-    """Who touched each element of one allocation, for one warp and
+    """Who touched each element of one allocation, for one block and
     one barrier interval of a speculative warp-vector launch.
 
-    The warp-SIMD engine runs each statement for every lane before the
-    next statement (statement-major); the oracle runs each thread to
-    the next barrier before the next thread (thread-major). Within a
-    warp and a barrier interval the two orders disagree about a pair of
-    accesses to one element only when the *later* one (statement-major)
-    comes from a *lower* lane and at least one of the pair is a store.
+    The warp-SIMD engine runs each statement for every thread of the
+    block before the next statement (statement-major); the oracle runs
+    each thread to the next barrier before the next thread
+    (thread-major). Within a block and a barrier interval the two
+    orders disagree about a pair of accesses to one element only when
+    the *later* one (statement-major) comes from a *lower* lane (linear
+    thread id) and at least one of the pair is a store.
     So it is enough to remember, per element, the highest lane that
     stored and the highest lane that loaded so far, and to raise
     :class:`LaneConflict` when a lower lane arrives. Lanes inside one
@@ -64,14 +65,14 @@ class LaneTracker:
     __slots__ = ("writer", "reader", "reads", "stored", "loaded")
 
     #: fold the load log once it is this long, so a long read loop
-    #: does not keep every index vector alive until the warp ends
+    #: does not keep every index vector alive until the block ends
     MAX_LOGGED_READS = 64
 
     def __init__(self, num_elements: int):
         # highest lane that stored / loaded each element, -1 for none
-        # (int8: a warp is 32 lanes on every DeviceSpec, far below 128)
-        self.writer = np.full(num_elements, -1, dtype=np.int8)
-        self.reader = np.full(num_elements, -1, dtype=np.int8)
+        # (int16: a block is at most 1024 threads on every DeviceSpec)
+        self.writer = np.full(num_elements, -1, dtype=np.int16)
+        self.reader = np.full(num_elements, -1, dtype=np.int16)
         # loads not yet folded into ``reader``: (index, highest lane)
         self.reads: list[tuple[Any, Any]] = []
         # the indices ``writer`` / ``reader`` are set at, for reset()
@@ -116,7 +117,7 @@ class LaneTracker:
         self.reads.clear()
 
     def reset(self) -> None:
-        """Forget everything: a barrier or the end of the warp."""
+        """Forget everything: a barrier or the end of the block."""
         if self.stored:
             writer = self.writer
             for index in self.stored:

@@ -18,10 +18,10 @@ Three things keep the grading hot loop cheap:
 * barrier-free kernels (plain functions) run as direct calls — no
   generator allocation, no ``next()`` driving, no lockstep machinery;
 * a kernel carrying a ``warp_run`` executor (the warp-SIMD engine's)
-  runs a warp at a time against one :class:`WarpContext` — launch
-  geometry as lane vectors, no per-thread objects — so such a launch
-  allocates O(warps), not O(threads);
-* access tracking appends to flat per-thread arrays (or whole-warp
+  runs a whole block at a time against one :class:`WarpContext` —
+  launch geometry as lane vectors, no per-thread objects — so such a
+  launch allocates O(blocks), not O(threads);
+* access tracking appends to flat per-thread arrays (or block-wide
   chunks) and the per-block :meth:`_BlockState.finalize` reduces them
   with vectorized numpy segment/bank grouping instead of
   dict-of-lists bookkeeping. The resulting :class:`KernelStats` are
@@ -73,12 +73,13 @@ def _packed_rows(traces: list[tuple[int, list[int]]],
     array whose first column is the packed ``(warp << _SEQ_BITS) | seq``
     warp-request key. Returns None when no thread recorded anything.
 
-    ``chunks`` carries whole-warp access batches recorded by the SIMD
-    engine: ``(count, warp, seqs, col1, col2)`` where ``seqs`` /
-    ``col1`` / ``col2`` are scalars or length-``count`` arrays (scalars
-    broadcast — e.g. one uniform seq for a full-mask access). The row
-    multiset is identical to per-thread recording, so the downstream
-    coalescing / bank grouping is unaffected by who recorded the rows.
+    ``chunks`` carries block-wide access batches recorded by the SIMD
+    engine: ``(count, warp, seqs, col1, col2)`` where ``warp`` (each
+    lane's warp id) / ``seqs`` / ``col1`` / ``col2`` are scalars or
+    length-``count`` arrays (scalars broadcast — e.g. one uniform seq
+    for a full-mask access). The row multiset is identical to
+    per-thread recording, so the downstream coalescing / bank grouping
+    is unaffected by who recorded the rows.
     A line-profiled block records ``width`` 4: per-thread traces carry
     the charging source line as a fourth int per access and chunks a
     sixth field, ``lines``; columns 0-2 are the same either way.
@@ -161,7 +162,7 @@ class _BlockState:
         self.load_traces: list[tuple[int, list[int]]] = []
         self.store_traces: list[tuple[int, list[int]]] = []
         self.shared_traces: list[tuple[int, list[int]]] = []
-        # whole-warp access batches from the SIMD engine:
+        # block-wide access batches from the SIMD engine:
         # (count, warp, seqs, col1, col2); for loads/stores col1 is the
         # byte address and col2 the access width; for shared hits col2
         # is the word index and col1 is unused (banks are derived from
@@ -710,34 +711,38 @@ class ProfiledThreadContext(ThreadContext):
 
 
 class WarpContext:
-    """What a ``warp_run`` executor runs one warp against: the block
-    state and the launch geometry, with ``threadIdx`` as lane vectors
-    computed from the warp's first linear thread id rather than read
-    off 32 thread contexts. A real per-thread context exists only for
-    the lanes a per-lane fallback asks :meth:`lane` for."""
+    """What a ``warp_run`` executor runs one block against: the block
+    state and the launch geometry, with one lane per thread of the
+    block — lane ``i`` is linear thread id ``i`` — and ``threadIdx`` as
+    lane vectors rather than read off per-thread contexts.
+    ``warp_ids`` is each lane's 32-lane warp: the executor's access and
+    branch records carry it, so coalescing, bank replays and
+    divergence are still accounted per warp request. A real per-thread
+    context exists only for the lanes a per-lane fallback asks
+    :meth:`lane` for."""
 
-    __slots__ = ("blockIdx", "blockDim", "gridDim", "n", "first",
-                 "_block", "_warp", "_tid", "_lanes")
+    __slots__ = ("blockIdx", "blockDim", "gridDim", "n", "warp_size",
+                 "warp_ids", "_block", "_linear", "_tid", "_lanes")
 
-    def __init__(self, block_state: _BlockState, warp: int, first: int,
-                 n: int, blockIdx: Idx3, blockDim: Dim3, gridDim: Dim3):
+    def __init__(self, block_state: _BlockState, blockIdx: Idx3,
+                 blockDim: Dim3, gridDim: Dim3):
         self.blockIdx = blockIdx
         self.blockDim = blockDim
         self.gridDim = gridDim
-        self.n = n          # lanes in this warp (the last may be short)
-        self.first = first  # linear thread id of lane 0
+        self.n = blockDim.count
+        self.warp_size = block_state.device.spec.warp_size
+        self._linear = np.arange(self.n, dtype=np.int64)
+        self.warp_ids = self._linear // self.warp_size
         self._block = block_state
-        self._warp = warp
         self._tid: dict[str, np.ndarray] = {}
         self._lanes: dict[int, ThreadContext] = {}
 
     def tid_axis(self, axis: str) -> np.ndarray:
-        """``threadIdx.<axis>`` of every lane (int64, cached): the
-        warp's slice of :meth:`Dim3.iter_points` order, x fastest."""
+        """``threadIdx.<axis>`` of every lane (int64, cached), in
+        :meth:`Dim3.iter_points` order, x fastest."""
         arr = self._tid.get(axis)
         if arr is None:
-            linear = np.arange(self.first, self.first + self.n,
-                               dtype=np.int64)
+            linear = self._linear
             dim = self.blockDim
             if axis == "x":
                 arr = linear % dim.x
@@ -792,49 +797,21 @@ def run_block(device: Device, kernel: Callable[..., Any], grid: Dim3,
     warp_size = device.spec.warp_size
     state.stats.warps = (block.count + warp_size - 1) // warp_size
 
-    # Whole-warp path: an engine may attach a warp_run executor — a
-    # generator factory taking one WarpContext and yielding at each
-    # __syncthreads(). Warps advance in rounds exactly like threads do
-    # below, so the barrier counter and the per-round access ordering
-    # match the per-thread path; a barrier-free warp simply finishes
-    # inside round one, warp after warp. Per-thread access order is
-    # preserved and the coalescing / bank-conflict model keys on
-    # per-thread sequence numbers, so cross-lane interleaving is
-    # unobservable in the stats. In *memory* it is observable; the
-    # executor answers for that — the warp-SIMD tier raises
-    # LaneConflict through here and its launcher replays the launch
-    # thread by thread.
+    # Block-wide path: an engine may attach a warp_run executor — a
+    # generator factory taking one WarpContext for the whole block and
+    # yielding at each __syncthreads(), which every thread reaches
+    # together (its barriers sit on block-uniform control flow), so
+    # each yield is one barrier. Per-thread access order is preserved
+    # and the coalescing / bank-conflict model keys on per-thread
+    # sequence numbers and per-lane warp ids, so cross-lane
+    # interleaving is unobservable in the stats. In *memory* it is
+    # observable; the executor answers for that — the warp-SIMD tier
+    # raises LaneConflict through here and its launcher replays the
+    # launch thread by thread.
     warp_run = getattr(kernel, "warp_run", None)
     if warp_run is not None:
-        lanes = [min(warp_size, block.count - first)
-                 for first in range(0, block.count, warp_size)]
-        gens = [warp_run(WarpContext(state, w, w * warp_size, n,
-                                     block_idx, block, grid))
-                for w, n in enumerate(lanes)]
-        live_warps = list(range(len(gens)))
-        while live_warps:
-            arrived_w: list[int] = []
-            finished_w: list[int] = []
-            for i in live_warps:
-                try:
-                    next(gens[i])
-                except StopIteration:
-                    finished_w.append(i)
-                    continue
-                arrived_w.append(i)
-            if arrived_w and finished_w:
-                # report thread counts so the message is byte-identical
-                # to the per-thread lockstep path below
-                n_wait = sum(lanes[i] for i in arrived_w)
-                n_done = sum(lanes[i] for i in finished_w)
-                raise BarrierDivergenceError(
-                    f"{n_wait} thread(s) waiting at __syncthreads() while "
-                    f"{n_done} thread(s) exited the kernel in block "
-                    f"({block_idx.x},{block_idx.y},{block_idx.z})"
-                )
-            if arrived_w:
-                state.stats.barriers += 1
-            live_warps = arrived_w
+        for _ in warp_run(WarpContext(state, block_idx, block, grid)):
+            state.stats.barriers += 1
         state.finalize()
         return BlockResult(stats=state.stats, output=state.output)
 

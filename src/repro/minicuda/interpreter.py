@@ -353,14 +353,15 @@ class Interpreter:
         """Package kernel ``name`` as a gpusim per-thread callable.
 
         Under the default ``simd`` engine an eligible kernel is lowered
-        to whole-warp numpy array programs with masked lane predication
-        (memoized per program+kernel) and the callable carries the warp
+        to block-wide numpy array programs with masked lane predication
+        (memoized per program+kernel) and the callable carries the block
         executor plus the launch's ``speculation`` undo log — launch it
         through :meth:`launch_kernel`, which replays on the scalar tier
-        when lane order would have shown. Ineligible or demoted kernels
-        fall to ``codegen``: real Python source per kernel (flat
-        locals, ``compile()``-d once per program fingerprint), run
-        thread by thread; barrier-free kernels come back as plain
+        when lane order would have shown or a lane faulted. Ineligible
+        or demoted kernels fall to ``codegen``: real Python source per
+        kernel (flat locals, ``compile()``-d once per program
+        fingerprint), run thread by thread; barrier-free kernels come
+        back as plain
         functions so the scheduler skips generator machinery entirely.
         The ``ast`` engine — and any construct the compilers do not
         support — takes the tree-walking path.
@@ -415,18 +416,30 @@ class Interpreter:
         :class:`LaneConflict` — statement-major order was about to
         differ from the oracle's thread-major order — the launch is
         undone (written allocations, step budget; its stats never
-        reached the runtime) and replayed on the scalar kernel, which
-        is compiled then if it never was. Faults and hangs are not
-        conflicts and propagate as they always did.
+        reached the runtime), the kernel is demoted and the launch
+        replayed on the scalar kernel, which is compiled then if it
+        never was. Faults replay scalar too, without demoting: a lane
+        that faults at an earlier statement need not be the first
+        thread to fault, and the replay's outcome is the launch's.
+        A :class:`KernelHang` propagates as it is.
         """
         kernel, tier = self._bind_kernel(name, args)
         # only a warp-SIMD kernel carries (and can raise for) one
         speculation = getattr(kernel, "speculation", None)
         try:
             grid, block = _as_dim3(grid), _as_dim3(block)
-            return self.runtime.launch(kernel, grid, block,
-                                       kernel_name=name, engine=tier)
-        except LaneConflict:
+            try:
+                return self.runtime.launch(kernel, grid, block,
+                                           kernel_name=name, engine=tier)
+            except Exception as exc:
+                # whatever a kernel raises reaches the student as a
+                # runtime error, so every exception of a speculative
+                # launch replays — except a hang, whose replay would
+                # burn the whole restored step budget a second time
+                if speculation is None or isinstance(exc, KernelHang):
+                    raise
+                if isinstance(exc, LaneConflict):
+                    speculation.kernel.demoted = True
             kernel, tier = speculation.rollback()
             telemetry = getattr(self.runtime, "telemetry", None)
             if telemetry is not None:

@@ -2,29 +2,30 @@
 
 The top execution tier. Where the ``codegen`` engine emits scalar
 Python source executed once per thread, this engine lowers an eligible
-kernel body to numpy array programs executed once per *warp*: builtin
-indices become lane vectors, arithmetic becomes dtype-correct numpy
-ops on int64/float64 carriers, and global/shared accesses become
-gathers/scatters against the numpy storage of ``DeviceBuffer`` /
-``SharedArray`` with vectorized bounds checks that reproduce the
-scalar fault message for the first offending lane.
+kernel body to numpy array programs executed once per *block*, one
+lane per thread: builtin indices become lane vectors, arithmetic
+becomes dtype-correct numpy ops on int64/float64 carriers, and
+global/shared accesses become gathers/scatters against the numpy
+storage of ``DeviceBuffer`` / ``SharedArray`` with vectorized bounds
+checks.
 
 Divergent control flow runs under lane masks: ``if``/``else`` without
 barriers executes both arms on index partitions, and every charge
 point adds ``len(active lanes)`` instructions so ``KernelStats``
 stays bit-identical to the tree-walking oracle. Memory accesses are
-recorded as whole-warp chunks (``_BlockState.load_chunks`` et al.)
-whose row multiset equals per-thread recording, so the coalescing and
-bank-conflict models are unaffected.
+recorded as block-wide chunks (``_BlockState.load_chunks`` et al.)
+carrying each lane's 32-lane warp id, whose row multiset equals
+per-thread recording, so coalescing, bank conflicts, divergence and
+lane occupancy are still accounted per warp.
 
 Eligibility is decided per kernel at compile time; any unsupported
 construct raises :class:`_SimdUnsupported` and the kernel falls back
 to the scalar ``codegen`` tier (the verdict is memoized, never an
 error). Barrier kernels lower to a "spine": straight-line vectorized
 statements separated by yields, with uniform-condition loops driven
-by scalar conditions so whole warps arrive at every barrier together.
+by scalar conditions so whole blocks arrive at every barrier together.
 
-Execution is *speculative*. A warp runs statement-major where the
+Execution is *speculative*. A block runs statement-major where the
 oracle runs thread-major, and the two agree only while no lane touches
 an element a higher lane already touched in the same barrier interval
 (one of the two storing). Every access to an allocation the kernel may
@@ -34,13 +35,14 @@ store to goes through that allocation's
 ``Interpreter.launch_kernel`` restores the :class:`Speculation`
 snapshot, marks the kernel demoted and replays the launch on the
 scalar ``codegen`` kernel — so results, ``KernelStats`` and line
-ledgers equal the oracle's for racy programs too. Kernels that name a
+ledgers equal the oracle's for racy programs too. A launch that faults
+is restored and replayed the same way (without demotion), so the fault
+it reports is the first in thread-major order. Kernels that name a
 writable file-scope ``__device__`` array or pointer are ineligible
 (that storage carries no tracker).
 
-Documented divergences from the scalar engines: faults surface in
-statement-major rather than thread-major order, and int64 carriers
-wrap where Python ints would grow unbounded.
+Documented divergence from the scalar engines: int64 carriers wrap
+where Python ints would grow unbounded.
 """
 
 from __future__ import annotations
@@ -85,7 +87,6 @@ from repro.minicuda.srcgen import (
     _c_ne,
     _compile_scalar,
     _ctype_kinds,
-    _md_oob,
     _resolve_atomic,
     _stmt_contains_barrier,
     _TOO_DEEP,
@@ -285,7 +286,7 @@ def _analyze_names(fn: ast.FuncDef,
     facts (shadowed declarations share one verdict).
 
     **Varying names** — params/locals that may hold different values
-    across the lanes of one warp, by fixpoint: a name becomes varying
+    across the lanes of one block, by fixpoint: a name becomes varying
     when it is assigned (a) a lane-dependent value — anything touching
     ``threadIdx``, memory loads, derefs, atomics, OpenCL index
     functions, device calls, or other varying names — or (b) any value
@@ -419,13 +420,14 @@ def _analyze_names(fn: ast.FuncDef,
         i for name, i in pointers.items() if name in stored)
 
 
-# -- per-warp execution state ------------------------------------------------
+# -- per-block execution state -----------------------------------------------
 
 class _WarpSt:
-    """Runtime state for one warp's vectorized execution."""
+    """Runtime state for one block's vectorized execution: one lane
+    per thread, accounted per 32-lane warp."""
 
     __slots__ = ("wctx", "tid_axis", "n", "interp", "frame", "stats",
-                 "block", "warp", "seqs", "ops", "slots", "idx_all",
+                 "block", "warp_ids", "seqs", "ops", "slots", "idx_all",
                  "md_ok", "prof", "line", "bseqs", "trackers")
 
     def __init__(self, wctx: WarpContext, interp: Any, frame_size: int,
@@ -437,7 +439,9 @@ class _WarpSt:
         self.frame: list[Any] = [None] * frame_size
         self.block = wctx._block
         self.stats = self.block.stats
-        self.warp = wctx._warp
+        # each lane's warp id, the warp column of every record; a
+        # plain 0 while the block is one warp
+        self.warp_ids = wctx.warp_ids if wctx.n > wctx.warp_size else 0
         # per-lane access sequence numbers; kept as one Python int
         # while every access so far has been full-mask (the hot case),
         # materialized to an int64 array on the first partial-mask op
@@ -446,10 +450,10 @@ class _WarpSt:
         self.slots = 0  # lane-occupancy denominator
         self.idx_all = np.arange(self.n, dtype=np.intp)
         # (axis, limit) pairs whose full tid lane vector was verified
-        # in range — tid vectors are warp constants, so one positive
+        # in range — tid vectors are block constants, so one positive
         # verdict covers every later (masked or full) access
         self.md_ok: set = set()
-        # lane trackers this warp may have dirtied: the launch's
+        # lane trackers this block may have dirtied: the launch's
         # tracked global allocations, plus each __shared__ array as its
         # declaration runs
         self.trackers = list(trackers)
@@ -464,20 +468,46 @@ class _WarpSt:
             self.bseqs = np.zeros(self.n, dtype=np.int64)
             self.stats = _LineStatsProxy(self, self.stats, prof.instr_lines)
 
-    def next_seq(self, idx: np.ndarray, k: int) -> Any:
-        """Sequence keys for one whole-mask-or-masked access; bumps
-        the per-lane counters. Returns a scalar while the warp has
-        never diverged (broadcast by ``_packed_rows``)."""
-        seqs = self.seqs
-        if type(seqs) is int:
-            if k == self.n:
-                self.seqs = seqs + 1
-                return seqs
-            seqs = np.full(self.n, seqs, dtype=np.int64)
-            self.seqs = seqs
-        keys = seqs[idx]
-        seqs[idx] += 1
-        return keys
+    def lane_warps(self, idx: np.ndarray) -> Any:
+        """The warp id of each active lane in ``idx``."""
+        w = self.warp_ids
+        if type(w) is int or len(idx) == self.n:
+            return w
+        return w[idx]
+
+    def occupy(self, idx: np.ndarray) -> None:
+        """Count one masked step of the non-empty lane set ``idx`` in
+        the lane occupancy: its active lanes, over the width of every
+        warp that has one — what each warp running it alone counts."""
+        self.ops += len(idx)
+        w = self.warp_ids
+        if type(w) is int or len(idx) == self.n:
+            self.slots += self.n
+            return
+        w = w[idx]
+        size = self.wctx.warp_size
+        last = (self.n - 1) // size
+        self.slots += size * (1 + int(np.count_nonzero(w[1:] != w[:-1])))
+        if w[-1] == last:  # the block's last warp may be short
+            self.slots -= (last + 1) * size - self.n
+
+    def record(self, chunks: list, idx: np.ndarray, col1: Any,
+               col2: Any) -> None:
+        """Append one access chunk for the active lanes ``idx``: their
+        warp ids and sequence numbers (bumping the per-lane counters),
+        the two data columns, and the charging line when the block is
+        profiled. The sequence number stays one scalar while the block
+        has never diverged (``_packed_rows`` broadcasts it)."""
+        k = len(idx)
+        keys = self.seqs
+        if type(keys) is int and k == self.n:
+            self.seqs = keys + 1
+        else:
+            seqs = self.seq_array()
+            keys = seqs[idx]
+            seqs[idx] += 1
+        row = (k, self.lane_warps(idx), keys, col1, col2)
+        chunks.append(row if self.prof is None else row + (self.line,))
 
     def seq_array(self) -> np.ndarray:
         if type(self.seqs) is int:
@@ -485,7 +515,7 @@ class _WarpSt:
         return self.seqs
 
     def end_interval(self) -> None:
-        """A barrier, or the end of the warp: lane order starts over."""
+        """A barrier, or the end of the block: lane order starts over."""
         for tracker in self.trackers:
             tracker.reset()
 
@@ -503,7 +533,7 @@ class _WarpSt:
         keys = self.bseqs[idx]  # fancy indexing copies
         self.bseqs[idx] += 1
         self.prof.branch_chunks.append(
-            (len(idx), self.warp, keys, line, taken))
+            (len(idx), self.lane_warps(idx), keys, line, taken))
 
     def lane_read(self, idx: np.ndarray, base: Any, ind: Any,
                   pos: Any) -> Any:
@@ -749,7 +779,7 @@ class _Lowerer:
                 and self.lookup(obj.name) is None \
                 and obj.name not in self.info.constants:
             if obj.name == "threadIdx":
-                # full-mask fast path returns the cached per-warp lane
+                # full-mask fast path returns the cached per-block lane
                 # vector itself; downstream ops never mutate operands
                 return (lambda st, idx:
                         st.tid_axis(field) if idx is st.idx_all
@@ -766,8 +796,8 @@ class _Lowerer:
     def _tid_axis_of(self, node: Any) -> str | None:
         """The axis name when ``node`` is a plain ``threadIdx.<axis>``
         read (not shadowed by a local or a global) — such index
-        vectors are warp constants, so a bounds verdict can be cached
-        per warp instead of re-reduced on every access."""
+        vectors are block constants, so a bounds verdict can be cached
+        per block instead of re-reduced on every access."""
         if (isinstance(node, ast.Member)
                 and node.field_name in ("x", "y", "z")
                 and isinstance(node.obj, ast.Ident)
@@ -1079,14 +1109,12 @@ class _Lowerer:
             def resolve(st, idx):
                 i = f_i(st, idx)
                 j = f_j(st, idx)
-                if not (_md_fast_ok(st, i, i_axis, d0)
-                        and _md_fast_ok(st, j, j_axis, d1)):
-                    _md_check(i, j, d0, d1)
+                _md_check(st, i, j, d0, d1, i_axis, j_axis)
                 return st.frame[slot], i * d1 + j
             if space == "shared_md":
                 ekind = rec.kind[2]
                 return (resolve,
-                        lambda st, idx, rs: _shared_load_md(st, idx, *rs),
+                        lambda st, idx, rs: _shared_load(st, idx, *rs, True),
                         lambda st, idx, rs, v: _shared_store(
                             st, idx, rs[0], rs[1], v),
                         ekind)
@@ -1406,7 +1434,7 @@ class _Lowerer:
             # the read-modify-write itself stays lane by lane, through
             # the target's own checked accessors and on the operand
             # values ThreadContext._atomic would see; what it charges
-            # and records is accounted for the warp as a whole below
+            # and records is accounted for the block as a whole below
             stats = st.block.stats
             shared = isinstance(target, SharedArray)
             if shared:
@@ -1429,9 +1457,8 @@ class _Lowerer:
                     worst = hit
             st.stats.instructions += k
             stats.atomic_ops += k
-            prof = st.prof
-            if prof is not None:
-                al = prof.atomic_lines
+            if st.prof is not None:
+                al = st.prof.atomic_lines
                 al[st.line] = al.get(st.line, 0) + k
             if shared:
                 # shared atomics serialise only within the block's SM
@@ -1440,12 +1467,9 @@ class _Lowerer:
             else:
                 # a global atomic is a load and a store through the
                 # memory hierarchy, at consecutive sequence numbers
-                line = () if prof is None else (st.line,)
                 addrs = base + ind * nb
-                st.block.load_chunks.append(
-                    (k, st.warp, st.next_seq(idx, k), addrs, nb) + line)
-                st.block.store_chunks.append(
-                    (k, st.warp, st.next_seq(idx, k), addrs, nb) + line)
+                st.record(st.block.load_chunks, idx, addrs, nb)
+                st.record(st.block.store_chunks, idx, addrs, nb)
             return out
         return fn, ekind, False
 
@@ -1472,7 +1496,7 @@ class _Lowerer:
                 def resolve(st, idx):
                     i = f_i(st, idx)
                     j = f_j(st, idx)
-                    _md_check(i, j, d0, d1)
+                    _md_check(st, i, j, d0, d1)
                     if local:
                         raise MemoryFault(
                             "atomics require device or shared memory")
@@ -1731,14 +1755,12 @@ class _Lowerer:
             f_idx = idx[~t]
             parts = []
             if len(t_idx):
-                st.ops += len(t_idx)
-                st.slots += st.n
+                st.occupy(t_idx)
                 parts.append(tf(st, t_idx, fr))
             if ef is None:
                 parts.append(f_idx)
             elif len(f_idx):
-                st.ops += len(f_idx)
-                st.slots += st.n
+                st.occupy(f_idx)
                 parts.append(ef(st, f_idx, fr))
             return _merge(parts)
         return sfn
@@ -1776,8 +1798,7 @@ class _Lowerer:
                     live = active[cv]
                     if not len(live):
                         break
-                st.ops += len(live)
-                st.slots += st.n
+                st.occupy(live)
                 brk: list = []
                 nr0 = len(ret)
                 bodyf(st, live, (brk, ret))
@@ -1805,8 +1826,7 @@ class _Lowerer:
             r0 = len(ret)
             while len(active):
                 st.add_steps(len(active), pos)
-                st.ops += len(active)
-                st.slots += st.n
+                st.occupy(active)
                 brk: list = []
                 nr0 = len(ret)
                 bodyf(st, active, (brk, ret))
@@ -1874,8 +1894,7 @@ class _Lowerer:
                             break
                 else:
                     live = active
-                st.ops += len(live)
-                st.slots += st.n
+                st.occupy(live)
                 brk: list = []
                 nr0 = len(ret)
                 bodyf(st, live, (brk, ret))
@@ -2012,8 +2031,8 @@ class _Lowerer:
     def spine_stmt(self, s: ast.Stmt):
         """Compile one statement of a barrier kernel into a spine node.
         Statements not containing a barrier become ordinary masked
-        statement closures run on the full warp; barrier-bearing
-        control flow must be warp-uniform."""
+        statement closures run on the full block; barrier-bearing
+        control flow must be block-uniform."""
         if not _stmt_contains_barrier(s):
             return ("s", self.stmt(s))
         cls = type(s)
@@ -2072,14 +2091,14 @@ class _Lowerer:
 
 # -- vectorized memory access -------------------------------------------------
 #
-# Each helper reproduces one ThreadContext access method for a whole
-# warp at once: identical charge counts, identical trace rows (as
-# chunks), identical fault types and messages on the first offending
-# lane. Global accesses read/write storage before recording the trace;
-# shared accesses record first — the same order the scalar methods use.
-# Accesses to trackable storage then report to its LaneTracker (after
-# the bounds check: the tracker indexes by element), which raises
-# LaneConflict when thread-major order would have differed.
+# Each helper reproduces one ThreadContext access method for every
+# active lane of a block at once: identical charge counts and trace
+# rows (as chunks carrying each lane's warp id). A bounds fault ends
+# the speculative launch, which then replays scalar, so the fault a
+# launch reports is always the scalar engines' own. Accesses to
+# trackable storage then report to its LaneTracker (after the bounds
+# check: the tracker indexes by element), which raises LaneConflict
+# when thread-major order would have differed.
 
 def _lanes_in_range(v: np.ndarray, limit: int) -> bool:
     """True when every lane of ``v`` is in ``[0, limit)``. One
@@ -2092,188 +2111,108 @@ def _lanes_in_range(v: np.ndarray, limit: int) -> bool:
     return bool(((v >= 0) & (v < limit)).all())
 
 
-def _md_fast_ok(st: _WarpSt, v: Any, axis: str | None,
-                limit: int) -> bool:
-    """Cheap positive-only bounds screen for one md index operand.
-    Scalars get a Python compare; ``threadIdx`` lane vectors get a
-    once-per-warp verdict cached in ``st.md_ok``. False means
-    "unscreened", not "out of bounds" — the caller then runs the full
-    :func:`_md_check` for the exact fault."""
-    if isinstance(v, np.ndarray):
-        if axis is None:
-            return False
+def _md_ok(st: _WarpSt, v: Any, axis: str | None, limit: int) -> bool:
+    """Whether one 2-D index operand is in ``[0, limit)`` on every
+    lane. A ``threadIdx`` lane vector (``axis``) is a block constant:
+    its full vector's positive verdict is cached in ``st.md_ok``."""
+    if not isinstance(v, np.ndarray):
+        return 0 <= v < limit
+    if axis is not None:
         key = (axis, limit)
         if key in st.md_ok:
             return True
         if _lanes_in_range(st.tid_axis(axis), limit):
             st.md_ok.add(key)
             return True
-        return False
-    return 0 <= v < limit
+    return _lanes_in_range(v, limit)
 
 
-def _md_check(i: Any, j: Any, d0: int, d1: int) -> None:
-    iv = isinstance(i, np.ndarray)
-    jv = isinstance(j, np.ndarray)
-    if not iv and not jv:
-        if not (0 <= i < d0 and 0 <= j < d1):
-            _md_oob(int(i), d0, int(j), d1)
-        return
-    i_ok = _lanes_in_range(i, d0) if iv else 0 <= i < d0
-    j_ok = _lanes_in_range(j, d1) if jv else 0 <= j < d1
-    if i_ok and j_ok:
-        return
-    bad = ((np.asarray(i) < 0) | (np.asarray(i) >= d0)
-           | (np.asarray(j) < 0) | (np.asarray(j) >= d1))
-    k = int(np.argmax(bad))
-    _md_oob(int(i[k]) if iv else int(i),
-            d0, int(j[k]) if jv else int(j), d1)
+def _md_check(st: _WarpSt, i: Any, j: Any, d0: int, d1: int,
+              i_axis: str | None = None, j_axis: str | None = None) -> None:
+    """Fault when some lane's ``[i][j]`` leaves the ``d0`` x ``d1``
+    array; the launch's scalar replay then reports that lane's own
+    fault."""
+    if not (_md_ok(st, i, i_axis, d0) and _md_ok(st, j, j_axis, d1)):
+        raise MemoryFault("multi-dimensional array index out of range")
 
 
 def _global_load(st: _WarpSt, idx: np.ndarray, base: Any, ind: Any,
                  pos: Any) -> np.ndarray:
+    if type(base) is not DevicePtr:
+        return st.lane_read(idx, base, ind, pos)
+    buf = base.buffer
     k = len(idx)
-    if type(base) is DevicePtr:
-        buf = base.buffer
-        nb = buf._itemsize
-        carrier = _F64 if buf.dtype.kind == "f" else _I64
-        if isinstance(ind, np.ndarray):
-            i = base.offset + ind
-            vals = buf.gather(i)  # bounds-checks before the trace
-            tracker = buf.lanes
-            if tracker is not None:
-                tracker.load(i, idx)
-            keys = st.next_seq(idx, k)
-            st.block.load_chunks.append(
-                (k, st.warp, keys, buf._base + i * nb, nb) if st.prof is None
-                else (k, st.warp, keys, buf._base + i * nb, nb, st.line))
-            st.stats.instructions += k
-            return vals.astype(carrier)
+    carrier = _F64 if buf.dtype.kind == "f" else _I64
+    if isinstance(ind, np.ndarray):
+        i = base.offset + ind
+        vals = buf.gather(i).astype(carrier)  # bounds-checks first
+    else:
         i = base.offset + int(ind)
-        val = buf.read(i)
-        tracker = buf.lanes
-        if tracker is not None:
-            tracker.load(i, idx)
-        keys = st.next_seq(idx, k)
-        st.block.load_chunks.append(
-            (k, st.warp, keys, buf._base + i * nb, nb) if st.prof is None
-            else (k, st.warp, keys, buf._base + i * nb, nb, st.line))
-        st.stats.instructions += k
-        return np.full(k, val, carrier)
-    return st.lane_read(idx, base, ind, pos)
+        vals = np.full(k, buf.read(i), carrier)
+    if buf.lanes is not None:
+        buf.lanes.load(i, idx)
+    nb = buf._itemsize
+    st.record(st.block.load_chunks, idx, buf._base + i * nb, nb)
+    st.stats.instructions += k
+    return vals
 
 
 def _global_store(st: _WarpSt, idx: np.ndarray, base: Any, ind: Any,
                   values: Any, pos: Any) -> None:
-    k = len(idx)
-    if type(base) is DevicePtr:
-        buf = base.buffer
-        nb = buf._itemsize
-        if isinstance(ind, np.ndarray):
-            i = base.offset + ind
-            buf.scatter(i, values)
-            tracker = buf.lanes
-            if tracker is not None:
-                tracker.store(i, idx)
-            keys = st.next_seq(idx, k)
-            st.block.store_chunks.append(
-                (k, st.warp, keys, buf._base + i * nb, nb) if st.prof is None
-                else (k, st.warp, keys, buf._base + i * nb, nb, st.line))
-            st.stats.instructions += k
-            return
-        i = base.offset + int(ind)
-        v = values[-1] if isinstance(values, np.ndarray) else values
-        buf.write(i, v)
-        tracker = buf.lanes
-        if tracker is not None:
-            tracker.store(i, idx)
-        keys = st.next_seq(idx, k)
-        st.block.store_chunks.append(
-            (k, st.warp, keys, buf._base + i * nb, nb) if st.prof is None
-            else (k, st.warp, keys, buf._base + i * nb, nb, st.line))
-        st.stats.instructions += k
+    if type(base) is not DevicePtr:
+        st.lane_write(idx, base, ind, values, pos)
         return
-    st.lane_write(idx, base, ind, values, pos)
+    buf = base.buffer
+    if isinstance(ind, np.ndarray):
+        i = base.offset + ind
+        buf.scatter(i, values)
+    else:
+        i = base.offset + int(ind)
+        buf.write(i, values[-1] if isinstance(values, np.ndarray)
+                  else values)
+    if buf.lanes is not None:
+        buf.lanes.store(i, idx)
+    nb = buf._itemsize
+    st.record(st.block.store_chunks, idx, buf._base + i * nb, nb)
+    st.stats.instructions += len(idx)
 
 
-def _shared_load_md(st: _WarpSt, idx: np.ndarray, arr: Any,
-                    ind: Any) -> np.ndarray:
-    """Shared load whose flat index was already validated by
-    :func:`_md_check` (row/col each in range implies the flattened
-    index is), so the per-array bounds check is skipped."""
-    k = len(idx)
+def _shared_load(st: _WarpSt, idx: np.ndarray, arr: Any, ind: Any,
+                 checked: bool = False) -> np.ndarray:
+    """``checked``: the flat index of a 2-D access was already
+    validated by :func:`_md_check` (row and column each in range imply
+    the flattened index is), so the per-array bounds check is skipped."""
     its = arr._itemsize
     carrier = _F64 if arr.dtype.kind == "f" else _I64
     if isinstance(ind, np.ndarray):
         words = ind if its == 4 else ind * its // 4
-        keys = st.next_seq(idx, k)
-        st.block.shared_chunks.append(
-            (k, st.warp, keys, 0, words) if st.prof is None
-            else (k, st.warp, keys, 0, words, st.line))
-        st.stats.instructions += k
-        arr.lanes.load(ind, idx)
-        return arr.data[ind].astype(carrier)
-    i = int(ind)
-    word = i * its // 4
-    keys = st.next_seq(idx, k)
-    st.block.shared_chunks.append(
-        (k, st.warp, keys, 0, word) if st.prof is None
-        else (k, st.warp, keys, 0, word, st.line))
-    st.stats.instructions += k
-    arr.lanes.load(i, idx)
-    return np.full(k, arr._cache[i], carrier)
-
-
-def _shared_load(st: _WarpSt, idx: np.ndarray, arr: Any,
-                 ind: Any) -> np.ndarray:
-    k = len(idx)
-    its = arr._itemsize
-    carrier = _F64 if arr.dtype.kind == "f" else _I64
-    if isinstance(ind, np.ndarray):
-        words = ind if its == 4 else ind * its // 4
-        keys = st.next_seq(idx, k)
-        st.block.shared_chunks.append(
-            (k, st.warp, keys, 0, words) if st.prof is None
-            else (k, st.warp, keys, 0, words, st.line))
-        st.stats.instructions += k
-        vals = arr.read_lanes(ind)
-        arr.lanes.load(ind, idx)
-        return vals.astype(carrier)
-    i = int(ind)
-    word = i * its // 4
-    keys = st.next_seq(idx, k)
-    st.block.shared_chunks.append(
-        (k, st.warp, keys, 0, word) if st.prof is None
-        else (k, st.warp, keys, 0, word, st.line))
-    st.stats.instructions += k
-    val = arr.read(i)
-    arr.lanes.load(i, idx)
-    return np.full(k, val, carrier)
+        vals = (arr.data[ind] if checked
+                else arr.read_lanes(ind)).astype(carrier)
+    else:
+        ind = int(ind)
+        words = ind * its // 4
+        vals = np.full(len(idx), arr._cache[ind] if checked
+                       else arr.read(ind), carrier)
+    st.record(st.block.shared_chunks, idx, 0, words)
+    st.stats.instructions += len(idx)
+    arr.lanes.load(ind, idx)
+    return vals
 
 
 def _shared_store(st: _WarpSt, idx: np.ndarray, arr: Any, ind: Any,
                   values: Any) -> None:
-    k = len(idx)
     its = arr._itemsize
     if isinstance(ind, np.ndarray):
         words = ind if its == 4 else ind * its // 4
-        keys = st.next_seq(idx, k)
-        st.block.shared_chunks.append(
-            (k, st.warp, keys, 0, words) if st.prof is None
-            else (k, st.warp, keys, 0, words, st.line))
-        st.stats.instructions += k
         arr.write_lanes(ind, values)
-        arr.lanes.store(ind, idx)
-        return
-    i = int(ind)
-    word = i * its // 4
-    keys = st.next_seq(idx, k)
-    st.block.shared_chunks.append(
-        (k, st.warp, keys, 0, word) if st.prof is None
-        else (k, st.warp, keys, 0, word, st.line))
-    st.stats.instructions += k
-    arr.write(i, values[-1] if isinstance(values, np.ndarray) else values)
-    arr.lanes.store(i, idx)
+    else:
+        ind = int(ind)
+        words = ind * its // 4
+        arr.write(ind, values[-1] if isinstance(values, np.ndarray)
+                  else values)
+    st.record(st.block.shared_chunks, idx, 0, words)
+    st.stats.instructions += len(idx)
+    arr.lanes.store(ind, idx)
 
 
 def _local_oob(ind: Any, size: int, name: str) -> None:
@@ -2310,7 +2249,7 @@ def _local_store(st: _WarpSt, idx: np.ndarray, rows: np.ndarray,
 # -- spine execution (barrier kernels) ----------------------------------------
 
 def _spine_exec(node: tuple, st: _WarpSt, fr: tuple):
-    """Recursive generator driving one warp down the uniform spine,
+    """Recursive generator driving one block down the uniform spine,
     yielding SYNC at each barrier. Step charges sit exactly where the
     scalar emitters place them, and so do the line marks."""
     tag = node[0]
@@ -2393,16 +2332,14 @@ class Speculation:
             buf.lanes = LaneTracker(buf.num_elements)
 
     def rollback(self) -> tuple[Callable, str]:
-        """Undo the launch after a :class:`LaneConflict` and demote the
-        kernel (this and every later launch of the artifact run
-        scalar); returns the thread callable to replay on and its
-        tier — the scalar kernel, compiled now if it never was, or the
-        tree-walker where the scalar emitter declines."""
+        """Undo the launch after a :class:`LaneConflict` or a fault;
+        returns the thread callable to replay on and its tier — the
+        scalar kernel, compiled now if it never was, or the tree-walker
+        where the scalar emitter declines."""
         for buf, data in self.saved:
             buf.data[:] = data
         interp = self.interp
         interp.steps = self.steps
-        self.kernel.demoted = True
         src = self.kernel.scalar(interp.info)
         if src is None:
             fn = interp.info.kernel_def(self.kernel.name)
@@ -2418,8 +2355,8 @@ class Speculation:
 class CompiledSimdKernel:
     """A kernel lowered to warp-SIMD closures.
 
-    Binding attaches the warp executor the scheduler prefers —
-    ``warp_run``, a generator over one
+    Binding attaches the block executor the scheduler prefers —
+    ``warp_run``, a generator over one block's
     :class:`~repro.gpusim.scheduler.WarpContext` that yields at each
     barrier (a barrier-free kernel's never does) — and the launch's
     :class:`Speculation` to a carrier function the scheduler never
@@ -2447,8 +2384,8 @@ class CompiledSimdKernel:
         self.spine = spine
         self.entry_pos = entry_pos
         self.stored_params = stored_params
-        #: set by the first lane-conflict replay: ``compile_kernel``
-        #: hands out the scalar kernel from then on
+        #: set by the first lane-conflict replay (``launch_kernel``):
+        #: ``compile_kernel`` hands out the scalar kernel from then on
         self.demoted = False
         self._src: CompiledSrcKernel | Declined | None = None
 
@@ -2496,8 +2433,7 @@ class CompiledSimdKernel:
             for (slot, carrier), arg in zip(plan, args2):
                 frame[slot] = (np.full(n, arg, carrier)
                                if carrier is not None else arg)
-            st.ops += n
-            st.slots += n
+            st.occupy(st.idx_all)
             fr: tuple = ([], [])
             if spine is None:
                 # barrier-free: the generator ends without yielding
@@ -2595,7 +2531,7 @@ def compile_kernel(info: ProgramInfo, name: str):
     (:func:`_verdict`; a declined one keeps its reason for
     :func:`decline_reason`). One artifact serves profiled and
     unprofiled launches alike: its statement closures always mark the
-    warp's current source line, and only a launch bound by a profiling
+    block's current source line, and only a launch bound by a profiling
     interpreter logs branches and charges lines — access chunks then
     carry the charging line as a sixth column."""
     value = _verdict(info, name)

@@ -1,10 +1,11 @@
 """Lane-order conflicts: racy kernels must equal the oracle on every engine.
 
-The warp-SIMD tier runs a warp statement by statement; the tree-walking
-oracle runs it thread by thread. The two orders show whenever two lanes
-of one warp touch one address inside a barrier interval, one of them
-storing. The race-free parity corpora never reach that, so these probes
-do: each is a small racy kernel, run on every engine with the line
+The warp-SIMD tier runs a block statement by statement; the
+tree-walking oracle runs it thread by thread. The two orders show
+whenever two threads of one block touch one address inside a barrier
+interval, the lower one later, one of them storing. The race-free
+parity corpora never reach that, so these probes do: each is a small
+racy kernel, run on every engine with the line
 profiler off and on, and every output element, every ``KernelStats``
 counter and the whole ``LineProfile`` ledger must equal the oracle's.
 The simd tier gets there by detecting the conflict, rolling the launch
@@ -91,6 +92,16 @@ __global__ void k(int *counts, int n) {
   counts[t] = t + 1;
   counts[n + t] = counts[(t + 1) % n];
 }""", 2 * THREADS),
+    # lane 40 (warp 1) loads counts[0] before lane 3 (warp 0) stores
+    # it, statement-major; thread-major, the store comes first
+    "cross-warp-read-before-write": ("""
+__global__ void k(int *counts, int n) {
+  int t = threadIdx.x;
+  int seen = 0;
+  if (t == 40) seen = counts[0];
+  if (t == 3) counts[0] = n;
+  counts[1 + t] = seen;
+}""", 1 + THREADS),
     # queue allocation: the slot an atomicAdd hands out is *used*
     "used-atomic-result-in-loop": ("""
 __global__ void k(int *counts, int n) {
@@ -180,9 +191,36 @@ class TestRacyKernelsEqualTheOracle:
                    program=program)
             assert replays(telemetry) == 0, name
 
+    def test_a_conflict_between_far_apart_threads_is_caught(self):
+        # thread ids past 127 would wrap an int8 tracker, and this
+        # conflict would go unseen
+        source = """
+__global__ void k(int *counts, int n) {
+  int t = threadIdx.x;
+  int seen = 0;
+  if (t == 900) seen = counts[0];
+  if (t == 200) counts[0] = 5;
+  counts[1 + t] = seen;
+}"""
+        program = program_of(source, exit_code=2)
+        outs, telemetry = {}, Telemetry()
+        for engine in ("ast", "simd"):
+            rt = GpuRuntime(Device(), telemetry=telemetry)
+            counts = rt.malloc(1025, "int")
+            program.launch(rt, "k", 1, 1024, counts.ptr(), 1024,
+                           engine=engine)
+            outs[engine] = rt.memcpy_dtoh(counts).tolist()
+        assert outs["ast"][1 + 900] == 5
+        assert outs["simd"] == outs["ast"]
+        # replayed for the conflict (which demotes), not for a fault
+        assert replays(telemetry) == 1
+        assert isinstance(compile_kernel(program.info, "k"),
+                          CompiledSrcKernel)
+
     def test_rollback_restores_memory_and_step_budget(self):
-        # the conflict surfaces in the *second* warp, after the first
-        # has already stored: the replay must start from the input
+        # the conflict surfaces in the second warp's lanes, after the
+        # first statement has already stored: the replay must start
+        # from the input
         source = """
 __global__ void k(int *counts, int n) {
   int t = threadIdx.x;
@@ -326,8 +364,9 @@ def launch_atomic(source, ctype, block, engine, profile=False,
 
 
 class TestAtomicParity:
-    """The warp tier accounts for an atomic once per warp; every other
-    engine does it once per thread. Nobody may be able to tell."""
+    """The warp tier accounts for an atomic once per block statement;
+    every other engine does it once per thread. Nobody may be able to
+    tell."""
 
     @pytest.mark.parametrize("profile", (False, True),
                              ids=("plain", "profiled"))
@@ -372,6 +411,39 @@ class TestAtomicParity:
                 r"\balloc\d+\b", "alloc", str(excinfo.value)))
         assert faults["ast"][0] == "OutOfBoundsError"
         assert faults["simd"] == faults["codegen"] == faults["ast"]
+
+
+#: (threads, lane A): lane A faults at the earlier statement, thread 5
+#: at the later one — in one warp, and with A in the second warp
+FAULT_ORDER = {"one-warp": (32, 20), "two-warps": (64, 40)}
+
+
+@pytest.mark.parametrize("shape", sorted(FAULT_ORDER))
+def test_the_first_thread_to_fault_is_the_one_reported(shape):
+    threads, lane = FAULT_ORDER[shape]
+    source = f"""
+__global__ void k(int *a, int *out, int n) {{
+  int t = threadIdx.x;
+  int x = 0;
+  if (t == {lane}) x = a[n + 100];
+  out[t] = x;
+  if (t == 5) x = a[n + 200];
+}}"""
+    program = program_of(source, exit_code=3)
+    faults, telemetry = {}, Telemetry()
+    for engine in ENGINES:
+        rt = GpuRuntime(Device(), telemetry=telemetry)
+        a, out = rt.malloc(16, "int"), rt.malloc(threads, "int")
+        with pytest.raises(Exception) as excinfo:
+            program.launch(rt, "k", 1, threads, a.ptr(), out.ptr(), 16,
+                           engine=engine)
+        faults[engine] = (type(excinfo.value).__name__, re.sub(
+            r"\balloc\d+\b", "alloc", str(excinfo.value)))
+    assert faults["ast"][1].startswith("index 216 out of bounds")
+    assert faults["simd"] == faults["codegen"] == faults["ast"]
+    # the simd launch was replayed scalar, and a fault does not demote
+    assert replays(telemetry) == 1
+    assert isinstance(compile_kernel(program.info, "k"), CompiledSimdKernel)
 
 
 class TestDemotion:

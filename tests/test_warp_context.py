@@ -1,14 +1,19 @@
-"""``WarpContext``: what the scheduler hands a warp executor.
+"""``WarpContext``: what the scheduler hands the warp-SIMD executor.
 
-A warp-SIMD launch runs against one ``WarpContext`` per warp — launch
-geometry as lane vectors — instead of one ``ThreadContext`` per thread.
-Two things are pinned here: the lane vectors are exactly the warp's
-slice of CUDA thread order for any block shape, and a simd launch
-really builds no per-thread context unless a per-lane fault chain asks
-for one (and then only for the lanes it reaches).
+A warp-SIMD launch runs against one ``WarpContext`` per block — launch
+geometry as lane vectors, one lane per thread — instead of one
+``ThreadContext`` per thread, and accounts per 32-lane warp through
+each lane's warp id. Pinned here: the lane vectors and warp ids are
+exactly CUDA thread order for any block shape; a divergent multi-warp
+launch with a short last warp keeps the stats, line ledger and
+active-lane ratio of per-warp execution; and a simd launch really
+builds no per-thread context unless a per-lane fault chain asks for
+one (and then only for the lanes it reaches).
 """
 
 from __future__ import annotations
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -26,34 +31,36 @@ from repro.gpusim.scheduler import (
 from repro.minicuda import ENGINES, compile_source
 from repro.minicuda.simd import CompiledSimdKernel, compile_kernel
 from repro.minicuda.values import NULL
-from repro.telemetry import KERNEL_REPLAYS_TOTAL, Telemetry
+from repro.telemetry import (
+    KERNEL_REPLAYS_TOTAL,
+    WARP_ACTIVE_LANE_RATIO,
+    Telemetry,
+)
 
 WARP = Device().spec.warp_size
 
 
-def warps_of(block: Dim3, state: _BlockState | None = None):
+def block_context(block: Dim3, state: _BlockState | None = None):
     state = state or _BlockState(Device(), block)
-    return [WarpContext(state, w, first, min(WARP, block.count - first),
-                        Idx3(1, 2, 3), block, Dim3(4, 5, 6))
-            for w, first in enumerate(range(0, block.count, WARP))]
+    return WarpContext(state, Idx3(1, 2, 3), block, Dim3(4, 5, 6))
 
 
 def assert_lane_vectors_follow_thread_order(block: Dim3) -> None:
     points = list(block.iter_points())
-    warps = warps_of(block)
-    assert sum(w.n for w in warps) == block.count
-    for wctx in warps:
-        mine = points[wctx.first:wctx.first + wctx.n]
-        for k, axis in enumerate("xyz"):
-            got = wctx.tid_axis(axis)
-            assert got.dtype == np.int64
-            assert got.tolist() == [p[k] for p in mine], (block, axis)
-            assert wctx.tid_axis(axis) is got  # cached per warp
+    wctx = block_context(block)
+    assert wctx.n == block.count
+    for k, axis in enumerate("xyz"):
+        got = wctx.tid_axis(axis)
+        assert got.dtype == np.int64
+        assert got.tolist() == [p[k] for p in points], (block, axis)
+        assert wctx.tid_axis(axis) is got  # cached per block
+    assert wctx.warp_ids.tolist() == [t // WARP for t in range(block.count)]
 
 
 class TestGeometry:
     @pytest.mark.parametrize("shape", [(8, 6), (5, 7, 3), (48,), (1024,),
-                                       (1,), (32,), (33,), (3, 1, 11)])
+                                       (1,), (32,), (33,), (3, 1, 11),
+                                       (100,)])
     def test_named_shapes(self, shape):
         assert_lane_vectors_follow_thread_order(Dim3(*shape))
 
@@ -69,16 +76,90 @@ class TestGeometry:
             self, state_cls, ctx_cls):
         block = Dim3(5, 7, 3)
         points = list(block.iter_points())
-        for wctx in warps_of(block, state_cls(Device(), block)):
-            for i in (0, wctx.n - 1):
-                ctx = wctx.lane(i)
-                assert type(ctx) is ctx_cls
-                t = ctx.threadIdx
-                assert (t.x, t.y, t.z) == points[wctx.first + i]
-                assert ctx.warp_id == wctx._warp
-                assert (ctx.blockIdx, ctx.blockDim, ctx.gridDim) == \
-                    (wctx.blockIdx, wctx.blockDim, wctx.gridDim)
-                assert wctx.lane(i) is ctx  # memoized
+        wctx = block_context(block, state_cls(Device(), block))
+        for i in (0, WARP - 1, WARP, block.count - 1):
+            ctx = wctx.lane(i)
+            assert type(ctx) is ctx_cls
+            t = ctx.threadIdx
+            assert (t.x, t.y, t.z) == points[i]
+            assert ctx.warp_id == wctx.warp_ids[i]
+            assert (ctx.blockIdx, ctx.blockDim, ctx.gridDim) == \
+                (wctx.blockIdx, wctx.blockDim, wctx.gridDim)
+            assert wctx.lane(i) is ctx  # memoized
+
+
+#: divergent at three depths (if/else-if, a varying-trip loop, a
+#: varying while), a barrier, uncoalesced stores, bank conflicts and
+#: global atomics; run on blocks of 80 and 12x7 threads, whose last warp
+#: is short (16 and 20 lanes)
+DIVERGENT = """
+__global__ void k(float *a, float *out, int *hist, int n) {
+  __shared__ float s[96];
+  int t = threadIdx.y * blockDim.x + threadIdx.x;
+  int i = blockIdx.x * blockDim.x * blockDim.y + t;
+  s[t] = i < n ? a[i] : 0.0f;
+  __syncthreads();
+  float acc = 0.0f;
+  if (t % 3 == 0) {
+    for (int j = 0; j < t % 7; ++j) acc += s[(t * 2 + j) % 96];
+  } else if (t > 50) {
+    acc = s[t - 1] * 2.0f;
+  }
+  while (acc > 10.0f) acc = acc / 2.0f;
+  if (i < n) {
+    out[i * 3 % n] = acc;
+    atomicAdd(&hist[t % 5], 1);
+  }
+}
+int main() { return 0; }"""
+
+#: name -> (block, instructions, global load / store transactions,
+#: bank conflicts, divergent branches, active-lane ratio), as running
+#: one warp at a time measured them
+PER_WARP = {
+    "80": (80, 7172, 59, 131, 3, 14, 559 / 1584),
+    "12x7": (Dim3(12, 7), 7490, 58, 129, 3, 12, 293 / 822),
+}
+
+
+def launch_divergent(block, engine, profile):
+    telemetry = Telemetry()
+    rt = GpuRuntime(Device(), telemetry=telemetry)
+    a, out = rt.malloc(200, "float"), rt.malloc(200, "float")
+    hist = rt.malloc(5, "int")
+    rt.memcpy_htod(a, (np.arange(200, dtype=np.float32) % 13) * 1.5)
+    stats = compile_source(DIVERGENT).launch(
+        rt, "k", 3, block, a.ptr(), out.ptr(), hist.ptr(), 200,
+        engine=engine, profile=profile)
+    return (rt.memcpy_dtoh(out).tolist(), rt.memcpy_dtoh(hist).tolist(),
+            stats, telemetry.metrics)
+
+
+class TestPerWarpAccounting:
+    @pytest.mark.parametrize("profile", (False, True),
+                             ids=("plain", "profiled"))
+    @pytest.mark.parametrize("shape", sorted(PER_WARP))
+    def test_stats_ledger_and_lane_ratio(self, shape, profile):
+        block, instructions, loads, stores, bank, divergent, ratio = \
+            PER_WARP[shape]
+        *ref_out, ref = launch_divergent(block, "ast", profile)[:3]
+        *out, stats, metrics = launch_divergent(block, "simd", profile)
+        assert out == ref_out
+        got, want = dataclasses.asdict(stats), dataclasses.asdict(ref)
+        for field in ("atomic_addresses", "shared_atomic_addresses"):
+            got[field] = sorted(got.pop(field).values())
+            want[field] = sorted(want.pop(field).values())
+        assert got == want
+        assert (stats.instructions, stats.global_load_transactions,
+                stats.global_store_transactions, stats.bank_conflicts) == \
+            (instructions, loads, stores, bank)
+        if profile:
+            assert sum(c.divergent_branches for c in
+                       stats.line_profile.lines.values()) == divergent
+        series = metrics.histogram(WARP_ACTIVE_LANE_RATIO).merged(kernel="k")
+        assert series.count == 1
+        assert series.max == ratio
+        assert metrics.counter(KERNEL_REPLAYS_TOTAL).value(kernel="k") == 0
 
 
 VECTOR_ADD = """
@@ -182,6 +263,8 @@ int main() { return 0; }"""
             faults[engine] = (type(excinfo.value), str(excinfo.value))
             if engine == "simd":
                 # the first active lane faults: lanes 0-2 are masked
-                # off and never get a context
-                assert [c.threadIdx.x for c in contexts_built] == [3]
+                # off and never get a context; then the fault replays
+                # scalar, thread by thread up to the faulting one
+                assert [c.threadIdx.x for c in contexts_built] == \
+                    [3, 0, 1, 2, 3]
         assert faults["simd"] == faults["codegen"] == faults["ast"]
