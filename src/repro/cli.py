@@ -247,8 +247,12 @@ def cmd_profile_attempt(args: argparse.Namespace) -> int:
             f"ran on {' + '.join(tiers)}" if tiers else "not launched")
         if asked == "simd":
             reason = simd.decline_reason(info, name)
+            kernel = simd.compile_kernel(info, name)
             if reason is not None:
                 line += f" (simd declined: {reason})"
+            elif isinstance(kernel, simd.CompiledSimdKernel) \
+                    and kernel.blockwise:
+                line += " (one block per group: cross-block conflict)"
         if asked != "ast" and "ast" in tiers:
             reason = srcgen.decline_reason(info, name)
             line += f" (codegen declined: {reason})"

@@ -31,103 +31,146 @@ CTYPE_TO_DTYPE: dict[str, np.dtype] = {
 
 _alloc_ids = itertools.count(1)
 
+#: A lane's :class:`LaneTracker` key, its place in the oracle's order:
+#: (block rank in its group, barrier interval, thread) in one int64 —
+#: ranks below 2**17, intervals below 2**30, threads below 2**16.
+KEY_RANK_SHIFT = 46
+KEY_INTERVAL_SHIFT = 16
+
+
+def out_of_range(indices: np.ndarray, size: int) -> int | None:
+    """The first of ``indices`` outside ``[0, size)``, or None. One
+    unsigned-max reduction on the in-bounds path (negatives wrap to
+    huge values)."""
+    if len(indices) == 0:
+        return None
+    u = (indices.view(np.uint64) if indices.dtype == np.int64
+         else indices.astype(np.uint64))
+    if int(u.max()) < size:
+        return None
+    return int(indices[int(np.argmax((indices < 0) | (indices >= size)))])
+
 
 class LaneConflict(Exception):
     """A speculative warp-vector launch made two accesses in an order
     serial per-thread execution would have reversed. A control signal,
-    not a simulator error: the launch is rolled back and replayed on
-    the scalar engine."""
+    not a simulator error: the launch is rolled back and replayed.
+    ``cross_block``: running one block per group removes it."""
+
+    def __init__(self, cross_block: bool = False):
+        super().__init__()
+        self.cross_block = cross_block
+
+
+def _conflict(prior: Any, keys: Any) -> LaneConflict:
+    """The conflict of accesses by ``keys`` after ones by the higher
+    ``prior`` keys. It is between blocks when no earlier access's
+    (interval, thread) comes after the later one's: within one block
+    each pair would have run in the oracle's order."""
+    late = prior > keys
+    within = (1 << KEY_RANK_SHIFT) - 1
+    inner = late & ((prior & within) > (keys & within))
+    return LaneConflict(cross_block=not np.any(inner))
 
 
 class LaneTracker:
-    """Who touched each element of one allocation, for one block and
-    one barrier interval of a speculative warp-vector launch.
+    """Who touched each element of one allocation, for one group of
+    consecutive blocks of a speculative warp-vector launch.
 
-    The warp-SIMD engine runs each statement for every thread of the
-    block before the next statement (statement-major); the oracle runs
-    each thread to the next barrier before the next thread
-    (thread-major). Within a block and a barrier interval the two
-    orders disagree about a pair of accesses to one element only when
-    the *later* one (statement-major) comes from a *lower* lane (linear
-    thread id) and at least one of the pair is a store.
-    So it is enough to remember, per element, the highest lane that
-    stored and the highest lane that loaded so far, and to raise
-    :class:`LaneConflict` when a lower lane arrives. Lanes inside one
-    vector access are ordered by numpy itself (a scatter's last
-    duplicate wins, and active-lane vectors are ascending), which is
-    thread-major already.
+    The warp-SIMD engine runs each statement for every lane of the
+    group before the next (statement-major), all blocks reaching each
+    barrier together; the oracle runs block after block, and in a
+    block each thread to the next barrier before the next thread. A
+    lane's place in the oracle's order is its key
+    (:data:`KEY_RANK_SHIFT`). The two orders disagree about a pair of
+    accesses to one element only when the *later* one (statement-major)
+    has the *lower* key and one of the pair is a store. So it is enough
+    to remember, per element, the highest key that stored and that
+    loaded so far, and to raise :class:`LaneConflict` when a lower key
+    arrives. Lanes inside one vector access are ordered by numpy itself
+    (a scatter's last duplicate wins, and active-lane vectors, so their
+    keys, ascend). Keys carry the interval: a global allocation's
+    tracker is reset only at the end of a group, a ``__shared__``
+    array's at each barrier too.
 
     Loads are only logged; the log is folded into ``reader`` when the
-    allocation is next stored to, so a read-only interval (a tiled
+    allocation is next stored to, so a read-only stretch (a tiled
     matmul's inner loop) pays one list append per load.
     """
 
     __slots__ = ("writer", "reader", "reads", "stored", "loaded")
 
-    #: fold the load log once it is this long, so a long read loop
-    #: does not keep every index vector alive until the block ends
-    MAX_LOGGED_READS = 64
+    #: fold the load log, or give up logging the indices to reset, once
+    #: a log is this long, so a long loop does not keep every index
+    #: vector alive until the group ends
+    MAX_LOGGED = 64
 
     def __init__(self, num_elements: int):
-        # highest lane that stored / loaded each element, -1 for none
-        # (int16: a block is at most 1024 threads on every DeviceSpec)
-        self.writer = np.full(num_elements, -1, dtype=np.int16)
-        self.reader = np.full(num_elements, -1, dtype=np.int16)
-        # loads not yet folded into ``reader``: (index, highest lane)
+        # highest key that stored / loaded each element, -1 for none
+        self.writer = np.full(num_elements, -1, dtype=np.int64)
+        self.reader = np.full(num_elements, -1, dtype=np.int64)
+        # loads not yet folded into ``reader``: (index, highest key)
         self.reads: list[tuple[Any, Any]] = []
         # the indices ``writer`` / ``reader`` are set at, for reset()
         self.stored: list[Any] = []
         self.loaded: list[Any] = []
 
-    def load(self, index: Any, lanes: np.ndarray) -> None:
+    def load(self, index: Any, keys: np.ndarray) -> None:
         """Note a bounds-checked load of ``index`` (one element for
-        every lane, or one per lane) by the ascending ``lanes``."""
+        every lane, or one per lane) by lanes with the ascending
+        ``keys``."""
         vector = isinstance(index, np.ndarray)
-        if self.stored and \
-                (self.writer[index] > (lanes if vector else lanes[0])).any():
-            raise LaneConflict
-        self.reads.append((index, lanes if vector else lanes[-1]))
-        if len(self.reads) > self.MAX_LOGGED_READS:
+        if self.stored:
+            prior = self.writer[index]
+            first = keys if vector else keys[0]
+            if (prior > first).any():
+                raise _conflict(prior, first)
+        self.reads.append((index, keys if vector else keys[-1]))
+        if len(self.reads) > self.MAX_LOGGED:
             self._fold_reads()
 
-    def store(self, index: Any, lanes: np.ndarray) -> None:
+    def store(self, index: Any, keys: np.ndarray) -> None:
         """Note a bounds-checked store (or atomic: a load and a store
-        by that lane) of ``index`` by the ascending ``lanes``."""
+        by that lane) of ``index`` by lanes with the ascending
+        ``keys``."""
         if self.reads:
             self._fold_reads()
         if isinstance(index, np.ndarray):
-            first = last = lanes
+            first = last = keys
         else:
-            first, last = lanes[0], lanes[-1]
-        writer = self.writer
-        if (self.stored and (writer[index] > first).any()) or \
-                (self.loaded and (self.reader[index] > first).any()):
-            raise LaneConflict
-        # no element was stored by a higher lane, so ``last`` is the
+            first, last = keys[0], keys[-1]
+        for log, marks in ((self.stored, self.writer),
+                           (self.loaded, self.reader)):
+            if log:
+                prior = marks[index]
+                if (prior > first).any():
+                    raise _conflict(prior, first)
+        # no element was stored by a higher key, so ``last`` is the
         # new maximum (of duplicate indices the last, highest lane's
         # assignment wins)
-        writer[index] = last
-        self.stored.append(index)
+        self.writer[index] = last
+        self._log(self.stored, index)
+
+    def _log(self, log: list, index: Any) -> None:
+        log.append(index)
+        if len(log) > self.MAX_LOGGED:
+            log[:] = [slice(None)]  # reset() refills the whole array
 
     def _fold_reads(self) -> None:
         reader = self.reader
         for index, last in self.reads:
             reader[index] = np.maximum(reader[index], last)
-            self.loaded.append(index)
+            self._log(self.loaded, index)
         self.reads.clear()
 
     def reset(self) -> None:
-        """Forget everything: a barrier or the end of the block."""
-        if self.stored:
-            writer = self.writer
-            for index in self.stored:
-                writer[index] = -1
-            self.stored.clear()
-        if self.loaded:
-            reader = self.reader
-            for index in self.loaded:
-                reader[index] = -1
-            self.loaded.clear()
+        """Forget everything: the end of a group, or a barrier for a
+        ``__shared__`` array."""
+        for log, marks in ((self.stored, self.writer),
+                           (self.loaded, self.reader)):
+            for index in log:
+                marks[index] = -1
+            log.clear()
         self.reads.clear()
 
 
@@ -199,23 +242,11 @@ class DeviceBuffer:
         return self.data
 
     def _check_lanes(self, indices: np.ndarray) -> None:
-        """Vectorized bounds check: one unsigned-max reduction on the
-        fast path (negatives wrap to huge values), then the exact
-        per-index fault of :meth:`_check` for the first offending lane."""
-        if self.freed:
-            raise InvalidPointerError(f"use after free of {self.label}")
-        size = self.data.size
-        if len(indices) == 0:
-            return
-        u = (indices.view(np.uint64) if indices.dtype == np.int64
-             else indices.astype(np.uint64))
-        if int(u.max()) >= size:
-            bad = (indices < 0) | (indices >= size)
-            index = int(indices[int(np.argmax(bad))])
-            raise OutOfBoundsError(
-                f"index {index} out of bounds for {self.label} "
-                f"[{size} x {self.dtype.name}]"
-            )
+        """Vectorized bounds check: the exact per-index fault of
+        :meth:`_check` for the first offending lane."""
+        index = out_of_range(indices, self.data.size)
+        if self.freed or index is not None:
+            self._check(index)
 
     def gather(self, indices: np.ndarray) -> np.ndarray:
         """Bounds-checked vector load of ``data[indices]``."""
@@ -274,91 +305,84 @@ class DevicePtr:
 
 
 class SharedArray:
-    """A per-block ``__shared__`` array.
+    """A ``__shared__`` array: one block's, or — for the warp-SIMD
+    engine — one group of blocks' copies side by side in one ``data``.
 
-    Access is bounds-checked; the scheduler's thread context counts
+    ``size`` is one block's element count: bounds checks, fault text
+    and ``nbytes`` are per block. The scheduler's thread context counts
     bank conflicts when threads of a warp hit the same bank.
     """
 
-    __slots__ = ("name", "data", "dtype", "_itemsize", "_cache", "lanes")
+    __slots__ = ("name", "data", "dtype", "size", "_itemsize", "_cache",
+                 "lanes")
 
     NUM_BANKS = 32
 
-    def __init__(self, name: str, num_elements: int, dtype: np.dtype | str):
+    def __init__(self, name: str, num_elements: int, dtype: np.dtype | str,
+                 blocks: int = 1):
         if isinstance(dtype, str):
             dtype = CTYPE_TO_DTYPE[dtype] if dtype in CTYPE_TO_DTYPE \
                 else np.dtype(dtype)
         self.name = name
         self.dtype = np.dtype(dtype)
-        self.data = np.zeros(num_elements, dtype=self.dtype)
+        self.size = num_elements
+        self.data = np.zeros(num_elements * blocks, dtype=self.dtype)
         self._itemsize = int(self.dtype.itemsize)
-        # Python-scalar mirror of ``data``, refreshed on every write():
-        # shared reads dominate simulated kernels (tile loops hit each
-        # element many times) and a list index is ~20x cheaper than a
-        # numpy scalar read + .item(). All writes go through write(),
-        # so the mirror cannot go stale.
-        self._cache: list[Any] = self.data.tolist()
+        # Python-scalar mirror of ``data``, built by the first scalar
+        # read() and kept coherent by write(): shared reads dominate
+        # simulated kernels (tile loops hit each element many times)
+        # and a list index is ~20x cheaper than a numpy scalar read +
+        # .item(). A vector store drops it.
+        self._cache: list[Any] | None = None
         #: attached by the warp-SIMD engine when it declares the array
         self.lanes: LaneTracker | None = None
 
     @property
     def num_elements(self) -> int:
-        return int(self.data.size)
+        return self.size
 
     @property
     def nbytes(self) -> int:
-        return int(self.data.nbytes)
+        return self.size * self._itemsize
 
     def _check(self, index: int) -> None:
-        if not (0 <= index < self.data.size):
+        if not (0 <= index < self.size):
             raise OutOfBoundsError(
                 f"index {index} out of bounds for __shared__ {self.name} "
-                f"[{self.data.size} x {self.dtype.name}]"
+                f"[{self.size} x {self.dtype.name}]"
             )
 
     def read(self, index: int) -> Any:
-        if not 0 <= index < self.data.size:
+        if not 0 <= index < self.size:
             self._check(index)
-        return self._cache[index]
+        cache = self._cache
+        if cache is None:
+            cache = self._cache = self.data.tolist()
+        return cache[index]
 
     def write(self, index: int, value: Any) -> None:
-        if not 0 <= index < self.data.size:
+        if not 0 <= index < self.size:
             self._check(index)
         data = self.data
         data[index] = value  # numpy applies the dtype conversion
-        self._cache[index] = data[index].item()
+        cache = self._cache
+        if cache is not None:
+            cache[index] = data[index].item()
 
     # -- lane-vector access (warp-SIMD engine) -------------------------------
 
     def _check_lanes(self, indices: np.ndarray) -> None:
-        size = self.data.size
-        if len(indices) == 0:
-            return
-        u = (indices.view(np.uint64) if indices.dtype == np.int64
-             else indices.astype(np.uint64))
-        if int(u.max()) >= size:
-            bad = (indices < 0) | (indices >= size)
-            index = int(indices[int(np.argmax(bad))])
-            raise OutOfBoundsError(
-                f"index {index} out of bounds for __shared__ {self.name} "
-                f"[{size} x {self.dtype.name}]"
-            )
+        """Fault unless every index is inside one block's array."""
+        index = out_of_range(indices, self.size)
+        if index is not None:
+            self._check(index)
 
-    def read_lanes(self, indices: np.ndarray) -> np.ndarray:
-        """Bounds-checked vector read of ``data[indices]``."""
-        self._check_lanes(indices)
-        return self.data[indices]
-
-    def write_lanes(self, indices: np.ndarray, values: Any) -> None:
-        """Bounds-checked vector write keeping the Python-scalar
-        ``_cache`` mirror coherent (duplicate indices: last lane wins,
-        like serial per-lane order; numpy fancy assignment matches)."""
-        self._check_lanes(indices)
-        data = self.data
-        data[indices] = values
-        cache = self._cache
-        for i, v in zip(indices.tolist(), data[indices].tolist()):
-            cache[i] = v
+    def store_lanes(self, at: Any, values: Any) -> None:
+        """Store ``values`` at the already checked ``data`` indices
+        ``at`` (duplicate indices: the last lane wins, like serial
+        per-lane order; numpy fancy assignment matches)."""
+        self.data[at] = values
+        self._cache = None
 
     def bank(self, index: int) -> int:
         """Which of the 32 banks a 4-byte word at ``index`` maps to."""

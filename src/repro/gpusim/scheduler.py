@@ -18,13 +18,15 @@ Three things keep the grading hot loop cheap:
 * barrier-free kernels (plain functions) run as direct calls — no
   generator allocation, no ``next()`` driving, no lockstep machinery;
 * a kernel carrying a ``warp_run`` executor (the warp-SIMD engine's)
-  runs a whole block at a time against one :class:`WarpContext` —
-  launch geometry as lane vectors, no per-thread objects — so such a
-  launch allocates O(blocks), not O(threads);
-* access tracking appends to flat per-thread arrays (or block-wide
-  chunks) and the per-block :meth:`_BlockState.finalize` reduces them
-  with vectorized numpy segment/bank grouping instead of
-  dict-of-lists bookkeeping. The resulting :class:`KernelStats` are
+  runs a group of consecutive blocks at a time against one
+  :class:`WarpContext` — launch geometry as lane vectors, no
+  per-thread objects — so such a launch allocates O(groups), not
+  O(threads), and pays one :meth:`_BlockState.finalize` per group;
+* access tracking appends to flat per-thread arrays (or group-wide
+  chunks) and :meth:`_BlockState.finalize` reduces them with
+  vectorized numpy segment/bank grouping instead of dict-of-lists
+  bookkeeping. Warp ids are numbered across a group, so no request
+  spans two blocks. The resulting :class:`KernelStats` are
   bit-identical to the historical per-access dictionary
   implementation.
 """
@@ -135,7 +137,8 @@ def _first_of_group(*columns: np.ndarray) -> np.ndarray:
 
 
 class _BlockState:
-    """Mutable per-block execution state shared by its threads.
+    """Mutable execution state of one block (or warp-tier group of
+    ``blocks``), shared by its threads.
 
     Threads append raw access records to flat per-thread lists (three
     ints per access); :meth:`finalize` groups them by warp request with
@@ -150,12 +153,19 @@ class _BlockState:
     #: ints per trace row: three, four with the source line
     width = 3
 
-    def __init__(self, device: Device, block_dim: Dim3):
+    def __init__(self, device: Device, block_dim: Dim3, blocks: int = 1):
         self.device = device
         self.block_dim = block_dim
+        self.blocks = blocks
+        # a __shared__ array holds every block's copy; shared_bytes
+        # counts one block's, as the limit does
         self.shared: dict[str, SharedArray] = {}
         self.shared_bytes = 0
         self.stats = KernelStats()
+        self.stats.blocks = blocks
+        self.stats.threads = blocks * block_dim.count
+        warp_size = device.spec.warp_size
+        self.stats.warps = blocks * -(-block_dim.count // warp_size)
         # per-thread flat traces: (warp, [seq, a, b, seq, a, b, ...])
         # loads/stores record (seq, byte_address, nbytes); shared hits
         # record (seq, bank, word).
@@ -255,8 +265,8 @@ class _ProfiledBlockState(_BlockState):
 
     width = 4
 
-    def __init__(self, device: Device, block_dim: Dim3):
-        super().__init__(device, block_dim)
+    def __init__(self, device: Device, block_dim: Dim3, blocks: int = 1):
+        super().__init__(device, block_dim, blocks)
         self.prof = self
         # dict-accumulated counters charged live by the thread contexts
         # (and the engines' stats shims): line -> count
@@ -364,7 +374,8 @@ class ThreadContext:
     profiled = False
 
     def __init__(self, threadIdx: Idx3, blockIdx: Idx3, blockDim: Dim3,
-                 gridDim: Dim3, block_state: _BlockState):
+                 gridDim: Dim3, block_state: _BlockState,
+                 warp: int | None = None):
         self.threadIdx = threadIdx
         self.blockIdx = blockIdx
         self.blockDim = blockDim
@@ -377,7 +388,9 @@ class ThreadContext:
         self._stats = block_state.stats
         self._linear_tid = blockDim.linear_index(
             threadIdx.x, threadIdx.y, threadIdx.z)
-        self._warp = self._linear_tid // block_state.device.spec.warp_size
+        # a warp-tier group numbers its warps across its blocks
+        self._warp = (self._linear_tid // block_state.device.spec.warp_size
+                      if warp is None else warp)
         self._seq = 0
         self._loads, self._stores, self._shared_trace = \
             block_state.register_thread(self._warp)
@@ -445,11 +458,12 @@ class ThreadContext:
     # -- shared memory -------------------------------------------------------
 
     def shared(self, name: str, num_elements: int, dtype: Any = "float") -> SharedArray:
-        """Get or allocate this block's ``__shared__`` array ``name``."""
+        """Get or allocate this block's (or group's) ``__shared__``
+        array ``name``."""
         block = self._block
         arr = block.shared.get(name)
         if arr is None:
-            arr = SharedArray(name, num_elements, dtype)
+            arr = SharedArray(name, num_elements, dtype, block.blocks)
             limit = block.device.spec.shared_mem_per_block
             if block.shared_bytes + arr.nbytes > limit:
                 raise LaunchConfigError(
@@ -591,9 +605,10 @@ class ProfiledThreadContext(ThreadContext):
     profiled = True
 
     def __init__(self, threadIdx: Idx3, blockIdx: Idx3, blockDim: Dim3,
-                 gridDim: Dim3, block_state: _BlockState):
+                 gridDim: Dim3, block_state: _BlockState,
+                 warp: int | None = None):
         super().__init__(threadIdx, blockIdx, blockDim, gridDim,
-                         block_state)
+                         block_state, warp)
         self.bseq = 0
         self._instr_lines = block_state.instr_lines
         self._atomic_lines = block_state.atomic_lines
@@ -710,64 +725,85 @@ class ProfiledThreadContext(ThreadContext):
         return old
 
 
+def _coord(linear: np.ndarray, dim: Dim3, axis: str) -> np.ndarray:
+    """The ``axis`` coordinates of linear indices into ``dim``, in
+    :meth:`Dim3.iter_points` order, x fastest."""
+    if axis == "x":
+        return linear % dim.x
+    if axis == "y":
+        return linear // dim.x % dim.y
+    return linear // (dim.x * dim.y)
+
+
 class WarpContext:
-    """What a ``warp_run`` executor runs one block against: the block
-    state and the launch geometry, with one lane per thread of the
-    block — lane ``i`` is linear thread id ``i`` — and ``threadIdx`` as
-    lane vectors rather than read off per-thread contexts.
-    ``warp_ids`` is each lane's 32-lane warp: the executor's access and
-    branch records carry it, so coalescing, bank replays and
-    divergence are still accounted per warp request. A real per-thread
-    context exists only for the lanes a per-lane fallback asks
-    :meth:`lane` for."""
+    """What a ``warp_run`` executor runs one group of consecutive
+    blocks against — blocks ``first``, ``first + 1``, ... in
+    :meth:`Dim3.iter_points` order: the group's block state and the
+    launch geometry, lane ``i`` being thread ``i % blockDim.count`` of
+    block ``i // blockDim.count`` (its rank), with ``threadIdx`` and
+    ``blockIdx`` as lane vectors rather than read off per-thread
+    contexts. ``warp_ids`` numbers each lane's 32-lane warp across the
+    group (rank x warps per block + thread // 32): the executor's
+    access and branch records carry it, so coalescing, bank replays
+    and divergence stay per warp request of one block. A real
+    per-thread context exists only for the lanes a per-lane fallback
+    asks :meth:`lane` for."""
 
-    __slots__ = ("blockIdx", "blockDim", "gridDim", "n", "warp_size",
-                 "warp_ids", "_block", "_linear", "_tid", "_lanes")
+    __slots__ = ("blockDim", "gridDim", "first", "blocks", "n",
+                 "warp_size", "warp_ids", "rank", "thread", "_block",
+                 "_tid", "_bid", "_lanes")
 
-    def __init__(self, block_state: _BlockState, blockIdx: Idx3,
+    def __init__(self, block_state: _BlockState, first: int, blocks: int,
                  blockDim: Dim3, gridDim: Dim3):
-        self.blockIdx = blockIdx
         self.blockDim = blockDim
         self.gridDim = gridDim
-        self.n = blockDim.count
-        self.warp_size = block_state.device.spec.warp_size
-        self._linear = np.arange(self.n, dtype=np.int64)
-        self.warp_ids = self._linear // self.warp_size
+        self.first = first
+        self.blocks = blocks
+        per = blockDim.count
+        self.n = blocks * per
+        self.warp_size = size = block_state.device.spec.warp_size
+        linear = np.arange(self.n, dtype=np.int64)
+        #: each lane's block rank and linear thread id in its block
+        self.rank = linear // per
+        self.thread = linear - self.rank * per
+        self.warp_ids = self.rank * -(-per // size) + self.thread // size
         self._block = block_state
         self._tid: dict[str, np.ndarray] = {}
+        self._bid: dict[str, np.ndarray] = {}
         self._lanes: dict[int, ThreadContext] = {}
 
     def tid_axis(self, axis: str) -> np.ndarray:
-        """``threadIdx.<axis>`` of every lane (int64, cached), in
-        :meth:`Dim3.iter_points` order, x fastest."""
+        """``threadIdx.<axis>`` of every lane (int64, cached)."""
         arr = self._tid.get(axis)
         if arr is None:
-            linear = self._linear
-            dim = self.blockDim
-            if axis == "x":
-                arr = linear % dim.x
-            elif axis == "y":
-                arr = linear // dim.x % dim.y
-            else:
-                arr = linear // (dim.x * dim.y)
-            self._tid[axis] = arr
+            arr = self._tid[axis] = _coord(self.thread, self.blockDim, axis)
         return arr
 
-    #: the block's get-or-allocate (and its LaunchConfigError) as is:
-    #: it only touches ``self._block``
+    def bid_axis(self, axis: str) -> np.ndarray:
+        """``blockIdx.<axis>`` of every lane (int64, cached)."""
+        arr = self._bid.get(axis)
+        if arr is None:
+            arr = self._bid[axis] = _coord(self.first + self.rank,
+                                           self.gridDim, axis)
+        return arr
+
+    #: the group's get-or-allocate (and its per-block LaunchConfigError)
+    #: as is: it only touches ``self._block``
     shared = ThreadContext.shared
 
     def lane(self, i: int) -> ThreadContext:
         """Lane ``i``'s own thread context, built on first request —
         for the fault chains that must run through the scalar accessors
-        to stay byte-identical with the per-thread engines."""
+        to stay byte-identical with the per-thread engines. Its traces
+        go in under the lane's warp id in the group."""
         ctx = self._lanes.get(i)
         if ctx is None:
             cls = (ThreadContext if self._block.prof is None
                    else ProfiledThreadContext)
-            ctx = cls(Idx3(*(int(self.tid_axis(axis)[i]) for axis in "xyz")),
-                      self.blockIdx, self.blockDim, self.gridDim,
-                      self._block)
+            ctx = cls(Idx3(*(int(self.tid_axis(a)[i]) for a in "xyz")),
+                      Idx3(*(int(self.bid_axis(a)[i]) for a in "xyz")),
+                      self.blockDim, self.gridDim, self._block,
+                      int(self.warp_ids[i]))
             self._lanes[i] = ctx
         return ctx
 
@@ -775,7 +811,8 @@ class WarpContext:
 def run_block(device: Device, kernel: Callable[..., Any], grid: Dim3,
               block: Dim3, block_idx: Idx3, args: tuple[Any, ...],
               is_generator: bool | None = None) -> BlockResult:
-    """Execute one block to completion with lockstep barriers.
+    """Execute one block of a per-thread kernel to completion with
+    lockstep barriers.
 
     ``is_generator`` may be supplied by :func:`run_grid` so the
     ``inspect.isgeneratorfunction`` reflection runs once per launch
@@ -792,28 +829,6 @@ def run_block(device: Device, kernel: Callable[..., Any], grid: Dim3,
     else:
         state = _BlockState(device, block)
         ctx_cls = ThreadContext
-    state.stats.blocks = 1
-    state.stats.threads = block.count
-    warp_size = device.spec.warp_size
-    state.stats.warps = (block.count + warp_size - 1) // warp_size
-
-    # Block-wide path: an engine may attach a warp_run executor — a
-    # generator factory taking one WarpContext for the whole block and
-    # yielding at each __syncthreads(), which every thread reaches
-    # together (its barriers sit on block-uniform control flow), so
-    # each yield is one barrier. Per-thread access order is preserved
-    # and the coalescing / bank-conflict model keys on per-thread
-    # sequence numbers and per-lane warp ids, so cross-lane
-    # interleaving is unobservable in the stats. In *memory* it is
-    # observable; the executor answers for that — the warp-SIMD tier
-    # raises LaneConflict through here and its launcher replays the
-    # launch thread by thread.
-    warp_run = getattr(kernel, "warp_run", None)
-    if warp_run is not None:
-        for _ in warp_run(WarpContext(state, block_idx, block, grid)):
-            state.stats.barriers += 1
-        state.finalize()
-        return BlockResult(stats=state.stats, output=state.output)
 
     if not is_generator:
         # Barrier-free fast path: plain calls in linear-thread order —
@@ -861,9 +876,36 @@ def run_block(device: Device, kernel: Callable[..., Any], grid: Dim3,
 
 def run_grid(device: Device, kernel: Callable[..., Any], grid: Dim3,
              block: Dim3, args: tuple[Any, ...] = ()) -> tuple[KernelStats, list[str]]:
-    """Execute every block of the launch; returns merged stats + output."""
+    """Execute every block of the launch; returns merged stats + output.
+
+    A kernel carrying a ``warp_run`` executor (the warp-SIMD engine's)
+    runs in groups of ``kernel.group_blocks(block, device.spec)``
+    consecutive blocks, taken lazily: one :class:`WarpContext`, block state and
+    finalize per group. The executor is a generator factory yielding
+    at each ``__syncthreads()``, which the whole group reaches together
+    (its barriers sit on group-uniform control flow), so each yield is
+    one barrier of every block. The stats key on per-thread sequence
+    numbers and per-lane warp ids, so cross-lane interleaving is
+    unobservable in them; in *memory* the warp-SIMD tier answers for it
+    by raising LaneConflict through here for its launcher to replay.
+    Any other kernel runs block by block (:func:`run_block`).
+    """
     merged = KernelStats()
     output: list[str] = []
+    warp_run = getattr(kernel, "warp_run", None)
+    if warp_run is not None:
+        state_cls = (_ProfiledBlockState if getattr(kernel, "profiled", False)
+                     else _BlockState)
+        per_group = kernel.group_blocks(block, device.spec)
+        for first in range(0, grid.count, per_group):
+            blocks = min(per_group, grid.count - first)
+            state = state_cls(device, block, blocks)
+            for _ in warp_run(WarpContext(state, first, blocks, block, grid)):
+                state.stats.barriers += blocks
+            state.finalize()
+            merged.merge(state.stats)
+            output.extend(state.output)
+        return merged, output
     # decide generator-ness once per launch, not once per thread
     is_generator = inspect.isgeneratorfunction(kernel)
     for (bx, by, bz) in grid.iter_points():

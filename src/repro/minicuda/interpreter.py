@@ -23,7 +23,7 @@ from typing import Any, Callable, Iterator, Sequence
 from repro.gpusim.grid import Dim3
 from repro.gpusim.host import GpuRuntime
 from repro.telemetry import KERNEL_COMPILE_SECONDS, KERNEL_REPLAYS_TOTAL
-from repro.gpusim.memory import DevicePtr, LaneConflict, SharedArray
+from repro.gpusim.memory import DevicePtr, SharedArray
 from repro.gpusim.scheduler import SYNC, ThreadContext
 from repro.minicuda import ast_nodes as ast
 from repro.minicuda import builtins as bi
@@ -412,43 +412,44 @@ class Interpreter:
         """Host-side kernel launch: the one funnel every launch takes
         (``KernelLaunch`` expressions and ``CompiledProgram.launch``).
 
-        A warp-SIMD kernel runs speculatively. If it raises
-        :class:`LaneConflict` — statement-major order was about to
-        differ from the oracle's thread-major order — the launch is
-        undone (written allocations, step budget; its stats never
-        reached the runtime), the kernel is demoted and the launch
-        replayed on the scalar kernel, which is compiled then if it
-        never was. Faults replay scalar too, without demoting: a lane
-        that faults at an earlier statement need not be the first
-        thread to fault, and the replay's outcome is the launch's.
-        A :class:`KernelHang` propagates as it is.
+        A warp-SIMD kernel runs speculatively, in groups of consecutive
+        blocks. If it raises :class:`LaneConflict` — statement-major
+        order was about to differ from the oracle's block-major,
+        thread-major order — the launch is undone (written
+        allocations, step budget; its stats never reached the runtime)
+        and replayed: when the conflict was between two blocks, on the
+        warp tier again with one block per group (the memo entry keeps
+        that); when it was inside a block, on the scalar kernel, which
+        is compiled then if it never was, and the kernel is demoted.
+        Faults replay scalar too, without demoting: a lane that faults
+        at an earlier statement need not be the first thread to fault,
+        and the replay's outcome is the launch's. A
+        :class:`KernelHang` propagates as it is.
         """
         kernel, tier = self._bind_kernel(name, args)
         # only a warp-SIMD kernel carries (and can raise for) one
         speculation = getattr(kernel, "speculation", None)
         try:
             grid, block = _as_dim3(grid), _as_dim3(block)
-            try:
-                return self.runtime.launch(kernel, grid, block,
-                                           kernel_name=name, engine=tier)
-            except Exception as exc:
-                # whatever a kernel raises reaches the student as a
-                # runtime error, so every exception of a speculative
-                # launch replays — except a hang, whose replay would
-                # burn the whole restored step budget a second time
-                if speculation is None or isinstance(exc, KernelHang):
-                    raise
-                if isinstance(exc, LaneConflict):
-                    speculation.kernel.demoted = True
-            kernel, tier = speculation.rollback()
-            telemetry = getattr(self.runtime, "telemetry", None)
-            if telemetry is not None:
-                telemetry.metrics.counter(
-                    KERNEL_REPLAYS_TOTAL,
-                    "Speculative simd launches replayed scalar",
-                ).inc(kernel=name)
-            return self.runtime.launch(kernel, grid, block,
-                                       kernel_name=name, engine=tier)
+            while True:
+                try:
+                    return self.runtime.launch(kernel, grid, block,
+                                               kernel_name=name, engine=tier)
+                except Exception as exc:
+                    # whatever a kernel raises reaches the student as a
+                    # runtime error, so every exception of a speculative
+                    # launch replays — except a hang, whose replay would
+                    # burn the whole restored step budget a second time
+                    if speculation is None or isinstance(exc, KernelHang):
+                        raise
+                    kernel, tier = speculation.rollback(exc)
+                speculation = getattr(kernel, "speculation", None)
+                telemetry = getattr(self.runtime, "telemetry", None)
+                if telemetry is not None:
+                    telemetry.metrics.counter(
+                        KERNEL_REPLAYS_TOTAL,
+                        "Speculative simd launches replayed",
+                    ).inc(kernel=name)
         finally:
             if speculation is not None:
                 speculation.release()

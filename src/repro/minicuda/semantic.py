@@ -18,6 +18,17 @@ from repro.minicuda.diagnostics import CompileError, Diagnostic, SourcePos
 #: Device builtins that hit a block-wide barrier when called.
 BARRIER_BUILTINS = frozenset({"__syncthreads", "barrier"})
 
+#: Most operators one expression may nest: a ``1+...+1`` chain of one
+#: more term than this compiles, a longer one is a positioned
+#: ``CompileError``. Every later stage walks expressions by recursion;
+#: through ``GpuWorker.process`` a 480-term chain in host code or a
+#: kernel still ran on every engine and 500 to ~950 terms hit
+#: Python's stack limit at run time, so this keeps a margin of almost
+#: 2x — and the longest chain allowed still runs 150 statements deep.
+MAX_EXPR_DEPTH = 256
+
+_TOO_DEEP = "program is nested too deeply"
+
 _anonymous = itertools.count(1)
 
 
@@ -104,10 +115,8 @@ class Analyzer:
                 try:
                     self._check_function(fn)
                 except RecursionError:
-                    # e.g. a 2000-term sum: the parser folds it in a
-                    # loop, the checks below descend it
-                    raise CompileError("program is nested too deeply",
-                                       fn.pos) from None
+                    # nesting the expression budget does not bound
+                    raise CompileError(_TOO_DEEP, fn.pos) from None
         if self.diagnostics:
             raise CompileError(self.diagnostics)
         self._collect_barrier_functions()
@@ -293,7 +302,8 @@ class Analyzer:
     # -- expression checking -------------------------------------------------
 
     def _check_expr(self, expr: ast.Expr, scope: _Scope, fn: ast.FuncDef,
-                    device: bool) -> None:
+                    device: bool, depth: int = 0) -> None:
+        """``depth``: the operators around ``expr``."""
         if isinstance(expr, (ast.IntLit, ast.FloatLit, ast.StrLit,
                              ast.BoolLit, ast.NullLit, ast.SizeOf)):
             return
@@ -306,17 +316,22 @@ class Analyzer:
                 self.error(f"use of undeclared identifier {expr.name!r}",
                            expr.pos)
             return
+        if depth == MAX_EXPR_DEPTH:
+            # e.g. a long sum: the parser folds it in a loop, every
+            # later stage descends it
+            raise CompileError(_TOO_DEEP, expr.pos)
+        depth += 1
         if isinstance(expr, ast.Member):
             # field existence is checked at run time (no struct types in
             # the static checker); only the object expression is checked
-            self._check_expr(expr.obj, scope, fn, device)
+            self._check_expr(expr.obj, scope, fn, device, depth)
             return
         if isinstance(expr, ast.Index):
-            self._check_expr(expr.base, scope, fn, device)
-            self._check_expr(expr.index, scope, fn, device)
+            self._check_expr(expr.base, scope, fn, device, depth)
+            self._check_expr(expr.index, scope, fn, device, depth)
             return
         if isinstance(expr, ast.Call):
-            self._check_call(expr, scope, fn, device)
+            self._check_call(expr, scope, fn, device, depth)
             return
         if isinstance(expr, ast.KernelLaunch):
             if device:
@@ -330,12 +345,12 @@ class Analyzer:
                 self.error(
                     f"kernel {expr.name!r} expects {len(target.params)} "
                     f"argument(s), got {len(expr.args)}", expr.pos)
-            self._check_expr(expr.grid, scope, fn, device)
-            self._check_expr(expr.block, scope, fn, device)
+            self._check_expr(expr.grid, scope, fn, device, depth)
+            self._check_expr(expr.block, scope, fn, device, depth)
             if expr.shared is not None:
-                self._check_expr(expr.shared, scope, fn, device)
+                self._check_expr(expr.shared, scope, fn, device, depth)
             for arg in expr.args:
-                self._check_expr(arg, scope, fn, device)
+                self._check_expr(arg, scope, fn, device, depth)
             return
         if isinstance(expr, ast.Unary):
             if expr.op == "&":
@@ -345,39 +360,39 @@ class Analyzer:
                 elif isinstance(expr.operand, ast.Ident) and not device:
                     self.info.host_address_taken.setdefault(
                         fn.name, []).append(expr.operand.name)
-            self._check_expr(expr.operand, scope, fn, device)
+            self._check_expr(expr.operand, scope, fn, device, depth)
             return
         if isinstance(expr, ast.IncDec):
             if not self._is_lvalue(expr.operand):
                 self.error(f"operand of {expr.op} must be an lvalue",
                            expr.pos)
-            self._check_expr(expr.operand, scope, fn, device)
+            self._check_expr(expr.operand, scope, fn, device, depth)
             return
         if isinstance(expr, ast.Binary):
-            self._check_expr(expr.left, scope, fn, device)
-            self._check_expr(expr.right, scope, fn, device)
+            self._check_expr(expr.left, scope, fn, device, depth)
+            self._check_expr(expr.right, scope, fn, device, depth)
             return
         if isinstance(expr, ast.Assign):
             if not self._is_lvalue(expr.target):
                 self.error("assignment target is not an lvalue", expr.pos)
-            self._check_expr(expr.target, scope, fn, device)
-            self._check_expr(expr.value, scope, fn, device)
+            self._check_expr(expr.target, scope, fn, device, depth)
+            self._check_expr(expr.value, scope, fn, device, depth)
             return
         if isinstance(expr, ast.Conditional):
-            self._check_expr(expr.cond, scope, fn, device)
-            self._check_expr(expr.then, scope, fn, device)
-            self._check_expr(expr.otherwise, scope, fn, device)
+            self._check_expr(expr.cond, scope, fn, device, depth)
+            self._check_expr(expr.then, scope, fn, device, depth)
+            self._check_expr(expr.otherwise, scope, fn, device, depth)
             return
         if isinstance(expr, ast.Cast):
-            self._check_expr(expr.value, scope, fn, device)
+            self._check_expr(expr.value, scope, fn, device, depth)
             return
         raise AssertionError(f"unknown expression {expr!r}")  # pragma: no cover
 
     def _check_call(self, call: ast.Call, scope: _Scope, fn: ast.FuncDef,
-                    device: bool) -> None:
+                    device: bool, depth: int) -> None:
         name = call.name
         for arg in call.args:
-            self._check_expr(arg, scope, fn, device)
+            self._check_expr(arg, scope, fn, device, depth)
         if name == "__init_list__" or name == "dim3":
             return
         user_fn = None

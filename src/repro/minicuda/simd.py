@@ -2,44 +2,47 @@
 
 The top execution tier. Where the ``codegen`` engine emits scalar
 Python source executed once per thread, this engine lowers an eligible
-kernel body to numpy array programs executed once per *block*, one
-lane per thread: builtin indices become lane vectors, arithmetic
-becomes dtype-correct numpy ops on int64/float64 carriers, and
-global/shared accesses become gathers/scatters against the numpy
-storage of ``DeviceBuffer`` / ``SharedArray`` with vectorized bounds
-checks.
+kernel body to numpy array programs executed once per *group* of
+consecutive blocks, one lane per thread: ``threadIdx`` and ``blockIdx``
+become lane vectors, arithmetic becomes dtype-correct numpy ops on
+int64/float64 carriers, and global/shared accesses become
+gathers/scatters against the numpy storage of ``DeviceBuffer`` /
+``SharedArray`` with vectorized bounds checks.
 
 Divergent control flow runs under lane masks: ``if``/``else`` without
 barriers executes both arms on index partitions, and every charge
 point adds ``len(active lanes)`` instructions so ``KernelStats``
 stays bit-identical to the tree-walking oracle. Memory accesses are
-recorded as block-wide chunks (``_BlockState.load_chunks`` et al.)
-carrying each lane's 32-lane warp id, whose row multiset equals
-per-thread recording, so coalescing, bank conflicts, divergence and
-lane occupancy are still accounted per warp.
+recorded as group-wide chunks (``_BlockState.load_chunks`` et al.)
+carrying each lane's warp id, numbered across the group, whose row
+multiset equals per-thread recording, so coalescing, bank conflicts,
+divergence and lane occupancy are still accounted per 32-lane warp of
+one block. A group's ``__shared__`` array holds its blocks' copies
+side by side, each lane offset to its own block's.
 
 Eligibility is decided per kernel at compile time; any unsupported
 construct raises :class:`_SimdUnsupported` and the kernel falls back
 to the scalar ``codegen`` tier (the verdict is memoized, never an
 error). Barrier kernels lower to a "spine": straight-line vectorized
 statements separated by yields, with uniform-condition loops driven
-by scalar conditions so whole blocks arrive at every barrier together.
+by scalar conditions so whole groups arrive at every barrier together.
 
-Execution is *speculative*. A block runs statement-major where the
-oracle runs thread-major, and the two agree only while no lane touches
-an element a higher lane already touched in the same barrier interval
-(one of the two storing). Every access to an allocation the kernel may
-store to goes through that allocation's
+Execution is *speculative*. A group runs statement-major where the
+oracle runs block-major, then thread-major, and the two agree only
+while no lane touches an element a lane later in the oracle's order
+already touched (one of the two storing). Every access to an
+allocation the kernel may store to goes through that allocation's
 :class:`~repro.gpusim.memory.LaneTracker`; the first such access raises
 :class:`~repro.gpusim.memory.LaneConflict`, and
 ``Interpreter.launch_kernel`` restores the :class:`Speculation`
-snapshot, marks the kernel demoted and replays the launch on the
-scalar ``codegen`` kernel — so results, ``KernelStats`` and line
-ledgers equal the oracle's for racy programs too. A launch that faults
-is restored and replayed the same way (without demotion), so the fault
-it reports is the first in thread-major order. Kernels that name a
-writable file-scope ``__device__`` array or pointer are ineligible
-(that storage carries no tracker).
+snapshot and replays the launch: one block per group for a conflict
+between blocks, on the scalar ``codegen`` kernel (demoted) for one
+inside a block — so results, ``KernelStats`` and line ledgers equal
+the oracle's for racy programs too. A launch that faults is restored
+and replayed scalar (without demotion), so the fault it reports is the
+first in thread-major order. Kernels that name a writable file-scope
+``__device__`` array or pointer are ineligible (that storage carries no
+tracker).
 
 Documented divergence from the scalar engines: int64 carriers wrap
 where Python ints would grow unbounded.
@@ -52,7 +55,17 @@ from typing import Any, Callable
 
 import numpy as np
 
-from repro.gpusim.memory import DevicePtr, LaneTracker, SharedArray
+from repro.gpusim.memory import (
+    KEY_INTERVAL_SHIFT,
+    KEY_RANK_SHIFT,
+    DevicePtr,
+    LaneConflict,
+    LaneTracker,
+    SharedArray,
+    out_of_range,
+)
+from repro.gpusim.device import DeviceSpec
+from repro.gpusim.grid import Dim3
 from repro.gpusim.scheduler import SYNC, WarpContext, _LineStatsProxy
 from repro.minicuda import ast_nodes as ast
 from repro.minicuda import builtins as bi
@@ -112,7 +125,7 @@ _NBYTES_PER_LOWERED = 480
 
 #: Bump when SIMD lowering semantics change; part of the memo key so
 #: stale fallback verdicts are never recalled across upgrades.
-SIMD_VERSION = 5
+SIMD_VERSION = 6
 
 _I64 = np.int64
 _F64 = np.float64
@@ -286,7 +299,7 @@ def _analyze_names(fn: ast.FuncDef,
     facts (shadowed declarations share one verdict).
 
     **Varying names** — params/locals that may hold different values
-    across the lanes of one block, by fixpoint: a name becomes varying
+    across the lanes of one group, by fixpoint: a name becomes varying
     when it is assigned (a) a lane-dependent value — anything touching
     ``threadIdx``, memory loads, derefs, atomics, OpenCL index
     functions, device calls, or other varying names — or (b) any value
@@ -391,7 +404,8 @@ def _analyze_names(fn: ast.FuncDef,
         for node in ast.walk(e):
             cls = type(node)
             if cls is ast.Ident:
-                if node.name in varying or node.name == "threadIdx":
+                if node.name in varying or \
+                        node.name in ("threadIdx", "blockIdx"):
                     return True
             elif cls is ast.Index:
                 return True  # all memory loads are lane-varying
@@ -420,27 +434,28 @@ def _analyze_names(fn: ast.FuncDef,
         i for name, i in pointers.items() if name in stored)
 
 
-# -- per-block execution state -----------------------------------------------
+# -- per-group execution state -----------------------------------------------
 
 class _WarpSt:
-    """Runtime state for one block's vectorized execution: one lane
-    per thread, accounted per 32-lane warp."""
+    """Runtime state for one group's vectorized execution: one lane
+    per thread, accounted per 32-lane warp of one block."""
 
-    __slots__ = ("wctx", "tid_axis", "n", "interp", "frame", "stats",
-                 "block", "warp_ids", "seqs", "ops", "slots", "idx_all",
-                 "md_ok", "prof", "line", "bseqs", "trackers")
+    __slots__ = ("wctx", "tid_axis", "bid_axis", "n", "interp", "frame",
+                 "stats", "block", "warp_ids", "seqs", "ops", "slots",
+                 "idx_all", "md_ok", "prof", "line", "bseqs", "trackers",
+                 "keys", "bases")
 
-    def __init__(self, wctx: WarpContext, interp: Any, frame_size: int,
-                 trackers: list):
+    def __init__(self, wctx: WarpContext, interp: Any, frame_size: int):
         self.wctx = wctx
         self.tid_axis = wctx.tid_axis
+        self.bid_axis = wctx.bid_axis
         self.n = wctx.n
         self.interp = interp
         self.frame: list[Any] = [None] * frame_size
         self.block = wctx._block
         self.stats = self.block.stats
         # each lane's warp id, the warp column of every record; a
-        # plain 0 while the block is one warp
+        # plain 0 while the group is one warp
         self.warp_ids = wctx.warp_ids if wctx.n > wctx.warp_size else 0
         # per-lane access sequence numbers; kept as one Python int
         # while every access so far has been full-mask (the hot case),
@@ -450,15 +465,19 @@ class _WarpSt:
         self.slots = 0  # lane-occupancy denominator
         self.idx_all = np.arange(self.n, dtype=np.intp)
         # (axis, limit) pairs whose full tid lane vector was verified
-        # in range — tid vectors are block constants, so one positive
+        # in range — tid vectors are group constants, so one positive
         # verdict covers every later (masked or full) access
         self.md_ok: set = set()
-        # lane trackers this block may have dirtied: the launch's
-        # tracked global allocations, plus each __shared__ array as its
-        # declaration runs
-        self.trackers = list(trackers)
+        # the __shared__ arrays' lane trackers, reset at each barrier
+        self.trackers: list = []
+        # each lane's LaneTracker key: (block rank, interval, thread);
+        # replaced, never written in place (trackers keep references)
+        self.keys = (wctx.thread if wctx.blocks == 1
+                     else (wctx.rank << KEY_RANK_SHIFT) | wctx.thread)
+        # shared-array size -> each lane's block base in group storage
+        self.bases: dict[int, np.ndarray] = {}
         # statement closures keep ``line`` at the innermost enclosing
-        # statement. A line-profiled block exposes itself via .prof;
+        # statement. A line-profiled group exposes itself via .prof;
         # then charges go through a proxy that attributes them to
         # ``line``, and ``bseqs`` counts per-lane branch sequence numbers
         self.line = 0
@@ -475,6 +494,21 @@ class _WarpSt:
             return w
         return w[idx]
 
+    def lane_keys(self, idx: np.ndarray) -> np.ndarray:
+        """The :class:`LaneTracker` key of each active lane in ``idx``."""
+        return self.keys if len(idx) == self.n else self.keys[idx]
+
+    def shared_at(self, arr: SharedArray, idx: np.ndarray,
+                  ind: Any) -> Any:
+        """Each active lane's in-block index ``ind`` into ``arr``, as
+        an index into the group's storage."""
+        if self.wctx.blocks == 1:
+            return ind
+        base = self.bases.get(arr.size)
+        if base is None:
+            base = self.bases[arr.size] = self.wctx.rank * arr.size
+        return (base if len(idx) == self.n else base[idx]) + ind
+
     def occupy(self, idx: np.ndarray) -> None:
         """Count one masked step of the non-empty lane set ``idx`` in
         the lane occupancy: its active lanes, over the width of every
@@ -486,17 +520,22 @@ class _WarpSt:
             return
         w = w[idx]
         size = self.wctx.warp_size
-        last = (self.n - 1) // size
-        self.slots += size * (1 + int(np.count_nonzero(w[1:] != w[:-1])))
-        if w[-1] == last:  # the block's last warp may be short
-            self.slots -= (last + 1) * size - self.n
+        new = w[1:] != w[:-1]
+        self.slots += size * (1 + int(np.count_nonzero(new)))
+        per = self.wctx.blockDim.count
+        warps = -(-per // size)  # per block
+        short = warps * size - per
+        if short:  # every block's last warp is that much narrower
+            active = np.append(w[:1], w[1:][new])
+            self.slots -= short * int(np.count_nonzero(
+                active % warps == warps - 1))
 
     def record(self, chunks: list, idx: np.ndarray, col1: Any,
                col2: Any) -> None:
         """Append one access chunk for the active lanes ``idx``: their
         warp ids and sequence numbers (bumping the per-lane counters),
-        the two data columns, and the charging line when the block is
-        profiled. The sequence number stays one scalar while the block
+        the two data columns, and the charging line when the group is
+        profiled. The sequence number stays one scalar while the group
         has never diverged (``_packed_rows`` broadcasts it)."""
         k = len(idx)
         keys = self.seqs
@@ -515,7 +554,9 @@ class _WarpSt:
         return self.seqs
 
     def end_interval(self) -> None:
-        """A barrier, or the end of the block: lane order starts over."""
+        """A barrier: the next interval's keys come after this one's,
+        and the ``__shared__`` trackers start over."""
+        self.keys = self.keys + (1 << KEY_INTERVAL_SHIFT)
         for tracker in self.trackers:
             tracker.reset()
 
@@ -526,7 +567,7 @@ class _WarpSt:
             raise KernelHang(_HANG_MSG, pos)
 
     def log_branch(self, idx: np.ndarray, line: int, taken: Any) -> None:
-        """Log one ``if`` outcome per active lane of a profiled block
+        """Log one ``if`` outcome per active lane of a profiled group
         (after the condition, before either arm runs), keyed by per-lane
         branch sequence numbers so finalize detects intra-warp
         divergence exactly like per-thread recording."""
@@ -664,6 +705,8 @@ class _Lowerer:
         #: expressions and statements lowered so far — what the
         #: artifact's closures, and so its resident size, scale with
         self.lowered = 0
+        #: bytes of the ``__shared__`` arrays declared, one block's
+        self.shared_bytes = 0
 
     # -- scopes ---------------------------------------------------------------
 
@@ -758,8 +801,8 @@ class _Lowerer:
                 raise _SimdUnsupported(f"__device__ storage {name!r}")
             return ((lambda st, idx: st.interp.globals.get(name)),
                     self.constant_arrays.get(name), True)
-        if name == "threadIdx":
-            raise _SimdUnsupported("bare threadIdx value")
+        if name in ("threadIdx", "blockIdx"):  # lane-varying dim3s
+            raise _SimdUnsupported(f"bare {name} value")
         if name in _BUILTIN_IDX:
             return (lambda st, idx: getattr(st.wctx, name)), "dim3", True
         if name == "warpSize":
@@ -778,12 +821,16 @@ class _Lowerer:
                 and obj.name in _BUILTIN_IDX \
                 and self.lookup(obj.name) is None \
                 and obj.name not in self.info.constants:
+            # full-mask fast paths return the cached per-group lane
+            # vector itself; downstream ops never mutate operands
             if obj.name == "threadIdx":
-                # full-mask fast path returns the cached per-block lane
-                # vector itself; downstream ops never mutate operands
                 return (lambda st, idx:
                         st.tid_axis(field) if idx is st.idx_all
                         else st.tid_axis(field)[idx]), "int", False
+            if obj.name == "blockIdx":
+                return (lambda st, idx:
+                        st.bid_axis(field) if idx is st.idx_all
+                        else st.bid_axis(field)[idx]), "int", False
             bname = obj.name
             return (lambda st, idx:
                     getattr(getattr(st.wctx, bname), field)), "int", True
@@ -796,8 +843,8 @@ class _Lowerer:
     def _tid_axis_of(self, node: Any) -> str | None:
         """The axis name when ``node`` is a plain ``threadIdx.<axis>``
         read (not shadowed by a local or a global) — such index
-        vectors are block constants, so a bounds verdict can be cached
-        per block instead of re-reduced on every access."""
+        vectors are group constants, so a bounds verdict can be cached
+        per group instead of re-reduced on every access."""
         if (isinstance(node, ast.Member)
                 and node.field_name in ("x", "y", "z")
                 and isinstance(node.obj, ast.Ident)
@@ -1372,26 +1419,23 @@ class _Lowerer:
         if not du:
             raise _SimdUnsupported("varying OpenCL index dimension")
         # no charge, exactly like srcgen's _opencl_index emission
-        if name in ("get_local_id", "get_global_id"):
-            glob = name == "get_global_id"
-
+        if name in ("get_local_id", "get_global_id", "get_group_id"):
             def fn(st, idx):
                 d = df(st, idx)
                 axis = "xyz"[d] if 0 <= d < 3 else "x"
-                tid = st.tid_axis(axis)[idx]
-                if not glob:
-                    return tid
-                c0 = st.wctx
-                return (getattr(c0.blockIdx, axis)
-                        * getattr(c0.blockDim, axis) + tid)
+                if name == "get_local_id":
+                    return st.tid_axis(axis)[idx]
+                bid = st.bid_axis(axis)[idx]
+                if name == "get_group_id":
+                    return bid
+                return (bid * getattr(st.wctx.blockDim, axis)
+                        + st.tid_axis(axis)[idx])
             return fn, "int", False
 
         def fn(st, idx):
             d = df(st, idx)
             axis = "xyz"[d] if 0 <= d < 3 else "x"
             c0 = st.wctx
-            if name == "get_group_id":
-                return getattr(c0.blockIdx, axis)
             if name == "get_local_size":
                 return getattr(c0.blockDim, axis)
             if name == "get_num_groups":
@@ -1422,34 +1466,41 @@ class _Lowerer:
                 vals[0] = -vals[0]
             k = len(idx)
             out = np.empty(k, carrier)
-            ind_arr = isinstance(ind, np.ndarray)
             tracker = target.lanes
             if tracker is not None:
                 # the tracker indexes by element: fault first
-                if ind_arr:
+                if isinstance(ind, np.ndarray):
                     target._check_lanes(ind)
                 else:
                     target._check(ind)
-                tracker.store(ind, idx)
-            # the read-modify-write itself stays lane by lane, through
-            # the target's own checked accessors and on the operand
-            # values ThreadContext._atomic would see; what it charges
-            # and records is accounted for the block as a whole below
+            # the read-modify-write itself stays lane by lane, on the
+            # operand values ThreadContext._atomic would see: through a
+            # global target's own checked accessors, and at each lane's
+            # own block's element of a shared one (whose per-block
+            # addresses keep the contention per block); what it charges
+            # and records is accounted for the group as a whole below
             stats = st.block.stats
             shared = isinstance(target, SharedArray)
             if shared:
+                at = st.shared_at(target, idx, ind)
+                read, write = target.data.item, target.store_lanes
                 hits, base, nb = (stats.shared_atomic_addresses,
                                   id(target) << 20, 1)
             else:
+                at = ind
+                read, write = target.read, target.write
                 hits, base, nb = (stats.atomic_addresses, target._base,
                                   target._itemsize)
-            columns = [ind.tolist() if ind_arr else [int(ind)] * k]
+            if tracker is not None:
+                tracker.store(at, st.lane_keys(idx))
+            columns = [at.tolist() if isinstance(at, np.ndarray)
+                       else [int(at)] * k]
             columns += [list(v) if isinstance(v, np.ndarray) else [v] * k
                         for v in vals]
             worst = 0
             for j, (i, *operands) in enumerate(zip(*columns)):
-                old = target.read(i)
-                target.write(i, update(old, *operands))
+                old = read(i)
+                write(i, update(old, *operands))
                 out[j] = old
                 addr = base + i * nb
                 hit = hits[addr] = hits.get(addr, 0) + 1
@@ -1663,8 +1714,8 @@ class _Lowerer:
 
         def sfn(st, idx, fr):
             st.line = ln
-            c0 = st.wctx
-            gid = c0.blockIdx.x * c0.blockDim.x + st.tid_axis("x")[idx]
+            gid = (st.bid_axis("x")[idx] * st.wctx.blockDim.x
+                   + st.tid_axis("x")[idx])
             arr = np.zeros(st.n, carrier)
             arr[idx] = _co_vec(cokind, st.frame[start] + gid)
             st.frame[slot] = arr
@@ -1950,13 +2001,14 @@ class _Lowerer:
             kind = (("shared_md", dims, ek) if len(dims) > 1
                     else ("shared", ek))
             slot = self.declare(name, kind, None).slot
+            self.shared_bytes += total * dtype_for(base).itemsize
 
             def dfn(st, idx):
-                # get-or-allocate on the block (no charge); the shared
+                # get-or-allocate on the group (no charge); the shared
                 # memory limit fault comes from ThreadContext.shared
                 arr = st.wctx.shared(name, total, base)
                 if arr.lanes is None:
-                    arr.lanes = LaneTracker(total)
+                    arr.lanes = LaneTracker(arr.data.size)
                 if arr.lanes not in st.trackers:
                     st.trackers.append(arr.lanes)
                 st.frame[slot] = arr
@@ -2031,8 +2083,8 @@ class _Lowerer:
     def spine_stmt(self, s: ast.Stmt):
         """Compile one statement of a barrier kernel into a spine node.
         Statements not containing a barrier become ordinary masked
-        statement closures run on the full block; barrier-bearing
-        control flow must be block-uniform."""
+        statement closures run on the full group; barrier-bearing
+        control flow must be group-uniform."""
         if not _stmt_contains_barrier(s):
             return ("s", self.stmt(s))
         cls = type(s)
@@ -2092,7 +2144,7 @@ class _Lowerer:
 # -- vectorized memory access -------------------------------------------------
 #
 # Each helper reproduces one ThreadContext access method for every
-# active lane of a block at once: identical charge counts and trace
+# active lane of a group at once: identical charge counts and trace
 # rows (as chunks carrying each lane's warp id). A bounds fault ends
 # the speculative launch, which then replays scalar, so the fault a
 # launch reports is always the scalar engines' own. Accesses to
@@ -2100,20 +2152,9 @@ class _Lowerer:
 # check: the tracker indexes by element), which raises LaneConflict
 # when thread-major order would have differed.
 
-def _lanes_in_range(v: np.ndarray, limit: int) -> bool:
-    """True when every lane of ``v`` is in ``[0, limit)``. One
-    unsigned-max reduction on the int64 carrier (negatives wrap to
-    huge values), so the in-bounds hot path pays a single pass."""
-    if len(v) == 0:
-        return True
-    if v.dtype == np.int64:
-        return int(v.view(np.uint64).max()) < limit
-    return bool(((v >= 0) & (v < limit)).all())
-
-
 def _md_ok(st: _WarpSt, v: Any, axis: str | None, limit: int) -> bool:
     """Whether one 2-D index operand is in ``[0, limit)`` on every
-    lane. A ``threadIdx`` lane vector (``axis``) is a block constant:
+    lane. A ``threadIdx`` lane vector (``axis``) is a group constant:
     its full vector's positive verdict is cached in ``st.md_ok``."""
     if not isinstance(v, np.ndarray):
         return 0 <= v < limit
@@ -2121,10 +2162,10 @@ def _md_ok(st: _WarpSt, v: Any, axis: str | None, limit: int) -> bool:
         key = (axis, limit)
         if key in st.md_ok:
             return True
-        if _lanes_in_range(st.tid_axis(axis), limit):
+        if out_of_range(st.tid_axis(axis), limit) is None:
             st.md_ok.add(key)
             return True
-    return _lanes_in_range(v, limit)
+    return out_of_range(v, limit) is None
 
 
 def _md_check(st: _WarpSt, i: Any, j: Any, d0: int, d1: int,
@@ -2150,7 +2191,7 @@ def _global_load(st: _WarpSt, idx: np.ndarray, base: Any, ind: Any,
         i = base.offset + int(ind)
         vals = np.full(k, buf.read(i), carrier)
     if buf.lanes is not None:
-        buf.lanes.load(i, idx)
+        buf.lanes.load(i, st.lane_keys(idx))
     nb = buf._itemsize
     st.record(st.block.load_chunks, idx, buf._base + i * nb, nb)
     st.stats.instructions += k
@@ -2171,48 +2212,52 @@ def _global_store(st: _WarpSt, idx: np.ndarray, base: Any, ind: Any,
         buf.write(i, values[-1] if isinstance(values, np.ndarray)
                   else values)
     if buf.lanes is not None:
-        buf.lanes.store(i, idx)
+        buf.lanes.store(i, st.lane_keys(idx))
     nb = buf._itemsize
     st.record(st.block.store_chunks, idx, buf._base + i * nb, nb)
     st.stats.instructions += len(idx)
 
 
-def _shared_load(st: _WarpSt, idx: np.ndarray, arr: Any, ind: Any,
-                 checked: bool = False) -> np.ndarray:
-    """``checked``: the flat index of a 2-D access was already
-    validated by :func:`_md_check` (row and column each in range imply
-    the flattened index is), so the per-array bounds check is skipped."""
-    its = arr._itemsize
-    carrier = _F64 if arr.dtype.kind == "f" else _I64
+def _shared_index(st: _WarpSt, idx: np.ndarray, arr: SharedArray,
+                  ind: Any, checked: bool) -> tuple[Any, Any]:
+    """(group storage index, bank words) of a shared access, checked
+    against one block's array before the offset: past its own block's
+    array is a fault, not a neighbour's element. ``checked``: a 2-D
+    access's row and column passed :func:`_md_check` already."""
     if isinstance(ind, np.ndarray):
-        words = ind if its == 4 else ind * its // 4
-        vals = (arr.data[ind] if checked
-                else arr.read_lanes(ind)).astype(carrier)
+        if not checked:
+            arr._check_lanes(ind)
     else:
         ind = int(ind)
-        words = ind * its // 4
-        vals = np.full(len(idx), arr._cache[ind] if checked
-                       else arr.read(ind), carrier)
+        if not checked and not 0 <= ind < arr.size:
+            arr._check(ind)
+    its = arr._itemsize
+    return st.shared_at(arr, idx, ind), ind if its == 4 else ind * its // 4
+
+
+def _shared_load(st: _WarpSt, idx: np.ndarray, arr: Any, ind: Any,
+                 checked: bool = False) -> np.ndarray:
+    at, words = _shared_index(st, idx, arr, ind, checked)
+    carrier = _F64 if arr.dtype.kind == "f" else _I64
+    if isinstance(at, np.ndarray):
+        vals = arr.data[at].astype(carrier)
+    else:
+        vals = np.full(len(idx), arr.data[at], carrier)
     st.record(st.block.shared_chunks, idx, 0, words)
     st.stats.instructions += len(idx)
-    arr.lanes.load(ind, idx)
+    arr.lanes.load(at, st.lane_keys(idx))
     return vals
 
 
 def _shared_store(st: _WarpSt, idx: np.ndarray, arr: Any, ind: Any,
                   values: Any) -> None:
-    its = arr._itemsize
-    if isinstance(ind, np.ndarray):
-        words = ind if its == 4 else ind * its // 4
-        arr.write_lanes(ind, values)
-    else:
-        ind = int(ind)
-        words = ind * its // 4
-        arr.write(ind, values[-1] if isinstance(values, np.ndarray)
-                  else values)
+    at, words = _shared_index(st, idx, arr, ind, False)
+    if not isinstance(at, np.ndarray) and isinstance(values, np.ndarray):
+        values = values[-1]  # every lane stores one element: the last wins
+    arr.store_lanes(at, values)
     st.record(st.block.shared_chunks, idx, 0, words)
     st.stats.instructions += len(idx)
-    arr.lanes.store(ind, idx)
+    arr.lanes.store(at, st.lane_keys(idx))
 
 
 def _local_oob(ind: Any, size: int, name: str) -> None:
@@ -2249,7 +2294,7 @@ def _local_store(st: _WarpSt, idx: np.ndarray, rows: np.ndarray,
 # -- spine execution (barrier kernels) ----------------------------------------
 
 def _spine_exec(node: tuple, st: _WarpSt, fr: tuple):
-    """Recursive generator driving one block down the uniform spine,
+    """Recursive generator driving one group down the uniform spine,
     yielding SYNC at each barrier. Step charges sit exactly where the
     scalar emitters place them, and so do the line marks."""
     tag = node[0]
@@ -2331,18 +2376,28 @@ class Speculation:
         for buf in buffers:
             buf.lanes = LaneTracker(buf.num_elements)
 
-    def rollback(self) -> tuple[Callable, str]:
-        """Undo the launch after a :class:`LaneConflict` or a fault;
-        returns the thread callable to replay on and its tier — the
-        scalar kernel, compiled now if it never was, or the tree-walker
+    def rollback(self, exc: Exception) -> tuple[Callable, str]:
+        """Undo the launch after ``exc``, a :class:`LaneConflict` or a
+        fault, and stop tracking; returns the thread callable to replay
+        on and its tier. A conflict between blocks replays on this tier,
+        one block per group from now on. A conflict inside a block
+        (which demotes the kernel) and a fault replay on the scalar
+        kernel, compiled now if it never was, or on the tree-walker
         where the scalar emitter declines."""
         for buf, data in self.saved:
             buf.data[:] = data
+        self.release()
         interp = self.interp
         interp.steps = self.steps
-        src = self.kernel.scalar(interp.info)
+        kernel = self.kernel
+        if isinstance(exc, LaneConflict):
+            if exc.cross_block and not kernel.blockwise:
+                kernel.blockwise = True
+                return kernel.bind(interp, self.args), kernel.tier
+            kernel.demoted = True
+        src = kernel.scalar(interp.info)
         if src is None:
-            fn = interp.info.kernel_def(self.kernel.name)
+            fn = interp.info.kernel_def(kernel.name)
             return interp._walk_kernel(fn, self.args), "ast"
         return src.bind(interp, self.args), src.tier
 
@@ -2355,18 +2410,20 @@ class Speculation:
 class CompiledSimdKernel:
     """A kernel lowered to warp-SIMD closures.
 
-    Binding attaches the block executor the scheduler prefers —
-    ``warp_run``, a generator over one block's
+    Binding attaches the group executor the scheduler prefers —
+    ``warp_run``, a generator over one group's
     :class:`~repro.gpusim.scheduler.WarpContext` that yields at each
-    barrier (a barrier-free kernel's never does) — and the launch's
-    :class:`Speculation` to a carrier function the scheduler never
-    calls. The scalar kernel a lane-conflict replay runs on is
+    barrier (a barrier-free kernel's never does), and
+    :meth:`group_blocks`, how many blocks a group holds — and the
+    launch's :class:`Speculation` to a carrier function the scheduler
+    never calls. The scalar kernel a lane-conflict replay runs on is
     compiled by the first replay (:meth:`scalar`), inside this memo
     entry."""
 
     __slots__ = ("name", "coercers", "param_plan", "nslots",
                  "body_fns", "spine", "entry_pos", "stored_params",
-                 "nbytes", "demoted", "_src")
+                 "shared_bytes", "nbytes", "demoted", "blockwise",
+                 "_src")
 
     tier = "simd"
 
@@ -2374,7 +2431,7 @@ class CompiledSimdKernel:
                  param_plan: list, nslots: int,
                  body_fns: list | None, spine: list | None,
                  entry_pos: Any, stored_params: frozenset[int],
-                 nbytes: int):
+                 shared_bytes: int, nbytes: int):
         self.name = name
         self.nbytes = nbytes
         self.coercers = coercers
@@ -2384,10 +2441,25 @@ class CompiledSimdKernel:
         self.spine = spine
         self.entry_pos = entry_pos
         self.stored_params = stored_params
-        #: set by the first lane-conflict replay (``launch_kernel``):
+        self.shared_bytes = shared_bytes
+        #: set by the replay of a conflict inside a block:
         #: ``compile_kernel`` hands out the scalar kernel from then on
         self.demoted = False
+        #: set by the replay of a conflict between blocks
+        self.blockwise = False
         self._src: CompiledSrcKernel | Declined | None = None
+
+    def group_blocks(self, block: Dim3, spec: DeviceSpec) -> int:
+        """How many consecutive blocks of shape ``block`` one group
+        runs: as many as fit in the lanes and ``__shared__`` bytes of
+        the largest block ``spec`` allows — so a group never holds more
+        trace or shared memory than one block could — and at least
+        one; one since a conflict between blocks."""
+        if self.blockwise:
+            return 1
+        return max(1, min(
+            spec.max_threads_per_block // block.count,
+            spec.shared_mem_per_block // max(self.shared_bytes, 1)))
 
     def scalar(self, info: ProgramInfo) -> CompiledSrcKernel | None:
         """The scalar kernel of the same source (None where the scalar
@@ -2420,6 +2492,7 @@ class CompiledSimdKernel:
                 buffers.append(arg.buffer)
         thread_fn.speculation = Speculation(self, interp, args, buffers)
         trackers = [buf.lanes for buf in buffers]
+        thread_fn.group_blocks = self.group_blocks
 
         body_fns, spine = self.body_fns, self.spine
 
@@ -2428,7 +2501,7 @@ class CompiledSimdKernel:
             interp.steps += n
             if interp.steps > interp.max_steps:
                 raise KernelHang(_HANG_MSG, entry_pos)
-            st = _WarpSt(wctx, interp, nslots, trackers)
+            st = _WarpSt(wctx, interp, nslots)
             frame = st.frame
             for (slot, carrier), arg in zip(plan, args2):
                 frame[slot] = (np.full(n, arg, carrier)
@@ -2445,7 +2518,9 @@ class CompiledSimdKernel:
             else:
                 for node in spine:
                     yield from _spine_exec(node, st, fr)
-            st.end_interval()
+            # the next group's keys start over
+            for tracker in trackers:
+                tracker.reset()
             occ[0] += st.ops
             occ[1] += st.slots
         thread_fn.warp_run = warp_run
@@ -2478,6 +2553,7 @@ def _compile_simd(info: ProgramInfo, fn: ast.FuncDef) -> CompiledSimdKernel:
                               [_make_coercer(p.type) for p in fn.params],
                               param_plan, lw.nslots,
                               body_fns, spine, fn.pos, lw.stored_params,
+                              lw.shared_bytes,
                               _NBYTES_BASE + _NBYTES_PER_LOWERED * lw.lowered)
 
 
@@ -2531,7 +2607,7 @@ def compile_kernel(info: ProgramInfo, name: str):
     (:func:`_verdict`; a declined one keeps its reason for
     :func:`decline_reason`). One artifact serves profiled and
     unprofiled launches alike: its statement closures always mark the
-    block's current source line, and only a launch bound by a profiling
+    group's current source line, and only a launch bound by a profiling
     interpreter logs branches and charges lines — access chunks then
     carry the charging line as a sixth column."""
     value = _verdict(info, name)

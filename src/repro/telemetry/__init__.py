@@ -100,8 +100,10 @@ KERNEL_SIM_SECONDS = "webgpu_kernel_sim_seconds"
 KERNEL_COMPILE_SECONDS = "webgpu_kernel_engine_compile_seconds"
 KERNEL_EXEC_SECONDS = "webgpu_kernel_engine_exec_seconds"
 
-#: Counter (``kernel=``): speculative warp-SIMD launches that hit a
-#: lane-order conflict and were rolled back and replayed scalar.
+#: Counter (``kernel=``): speculative warp-SIMD launches rolled back
+#: and replayed — after a lane-order conflict (between blocks: on the
+#: warp tier, one block per group; inside a block: scalar) or a fault
+#: (scalar).
 KERNEL_REPLAYS_TOTAL = "webgpu_kernel_engine_replays_total"
 
 #: Histogram: fraction of warp lane slots active per simd-engine launch

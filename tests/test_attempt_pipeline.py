@@ -173,6 +173,19 @@ class TestPoisonPill:
             assert result.compile_message == (
                 "error: 1:59: program is nested too deeply")
 
+    def test_a_deep_expression_is_a_classified_compile_error(self):
+        # let through, a chain this long overflows Python's stack when
+        # the program runs: every dataset would fail as a runtime error
+        chain = "+".join(["1"] * 600)
+        source = VECADD.solution.replace(
+            "out[i] = in1[i] + in2[i];", f"out[i] = in1[i] + ({chain});")
+        result = _worker(VECADD).process(
+            Job(lab=VECADD, source=source, kind=JobKind.FULL_GRADING))
+        assert result.status is JobStatus.COMPLETED
+        assert not result.compile_ok and result.datasets == []
+        assert result.compile_message == (
+            "error: 7:24: program is nested too deeply")
+
     def test_driver_acks_the_poison_job_instead_of_dead_lettering_it(self):
         clock = ManualClock()
         broker = MessageBroker()

@@ -63,6 +63,26 @@ class TestCliRemainder:
         out = capsys.readouterr().out
         assert "kernel vecAdd: ran on codegen\n" in out
 
+    def test_profile_attempt_names_the_middle_rung(self, capsys, tmp_path,
+                                                   monkeypatch):
+        monkeypatch.delenv("WEBGPU_KERNEL_ENGINE", raising=False)
+        # thread 0 reads what block 1 stored, in the same statement
+        # block 0 stores its own share: a conflict between the two
+        # blocks of one group, whose replay runs a block at a time
+        lab = get_lab("vector-add")
+        assert lab.dataset_sizes[2] > 256
+        probe = tmp_path / "probe.cu"
+        probe.write_text(lab.solution.replace(
+            "out[i] = in1[i] + in2[i];",
+            "out[i] = in1[i] + in2[i];\n  }\n"
+            "  if (i == 0 && len > blockDim.x) {\n"
+            "    out[0] = out[0] + 0.0f * out[blockDim.x];"))
+        assert main(["profile-attempt", "vector-add", "--source",
+                     str(probe), "--dataset", "2"]) == 0
+        out = capsys.readouterr().out
+        assert ("kernel vecAdd: ran on simd "
+                "(one block per group: cross-block conflict)\n") in out
+
     def test_decline_reason_is_memoized_with_the_verdict(self):
         from repro.minicuda import compile_source
         from repro.minicuda.codegen import KERNEL_CACHE

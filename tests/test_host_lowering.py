@@ -24,6 +24,7 @@ from repro.labs.base import execute_lab_program
 from repro.labs.mutations import MUTATIONS, buggy_source
 from repro.minicuda import ENGINES, CompileError, HostEnv, compile_source
 from repro.minicuda import srcgen
+from repro.minicuda.semantic import MAX_EXPR_DEPTH
 from repro.minicuda.interpreter import KernelHang
 from repro.minicuda.codegen import KERNEL_CACHE
 from repro.mpisim import run_mpi
@@ -403,3 +404,30 @@ int main() {{
             assert (reason is not None) == declined, (name, reason)
             if declined:
                 assert "too many nested parentheses" in reason
+
+    @pytest.mark.parametrize("terms", (MAX_EXPR_DEPTH + 1,
+                                       MAX_EXPR_DEPTH + 2),
+                             ids=("at-the-budget", "one-past"))
+    def test_the_depth_budget(self, terms):
+        source = f"""
+__global__ void k(int *out) {{
+  int z = {self.chain(terms)};
+  out[threadIdx.x] = z;
+}}
+int main() {{
+  int *d;
+  int host[4];
+  int *h = host;
+  cudaMalloc((void **)&d, 4 * sizeof(int));
+  k<<<1, 4>>>(d);
+  cudaMemcpy(h, d, 4 * sizeof(int), cudaMemcpyDeviceToHost);
+  int z = {self.chain(terms)};
+  return (z + host[3]) % 251;
+}}"""
+        if terms > MAX_EXPR_DEPTH + 1:  # one operator fewer than terms
+            with pytest.raises(CompileError) as err:
+                compile_source(source)
+            assert str(err.value) == "error: 3:11: program is nested too deeply"
+            return
+        for engine in ENGINES:
+            assert run(source, engine)[0] == 2 * terms % 251, engine

@@ -352,21 +352,28 @@ __global__ void k({ctype} *c, {ctype} *out, int n) {{
 
 
 def launch_atomic(source, ctype, block, engine, profile=False,
-                  telemetry=None):
+                  telemetry=None, grid=2, program=None):
     rt = GpuRuntime(Device(), telemetry=telemetry)
     c, out = rt.malloc(4, ctype), rt.malloc(2 * 96, ctype)
     rt.memcpy_htod(c, np.full(4, 1000, dtype=c.dtype))
-    stats = program_of(source).launch(
-        rt, "k", 2, block, c.ptr(), out.ptr(), 4, engine=engine,
+    stats = (program or program_of(source)).launch(
+        rt, "k", grid, block, c.ptr(), out.ptr(), 4, engine=engine,
         profile=profile)
     return (rt.memcpy_dtoh(c).tolist(), rt.memcpy_dtoh(out).tolist(),
             stats)
 
 
 class TestAtomicParity:
-    """The warp tier accounts for an atomic once per block statement;
+    """The warp tier accounts for an atomic once per group statement;
     every other engine does it once per thread. Nobody may be able to
-    tell."""
+    tell.
+
+    The ``shared`` variants race across blocks: both blocks copy ``c``
+    in and write it back. Run as one group, block 0 writes back after
+    block 1 read ``c``: that launch replays once, one block per group,
+    and the kernel stays on the warp tier (which test of a kernel's
+    fingerprint runs first, and so pays the replay, is up to the test
+    order)."""
 
     @pytest.mark.parametrize("profile", (False, True),
                              ids=("plain", "profiled"))
@@ -391,8 +398,24 @@ class TestAtomicParity:
             assert stats.line_profile == ref_stats.line_profile, engine
             assert (stats.line_profile is not None) == profile
             # lanes of one atomic statement are already thread-major
-            assert replays(telemetry) == 0, engine
+            assert replays(telemetry) <= shared, engine
         assert isinstance(compile_kernel(program_of(source).info, "k"),
+                          CompiledSimdKernel)
+
+    @pytest.mark.parametrize("ctype", ("float", "unsigned"))
+    @pytest.mark.parametrize("name", sorted(ATOMICS))
+    def test_one_block_grid_never_replays(self, name, ctype):
+        source = atomic_kernel(ATOMICS[name], ctype, True)
+        # a fingerprint of its own: no other test's replay is memoized
+        program = program_of(source, exit_code=4)
+        *ref_out, ref_stats = launch_atomic(source, ctype, 48, "ast", grid=1)
+        telemetry = Telemetry()
+        *out, stats = launch_atomic(source, ctype, 48, "simd", grid=1,
+                                    telemetry=telemetry, program=program)
+        assert out == ref_out
+        assert ledger(stats) == ledger(ref_stats)
+        assert replays(telemetry) == 0
+        assert isinstance(compile_kernel(program.info, "k"),
                           CompiledSimdKernel)
 
     @pytest.mark.parametrize("shared", (False, True),

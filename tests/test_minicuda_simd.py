@@ -11,6 +11,7 @@ scalar codegen tier for ineligible kernels.
 from __future__ import annotations
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,9 +19,13 @@ import pytest
 from repro.gpusim import Device, GpuRuntime
 from repro.gpusim.errors import InvalidPointerError
 from repro.gpusim.grid import Dim3
-from repro.labs import execute_lab_source, get_lab
+from repro.labs import ALL_LABS, EXTRA_LABS, execute_lab_source, get_lab
 from repro.minicuda import ENGINES, compile_source
-from repro.minicuda.simd import CompiledSimdKernel, compile_kernel
+from repro.minicuda.simd import (
+    CompiledSimdKernel,
+    compile_kernel,
+    decline_reason,
+)
 from repro.minicuda.srcgen import CompiledSrcKernel
 from repro.minicuda.values import f32
 from repro.telemetry import (
@@ -30,6 +35,8 @@ from repro.telemetry import (
 )
 from repro.telemetry.metrics import MetricsRegistry, merge_registries
 from tests.test_lane_conflicts import ledger
+
+EXAMPLES = Path(__file__).resolve().parent.parent / "examples" / "cuda"
 
 STAT_FIELDS = (
     "blocks", "threads", "warps", "instructions",
@@ -228,6 +235,27 @@ int main() { return 0; }
         compiled = compile_kernel(program.info, "axpy")
         assert isinstance(compiled, CompiledSimdKernel)
         assert compile_kernel(program.info, "axpy") is compiled
+
+    def test_the_catalog_decline_set(self):
+        # blockIdx is a lane vector (a launch runs as groups of
+        # blocks): that must not cost any catalog kernel the warp tier
+        sources = [(f"{kind}/{lab.slug}", source)
+                   for lab in ALL_LABS + EXTRA_LABS
+                   for kind, source in (("solution", lab.solution),
+                                        ("skeleton", lab.skeleton))]
+        sources += [(path.name, path.read_text())
+                    for path in sorted(EXAMPLES.glob("*.cu"))]
+        kernels, declined = 0, {}
+        for origin, source in sources:
+            info = compile_source(source).info
+            for name in info.kernels:
+                kernels += 1
+                reason = decline_reason(info, name)
+                if reason is not None:
+                    declined[f"{origin}:{name}"] = reason
+        assert kernels == 42
+        assert declined == {
+            "histogram.cu:saturate": "varying non-numeric comparison"}
 
 
 class TestConstantMemory:

@@ -1,14 +1,16 @@
 """``WarpContext``: what the scheduler hands the warp-SIMD executor.
 
-A warp-SIMD launch runs against one ``WarpContext`` per block — launch
-geometry as lane vectors, one lane per thread — instead of one
-``ThreadContext`` per thread, and accounts per 32-lane warp through
-each lane's warp id. Pinned here: the lane vectors and warp ids are
-exactly CUDA thread order for any block shape; a divergent multi-warp
-launch with a short last warp keeps the stats, line ledger and
-active-lane ratio of per-warp execution; and a simd launch really
-builds no per-thread context unless a per-lane fault chain asks for
-one (and then only for the lanes it reaches).
+A warp-SIMD launch runs against one ``WarpContext`` per group of
+consecutive blocks — launch geometry as lane vectors, one lane per
+thread — instead of one ``ThreadContext`` per thread, and accounts per
+32-lane warp of one block through each lane's warp id. Pinned here: in
+a one-block group the lane vectors and warp ids are exactly CUDA
+thread order for any block shape (``tests/test_grid_groups.py`` covers
+groups of many blocks); a divergent multi-warp launch with a short
+last warp, whose three blocks run as one group, keeps the stats, line
+ledger and active-lane ratio of per-warp execution; and a simd launch
+really builds no per-thread context unless a per-lane fault chain asks
+for one (and then only for the lanes it reaches).
 """
 
 from __future__ import annotations
@@ -40,9 +42,15 @@ from repro.telemetry import (
 WARP = Device().spec.warp_size
 
 
+GRID = Dim3(4, 5, 6)
+#: block (1, 2, 3) of GRID, as a linear block index
+FIRST = GRID.linear_index(1, 2, 3)
+
+
 def block_context(block: Dim3, state: _BlockState | None = None):
+    """The group of the one block (1, 2, 3)."""
     state = state or _BlockState(Device(), block)
-    return WarpContext(state, Idx3(1, 2, 3), block, Dim3(4, 5, 6))
+    return WarpContext(state, FIRST, 1, block, GRID)
 
 
 def assert_lane_vectors_follow_thread_order(block: Dim3) -> None:
@@ -53,7 +61,8 @@ def assert_lane_vectors_follow_thread_order(block: Dim3) -> None:
         got = wctx.tid_axis(axis)
         assert got.dtype == np.int64
         assert got.tolist() == [p[k] for p in points], (block, axis)
-        assert wctx.tid_axis(axis) is got  # cached per block
+        assert wctx.tid_axis(axis) is got  # cached per group
+        assert wctx.bid_axis(axis).tolist() == [(1, 2, 3)[k]] * block.count
     assert wctx.warp_ids.tolist() == [t // WARP for t in range(block.count)]
 
 
@@ -84,7 +93,7 @@ class TestGeometry:
             assert (t.x, t.y, t.z) == points[i]
             assert ctx.warp_id == wctx.warp_ids[i]
             assert (ctx.blockIdx, ctx.blockDim, ctx.gridDim) == \
-                (wctx.blockIdx, wctx.blockDim, wctx.gridDim)
+                (Idx3(1, 2, 3), wctx.blockDim, wctx.gridDim)
             assert wctx.lane(i) is ctx  # memoized
 
 
