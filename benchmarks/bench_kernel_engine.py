@@ -12,8 +12,9 @@ divergent branches run both arms under lane masks.
 
 This benchmark runs four canonical course kernels (vector add, tiled
 matrix multiply, histogram with shared-memory privatization, and a
-block reduction) under all engines, requires every profiling counter
-to be bit-identical, and records the speedups in
+block reduction) under both engines and the tests' tree-walking oracle
+(``tests/oracle_interpreter.py``, the ``ast`` baseline), requires every
+profiling counter to be bit-identical, and records the speedups in
 ``BENCH_kernel_engine.json``.
 
 Acceptance at full sizing: codegen >= 10x over the tree-walker on
@@ -27,6 +28,7 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 import time
 from pathlib import Path
 
@@ -36,7 +38,10 @@ from conftest import print_table
 
 from repro.gpusim import Device, GpuRuntime
 from repro.gpusim.grid import Dim3
-from repro.minicuda import ENGINES, compile_source
+from repro.minicuda import compile_source
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
+from tests.oracle_interpreter import ENGINES, interpreter  # noqa: E402
 
 FAST = bool(os.environ.get("WEBGPU_BENCH_FAST"))
 #: codegen floors on (tiled_matmul, reduction)
@@ -143,7 +148,8 @@ def _run_case(source, kernel, grid, block, buf_specs, scalars, engine):
             bufs.append(buf)
         args = [b.ptr() for b in bufs] + list(scalars)
         t0 = time.perf_counter()
-        stats = program.launch(rt, kernel, grid, block, *args, engine=engine)
+        stats = interpreter(program.info, rt, engine=engine).launch_kernel(
+            kernel, grid, block, tuple(args))
         rep = time.perf_counter() - t0
         wall = min(wall, rep)
         elapsed += rep

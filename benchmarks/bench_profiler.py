@@ -10,9 +10,11 @@ the engines already emit for KernelStats, not a second execution —
 and not a second compiled kernel: both runs launch the one memoized
 artifact, and the profiled run must add nothing to the kernel memo.
 
-This benchmark runs tiled matmul and a block reduction on every
-engine, profiled vs unprofiled, checks ledgers stay bit-identical
-across engines, and records the slowdowns in ``BENCH_profiler.json``.
+This benchmark runs tiled matmul and a block reduction on both engines
+and the tests' tree-walking oracle (``tests/oracle_interpreter.py``,
+the ``ast`` baseline), profiled vs unprofiled, checks ledgers stay
+bit-identical across them, and records the slowdowns in
+``BENCH_profiler.json``.
 No hard floor on the profiled multiple: the simd engine executes a
 block per instruction but the ledger still charges per line, so its
 relative overhead is structurally larger — the JSON is the artifact.
@@ -26,6 +28,7 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 import time
 from pathlib import Path
 
@@ -35,8 +38,11 @@ from conftest import print_table
 
 from repro.gpusim import Device, GpuRuntime
 from repro.gpusim.grid import Dim3
-from repro.minicuda import ENGINES, compile_source
+from repro.minicuda import compile_source
 from repro.minicuda.codegen import KERNEL_CACHE
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
+from tests.oracle_interpreter import ENGINES, interpreter  # noqa: E402
 
 FAST = bool(os.environ.get("WEBGPU_BENCH_FAST"))
 
@@ -116,8 +122,9 @@ def _run_case(source, kernel, grid, block, buf_specs, scalars, engine,
             bufs.append(buf)
         args = [b.ptr() for b in bufs] + list(scalars)
         t0 = time.perf_counter()
-        stats = program.launch(rt, kernel, grid, block, *args,
-                               engine=engine, profile=profile)
+        stats = interpreter(program.info, rt, engine=engine,
+                            profile=profile).launch_kernel(
+            kernel, grid, block, tuple(args))
         rep = time.perf_counter() - t0
         wall = min(wall, rep)
         elapsed += rep

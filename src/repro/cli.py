@@ -213,7 +213,7 @@ def cmd_trace_attempt(args: argparse.Namespace) -> int:
 
 def cmd_profile_attempt(args: argparse.Namespace) -> int:
     from repro.labs.base import execute_lab_program
-    from repro.minicuda import simd, srcgen
+    from repro.minicuda import simd
     from repro.profiler import check_line_budgets, render_annotated
     from repro.telemetry import KERNEL_EXEC_SECONDS, Telemetry
 
@@ -253,16 +253,7 @@ def cmd_profile_attempt(args: argparse.Namespace) -> int:
             elif isinstance(kernel, simd.CompiledSimdKernel) \
                     and kernel.blockwise:
                 line += " (one block per group: cross-block conflict)"
-        if asked != "ast" and "ast" in tiers:
-            reason = srcgen.decline_reason(info, name)
-            line += f" (codegen declined: {reason})"
         print(line)
-    for name, fn in info.host_functions.items():
-        if not fn.prototype:
-            reason = ("ast engine" if asked == "ast"
-                      else srcgen.decline_reason(info, name))
-            print(f"host {name}: "
-                  + ("lowered" if reason is None else f"walked: {reason}"))
     profile = result.line_profile
     if profile is None or not profile.lines:
         print("no profiled kernel launches — nothing to attribute")

@@ -50,7 +50,7 @@ class WorkerConfig:
     health_interval_s: float = 10.0
     policy: SeccompPolicy = field(default_factory=SeccompPolicy.baseline)
     scanner: BlacklistScanner = field(default_factory=BlacklistScanner)
-    #: kernel execution engine ("simd"/"codegen"/"ast");
+    #: kernel execution engine ("simd"/"codegen");
     #: None → WEBGPU_KERNEL_ENGINE, then "simd"
     kernel_engine: str | None = None
     #: run every dataset evaluation under the per-source-line kernel

@@ -122,8 +122,8 @@ def execute_lab_program(lab: LabDefinition, program: CompiledProgram,
     every dataset of an attempt. Runtime faults propagate as their
     interpreter/simulator exceptions (the sandbox layer catches
     and classifies them). ``engine`` selects the kernel execution
-    engine (``"simd"``/``"codegen"``/``"ast"``; None → env
-    var, then ``simd`` with its per-kernel codegen and ast fallbacks).
+    engine (``"simd"``/``"codegen"``; None → env var, then ``simd``
+    with its per-kernel codegen fallback).
     ``telemetry`` (a :class:`repro.telemetry.Telemetry`) is handed to
     the :class:`GpuRuntime` so per-kernel wall time and KernelStats
     land in the metrics registry; None keeps the launch path untimed.
@@ -234,7 +234,7 @@ def _execute_mpi(lab: LabDefinition, program: CompiledProgram,
                                   engine=engine, profile=profile)
         return result.exit_code
 
-    program.lower_main(engine)  # once, here: not once per rank thread
+    program.lower_main()  # once, here: not once per rank thread
     exit_codes = run_mpi(ranks, rank_main)
     root_env = envs[0]
     compare = compare_solution(

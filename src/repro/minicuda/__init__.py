@@ -16,25 +16,27 @@ course (Table II):
   OpenCL's ``__kernel / __global`` spellings;
 * :mod:`repro.minicuda.semantic` — symbol resolution, kernel signature
   collection, lvalue and arity checking with source positions;
-* :mod:`repro.minicuda.interpreter` — a tree-walking interpreter.
-  Device kernels execute as per-thread generators against
-  :class:`repro.gpusim.ThreadContext` (so ``__syncthreads()`` maps onto
-  the scheduler's lockstep barrier and every memory access is profiled);
-  host code runs against a CUDA-runtime + libwb host API
-  (:mod:`repro.minicuda.hostapi`);
+* :mod:`repro.minicuda.interpreter` — one program's run-time state
+  (file-scope variables, step budget, GPU runtime) and the launch
+  funnel every kernel takes; host code runs against a CUDA-runtime +
+  libwb host API (:mod:`repro.minicuda.hostapi`);
 * :mod:`repro.minicuda.simd` — the ``simd`` kernel execution engine
   (the default): lowers each eligible kernel to whole-warp numpy array
   programs and runs them speculatively, replaying a launch on the
   scalar tier when two lanes' accesses would show the difference from
   thread-by-thread order;
-* :mod:`repro.minicuda.srcgen` — the ``codegen`` engine, the scalar
-  tier ``simd`` falls back to and replays on: lowers each checked
-  kernel to generated Python source compiled once per program
-  fingerprint and run thread by thread;
+* :mod:`repro.minicuda.srcgen` — the one executor of host code and
+  the ``codegen`` engine, the scalar tier ``simd`` falls back to and
+  replays on: lowers each checked function to generated Python source,
+  kernels compiled once per program fingerprint and run thread by
+  thread against :class:`repro.gpusim.ThreadContext` (so
+  ``__syncthreads()`` maps onto the scheduler's lockstep barrier and
+  every memory access is profiled), host functions once per
+  definition;
 * :mod:`repro.minicuda.codegen` — no engine of its own: the kernel
   memo table both compiled engines share under versioned keys, plus
-  their common coercion helpers. The tree-walker is kept as the
-  ``ast`` reference oracle and every compiled tier's last resort.
+  their common coercion helpers. The tree-walker every engine is held
+  to is ``tests/oracle_interpreter.py``.
 
 The facade is :func:`repro.minicuda.compiler.compile_source`.
 """

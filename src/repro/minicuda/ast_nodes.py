@@ -352,6 +352,9 @@ class GlobalVar:
 class TranslationUnit:
     functions: list[FuncDef]
     globals: list[GlobalVar]
+    #: The preprocessed text every position points into (``parse`` sets
+    #: it; empty for a unit built by hand).
+    source: str = field(default="", repr=False, compare=False)
 
     def function(self, name: str) -> FuncDef:
         for fn in self.functions:

@@ -10,7 +10,7 @@ from repro.cache.keys import hash_text
 from repro.gpusim.host import GpuRuntime
 from repro.minicuda.diagnostics import CompileError
 from repro.minicuda.hostapi import ExitProgram, HostEnv
-from repro.minicuda.interpreter import Interpreter, resolve_engine
+from repro.minicuda.interpreter import Interpreter
 from repro.minicuda.parser import DEFAULT_TYPEDEFS, parse
 from repro.minicuda.preprocessor import preprocess
 from repro.minicuda.semantic import ProgramInfo, analyze
@@ -68,10 +68,10 @@ class CompiledProgram:
                  profile: bool = False) -> HostRunResult:
         """Execute ``main`` (the usual lab entry point).
 
-        ``engine`` picks the kernel execution engine (``"simd"``,
-        ``"codegen"`` or ``"ast"``); None defers to
-        ``WEBGPU_KERNEL_ENGINE``, then to ``simd`` (whose ladder is
-        simd → codegen → ast per kernel). ``profile`` enables the
+        ``engine`` picks the kernel execution engine (``"simd"`` or
+        ``"codegen"``); None defers to ``WEBGPU_KERNEL_ENGINE``, then to
+        ``simd`` (whose ladder is simd → codegen per kernel); host code
+        runs as generated Python either way. ``profile`` enables the
         per-source-line kernel profiler: each launch's ``KernelStats``
         carries a :class:`repro.profiler.LineProfile` ledger.
         """
@@ -83,10 +83,10 @@ class CompiledProgram:
                              max_steps=max_steps, engine=engine,
                              profile=profile)
         main = self.info.host_functions["main"]
-        args: tuple[Any, ...] = ()
-        if len(main.params) >= 2:
-            from repro.minicuda.values import NULL
-            args = (len(host_env.argv), NULL)
+        from repro.minicuda.values import NULL
+        # (argc, argv, envp...) as far as main declares them
+        args = ((len(host_env.argv),)
+                + (NULL,) * (len(main.params) - 1))[:len(main.params)]
         try:
             code = interp.run_host_function("main", args)
         except ExitProgram as exc:
@@ -94,14 +94,14 @@ class CompiledProgram:
         return HostRunResult(exit_code=int(code or 0), host_env=host_env,
                              interpreter=interp)
 
-    def lower_main(self, engine: str | None = None) -> None:
-        """Lower ``main`` for ``engine`` now, on the calling thread (a
-        memoized no-op once done, and under ``ast``). For a harness
-        about to run ``main`` on several threads at once: started
-        together, every MPI rank would miss the kernel memo and compile
-        it for itself — the memo's joiners compute rather than wait —
-        each in its own thread's malloc arena."""
-        if resolve_engine(engine) != "ast" and self.info.has_main:
+    def lower_main(self) -> None:
+        """Lower ``main`` now, on the calling thread (a memoized no-op
+        once done). For a harness about to run ``main`` on several
+        threads at once: started together, every MPI rank would miss
+        the kernel memo and compile it for itself — the memo's joiners
+        compute rather than wait — each in its own thread's malloc
+        arena."""
+        if self.info.has_main:
             from repro.minicuda import srcgen
             srcgen.compile_host(self.info, "main")
 

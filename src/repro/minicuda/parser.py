@@ -119,7 +119,9 @@ def parse(source: str,
     parser = MiniCudaParser(tokens, typedef_names)
     start = time.perf_counter()
     try:
-        return parser.parse_translation_unit()
+        unit = parser.parse_translation_unit()
+        unit.source = source
+        return unit
     except RecursionError:
         raise CompileError("program is nested too deeply",
                            _too_deep(tokens, parser._i)) from None

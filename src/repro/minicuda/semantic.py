@@ -24,10 +24,27 @@ BARRIER_BUILTINS = frozenset({"__syncthreads", "barrier"})
 #: through ``GpuWorker.process`` a 480-term chain in host code or a
 #: kernel still ran on every engine and 500 to ~950 terms hit
 #: Python's stack limit at run time, so this keeps a margin of almost
-#: 2x — and the longest chain allowed still runs 150 statements deep.
+#: 2x — and the longest chain allowed still runs at the deepest
+#: statement nesting below.
 MAX_EXPR_DEPTH = 256
 
+#: How deeply control flow may nest: an ``if`` arm and a branching
+#: operand (the right of ``&&``/``||``, the arms of ``?:``) are one
+#: level each, a loop or ``switch`` body four. Every function runs as
+#: generated Python, which indents at most one level per ``if`` or
+#: branching operand and two per loop or ``switch``, and opens one
+#: loop block per loop or ``switch``. CPython refuses a 100th level of
+#: indentation and a 21st nested loop block, so this allows 64 levels
+#: of ``if`` or 16 nested loops, with room for a kernel's two
+#: enclosing ``def``s; past it is a positioned ``CompileError``.
+MAX_NESTING = 64
+_LOOP_NESTING = 4
+
 _TOO_DEEP = "program is nested too deeply"
+_VOID_USED = "void value not ignored as it ought to be"
+
+#: What a loop body may jump with; a ``switch`` arm adds ``break``.
+_LOOP_JUMPS = frozenset({"break", "continue"})
 
 _anonymous = itertools.count(1)
 
@@ -46,14 +63,13 @@ class ProgramInfo:
     #: over device-function calls. Execution engines use this to decide
     #: whether a kernel needs lockstep generator scheduling.
     barrier_functions: set[str] = field(default_factory=set)
-    #: Host functions containing a ``for``/``while``/``do``, and the
-    #: defined host functions each host function calls — what picks the
-    #: host functions worth compiling (``srcgen.compile_host``) — and
-    #: the names each applies ``&`` to (those locals it boxes): noted
-    #: as the checks below pass each loop, call and ``&`` anyway.
-    host_loops: set[str] = field(default_factory=set)
+    #: The defined host functions each host function calls, noted as
+    #: the checks below pass each call: a host function is compiled
+    #: together with them, so its memo key covers their source too.
     host_calls: dict[str, set[str]] = field(default_factory=dict)
-    host_address_taken: dict[str, list[str]] = field(default_factory=dict)
+    #: Host function name -> its memo key (``srcgen.host_keys``),
+    #: computed on first use, once per program.
+    host_keys: dict[str, str] = field(default_factory=dict)
     #: OpenACC loops outlined into kernels (``acc@<line>``), filled as
     #: each loop first executes — never by the front end, so a compile
     #: pays nothing for them and ``kernels`` lists only what the
@@ -104,6 +120,8 @@ class Analyzer:
         self.unit = unit
         self.diagnostics: list[Diagnostic] = []
         self.info = ProgramInfo(unit=unit)
+        #: :data:`MAX_NESTING` levels around the node being checked
+        self.nesting = 0
 
     def error(self, message: str, pos: SourcePos) -> None:
         self.diagnostics.append(Diagnostic(message, pos))
@@ -182,23 +200,33 @@ class Analyzer:
     def _check_function(self, fn: ast.FuncDef) -> None:
         device_side = fn.is_kernel or fn.is_device
         scope = _Scope()
-        for gname in self.info.constants:
-            scope.declare(gname, ast.CType("float", 1))
+        for gname, decl in self.info.constants.items():
+            scope.declare(gname, decl.type)
         for param in fn.params:
             if param.name and not scope.declare(param.name, param.type):
                 self.error(f"duplicate parameter {param.name!r}", fn.pos)
         self._check_block(fn.body, _Scope(scope), fn, device_side,
-                          in_loop=False)
+                          frozenset())
+
+    def _nest(self, levels: int, pos: SourcePos) -> None:
+        """Enter ``levels`` more of :data:`MAX_NESTING` at ``pos``; the
+        caller leaves them again."""
+        self.nesting += levels
+        if self.nesting > MAX_NESTING:
+            raise CompileError(_TOO_DEEP, pos)
 
     def _check_block(self, block: ast.Block, scope: _Scope,
-                     fn: ast.FuncDef, device: bool, in_loop: bool) -> None:
+                     fn: ast.FuncDef, device: bool,
+                     jumps: frozenset[str]) -> None:
         for stmt in block.statements:
-            self._check_stmt(stmt, scope, fn, device, in_loop)
+            self._check_stmt(stmt, scope, fn, device, jumps)
 
     def _check_stmt(self, stmt: ast.Stmt, scope: _Scope, fn: ast.FuncDef,
-                    device: bool, in_loop: bool) -> None:
+                    device: bool, jumps: frozenset[str]) -> None:
+        """``jumps``: the ``break``/``continue`` the enclosing loop or
+        ``switch`` lets ``stmt`` take."""
         if isinstance(stmt, ast.Block):
-            self._check_block(stmt, _Scope(scope), fn, device, in_loop)
+            self._check_block(stmt, _Scope(scope), fn, device, jumps)
         elif isinstance(stmt, ast.DeclStmt):
             if stmt.shared and not device:
                 self.error("__shared__ is only allowed in device code",
@@ -211,34 +239,29 @@ class Analyzer:
                 if not scope.declare(decl.name, decl.type):
                     self.error(f"redeclaration of {decl.name!r}", stmt.pos)
         elif isinstance(stmt, ast.ExprStmt):
-            self._check_expr(stmt.expr, scope, fn, device)
+            self._check_expr(stmt.expr, scope, fn, device, discarded=True)
         elif isinstance(stmt, ast.If):
             self._check_expr(stmt.cond, scope, fn, device)
-            self._check_stmt(stmt.then, _Scope(scope), fn, device, in_loop)
+            self._nest(1, stmt.pos)
+            self._check_stmt(stmt.then, _Scope(scope), fn, device, jumps)
             if stmt.otherwise is not None:
                 self._check_stmt(stmt.otherwise, _Scope(scope), fn, device,
-                                 in_loop)
+                                 jumps)
+            self.nesting -= 1
         elif isinstance(stmt, ast.While):
-            if not device:
-                self.info.host_loops.add(fn.name)
+            self._nest(_LOOP_NESTING, stmt.pos)
             self._check_expr(stmt.cond, scope, fn, device)
-            self._check_stmt(stmt.body, _Scope(scope), fn, device, True)
+            self._check_stmt(stmt.body, _Scope(scope), fn, device,
+                             _LOOP_JUMPS)
+            self.nesting -= _LOOP_NESTING
         elif isinstance(stmt, ast.DoWhile):
-            if not device:
-                self.info.host_loops.add(fn.name)
-            self._check_stmt(stmt.body, _Scope(scope), fn, device, True)
+            self._nest(_LOOP_NESTING, stmt.pos)
+            self._check_stmt(stmt.body, _Scope(scope), fn, device,
+                             _LOOP_JUMPS)
             self._check_expr(stmt.cond, scope, fn, device)
+            self.nesting -= _LOOP_NESTING
         elif isinstance(stmt, ast.For):
-            if not device:
-                self.info.host_loops.add(fn.name)
-            inner = _Scope(scope)
-            if stmt.init is not None:
-                self._check_stmt(stmt.init, inner, fn, device, in_loop)
-            if stmt.cond is not None:
-                self._check_expr(stmt.cond, inner, fn, device)
-            if stmt.step is not None:
-                self._check_expr(stmt.step, inner, fn, device)
-            self._check_stmt(stmt.body, _Scope(inner), fn, device, True)
+            self._check_for(stmt, scope, fn, device, _LOOP_JUMPS)
         elif isinstance(stmt, ast.Return):
             if stmt.value is not None:
                 if fn.return_type.is_void:
@@ -247,15 +270,19 @@ class Analyzer:
                 self._check_expr(stmt.value, scope, fn, device)
         elif isinstance(stmt, ast.Switch):
             self._check_expr(stmt.subject, scope, fn, device)
+            self._nest(_LOOP_NESTING, stmt.pos)
             for case in stmt.cases:
                 inner = _Scope(scope)
                 for inner_stmt in case.statements:
-                    # break is legal inside a switch arm
-                    self._check_stmt(inner_stmt, inner, fn, device, True)
+                    self._check_stmt(inner_stmt, inner, fn, device,
+                                     jumps | {"break"})
+            self.nesting -= _LOOP_NESTING
         elif isinstance(stmt, (ast.Break, ast.Continue)):
-            if not in_loop:
-                kind = "break" if isinstance(stmt, ast.Break) else "continue"
-                self.error(f"{kind} outside of a loop", stmt.pos)
+            kind = "break" if isinstance(stmt, ast.Break) else "continue"
+            if kind not in jumps:
+                where = ("out of an OpenACC loop" if "acc" in jumps
+                         else "outside of a loop")
+                self.error(f"{kind} {where}", stmt.pos)
         elif isinstance(stmt, ast.AccParallelLoop):
             if device:
                 self.error("OpenACC directives are host-side only",
@@ -265,6 +292,19 @@ class Analyzer:
             pass
         else:  # pragma: no cover - parser produces no other nodes
             raise AssertionError(f"unknown statement {stmt!r}")
+
+    def _check_for(self, loop: ast.For, scope: _Scope, fn: ast.FuncDef,
+                   device: bool, body_jumps: frozenset[str]) -> None:
+        inner = _Scope(scope)
+        if loop.init is not None:
+            self._check_stmt(loop.init, inner, fn, device, frozenset())
+        self._nest(_LOOP_NESTING, loop.pos)
+        if loop.cond is not None:
+            self._check_expr(loop.cond, inner, fn, device)
+        if loop.step is not None:
+            self._check_expr(loop.step, inner, fn, device, discarded=True)
+        self._check_stmt(loop.body, _Scope(inner), fn, device, body_jumps)
+        self.nesting -= _LOOP_NESTING
 
     def _check_acc_loop(self, stmt: ast.AccParallelLoop, scope: _Scope,
                         fn: ast.FuncDef) -> None:
@@ -295,15 +335,17 @@ class Analyzer:
             self.error("OpenACC loop step must be i++ (stride 1)",
                        stmt.pos)
         # the body is checked in host scope: OpenACC code is host code
-        # that the 'compiler' offloads
-        self._check_stmt(loop, _Scope(scope), fn, device=False,
-                         in_loop=False)
+        # that the 'compiler' offloads, one iteration per thread — so
+        # no jump leaves it
+        self._check_for(loop, scope, fn, False, frozenset({"acc"}))
 
     # -- expression checking -------------------------------------------------
 
     def _check_expr(self, expr: ast.Expr, scope: _Scope, fn: ast.FuncDef,
-                    device: bool, depth: int = 0) -> None:
-        """``depth``: the operators around ``expr``."""
+                    device: bool, depth: int = 0, *,
+                    discarded: bool = False) -> None:
+        """``depth``: the operators around ``expr``; ``discarded``: its
+        value is not used (an expression statement, a ``for`` step)."""
         if isinstance(expr, (ast.IntLit, ast.FloatLit, ast.StrLit,
                              ast.BoolLit, ast.NullLit, ast.SizeOf)):
             return
@@ -331,7 +373,7 @@ class Analyzer:
             self._check_expr(expr.index, scope, fn, device, depth)
             return
         if isinstance(expr, ast.Call):
-            self._check_call(expr, scope, fn, device, depth)
+            self._check_call(expr, scope, fn, device, depth, discarded)
             return
         if isinstance(expr, ast.KernelLaunch):
             if device:
@@ -353,35 +395,40 @@ class Analyzer:
                 self._check_expr(arg, scope, fn, device, depth)
             return
         if isinstance(expr, ast.Unary):
-            if expr.op == "&":
-                if not self._is_lvalue(expr.operand):
-                    self.error("cannot take the address of this expression",
-                               expr.pos)
-                elif isinstance(expr.operand, ast.Ident) and not device:
-                    self.info.host_address_taken.setdefault(
-                        fn.name, []).append(expr.operand.name)
+            if expr.op == "&" and not self._is_lvalue(expr.operand):
+                self.error("cannot take the address of this expression",
+                           expr.pos)
             self._check_expr(expr.operand, scope, fn, device, depth)
             return
         if isinstance(expr, ast.IncDec):
             if not self._is_lvalue(expr.operand):
                 self.error(f"operand of {expr.op} must be an lvalue",
                            expr.pos)
+            self._check_assignable(expr.operand, scope)
             self._check_expr(expr.operand, scope, fn, device, depth)
             return
         if isinstance(expr, ast.Binary):
             self._check_expr(expr.left, scope, fn, device, depth)
+            branches = expr.op in ("&&", "||")
+            if branches:
+                self._nest(1, expr.pos)
             self._check_expr(expr.right, scope, fn, device, depth)
+            if branches:
+                self.nesting -= 1
             return
         if isinstance(expr, ast.Assign):
             if not self._is_lvalue(expr.target):
                 self.error("assignment target is not an lvalue", expr.pos)
+            self._check_assignable(expr.target, scope)
             self._check_expr(expr.target, scope, fn, device, depth)
             self._check_expr(expr.value, scope, fn, device, depth)
             return
         if isinstance(expr, ast.Conditional):
             self._check_expr(expr.cond, scope, fn, device, depth)
+            self._nest(1, expr.pos)
             self._check_expr(expr.then, scope, fn, device, depth)
             self._check_expr(expr.otherwise, scope, fn, device, depth)
+            self.nesting -= 1
             return
         if isinstance(expr, ast.Cast):
             self._check_expr(expr.value, scope, fn, device, depth)
@@ -389,12 +436,14 @@ class Analyzer:
         raise AssertionError(f"unknown expression {expr!r}")  # pragma: no cover
 
     def _check_call(self, call: ast.Call, scope: _Scope, fn: ast.FuncDef,
-                    device: bool, depth: int) -> None:
+                    device: bool, depth: int, discarded: bool) -> None:
         name = call.name
         for arg in call.args:
             self._check_expr(arg, scope, fn, device, depth)
         if name == "__init_list__" or name == "dim3":
             return
+        if device and name in BARRIER_BUILTINS and not discarded:
+            self.error(_VOID_USED, call.pos)
         user_fn = None
         if device:
             user_fn = self.info.device_functions.get(name)
@@ -413,6 +462,8 @@ class Analyzer:
                 self.error(
                     f"function {name!r} expects {len(user_fn.params)} "
                     f"argument(s), got {len(call.args)}", call.pos)
+            if user_fn.return_type.is_void and not discarded:
+                self.error(_VOID_USED, call.pos)
             return
         if known:
             if builtin_arity is not None and len(call.args) != builtin_arity:
@@ -428,6 +479,14 @@ class Analyzer:
             hint = " (host functions cannot be called from device code)"
         self.error(f"call to unknown {side} function {name!r}{hint}",
                    call.pos)
+
+    def _check_assignable(self, target: ast.Expr, scope: _Scope) -> None:
+        """An array names storage, not a value: C assigns to its
+        elements, never to the array."""
+        if isinstance(target, ast.Ident):
+            ctype = scope.lookup(target.name)
+            if ctype is not None and ctype.is_array:
+                self.error("array type is not assignable", target.pos)
 
     @staticmethod
     def _is_lvalue(expr: ast.Expr) -> bool:

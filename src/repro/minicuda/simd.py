@@ -81,6 +81,7 @@ from repro.minicuda.interpreter import (
     _MATH_IMPL,
     ACC_COUNT,
     ACC_START,
+    InterpreterError,
     KernelHang,
     _c_div,
     _c_mod,
@@ -101,8 +102,8 @@ from repro.minicuda.srcgen import (
     _compile_scalar,
     _ctype_kinds,
     _resolve_atomic,
-    _stmt_contains_barrier,
     _TOO_DEEP,
+    decline_reason as _scalar_decline_reason,
 )
 from repro.minicuda.values import (
     NULL,
@@ -279,6 +280,13 @@ def _body_signals(body: ast.Stmt) -> tuple[bool, bool]:
 
     scan(body, False)
     return has_break, has_continue
+
+
+def _stmt_contains_barrier(stmt: ast.Stmt) -> bool:
+    for node in ast.walk(stmt):
+        if isinstance(node, ast.Call) and node.name in BARRIER_BUILTINS:
+            return True
+    return False
 
 
 def _stmt_contains_return(stmt: ast.Stmt) -> bool:
@@ -2382,8 +2390,7 @@ class Speculation:
         on and its tier. A conflict between blocks replays on this tier,
         one block per group from now on. A conflict inside a block
         (which demotes the kernel) and a fault replay on the scalar
-        kernel, compiled now if it never was, or on the tree-walker
-        where the scalar emitter declines."""
+        kernel, compiled now if it never was."""
         for buf, data in self.saved:
             buf.data[:] = data
         self.release()
@@ -2397,8 +2404,9 @@ class Speculation:
             kernel.demoted = True
         src = kernel.scalar(interp.info)
         if src is None:
-            fn = interp.info.kernel_def(kernel.name)
-            return interp._walk_kernel(fn, self.args), "ast"
+            raise InterpreterError(
+                _scalar_decline_reason(interp.info, kernel.name),
+                interp.info.kernel_def(kernel.name).pos)
         return src.bind(interp, self.args), src.tier
 
     def release(self) -> None:
@@ -2570,9 +2578,8 @@ def _lower(info: ProgramInfo, name: str):
         reason = str(exc)
     except RecursionError:
         reason = _TOO_DEEP
-    # memoized fallback verdict: the scalar codegen kernel (or, where
-    # that declines too, the tree-walker) runs this kernel; never an
-    # error
+    # memoized fallback verdict: the scalar codegen kernel runs this
+    # kernel; never an error
     return _Declined(_compile_scalar(info, name), reason)
 
 
@@ -2602,8 +2609,8 @@ def compile_kernel(info: ProgramInfo, name: str):
     Returns a :class:`CompiledSimdKernel` when the kernel is eligible,
     the scalar :class:`CompiledSrcKernel` when the SIMD lowering hit an
     unsupported construct or a lane-conflict replay has demoted the
-    kernel (the fallback ladder: simd → codegen → tree-walker), or None
-    when the source emitter declines it too. All verdicts are memoized
+    kernel (the fallback ladder: simd → codegen), or None when the
+    source emitter declines it too. All verdicts are memoized
     (:func:`_verdict`; a declined one keeps its reason for
     :func:`decline_reason`). One artifact serves profiled and
     unprofiled launches alike: its statement closures always mark the

@@ -1,18 +1,22 @@
-"""Source-codegen execution engine for minicuda kernels (``codegen``)
-and, under every compiled engine, for host functions.
+"""Source-codegen execution engine: every host function, and the
+scalar kernel tier (``codegen``).
 
-The tree-walking interpreter pays per-node ``isinstance`` dispatch on
-every statement and expression of every thread of every launch. This
-module lowers a kernel's *checked* AST once — the pegen idiom of
-emitting **Python source text** and ``compile()``-ing it: each kernel
-becomes one generated Python function with flat local variables (no
-``Env`` chains, no per-node calls), so per-thread execution is plain
-bytecode over plain locals. Barrier-free kernels compile to plain
-functions, which the scheduler runs as direct calls; kernels with a
-top-level ``__syncthreads()``/``barrier()`` compile to generators that
-``yield SYNC`` exactly like the tree-walker.
+This module lowers a function's *checked* AST once — the pegen idiom
+of emitting **Python source text** and ``compile()``-ing it: each
+kernel becomes one generated Python function with flat local
+variables (no ``Env`` chains, no per-node calls), so per-thread
+execution is plain bytecode over plain locals. Barrier-free kernels
+compile to plain functions, which the scheduler runs as direct calls;
+kernels that may reach a ``__syncthreads()``/``barrier()`` — directly
+or through a device function, itself then a generator called with
+``yield from`` — compile to generators that ``yield SYNC``.
 
-The contract with the ``ast`` oracle:
+The emitter is total on checked programs: semantic analysis rejects
+what it cannot lower (a barrier used as a value, assignment to an
+array, nesting past ``semantic.MAX_NESTING``), so it is the last rung
+of every kernel's ladder and the only executor of host code. Its
+contract with the tests' tree-walking oracle
+(``tests/oracle_interpreter.py``):
 
 * **KernelStats parity** — every ``stats.instructions`` charge point of
   the tree-walker is preserved, and all memory traffic still routes
@@ -32,19 +36,16 @@ The contract with the ``ast`` oracle:
   hoisted onto its own generated line in C evaluation order, so the
   per-thread access sequence (and therefore the coalescing and
   bank-conflict model) matches the oracle exactly.
+* **Operand faults** — an operator whose operands the emitter cannot
+  prove numbers goes through ``interpreter.C_BINARY`` (or ``c_unary``),
+  so a pointer times an int is the oracle's
+  positioned ``invalid operands`` error; proven numbers keep plain
+  Python operators.
 * **Step accounting** is deliberately coarser than the tree-walker's:
-  one step of the shared budget per kernel/device-function entry and
-  per loop iteration (rather than per AST node), which still bounds
-  every non-terminating program while keeping the hot loop free of
-  per-node bookkeeping. :class:`KernelHang` carries the same message.
-* **Fallback** — constructs the emitter cannot lower (address of a
-  scalar local in device code, barriers in expression/for-init
-  position, calls to barrier device functions, ``continue`` inside
-  ``switch``; a nesting CPython's own compiler refuses) raise
-  :class:`UnsupportedConstruct`; the caller
-  (:meth:`Interpreter.make_kernel`) falls back to the tree-walker for
-  that function, and the verdict is memoized *with its reason*
-  (:func:`decline_reason`) so the fallback decision is also paid once.
+  one step of the shared budget per function entry and per loop
+  iteration (rather than per AST node), which still bounds every
+  non-terminating program while keeping the hot loop free of per-node
+  bookkeeping. :class:`KernelHang` carries the same message.
 * **Thread-major, always** — every kernel executes lane by lane (one
   call of the generated function per thread, in linear thread order
   between barriers), exactly the oracle's order. The warp-SIMD tier
@@ -57,23 +58,20 @@ charging and no barriers; indexed accesses go through
 ``read_indexed``/``write_indexed`` with ``ctx=None`` so every
 host/device-pointer fault is the tree-walker's own; builtins go to
 ``H.call`` (``&x`` of a scalar local is a ``VarRef`` into the one-name
-``Env`` such locals are boxed in, :func:`_box`), ``<<<>>>`` to
-``Interpreter.launch_kernel``, an OpenACC loop to
+``Env`` such locals are boxed in, :func:`_box` — in device code too),
+``<<<>>>`` to ``Interpreter.launch_kernel``, an OpenACC loop to
 ``Interpreter.launch_acc`` with the kernel outlined for it; steps are
-charged per function entry and loop iteration, as in kernels. Which
-host functions take it is a static rule (:func:`_repeats`): the ones
-with a loop, or on a call cycle — each with everything it calls; a
-loop-free function runs each node at most once per call, which the
-tree-walker does in a third of the time it takes to compile it.
+charged per function entry and loop iteration, as in kernels. A host
+function is compiled into one module with every host function it
+calls, and keyed per definition (:func:`host_keys`): an attempt that
+edits only a kernel reuses its ``main``.
 
-Error-path divergence is deliberate and documented: generated code
-lets Python ``TypeError``s from malformed operand types surface raw
-instead of wrapping them in :class:`InterpreterError`, and a kernel
-that faults mid-statement may have batched instruction charges not yet
+Error-path divergence is deliberate and documented: a kernel that
+faults mid-statement may have batched instruction charges not yet
 flushed. Successful runs are bit-identical.
 
-Compiled kernels and host functions are memoized per program
-fingerprint in the shared :data:`repro.minicuda.codegen.KERNEL_CACHE`,
+Compiled kernels are memoized per program fingerprint, host functions
+per definition, in the shared :data:`repro.minicuda.codegen.KERNEL_CACHE`,
 under engine- and version-tagged keys (see :func:`codegen.memo_key`),
 so repeated launches and repeated grading of the same submission pay
 compilation zero times.
@@ -81,9 +79,12 @@ compilation zero times.
 
 from __future__ import annotations
 
+import bisect
 from typing import Any, Callable, Sequence
 
 import numpy as np
+
+from repro.cache.keys import hash_text
 
 from repro.gpusim.grid import Dim3
 from repro.gpusim.memory import DevicePtr, SharedArray
@@ -108,6 +109,7 @@ from repro.minicuda.interpreter import (
     _MATH_IMPL,
     ACC_COUNT,
     ACC_START,
+    C_BINARY,
     InterpreterError,
     KernelHang,
     _c_div,
@@ -116,6 +118,7 @@ from repro.minicuda.interpreter import (
     _opencl_index,
     _truthy,
     c_format,
+    c_unary,
     member_value,
     outline_acc,
     read_indexed,
@@ -140,7 +143,7 @@ from repro.minicuda.values import f32 as _f32_shared
 #: Bump when generated-source semantics change; part of the memo key so
 #: stale artifacts and unsupported verdicts are never recalled across
 #: compiler upgrades (see ``codegen.memo_key``).
-SRCGEN_VERSION = 4
+SRCGEN_VERSION = 5
 
 #: Estimated resident bytes of one compiled kernel — namespace and
 #: function objects, plus code-object bytes per character of generated
@@ -152,6 +155,11 @@ _NBYTES_BASE = 3600
 _NBYTES_PER_CHAR = 3
 
 _COMPARISONS = ("<", "<=", ">", ">=")
+
+#: Every this many operators deep, an expression's code so far goes to
+#: a temporary: each level nests at most three brackets, and CPython
+#: refuses a 201st.
+_HOIST_DEPTH = 32
 
 
 # -- runtime helpers referenced by generated code ---------------------------
@@ -194,13 +202,38 @@ def _addr_of(base: Any, index: Any, pos: Any) -> Any:
 
 
 def _box(name: str, ctype: ast.CType | None) -> Env:
-    """A one-name scope holding an address-taken host local, so that
-    ``&x`` is the tree-walker's own ``VarRef`` — the declared type,
-    the coercion on ``set`` and the name ``cudaMalloc`` labels its
+    """A one-name scope holding an address-taken local, so that ``&x``
+    is the tree-walker's own ``VarRef`` — the declared type, the
+    coercion on ``set`` and the name ``cudaMalloc`` labels its
     allocation with all come with it."""
     env = Env()
     env.declare(name, None, ctype)
     return env
+
+
+def _address_taken(fn: ast.FuncDef) -> frozenset[str]:
+    """The names ``fn`` applies ``&`` to: the locals it boxes (by name,
+    so shadowing declarations share the verdict)."""
+    return frozenset(node.operand.name for node in ast.walk(fn.body)
+                     if type(node) is ast.Unary and node.op == "&"
+                     and type(node.operand) is ast.Ident)
+
+
+class _NoHost:
+    """``H`` of generated host code run without a host environment
+    (a kernel-only program): every builtin is the walker's error."""
+
+    @staticmethod
+    def call(interp: Any, name: str, args: tuple, pos: Any) -> Any:
+        raise InterpreterError(
+            f"host builtin {name!r} requires a host environment", pos)
+
+    @staticmethod
+    def on_kernel_launch(name: str, stats: Any) -> None:
+        pass
+
+
+_NO_HOST = _NoHost()
 
 
 #: The shared binary32 rounding helper (``values.f32``): every engine
@@ -247,6 +280,8 @@ _BASE_NS: dict[str, Any] = {
     "_c_mod": _c_mod,
     "_c_eq": _c_eq,
     "_c_ne": _c_ne,
+    "_un": c_unary,
+    "_NO_HOST": _NO_HOST,
     "read_indexed": read_indexed,
     "write_indexed": write_indexed,
     "member_value": member_value,
@@ -280,8 +315,11 @@ _BASE_NS: dict[str, Any] = {
 for _name, _impl in _MATH_IMPL.items():
     _BASE_NS[f"_m_{_name}"] = _impl
 
-#: value-kind lattice: 'int' | 'float' | 'bool' | container kinds | None
+#: value-kind lattice: 'int' | 'float' | 'bool' | 'num' (one of the
+#: three, unknown which: an element of numeric storage) | container
+#: kinds | None (unknown)
 _INT_LIKE = ("int", "bool")
+_NUMERIC = ("int", "float", "bool", "num")
 
 _FLOAT_MATH = frozenset({
     "sqrt", "sqrtf", "rsqrtf", "exp", "expf", "log", "logf", "log2f",
@@ -313,15 +351,16 @@ def _ctype_kinds(ctype: ast.CType | None) -> tuple[Any, str | None]:
 
 
 def _is_numeric(kind: Any) -> bool:
-    return kind in ("int", "float", "bool")
+    return kind in _NUMERIC
 
 
 def _arith_kind(left: Any, right: Any) -> Any:
+    """The kind of ``left op right`` for ``+ - * / %``."""
     if left in _INT_LIKE and right in _INT_LIKE:
         return "int"
-    if _is_numeric(left) and _is_numeric(right):
-        return "float"
-    return None
+    if not (_is_numeric(left) and _is_numeric(right)):
+        return None
+    return "float" if "float" in (left, right) else "num"
 
 
 class CompiledSrcKernel:
@@ -352,6 +391,13 @@ class CompiledSrcKernel:
 
 # -- the scalar source emitter ----------------------------------------------
 
+def _nested(body: ast.Stmt) -> Sequence[ast.Stmt]:
+    """The statements of a nested body, emitted in the scope its
+    construct opens — a block's own, without a scope and a frame of
+    their own: every level of C nesting costs the emitter frames."""
+    return body.statements if type(body) is ast.Block else (body,)
+
+
 class _FnEmitter:
     """Lowers one function body to Python source lines: a kernel, a
     device function (``is_device``) or a host function (``host``,
@@ -362,19 +408,16 @@ class _FnEmitter:
     host/device-pointer fault is the tree-walker's own), calls go to
     ``H.call`` or to host functions compiled into the same module,
     and ``<<<>>>`` and OpenACC loops launch through the interpreter.
-    ``boxed`` names the locals whose address is taken somewhere in
-    the function (``ProgramInfo.host_address_taken``; by name, so
-    shadowing declarations share the verdict): those live in a
-    one-name ``Env`` (:func:`_box`) instead of a flat local."""
+    The locals whose address ``fn`` takes (:func:`_address_taken`)
+    live in a one-name ``Env`` (:func:`_box`) instead of a flat
+    local."""
 
-    def __init__(self, mod: "_ModuleEmitter", gen_ok: bool,
-                 is_device: bool, host: bool = False,
-                 boxed: Sequence[str] = ()):
+    def __init__(self, mod: "_ModuleEmitter", fn: ast.FuncDef,
+                 is_device: bool, host: bool = False):
         self.mod = mod
-        self.gen_ok = gen_ok
         self.is_device = is_device
         self.host = host
-        self.boxed = boxed
+        self.boxed = _address_taken(fn)
         #: python expression of a boxed local -> the name of its box
         self.boxes: dict[str, str] = {}
         #: python expression of a local -> its declared C type
@@ -392,7 +435,10 @@ class _FnEmitter:
         self.used_fields: set[tuple[str, str]] = set()
         self.used_ctx: set[str] = set()
         self.uses_warpsize = False
-        self.loop_stack: list[dict] = []
+        #: per enclosing loop or ``switch``, what emits a ``continue``
+        self.loop_stack: list[Callable[[], None]] = []
+        #: operators around the expression being emitted
+        self.depth = 0
 
     # -- low-level emission -------------------------------------------------
 
@@ -518,45 +564,52 @@ class _FnEmitter:
     # -- expressions -------------------------------------------------------------
 
     def expr(self, e: ast.Expr) -> tuple[str, Any]:
+        """``e`` as Python code and its value kind; its memory effects
+        and calls are already emitted, in C order."""
+        self.depth += 1
         cls = type(e)
         if cls is ast.IntLit:
-            return repr(e.value), "int"
-        if cls is ast.FloatLit:
-            return repr(e.value), "float"
-        if cls is ast.BoolLit:
-            return repr(e.value), "bool"
-        if cls is ast.StrLit:
-            return repr(e.value), None
-        if cls is ast.NullLit:
-            return "NULL", "null"
-        if cls is ast.Ident:
-            return self._ident(e.name, e.pos)
-        if cls is ast.Member:
-            return self._member(e)
-        if cls is ast.Index:
-            return self._index_read(e)
-        if cls is ast.Binary:
-            return self._binary(e)
-        if cls is ast.Assign:
-            return self._assign(e, want_value=True)
-        if cls is ast.Unary:
-            return self._unary(e)
-        if cls is ast.IncDec:
-            return self._incdec(e, want_value=True)
-        if cls is ast.Conditional:
-            return self._conditional(e)
-        if cls is ast.Cast:
-            return self._cast(e)
-        if cls is ast.SizeOf:
-            return repr(sizeof_ctype(e.type)), "int"
-        if cls is ast.Call:
-            return self._call(e)
-        if cls is ast.KernelLaunch:
-            if self.host:
-                return self._launch(e)
-            return (f"_err('dynamic parallelism is not supported', "
-                    f"{self.pos(e.pos)})", None)
-        raise UnsupportedConstruct(f"expression {cls.__name__}")
+            out = repr(e.value), "int"
+        elif cls is ast.FloatLit:
+            out = repr(e.value), "float"
+        elif cls is ast.BoolLit:
+            out = repr(e.value), "bool"
+        elif cls is ast.StrLit:
+            out = repr(e.value), None
+        elif cls is ast.NullLit:
+            out = "NULL", "null"
+        elif cls is ast.Ident:
+            out = self._ident(e.name, e.pos)
+        elif cls is ast.Member:
+            out = self._member(e)
+        elif cls is ast.Index:
+            out = self._index_read(e)
+        elif cls is ast.Binary:
+            out = self._binary(e)
+        elif cls is ast.Assign:
+            out = self._assign(e, want_value=True)
+        elif cls is ast.Unary:
+            out = self._unary(e)
+        elif cls is ast.IncDec:
+            out = self._incdec(e, want_value=True)
+        elif cls is ast.Conditional:
+            out = self._conditional(e)
+        elif cls is ast.Cast:
+            out = self._cast(e)
+        elif cls is ast.SizeOf:
+            out = repr(sizeof_ctype(e.type)), "int"
+        elif cls is ast.Call:
+            out = self._call(e)
+        elif cls is ast.KernelLaunch:
+            out = (self._launch(e) if self.host else
+                   (f"_err('dynamic parallelism is not supported', "
+                    f"{self.pos(e.pos)})", None))
+        else:
+            raise UnsupportedConstruct(f"expression {cls.__name__}")
+        if self.depth % _HOIST_DEPTH == 0:
+            out = self.atom(out[0]), out[1]
+        self.depth -= 1
+        return out
 
     def _ident(self, name: str, pos: Any) -> tuple[str, Any]:
         hit = self.lookup(name)
@@ -646,7 +699,7 @@ class _FnEmitter:
             if len(bkind[1]) == 2:
                 return sub, (bkind[0].split('_')[0] + "_sub",)
             return sub, None
-        return self._emit_load_from(base, bkind, icode, ikind, e.pos), None
+        return self._emit_load_from(base, bkind, icode, ikind, e.pos)
 
     def _emit_store(self, base: str, bkind: Any, icode: str, ikind: Any,
                     value: str, pos: Any) -> None:
@@ -689,8 +742,12 @@ class _FnEmitter:
                   f"{self.pos(pos)})")
 
     def _emit_load_from(self, base: str, bkind: Any, icode: str, ikind: Any,
-                        pos: Any) -> str:
+                        pos: Any) -> tuple[str, Any]:
+        """Load ``base[icode]`` into a temporary; returns it and its
+        kind — "num" from numeric storage, unknown through a pointer
+        (which may hold an array's row)."""
         t = self.tmp()
+        kind = "num"
         if bkind == "shared":
             self.line(f"{t} = {self.cm('shared_load')}({base}, {icode})")
         elif bkind == "localarray":
@@ -709,16 +766,18 @@ class _FnEmitter:
             self.line(f"{t} = {base}.storage.read("
                       f"{base}.flat_index({self.as_int(icode, ikind)}))")
         elif self.host:
+            kind = None
             self.line(f"{t} = read_indexed({base}, {icode}, None, "
                       f"{self.pos(pos)})")
         else:
+            kind = None
             icode = self.atom(icode)
             self.line(
                 f"{t} = {self.cm('load')}({base}, "
                 f"{self.as_int(icode, ikind)}) "
                 f"if type({base}) is DevicePtr "
                 f"else read_indexed({base}, {icode}, C, {self.pos(pos)})")
-        return t
+        return t, kind
 
     def _binary(self, e: ast.Binary) -> tuple[str, Any]:
         op = e.op
@@ -727,30 +786,31 @@ class _FnEmitter:
         lcode, lkind = self.expr(e.left)
         rcode, rkind = self.expr(e.right)
         self.charge(1)
-        if op in _COMPARISONS:
-            if _is_numeric(lkind) and _is_numeric(rkind):
-                return f"(1 if {lcode} {op} {rcode} else 0)", "int"
-            return f"int({lcode} {op} {rcode})", "int"
-        if op == "==":
-            if _is_numeric(lkind) and _is_numeric(rkind):
-                return f"(1 if {lcode} == {rcode} else 0)", "int"
-            return f"_c_eq({lcode}, {rcode})", "int"
-        if op == "!=":
-            if _is_numeric(lkind) and _is_numeric(rkind):
-                return f"(1 if {lcode} != {rcode} else 0)", "int"
-            return f"_c_ne({lcode}, {rcode})", "int"
+        if op in ("==", "!=") and not (_is_numeric(lkind)
+                                       and _is_numeric(rkind)):
+            # equality never faults: NULL against anything
+            fn = "_c_eq" if op == "==" else "_c_ne"
+            return f"{fn}({lcode}, {rcode})", "int"
+        return self._operate(op, lcode, lkind, rcode, rkind, e.pos)
+
+    def _operate(self, op: str, lcode: str, lkind: Any, rcode: str,
+                 rkind: Any, pos: Any) -> tuple[str, Any]:
+        """``lcode op rcode`` for an arithmetic, comparison, shift or
+        bitwise ``op``: plain Python on proven numbers, else the
+        operator of ``C_BINARY`` — pointer arithmetic, and the
+        positioned fault an operand of no arithmetic type is."""
+        if not (_is_numeric(lkind) and _is_numeric(rkind)):
+            checked = self.mod.obj(C_BINARY[op], "op")
+            return (f"{checked}({lcode}, {rcode}, {self.pos(pos)})",
+                    "int" if op in _COMPARISONS else None)
+        if op in _COMPARISONS or op in ("==", "!="):
+            return f"(1 if {lcode} {op} {rcode} else 0)", "int"
         if op in ("+", "-", "*"):
             return f"({lcode} {op} {rcode})", _arith_kind(lkind, rkind)
         if op == "/":
-            kind = ("int" if lkind in _INT_LIKE and rkind in _INT_LIKE
-                    else "float" if _is_numeric(lkind) and _is_numeric(rkind)
-                    else None)
-            return f"_c_div({lcode}, {rcode})", kind
+            return f"_c_div({lcode}, {rcode})", _arith_kind(lkind, rkind)
         if op == "%":
-            kind = ("int" if lkind in _INT_LIKE and rkind in _INT_LIKE
-                    else "float" if _is_numeric(lkind) and _is_numeric(rkind)
-                    else None)
-            return f"_c_mod({lcode}, {rcode})", kind
+            return f"_c_mod({lcode}, {rcode})", _arith_kind(lkind, rkind)
         if op in ("<<", ">>", "&", "|", "^"):
             li = lcode if lkind in _INT_LIKE else f"int({lcode})"
             ri = rcode if rkind in _INT_LIKE else f"int({rcode})"
@@ -817,16 +877,18 @@ class _FnEmitter:
         if op == "*":
             self.charge(1)
             return self._emit_load_from(self.atom(code), None, "0", "int",
-                                        e.pos), None
+                                        e.pos)
         self.charge(1)
-        if op == "-":
-            return f"(-{code})", kind if _is_numeric(kind) else None
         if op == "+":
             return f"({code})", kind
         if op == "!":
             if _is_numeric(kind):
                 return f"(0 if {code} else 1)", "int"
             return f"int(not _truthy({code}))", "int"
+        if not _is_numeric(kind):
+            return f"_un({op!r}, {code}, {self.pos(e.pos)})", None
+        if op == "-":
+            return f"(-{code})", kind
         if op == "~":
             inner = code if kind in _INT_LIKE else f"int({code})"
             return f"(~{inner})", "int"
@@ -837,11 +899,7 @@ class _FnEmitter:
             name = operand.name
             hit = self.lookup(name)
             if hit is not None:
-                box = self.boxes.get(hit[0])
-                if box is None:
-                    raise UnsupportedConstruct(
-                        "address of a slot-allocated local")
-                return f"VarRef({box}, {name!r})", None
+                return f"VarRef({self.boxes[hit[0]]}, {name!r})", None
             if name in self.mod.info.constants:
                 return f"VarRef(I.globals, {name!r})", None
             return (f"_err('cannot take address of {name!r}', "
@@ -866,23 +924,6 @@ class _FnEmitter:
 
     # -- assignment family ------------------------------------------------------
 
-    def _combine(self, bop: str, cur: str, curk: Any, val: str,
-                 valk: Any) -> tuple[str, Any]:
-        """``cur bop val`` with the tree-walker's pointer-aware
-        semantics (the DevicePtr/HostPtr dunders already int() their
-        operand, so plain + / - matches)."""
-        if bop in ("+", "-", "*"):
-            return f"({cur} {bop} {val})", _arith_kind(curk, valk)
-        if bop == "/":
-            return f"_c_div({cur}, {val})", None
-        if bop == "%":
-            return f"_c_mod({cur}, {val})", None
-        if bop in ("<<", ">>", "&", "|", "^"):
-            ci = cur if curk in _INT_LIKE else f"int({cur})"
-            vi = val if valk in _INT_LIKE else f"int({val})"
-            return f"({ci} {bop} {vi})", "int"
-        raise UnsupportedConstruct(f"compound operator {bop}=")
-
     def _assign(self, e: ast.Assign, want_value: bool) -> tuple[str, Any]:
         compound = e.op != "="
         bop = e.op[:-1] if compound else None
@@ -892,13 +933,10 @@ class _FnEmitter:
             hit = self.lookup(name)
             if hit is not None:
                 py, vkind, cokind = hit
-                if vkind in ("shared", "localarray") or \
-                        isinstance(vkind, tuple):
-                    raise UnsupportedConstruct(
-                        "assignment to an array-valued local")
                 vcode, vk = self.expr(e.value)
                 if compound:
-                    vcode, vk = self._combine(bop, py, vkind, vcode, vk)
+                    vcode, vk = self._operate(bop, py, vkind, vcode, vk,
+                                              e.pos)
                 self.charge(1)
                 if want_value:
                     t = self.atom(vcode, force=True)
@@ -910,7 +948,8 @@ class _FnEmitter:
                 vcode, vk = self.expr(e.value)
                 if compound:
                     cur = self.atom(f"I.globals.get({name!r})", force=True)
-                    vcode, vk = self._combine(bop, cur, None, vcode, vk)
+                    vcode, vk = self._operate(bop, cur, None, vcode, vk,
+                                              e.pos)
                 self.charge(1)
                 t = self.atom(vcode, force=True) if want_value else vcode
                 self.line(f"I.globals.assign({name!r}, {t})")
@@ -922,9 +961,9 @@ class _FnEmitter:
             icode = self.atom(icode)
             vcode, vk = self.expr(e.value)
             if compound:
-                cur = self._emit_load_from(base, bkind, icode, ikind,
-                                           target.pos)
-                vcode, vk = self._combine(bop, cur, None, vcode, vk)
+                cur, curk = self._emit_load_from(base, bkind, icode, ikind,
+                                                 target.pos)
+                vcode, vk = self._operate(bop, cur, curk, vcode, vk, e.pos)
                 vcode = self.atom(vcode, force=True)
             elif want_value:
                 vcode = self.atom(vcode, force=True)
@@ -936,8 +975,9 @@ class _FnEmitter:
             ptr = self.atom(pcode)
             vcode, vk = self.expr(e.value)
             if compound:
-                cur = self._emit_load_from(ptr, None, "0", "int", target.pos)
-                vcode, vk = self._combine(bop, cur, None, vcode, vk)
+                cur, curk = self._emit_load_from(ptr, None, "0", "int",
+                                                 target.pos)
+                vcode, vk = self._operate(bop, cur, curk, vcode, vk, e.pos)
                 vcode = self.atom(vcode, force=True)
             elif want_value:
                 vcode = self.atom(vcode, force=True)
@@ -948,37 +988,32 @@ class _FnEmitter:
                 f"{self.pos(target.pos)})", None)
 
     def _incdec(self, e: ast.IncDec, want_value: bool) -> tuple[str, Any]:
-        step = "+ 1" if e.op == "++" else "- 1"
+        bop = e.op[0]
         target = e.operand
         if isinstance(target, ast.Ident):
             name = target.name
             hit = self.lookup(name)
             if hit is not None:
                 py, vkind, cokind = hit
-                if vkind in ("shared", "localarray") or \
-                        isinstance(vkind, tuple):
-                    raise UnsupportedConstruct(
-                        "increment of an array-valued local")
                 self.charge(1)
                 if not want_value:
-                    new = f"({py} {step})"
+                    new, _ = self._operate(bop, py, vkind, "1", "int", e.pos)
                     self.line(f"{py} = {self.coerced(new, vkind, cokind)}")
                     return py, vkind
                 if e.prefix:
-                    t = self.tmp()
-                    self.line(f"{t} = {py} {step}")
+                    new, _ = self._operate(bop, py, vkind, "1", "int", e.pos)
+                    t = self.atom(new, force=True)
                     self.line(f"{py} = {self.coerced(t, vkind, cokind)}")
                     return t, vkind
                 old = self.tmp()
                 self.line(f"{old} = {py}")
-                new = f"({old} {step})"
+                new, _ = self._operate(bop, old, vkind, "1", "int", e.pos)
                 self.line(f"{py} = {self.coerced(new, vkind, cokind)}")
                 return old, vkind
             if name in self.mod.info.constants:
-                old = self.tmp()
-                new = self.tmp()
-                self.line(f"{old} = I.globals.get({name!r})")
-                self.line(f"{new} = {old} {step}")
+                old = self.atom(f"I.globals.get({name!r})", force=True)
+                new = self.atom(self._operate(bop, old, None, "1", "int",
+                                              e.pos)[0], force=True)
                 self.charge(1)
                 self.line(f"I.globals.assign({name!r}, {new})")
                 return (new if e.prefix else old), None
@@ -987,23 +1022,19 @@ class _FnEmitter:
         if isinstance(target, ast.Index):
             base, bkind, icode, ikind = self._index_pair(target)
             icode = self.atom(icode)
-            old = self._emit_load_from(base, bkind, icode, ikind, target.pos)
-            new = self.tmp()
-            self.line(f"{new} = {old} {step}")
-            self.charge(1)
-            self._emit_store(base, bkind, icode, ikind, new, target.pos)
-            return (new if e.prefix else old), None
-        if isinstance(target, ast.Unary) and target.op == "*":
+        elif isinstance(target, ast.Unary) and target.op == "*":
             pcode, _ = self.expr(target.operand)
-            ptr = self.atom(pcode)
-            old = self._emit_load_from(ptr, None, "0", "int", target.pos)
-            new = self.tmp()
-            self.line(f"{new} = {old} {step}")
-            self.charge(1)
-            self._emit_store(ptr, None, "0", "int", new, target.pos)
-            return (new if e.prefix else old), None
-        return (f"_err('expression is not assignable', "
-                f"{self.pos(target.pos)})", None)
+            base, bkind, icode, ikind = self.atom(pcode), None, "0", "int"
+        else:
+            return (f"_err('expression is not assignable', "
+                    f"{self.pos(target.pos)})", None)
+        old, kind = self._emit_load_from(base, bkind, icode, ikind,
+                                         target.pos)
+        new = self.atom(self._operate(bop, old, kind, "1", "int", e.pos)[0],
+                        force=True)
+        self.charge(1)
+        self._emit_store(base, bkind, icode, ikind, new, target.pos)
+        return (new if e.prefix else old), kind
 
     # -- calls -------------------------------------------------------------------
 
@@ -1017,8 +1048,6 @@ class _FnEmitter:
             if name not in bi.MATH_BUILTINS or \
                     self._host_callee(name) is not None:
                 return self._host_call(e)
-        elif name in BARRIER_BUILTINS:
-            raise UnsupportedConstruct("barrier call in expression position")
         elif name.startswith("atomic"):
             return self._atomic(e)
         if name in bi.MATH_BUILTINS:
@@ -1040,9 +1069,6 @@ class _FnEmitter:
                     f"C)", "int")
         fn = self.mod.info.device_functions.get(name)
         if fn is not None:
-            if name in self.mod.info.barrier_functions:
-                raise UnsupportedConstruct(
-                    f"call to barrier device function {name!r}")
             pyfn = self.mod.ensure_callee(name)
             codes = [self.expr(a)[0] for a in e.args]
             self.charge(1)
@@ -1053,7 +1079,13 @@ class _FnEmitter:
             self.flush()
             sv = self.tmp()
             self.line(f"{sv} = C.line")
-            self.line(f"{t} = {pyfn}(C, I, S{argstr})")
+            # a callee that may reach a barrier is a generator: its
+            # yields are this thread's
+            call = f"{pyfn}(C, I, S{argstr})"
+            if name in self.mod.info.barrier_functions:
+                call = f"yield from {call}"
+                self.has_yield = True
+            self.line(f"{t} = {call}")
             self.line(f"C.line = {sv}")
             return t, None
         return (f"_err('unknown device function {name!r}', "
@@ -1130,11 +1162,12 @@ class _FnEmitter:
             lcode, lkind = self.expr(e.left)
             rcode, rkind = self.expr(e.right)
             self.charge(1)
-            if e.op in ("==", "!=") and not (
-                    _is_numeric(lkind) and _is_numeric(rkind)):
+            if _is_numeric(lkind) and _is_numeric(rkind):
+                return f"({lcode} {e.op} {rcode})"
+            if e.op in ("==", "!="):
                 fn = "_c_eq" if e.op == "==" else "_c_ne"
                 return f"{fn}({lcode}, {rcode})"
-            return f"({lcode} {e.op} {rcode})"
+            return self._operate(e.op, lcode, lkind, rcode, rkind, e.pos)[0]
         code, kind = self.expr(e)
         if _is_numeric(kind):
             return code
@@ -1144,8 +1177,13 @@ class _FnEmitter:
 
     def stmt(self, s: ast.Stmt) -> None:
         cls = type(s)
-        if self.host or cls is ast.Block or cls is ast.Empty:
-            self._stmt_dispatch(s)
+        if cls is ast.Block:
+            self.push()
+            for inner in s.statements:
+                self.stmt(inner)
+            self.pop()
+            return
+        if cls is ast.Empty:
             return
         # Mark the statement's line and flush the charge batch at both
         # statement boundaries: when a profiled launch binds ``S`` to
@@ -1154,13 +1192,8 @@ class _FnEmitter:
         # never straddle a line change.
         self.flush()
         self.mark(s.pos.line)
-        self._stmt_dispatch(s)
-        self.flush()
-
-    def _stmt_dispatch(self, s: ast.Stmt) -> None:
-        cls = type(s)
         if cls is ast.ExprStmt:
-            self._expr_stmt(s)
+            self._effect(s.expr)
         elif cls is ast.DeclStmt:
             for decl in s.declarators:
                 self._declarator(decl, s)
@@ -1180,26 +1213,19 @@ class _FnEmitter:
             self._continue(s)
         elif cls is ast.Switch:
             self._switch(s)
-        elif cls is ast.Block:
-            self.push()
-            for inner in s.statements:
-                self.stmt(inner)
-            self.pop()
-        elif cls is ast.Empty:
-            pass
         elif cls is ast.AccIndex:
             self._acc_index(s)
         elif cls is ast.AccParallelLoop and self.host:
             self._acc_loop(s)
         else:
             raise UnsupportedConstruct(f"statement {cls.__name__}")
+        self.flush()
 
-    def _expr_stmt(self, s: ast.ExprStmt) -> None:
-        expr = s.expr
+    def _effect(self, expr: ast.Expr) -> None:
+        """``expr`` for its effects alone: an expression statement, a
+        ``for`` step — the only places a barrier may stand."""
         if isinstance(expr, ast.Call) and expr.name in BARRIER_BUILTINS \
                 and not self.host:
-            if not self.gen_ok:
-                raise UnsupportedConstruct("barrier outside a gen context")
             for a in expr.args:
                 code, _ = self.expr(a)
                 if not code.isidentifier():
@@ -1353,8 +1379,8 @@ class _FnEmitter:
             self.uses_profiled = True
             self.line(f"if _P: C.record_branch({line}, {taken})")
         if body is not None:
-            self.stmt(body)
-            self.flush()
+            for inner in _nested(body):
+                self.stmt(inner)
         if len(self.lines) == mark:
             self.line("pass")
         self.pop()
@@ -1365,129 +1391,64 @@ class _FnEmitter:
         self.line("if I.steps > I.max_steps:")
         self.line(f"    raise KernelHang(_HANG_MSG, {self.pos(pos)})")
 
-    def _body_signals(self, body: ast.Stmt) -> tuple[bool, bool]:
-        """(has break, has continue) bound to the enclosing loop."""
-        has_break = has_continue = False
+    def _loop_body(self, body: ast.Stmt, tail: Callable[[], None]) -> None:
+        """Emit a loop body, then ``tail``, the rest of an iteration: a
+        ``continue`` in the body emits ``tail`` too, and goes round."""
+        def cont() -> None:
+            tail()
+            self.line("continue")
 
-        def scan(node: ast.Stmt, in_switch: bool) -> None:
-            nonlocal has_break, has_continue
-            cls = type(node)
-            if cls is ast.Break:
-                if not in_switch:
-                    has_break = True
-            elif cls is ast.Continue:
-                has_continue = True
-            elif cls is ast.Block:
-                for inner in node.statements:
-                    scan(inner, in_switch)
-            elif cls is ast.If:
-                scan(node.then, in_switch)
-                if node.otherwise is not None:
-                    scan(node.otherwise, in_switch)
-            elif cls is ast.Switch:
-                for case in node.cases:
-                    for inner in case.statements:
-                        scan(inner, True)
-            # nested loops capture their own break/continue
-
-        scan(body, False)
-        return has_break, has_continue
-
-    def _loop_body(self, body: ast.Stmt, wrapped: bool,
-                   flag: str | None) -> None:
-        """Emit a loop body, wrapping it in a one-shot inner loop when
-        ``continue`` must jump over trailing step/cond code."""
-        if not wrapped:
-            self.loop_stack.append({"brk": "break", "cont": "continue"})
-            self.push()
-            self.stmt(body)
-            self.flush()
-            self.pop()
-            self.loop_stack.pop()
-            return
-        if flag is not None:
-            self.line(f"{flag} = False")
-        self.line("for _ in (0,):")
-        self.indent += 1
-        self.loop_stack.append({
-            "brk": (f"{flag} = True", "break") if flag else ("break",),
-            "cont": "break"})
+        self.loop_stack.append(cont)
         self.push()
-        mark = len(self.lines)
-        self.stmt(body)
-        self.flush()
-        if len(self.lines) == mark:
-            self.line("pass")
+        for inner in _nested(body):
+            self.stmt(inner)
         self.pop()
         self.loop_stack.pop()
-        self.indent -= 1
-        if flag is not None:
-            self.line(f"if {flag}:")
-            self.line("    break")
+        tail()
+
+    def _loop_test(self, s: ast.While | ast.DoWhile | ast.For) -> None:
+        """Leave loop ``s`` unless its condition holds; the body moved
+        ``C.line``, and the condition's charges belong to the loop."""
+        self.mark(s.pos.line)
+        cond = self.cond(s.cond)
+        self.flush()
+        self.line(f"if not {cond}:")
+        self.line("    break")
+
+    def _for_step(self, s: ast.For) -> None:
+        if s.step is not None:
+            self.mark(s.pos.line)
+            self._effect(s.step)
+            self.flush()
+        self._steps(s.pos)
 
     def _while(self, s: ast.While) -> None:
         self.flush()
         self.line("while True:")
         self.indent += 1
         self._steps(s.pos)
-        # the body moved C.line; condition charges belong here
-        self.mark(s.pos.line)
-        cond = self.cond(s.cond)
-        self.flush()
-        self.line(f"if not {cond}:")
-        self.line("    break")
-        self._loop_body(s.body, wrapped=False, flag=None)
+        self._loop_test(s)
+        self._loop_body(s.body, lambda: None)
         self.indent -= 1
 
     def _dowhile(self, s: ast.DoWhile) -> None:
-        _, has_continue = self._body_signals(s.body)
         self.flush()
         self.line("while True:")
         self.indent += 1
         self._steps(s.pos)
-        if has_continue:
-            flag = self.tmp()
-            self._loop_body(s.body, wrapped=True, flag=flag)
-        else:
-            self._loop_body(s.body, wrapped=False, flag=None)
-            # simple form: C continue would rerun the body without the
-            # condition test; _body_signals guarantees there is none.
-        self.mark(s.pos.line)
-        cond = self.cond(s.cond)
-        self.flush()
-        self.line(f"if not {cond}:")
-        self.line("    break")
+        self._loop_body(s.body, lambda: self._loop_test(s))
         self.indent -= 1
 
     def _for(self, s: ast.For) -> None:
-        has_break, has_continue = self._body_signals(s.body)
         self.push()
         if s.init is not None:
-            if _stmt_contains_barrier(s.init):
-                self.pop()
-                raise UnsupportedConstruct("barrier in for-init")
             self.stmt(s.init)
         self.flush()
         self.line("while True:")
         self.indent += 1
         if s.cond is not None:
-            self.mark(s.pos.line)
-            cond = self.cond(s.cond)
-            self.flush()
-            self.line(f"if not {cond}:")
-            self.line("    break")
-        if has_continue:
-            flag = self.tmp() if has_break else None
-            self._loop_body(s.body, wrapped=True, flag=flag)
-        else:
-            self._loop_body(s.body, wrapped=False, flag=None)
-        if s.step is not None:
-            self.mark(s.pos.line)
-            code, _ = self.expr(s.step)
-            if not (code.isidentifier() or code.isdigit()):
-                self.line(code)
-            self.flush()
-        self._steps(s.pos)
+            self._loop_test(s)
+        self._loop_body(s.body, lambda: self._for_step(s))
         self.indent -= 1
         self.pop()
 
@@ -1514,9 +1475,20 @@ class _FnEmitter:
             self.line(f"    {si} = {fallback}")
         else:
             self.line(f"{si} = {fallback}")
+        # the arms run inside a one-shot loop, so ``break`` leaves the
+        # switch; a ``continue`` leaves it too, flagged, and continues
+        # the enclosing loop from here
+        flag_at, flag = len(self.lines), None
+
+        def cont() -> None:
+            nonlocal flag
+            flag = flag or self.tmp()
+            self.line(f"{flag} = True")
+            self.line("break")
+
         self.line("for _ in (0,):")
         self.indent += 1
-        self.loop_stack.append({"brk": "break", "cont": None})
+        self.loop_stack.append(cont)
         emitted_body = False
         for i, case in enumerate(s.cases):
             if not case.statements:
@@ -1527,7 +1499,6 @@ class _FnEmitter:
             mark = len(self.lines)
             for inner in case.statements:
                 self.stmt(inner)
-            self.flush()
             if len(self.lines) == mark:
                 self.line("pass")
             self.pop()
@@ -1537,6 +1508,12 @@ class _FnEmitter:
             self.line("pass")
         self.loop_stack.pop()
         self.indent -= 1
+        if flag is not None:
+            self.lines.insert(flag_at, "    " * self.indent + f"{flag} = False")
+            self.line(f"if {flag}:")
+            self.indent += 1
+            self.loop_stack[-1]()
+            self.indent -= 1
 
     def _return(self, s: ast.Return) -> None:
         if s.value is None:
@@ -1553,31 +1530,12 @@ class _FnEmitter:
             self.line("return")
 
     def _break(self, s: ast.Break) -> None:
-        if not self.loop_stack:
-            raise UnsupportedConstruct("break outside loop or switch")
         self.flush()
-        brk = self.loop_stack[-1]["brk"]
-        if isinstance(brk, tuple):
-            for part in brk:
-                self.line(part)
-        else:
-            self.line(brk)
+        self.line("break")
 
     def _continue(self, s: ast.Continue) -> None:
-        if not self.loop_stack:
-            raise UnsupportedConstruct("continue outside loop")
-        cont = self.loop_stack[-1]["cont"]
-        if cont is None:
-            raise UnsupportedConstruct("continue inside switch")
         self.flush()
-        self.line(cont)
-
-
-def _stmt_contains_barrier(stmt: ast.Stmt) -> bool:
-    for node in ast.walk(stmt):
-        if isinstance(node, ast.Call) and node.name in BARRIER_BUILTINS:
-            return True
-    return False
+        self.loop_stack[-1]()
 
 
 # -- module assembly ---------------------------------------------------------
@@ -1631,15 +1589,11 @@ class _ModuleEmitter:
               else self.info.device_functions)[name]
         pyfn = f"_host_{name}" if host else f"_dev_{name}"
         self.callees[name] = pyfn  # pre-register for recursion
-        em = _FnEmitter(self, gen_ok=False, is_device=True, host=host,
-                        boxed=self.info.host_address_taken.get(name, ())
-                        if host else ())
+        em = _FnEmitter(self, fn, is_device=True, host=host)
         params = self._bind_params(em, fn)
         for s2 in fn.body.statements:
             em.stmt(s2)
         em.flush()
-        if em.has_yield:  # pragma: no cover - refused at the call site
-            raise UnsupportedConstruct("barrier inside device function")
         header = [f"def {pyfn}({'I' if host else 'C, I, S'}{params}):"]
         self.module_lines.extend(
             header + self._prologue(em, fn.pos) + em.lines + [""])
@@ -1679,7 +1633,7 @@ class _ModuleEmitter:
         if em.uses_warpsize:
             out.append(pad + "_warpSize = C._block.device.spec.warp_size")
         if em.uses_host_env:
-            out.append(pad + "H = I.host")
+            out.append(pad + "H = I.host if I.host is not None else _NO_HOST")
         if em.uses_profiled:
             out.append(pad + "_P = C.profiled")
         return out
@@ -1699,9 +1653,8 @@ class _ModuleEmitter:
         exec(code, ns)  # noqa: S102 - our own generated source
         return ns, _NBYTES_BASE + _NBYTES_PER_CHAR * len(source)
 
-    def compile_kernel(self, fn: ast.FuncDef,
-                       gen_ok: bool) -> CompiledSrcKernel:
-        em = _FnEmitter(self, gen_ok=gen_ok, is_device=False)
+    def compile_kernel(self, fn: ast.FuncDef) -> CompiledSrcKernel:
+        em = _FnEmitter(self, fn, is_device=False)
         params = self._bind_params(em, fn)
         for s in fn.body.statements:
             em.stmt(s)
@@ -1738,8 +1691,7 @@ def _compile_scalar(info: ProgramInfo,
     """Un-memoized :func:`compile_kernel`; the warp tier compiles its
     scalar kernel through this, inside its own memo entry."""
     try:
-        return _ModuleEmitter(info).compile_kernel(
-            info.kernel_def(name), gen_ok=name in info.barrier_functions)
+        return _ModuleEmitter(info).compile_kernel(info.kernel_def(name))
     except UnsupportedConstruct as exc:
         return Declined(str(exc))
     except RecursionError:
@@ -1756,14 +1708,14 @@ def _kernel_verdict(info: ProgramInfo,
 def compile_kernel(info: ProgramInfo, name: str) -> CompiledSrcKernel | None:
     """Compile kernel ``name`` to generated Python source.
 
-    Returns None when the kernel uses a construct the emitter does not
-    support (the caller falls back to the tree-walker;
-    :func:`decline_reason` says which). Both outcomes are memoized in
-    the shared :data:`repro.minicuda.codegen.KERNEL_CACHE` — and
-    nowhere else: an evicted kernel is recompiled — under a versioned
-    ``codegen`` engine key. Profiled and unprofiled launches share the
-    one artifact: it always marks ``C.line``, and only a profiled
-    launch (``bind``) charges anything to it.
+    Returns None only where a budget of the front end failed to keep
+    the emitter inside Python's limits (:func:`decline_reason` says
+    which). Both outcomes are memoized in the shared
+    :data:`repro.minicuda.codegen.KERNEL_CACHE` — and nowhere else: an
+    evicted kernel is recompiled — under a versioned ``codegen`` engine
+    key. Profiled and unprofiled launches share the one artifact: it
+    always marks ``C.line``, and only a profiled launch (``bind``)
+    charges anything to it.
     """
     value = _kernel_verdict(info, name)
     return None if type(value) is Declined else value
@@ -1783,30 +1735,66 @@ class CompiledHostFn:
         self.nbytes = nbytes
 
 
-def _repeats(info: ProgramInfo, name: str) -> bool:
-    """The rule that picks the host functions worth compiling: does
-    ``name`` contain a loop, or sit on a call cycle? Only then can one
-    AST node run more than once per call — and compiling a node costs
-    about three walks of it (measured over the catalog: 6.6 us a node
-    to emit and ``compile()``, 2 us to walk once)."""
-    if name in info.host_loops:
-        return True
-    calls = info.host_calls
-    seen: set[str] = set()
-    todo = list(calls.get(name, ()))
-    while todo:
-        callee = todo.pop()
-        if callee == name:
-            return True
-        if callee not in seen:
-            seen.add(callee)
-            todo.extend(calls.get(callee, ()))
-    return False
+def host_keys(info: ProgramInfo) -> dict[str, str]:
+    """The memo key of each host function of ``info``: a hash of the
+    source text and start position of the function and of every host
+    function it calls, transitively — one generated module holds them
+    all, and embeds their positions — and of every file-scope
+    declaration. The rest of the file (kernels, device functions,
+    other host functions) may change without a recompile. Computed
+    once per program; a unit built without source text keys on the
+    program itself."""
+    keys = info.host_keys
+    if keys:
+        return keys
+    unit = info.unit
+    text = unit.source
+    if not text:
+        keys = dict.fromkeys(info.host_functions, info.fingerprint)
+    else:
+        line_starts = [0]
+        for line in text.split("\n"):
+            line_starts.append(line_starts[-1] + len(line) + 1)
+
+        def offset(pos: Any) -> int:
+            return line_starts[pos.line - 1] + pos.column - 1
+
+        # a top-level item runs to where the next one starts
+        starts = sorted(offset(item.pos)
+                        for item in (*unit.functions, *unit.globals))
+
+        def span(pos: Any) -> str:
+            start = offset(pos)
+            after = bisect.bisect_right(starts, start)
+            end = starts[after] if after < len(starts) else len(text)
+            return f"{pos}\0{text[start:end].rstrip()}"
+
+        shared = "\0".join(span(gvar.pos) for gvar in unit.globals)
+        own = {name: span(fn.pos)
+               for name, fn in info.host_functions.items()}
+        keys = {}
+        for name in own:
+            closure, todo = {name}, [name]
+            while todo:
+                for callee in info.host_calls.get(todo.pop(), ()):
+                    if callee not in closure:
+                        closure.add(callee)
+                        todo.append(callee)
+            keys[name] = hash_text("\0\0".join(
+                [shared, *(f"{callee}\0{own[callee]}"
+                           for callee in sorted(closure))]))
+    # one assignment: a concurrent reader sees no keys or all of them
+    info.host_keys = keys
+    return keys
+
+
+def _host_verdict(info: ProgramInfo, name: str) -> CompiledHostFn | Declined:
+    key = memo_key("host", SRCGEN_VERSION, host_keys(info)[name], name)
+    return KERNEL_CACHE.get_or_compute(
+        key, lambda: _compile_host(info, name))[0]
 
 
 def _compile_host(info: ProgramInfo, name: str) -> CompiledHostFn | Declined:
-    if not _repeats(info, name):
-        return Declined("loop-free")
     try:
         return _ModuleEmitter(info).compile_host(name)
     except UnsupportedConstruct as exc:
@@ -1815,28 +1803,23 @@ def _compile_host(info: ProgramInfo, name: str) -> CompiledHostFn | Declined:
         return Declined(_TOO_DEEP)
 
 
-def _host_verdict(info: ProgramInfo, name: str) -> CompiledHostFn | Declined:
-    key = memo_key("host", SRCGEN_VERSION, info.fingerprint, name)
-    return KERNEL_CACHE.get_or_compute(
-        key, lambda: _compile_host(info, name))[0]
-
-
-def compile_host(info: ProgramInfo, name: str) -> Callable | None:
+def compile_host(info: ProgramInfo, name: str) -> Callable:
     """Host function ``name`` as generated Python, ``call(interp,
-    *args)`` — or None when it stays on the tree-walker: it is
-    loop-free (:func:`_repeats`), or it or something it calls uses a
-    construct the emitter declines. A function that does repeat is
-    lowered together with everything it calls. The verdict is memoized
-    in the kernel memo under a versioned ``host`` key and nowhere
-    else; :func:`decline_reason` recalls why."""
+    *args)``, lowered together with every host function it calls. The
+    artifact is memoized in the kernel memo under a versioned ``host``
+    key per definition (:func:`host_keys`) and nowhere else. Where a
+    front-end budget failed to keep the emitter inside Python's limits
+    this raises the positioned :class:`InterpreterError` instead."""
     value = _host_verdict(info, name)
-    return None if type(value) is Declined else value.call
+    if type(value) is Declined:
+        raise InterpreterError(value.reason, info.host_functions[name].pos)
+    return value.call
 
 
 def decline_reason(info: ProgramInfo, name: str) -> str | None:
-    """Why this emitter leaves kernel or host function ``name`` to the
-    tree-walker — the construct it stopped at, or ``loop-free`` — or
-    None when it lowers it. Recalled from the memoized verdict."""
+    """Why this emitter does not lower kernel or host function ``name``
+    (None when it does — for every checked program). Recalled from
+    the memoized verdict."""
     value = (_host_verdict(info, name) if name in info.host_functions
              else _kernel_verdict(info, name))
     return value.reason if type(value) is Declined else None

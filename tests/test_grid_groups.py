@@ -22,7 +22,7 @@ import pytest
 from repro.gpusim import Device, GpuRuntime, scheduler
 from repro.gpusim.grid import Dim3, Idx3
 from repro.gpusim.scheduler import WarpContext, _BlockState
-from repro.minicuda import ENGINES, compile_source, simd
+from repro.minicuda import compile_source, simd
 from repro.minicuda.simd import CompiledSimdKernel, compile_kernel
 from repro.minicuda.srcgen import CompiledSrcKernel
 from repro.telemetry import (
@@ -32,6 +32,9 @@ from repro.telemetry import (
     Telemetry,
 )
 from tests.test_lane_conflicts import PROBES, ledger
+from tests.oracle_interpreter import ENGINES
+
+pytestmark = pytest.mark.usefixtures("oracle")
 
 SPEC = Device().spec
 WARP = SPEC.warp_size

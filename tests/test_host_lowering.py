@@ -1,11 +1,13 @@
 """Host functions as generated Python: nobody may be able to tell.
 
-Under ``codegen`` and ``simd`` a host function with a loop (or on a
-call cycle) runs as generated Python, with everything it calls
-(``srcgen.compile_host``); under ``ast`` — the oracle — everything is
-walked. Whatever a program does on the host must come out the same
-either way: ``stdout``, the ``wbSolution`` payload, the exit code, every
-launch's ``KernelStats``, and the text of every fault.
+Under ``codegen`` and ``simd`` every host function runs as generated
+Python, with everything it calls (``srcgen.compile_host``); under
+``ast`` — the tests' oracle, ``tests/oracle_interpreter.py`` —
+everything is walked. Whatever a program does on the host must come
+out the same either way: ``stdout``, the ``wbSolution`` payload, the
+exit code, every launch's ``KernelStats``, and the text of every fault.
+The scalar emitter is the last rung for kernels too, so it must lower
+every function of every checked program.
 """
 
 from __future__ import annotations
@@ -22,13 +24,17 @@ from repro.gpusim import Device, GpuRuntime
 from repro.labs import ALL_LABS, EXTRA_LABS, EvaluationMode, get_lab
 from repro.labs.base import execute_lab_program
 from repro.labs.mutations import MUTATIONS, buggy_source
-from repro.minicuda import ENGINES, CompileError, HostEnv, compile_source
+from repro.minicuda import CompileError, HostEnv, compile_source
 from repro.minicuda import srcgen
-from repro.minicuda.semantic import MAX_EXPR_DEPTH
+from repro.minicuda.semantic import MAX_EXPR_DEPTH, MAX_NESTING
 from repro.minicuda.interpreter import KernelHang
 from repro.minicuda.codegen import KERNEL_CACHE
 from repro.mpisim import run_mpi
+from tests import oracle_interpreter
+from tests.oracle_interpreter import ENGINES
 from tests.test_lane_conflicts import ledger
+
+pytestmark = pytest.mark.usefixtures("oracle")
 
 COMPILED = ENGINES[1:]
 EXAMPLES = Path(__file__).resolve().parent.parent / "examples" / "cuda"
@@ -115,6 +121,20 @@ def run(source, engine, datasets=None, max_steps=50_000_000, mpi=None):
 
 def lowered(source, name="main"):
     return srcgen.decline_reason(compile_source(source).info, name) is None
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS))
+def test_every_function_lowers(name):
+    try:
+        info = compile_source(CORPUS[name][1]).info
+    except CompileError:
+        pytest.skip("does not compile: nothing runs")
+    functions = [*info.kernels, *(fn for fn, node
+                                  in info.host_functions.items()
+                                  if not node.prototype)]
+    assert functions
+    assert {fn: srcgen.decline_reason(info, fn) for fn in functions} == \
+        dict.fromkeys(functions)
 
 
 #: name -> (source, the fault every engine must end in). Each main has
@@ -292,20 +312,59 @@ int main() {
   { float n = 2.5f; printf("%f\\n", n); }
   return n;
 }"""
-        assert lowered(source, "twice") and not lowered(source)
+        assert lowered(source, "twice") and lowered(source)
         for engine in ENGINES:
             code, env = run(source, engine)
             assert code == 7, engine
             assert env.stdout == ["1\n", "2\n", "2.500000\n"], engine
 
 
-class TestTheRule:
-    def test_a_loop_free_main_is_walked(self):
-        program = compile_source(get_lab("vector-add").solution)
-        assert srcgen.decline_reason(program.info, "main") == "loop-free"
-        assert srcgen.compile_host(program.info, "main") is None
+class TestTheKey:
+    """A host module is keyed per definition: the source of the
+    function and of everything it calls, their start positions and the
+    file-scope declarations — nothing else in the file."""
 
-    def test_a_call_cycle_counts_as_a_loop(self):
+    SOURCE = """
+int scale = 3;
+int twice(int x) { return 2 * x; }
+__global__ void k(int *out) { out[threadIdx.x] = 1; }
+int main() { return twice(scale) + 1; }
+"""
+
+    @staticmethod
+    def computes(source):
+        """How many kernel-memo entries lowering ``main`` computes."""
+        info = compile_source(source).info
+        before = KERNEL_CACHE.compute_count
+        srcgen.compile_host(info, "main")
+        return KERNEL_CACHE.compute_count - before
+
+    def test_a_nonce_or_a_kernel_edit_reuses_main(self):
+        self.computes(self.SOURCE)
+        nonced = self.SOURCE + "int wb_nonce_42(void){return 42;}\n"
+        kernel_edit = self.SOURCE.replace("= 1;", "= 2;")
+        assert self.computes(nonced) == self.computes(kernel_edit) == 0
+        assert {run(source, "simd")[0]
+                for source in (self.SOURCE, nonced, kernel_edit)} == {7}
+
+    def test_a_catalog_nonce_reuses_main(self):
+        solution = get_lab("vector-add").solution
+        self.computes(solution)
+        assert self.computes(
+            f"{solution}\nint wb_nonce_7(void){{return 7;}}\n") == 0
+
+    @pytest.mark.parametrize("edit, code", [
+        (lambda src: src.replace("2 * x", "3 * x"), 10),
+        (lambda src: src.replace("scale = 3", "scale = 4"), 9),
+        (lambda src: "\n" + src, 7),
+    ], ids=("callee", "global", "main-one-line-down"))
+    def test_an_edit_main_can_see_misses(self, edit, code):
+        self.computes(self.SOURCE)
+        assert self.computes(edit(self.SOURCE)) == 1
+        assert {run(edit(self.SOURCE), engine)[0]
+                for engine in ENGINES} == {code}
+
+    def test_a_call_cycle_keys_both_ends(self):
         source = """
 int down(int n);
 int up(int n) { return n >= 10 ? n : down(n + 3); }
@@ -313,10 +372,18 @@ int down(int n) { return up(n - 1); }
 int once(int n) { return n + 1; }
 int main() { return up(once(0)); }"""
         info = compile_source(source).info
-        assert [srcgen.decline_reason(info, name)
-                for name in ("up", "down", "once", "main")] == [
-                    None, None, "loop-free", "loop-free"]
+        keys = srcgen.host_keys(info)
+        assert keys["up"] == keys["down"] != keys["main"] != keys["once"]
+        edited = compile_source(source.replace("n - 1", "n - 2")).info
+        assert srcgen.host_keys(edited)["once"] == keys["once"]
+        assert all(srcgen.host_keys(edited)[name] != keys[name]
+                   for name in ("up", "down", "main"))
         assert {run(source, engine)[0] for engine in ENGINES} == {11}
+
+    def test_the_keys_are_computed_once_per_program(self):
+        info = compile_source(self.SOURCE).info
+        assert srcgen.host_keys(info) is srcgen.host_keys(info)
+        assert set(srcgen.host_keys(info)) == {"twice", "main"}
 
     def test_a_callee_is_lowered_with_its_caller(self):
         source = """
@@ -326,41 +393,196 @@ int main() {
   for (int i = 0; i < 4; i++) { total += square(i); }
   return total;
 }"""
-        info = compile_source(source).info
-        assert srcgen.decline_reason(info, "square") == "loop-free"
         before = KERNEL_CACHE.compute_count
         assert run(source, "codegen")[0] == 14
         # one entry: main's module holds square too; nobody asked for
         # square on its own
         assert KERNEL_CACHE.compute_count == before + 1
 
-    def test_a_declined_construct_keeps_its_reason(self):
+
+def test_profile_attempt_lists_the_kernels():
+    out = subprocess.run(
+        [sys.executable, "-m", "repro", "profile-attempt", "openacc-vecadd",
+         "--engine", "simd"],
+        capture_output=True, text=True, check=True).stdout.splitlines()
+    assert "kernel acc@5: ran on simd" in out
+    assert not [line for line in out if line.startswith("host ")]
+
+
+def outcome(source, engine):
+    """What ``main`` shows: exit code, stdout and every launch's
+    ledger — or the fault."""
+    env = HostEnv()
+    try:
+        code = compile_source(source).run_main(
+            runtime=GpuRuntime(Device()), host_env=env,
+            engine=engine).exit_code
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+    return code, env.stdout, [(name, ledger(stats))
+                              for name, stats in env.kernel_launches]
+
+
+def same_everywhere(source):
+    """``source``'s outcome, equal on every engine, with every host
+    function and kernel lowered."""
+    info = compile_source(source).info
+    for name in (*info.kernels, *info.host_functions):
+        assert srcgen.decline_reason(info, name) is None, name
+    reference = outcome(source, "ast")
+    for engine in COMPILED:
+        assert outcome(source, engine) == reference, engine
+    return reference
+
+
+#: A kernel ``k(int *out)`` the harness below launches <<<2, 32>>>.
+HARNESS = """
+int main() {
+  int *d;
+  int host[64];
+  int *h = host;
+  cudaMalloc((void **)&d, 64 * sizeof(int));
+  k<<<2, 32>>>(d);
+  cudaMemcpy(h, d, 64 * sizeof(int), cudaMemcpyDeviceToHost);
+  int sum = 0;
+  for (int i = 0; i < 64; i++) { sum = sum * 7 % 1000003 + host[i]; }
+  printf("%d\\n", sum);
+  return 0;
+}"""
+
+#: name -> a kernel ``k`` built on a construct the scalar emitter once
+#: declined, sending the kernel to the tree-walker.
+CONSTRUCTS = {
+    "address-of-a-local": """
+__global__ void k(int *out) {
+  int x = threadIdx.x;
+  int *p = &x;
+  out[blockIdx.x * 32 + threadIdx.x] = x + 1;
+}""",
+    "barrier-device-function": """
+__device__ int exchange(int *s, int v) {
+  s[threadIdx.x] = v;
+  __syncthreads();
+  return s[31 - threadIdx.x];
+}
+__device__ void settle() { __syncthreads(); }
+__global__ void k(int *out) {
+  __shared__ int s[32];
+  int v = exchange(s, threadIdx.x * 3);
+  settle();
+  out[blockIdx.x * 32 + threadIdx.x] = v + exchange(s, v);
+}""",
+    "continue-inside-switch": """
+__global__ void k(int *out) {
+  int acc = 0;
+  for (int j = 0; j < 8; j++) {
+    switch ((j + threadIdx.x) % 3) {
+      case 0: continue;
+      case 1: acc += j; break;
+      default:
+        switch (j % 2) { case 0: continue; default: acc += 10; }
+        acc += 100;
+    }
+    acc += 1000;
+  }
+  int n = 0;
+  do {
+    n++;
+    switch (n % 2) { case 1: continue; }
+    acc++;
+  } while (n < 5);
+  out[blockIdx.x * 32 + threadIdx.x] = acc;
+}""",
+    "barrier-in-for-init-and-step": """
+__global__ void k(int *out) {
+  __shared__ int s[32];
+  s[threadIdx.x] = threadIdx.x;
+  int acc = 0;
+  int i = 0;
+  for (__syncthreads(); i < 3; __syncthreads()) {
+    acc += s[(threadIdx.x + i) % 32];
+    i++;
+  }
+  out[blockIdx.x * 32 + threadIdx.x] = acc;
+}""",
+}
+
+
+class TestTotality:
+    """Every construct the scalar emitter used to decline runs the same
+    on every engine, lowered."""
+
+    @pytest.mark.parametrize("name", sorted(CONSTRUCTS))
+    def test_a_once_declined_construct_lowers(self, name):
+        code, stdout, launches = same_everywhere(CONSTRUCTS[name] + HARNESS)
+        assert code == 0 and launches
+
+    def test_continue_inside_switch_in_host_code(self):
         source = """
 int main() {
   int total = 0;
-  for (int i = 0; i < 4; i++) {
-    switch (i) { case 1: continue; default: total += i; }
+  for (int i = 0; i < 6; i++) {
+    switch (i % 3) { case 1: continue; default: total += i; }
+    total += 100;
   }
   return total;
 }"""
-        info = compile_source(source).info
-        assert srcgen.decline_reason(info, "main") == \
-            "continue inside switch"
-        assert {run(source, engine)[0] for engine in ENGINES} == {5}
+        assert same_everywhere(source)[0] == 0 + 2 + 3 + 5 + 400
 
-    def test_profile_attempt_says_which(self):
-        def lines(slug):
-            out = subprocess.run(
-                [sys.executable, "-m", "repro", "profile-attempt", slug,
-                 "--engine", "simd"],
-                capture_output=True, text=True, check=True).stdout
-            return out.splitlines()
+    def test_the_address_of_a_local_is_no_device_pointer(self):
+        source = """
+__device__ void set(int *p) { p[0] = 7; }
+__global__ void k(int *out) { int x = 1; set(&x); out[0] = x; }
+""" + HARNESS
+        fault = same_everywhere(source)
+        assert fault == ("InterpreterError",
+                         "2:32: value of type VarRef is not indexable")
 
-        assert "host main: walked: loop-free" in lines("vector-add")
-        assert "host main: lowered" in lines("image-equalization")
-        acc = lines("openacc-vecadd")
-        assert "host addVectors: lowered" in acc
-        assert "kernel acc@5: ran on simd" in acc
+    def test_a_host_builtin_without_a_host(self):
+        source = """
+void hello() { printf("hi\\n"); }
+__global__ void k(int *out) { out[0] = 1; }
+int main() { hello(); return 0; }"""
+        program = compile_source(source)
+        for engine in ENGINES:
+            interp = oracle_interpreter.interpreter(
+                program.info, GpuRuntime(Device()), engine=engine)
+            with pytest.raises(Exception) as fault:
+                interp.run_host_function("main")
+            assert str(fault.value) == ("2:16: host builtin 'printf' "
+                                        "requires a host environment"), engine
+
+
+class TestOperandFaults:
+    """An operand of no arithmetic type is the positioned
+    ``invalid operands`` error on every engine, in host code and in
+    kernels, inside a loop or not."""
+
+    @pytest.mark.parametrize("body, fault", [
+        ("float *p = (float *)malloc(8); int q = p * 2; return q;",
+         "1:53: invalid operands to '*': HostPtr and int"),
+        ("float *p = (float *)malloc(8); int q = 0;\n"
+         "for (int i = 0; i < 2; i++) { q = p * 2; } return q;",
+         "2:35: invalid operands to '*': HostPtr and int"),
+        ("int *p = NULL; p += 1; return 0;",
+         "1:29: invalid operands to '+': NullPtr and int"),
+        ("int *p = NULL; p++; return 0;",
+         "1:30: invalid operands to '+': NullPtr and int"),
+        ("int *p = NULL; return -p;",
+         "1:36: invalid operand to '-': NullPtr"),
+    ], ids=("loop-free", "in-a-loop", "compound", "increment", "negation"))
+    def test_in_host_code(self, body, fault):
+        source = "int main() { " + body + " }"
+        assert same_everywhere(source) == ("InterpreterError", fault)
+
+    def test_in_a_kernel(self):
+        source = """
+__global__ void k(int *out) {
+  for (int i = 0; i < 2; i++) { out[threadIdx.x] = out * 2; }
+}""" + HARNESS
+        assert same_everywhere(source) == (
+            "InterpreterError",
+            "3:52: invalid operands to '*': DevicePtr and int")
 
 
 class TestDeepExpressions:
@@ -378,7 +600,7 @@ class TestDeepExpressions:
         assert err.value.diagnostics[0].pos.line == 1
 
     @pytest.mark.parametrize("terms", (150, 250))
-    def test_a_lowering_that_gives_up_declines(self, terms):
+    def test_a_long_chain_lowers(self, terms):
         source = f"""
 __global__ void k(int *out) {{ out[threadIdx.x] = {self.chain(terms)}; }}
 int main() {{
@@ -397,13 +619,10 @@ int main() {{
         expect = (3 * terms) % 251
         for engine in ENGINES:
             assert run(source, engine)[0] == expect, engine
+        # past CPython's 200 nested parentheses: folded in temporaries
         info = compile_source(source).info
-        declined = terms > 200  # CPython nests 200 parentheses
         for name in ("k", "main"):
-            reason = srcgen.decline_reason(info, name)
-            assert (reason is not None) == declined, (name, reason)
-            if declined:
-                assert "too many nested parentheses" in reason
+            assert srcgen.decline_reason(info, name) is None, name
 
     @pytest.mark.parametrize("terms", (MAX_EXPR_DEPTH + 1,
                                        MAX_EXPR_DEPTH + 2),
@@ -431,3 +650,62 @@ int main() {{
             return
         for engine in ENGINES:
             assert run(source, engine)[0] == 2 * terms % 251, engine
+
+
+class TestNestingBudget:
+    """Control flow nests at most ``MAX_NESTING`` levels: an ``if`` arm
+    or a branching operand is one, a loop or ``switch`` body four. At
+    the limit, the longest expression allowed still runs."""
+
+    LIMITS = {"ifs": MAX_NESTING, "loops": MAX_NESTING // 4}
+
+    @staticmethod
+    def nest(kind, levels, center):
+        if kind == "ifs":
+            heads = [f"if (n > {i}) {{ n = n + 1; " for i in range(levels)]
+        else:
+            heads = [f"for (int i{i} = 0; i{i} < 1; i{i}++) {{ "
+                     for i in range(levels)]
+        return "".join(heads) + center + "}" * levels
+
+    @pytest.mark.parametrize("kind", sorted(LIMITS))
+    def test_at_the_limit_everything_lowers(self, kind):
+        levels = self.LIMITS[kind]
+        terms = MAX_EXPR_DEPTH - 8
+        inner = self.nest(kind, levels, "n = n + {};".format(
+            "+".join(["1"] * terms)))
+        source = f"""
+__global__ void k(int *out) {{
+  int n = threadIdx.x;
+  {inner}
+  out[blockIdx.x * 32 + threadIdx.x] = n;
+}}
+int host(int n) {{
+  {inner}
+  return n;
+}}""" + HARNESS.replace("return 0;", "return host(1) % 251;")
+        ran = 1 + terms + (levels if kind == "ifs" else 0)
+        assert same_everywhere(source)[0] == ran % 251
+
+    @pytest.mark.parametrize("kind", sorted(LIMITS))
+    def test_one_past_is_a_positioned_compile_error(self, kind):
+        levels = self.LIMITS[kind] + 1
+        inner = self.nest(kind, levels, "")
+        with pytest.raises(CompileError) as err:
+            compile_source(f"int main() {{\nint n = 0;\n{inner}\n"
+                           "return n; }")
+        # at the statement that goes past: the last one opened
+        head = "if (" if kind == "ifs" else "for ("
+        assert str(err.value) == (
+            f"error: 3:{inner.rindex(head) + 1}: "
+            "program is nested too deeply")
+
+    def test_branching_operators_count(self):
+        def chain(arms):
+            return "n > 0 ? " * arms + "1" + " : 2" * arms
+
+        with pytest.raises(CompileError, match="nested too deeply"):
+            compile_source(
+                f"int main() {{ int n = 1; return {chain(MAX_NESTING + 1)}; }}")
+        assert same_everywhere(
+            f"int main() {{ int n = 1; return {chain(MAX_NESTING)}; }}")[0] == 1

@@ -17,7 +17,7 @@ import weakref
 import pytest
 
 from repro.gpusim import Device, GpuRuntime
-from repro.minicuda import ENGINES, CompileCache, HostEnv, compile_source
+from repro.minicuda import CompileCache, HostEnv, compile_source
 from repro.minicuda import simd, srcgen
 from repro.minicuda.codegen import _VERDICT_NBYTES, KERNEL_CACHE
 from repro.minicuda.interpreter import Interpreter
@@ -31,6 +31,9 @@ from tests.test_lane_conflicts import (
     program_of,
     replays,
 )
+from tests.oracle_interpreter import ENGINES
+
+pytestmark = pytest.mark.usefixtures("oracle")
 
 CAP = KERNEL_CACHE.policy.max_bytes
 COMPILED = ENGINES[1:]
@@ -51,7 +54,8 @@ def flood():
 
 
 def memoized(fingerprint):
-    """The non-``None`` values the memo holds for one program."""
+    """The non-``None`` values the memo holds for one program (or one
+    host function's definition key)."""
     return [flight.value for key, flight in KERNEL_CACHE._done.items()
             if f":{fingerprint}:" in key and flight.value is not None]
 
@@ -121,13 +125,14 @@ def test_a_host_function_is_compiled_once_and_again_after_eviction():
 
     assert run() == (145, 1, 0)
     assert run() == (145, 0, 1)  # the memo is asked once per run
-    (held,) = memoized(program.info.fingerprint)
+    key = srcgen.host_keys(program.info)["main"]
+    (held,) = memoized(key)
     ref = weakref.ref(*functions_of(held))
     del held
 
     flood()
     assert ref() is None
-    assert memoized(program.info.fingerprint) == []
+    assert memoized(key) == []
     assert run() == (145, 1, 0)
 
 

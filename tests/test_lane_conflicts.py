@@ -23,7 +23,7 @@ import pytest
 
 from repro.gpusim import Device, GpuRuntime
 from repro.gpusim.grid import Dim3
-from repro.minicuda import ENGINES, compile_source
+from repro.minicuda import compile_source
 from repro.minicuda.simd import CompiledSimdKernel, compile_kernel
 from repro.minicuda.srcgen import CompiledSrcKernel
 from repro.telemetry import (
@@ -32,6 +32,9 @@ from repro.telemetry import (
     KERNEL_REPLAYS_TOTAL,
     Telemetry,
 )
+from tests.oracle_interpreter import ENGINES
+
+pytestmark = pytest.mark.usefixtures("oracle")
 
 THREADS = 64
 
@@ -544,8 +547,9 @@ class TestEngineLabelsNameTheTierThatRan:
             PROBES["global-rmw-via-device-function"][0], exit_code=22)
         assert compiles == runs == {"codegen": 1}
 
-    def test_tree_walker_fallback_is_ast(self):
-        # the address of a scalar local: no compiled tier lowers it
+    def test_the_scalar_tier_is_the_last_rung(self):
+        # the address of a scalar local: the warp tier declines it,
+        # and nothing below the scalar tier is left to run it
         source = """
 __global__ void k(int *counts, int n) {
   int x = threadIdx.x;
@@ -553,7 +557,7 @@ __global__ void k(int *counts, int n) {
   counts[threadIdx.x] = x;
 }"""
         compiles, runs = self._labels(source)
-        assert compiles == runs == {"ast": 1}
+        assert compiles == runs == {"codegen": 1}
 
 
 def test_tracker_flags_only_lower_lane_after_higher():

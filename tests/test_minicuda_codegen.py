@@ -1,9 +1,10 @@
 """Compiled kernel engines: parity, memoization, fallback.
 
-Stats parity runs every engine against the ``ast`` tree-walker
-oracle; the compilation, fallback and memo-key tests pin the
-``codegen`` tier (generated Python source) and the kernel memo it
-shares with ``simd`` (``repro.minicuda.codegen``).
+Stats parity runs every engine against the tests' tree-walking
+oracle (``ast``); the compilation, fallback and memo-key tests pin the
+``codegen`` tier (generated Python source), the rung the warp tier
+falls back to, and the kernel memo it shares with ``simd``
+(``repro.minicuda.codegen``).
 """
 
 import inspect
@@ -16,7 +17,10 @@ from repro.gpusim import Device, GpuRuntime
 from repro.gpusim.grid import Dim3
 from repro.minicuda import HostEnv, compile_source
 from repro.minicuda import codegen, simd, srcgen
-from repro.minicuda.interpreter import ENGINES, Interpreter
+from repro.minicuda.interpreter import Interpreter
+from tests.oracle_interpreter import ENGINES
+
+pytestmark = pytest.mark.usefixtures("oracle")
 
 COMPILED_ENGINES = ENGINES[1:]
 
@@ -153,6 +157,8 @@ int main() { return 0; }
 
 
 class TestFallback:
+    """What the warp tier declines, the scalar tier runs."""
+
     def test_address_of_local_scalar_falls_back(self):
         source = """
 __global__ void k(float *out) {
@@ -163,17 +169,18 @@ __global__ void k(float *out) {
 int main() { return 0; }
 """
         program = compile_source(source)
-        assert srcgen.compile_kernel(program.info, "k") is None
-        # the unsupported verdict is memoized — a second program with
-        # the same fingerprint does not re-derive it — and the
-        # tree-walker still runs the kernel under the codegen engine
+        assert simd.decline_reason(program.info, "k") == \
+            "address-of expression"
+        # the fallback verdict is memoized — a second program with the
+        # same fingerprint does not re-derive it
         before = codegen.KERNEL_CACHE.compute_count
         again = compile_source(source)
-        assert srcgen.compile_kernel(again.info, "k") is None
+        assert isinstance(simd.compile_kernel(again.info, "k"),
+                          srcgen.CompiledSrcKernel)
         assert codegen.KERNEL_CACHE.compute_count == before
         rt = GpuRuntime(Device())
         out = rt.malloc(1, "float")
-        program.launch(rt, "k", 1, 1, out.ptr(), engine="codegen")
+        program.launch(rt, "k", 1, 1, out.ptr(), engine="simd")
         assert rt.memcpy_dtoh(out)[0] == 2.0
 
     def test_barrier_device_function_falls_back(self):
@@ -190,10 +197,12 @@ int main() { return 0; }
         program = compile_source(source)
         assert "phase_sync" in program.info.barrier_functions
         assert "k" in program.info.barrier_functions
-        assert srcgen.compile_kernel(program.info, "k") is None
+        assert simd.decline_reason(program.info, "k") == \
+            "call to 'phase_sync'"
+        assert srcgen.compile_kernel(program.info, "k").is_gen
         rt = GpuRuntime(Device())
         out = rt.malloc(32, "float")
-        program.launch(rt, "k", 1, 32, out.ptr(), engine="codegen")
+        program.launch(rt, "k", 1, 32, out.ptr(), engine="simd")
         assert list(rt.memcpy_dtoh(out)) == [float(31 - i)
                                              for i in range(32)]
 
@@ -253,17 +262,15 @@ __global__ void k(float *out) {
 }
 int main() { return 0; }
 """
-        for backend, version, _ in self.BACKENDS:
-            p1 = compile_source(source)
-            assert backend.compile_kernel(p1.info, "k") is None
-            before = codegen.KERNEL_CACHE.compute_count
-            monkeypatch.setattr(backend, version,
-                                getattr(backend, version) + 1)
-            p2 = compile_source(source)
-            # still unsupported, but the verdict was re-derived by the
-            # "new" compiler generation, not replayed from the old key
-            assert backend.compile_kernel(p2.info, "k") is None
-            assert codegen.KERNEL_CACHE.compute_count == before + 1
+        p1 = compile_source(source)
+        assert simd.decline_reason(p1.info, "k") is not None
+        before = codegen.KERNEL_CACHE.compute_count
+        monkeypatch.setattr(simd, "SIMD_VERSION", simd.SIMD_VERSION + 1)
+        p2 = compile_source(source)
+        # still unsupported, but the verdict was re-derived by the "new"
+        # compiler generation, not replayed from the old key
+        assert simd.decline_reason(p2.info, "k") is not None
+        assert codegen.KERNEL_CACHE.compute_count == before + 1
 
     def test_engines_occupy_distinct_namespaces(self):
         p = compile_source(self.SOURCE)
@@ -301,22 +308,6 @@ int main() { return 0; }
         p2 = compile_source(source)
         assert srcgen.compile_kernel(p1.info, "k") is \
             srcgen.compile_kernel(p2.info, "k")
-
-    def test_unsupported_construct_falls_back_to_tree_walker(self):
-        source = """
-__global__ void k(float *out) {
-  float x = 9.0f;
-  float *p = &x;
-  out[0] = x;
-}
-int main() { return 0; }
-"""
-        program = compile_source(source)
-        assert srcgen.compile_kernel(program.info, "k") is None
-        rt = GpuRuntime(Device())
-        out = rt.malloc(1, "float")
-        program.launch(rt, "k", 1, 1, out.ptr(), engine="codegen")
-        assert rt.memcpy_dtoh(out)[0] == 9.0
 
     def test_codegen_kernels_carry_no_vector_run(self):
         # the scalar tier is what the warp-SIMD tier replays on when

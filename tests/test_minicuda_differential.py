@@ -13,12 +13,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.gpusim import Device, GpuRuntime
-from repro.minicuda import ENGINES, HostEnv, compile_source
+from repro.minicuda import HostEnv, compile_source
 from repro.minicuda.interpreter import _c_div, _c_mod
+from tests.oracle_interpreter import ENGINES
+
+pytestmark = pytest.mark.usefixtures("oracle")
 
 
 # -- expression trees -------------------------------------------------------

@@ -4,9 +4,12 @@ import numpy as np
 import pytest
 
 from repro.gpusim import Device, GpuRuntime
-from repro.minicuda import ENGINES, HostEnv, compile_source
+from repro.minicuda import HostEnv, compile_source
 from repro.minicuda.hostapi import HostApiError
 from repro.minicuda.values import MemoryFault
+from tests.oracle_interpreter import ENGINES
+
+pytestmark = pytest.mark.usefixtures("oracle")
 
 
 def run(source, datasets=None, **env_kwargs):

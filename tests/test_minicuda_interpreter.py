@@ -5,9 +5,20 @@ import pytest
 
 from repro.gpusim import Device, GpuRuntime
 from repro.gpusim.errors import BarrierDivergenceError, OutOfBoundsError
-from repro.minicuda import ENGINES, HostEnv, compile_source
-from repro.minicuda.interpreter import KernelHang, _c_div, _c_mod
+from repro.minicuda import HostEnv, compile_source
+from repro.minicuda import ENGINES as PRODUCT_ENGINES, compiler
+from repro.minicuda.interpreter import (
+    Interpreter,
+    InterpreterError,
+    KernelHang,
+    _c_div,
+    _c_mod,
+    resolve_engine,
+)
 from repro.minicuda.values import MemoryFault
+from tests.oracle_interpreter import ENGINES, OracleInterpreter
+
+pytestmark = pytest.mark.usefixtures("oracle")
 
 
 def run_main(source, datasets=None, max_steps=50_000_000):
@@ -132,9 +143,14 @@ int main() { return fact(5); }
 
 class TestDeviceExecution:
     @pytest.fixture(autouse=True, params=ENGINES)
-    def _engine(self, request, monkeypatch):
-        """Every device-execution test runs under both kernel engines."""
-        monkeypatch.setenv("WEBGPU_KERNEL_ENGINE", request.param)
+    def _engine(self, request, monkeypatch, oracle):
+        """Every device-execution test runs under every engine: the
+        product's through the environment, the oracle in place of the
+        facade's interpreter."""
+        if request.param == "ast":
+            monkeypatch.setattr(compiler, "Interpreter", OracleInterpreter)
+        else:
+            monkeypatch.setenv("WEBGPU_KERNEL_ENGINE", request.param)
 
     def test_device_function_call_from_kernel(self):
         source = """
@@ -343,6 +359,14 @@ int main() {
         with pytest.raises(MemoryFault,
                            match="atomics require device or shared memory"):
             program.run_main(host_env=HostEnv(), engine=engine)
+
+    def test_the_walker_is_no_product_engine(self):
+        assert PRODUCT_ENGINES == ("codegen", "simd")
+        with pytest.raises(InterpreterError, match="unknown kernel engine"):
+            resolve_engine("ast")
+        info = compile_source("int main() { return 0; }").info
+        with pytest.raises(InterpreterError, match="unknown kernel engine"):
+            Interpreter(info, GpuRuntime(Device()), HostEnv(), engine="ast")
 
     def test_unknown_engine_rejected(self):
         source = "int main() { return 0; }"

@@ -142,3 +142,60 @@ class TestStatementRules:
         with pytest.raises(CompileError) as exc:
             check("void f() { x = 1; y = 2; }")
         assert len(exc.value.diagnostics) == 2
+
+    @pytest.mark.parametrize("source, where", [
+        ("void f() { int a[4]; a++; }", "1:22"),
+        ("void f() { int a[4], b[4]; a = b; }", "1:28"),
+        ("void f() { int a[2][2]; a -= 1; }", "1:25"),
+        ("float t[4];\nvoid f(float *p) { t = p; }", "2:20"),
+        ("__global__ void k() { int a[4], b[4]; a = b; }", "1:39"),
+        ("__global__ void k() { __shared__ float s[4]; --s; }", "1:48"),
+    ], ids=("increment", "assign", "compound-2d", "file-scope",
+            "device", "shared"))
+    def test_an_array_is_not_assignable(self, source, where):
+        assert errors_of(source) == \
+            f"error: {where}: array type is not assignable"
+
+    def test_an_array_element_and_a_pointer_are(self):
+        check("void f(int *p) { int a[4]; a[0] = 1; a[1]++; *a = 2; "
+              "p = a; p++; }")
+
+    @pytest.mark.parametrize("source, where", [
+        ("__global__ void k() { int v = __syncthreads(); }", "1:31"),
+        ("__global__ void k(int *o) { o[0] = 1 + __syncthreads(); }",
+         "1:40"),
+        ("__device__ void s() { __syncthreads(); }\n"
+         "__global__ void k(int *o) { o[0] = s(); }", "2:36"),
+        ("void g() {}\nint main() { return g(); }", "2:21"),
+    ], ids=("initialiser", "operand", "void-device-function",
+            "void-host-function"))
+    def test_a_void_call_is_no_value(self, source, where):
+        assert errors_of(source) == \
+            f"error: {where}: void value not ignored as it ought to be"
+
+    def test_a_barrier_stands_where_its_value_is_dropped(self):
+        check("__device__ void s() { __syncthreads(); }\n"
+              "__global__ void k() {\n"
+              "  for (__syncthreads(); threadIdx.x < 1; __syncthreads()) {}\n"
+              "  s(); barrier(0);\n"
+              "}")
+
+    def test_continue_in_a_switch_needs_a_loop(self):
+        check("void f(int x) { while (x) { switch (x) { case 1: continue;"
+              " default: break; } } }")
+        assert errors_of("void f(int x) { switch (x) { case 1: continue; } }"
+                         ) == "error: 1:38: continue outside of a loop"
+
+    def test_no_jump_leaves_an_openacc_loop(self):
+        source = """
+void f(float *a, int n) {
+  #pragma acc parallel loop
+  for (int i = 0; i < n; i++) {
+    if (i == 3) break;
+    for (int j = 0; j < n; j++) { if (j) continue; }
+    switch (i) { case 2: continue; }
+  }
+}"""
+        assert errors_of(source) == (
+            "error: 5:17: break out of an OpenACC loop\n"
+            "error: 7:26: continue out of an OpenACC loop")

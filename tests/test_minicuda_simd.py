@@ -20,7 +20,7 @@ from repro.gpusim import Device, GpuRuntime
 from repro.gpusim.errors import InvalidPointerError
 from repro.gpusim.grid import Dim3
 from repro.labs import ALL_LABS, EXTRA_LABS, execute_lab_source, get_lab
-from repro.minicuda import ENGINES, compile_source
+from repro.minicuda import compile_source
 from repro.minicuda.simd import (
     CompiledSimdKernel,
     compile_kernel,
@@ -35,6 +35,9 @@ from repro.telemetry import (
 )
 from repro.telemetry.metrics import MetricsRegistry, merge_registries
 from tests.test_lane_conflicts import ledger
+from tests.oracle_interpreter import ENGINES
+
+pytestmark = pytest.mark.usefixtures("oracle")
 
 EXAMPLES = Path(__file__).resolve().parent.parent / "examples" / "cuda"
 

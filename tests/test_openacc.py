@@ -8,6 +8,9 @@ from repro.minicuda import CompileError, HostEnv, compile_source
 from repro.minicuda import ast_nodes as ast
 from repro.minicuda.lexer import TokenKind, tokenize
 from repro.minicuda.parser import parse
+from tests.oracle_interpreter import ENGINES
+
+pytestmark = pytest.mark.usefixtures("oracle")
 
 
 def run(source, datasets=None):
@@ -261,7 +264,6 @@ int main() {
     @pytest.mark.parametrize("profile", (False, True),
                              ids=("plain", "profiled"))
     def test_stats_and_ledger_parity(self, profile):
-        from repro.minicuda import ENGINES
         from tests.test_lane_conflicts import ledger
         _, ref = self.launch(self.SOURCE, "ast", profile)
         ((name, ref_stats),) = ref.kernel_launches
@@ -284,7 +286,7 @@ int main() {
         ran = telemetry.metrics.histogram(KERNEL_EXEC_SECONDS)
         assert ran.series(engine="simd", kernel="acc@7") is not None
 
-    @pytest.mark.parametrize("engine", ("ast", "codegen", "simd"))
+    @pytest.mark.parametrize("engine", ENGINES)
     def test_enclosing_scalars_are_captured_by_value(self, engine):
         # firstprivate: each iteration sees scale as it stood at the
         # loop, a write to it stays in its thread, and the host's copy
@@ -322,6 +324,6 @@ int main() {
   return 0;
 }
 """
-        for engine in ("ast", "codegen", "simd"):
+        for engine in ENGINES:
             _, env = self.launch(source, engine)
             assert list(env.solution.data) == [0, 1, 4, 9, 16, 25], engine

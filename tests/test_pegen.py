@@ -10,7 +10,7 @@ import pytest
 
 from repro.gpusim import Device, GpuRuntime
 from repro.labs import ALL_LABS, EXTRA_LABS
-from repro.minicuda import ENGINES, HostEnv, ast_nodes as ast, compile_source
+from repro.minicuda import HostEnv, ast_nodes as ast, compile_source
 from repro.minicuda.compiler import EXTRA_TYPEDEFS
 from repro.minicuda.diagnostics import CompileError
 from repro.minicuda.lexer import TokenKind, tokenize
@@ -27,6 +27,9 @@ from repro.minicuda.pegen import (
 )
 from repro.minicuda.preprocessor import Preprocessor
 from tests.oracle_parser import Parser
+from tests.oracle_interpreter import ENGINES
+
+pytestmark = pytest.mark.usefixtures("oracle")
 
 PKG_DIR = Path(__file__).parent.parent / "src" / "repro" / "minicuda"
 REAL_GRAMMAR = (PKG_DIR / "minicuda.gram").read_text()

@@ -19,7 +19,7 @@ from repro.core.feedback import FeedbackEngine
 from repro.gpusim import Device, GpuRuntime
 from repro.labs import get_lab
 from repro.labs.base import LabDefinition, execute_lab_source
-from repro.minicuda import ENGINES, compile_source
+from repro.minicuda import compile_source
 from repro.profiler import (
     LINE_COUNTER_FIELDS,
     BudgetViolation,
@@ -32,6 +32,9 @@ from repro.profiler import (
 )
 from repro.telemetry import STAGES, ExemplarStore, Telemetry, TraceContext
 from repro.web.views import render_profile_view
+from tests.oracle_interpreter import ENGINES
+
+pytestmark = pytest.mark.usefixtures("oracle")
 
 VECADD = get_lab("vector-add")
 MATMUL = get_lab("tiled-matmul")

@@ -14,13 +14,17 @@ conflicts, local arrays, and switch.
 from __future__ import annotations
 
 import numpy as np
+import pytest
 
 from repro.gpusim import Device, GpuRuntime
 from repro.gpusim.grid import Dim3
 from repro.labs import get_lab
 from repro.labs.base import execute_lab_source
-from repro.minicuda import ENGINES, compile_source
+from repro.minicuda import compile_source
 from repro.profiler import LineProfile, render_annotated
+from tests.oracle_interpreter import ENGINES
+
+pytestmark = pytest.mark.usefixtures("oracle")
 
 
 def profiled_ledgers(source, kernel, grid, block, arrays, scalars):

@@ -30,7 +30,7 @@ from repro.gpusim.scheduler import (
     _BlockState,
     _ProfiledBlockState,
 )
-from repro.minicuda import ENGINES, compile_source
+from repro.minicuda import compile_source
 from repro.minicuda.simd import CompiledSimdKernel, compile_kernel
 from repro.minicuda.values import NULL
 from repro.telemetry import (
@@ -38,6 +38,9 @@ from repro.telemetry import (
     WARP_ACTIVE_LANE_RATIO,
     Telemetry,
 )
+from tests.oracle_interpreter import ENGINES
+
+pytestmark = pytest.mark.usefixtures("oracle")
 
 WARP = Device().spec.warp_size
 
