@@ -22,7 +22,7 @@ Three things keep the grading hot loop cheap:
   :class:`WarpContext` — launch geometry as lane vectors, no
   per-thread objects — so such a launch allocates O(groups), not
   O(threads), and pays one :meth:`_BlockState.finalize` per group;
-* access tracking appends to flat per-thread arrays (or group-wide
+* access tracking appends to flat per-warp arrays (or group-wide
   chunks) and :meth:`_BlockState.finalize` reduces them with
   vectorized numpy segment/bank grouping instead of dict-of-lists
   bookkeeping. Warp ids are numbered across a group, so no request
@@ -71,7 +71,7 @@ def _packed_rows(traces: list[tuple[int, list[int]]],
                  chunks: list[tuple] = (),
                  banks_from_words: bool = False,
                  width: int = 3) -> np.ndarray | None:
-    """Concatenate per-thread flat traces into an (n, ``width``) int64
+    """Concatenate per-warp flat traces into an (n, ``width``) int64
     array whose first column is the packed ``(warp << _SEQ_BITS) | seq``
     warp-request key. Returns None when no thread recorded anything.
 
@@ -82,14 +82,14 @@ def _packed_rows(traces: list[tuple[int, list[int]]],
     for a full-mask access). The row multiset is identical to
     per-thread recording, so the downstream coalescing / bank grouping
     is unaffected by who recorded the rows.
-    A line-profiled block records ``width`` 4: per-thread traces carry
+    A line-profiled block records ``width`` 4: per-warp traces carry
     the charging source line as a fourth int per access and chunks a
     sixth field, ``lines``; columns 0-2 are the same either way.
 
     With ``banks_from_words`` the chunks' col1 is ignored and the bank
     column is derived from the word column in one vectorized pass —
     shared-access recorders then skip a ``% NUM_BANKS`` per access.
-    (Per-thread traces always carry their bank already.)
+    (Per-warp traces always carry their bank already.)
     """
     rows_list = []
     for warp, flat in traces:
@@ -140,11 +140,14 @@ class _BlockState:
     """Mutable execution state of one block (or warp-tier group of
     ``blocks``), shared by its threads.
 
-    Threads append raw access records to flat per-thread lists (three
+    Threads append raw access records to flat per-warp lists (three
     ints per access); :meth:`finalize` groups them by warp request with
     vectorized numpy reductions. This replaces the historical
     ``dict[(warp, seq)] -> list[tuple]`` bookkeeping, which paid a
     hash + setdefault + tuple allocation on every single memory access.
+    The threads of one warp share its lists: a row's key is its
+    ``(warp, seq)``, and every reduction depends only on the multiset
+    of rows, not on which list or in what order they were appended.
     """
 
     #: set to ``self`` on :class:`_ProfiledBlockState`; engines test it
@@ -166,12 +169,15 @@ class _BlockState:
         self.stats.threads = blocks * block_dim.count
         warp_size = device.spec.warp_size
         self.stats.warps = blocks * -(-block_dim.count // warp_size)
-        # per-thread flat traces: (warp, [seq, a, b, seq, a, b, ...])
+        # per-warp flat traces: (warp, [seq, a, b, seq, a, b, ...])
         # loads/stores record (seq, byte_address, nbytes); shared hits
         # record (seq, bank, word).
         self.load_traces: list[tuple[int, list[int]]] = []
         self.store_traces: list[tuple[int, list[int]]] = []
         self.shared_traces: list[tuple[int, list[int]]] = []
+        # warp id -> its (loads, stores, shared) lists
+        self._warp_lists: dict[int, tuple[list[int], list[int],
+                                          list[int]]] = {}
         # block-wide access batches from the SIMD engine:
         # (count, warp, seqs, col1, col2); for loads/stores col1 is the
         # byte address and col2 the access width; for shared hits col2
@@ -183,14 +189,15 @@ class _BlockState:
         self.output: list[str] = []
 
     def register_thread(self, warp: int) -> tuple[list[int], list[int], list[int]]:
-        """Allocate one thread's (loads, stores, shared) trace lists."""
-        loads: list[int] = []
-        stores: list[int] = []
-        shared: list[int] = []
-        self.load_traces.append((warp, loads))
-        self.store_traces.append((warp, stores))
-        self.shared_traces.append((warp, shared))
-        return loads, stores, shared
+        """The (loads, stores, shared) trace lists of a thread in
+        ``warp``: its warp's, allocated by the warp's first thread."""
+        lists = self._warp_lists.get(warp)
+        if lists is None:
+            lists = self._warp_lists[warp] = ([], [], [])
+            self.load_traces.append((warp, lists[0]))
+            self.store_traces.append((warp, lists[1]))
+            self.shared_traces.append((warp, lists[2]))
+        return lists
 
     def finalize(self) -> tuple[np.ndarray | None, ...]:
         """Convert raw access records into transaction/conflict counts;
@@ -272,10 +279,19 @@ class _ProfiledBlockState(_BlockState):
         # (and the engines' stats shims): line -> count
         self.instr_lines: dict[int, int] = {}
         self.atomic_lines: dict[int, int] = {}
-        # per-thread branch traces: (warp, [bseq, line, taken, ...]);
+        # per-warp branch traces: (warp, [bseq, line, taken, ...]);
         # SIMD chunks: (count, warp, bseqs, line, taken)
         self.branch_traces: list[tuple[int, list[int]]] = []
         self.branch_chunks: list[tuple] = []
+        self._warp_branches: dict[int, list[int]] = {}
+
+    def register_branches(self, warp: int) -> list[int]:
+        """The branch trace list of a thread in ``warp``: its warp's."""
+        branches = self._warp_branches.get(warp)
+        if branches is None:
+            branches = self._warp_branches[warp] = []
+            self.branch_traces.append((warp, branches))
+        return branches
 
     def finalize(self) -> tuple[np.ndarray | None, ...]:
         loads, stores, hits = super().finalize()
@@ -505,6 +521,9 @@ class ThreadContext:
                 update: Callable[[Any], Any]) -> Any:
         index = int(index)
         stats = self._block.stats
+        if type(target) is DevicePtr:
+            # fast path, as in load(): straight to the buffer
+            target, index = target.buffer, target.offset + index
         old = target.read(index)
         target.write(index, update(old))
         stats.atomic_ops += 1
@@ -612,9 +631,7 @@ class ProfiledThreadContext(ThreadContext):
         self.bseq = 0
         self._instr_lines = block_state.instr_lines
         self._atomic_lines = block_state.atomic_lines
-        branches: list[int] = []
-        block_state.branch_traces.append((self._warp, branches))
-        self._branches = branches
+        self._branches = block_state.register_branches(self._warp)
         self.stats_proxy = _LineStatsProxy(self, self._stats,
                                            self._instr_lines)
 
@@ -698,6 +715,8 @@ class ProfiledThreadContext(ThreadContext):
                 update: Callable[[Any], Any]) -> Any:
         index = int(index)
         stats = self._block.stats
+        if type(target) is DevicePtr:
+            target, index = target.buffer, target.offset + index
         old = target.read(index)
         target.write(index, update(old))
         stats.atomic_ops += 1

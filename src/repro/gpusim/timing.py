@@ -82,10 +82,14 @@ class KernelStats:
         self.bank_conflicts += other.bank_conflicts
         self.atomic_ops += other.atomic_ops
         self.barriers += other.barriers
-        for addr, n in other.atomic_addresses.items():
-            self.atomic_addresses[addr] = self.atomic_addresses.get(addr, 0) + n
-        if self.atomic_addresses:
-            self.max_atomic_contention = max(self.atomic_addresses.values())
+        hits = other.atomic_addresses
+        if hits:
+            # counts only grow: the maximum is the old one or a new count
+            get = self.atomic_addresses.get
+            counts = [get(addr, 0) + n for addr, n in hits.items()]
+            self.atomic_addresses.update(zip(hits, counts))
+            self.max_atomic_contention = max(self.max_atomic_contention,
+                                             max(counts))
         # shared arrays are per block: contention does not accumulate
         # across blocks, so track the per-block maximum
         self.max_shared_atomic_contention = max(

@@ -639,6 +639,310 @@ _ATOMIC_UPDATES = {
                                               else old),
 }
 
+#: The same updates for many elements at once, one lane each (the rank
+#: steps below). ``value + old``: of two NaNs, the loop's ``old +
+#: value`` keeps the operand's sign. ``np.where`` keeps ``old`` wherever
+#: Python's ``max`` / ``min`` keep it: on ties, and on NaN either side.
+_ATOMIC_STEPS = {
+    "atomicAdd": lambda old, value: value + old,
+    "atomicSub": lambda old, value: value + old,
+    "atomicMax": lambda old, value: np.where(value > old, value, old),
+    "atomicMin": lambda old, value: np.where(value < old, value, old),
+    "atomicCAS": lambda old, compare, value: np.where(old == compare,
+                                                      value, old),
+}
+
+#: The ufunc whose ``accumulate`` over one element's lanes is the
+#: update chain, where that is provably exact (:func:`_scan_hot`).
+_ATOMIC_SCANS = {"atomicAdd": np.add, "atomicSub": np.add,
+                 "atomicMax": np.maximum, "atomicMin": np.minimum}
+
+
+# -- atomics by rank ----------------------------------------------------------
+#
+# One atomic statement updates an element for each of its k lanes, and
+# the lanes come in the oracle's order. A stable sort by element splits
+# them into segments, one per element, each still in that order, and
+# different elements are independent. An integer add is then one
+# segmented exclusive prefix sum. Every other update runs in rank
+# steps: step r applies the r-th lane of every segment at once, so each
+# element sees its lanes' updates in the lane loop's order. A segment
+# longer than _HOT lanes runs as one ufunc.accumulate instead, where
+# that provably equals the loop (Blelloch, "Prefix Sums and Their
+# Applications", 1990).
+
+#: Segments longer than this run as one ``accumulate`` each rather than
+#: one rank step per lane, so a statement costs at most ``_HOT`` steps
+#: plus one call per hot segment. A rank step costs about three
+#: accumulate calls; with k lanes in equal segments the two cost the
+#: same at a length of about 8 (k = 64), 12 (256) and 24 (1024).
+_HOT = 16
+
+#: Integers up to this magnitude convert to float64 exactly.
+_EXACT_INT = 2 ** 53
+_INT64_END = 2 ** 63
+
+_ONE_SEGMENT = np.zeros(1, dtype=np.intp)
+_ONE_LANE = np.ones(1, dtype=np.intp)
+
+
+def _segments(at: Any, k: int) -> tuple:
+    """An atomic's ``k`` lanes grouped by element, in lane order inside
+    each group: (the lanes sorted by element — None when all of them
+    have the one element ``at`` —, each segment's start in that order,
+    its element, its length)."""
+    if not isinstance(at, np.ndarray):
+        return None, _ONE_SEGMENT, np.array([at]), np.array([k])
+    if k == 1:
+        return None, _ONE_SEGMENT, at, _ONE_LANE
+    order = np.argsort(at, kind="stable")
+    ordered = at[order]
+    # edges[i]: where segment i starts; the last, k, where all end
+    head = np.empty(k + 1, dtype=bool)
+    head[0] = head[k] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=head[1:k])
+    edges = np.flatnonzero(head)
+    starts = edges[:-1]
+    return order, starts, ordered[starts], edges[1:] - starts
+
+
+def _fits(x: np.ndarray, lo: int, hi: int) -> bool:
+    """Every value of ``x`` converts (truncating) into the integers
+    ``[lo, hi]``; a NaN never does."""
+    return bool(lo - 1 < x.min() and x.max() < hi + 1)
+
+
+def _magnitude(x: np.ndarray) -> int:
+    return max(-int(x.min()), int(x.max()))
+
+
+def _is_float(v: Any) -> bool:
+    if isinstance(v, np.ndarray):
+        return v.dtype.kind == "f"
+    return isinstance(v, (float, np.floating))
+
+
+def _lane_vector(v: Any, k: int, floats: bool) -> np.ndarray | None:
+    """Operand ``v`` — a lane vector, or one value for every lane — as
+    a float64 (``floats``) or int64 lane vector. None where numpy could
+    compute another value than the lane loop's Python arithmetic: an
+    integer int64 cannot hold, or one past 2**53 meeting a float."""
+    if isinstance(v, np.ndarray):
+        if v.dtype.kind == "f":
+            return v.astype(_F64, copy=False)
+        if v.dtype.kind not in "biu":
+            return None
+        if floats:
+            return v.astype(_F64) if _magnitude(v) <= _EXACT_INT else None
+        return v.astype(_I64, copy=False)
+    if isinstance(v, (float, np.floating)):
+        return np.full(k, v, _F64)
+    if not isinstance(v, (int, np.integer, np.bool_)):
+        return None
+    v = int(v)
+    if floats:
+        return np.full(k, float(v)) if abs(v) <= _EXACT_INT else None
+    return np.full(k, v, _I64) if -_INT64_END <= v < _INT64_END else None
+
+
+def _lanes_of(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
+    """The sorted-order positions of the lanes of the given segments,
+    segment after segment."""
+    return (np.repeat(starts - (np.cumsum(lens) - lens), lens)
+            + np.arange(int(lens.sum())))
+
+
+def _scan_hot(scan: Any, cur: np.ndarray, old: np.ndarray,
+              starts: np.ndarray, lens: np.ndarray, segs: np.ndarray,
+              v: np.ndarray) -> bool:
+    """Run each segment of ``segs`` as one ``scan.accumulate`` over its
+    element's value and its lanes' operands, in the buffer's dtype.
+
+    Exact for an add whose operands that dtype holds exactly: a float64
+    chain is the loop's own, and a binary32 add rounded once equals the
+    loop's binary64 add rounded to binary32 (double rounding is
+    innocuous for the sum of two binary32 values). Exact for min/max
+    because rounding is monotone. Not where a NaN takes part (the
+    loop's ``old + value`` propagates the operand's NaN, accumulate the
+    running value's), nor for min/max where a zero does (the loop keeps
+    the first of equal values, so ``-0.0`` and ``0.0`` tell): then
+    nothing is written and False returned."""
+    def scannable(w):
+        return w.dtype.kind != "f" or not (
+            np.isnan(w).any() or (scan is not np.add and not w.all()))
+
+    if len(lens) == 1:  # the one segment: every lane, in lane order
+        w = np.empty(len(v) + 1, cur.dtype)
+        w[0] = cur[0]
+        w[1:] = v
+        if not scannable(w):
+            return False
+        scan.accumulate(w, out=w)
+        old[:] = w[:-1]
+        cur[0] = w[-1]
+        return True
+    n = lens[segs]
+    # segment i: w[first[i]] its element, w[first[i] + 1 + j] its lane j
+    first = np.cumsum(n + 1) - (n + 1)
+    lanes = _lanes_of(starts[segs], n)
+    slots = lanes + np.repeat(first + 1 - starts[segs], n)
+    w = np.empty(int(first[-1] + n[-1] + 1), cur.dtype)
+    w[first] = cur[segs]
+    w[slots] = v[lanes]
+    if not scannable(w):
+        return False
+    for a, b in zip(first.tolist(), (first + n + 1).tolist()):
+        scan.accumulate(w[a:b], out=w[a:b])
+    old[lanes] = w[slots - 1]
+    cur[segs] = w[first + n]
+    return True
+
+
+def _rank_steps(step: Callable, cur: np.ndarray, old: np.ndarray,
+                starts: np.ndarray, lens: np.ndarray, segs: np.ndarray,
+                ops: list, check: Callable | None) -> bool:
+    """Run the segments ``segs`` rank by rank: step r gathers the
+    element of every segment longer than r, applies ``step`` with that
+    segment's r-th lane's operands, and scatters the results back. That
+    is the lane loop with one lane per element at a time, so every
+    element sees its lanes in order. False when ``check`` rejects a
+    value about to be stored."""
+    n = lens[segs]
+    lanes = _lanes_of(starts[segs], n)
+    rank = lanes - np.repeat(starts[segs], n)
+    by_rank = np.argsort(rank, kind="stable")
+    lanes = lanes[by_rank]
+    elem = np.repeat(segs, n)[by_rank]
+    ops = [v[lanes] for v in ops]
+    olds = np.empty(len(lanes), cur.dtype)
+    a = 0
+    for b in np.cumsum(np.bincount(rank)).tolist():
+        e = elem[a:b]
+        o = cur[e]
+        olds[a:b] = o
+        new = step(o, *[v[a:b] for v in ops])
+        if check is not None and not check(new):
+            return False
+        cur[e] = new
+        a = b
+    old[lanes] = olds
+    return True
+
+
+def _vector_rmw(name: str, data: np.ndarray, seg: tuple, vals: list,
+                k: int, carrier: Any) -> tuple | None:
+    """The lane loop's read-modify-write without its per-lane Python:
+    (each lane's old value as ``carrier``, each segment's new element
+    value) for the caller to store, ``data`` left as it was. None where
+    only the loop gives its exact outcome: a bool buffer; an integer
+    the vector arithmetic cannot prove exact — a value stored outside
+    the buffer dtype's range, a partial sum past int64, an integer past
+    2**53 meeting a float, an old value the int carrier cannot hold —;
+    or an ``atomicCAS`` segment longer than ``_HOT``."""
+    order, starts, elems, lens = seg
+    dt = data.dtype
+    if dt.kind not in "iuf":
+        return None
+    ints = dt.kind != "f"
+    floats = not ints or any(_is_float(v) for v in vals)
+    ops = []
+    for v in vals:
+        v = _lane_vector(v, k, floats)
+        if v is None:
+            return None
+        ops.append(v if order is None else v[order])
+    cur = data[elems]
+    check = None
+    if ints:
+        info = np.iinfo(dt)
+        lo, hi = int(info.min), int(info.max)
+        if floats and not _fits(cur, -_EXACT_INT, _EXACT_INT):
+            return None
+        if name in ("atomicAdd", "atomicSub"):
+            def check(new):
+                return _fits(new, lo, hi)
+        elif not _fits(ops[-1], lo, hi):  # the operand stored
+            return None
+    if name == "atomicExch":
+        # each lane's old value is its predecessor's operand, stored
+        stored = ops[0].astype(dt)
+        old = np.empty(k, dt)
+        old[1:] = stored[:-1]
+        old[starts] = cur
+        cur = stored[starts + lens - 1]
+    elif check is not None and not floats:
+        # integer add: one exclusive prefix sum, exact while no partial
+        # sum leaves int64
+        v = ops[0]
+        base = cur.astype(_I64)
+        held = 2 ** 32 if dt.itemsize <= 4 else _magnitude(base)
+        if held + _magnitude(v) * k >= _INT64_END:
+            return None
+        old = base
+        if len(starts) < k:
+            excl = np.cumsum(v) - v
+            old = np.repeat(base - excl[starts], lens) + excl
+        new = old + v
+        if not check(new):
+            return None
+        cur = new[starts + lens - 1]
+    elif len(starts) == k:
+        # one lane per element: a single rank step, nothing to plan
+        old = cur
+        cur = _ATOMIC_STEPS[name](cur, *ops)
+        if check is not None and not check(cur):
+            return None
+    else:
+        old = np.empty(k, dt)
+        # a lone segment (one element for every lane) has no other
+        # segment to share its rank steps with
+        hot = lens > (_HOT if len(lens) > 1 else 1)
+        if hot.any():
+            if name == "atomicCAS":
+                return None  # no accumulate form: the loop
+            scan = _ATOMIC_SCANS[name]
+            exact = (not ints if scan is np.add else not (ints and floats))
+            if scan is np.add and exact and dt != _F64DT:
+                exact = bool((ops[0].astype(dt) == ops[0]).all())
+            if exact and _scan_hot(scan, cur, old, starts, lens,
+                                   np.flatnonzero(hot), ops[0]):
+                lens = np.where(hot, 0, lens)
+        segs = np.flatnonzero(lens)
+        if len(segs) and not _rank_steps(_ATOMIC_STEPS[name], cur, old,
+                                         starts, lens, segs, ops, check):
+            return None
+    if carrier is _I64 and not ints \
+            and not _fits(old, -_INT64_END, _INT64_END - 1):
+        return None
+    if order is None:
+        return old.astype(carrier), cur
+    out = np.empty(k, carrier)
+    out[order] = old
+    return out, cur
+
+
+def _lane_rmw(target: Any, at: Any, vals: list, k: int,
+              update: Callable, carrier: Any) -> np.ndarray:
+    """The read-modify-write lane by lane, on the operand values
+    ``ThreadContext._atomic`` would see: through a global target's own
+    checked accessors, and at each lane's own block's element of a
+    shared one."""
+    if isinstance(target, SharedArray):
+        read, write = target.data.item, target.store_lanes
+    else:
+        read, write = target.read, target.write
+    out = np.empty(k, carrier)
+    columns = [at.tolist() if isinstance(at, np.ndarray)
+               else [int(at)] * k]
+    columns += [list(v) if isinstance(v, np.ndarray) else [v] * k
+                for v in vals]
+    for j, (i, *operands) in enumerate(zip(*columns)):
+        old = read(i)
+        write(i, update(old, *operands))
+        out[j] = old
+    return out
+
+
 _PTR_ELEM = {"float": "float", "double": "float", "int": "int",
              "unsigned": "int", "unsigned int": "int", "long": "int",
              "char": "int", "unsigned char": "int", "short": "int",
@@ -1473,47 +1777,43 @@ class _Lowerer:
             if negate:
                 vals[0] = -vals[0]
             k = len(idx)
-            out = np.empty(k, carrier)
-            tracker = target.lanes
-            if tracker is not None:
-                # the tracker indexes by element: fault first
-                if isinstance(ind, np.ndarray):
-                    target._check_lanes(ind)
-                else:
-                    target._check(ind)
-            # the read-modify-write itself stays lane by lane, on the
-            # operand values ThreadContext._atomic would see: through a
-            # global target's own checked accessors, and at each lane's
-            # own block's element of a shared one (whose per-block
-            # addresses keep the contention per block); what it charges
-            # and records is accounted for the group as a whole below
+            if not k:
+                return np.empty(0, carrier)
+            # the element checks fault first, as the scalar accessors do
+            if isinstance(ind, np.ndarray):
+                target._check_lanes(ind)
+            else:
+                target._check(ind)
+            # each lane's own block's element of a shared target, whose
+            # per-block addresses keep the contention per block
             stats = st.block.stats
             shared = isinstance(target, SharedArray)
             if shared:
                 at = st.shared_at(target, idx, ind)
-                read, write = target.data.item, target.store_lanes
                 hits, base, nb = (stats.shared_atomic_addresses,
                                   id(target) << 20, 1)
             else:
                 at = ind
-                read, write = target.read, target.write
                 hits, base, nb = (stats.atomic_addresses, target._base,
                                   target._itemsize)
-            if tracker is not None:
-                tracker.store(at, st.lane_keys(idx))
-            columns = [at.tolist() if isinstance(at, np.ndarray)
-                       else [int(at)] * k]
-            columns += [list(v) if isinstance(v, np.ndarray) else [v] * k
-                        for v in vals]
-            worst = 0
-            for j, (i, *operands) in enumerate(zip(*columns)):
-                old = read(i)
-                write(i, update(old, *operands))
-                out[j] = old
-                addr = base + i * nb
-                hit = hits[addr] = hits.get(addr, 0) + 1
-                if hit > worst:
-                    worst = hit
+            if target.lanes is not None:
+                target.lanes.store(at, st.lane_keys(idx))
+            # the read-modify-write by rank, segment by element
+            seg = _segments(at, k)
+            done = _vector_rmw(name, target.data, seg, vals, k, carrier)
+            if done is None:
+                out = _lane_rmw(target, at, vals, k, update, carrier)
+            else:
+                out, new = done
+                if shared:
+                    target.store_lanes(seg[2], new)
+                else:
+                    target.scatter(seg[2], new)
+            # one contention bump per distinct address
+            keys = [base + e * nb for e in seg[2].tolist()]
+            get = hits.get
+            counts = [get(a, 0) + n for a, n in zip(keys, seg[3].tolist())]
+            hits.update(zip(keys, counts))
             st.stats.instructions += k
             stats.atomic_ops += k
             if st.prof is not None:
@@ -1521,6 +1821,7 @@ class _Lowerer:
                 al[st.line] = al.get(st.line, 0) + k
             if shared:
                 # shared atomics serialise only within the block's SM
+                worst = max(counts)
                 if worst > stats.max_shared_atomic_contention:
                     stats.max_shared_atomic_contention = worst
             else:

@@ -143,7 +143,7 @@ from repro.minicuda.values import f32 as _f32_shared
 #: Bump when generated-source semantics change; part of the memo key so
 #: stale artifacts and unsupported verdicts are never recalled across
 #: compiler upgrades (see ``codegen.memo_key``).
-SRCGEN_VERSION = 5
+SRCGEN_VERSION = 6
 
 #: Estimated resident bytes of one compiled kernel — namespace and
 #: function objects, plus code-object bytes per character of generated
@@ -254,6 +254,16 @@ def _md_oob(i: int, d0: int, j: int, d1: int) -> None:
         f"index {j} out of range [0, {d1}) in array access")
 
 
+def _atomic_at(base: Any, index: Any, pos: Any) -> tuple[Any, int | None]:
+    """``&base[index]`` as an atomic's (target, index): a device
+    pointer's own (pointer, element), building no ``DevicePtr`` for the
+    address; any other base's ``_addr_of`` reference and None, for
+    ``_resolve_atomic`` once the operands have run."""
+    if type(base) is DevicePtr:
+        return base, int(index)
+    return _addr_of(base, index, pos), None
+
+
 def _resolve_atomic(ref: Any, pos: Any) -> tuple[Any, int]:
     if isinstance(ref, (DevicePtr, HostPtr)):
         target, index = ref, 0
@@ -292,6 +302,7 @@ _BASE_NS: dict[str, Any] = {
     "_md_oob": _md_oob,
     "_cast_ptr": _cast_ptr,
     "_addr_of": _addr_of,
+    "_atomic_at": _atomic_at,
     "_resolve_atomic": _resolve_atomic,
     "DevicePtr": DevicePtr,
     "HostPtr": HostPtr,
@@ -1133,14 +1144,23 @@ class _FnEmitter:
             return (f"_err('unknown atomic {name!r}', {self.pos(e.pos)})",
                     None)
         target_expr = e.args[0]
-        if isinstance(target_expr, ast.Unary) and target_expr.op == "&":
-            rcode, _ = self._addressof(target_expr.operand)
-        else:
-            rcode, _ = self.expr(target_expr)
-        ref = self.atom(rcode, force=True)
-        vals = [self.atom(self.expr(a)[0]) for a in e.args[1:]]
         rt, ri = self.tmp(), self.tmp()
-        self.line(f"{rt}, {ri} = _resolve_atomic({ref}, {self.pos(e.pos)})")
+        resolve = f"{rt}, {ri} = _resolve_atomic({rt}, {self.pos(e.pos)})"
+        if isinstance(target_expr, ast.Unary) and target_expr.op == "&" \
+                and isinstance(target_expr.operand, ast.Index):
+            # &base[i]: a device pointer base needs no address built
+            operand = target_expr.operand
+            base = self.atom(self.expr(operand.base)[0])
+            icode, _ = self.expr(operand.index)
+            self.line(f"{rt}, {ri} = _atomic_at({base}, {icode}, "
+                      f"{self.pos(operand.pos)})")
+            resolve = f"if {ri} is None: {resolve}"
+        elif isinstance(target_expr, ast.Unary) and target_expr.op == "&":
+            self.line(f"{rt} = {self._addressof(target_expr.operand)[0]}")
+        else:
+            self.line(f"{rt} = {self.expr(target_expr)[0]}")
+        vals = [self.atom(self.expr(a)[0]) for a in e.args[1:]]
+        self.line(resolve)
         t = self.tmp()
         if name == "atomicSub":
             self.line(f"{t} = C.atomic_add({rt}, {ri}, -{vals[0]})")

@@ -1,5 +1,7 @@
 """SIMT execution: lockstep barriers, divergence, profiling counters."""
 
+import functools
+
 import numpy as np
 import pytest
 
@@ -217,6 +219,71 @@ class TestProfilingCounters:
         assert stats.atomic_ops == 32
         assert stats.global_load_requests == 0
         assert stats.bytes_read == 0
+
+
+def _scattered(ctx, src, dst, counts):
+    """Several accesses per thread, a divergent store shifting the
+    later accesses' sequence numbers, and a contended atomic."""
+    x = ctx.global_x
+    s = ctx.shared("s", 256, "float")
+    v = ctx.load(src.ptr(), x) + ctx.load(src.ptr(), (x * 3) % 256)
+    ctx.shared_store(s, (x * 2) % 256, v)
+    w = ctx.shared_load(s, (x * 33) % 256)
+    if x % 3:
+        ctx.store(dst.ptr(), x, v + w)
+    ctx.store(dst.ptr(), 192 + (x * 5) % 64, w)
+    ctx.atomic_add(counts.ptr(), x % 4, 1)
+
+
+def _tiled(ctx, src, dst):
+    """A multi-warp generator kernel: the barriers interleave the
+    threads' trace appends."""
+    t = ctx.threadIdx.x
+    s = ctx.shared("tile", 96, "float")
+    ctx.shared_store(s, t, ctx.load(src.ptr(), ctx.global_x))
+    yield SYNC
+    ctx.store(dst.ptr(), ctx.global_x, ctx.shared_load(s, (t * 4) % 96))
+    yield SYNC
+    if t % 2 == 0:
+        ctx.store(dst.ptr(), 192 + t // 2, ctx.shared_load(s, 95 - t))
+
+
+class TestPinnedCounters:
+    """Absolute counters of two per-thread launches (two blocks of
+    three warps), recorded when every thread kept its own trace lists.
+    The engine parity suites cannot catch a change in how the scheduler
+    groups trace rows: every engine and the oracle share it."""
+
+    COUNTERS = {
+        _scattered: dict(
+            global_load_requests=24, global_load_transactions=36,
+            global_store_requests=24, global_store_transactions=42,
+            bytes_read=2304, bytes_written=2048, shared_accesses=384,
+            bank_conflicts=6, atomic_ops=192, max_atomic_contention=48,
+            instructions=1280),
+        _tiled: dict(
+            global_load_requests=6, global_load_transactions=6,
+            global_store_requests=12, global_store_transactions=12,
+            bytes_read=768, bytes_written=1152, shared_accesses=480,
+            bank_conflicts=12, atomic_ops=0, max_atomic_contention=0,
+            instructions=960, barriers=4),
+    }
+
+    @pytest.mark.parametrize("profiled", (False, True),
+                             ids=("plain", "profiled"))
+    @pytest.mark.parametrize("kernel", (_scattered, _tiled),
+                             ids=("scattered", "barriers"))
+    def test_counters(self, rt, kernel, profiled):
+        src = rt.malloc_like(np.arange(256, dtype=np.float32))
+        dst = rt.malloc(256, "float")
+        counts = rt.malloc(4, "int")
+        args = (src, dst, counts) if kernel is _scattered else (src, dst)
+        launched = functools.partial(kernel)  # carries its own flag
+        launched.profiled = profiled
+        stats = rt.launch(launched, (2,), (96,), *args)
+        assert {f: getattr(stats, f) for f in self.COUNTERS[kernel]} \
+            == self.COUNTERS[kernel]
+        assert (stats.line_profile is not None) == profiled
 
 
 class TestHostApi:

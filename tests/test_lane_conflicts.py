@@ -332,6 +332,13 @@ ATOMICS = {
     "cas-result-used": "out[g] = atomicCAS(&{a}[t % 4], 1000, t);",
     "bare-pointer": "atomicAdd({a}, 3); atomicAdd(c + 2, t);",
     "masked": "if (t % 3 == 0) out[g] = atomicAdd(&{a}[t % 4], t);",
+    # a float sum whose value depends on the order of its terms
+    "float-sum-order": "atomicAdd(&{a}[t % 4], 0.1f * t);",
+    # a double operand no binary32 value equals
+    "double-operand": "atomicAdd(&{a}[t % 4], t * 0.1);",
+    # every lane on one element, each lane's slot used: one hot segment
+    "one-address-add-result-used": "out[g] = atomicAdd(&{a}[0], t + 1);",
+    "one-address-exch": "out[g] = atomicExch(&{a}[0], t);",
 }
 
 ATOMIC_BLOCKS = {"96": 96, "48": 48, "8x6": Dim3(8, 6)}
@@ -437,6 +444,58 @@ class TestAtomicParity:
                 r"\balloc\d+\b", "alloc", str(excinfo.value)))
         assert faults["ast"][0] == "OutOfBoundsError"
         assert faults["simd"] == faults["codegen"] == faults["ast"]
+
+
+INT_MAX = 2 ** 31 - 1
+
+BOUNDARY = """
+__global__ void k(int *c, int *out, int n) {
+  int t = threadIdx.x;
+  out[t] = atomicAdd(&c[0], OPERAND);
+}"""
+
+
+class TestAtomicIntBoundary:
+    """An int atomicAdd whose running value leaves int32. The warp tier
+    adds by rank in int64, so it must see the overflow coming and run
+    the lane loop, which raises numpy's error for the first value out
+    of range — with a uniform operand (a Python int) and with a
+    lane-varying one (an int64 lane, which numpy 2 no longer wraps) —
+    and the launch replays on the scalar tier, whose error it reports.
+    ROADMAP item 2 (C integer semantics) will make both wrap; these
+    pins then change with it."""
+
+    def launch(self, operand, start, engine, exit_code, telemetry=None):
+        program = program_of(BOUNDARY.replace("OPERAND", operand),
+                             exit_code)
+        rt = GpuRuntime(Device(), telemetry=telemetry)
+        c, out = rt.malloc(1, "int"), rt.malloc(16, "int")
+        rt.memcpy_htod(c, np.array([start], dtype=np.int32))
+        program.launch(rt, "k", 1, 16, c.ptr(), out.ptr(), 1,
+                       engine=engine)
+        return rt.memcpy_dtoh(c).tolist(), rt.memcpy_dtoh(out).tolist()
+
+    @pytest.mark.parametrize("operand, first_out_of_range, exit_code", (
+        ("1", INT_MAX + 1, 31),        # lane 10 adds the eleventh 1
+        ("t", INT_MAX - 10 + 15, 32),  # lanes 0..5 add 0 + 1 + ... + 5
+    ), ids=("uniform", "lane-varying"))
+    def test_overflow_faults_as_on_codegen(self, operand,
+                                           first_out_of_range, exit_code):
+        text = f"Python integer {first_out_of_range} out of bounds for int32"
+        telemetry = Telemetry()
+        for engine in ("codegen", "simd"):
+            with pytest.raises(OverflowError, match=f"^{text}$"):
+                self.launch(operand, INT_MAX - 10, engine, exit_code,
+                            telemetry)
+        # the warp tier's own launch raised, and replayed scalar
+        assert replays(telemetry) == 1
+
+    def test_in_range_sums_are_exact(self):
+        telemetry = Telemetry()
+        c, out = self.launch("t", INT_MAX - 200, "simd", 33, telemetry)
+        assert c == [INT_MAX - 80]
+        assert out == [INT_MAX - 200 + t * (t - 1) // 2 for t in range(16)]
+        assert replays(telemetry) == 0
 
 
 #: (threads, lane A): lane A faults at the earlier statement, thread 5
