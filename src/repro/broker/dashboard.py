@@ -230,6 +230,7 @@ class Dashboard:
             results = cache["stats"].get("results", {})
             compiles = cache["stats"].get("compile", {})
             kernels = cache["stats"].get("kernels", {})
+            datasets = cache["stats"].get("datasets", {})
             lines.append(
                 f"  caches: grading {results.get('hit_rate', 0.0):.0%} hit "
                 f"({int(results.get('entries', 0))} entries, "
@@ -238,5 +239,6 @@ class Dashboard:
                 f"kernels {kernels.get('hit_rate', 0.0):.0%} hit "
                 f"({int(kernels.get('bytes_live', 0))} B live, "
                 f"{int(kernels.get('evictions', 0))} evicted), "
+                f"datasets {datasets.get('hit_rate', 0.0):.0%} hit, "
                 f"{results.get('seconds_saved', 0.0):.1f}s saved")
         return "\n".join(lines)

@@ -22,9 +22,12 @@ compile/kernel cache in a training or inference stack:
   as snapshots on the dashboard.
 
 Consumers: :class:`repro.minicuda.compiler.CompileCache` (front-end
-results keyed by preprocessed-source hash),
-:data:`repro.minicuda.codegen.KERNEL_CACHE` (compiled kernels keyed by
-engine, fingerprint and kernel name) and
+results keyed by preprocessed-source hash, reached without
+preprocessing by a byte-identical resubmission),
+:data:`repro.minicuda.codegen.KERNEL_CACHE` (compiled kernels and host
+functions keyed by engine, definition and function name),
+:data:`repro.labs.base.DATASETS` (generated datasets keyed by
+generator, seed and size) and
 :class:`repro.cluster.result_cache.GradingResultCache` (grading job
 results keyed by ``(program_hash, dataset_hash, requirements)``).
 """

@@ -65,8 +65,16 @@ class Flight:
             self.callbacks.append(callback)
 
 
+def _held(flight: Flight) -> Any:
+    """What a finished flight holds: its value, or its memoized error."""
+    return flight.error if flight.failed else flight.value
+
+
 class MemoTable:
-    """Memoized results + single-flight dedup + pluggable eviction."""
+    """Memoized results + single-flight dedup + pluggable eviction.
+
+    ``on_evict(key, held)`` is called for every entry that leaves the
+    table, a memoized error too (``held`` is then the exception)."""
 
     def __init__(self, policy: EvictionPolicy | None = None,
                  stats: CacheStats | None = None,
@@ -202,8 +210,8 @@ class MemoTable:
         if flight is None:
             return False
         self.policy.forget(key)
-        if self._on_evict is not None and not flight.failed:
-            self._on_evict(key, flight.value)
+        if self._on_evict is not None:
+            self._on_evict(key, _held(flight))
         return True
 
     def grow(self, key: str, nbytes: int) -> None:
@@ -222,11 +230,9 @@ class MemoTable:
         for key in self.policy.select_victims(self._now()):
             flight = self._done.pop(key, None)
             if flight is not None:
-                size = self._weigh(flight.error if flight.failed
-                                   else flight.value)
-                self.stats.record_eviction(size)
-                if self._on_evict is not None and not flight.failed:
-                    self._on_evict(key, flight.value)
+                self.stats.record_eviction(self._weigh(_held(flight)))
+                if self._on_evict is not None:
+                    self._on_evict(key, _held(flight))
 
     def __len__(self) -> int:
         return len(self._done)

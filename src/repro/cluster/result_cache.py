@@ -44,6 +44,8 @@ from repro.cache import (
 )
 from repro.cache.keys import compose_key, hash_text
 from repro.cluster.job import DatasetOutcome, Job, JobKind, JobResult, JobStatus
+from repro.labs import LabDefinition
+from repro.labs.base import DATASETS
 from repro.labs.config import lab_fingerprint
 from repro.minicuda.codegen import KERNEL_CACHE
 from repro.minicuda.compiler import CompileCache
@@ -135,7 +137,10 @@ class GradingResultCache:
             weigh=self._weigh_address, on_evict=self._release_address,
             cache_name="grading_results")
         self.base_seed = base_seed
-        self._fingerprints: dict[str, str] = {}  # lab slug -> cached fp
+        #: lab definition -> its cached fingerprint. Keyed by the whole
+        #: definition, not the slug: variants of one lab (other sizes,
+        #: other limits) must never share a grade.
+        self._fingerprints: dict[LabDefinition, str] = {}
 
     def _weigh_address(self, address: Any) -> int:
         if isinstance(address, str) and self.cas.contains(address):
@@ -150,10 +155,10 @@ class GradingResultCache:
 
     def key_for(self, job: Job) -> str:
         """(program_hash, dataset_hash, requirements, kind, index)."""
-        fp = self._fingerprints.get(job.lab.slug)
+        fp = self._fingerprints.get(job.lab)
         if fp is None:
             fp = lab_fingerprint(job.lab, self.base_seed)
-            self._fingerprints[job.lab.slug] = fp
+            self._fingerprints[job.lab] = fp
         if job.kind is JobKind.RUN_DATASET and job.lab.dataset_sizes:
             index = min(job.dataset_index, len(job.lab.dataset_sizes) - 1)
         else:
@@ -162,10 +167,11 @@ class GradingResultCache:
                            job.requirements, job.kind.value, index)
 
     def invalidate_lab(self, slug: str) -> None:
-        """Instructor changed a lab: forget its memoized fingerprint so
+        """Instructor changed a lab: forget its memoized fingerprints so
         new keys derive from the updated config (old entries can never
         be hit again and age out via the eviction policy)."""
-        self._fingerprints.pop(slug, None)
+        for lab in [lab for lab in self._fingerprints if lab.slug == slug]:
+            del self._fingerprints[lab]
 
     # -- lookup / store ----------------------------------------------------
 
@@ -246,9 +252,10 @@ class PlatformCaches:
       ``(program_hash, dataset_hash, requirements)``;
     * ``grades`` — rubric computations memoized by the Grader.
 
-    The snapshot also reports ``kernels``, the process-wide
-    :data:`repro.minicuda.codegen.KERNEL_CACHE` (read-only here: every
-    worker in the process shares it whether or not it has caches).
+    The snapshot also reports ``kernels`` and ``datasets``, the
+    process-wide :data:`repro.minicuda.codegen.KERNEL_CACHE` and
+    :data:`repro.labs.base.DATASETS` (read-only here: every worker in
+    the process shares them whether or not it has caches).
     """
 
     def __init__(self, clock: Any = None, bucket: Bucket | None = None,
@@ -274,4 +281,5 @@ class PlatformCaches:
             "results": self.results.snapshot(),
             "grades": self.grades.stats.snapshot(),
             "kernels": KERNEL_CACHE.stats.snapshot(),
+            "datasets": DATASETS.stats.snapshot(),
         }

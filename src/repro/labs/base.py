@@ -6,6 +6,7 @@ import enum
 from dataclasses import dataclass, field
 from typing import Any
 
+from repro.cache import MemoTable, SizeCappedPolicy
 from repro.gpusim import Device, DeviceSpec, GpuRuntime, KEPLER_K20
 from repro.minicuda import (CompileError, CompiledProgram, HostEnv,
                             compile_source)
@@ -65,14 +66,39 @@ class LabDefinition:
     line_budgets: tuple[LineBudget, ...] = ()
 
     def datasets(self, base_seed: int = 1234) -> list[GeneratedData]:
-        """Generate this lab's graded datasets deterministically."""
-        gen = generators[self.generator]
-        return [gen(base_seed + i, size)
-                for i, size in enumerate(self.dataset_sizes)]
+        """This lab's graded datasets, in order (:meth:`dataset`)."""
+        return [self.dataset(i, base_seed)
+                for i in range(len(self.dataset_sizes))]
 
     def dataset(self, index: int, base_seed: int = 1234) -> GeneratedData:
-        gen = generators[self.generator]
-        return gen(base_seed + index, self.dataset_sizes[index])
+        """Graded dataset ``index``, generated deterministically once
+        per process and then served from :data:`DATASETS`. Its arrays
+        are read-only: every consumer copies what it writes to."""
+        seed, size = base_seed + index, self.dataset_sizes[index]
+        return DATASETS.get_or_compute(
+            f"{self.generator}:{seed}:{size}",
+            lambda: _frozen(generators[self.generator](seed, size)))[0]
+
+
+#: Generated datasets by (generator, seed, size) — never by lab, so
+#: labs and lab variants that grade the same data share it. A worker
+#: builds each dataset once, as it would fetch it once from the
+#: instructor's store. The cap is four times the largest working set
+#: measured: every dataset of the catalog is 0.10 MiB of arrays, the
+#: 48 of the ``kernel_scale`` benchmark 0.47 MiB.
+DATASETS = MemoTable(
+    policy=SizeCappedPolicy(2 * 1024 * 1024),
+    weigh=lambda data: (data.expected.nbytes
+                        + sum(a.nbytes for a in data.inputs.values())),
+    cache_name="datasets")
+
+
+def _frozen(data: GeneratedData) -> GeneratedData:
+    """``data`` with every array read-only: a consumer that writes to
+    a memoized dataset raises instead of corrupting later grades."""
+    for array in (*data.inputs.values(), data.expected):
+        array.flags.writeable = False
+    return data
 
 
 @dataclass

@@ -28,11 +28,10 @@ course (Table II):
 * :mod:`repro.minicuda.srcgen` — the one executor of host code and
   the ``codegen`` engine, the scalar tier ``simd`` falls back to and
   replays on: lowers each checked function to generated Python source,
-  kernels compiled once per program fingerprint and run thread by
-  thread against :class:`repro.gpusim.ThreadContext` (so
+  kernels and host functions compiled once per definition, kernels run
+  thread by thread against :class:`repro.gpusim.ThreadContext` (so
   ``__syncthreads()`` maps onto the scheduler's lockstep barrier and
-  every memory access is profiled), host functions once per
-  definition;
+  every memory access is profiled);
 * :mod:`repro.minicuda.codegen` — no engine of its own: the kernel
   memo table both compiled engines share under versioned keys, plus
   their common coercion helpers. The tree-walker every engine is held

@@ -6,7 +6,8 @@ kernel compilers — :mod:`repro.minicuda.srcgen` (``codegen``) and
 
 * :data:`KERNEL_CACHE` / :func:`memo_key` — the cross-program,
   single-flight kernel memo, keyed by engine tag, engine version,
-  program fingerprint and function name. It is the *only* owner of a
+  definition key (``srcgen.definition_keys``) and function name. It
+  is the *only* owner of a
   compiled kernel, a compiled host function or a decline verdict:
   nothing hangs off the ``ProgramInfo`` (which a ``CompileCache`` may
   pin for much longer), so an eviction frees the artifact, its byte
@@ -115,9 +116,13 @@ def _flatten_init_exprs(expr: ast.Expr) -> list[ast.Expr]:
 
 # -- cross-program kernel memo ---------------------------------------------
 
-#: Cross-program memo table: (engine, engine version, program
-#: fingerprint, function name) → compiled kernel or host function (or
-#: a :class:`Declined` verdict). Shared by every compiled engine
+#: Cross-program memo table: (engine, engine version, definition key,
+#: function name) → compiled kernel or host function (or a
+#: :class:`Declined` verdict). The definition key
+#: (``srcgen.definition_keys``) hashes the function's source and
+#: position, the functions it calls and the file-scope declarations,
+#: so programs that differ elsewhere share the entry — and a demotion
+#: on it. Shared by every compiled engine
 #: under distinct :func:`memo_key` prefixes, one entry per function.
 #: Bounded by estimated bytes, not entries — each artifact reports its
 #: own ``nbytes`` (``srcgen.compile_kernel``, ``simd.compile_kernel``)
@@ -134,13 +139,14 @@ KERNEL_CACHE = MemoTable(
     cache_name="kernels")
 
 
-def memo_key(engine: str, version: int, fingerprint: str,
+def memo_key(engine: str, version: int, definition: str,
              name: str) -> str:
-    """Cross-program kernel memo key, namespaced by engine + engine
-    version (``srcgen.SRCGEN_VERSION``, ``simd.SIMD_VERSION``) so a
-    table that outlives an engine upgrade (long-running worker,
-    persisted CAS) never replays a stale artifact or — worse — a stale
-    ``None`` verdict from the previous compiler (regression: the key
-    used to be ``kernelcode:{fingerprint}:{name}``, which pinned
-    pre-upgrade unsupported verdicts forever)."""
-    return f"kernelcode:{engine}:v{version}:{fingerprint}:{name}"
+    """Cross-program kernel memo key of function ``name`` under its
+    ``definition`` key, namespaced by engine + engine version
+    (``srcgen.SRCGEN_VERSION``, ``simd.SIMD_VERSION``) so a table that
+    outlives an engine upgrade (long-running worker, persisted CAS)
+    never replays a stale artifact or — worse — a stale ``None``
+    verdict from the previous compiler (regression: the key used to be
+    ``kernelcode:{fingerprint}:{name}``, which pinned pre-upgrade
+    unsupported verdicts forever)."""
+    return f"kernelcode:{engine}:v{version}:{definition}:{name}"

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from typing import Any, Mapping
 
 from repro.cache import CacheStats, EvictionPolicy, LRUPolicy, MemoTable
-from repro.cache.keys import hash_text
+from repro.cache.keys import compose_key, hash_mapping, hash_text
 from repro.gpusim.host import GpuRuntime
 from repro.minicuda.diagnostics import CompileError
 from repro.minicuda.hostapi import ExitProgram, HostEnv
@@ -152,16 +152,25 @@ def _front_end(source: str, preprocessed: str, fingerprint: str,
 class CompileCache:
     """Memoizes front-end results by preprocessed-source hash.
 
-    The preprocessor always runs (it is cheap and its output *is* the
-    cache key — ``#include``/``#define`` changes produce new keys), but
-    a hit skips lexing, parsing, and semantic analysis entirely and the
+    The preprocessed text *is* the cache key — ``#include``/``#define``
+    changes produce new keys, whitespace variants meet on one — and a
+    hit skips lexing, parsing, and semantic analysis entirely and the
     resulting :class:`CompiledProgram` charges zero synthetic nvcc
     cost. Compile *errors* are memoized too: a storm of resubmissions
-    of the same broken file diagnoses once.
+    of the same broken file diagnoses once. The preprocessor runs only
+    for an input not seen before: each key remembers the exact
+    (source, headers, defines) digests that preprocessed to it, the
+    last :data:`ALIASES_PER_PROGRAM` of them, until the entry is
+    evicted, so a byte-identical resubmission goes straight to its
+    entry and is counted as the same hit.
 
     The table is single-flight (:class:`repro.cache.MemoTable`), so
     N workers compiling the same source pay for one compile.
     """
+
+    #: Exact inputs remembered per memoized program: a popular program
+    #: resubmitted in endless whitespace variants pins no more than this.
+    ALIASES_PER_PROGRAM = 8
 
     def __init__(self, max_entries: int = 512,
                  policy: EvictionPolicy | None = None,
@@ -173,27 +182,55 @@ class CompileCache:
             stats=self.stats, clock=clock, memoize_errors=True,
             weigh=lambda value: (len(value.preprocessed)
                                  if isinstance(value, CompiledProgram)
-                                 else len(str(value))))
+                                 else len(str(value))),
+            on_evict=self._drop_aliases)
+        #: digest of (source, headers, defines) -> memo key it reached
+        self._aliases: dict[str, str] = {}
+        #: memo key -> the digests that reach it, oldest first
+        self._aliases_of: dict[str, list[str]] = {}
 
     @property
     def compile_count(self) -> int:
         """How many times the front end actually ran."""
         return self.memo.compute_count
 
+    def _drop_aliases(self, key: str, _value: Any) -> None:
+        for exact in self._aliases_of.pop(key, ()):
+            del self._aliases[exact]
+
+    def _alias(self, exact: str, key: str) -> None:
+        self._aliases[exact] = key
+        known = self._aliases_of.setdefault(key, [])
+        known.append(exact)
+        if len(known) > self.ALIASES_PER_PROGRAM:
+            del self._aliases[known.pop(0)]
+
     def compile(self, source: str,
                 headers: Mapping[str, str] | None = None,
                 defines: Mapping[str, str] | None = None,
                 telemetry: Any = None) -> CompiledProgram:
-        preprocessed = preprocess(source, headers=headers, predefined=defines)
-        key = hash_text(preprocessed)
-        program, hit = self.memo.get_or_compute(
-            key, lambda: _front_end(source, preprocessed, key, telemetry))
-        if not hit:
-            return program
+        exact = compose_key(source, hash_mapping(headers or {}),
+                            hash_mapping(defines or {}))
+        key = self._aliases.get(exact)
+        if key is not None and self.memo.peek(key) is not None:
+            # a hit, counted as any other, with no preprocessing
+            program = self.memo.begin(key)[1].result()
+        else:
+            preprocessed = preprocess(source, headers=headers,
+                                      predefined=defines)
+            if key is None:
+                key = hash_text(preprocessed)
+                # before the lookup: a miss may evict as it stores
+                self._alias(exact, key)
+            program, hit = self.memo.get_or_compute(
+                key, lambda: _front_end(source, preprocessed, key, telemetry))
+            if not hit:
+                return program
         # fresh wrapper: callers may submit whitespace-variant sources
         # that preprocess identically, and the hit must charge zero
         self.stats.seconds_saved += program.full_compile_seconds
-        return CompiledProgram(source=source, preprocessed=preprocessed,
+        return CompiledProgram(source=source,
+                               preprocessed=program.preprocessed,
                                info=program.info, cache_hit=True)
 
     def snapshot(self) -> dict[str, float]:

@@ -357,13 +357,13 @@ class Interpreter:
 
         Under the default ``simd`` engine an eligible kernel is lowered
         to block-wide numpy array programs with masked lane predication
-        (memoized per program+kernel) and the callable carries the block
+        (memoized per definition) and the callable carries the block
         executor plus the launch's ``speculation`` undo log — launch it
         through :meth:`launch_kernel`, which replays on the scalar tier
         when lane order would have shown or a lane faulted. Ineligible
         or demoted kernels fall to ``codegen``: real Python source per
-        kernel (flat locals, ``compile()``-d once per program
-        fingerprint), run thread by thread; barrier-free kernels come
+        kernel (flat locals, ``compile()``-d once per definition), run
+        thread by thread; barrier-free kernels come
         back as plain functions so the scheduler skips generator
         machinery entirely.
         """

@@ -63,22 +63,26 @@ class ProgramInfo:
     #: over device-function calls. Execution engines use this to decide
     #: whether a kernel needs lockstep generator scheduling.
     barrier_functions: set[str] = field(default_factory=set)
-    #: The defined host functions each host function calls, noted as
-    #: the checks below pass each call: a host function is compiled
-    #: together with them, so its memo key covers their source too.
-    host_calls: dict[str, set[str]] = field(default_factory=dict)
-    #: Host function name -> its memo key (``srcgen.host_keys``),
-    #: computed on first use, once per program.
-    host_keys: dict[str, str] = field(default_factory=dict)
+    #: The user functions each function calls — host functions from
+    #: host code, device functions from device code — noted as the
+    #: checks below pass each call: a function is compiled together
+    #: with them, so its memo key covers their source too.
+    calls: dict[str, set[str]] = field(default_factory=dict)
+    #: Kernel or host function name -> its memo key
+    #: (``srcgen.definition_keys``), computed on first use, once per
+    #: program.
+    definition_keys: dict[str, str] = field(default_factory=dict)
     #: OpenACC loops outlined into kernels (``acc@<line>``), filled as
     #: each loop first executes — never by the front end, so a compile
     #: pays nothing for them and ``kernels`` lists only what the
     #: student wrote.
     acc_kernels: dict[str, ast.FuncDef] = field(default_factory=dict)
-    #: The kernel memo's key for this program, never empty: the
-    #: compiler facade sets the sha256 of the preprocessed source (so
-    #: a resubmission finds its kernels); a unit analysed directly
-    #: keeps a process-unique ``anon-<n>`` no other program can alias.
+    #: This program's key in the ``CompileCache`` and the line-profile
+    #: CAS, never empty: the compiler facade sets the sha256 of the
+    #: preprocessed source; a unit analysed directly keeps a
+    #: process-unique ``anon-<n>`` no other program can alias. The
+    #: kernel memo keys per definition instead, and on this only for a
+    #: unit built without source text (``srcgen.definition_keys``).
     fingerprint: str = field(
         default_factory=lambda: f"anon-{next(_anonymous)}")
 
@@ -456,8 +460,7 @@ class Analyzer:
                                                  bi.MATH_BUILTINS.get(name))
             known = name in bi.HOST_BUILTINS or name in bi.MATH_BUILTINS
         if user_fn is not None:
-            if not device and not user_fn.prototype:
-                self.info.host_calls.setdefault(fn.name, set()).add(name)
+            self.info.calls.setdefault(fn.name, set()).add(name)
             if len(call.args) != len(user_fn.params):
                 self.error(
                     f"function {name!r} expects {len(user_fn.params)} "

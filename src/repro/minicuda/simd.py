@@ -104,6 +104,7 @@ from repro.minicuda.srcgen import (
     _resolve_atomic,
     _TOO_DEEP,
     decline_reason as _scalar_decline_reason,
+    kernel_key,
 )
 from repro.minicuda.values import (
     NULL,
@@ -2885,7 +2886,7 @@ def _lower(info: ProgramInfo, name: str):
 
 
 def _memo_key(info: ProgramInfo, name: str) -> str:
-    return memo_key("simd", SIMD_VERSION, info.fingerprint, name)
+    return memo_key("simd", SIMD_VERSION, kernel_key(info, name), name)
 
 
 def _verdict(info: ProgramInfo, name: str):

@@ -63,23 +63,27 @@ host/device-pointer fault is the tree-walker's own; builtins go to
 ``Interpreter.launch_acc`` with the kernel outlined for it; steps are
 charged per function entry and loop iteration, as in kernels. A host
 function is compiled into one module with every host function it
-calls, and keyed per definition (:func:`host_keys`): an attempt that
-edits only a kernel reuses its ``main``.
+calls, and keyed per definition (:func:`definition_keys`): an attempt
+that edits only a kernel reuses its ``main``.
 
 Error-path divergence is deliberate and documented: a kernel that
 faults mid-statement may have batched instruction charges not yet
 flushed. Successful runs are bit-identical.
 
-Compiled kernels are memoized per program fingerprint, host functions
-per definition, in the shared :data:`repro.minicuda.codegen.KERNEL_CACHE`,
-under engine- and version-tagged keys (see :func:`codegen.memo_key`),
-so repeated launches and repeated grading of the same submission pay
-compilation zero times.
+Compiled kernels and host functions are memoized per definition
+(:func:`definition_keys`: the function's own source and position, the
+functions it calls and every file-scope declaration) in the shared
+:data:`repro.minicuda.codegen.KERNEL_CACHE`, under engine- and
+version-tagged keys (see :func:`codegen.memo_key`), so repeated
+launches, repeated grading of the same submission and a resubmission
+that edits only ``main`` or appends a function pay compilation zero
+times.
 """
 
 from __future__ import annotations
 
 import bisect
+import itertools
 from typing import Any, Callable, Sequence
 
 import numpy as np
@@ -1720,7 +1724,7 @@ def _compile_scalar(info: ProgramInfo,
 
 def _kernel_verdict(info: ProgramInfo,
                     name: str) -> CompiledSrcKernel | Declined:
-    key = memo_key("codegen", SRCGEN_VERSION, info.fingerprint, name)
+    key = memo_key("codegen", SRCGEN_VERSION, kernel_key(info, name), name)
     return KERNEL_CACHE.get_or_compute(
         key, lambda: _compile_scalar(info, name))[0]
 
@@ -1755,29 +1759,31 @@ class CompiledHostFn:
         self.nbytes = nbytes
 
 
-def host_keys(info: ProgramInfo) -> dict[str, str]:
-    """The memo key of each host function of ``info``: a hash of the
-    source text and start position of the function and of every host
-    function it calls, transitively — one generated module holds them
-    all, and embeds their positions — and of every file-scope
-    declaration. The rest of the file (kernels, device functions,
-    other host functions) may change without a recompile. Computed
-    once per program; a unit built without source text keys on the
-    program itself."""
-    keys = info.host_keys
+def definition_keys(info: ProgramInfo) -> dict[str, str]:
+    """The memo key of each kernel and host function of ``info``: a
+    hash of the source text and start position of the function and of
+    every user function it calls, transitively — one generated module
+    holds them all, and embeds their positions — and of every
+    file-scope declaration. That is every input a lowering reads, so
+    the rest of the file (``main``, a nonce function, other kernels)
+    may change without a recompile, and a demotion or ``blockwise``
+    flag on a memoized kernel lasts across the programs that share
+    its definition. Computed once per program; a unit built without
+    source text keys on the program itself."""
+    keys = info.definition_keys
     if keys:
         return keys
     unit = info.unit
     text = unit.source
     if not text:
-        keys = dict.fromkeys(info.host_functions, info.fingerprint)
+        keys = dict.fromkeys((*info.kernels, *info.host_functions),
+                             info.fingerprint)
     else:
-        line_starts = [0]
-        for line in text.split("\n"):
-            line_starts.append(line_starts[-1] + len(line) + 1)
+        # characters before each line, less its line breaks
+        before = [0, *itertools.accumulate(map(len, text.split("\n")))]
 
         def offset(pos: Any) -> int:
-            return line_starts[pos.line - 1] + pos.column - 1
+            return before[pos.line - 1] + pos.line + pos.column - 2
 
         # a top-level item runs to where the next one starts
         starts = sorted(offset(item.pos)
@@ -1791,12 +1797,14 @@ def host_keys(info: ProgramInfo) -> dict[str, str]:
 
         shared = "\0".join(span(gvar.pos) for gvar in unit.globals)
         own = {name: span(fn.pos)
-               for name, fn in info.host_functions.items()}
+               for functions in (info.kernels, info.device_functions,
+                                 info.host_functions)
+               for name, fn in functions.items()}
         keys = {}
-        for name in own:
+        for name in (*info.kernels, *info.host_functions):
             closure, todo = {name}, [name]
             while todo:
-                for callee in info.host_calls.get(todo.pop(), ()):
+                for callee in info.calls.get(todo.pop(), ()):
                     if callee not in closure:
                         closure.add(callee)
                         todo.append(callee)
@@ -1804,12 +1812,28 @@ def host_keys(info: ProgramInfo) -> dict[str, str]:
                 [shared, *(f"{callee}\0{own[callee]}"
                            for callee in sorted(closure))]))
     # one assignment: a concurrent reader sees no keys or all of them
-    info.host_keys = keys
+    info.definition_keys = keys
     return keys
 
 
+def kernel_key(info: ProgramInfo, name: str) -> str:
+    """The memo key of kernel ``name`` (:func:`definition_keys`). An
+    outlined OpenACC loop takes the key of the host function it stands
+    in — the latest one to start before it — whose source holds the
+    loop and the declarations of everything it captures."""
+    keys = definition_keys(info)
+    key = keys.get(name)
+    if key is None:
+        at = info.acc_kernels[name].pos
+        host = max((fn for fn in info.host_functions.values()
+                    if (fn.pos.line, fn.pos.column) <= (at.line, at.column)),
+                   key=lambda fn: (fn.pos.line, fn.pos.column))
+        key = keys[host.name]
+    return key
+
+
 def _host_verdict(info: ProgramInfo, name: str) -> CompiledHostFn | Declined:
-    key = memo_key("host", SRCGEN_VERSION, host_keys(info)[name], name)
+    key = memo_key("host", SRCGEN_VERSION, definition_keys(info)[name], name)
     return KERNEL_CACHE.get_or_compute(
         key, lambda: _compile_host(info, name))[0]
 
@@ -1827,7 +1851,7 @@ def compile_host(info: ProgramInfo, name: str) -> Callable:
     """Host function ``name`` as generated Python, ``call(interp,
     *args)``, lowered together with every host function it calls. The
     artifact is memoized in the kernel memo under a versioned ``host``
-    key per definition (:func:`host_keys`) and nowhere else. Where a
+    key per definition (:func:`definition_keys`) and nowhere else. Where a
     front-end budget failed to keep the emitter inside Python's limits
     this raises the positioned :class:`InterpreterError` instead."""
     value = _host_verdict(info, name)

@@ -64,8 +64,12 @@ def groups(monkeypatch):
     return seen
 
 
-def program_of(source, exit_code=0):
-    return compile_source(f"{source}\nint main() {{ return {exit_code}; }}")
+def program_of(source, variant=0):
+    """``source`` as a whole program; a fresh ``variant`` (a file-scope
+    declaration) is a fresh definition of every kernel in it, free of
+    any flag an earlier launch left on the memoized one."""
+    return compile_source(
+        f"{source}\nint variant = {variant};\nint main() {{ return 0; }}")
 
 
 def replays(telemetry):
@@ -189,7 +193,7 @@ class TestGroupAccounting:
                                               "ast", profile)
         groups.clear()
         out, stats, ratio, replayed = launch_divergent(
-            program_of(DIVERGENT, exit_code=1), "simd", profile)
+            program_of(DIVERGENT, variant=1), "simd", profile)
         assert groups == [(0, 6)]
         assert replayed == 0
         assert out == ref_out
@@ -197,7 +201,7 @@ class TestGroupAccounting:
         assert stats.line_profile == ref.line_profile
         assert (stats.blocks, stats.warps, stats.barriers) == (6, 18, 12)
         # the same launch one block per group: the same lane ratio
-        program = program_of(DIVERGENT, exit_code=2)
+        program = program_of(DIVERGENT, variant=2)
         compile_kernel(program.info, "k").blockwise = True
         groups.clear()
         *_, per_block, _ = launch_divergent(program, "simd", profile)
@@ -227,7 +231,7 @@ def launch_two_blocks(program, engine, telemetry=None):
 
 class TestConflictLadder:
     def test_a_conflict_between_blocks_regroups(self, groups):
-        program = program_of(CROSS_BLOCK, exit_code=3)
+        program = program_of(CROSS_BLOCK, variant=3)
         ref = launch_two_blocks(program, "ast")
         assert ref[:2] == ([7], [1])
         telemetry = Telemetry()
@@ -249,7 +253,7 @@ class TestConflictLadder:
 
     def test_a_race_inside_a_block_still_demotes(self, groups):
         source, size = PROBES["global-rmw"]
-        program = program_of(source, exit_code=4)
+        program = program_of(source, variant=4)
         outs, telemetry = {}, Telemetry()
         for engine in ("ast", "simd"):
             rt = GpuRuntime(Device(), telemetry=telemetry)

@@ -372,18 +372,20 @@ int down(int n) { return up(n - 1); }
 int once(int n) { return n + 1; }
 int main() { return up(once(0)); }"""
         info = compile_source(source).info
-        keys = srcgen.host_keys(info)
+        keys = srcgen.definition_keys(info)
         assert keys["up"] == keys["down"] != keys["main"] != keys["once"]
         edited = compile_source(source.replace("n - 1", "n - 2")).info
-        assert srcgen.host_keys(edited)["once"] == keys["once"]
-        assert all(srcgen.host_keys(edited)[name] != keys[name]
+        assert srcgen.definition_keys(edited)["once"] == keys["once"]
+        assert all(srcgen.definition_keys(edited)[name] != keys[name]
                    for name in ("up", "down", "main"))
         assert {run(source, engine)[0] for engine in ENGINES} == {11}
 
     def test_the_keys_are_computed_once_per_program(self):
         info = compile_source(self.SOURCE).info
-        assert srcgen.host_keys(info) is srcgen.host_keys(info)
-        assert set(srcgen.host_keys(info)) == {"twice", "main"}
+        assert srcgen.definition_keys(info) is srcgen.definition_keys(info)
+        # host functions and kernels; device functions ride with
+        # their callers
+        assert set(srcgen.definition_keys(info)) == {"twice", "main", "k"}
 
     def test_a_callee_is_lowered_with_its_caller(self):
         source = """

@@ -5,7 +5,7 @@ byte-capped memo and nowhere else — not on the ``ProgramInfo`` a ``CompileCach
 so an eviction frees it, ``bytes_live`` is what the process holds, a
 relaunch recompiles to the same result, and a demotion lasts as long as
 the entry it is a flag on. The key contract (engine tag, version,
-fingerprint) is pinned in ``tests/test_minicuda_codegen.py``.
+definition) is pinned in ``tests/test_minicuda_codegen.py``.
 """
 
 from __future__ import annotations
@@ -42,22 +42,23 @@ _nonce = itertools.count()
 
 
 def flood():
-    """Evict everything the memo holds now: recompile one checked
-    program under fresh fingerprints until more than the cap has been
-    stored on top."""
-    info = program_of(PROBES["neighbour-read-after-write"][0]).info
+    """Evict everything the memo holds now: compile fresh definitions
+    of one kernel — each under a file-scope declaration of its own —
+    until more than the cap has been stored on top."""
+    source = PROBES["neighbour-read-after-write"][0]
     start = KERNEL_CACHE.stats.bytes_stored
     while KERNEL_CACHE.stats.bytes_stored - start <= CAP:
-        info.fingerprint = f"flood-{next(_nonce)}"
+        info = analyze(parse(f"int flood = {next(_nonce)};\n{source}"))
         simd.compile_kernel(info, "k")
     gc.collect()
 
 
-def memoized(fingerprint):
-    """The non-``None`` values the memo holds for one program (or one
-    host function's definition key)."""
-    return [flight.value for key, flight in KERNEL_CACHE._done.items()
-            if f":{fingerprint}:" in key and flight.value is not None]
+def memoized(info, name="k"):
+    """The non-``None`` values the memo holds for function ``name`` of
+    one program, under every engine."""
+    key = srcgen.definition_keys(info)[name]
+    return [flight.value for memo, flight in KERNEL_CACHE._done.items()
+            if f":{key}:" in memo and flight.value is not None]
 
 
 def functions_of(kernel):
@@ -86,13 +87,13 @@ def test_eviction_frees_the_kernel_and_a_relaunch_recompiles(engine):
     program = compile_source(source, cache=cache)
     first_out, first_stats = launch(source, 64, engine, program=program)
     refs = [weakref.ref(fn)
-            for kernel in memoized(program.info.fingerprint)
+            for kernel in memoized(program.info)
             for fn in functions_of(kernel)]
     assert refs
 
     flood()
     assert [ref() for ref in refs] == [None] * len(refs)
-    assert memoized(program.info.fingerprint) == []
+    assert memoized(program.info) == []
 
     again = compile_source(source, cache=cache)  # still pinned there
     assert again.cache_hit and again.info is program.info
@@ -125,22 +126,21 @@ def test_a_host_function_is_compiled_once_and_again_after_eviction():
 
     assert run() == (145, 1, 0)
     assert run() == (145, 0, 1)  # the memo is asked once per run
-    key = srcgen.host_keys(program.info)["main"]
-    (held,) = memoized(key)
+    (held,) = memoized(program.info, "main")
     ref = weakref.ref(*functions_of(held))
     del held
 
     flood()
     assert ref() is None
-    assert memoized(key) == []
+    assert memoized(program.info, "main") == []
     assert run() == (145, 1, 0)
 
 
 def test_a_replay_weighs_its_scalar_kernel_when_it_compiles_it():
     source, size = PROBES["global-rmw"]
-    program = program_of(source, exit_code=31)
+    program = program_of(source, variant=31)
     launch(source, size, "simd", program=program)  # speculates, replays
-    (kernel,) = memoized(program.info.fingerprint)
+    (kernel,) = memoized(program.info)
     assert kernel.demoted
     scalar = kernel.scalar(program.info)
     assert type(scalar) is srcgen.CompiledSrcKernel
@@ -168,7 +168,7 @@ def test_bytes_live_is_what_the_process_holds():
                          ids=("plain", "profiled"))
 def test_an_evicted_demotion_speculates_once_more(profile):
     source, size = PROBES["global-rmw"]
-    program = program_of(source, exit_code=21 + profile)
+    program = program_of(source, variant=21 + profile)
     ref_out, ref_stats = launch(source, size, "ast", profile,
                                 program=program)
     telemetry = Telemetry()
@@ -222,11 +222,11 @@ def test_no_memo_key_is_profile_specific():
 
 def test_a_demotion_by_an_unprofiled_launch_serves_the_profiled_one():
     source, size = PROBES["global-rmw"]
-    program = program_of(source, exit_code=41)
+    program = program_of(source, variant=41)
     telemetry = Telemetry()
     launch(source, size, "simd", telemetry=telemetry, program=program)
     assert replays(telemetry) == 1
-    (kernel,) = memoized(program.info.fingerprint)
+    (kernel,) = memoized(program.info)
     assert kernel.demoted
     scalar = kernel.scalar(program.info)
     before = KERNEL_CACHE.compute_count

@@ -134,12 +134,14 @@ def ledger(stats):
     return out
 
 
-def program_of(source, exit_code=0):
+def program_of(source, variant=0):
     """``source`` as a whole program. The kernel memo — and with it a
-    demotion — is keyed by fingerprint and outlives a test, so a test
+    demotion — is keyed per definition and outlives a test, so a test
     that needs a kernel nobody has launched yet picks its own
-    ``exit_code``."""
-    return compile_source(f"{source}\nint main() {{ return {exit_code}; }}")
+    ``variant``: a file-scope declaration, which every definition's
+    key covers."""
+    return compile_source(
+        f"{source}\nint variant = {variant};\nint main() {{ return 0; }}")
 
 
 def launch(source, size, engine, profile=False, telemetry=None,
@@ -180,7 +182,7 @@ class TestRacyKernelsEqualTheOracle:
         source, size = PROBES[name]
         telemetry = Telemetry()
         launch(source, size, "simd", telemetry=telemetry,
-               program=program_of(source, exit_code=1))
+               program=program_of(source, variant=1))
         assert replays(telemetry) == 1
 
     def test_untracked_storage_is_ineligible_not_replayed(self):
@@ -205,7 +207,7 @@ __global__ void k(int *counts, int n) {
   if (t == 200) counts[0] = 5;
   counts[1 + t] = seen;
 }"""
-        program = program_of(source, exit_code=2)
+        program = program_of(source, variant=2)
         outs, telemetry = {}, Telemetry()
         for engine in ("ast", "simd"):
             rt = GpuRuntime(Device(), telemetry=telemetry)
@@ -382,7 +384,7 @@ class TestAtomicParity:
     in and write it back. Run as one group, block 0 writes back after
     block 1 read ``c``: that launch replays once, one block per group,
     and the kernel stays on the warp tier (which test of a kernel's
-    fingerprint runs first, and so pays the replay, is up to the test
+    definition runs first, and so pays the replay, is up to the test
     order)."""
 
     @pytest.mark.parametrize("profile", (False, True),
@@ -416,8 +418,8 @@ class TestAtomicParity:
     @pytest.mark.parametrize("name", sorted(ATOMICS))
     def test_one_block_grid_never_replays(self, name, ctype):
         source = atomic_kernel(ATOMICS[name], ctype, True)
-        # a fingerprint of its own: no other test's replay is memoized
-        program = program_of(source, exit_code=4)
+        # a definition of its own: no other test's replay is memoized
+        program = program_of(source, variant=4)
         *ref_out, ref_stats = launch_atomic(source, ctype, 48, "ast", grid=1)
         telemetry = Telemetry()
         *out, stats = launch_atomic(source, ctype, 48, "simd", grid=1,
@@ -465,9 +467,9 @@ class TestAtomicIntBoundary:
     ROADMAP item 2 (C integer semantics) will make both wrap; these
     pins then change with it."""
 
-    def launch(self, operand, start, engine, exit_code, telemetry=None):
+    def launch(self, operand, start, engine, variant, telemetry=None):
         program = program_of(BOUNDARY.replace("OPERAND", operand),
-                             exit_code)
+                             variant)
         rt = GpuRuntime(Device(), telemetry=telemetry)
         c, out = rt.malloc(1, "int"), rt.malloc(16, "int")
         rt.memcpy_htod(c, np.array([start], dtype=np.int32))
@@ -475,17 +477,17 @@ class TestAtomicIntBoundary:
                        engine=engine)
         return rt.memcpy_dtoh(c).tolist(), rt.memcpy_dtoh(out).tolist()
 
-    @pytest.mark.parametrize("operand, first_out_of_range, exit_code", (
+    @pytest.mark.parametrize("operand, first_out_of_range, variant", (
         ("1", INT_MAX + 1, 31),        # lane 10 adds the eleventh 1
         ("t", INT_MAX - 10 + 15, 32),  # lanes 0..5 add 0 + 1 + ... + 5
     ), ids=("uniform", "lane-varying"))
     def test_overflow_faults_as_on_codegen(self, operand,
-                                           first_out_of_range, exit_code):
+                                           first_out_of_range, variant):
         text = f"Python integer {first_out_of_range} out of bounds for int32"
         telemetry = Telemetry()
         for engine in ("codegen", "simd"):
             with pytest.raises(OverflowError, match=f"^{text}$"):
-                self.launch(operand, INT_MAX - 10, engine, exit_code,
+                self.launch(operand, INT_MAX - 10, engine, variant,
                             telemetry)
         # the warp tier's own launch raised, and replayed scalar
         assert replays(telemetry) == 1
@@ -514,7 +516,7 @@ __global__ void k(int *a, int *out, int n) {{
   out[t] = x;
   if (t == 5) x = a[n + 200];
 }}"""
-    program = program_of(source, exit_code=3)
+    program = program_of(source, variant=3)
     faults, telemetry = {}, Telemetry()
     for engine in ENGINES:
         rt = GpuRuntime(Device(), telemetry=telemetry)
@@ -534,8 +536,8 @@ __global__ void k(int *a, int *out, int n) {{
 class TestDemotion:
     SOURCE, SIZE = PROBES["global-rmw"]
 
-    def _program(self, exit_code):
-        return program_of(self.SOURCE, exit_code)
+    def _program(self, variant):
+        return program_of(self.SOURCE, variant)
 
     def _tiers(self, program, launches):
         telemetry = Telemetry()
@@ -578,9 +580,9 @@ class TestEngineLabelsNameTheTierThatRan:
     """``webgpu_kernel_engine_{compile,exec}_seconds`` are labelled
     with what compiled and ran the kernel, not with what was asked."""
 
-    def _labels(self, source, exit_code=0, launches=1):
+    def _labels(self, source, variant=0, launches=1):
         telemetry = Telemetry()
-        program = program_of(source, exit_code)
+        program = program_of(source, variant)
         for _ in range(launches):
             launch(source, THREADS, "simd", telemetry=telemetry,
                    program=program)
@@ -595,7 +597,7 @@ class TestEngineLabelsNameTheTierThatRan:
 
     def test_demoted_kernel(self):
         compiles, runs = self._labels(PROBES["global-rmw"][0],
-                                      exit_code=21, launches=2)
+                                      variant=21, launches=2)
         # compiled for simd once; the replay and the second launch
         # (whose compile step hands back the scalar kernel) are codegen
         assert compiles == {"simd": 1, "codegen": 1}
@@ -603,7 +605,7 @@ class TestEngineLabelsNameTheTierThatRan:
 
     def test_ineligible_kernel_is_codegen(self):
         compiles, runs = self._labels(
-            PROBES["global-rmw-via-device-function"][0], exit_code=22)
+            PROBES["global-rmw-via-device-function"][0], variant=22)
         assert compiles == runs == {"codegen": 1}
 
     def test_the_scalar_tier_is_the_last_rung(self):

@@ -172,7 +172,7 @@ int main() { return 0; }
         assert simd.decline_reason(program.info, "k") == \
             "address-of expression"
         # the fallback verdict is memoized — a second program with the
-        # same fingerprint does not re-derive it
+        # same definition does not re-derive it
         before = codegen.KERNEL_CACHE.compute_count
         again = compile_source(source)
         assert isinstance(simd.compile_kernel(again.info, "k"),
@@ -249,7 +249,7 @@ int main() { return 0; }
             k2 = backend.compile_kernel(p2.info, "k")
             assert p1.info.fingerprint == p2.info.fingerprint
             assert k1 is not k2  # fresh compile, not a stale replay
-            # same version + fingerprint still memoizes
+            # same version + definition still memoizes
             p3 = compile_source(self.SOURCE)
             assert backend.compile_kernel(p3.info, "k") is k2
 
@@ -275,7 +275,9 @@ int main() { return 0; }
     def test_engines_occupy_distinct_namespaces(self):
         p = compile_source(self.SOURCE)
         fp = p.info.fingerprint
-        keys = [codegen.memo_key(tag, getattr(backend, version), fp, "k")
+        definition = srcgen.kernel_key(p.info, "k")
+        keys = [codegen.memo_key(tag, getattr(backend, version), definition,
+                                 "k")
                 for backend, version, tag in self.BACKENDS]
         assert len(set(keys)) == len(keys)
         assert isinstance(srcgen.compile_kernel(p.info, "k"),
