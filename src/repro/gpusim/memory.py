@@ -32,10 +32,26 @@ CTYPE_TO_DTYPE: dict[str, np.dtype] = {
 _alloc_ids = itertools.count(1)
 
 #: A lane's :class:`LaneTracker` key, its place in the oracle's order:
-#: (block rank in its group, barrier interval, thread) in one int64 —
-#: ranks below 2**17, intervals below 2**30, threads below 2**16.
-KEY_RANK_SHIFT = 46
-KEY_INTERVAL_SHIFT = 16
+#: (block rank in its group, barrier interval, thread, iteration) in
+#: one non-negative int64, most significant first — 11, 21, 11 and 20
+#: bits. The iteration field orders the body executions of one thread
+#: in a flattened loop, and a thread's later accesses carry its count
+#: of them; the warp tier keeps every field inside its bits (a launch
+#: that would not fit replays on the scalar tier).
+KEY_FIELDS = {"rank": (52, 11), "interval": (31, 21), "thread": (20, 11),
+              "iteration": (0, 20)}  # field -> (shift, bits)
+KEY_RANK_SHIFT = KEY_FIELDS["rank"][0]
+KEY_INTERVAL_SHIFT = KEY_FIELDS["interval"][0]
+KEY_THREAD_SHIFT = KEY_FIELDS["thread"][0]
+#: how many values each field holds
+KEY_FIELD_LIMITS = {name: 1 << bits for name, (_s, bits) in KEY_FIELDS.items()}
+
+
+def decode_key(key: int) -> dict[str, int]:
+    """A :class:`LaneTracker` key's fields."""
+    key = int(key)
+    return {name: (key >> shift) % (1 << bits)
+            for name, (shift, bits) in KEY_FIELDS.items()}
 
 
 def out_of_range(indices: np.ndarray, size: int) -> int | None:
@@ -55,22 +71,56 @@ class LaneConflict(Exception):
     """A speculative warp-vector launch made two accesses in an order
     serial per-thread execution would have reversed. A control signal,
     not a simulator error: the launch is rolled back and replayed.
-    ``cross_block``: running one block per group removes it."""
+    ``cross_block``: running one block per group removes it. Where:
+    the allocation's ``label``, the ``element`` (in one block's array
+    for ``__shared__`` storage) and the decoded keys (:func:`decode_key`)
+    of the access that came ``first`` statement-major and of the
+    lower-keyed one that came ``after`` it."""
 
-    def __init__(self, cross_block: bool = False):
-        super().__init__()
+    def __init__(self, cross_block: bool = False, label: str = "",
+                 element: int = 0, first: dict | None = None,
+                 after: dict | None = None):
         self.cross_block = cross_block
+        self.label = label
+        self.element = element
+        self.first = first or {}
+        self.after = after or {}
+        super().__init__(self.describe())
+
+    def describe(self) -> str:
+        def lane(key: dict) -> str:
+            return (f"thread {key.get('thread')} (block rank "
+                    f"{key.get('rank')}, interval {key.get('interval')}, "
+                    f"iteration {key.get('iteration')})")
+        return (f"{self.label}[{self.element}]: {lane(self.after)} after "
+                f"{lane(self.first)}")
+
+    def attrs(self) -> dict[str, Any]:
+        """Flat attributes for a telemetry event."""
+        out: dict[str, Any] = {"cross_block": self.cross_block,
+                               "element": f"{self.label}[{self.element}]"}
+        for role, key in (("first", self.first), ("after", self.after)):
+            out.update({f"{role}_{name}": v for name, v in key.items()})
+        return out
 
 
-def _conflict(prior: Any, keys: Any) -> LaneConflict:
-    """The conflict of accesses by ``keys`` after ones by the higher
-    ``prior`` keys. It is between blocks when no earlier access's
-    (interval, thread) comes after the later one's: within one block
-    each pair would have run in the oracle's order."""
-    late = prior > keys
+def _conflict(tracker: "LaneTracker", index: Any, prior: Any,
+              keys: Any) -> LaneConflict:
+    """The conflict of accesses to ``index`` by ``keys`` after ones by
+    the higher ``prior`` keys. It is between blocks when no earlier
+    access's (interval, thread, iteration) comes after the later one's:
+    within one block each pair would have run in the oracle's order.
+    The first offending lane names the place."""
+    late = np.atleast_1d(prior > keys)
     within = (1 << KEY_RANK_SHIFT) - 1
     inner = late & ((prior & within) > (keys & within))
-    return LaneConflict(cross_block=not np.any(inner))
+    j = int(np.argmax(late))
+    element, first, after = (int(np.broadcast_to(v, late.shape)[j])
+                             for v in (index, prior, keys))
+    if tracker.size:
+        element %= tracker.size
+    return LaneConflict(not np.any(inner), tracker.label, element,
+                        decode_key(first), decode_key(after))
 
 
 class LaneTracker:
@@ -98,14 +148,19 @@ class LaneTracker:
     matmul's inner loop) pays one list append per load.
     """
 
-    __slots__ = ("writer", "reader", "reads", "stored", "loaded")
+    __slots__ = ("writer", "reader", "reads", "stored", "loaded", "label",
+                 "size")
 
     #: fold the load log, or give up logging the indices to reset, once
     #: a log is this long, so a long loop does not keep every index
     #: vector alive until the group ends
     MAX_LOGGED = 64
 
-    def __init__(self, num_elements: int):
+    def __init__(self, num_elements: int, label: str = "", size: int = 0):
+        #: what a conflict names: the allocation, and for storage that
+        #: holds a group's blocks side by side, one block's element count
+        self.label = label
+        self.size = size
         # highest key that stored / loaded each element, -1 for none
         self.writer = np.full(num_elements, -1, dtype=np.int64)
         self.reader = np.full(num_elements, -1, dtype=np.int64)
@@ -124,7 +179,7 @@ class LaneTracker:
             prior = self.writer[index]
             first = keys if vector else keys[0]
             if (prior > first).any():
-                raise _conflict(prior, first)
+                raise _conflict(self, index, prior, first)
         self.reads.append((index, keys if vector else keys[-1]))
         if len(self.reads) > self.MAX_LOGGED:
             self._fold_reads()
@@ -144,7 +199,7 @@ class LaneTracker:
             if log:
                 prior = marks[index]
                 if (prior > first).any():
-                    raise _conflict(prior, first)
+                    raise _conflict(self, index, prior, first)
         # no element was stored by a higher key, so ``last`` is the
         # new maximum (of duplicate indices the last, highest lane's
         # assignment wins)

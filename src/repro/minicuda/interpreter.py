@@ -27,7 +27,7 @@ from typing import Any, Callable, Sequence
 from repro.gpusim.grid import Dim3
 from repro.gpusim.host import GpuRuntime
 from repro.telemetry import KERNEL_COMPILE_SECONDS, KERNEL_REPLAYS_TOTAL
-from repro.gpusim.memory import DevicePtr, SharedArray
+from repro.gpusim.memory import DevicePtr, LaneConflict, SharedArray
 from repro.gpusim.scheduler import ThreadContext
 from repro.minicuda import ast_nodes as ast
 from repro.minicuda.diagnostics import SourcePos
@@ -431,6 +431,7 @@ class Interpreter:
                     if speculation is None or isinstance(exc, KernelHang):
                         raise
                     kernel, tier = speculation.rollback(exc)
+                    cause = exc
                 speculation = getattr(kernel, "speculation", None)
                 telemetry = getattr(self.runtime, "telemetry", None)
                 if telemetry is not None:
@@ -438,6 +439,13 @@ class Interpreter:
                         KERNEL_REPLAYS_TOTAL,
                         "Speculative simd launches replayed",
                     ).inc(kernel=name)
+                    # a lane conflict says where: the allocation, the
+                    # element and both lanes
+                    where = (cause.attrs()
+                             if isinstance(cause, LaneConflict)
+                             else {"fault": type(cause).__name__})
+                    telemetry.tracer.log_event("kernel.replay", kernel=name,
+                                               tier=tier, **where)
         finally:
             if speculation is not None:
                 speculation.release()

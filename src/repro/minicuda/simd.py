@@ -33,16 +33,31 @@ while no lane touches an element a lane later in the oracle's order
 already touched (one of the two storing). Every access to an
 allocation the kernel may store to goes through that allocation's
 :class:`~repro.gpusim.memory.LaneTracker`; the first such access raises
-:class:`~repro.gpusim.memory.LaneConflict`, and
-``Interpreter.launch_kernel`` restores the :class:`Speculation`
-snapshot and replays the launch: one block per group for a conflict
-between blocks, on the scalar ``codegen`` kernel (demoted) for one
-inside a block — so results, ``KernelStats`` and line ledgers equal
-the oracle's for racy programs too. A launch that faults is restored
-and replayed scalar (without demotion), so the fault it reports is the
-first in thread-major order. Kernels that name a writable file-scope
-``__device__`` array or pointer are ineligible (that storage carries no
-tracker).
+:class:`~repro.gpusim.memory.LaneConflict` (naming the element and
+both lanes), and ``Interpreter.launch_kernel`` restores the
+:class:`Speculation` snapshot and replays the launch: one block per
+group for a conflict between blocks, on the scalar ``codegen`` kernel
+(demoted) for one inside a block — so results, ``KernelStats`` and
+line ledgers equal the oracle's for racy programs too. A launch that
+faults is restored and replayed scalar (without demotion), so the
+fault it reports is the first in thread-major order. Kernels that name
+a writable file-scope ``__device__`` array or pointer are ineligible
+(that storage carries no tracker).
+
+A lockstep loop runs iteration k on every lane before k + 1, which the
+oracle never does: a thread's second atomic on an element shared with
+a higher thread would arrive after that thread's first and conflict.
+So a lane-varying ``for`` loop with an atomic in a body that carries no
+register from one iteration to the next (:func:`_flat_shape`) runs
+*flattened*: trip counts up front, then the body once over one virtual
+lane per (thread, iteration) pair, ordered by the thread's key and then
+by iteration — the oracle's order of those body executions — with the
+loop's condition, step and step-budget charges added in bulk. Keys
+carry the iteration (:data:`~repro.gpusim.memory.KEY_FIELDS`), and
+each pass's sequence numbers are rebased onto its thread's, so races
+still conflict and every counter stays per thread and per warp. A loop
+the oracle would never leave, or one past the step budget or the key's
+bits, replays scalar like a fault.
 
 Documented divergence from the scalar engines: int64 carriers wrap
 where Python ints would grow unbounded.
@@ -56,8 +71,10 @@ from typing import Any, Callable
 import numpy as np
 
 from repro.gpusim.memory import (
+    KEY_FIELD_LIMITS,
     KEY_INTERVAL_SHIFT,
     KEY_RANK_SHIFT,
+    KEY_THREAD_SHIFT,
     DevicePtr,
     LaneConflict,
     LaneTracker,
@@ -127,7 +144,7 @@ _NBYTES_PER_LOWERED = 480
 
 #: Bump when SIMD lowering semantics change; part of the memo key so
 #: stale fallback verdicts are never recalled across upgrades.
-SIMD_VERSION = 6
+SIMD_VERSION = 7
 
 _I64 = np.int64
 _F64 = np.float64
@@ -142,6 +159,13 @@ _INT_LIKE = ("int", "bool")
 
 class _SimdUnsupported(Exception):
     """Kernel uses a construct the SIMD tier cannot lower; fall back."""
+
+
+class _Replay(Exception):
+    """A launch the warp tier cannot run exactly — a flattened loop the
+    oracle would never finish, or a :class:`LaneTracker` key past its
+    bits. Like a fault, it ends the speculative launch, which replays on
+    the scalar tier: the replay's outcome is the oracle's."""
 
 
 class _Declined:
@@ -452,7 +476,7 @@ class _WarpSt:
     __slots__ = ("wctx", "tid_axis", "bid_axis", "n", "interp", "frame",
                  "stats", "block", "warp_ids", "seqs", "ops", "slots",
                  "idx_all", "md_ok", "prof", "line", "bseqs", "trackers",
-                 "keys", "bases")
+                 "keys", "intervals", "bases")
 
     def __init__(self, wctx: WarpContext, interp: Any, frame_size: int):
         self.wctx = wctx
@@ -479,10 +503,16 @@ class _WarpSt:
         self.md_ok: set = set()
         # the __shared__ arrays' lane trackers, reset at each barrier
         self.trackers: list = []
-        # each lane's LaneTracker key: (block rank, interval, thread);
-        # replaced, never written in place (trackers keep references)
-        self.keys = (wctx.thread if wctx.blocks == 1
-                     else (wctx.rank << KEY_RANK_SHIFT) | wctx.thread)
+        # each lane's LaneTracker key: (block rank, interval, thread,
+        # iteration); replaced, never written in place (trackers keep
+        # references)
+        if wctx.blocks > KEY_FIELD_LIMITS["rank"] \
+                or wctx.blockDim.count > KEY_FIELD_LIMITS["thread"]:
+            raise _Replay("group past the lane key's bits")
+        self.keys = wctx.thread << KEY_THREAD_SHIFT
+        if wctx.blocks > 1:
+            self.keys |= wctx.rank << KEY_RANK_SHIFT
+        self.intervals = 0
         # shared-array size -> each lane's block base in group storage
         self.bases: dict[int, np.ndarray] = {}
         # statement closures keep ``line`` at the innermost enclosing
@@ -565,6 +595,9 @@ class _WarpSt:
     def end_interval(self) -> None:
         """A barrier: the next interval's keys come after this one's,
         and the ``__shared__`` trackers start over."""
+        self.intervals += 1
+        if self.intervals == KEY_FIELD_LIMITS["interval"]:
+            raise _Replay("barrier intervals past the lane key's bits")
         self.keys = self.keys + (1 << KEY_INTERVAL_SHIFT)
         for tracker in self.trackers:
             tracker.reset()
@@ -616,6 +649,397 @@ class _WarpSt:
             write_indexed(base, ind[j] if ind_arr else ind,
                           values[j] if val_arr else values, c, pos)
             seqs[lane] = c._seq
+
+
+# -- flattened loops ------------------------------------------------------------
+#
+# A lane-varying ``for`` loop whose body needs no register from an
+# earlier iteration (:func:`_flat_shape`) runs its body once over
+# virtual lanes, one per (thread, iteration) pair, ordered by thread
+# (in the group's oracle order) and then by iteration: the order in
+# which the oracle runs those body executions. Statement-major over
+# them, every atomic applies in that order, and a LaneTracker key
+# (owner key, iteration) keeps checking every other access.
+
+#: Virtual lanes one body run holds at most. A loop with more runs in
+#: runs of whole warps, each below this; a warp alone past it runs the
+#: lockstep loop.
+_FLAT_LANES = 1 << 16
+
+#: Trip counts are computed in int64 where every operand is below this.
+_FLAT_MAGNITUDE = 1 << 61
+
+
+class _FlatLanes:
+    """The :class:`WarpContext` a flattened loop's body runs against:
+    lane ``v`` is a pass of thread ``owners[v]`` of the group."""
+
+    __slots__ = ("blockDim", "gridDim", "blocks", "warp_size", "rank",
+                 "_block", "_wctx", "_owners", "_tid", "_bid")
+
+    shared = WarpContext.shared
+
+    def __init__(self, wctx: WarpContext, owners: np.ndarray):
+        self.blockDim = wctx.blockDim
+        self.gridDim = wctx.gridDim
+        self.blocks = wctx.blocks
+        self.warp_size = wctx.warp_size
+        self.rank = wctx.rank[owners]
+        self._block = wctx._block
+        self._wctx = wctx
+        self._owners = owners
+        self._tid: dict[str, np.ndarray] = {}
+        self._bid: dict[str, np.ndarray] = {}
+
+    def tid_axis(self, axis: str) -> np.ndarray:
+        arr = self._tid.get(axis)
+        if arr is None:
+            arr = self._tid[axis] = self._wctx.tid_axis(axis)[self._owners]
+        return arr
+
+    def bid_axis(self, axis: str) -> np.ndarray:
+        arr = self._bid.get(axis)
+        if arr is None:
+            arr = self._bid[axis] = self._wctx.bid_axis(axis)[self._owners]
+        return arr
+
+
+class _FlatSt(_WarpSt):
+    """The state a flattened loop's body runs on: one lane per (thread,
+    iteration) pair. Each carries its thread's warp id, and a key after
+    its thread's and its earlier iterations'. Sequence numbers count
+    from 0 in every iteration; :meth:`merge` turns them into the
+    thread's own running numbers."""
+
+    __slots__ = ("iters", "width", "patches", "bpatches")
+
+    def __init__(self, st: _WarpSt, owners: np.ndarray, iters: np.ndarray,
+                 frame: list):
+        self.wctx = lanes = _FlatLanes(st.wctx, owners)
+        self.tid_axis = lanes.tid_axis
+        self.bid_axis = lanes.bid_axis
+        self.n = len(owners)
+        self.interp = st.interp
+        self.frame = frame
+        self.block = st.block
+        self.stats = st.block.stats
+        w = st.warp_ids
+        self.warp_ids = w if type(w) is int else w[owners]
+        self.seqs = 0
+        self.ops = self.slots = 0
+        self.idx_all = np.arange(self.n, dtype=np.intp)
+        self.md_ok = set()
+        self.trackers = st.trackers
+        self.keys = st.keys[owners] + iters
+        self.bases = {}
+        self.line = st.line
+        self.prof = st.prof
+        if self.prof is not None:
+            self.bseqs = np.zeros(self.n, dtype=np.int64)
+            self.stats = _LineStatsProxy(self, self.stats,
+                                         self.prof.instr_lines)
+        self.iters = iters
+        #: the group's lane count: a one-warp group's warp width
+        self.width = st.n
+        #: (chunk list, position, lanes) of every row this body recorded
+        self.patches: list = []
+        self.bpatches: list = []
+
+    def occupy(self, idx: np.ndarray) -> None:
+        """What the lockstep loop counts over its iterations: per
+        iteration, the width of every warp with a lane in ``idx``."""
+        self.ops += len(idx)
+        full = len(idx) == self.n
+        it = self.iters if full else self.iters[idx]
+        w = self.warp_ids
+        if type(w) is int:
+            self.slots += self.width * len(_distinct(it))
+            return
+        pairs = _distinct(((w if full else w[idx]) << 32) | it)
+        size = self.wctx.warp_size
+        self.slots += size * len(pairs)
+        per = self.wctx.blockDim.count
+        warps = -(-per // size)
+        short = warps * size - per
+        if short:
+            self.slots -= short * int(np.count_nonzero(
+                (pairs >> 32) % warps == warps - 1))
+
+    def record(self, chunks: list, idx: np.ndarray, col1: Any,
+               col2: Any) -> None:
+        _WarpSt.record(self, chunks, idx, col1, col2)
+        self.patches.append((chunks, len(chunks) - 1, idx))
+
+    def log_branch(self, idx: np.ndarray, line: int, taken: Any) -> None:
+        _WarpSt.log_branch(self, idx, line, taken)
+        chunks = self.prof.branch_chunks
+        self.bpatches.append((chunks, len(chunks) - 1, idx))
+
+    def lane_read(self, *args: Any) -> Any:
+        raise _Replay("per-lane access in a flattened loop")
+
+    lane_write = lane_read
+
+    def merge(self, st: _WarpSt, owners: np.ndarray,
+              trips: np.ndarray) -> None:
+        """Hand the body's accounting to the group state ``st``:
+        ``owners`` ran ``trips`` passes each, in this state's lane
+        order."""
+        st.ops += self.ops
+        st.slots += self.slots
+        _rebase(self.patches, self.seqs, st.seq_array(), owners, trips)
+        if self.prof is not None:
+            _rebase(self.bpatches, self.bseqs, st.bseqs, owners, trips)
+
+
+def _distinct(x: np.ndarray) -> np.ndarray:
+    """The distinct values of the non-empty ``x``, ascending."""
+    x = np.sort(x)
+    return x[np.append(True, x[1:] != x[:-1])]
+
+
+def _rebase(patches: list, counts: Any, running: np.ndarray,
+            owners: np.ndarray, trips: np.ndarray) -> None:
+    """Renumber the rows a flattened body recorded: each pass's
+    sequence numbers start where its thread's previous pass ended —
+    ``running[owner]`` plus a segmented exclusive sum of the earlier
+    passes' ``counts`` — and every owner's counter then advances by its
+    passes' total."""
+    total = len(counts) if isinstance(counts, np.ndarray) else int(
+        trips.sum())
+    if not isinstance(counts, np.ndarray):
+        counts = np.full(total, counts, dtype=np.int64)
+    excl = np.cumsum(counts) - counts
+    first = np.cumsum(trips) - trips
+    base = np.repeat(running[owners] - excl[first], trips) + excl
+    for chunks, i, idx in patches:
+        row = chunks[i]
+        chunks[i] = (row[0], row[1],
+                     row[2] + (base if len(idx) == total else base[idx]),
+                     *row[3:])
+    running[owners] += np.add.reduceat(counts, first)
+
+
+class _FlatPlan:
+    """What a flattened ``for`` loop runs: its induction variable's
+    slot, the comparison, the bound and step closures with what each
+    evaluation of them charges, the body and the slots it reads from
+    outside (gathered per pass) and declares (fresh per pass)."""
+
+    __slots__ = ("iv", "op", "boundf", "bound_charge", "stepf", "step",
+                 "step_charge", "gather", "bodyf", "body_slots", "ln")
+
+    def __init__(self, iv: int, op: str, boundf: Callable,
+                 bound_charge: int, stepf: Callable | None, step: int,
+                 step_charge: int, gather: tuple):
+        self.iv = iv
+        self.op = op
+        self.boundf = boundf
+        self.bound_charge = bound_charge
+        self.stepf = stepf
+        self.step = step
+        self.step_charge = step_charge
+        self.gather = gather
+        self.bodyf: Callable | None = None
+        self.body_slots = range(0)
+        self.ln = 0
+
+
+def _flat_trips(op: str, j0: np.ndarray, bound: Any,
+                step: Any) -> np.ndarray:
+    """Each lane's trip count through ``for (; j op bound; j += step)``
+    from ``j0``; :class:`_Replay` where the oracle would never leave
+    the loop, or where int64 might not hold the arithmetic."""
+    for v in (j0, bound, step):
+        if isinstance(v, np.ndarray):
+            big = _magnitude(v) if len(v) else 0
+        else:
+            big = abs(int(v))
+        if big >= _FLAT_MAGNITUDE:
+            raise _Replay("flattened loop bounds past int64")
+    if op in ("<", "<="):
+        d, toward = bound - j0, step
+    else:
+        d, toward = j0 - bound, -step
+    strict = int(op in ("<", ">"))
+    enter = d >= strict
+    if np.any(enter & (np.asarray(toward) <= 0)):
+        raise _Replay("flattened loop that never ends")
+    return np.where(enter, (d - strict) // np.where(enter, toward, 1) + 1,
+                    0).astype(np.int64)
+
+
+def _run_flat(p: _FlatPlan, st: _WarpSt, idx: np.ndarray) -> bool:
+    """Run loop ``p`` (its init already run) for the lanes ``idx``,
+    flattened; False, having charged nothing, where one warp alone
+    would pass :data:`_FLAT_LANES` — the lockstep loop runs it then."""
+    m = len(idx)
+    st.line = p.ln
+    j0 = st.frame[p.iv][idx]
+    bound = p.boundf(st, idx)
+    step = p.step if p.stepf is None else p.step * p.stepf(st, idx)
+    trips = _flat_trips(p.op, j0, bound, step)
+    total = int(trips.sum())
+    interp = st.interp
+    if interp.steps + total > interp.max_steps:
+        raise _Replay("flattened loop past the step budget")
+    runs = [(0, m)]
+    if total > _FLAT_LANES:
+        runs = _flat_runs(st.lane_warps(idx), trips)
+        if runs is None:
+            # undo the bound's and step's one evaluation
+            st.stats.instructions -= m * (p.bound_charge - 1 + (
+                p.step_charge - 1 if p.stepf is not None else 0))
+            return False
+    keys = st.keys.copy()
+    keys[idx] += trips
+    # a carry out of the iteration field leaves it below the trips
+    if np.any(keys[idx] % KEY_FIELD_LIMITS["iteration"] < trips):
+        raise _Replay("flattened loop past the lane key's bits")
+    # (trip + 1) conditions and trip steps per lane, less the one
+    # evaluation of the bound and the step already charged
+    st.stats.instructions += (
+        (total + m) * p.bound_charge - m * (p.bound_charge - 1)
+        + total * p.step_charge
+        - (m * (p.step_charge - 1) if p.stepf is not None else 0))
+    interp.steps += total
+    parent = st.frame
+    for a, b in runs:
+        t = trips[a:b]
+        live = np.flatnonzero(t)
+        if not len(live):
+            continue
+        t = t[live]
+        at = np.repeat(live + a, t)
+        iters = np.arange(len(at), dtype=np.int64) - np.repeat(
+            np.cumsum(t) - t, t)
+        owners = idx[at]
+        frame = list(parent)
+        for slot in p.gather:
+            frame[slot] = parent[slot][owners]
+        for slot in p.body_slots:
+            frame[slot] = None
+        frame[p.iv] = j0[at] + iters * (
+            step if not isinstance(step, np.ndarray) else step[at])
+        sub = _FlatSt(st, owners, iters, frame)
+        sub.occupy(sub.idx_all)
+        p.bodyf(sub, sub.idx_all, ([], []))
+        sub.merge(st, idx[live + a], t)
+    st.keys = keys
+    return True
+
+
+def _invariant(e: ast.Expr, iv: str) -> bool:
+    """Whether ``e`` is a register expression without ``iv`` — no
+    load, call, assignment or short circuit — so that every evaluation
+    in a loop that assigns only its own locals and ``iv`` gives the same
+    value and charges :func:`_charges`."""
+    for node in ast.walk(e):
+        cls = type(node)
+        if cls is ast.Ident:
+            if node.name == iv:
+                return False
+        elif cls is ast.Binary:
+            if node.op in ("&&", "||"):
+                return False
+        elif cls is ast.Unary:
+            if node.op in ("*", "&"):
+                return False
+        elif cls not in (ast.IntLit, ast.FloatLit, ast.BoolLit, ast.Member,
+                         ast.Cast, ast.SizeOf):
+            return False
+    return True
+
+
+def _charges(e: ast.Expr) -> int:
+    """Instructions one evaluation of an :func:`_invariant` expression
+    charges per lane: one per operator."""
+    return sum(type(node) in (ast.Binary, ast.Unary) for node in ast.walk(e))
+
+
+def _flat_shape(s: ast.For) -> tuple | None:
+    """The flattenable shape of a ``for`` loop, as (induction variable,
+    comparison, bound, step sign, step expression or None, the names
+    the body declares, the names whose elements it stores), or None:
+
+    - ``for (T iv = init; iv OP bound; iv++ | iv-- | iv += e | iv -= e)``
+      with OP one of ``< <= > >=`` and ``bound`` / ``e`` invariant
+      (:func:`_invariant`);
+    - a body that assigns only variables it declares — nothing is
+      carried from one iteration to the next in a register —, has no
+      ``break``, ``continue``, ``return``, barrier or inner loop, and
+      performs an atomic (where statement-major order across iterations
+      would otherwise conflict)."""
+    init, cond, step = s.init, s.cond, s.step
+    if type(init) is not ast.DeclStmt or init.shared \
+            or len(init.declarators) != 1:
+        return None
+    d = init.declarators[0]
+    if d.init is None or d.ctor_args or d.type.is_pointer \
+            or d.type.array_dims:
+        return None
+    iv = d.name
+    if type(cond) is not ast.Binary or cond.op not in _COMPARISONS \
+            or type(cond.left) is not ast.Ident or cond.left.name != iv \
+            or not _invariant(cond.right, iv):
+        return None
+    if type(step) is ast.IncDec and type(step.operand) is ast.Ident \
+            and step.operand.name == iv:
+        sign, amount = (1 if step.op == "++" else -1), None
+    elif type(step) is ast.Assign and step.op in ("+=", "-=") \
+            and type(step.target) is ast.Ident and step.target.name == iv \
+            and _invariant(step.value, iv):
+        sign, amount = (1 if step.op == "+=" else -1), step.value
+    else:
+        return None
+    declared = {dd.name for node in ast.walk(s.body)
+                if type(node) is ast.DeclStmt for dd in node.declarators}
+    if iv in declared:
+        return None
+    stored: set[str] = set()
+    atomic = False
+    for node in ast.walk(s.body):
+        cls = type(node)
+        if cls in (ast.Break, ast.Continue, ast.Return, ast.For, ast.While,
+                   ast.DoWhile, ast.Switch):
+            return None
+        if cls is ast.Call:
+            if node.name in BARRIER_BUILTINS:
+                return None
+            atomic = atomic or node.name.startswith("atomic")
+        elif cls is ast.Assign or cls is ast.IncDec:
+            dest = node.target if cls is ast.Assign else node.operand
+            if type(dest) is ast.Ident:
+                if dest.name not in declared:
+                    return None
+            else:
+                while type(dest) is ast.Index:
+                    dest = dest.base
+                if type(dest) is ast.Ident:
+                    stored.add(dest.name)
+    if not atomic:
+        return None
+    return iv, cond.op, cond.right, sign, amount, declared, stored
+
+
+def _flat_runs(warps: Any, trips: np.ndarray) -> list | None:
+    """Split the lanes (ascending, with warp ids ``warps``) into runs of
+    whole warps of at most :data:`_FLAT_LANES` passes each; None when
+    one warp alone has more."""
+    if type(warps) is int:
+        return None
+    starts = np.flatnonzero(np.diff(warps, prepend=-1))
+    per_warp = np.add.reduceat(trips, starts).tolist()
+    if max(per_warp) > _FLAT_LANES:
+        return None
+    runs, a, held = [], 0, 0
+    for start, count in zip(starts.tolist(), per_warp):
+        if held + count > _FLAT_LANES:
+            runs.append((a, start))
+            a, held = start, 0
+        held += count
+    runs.append((a, len(trips)))
+    return runs
 
 
 # -- the lowerer -------------------------------------------------------------
@@ -2221,6 +2645,48 @@ class _Lowerer:
             return self._incdec(se, want_value=False)[0]
         return self.expr(se)[0]
 
+    def _flat_plan(self, s: ast.For) -> _FlatPlan | None:
+        """How loop ``s`` (its init declared) runs flattened, or None
+        where it keeps the lockstep loop: besides :func:`_flat_shape`,
+        its induction variable must be an int that varies across lanes
+        (a uniform one is a scalar every body closure reads), the bound
+        and step int-valued, and the body may store no element of a
+        local array declared outside it (a register carried between
+        iterations too)."""
+        shape = _flat_shape(s)
+        if shape is None:
+            return None
+        iv, op, bound, sign, amount, declared, stored = shape
+        rec = self.lookup(iv)
+        if not rec.vary or rec.cokind != "int":
+            return None
+        boundf, bkind, _u = self.expr(bound)
+        stepf = None
+        if amount is not None:
+            stepf, skind, _u = self.expr(amount)
+            if skind != "int":
+                return None
+        if bkind != "int":
+            return None
+        gather = set()
+        stored_outside = stored - declared
+        for node in ast.walk(s.body):
+            if type(node) is not ast.Ident:
+                continue
+            outer = self.lookup(node.name)
+            if outer is None or outer is rec:
+                continue
+            local = isinstance(outer.kind, tuple) \
+                and outer.kind[0] in ("local", "local_md")
+            if local and node.name in stored_outside:
+                return None
+            if outer.vary or local:
+                gather.add(outer.slot)
+        return _FlatPlan(rec.slot, op, boundf, 1 + _charges(bound), stepf,
+                         sign, 1 + (0 if amount is None
+                                    else _charges(amount)),
+                         tuple(sorted(gather)))
+
     def _for(self, s: ast.For) -> Callable:
         pos = s.pos
         self.push()  # for-scope: holds init declarations
@@ -2228,14 +2694,22 @@ class _Lowerer:
         condf, cuni = (self._cond(s.cond) if s.cond is not None
                        else (None, True))
         stepf = self._step(s.step)
+        flat = self._flat_plan(s)
+        first_body_slot = self.nslots
         bodyf = self._compile_loop_parts(s.body)
         self.pop()
         ln = pos.line
+        if flat is not None:
+            flat.bodyf = bodyf
+            flat.body_slots = range(first_body_slot, self.nslots)
+            flat.ln = ln
 
         def sfn(st, idx, fr):
             st.line = ln
             if initf is not None:
                 initf(st, idx, fr)
+            if flat is not None and _run_flat(flat, st, idx):
+                return idx
             active = idx
             ret = fr[1]
             r0 = len(ret)
@@ -2318,7 +2792,7 @@ class _Lowerer:
                 # memory limit fault comes from ThreadContext.shared
                 arr = st.wctx.shared(name, total, base)
                 if arr.lanes is None:
-                    arr.lanes = LaneTracker(arr.data.size)
+                    arr.lanes = LaneTracker(arr.data.size, name, arr.size)
                 if arr.lanes not in st.trackers:
                     st.trackers.append(arr.lanes)
                 st.frame[slot] = arr
@@ -2677,14 +3151,15 @@ class Speculation:
     __slots__ = ("kernel", "interp", "args", "steps", "saved")
 
     def __init__(self, kernel: "CompiledSimdKernel", interp: Any,
-                 args: tuple[Any, ...], buffers: list):
+                 args: tuple[Any, ...], buffers: dict):
         self.kernel = kernel
         self.interp = interp
         self.args = args
         self.steps = interp.steps
         self.saved = [(buf, buf.data.copy()) for buf in buffers]
-        for buf in buffers:
-            buf.lanes = LaneTracker(buf.num_elements)
+        # a conflict names the allocation by the parameter it came in by
+        for buf, label in buffers.items():
+            buf.lanes = LaneTracker(buf.num_elements, label)
 
     def rollback(self, exc: Exception) -> tuple[Callable, str]:
         """Undo the launch after ``exc``, a :class:`LaneConflict` or a
@@ -2730,7 +3205,7 @@ class CompiledSimdKernel:
     compiled by the first replay (:meth:`scalar`), inside this memo
     entry."""
 
-    __slots__ = ("name", "coercers", "param_plan", "nslots",
+    __slots__ = ("name", "coercers", "param_plan", "param_names", "nslots",
                  "body_fns", "spine", "entry_pos", "stored_params",
                  "shared_bytes", "nbytes", "demoted", "blockwise",
                  "_src")
@@ -2738,14 +3213,15 @@ class CompiledSimdKernel:
     tier = "simd"
 
     def __init__(self, name: str, coercers: list,
-                 param_plan: list, nslots: int,
-                 body_fns: list | None, spine: list | None,
+                 param_plan: list, param_names: tuple[str, ...],
+                 nslots: int, body_fns: list | None, spine: list | None,
                  entry_pos: Any, stored_params: frozenset[int],
                  shared_bytes: int, nbytes: int):
         self.name = name
         self.nbytes = nbytes
         self.coercers = coercers
         self.param_plan = param_plan
+        self.param_names = param_names
         self.nslots = nslots
         self.body_fns = body_fns
         self.spine = spine
@@ -2794,12 +3270,11 @@ class CompiledSimdKernel:
         entry_pos = self.entry_pos
         # [active-lane ops, warp-width slots] of this launch
         occ = [0, 0]
-        buffers: list = []
-        for i in self.stored_params:
+        buffers: dict = {}
+        for i in sorted(self.stored_params):
             arg = args2[i]
-            if type(arg) is DevicePtr and not arg.buffer.read_only \
-                    and arg.buffer not in buffers:
-                buffers.append(arg.buffer)
+            if type(arg) is DevicePtr and not arg.buffer.read_only:
+                buffers.setdefault(arg.buffer, self.param_names[i])
         thread_fn.speculation = Speculation(self, interp, args, buffers)
         trackers = [buf.lanes for buf in buffers]
         thread_fn.group_blocks = self.group_blocks
@@ -2861,7 +3336,10 @@ def _compile_simd(info: ProgramInfo, fn: ast.FuncDef) -> CompiledSimdKernel:
         body_fns = [lw.stmt(s) for s in fn.body.statements]
     return CompiledSimdKernel(fn.name,
                               [_make_coercer(p.type) for p in fn.params],
-                              param_plan, lw.nslots,
+                              param_plan,
+                              tuple(p.name or f"_unnamed{i}"
+                                    for i, p in enumerate(fn.params)),
+                              lw.nslots,
                               body_fns, spine, fn.pos, lw.stored_params,
                               lw.shared_bytes,
                               _NBYTES_BASE + _NBYTES_PER_LOWERED * lw.lowered)

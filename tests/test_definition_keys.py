@@ -20,6 +20,7 @@ from repro.cluster import GpuWorker, WorkerConfig
 from repro.cluster.job import Job, JobKind
 from repro.gpusim import Device, GpuRuntime
 from repro.labs import get_lab
+from repro.labs.mutations import MUTATIONS, buggy_source
 from repro.minicuda import HostEnv, compile_source, srcgen
 from repro.minicuda.codegen import KERNEL_CACHE
 from repro.minicuda.simd import CompiledSimdKernel, compile_kernel
@@ -166,9 +167,13 @@ def test_a_blockwise_flag_lasts_across_programs_that_share_the_definition():
 def test_grading_bfs_twice_with_different_nonces_replays_once():
     lab = get_lab("bfs-queuing")
     lab = dataclasses.replace(lab, dataset_sizes=lab.dataset_sizes[:2])
-    # a file-scope declaration of this test's own: a bfsKernel no
+    # the claim read and written without atomicCAS: a race between two
+    # passes that share a neighbour, which demotes bfsKernel (the
+    # reference solution's claims run flattened and never replay); a
+    # file-scope declaration of this test's own makes it a bfsKernel no
     # other test has demoted yet
-    solution = f"{lab.solution}\nint graded_twice = 1;\n"
+    mutation = next(m for m in MUTATIONS if m.name == "missing-cas-claim")
+    solution = f"{buggy_source(mutation)}\nint graded_twice = 1;\n"
     telemetry = Telemetry()
     worker = GpuWorker(WorkerConfig(kernel_engine="simd"),
                        telemetry=telemetry)

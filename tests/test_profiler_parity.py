@@ -183,6 +183,45 @@ int main() { return 0; }
         # all 50 atomics charge the atomicAdd line
         assert ledger.counters(5).atomic_ops == 50
 
+    def test_bfs_claim_and_append(self):
+        """The BFS lab's kernel: a neighbour loop (run flattened on the
+        warp tier) whose claim CAS and queue append hit shared
+        elements, over three blocks."""
+        source = get_lab("bfs-queuing").solution
+        rng = np.random.default_rng(11)
+        nodes, frontier = 400, 300
+        degrees = rng.integers(0, 7, nodes)
+        row = np.concatenate([[0], np.cumsum(degrees)]).astype(np.int32)
+        col = rng.integers(0, nodes // 3, int(row[-1])).astype(np.int32)
+        queue = rng.permutation(nodes).astype(np.int32)
+        levels = np.full(nodes, -1, np.int32)
+        levels[queue[:frontier]] = 0
+        program = compile_source(source)
+        results = {}
+        for engine in ENGINES:
+            rt = GpuRuntime(Device())
+            bufs = []
+            for arr in (row, col, levels, queue, np.zeros(nodes, np.int32),
+                        np.zeros(1, np.int32)):
+                buf = rt.malloc(int(arr.size), arr.dtype)
+                rt.memcpy_htod(buf, arr)
+                bufs.append(buf)
+            ptrs = [b.ptr() for b in bufs]
+            stats = program.launch(rt, "bfsKernel", 3, 128, *ptrs[:4],
+                                   frontier, *ptrs[4:], 1, engine=engine,
+                                   profile=True)
+            results[engine] = ([rt.memcpy_dtoh(b) for b in bufs],
+                               stats.line_profile)
+        outs_ast, ledger_ast = results["ast"]
+        assert outs_ast[5][0] > 0  # nodes were claimed and queued
+        for engine in ENGINES[1:]:
+            outs, ledger = results[engine]
+            for a, b in zip(outs_ast, outs):
+                assert np.array_equal(a, b), engine
+            assert ledger == ledger_ast, engine
+            assert ledger.to_json() == ledger_ast.to_json(), engine
+        assert any(c.divergent_branches for c in ledger_ast.lines.values())
+
     def test_device_function_calls(self):
         source = """
 __device__ int triple(int v) {
