@@ -806,6 +806,26 @@ class WarpContext:
                                            self.gridDim, axis)
         return arr
 
+    def gather(self, owners: np.ndarray) -> WarpContext:
+        """The same group seen through lanes ``owners``: lane ``v`` of
+        the result is lane ``owners[v]`` of this one (a lane may repeat),
+        with its thread, block rank and warp id."""
+        sub = WarpContext.__new__(WarpContext)
+        sub.blockDim = self.blockDim
+        sub.gridDim = self.gridDim
+        sub.first = self.first
+        sub.blocks = self.blocks
+        sub.n = len(owners)
+        sub.warp_size = self.warp_size
+        sub.warp_ids = self.warp_ids[owners]
+        sub.rank = self.rank[owners]
+        sub.thread = self.thread[owners]
+        sub._block = self._block
+        sub._tid = {}
+        sub._bid = {}
+        sub._lanes = {}
+        return sub
+
     #: the group's get-or-allocate (and its per-block LaunchConfigError)
     #: as is: it only touches ``self._block``
     shared = ThreadContext.shared

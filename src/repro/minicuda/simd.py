@@ -478,18 +478,19 @@ class _WarpSt:
                  "idx_all", "md_ok", "prof", "line", "bseqs", "trackers",
                  "keys", "intervals", "bases")
 
-    def __init__(self, wctx: WarpContext, interp: Any, frame_size: int):
+    def __init__(self, wctx: WarpContext, interp: Any, frame: list):
         self.wctx = wctx
         self.tid_axis = wctx.tid_axis
         self.bid_axis = wctx.bid_axis
         self.n = wctx.n
         self.interp = interp
-        self.frame: list[Any] = [None] * frame_size
+        self.frame = frame
         self.block = wctx._block
         self.stats = self.block.stats
         # each lane's warp id, the warp column of every record; a
         # plain 0 while the group is one warp
-        self.warp_ids = wctx.warp_ids if wctx.n > wctx.warp_size else 0
+        self.warp_ids = (wctx.warp_ids if wctx.blocks * wctx.blockDim.count
+                         > wctx.warp_size else 0)
         # per-lane access sequence numbers; kept as one Python int
         # while every access so far has been full-mask (the hot case),
         # materialized to an int64 array on the first partial-mask op
@@ -661,47 +662,12 @@ class _WarpSt:
 # them, every atomic applies in that order, and a LaneTracker key
 # (owner key, iteration) keeps checking every other access.
 
-#: Virtual lanes one body run holds at most. A loop with more runs in
-#: runs of whole warps, each below this; a warp alone past it runs the
-#: lockstep loop.
+#: Virtual lanes one body run holds at most; a loop with more passes
+#: runs the lockstep loop.
 _FLAT_LANES = 1 << 16
 
 #: Trip counts are computed in int64 where every operand is below this.
 _FLAT_MAGNITUDE = 1 << 61
-
-
-class _FlatLanes:
-    """The :class:`WarpContext` a flattened loop's body runs against:
-    lane ``v`` is a pass of thread ``owners[v]`` of the group."""
-
-    __slots__ = ("blockDim", "gridDim", "blocks", "warp_size", "rank",
-                 "_block", "_wctx", "_owners", "_tid", "_bid")
-
-    shared = WarpContext.shared
-
-    def __init__(self, wctx: WarpContext, owners: np.ndarray):
-        self.blockDim = wctx.blockDim
-        self.gridDim = wctx.gridDim
-        self.blocks = wctx.blocks
-        self.warp_size = wctx.warp_size
-        self.rank = wctx.rank[owners]
-        self._block = wctx._block
-        self._wctx = wctx
-        self._owners = owners
-        self._tid: dict[str, np.ndarray] = {}
-        self._bid: dict[str, np.ndarray] = {}
-
-    def tid_axis(self, axis: str) -> np.ndarray:
-        arr = self._tid.get(axis)
-        if arr is None:
-            arr = self._tid[axis] = self._wctx.tid_axis(axis)[self._owners]
-        return arr
-
-    def bid_axis(self, axis: str) -> np.ndarray:
-        arr = self._bid.get(axis)
-        if arr is None:
-            arr = self._bid[axis] = self._wctx.bid_axis(axis)[self._owners]
-        return arr
 
 
 class _FlatSt(_WarpSt):
@@ -711,36 +677,17 @@ class _FlatSt(_WarpSt):
     from 0 in every iteration; :meth:`merge` turns them into the
     thread's own running numbers."""
 
-    __slots__ = ("iters", "width", "patches", "bpatches")
+    __slots__ = ("iters", "patches", "bpatches")
 
     def __init__(self, st: _WarpSt, owners: np.ndarray, iters: np.ndarray,
                  frame: list):
-        self.wctx = lanes = _FlatLanes(st.wctx, owners)
-        self.tid_axis = lanes.tid_axis
-        self.bid_axis = lanes.bid_axis
-        self.n = len(owners)
-        self.interp = st.interp
-        self.frame = frame
-        self.block = st.block
-        self.stats = st.block.stats
-        w = st.warp_ids
-        self.warp_ids = w if type(w) is int else w[owners]
-        self.seqs = 0
-        self.ops = self.slots = 0
-        self.idx_all = np.arange(self.n, dtype=np.intp)
-        self.md_ok = set()
+        _WarpSt.__init__(self, st.wctx.gather(owners), st.interp, frame)
+        # the group's shared arrays, reset at its barriers
         self.trackers = st.trackers
         self.keys = st.keys[owners] + iters
-        self.bases = {}
+        self.intervals = st.intervals
         self.line = st.line
-        self.prof = st.prof
-        if self.prof is not None:
-            self.bseqs = np.zeros(self.n, dtype=np.int64)
-            self.stats = _LineStatsProxy(self, self.stats,
-                                         self.prof.instr_lines)
         self.iters = iters
-        #: the group's lane count: a one-warp group's warp width
-        self.width = st.n
         #: (chunk list, position, lanes) of every row this body recorded
         self.patches: list = []
         self.bpatches: list = []
@@ -752,8 +699,9 @@ class _FlatSt(_WarpSt):
         full = len(idx) == self.n
         it = self.iters if full else self.iters[idx]
         w = self.warp_ids
-        if type(w) is int:
-            self.slots += self.width * len(_distinct(it))
+        if type(w) is int:  # a one-warp group: its lane count
+            self.slots += self.wctx.blocks * self.wctx.blockDim.count * len(
+                _distinct(it))
             return
         pairs = _distinct(((w if full else w[idx]) << 32) | it)
         size = self.wctx.warp_size
@@ -871,8 +819,9 @@ def _flat_trips(op: str, j0: np.ndarray, bound: Any,
 
 def _run_flat(p: _FlatPlan, st: _WarpSt, idx: np.ndarray) -> bool:
     """Run loop ``p`` (its init already run) for the lanes ``idx``,
-    flattened; False, having charged nothing, where one warp alone
-    would pass :data:`_FLAT_LANES` — the lockstep loop runs it then."""
+    flattened; False, having charged nothing, where the passes would
+    number more than :data:`_FLAT_LANES` — the lockstep loop runs it
+    then."""
     m = len(idx)
     st.line = p.ln
     j0 = st.frame[p.iv][idx]
@@ -883,14 +832,11 @@ def _run_flat(p: _FlatPlan, st: _WarpSt, idx: np.ndarray) -> bool:
     interp = st.interp
     if interp.steps + total > interp.max_steps:
         raise _Replay("flattened loop past the step budget")
-    runs = [(0, m)]
     if total > _FLAT_LANES:
-        runs = _flat_runs(st.lane_warps(idx), trips)
-        if runs is None:
-            # undo the bound's and step's one evaluation
-            st.stats.instructions -= m * (p.bound_charge - 1 + (
-                p.step_charge - 1 if p.stepf is not None else 0))
-            return False
+        # undo the bound's and step's one evaluation
+        st.stats.instructions -= m * (p.bound_charge - 1 + (
+            p.step_charge - 1 if p.stepf is not None else 0))
+        return False
     keys = st.keys.copy()
     keys[idx] += trips
     # a carry out of the iteration field leaves it below the trips
@@ -903,17 +849,14 @@ def _run_flat(p: _FlatPlan, st: _WarpSt, idx: np.ndarray) -> bool:
         + total * p.step_charge
         - (m * (p.step_charge - 1) if p.stepf is not None else 0))
     interp.steps += total
-    parent = st.frame
-    for a, b in runs:
-        t = trips[a:b]
-        live = np.flatnonzero(t)
-        if not len(live):
-            continue
-        t = t[live]
-        at = np.repeat(live + a, t)
-        iters = np.arange(len(at), dtype=np.int64) - np.repeat(
+    live = np.flatnonzero(trips)
+    if len(live):
+        t = trips[live]
+        at = np.repeat(live, t)
+        iters = np.arange(total, dtype=np.int64) - np.repeat(
             np.cumsum(t) - t, t)
         owners = idx[at]
+        parent = st.frame
         frame = list(parent)
         for slot in p.gather:
             frame[slot] = parent[slot][owners]
@@ -924,7 +867,7 @@ def _run_flat(p: _FlatPlan, st: _WarpSt, idx: np.ndarray) -> bool:
         sub = _FlatSt(st, owners, iters, frame)
         sub.occupy(sub.idx_all)
         p.bodyf(sub, sub.idx_all, ([], []))
-        sub.merge(st, idx[live + a], t)
+        sub.merge(st, idx[live], t)
     st.keys = keys
     return True
 
@@ -1020,26 +963,6 @@ def _flat_shape(s: ast.For) -> tuple | None:
     if not atomic:
         return None
     return iv, cond.op, cond.right, sign, amount, declared, stored
-
-
-def _flat_runs(warps: Any, trips: np.ndarray) -> list | None:
-    """Split the lanes (ascending, with warp ids ``warps``) into runs of
-    whole warps of at most :data:`_FLAT_LANES` passes each; None when
-    one warp alone has more."""
-    if type(warps) is int:
-        return None
-    starts = np.flatnonzero(np.diff(warps, prepend=-1))
-    per_warp = np.add.reduceat(trips, starts).tolist()
-    if max(per_warp) > _FLAT_LANES:
-        return None
-    runs, a, held = [], 0, 0
-    for start, count in zip(starts.tolist(), per_warp):
-        if held + count > _FLAT_LANES:
-            runs.append((a, start))
-            a, held = start, 0
-        held += count
-    runs.append((a, len(trips)))
-    return runs
 
 
 # -- the lowerer -------------------------------------------------------------
@@ -2652,11 +2575,16 @@ class _Lowerer:
         (a uniform one is a scalar every body closure reads), the bound
         and step int-valued, and the body may store no element of a
         local array declared outside it (a register carried between
-        iterations too)."""
+        iterations too). No name the body declares may be visible
+        outside it: :func:`_flat_shape` matches assignments to
+        declarations by name, and a shadowed name would let an
+        assignment resolve to the outer variable."""
         shape = _flat_shape(s)
         if shape is None:
             return None
         iv, op, bound, sign, amount, declared, stored = shape
+        if any(self.lookup(name) is not None for name in declared):
+            return None
         rec = self.lookup(iv)
         if not rec.vary or rec.cokind != "int":
             return None
@@ -3286,7 +3214,7 @@ class CompiledSimdKernel:
             interp.steps += n
             if interp.steps > interp.max_steps:
                 raise KernelHang(_HANG_MSG, entry_pos)
-            st = _WarpSt(wctx, interp, nslots)
+            st = _WarpSt(wctx, interp, [None] * nslots)
             frame = st.frame
             for (slot, carrier), arg in zip(plan, args2):
                 frame[slot] = (np.full(n, arg, carrier)

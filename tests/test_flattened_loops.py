@@ -316,6 +316,38 @@ __global__ void k(int *in, int *out, int n) {
   }
   out[4 + t] = last;
 }""",
+    # the body declares a ``last`` too, but the assignment is the outer's
+    "outer-assignment-shadowed-later": """
+__global__ void k(int *in, int *out, int n) {
+  int t = threadIdx.x;
+  int last = -1;
+  for (int j = t; j < n; j += 32) {
+    last = atomicAdd(&out[j % 4], 1);
+    { int last = 0; }
+  }
+  out[4 + t] = last;
+}""",
+    "outer-assignment-before-its-shadow": """
+__global__ void k(int *in, int *out, int n) {
+  int t = threadIdx.x;
+  int last = -1;
+  for (int j = t; j < n; j += 32) {
+    last = atomicAdd(&out[j % 4], 1);
+    int last = j;
+    out[100 + j] = last;
+  }
+  out[4 + t] = last;
+}""",
+    "outer-local-array-shadowed": """
+__global__ void k(int *in, int *out, int n) {
+  int t = threadIdx.x;
+  int acc[4];
+  for (int j = t; j < n; j += 32) {
+    acc[j % 4] = atomicAdd(&out[in[j] % 4], 1);
+    { int acc[2]; acc[0] = j; }
+  }
+  out[4 + t] = acc[0] + acc[1] + acc[2] + acc[3];
+}""",
     # every lane runs the same passes: the body reads a uniform scalar
     "uniform-induction-variable": """
 __global__ void k(int *in, int *out, int n) {
@@ -349,13 +381,12 @@ class TestShapes:
         assert replayed == 0
         assert flattened and all(flattened)
 
-    @pytest.mark.parametrize("cap, ran", ((100, True), (40, False)),
-                             ids=("runs-of-warps", "one-warp-past-the-cap"))
+    @pytest.mark.parametrize("cap, ran", ((350, True), (349, False)),
+                             ids=("at-the-cap", "past-the-cap"))
     def test_a_loop_past_the_cap(self, cap, ran, flattened, monkeypatch):
-        """The six warps make 64, 64, 64, 64, 62 and 32 passes. Under a
-        cap of 100 the body runs once per warp, in order; under 40 one
-        warp alone is past it, so the lockstep loop runs (and, its order
-        conflicting, replays)."""
+        """The group makes 350 passes: at a cap of 350 the body runs
+        once over all of them; one below, the lockstep loop runs (and,
+        its order conflicting, replays)."""
         monkeypatch.setattr(simd, "_FLAT_LANES", cap)
         source, grid, block, size = SHAPES["grid-stride-global"]
         program = program_of(source, 250 + cap)
@@ -372,8 +403,10 @@ class TestShapes:
                       [200], True)
         outer = next(node for node in ast.walk(program.info.kernel_def("k"))
                      if type(node) is ast.For)
-        if name == "uniform-induction-variable":
-            # the shape is flat, but the body's registers are scalars
+        if name == "uniform-induction-variable" or "shadow" in name:
+            # the shape is flat, but the body's registers are scalars,
+            # or a name it declares shadows the outer variable that an
+            # assignment means
             assert simd._flat_shape(outer) is not None
             assert not flattened
         else:
