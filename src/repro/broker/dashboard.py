@@ -231,6 +231,7 @@ class Dashboard:
             compiles = cache["stats"].get("compile", {})
             kernels = cache["stats"].get("kernels", {})
             datasets = cache["stats"].get("datasets", {})
+            definitions = cache["stats"].get("definitions", {})
             lines.append(
                 f"  caches: grading {results.get('hit_rate', 0.0):.0%} hit "
                 f"({int(results.get('entries', 0))} entries, "
@@ -240,5 +241,8 @@ class Dashboard:
                 f"({int(kernels.get('bytes_live', 0))} B live, "
                 f"{int(kernels.get('evictions', 0))} evicted), "
                 f"datasets {datasets.get('hit_rate', 0.0):.0%} hit, "
+                f"definitions {definitions.get('hit_rate', 0.0):.0%} hit "
+                f"({int(definitions.get('bytes_live', 0))} B live, "
+                f"{int(definitions.get('evictions', 0))} evicted), "
                 f"{results.get('seconds_saved', 0.0):.1f}s saved")
         return "\n".join(lines)

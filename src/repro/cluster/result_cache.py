@@ -49,6 +49,7 @@ from repro.labs.base import DATASETS
 from repro.labs.config import lab_fingerprint
 from repro.minicuda.codegen import KERNEL_CACHE
 from repro.minicuda.compiler import CompileCache
+from repro.minicuda.parser import DEFINITIONS
 from repro.storage import Bucket
 
 #: Synthetic seconds a cache hit costs (key lookup + payload fetch).
@@ -252,10 +253,12 @@ class PlatformCaches:
       ``(program_hash, dataset_hash, requirements)``;
     * ``grades`` — rubric computations memoized by the Grader.
 
-    The snapshot also reports ``kernels`` and ``datasets``, the
-    process-wide :data:`repro.minicuda.codegen.KERNEL_CACHE` and
-    :data:`repro.labs.base.DATASETS` (read-only here: every worker in
-    the process shares them whether or not it has caches).
+    The snapshot also reports ``kernels``, ``datasets`` and
+    ``definitions``, the process-wide
+    :data:`repro.minicuda.codegen.KERNEL_CACHE`,
+    :data:`repro.labs.base.DATASETS` and
+    :data:`repro.minicuda.parser.DEFINITIONS` (read-only here: every
+    worker in the process shares them whether or not it has caches).
     """
 
     def __init__(self, clock: Any = None, bucket: Bucket | None = None,
@@ -282,4 +285,5 @@ class PlatformCaches:
             "grades": self.grades.stats.snapshot(),
             "kernels": KERNEL_CACHE.stats.snapshot(),
             "datasets": DATASETS.stats.snapshot(),
+            "definitions": DEFINITIONS.stats.snapshot(),
         }

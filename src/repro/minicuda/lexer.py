@@ -58,16 +58,23 @@ _ESCAPE_RE = re.compile(r"\\(.)", re.DOTALL)
 # is not "." "5"); an opening quote that does not begin a well-formed
 # literal falls through to ``badstring`` / ``badchar``; ``stray`` takes
 # whatever is left, so every offset short of the end matches something.
-# Form feed and vertical tab are whitespace too (C11 6.4p3).
+# Form feed and vertical tab are whitespace too (C11 6.4p3). The three
+# patterns below are the only tokens inside which a quote, a ``#``, a
+# bracket or a ``;`` is not a token of its own; the parser's definition
+# splitter skips them by the same rules (compile with ``re.DOTALL``).
+HASH_LINE = r"\#[^\n]*"
+STRING_LITERAL = r'"(?:[^"\\\n]|\\.)*"'
+CHAR_LITERAL = r"'(?:\\.|.)'"
+
 _MASTER = re.compile(rf"""[ \t\r\n\f\v]*(?:
     (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
   | (?P<float>(?:\d+\.\d*(?:[eE][-+]?\d+)?|\.\d+(?:[eE][-+]?\d+)?|\d+[eE][-+]?\d+)[fF]?
              |\d+[fF])
   | (?P<int>0[xX][0-9a-fA-F]+[uUlL]*|\d+[uUlL]*)
   | (?P<punct>{"|".join(map(re.escape, PUNCTUATION))})
-  | (?P<hash>\#[^\n]*)
-  | (?P<string>"(?:[^"\\\n]|\\.)*")
-  | (?P<char>'(?:\\.|.)')
+  | (?P<hash>{HASH_LINE})
+  | (?P<string>{STRING_LITERAL})
+  | (?P<char>{CHAR_LITERAL})
   | (?P<badstring>")
   | (?P<badchar>')
   | (?P<eof>\Z)
@@ -106,14 +113,21 @@ def _unescape(body: str) -> str:
     return _ESCAPE_RE.sub(lambda m: _ESCAPES.get(m[1], m[1]), body)
 
 
-def tokenize(source: str) -> list[Token]:
-    """Tokenize preprocessed source into a list ending with EOF."""
+def tokenize(source: str, origin: tuple[int, int] = (1, 1)) -> list[Token]:
+    """Tokenize preprocessed source into a list ending with EOF.
+
+    ``origin`` is the (line, column) of the first character: a slice of
+    a file that starts on a token boundary lexes to the matching slice
+    of the whole file's tokens, positions included."""
     # offset of each line's first character; the last entry is past the
     # end of the source, so no token start ever reaches it
     line_starts = [0]
     for physical in source.split("\n"):
         line_starts.append(line_starts[-1] + len(physical) + 1)
-    line, line_start, next_start = 1, 0, line_starts[1]
+    # the first line starts before offset 0 by the origin's column
+    line, line_start = origin[0], 1 - origin[1]
+    later_starts = iter(line_starts[1:])
+    next_start = next(later_starts)
     tokens: list[Token] = []
     append = tokens.append
     for m in _MASTER.finditer(source):
@@ -123,7 +137,7 @@ def tokenize(source: str) -> list[Token]:
         while start >= next_start:
             line_start = next_start
             line += 1
-            next_start = line_starts[line]
+            next_start = next(later_starts)
         pos = SourcePos(line, start - line_start + 1)
         if group == "ident":
             append(Token(TokenKind.KEYWORD if text in KEYWORDS

@@ -269,11 +269,11 @@ class Telemetry:
             "kernel launches").inc(kernel=name)
 
     def record_parse(self, seconds: float) -> None:
-        """One front-end parse, successful or not: wall time."""
+        """One front-end lex + parse, successful or not: wall time."""
         self.metrics.histogram(
             PARSE_SECONDS,
-            "host wall seconds parsing one translation unit").observe(
-                max(0.0, seconds))
+            "host wall seconds lexing and parsing one translation unit"
+        ).observe(max(0.0, seconds))
 
     def stage_summary(self, by_tag: bool = False) -> dict[str, dict]:
         """p50/p95/p99 etc. per stage (optionally nested per tag).
