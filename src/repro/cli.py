@@ -247,12 +247,10 @@ def cmd_profile_attempt(args: argparse.Namespace) -> int:
             f"ran on {' + '.join(tiers)}" if tiers else "not launched")
         if asked == "simd":
             reason = simd.decline_reason(info, name)
-            kernel = simd.compile_kernel(info, name)
             if reason is not None:
                 line += f" (simd declined: {reason})"
-            elif isinstance(kernel, simd.CompiledSimdKernel) \
-                    and kernel.blockwise:
-                line += " (one block per group: cross-block conflict)"
+            elif demoted := simd._verdict(info, name).demoted:
+                line += f" (demoted: {demoted})"
         print(line)
     profile = result.line_profile
     if profile is None or not profile.lines:

@@ -70,17 +70,15 @@ def out_of_range(indices: np.ndarray, size: int) -> int | None:
 class LaneConflict(Exception):
     """A speculative warp-vector launch made two accesses in an order
     serial per-thread execution would have reversed. A control signal,
-    not a simulator error: the launch is rolled back and replayed.
-    ``cross_block``: running one block per group removes it. Where:
-    the allocation's ``label``, the ``element`` (in one block's array
-    for ``__shared__`` storage) and the decoded keys (:func:`decode_key`)
-    of the access that came ``first`` statement-major and of the
-    lower-keyed one that came ``after`` it."""
+    not a simulator error: the launch is rolled back and replayed on
+    the scalar tier. Where: the allocation's ``label``, the
+    ``element`` (in one block's array for ``__shared__`` storage) and
+    the decoded keys (:func:`decode_key`) of the access that came
+    ``first`` statement-major and of the lower-keyed one that came
+    ``after`` it."""
 
-    def __init__(self, cross_block: bool = False, label: str = "",
-                 element: int = 0, first: dict | None = None,
-                 after: dict | None = None):
-        self.cross_block = cross_block
+    def __init__(self, label: str = "", element: int = 0,
+                 first: dict | None = None, after: dict | None = None):
         self.label = label
         self.element = element
         self.first = first or {}
@@ -88,17 +86,16 @@ class LaneConflict(Exception):
         super().__init__(self.describe())
 
     def describe(self) -> str:
-        def lane(key: dict) -> str:
+        def who(key: dict) -> str:
             return (f"thread {key.get('thread')} (block rank "
                     f"{key.get('rank')}, interval {key.get('interval')}, "
                     f"iteration {key.get('iteration')})")
-        return (f"{self.label}[{self.element}]: {lane(self.after)} after "
-                f"{lane(self.first)}")
+        return (f"{self.label}[{self.element}]: {who(self.after)} after "
+                f"{who(self.first)}")
 
     def attrs(self) -> dict[str, Any]:
         """Flat attributes for a telemetry event."""
-        out: dict[str, Any] = {"cross_block": self.cross_block,
-                               "element": f"{self.label}[{self.element}]"}
+        out: dict[str, Any] = {"element": f"{self.label}[{self.element}]"}
         for role, key in (("first", self.first), ("after", self.after)):
             out.update({f"{role}_{name}": v for name, v in key.items()})
         return out
@@ -107,20 +104,15 @@ class LaneConflict(Exception):
 def _conflict(tracker: "LaneTracker", index: Any, prior: Any,
               keys: Any) -> LaneConflict:
     """The conflict of accesses to ``index`` by ``keys`` after ones by
-    the higher ``prior`` keys. It is between blocks when no earlier
-    access's (interval, thread, iteration) comes after the later one's:
-    within one block each pair would have run in the oracle's order.
-    The first offending lane names the place."""
+    the higher ``prior`` keys, named by the first offending lane."""
     late = np.atleast_1d(prior > keys)
-    within = (1 << KEY_RANK_SHIFT) - 1
-    inner = late & ((prior & within) > (keys & within))
     j = int(np.argmax(late))
     element, first, after = (int(np.broadcast_to(v, late.shape)[j])
                              for v in (index, prior, keys))
     if tracker.size:
         element %= tracker.size
-    return LaneConflict(not np.any(inner), tracker.label, element,
-                        decode_key(first), decode_key(after))
+    return LaneConflict(tracker.label, element, decode_key(first),
+                        decode_key(after))
 
 
 class LaneTracker:

@@ -390,8 +390,7 @@ class ThreadContext:
     profiled = False
 
     def __init__(self, threadIdx: Idx3, blockIdx: Idx3, blockDim: Dim3,
-                 gridDim: Dim3, block_state: _BlockState,
-                 warp: int | None = None):
+                 gridDim: Dim3, block_state: _BlockState):
         self.threadIdx = threadIdx
         self.blockIdx = blockIdx
         self.blockDim = blockDim
@@ -404,9 +403,7 @@ class ThreadContext:
         self._stats = block_state.stats
         self._linear_tid = blockDim.linear_index(
             threadIdx.x, threadIdx.y, threadIdx.z)
-        # a warp-tier group numbers its warps across its blocks
-        self._warp = (self._linear_tid // block_state.device.spec.warp_size
-                      if warp is None else warp)
+        self._warp = self._linear_tid // block_state.device.spec.warp_size
         self._seq = 0
         self._loads, self._stores, self._shared_trace = \
             block_state.register_thread(self._warp)
@@ -440,34 +437,24 @@ class ThreadContext:
 
     def load(self, ptr: DevicePtr, index: int = 0) -> Any:
         """Profiled, bounds-checked global load."""
-        if type(ptr) is DevicePtr:
-            # fast path: resolve the buffer index once instead of
-            # paying read + byte_address + dtype wrapper hops
-            buf = ptr.buffer
-            i = ptr.offset + int(index)
-            value = buf.read(i)
-            nbytes = buf._itemsize
-            self._loads += (self._seq, buf._base + i * nbytes, nbytes)
-        else:
-            value = ptr.read(index)
-            self._loads += (self._seq, ptr.byte_address(index),
-                            ptr.dtype.itemsize)
+        # resolve the buffer index once instead of paying read +
+        # byte_address + dtype wrapper hops
+        buf = ptr.buffer
+        i = ptr.offset + int(index)
+        value = buf.read(i)
+        nbytes = buf._itemsize
+        self._loads += (self._seq, buf._base + i * nbytes, nbytes)
         self._seq += 1
         self._stats.instructions += 1
         return value
 
     def store(self, ptr: DevicePtr, index: int, value: Any) -> None:
         """Profiled, bounds-checked global store."""
-        if type(ptr) is DevicePtr:
-            buf = ptr.buffer
-            i = ptr.offset + int(index)
-            buf.write(i, value)
-            nbytes = buf._itemsize
-            self._stores += (self._seq, buf._base + i * nbytes, nbytes)
-        else:
-            ptr.write(index, value)
-            self._stores += (self._seq, ptr.byte_address(index),
-                             ptr.dtype.itemsize)
+        buf = ptr.buffer
+        i = ptr.offset + int(index)
+        buf.write(i, value)
+        nbytes = buf._itemsize
+        self._stores += (self._seq, buf._base + i * nbytes, nbytes)
         self._seq += 1
         self._stats.instructions += 1
 
@@ -492,25 +479,17 @@ class ThreadContext:
 
     def shared_load(self, arr: SharedArray, index: int) -> Any:
         index = int(index)
-        if type(arr) is SharedArray:
-            # bank == word % NUM_BANKS: compute the word index once
-            word = index * arr._itemsize // 4
-            self._shared_trace += (self._seq, word % _NUM_BANKS, word)
-        else:
-            self._shared_trace += (self._seq, arr.bank(index),
-                                   index * arr.dtype.itemsize // 4)
+        # bank == word % NUM_BANKS: compute the word index once
+        word = index * arr._itemsize // 4
+        self._shared_trace += (self._seq, word % _NUM_BANKS, word)
         self._seq += 1
         self._stats.instructions += 1
         return arr.read(index)
 
     def shared_store(self, arr: SharedArray, index: int, value: Any) -> None:
         index = int(index)
-        if type(arr) is SharedArray:
-            word = index * arr._itemsize // 4
-            self._shared_trace += (self._seq, word % _NUM_BANKS, word)
-        else:
-            self._shared_trace += (self._seq, arr.bank(index),
-                                   index * arr.dtype.itemsize // 4)
+        word = index * arr._itemsize // 4
+        self._shared_trace += (self._seq, word % _NUM_BANKS, word)
         self._seq += 1
         self._stats.instructions += 1
         arr.write(index, value)
@@ -624,10 +603,9 @@ class ProfiledThreadContext(ThreadContext):
     profiled = True
 
     def __init__(self, threadIdx: Idx3, blockIdx: Idx3, blockDim: Dim3,
-                 gridDim: Dim3, block_state: _BlockState,
-                 warp: int | None = None):
+                 gridDim: Dim3, block_state: _BlockState):
         super().__init__(threadIdx, blockIdx, blockDim, gridDim,
-                         block_state, warp)
+                         block_state)
         self.bseq = 0
         self._instr_lines = block_state.instr_lines
         self._atomic_lines = block_state.atomic_lines
@@ -648,16 +626,11 @@ class ProfiledThreadContext(ThreadContext):
 
     def load(self, ptr: DevicePtr, index: int = 0) -> Any:
         ln = self.line
-        if type(ptr) is DevicePtr:
-            buf = ptr.buffer
-            i = ptr.offset + int(index)
-            value = buf.read(i)
-            nbytes = buf._itemsize
-            self._loads += (self._seq, buf._base + i * nbytes, nbytes, ln)
-        else:
-            value = ptr.read(index)
-            self._loads += (self._seq, ptr.byte_address(index),
-                            ptr.dtype.itemsize, ln)
+        buf = ptr.buffer
+        i = ptr.offset + int(index)
+        value = buf.read(i)
+        nbytes = buf._itemsize
+        self._loads += (self._seq, buf._base + i * nbytes, nbytes, ln)
         self._seq += 1
         self._stats.instructions += 1
         il = self._instr_lines
@@ -666,16 +639,11 @@ class ProfiledThreadContext(ThreadContext):
 
     def store(self, ptr: DevicePtr, index: int, value: Any) -> None:
         ln = self.line
-        if type(ptr) is DevicePtr:
-            buf = ptr.buffer
-            i = ptr.offset + int(index)
-            buf.write(i, value)
-            nbytes = buf._itemsize
-            self._stores += (self._seq, buf._base + i * nbytes, nbytes, ln)
-        else:
-            ptr.write(index, value)
-            self._stores += (self._seq, ptr.byte_address(index),
-                             ptr.dtype.itemsize, ln)
+        buf = ptr.buffer
+        i = ptr.offset + int(index)
+        buf.write(i, value)
+        nbytes = buf._itemsize
+        self._stores += (self._seq, buf._base + i * nbytes, nbytes, ln)
         self._seq += 1
         self._stats.instructions += 1
         il = self._instr_lines
@@ -684,12 +652,8 @@ class ProfiledThreadContext(ThreadContext):
     def shared_load(self, arr: SharedArray, index: int) -> Any:
         index = int(index)
         ln = self.line
-        if type(arr) is SharedArray:
-            word = index * arr._itemsize // 4
-            self._shared_trace += (self._seq, word % _NUM_BANKS, word, ln)
-        else:
-            self._shared_trace += (self._seq, arr.bank(index),
-                                   index * arr.dtype.itemsize // 4, ln)
+        word = index * arr._itemsize // 4
+        self._shared_trace += (self._seq, word % _NUM_BANKS, word, ln)
         self._seq += 1
         self._stats.instructions += 1
         il = self._instr_lines
@@ -699,12 +663,8 @@ class ProfiledThreadContext(ThreadContext):
     def shared_store(self, arr: SharedArray, index: int, value: Any) -> None:
         index = int(index)
         ln = self.line
-        if type(arr) is SharedArray:
-            word = index * arr._itemsize // 4
-            self._shared_trace += (self._seq, word % _NUM_BANKS, word, ln)
-        else:
-            self._shared_trace += (self._seq, arr.bank(index),
-                                   index * arr.dtype.itemsize // 4, ln)
+        word = index * arr._itemsize // 4
+        self._shared_trace += (self._seq, word % _NUM_BANKS, word, ln)
         self._seq += 1
         self._stats.instructions += 1
         il = self._instr_lines
@@ -764,13 +724,14 @@ class WarpContext:
     contexts. ``warp_ids`` numbers each lane's 32-lane warp across the
     group (rank x warps per block + thread // 32): the executor's
     access and branch records carry it, so coalescing, bank replays
-    and divergence stay per warp request of one block. A real
-    per-thread context exists only for the lanes a per-lane fallback
-    asks :meth:`lane` for."""
+    and divergence stay per warp request of one block. No per-thread
+    context exists: what the executor cannot run as lane vectors ends
+    the speculative launch, whose scalar replay builds the thread
+    contexts."""
 
     __slots__ = ("blockDim", "gridDim", "first", "blocks", "n",
                  "warp_size", "warp_ids", "rank", "thread", "_block",
-                 "_tid", "_bid", "_lanes")
+                 "_tid", "_bid")
 
     def __init__(self, block_state: _BlockState, first: int, blocks: int,
                  blockDim: Dim3, gridDim: Dim3):
@@ -789,7 +750,6 @@ class WarpContext:
         self._block = block_state
         self._tid: dict[str, np.ndarray] = {}
         self._bid: dict[str, np.ndarray] = {}
-        self._lanes: dict[int, ThreadContext] = {}
 
     def tid_axis(self, axis: str) -> np.ndarray:
         """``threadIdx.<axis>`` of every lane (int64, cached)."""
@@ -823,28 +783,11 @@ class WarpContext:
         sub._block = self._block
         sub._tid = {}
         sub._bid = {}
-        sub._lanes = {}
         return sub
 
     #: the group's get-or-allocate (and its per-block LaunchConfigError)
     #: as is: it only touches ``self._block``
     shared = ThreadContext.shared
-
-    def lane(self, i: int) -> ThreadContext:
-        """Lane ``i``'s own thread context, built on first request —
-        for the fault chains that must run through the scalar accessors
-        to stay byte-identical with the per-thread engines. Its traces
-        go in under the lane's warp id in the group."""
-        ctx = self._lanes.get(i)
-        if ctx is None:
-            cls = (ThreadContext if self._block.prof is None
-                   else ProfiledThreadContext)
-            ctx = cls(Idx3(*(int(self.tid_axis(a)[i]) for a in "xyz")),
-                      Idx3(*(int(self.bid_axis(a)[i]) for a in "xyz")),
-                      self.blockDim, self.gridDim, self._block,
-                      int(self.warp_ids[i]))
-            self._lanes[i] = ctx
-        return ctx
 
 
 def run_block(device: Device, kernel: Callable[..., Any], grid: Dim3,

@@ -405,14 +405,13 @@ class Interpreter:
         order was about to differ from the oracle's block-major,
         thread-major order — the launch is undone (written
         allocations, step budget; its stats never reached the runtime)
-        and replayed: when the conflict was between two blocks, on the
-        warp tier again with one block per group (the memo entry keeps
-        that); when it was inside a block, on the scalar kernel, which
-        is compiled then if it never was, and the kernel is demoted.
-        Faults replay scalar too, without demoting: a lane that faults
-        at an earlier statement need not be the first thread to fault,
-        and the replay's outcome is the launch's. A
-        :class:`KernelHang` propagates as it is.
+        and replayed on the scalar kernel, which is compiled then if it
+        never was, and the kernel is demoted. Anything else it raises
+        (a fault, or what the lane vectors cannot run exactly) replays
+        scalar too, without demoting: a lane that faults at an earlier
+        statement need not be the first thread to fault, and the
+        replay's outcome is the launch's. A :class:`KernelHang`
+        propagates as it is.
         """
         kernel, tier = self._bind_kernel(name, args)
         # only a warp-SIMD kernel carries (and can raise for) one

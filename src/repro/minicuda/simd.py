@@ -35,14 +35,16 @@ allocation the kernel may store to goes through that allocation's
 :class:`~repro.gpusim.memory.LaneTracker`; the first such access raises
 :class:`~repro.gpusim.memory.LaneConflict` (naming the element and
 both lanes), and ``Interpreter.launch_kernel`` restores the
-:class:`Speculation` snapshot and replays the launch: one block per
-group for a conflict between blocks, on the scalar ``codegen`` kernel
-(demoted) for one inside a block — so results, ``KernelStats`` and
-line ledgers equal the oracle's for racy programs too. A launch that
-faults is restored and replayed scalar (without demotion), so the
-fault it reports is the first in thread-major order. Kernels that name
-a writable file-scope ``__device__`` array or pointer are ineligible
-(that storage carries no tracker).
+:class:`Speculation` snapshot and replays the launch on the scalar
+``codegen`` kernel, which runs the kernel from then on (demoted) — so
+results, ``KernelStats`` and line ledgers equal the oracle's for racy
+programs too. A launch that faults, or that reaches what the lane
+vectors cannot run exactly (:class:`_Replay`), is restored and
+replayed scalar without demotion, so the fault it reports is the
+first in thread-major order. The warp tier builds no per-thread
+context and runs no per-lane loop. Kernels that name a writable
+file-scope ``__device__`` array or pointer are ineligible (that
+storage carries no tracker).
 
 A lockstep loop runs iteration k on every lane before k + 1, which the
 oracle never does: a thread's second atomic on an element shared with
@@ -103,8 +105,6 @@ from repro.minicuda.interpreter import (
     _c_div,
     _c_mod,
     _truthy,
-    read_indexed,
-    write_indexed,
 )
 from repro.minicuda.semantic import BARRIER_BUILTINS, ProgramInfo
 from repro.minicuda.srcgen import (
@@ -144,7 +144,7 @@ _NBYTES_PER_LOWERED = 480
 
 #: Bump when SIMD lowering semantics change; part of the memo key so
 #: stale fallback verdicts are never recalled across upgrades.
-SIMD_VERSION = 7
+SIMD_VERSION = 8
 
 _I64 = np.int64
 _F64 = np.float64
@@ -162,10 +162,12 @@ class _SimdUnsupported(Exception):
 
 
 class _Replay(Exception):
-    """A launch the warp tier cannot run exactly — a flattened loop the
-    oracle would never finish, or a :class:`LaneTracker` key past its
-    bits. Like a fault, it ends the speculative launch, which replays on
-    the scalar tier: the replay's outcome is the oracle's."""
+    """A launch the warp tier cannot run exactly — an access through
+    anything but a device pointer (NULL, a host array), an atomic whose
+    outcome the vector arithmetic cannot prove exact, a flattened loop
+    the oracle would never finish, or a :class:`LaneTracker` key past
+    its bits. Like a fault, it ends the speculative launch, which
+    replays on the scalar tier: the replay's outcome is the oracle's."""
 
 
 class _Declined:
@@ -619,38 +621,6 @@ class _WarpSt:
         self.prof.branch_chunks.append(
             (len(idx), self.lane_warps(idx), keys, line, taken))
 
-    def lane_read(self, idx: np.ndarray, base: Any, ind: Any,
-                  pos: Any) -> Any:
-        """Per-lane fallback for non-DevicePtr bases (NULL, host
-        pointers): routes through the lane's own thread context so the
-        fault type and message match the scalar engines exactly."""
-        seqs = self.seq_array()
-        lane_ctx = self.wctx.lane
-        out = []
-        ind_arr = isinstance(ind, np.ndarray)
-        for j, lane in enumerate(idx.tolist()):
-            c = lane_ctx(lane)
-            c._seq = int(seqs[lane])
-            c.line = self.line
-            out.append(read_indexed(base, ind[j] if ind_arr else ind,
-                                    c, pos))
-            seqs[lane] = c._seq
-        return np.asarray(out)
-
-    def lane_write(self, idx: np.ndarray, base: Any, ind: Any,
-                   values: Any, pos: Any) -> None:
-        seqs = self.seq_array()
-        lane_ctx = self.wctx.lane
-        ind_arr = isinstance(ind, np.ndarray)
-        val_arr = isinstance(values, np.ndarray)
-        for j, lane in enumerate(idx.tolist()):
-            c = lane_ctx(lane)
-            c._seq = int(seqs[lane])
-            c.line = self.line
-            write_indexed(base, ind[j] if ind_arr else ind,
-                          values[j] if val_arr else values, c, pos)
-            seqs[lane] = c._seq
-
 
 # -- flattened loops ------------------------------------------------------------
 #
@@ -722,11 +692,6 @@ class _FlatSt(_WarpSt):
         _WarpSt.log_branch(self, idx, line, taken)
         chunks = self.prof.branch_chunks
         self.bpatches.append((chunks, len(chunks) - 1, idx))
-
-    def lane_read(self, *args: Any) -> Any:
-        raise _Replay("per-lane access in a flattened loop")
-
-    lane_write = lane_read
 
     def merge(self, st: _WarpSt, owners: np.ndarray,
               trips: np.ndarray) -> None:
@@ -975,22 +940,16 @@ _ARITH_OPS = {"+": _op.add, "-": _op.sub, "*": _op.mul}
 _BIT_OPS = {"<<": _op.lshift, ">>": _op.rshift, "&": _op.and_,
             "|": _op.or_, "^": _op.xor}
 
-#: ``update(old, *operands) -> new`` per atomic: the expressions the
-#: ``ThreadContext.atomic_*`` methods apply
-_ATOMIC_UPDATES = {
-    "atomicAdd": _op.add,
-    "atomicSub": _op.add,  # of the negation
-    "atomicMax": max,
-    "atomicMin": min,
-    "atomicExch": lambda old, value: value,
-    "atomicCAS": lambda old, compare, value: (value if old == compare
-                                              else old),
-}
+#: The operands of each atomic the warp tier runs, after the target.
+_ATOMIC_ARITY = {"atomicAdd": 1, "atomicSub": 1, "atomicMax": 1,
+                 "atomicMin": 1, "atomicExch": 1, "atomicCAS": 2}
 
-#: The same updates for many elements at once, one lane each (the rank
-#: steps below). ``value + old``: of two NaNs, the loop's ``old +
-#: value`` keeps the operand's sign. ``np.where`` keeps ``old`` wherever
-#: Python's ``max`` / ``min`` keep it: on ties, and on NaN either side.
+#: The updates the ``ThreadContext.atomic_*`` methods apply, for many
+#: elements at once, one lane each (the rank steps below); atomicSub
+#: adds the negation, and atomicExch needs no step. ``value + old``: of
+#: two NaNs, the scalar ``old + value`` keeps the operand's sign.
+#: ``np.where`` keeps ``old`` wherever Python's ``max`` / ``min`` keep
+#: it: on ties, and on NaN either side.
 _ATOMIC_STEPS = {
     "atomicAdd": lambda old, value: value + old,
     "atomicSub": lambda old, value: value + old,
@@ -1017,7 +976,11 @@ _ATOMIC_SCANS = {"atomicAdd": np.add, "atomicSub": np.add,
 # element sees its lanes' updates in the lane loop's order. A segment
 # longer than _HOT lanes runs as one ufunc.accumulate instead, where
 # that provably equals the loop (Blelloch, "Prefix Sums and Their
-# Applications", 1990).
+# Applications", 1990). The lane loop is the scalar tiers' own: each
+# lane's read-modify-write in turn, as ``ThreadContext._atomic`` runs
+# it (tests/test_atomic_ranks.py keeps a copy to check these passes
+# against). An atomic the passes cannot prove equal to it raises
+# _Replay, and the launch replays on the scalar tier.
 
 #: Segments longer than this run as one ``accumulate`` each rather than
 #: one rank step per lane, so a statement costs at most ``_HOT`` steps
@@ -1182,11 +1145,10 @@ def _vector_rmw(name: str, data: np.ndarray, seg: tuple, vals: list,
     """The lane loop's read-modify-write without its per-lane Python:
     (each lane's old value as ``carrier``, each segment's new element
     value) for the caller to store, ``data`` left as it was. None where
-    only the loop gives its exact outcome: a bool buffer; an integer
+    only the loop gives its exact outcome: a bool buffer, or an integer
     the vector arithmetic cannot prove exact — a value stored outside
     the buffer dtype's range, a partial sum past int64, an integer past
-    2**53 meeting a float, an old value the int carrier cannot hold —;
-    or an ``atomicCAS`` segment longer than ``_HOT``."""
+    2**53 meeting a float, an old value the int carrier cannot hold."""
     order, starts, elems, lens = seg
     dt = data.dtype
     if dt.kind not in "iuf":
@@ -1245,10 +1207,8 @@ def _vector_rmw(name: str, data: np.ndarray, seg: tuple, vals: list,
         # a lone segment (one element for every lane) has no other
         # segment to share its rank steps with
         hot = lens > (_HOT if len(lens) > 1 else 1)
-        if hot.any():
-            if name == "atomicCAS":
-                return None  # no accumulate form: the loop
-            scan = _ATOMIC_SCANS[name]
+        scan = _ATOMIC_SCANS.get(name)  # atomicCAS has none: rank steps
+        if scan is not None and hot.any():
             exact = (not ints if scan is np.add else not (ints and floats))
             if scan is np.add and exact and dt != _F64DT:
                 exact = bool((ops[0].astype(dt) == ops[0]).all())
@@ -1267,28 +1227,6 @@ def _vector_rmw(name: str, data: np.ndarray, seg: tuple, vals: list,
     out = np.empty(k, carrier)
     out[order] = old
     return out, cur
-
-
-def _lane_rmw(target: Any, at: Any, vals: list, k: int,
-              update: Callable, carrier: Any) -> np.ndarray:
-    """The read-modify-write lane by lane, on the operand values
-    ``ThreadContext._atomic`` would see: through a global target's own
-    checked accessors, and at each lane's own block's element of a
-    shared one."""
-    if isinstance(target, SharedArray):
-        read, write = target.data.item, target.store_lanes
-    else:
-        read, write = target.read, target.write
-    out = np.empty(k, carrier)
-    columns = [at.tolist() if isinstance(at, np.ndarray)
-               else [int(at)] * k]
-    columns += [list(v) if isinstance(v, np.ndarray) else [v] * k
-                for v in vals]
-    for j, (i, *operands) in enumerate(zip(*columns)):
-        old = read(i)
-        write(i, update(old, *operands))
-        out[j] = old
-    return out
 
 
 _PTR_ELEM = {"float": "float", "double": "float", "int": "int",
@@ -2106,9 +2044,8 @@ class _Lowerer:
 
     def _atomic(self, e: ast.Call) -> tuple[Callable, Any, bool]:
         name = e.name
-        update = _ATOMIC_UPDATES.get(name)
-        nvals = 2 if name == "atomicCAS" else 1
-        if update is None or len(e.args) != 1 + nvals:
+        nvals = _ATOMIC_ARITY.get(name)
+        if nvals is None or len(e.args) != 1 + nvals:
             raise _SimdUnsupported(f"atomic {name!r}")
         negate = name == "atomicSub"
         resolve, ekind = self._atomic_target(e.args[0], e.pos)
@@ -2150,13 +2087,13 @@ class _Lowerer:
             seg = _segments(at, k)
             done = _vector_rmw(name, target.data, seg, vals, k, carrier)
             if done is None:
-                out = _lane_rmw(target, at, vals, k, update, carrier)
+                raise _Replay("atomic the vector arithmetic cannot run "
+                              "exactly")
+            out, new = done
+            if shared:
+                target.store_lanes(seg[2], new)
             else:
-                out, new = done
-                if shared:
-                    target.store_lanes(seg[2], new)
-                else:
-                    target.scatter(seg[2], new)
+                target.scatter(seg[2], new)
             # one contention bump per distinct address
             keys = [base + e * nb for e in seg[2].tolist()]
             get = hits.get
@@ -2892,7 +2829,7 @@ def _md_check(st: _WarpSt, i: Any, j: Any, d0: int, d1: int,
 def _global_load(st: _WarpSt, idx: np.ndarray, base: Any, ind: Any,
                  pos: Any) -> np.ndarray:
     if type(base) is not DevicePtr:
-        return st.lane_read(idx, base, ind, pos)
+        raise _Replay("load through a non-device pointer")
     buf = base.buffer
     k = len(idx)
     carrier = _F64 if buf.dtype.kind == "f" else _I64
@@ -2913,8 +2850,7 @@ def _global_load(st: _WarpSt, idx: np.ndarray, base: Any, ind: Any,
 def _global_store(st: _WarpSt, idx: np.ndarray, base: Any, ind: Any,
                   values: Any, pos: Any) -> None:
     if type(base) is not DevicePtr:
-        st.lane_write(idx, base, ind, values, pos)
-        return
+        raise _Replay("store through a non-device pointer")
     buf = base.buffer
     if isinstance(ind, np.ndarray):
         i = base.offset + ind
@@ -3090,12 +3026,10 @@ class Speculation:
             buf.lanes = LaneTracker(buf.num_elements, label)
 
     def rollback(self, exc: Exception) -> tuple[Callable, str]:
-        """Undo the launch after ``exc``, a :class:`LaneConflict` or a
-        fault, and stop tracking; returns the thread callable to replay
-        on and its tier. A conflict between blocks replays on this tier,
-        one block per group from now on. A conflict inside a block
-        (which demotes the kernel) and a fault replay on the scalar
-        kernel, compiled now if it never was."""
+        """Undo the launch after ``exc``, a :class:`LaneConflict`, a
+        fault or a :class:`_Replay`, and stop tracking; returns the
+        thread callable to replay on and its tier: the scalar kernel,
+        compiled now if it never was. A conflict demotes the kernel."""
         for buf, data in self.saved:
             buf.data[:] = data
         self.release()
@@ -3103,10 +3037,7 @@ class Speculation:
         interp.steps = self.steps
         kernel = self.kernel
         if isinstance(exc, LaneConflict):
-            if exc.cross_block and not kernel.blockwise:
-                kernel.blockwise = True
-                return kernel.bind(interp, self.args), kernel.tier
-            kernel.demoted = True
+            kernel.demoted = exc.describe()
         src = kernel.scalar(interp.info)
         if src is None:
             raise InterpreterError(
@@ -3129,14 +3060,12 @@ class CompiledSimdKernel:
     barrier (a barrier-free kernel's never does), and
     :meth:`group_blocks`, how many blocks a group holds — and the
     launch's :class:`Speculation` to a carrier function the scheduler
-    never calls. The scalar kernel a lane-conflict replay runs on is
-    compiled by the first replay (:meth:`scalar`), inside this memo
-    entry."""
+    never calls. The scalar kernel a replay runs on is compiled by the
+    first replay (:meth:`scalar`), inside this memo entry."""
 
     __slots__ = ("name", "coercers", "param_plan", "param_names", "nslots",
                  "body_fns", "spine", "entry_pos", "stored_params",
-                 "shared_bytes", "nbytes", "demoted", "blockwise",
-                 "_src")
+                 "shared_bytes", "nbytes", "demoted", "_src")
 
     tier = "simd"
 
@@ -3156,11 +3085,10 @@ class CompiledSimdKernel:
         self.entry_pos = entry_pos
         self.stored_params = stored_params
         self.shared_bytes = shared_bytes
-        #: set by the replay of a conflict inside a block:
-        #: ``compile_kernel`` hands out the scalar kernel from then on
-        self.demoted = False
-        #: set by the replay of a conflict between blocks
-        self.blockwise = False
+        #: the conflict that demoted the kernel (its description),
+        #: empty until one does: ``compile_kernel`` hands out the
+        #: scalar kernel from then on
+        self.demoted = ""
         self._src: CompiledSrcKernel | Declined | None = None
 
     def group_blocks(self, block: Dim3, spec: DeviceSpec) -> int:
@@ -3168,9 +3096,7 @@ class CompiledSimdKernel:
         runs: as many as fit in the lanes and ``__shared__`` bytes of
         the largest block ``spec`` allows — so a group never holds more
         trace or shared memory than one block could — and at least
-        one; one since a conflict between blocks."""
-        if self.blockwise:
-            return 1
+        one."""
         return max(1, min(
             spec.max_threads_per_block // block.count,
             spec.shared_mem_per_block // max(self.shared_bytes, 1)))
@@ -3276,7 +3202,7 @@ def _compile_simd(info: ProgramInfo, fn: ast.FuncDef) -> CompiledSimdKernel:
 def _lower(info: ProgramInfo, name: str):
     """Un-memoized: the warp lowering alone. A scalar kernel is
     compiled only where one will run — here, when this tier declines;
-    otherwise by the first lane-conflict replay
+    otherwise by the first replay
     (:meth:`CompiledSimdKernel.scalar`) — through the plain ``srcgen``
     function, not its memoized front: it rides inside this tier's memo
     entry (``nbytes`` counts it), not in one of its own."""

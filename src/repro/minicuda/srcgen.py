@@ -1766,10 +1766,10 @@ def definition_keys(info: ProgramInfo) -> dict[str, str]:
     holds them all, and embeds their positions — and of every
     file-scope declaration. That is every input a lowering reads, so
     the rest of the file (``main``, a nonce function, other kernels)
-    may change without a recompile, and a demotion or ``blockwise``
-    flag on a memoized kernel lasts across the programs that share
-    its definition. Computed once per program; a unit built without
-    source text keys on the program itself."""
+    may change without a recompile, and a demotion of a memoized
+    kernel lasts across the programs that share its definition.
+    Computed once per program; a unit built without source text keys
+    on the program itself."""
     keys = info.definition_keys
     if keys:
         return keys

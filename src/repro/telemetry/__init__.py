@@ -101,9 +101,9 @@ KERNEL_COMPILE_SECONDS = "webgpu_kernel_engine_compile_seconds"
 KERNEL_EXEC_SECONDS = "webgpu_kernel_engine_exec_seconds"
 
 #: Counter (``kernel=``): speculative warp-SIMD launches rolled back
-#: and replayed — after a lane-order conflict (between blocks: on the
-#: warp tier, one block per group; inside a block: scalar) or a fault
-#: (scalar).
+#: and replayed on the scalar tier — after a lane-order conflict (which
+#: demotes the kernel), a fault, or a construct the lane vectors cannot
+#: run exactly.
 KERNEL_REPLAYS_TOTAL = "webgpu_kernel_engine_replays_total"
 
 #: Histogram: fraction of warp lane slots active per simd-engine launch

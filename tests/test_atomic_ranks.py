@@ -1,15 +1,17 @@
-"""The warp tier's atomics by rank against its own lane loop.
+"""The warp tier's atomics by rank against the lane loop.
 
 ``simd._vector_rmw`` runs one atomic statement's read-modify-writes as
-segmented numpy passes; ``simd._lane_rmw`` runs them lane by lane in
+segmented numpy passes; ``_lane_rmw`` below runs them lane by lane in
 Python, as the scalar tiers do. Wherever the vector path answers, old
 values and memory must be bit-identical to the loop's; wherever the
-loop raises, the vector path must decline (return None) so the loop
-runs and raises the same error.
+loop raises, the vector path must decline (return None), and the warp
+tier then replays the launch on the scalar tier, which raises the same
+error.
 """
 
 from __future__ import annotations
 
+import operator
 import warnings
 
 import numpy as np
@@ -21,6 +23,35 @@ from repro.minicuda import simd
 OPS = ("atomicAdd", "atomicSub", "atomicMax", "atomicMin", "atomicExch",
        "atomicCAS")
 DTYPES = ("int32", "uint32", "int64", "uint8", "float32", "float64")
+
+
+#: ``update(old, *operands) -> new`` per atomic: the expressions the
+#: ``ThreadContext.atomic_*`` methods apply
+UPDATES = {
+    "atomicAdd": operator.add,
+    "atomicSub": operator.add,  # of the negation
+    "atomicMax": max,
+    "atomicMin": min,
+    "atomicExch": lambda old, value: value,
+    "atomicCAS": lambda old, compare, value: (value if old == compare
+                                              else old),
+}
+
+
+def _lane_rmw(target, at, vals, k, update, carrier):
+    """The read-modify-write lane by lane, on the operand values
+    ``ThreadContext._atomic`` would see, through the global target's
+    own checked accessors."""
+    out = np.empty(k, carrier)
+    columns = [at.tolist() if isinstance(at, np.ndarray)
+               else [int(at)] * k]
+    columns += [list(v) if isinstance(v, np.ndarray) else [v] * k
+                for v in vals]
+    for j, (i, *operands) in enumerate(zip(*columns)):
+        old = target.read(i)
+        target.write(i, update(old, *operands))
+        out[j] = old
+    return out
 
 
 def _operand(rng, k, kind):
@@ -45,8 +76,7 @@ def _both(dtype, name, init, at, vals, k, carrier):
     loop_buf = DeviceBuffer(len(init), dtype)
     loop_buf.data[:] = init
     try:
-        old = simd._lane_rmw(loop_buf, at, vals, k,
-                             simd._ATOMIC_UPDATES[name], carrier)
+        old = _lane_rmw(loop_buf, at, vals, k, UPDATES[name], carrier)
         loop = (old, loop_buf.data)
     except Exception as exc:  # noqa: BLE001 - any error the loop raises
         loop = exc
@@ -112,6 +142,7 @@ def test_nan_meets_nan_as_in_the_loop(dtype, k):
 def test_the_loop_runs_only_where_it_must():
     k, ints = 40, np.arange(40)
     two = ints % 2  # two segments of 20 lanes, past the hot cut
+    assert k // 2 > simd._HOT
 
     def declines(name, dtype, vals, at, init=0):
         data = np.full(8, init, dtype=dtype)
@@ -123,13 +154,24 @@ def test_the_loop_runs_only_where_it_must():
     # an integer result outside the buffer dtype's range
     assert declines("atomicAdd", "int32", [ints], two, init=2 ** 31 - 5)
     assert declines("atomicExch", "uint8", [ints * 10], two)
-    # an atomicCAS segment longer than the hot cut
-    assert k // 2 > simd._HOT
-    assert declines("atomicCAS", "int32", [0, ints], two)
     # everything else answers by rank, hot segments included
     for name in OPS:
         vals = [0, ints] if name == "atomicCAS" else [ints]
-        at = ints % 8 if name == "atomicCAS" else two
-        assert not declines(name, "int32", vals, at), name
-        assert not declines(name, "float32", [v * 0.5 for v in vals],
-                            at), name
+        for at in (ints % 8, two):
+            assert not declines(name, "int32", vals, at), name
+            assert not declines(name, "float32", [v * 0.5 for v in vals],
+                                at), name
+
+
+@pytest.mark.parametrize("dtype", ("int32", "float32"))
+def test_a_hot_cas_equals_the_loop(dtype):
+    # two hot segments: each element's first lane to compare equal
+    # claims it, and every later lane sees the claimed value
+    k = 40
+    at = np.arange(k) % 2
+    for vals in ([0, np.arange(k) + 1], [np.arange(k) % 3, -np.arange(k)]):
+        loop, vector = _both(dtype, "atomicCAS", [0, 1], at, vals, k,
+                             np.int64)
+        assert vector is not None
+        assert _bits(vector[0]) == _bits(loop[0])
+        assert _bits(vector[1]) == _bits(loop[1])

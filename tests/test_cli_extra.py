@@ -63,12 +63,12 @@ class TestCliRemainder:
         out = capsys.readouterr().out
         assert "kernel vecAdd: ran on codegen\n" in out
 
-    def test_profile_attempt_names_the_middle_rung(self, capsys, tmp_path,
-                                                   monkeypatch):
+    def test_profile_attempt_names_the_demoting_conflict(
+            self, capsys, tmp_path, monkeypatch):
         monkeypatch.delenv("WEBGPU_KERNEL_ENGINE", raising=False)
         # thread 0 reads what block 1 stored, in the same statement
         # block 0 stores its own share: a conflict between the two
-        # blocks of one group, whose replay runs a block at a time
+        # blocks of one group, which demotes the kernel to scalar
         lab = get_lab("vector-add")
         assert lab.dataset_sizes[2] > 256
         probe = tmp_path / "probe.cu"
@@ -80,8 +80,9 @@ class TestCliRemainder:
         assert main(["profile-attempt", "vector-add", "--source",
                      str(probe), "--dataset", "2"]) == 0
         out = capsys.readouterr().out
-        assert ("kernel vecAdd: ran on simd "
-                "(one block per group: cross-block conflict)\n") in out
+        assert ("kernel vecAdd: ran on codegen (demoted: out[256]: "
+                "thread 0 (block rank 0, interval 0, iteration 0) after "
+                "thread 0 (block rank 1, interval 0, iteration 0))\n") in out
 
     def test_decline_reason_is_memoized_with_the_verdict(self):
         from repro.minicuda import compile_source

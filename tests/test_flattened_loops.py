@@ -31,7 +31,12 @@ from repro.minicuda import compile_source, simd
 from repro.minicuda.simd import CompiledSimdKernel, compile_kernel
 from repro.telemetry import KERNEL_REPLAYS_TOTAL, Telemetry
 from tests.oracle_interpreter import ENGINES
-from tests.test_lane_conflicts import ledger
+from tests.test_lane_conflicts import (
+    ATOMICS,
+    atomic_kernel,
+    launch_atomic,
+    ledger,
+)
 
 pytestmark = pytest.mark.usefixtures("oracle")
 
@@ -241,7 +246,8 @@ __global__ void k(int *in, int *out, int n) {
     out[3 + j] = old;
   }
 }""", 1, 64, 70),
-    # more than _HOT passes on one element: the CAS runs lane by lane
+    # more than _HOT passes on one element: the CAS runs by rank, one
+    # step per pass
     "hot-cas": ("""
 __global__ void k(int *in, int *out, int n) {
   int t = threadIdx.x;
@@ -468,6 +474,57 @@ __global__ void k(int *in, int *out, int n) {
         assert faults["simd"] == faults["codegen"] == faults["ast"]
 
 
+@pytest.fixture
+def cas_segments(monkeypatch):
+    """The longest segment of every ``atomicCAS`` the rank passes ran,
+    and None for every atomic they declined."""
+    seen = []
+    real = simd._vector_rmw
+
+    def spying(name, data, seg, vals, k, carrier):
+        done = real(name, data, seg, vals, k, carrier)
+        if done is None or name == "atomicCAS":
+            seen.append(None if done is None else int(seg[3].max()))
+        return done
+
+    monkeypatch.setattr(simd, "_vector_rmw", spying)
+    return seen
+
+
+@pytest.mark.parametrize("case", ("hot-cas", "cas-result-used", "bfs-claim"))
+def test_hot_cas_segments_run_without_a_replay(case, cas_segments):
+    if case == "hot-cas":
+        source, grid, block, size = SHAPES[case]
+        program = program_of(source, 600)
+        _ref, replayed = assert_parity(
+            program, "k", grid, block, [INPUT, np.zeros(size, np.int32)],
+            [len(INPUT) - 50])
+    elif case == "cas-result-used":
+        # 2 x 96 threads on four elements: 48 lanes each
+        source = atomic_kernel(ATOMICS[case], "unsigned", False)
+        program = program_of(source, 601)
+        ref = launch_atomic(source, "unsigned", 96, "ast")
+        telemetry = Telemetry()
+        got = launch_atomic(source, "unsigned", 96, "simd",
+                            telemetry=telemetry, program=program)
+        assert got[:2] == ref[:2]
+        assert ledger(got[2]) == ledger(ref[2])
+        replayed = replays(telemetry, "k")
+    else:
+        # 150 frontier nodes whose neighbours are 10 nodes: every claim
+        # segment is hot
+        program = program_of(BFS, 602)
+        arrays, frontier = bfs_graph(6, 300, 150, pool=30)
+        telemetry = Telemetry()
+        got = launch_bfs(program, arrays, frontier, "simd",
+                         telemetry=telemetry)
+        assert got == launch_bfs(program, arrays, frontier, "ast")
+        replayed = replays(telemetry, "bfsKernel")
+    assert replayed == 0
+    assert cas_segments and None not in cas_segments
+    assert max(cas_segments) > simd._HOT
+
+
 def test_a_genuine_race_still_demotes_and_names_the_element():
     """``missing-cas-claim`` reads a claim and then writes it: two
     passes that share a neighbour race, flattened or not, and the
@@ -489,7 +546,6 @@ def test_a_genuine_race_still_demotes_and_names_the_element():
     where = events[0].attrs
     assert where["kernel"] == "bfsKernel" and where["tier"] == "codegen"
     assert re.fullmatch(r"levels\[\d+\]", where["element"])
-    assert not where["cross_block"]
     # the later access has the lower key: an earlier thread, or the
     # same thread's earlier pass
     first = (where["first_thread"], where["first_iteration"])

@@ -3,12 +3,12 @@
 One ``WarpContext``, one block state and one finalize serve a group of
 as many consecutive blocks as fit the lanes (and ``__shared__`` bytes)
 of the largest block the device allows; lane ``i`` is thread ``i %
-blockDim.count`` of the group's block ``i // blockDim.count``. Pinned here: that lane map for 1-, 2- and 3-D grids
-and blocks; stats, ledgers and the active-lane ratio of a divergent
-multi-block kernel with ``__shared__`` arrays and barriers; the
-conflict ladder (between blocks: one replay, then one block per group;
-inside a block: demotion to scalar); per-block ``__shared__`` bounds;
-and that a 2**31-block launch is taken lazily.
+blockDim.count`` of the group's block ``i // blockDim.count``. Pinned
+here: that lane map for 1-, 2- and 3-D grids and blocks; stats, ledgers
+and the active-lane ratio of a divergent multi-block kernel with
+``__shared__`` arrays and barriers; that a conflict, between blocks or
+inside one, replays once and demotes the kernel to scalar; per-block
+``__shared__`` bounds; and that a 2**31-block launch is taken lazily.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 
 from repro.gpusim import Device, GpuRuntime, scheduler
-from repro.gpusim.grid import Dim3, Idx3
+from repro.gpusim.grid import Dim3
 from repro.gpusim.scheduler import WarpContext, _BlockState
 from repro.minicuda import compile_source, simd
 from repro.minicuda.simd import CompiledSimdKernel, compile_kernel
@@ -97,11 +97,6 @@ class TestLaneMap:
         warps = [r * per_block + t // WARP
                  for r in range(blocks) for t in range(per)]
         assert wctx.warp_ids.tolist() == warps
-        for i in (0, per - 1, per, wctx.n - 1):
-            ctx = wctx.lane(i)
-            b, t = lanes[i]
-            assert (ctx.blockIdx, ctx.threadIdx) == (Idx3(*b), Idx3(*t))
-            assert ctx.warp_id == warps[i]
 
     def test_a_grid_splits_at_the_block_size_limit(self, groups):
         source = """
@@ -188,12 +183,14 @@ def launch_divergent(program, engine, profile):
 class TestGroupAccounting:
     @pytest.mark.parametrize("profile", (False, True),
                              ids=("plain", "profiled"))
-    def test_a_group_accounts_like_its_blocks(self, profile, groups):
+    def test_a_group_accounts_like_its_blocks(self, profile, groups,
+                                              monkeypatch):
         ref_out, ref, _, _ = launch_divergent(program_of(DIVERGENT),
                                               "ast", profile)
+        program = program_of(DIVERGENT, variant=1)
         groups.clear()
-        out, stats, ratio, replayed = launch_divergent(
-            program_of(DIVERGENT, variant=1), "simd", profile)
+        out, stats, ratio, replayed = launch_divergent(program, "simd",
+                                                       profile)
         assert groups == [(0, 6)]
         assert replayed == 0
         assert out == ref_out
@@ -201,8 +198,8 @@ class TestGroupAccounting:
         assert stats.line_profile == ref.line_profile
         assert (stats.blocks, stats.warps, stats.barriers) == (6, 18, 12)
         # the same launch one block per group: the same lane ratio
-        program = program_of(DIVERGENT, variant=2)
-        compile_kernel(program.info, "k").blockwise = True
+        monkeypatch.setattr(CompiledSimdKernel, "group_blocks",
+                            lambda self, block, spec: 1)
         groups.clear()
         *_, per_block, _ = launch_divergent(program, "simd", profile)
         assert groups == [(b, 1) for b in range(6)]
@@ -220,35 +217,40 @@ __global__ void k(int *a, int *out) {
 }"""
 
 
-def launch_two_blocks(program, engine, telemetry=None):
+def launch_two_blocks(program, engine, telemetry=None, profile=False):
     rt = GpuRuntime(Device(), telemetry=telemetry)
     a, out = rt.malloc(1, "int"), rt.malloc(1, "int")
     stats = program.launch(rt, "k", 2, 32, a.ptr(), out.ptr(),
-                           engine=engine)
+                           engine=engine, profile=profile)
     return (rt.memcpy_dtoh(a).tolist(), rt.memcpy_dtoh(out).tolist(),
-            ledger(stats))
+            ledger(stats), stats.line_profile)
 
 
 class TestConflictLadder:
-    def test_a_conflict_between_blocks_regroups(self, groups):
-        program = program_of(CROSS_BLOCK, variant=3)
-        ref = launch_two_blocks(program, "ast")
+    @pytest.mark.parametrize("profile", (False, True),
+                             ids=("plain", "profiled"))
+    def test_a_conflict_between_blocks_demotes(self, groups, profile):
+        program = program_of(CROSS_BLOCK, variant=5 if profile else 3)
+        ref = launch_two_blocks(program, "ast", profile=profile)
         assert ref[:2] == ([7], [1])
+        assert (ref[3] is not None) == profile
         telemetry = Telemetry()
         groups.clear()
-        assert launch_two_blocks(program, "simd", telemetry) == ref
-        # rolled back once, replayed on the warp tier a block at a time
-        assert groups == [(0, 2), (0, 1), (1, 1)]
+        assert launch_two_blocks(program, "simd", telemetry, profile) == ref
+        # rolled back once and replayed on the scalar kernel, which
+        # runs the kernel from then on
+        assert groups == [(0, 2)]
         assert replays(telemetry) == 1
         hist = telemetry.metrics.histogram(KERNEL_EXEC_SECONDS)
-        assert hist.merged(engine="simd", kernel="k").count == 1
+        assert hist.merged(engine="codegen", kernel="k").count == 1
+        assert simd._verdict(program.info, "k").demoted == (
+            "a[0]: thread 0 (block rank 0, interval 1, iteration 0) after "
+            "thread 0 (block rank 1, interval 0, iteration 0)")
         assert isinstance(compile_kernel(program.info, "k"),
-                          CompiledSimdKernel)
-        assert compile_kernel(program.info, "k").blockwise
-        # the memo entry remembers: a later launch does not replay
+                          CompiledSrcKernel)
         groups.clear()
-        assert launch_two_blocks(program, "simd", telemetry) == ref
-        assert groups == [(0, 1), (1, 1)]
+        assert launch_two_blocks(program, "simd", telemetry, profile) == ref
+        assert groups == []
         assert replays(telemetry) == 1
 
     def test_a_race_inside_a_block_still_demotes(self, groups):

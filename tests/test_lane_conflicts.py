@@ -23,7 +23,7 @@ import pytest
 
 from repro.gpusim import Device, GpuRuntime
 from repro.gpusim.grid import Dim3
-from repro.minicuda import compile_source
+from repro.minicuda import HostEnv, compile_source
 from repro.minicuda.simd import CompiledSimdKernel, compile_kernel
 from repro.minicuda.srcgen import CompiledSrcKernel
 from repro.telemetry import (
@@ -323,8 +323,8 @@ int main() { return 0; }"""
 
 #: The atomic parity matrix: statement -> what it pins. ``{a}`` is the
 #: target array (four elements, each starting at 1000): the global
-#: ``c`` or a ``__shared__`` copy of it. ``t`` is the linear thread id,
-#: ``g`` the global one.
+#: ``c`` or a ``__shared__`` copy of the block's own slice of it. ``t``
+#: is the linear thread id, ``g`` the global one.
 ATOMICS = {
     "add-duplicate-addresses": "atomicAdd(&{a}[t % 4], 1);",
     "sub": "atomicSub(&{a}[t % 4], 2);",
@@ -353,21 +353,24 @@ __global__ void k({ctype} *c, {ctype} *out, int n) {{
   int g = blockIdx.x * blockDim.x * blockDim.y + t;"""
     if not shared:
         return f"{head}\n  {statement.format(a='c')}\n}}"
+    # each block copies its own four elements, past the ones the
+    # global statements touch
     return f"""{head}
   __shared__ {ctype} s[4];
-  if (t < 4) s[t] = c[t];
+  if (t < 4) s[t] = c[4 + blockIdx.x * 4 + t];
   __syncthreads();
   {statement.format(a='s')}
   __syncthreads();
-  if (t < 4) c[t] = s[t];
+  if (t < 4) c[4 + blockIdx.x * 4 + t] = s[t];
 }}"""
 
 
 def launch_atomic(source, ctype, block, engine, profile=False,
                   telemetry=None, grid=2, program=None):
     rt = GpuRuntime(Device(), telemetry=telemetry)
-    c, out = rt.malloc(4, ctype), rt.malloc(2 * 96, ctype)
-    rt.memcpy_htod(c, np.full(4, 1000, dtype=c.dtype))
+    size = 4 + 4 * grid
+    c, out = rt.malloc(size, ctype), rt.malloc(2 * 96, ctype)
+    rt.memcpy_htod(c, np.full(size, 1000, dtype=c.dtype))
     stats = (program or program_of(source)).launch(
         rt, "k", grid, block, c.ptr(), out.ptr(), 4, engine=engine,
         profile=profile)
@@ -378,14 +381,10 @@ def launch_atomic(source, ctype, block, engine, profile=False,
 class TestAtomicParity:
     """The warp tier accounts for an atomic once per group statement;
     every other engine does it once per thread. Nobody may be able to
-    tell.
-
-    The ``shared`` variants race across blocks: both blocks copy ``c``
-    in and write it back. Run as one group, block 0 writes back after
-    block 1 read ``c``: that launch replays once, one block per group,
-    and the kernel stays on the warp tier (which test of a kernel's
-    definition runs first, and so pays the replay, is up to the test
-    order)."""
+    tell, and no case may need the scalar tier: every one runs on the
+    warp tier without a replay, hot ``atomicCAS`` segments included.
+    The ``shared`` variants give each block its own slice of ``c``, so
+    no two blocks race."""
 
     @pytest.mark.parametrize("profile", (False, True),
                              ids=("plain", "profiled"))
@@ -410,7 +409,7 @@ class TestAtomicParity:
             assert stats.line_profile == ref_stats.line_profile, engine
             assert (stats.line_profile is not None) == profile
             # lanes of one atomic statement are already thread-major
-            assert replays(telemetry) <= shared, engine
+            assert replays(telemetry) == 0, engine
         assert isinstance(compile_kernel(program_of(source).info, "k"),
                           CompiledSimdKernel)
 
@@ -459,11 +458,11 @@ __global__ void k(int *c, int *out, int n) {
 
 class TestAtomicIntBoundary:
     """An int atomicAdd whose running value leaves int32. The warp tier
-    adds by rank in int64, so it must see the overflow coming and run
-    the lane loop, which raises numpy's error for the first value out
-    of range — with a uniform operand (a Python int) and with a
-    lane-varying one (an int64 lane, which numpy 2 no longer wraps) —
-    and the launch replays on the scalar tier, whose error it reports.
+    adds by rank in int64, so it must see the overflow coming and
+    replay the launch on the scalar tier, which raises numpy's error
+    for the first value out of range — with a uniform operand (a Python
+    int) and with a lane-varying one (an int64 lane, which numpy 2 no
+    longer wraps).
     ROADMAP item 2 (C integer semantics) will make both wrap; these
     pins then change with it."""
 
@@ -498,6 +497,81 @@ class TestAtomicIntBoundary:
         assert c == [INT_MAX - 80]
         assert out == [INT_MAX - 200 + t * (t - 1) // 2 for t in range(16)]
         assert replays(telemetry) == 0
+
+
+#: atomics the rank passes cannot prove equal to the lane loop:
+#: (ctype of ``c``, its initial value, statement)
+UNPROVABLE = {
+    "bool-buffer": ("bool", 0, "out[t] = atomicExch(&c[t % 4], t % 3);"),
+    "out-of-range": ("unsigned char", 250,
+                     "out[t] = atomicAdd(&c[t % 4], 1);"),
+}
+
+#: an OpenACC loop in a host function that writes the caller's local
+#: array: the outlined kernel stores through a host array
+ACC_LOCAL_ARRAY = """
+void fill(float *a, int n, float step) {
+  #pragma acc parallel loop
+  for (int i = 0; i < n; i++) { a[i] = i * step; }
+}
+int main() {
+  float a[16];
+  fill(a, 16, 0.5f);
+  printf("%f %f\\n", a[1], a[15]);
+  return 0;
+}
+"""
+
+
+class TestWhatTheLaneVectorsCannotRun:
+    """A launch the warp tier cannot run exactly replays on the scalar
+    tier, every time, without demoting the kernel: no per-lane path is
+    left in the warp tier to finish it."""
+
+    @pytest.mark.parametrize("name", sorted(UNPROVABLE))
+    def test_an_atomic_replays_once_per_launch(self, name):
+        ctype, init, statement = UNPROVABLE[name]
+        source = f"""
+__global__ void k({ctype} *c, int *out, int n) {{
+  int t = threadIdx.x;
+  {statement}
+}}"""
+        program = program_of(source, variant=41)
+        telemetry = Telemetry()
+        outcomes = []
+        for engine in ("ast", "simd", "simd"):
+            rt = GpuRuntime(Device(), telemetry=telemetry)
+            c, out = rt.malloc(4, ctype), rt.malloc(32, "int")
+            rt.memcpy_htod(c, np.full(4, init, dtype=c.dtype))
+            try:
+                stats = program.launch(rt, "k", 1, 32, c.ptr(), out.ptr(),
+                                       4, engine=engine)
+                got = (rt.memcpy_dtoh(c).tolist(),
+                       rt.memcpy_dtoh(out).tolist(), ledger(stats))
+            except Exception as exc:  # noqa: BLE001 - the oracle's fault
+                got = (type(exc).__name__, str(exc))
+            outcomes.append(got)
+        assert outcomes[2] == outcomes[1] == outcomes[0]
+        assert replays(telemetry) == 2
+        assert isinstance(compile_kernel(program.info, "k"),
+                          CompiledSimdKernel)
+
+    def test_an_openacc_loop_writing_a_host_array(self):
+        program = compile_source(ACC_LOCAL_ARRAY)
+        outcomes, telemetry = {}, Telemetry()
+        for engine in ENGINES:
+            rt = GpuRuntime(Device(), telemetry=telemetry)
+            env = HostEnv()
+            program.run_main(runtime=rt, host_env=env, engine=engine)
+            outcomes[engine] = (env.stdout,
+                                [ledger(s) for s in rt.launch_history])
+        assert outcomes["ast"][0] == ["0.500000 7.500000\n"]
+        assert outcomes["simd"] == outcomes["codegen"] == outcomes["ast"]
+        (name,) = program.info.acc_kernels  # outlined by the first run
+        assert telemetry.metrics.counter(KERNEL_REPLAYS_TOTAL).value(
+            kernel=name) == 1
+        assert isinstance(compile_kernel(program.info, name),
+                          CompiledSimdKernel)
 
 
 #: (threads, lane A): lane A faults at the earlier statement, thread 5

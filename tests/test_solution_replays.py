@@ -4,8 +4,7 @@ A speculative warp-tier launch that conflicts or faults is rolled back
 and replayed on the scalar tier. A lab's own solution is race-free and
 in bounds, so every launch of it must stand: over the whole catalog on
 the product's warp tier, ``webgpu_kernel_engine_replays_total`` stays
-0 and every kernel ends on the warp tier, neither demoted nor one
-block per group. ``bfs-queuing``'s ``bfsKernel`` used to be the one
+0 and every kernel ends on the warp tier, not demoted. ``bfs-queuing``'s ``bfsKernel`` used to be the one
 exception — its claims conflicted in lockstep order until its loop ran
 flattened.
 """
@@ -40,7 +39,7 @@ def test_solution_runs_on_the_warp_tier_without_a_replay(lab):
     for name in (*info.kernels, *info.acc_kernels):
         kernel = simd._verdict(info, name)
         if isinstance(kernel, simd.CompiledSimdKernel):
-            assert not kernel.demoted and not kernel.blockwise, name
+            assert not kernel.demoted, name
             assert (lab.slug, name) not in DECLINES, name
         else:
             assert DECLINES.get((lab.slug, name)) == kernel.reason, name

@@ -9,8 +9,8 @@ thread order for any block shape (``tests/test_grid_groups.py`` covers
 groups of many blocks); a divergent multi-warp launch with a short
 last warp, whose three blocks run as one group, keeps the stats, line
 ledger and active-lane ratio of per-warp execution; and a simd launch
-really builds no per-thread context unless a per-lane fault chain asks
-for one (and then only for the lanes it reaches).
+really builds no per-thread context — one that faults leaves them to
+its scalar replay.
 """
 
 from __future__ import annotations
@@ -88,16 +88,14 @@ class TestGeometry:
             self, state_cls, ctx_cls):
         block = Dim3(5, 7, 3)
         points = list(block.iter_points())
-        wctx = block_context(block, state_cls(Device(), block))
+        state = state_cls(Device(), block)
+        wctx = block_context(block, state)
         for i in (0, WARP - 1, WARP, block.count - 1):
-            ctx = wctx.lane(i)
-            assert type(ctx) is ctx_cls
-            t = ctx.threadIdx
-            assert (t.x, t.y, t.z) == points[i]
+            ctx = ctx_cls(Idx3(*points[i]), Idx3(1, 2, 3), block, GRID,
+                          state)
+            assert tuple(wctx.tid_axis(a)[i] for a in "xyz") == points[i]
+            assert tuple(wctx.bid_axis(a)[i] for a in "xyz") == (1, 2, 3)
             assert ctx.warp_id == wctx.warp_ids[i]
-            assert (ctx.blockIdx, ctx.blockDim, ctx.gridDim) == \
-                (Idx3(1, 2, 3), wctx.blockDim, wctx.gridDim)
-            assert wctx.lane(i) is ctx  # memoized
 
 
 #: divergent at three depths (if/else-if, a varying-trip loop, a
@@ -253,6 +251,27 @@ class TestAllocation:
         replays = telemetry.metrics.counter(KERNEL_REPLAYS_TOTAL)
         assert replays.value(kernel="k") == 0
 
+    def test_a_conflict_builds_only_the_replays_contexts(
+            self, contexts_built):
+        source = """
+__global__ void k(int *counts) {
+  int b = threadIdx.x % 4;
+  counts[b] = counts[b] + 1;
+}
+int warp_context_conflict = 1;
+int main() { return 0; }"""
+        program = compile_source(source)
+        telemetry = Telemetry()
+        rt = GpuRuntime(Device(), telemetry=telemetry)
+        counts = rt.malloc(4, "int")
+        program.launch(rt, "k", 1, 64, counts.ptr(), engine="simd")
+        assert rt.memcpy_dtoh(counts).tolist() == [16] * 4
+        replays = telemetry.metrics.counter(KERNEL_REPLAYS_TOTAL)
+        assert replays.value(kernel="k") == 1
+        # the conflict ends the group before any context is built; the
+        # scalar replay builds one per thread
+        assert [c.threadIdx.x for c in contexts_built] == list(range(64))
+
     def test_a_null_dereference_builds_only_the_lanes_it_reaches(
             self, contexts_built):
         source = """
@@ -274,9 +293,9 @@ int main() { return 0; }"""
                                engine=engine)
             faults[engine] = (type(excinfo.value), str(excinfo.value))
             if engine == "simd":
-                # the first active lane faults: lanes 0-2 are masked
-                # off and never get a context; then the fault replays
-                # scalar, thread by thread up to the faulting one
+                # the warp tier builds no context for the faulting lane:
+                # only the scalar replay does, thread by thread up to
+                # the faulting one
                 assert [c.threadIdx.x for c in contexts_built] == \
-                    [3, 0, 1, 2, 3]
+                    [0, 1, 2, 3]
         assert faults["simd"] == faults["codegen"] == faults["ast"]
