@@ -366,8 +366,9 @@ class TranslationUnit:
         return [f for f in self.functions if f.is_kernel]
 
 
-_NODES = (Expr, Stmt, FuncDef, GlobalVar, TranslationUnit, Declarator, Param)
-_WALKED = _NODES + (list,)
+#: The node classes :func:`walk` descends through.
+NODES = (Expr, Stmt, FuncDef, GlobalVar, TranslationUnit, Declarator, Param)
+_WALKED = NODES + (list,)
 
 
 def walk(node: Any):
@@ -382,7 +383,7 @@ def walk(node: Any):
         node = stack.pop()
         if isinstance(node, list):
             stack.extend(reversed(node))
-        elif isinstance(node, _NODES):
+        elif isinstance(node, NODES):
             yield node
             stack.extend([value for value in vars(node).values()
                           if isinstance(value, _WALKED)][::-1])

@@ -1,18 +1,21 @@
 """Warp-SIMD numpy execution engine: masked lane batching.
 
-The top execution tier. Where the ``codegen`` engine emits scalar
-Python source executed once per thread, this engine lowers an eligible
-kernel body to numpy array programs executed once per *group* of
-consecutive blocks, one lane per thread: ``threadIdx`` and ``blockIdx``
-become lane vectors, arithmetic becomes dtype-correct numpy ops on
-int64/float64 carriers, and global/shared accesses become
-gathers/scatters against the numpy storage of ``DeviceBuffer`` /
-``SharedArray`` with vectorized bounds checks.
+The top execution tier. The ``codegen`` engine emits scalar Python
+source executed once per thread; this engine emits, through a subclass
+of the same emitter (:class:`_WarpEmitter`), one Python function per
+eligible kernel executed once per *group* of consecutive blocks, one
+lane per thread. An expression no lane-varying name reaches is the
+scalar emitter's own code; the rest become numpy operations on lane
+vectors: ``threadIdx`` and ``blockIdx`` are lane vectors, arithmetic is
+dtype-correct numpy ops on int64/float64 carriers, and global/shared
+accesses are gathers/scatters against the numpy storage of
+``DeviceBuffer`` / ``SharedArray`` with vectorized bounds checks, all
+calls into the runtime below.
 
 Divergent control flow runs under lane masks: ``if``/``else`` without
-barriers executes both arms on index partitions, and every charge
-point adds ``len(active lanes)`` instructions so ``KernelStats``
-stays bit-identical to the tree-walking oracle. Memory accesses are
+barriers executes both arms on index partitions, and a charge batch
+adds ``n * len(active lanes)`` instructions so ``KernelStats`` stays
+bit-identical to the tree-walking oracle. Memory accesses are
 recorded as group-wide chunks (``_BlockState.load_chunks`` et al.)
 carrying each lane's warp id, numbered across the group, whose row
 multiset equals per-thread recording, so coalescing, bank conflicts,
@@ -23,9 +26,10 @@ side by side, each lane offset to its own block's.
 Eligibility is decided per kernel at compile time; any unsupported
 construct raises :class:`_SimdUnsupported` and the kernel falls back
 to the scalar ``codegen`` tier (the verdict is memoized, never an
-error). Barrier kernels lower to a "spine": straight-line vectorized
-statements separated by yields, with uniform-condition loops driven
-by scalar conditions so whole groups arrive at every barrier together.
+error). A barrier kernel's function is a generator that yields
+``SYNC`` at each barrier, which must stand under uniform control (no
+divergent ``if`` or loop around it) so whole groups arrive at every
+barrier together.
 
 Execution is *speculative*. A group runs statement-major where the
 oracle runs block-major, then thread-major, and the two agree only
@@ -54,7 +58,8 @@ register from one iteration to the next (:func:`_flat_shape`) runs
 *flattened*: trip counts up front, then the body once over one virtual
 lane per (thread, iteration) pair, ordered by the thread's key and then
 by iteration — the oracle's order of those body executions — with the
-loop's condition, step and step-budget charges added in bulk. Keys
+loop's condition, step and step-budget charges added in bulk (the body
+is generated once, a nested function the lockstep loop calls too). Keys
 carry the iteration (:data:`~repro.gpusim.memory.KEY_FIELDS`), and
 each pass's sequence numbers are rebased onto its thread's, so races
 still conflict and every counter stays per thread and per warp. A loop
@@ -68,7 +73,8 @@ where Python ints would grow unbounded.
 from __future__ import annotations
 
 import math
-from typing import Any, Callable
+import sys
+from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
@@ -91,6 +97,7 @@ from repro.minicuda import builtins as bi
 from repro.minicuda.codegen import (
     KERNEL_CACHE,
     Declined,
+    UnsupportedConstruct,
     _HANG_MSG,
     _OPENCL_INDEX_FNS,
     _make_coercer,
@@ -102,49 +109,37 @@ from repro.minicuda.interpreter import (
     ACC_START,
     InterpreterError,
     KernelHang,
-    _c_div,
-    _c_mod,
-    _truthy,
 )
 from repro.minicuda.semantic import BARRIER_BUILTINS, ProgramInfo
 from repro.minicuda.srcgen import (
     CompiledSrcKernel,
     _arith_kind,
     _BUILTIN_IDX,
+    _COMPARISONS,
     _FLOAT_MATH,
+    _FnEmitter,
     _INT_MATH,
+    _ModuleEmitter,
     _addr_of,
-    _c_eq,
-    _c_ne,
     _compile_scalar,
     _ctype_kinds,
+    _is_numeric,
+    _nested,
     _resolve_atomic,
     _TOO_DEEP,
     decline_reason as _scalar_decline_reason,
     kernel_key,
 )
 from repro.minicuda.values import (
-    NULL,
     MemoryFault,
     coerce,
     dtype_for,
     f32,
-    sizeof_ctype,
 )
-
-#: Estimated resident bytes of a lowered kernel: a fixed part plus so
-#: much per expression or statement lowered (each becomes a closure or
-#: two) — a fit to tracemalloc growth over the catalog's solution and
-#: skeleton kernels (1500 + 400 per lowering), times the 1.2 by which
-#: process RSS outgrew the traced bytes on ``catalog_grade``. The
-#: kernel memo charges a simd entry this, plus its scalar kernel's
-#: estimate once a replay has made it compile one.
-_NBYTES_BASE = 1800
-_NBYTES_PER_LOWERED = 480
 
 #: Bump when SIMD lowering semantics change; part of the memo key so
 #: stale fallback verdicts are never recalled across upgrades.
-SIMD_VERSION = 8
+SIMD_VERSION = 9
 
 _I64 = np.int64
 _F64 = np.float64
@@ -153,11 +148,8 @@ _I64DT = np.dtype(np.int64)
 _F64DT = np.dtype(np.float64)
 _EMPTY = np.empty(0, dtype=np.intp)
 
-_COMPARISONS = ("<", "<=", ">", ">=")
-_INT_LIKE = ("int", "bool")
 
-
-class _SimdUnsupported(Exception):
+class _SimdUnsupported(UnsupportedConstruct):
     """Kernel uses a construct the SIMD tier cannot lower; fall back."""
 
 
@@ -181,14 +173,6 @@ class _Declined:
         self.src = src
         self.reason = reason
         self.nbytes = src.nbytes
-
-
-def _is_numeric(kind: Any) -> bool:
-    return kind in ("int", "float")
-
-
-def _carrier_for(kind: str) -> Any:
-    return _F64 if kind == "float" else _I64
 
 
 def _merge(parts: list) -> np.ndarray:
@@ -273,53 +257,56 @@ def _co_vec(cokind: str, v: Any) -> Any:
     return bool(v)
 
 
-def _scalar_truthy(v: Any, numeric: bool) -> bool:
-    return (v != 0) if numeric else _truthy(v)
-
-
 # -- uniformity analysis -----------------------------------------------------
 
-def _body_signals(body: ast.Stmt) -> tuple[bool, bool]:
-    """(has break, has continue) bound to the enclosing loop — the
-    same scan the codegen emitter uses (nested loops capture their
-    own; a break inside switch binds to the switch)."""
-    has_break = has_continue = False
-
-    def scan(node: ast.Stmt, in_switch: bool) -> None:
-        nonlocal has_break, has_continue
-        cls = type(node)
-        if cls is ast.Break:
-            if not in_switch:
-                has_break = True
-        elif cls is ast.Continue:
-            has_continue = True
-        elif cls is ast.Block:
-            for inner in node.statements:
-                scan(inner, in_switch)
-        elif cls is ast.If:
-            scan(node.then, in_switch)
-            if node.otherwise is not None:
-                scan(node.otherwise, in_switch)
-        elif cls is ast.Switch:
-            for case in node.cases:
-                for inner in case.statements:
-                    scan(inner, True)
-
-    scan(body, False)
-    return has_break, has_continue
+_EXITS = (ast.Break, ast.Continue, ast.Return, ast.AccIndex)
 
 
-def _stmt_contains_barrier(stmt: ast.Stmt) -> bool:
-    for node in ast.walk(stmt):
-        if isinstance(node, ast.Call) and node.name in BARRIER_BUILTINS:
-            return True
-    return False
+def _containing(root: Any, hit: Callable[[Any], bool]) -> set[int]:
+    """The ids of the nodes at or under ``root`` (those ``ast.walk``
+    reaches) with a node ``hit`` accepts at or under them: one pass,
+    where a walk per statement would cost the nesting depth over."""
+    found: set[int] = set()
+
+    def visit(node: Any) -> bool:
+        inside = hit(node)
+        for value in vars(node).values():
+            for child in value if type(value) is list else (value,):
+                if isinstance(child, ast.NODES) and visit(child):
+                    inside = True
+        if inside:
+            found.add(id(node))
+        return inside
+
+    visit(root)
+    return found
 
 
-def _stmt_contains_return(stmt: ast.Stmt) -> bool:
-    for node in ast.walk(stmt):
-        if isinstance(node, ast.Return):
-            return True
+def _is_return(node: Any) -> bool:
+    return type(node) is ast.Return
+
+
+def _leaves(s: ast.Stmt, returns: set[int], exits: tuple = _EXITS) -> bool:
+    """Whether some lanes may stop partway through the statement list
+    that ``s`` stands in, by one of ``exits``: a ``break`` or
+    ``continue`` bound to an enclosing loop, a ``return`` (``returns``:
+    the nodes with one under them), or an OpenACC index past its loop's
+    count. A nested loop keeps its own breaks and continues, and a
+    ``switch`` its breaks."""
+    cls = type(s)
+    if cls in exits:
+        return True
+    if cls is ast.Block:
+        return any(_leaves(x, returns, exits) for x in s.statements)
+    if cls is ast.If:
+        return _leaves(s.then, returns, exits) or (
+            s.otherwise is not None and _leaves(s.otherwise, returns, exits))
+    if cls is ast.Switch:
+        inner = tuple(x for x in exits if x is not ast.Break)
+        return any(_leaves(x, returns, inner) for case in s.cases
+                   for x in case.statements)
+    if cls is ast.While or cls is ast.DoWhile or cls is ast.For:
+        return ast.Return in exits and id(s.body) in returns
     return False
 
 
@@ -349,6 +336,7 @@ def _analyze_names(fn: ast.FuncDef,
     allocation, not the parameter. A pointer-typed local or a reseated
     pointer parameter makes every pointer parameter count."""
     varying: set[str] = set()
+    returns = _containing(fn.body, _is_return)
     device_fns = info.device_functions
     # (target name, governing conds, rhs expr or None)
     records: list[tuple[str, tuple, Any]] = []
@@ -407,7 +395,7 @@ def _analyze_names(fn: ast.FuncDef,
         elif cls is ast.While or cls is ast.DoWhile:
             collect_expr(s.cond, conds)
             inner = conds + (s.cond,)
-            if any(_body_signals(s.body)) or _stmt_contains_return(s.body):
+            if _leaves(s.body, returns):
                 inner = inner + (_ALWAYS_VARYING,)
             scan_stmt(s.body, inner)
         elif cls is ast.For:
@@ -415,7 +403,7 @@ def _analyze_names(fn: ast.FuncDef,
                 scan_stmt(s.init, conds)
             collect_expr(s.cond, conds)
             inner = conds + ((s.cond,) if s.cond is not None else ())
-            if any(_body_signals(s.body)) or _stmt_contains_return(s.body):
+            if _leaves(s.body, returns):
                 inner = inner + (_ALWAYS_VARYING,)
             scan_stmt(s.body, inner)
             collect_expr(s.step, inner)
@@ -475,18 +463,17 @@ class _WarpSt:
     """Runtime state for one group's vectorized execution: one lane
     per thread, accounted per 32-lane warp of one block."""
 
-    __slots__ = ("wctx", "tid_axis", "bid_axis", "n", "interp", "frame",
+    __slots__ = ("wctx", "tid_axis", "bid_axis", "n", "interp",
                  "stats", "block", "warp_ids", "seqs", "ops", "slots",
                  "idx_all", "md_ok", "prof", "line", "bseqs", "trackers",
                  "keys", "intervals", "bases")
 
-    def __init__(self, wctx: WarpContext, interp: Any, frame: list):
+    def __init__(self, wctx: WarpContext, interp: Any):
         self.wctx = wctx
         self.tid_axis = wctx.tid_axis
         self.bid_axis = wctx.bid_axis
         self.n = wctx.n
         self.interp = interp
-        self.frame = frame
         self.block = wctx._block
         self.stats = self.block.stats
         # each lane's warp id, the warp column of every record; a
@@ -518,7 +505,7 @@ class _WarpSt:
         self.intervals = 0
         # shared-array size -> each lane's block base in group storage
         self.bases: dict[int, np.ndarray] = {}
-        # statement closures keep ``line`` at the innermost enclosing
+        # generated code keeps ``line`` at the innermost enclosing
         # statement. A line-profiled group exposes itself via .prof;
         # then charges go through a proxy that attributes them to
         # ``line``, and ``bseqs`` counts per-lane branch sequence numbers
@@ -649,9 +636,8 @@ class _FlatSt(_WarpSt):
 
     __slots__ = ("iters", "patches", "bpatches")
 
-    def __init__(self, st: _WarpSt, owners: np.ndarray, iters: np.ndarray,
-                 frame: list):
-        _WarpSt.__init__(self, st.wctx.gather(owners), st.interp, frame)
+    def __init__(self, st: _WarpSt, owners: np.ndarray, iters: np.ndarray):
+        _WarpSt.__init__(self, st.wctx.gather(owners), st.interp)
         # the group's shared arrays, reset at its barriers
         self.trackers = st.trackers
         self.keys = st.keys[owners] + iters
@@ -733,29 +719,22 @@ def _rebase(patches: list, counts: Any, running: np.ndarray,
     running[owners] += np.add.reduceat(counts, first)
 
 
-class _FlatPlan:
-    """What a flattened ``for`` loop runs: its induction variable's
-    slot, the comparison, the bound and step closures with what each
-    evaluation of them charges, the body and the slots it reads from
-    outside (gathered per pass) and declares (fresh per pass)."""
+class _FlatPlan(NamedTuple):
+    """One run of a flattened ``for`` loop (its init already run): the
+    comparison, each lane's start value of the induction variable, the
+    bound and the step (one value, or a lane vector each) with what one
+    evaluation of each charges, the body — a generated function of the
+    state, the lanes, the induction variable and the lane vectors it
+    reads from outside — and those vectors, gathered per pass."""
 
-    __slots__ = ("iv", "op", "boundf", "bound_charge", "stepf", "step",
-                 "step_charge", "gather", "bodyf", "body_slots", "ln")
-
-    def __init__(self, iv: int, op: str, boundf: Callable,
-                 bound_charge: int, stepf: Callable | None, step: int,
-                 step_charge: int, gather: tuple):
-        self.iv = iv
-        self.op = op
-        self.boundf = boundf
-        self.bound_charge = bound_charge
-        self.stepf = stepf
-        self.step = step
-        self.step_charge = step_charge
-        self.gather = gather
-        self.bodyf: Callable | None = None
-        self.body_slots = range(0)
-        self.ln = 0
+    op: str
+    j0: np.ndarray
+    bound: Any
+    step: Any
+    bound_charge: int
+    step_charge: int
+    body: Callable
+    gathered: tuple
 
 
 def _flat_trips(op: str, j0: np.ndarray, bound: Any,
@@ -783,36 +762,26 @@ def _flat_trips(op: str, j0: np.ndarray, bound: Any,
 
 
 def _run_flat(p: _FlatPlan, st: _WarpSt, idx: np.ndarray) -> bool:
-    """Run loop ``p`` (its init already run) for the lanes ``idx``,
-    flattened; False, having charged nothing, where the passes would
-    number more than :data:`_FLAT_LANES` — the lockstep loop runs it
-    then."""
+    """Run loop ``p`` for the lanes ``idx``, flattened; False, having
+    charged nothing, where the passes would number more than
+    :data:`_FLAT_LANES` — the lockstep loop runs it then."""
     m = len(idx)
-    st.line = p.ln
-    j0 = st.frame[p.iv][idx]
-    bound = p.boundf(st, idx)
-    step = p.step if p.stepf is None else p.step * p.stepf(st, idx)
-    trips = _flat_trips(p.op, j0, bound, step)
+    step = p.step
+    trips = _flat_trips(p.op, p.j0, p.bound, step)
     total = int(trips.sum())
     interp = st.interp
     if interp.steps + total > interp.max_steps:
         raise _Replay("flattened loop past the step budget")
     if total > _FLAT_LANES:
-        # undo the bound's and step's one evaluation
-        st.stats.instructions -= m * (p.bound_charge - 1 + (
-            p.step_charge - 1 if p.stepf is not None else 0))
         return False
     keys = st.keys.copy()
     keys[idx] += trips
     # a carry out of the iteration field leaves it below the trips
     if np.any(keys[idx] % KEY_FIELD_LIMITS["iteration"] < trips):
         raise _Replay("flattened loop past the lane key's bits")
-    # (trip + 1) conditions and trip steps per lane, less the one
-    # evaluation of the bound and the step already charged
-    st.stats.instructions += (
-        (total + m) * p.bound_charge - m * (p.bound_charge - 1)
-        + total * p.step_charge
-        - (m * (p.step_charge - 1) if p.stepf is not None else 0))
+    # (trip + 1) conditions and trip steps per lane
+    st.stats.instructions += ((total + m) * p.bound_charge
+                              + total * p.step_charge)
     interp.steps += total
     live = np.flatnonzero(trips)
     if len(live):
@@ -821,17 +790,11 @@ def _run_flat(p: _FlatPlan, st: _WarpSt, idx: np.ndarray) -> bool:
         iters = np.arange(total, dtype=np.int64) - np.repeat(
             np.cumsum(t) - t, t)
         owners = idx[at]
-        parent = st.frame
-        frame = list(parent)
-        for slot in p.gather:
-            frame[slot] = parent[slot][owners]
-        for slot in p.body_slots:
-            frame[slot] = None
-        frame[p.iv] = j0[at] + iters * (
-            step if not isinstance(step, np.ndarray) else step[at])
-        sub = _FlatSt(st, owners, iters, frame)
+        sub = _FlatSt(st, owners, iters)
         sub.occupy(sub.idx_all)
-        p.bodyf(sub, sub.idx_all, ([], []))
+        p.body(sub, sub.idx_all, p.j0[at] + iters * (
+            step if not isinstance(step, np.ndarray) else step[at]),
+            *[g[owners] for g in p.gathered])
         sub.merge(st, idx[live], t)
     st.keys = keys
     return True
@@ -930,19 +893,12 @@ def _flat_shape(s: ast.For) -> tuple | None:
     return iv, cond.op, cond.right, sign, amount, declared, stored
 
 
-# -- the lowerer -------------------------------------------------------------
-
-import operator as _op
-
-_CMP_OPS = {"<": _op.lt, "<=": _op.le, ">": _op.gt, ">=": _op.ge,
-            "==": _op.eq, "!=": _op.ne}
-_ARITH_OPS = {"+": _op.add, "-": _op.sub, "*": _op.mul}
-_BIT_OPS = {"<<": _op.lshift, ">>": _op.rshift, "&": _op.and_,
-            "|": _op.or_, "^": _op.xor}
-
 #: The operands of each atomic the warp tier runs, after the target.
 _ATOMIC_ARITY = {"atomicAdd": 1, "atomicSub": 1, "atomicMax": 1,
                  "atomicMin": 1, "atomicExch": 1, "atomicCAS": 2}
+
+#: The operators of the compound assignments.
+_COMBINE = frozenset({"+", "-", "*", "/", "%", "<<", ">>", "&", "|", "^"})
 
 #: The updates the ``ThreadContext.atomic_*`` methods apply, for many
 #: elements at once, one lane each (the rank steps below); atomicSub
@@ -1234,1560 +1190,142 @@ _PTR_ELEM = {"float": "float", "double": "float", "int": "int",
              "char": "int", "unsigned char": "int", "short": "int",
              "size_t": "int", "bool": "int"}
 
-
-def _int_like_val(v: Any) -> bool:
-    if isinstance(v, np.ndarray):
-        return v.dtype.kind in "bui"
-    return isinstance(v, (int, np.integer))
+#: Local kinds that hold storage (an array object) rather than a value.
+_STORAGE = ("shared", "shared_md", "local", "local_md")
 
 
 def _v_div(a: Any, b: Any) -> np.ndarray:
     """Vector ``/`` with ``_c_div``'s value dispatch (int iff both
     operands are integer-valued at runtime)."""
-    if _int_like_val(a) and _int_like_val(b):
-        return _v_idiv(a, b)
-    return _v_fdiv(a, b)
+    return (_v_fdiv if _is_float(a) or _is_float(b) else _v_idiv)(a, b)
 
 
 def _v_mod(a: Any, b: Any) -> np.ndarray:
-    if _int_like_val(a) and _int_like_val(b):
-        return _v_imod(a, b)
-    return _v_fmod(a, b)
+    return (_v_fmod if _is_float(a) or _is_float(b) else _v_imod)(a, b)
 
 
 def _is_ptr_kind(kind: Any) -> bool:
     return isinstance(kind, tuple) and kind[0] == "ptr"
 
 
-class _Slot:
-    __slots__ = ("slot", "kind", "cokind", "vary")
-
-    def __init__(self, slot: int, kind: Any, cokind: Any, vary: bool):
-        self.slot = slot
-        self.kind = kind
-        self.cokind = cokind
-        self.vary = vary
-
-
-class _Lowerer:
-    """Compiles one kernel AST to warp-vectorized closures.
-
-    Expression closures follow the protocol ``fn(st, idx) -> value``
-    where ``idx`` is the active-lane index array: a compile-time
-    *uniform* expression returns a plain Python value, a *varying* one
-    an ndarray aligned with ``idx``. Statement closures return the
-    surviving lane set. Every srcgen charge point becomes
-    ``stats.instructions += len(idx)``."""
-
-    def __init__(self, info: ProgramInfo, fn: ast.FuncDef, gen_ok: bool):
-        self.info = info
-        self.fn = fn
-        self.gen_ok = gen_ok
-        self.varying_names, self.stored_params = _analyze_names(fn, info)
-        # writable file-scope arrays live outside device allocations,
-        # and a file-scope pointer may reach any of them: storage no
-        # LaneTracker is known to watch
-        self.untracked_globals = frozenset(
-            d.name for g in info.unit.globals if not g.decl.constant
-            for d in g.decl.declarators
-            if d.type.is_array or d.type.is_pointer)
-        # a 1-D __constant__ array is a DevicePtr into a read-only
-        # device allocation: an ordinary typed pointer to the lowering
-        self.constant_arrays = {
-            d.name: ("ptr", _PTR_ELEM.get(d.type.base))
-            for g in info.unit.globals if g.decl.constant
-            for d in g.decl.declarators if len(d.type.array_dims) == 1}
-        self.scopes: list[dict[str, _Slot]] = [{}]
-        self.nslots = 0
-        self.loop_depth = 0
-        #: expressions and statements lowered so far — what the
-        #: artifact's closures, and so its resident size, scale with
-        self.lowered = 0
-        #: bytes of the ``__shared__`` arrays declared, one block's
-        self.shared_bytes = 0
-
-    # -- scopes ---------------------------------------------------------------
-
-    def push(self) -> None:
-        self.scopes.append({})
-
-    def pop(self) -> None:
-        self.scopes.pop()
-
-    def declare(self, name: str, kind: Any, cokind: Any) -> _Slot:
-        vary = (name in self.varying_names and kind in ("int", "float"))
-        if name in self.varying_names and kind not in ("int", "float") \
-                and not (isinstance(kind, tuple)
-                         and kind[0] in ("shared", "shared_md",
-                                         "local", "local_md")):
-            # a pointer/dim3/unknown local taking lane-divergent values
-            # has no vector representation
-            raise _SimdUnsupported(f"varying non-numeric local {name!r}")
-        rec = _Slot(self.nslots, kind, cokind, vary)
-        self.nslots += 1
-        self.scopes[-1][name] = rec
-        return rec
-
-    def lookup(self, name: str) -> _Slot | None:
-        for scope in reversed(self.scopes):
-            if name in scope:
-                return scope[name]
-        return None
-
-    def kinds_of(self, ctype: ast.CType | None) -> tuple[Any, Any]:
-        """(simd kind, coercion kind) for a declared type; the "bool"
-        value kind folds to "int" (identical numeric behaviour, the
-        cokind still coerces through bool)."""
-        if ctype is not None and ctype.is_pointer:
-            return ("ptr", _PTR_ELEM.get(ctype.base)), None
-        vkind, cokind = _ctype_kinds(ctype)
-        if vkind == "bool":
-            vkind = "int"
-        return vkind, cokind
-
-    # -- expressions ----------------------------------------------------------
-
-    def expr(self, e: ast.Expr) -> tuple[Callable, Any, bool]:
-        self.lowered += 1
-        cls = type(e)
-        if cls is ast.IntLit:
-            v = e.value
-            return (lambda st, idx: v), "int", True
-        if cls is ast.FloatLit:
-            v = e.value
-            return (lambda st, idx: v), "float", True
-        if cls is ast.BoolLit:
-            v = e.value
-            return (lambda st, idx: v), "int", True
-        if cls is ast.NullLit:
-            return (lambda st, idx: NULL), "null", True
-        if cls is ast.Ident:
-            return self._ident(e)
-        if cls is ast.Member:
-            return self._member(e)
-        if cls is ast.Index:
-            return self._index_read(e)
-        if cls is ast.Binary:
-            return self._binary(e)
-        if cls is ast.Assign:
-            return self._assign(e, want_value=True)
-        if cls is ast.IncDec:
-            return self._incdec(e, want_value=True)
-        if cls is ast.Unary:
-            return self._unary(e)
-        if cls is ast.Conditional:
-            return self._conditional(e)
-        if cls is ast.Cast:
-            return self._cast(e)
-        if cls is ast.SizeOf:
-            size = sizeof_ctype(e.type)
-            return (lambda st, idx: size), "int", True
-        if cls is ast.Call:
-            return self._call(e)
-        raise _SimdUnsupported(f"expression {cls.__name__}")
-
-    def _ident(self, e: ast.Ident) -> tuple[Callable, Any, bool]:
-        rec = self.lookup(e.name)
-        if rec is not None:
-            slot = rec.slot
-            if rec.vary:
-                return (lambda st, idx: st.frame[slot][idx]), rec.kind, False
-            return (lambda st, idx: st.frame[slot]), rec.kind, True
-        name = e.name
-        if name in self.info.constants:
-            if name in self.untracked_globals:
-                raise _SimdUnsupported(f"__device__ storage {name!r}")
-            return ((lambda st, idx: st.interp.globals.get(name)),
-                    self.constant_arrays.get(name), True)
-        if name in ("threadIdx", "blockIdx"):  # lane-varying dim3s
-            raise _SimdUnsupported(f"bare {name} value")
-        if name in _BUILTIN_IDX:
-            return (lambda st, idx: getattr(st.wctx, name)), "dim3", True
-        if name == "warpSize":
-            return (lambda st, idx:
-                    st.block.device.spec.warp_size), "int", True
-        if name in bi.DEVICE_CONSTANTS:
-            value = bi.DEVICE_CONSTANTS[name]
-            kind = ("int" if isinstance(value, int) else
-                    "float" if isinstance(value, float) else None)
-            return (lambda st, idx: value), kind, True
-        raise _SimdUnsupported(f"identifier {name!r}")
-
-    def _member(self, e: ast.Member) -> tuple[Callable, Any, bool]:
-        obj, field = e.obj, e.field_name
-        if isinstance(obj, ast.Ident) and field in ("x", "y", "z") \
-                and obj.name in _BUILTIN_IDX \
-                and self.lookup(obj.name) is None \
-                and obj.name not in self.info.constants:
-            # full-mask fast paths return the cached per-group lane
-            # vector itself; downstream ops never mutate operands
-            if obj.name == "threadIdx":
-                return (lambda st, idx:
-                        st.tid_axis(field) if idx is st.idx_all
-                        else st.tid_axis(field)[idx]), "int", False
-            if obj.name == "blockIdx":
-                return (lambda st, idx:
-                        st.bid_axis(field) if idx is st.idx_all
-                        else st.bid_axis(field)[idx]), "int", False
-            bname = obj.name
-            return (lambda st, idx:
-                    getattr(getattr(st.wctx, bname), field)), "int", True
-        ofn, okind, ouni = self.expr(obj)
-        if okind == "dim3" and ouni and field in ("x", "y", "z"):
-            return (lambda st, idx:
-                    getattr(ofn(st, idx), field)), "int", True
-        raise _SimdUnsupported(f"member access .{field}")
-
-    def _tid_axis_of(self, node: Any) -> str | None:
-        """The axis name when ``node`` is a plain ``threadIdx.<axis>``
-        read (not shadowed by a local or a global) — such index
-        vectors are group constants, so a bounds verdict can be cached
-        per group instead of re-reduced on every access."""
-        if (isinstance(node, ast.Member)
-                and node.field_name in ("x", "y", "z")
-                and isinstance(node.obj, ast.Ident)
-                and node.obj.name == "threadIdx"
-                and self.lookup(node.obj.name) is None
-                and node.obj.name not in self.info.constants):
-            return node.field_name
-        return None
-
-    def _as_int(self, fn: Callable, kind: Any,
-                uni: bool) -> Callable:
-        """srcgen ``as_int``: C int conversion unless already int-kind."""
-        if kind == "int":
-            return fn
-        if uni:
-            return lambda st, idx: int(fn(st, idx))
-        return lambda st, idx: _as_int_vals(fn(st, idx))
-
-    def _binary(self, e: ast.Binary) -> tuple[Callable, Any, bool]:
-        op = e.op
-        if op in ("&&", "||"):
-            return self._logical(e)
-        lf, lk, lu = self.expr(e.left)
-        rf, rk, ru = self.expr(e.right)
-        uni = lu and ru
-        numeric = _is_numeric(lk) and _is_numeric(rk)
-        if op in _COMPARISONS or op in ("==", "!="):
-            opf = _CMP_OPS[op]
-            if numeric:
-                if uni:
-                    def fn(st, idx):
-                        l, r = lf(st, idx), rf(st, idx)
-                        st.stats.instructions += len(idx)
-                        return 1 if opf(l, r) else 0
-                else:
-                    def fn(st, idx):
-                        l, r = lf(st, idx), rf(st, idx)
-                        st.stats.instructions += len(idx)
-                        return opf(l, r).astype(_I64)
-                return fn, "int", uni
-            if not uni:
-                raise _SimdUnsupported("varying non-numeric comparison")
-            if op == "==" or op == "!=":
-                eqf = _c_eq if op == "==" else _c_ne
-
-                def fn(st, idx):
-                    l, r = lf(st, idx), rf(st, idx)
-                    st.stats.instructions += len(idx)
-                    return eqf(l, r)
-            else:
-                def fn(st, idx):
-                    l, r = lf(st, idx), rf(st, idx)
-                    st.stats.instructions += len(idx)
-                    return int(opf(l, r))
-            return fn, "int", True
-        if op in ("+", "-", "*"):
-            kind = _arith_kind(lk, rk)
-            opf = _ARITH_OPS[op]
-            if kind is None:
-                # pointer arithmetic: uniform base ± uniform offset
-                # (DevicePtr/HostPtr dunders int() the operand, so the
-                # plain operator matches srcgen)
-                ptr_kind = (lk if _is_ptr_kind(lk)
-                            else rk if op == "+" and _is_ptr_kind(rk)
-                            else None)
-                if ptr_kind is None or not uni:
-                    raise _SimdUnsupported(f"binary {op} on {lk}/{rk}")
-
-                def fn(st, idx):
-                    l, r = lf(st, idx), rf(st, idx)
-                    st.stats.instructions += len(idx)
-                    return opf(l, r)
-                return fn, ptr_kind, True
-
-            def fn(st, idx):
-                l, r = lf(st, idx), rf(st, idx)
-                st.stats.instructions += len(idx)
-                return opf(l, r)
-            return fn, kind, uni
-        if op == "/" or op == "%":
-            if not numeric:
-                raise _SimdUnsupported(f"{op} on {lk}/{rk}")
-            kind = "int" if lk == "int" and rk == "int" else "float"
-            if uni:
-                sfn = _c_div if op == "/" else _c_mod
-
-                def fn(st, idx):
-                    l, r = lf(st, idx), rf(st, idx)
-                    st.stats.instructions += len(idx)
-                    return sfn(l, r)
-            else:
-                vfn = _v_div if op == "/" else _v_mod
-
-                def fn(st, idx):
-                    l, r = lf(st, idx), rf(st, idx)
-                    st.stats.instructions += len(idx)
-                    return vfn(l, r)
-            return fn, kind, uni
-        if op in _BIT_OPS:
-            opf = _BIT_OPS[op]
-            li = self._as_int(lf, lk, lu) if lk != "int" else lf
-            ri = self._as_int(rf, rk, ru) if rk != "int" else rf
-            if not (_is_numeric(lk) and _is_numeric(rk)):
-                raise _SimdUnsupported(f"bitwise {op} on {lk}/{rk}")
-
-            def fn(st, idx):
-                l, r = li(st, idx), ri(st, idx)
-                st.stats.instructions += len(idx)
-                return opf(l, r)
-            return fn, "int", uni
-        raise _SimdUnsupported(f"binary operator {op!r}")
-
-    def _logical(self, e: ast.Binary) -> tuple[Callable, Any, bool]:
-        lf, lk, lu = self.expr(e.left)
-        rf, rk, ru = self.expr(e.right)
-        if not (_is_numeric(lk) and _is_numeric(rk)):
-            raise _SimdUnsupported("non-numeric logical operand")
-        is_and = e.op == "&&"
-        if lu and ru:
-            def fn(st, idx):
-                lv = lf(st, idx)
-                if is_and:
-                    if not lv:
-                        return 0
-                    return 1 if rf(st, idx) else 0
-                if lv:
-                    return 1
-                return 1 if rf(st, idx) else 0
-            return fn, "int", True
-
-        def fn(st, idx):
-            lv = lf(st, idx)
-            k = len(idx)
-            if not isinstance(lv, np.ndarray):
-                # uniform lhs short-circuit: the rhs (and its charges)
-                # runs for every lane or for none
-                taken = bool(lv) if is_and else not lv
-                if not taken:
-                    return (np.zeros(k, _I64) if is_and
-                            else np.ones(k, _I64))
-                rv = rf(st, idx)
-                if isinstance(rv, np.ndarray):
-                    return (rv != 0).astype(_I64)
-                return (np.ones(k, _I64) if rv else np.zeros(k, _I64))
-            t = lv != 0
-            out = np.zeros(k, _I64)
-            if not is_and:
-                out[t] = 1
-            sub = idx[t] if is_and else idx[~t]
-            if len(sub):
-                rv = rf(st, sub)
-                bit = ((rv != 0).astype(_I64)
-                       if isinstance(rv, np.ndarray)
-                       else (1 if rv else 0))
-                if is_and:
-                    out[t] = bit
-                else:
-                    out[~t] = bit
-            return out
-        return fn, "int", False
-
-    def _conditional(self, e: ast.Conditional) -> tuple[Callable, Any, bool]:
-        cf, ck, cu = self.expr(e.cond)
-        tf, tk, tu = self.expr(e.then)
-        ef, ek, eu = self.expr(e.otherwise)
-        if not _is_numeric(ck):
-            if not cu:
-                raise _SimdUnsupported("varying non-numeric ternary cond")
-            cf0 = cf
-            cf = lambda st, idx: _truthy(cf0(st, idx))  # noqa: E731
-        kind = tk if tk == ek else None
-        if cu:
-            def fn(st, idx):
-                return tf(st, idx) if cf(st, idx) else ef(st, idx)
-            return fn, kind, tu and eu
-        if kind not in ("int", "float"):
-            raise _SimdUnsupported("varying ternary on non-numeric arms")
-        carrier = _carrier_for(kind)
-
-        def fn(st, idx):
-            cv = cf(st, idx)
-            t = cv != 0
-            out = np.empty(len(idx), carrier)
-            a = idx[t]
-            b = idx[~t]
-            if len(a):
-                out[t] = tf(st, a)
-            if len(b):
-                out[~t] = ef(st, b)
-            return out
-        return fn, kind, False
-
-    def _unary(self, e: ast.Unary) -> tuple[Callable, Any, bool]:
-        op = e.op
-        if op == "&":
-            return self._addressof(e.operand)
-        vf, vk, vu = self.expr(e.operand)
-        if op == "*":
-            if not vu:
-                raise _SimdUnsupported("deref of varying pointer")
-            ekind = vk[1] if _is_ptr_kind(vk) else None
-            pos = e.pos
-
-            def fn(st, idx):
-                ptr = vf(st, idx)
-                st.stats.instructions += len(idx)  # the deref op itself
-                return _global_load(st, idx, ptr, 0, pos)
-            return fn, ekind, False
-        if op == "-":
-            if not _is_numeric(vk):
-                raise _SimdUnsupported("unary - on non-numeric")
-
-            def fn(st, idx):
-                v = vf(st, idx)
-                st.stats.instructions += len(idx)
-                return -v
-            return fn, vk, vu
-        if op == "+":
-            def fn(st, idx):
-                v = vf(st, idx)
-                st.stats.instructions += len(idx)
-                return v
-            return fn, vk, vu
-        if op == "!":
-            if not _is_numeric(vk):
-                if not vu:
-                    raise _SimdUnsupported("varying non-numeric !")
-
-                def fn(st, idx):
-                    v = vf(st, idx)
-                    st.stats.instructions += len(idx)
-                    return int(not _truthy(v))
-                return fn, "int", True
-            if vu:
-                def fn(st, idx):
-                    v = vf(st, idx)
-                    st.stats.instructions += len(idx)
-                    return 0 if v else 1
-            else:
-                def fn(st, idx):
-                    v = vf(st, idx)
-                    st.stats.instructions += len(idx)
-                    return (v == 0).astype(_I64)
-            return fn, "int", vu
-        if op == "~":
-            if not _is_numeric(vk):
-                raise _SimdUnsupported("unary ~ on non-numeric")
-            vi = self._as_int(vf, vk, vu) if vk != "int" else vf
-
-            def fn(st, idx):
-                v = vi(st, idx)
-                st.stats.instructions += len(idx)
-                return ~v
-            return fn, "int", vu
-        raise _SimdUnsupported(f"unary {op!r}")
-
-    def _addressof(self, operand: ast.Expr) -> tuple[Callable, Any, bool]:
-        # only the atomic call path consumes addresses in device code;
-        # general address-of falls back to the scalar tier
-        raise _SimdUnsupported("address-of expression")
-
-    def _cast(self, e: ast.Cast) -> tuple[Callable, Any, bool]:
-        vf, vk, vu = self.expr(e.value)
-        if e.type.is_pointer:
-            raise _SimdUnsupported("pointer cast")
-        kind, cokind = self.kinds_of(e.type)
-        if cokind is None:
-            return vf, vk, vu
-
-        def fn(st, idx):
-            return _co_vec(cokind, vf(st, idx))
-        return fn, kind, vu
-
-    # -- memory access plans --------------------------------------------------
-
-    def _md_direct(self, e: ast.Index):
-        """Recognise ``A[i][j]`` on a locally declared 2-D shared/local
-        array (mirrors the srcgen fast path)."""
-        inner = e.base
-        if type(inner) is not ast.Index or type(inner.base) is not ast.Ident:
-            return None
-        rec = self.lookup(inner.base.name)
-        if rec is None or not isinstance(rec.kind, tuple):
-            return None
-        if rec.kind[0] not in ("shared_md", "local_md"):
-            return None
-        dims = rec.kind[1]
-        if len(dims) != 2:
-            return None
-        return rec.kind[0], rec, dims, inner.index, e.index
-
-    def _index_plan(self, e: ast.Index):
-        """(resolve, load, store, ekind) closures for an Index access.
-        ``resolve`` evaluates base/index (and the md bounds check),
-        ``load``/``store`` carry the access charge and trace recording
-        exactly like the scalar context methods."""
-        pos = e.pos
-        md = self._md_direct(e)
-        if md is not None:
-            space, rec, (d0, d1), i_node, j_node = md
-            f_i, ik, iu = self.expr(i_node)
-            f_i = self._as_int(f_i, ik, iu)
-            f_j, jk, ju = self.expr(j_node)
-            f_j = self._as_int(f_j, jk, ju)
-            slot = rec.slot
-            i_axis = self._tid_axis_of(i_node)
-            j_axis = self._tid_axis_of(j_node)
-
-            def resolve(st, idx):
-                i = f_i(st, idx)
-                j = f_j(st, idx)
-                _md_check(st, i, j, d0, d1, i_axis, j_axis)
-                return st.frame[slot], i * d1 + j
-            if space == "shared_md":
-                ekind = rec.kind[2]
-                return (resolve,
-                        lambda st, idx, rs: _shared_load(st, idx, *rs, True),
-                        lambda st, idx, rs, v: _shared_store(
-                            st, idx, rs[0], rs[1], v),
-                        ekind)
-            _sp, _dims, _size, ekind, aname = rec.kind
-            return (resolve,
-                    lambda st, idx, rs: _local_load(st, idx, rs[0], rs[1],
-                                                    aname),
-                    lambda st, idx, rs, v: _local_store(st, idx, rs[0],
-                                                        rs[1], v, aname),
-                    ekind)
-        bf, bk, bu = self.expr(e.base)
-        f_ind, ik, iu = self.expr(e.index)
-        if isinstance(bk, tuple) and bk[0] == "shared":
-            f_ind = self._as_int(f_ind, ik, iu)
-
-            def resolve(st, idx):
-                return bf(st, idx), f_ind(st, idx)
-            return (resolve,
-                    lambda st, idx, rs: _shared_load(st, idx, *rs),
-                    lambda st, idx, rs, v: _shared_store(st, idx, rs[0],
-                                                         rs[1], v),
-                    bk[1])
-        if isinstance(bk, tuple) and bk[0] == "local":
-            f_ind = self._as_int(f_ind, ik, iu)
-            _sp, _size, ekind, aname = bk
-
-            def resolve(st, idx):
-                return bf(st, idx), f_ind(st, idx)
-            return (resolve,
-                    lambda st, idx, rs: _local_load(st, idx, rs[0], rs[1],
-                                                    aname),
-                    lambda st, idx, rs, v: _local_store(st, idx, rs[0],
-                                                        rs[1], v, aname),
-                    ekind)
-        if (bk is None or _is_ptr_kind(bk)) and bu:
-            f_ind = self._as_int(f_ind, ik, iu)
-
-            def resolve(st, idx):
-                return bf(st, idx), f_ind(st, idx)
-            return (resolve,
-                    lambda st, idx, rs: _global_load(st, idx, rs[0], rs[1],
-                                                     pos),
-                    lambda st, idx, rs, v: _global_store(st, idx, rs[0],
-                                                         rs[1], v, pos),
-                    bk[1] if _is_ptr_kind(bk) else None)
-        raise _SimdUnsupported(f"index on base of kind {bk!r}")
-
-    def _index_read(self, e: ast.Index) -> tuple[Callable, Any, bool]:
-        resolve, load, _store, ekind = self._index_plan(e)
-
-        def fn(st, idx):
-            rs = resolve(st, idx)
-            return load(st, idx, rs)
-        return fn, ekind, False
-    # -- assignment & mutation ------------------------------------------------
-
-    def _combine_fn(self, bop: str, uni: bool) -> Callable:
-        """The operator applied by a compound assignment (srcgen
-        ``_combine``); vector arms use runtime value dispatch so the
-        int/float split matches ``_c_div``/``_c_mod`` exactly."""
-        if bop in _ARITH_OPS:
-            return _ARITH_OPS[bop]
-        if bop == "/":
-            return _c_div if uni else _v_div
-        if bop == "%":
-            return _c_mod if uni else _v_mod
-        if bop in _BIT_OPS:
-            opf = _BIT_OPS[bop]
-            if uni:
-                return lambda a, b: opf(int(a), int(b))
-            return lambda a, b: opf(_as_int_vals(a), _as_int_vals(b))
-        raise _SimdUnsupported(f"compound operator {bop}=")
-
-    def _assign(self, e: ast.Assign,
-                want_value: bool) -> tuple[Callable, Any, bool]:
-        target = e.target
-        bop = e.op[:-1] if e.op != "=" else None
-        vf, vk, vu = self.expr(e.value)
-        if isinstance(target, ast.Ident):
-            rec = self.lookup(target.name)
-            if rec is None:
-                raise _SimdUnsupported(
-                    f"assignment to global {target.name!r}")
-            if isinstance(rec.kind, tuple) and rec.kind[0] in (
-                    "shared", "shared_md", "local", "local_md"):
-                raise _SimdUnsupported("assignment to an array local")
-            slot, cokind = rec.slot, rec.cokind
-            if rec.vary:
-                comb = self._combine_fn(bop, False) if bop else None
-
-                def fn(st, idx):
-                    v = vf(st, idx)
-                    arr = st.frame[slot]
-                    if comb is not None:
-                        v = comb(arr[idx], v)
-                    st.stats.instructions += len(idx)
-                    arr[idx] = _co_vec(cokind, v) if cokind else v
-                    return v
-                return fn, (vk if bop is None else None), False
-            if not vu:
-                # the varying analysis should have caught this
-                raise _SimdUnsupported(
-                    f"varying value into uniform slot {target.name!r}")
-            comb = self._combine_fn(bop, True) if bop else None
-
-            def fn(st, idx):
-                v = vf(st, idx)
-                if comb is not None:
-                    v = comb(st.frame[slot], v)
-                st.stats.instructions += len(idx)
-                st.frame[slot] = _co_vec(cokind, v) if cokind else v
-                return v
-            return fn, (vk if bop is None else None), True
-        if isinstance(target, ast.Index):
-            resolve, load, store, _ekind = self._index_plan(target)
-            comb = self._combine_fn(bop, False) if bop else None
-
-            def fn(st, idx):
-                rs = resolve(st, idx)
-                v = vf(st, idx)
-                if comb is not None:
-                    v = comb(load(st, idx, rs), v)
-                st.stats.instructions += len(idx)
-                store(st, idx, rs, v)
-                return v
-            return fn, (vk if bop is None else None), False
-        if isinstance(target, ast.Unary) and target.op == "*":
-            pf, pk, pu = self.expr(target.operand)
-            if not pu:
-                raise _SimdUnsupported("store through varying pointer")
-            pos = target.pos
-            comb = self._combine_fn(bop, False) if bop else None
-
-            def fn(st, idx):
-                ptr = pf(st, idx)
-                v = vf(st, idx)
-                if comb is not None:
-                    v = comb(_global_load(st, idx, ptr, 0, pos), v)
-                st.stats.instructions += len(idx)
-                _global_store(st, idx, ptr, 0, v, pos)
-                return v
-            return fn, (vk if bop is None else None), False
-        raise _SimdUnsupported("assignment target")
-
-    def _incdec(self, e: ast.IncDec,
-                want_value: bool) -> tuple[Callable, Any, bool]:
-        step = 1 if e.op == "++" else -1
-        prefix = e.prefix
-        target = e.operand
-        if isinstance(target, ast.Ident):
-            rec = self.lookup(target.name)
-            if rec is None:
-                raise _SimdUnsupported(
-                    f"increment of global {target.name!r}")
-            if isinstance(rec.kind, tuple) and rec.kind[0] in (
-                    "shared", "shared_md", "local", "local_md"):
-                raise _SimdUnsupported("increment of an array local")
-            slot, cokind = rec.slot, rec.cokind
-            if rec.vary:
-                def fn(st, idx):
-                    arr = st.frame[slot]
-                    old = arr[idx]  # fancy indexing copies
-                    new = old + step
-                    st.stats.instructions += len(idx)
-                    arr[idx] = _co_vec(cokind, new) if cokind else new
-                    return new if prefix else old
-                return fn, rec.kind, False
-
-            def fn(st, idx):
-                old = st.frame[slot]
-                new = old + step
-                st.stats.instructions += len(idx)
-                st.frame[slot] = _co_vec(cokind, new) if cokind else new
-                return new if prefix else old
-            return fn, rec.kind, True
-        if isinstance(target, ast.Index):
-            resolve, load, store, _ekind = self._index_plan(target)
-
-            def fn(st, idx):
-                rs = resolve(st, idx)
-                old = load(st, idx, rs)
-                new = old + step
-                st.stats.instructions += len(idx)
-                store(st, idx, rs, new)
-                return new if prefix else old
-            return fn, None, False
-        if isinstance(target, ast.Unary) and target.op == "*":
-            pf, pk, pu = self.expr(target.operand)
-            if not pu:
-                raise _SimdUnsupported("increment through varying pointer")
-            pos = target.pos
-
-            def fn(st, idx):
-                ptr = pf(st, idx)
-                old = _global_load(st, idx, ptr, 0, pos)
-                new = old + step
-                st.stats.instructions += len(idx)
-                _global_store(st, idx, ptr, 0, new, pos)
-                return new if prefix else old
-            return fn, None, False
-        raise _SimdUnsupported("increment target")
-
-    # -- calls ----------------------------------------------------------------
-
-    def _call(self, e: ast.Call) -> tuple[Callable, Any, bool]:
-        name = e.name
-        if name in BARRIER_BUILTINS:
-            raise _SimdUnsupported("barrier in expression")
-        if name.startswith("atomic"):
-            return self._atomic(e)
-        if name in bi.MATH_BUILTINS:
-            return self._math(e)
-        if name in _OPENCL_INDEX_FNS:
-            return self._opencl(e)
-        # dim3(...), printf, device functions: scalar tiers only
-        raise _SimdUnsupported(f"call to {name!r}")
-
-    def _math(self, e: ast.Call) -> tuple[Callable, Any, bool]:
-        name = e.name
-        impl = _MATH_IMPL.get(name)
-        if impl is None:
-            raise _SimdUnsupported(f"math builtin {name!r}")
-        args = [self.expr(a) for a in e.args]
-        kind = ("float" if name in _FLOAT_MATH
-                else "int" if name in _INT_MATH else None)
-        uni = all(u for _f, _k, u in args)
-        if kind is None and not uni:
-            # min/max/abs-family: srcgen dispatches on runtime values;
-            # identical-kind numeric args make that decidable here
-            kinds = {k for _f, k, _u in args}
-            if len(kinds) == 1 and _is_numeric(next(iter(kinds))):
-                kind = next(iter(kinds))
-            else:
-                raise _SimdUnsupported(f"varying polymorphic {name}()")
-        fns = [f for f, _k, _u in args]
-        if uni:
-            def fn(st, idx):
-                vals = [f(st, idx) for f in fns]
-                st.stats.instructions += len(idx)
-                return impl(*vals)
-            return fn, kind, True
-        ufunc = np.frompyfunc(impl, len(fns), 1)
-        carrier = _carrier_for(kind)
-
-        def fn(st, idx):
-            vals = [f(st, idx) for f in fns]
-            st.stats.instructions += len(idx)
-            return ufunc(*vals).astype(carrier)
-        return fn, kind, False
-
-    def _opencl(self, e: ast.Call) -> tuple[Callable, Any, bool]:
-        name = e.name
-        df, dk, du = self.expr(e.args[0])
-        df = self._as_int(df, dk, du)
-        if not du:
-            raise _SimdUnsupported("varying OpenCL index dimension")
-        # no charge, exactly like srcgen's _opencl_index emission
-        if name in ("get_local_id", "get_global_id", "get_group_id"):
-            def fn(st, idx):
-                d = df(st, idx)
-                axis = "xyz"[d] if 0 <= d < 3 else "x"
-                if name == "get_local_id":
-                    return st.tid_axis(axis)[idx]
-                bid = st.bid_axis(axis)[idx]
-                if name == "get_group_id":
-                    return bid
-                return (bid * getattr(st.wctx.blockDim, axis)
-                        + st.tid_axis(axis)[idx])
-            return fn, "int", False
-
-        def fn(st, idx):
-            d = df(st, idx)
-            axis = "xyz"[d] if 0 <= d < 3 else "x"
-            c0 = st.wctx
-            if name == "get_local_size":
-                return getattr(c0.blockDim, axis)
-            if name == "get_num_groups":
-                return getattr(c0.gridDim, axis)
-            return (getattr(c0.gridDim, axis)
-                    * getattr(c0.blockDim, axis))  # get_global_size
-        return fn, "int", True
-
-    def _atomic(self, e: ast.Call) -> tuple[Callable, Any, bool]:
-        name = e.name
-        nvals = _ATOMIC_ARITY.get(name)
-        if nvals is None or len(e.args) != 1 + nvals:
-            raise _SimdUnsupported(f"atomic {name!r}")
-        negate = name == "atomicSub"
-        resolve, ekind = self._atomic_target(e.args[0], e.pos)
-        if not _is_numeric(ekind):
-            raise _SimdUnsupported("atomic on untyped storage")
-        val_fns = [self.expr(a)[0] for a in e.args[1:]]
-        carrier = _carrier_for(ekind)
-
-        def fn(st, idx):
-            target, ind = resolve(st, idx)
-            if type(target) is DevicePtr:  # atomicAdd(p, v)
-                target, ind = target.buffer, target.offset + ind
-            vals = [f(st, idx) for f in val_fns]
-            if negate:
-                vals[0] = -vals[0]
-            k = len(idx)
-            if not k:
-                return np.empty(0, carrier)
-            # the element checks fault first, as the scalar accessors do
-            if isinstance(ind, np.ndarray):
-                target._check_lanes(ind)
-            else:
-                target._check(ind)
-            # each lane's own block's element of a shared target, whose
-            # per-block addresses keep the contention per block
-            stats = st.block.stats
-            shared = isinstance(target, SharedArray)
-            if shared:
-                at = st.shared_at(target, idx, ind)
-                hits, base, nb = (stats.shared_atomic_addresses,
-                                  id(target) << 20, 1)
-            else:
-                at = ind
-                hits, base, nb = (stats.atomic_addresses, target._base,
-                                  target._itemsize)
-            if target.lanes is not None:
-                target.lanes.store(at, st.lane_keys(idx))
-            # the read-modify-write by rank, segment by element
-            seg = _segments(at, k)
-            done = _vector_rmw(name, target.data, seg, vals, k, carrier)
-            if done is None:
-                raise _Replay("atomic the vector arithmetic cannot run "
-                              "exactly")
-            out, new = done
-            if shared:
-                target.store_lanes(seg[2], new)
-            else:
-                target.scatter(seg[2], new)
-            # one contention bump per distinct address
-            keys = [base + e * nb for e in seg[2].tolist()]
-            get = hits.get
-            counts = [get(a, 0) + n for a, n in zip(keys, seg[3].tolist())]
-            hits.update(zip(keys, counts))
-            st.stats.instructions += k
-            stats.atomic_ops += k
-            if st.prof is not None:
-                al = st.prof.atomic_lines
-                al[st.line] = al.get(st.line, 0) + k
-            if shared:
-                # shared atomics serialise only within the block's SM
-                worst = max(counts)
-                if worst > stats.max_shared_atomic_contention:
-                    stats.max_shared_atomic_contention = worst
-            else:
-                # a global atomic is a load and a store through the
-                # memory hierarchy, at consecutive sequence numbers
-                addrs = base + ind * nb
-                st.record(st.block.load_chunks, idx, addrs, nb)
-                st.record(st.block.store_chunks, idx, addrs, nb)
-            return out
-        return fn, ekind, False
-
-    def _atomic_target(self, ref: ast.Expr,
-                       pos: Any) -> tuple[Callable, Any]:
-        """(resolve(st, idx) -> (target, index), element kind) for an
-        atomic's destination; faults match ``_resolve_atomic``."""
-        if isinstance(ref, ast.Unary) and ref.op == "&" \
-                and isinstance(ref.operand, ast.Index):
-            e = ref.operand
-            md = self._md_direct(e)
-            if md is not None:
-                space, rec, (d0, d1), i_node, j_node = md
-                f_i, ik, iu = self.expr(i_node)
-                f_i = self._as_int(f_i, ik, iu)
-                f_j, jk, ju = self.expr(j_node)
-                f_j = self._as_int(f_j, jk, ju)
-                slot = rec.slot
-                local = space == "local_md"
-                ekind = rec.kind[3] if local else rec.kind[2]
-                if not _is_numeric(ekind):
-                    raise _SimdUnsupported("atomic on untyped storage")
-
-                def resolve(st, idx):
-                    i = f_i(st, idx)
-                    j = f_j(st, idx)
-                    _md_check(st, i, j, d0, d1)
-                    if local:
-                        raise MemoryFault(
-                            "atomics require device or shared memory")
-                    return st.frame[slot], i * d1 + j
-                return resolve, ekind
-            bf, bk, bu = self.expr(e.base)
-            f_ind, ik, iu = self.expr(e.index)
-            f_ind = self._as_int(f_ind, ik, iu)
-            if isinstance(bk, tuple) and bk[0] == "shared":
-                def resolve(st, idx):
-                    return bf(st, idx), f_ind(st, idx)
-                return resolve, bk[1]
-            if isinstance(bk, tuple) and bk[0] == "local":
-                def resolve(st, idx):
-                    bf(st, idx)
-                    f_ind(st, idx)
-                    raise MemoryFault(
-                        "atomics require device or shared memory")
-                return resolve, bk[2]
-            if (bk is None or _is_ptr_kind(bk)) and bu:
-                ekind = bk[1] if _is_ptr_kind(bk) else None
-                if not _is_numeric(ekind):
-                    raise _SimdUnsupported("atomic on untyped pointer")
-
-                def resolve(st, idx):
-                    base = bf(st, idx)
-                    ind = f_ind(st, idx)
-                    if type(base) is DevicePtr:
-                        if isinstance(ind, np.ndarray):
-                            return base.buffer, base.offset + ind
-                        return base.buffer, base.offset + int(ind)
-                    # non-device base: reproduce the scalar fault chain
-                    i0 = (int(ind[0]) if isinstance(ind, np.ndarray)
-                          else int(ind))
-                    return _resolve_atomic(_addr_of(base, i0, pos), pos)
-                return resolve, ekind
-            raise _SimdUnsupported("atomic address target")
-        # bare reference: atomicAdd(p, v) / atomicAdd(shared_name, v)
-        rf, rk, ru = self.expr(ref)
-        if not ru:
-            raise _SimdUnsupported("varying atomic reference")
-        ekind = (rk[1] if isinstance(rk, tuple)
-                 and rk[0] in ("ptr", "shared") else None)
-        if not _is_numeric(ekind):
-            raise _SimdUnsupported("atomic on untyped reference")
-
-        def resolve(st, idx):
-            return _resolve_atomic(rf(st, idx), pos)
-        return resolve, ekind
-
-    # -- conditions ------------------------------------------------------------
-
-    def _cond(self, e: ast.Expr) -> tuple[Callable, bool]:
-        """srcgen ``cond()``: a charged raw comparison, else expression
-        truthiness. Varying closures return a bool lane vector."""
-        if type(e) is ast.Binary and e.op in _CMP_OPS:
-            lf, lk, lu = self.expr(e.left)
-            rf, rk, ru = self.expr(e.right)
-            opf = _CMP_OPS[e.op]
-            uni = lu and ru
-            if _is_numeric(lk) and _is_numeric(rk):
-                if uni:
-                    def fn(st, idx):
-                        l, r = lf(st, idx), rf(st, idx)
-                        st.stats.instructions += len(idx)
-                        return opf(l, r)
-                    return fn, True
-
-                def fn(st, idx):
-                    l, r = lf(st, idx), rf(st, idx)
-                    st.stats.instructions += len(idx)
-                    return np.asarray(opf(l, r))
-                return fn, False
-            if not uni:
-                raise _SimdUnsupported("varying non-numeric condition")
-            if e.op in ("==", "!="):
-                eqf = _c_eq if e.op == "==" else _c_ne
-
-                def fn(st, idx):
-                    l, r = lf(st, idx), rf(st, idx)
-                    st.stats.instructions += len(idx)
-                    return bool(eqf(l, r))
-                return fn, True
-
-            def fn(st, idx):
-                l, r = lf(st, idx), rf(st, idx)
-                st.stats.instructions += len(idx)
-                return opf(l, r)
-            return fn, True
-        vf, vk, vu = self.expr(e)
-        if vu:
-            numeric = _is_numeric(vk)
-
-            def fn(st, idx):
-                return _scalar_truthy(vf(st, idx), numeric)
-            return fn, True
-        if not _is_numeric(vk):
-            raise _SimdUnsupported("varying non-numeric condition")
-
-        def fn(st, idx):
-            return np.asarray(vf(st, idx) != 0)
-        return fn, False
-    # -- statements ------------------------------------------------------------
-    #
-    # Statement closures follow ``sfn(st, idx, fr) -> surviving idx``
-    # where ``fr = (break_parts, return_parts)`` collects the lanes
-    # that left via break (innermost loop) or return (whole kernel).
-    # Each one, blocks and empty statements aside, sets ``st.line`` to
-    # its source line before it charges anything (a loop again before
-    # each condition and step): a profiled launch charges to it.
-
-    def stmt(self, s: ast.Stmt) -> Callable:
-        self.lowered += 1
-        cls = type(s)
-        if cls is ast.Block:
-            return self._block(s)
-        if cls is ast.DeclStmt:
-            return self._decl(s)
-        if cls is ast.ExprStmt:
-            return self._expr_stmt(s)
-        if cls is ast.If:
-            return self._if(s)
-        if cls is ast.While:
-            return self._while(s)
-        if cls is ast.DoWhile:
-            return self._dowhile(s)
-        if cls is ast.For:
-            return self._for(s)
-        if cls is ast.Return:
-            return self._return(s)
-        ln = s.pos.line
-        if cls is ast.Break:
-            if self.loop_depth == 0:
-                raise _SimdUnsupported("break outside loop")
-
-            def sfn(st, idx, fr):
-                st.line = ln
-                fr[0].append(idx)
-                return _EMPTY
-            return sfn
-        if cls is ast.Continue:
-            if self.loop_depth == 0:
-                raise _SimdUnsupported("continue outside loop")
-
-            def sfn(st, idx, fr):
-                st.line = ln
-                return _EMPTY
-            return sfn
-        if cls is ast.Empty:
-            return lambda st, idx, fr: idx
-        if cls is ast.AccIndex:
-            return self._acc_index(s)
-        raise _SimdUnsupported(f"statement {cls.__name__}")
-
-    def _acc_index(self, s: ast.AccIndex) -> Callable:
-        vkind, cokind = self.kinds_of(s.type)
-        rec = self.declare(s.var, vkind, cokind)
-        if not rec.vary:
-            raise _SimdUnsupported("non-numeric OpenACC loop variable")
-        slot, carrier = rec.slot, _carrier_for(vkind)
-        start = self.lookup(ACC_START).slot
-        count = self.lookup(ACC_COUNT).slot
-        ln = s.pos.line
-
-        def sfn(st, idx, fr):
-            st.line = ln
-            gid = (st.bid_axis("x")[idx] * st.wctx.blockDim.x
-                   + st.tid_axis("x")[idx])
-            arr = np.zeros(st.n, carrier)
-            arr[idx] = _co_vec(cokind, st.frame[start] + gid)
-            st.frame[slot] = arr
-            return idx[gid < st.frame[count]]
-        return sfn
-
-    def _block(self, s: ast.Block) -> Callable:
-        self.push()
-        fns = [self.stmt(x) for x in s.statements]
-        self.pop()
-
-        def sfn(st, idx, fr):
-            for f in fns:
-                if not len(idx):
-                    return idx
-                idx = f(st, idx, fr)
-            return idx
-        return sfn
-
-    def _expr_stmt(self, s: ast.ExprStmt) -> Callable:
-        e = s.expr
-        cls = type(e)
-        ln = s.pos.line
-        if cls is ast.Call and e.name in BARRIER_BUILTINS:
-            # barriers are legal only on the uniform spine
-            raise _SimdUnsupported("barrier under lane-divergent control")
-        if cls is ast.Assign:
-            fn = self._assign(e, want_value=False)[0]
-        elif cls is ast.IncDec:
-            fn = self._incdec(e, want_value=False)[0]
-        elif cls in (ast.Ident, ast.IntLit, ast.FloatLit, ast.BoolLit,
-                     ast.NullLit):
-            # srcgen skips bare identifier/literal statements entirely
-            def sfn(st, idx, fr):
-                st.line = ln
-                return idx
-            return sfn
-        else:
-            fn = self.expr(e)[0]
-
-        def sfn(st, idx, fr):
-            st.line = ln
-            fn(st, idx)
-            return idx
-        return sfn
-
-    def _return(self, s: ast.Return) -> Callable:
-        if s.value is not None:
-            raise _SimdUnsupported("return with a value")
-        ln = s.pos.line
-
-        def sfn(st, idx, fr):
-            st.line = ln
-            fr[1].append(idx)
-            return _EMPTY
-        return sfn
-
-    def _if(self, s: ast.If) -> Callable:
-        condf, cuni = self._cond(s.cond)
-        ln = s.pos.line
-        self.push()
-        tf = self.stmt(s.then)
-        self.pop()
-        ef = None
-        if s.otherwise is not None:
-            self.push()
-            ef = self.stmt(s.otherwise)
-            self.pop()
-        if cuni:
-            def sfn(st, idx, fr):
-                st.line = ln
-                cv = condf(st, idx)
-                if st.prof is not None:
-                    st.log_branch(idx, ln, 1 if cv else 0)
-                if cv:
-                    return tf(st, idx, fr)
-                if ef is not None:
-                    return ef(st, idx, fr)
-                return idx
-            return sfn
-
-        def sfn(st, idx, fr):
-            st.line = ln
-            t = condf(st, idx)
-            if st.prof is not None:
-                st.log_branch(idx, ln, t.astype(np.int64))
-            t_idx = idx[t]
-            f_idx = idx[~t]
-            parts = []
-            if len(t_idx):
-                st.occupy(t_idx)
-                parts.append(tf(st, t_idx, fr))
-            if ef is None:
-                parts.append(f_idx)
-            elif len(f_idx):
-                st.occupy(f_idx)
-                parts.append(ef(st, f_idx, fr))
-            return _merge(parts)
-        return sfn
-
-    def _compile_loop_parts(self, body: ast.Stmt):
-        self.loop_depth += 1
-        self.push()
-        bodyf = self.stmt(body)
-        self.pop()
-        self.loop_depth -= 1
-        return bodyf
-
-    def _while(self, s: ast.While) -> Callable:
-        pos = s.pos
-        ln = pos.line
-        condf, cuni = self._cond(s.cond)
-        bodyf = self._compile_loop_parts(s.body)
-
-        def sfn(st, idx, fr):
-            active = idx
-            ret = fr[1]
-            r0 = len(ret)
-            while len(active):
-                # every active lane charges a step, including the one
-                # whose condition check fails (srcgen places _steps at
-                # the top of the while body)
-                st.add_steps(len(active), pos)
-                st.line = ln
-                cv = condf(st, active)
-                if cuni:
-                    if not cv:
-                        break
-                    live = active
-                else:
-                    live = active[cv]
-                    if not len(live):
-                        break
-                st.occupy(live)
-                brk: list = []
-                nr0 = len(ret)
-                bodyf(st, live, (brk, ret))
-                if brk or len(ret) > nr0:
-                    gone = _merge(brk + ret[nr0:])
-                    active = np.setdiff1d(live, gone, assume_unique=True)
-                else:
-                    active = live
-            if len(fr[1]) > r0:
-                gone = _merge(fr[1][r0:])
-                return np.setdiff1d(idx, gone, assume_unique=True)
-            return idx
-        return sfn
-
-    def _dowhile(self, s: ast.DoWhile) -> Callable:
-        pos = s.pos
-        ln = pos.line
-        condf, cuni = self._cond(s.cond)
-        bodyf = self._compile_loop_parts(s.body)
-
-        def sfn(st, idx, fr):
-            st.line = ln
-            active = idx
-            ret = fr[1]
-            r0 = len(ret)
-            while len(active):
-                st.add_steps(len(active), pos)
-                st.occupy(active)
-                brk: list = []
-                nr0 = len(ret)
-                bodyf(st, active, (brk, ret))
-                cand = active
-                if brk or len(ret) > nr0:
-                    gone = _merge(brk + ret[nr0:])
-                    cand = np.setdiff1d(active, gone, assume_unique=True)
-                if not len(cand):
-                    break
-                st.line = ln
-                cv = condf(st, cand)
-                if cuni:
-                    if not cv:
-                        break
-                    active = cand
-                else:
-                    active = cand[cv]
-            if len(fr[1]) > r0:
-                gone = _merge(fr[1][r0:])
-                return np.setdiff1d(idx, gone, assume_unique=True)
-            return idx
-        return sfn
-
-    def _step(self, se: ast.Expr | None) -> Callable | None:
-        """A ``for`` step's closure (None for no step)."""
-        if se is None:
-            return None
-        if type(se) is ast.Assign:
-            return self._assign(se, want_value=False)[0]
-        if type(se) is ast.IncDec:
-            return self._incdec(se, want_value=False)[0]
-        return self.expr(se)[0]
-
-    def _flat_plan(self, s: ast.For) -> _FlatPlan | None:
-        """How loop ``s`` (its init declared) runs flattened, or None
-        where it keeps the lockstep loop: besides :func:`_flat_shape`,
-        its induction variable must be an int that varies across lanes
-        (a uniform one is a scalar every body closure reads), the bound
-        and step int-valued, and the body may store no element of a
-        local array declared outside it (a register carried between
-        iterations too). No name the body declares may be visible
-        outside it: :func:`_flat_shape` matches assignments to
-        declarations by name, and a shadowed name would let an
-        assignment resolve to the outer variable."""
-        shape = _flat_shape(s)
-        if shape is None:
-            return None
-        iv, op, bound, sign, amount, declared, stored = shape
-        if any(self.lookup(name) is not None for name in declared):
-            return None
-        rec = self.lookup(iv)
-        if not rec.vary or rec.cokind != "int":
-            return None
-        boundf, bkind, _u = self.expr(bound)
-        stepf = None
-        if amount is not None:
-            stepf, skind, _u = self.expr(amount)
-            if skind != "int":
-                return None
-        if bkind != "int":
-            return None
-        gather = set()
-        stored_outside = stored - declared
-        for node in ast.walk(s.body):
-            if type(node) is not ast.Ident:
-                continue
-            outer = self.lookup(node.name)
-            if outer is None or outer is rec:
-                continue
-            local = isinstance(outer.kind, tuple) \
-                and outer.kind[0] in ("local", "local_md")
-            if local and node.name in stored_outside:
-                return None
-            if outer.vary or local:
-                gather.add(outer.slot)
-        return _FlatPlan(rec.slot, op, boundf, 1 + _charges(bound), stepf,
-                         sign, 1 + (0 if amount is None
-                                    else _charges(amount)),
-                         tuple(sorted(gather)))
-
-    def _for(self, s: ast.For) -> Callable:
-        pos = s.pos
-        self.push()  # for-scope: holds init declarations
-        initf = self.stmt(s.init) if s.init is not None else None
-        condf, cuni = (self._cond(s.cond) if s.cond is not None
-                       else (None, True))
-        stepf = self._step(s.step)
-        flat = self._flat_plan(s)
-        first_body_slot = self.nslots
-        bodyf = self._compile_loop_parts(s.body)
-        self.pop()
-        ln = pos.line
-        if flat is not None:
-            flat.bodyf = bodyf
-            flat.body_slots = range(first_body_slot, self.nslots)
-            flat.ln = ln
-
-        def sfn(st, idx, fr):
-            st.line = ln
-            if initf is not None:
-                initf(st, idx, fr)
-            if flat is not None and _run_flat(flat, st, idx):
-                return idx
-            active = idx
-            ret = fr[1]
-            r0 = len(ret)
-            while len(active):
-                if condf is not None:
-                    st.line = ln
-                    cv = condf(st, active)
-                    if cuni:
-                        if not cv:
-                            break
-                        live = active
-                    else:
-                        live = active[cv]
-                        # a lane whose check fails exits before the
-                        # bottom-of-loop step charge (srcgen _for)
-                        if not len(live):
-                            break
-                else:
-                    live = active
-                st.occupy(live)
-                brk: list = []
-                nr0 = len(ret)
-                bodyf(st, live, (brk, ret))
-                comp = live
-                if brk or len(ret) > nr0:
-                    gone = _merge(brk + ret[nr0:])
-                    comp = np.setdiff1d(live, gone, assume_unique=True)
-                if len(comp):
-                    if stepf is not None:
-                        st.line = ln
-                        stepf(st, comp)
-                    st.add_steps(len(comp), pos)
-                active = comp
-            if len(fr[1]) > r0:
-                gone = _merge(fr[1][r0:])
-                return np.setdiff1d(idx, gone, assume_unique=True)
-            return idx
-        return sfn
-
-    # -- declarations ----------------------------------------------------------
-
-    def _decl(self, s: ast.DeclStmt) -> Callable:
-        fns = [self._declarator(s, d) for d in s.declarators]
-        ln = s.pos.line
-        if len(fns) == 1:
-            f0 = fns[0]
-
-            def sfn(st, idx, fr):
-                st.line = ln
-                f0(st, idx)
-                return idx
-            return sfn
-
-        def sfn(st, idx, fr):
-            st.line = ln
-            for f in fns:
-                f(st, idx)
-            return idx
-        return sfn
-
-    def _declarator(self, s: ast.DeclStmt, d: ast.Declarator) -> Callable:
-        ctype = d.type
-        name = d.name
-        if d.ctor_args:
-            raise _SimdUnsupported("dim3 constructor declaration")
-        if s.shared:
-            dims = tuple(ctype.array_dims) or (1,)
-            total = 1
-            for dd in dims:
-                total *= dd
-            base = ctype.base
-            ek = _PTR_ELEM.get(base)
-            kind = (("shared_md", dims, ek) if len(dims) > 1
-                    else ("shared", ek))
-            slot = self.declare(name, kind, None).slot
-            self.shared_bytes += total * dtype_for(base).itemsize
-
-            def dfn(st, idx):
-                # get-or-allocate on the group (no charge); the shared
-                # memory limit fault comes from ThreadContext.shared
-                arr = st.wctx.shared(name, total, base)
-                if arr.lanes is None:
-                    arr.lanes = LaneTracker(arr.data.size, name, arr.size)
-                if arr.lanes not in st.trackers:
-                    st.trackers.append(arr.lanes)
-                st.frame[slot] = arr
-            return dfn
-        if ctype.array_dims:
-            if d.init is not None:
-                raise _SimdUnsupported("local array initializer")
-            dims = tuple(ctype.array_dims)
-            total = 1
-            for dd in dims:
-                total *= dd
-            base = ctype.base
-            ek = _PTR_ELEM.get(base)
-            dtype = dtype_for(base)
-            kind = (("local_md", dims, total, ek, name) if len(dims) > 1
-                    else ("local", total, ek, name))
-            slot = self.declare(name, kind, None).slot
-
-            def dfn(st, idx):
-                # one row per lane; zero-filled like LocalArray
-                st.frame[slot] = np.zeros((st.n, total), dtype=dtype)
-            return dfn
-        vkind, cokind = self.kinds_of(ctype)
-        if vkind == "dim3":
-            raise _SimdUnsupported("dim3 local")
-        if d.init is not None:
-            inf, ik, iu = self.expr(d.init)
-            kind = vkind if cokind else (vkind or ik)
-            rec = self.declare(name, kind, cokind)
-            slot = rec.slot
-            if rec.vary:
-                carrier = _carrier_for(kind)
-
-                def dfn(st, idx):
-                    v = inf(st, idx)
-                    if cokind:
-                        v = _co_vec(cokind, v)
-                    arr = st.frame[slot]
-                    if not isinstance(arr, np.ndarray) \
-                            or arr.dtype != carrier:
-                        arr = np.zeros(st.n, carrier)
-                        st.frame[slot] = arr
-                    arr[idx] = v
-                return dfn
-
-            def dfn(st, idx):
-                v = inf(st, idx)
-                st.frame[slot] = _co_vec(cokind, v) if cokind else v
-            return dfn
-        rec = self.declare(name, vkind, cokind)
-        slot = rec.slot
-        default = NULL if (ctype.is_pointer or vkind == "null") \
-            else coerce(0, ctype)
-        if rec.vary:
-            carrier = _carrier_for(vkind)
-
-            def dfn(st, idx):
-                arr = st.frame[slot]
-                if not isinstance(arr, np.ndarray) or arr.dtype != carrier:
-                    arr = np.zeros(st.n, carrier)
-                    st.frame[slot] = arr
-                else:
-                    arr[idx] = 0
-            return dfn
-
-        def dfn(st, idx):
-            st.frame[slot] = default
-        return dfn
-
-    # -- the barrier spine (generator kernels) ---------------------------------
-
-    def spine_stmt(self, s: ast.Stmt):
-        """Compile one statement of a barrier kernel into a spine node.
-        Statements not containing a barrier become ordinary masked
-        statement closures run on the full group; barrier-bearing
-        control flow must be group-uniform."""
-        if not _stmt_contains_barrier(s):
-            return ("s", self.stmt(s))
-        cls = type(s)
-        if cls is ast.ExprStmt:
-            e = s.expr
-            if type(e) is ast.Call and e.name in BARRIER_BUILTINS:
-                argfs = [self.expr(a)[0] for a in e.args]
-                return ("sync", s.pos.line, argfs)
-            raise _SimdUnsupported("barrier inside expression statement")
-        if cls is ast.Block:
-            self.push()
-            nodes = [self.spine_stmt(x) for x in s.statements]
-            self.pop()
-            return ("blk", nodes)
-        if cls is ast.If:
-            condf, cuni = self._cond(s.cond)
-            if not cuni:
-                raise _SimdUnsupported("barrier under divergent if")
-            self.push()
-            tn = self.spine_stmt(s.then)
-            self.pop()
-            en = None
-            if s.otherwise is not None:
-                self.push()
-                en = self.spine_stmt(s.otherwise)
-                self.pop()
-            return ("if", s.pos.line, condf, tn, en)
-        if cls in (ast.While, ast.DoWhile):
-            br, co = _body_signals(s.body)
-            if br or co:
-                raise _SimdUnsupported("break/continue across a barrier")
-            condf, cuni = self._cond(s.cond)
-            if not cuni:
-                raise _SimdUnsupported("barrier in divergent loop")
-            self.push()
-            bn = self.spine_stmt(s.body)
-            self.pop()
-            tag = "while" if cls is ast.While else "dowhile"
-            return (tag, s.pos, condf, bn)
-        if cls is ast.For:
-            br, co = _body_signals(s.body)
-            if br or co:
-                raise _SimdUnsupported("break/continue across a barrier")
-            self.push()
-            initf = self.stmt(s.init) if s.init is not None else None
-            condf, cuni = (self._cond(s.cond) if s.cond is not None
-                           else (None, True))
-            if not cuni:
-                raise _SimdUnsupported("barrier in divergent loop")
-            stepf = self._step(s.step)
-            bn = self.spine_stmt(s.body)
-            self.pop()
-            return ("for", s.pos, initf, condf, stepf, bn)
-        raise _SimdUnsupported("barrier in unsupported construct")
+def _kinds(ctype: ast.CType | None) -> tuple[Any, Any]:
+    """(warp kind, coercion kind) of a declared type: ``srcgen``'s
+    kinds, with ``bool`` folded into ``int`` (the coercion still goes
+    through bool) and a pointer typed by its element."""
+    if ctype is not None and ctype.is_pointer:
+        return ("ptr", _PTR_ELEM.get(ctype.base)), None
+    vkind, cokind = _ctype_kinds(ctype)
+    return ("int" if vkind == "bool" else vkind), cokind
+
+
+def _bcast(v: Any, k: int) -> np.ndarray:
+    """A uniform value as a lane vector of ``k`` lanes."""
+    return np.full(k, v, _F64 if _is_float(v) else _I64)
+
+
+def _ocl(st: _WarpSt, idx: np.ndarray, name: str, d: int) -> Any:
+    """An OpenCL index function: a lane vector for the ids, one value
+    for the sizes. It charges nothing, like the scalar tiers'."""
+    axis = "xyz"[d] if 0 <= d < 3 else "x"
+    w = st.wctx
+    if name == "get_local_id":
+        return st.tid_axis(axis)[idx]
+    if name == "get_group_id":
+        return st.bid_axis(axis)[idx]
+    if name == "get_global_id":
+        return (st.bid_axis(axis)[idx] * getattr(w.blockDim, axis)
+                + st.tid_axis(axis)[idx])
+    if name == "get_local_size":
+        return getattr(w.blockDim, axis)
+    if name == "get_num_groups":
+        return getattr(w.gridDim, axis)
+    return getattr(w.gridDim, axis) * getattr(w.blockDim, axis)
+
+
+def _shared_alloc(st: _WarpSt, name: str, total: int, base: str) -> Any:
+    """A ``__shared__`` declaration: get-or-allocate on the group (no
+    charge; the shared memory limit fault is ``ThreadContext.shared``'s),
+    its lane tracker reset at each barrier."""
+    arr = st.wctx.shared(name, total, base)
+    if arr.lanes is None:
+        arr.lanes = LaneTracker(arr.data.size, name, arr.size)
+    if arr.lanes not in st.trackers:
+        st.trackers.append(arr.lanes)
+    return arr
+
+
+def _atomic_ref(base: Any, ind: Any, pos: Any) -> tuple[Any, Any]:
+    """``&base[ind]`` as an atomic's (target, index): a device pointer's
+    buffer and elements; any other base the scalar fault chain."""
+    if type(base) is DevicePtr:
+        return base.buffer, base.offset + (
+            ind if isinstance(ind, np.ndarray) else int(ind))
+    i0 = int(ind[0]) if isinstance(ind, np.ndarray) else int(ind)
+    return _resolve_atomic(_addr_of(base, i0, pos), pos)
+
+
+def _atomic(st: _WarpSt, idx: np.ndarray, name: str, target: Any, ind: Any,
+            vals: list, carrier: Any) -> np.ndarray:
+    """One atomic statement for the lanes ``idx``: the element checks,
+    the lane tracker, the read-modify-write by rank, the contention and
+    the memory records of the scalar ``ThreadContext._atomic``."""
+    if type(target) is DevicePtr:  # atomicAdd(p, v)
+        target, ind = target.buffer, target.offset + ind
+    if name == "atomicSub":
+        vals[0] = -vals[0]
+    k = len(idx)
+    if not k:
+        return np.empty(0, carrier)
+    # the element checks fault first, as the scalar accessors do
+    if isinstance(ind, np.ndarray):
+        target._check_lanes(ind)
+    else:
+        target._check(ind)
+    # each lane's own block's element of a shared target, whose
+    # per-block addresses keep the contention per block
+    stats = st.block.stats
+    shared = isinstance(target, SharedArray)
+    if shared:
+        at = st.shared_at(target, idx, ind)
+        hits, base, nb = stats.shared_atomic_addresses, id(target) << 20, 1
+    else:
+        at = ind
+        hits, base, nb = (stats.atomic_addresses, target._base,
+                          target._itemsize)
+    if target.lanes is not None:
+        target.lanes.store(at, st.lane_keys(idx))
+    # the read-modify-write by rank, segment by element
+    seg = _segments(at, k)
+    done = _vector_rmw(name, target.data, seg, vals, k, carrier)
+    if done is None:
+        raise _Replay("atomic the vector arithmetic cannot run exactly")
+    out, new = done
+    if shared:
+        target.store_lanes(seg[2], new)
+    else:
+        target.scatter(seg[2], new)
+    # one contention bump per distinct address
+    keys = [base + e * nb for e in seg[2].tolist()]
+    get = hits.get
+    counts = [get(a, 0) + n for a, n in zip(keys, seg[3].tolist())]
+    hits.update(zip(keys, counts))
+    st.stats.instructions += k
+    stats.atomic_ops += k
+    if st.prof is not None:
+        al = st.prof.atomic_lines
+        al[st.line] = al.get(st.line, 0) + k
+    if shared:
+        # shared atomics serialise only within the block's SM
+        worst = max(counts)
+        if worst > stats.max_shared_atomic_contention:
+            stats.max_shared_atomic_contention = worst
+    else:
+        # a global atomic is a load and a store through the memory
+        # hierarchy, at consecutive sequence numbers
+        addrs = base + ind * nb
+        st.record(st.block.load_chunks, idx, addrs, nb)
+        st.record(st.block.store_chunks, idx, addrs, nb)
+    return out
 
 
 # -- vectorized memory access -------------------------------------------------
@@ -2826,8 +1364,8 @@ def _md_check(st: _WarpSt, i: Any, j: Any, d0: int, d1: int,
         raise MemoryFault("multi-dimensional array index out of range")
 
 
-def _global_load(st: _WarpSt, idx: np.ndarray, base: Any, ind: Any,
-                 pos: Any) -> np.ndarray:
+def _global_load(st: _WarpSt, idx: np.ndarray, base: Any,
+                 ind: Any) -> np.ndarray:
     if type(base) is not DevicePtr:
         raise _Replay("load through a non-device pointer")
     buf = base.buffer
@@ -2848,7 +1386,7 @@ def _global_load(st: _WarpSt, idx: np.ndarray, base: Any, ind: Any,
 
 
 def _global_store(st: _WarpSt, idx: np.ndarray, base: Any, ind: Any,
-                  values: Any, pos: Any) -> None:
+                  values: Any) -> None:
     if type(base) is not DevicePtr:
         raise _Replay("store through a non-device pointer")
     buf = base.buffer
@@ -2939,66 +1477,1235 @@ def _local_store(st: _WarpSt, idx: np.ndarray, rows: np.ndarray,
     rows[idx, ind] = values
 
 
-# -- spine execution (barrier kernels) ----------------------------------------
+# -- the warp emitter ---------------------------------------------------------
 
-def _spine_exec(node: tuple, st: _WarpSt, fr: tuple):
-    """Recursive generator driving one group down the uniform spine,
-    yielding SYNC at each barrier. Step charges sit exactly where the
-    scalar emitters place them, and so do the line marks."""
-    tag = node[0]
-    idx = st.idx_all
-    if tag == "s":
-        node[1](st, idx, fr)
-    elif tag == "sync":
-        _t, ln, argfs = node
-        st.line = ln
-        for argf in argfs:
-            argf(st, idx)
-        st.end_interval()
-        yield SYNC
-    elif tag == "blk":
-        for child in node[1]:
-            yield from _spine_exec(child, st, fr)
-    elif tag == "if":
-        _t, ln, condf, tn, en = node
-        st.line = ln
-        cv = condf(st, idx)
-        if st.prof is not None:
-            st.log_branch(idx, ln, 1 if cv else 0)
-        if cv:
-            yield from _spine_exec(tn, st, fr)
-        elif en is not None:
-            yield from _spine_exec(en, st, fr)
-    elif tag == "while":
-        _t, pos, condf, bn = node
-        while True:
-            st.add_steps(st.n, pos)
-            st.line = pos.line
-            if not condf(st, idx):
-                break
-            yield from _spine_exec(bn, st, fr)
-    elif tag == "dowhile":
-        _t, pos, condf, bn = node
-        while True:
-            st.add_steps(st.n, pos)
-            yield from _spine_exec(bn, st, fr)
-            st.line = pos.line
-            if not condf(st, idx):
-                break
-    else:  # "for"
-        _t, pos, initf, condf, stepf, bn = node
-        if initf is not None:
-            initf(st, idx, fr)
-        while True:
-            if condf is not None:
-                st.line = pos.line
-                if not condf(st, idx):
-                    break
-            yield from _spine_exec(bn, st, fr)
-            if stepf is not None:
-                st.line = pos.line
-                stepf(st, idx)
-            st.add_steps(st.n, pos)
+#: The compound statements, which guard only their heads.
+_CONTROL = {ast.If: "_if", ast.While: "_while", ast.DoWhile: "_dowhile",
+            ast.For: "_for"}
+
+#: What generated warp code calls, beside ``srcgen``'s namespace.
+#: ``_simd`` is this module: a flattened loop calls ``_simd._run_flat``
+#: through it, so a patched ``_run_flat`` is the one that runs.
+_WARP_NS: dict[str, Any] = {
+    "np": np, "_I64": _I64, "_F64": _F64, "_EMPTY": _EMPTY,
+    "_merge": _merge, "_v_div": _v_div, "_v_mod": _v_mod,
+    "_as_int_vals": _as_int_vals, "_co_vec": _co_vec, "_bcast": _bcast,
+    "_ocl": _ocl, "_shared": _shared_alloc, "_atomic": _atomic,
+    "_atomic_ref": _atomic_ref, "_md_check": _md_check,
+    "_global_load": _global_load, "_global_store": _global_store,
+    "_shared_load": _shared_load, "_shared_store": _shared_store,
+    "_local_load": _local_load, "_local_store": _local_store,
+    "_FlatPlan": _FlatPlan, "_simd": sys.modules[__name__],
+}
+
+
+class _WarpEmitter(_FnEmitter):
+    """Lowers an eligible kernel to one Python function over a group,
+    ``_w(C, *args)``, ``C`` being its :class:`_WarpSt` — a generator
+    that yields ``SYNC`` at each barrier when the kernel has one.
+
+    The lanes running the code at hand are a local index array
+    (``self.L``). An expression is *uniform* when no leaf of it varies
+    across lanes (:func:`_analyze_names`): the inherited scalar
+    emitter writes it, as for one thread. The rest is emitted here as
+    lane vectors aligned with ``self.L``, through the runtime above,
+    and divergent control flow as index partitions of ``self.L``. The
+    charge batch flushes as ``S.instructions += n * len(lanes)``.
+
+    :meth:`vet` gives every expression its kind (``srcgen``'s, see
+    :func:`_kinds`) and uniformity, in the order the warp tier has
+    always checked them, and raises :class:`_SimdUnsupported` at what
+    the tier does not run."""
+
+    def __init__(self, mod: _ModuleEmitter, fn: ast.FuncDef):
+        super().__init__(mod, fn, is_device=True)
+        self.boxed = frozenset()  # an address-of declines
+        info = mod.info
+        self.fn = fn
+        self.gen = fn.name in info.barrier_functions
+        #: the nodes with a return, a barrier under them
+        self.returns = _containing(fn.body, _is_return)
+        self.barriers = _containing(fn.body, lambda n: type(
+            n) is ast.Call and n.name in BARRIER_BUILTINS) if self.gen \
+            else set()
+        self.varying_names, self.stored_params = _analyze_names(fn, info)
+        # writable file-scope arrays live outside device allocations,
+        # and a file-scope pointer may reach any of them: storage no
+        # LaneTracker is known to watch
+        self.untracked_globals = frozenset(
+            d.name for g in info.unit.globals if not g.decl.constant
+            for d in g.decl.declarators
+            if d.type.is_array or d.type.is_pointer)
+        # a 1-D __constant__ array is a DevicePtr into a read-only
+        # device allocation: an ordinary typed pointer here
+        self.constant_arrays = {
+            d.name: ("ptr", _PTR_ELEM.get(d.type.base))
+            for g in info.unit.globals if g.decl.constant
+            for d in g.decl.declarators if len(d.type.array_dims) == 1}
+        #: the locals that hold a lane vector (one element per lane of
+        #: the group, read at the active lanes)
+        self.vec: set[str] = set()
+        self.vetted: dict[int, tuple[Any, bool]] = {}
+        self.L = "_L0"
+        #: ``self.L`` is every lane of the group
+        self.full = True
+        #: lanes may have left the statement list at hand: ``self.L``
+        #: may be empty
+        self.maybe_empty = False
+        #: the innermost loop's list of the lanes that broke out of it
+        self.brk: str | None = None
+        self.loop_depth = 0
+        #: bytes of the ``__shared__`` arrays declared, one block's
+        self.shared_bytes = 0
+        mod.ns.update(_WARP_NS)
+
+    # -- emission helpers ------------------------------------------------------
+
+    def flush(self) -> None:
+        if self.pending:
+            self.line(f"S.instructions += {self.pending} * len({self.L})")
+            self.pending = 0
+
+    def lanes(self, code: str) -> str:
+        """A new lane-set local holding ``code``."""
+        name = f"_L{self.mod.nextvar()}"
+        self.line(f"{name} = {code}")
+        return name
+
+    def block(self, stmts: Any, lanes: str, full: bool,
+              maybe_empty: bool = False) -> None:
+        """Emit a statement list in a scope of its own, on the lanes
+        ``lanes``; restores the lanes and the scope after. Once a
+        statement may have let lanes leave (:func:`_leaves`), no later
+        one runs anything for an empty lane set (:meth:`guard`)."""
+        saved = self.L, self.full, self.maybe_empty
+        self.L, self.full, self.maybe_empty = lanes, full, maybe_empty
+        self.push()
+        mark = len(self.lines)
+        for s in stmts:
+            if type(s) is not ast.Empty:
+                self.stmt(s)
+                if _leaves(s, self.returns):
+                    self.maybe_empty, self.full = True, False
+        self.flush()
+        if len(self.lines) == mark:
+            self.line("pass")
+        self.pop()
+        self.L, self.full, self.maybe_empty = saved
+
+    def guard(self) -> bool:
+        """Where the lanes may be empty, open ``if len(lanes):`` (the
+        caller closes it by dedenting); whether it did. A compound
+        statement guards only its head, so that nesting costs one
+        Python block per level."""
+        if self.maybe_empty:
+            self.line(f"if len({self.L}):")
+            self.indent += 1
+        return self.maybe_empty
+
+    def sub(self, e: ast.Expr) -> tuple[str, Any, bool]:
+        """(code, kind, uniform) of ``e``, its effects emitted."""
+        return (self.expr(e)[0], *self.vet(e))
+
+    def vint(self, code: str, kind: Any, uni: bool) -> str:
+        """C int conversion unless already int-kind."""
+        if kind == "int":
+            return code
+        return f"int({code})" if uni else f"_as_int_vals({code})"
+
+    def stored(self, code: str, cokind: Any) -> str:
+        """A value as stored into a lane-vector local of coercion kind
+        ``cokind``: its int64/float64 storage casts to int and to
+        double by itself, as ``_co_vec`` would."""
+        if cokind in (None, "int", "f64"):
+            return code
+        return f"_co_vec({cokind!r}, {code})"
+
+    def bind(self, name: str, kind: Any, cokind: Any) -> tuple[str, bool]:
+        """Declare a local; (its python name, whether a lane vector)."""
+        vary = name in self.varying_names
+        if vary and kind not in ("int", "float") and not (
+                isinstance(kind, tuple) and kind[0] in _STORAGE):
+            # a pointer/dim3/unknown local taking lane-divergent values
+            # has no vector representation
+            raise _SimdUnsupported(f"varying non-numeric local {name!r}")
+        py = self.declare(name, kind, cokind)
+        if vary and kind in ("int", "float"):
+            self.vec.add(py)
+        return py, py in self.vec
+
+    # -- kinds and eligibility ---------------------------------------------------
+
+    def vet(self, e: ast.Expr) -> tuple[Any, bool]:
+        """(kind, uniform) of expression ``e``, once per node."""
+        got = self.vetted.get(id(e))
+        if got is None:
+            got = self.vetted[id(e)] = self._vet(e)
+        return got
+
+    def _vet(self, e: ast.Expr) -> tuple[Any, bool]:
+        cls = type(e)
+        if cls is ast.IntLit or cls is ast.BoolLit:
+            return "int", True
+        if cls is ast.FloatLit:
+            return "float", True
+        if cls is ast.NullLit:
+            return "null", True
+        if cls is ast.SizeOf:
+            return "int", True
+        if cls is ast.Ident:
+            return self._vet_ident(e.name)
+        if cls is ast.Member:
+            obj, field = e.obj, e.field_name
+            if self._builtin_field(e):
+                return "int", obj.name not in ("threadIdx", "blockIdx")
+            okind, ouni = self.vet(obj)
+            if okind == "dim3" and ouni and field in ("x", "y", "z"):
+                return "int", True
+            raise _SimdUnsupported(f"member access .{field}")
+        if cls is ast.Index:
+            return self._vet_index(e), False
+        if cls is ast.Binary:  # inline: two Python frames a level
+            op = e.op
+            lk, lu = self.vet(e.left)
+            rk, ru = self.vet(e.right)
+            uni = lu and ru
+            numeric = _is_numeric(lk) and _is_numeric(rk)
+            if op in ("&&", "||"):
+                if not numeric:
+                    raise _SimdUnsupported("non-numeric logical operand")
+                return "int", uni
+            if op in _COMPARISONS or op in ("==", "!="):
+                if not numeric and not uni:
+                    raise _SimdUnsupported("varying non-numeric comparison")
+                return "int", uni
+            if op in ("+", "-", "*"):
+                kind = _arith_kind(lk, rk)
+                if kind is not None:
+                    return kind, uni
+                # pointer arithmetic: uniform base ± uniform offset
+                ptr_kind = (lk if _is_ptr_kind(lk)
+                            else rk if op == "+" and _is_ptr_kind(rk) else None)
+                if ptr_kind is None or not uni:
+                    raise _SimdUnsupported(f"binary {op} on {lk}/{rk}")
+                return ptr_kind, True
+            if op == "/" or op == "%":
+                if not numeric:
+                    raise _SimdUnsupported(f"{op} on {lk}/{rk}")
+                return ("int" if lk == "int" and rk == "int" else "float"), uni
+            if op in ("<<", ">>", "&", "|", "^"):
+                if not numeric:
+                    raise _SimdUnsupported(f"bitwise {op} on {lk}/{rk}")
+                return "int", uni
+            raise _SimdUnsupported(f"binary operator {op!r}")
+        if cls is ast.Assign:
+            return self._vet_assign(e)
+        if cls is ast.IncDec:
+            return self._vet_incdec(e)
+        if cls is ast.Unary:
+            return self._vet_unary(e)
+        if cls is ast.Conditional:
+            ck, cu = self.vet(e.cond)
+            tk, tu = self.vet(e.then)
+            ek, eu = self.vet(e.otherwise)
+            if not _is_numeric(ck) and not cu:
+                raise _SimdUnsupported("varying non-numeric ternary cond")
+            kind = tk if tk == ek else None
+            if cu:
+                return kind, tu and eu
+            if kind not in ("int", "float"):
+                raise _SimdUnsupported("varying ternary on non-numeric arms")
+            return kind, False
+        if cls is ast.Cast:
+            vk, vu = self.vet(e.value)
+            if e.type.is_pointer:
+                raise _SimdUnsupported("pointer cast")
+            kind, cokind = _kinds(e.type)
+            return (vk if cokind is None else kind), vu
+        if cls is ast.Call:
+            return self._vet_call(e)
+        raise _SimdUnsupported(f"expression {cls.__name__}")
+
+    def _vet_ident(self, name: str) -> tuple[Any, bool]:
+        hit = self.lookup(name)
+        if hit is not None:
+            return hit[1], hit[0] not in self.vec
+        if name in self.mod.info.constants:
+            if name in self.untracked_globals:
+                raise _SimdUnsupported(f"__device__ storage {name!r}")
+            return self.constant_arrays.get(name), True
+        if name in ("threadIdx", "blockIdx"):  # lane-varying dim3s
+            raise _SimdUnsupported(f"bare {name} value")
+        if name in _BUILTIN_IDX:
+            return "dim3", True
+        if name == "warpSize":
+            return "int", True
+        if name in bi.DEVICE_CONSTANTS:
+            value = bi.DEVICE_CONSTANTS[name]
+            return ("int" if isinstance(value, int) else
+                    "float" if isinstance(value, float) else None), True
+        raise _SimdUnsupported(f"identifier {name!r}")
+
+    def _builtin_field(self, e: ast.Member) -> bool:
+        """``e`` reads a field of a built-in index (no local or global
+        shadows it)."""
+        obj = e.obj
+        return (type(obj) is ast.Ident and e.field_name in ("x", "y", "z")
+                and obj.name in _BUILTIN_IDX and self.lookup(obj.name) is None
+                and obj.name not in self.mod.info.constants)
+
+    def _md_direct(self, e: ast.Index) -> tuple | None:
+        """``A[i][j]`` on a locally declared 2-D shared/local array:
+        (its python name, its kind, rows, columns, i, j)."""
+        inner = e.base
+        if type(inner) is not ast.Index or type(inner.base) is not ast.Ident:
+            return None
+        hit = self.lookup(inner.base.name)
+        if hit is None or not isinstance(hit[1], tuple) \
+                or hit[1][0] not in ("shared_md", "local_md") \
+                or len(hit[1][1]) != 2:
+            return None
+        return hit[0], hit[1], *hit[1][1], inner.index, e.index
+
+    def _vet_index(self, e: ast.Index) -> Any:
+        """The element kind of an ``Index`` access (always varying)."""
+        md = self._md_direct(e)
+        if md is not None:
+            _py, kind, _d0, _d1, i_node, j_node = md
+            self.vet(i_node)
+            self.vet(j_node)
+            return kind[2] if kind[0] == "shared_md" else kind[3]
+        bk, bu = self.vet(e.base)
+        self.vet(e.index)
+        if isinstance(bk, tuple) and bk[0] == "shared":
+            return bk[1]
+        if isinstance(bk, tuple) and bk[0] == "local":
+            return bk[2]
+        if (bk is None or _is_ptr_kind(bk)) and bu:
+            return bk[1] if bk is not None else None
+        raise _SimdUnsupported(f"index on base of kind {bk!r}")
+
+    def _vet_assign(self, e: ast.Assign) -> tuple[Any, bool]:
+        vk, vu = self.vet(e.value)
+        target = e.target
+        kind = vk if e.op == "=" else None
+        if e.op != "=" and e.op[:-1] not in _COMBINE:
+            raise _SimdUnsupported(f"compound operator {e.op}")
+        if type(target) is ast.Ident:
+            hit = self.lookup(target.name)
+            if hit is None:
+                raise _SimdUnsupported(
+                    f"assignment to global {target.name!r}")
+            if isinstance(hit[1], tuple) and hit[1][0] in _STORAGE:
+                raise _SimdUnsupported("assignment to an array local")
+            if hit[0] in self.vec:
+                return kind, False
+            if not vu:
+                # the varying analysis should have caught this
+                raise _SimdUnsupported(
+                    f"varying value into uniform slot {target.name!r}")
+            return kind, True
+        if type(target) is ast.Index:
+            self._vet_index(target)
+            return kind, False
+        if type(target) is ast.Unary and target.op == "*":
+            if not self.vet(target.operand)[1]:
+                raise _SimdUnsupported("store through varying pointer")
+            return kind, False
+        raise _SimdUnsupported("assignment target")
+
+    def _vet_incdec(self, e: ast.IncDec) -> tuple[Any, bool]:
+        target = e.operand
+        if type(target) is ast.Ident:
+            hit = self.lookup(target.name)
+            if hit is None:
+                raise _SimdUnsupported(
+                    f"increment of global {target.name!r}")
+            if isinstance(hit[1], tuple) and hit[1][0] in _STORAGE:
+                raise _SimdUnsupported("increment of an array local")
+            return hit[1], hit[0] not in self.vec
+        if type(target) is ast.Index:
+            self._vet_index(target)
+            return None, False
+        if type(target) is ast.Unary and target.op == "*":
+            if not self.vet(target.operand)[1]:
+                raise _SimdUnsupported("increment through varying pointer")
+            return None, False
+        raise _SimdUnsupported("increment target")
+
+    def _vet_unary(self, e: ast.Unary) -> tuple[Any, bool]:
+        op = e.op
+        if op == "&":
+            # only an atomic's target takes an address in device code
+            raise _SimdUnsupported("address-of expression")
+        vk, vu = self.vet(e.operand)
+        if op == "*":
+            if not vu:
+                raise _SimdUnsupported("deref of varying pointer")
+            return (vk[1] if _is_ptr_kind(vk) else None), False
+        if op == "-" or op == "~":
+            if not _is_numeric(vk):
+                raise _SimdUnsupported(f"unary {op} on non-numeric")
+            return (vk if op == "-" else "int"), vu
+        if op == "+":
+            return vk, vu
+        if op == "!":
+            if not _is_numeric(vk) and not vu:
+                raise _SimdUnsupported("varying non-numeric !")
+            return "int", vu
+        raise _SimdUnsupported(f"unary {op!r}")
+
+    def _vet_call(self, e: ast.Call) -> tuple[Any, bool]:
+        name = e.name
+        if name in BARRIER_BUILTINS:
+            raise _SimdUnsupported("barrier in expression")
+        if name.startswith("atomic"):
+            nvals = _ATOMIC_ARITY.get(name)
+            if nvals is None or len(e.args) != 1 + nvals:
+                raise _SimdUnsupported(f"atomic {name!r}")
+            ekind = self._vet_atomic_target(e.args[0])
+            if not _is_numeric(ekind):
+                raise _SimdUnsupported("atomic on untyped storage")
+            for a in e.args[1:]:
+                self.vet(a)
+            return ekind, False
+        if name in bi.MATH_BUILTINS:
+            if name not in _MATH_IMPL:
+                raise _SimdUnsupported(f"math builtin {name!r}")
+            args = [self.vet(a) for a in e.args]
+            kind = ("float" if name in _FLOAT_MATH
+                    else "int" if name in _INT_MATH else None)
+            uni = all(u for _k, u in args)
+            if kind is None and not uni:
+                # min/max/abs-family: srcgen dispatches on runtime values;
+                # identical-kind numeric args make that decidable here
+                kinds = {k for k, _u in args}
+                if len(kinds) != 1 or not _is_numeric(next(iter(kinds))):
+                    raise _SimdUnsupported(f"varying polymorphic {name}()")
+                kind = next(iter(kinds))
+            return kind, uni
+        if name in _OPENCL_INDEX_FNS:
+            if not self.vet(e.args[0])[1]:
+                raise _SimdUnsupported("varying OpenCL index dimension")
+            return "int", name not in (
+                "get_local_id", "get_global_id", "get_group_id")
+        # dim3(...), printf, device functions: scalar tiers only
+        raise _SimdUnsupported(f"call to {name!r}")
+
+    def _vet_atomic_target(self, ref: ast.Expr) -> Any:
+        """The element kind of an atomic's destination."""
+        if type(ref) is ast.Unary and ref.op == "&" \
+                and type(ref.operand) is ast.Index:
+            e = ref.operand
+            md = self._md_direct(e)
+            if md is not None:
+                _py, kind, _d0, _d1, i_node, j_node = md
+                self.vet(i_node)
+                self.vet(j_node)
+                ekind = kind[3] if kind[0] == "local_md" else kind[2]
+                if not _is_numeric(ekind):
+                    raise _SimdUnsupported("atomic on untyped storage")
+                return ekind
+            bk, bu = self.vet(e.base)
+            self.vet(e.index)
+            if isinstance(bk, tuple) and bk[0] == "shared":
+                return bk[1]
+            if isinstance(bk, tuple) and bk[0] == "local":
+                return bk[2]
+            if (bk is None or _is_ptr_kind(bk)) and bu:
+                ekind = bk[1] if bk is not None else None
+                if not _is_numeric(ekind):
+                    raise _SimdUnsupported("atomic on untyped pointer")
+                return ekind
+            raise _SimdUnsupported("atomic address target")
+        # bare reference: atomicAdd(p, v) / atomicAdd(shared_name, v)
+        rk, ru = self.vet(ref)
+        if not ru:
+            raise _SimdUnsupported("varying atomic reference")
+        ekind = (rk[1] if isinstance(rk, tuple)
+                 and rk[0] in ("ptr", "shared") else None)
+        if not _is_numeric(ekind):
+            raise _SimdUnsupported("atomic on untyped reference")
+        return ekind
+
+    def vet_cond(self, e: ast.Expr) -> bool:
+        """Whether condition ``e`` is uniform: a comparison charged as
+        one, else the truthiness of an expression."""
+        if type(e) is ast.Binary and e.op in _COMPARISONS + ("==", "!="):
+            lk, lu = self.vet(e.left)
+            rk, ru = self.vet(e.right)
+            uni = lu and ru
+            if not (_is_numeric(lk) and _is_numeric(rk)) and not uni:
+                raise _SimdUnsupported("varying non-numeric condition")
+            return uni
+        kind, uni = self.vet(e)
+        if not uni and not _is_numeric(kind):
+            raise _SimdUnsupported("varying non-numeric condition")
+        return uni
+
+    # -- expressions -----------------------------------------------------------
+
+    # Each ``_lane_*`` method emits an expression class where its value
+    # varies across lanes, and returns None where it does not: the
+    # inherited scalar code emits it then (``_FnEmitter.LANES``).
+
+    def _lane_leaf(self, e: ast.Ident | ast.Member) -> tuple | None:
+        """A lane-vector local, ``threadIdx.x`` or ``blockIdx.x``, read
+        at the lanes."""
+        kind, uni = self.vet(e)
+        if uni:
+            return None
+        if type(e) is ast.Ident:
+            return self.atom(f"{self.lookup(e.name)[0]}[{self.L}]"), kind
+        axis = "tid" if e.obj.name == "threadIdx" else "bid"
+        code = f"C.{axis}_axis({e.field_name!r})"
+        return (code if self.full else self.atom(f"{code}[{self.L}]")), kind
+
+    def _lane_index(self, e: ast.Index) -> tuple:
+        kind, _uni = self.vet(e)
+        return self._load(self._ref(e)), kind
+
+    def _ref(self, e: ast.Index) -> tuple:
+        """Evaluate the address of an ``Index`` access: (space, storage,
+        index code, what the space's helpers take besides)."""
+        md = self._md_direct(e)
+        if md is not None:
+            py, kind, d0, d1, i_node, j_node = md
+            i = self.atom(self.vint(*self.sub(i_node)))
+            j = self.atom(self.vint(*self.sub(j_node)))
+            axes = [f"{self._tid_field(n)!r}" for n in (i_node, j_node)]
+            self.line(f"_md_check(C, {i}, {j}, {d0}, {d1}, "
+                      f"{', '.join(axes)})")
+            flat = self.atom(f"{i} * {d1} + {j}")
+            if kind[0] == "shared_md":
+                return "shared", py, flat, "True"
+            return "local", py, flat, repr(kind[4])
+        base, bk, _bu = self.sub(e.base)
+        base = self.atom(base)
+        ind = self.atom(self.vint(*self.sub(e.index)))
+        if isinstance(bk, tuple) and bk[0] == "shared":
+            return "shared", base, ind, None
+        if isinstance(bk, tuple) and bk[0] == "local":
+            return "local", base, ind, repr(bk[3])
+        return "global", base, ind, None
+
+    def _tid_field(self, e: ast.Expr) -> str | None:
+        """The axis of a plain ``threadIdx.<axis>`` read: a group
+        constant, whose bounds verdict ``_md_check`` caches."""
+        if type(e) is ast.Member and self._builtin_field(e) \
+                and e.obj.name == "threadIdx":
+            return e.field_name
+        return None
+
+    def _load(self, ref: tuple) -> str:
+        space, base, ind, extra = ref
+        args = f"C, {self.L}, {base}, {ind}"
+        if space == "shared":
+            return self.atom(f"_shared_load({args}"
+                             f"{', True' if extra else ''})", force=True)
+        if space == "local":
+            return self.atom(f"_local_load({args}, {extra})", force=True)
+        return self.atom(f"_global_load({args})", force=True)
+
+    def _store(self, ref: tuple, value: str) -> None:
+        space, base, ind, extra = ref
+        args = f"C, {self.L}, {base}, {ind}, {value}"
+        if space == "shared":
+            self.line(f"_shared_store({args})")
+        elif space == "local":
+            self.line(f"_local_store({args}, {extra})")
+        else:
+            self.line(f"_global_store({args})")
+
+    def _target(self, target: ast.Expr) -> tuple:
+        """The reference an assignment or increment stores through."""
+        if type(target) is ast.Index:
+            return self._ref(target)
+        return "global", self.atom(self.expr(target.operand)[0]), "0", None
+
+    def _lane_binary(self, e: ast.Binary) -> tuple | None:
+        kind, uni = self.vet(e)
+        if uni:
+            return None
+        op = e.op
+        if op == "&&" or op == "||":
+            return self._vlogical(e), kind
+        # the operands through ``expr`` itself: a chain of operators
+        # costs two Python frames a level, as in the scalar emitter
+        l = self.expr(e.left)[0]
+        r = self.expr(e.right)[0]
+        self.charge(1)
+        if op in _COMPARISONS or op in ("==", "!="):
+            code = f"({l} {op} {r}).astype(_I64)"
+        elif op == "/" or op == "%":
+            code = f"{'_v_div' if op == '/' else '_v_mod'}({l}, {r})"
+        elif op in ("+", "-", "*"):
+            code = f"({l} {op} {r})"
+        else:
+            code = (f"({self.vint(l, *self.vet(e.left))} {op} "
+                    f"{self.vint(r, *self.vet(e.right))})")
+        return self.atom(code), kind
+
+    def _vlogical(self, e: ast.Binary) -> str:
+        is_and = e.op == "&&"
+        l = self.expr(e.left)[0]  # through expr itself: see _lane_binary
+        lu = self.vet(e.left)[1]
+        self.flush()
+        out = self.tmp()
+        L = self.L
+        if lu:
+            # a uniform lhs short-circuits every lane or none
+            self.line(f"if {'' if is_and else 'not '}{l}:")
+            self.indent += 1
+            r = self.expr(e.right)[0]
+            self.flush()
+            self.line(f"{out} = ({r} != 0).astype(_I64)")
+            self.indent -= 1
+            self.line("else:")
+            self.line(f"    {out} = np.{'zeros' if is_and else 'ones'}"
+                      f"(len({L}), _I64)")
+            return out
+        m = self.atom(f"({l} != 0)", force=True)
+        self.line(f"{out} = np.zeros(len({L}), _I64)")
+        if not is_and:
+            self.line(f"{out}[{m}] = 1")
+        pick = m if is_and else f"~{m}"
+        rest = self.lanes(f"{L}[{pick}]")
+        self.line(f"if len({rest}):")
+        self.indent += 1
+        saved = self.L, self.full
+        self.L, self.full = rest, False
+        r, _rk, ru = self.sub(e.right)
+        self.flush()
+        self.L, self.full = saved
+        self.line(f"{out}[{pick}] = "
+                  + (f"(1 if {r} else 0)" if ru else f"({r} != 0)"))
+        self.indent -= 1
+        return out
+
+    def _lane_conditional(self, e: ast.Conditional) -> tuple | None:
+        kind, uni = self.vet(e)
+        if uni:
+            return None
+        c, ck, cu = self.sub(e.cond)
+        self.flush()
+        out = self.tmp()
+        L = self.L
+        if cu:
+            self.line(f"if {c if _is_numeric(ck) else f'_truthy({c})'}:")
+            for arm, head in ((e.then, None), (e.otherwise, "else:")):
+                if head:
+                    self.line(head)
+                self.indent += 1
+                code, _k, uni = self.sub(arm)
+                self.flush()
+                self.line(f"{out} = " + (  # a lane vector either way
+                    f"_bcast({code}, len({L}))" if uni else code))
+                self.indent -= 1
+            return out, kind
+        m = self.atom(f"({c} != 0)", force=True)
+        self.line(f"{out} = np.empty(len({L}), "
+                  f"{'_F64' if kind == 'float' else '_I64'})")
+        saved = self.L, self.full
+        for arm, pick in ((e.then, m), (e.otherwise, f"~{m}")):
+            part = self.lanes(f"{L}[{pick}]")
+            self.line(f"if len({part}):")
+            self.indent += 1
+            self.L, self.full = part, False
+            code = self.expr(arm)[0]
+            self.flush()
+            self.line(f"{out}[{pick}] = {code}")
+            self.indent -= 1
+        self.L, self.full = saved
+        return out, kind
+
+    def _lane_unary(self, e: ast.Unary) -> tuple | None:
+        kind, uni = self.vet(e)
+        if uni:
+            return None
+        op = e.op
+        v, vk, vu = self.sub(e.operand)
+        self.charge(1)
+        if op == "*":
+            return self._load(("global", self.atom(v), "0", None)), kind
+        if op == "+":
+            return v, kind
+        return self.atom(f"(-{v})" if op == "-" else
+                         f"({v} == 0).astype(_I64)" if op == "!" else
+                         f"(~{self.vint(v, vk, vu)})"), kind
+
+    def _lane_cast(self, e: ast.Cast) -> tuple | None:
+        kind, uni = self.vet(e)
+        if uni:
+            return None
+        code = self.expr(e.value)[0]
+        cokind = _kinds(e.type)[1]
+        return (code if cokind is None
+                else self.atom(f"_co_vec({cokind!r}, {code})")), kind
+
+    def _lane_call(self, e: ast.Call) -> tuple | None:
+        kind, uni = self.vet(e)
+        if e.name in _OPENCL_INDEX_FNS:
+            d, dk, du = self.sub(e.args[0])
+            return self.atom(f"_ocl(C, {self.L}, {e.name!r}, "
+                             f"{self.vint(d, dk, du)})"), kind
+        if uni:
+            return None
+        if e.name.startswith("atomic"):
+            return self._vatomic(e, kind), kind
+        codes = [self.expr(a)[0] for a in e.args]
+        self.charge(1)
+        ufunc = self.mod.obj(np.frompyfunc(_MATH_IMPL[e.name], len(codes), 1),
+                             "uf")
+        return self.atom(f"{ufunc}({', '.join(codes)}).astype("
+                         f"{'_F64' if kind == 'float' else '_I64'})"), kind
+
+    def _combine(self, bop: str, cur: str, value: str) -> str:
+        """A compound assignment's operator on lane vectors: runtime
+        value dispatch for ``/`` and ``%``, as ``_c_div``/``_c_mod``."""
+        if bop in ("/", "%"):
+            return self.atom(f"{'_v_div' if bop == '/' else '_v_mod'}"
+                             f"({cur}, {value})")
+        if bop in ("+", "-", "*"):
+            return self.atom(f"({cur} {bop} {value})")
+        return self.atom(f"(_as_int_vals({cur}) {bop} "
+                         f"_as_int_vals({value}))")
+
+    def _lane_assign(self, e: ast.Assign) -> tuple | None:
+        kind, uni = self.vet(e)
+        if uni:
+            return None
+        bop = e.op[:-1] if e.op != "=" else None
+        target = e.target
+        if type(target) is ast.Ident:
+            py, _kind, cokind = self.lookup(target.name)
+            v = self.atom(self.expr(e.value)[0])
+            if bop:
+                v = self._combine(bop, self.atom(f"{py}[{self.L}]"), v)
+            self.charge(1)
+            self.line(f"{py}[{self.L}] = {self.stored(v, cokind)}")
+            return v, kind
+        ref = self._target(target)
+        v = self.atom(self.expr(e.value)[0])
+        if bop:
+            v = self._combine(bop, self._load(ref), v)
+        self.charge(1)
+        self._store(ref, v)
+        return v, kind
+
+    def _lane_incdec(self, e: ast.IncDec) -> tuple | None:
+        kind, uni = self.vet(e)
+        if uni:
+            return None
+        step = "+ 1" if e.op == "++" else "- 1"
+        target = e.operand
+        if type(target) is ast.Ident:
+            py, _kind, cokind = self.lookup(target.name)
+            old = self.atom(f"{py}[{self.L}]", force=True)
+            new = self.atom(f"{old} {step}", force=True)
+            self.charge(1)
+            self.line(f"{py}[{self.L}] = {self.stored(new, cokind)}")
+        else:
+            ref = self._target(target)
+            old = self._load(ref)
+            new = self.atom(f"{old} {step}", force=True)
+            self.charge(1)
+            self._store(ref, new)
+        return (new if e.prefix else old), kind
+
+    def _vatomic(self, e: ast.Call, kind: Any) -> str:
+        ref, pos = e.args[0], self.pos(e.pos)
+        tgt, ind = self.tmp(), self.tmp()
+        if type(ref) is ast.Unary and ref.op == "&" \
+                and type(ref.operand) is ast.Index:
+            space, base, i, _extra = self._ref(ref.operand)
+            if space == "local":
+                self.line("raise MemoryFault("
+                          "'atomics require device or shared memory')")
+            self.line(f"{tgt}, {ind} = " + (
+                f"{base}, {i}" if space == "shared"
+                else f"_atomic_ref({base}, {i}, {pos})"))
+        else:
+            self.line(f"{tgt}, {ind} = _resolve_atomic("
+                      f"{self.expr(ref)[0]}, {pos})")
+        vals = [self.atom(self.expr(a)[0]) for a in e.args[1:]]
+        return self.atom(
+            f"_atomic(C, {self.L}, {e.name!r}, {tgt}, {ind}, "
+            f"[{', '.join(vals)}], {'_F64' if kind == 'float' else '_I64'})",
+            force=True)
+
+    def vcond(self, e: ast.Expr) -> tuple[str, bool]:
+        """Condition ``e``: (a value to test, True) when uniform, else
+        (a bool mask over the lanes, False)."""
+        if self.vet_cond(e):
+            return self.atom(self.cond(e)), True
+        if type(e) is ast.Binary and e.op in _COMPARISONS + ("==", "!="):
+            l = self.expr(e.left)[0]
+            r = self.expr(e.right)[0]
+            self.charge(1)
+            return self.atom(f"({l} {e.op} {r})", force=True), False
+        return self.atom(f"({self.expr(e)[0]} != 0)", force=True), False
+
+    LANES = {ast.Ident: _lane_leaf, ast.Member: _lane_leaf,
+             ast.Index: _lane_index, ast.Binary: _lane_binary,
+             ast.Assign: _lane_assign, ast.IncDec: _lane_incdec,
+             ast.Unary: _lane_unary, ast.Conditional: _lane_conditional,
+             ast.Cast: _lane_cast, ast.Call: _lane_call}
+
+    # -- statements ------------------------------------------------------------
+
+    def stmt(self, s: ast.Stmt) -> None:
+        cls = type(s)
+        if cls is ast.Block:
+            self.block(s.statements, self.L, self.full, self.maybe_empty)
+            return
+        control = _CONTROL.get(cls)
+        if self.gen and control is None and cls is not ast.ExprStmt \
+                and id(s) in self.barriers:
+            raise _SimdUnsupported("barrier in unsupported construct")
+        if control is not None:
+            # the inherited statement wrapper, inline: a Python frame
+            # less per level of nesting; these guard only their heads
+            self.flush()
+            self.mark(s.pos.line)
+            getattr(self, control)(s)
+            self.flush()
+            return
+        guarded = self.guard()
+        mark = len(self.lines)
+        super().stmt(s)
+        if guarded:
+            if len(self.lines) == mark:
+                self.line("pass")
+            self.indent -= 1
+
+    def _effect(self, e: ast.Expr) -> None:
+        cls = type(e)
+        if cls is ast.Call and e.name in BARRIER_BUILTINS:
+            for a in e.args:
+                self.vet(a)
+                code = self.expr(a)[0]
+                if not (code.isidentifier() or code.isdigit()):
+                    self.line(code)
+            self.flush()
+            self.line("C.end_interval()")
+            self.line("yield SYNC")
+            self.has_yield = True
+            return
+        if self.gen and id(e) in self.barriers:
+            raise _SimdUnsupported("barrier inside expression statement")
+        if cls in (ast.Ident, ast.IntLit, ast.FloatLit, ast.BoolLit,
+                   ast.NullLit):
+            return  # bare identifier/literal statements do nothing
+        if (cls is ast.Assign or cls is ast.IncDec) and self.vet(e)[1]:
+            if cls is ast.Assign:
+                super()._assign(e, want_value=False)
+            else:
+                super()._incdec(e, want_value=False)
+            return
+        self.vet(e)
+        code = self.expr(e)[0]
+        if not (code.isidentifier() or code.isdigit()):
+            self.line(code)
+
+    def _declarator(self, d: ast.Declarator, s: ast.DeclStmt) -> None:
+        ctype, name = d.type, d.name
+        if d.ctor_args:
+            raise _SimdUnsupported("dim3 constructor declaration")
+        if s.shared or ctype.array_dims:
+            if not s.shared and d.init is not None:
+                raise _SimdUnsupported("local array initializer")
+            dims = tuple(ctype.array_dims) or (1,)
+            total = math.prod(dims)
+            ek = _PTR_ELEM.get(ctype.base)
+            md = len(dims) > 1
+            if s.shared:
+                py, _v = self.bind(name, ("shared_md", dims, ek) if md
+                                   else ("shared", ek), None)
+                self.shared_bytes += total * dtype_for(ctype.base).itemsize
+                self.line(f"{py} = _shared(C, {name!r}, {total}, "
+                          f"{ctype.base!r})")
+            else:
+                py, _v = self.bind(name, ("local_md", dims, total, ek, name)
+                                   if md else ("local", total, ek, name), None)
+                # one zero-filled row per lane, like LocalArray
+                dt = self.mod.obj(dtype_for(ctype.base), "dt")
+                self.line(f"{py} = np.zeros((C.n, {total}), {dt})")
+            return
+        vkind, cokind = _kinds(ctype)
+        if vkind == "dim3":
+            raise _SimdUnsupported("dim3 local")
+        code = kind = None
+        if d.init is not None:
+            kind = self.vet(d.init)[0]
+            code = self.expr(d.init)[0]
+            vkind = vkind if cokind else (vkind or kind)
+        py, vary = self.bind(name, vkind, cokind)
+        if vary:
+            self.line(f"{py} = np.zeros(C.n, "
+                      f"{'_F64' if vkind == 'float' else '_I64'})")
+            if code is not None:
+                self.line(f"{py}[{self.L}] = {self.stored(code, cokind)}")
+        elif code is not None:
+            self.line(f"{py} = {self.coerced(code, kind, cokind)}")
+        else:
+            self.line(f"{py} = "
+                      f"{'NULL' if ctype.is_pointer else repr(coerce(0, ctype))}")
+
+    def _acc_index(self, s: ast.AccIndex) -> None:
+        vkind, cokind = _kinds(s.type)
+        py, vary = self.bind(s.var, vkind, cokind)
+        if not vary:
+            raise _SimdUnsupported("non-numeric OpenACC loop variable")
+        L = self.L
+        gid = self.atom(f"C.bid_axis('x')[{L}] * C.wctx.blockDim.x "
+                        f"+ C.tid_axis('x')[{L}]", force=True)
+        self.line(f"{py} = np.zeros(C.n, "
+                  f"{'_F64' if vkind == 'float' else '_I64'})")
+        self.line(f"{py}[{L}] = " + self.stored(
+            f"{self.lookup(ACC_START)[0]} + {gid}", cokind))
+        self.line(f"{L} = {L}[{gid} < {self.lookup(ACC_COUNT)[0]}]")
+
+    def _return(self, s: ast.Return) -> None:
+        if s.value is not None:
+            raise _SimdUnsupported("return with a value")
+        if self.loop_depth:  # an enclosing loop drops these lanes
+            self.line(f"_ret.append({self.L})")
+        self.line(f"{self.L} = _EMPTY")
+
+    def _break(self, s: ast.Break) -> None:
+        if not self.loop_depth:
+            raise _SimdUnsupported("break outside loop")
+        self.line(f"{self.brk}.append({self.L})")
+        self.line(f"{self.L} = _EMPTY")
+
+    def _continue(self, s: ast.Continue) -> None:
+        if not self.loop_depth:
+            raise _SimdUnsupported("continue outside loop")
+        self.line(f"{self.L} = _EMPTY")
+
+    def _switch(self, s: ast.Switch) -> None:
+        raise _SimdUnsupported("statement Switch")
+
+    def _if(self, s: ast.If) -> None:
+        barrier = self.gen and id(s) in self.barriers
+        uni = self.vet_cond(s.cond)
+        if barrier and not uni:
+            raise _SimdUnsupported("barrier under divergent if")
+        ln = s.pos.line
+        L, full = self.L, self.full
+        arms = [(s.then, True)] + (
+            [(s.otherwise, False)] if s.otherwise is not None else [])
+        # the head: the condition, the branch log, the arms' lanes; no
+        # arm runs for no lane
+        c = self.tmp()
+        parts = [f"_L{self.mod.nextvar()}", f"_L{self.mod.nextvar()}"]
+        if self.maybe_empty:
+            self.line(f"{c} = 0" if uni else f"{parts[0]} = {parts[1]} = "
+                      f"_EMPTY")
+        guarded = self.guard()
+        code, _u = self.vcond(s.cond)
+        self.flush()
+        if uni:
+            self.line(f"{c} = {code}")
+            self.line(f"if _P: C.log_branch({L}, {ln}, 1 if {c} else 0)")
+        else:
+            self.line(f"if _P: C.log_branch({L}, {ln}, "
+                      f"{code}.astype(np.int64))")
+            self.line(f"{parts[0]} = {L}[{code}]")
+            self.line(f"{parts[1]} = {L}[~{code}]")
+        if guarded:
+            self.indent -= 1
+        if uni:
+            self.line(f"if {c}:")
+            for body, then in arms:
+                if not then:
+                    self.line(f"elif len({L}):" if guarded else "else:")
+                self.indent += 1
+                self.block(_nested(body), L, full)
+                self.indent -= 1
+            return
+        for (body, _then), part in zip(arms, parts):
+            self.line(f"if len({part}):")
+            self.indent += 1
+            self.line(f"C.occupy({part})")
+            self.block(_nested(body), part, False)
+            self.indent -= 1
+        if any(_leaves(body, self.returns) for body, _then in arms):
+            self.line(f"{L} = _merge([{', '.join(parts)}])")
+
+    def _barrier_loop(self, s: ast.While | ast.DoWhile | ast.For) -> bool:
+        """Whether loop ``s`` carries a barrier: then it must run every
+        lane of the group round together."""
+        if not (self.gen and id(s) in self.barriers):
+            return False
+        if _leaves(s.body, self.returns):
+            raise _SimdUnsupported("break/continue across a barrier")
+        return True
+
+    def _uniform_loop(self, s: Any, barrier: bool) -> bool:
+        uni = s.cond is None or self.vet_cond(s.cond)
+        if barrier and not uni:
+            raise _SimdUnsupported("barrier in divergent loop")
+        return uni
+
+    def _loop(self, s: Any, uni: bool, top: Callable[[str], str],
+              bottom: Callable[[str, bool], None],
+              call: str | None = None) -> None:
+        """A lockstep loop over the lanes ``self.L``: while any are
+        active, ``top(active)`` emits the head and returns the lanes
+        running the body, and ``bottom(lanes, may_be_empty)`` the rest
+        of an iteration for the lanes that finished the body
+        (``call``: a function running it)."""
+        L, full = self.L, self.full
+        returns = id(s.body) in self.returns
+        act = self.lanes(L)
+        r0 = self.tmp()
+        if returns:
+            self.line(f"{r0} = len(_ret)")
+        self.line(f"while len({act}):")
+        self.indent += 1
+        live = top(act)
+        leaves = _leaves(s.body, self.returns)
+        breaks = _leaves(s.body, self.returns, (ast.Break,))
+        saved = self.brk
+        if breaks:
+            self.brk = self.tmp()
+            self.line(f"{self.brk} = []")
+        nr = self.tmp()
+        if returns:
+            self.line(f"{nr} = len(_ret)")
+        if call is not None:
+            self.line(call.format(live))
+        else:
+            self.loop_depth += 1
+            self.block(_nested(s.body),
+                       self.lanes(live) if leaves else live,
+                       full and uni and not leaves)
+            self.loop_depth -= 1
+        done = live
+        if breaks or returns:
+            done = self.tmp()
+            gone = " + ".join([self.brk] * breaks + [f"_ret[{nr}:]"] * returns)
+            test = " or ".join([self.brk] * breaks
+                               + [f"len(_ret) > {nr}"] * returns)
+            self.line(f"if {test}:")
+            self.line(f"    {done} = np.setdiff1d({live}, _merge({gone}), "
+                      f"assume_unique=True)")
+            self.line("else:")
+            self.line(f"    {done} = {live}")
+        self.brk = saved
+        self.L, self.full = done, full and uni and not leaves
+        bottom(act, breaks or returns)
+        self.indent -= 1
+        self.L, self.full = L, full
+        if returns:
+            self.line(f"if len(_ret) > {r0}:")
+            self.line(f"    {L} = np.setdiff1d({L}, _merge(_ret[{r0}:]), "
+                      f"assume_unique=True)")
+
+    def _test(self, s: Any, lanes: str, uni: bool) -> str:
+        """Mark the loop's line and test its condition on ``lanes``;
+        leave the loop where no lane passes. Returns the lanes that
+        do."""
+        self.mark(s.pos.line)
+        saved = self.L
+        self.L = lanes
+        c, _uni = self.vcond(s.cond)
+        self.flush()
+        self.L = saved
+        if uni:
+            self.line(f"if not {c}:")
+            self.line("    break")
+            return lanes
+        live = self.lanes(f"{lanes}[{c}]")
+        self.line(f"if not len({live}):")
+        self.line("    break")
+        return live
+
+    def _steps(self, pos: Any, lanes: str = "") -> None:
+        self.line(f"C.add_steps(len({lanes}), {self.pos(pos)})")
+
+    def _while(self, s: ast.While) -> None:
+        barrier = self._barrier_loop(s)
+        uni = self._uniform_loop(s, barrier)
+
+        def top(act: str) -> str:
+            self._steps(s.pos, act)
+            live = self._test(s, act, uni)
+            if not barrier:
+                self.line(f"C.occupy({live})")
+            return live
+
+        self._loop(s, uni, top,
+                   lambda act, _e: self.line(f"{act} = {self.L}"))
+
+    def _dowhile(self, s: ast.DoWhile) -> None:
+        barrier = self._barrier_loop(s)
+        uni = self._uniform_loop(s, barrier)
+
+        def top(act: str) -> str:
+            self._steps(s.pos, act)
+            if not barrier:
+                self.line(f"C.occupy({act})")
+            return act
+
+        def bottom(act: str, may_be_empty: bool) -> None:
+            done = self.L
+            if may_be_empty:
+                self.line(f"if not len({done}):")
+                self.line("    break")
+            self.line(f"{act} = {self._test(s, done, uni)}")
+
+        self._loop(s, uni, top, bottom)
+
+    def _for(self, s: ast.For) -> None:
+        barrier = self._barrier_loop(s)
+        self.push()  # the for-scope: holds the init's declarations
+        if s.init is not None:
+            if id(s.init) in self.barriers:  # it runs once, before the loop
+                raise _SimdUnsupported("barrier under lane-divergent control")
+            self.stmt(s.init)
+        uni = self._uniform_loop(s, barrier)
+        if s.step is not None:
+            self.vet(s.step)
+        call = None if barrier else self._flat(s)
+        if call is not None:
+            self.indent += 1
+
+        def top(act: str) -> str:
+            live = act if s.cond is None else self._test(s, act, uni)
+            if not barrier:
+                self.line(f"C.occupy({live})")
+            return live
+
+        def bottom(act: str, may_be_empty: bool) -> None:
+            done = self.L
+            if may_be_empty:
+                self.line(f"if len({done}):")
+                self.indent += 1
+            if s.step is not None:
+                self.mark(s.pos.line)
+                self._effect(s.step)
+                self.flush()
+            self._steps(s.pos, done)
+            if may_be_empty:
+                self.indent -= 1
+            self.line(f"{act} = {done}")
+
+        self._loop(s, uni, top, bottom, call)
+        if call is not None:
+            self.indent -= 1
+        self.pop()
+
+    def _flat(self, s: ast.For) -> str | None:
+        """Emit loop ``s`` (its init declared) flattened where it may
+        run so: its body as a function of the lanes and of the lane
+        vectors it reads, and the ``_run_flat`` call that runs it; the
+        lockstep loop, which calls the same function, is then emitted
+        under that call's failure. Returns the call's head (None: the
+        loop is not flattened).
+
+        Besides :func:`_flat_shape`, its induction variable must be an
+        int that varies across lanes (a uniform one is a scalar the
+        body reads), the bound and step int-valued, and the body may
+        store no element of a local array declared outside it (a
+        register carried between iterations too). No name the body
+        declares may be visible outside it: :func:`_flat_shape` matches
+        assignments to declarations by name, and a shadowed name would
+        let an assignment resolve to the outer variable."""
+        shape = _flat_shape(s)
+        if shape is None:
+            return None
+        iv, op, bound, sign, amount, declared, stored = shape
+        if any(self.lookup(name) is not None for name in declared):
+            return None
+        iv_py, _k, cokind = self.lookup(iv)
+        if iv_py not in self.vec or cokind != "int":
+            return None
+        if amount is not None and self.vet(amount)[0] != "int" \
+                or self.vet(bound)[0] != "int":
+            return None
+        gather = {iv_py}
+        for node in ast.walk(s.body):
+            hit = self.lookup(node.name) if type(node) is ast.Ident else None
+            if hit is None:
+                continue
+            local = isinstance(hit[1], tuple) and hit[1][0] in (
+                "local", "local_md")
+            if local and node.name in stored - declared:
+                return None
+            if hit[0] in self.vec or local:
+                gather.add(hit[0])
+        gather = sorted(gather - {iv_py})
+        params = ", ".join([iv_py] + gather)
+        body = f"_fb{self.mod.nextvar()}"
+        lanes = f"_L{self.mod.nextvar()}"
+        self.line(f"def {body}(C, {lanes}, {params}):")
+        self.indent += 1
+        self.line("S = C.stats")
+        saved = self.loop_depth
+        self.loop_depth = 0
+        self.block(_nested(s.body), lanes, False)
+        self.loop_depth = saved
+        self.indent -= 1
+        # the bound and the step once, on the loop's lanes, uncharged:
+        # _run_flat charges every evaluation the loop makes
+        ran = self.tmp()
+        if self.maybe_empty:
+            self.line(f"{ran} = False")
+        guarded = self.guard()
+        self.mark(s.pos.line)
+        pending = self.pending
+        bcode = self.expr(bound)[0]
+        step = str(sign) if amount is None else \
+            f"{sign} * {self.expr(amount)[0]}"
+        self.pending = pending
+        self.line(f"{ran} = _simd._run_flat(_FlatPlan({op!r}, "
+                  f"{iv_py}[{self.L}], {bcode}, {step}, "
+                  f"{1 + _charges(bound)}, "
+                  f"{1 + (0 if amount is None else _charges(amount))}, "
+                  f"{body}, ({''.join(g + ', ' for g in gather)})), "
+                  f"C, {self.L})")
+        if guarded:
+            self.indent -= 1
+        self.line(f"if not {ran}:")
+        return f"{body}(C, {{}}, {params})"
+
+    # -- the function ---------------------------------------------------------
+
+    def compile(self) -> "CompiledSimdKernel":
+        fn = self.fn
+        self.push()
+        params, binds = [], []
+        for i, p in enumerate(fn.params):
+            kind, cokind = _kinds(p.type)
+            py, vary = self.bind(p.name or f"_unnamed{i}", kind, cokind)
+            params.append(f"_a{i}")
+            binds.append(f"{py} = np.full(C.n, _a{i}, "
+                         f"{'_F64' if kind == 'float' else '_I64'})"
+                         if vary else f"{py} = _a{i}")
+        if self.gen and id(fn.body) in self.returns:
+            raise _SimdUnsupported("return in barrier kernel")
+        self.block(fn.body.statements, "_L0", True)
+        wctx = "C.wctx"
+        head = ["I = C.interp", "S = C.stats", "_P = C.prof is not None",
+                "_L0 = C.idx_all", "_ret = []"]
+        head += [f"_bi_{name} = {wctx}.{name}"
+                 for name in sorted(self.used_builtins)]
+        head += [f"_bi_{name}_{fld} = {wctx}.{name}.{fld}"
+                 for name, fld in sorted(self.used_fields)]
+        if self.uses_warpsize:
+            head.append("_warpSize = C.block.device.spec.warp_size")
+        self.mod.module_lines = (
+            [f"def _w(C{''.join(', ' + p for p in params)}):"]
+            + ["    " + text for text in head + binds] + self.lines)
+        ns, nbytes = self.mod._load(fn.name)
+        return CompiledSimdKernel(
+            fn.name, [_make_coercer(p.type) for p in fn.params],
+            tuple(p.name or f"_unnamed{i}" for i, p in enumerate(fn.params)),
+            ns["_w"], self.has_yield, fn.pos, self.stored_params,
+            self.shared_bytes, nbytes)
 
 
 # -- compiled kernel object ---------------------------------------------------
@@ -3052,7 +2759,9 @@ class Speculation:
 
 
 class CompiledSimdKernel:
-    """A kernel lowered to warp-SIMD closures.
+    """A kernel lowered to one generated Python function over a group
+    of lanes, ``fn(st, *args)`` (:class:`_WarpEmitter`), a generator
+    when the kernel has a barrier.
 
     Binding attaches the group executor the scheduler prefers —
     ``warp_run``, a generator over one group's
@@ -3063,25 +2772,22 @@ class CompiledSimdKernel:
     never calls. The scalar kernel a replay runs on is compiled by the
     first replay (:meth:`scalar`), inside this memo entry."""
 
-    __slots__ = ("name", "coercers", "param_plan", "param_names", "nslots",
-                 "body_fns", "spine", "entry_pos", "stored_params",
-                 "shared_bytes", "nbytes", "demoted", "_src")
+    __slots__ = ("name", "coercers", "param_names", "fn", "is_gen",
+                 "entry_pos", "stored_params", "shared_bytes", "nbytes",
+                 "demoted", "_src")
 
     tier = "simd"
 
     def __init__(self, name: str, coercers: list,
-                 param_plan: list, param_names: tuple[str, ...],
-                 nslots: int, body_fns: list | None, spine: list | None,
+                 param_names: tuple[str, ...], fn: Callable, is_gen: bool,
                  entry_pos: Any, stored_params: frozenset[int],
                  shared_bytes: int, nbytes: int):
         self.name = name
         self.nbytes = nbytes
         self.coercers = coercers
-        self.param_plan = param_plan
         self.param_names = param_names
-        self.nslots = nslots
-        self.body_fns = body_fns
-        self.spine = spine
+        self.fn = fn
+        self.is_gen = is_gen
         self.entry_pos = entry_pos
         self.stored_params = stored_params
         self.shared_bytes = shared_bytes
@@ -3119,9 +2825,7 @@ class CompiledSimdKernel:
         thread_fn.profiled = interp.profile
         args2 = tuple(a if co is None else co(a)
                       for co, a in zip(self.coercers, args))
-        plan = self.param_plan
-        nslots = self.nslots
-        entry_pos = self.entry_pos
+        fn, is_gen, entry_pos = self.fn, self.is_gen, self.entry_pos
         # [active-lane ops, warp-width slots] of this launch
         occ = [0, 0]
         buffers: dict = {}
@@ -3133,30 +2837,16 @@ class CompiledSimdKernel:
         trackers = [buf.lanes for buf in buffers]
         thread_fn.group_blocks = self.group_blocks
 
-        body_fns, spine = self.body_fns, self.spine
-
         def warp_run(wctx: WarpContext):
-            n = wctx.n
-            interp.steps += n
+            interp.steps += wctx.n
             if interp.steps > interp.max_steps:
                 raise KernelHang(_HANG_MSG, entry_pos)
-            st = _WarpSt(wctx, interp, [None] * nslots)
-            frame = st.frame
-            for (slot, carrier), arg in zip(plan, args2):
-                frame[slot] = (np.full(n, arg, carrier)
-                               if carrier is not None else arg)
+            st = _WarpSt(wctx, interp)
             st.occupy(st.idx_all)
-            fr: tuple = ([], [])
-            if spine is None:
-                # barrier-free: the generator ends without yielding
-                idx = st.idx_all
-                for f in body_fns:
-                    if not len(idx):
-                        break
-                    idx = f(st, idx, fr)
-            else:
-                for node in spine:
-                    yield from _spine_exec(node, st, fr)
+            if is_gen:
+                yield from fn(st, *args2)
+            else:  # barrier-free: the generator ends without yielding
+                fn(st, *args2)
             # the next group's keys start over
             for tracker in trackers:
                 tracker.reset()
@@ -3169,36 +2859,6 @@ class CompiledSimdKernel:
 
 # -- memoized program → kernel compilation ------------------------------------
 
-def _compile_simd(info: ProgramInfo, fn: ast.FuncDef) -> CompiledSimdKernel:
-    is_gen = fn.name in info.barrier_functions
-    lw = _Lowerer(info, fn, gen_ok=is_gen)
-    lw.push()
-    param_plan = []
-    for i, p in enumerate(fn.params):
-        vkind, cokind = lw.kinds_of(p.type)
-        rec = lw.declare(p.name or f"_unnamed{i}", vkind, cokind)
-        param_plan.append((rec.slot,
-                           _carrier_for(vkind) if rec.vary else None))
-    lw.push()
-    if is_gen:
-        if _stmt_contains_return(fn.body):
-            raise _SimdUnsupported("return in barrier kernel")
-        spine = [lw.spine_stmt(s) for s in fn.body.statements]
-        body_fns = None
-    else:
-        spine = None
-        body_fns = [lw.stmt(s) for s in fn.body.statements]
-    return CompiledSimdKernel(fn.name,
-                              [_make_coercer(p.type) for p in fn.params],
-                              param_plan,
-                              tuple(p.name or f"_unnamed{i}"
-                                    for i, p in enumerate(fn.params)),
-                              lw.nslots,
-                              body_fns, spine, fn.pos, lw.stored_params,
-                              lw.shared_bytes,
-                              _NBYTES_BASE + _NBYTES_PER_LOWERED * lw.lowered)
-
-
 def _lower(info: ProgramInfo, name: str):
     """Un-memoized: the warp lowering alone. A scalar kernel is
     compiled only where one will run — here, when this tier declines;
@@ -3207,8 +2867,9 @@ def _lower(info: ProgramInfo, name: str):
     function, not its memoized front: it rides inside this tier's memo
     entry (``nbytes`` counts it), not in one of its own."""
     try:
-        return _compile_simd(info, info.kernel_def(name))
-    except _SimdUnsupported as exc:
+        return _WarpEmitter(_ModuleEmitter(info),
+                            info.kernel_def(name)).compile()
+    except UnsupportedConstruct as exc:
         reason = str(exc)
     except RecursionError:
         reason = _TOO_DEEP
@@ -3247,8 +2908,8 @@ def compile_kernel(info: ProgramInfo, name: str):
     source emitter declines it too. All verdicts are memoized
     (:func:`_verdict`; a declined one keeps its reason for
     :func:`decline_reason`). One artifact serves profiled and
-    unprofiled launches alike: its statement closures always mark the
-    group's current source line, and only a launch bound by a profiling
+    unprofiled launches alike: its code always marks the group's
+    current source line, and only a launch bound by a profiling
     interpreter logs branches and charges lines — access chunks then
     carry the charging line as a sixth column."""
     value = _verdict(info, name)

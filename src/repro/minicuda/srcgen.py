@@ -1,5 +1,8 @@
 """Source-codegen execution engine: every host function, and the
-scalar kernel tier (``codegen``).
+scalar kernel tier (``codegen``) — and the emitter the warp tier
+generates its kernels with (``simd._WarpEmitter``, a subclass of
+:class:`_FnEmitter` that leaves every lane-uniform expression to this
+class's code).
 
 This module lowers a function's *checked* AST once — the pegen idiom
 of emitting **Python source text** and ``compile()``-ing it: each
@@ -154,7 +157,11 @@ SRCGEN_VERSION = 6
 #: source: a fit to tracemalloc growth over the catalog's 18 solution
 #: kernels (3000 + 2.3/char), times the 1.2 by which process RSS
 #: outgrew the traced bytes on ``catalog_grade``. The kernel memo
-#: charges it against its byte budget (``codegen.KERNEL_CACHE``).
+#: charges it against its byte budget (``codegen.KERNEL_CACHE``), for
+#: the warp tier's generated kernels too. Refit over the same 18
+#: kernels lowered by the warp tier (growth while a second compile's
+#: artifact is held), those trace 5900 + 2.0/char: 12.6 KB on average,
+#: 15.1 KB scaled by 1.2, where this rule charges 13.5 KB.
 _NBYTES_BASE = 3600
 _NBYTES_PER_CHAR = 3
 
@@ -578,12 +585,20 @@ class _FnEmitter:
 
     # -- expressions -------------------------------------------------------------
 
+    #: Per expression class, a subclass's method for lane-varying
+    #: values (``simd._WarpEmitter``), None where the code below serves.
+    LANES: dict[type, Callable] = {}
+
     def expr(self, e: ast.Expr) -> tuple[str, Any]:
         """``e`` as Python code and its value kind; its memory effects
         and calls are already emitted, in C order."""
         self.depth += 1
         cls = type(e)
-        if cls is ast.IntLit:
+        lanes = self.LANES.get(cls)
+        out = None if lanes is None else lanes(self, e)
+        if out is not None:
+            pass
+        elif cls is ast.IntLit:
             out = repr(e.value), "int"
         elif cls is ast.FloatLit:
             out = repr(e.value), "float"

@@ -7,7 +7,7 @@ from typing import Any
 
 import numpy as np
 
-from repro.gpusim.memory import CTYPE_TO_DTYPE, DevicePtr, SharedArray
+from repro.gpusim.memory import CTYPE_TO_DTYPE
 from repro.minicuda.ast_nodes import CType
 
 
@@ -321,8 +321,3 @@ def coerce(value: Any, ctype: CType | None) -> Any:
         if ctype.base == "bool":
             return bool(value)
     return value
-
-
-def is_pointer_value(value: Any) -> bool:
-    return isinstance(value, (DevicePtr, HostPtr, NullPtr, MDView,
-                              SharedArray, LocalArray))

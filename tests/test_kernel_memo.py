@@ -68,7 +68,7 @@ def functions_of(kernel):
         return [kernel.factory]
     if type(kernel) is srcgen.CompiledHostFn:
         return [kernel.call]
-    return list(kernel.body_fns or ())
+    return [kernel.fn]  # the warp tier's one generated function
 
 
 SAXPY = """

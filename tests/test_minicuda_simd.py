@@ -20,6 +20,7 @@ from repro.gpusim import Device, GpuRuntime
 from repro.gpusim.errors import InvalidPointerError
 from repro.gpusim.grid import Dim3
 from repro.labs import ALL_LABS, EXTRA_LABS, execute_lab_source, get_lab
+from repro.labs.mutations import MUTATIONS, buggy_source
 from repro.minicuda import compile_source
 from repro.minicuda.simd import (
     CompiledSimdKernel,
@@ -166,6 +167,49 @@ int main() { return 0; }
             source, "collatz", 1, 32, [np.zeros(32, np.int32)], [])
 
 
+class TestSubLaneCharges:
+    """A varying ``&&``, ``||`` or ``?:`` runs its right operand or
+    chosen arm on some lanes only: the charges there — arithmetic,
+    batched, beside a load's own — count those lanes, and the statement
+    after them every lane again."""
+
+    SOURCE = """
+__global__ void k(const float *in, float *out, int n) {
+  int i = blockIdx.x * blockDim.x + threadIdx.x;
+  int a = i % 3 == 0 && in[(i * 2) % n] * 2.0f + 1.0f > 3.0f;
+  int b = i % 4 != 0 || in[(i + 1) % n] - 1.0f < 0.5f * i;
+  float c = i % 5 < 2 ? in[(i * 3) % n] * 3.0f + i : -in[i % n] / 2.0f;
+  out[i] = a + 2 * b + c * (i + 1);
+}
+int main() { return 0; }
+"""
+
+    def _run(self, engine, profile, telemetry=None):
+        program = compile_source(self.SOURCE)
+        rt = GpuRuntime(Device(), telemetry=telemetry)
+        data = (np.arange(100, dtype=np.float32) % 7) - 2.0
+        src = rt.malloc(100, "float")
+        rt.memcpy_htod(src, data)
+        out = rt.malloc(96, "float")
+        stats = program.launch(rt, "k", 2, 48, src.ptr(), out.ptr(), 100,
+                               engine=engine, profile=profile)
+        return rt.memcpy_dtoh(out).tolist(), ledger(stats), \
+            stats.line_profile
+
+    @pytest.mark.parametrize("profile", (False, True),
+                             ids=("plain", "profiled"))
+    def test_charges_count_the_lanes_that_ran(self, profile):
+        info = compile_source(self.SOURCE).info
+        assert isinstance(compile_kernel(info, "k"), CompiledSimdKernel)
+        ref = self._run("ast", profile)
+        tel = Telemetry()
+        for engine in ENGINES[1:]:
+            assert self._run(engine, profile, tel) == ref, engine
+        # the warp tier ran it: a replay would have hidden its charges
+        assert tel.metrics.counter(KERNEL_REPLAYS_TOTAL).value(
+            kernel="k") == 0
+
+
 class TestBarrierKernels:
     def test_uniform_loop_with_barriers(self):
         source = """
@@ -239,6 +283,19 @@ int main() { return 0; }
         assert isinstance(compiled, CompiledSimdKernel)
         assert compile_kernel(program.info, "axpy") is compiled
 
+    @staticmethod
+    def census(sources):
+        """(kernels, {origin:kernel: decline reason}) over ``sources``."""
+        kernels, declined = 0, {}
+        for origin, source in sources:
+            info = compile_source(source).info
+            for name in info.kernels:
+                kernels += 1
+                reason = decline_reason(info, name)
+                if reason is not None:
+                    declined[f"{origin}:{name}"] = reason
+        return kernels, declined
+
     def test_the_catalog_decline_set(self):
         # blockIdx is a lane vector (a launch runs as groups of
         # blocks): that must not cost any catalog kernel the warp tier
@@ -248,17 +305,19 @@ int main() { return 0; }
                                         ("skeleton", lab.skeleton))]
         sources += [(path.name, path.read_text())
                     for path in sorted(EXAMPLES.glob("*.cu"))]
-        kernels, declined = 0, {}
-        for origin, source in sources:
-            info = compile_source(source).info
-            for name in info.kernels:
-                kernels += 1
-                reason = decline_reason(info, name)
-                if reason is not None:
-                    declined[f"{origin}:{name}"] = reason
+        kernels, declined = self.census(sources)
         assert kernels == 42
         assert declined == {
             "histogram.cu:saturate": "varying non-numeric comparison"}
+        # the catalog's bugs that compile: only a barrier a divergent
+        # branch skips keeps a kernel off the warp tier
+        kernels, declined = self.census(
+            (f"{m.lab_slug}/{m.name}", buggy_source(m)) for m in MUTATIONS
+            if m.expected_feedback_keyword != "declaration")
+        assert kernels == 14
+        assert declined == {
+            "tiled-matmul/divergent-syncthreads:matrixMultiplyShared":
+                "barrier under divergent if"}
 
 
 class TestConstantMemory:
