@@ -320,6 +320,104 @@ int main() { return 0; }
                 "barrier under divergent if"}
 
 
+_I = "int i = threadIdx.x; "
+_PTRS = "int *b, void *v, float **pp"
+
+#: (why the warp tier declines, file-scope declarations, the kernel's
+#: parameters, its body): one checked program per reason it can give.
+DECLINES = [
+    ("member access .w", "", "int *b", _I + "b[i] = blockDim.w;"),
+    ("member access .x", "", "int *b", _I + "b[i] = b[i].x;"),
+    ("non-numeric logical operand", "", "float *a, int *b, int n",
+     _I + "if (a && n) b[i] = 1;"),
+    ("binary + on ('ptr', 'float')/int", "", "float *a",
+     _I + "float *p = a + i; p[0] = 1;"),
+    ("/ on ('ptr', 'float')/int", "", "float *a", _I + "int x = a / 2;"),
+    ("bitwise & on ('ptr', 'float')/int", "", "float *a",
+     _I + "int x = a & 2;"),
+    ("varying ternary on non-numeric arms", "", "float *a",
+     _I + "float *p = i ? a : a; p[0] = 1;"),
+    ("pointer cast", "", "float *a", _I + "int *p = (int *)a; p[i] = 1;"),
+    ("expression StrLit", "", "int *b", _I + 'const char *s = "hi";'),
+    ("bare blockIdx value", "", "int *b", _I + "b[i] = blockIdx ? 1 : 0;"),
+    ("index on base of kind 'dim3'", "", "int *b",
+     _I + "b[i] = blockDim[0];"),
+    ("index on base of kind None", "__constant__ int C[2][2];", "int *b",
+     _I + "b[i] = C[0][i];"),
+    ("assignment to global 'g'", "__device__ int g;", "int *b", _I + "g = 1;"),
+    ("increment of global 'g'", "__device__ int g;", "int *b", _I + "g++;"),
+    ("address-of expression", "", "int *b", _I + "int x = 0; int *p = &x;"),
+    ("unary - on non-numeric", "", "float *a", _I + "float *p = -a;"),
+    ("unary ~ on non-numeric", "", "float *a", _I + "int x = ~a;"),
+    ("varying non-numeric !", "", _PTRS, _I + "b[i] = !v[i];"),
+    ("varying non-numeric ternary cond", "", _PTRS,
+     _I + "b[i] = v[i] ? 1 : 2;"),
+    ("varying non-numeric comparison", "__constant__ int C = 3;", "int *b",
+     _I + "if (i < 4 && b[i] > C) b[i] = C;"),
+    ("varying non-numeric condition", "", _PTRS, _I + "if (v[i]) b[i] = 1;"),
+    ("varying non-numeric condition", "", _PTRS,
+     _I + "while (v[i] < 1) { b[i] = 1; }"),
+    ("deref of varying pointer", "", _PTRS, _I + "float x = *pp[i];"),
+    ("store through varying pointer", "", _PTRS, _I + "*pp[i] = 1;"),
+    ("increment through varying pointer", "", _PTRS, _I + "(*pp[i])++;"),
+    ("atomic on untyped reference", "", "int *b",
+     _I + "int x = 0; atomicAdd(x, 1);"),
+    ("atomic on untyped pointer", "", _PTRS, _I + "atomicAdd(&v[i], 1);"),
+    ("atomic on untyped storage", "", "int *b",
+     _I + "__shared__ cudaError_t s[4]; atomicAdd(&s[i], 1);"),
+    ("atomic address target", "", "int *b",
+     _I + "atomicAdd(&blockDim[0], 1);"),
+    ("atomic address target", "", _PTRS, _I + "atomicAdd(&pp[i][0], 1.0f);"),
+    ("varying atomic reference", "", _PTRS, _I + "atomicAdd(pp[i], 1.0f);"),
+    ("varying polymorphic max()", "", "float *a, int *b",
+     _I + "float x = max(a[i], b[i]); a[i] = x;"),
+    ("varying OpenCL index dimension", "", "int *b",
+     _I + "b[i] = get_global_id(i);"),
+    ("call to 'printf'", "", "int *b", 'printf("x");'),
+    ("call to 'printf'", "", "int *b", _I + 'printf("%d", i);'),
+    ("call to 'f'", "__device__ int f(int v) { return v; }", "int *b",
+     _I + "b[i] = f(i);"),
+    ("__device__ storage 'g'", "__device__ int g[4];", "int *b",
+     _I + "b[i] = g[0];"),
+    ("varying non-numeric local 'p'", "", "float *a",
+     _I + "float *p = a; if (i) p = a + 1;"),
+    ("dim3 constructor declaration", "", "int *b", _I + "dim3 d(1, 2);"),
+    ("local array initializer", "", "int *b",
+     _I + "int t[2] = {1, 2}; b[i] = t[0];"),
+    ("dim3 local", "", "int *b", "dim3 d;"),
+    ("statement Switch", "", "int *b",
+     _I + "switch (i) { case 0: b[i] = 1; break; }"),
+    ("barrier under divergent if", "", "int *b",
+     _I + "if (i) __syncthreads();"),
+    ("barrier in divergent loop", "", "int *b, int n",
+     _I + "while (i < n) { __syncthreads(); i++; }"),
+    ("barrier under lane-divergent control", "", "int *b",
+     _I + "for (__syncthreads(); i < 1; i++) {}"),
+]
+
+
+class TestDeclineReasons:
+    """Every reason the warp tier gives for declining a kernel, each
+    reached by a checked program, with its exact text.
+
+    Reasons the front end makes unreachable are not part of the
+    contract and have no case: assigning or incrementing an array
+    ("array type is not assignable"), a target that is not an lvalue,
+    a barrier inside an expression (a void value), an atomic of the
+    wrong arity, a math builtin without an implementation, a compound
+    operator or a binary or unary operator the emitter has no code for,
+    an undefined identifier, and a varying value stored into a uniform
+    local (the uniformity analysis makes such a local varying)."""
+
+    @pytest.mark.parametrize(
+        "reason, pre, params, body", DECLINES,
+        ids=[f"{n}:{case[0]}" for n, case in enumerate(DECLINES)])
+    def test_reason(self, reason, pre, params, body):
+        source = (f"{pre}\n__global__ void k({params}) {{\n{body}\n}}\n"
+                  "int main() { return 0; }\n")
+        assert decline_reason(compile_source(source).info, "k") == reason
+
+
 class TestConstantMemory:
     """A 1-D ``__constant__`` array is a typed pointer into a read-only
     device allocation: kernels reading one lower like any other."""
