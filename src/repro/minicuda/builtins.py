@@ -31,6 +31,11 @@ DEVICE_BUILTINS: dict[str, int | None] = {
     "barrier": 1,
 }
 
+#: The atomic builtins. A call dispatches on this set, not on the name's
+#: prefix: a ``__device__`` function may be called ``atomicTwice``.
+ATOMIC_BUILTINS = frozenset(
+    name for name in DEVICE_BUILTINS if name.startswith("atomic"))
+
 #: Math builtins usable in both host and device code.
 MATH_BUILTINS: dict[str, int | None] = {
     "min": 2, "max": 2, "abs": 1,

@@ -118,8 +118,12 @@ from repro.minicuda.srcgen import (
     _COMPARISONS,
     _FLOAT_MATH,
     _FnEmitter,
+    _INT_LIKE,
     _INT_MATH,
     _ModuleEmitter,
+    _NUMERIC,
+    _PTR_ELEM,
+    _PTR_KINDS,
     _addr_of,
     _compile_scalar,
     _ctype_kinds,
@@ -139,7 +143,7 @@ from repro.minicuda.values import (
 
 #: Bump when SIMD lowering semantics change; part of the memo key so
 #: stale fallback verdicts are never recalled across upgrades.
-SIMD_VERSION = 9
+SIMD_VERSION = 10
 
 _I64 = np.int64
 _F64 = np.float64
@@ -314,19 +318,30 @@ def _leaves(s: ast.Stmt, returns: set[int], exits: tuple = _EXITS) -> bool:
 #: bodies with break/continue/return diverge regardless of the cond).
 _ALWAYS_VARYING = True
 
+#: The OpenCL index functions whose value differs across lanes; the
+#: size functions give one value a launch.
+_LANE_INDEX_FNS = frozenset({"get_local_id", "get_group_id",
+                             "get_global_id"})
 
-def _analyze_names(fn: ast.FuncDef,
-                   info: ProgramInfo) -> tuple[set[str], frozenset[int]]:
-    """One pass over the kernel body for two name-level, conservative
-    facts (shadowed declarations share one verdict).
+
+def _analyze_names(fn: ast.FuncDef, info: ProgramInfo
+                   ) -> tuple[set[str], set[int], frozenset[int]]:
+    """One pass over the kernel body for three conservative facts
+    (shadowed declarations share one verdict).
 
     **Varying names** — params/locals that may hold different values
     across the lanes of one group, by fixpoint: a name becomes varying
     when it is assigned (a) a lane-dependent value — anything touching
-    ``threadIdx``, memory loads, derefs, atomics, OpenCL index
-    functions, device calls, or other varying names — or (b) any value
-    under lane-divergent control flow (an enclosing condition that is
-    itself varying, or a loop body with break/continue/return).
+    ``threadIdx`` or ``blockIdx``, memory loads, derefs, atomics,
+    OpenCL id functions, device calls, or other varying names — or
+    (b) any value under lane-divergent control flow (an enclosing
+    condition that is itself varying, or a loop body with
+    break/continue/return).
+
+    **Varying nodes** — the ids of the nodes such a leaf is at or
+    under, by the same rule and the final names: an expression whose
+    id is not among them is uniform. The fixpoint and the emitter ask
+    this one set, computed in one pass a round (:func:`_containing`).
 
     **Stored parameters** — indices of the pointer parameters the
     kernel may store through (plain or compound assignment,
@@ -366,7 +381,7 @@ def _analyze_names(fn: ast.FuncDef,
                                 node.value if cls is ast.Assign else None))
                 if dest.name in pointers:  # reseated: could be anything
                     stored.update(pointers)
-            elif cls is ast.Call and node.name.startswith("atomic") \
+            elif cls is ast.Call and node.name in bi.ATOMIC_BUILTINS \
                     and node.args:
                 note_store(node.args[0])
 
@@ -421,40 +436,33 @@ def _analyze_names(fn: ast.FuncDef,
 
     scan_stmt(fn.body, ())
 
-    def expr_varying(e: Any) -> bool:
-        if e is _ALWAYS_VARYING:
-            return True
-        for node in ast.walk(e):
-            cls = type(node)
-            if cls is ast.Ident:
-                if node.name in varying or \
-                        node.name in ("threadIdx", "blockIdx"):
-                    return True
-            elif cls is ast.Index:
-                return True  # all memory loads are lane-varying
-            elif cls is ast.Unary:
-                if node.op == "*":
-                    return True
-            elif cls is ast.Call:
-                name = node.name
-                if (name.startswith("atomic")
-                        or name in _OPENCL_INDEX_FNS
-                        or name in device_fns):
-                    return True
+    def leaf(node: Any) -> bool:
+        """Whether ``node`` itself may differ across lanes."""
+        cls = type(node)
+        if cls is ast.Ident:
+            return node.name in varying or \
+                node.name in ("threadIdx", "blockIdx")
+        if cls is ast.Index:
+            return True  # all memory loads are lane-varying
+        if cls is ast.Unary:
+            return node.op == "*"
+        if cls is ast.Call:
+            name = node.name
+            return (name in bi.ATOMIC_BUILTINS or name in _LANE_INDEX_FNS
+                    or name in device_fns)
         return False
 
-    changed = True
-    while changed:
-        changed = False
-        for name, conds, rhs in records:
-            if name in varying:
-                continue
-            if any(expr_varying(c) for c in conds) or \
-                    (rhs is not None and expr_varying(rhs)):
-                varying.add(name)
-                changed = True
-    return varying, frozenset(
-        i for name, i in pointers.items() if name in stored)
+    while True:
+        nodes = _containing(fn.body, leaf)
+        grown = {name for name, conds, rhs in records
+                 if name not in varying and (
+                     rhs is not None and id(rhs) in nodes or any(
+                         c is _ALWAYS_VARYING or id(c) in nodes
+                         for c in conds))}
+        if not grown:
+            return varying, nodes, frozenset(
+                i for name, i in pointers.items() if name in stored)
+        varying |= grown
 
 
 # -- per-group execution state -----------------------------------------------
@@ -877,7 +885,7 @@ def _flat_shape(s: ast.For) -> tuple | None:
         if cls is ast.Call:
             if node.name in BARRIER_BUILTINS:
                 return None
-            atomic = atomic or node.name.startswith("atomic")
+            atomic = atomic or node.name in bi.ATOMIC_BUILTINS
         elif cls is ast.Assign or cls is ast.IncDec:
             dest = node.target if cls is ast.Assign else node.operand
             if type(dest) is ast.Ident:
@@ -892,13 +900,6 @@ def _flat_shape(s: ast.For) -> tuple | None:
         return None
     return iv, cond.op, cond.right, sign, amount, declared, stored
 
-
-#: The operands of each atomic the warp tier runs, after the target.
-_ATOMIC_ARITY = {"atomicAdd": 1, "atomicSub": 1, "atomicMax": 1,
-                 "atomicMin": 1, "atomicExch": 1, "atomicCAS": 2}
-
-#: The operators of the compound assignments.
-_COMBINE = frozenset({"+", "-", "*", "/", "%", "<<", ">>", "&", "|", "^"})
 
 #: The updates the ``ThreadContext.atomic_*`` methods apply, for many
 #: elements at once, one lane each (the rank steps below); atomicSub
@@ -1185,11 +1186,6 @@ def _vector_rmw(name: str, data: np.ndarray, seg: tuple, vals: list,
     return out, cur
 
 
-_PTR_ELEM = {"float": "float", "double": "float", "int": "int",
-             "unsigned": "int", "unsigned int": "int", "long": "int",
-             "char": "int", "unsigned char": "int", "short": "int",
-             "size_t": "int", "bool": "int"}
-
 #: Local kinds that hold storage (an array object) rather than a value.
 _STORAGE = ("shared", "shared_md", "local", "local_md")
 
@@ -1204,18 +1200,10 @@ def _v_mod(a: Any, b: Any) -> np.ndarray:
     return (_v_fmod if _is_float(a) or _is_float(b) else _v_imod)(a, b)
 
 
-def _is_ptr_kind(kind: Any) -> bool:
-    return isinstance(kind, tuple) and kind[0] == "ptr"
-
-
-def _kinds(ctype: ast.CType | None) -> tuple[Any, Any]:
-    """(warp kind, coercion kind) of a declared type: ``srcgen``'s
-    kinds, with ``bool`` folded into ``int`` (the coercion still goes
-    through bool) and a pointer typed by its element."""
-    if ctype is not None and ctype.is_pointer:
-        return ("ptr", _PTR_ELEM.get(ctype.base)), None
-    vkind, cokind = _ctype_kinds(ctype)
-    return ("int" if vkind == "bool" else vkind), cokind
+def _fold(kind: Any) -> Any:
+    """``srcgen``'s kind with ``bool`` folded into ``int``: a lane
+    vector holds a bool as an int64 0 or 1."""
+    return "int" if kind == "bool" else kind
 
 
 def _bcast(v: Any, k: int) -> np.ndarray:
@@ -1506,16 +1494,23 @@ class _WarpEmitter(_FnEmitter):
 
     The lanes running the code at hand are a local index array
     (``self.L``). An expression is *uniform* when no leaf of it varies
-    across lanes (:func:`_analyze_names`): the inherited scalar
-    emitter writes it, as for one thread. The rest is emitted here as
-    lane vectors aligned with ``self.L``, through the runtime above,
-    and divergent control flow as index partitions of ``self.L``. The
-    charge batch flushes as ``S.instructions += n * len(lanes)``.
+    across lanes (the varying nodes of :func:`_analyze_names`): the
+    inherited scalar emitter writes it, as for one thread. The rest is
+    emitted here as lane vectors aligned with ``self.L``, through the
+    runtime above, and divergent control flow as index partitions of
+    ``self.L``. The charge batch flushes as ``S.instructions += n *
+    len(lanes)``.
 
-    :meth:`vet` gives every expression its kind (``srcgen``'s, see
-    :func:`_kinds`) and uniformity, in the order the warp tier has
-    always checked them, and raises :class:`_SimdUnsupported` at what
-    the tier does not run."""
+    Each expression's kind is the one its emission returns —
+    ``srcgen``'s, ``bool`` folded into ``int`` where a lane vector
+    holds it (:func:`_fold`). The tier declines where the construct it
+    cannot run is emitted, raising :class:`_SimdUnsupported`: a
+    lane-varying one in the ``_lane_*`` methods, and what it declines
+    even when uniform — ``printf``, device calls, ``dim3``, address-of,
+    pointer casts, ``__device__`` storage, string literals, operators
+    on operands of no arithmetic kind — in the overrides
+    (:meth:`_ident`, :meth:`_member`, :meth:`_operands`) and the
+    ``LANES`` entries, which see every expression first."""
 
     def __init__(self, mod: _ModuleEmitter, fn: ast.FuncDef):
         super().__init__(mod, fn, is_device=True)
@@ -1528,7 +1523,8 @@ class _WarpEmitter(_FnEmitter):
         self.barriers = _containing(fn.body, lambda n: type(
             n) is ast.Call and n.name in BARRIER_BUILTINS) if self.gen \
             else set()
-        self.varying_names, self.stored_params = _analyze_names(fn, info)
+        self.varying_names, self.varying, self.stored_params = \
+            _analyze_names(fn, info)
         # writable file-scope arrays live outside device allocations,
         # and a file-scope pointer may reach any of them: storage no
         # LaneTracker is known to watch
@@ -1545,7 +1541,6 @@ class _WarpEmitter(_FnEmitter):
         #: the locals that hold a lane vector (one element per lane of
         #: the group, read at the active lanes)
         self.vec: set[str] = set()
-        self.vetted: dict[int, tuple[Any, bool]] = {}
         self.L = "_L0"
         #: ``self.L`` is every lane of the group
         self.full = True
@@ -1605,11 +1600,20 @@ class _WarpEmitter(_FnEmitter):
 
     def sub(self, e: ast.Expr) -> tuple[str, Any, bool]:
         """(code, kind, uniform) of ``e``, its effects emitted."""
-        return (self.expr(e)[0], *self.vet(e))
+        code, kind = self.expr(e)
+        return code, _fold(kind), id(e) not in self.varying
+
+    def _kind_of(self, e: ast.Expr) -> Any:
+        """The kind of ``e``, emitted into a buffer that is dropped
+        (the numbers of its temporaries too)."""
+        counter = self.mod._counter
+        kind = self.subexpr(e)[3]
+        self.mod._counter = counter
+        return _fold(kind)
 
     def vint(self, code: str, kind: Any, uni: bool) -> str:
         """C int conversion unless already int-kind."""
-        if kind == "int":
+        if kind in _INT_LIKE:
             return code
         return f"int({code})" if uni else f"_as_int_vals({code})"
 
@@ -1623,6 +1627,7 @@ class _WarpEmitter(_FnEmitter):
 
     def bind(self, name: str, kind: Any, cokind: Any) -> tuple[str, bool]:
         """Declare a local; (its python name, whether a lane vector)."""
+        kind = _fold(kind)
         vary = name in self.varying_names
         if vary and kind not in ("int", "float") and not (
                 isinstance(kind, tuple) and kind[0] in _STORAGE):
@@ -1634,117 +1639,84 @@ class _WarpEmitter(_FnEmitter):
             self.vec.add(py)
         return py, py in self.vec
 
-    # -- kinds and eligibility ---------------------------------------------------
+    # -- what the tier declines even when uniform ------------------------------
 
-    def vet(self, e: ast.Expr) -> tuple[Any, bool]:
-        """(kind, uniform) of expression ``e``, once per node."""
-        got = self.vetted.get(id(e))
-        if got is None:
-            got = self.vetted[id(e)] = self._vet(e)
-        return got
-
-    def _vet(self, e: ast.Expr) -> tuple[Any, bool]:
-        cls = type(e)
-        if cls is ast.IntLit or cls is ast.BoolLit:
-            return "int", True
-        if cls is ast.FloatLit:
-            return "float", True
-        if cls is ast.NullLit:
-            return "null", True
-        if cls is ast.SizeOf:
-            return "int", True
-        if cls is ast.Ident:
-            return self._vet_ident(e.name)
-        if cls is ast.Member:
-            obj, field = e.obj, e.field_name
-            if self._builtin_field(e):
-                return "int", obj.name not in ("threadIdx", "blockIdx")
-            okind, ouni = self.vet(obj)
-            if okind == "dim3" and ouni and field in ("x", "y", "z"):
-                return "int", True
-            raise _SimdUnsupported(f"member access .{field}")
-        if cls is ast.Index:
-            return self._vet_index(e), False
-        if cls is ast.Binary:  # inline: two Python frames a level
-            op = e.op
-            lk, lu = self.vet(e.left)
-            rk, ru = self.vet(e.right)
-            uni = lu and ru
-            numeric = _is_numeric(lk) and _is_numeric(rk)
-            if op in ("&&", "||"):
-                if not numeric:
-                    raise _SimdUnsupported("non-numeric logical operand")
-                return "int", uni
-            if op in _COMPARISONS or op in ("==", "!="):
-                if not numeric and not uni:
-                    raise _SimdUnsupported("varying non-numeric comparison")
-                return "int", uni
-            if op in ("+", "-", "*"):
-                kind = _arith_kind(lk, rk)
-                if kind is not None:
-                    return kind, uni
-                # pointer arithmetic: uniform base ± uniform offset
-                ptr_kind = (lk if _is_ptr_kind(lk)
-                            else rk if op == "+" and _is_ptr_kind(rk) else None)
-                if ptr_kind is None or not uni:
-                    raise _SimdUnsupported(f"binary {op} on {lk}/{rk}")
-                return ptr_kind, True
-            if op == "/" or op == "%":
-                if not numeric:
-                    raise _SimdUnsupported(f"{op} on {lk}/{rk}")
-                return ("int" if lk == "int" and rk == "int" else "float"), uni
-            if op in ("<<", ">>", "&", "|", "^"):
-                if not numeric:
-                    raise _SimdUnsupported(f"bitwise {op} on {lk}/{rk}")
-                return "int", uni
-            raise _SimdUnsupported(f"binary operator {op!r}")
-        if cls is ast.Assign:
-            return self._vet_assign(e)
-        if cls is ast.IncDec:
-            return self._vet_incdec(e)
-        if cls is ast.Unary:
-            return self._vet_unary(e)
-        if cls is ast.Conditional:
-            ck, cu = self.vet(e.cond)
-            tk, tu = self.vet(e.then)
-            ek, eu = self.vet(e.otherwise)
-            if not _is_numeric(ck) and not cu:
-                raise _SimdUnsupported("varying non-numeric ternary cond")
-            kind = tk if tk == ek else None
-            if cu:
-                return kind, tu and eu
-            if kind not in ("int", "float"):
-                raise _SimdUnsupported("varying ternary on non-numeric arms")
-            return kind, False
-        if cls is ast.Cast:
-            vk, vu = self.vet(e.value)
-            if e.type.is_pointer:
-                raise _SimdUnsupported("pointer cast")
-            kind, cokind = _kinds(e.type)
-            return (vk if cokind is None else kind), vu
-        if cls is ast.Call:
-            return self._vet_call(e)
-        raise _SimdUnsupported(f"expression {cls.__name__}")
-
-    def _vet_ident(self, name: str) -> tuple[Any, bool]:
-        hit = self.lookup(name)
-        if hit is not None:
-            return hit[1], hit[0] not in self.vec
-        if name in self.mod.info.constants:
+    def _ident(self, name: str, pos: Any) -> tuple[str, Any]:
+        if self.lookup(name) is None:
             if name in self.untracked_globals:
                 raise _SimdUnsupported(f"__device__ storage {name!r}")
-            return self.constant_arrays.get(name), True
-        if name in ("threadIdx", "blockIdx"):  # lane-varying dim3s
-            raise _SimdUnsupported(f"bare {name} value")
-        if name in _BUILTIN_IDX:
-            return "dim3", True
-        if name == "warpSize":
-            return "int", True
-        if name in bi.DEVICE_CONSTANTS:
-            value = bi.DEVICE_CONSTANTS[name]
-            return ("int" if isinstance(value, int) else
-                    "float" if isinstance(value, float) else None), True
-        raise _SimdUnsupported(f"identifier {name!r}")
+            if name in ("threadIdx", "blockIdx"):  # lane-varying dim3s
+                raise _SimdUnsupported(f"bare {name} value")
+            code, kind = super()._ident(name, pos)
+            return code, self.constant_arrays.get(name, kind)
+        return super()._ident(name, pos)
+
+    def _member(self, e: ast.Member) -> tuple[str, Any]:
+        code, kind = super()._member(e)
+        if kind is None:  # not a field of a dim3
+            raise _SimdUnsupported(f"member access .{e.field_name}")
+        return code, kind
+
+    def _operands(self, e: ast.Binary | ast.Unary, *kinds: Any) -> None:
+        """Decline operator ``e`` on operands of no arithmetic kind
+        where the tier cannot run it: anything but a comparison, or
+        uniform pointer arithmetic; on the lanes a comparison or ``!``
+        too."""
+        if all(k in _NUMERIC for k in kinds):
+            return
+        op = e.op
+        uni = id(e) not in self.varying
+        if len(kinds) == 1:
+            if op == "-" or op == "~":
+                raise _SimdUnsupported(f"unary {op} on non-numeric")
+            if op == "!" and not uni:
+                raise _SimdUnsupported("varying non-numeric !")
+            return
+        lk, rk = (_fold(k) for k in kinds)
+        if op == "&&" or op == "||":
+            raise _SimdUnsupported("non-numeric logical operand")
+        if op in _COMPARISONS or op in ("==", "!="):
+            if not uni:
+                raise _SimdUnsupported("varying non-numeric comparison")
+        elif op in ("+", "-", "*"):
+            # pointer arithmetic: uniform base ± uniform offset
+            if not uni or lk not in _PTR_KINDS and not (
+                    op == "+" and rk in _PTR_KINDS):
+                raise _SimdUnsupported(f"binary {op} on {lk}/{rk}")
+        elif op == "/" or op == "%":
+            raise _SimdUnsupported(f"{op} on {lk}/{rk}")
+        else:
+            raise _SimdUnsupported(f"bitwise {op} on {lk}/{rk}")
+
+    def _no_lanes(self, e: ast.Expr) -> None:
+        raise _SimdUnsupported(f"expression {type(e).__name__}")
+
+    # -- expressions -----------------------------------------------------------
+
+    # Each ``_lane_*`` method emits an expression class where its value
+    # varies across lanes, and returns None where it does not: the
+    # inherited scalar code emits it then (``_FnEmitter.LANES``).
+
+    def _lane_leaf(self, e: ast.Ident | ast.Member) -> tuple | None:
+        """A lane-vector local, ``threadIdx.x`` or ``blockIdx.x``, read
+        at the lanes."""
+        if id(e) not in self.varying:
+            return None
+        if type(e) is ast.Ident:
+            hit = self.lookup(e.name)
+            if hit is not None and hit[0] in self.vec:
+                return self.atom(f"{hit[0]}[{self.L}]"), hit[1]
+            # the name varies elsewhere; here it is bound to storage, a
+            # base, or one value for every lane
+            code, kind = self._ident(e.name, e.pos)
+            if not _is_numeric(kind):
+                return code, kind
+            return self.atom(f"_bcast({code}, len({self.L}))"), kind
+        if not self._builtin_field(e):
+            return None
+        axis = "tid" if e.obj.name == "threadIdx" else "bid"
+        code = f"C.{axis}_axis({e.field_name!r})"
+        return (code if self.full else self.atom(f"{code}[{self.L}]")), "int"
 
     def _builtin_field(self, e: ast.Member) -> bool:
         """``e`` reads a field of a built-in index (no local or global
@@ -1767,207 +1739,15 @@ class _WarpEmitter(_FnEmitter):
             return None
         return hit[0], hit[1], *hit[1][1], inner.index, e.index
 
-    def _vet_index(self, e: ast.Index) -> Any:
-        """The element kind of an ``Index`` access (always varying)."""
-        md = self._md_direct(e)
-        if md is not None:
-            _py, kind, _d0, _d1, i_node, j_node = md
-            self.vet(i_node)
-            self.vet(j_node)
-            return kind[2] if kind[0] == "shared_md" else kind[3]
-        bk, bu = self.vet(e.base)
-        self.vet(e.index)
-        if isinstance(bk, tuple) and bk[0] == "shared":
-            return bk[1]
-        if isinstance(bk, tuple) and bk[0] == "local":
-            return bk[2]
-        if (bk is None or _is_ptr_kind(bk)) and bu:
-            return bk[1] if bk is not None else None
-        raise _SimdUnsupported(f"index on base of kind {bk!r}")
-
-    def _vet_assign(self, e: ast.Assign) -> tuple[Any, bool]:
-        vk, vu = self.vet(e.value)
-        target = e.target
-        kind = vk if e.op == "=" else None
-        if e.op != "=" and e.op[:-1] not in _COMBINE:
-            raise _SimdUnsupported(f"compound operator {e.op}")
-        if type(target) is ast.Ident:
-            hit = self.lookup(target.name)
-            if hit is None:
-                raise _SimdUnsupported(
-                    f"assignment to global {target.name!r}")
-            if isinstance(hit[1], tuple) and hit[1][0] in _STORAGE:
-                raise _SimdUnsupported("assignment to an array local")
-            if hit[0] in self.vec:
-                return kind, False
-            if not vu:
-                # the varying analysis should have caught this
-                raise _SimdUnsupported(
-                    f"varying value into uniform slot {target.name!r}")
-            return kind, True
-        if type(target) is ast.Index:
-            self._vet_index(target)
-            return kind, False
-        if type(target) is ast.Unary and target.op == "*":
-            if not self.vet(target.operand)[1]:
-                raise _SimdUnsupported("store through varying pointer")
-            return kind, False
-        raise _SimdUnsupported("assignment target")
-
-    def _vet_incdec(self, e: ast.IncDec) -> tuple[Any, bool]:
-        target = e.operand
-        if type(target) is ast.Ident:
-            hit = self.lookup(target.name)
-            if hit is None:
-                raise _SimdUnsupported(
-                    f"increment of global {target.name!r}")
-            if isinstance(hit[1], tuple) and hit[1][0] in _STORAGE:
-                raise _SimdUnsupported("increment of an array local")
-            return hit[1], hit[0] not in self.vec
-        if type(target) is ast.Index:
-            self._vet_index(target)
-            return None, False
-        if type(target) is ast.Unary and target.op == "*":
-            if not self.vet(target.operand)[1]:
-                raise _SimdUnsupported("increment through varying pointer")
-            return None, False
-        raise _SimdUnsupported("increment target")
-
-    def _vet_unary(self, e: ast.Unary) -> tuple[Any, bool]:
-        op = e.op
-        if op == "&":
-            # only an atomic's target takes an address in device code
-            raise _SimdUnsupported("address-of expression")
-        vk, vu = self.vet(e.operand)
-        if op == "*":
-            if not vu:
-                raise _SimdUnsupported("deref of varying pointer")
-            return (vk[1] if _is_ptr_kind(vk) else None), False
-        if op == "-" or op == "~":
-            if not _is_numeric(vk):
-                raise _SimdUnsupported(f"unary {op} on non-numeric")
-            return (vk if op == "-" else "int"), vu
-        if op == "+":
-            return vk, vu
-        if op == "!":
-            if not _is_numeric(vk) and not vu:
-                raise _SimdUnsupported("varying non-numeric !")
-            return "int", vu
-        raise _SimdUnsupported(f"unary {op!r}")
-
-    def _vet_call(self, e: ast.Call) -> tuple[Any, bool]:
-        name = e.name
-        if name in BARRIER_BUILTINS:
-            raise _SimdUnsupported("barrier in expression")
-        if name.startswith("atomic"):
-            nvals = _ATOMIC_ARITY.get(name)
-            if nvals is None or len(e.args) != 1 + nvals:
-                raise _SimdUnsupported(f"atomic {name!r}")
-            ekind = self._vet_atomic_target(e.args[0])
-            if not _is_numeric(ekind):
-                raise _SimdUnsupported("atomic on untyped storage")
-            for a in e.args[1:]:
-                self.vet(a)
-            return ekind, False
-        if name in bi.MATH_BUILTINS:
-            if name not in _MATH_IMPL:
-                raise _SimdUnsupported(f"math builtin {name!r}")
-            args = [self.vet(a) for a in e.args]
-            kind = ("float" if name in _FLOAT_MATH
-                    else "int" if name in _INT_MATH else None)
-            uni = all(u for _k, u in args)
-            if kind is None and not uni:
-                # min/max/abs-family: srcgen dispatches on runtime values;
-                # identical-kind numeric args make that decidable here
-                kinds = {k for k, _u in args}
-                if len(kinds) != 1 or not _is_numeric(next(iter(kinds))):
-                    raise _SimdUnsupported(f"varying polymorphic {name}()")
-                kind = next(iter(kinds))
-            return kind, uni
-        if name in _OPENCL_INDEX_FNS:
-            if not self.vet(e.args[0])[1]:
-                raise _SimdUnsupported("varying OpenCL index dimension")
-            return "int", name not in (
-                "get_local_id", "get_global_id", "get_group_id")
-        # dim3(...), printf, device functions: scalar tiers only
-        raise _SimdUnsupported(f"call to {name!r}")
-
-    def _vet_atomic_target(self, ref: ast.Expr) -> Any:
-        """The element kind of an atomic's destination."""
-        if type(ref) is ast.Unary and ref.op == "&" \
-                and type(ref.operand) is ast.Index:
-            e = ref.operand
-            md = self._md_direct(e)
-            if md is not None:
-                _py, kind, _d0, _d1, i_node, j_node = md
-                self.vet(i_node)
-                self.vet(j_node)
-                ekind = kind[3] if kind[0] == "local_md" else kind[2]
-                if not _is_numeric(ekind):
-                    raise _SimdUnsupported("atomic on untyped storage")
-                return ekind
-            bk, bu = self.vet(e.base)
-            self.vet(e.index)
-            if isinstance(bk, tuple) and bk[0] == "shared":
-                return bk[1]
-            if isinstance(bk, tuple) and bk[0] == "local":
-                return bk[2]
-            if (bk is None or _is_ptr_kind(bk)) and bu:
-                ekind = bk[1] if bk is not None else None
-                if not _is_numeric(ekind):
-                    raise _SimdUnsupported("atomic on untyped pointer")
-                return ekind
-            raise _SimdUnsupported("atomic address target")
-        # bare reference: atomicAdd(p, v) / atomicAdd(shared_name, v)
-        rk, ru = self.vet(ref)
-        if not ru:
-            raise _SimdUnsupported("varying atomic reference")
-        ekind = (rk[1] if isinstance(rk, tuple)
-                 and rk[0] in ("ptr", "shared") else None)
-        if not _is_numeric(ekind):
-            raise _SimdUnsupported("atomic on untyped reference")
-        return ekind
-
-    def vet_cond(self, e: ast.Expr) -> bool:
-        """Whether condition ``e`` is uniform: a comparison charged as
-        one, else the truthiness of an expression."""
-        if type(e) is ast.Binary and e.op in _COMPARISONS + ("==", "!="):
-            lk, lu = self.vet(e.left)
-            rk, ru = self.vet(e.right)
-            uni = lu and ru
-            if not (_is_numeric(lk) and _is_numeric(rk)) and not uni:
-                raise _SimdUnsupported("varying non-numeric condition")
-            return uni
-        kind, uni = self.vet(e)
-        if not uni and not _is_numeric(kind):
-            raise _SimdUnsupported("varying non-numeric condition")
-        return uni
-
-    # -- expressions -----------------------------------------------------------
-
-    # Each ``_lane_*`` method emits an expression class where its value
-    # varies across lanes, and returns None where it does not: the
-    # inherited scalar code emits it then (``_FnEmitter.LANES``).
-
-    def _lane_leaf(self, e: ast.Ident | ast.Member) -> tuple | None:
-        """A lane-vector local, ``threadIdx.x`` or ``blockIdx.x``, read
-        at the lanes."""
-        kind, uni = self.vet(e)
-        if uni:
-            return None
-        if type(e) is ast.Ident:
-            return self.atom(f"{self.lookup(e.name)[0]}[{self.L}]"), kind
-        axis = "tid" if e.obj.name == "threadIdx" else "bid"
-        code = f"C.{axis}_axis({e.field_name!r})"
-        return (code if self.full else self.atom(f"{code}[{self.L}]")), kind
-
     def _lane_index(self, e: ast.Index) -> tuple:
-        kind, _uni = self.vet(e)
-        return self._load(self._ref(e)), kind
+        ref, kind = self._ref(e)
+        return self._load(ref), kind
 
-    def _ref(self, e: ast.Index) -> tuple:
-        """Evaluate the address of an ``Index`` access: (space, storage,
-        index code, what the space's helpers take besides)."""
+    def _ref(self, e: ast.Index, bad: str | None = None) -> tuple:
+        """Evaluate the address of an ``Index`` access: ((space,
+        storage, index code, what the space's helpers take besides),
+        the element kind). Declines a base that is not storage or a
+        uniform pointer, for ``bad`` if given."""
         md = self._md_direct(e)
         if md is not None:
             py, kind, d0, d1, i_node, j_node = md
@@ -1978,16 +1758,18 @@ class _WarpEmitter(_FnEmitter):
                       f"{', '.join(axes)})")
             flat = self.atom(f"{i} * {d1} + {j}")
             if kind[0] == "shared_md":
-                return "shared", py, flat, "True"
-            return "local", py, flat, repr(kind[4])
-        base, bk, _bu = self.sub(e.base)
+                return ("shared", py, flat, "True"), kind[2]
+            return ("local", py, flat, repr(kind[4])), kind[3]
+        base, bk, bu = self.sub(e.base)
         base = self.atom(base)
         ind = self.atom(self.vint(*self.sub(e.index)))
         if isinstance(bk, tuple) and bk[0] == "shared":
-            return "shared", base, ind, None
+            return ("shared", base, ind, None), bk[1]
         if isinstance(bk, tuple) and bk[0] == "local":
-            return "local", base, ind, repr(bk[3])
-        return "global", base, ind, None
+            return ("local", base, ind, repr(bk[3])), bk[2]
+        if bu and (bk is None or bk in _PTR_KINDS):
+            return ("global", base, ind, None), (bk[1] if bk else None)
+        raise _SimdUnsupported(bad or f"index on base of kind {bk!r}")
 
     def _tid_field(self, e: ast.Expr) -> str | None:
         """The axis of a plain ``threadIdx.<axis>`` read: a group
@@ -2017,47 +1799,54 @@ class _WarpEmitter(_FnEmitter):
         else:
             self.line(f"_global_store({args})")
 
-    def _target(self, target: ast.Expr) -> tuple:
-        """The reference an assignment or increment stores through."""
+    def _target(self, target: ast.Expr, what: str) -> tuple:
+        """The reference an assignment or increment (``what``) stores
+        through, and its element kind."""
         if type(target) is ast.Index:
             return self._ref(target)
-        return "global", self.atom(self.expr(target.operand)[0]), "0", None
+        code, kind, uni = self.sub(target.operand)
+        if not uni:
+            raise _SimdUnsupported(f"{what} through varying pointer")
+        return ("global", self.atom(code), "0", None), \
+            (kind[1] if kind in _PTR_KINDS else None)
 
     def _lane_binary(self, e: ast.Binary) -> tuple | None:
-        kind, uni = self.vet(e)
-        if uni:
+        if id(e) not in self.varying:
             return None
         op = e.op
         if op == "&&" or op == "||":
-            return self._vlogical(e), kind
+            return self._vlogical(e), "int"
         # the operands through ``expr`` itself: a chain of operators
         # costs two Python frames a level, as in the scalar emitter
-        l = self.expr(e.left)[0]
-        r = self.expr(e.right)[0]
+        l, lk = self.expr(e.left)
+        r, rk = self.expr(e.right)
+        self._operands(e, lk, rk)
         self.charge(1)
         if op in _COMPARISONS or op in ("==", "!="):
-            code = f"({l} {op} {r}).astype(_I64)"
-        elif op == "/" or op == "%":
+            return self.atom(f"({l} {op} {r}).astype(_I64)"), "int"
+        if op == "/" or op == "%":
             code = f"{'_v_div' if op == '/' else '_v_mod'}({l}, {r})"
         elif op in ("+", "-", "*"):
             code = f"({l} {op} {r})"
         else:
-            code = (f"({self.vint(l, *self.vet(e.left))} {op} "
-                    f"{self.vint(r, *self.vet(e.right))})")
-        return self.atom(code), kind
+            varying = self.varying
+            return self.atom(
+                f"({self.vint(l, lk, id(e.left) not in varying)} {op} "
+                f"{self.vint(r, rk, id(e.right) not in varying)})"), "int"
+        return self.atom(code), _arith_kind(lk, rk)
 
     def _vlogical(self, e: ast.Binary) -> str:
         is_and = e.op == "&&"
-        l = self.expr(e.left)[0]  # through expr itself: see _lane_binary
-        lu = self.vet(e.left)[1]
+        l, lk = self.expr(e.left)  # through expr itself: see _lane_binary
         self.flush()
         out = self.tmp()
         L = self.L
-        if lu:
+        if id(e.left) not in self.varying:
             # a uniform lhs short-circuits every lane or none
             self.line(f"if {'' if is_and else 'not '}{l}:")
             self.indent += 1
-            r = self.expr(e.right)[0]
+            r, rk = self.expr(e.right)
+            self._operands(e, lk, rk)
             self.flush()
             self.line(f"{out} = ({r} != 0).astype(_I64)")
             self.indent -= 1
@@ -2075,7 +1864,8 @@ class _WarpEmitter(_FnEmitter):
         self.indent += 1
         saved = self.L, self.full
         self.L, self.full = rest, False
-        r, _rk, ru = self.sub(e.right)
+        r, rk, ru = self.sub(e.right)
+        self._operands(e, lk, rk)
         self.flush()
         self.L, self.full = saved
         self.line(f"{out}[{pick}] = "
@@ -2084,81 +1874,118 @@ class _WarpEmitter(_FnEmitter):
         return out
 
     def _lane_conditional(self, e: ast.Conditional) -> tuple | None:
-        kind, uni = self.vet(e)
-        if uni:
+        if id(e) not in self.varying:
             return None
         c, ck, cu = self.sub(e.cond)
         self.flush()
         out = self.tmp()
         L = self.L
+        kinds = []
         if cu:
             self.line(f"if {c if _is_numeric(ck) else f'_truthy({c})'}:")
             for arm, head in ((e.then, None), (e.otherwise, "else:")):
                 if head:
                     self.line(head)
                 self.indent += 1
-                code, _k, uni = self.sub(arm)
+                code, kind, uni = self.sub(arm)
+                kinds.append(kind)
                 self.flush()
                 self.line(f"{out} = " + (  # a lane vector either way
                     f"_bcast({code}, len({L}))" if uni else code))
                 self.indent -= 1
+        else:
+            m = self.atom(f"({c} != 0)", force=True)
+            at = len(self.lines)  # the result's allocation, once typed
+            saved = self.L, self.full
+            for arm, pick in ((e.then, m), (e.otherwise, f"~{m}")):
+                part = self.lanes(f"{L}[{pick}]")
+                self.line(f"if len({part}):")
+                self.indent += 1
+                self.L, self.full = part, False
+                code, kind = self.expr(arm)
+                kinds.append(_fold(kind))
+                self.flush()
+                self.line(f"{out}[{pick}] = {code}")
+                self.indent -= 1
+            self.L, self.full = saved
+        kind = kinds[0] if kinds[0] == kinds[1] else None
+        if cu:
             return out, kind
-        m = self.atom(f"({c} != 0)", force=True)
-        self.line(f"{out} = np.empty(len({L}), "
-                  f"{'_F64' if kind == 'float' else '_I64'})")
-        saved = self.L, self.full
-        for arm, pick in ((e.then, m), (e.otherwise, f"~{m}")):
-            part = self.lanes(f"{L}[{pick}]")
-            self.line(f"if len({part}):")
-            self.indent += 1
-            self.L, self.full = part, False
-            code = self.expr(arm)[0]
-            self.flush()
-            self.line(f"{out}[{pick}] = {code}")
-            self.indent -= 1
-        self.L, self.full = saved
+        if not _is_numeric(ck):
+            raise _SimdUnsupported("varying non-numeric ternary cond")
+        if kind not in ("int", "float"):
+            raise _SimdUnsupported("varying ternary on non-numeric arms")
+        self.lines.insert(at, "    " * self.indent + (
+            f"{out} = np.empty(len({L}), "
+            f"{'_F64' if kind == 'float' else '_I64'})"))
         return out, kind
 
     def _lane_unary(self, e: ast.Unary) -> tuple | None:
-        kind, uni = self.vet(e)
-        if uni:
-            return None
         op = e.op
+        if op == "&":
+            # only an atomic's target takes an address in device code
+            raise _SimdUnsupported("address-of expression")
+        if id(e) not in self.varying:
+            return None
         v, vk, vu = self.sub(e.operand)
-        self.charge(1)
         if op == "*":
-            return self._load(("global", self.atom(v), "0", None)), kind
+            if not vu:
+                raise _SimdUnsupported("deref of varying pointer")
+            self.charge(1)
+            return self._load(("global", self.atom(v), "0", None)), \
+                (vk[1] if vk in _PTR_KINDS else None)
+        self._operands(e, vk)
+        self.charge(1)
         if op == "+":
-            return v, kind
+            return v, vk
         return self.atom(f"(-{v})" if op == "-" else
                          f"({v} == 0).astype(_I64)" if op == "!" else
-                         f"(~{self.vint(v, vk, vu)})"), kind
+                         f"(~{self.vint(v, vk, vu)})"), \
+            (vk if op == "-" else "int")
 
     def _lane_cast(self, e: ast.Cast) -> tuple | None:
-        kind, uni = self.vet(e)
-        if uni:
+        if e.type.is_pointer:
+            self.expr(e.value)  # the operand's own declines come first
+            raise _SimdUnsupported("pointer cast")
+        if id(e) not in self.varying:
             return None
-        code = self.expr(e.value)[0]
-        cokind = _kinds(e.type)[1]
-        return (code if cokind is None
-                else self.atom(f"_co_vec({cokind!r}, {code})")), kind
+        code, kind = self.expr(e.value)
+        vkind, cokind = _ctype_kinds(e.type)
+        if cokind is None:
+            return code, kind
+        return self.atom(f"_co_vec({cokind!r}, {code})"), _fold(vkind)
 
     def _lane_call(self, e: ast.Call) -> tuple | None:
-        kind, uni = self.vet(e)
-        if e.name in _OPENCL_INDEX_FNS:
+        name = e.name
+        if name in bi.ATOMIC_BUILTINS:
+            return self._vatomic(e)
+        if name in _OPENCL_INDEX_FNS:
             d, dk, du = self.sub(e.args[0])
-            return self.atom(f"_ocl(C, {self.L}, {e.name!r}, "
-                             f"{self.vint(d, dk, du)})"), kind
-        if uni:
+            if not du:
+                raise _SimdUnsupported("varying OpenCL index dimension")
+            return self.atom(f"_ocl(C, {self.L}, {name!r}, "
+                             f"{self.vint(d, dk, du)})"), "int"
+        if name not in bi.MATH_BUILTINS:
+            # dim3(...), printf, device functions: scalar tiers only
+            raise _SimdUnsupported(f"call to {name!r}")
+        if id(e) not in self.varying:
             return None
-        if e.name.startswith("atomic"):
-            return self._vatomic(e, kind), kind
-        codes = [self.expr(a)[0] for a in e.args]
+        args = [self.expr(a) for a in e.args]
+        kind = ("float" if name in _FLOAT_MATH
+                else "int" if name in _INT_MATH else None)
+        if kind is None:
+            # min/max/abs-family: srcgen dispatches on runtime values;
+            # identical-kind numeric args make that decidable here
+            kinds = {_fold(k) for _code, k in args}
+            kind = kinds.pop()
+            if kinds or not _is_numeric(kind):
+                raise _SimdUnsupported(f"varying polymorphic {name}()")
         self.charge(1)
-        ufunc = self.mod.obj(np.frompyfunc(_MATH_IMPL[e.name], len(codes), 1),
+        ufunc = self.mod.obj(np.frompyfunc(_MATH_IMPL[name], len(args), 1),
                              "uf")
-        return self.atom(f"{ufunc}({', '.join(codes)}).astype("
-                         f"{'_F64' if kind == 'float' else '_I64'})"), kind
+        return self.atom(f"{ufunc}({', '.join(c for c, _k in args)})"
+                         f".astype({'_F64' if kind == 'float' else '_I64'})"
+                         ), kind
 
     def _combine(self, bop: str, cur: str, value: str) -> str:
         """A compound assignment's operator on lane vectors: runtime
@@ -2171,54 +1998,65 @@ class _WarpEmitter(_FnEmitter):
         return self.atom(f"(_as_int_vals({cur}) {bop} "
                          f"_as_int_vals({value}))")
 
-    def _lane_assign(self, e: ast.Assign) -> tuple | None:
-        kind, uni = self.vet(e)
-        if uni:
-            return None
-        bop = e.op[:-1] if e.op != "=" else None
+    def _lane_assign(self, e: ast.Assign,
+                     want_value: bool = True) -> tuple | None:
         target = e.target
+        if type(target) is ast.Ident and self.lookup(target.name) is None:
+            raise _SimdUnsupported(f"assignment to global {target.name!r}")
+        if id(e) not in self.varying:
+            return None if want_value else super()._assign(e, False)
+        bop = e.op[:-1] if e.op != "=" else None
         if type(target) is ast.Ident:
             py, _kind, cokind = self.lookup(target.name)
-            v = self.atom(self.expr(e.value)[0])
+            code, kind = self.expr(e.value)
+            v = self.atom(code)
             if bop:
                 v = self._combine(bop, self.atom(f"{py}[{self.L}]"), v)
             self.charge(1)
             self.line(f"{py}[{self.L}] = {self.stored(v, cokind)}")
-            return v, kind
-        ref = self._target(target)
-        v = self.atom(self.expr(e.value)[0])
+            return v, (None if bop else kind)
+        ref, _elem = self._target(target, "store")
+        code, kind = self.expr(e.value)
+        v = self.atom(code)
         if bop:
             v = self._combine(bop, self._load(ref), v)
         self.charge(1)
         self._store(ref, v)
-        return v, kind
+        return v, (None if bop else kind)
 
-    def _lane_incdec(self, e: ast.IncDec) -> tuple | None:
-        kind, uni = self.vet(e)
-        if uni:
-            return None
-        step = "+ 1" if e.op == "++" else "- 1"
+    def _lane_incdec(self, e: ast.IncDec,
+                     want_value: bool = True) -> tuple | None:
         target = e.operand
+        if type(target) is ast.Ident and self.lookup(target.name) is None:
+            raise _SimdUnsupported(f"increment of global {target.name!r}")
+        if id(e) not in self.varying:
+            return None if want_value else super()._incdec(e, False)
+        step = "+ 1" if e.op == "++" else "- 1"
         if type(target) is ast.Ident:
-            py, _kind, cokind = self.lookup(target.name)
+            py, kind, cokind = self.lookup(target.name)
             old = self.atom(f"{py}[{self.L}]", force=True)
             new = self.atom(f"{old} {step}", force=True)
             self.charge(1)
             self.line(f"{py}[{self.L}] = {self.stored(new, cokind)}")
         else:
-            ref = self._target(target)
+            ref, kind = self._target(target, "increment")
             old = self._load(ref)
             new = self.atom(f"{old} {step}", force=True)
             self.charge(1)
             self._store(ref, new)
         return (new if e.prefix else old), kind
 
-    def _vatomic(self, e: ast.Call, kind: Any) -> str:
+    def _vatomic(self, e: ast.Call) -> tuple[str, Any]:
         ref, pos = e.args[0], self.pos(e.pos)
         tgt, ind = self.tmp(), self.tmp()
         if type(ref) is ast.Unary and ref.op == "&" \
                 and type(ref.operand) is ast.Index:
-            space, base, i, _extra = self._ref(ref.operand)
+            (space, base, i, _extra), kind = self._ref(
+                ref.operand, "atomic address target")
+            if not _is_numeric(kind):
+                raise _SimdUnsupported(
+                    "atomic on untyped " + (
+                        "pointer" if space == "global" else "storage"))
             if space == "local":
                 self.line("raise MemoryFault("
                           "'atomics require device or shared memory')")
@@ -2226,31 +2064,43 @@ class _WarpEmitter(_FnEmitter):
                 f"{base}, {i}" if space == "shared"
                 else f"_atomic_ref({base}, {i}, {pos})"))
         else:
-            self.line(f"{tgt}, {ind} = _resolve_atomic("
-                      f"{self.expr(ref)[0]}, {pos})")
+            code, rk, ru = self.sub(ref)
+            if not ru:
+                raise _SimdUnsupported("varying atomic reference")
+            kind = (rk[1] if isinstance(rk, tuple)
+                    and rk[0] in ("ptr", "shared") else None)
+            if not _is_numeric(kind):
+                raise _SimdUnsupported("atomic on untyped reference")
+            self.line(f"{tgt}, {ind} = _resolve_atomic({code}, {pos})")
         vals = [self.atom(self.expr(a)[0]) for a in e.args[1:]]
         return self.atom(
             f"_atomic(C, {self.L}, {e.name!r}, {tgt}, {ind}, "
             f"[{', '.join(vals)}], {'_F64' if kind == 'float' else '_I64'})",
-            force=True)
+            force=True), kind
 
     def vcond(self, e: ast.Expr) -> tuple[str, bool]:
         """Condition ``e``: (a value to test, True) when uniform, else
         (a bool mask over the lanes, False)."""
-        if self.vet_cond(e):
+        if id(e) not in self.varying:
             return self.atom(self.cond(e)), True
         if type(e) is ast.Binary and e.op in _COMPARISONS + ("==", "!="):
-            l = self.expr(e.left)[0]
-            r = self.expr(e.right)[0]
+            l, lk = self.expr(e.left)
+            r, rk = self.expr(e.right)
+            if not (_is_numeric(lk) and _is_numeric(rk)):
+                raise _SimdUnsupported("varying non-numeric condition")
             self.charge(1)
             return self.atom(f"({l} {e.op} {r})", force=True), False
-        return self.atom(f"({self.expr(e)[0]} != 0)", force=True), False
+        code, kind = self.expr(e)
+        if not _is_numeric(kind):
+            raise _SimdUnsupported("varying non-numeric condition")
+        return self.atom(f"({code} != 0)", force=True), False
 
     LANES = {ast.Ident: _lane_leaf, ast.Member: _lane_leaf,
              ast.Index: _lane_index, ast.Binary: _lane_binary,
              ast.Assign: _lane_assign, ast.IncDec: _lane_incdec,
              ast.Unary: _lane_unary, ast.Conditional: _lane_conditional,
-             ast.Cast: _lane_cast, ast.Call: _lane_call}
+             ast.Cast: _lane_cast, ast.Call: _lane_call,
+             ast.StrLit: _no_lanes}
 
     # -- statements ------------------------------------------------------------
 
@@ -2283,7 +2133,6 @@ class _WarpEmitter(_FnEmitter):
         cls = type(e)
         if cls is ast.Call and e.name in BARRIER_BUILTINS:
             for a in e.args:
-                self.vet(a)
                 code = self.expr(a)[0]
                 if not (code.isidentifier() or code.isdigit()):
                     self.line(code)
@@ -2297,13 +2146,13 @@ class _WarpEmitter(_FnEmitter):
         if cls in (ast.Ident, ast.IntLit, ast.FloatLit, ast.BoolLit,
                    ast.NullLit):
             return  # bare identifier/literal statements do nothing
-        if (cls is ast.Assign or cls is ast.IncDec) and self.vet(e)[1]:
+        if id(e) not in self.varying:
             if cls is ast.Assign:
-                super()._assign(e, want_value=False)
-            else:
-                super()._incdec(e, want_value=False)
-            return
-        self.vet(e)
+                self._lane_assign(e, want_value=False)
+                return
+            if cls is ast.IncDec:
+                self._lane_incdec(e, want_value=False)
+                return
         code = self.expr(e)[0]
         if not (code.isidentifier() or code.isdigit()):
             self.line(code)
@@ -2332,13 +2181,13 @@ class _WarpEmitter(_FnEmitter):
                 dt = self.mod.obj(dtype_for(ctype.base), "dt")
                 self.line(f"{py} = np.zeros((C.n, {total}), {dt})")
             return
-        vkind, cokind = _kinds(ctype)
+        vkind, cokind = _ctype_kinds(ctype)
         if vkind == "dim3":
             raise _SimdUnsupported("dim3 local")
         code = kind = None
         if d.init is not None:
-            kind = self.vet(d.init)[0]
-            code = self.expr(d.init)[0]
+            code, kind = self.expr(d.init)
+            kind = _fold(kind)
             vkind = vkind if cokind else (vkind or kind)
         py, vary = self.bind(name, vkind, cokind)
         if vary:
@@ -2353,7 +2202,7 @@ class _WarpEmitter(_FnEmitter):
                       f"{'NULL' if ctype.is_pointer else repr(coerce(0, ctype))}")
 
     def _acc_index(self, s: ast.AccIndex) -> None:
-        vkind, cokind = _kinds(s.type)
+        vkind, cokind = _ctype_kinds(s.type)
         py, vary = self.bind(s.var, vkind, cokind)
         if not vary:
             raise _SimdUnsupported("non-numeric OpenACC loop variable")
@@ -2388,10 +2237,7 @@ class _WarpEmitter(_FnEmitter):
         raise _SimdUnsupported("statement Switch")
 
     def _if(self, s: ast.If) -> None:
-        barrier = self.gen and id(s) in self.barriers
-        uni = self.vet_cond(s.cond)
-        if barrier and not uni:
-            raise _SimdUnsupported("barrier under divergent if")
+        uni = id(s.cond) not in self.varying
         ln = s.pos.line
         L, full = self.L, self.full
         arms = [(s.then, True)] + (
@@ -2405,6 +2251,8 @@ class _WarpEmitter(_FnEmitter):
                       f"_EMPTY")
         guarded = self.guard()
         code, _u = self.vcond(s.cond)
+        if not uni and self.gen and id(s) in self.barriers:
+            raise _SimdUnsupported("barrier under divergent if")
         self.flush()
         if uni:
             self.line(f"{c} = {code}")
@@ -2444,8 +2292,9 @@ class _WarpEmitter(_FnEmitter):
         return True
 
     def _uniform_loop(self, s: Any, barrier: bool) -> bool:
-        uni = s.cond is None or self.vet_cond(s.cond)
+        uni = s.cond is None or id(s.cond) not in self.varying
         if barrier and not uni:
+            self.vcond(s.cond)  # the condition's own declines come first
             raise _SimdUnsupported("barrier in divergent loop")
         return uni
 
@@ -2567,8 +2416,6 @@ class _WarpEmitter(_FnEmitter):
                 raise _SimdUnsupported("barrier under lane-divergent control")
             self.stmt(s.init)
         uni = self._uniform_loop(s, barrier)
-        if s.step is not None:
-            self.vet(s.step)
         call = None if barrier else self._flat(s)
         if call is not None:
             self.indent += 1
@@ -2623,8 +2470,8 @@ class _WarpEmitter(_FnEmitter):
         iv_py, _k, cokind = self.lookup(iv)
         if iv_py not in self.vec or cokind != "int":
             return None
-        if amount is not None and self.vet(amount)[0] != "int" \
-                or self.vet(bound)[0] != "int":
+        if amount is not None and self._kind_of(amount) != "int" \
+                or self._kind_of(bound) != "int":
             return None
         gather = {iv_py}
         for node in ast.walk(s.body):
@@ -2679,7 +2526,7 @@ class _WarpEmitter(_FnEmitter):
         self.push()
         params, binds = [], []
         for i, p in enumerate(fn.params):
-            kind, cokind = _kinds(p.type)
+            kind, cokind = _ctype_kinds(p.type)
             py, vary = self.bind(p.name or f"_unnamed{i}", kind, cokind)
             params.append(f"_a{i}")
             binds.append(f"{py} = np.full(C.n, _a{i}, "

@@ -150,7 +150,7 @@ from repro.minicuda.values import f32 as _f32_shared
 #: Bump when generated-source semantics change; part of the memo key so
 #: stale artifacts and unsupported verdicts are never recalled across
 #: compiler upgrades (see ``codegen.memo_key``).
-SRCGEN_VERSION = 6
+SRCGEN_VERSION = 7
 
 #: Estimated resident bytes of one compiled kernel — namespace and
 #: function objects, plus code-object bytes per character of generated
@@ -338,10 +338,19 @@ for _name, _impl in _MATH_IMPL.items():
     _BASE_NS[f"_m_{_name}"] = _impl
 
 #: value-kind lattice: 'int' | 'float' | 'bool' | 'num' (one of the
-#: three, unknown which: an element of numeric storage) | container
-#: kinds | None (unknown)
+#: three, unknown which: an element of numeric storage) | a typed
+#: pointer ``("ptr", element kind)`` | container kinds | None (unknown)
 _INT_LIKE = ("int", "bool")
 _NUMERIC = ("int", "float", "bool", "num")
+
+#: The element kind of a pointer (or array) of each base type.
+_PTR_ELEM = {"float": "float", "double": "float", "int": "int",
+             "unsigned": "int", "unsigned int": "int", "long": "int",
+             "char": "int", "unsigned char": "int", "short": "int",
+             "size_t": "int", "bool": "int"}
+
+#: The typed-pointer kinds.
+_PTR_KINDS = frozenset(("ptr", elem) for elem in ("int", "float", None))
 
 _FLOAT_MATH = frozenset({
     "sqrt", "sqrtf", "rsqrtf", "exp", "expf", "log", "logf", "log2f",
@@ -355,7 +364,11 @@ _BUILTIN_IDX = ("threadIdx", "blockIdx", "blockDim", "gridDim")
 
 def _ctype_kinds(ctype: ast.CType | None) -> tuple[Any, str | None]:
     """(value kind after coercion, coercer kind) for a declared type."""
-    if ctype is None or ctype.is_pointer or ctype.is_array:
+    if ctype is None:
+        return None, None
+    if ctype.is_pointer:
+        return ("ptr", _PTR_ELEM.get(ctype.base)), None
+    if ctype.is_array:
         return None, None
     from repro.minicuda.values import _INT_BASES
     base = ctype.base
@@ -496,6 +509,11 @@ class _FnEmitter:
     def pos(self, p: Any) -> str:
         return self.mod.pos(p)
 
+    def fault(self, message: str, pos: Any) -> tuple[str, None]:
+        """Code that raises ``message`` at ``pos`` when it runs: where
+        a checked program never reaches."""
+        return f"_err({message!r}, {self.pos(pos)})", None
+
     def cm(self, method: str) -> str:
         """A prologue-hoisted bound ctx method (``_cm_x = C.x``) —
         saves the descriptor bind on every hot memory access."""
@@ -632,8 +650,7 @@ class _FnEmitter:
             out = self._call(e)
         elif cls is ast.KernelLaunch:
             out = (self._launch(e) if self.host else
-                   (f"_err('dynamic parallelism is not supported', "
-                    f"{self.pos(e.pos)})", None))
+                   self.fault("dynamic parallelism is not supported", e.pos))
         else:
             raise UnsupportedConstruct(f"expression {cls.__name__}")
         if self.depth % _HOIST_DEPTH == 0:
@@ -660,8 +677,7 @@ class _FnEmitter:
             kind = ("int" if isinstance(value, int) else
                     "float" if isinstance(value, float) else None)
             return cname, kind
-        return (f"_err('undefined identifier {name!r}', {self.pos(pos)})",
-                None)
+        return self.fault(f"undefined identifier {name!r}", pos)
 
     def _member(self, e: ast.Member) -> tuple[str, Any]:
         obj, field = e.obj, e.field_name
@@ -815,6 +831,7 @@ class _FnEmitter:
             return self._logical(e)
         lcode, lkind = self.expr(e.left)
         rcode, rkind = self.expr(e.right)
+        self._operands(e, lkind, rkind)
         self.charge(1)
         if op in ("==", "!=") and not (_is_numeric(lkind)
                                        and _is_numeric(rkind)):
@@ -827,12 +844,21 @@ class _FnEmitter:
                  rkind: Any, pos: Any) -> tuple[str, Any]:
         """``lcode op rcode`` for an arithmetic, comparison, shift or
         bitwise ``op``: plain Python on proven numbers, else the
-        operator of ``C_BINARY`` — pointer arithmetic, and the
-        positioned fault an operand of no arithmetic type is."""
+        operator of ``C_BINARY`` — pointer arithmetic, which keeps the
+        pointer's kind, and the positioned fault an operand of no
+        arithmetic type is."""
         if not (_is_numeric(lkind) and _is_numeric(rkind)):
             checked = self.mod.obj(C_BINARY[op], "op")
-            return (f"{checked}({lcode}, {rcode}, {self.pos(pos)})",
-                    "int" if op in _COMPARISONS else None)
+            kind = None
+            if op in _COMPARISONS:
+                kind = "int"
+            elif op in ("+", "-") and lkind in _PTR_KINDS \
+                    and rkind not in _PTR_KINDS:
+                kind = lkind
+            elif op == "+" and rkind in _PTR_KINDS \
+                    and lkind not in _PTR_KINDS:
+                kind = rkind
+            return f"{checked}({lcode}, {rcode}, {self.pos(pos)})", kind
         if op in _COMPARISONS or op in ("==", "!="):
             return f"(1 if {lcode} {op} {rcode} else 0)", "int"
         if op in ("+", "-", "*"):
@@ -847,9 +873,15 @@ class _FnEmitter:
             return f"({li} {op} {ri})", "int"
         raise UnsupportedConstruct(f"binary operator {op!r}")
 
+    def _operands(self, e: ast.Binary | ast.Unary, *kinds: Any) -> None:
+        """Where a subclass declines operator ``e`` by the kinds of its
+        operands, once they are emitted (the warp tier does); this
+        emitter lowers every kind."""
+
     def _logical(self, e: ast.Binary) -> tuple[str, Any]:
         lcode, lkind = self.expr(e.left)
         rlines, rcode, rcharges, rkind = self.subexpr(e.right)
+        self._operands(e, lkind, rkind)
         lbool = lcode if _is_numeric(lkind) else f"_truthy({lcode})"
         rbool = (f"(1 if {rcode} else 0)" if _is_numeric(rkind)
                  else f"int(_truthy({rcode}))")
@@ -908,6 +940,7 @@ class _FnEmitter:
             self.charge(1)
             return self._emit_load_from(self.atom(code), None, "0", "int",
                                         e.pos)
+        self._operands(e, kind)
         self.charge(1)
         if op == "+":
             return f"({code})", kind
@@ -922,7 +955,7 @@ class _FnEmitter:
         if op == "~":
             inner = code if kind in _INT_LIKE else f"int({code})"
             return f"(~{inner})", "int"
-        return (f"_err('unsupported unary {op!r}', {self.pos(e.pos)})", None)
+        return self.fault(f"unsupported unary {op!r}", e.pos)
 
     def _addressof(self, operand: ast.Expr) -> tuple[str, Any]:
         if isinstance(operand, ast.Ident):
@@ -932,15 +965,15 @@ class _FnEmitter:
                 return f"VarRef({self.boxes[hit[0]]}, {name!r})", None
             if name in self.mod.info.constants:
                 return f"VarRef(I.globals, {name!r})", None
-            return (f"_err('cannot take address of {name!r}', "
-                    f"{self.pos(operand.pos)})", None)
+            return self.fault(f"cannot take address of {name!r}",
+                              operand.pos)
         if isinstance(operand, ast.Index):
             base_code, _ = self.expr(operand.base)
             base = self.atom(base_code)
             icode, _ = self.expr(operand.index)
             return f"_addr_of({base}, {icode}, {self.pos(operand.pos)})", None
-        return (f"_err('cannot take the address of this expression', "
-                f"{self.pos(operand.pos)})", None)
+        return self.fault("cannot take the address of this expression",
+                          operand.pos)
 
     def _cast(self, e: ast.Cast) -> tuple[str, Any]:
         code, kind = self.expr(e.value)
@@ -984,8 +1017,8 @@ class _FnEmitter:
                 t = self.atom(vcode, force=True) if want_value else vcode
                 self.line(f"I.globals.assign({name!r}, {t})")
                 return (t, vk) if want_value else ("0", "int")
-            return (f"_err('assignment to undefined variable {name!r}', "
-                    f"{self.pos(target.pos)})", None)
+            return self.fault(f"assignment to undefined variable {name!r}",
+                              target.pos)
         if isinstance(target, ast.Index):
             base, bkind, icode, ikind = self._index_pair(target)
             icode = self.atom(icode)
@@ -1014,8 +1047,7 @@ class _FnEmitter:
             self.charge(1)
             self._emit_store(ptr, None, "0", "int", vcode, target.pos)
             return vcode, vk
-        return (f"_err('expression is not assignable', "
-                f"{self.pos(target.pos)})", None)
+        return self.fault("expression is not assignable", target.pos)
 
     def _incdec(self, e: ast.IncDec, want_value: bool) -> tuple[str, Any]:
         bop = e.op[0]
@@ -1047,8 +1079,8 @@ class _FnEmitter:
                 self.charge(1)
                 self.line(f"I.globals.assign({name!r}, {new})")
                 return (new if e.prefix else old), None
-            return (f"_err('assignment to undefined variable {name!r}', "
-                    f"{self.pos(target.pos)})", None)
+            return self.fault(f"assignment to undefined variable {name!r}",
+                              target.pos)
         if isinstance(target, ast.Index):
             base, bkind, icode, ikind = self._index_pair(target)
             icode = self.atom(icode)
@@ -1056,8 +1088,7 @@ class _FnEmitter:
             pcode, _ = self.expr(target.operand)
             base, bkind, icode, ikind = self.atom(pcode), None, "0", "int"
         else:
-            return (f"_err('expression is not assignable', "
-                    f"{self.pos(target.pos)})", None)
+            return self.fault("expression is not assignable", target.pos)
         old, kind = self._emit_load_from(base, bkind, icode, ikind,
                                          target.pos)
         new = self.atom(self._operate(bop, old, kind, "1", "int", e.pos)[0],
@@ -1078,7 +1109,7 @@ class _FnEmitter:
             if name not in bi.MATH_BUILTINS or \
                     self._host_callee(name) is not None:
                 return self._host_call(e)
-        elif name.startswith("atomic"):
+        elif name in bi.ATOMIC_BUILTINS:
             return self._atomic(e)
         if name in bi.MATH_BUILTINS:
             codes = [self.expr(a)[0] for a in e.args]
@@ -1118,8 +1149,7 @@ class _FnEmitter:
             self.line(f"{t} = {call}")
             self.line(f"C.line = {sv}")
             return t, None
-        return (f"_err('unknown device function {name!r}', "
-                f"{self.pos(e.pos)})", None)
+        return self.fault(f"unknown device function {name!r}", e.pos)
 
     def _host_callee(self, name: str) -> ast.FuncDef | None:
         fn = self.mod.info.host_functions.get(name)
@@ -1158,10 +1188,6 @@ class _FnEmitter:
 
     def _atomic(self, e: ast.Call) -> tuple[str, Any]:
         name = e.name
-        if name not in ("atomicAdd", "atomicSub", "atomicMax", "atomicMin",
-                        "atomicExch", "atomicCAS"):
-            return (f"_err('unknown atomic {name!r}', {self.pos(e.pos)})",
-                    None)
         target_expr = e.args[0]
         rt, ri = self.tmp(), self.tmp()
         resolve = f"{rt}, {ri} = _resolve_atomic({rt}, {self.pos(e.pos)})"
@@ -1349,10 +1375,11 @@ class _FnEmitter:
         vkind, cokind = _ctype_kinds(ctype)
         if decl.init is not None:
             code, kind = self.expr(decl.init)
-            # an untyped (pointer) local takes its initialiser's kind —
-            # unless it is boxed: then ``set`` may reseat it to anything
+            # a pointer (or untyped) local takes its initialiser's kind
+            # where that is known — a shared array's, say — unless it is
+            # boxed: then ``set`` may reseat it to anything
             inherit = not cokind and name not in self.boxed
-            py = self.declare(name, (vkind or kind) if inherit else vkind,
+            py = self.declare(name, (kind or vkind) if inherit else vkind,
                               cokind, ctype)
             self.line(f"{py} = {self.coerced(code, kind, cokind)}")
             return

@@ -611,7 +611,7 @@ class OracleInterpreter(Interpreter):
                 yield from self.eval(arg, env, ctx)
             yield SYNC
             return 0
-        if name.startswith("atomic"):
+        if name in bi.ATOMIC_BUILTINS:
             return (yield from self._eval_atomic(expr, env, ctx))
         if name in bi.MATH_BUILTINS:
             args = []

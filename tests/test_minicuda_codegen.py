@@ -16,8 +16,9 @@ import pytest
 from repro.gpusim import Device, GpuRuntime
 from repro.gpusim.grid import Dim3
 from repro.minicuda import HostEnv, compile_source
+from repro.minicuda import ast_nodes as ast
 from repro.minicuda import codegen, simd, srcgen
-from repro.minicuda.interpreter import Interpreter
+from repro.minicuda.interpreter import Interpreter, InterpreterError
 from tests.oracle_interpreter import ENGINES
 
 pytestmark = pytest.mark.usefixtures("oracle")
@@ -223,6 +224,33 @@ int main() { return 0; }
                                              for i in range(8)]
 
 
+    def test_device_function_named_like_an_atomic(self):
+        # dispatch is on the atomic builtins, not on the name's prefix
+        source = """
+__device__ int atomicTwice(int v) { return 2 * v; }
+__global__ void k(int *out) {
+  out[threadIdx.x] = atomicTwice(threadIdx.x) + 1;
+}
+__global__ void count(int *out) { atomicAdd(&out[0], atomicTwice(1)); }
+__global__ void tally(int *out) { atomicAdd(&out[threadIdx.x % 2], 3); }
+int main() { return 0; }
+"""
+        program = compile_source(source)
+        assert simd.decline_reason(program.info, "k") == \
+            "call to 'atomicTwice'"
+        assert isinstance(simd.compile_kernel(program.info, "tally"),
+                          simd.CompiledSimdKernel)
+        for kernel in ("k", "count", "tally"):
+            runs = launch_both(source, kernel, 1, 8,
+                               [(8, "int", np.zeros(8, np.int32))], [])
+            ref_stats, ref_outs = runs["ast"]
+            for engine in COMPILED_ENGINES:
+                stats, outs = runs[engine]
+                assert_stats_equal(stats, ref_stats)
+                assert np.array_equal(outs[0], ref_outs[0]), engine
+        assert list(runs["ast"][1][0][:2]) == [12, 12]
+
+
 class TestMemoVersioning:
     """The shared kernel memo's key contract, against both engines
     that write to it."""
@@ -397,6 +425,35 @@ int main() { return 0; }
             messages[engine] = str(info.value)
         assert "out of range" in messages["codegen"]
         assert messages["codegen"] == messages["ast"]
+
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda em: em._ident("nope", None), "undefined identifier 'nope'"),
+        (lambda em: em._unary(ast.Unary(op="?", operand=ast.IntLit(1))),
+         "unsupported unary '?'"),
+        (lambda em: em._addressof(ast.Ident("nope")),
+         "cannot take address of 'nope'"),
+        (lambda em: em._assign(ast.Assign("=", ast.Ident("nope"),
+                                          ast.IntLit(1)), True),
+         "assignment to undefined variable 'nope'"),
+        (lambda em: em._incdec(ast.IncDec("++", ast.Ident("nope"), True),
+                               True),
+         "assignment to undefined variable 'nope'"),
+        (lambda em: em._call(ast.Call("nope", [])),
+         "unknown device function 'nope'"),
+    ], ids=["identifier", "unary", "address", "assign", "incdec", "call"])
+    def test_fallbacks_the_front_end_rules_out_are_valid_python(
+            self, build, message):
+        # semantic analysis rejects these programs; the code the
+        # emitter writes for them still compiles, and raises its fault
+        info = compile_source(
+            "__global__ void k(int *b) { }\nint main() { return 0; }").info
+        mod = srcgen._ModuleEmitter(info)
+        em = srcgen._FnEmitter(mod, info.kernel_def("k"), is_device=True)
+        code, _kind = build(em)
+        ns = dict(srcgen._BASE_NS, **mod.ns)
+        with pytest.raises(InterpreterError, match=re.escape(message)):
+            eval(compile(code, "<fallback>", "eval"), ns)  # noqa: S307
 
 
 class TestSemanticBarrierAnalysis:
