@@ -23,10 +23,13 @@ divergence and lane occupancy are still accounted per 32-lane warp of
 one block. A group's ``__shared__`` array holds its blocks' copies
 side by side, each lane offset to its own block's.
 
-Eligibility is decided per kernel at compile time; any unsupported
-construct raises :class:`_SimdUnsupported` and the kernel falls back
-to the scalar ``codegen`` tier (the verdict is memoized, never an
-error). A barrier kernel's function is a generator that yields
+Eligibility is decided per kernel at compile time, by the one pass
+that emits it: the emitter raises :class:`_SimdUnsupported` where it
+reaches a construct the tier cannot run, judging by the kinds the
+emitted code carries and by one memoized uniformity predicate
+(:class:`_Varying`), and the kernel falls back to the scalar
+``codegen`` tier (the verdict is memoized, never an error). A barrier
+kernel's function is a generator that yields
 ``SYNC`` at each barrier, which must stand under uniform control (no
 divergent ``if`` or loop around it) so whole groups arrive at every
 barrier together.
@@ -324,24 +327,62 @@ _LANE_INDEX_FNS = frozenset({"get_local_id", "get_group_id",
                              "get_global_id"})
 
 
-def _analyze_names(fn: ast.FuncDef, info: ProgramInfo
-                   ) -> tuple[set[str], set[int], frozenset[int]]:
-    """One pass over the kernel body for three conservative facts
-    (shadowed declarations share one verdict).
+class _Varying:
+    """The lane-uniformity predicate: whether an expression may differ
+    across the lanes of a group, because a leaf at or under it does —
+    a name in :attr:`names`, ``threadIdx`` or ``blockIdx``, a memory
+    load or deref, an atomic, an OpenCL id function or a device call.
+    :func:`_analyze_names` grows the names to a fixpoint asking it,
+    and the emitter then asks it of what it emits. Memoized per node
+    (the emitter asks of every operator on a chain of them): until the
+    names are :attr:`settled`, only a True verdict is final."""
+
+    def __init__(self, device_fns: dict):
+        self.names: set[str] = set()
+        self.device_fns = device_fns
+        self.memo: dict[int, bool] = {}
+        self.settled = False
+
+    def __call__(self, e: ast.Expr) -> bool:
+        got = self.memo.get(id(e))
+        if got is not None:
+            return got
+        cls = type(e)
+        if cls is ast.Ident:
+            hit = e.name in self.names or e.name in ("threadIdx",
+                                                     "blockIdx")
+        elif cls is ast.Index or cls is ast.Unary and e.op == "*":
+            hit = True  # all memory loads are lane-varying
+        elif cls is ast.Call and (e.name in bi.ATOMIC_BUILTINS
+                                  or e.name in _LANE_INDEX_FNS
+                                  or e.name in self.device_fns):
+            hit = True
+        else:
+            hit = False
+            for value in vars(e).values():
+                if type(value) is list:
+                    hit = any(map(self, value))
+                elif isinstance(value, ast.Expr):
+                    hit = self(value)
+                if hit:
+                    break
+        if hit or self.settled:
+            self.memo[id(e)] = hit
+        return hit
+
+
+def _analyze_names(fn: ast.FuncDef,
+                   info: ProgramInfo) -> tuple[_Varying, frozenset[int]]:
+    """One pass over the kernel body for two name-level, conservative
+    facts (shadowed declarations share one verdict).
 
     **Varying names** — params/locals that may hold different values
     across the lanes of one group, by fixpoint: a name becomes varying
-    when it is assigned (a) a lane-dependent value — anything touching
-    ``threadIdx`` or ``blockIdx``, memory loads, derefs, atomics,
-    OpenCL id functions, device calls, or other varying names — or
-    (b) any value under lane-divergent control flow (an enclosing
+    when it is assigned (a) a lane-dependent value (:class:`_Varying`,
+    which holds the names and judges every expression by them) or (b)
+    any value under lane-divergent control flow (an enclosing
     condition that is itself varying, or a loop body with
     break/continue/return).
-
-    **Varying nodes** — the ids of the nodes such a leaf is at or
-    under, by the same rule and the final names: an expression whose
-    id is not among them is uniform. The fixpoint and the emitter ask
-    this one set, computed in one pass a round (:func:`_containing`).
 
     **Stored parameters** — indices of the pointer parameters the
     kernel may store through (plain or compound assignment,
@@ -350,9 +391,8 @@ def _analyze_names(fn: ast.FuncDef, info: ProgramInfo
     through an alias of one of these, and the tracker hangs off the
     allocation, not the parameter. A pointer-typed local or a reseated
     pointer parameter makes every pointer parameter count."""
-    varying: set[str] = set()
+    varies = _Varying(info.device_functions)
     returns = _containing(fn.body, _is_return)
-    device_fns = info.device_functions
     # (target name, governing conds, rhs expr or None)
     records: list[tuple[str, tuple, Any]] = []
     pointers = {p.name: i for i, p in enumerate(fn.params)
@@ -431,38 +471,23 @@ def _analyze_names(fn: ast.FuncDef, info: ProgramInfo
         elif cls is ast.Return:
             collect_expr(s.value, conds)
         elif cls is ast.AccIndex:
-            varying.add(s.var)  # one iteration per lane
+            varies.names.add(s.var)  # one iteration per lane
         # Break/Continue/Empty: nothing to record
 
     scan_stmt(fn.body, ())
 
-    def leaf(node: Any) -> bool:
-        """Whether ``node`` itself may differ across lanes."""
-        cls = type(node)
-        if cls is ast.Ident:
-            return node.name in varying or \
-                node.name in ("threadIdx", "blockIdx")
-        if cls is ast.Index:
-            return True  # all memory loads are lane-varying
-        if cls is ast.Unary:
-            return node.op == "*"
-        if cls is ast.Call:
-            name = node.name
-            return (name in bi.ATOMIC_BUILTINS or name in _LANE_INDEX_FNS
-                    or name in device_fns)
-        return False
-
-    while True:
-        nodes = _containing(fn.body, leaf)
-        grown = {name for name, conds, rhs in records
-                 if name not in varying and (
-                     rhs is not None and id(rhs) in nodes or any(
-                         c is _ALWAYS_VARYING or id(c) in nodes
-                         for c in conds))}
-        if not grown:
-            return varying, nodes, frozenset(
-                i for name, i in pointers.items() if name in stored)
-        varying |= grown
+    changed = True
+    while changed:
+        changed = False
+        for name, conds, rhs in records:
+            if name not in varies.names and (
+                    rhs is not None and varies(rhs) or any(
+                        c is _ALWAYS_VARYING or varies(c) for c in conds)):
+                varies.names.add(name)
+                changed = True
+    varies.settled = True
+    return varies, frozenset(
+        i for name, i in pointers.items() if name in stored)
 
 
 # -- per-group execution state -----------------------------------------------
@@ -1494,8 +1519,8 @@ class _WarpEmitter(_FnEmitter):
 
     The lanes running the code at hand are a local index array
     (``self.L``). An expression is *uniform* when no leaf of it varies
-    across lanes (the varying nodes of :func:`_analyze_names`): the
-    inherited scalar emitter writes it, as for one thread. The rest is
+    across lanes (:class:`_Varying`): the inherited scalar emitter
+    writes it, as for one thread. The rest is
     emitted here as lane vectors aligned with ``self.L``, through the
     runtime above, and divergent control flow as index partitions of
     ``self.L``. The charge batch flushes as ``S.instructions += n *
@@ -1512,19 +1537,18 @@ class _WarpEmitter(_FnEmitter):
     (:meth:`_ident`, :meth:`_member`, :meth:`_operands`) and the
     ``LANES`` entries, which see every expression first."""
 
+    boxed = frozenset()  # an address-of declines
+
     def __init__(self, mod: _ModuleEmitter, fn: ast.FuncDef):
         super().__init__(mod, fn, is_device=True)
-        self.boxed = frozenset()  # an address-of declines
         info = mod.info
-        self.fn = fn
         self.gen = fn.name in info.barrier_functions
         #: the nodes with a return, a barrier under them
         self.returns = _containing(fn.body, _is_return)
         self.barriers = _containing(fn.body, lambda n: type(
             n) is ast.Call and n.name in BARRIER_BUILTINS) if self.gen \
             else set()
-        self.varying_names, self.varying, self.stored_params = \
-            _analyze_names(fn, info)
+        self.varies, self.stored_params = _analyze_names(fn, info)
         # writable file-scope arrays live outside device allocations,
         # and a file-scope pointer may reach any of them: storage no
         # LaneTracker is known to watch
@@ -1601,7 +1625,7 @@ class _WarpEmitter(_FnEmitter):
     def sub(self, e: ast.Expr) -> tuple[str, Any, bool]:
         """(code, kind, uniform) of ``e``, its effects emitted."""
         code, kind = self.expr(e)
-        return code, _fold(kind), id(e) not in self.varying
+        return code, _fold(kind), not self.varies(e)
 
     def _kind_of(self, e: ast.Expr) -> Any:
         """The kind of ``e``, emitted into a buffer that is dropped
@@ -1628,7 +1652,7 @@ class _WarpEmitter(_FnEmitter):
     def bind(self, name: str, kind: Any, cokind: Any) -> tuple[str, bool]:
         """Declare a local; (its python name, whether a lane vector)."""
         kind = _fold(kind)
-        vary = name in self.varying_names
+        vary = name in self.varies.names
         if vary and kind not in ("int", "float") and not (
                 isinstance(kind, tuple) and kind[0] in _STORAGE):
             # a pointer/dim3/unknown local taking lane-divergent values
@@ -1665,7 +1689,7 @@ class _WarpEmitter(_FnEmitter):
         if all(k in _NUMERIC for k in kinds):
             return
         op = e.op
-        uni = id(e) not in self.varying
+        uni = not self.varies(e)
         if len(kinds) == 1:
             if op == "-" or op == "~":
                 raise _SimdUnsupported(f"unary {op} on non-numeric")
@@ -1700,7 +1724,7 @@ class _WarpEmitter(_FnEmitter):
     def _lane_leaf(self, e: ast.Ident | ast.Member) -> tuple | None:
         """A lane-vector local, ``threadIdx.x`` or ``blockIdx.x``, read
         at the lanes."""
-        if id(e) not in self.varying:
+        if not self.varies(e):
             return None
         if type(e) is ast.Ident:
             hit = self.lookup(e.name)
@@ -1811,7 +1835,7 @@ class _WarpEmitter(_FnEmitter):
             (kind[1] if kind in _PTR_KINDS else None)
 
     def _lane_binary(self, e: ast.Binary) -> tuple | None:
-        if id(e) not in self.varying:
+        if not self.varies(e):
             return None
         op = e.op
         if op == "&&" or op == "||":
@@ -1829,10 +1853,9 @@ class _WarpEmitter(_FnEmitter):
         elif op in ("+", "-", "*"):
             code = f"({l} {op} {r})"
         else:
-            varying = self.varying
             return self.atom(
-                f"({self.vint(l, lk, id(e.left) not in varying)} {op} "
-                f"{self.vint(r, rk, id(e.right) not in varying)})"), "int"
+                f"({self.vint(l, lk, not self.varies(e.left))} {op} "
+                f"{self.vint(r, rk, not self.varies(e.right))})"), "int"
         return self.atom(code), _arith_kind(lk, rk)
 
     def _vlogical(self, e: ast.Binary) -> str:
@@ -1841,7 +1864,7 @@ class _WarpEmitter(_FnEmitter):
         self.flush()
         out = self.tmp()
         L = self.L
-        if id(e.left) not in self.varying:
+        if not self.varies(e.left):
             # a uniform lhs short-circuits every lane or none
             self.line(f"if {'' if is_and else 'not '}{l}:")
             self.indent += 1
@@ -1874,7 +1897,7 @@ class _WarpEmitter(_FnEmitter):
         return out
 
     def _lane_conditional(self, e: ast.Conditional) -> tuple | None:
-        if id(e) not in self.varying:
+        if not self.varies(e):
             return None
         c, ck, cu = self.sub(e.cond)
         self.flush()
@@ -1925,7 +1948,7 @@ class _WarpEmitter(_FnEmitter):
         if op == "&":
             # only an atomic's target takes an address in device code
             raise _SimdUnsupported("address-of expression")
-        if id(e) not in self.varying:
+        if not self.varies(e):
             return None
         v, vk, vu = self.sub(e.operand)
         if op == "*":
@@ -1947,7 +1970,7 @@ class _WarpEmitter(_FnEmitter):
         if e.type.is_pointer:
             self.expr(e.value)  # the operand's own declines come first
             raise _SimdUnsupported("pointer cast")
-        if id(e) not in self.varying:
+        if not self.varies(e):
             return None
         code, kind = self.expr(e.value)
         vkind, cokind = _ctype_kinds(e.type)
@@ -1968,7 +1991,7 @@ class _WarpEmitter(_FnEmitter):
         if name not in bi.MATH_BUILTINS:
             # dim3(...), printf, device functions: scalar tiers only
             raise _SimdUnsupported(f"call to {name!r}")
-        if id(e) not in self.varying:
+        if not self.varies(e):
             return None
         args = [self.expr(a) for a in e.args]
         kind = ("float" if name in _FLOAT_MATH
@@ -2003,7 +2026,7 @@ class _WarpEmitter(_FnEmitter):
         target = e.target
         if type(target) is ast.Ident and self.lookup(target.name) is None:
             raise _SimdUnsupported(f"assignment to global {target.name!r}")
-        if id(e) not in self.varying:
+        if not self.varies(e):
             return None if want_value else super()._assign(e, False)
         bop = e.op[:-1] if e.op != "=" else None
         if type(target) is ast.Ident:
@@ -2029,7 +2052,7 @@ class _WarpEmitter(_FnEmitter):
         target = e.operand
         if type(target) is ast.Ident and self.lookup(target.name) is None:
             raise _SimdUnsupported(f"increment of global {target.name!r}")
-        if id(e) not in self.varying:
+        if not self.varies(e):
             return None if want_value else super()._incdec(e, False)
         step = "+ 1" if e.op == "++" else "- 1"
         if type(target) is ast.Ident:
@@ -2081,7 +2104,7 @@ class _WarpEmitter(_FnEmitter):
     def vcond(self, e: ast.Expr) -> tuple[str, bool]:
         """Condition ``e``: (a value to test, True) when uniform, else
         (a bool mask over the lanes, False)."""
-        if id(e) not in self.varying:
+        if not self.varies(e):
             return self.atom(self.cond(e)), True
         if type(e) is ast.Binary and e.op in _COMPARISONS + ("==", "!="):
             l, lk = self.expr(e.left)
@@ -2146,7 +2169,7 @@ class _WarpEmitter(_FnEmitter):
         if cls in (ast.Ident, ast.IntLit, ast.FloatLit, ast.BoolLit,
                    ast.NullLit):
             return  # bare identifier/literal statements do nothing
-        if id(e) not in self.varying:
+        if not self.varies(e):
             if cls is ast.Assign:
                 self._lane_assign(e, want_value=False)
                 return
@@ -2237,7 +2260,7 @@ class _WarpEmitter(_FnEmitter):
         raise _SimdUnsupported("statement Switch")
 
     def _if(self, s: ast.If) -> None:
-        uni = id(s.cond) not in self.varying
+        uni = not self.varies(s.cond)
         ln = s.pos.line
         L, full = self.L, self.full
         arms = [(s.then, True)] + (
@@ -2292,7 +2315,7 @@ class _WarpEmitter(_FnEmitter):
         return True
 
     def _uniform_loop(self, s: Any, barrier: bool) -> bool:
-        uni = s.cond is None or id(s.cond) not in self.varying
+        uni = s.cond is None or not self.varies(s.cond)
         if barrier and not uni:
             self.vcond(s.cond)  # the condition's own declines come first
             raise _SimdUnsupported("barrier in divergent loop")
