@@ -1537,11 +1537,11 @@ class _WarpEmitter(_FnEmitter):
     (:meth:`_ident`, :meth:`_member`, :meth:`_operands`) and the
     ``LANES`` entries, which see every expression first."""
 
-    boxed = frozenset()  # an address-of declines
-
     def __init__(self, mod: _ModuleEmitter, fn: ast.FuncDef):
         super().__init__(mod, fn, is_device=True)
+        self.boxed = frozenset()  # an address-of declines
         info = mod.info
+        self.fn = fn
         self.gen = fn.name in info.barrier_functions
         #: the nodes with a return, a barrier under them
         self.returns = _containing(fn.body, _is_return)

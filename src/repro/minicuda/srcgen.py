@@ -86,7 +86,6 @@ times.
 from __future__ import annotations
 
 import bisect
-import functools
 import itertools
 from typing import Any, Callable, Sequence
 
@@ -451,9 +450,9 @@ class _FnEmitter:
     def __init__(self, mod: "_ModuleEmitter", fn: ast.FuncDef,
                  is_device: bool, host: bool = False):
         self.mod = mod
-        self.fn = fn
         self.is_device = is_device
         self.host = host
+        self.boxed = _address_taken(fn)
         #: python expression of a boxed local -> the name of its box
         self.boxes: dict[str, str] = {}
         #: python expression of a local -> its declared C type
@@ -475,12 +474,6 @@ class _FnEmitter:
         self.loop_stack: list[Callable[[], None]] = []
         #: operators around the expression being emitted
         self.depth = 0
-
-    @functools.cached_property
-    def boxed(self) -> frozenset[str]:
-        """The locals boxed (:func:`_address_taken`), found at the
-        first declaration."""
-        return _address_taken(self.fn)
 
     # -- low-level emission -------------------------------------------------
 

@@ -210,6 +210,36 @@ int main() { return 0; }
             kernel="k") == 0
 
 
+class TestShadowedNames:
+    """Uniformity is judged by name: a name one scope makes lane-varying
+    is varying wherever it is read. Where it names one value for every
+    lane there — a builtin constant — the read is broadcast."""
+
+    SOURCE = """
+__global__ void k(int *b) {
+  { int warpSize = threadIdx.x % 3; b[threadIdx.x] = warpSize; }
+  if (warpSize > 1) b[threadIdx.x] += warpSize * 10;
+  { int CLK_GLOBAL_MEM_FENCE = threadIdx.x; b[threadIdx.x] -= CLK_GLOBAL_MEM_FENCE; }
+  b[threadIdx.x] += CLK_GLOBAL_MEM_FENCE + threadIdx.x;
+}
+int main() { return 0; }
+"""
+
+    def test_a_shadowed_constant_is_read_on_every_lane(self):
+        info = compile_source(self.SOURCE).info
+        assert isinstance(compile_kernel(info, "k"), CompiledSimdKernel)
+        outs, _ = assert_engines_identical(
+            self.SOURCE, "k", 2, 32, [np.zeros(64, np.int32)], [])
+        assert list(outs[0][1:4]) == [323, 324, 322]
+        tel = Telemetry()
+        program = compile_source(self.SOURCE)
+        rt = GpuRuntime(Device(), telemetry=tel)
+        buf = rt.malloc(64, "int")
+        program.launch(rt, "k", 2, 32, buf.ptr(), engine="simd")
+        assert tel.metrics.counter(KERNEL_REPLAYS_TOTAL).value(
+            kernel="k") == 0
+
+
 class TestBarrierKernels:
     def test_uniform_loop_with_barriers(self):
         source = """
