@@ -117,7 +117,6 @@ from repro.minicuda.semantic import BARRIER_BUILTINS, ProgramInfo
 from repro.minicuda.srcgen import (
     CompiledSrcKernel,
     _arith_kind,
-    _BUILTIN_IDX,
     _COMPARISONS,
     _FLOAT_MATH,
     _FnEmitter,
@@ -328,14 +327,12 @@ _LANE_INDEX_FNS = frozenset({"get_local_id", "get_group_id",
 
 
 class _Varying:
-    """The lane-uniformity predicate: whether an expression may differ
-    across the lanes of a group, because a leaf at or under it does —
-    a name in :attr:`names`, ``threadIdx`` or ``blockIdx``, a memory
-    load or deref, an atomic, an OpenCL id function or a device call.
-    :func:`_analyze_names` grows the names to a fixpoint asking it,
-    and the emitter then asks it of what it emits. Memoized per node
-    (the emitter asks of every operator on a chain of them): until the
-    names are :attr:`settled`, only a True verdict is final."""
+    """Whether an expression may differ across the lanes of a group: a
+    leaf under it is a name in :attr:`names`, ``threadIdx``,
+    ``blockIdx``, a load, an atomic, an OpenCL id or a device call.
+    :func:`_analyze_names` grows the names to a fixpoint asking it; the
+    emitter asks it after. Memoized per node; until the names are
+    :attr:`settled`, only a True verdict is final."""
 
     def __init__(self, device_fns: dict):
         self.names: set[str] = set()
@@ -1526,16 +1523,11 @@ class _WarpEmitter(_FnEmitter):
     ``self.L``. The charge batch flushes as ``S.instructions += n *
     len(lanes)``.
 
-    Each expression's kind is the one its emission returns —
-    ``srcgen``'s, ``bool`` folded into ``int`` where a lane vector
-    holds it (:func:`_fold`). The tier declines where the construct it
-    cannot run is emitted, raising :class:`_SimdUnsupported`: a
-    lane-varying one in the ``_lane_*`` methods, and what it declines
-    even when uniform — ``printf``, device calls, ``dim3``, address-of,
-    pointer casts, ``__device__`` storage, string literals, operators
-    on operands of no arithmetic kind — in the overrides
-    (:meth:`_ident`, :meth:`_member`, :meth:`_operands`) and the
-    ``LANES`` entries, which see every expression first."""
+    An expression's kind is the one its emitted code carries. The tier
+    declines (:class:`_SimdUnsupported`) where it emits what it cannot
+    run: in the ``_lane_*`` methods, which see every expression first
+    (``LANES``), and in :meth:`_ident`, :meth:`_member` and
+    :meth:`_operands` for what it declines even when uniform."""
 
     def __init__(self, mod: _ModuleEmitter, fn: ast.FuncDef):
         super().__init__(mod, fn, is_device=True)
@@ -1556,12 +1548,6 @@ class _WarpEmitter(_FnEmitter):
             d.name for g in info.unit.globals if not g.decl.constant
             for d in g.decl.declarators
             if d.type.is_array or d.type.is_pointer)
-        # a 1-D __constant__ array is a DevicePtr into a read-only
-        # device allocation: an ordinary typed pointer here
-        self.constant_arrays = {
-            d.name: ("ptr", _PTR_ELEM.get(d.type.base))
-            for g in info.unit.globals if g.decl.constant
-            for d in g.decl.declarators if len(d.type.array_dims) == 1}
         #: the locals that hold a lane vector (one element per lane of
         #: the group, read at the active lanes)
         self.vec: set[str] = set()
@@ -1671,8 +1657,6 @@ class _WarpEmitter(_FnEmitter):
                 raise _SimdUnsupported(f"__device__ storage {name!r}")
             if name in ("threadIdx", "blockIdx"):  # lane-varying dim3s
                 raise _SimdUnsupported(f"bare {name} value")
-            code, kind = super()._ident(name, pos)
-            return code, self.constant_arrays.get(name, kind)
         return super()._ident(name, pos)
 
     def _member(self, e: ast.Member) -> tuple[str, Any]:
@@ -1741,14 +1725,6 @@ class _WarpEmitter(_FnEmitter):
         axis = "tid" if e.obj.name == "threadIdx" else "bid"
         code = f"C.{axis}_axis({e.field_name!r})"
         return (code if self.full else self.atom(f"{code}[{self.L}]")), "int"
-
-    def _builtin_field(self, e: ast.Member) -> bool:
-        """``e`` reads a field of a built-in index (no local or global
-        shadows it)."""
-        obj = e.obj
-        return (type(obj) is ast.Ident and e.field_name in ("x", "y", "z")
-                and obj.name in _BUILTIN_IDX and self.lookup(obj.name) is None
-                and obj.name not in self.mod.info.constants)
 
     def _md_direct(self, e: ast.Index) -> tuple | None:
         """``A[i][j]`` on a locally declared 2-D shared/local array:

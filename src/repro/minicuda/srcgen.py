@@ -364,11 +364,9 @@ _BUILTIN_IDX = ("threadIdx", "blockIdx", "blockDim", "gridDim")
 
 def _ctype_kinds(ctype: ast.CType | None) -> tuple[Any, str | None]:
     """(value kind after coercion, coercer kind) for a declared type."""
-    if ctype is None:
-        return None, None
-    if ctype.is_pointer:
+    if ctype is not None and ctype.is_pointer:
         return ("ptr", _PTR_ELEM.get(ctype.base)), None
-    if ctype.is_array:
+    if ctype is None or ctype.is_array:
         return None, None
     from repro.minicuda.values import _INT_BASES
     base = ctype.base
@@ -662,8 +660,11 @@ class _FnEmitter:
         hit = self.lookup(name)
         if hit is not None:
             return hit[0], hit[1]
-        if name in self.mod.info.constants:
-            return f"I.globals.get({name!r})", None
+        decl = self.mod.info.constants.get(name)
+        if decl is not None:  # a 1-D array is a pointer to its elements
+            return f"I.globals.get({name!r})", (
+                ("ptr", _PTR_ELEM.get(decl.type.base))
+                if len(decl.type.array_dims) == 1 else None)
         if not self.host and name in _BUILTIN_IDX:
             self.used_builtins.add(name)
             return f"_bi_{name}", "dim3"
@@ -679,12 +680,18 @@ class _FnEmitter:
             return cname, kind
         return self.fault(f"undefined identifier {name!r}", pos)
 
+    def _builtin_field(self, e: ast.Member) -> bool:
+        """``e`` reads a field of a built-in index in device code (no
+        local or global shadows it)."""
+        obj = e.obj
+        return (type(obj) is ast.Ident and e.field_name in ("x", "y", "z")
+                and obj.name in _BUILTIN_IDX and not self.host
+                and self.lookup(obj.name) is None
+                and obj.name not in self.mod.info.constants)
+
     def _member(self, e: ast.Member) -> tuple[str, Any]:
         obj, field = e.obj, e.field_name
-        if isinstance(obj, ast.Ident) and field in ("x", "y", "z") \
-                and obj.name in _BUILTIN_IDX and not self.host \
-                and self.lookup(obj.name) is None \
-                and obj.name not in self.mod.info.constants:
+        if self._builtin_field(e):
             self.used_fields.add((obj.name, field))
             return f"_bi_{obj.name}_{field}", "int"
         obj_code, obj_kind = self.expr(obj)
@@ -849,10 +856,8 @@ class _FnEmitter:
         arithmetic type is."""
         if not (_is_numeric(lkind) and _is_numeric(rkind)):
             checked = self.mod.obj(C_BINARY[op], "op")
-            kind = None
-            if op in _COMPARISONS:
-                kind = "int"
-            elif op in ("+", "-") and lkind in _PTR_KINDS \
+            kind = "int" if op in _COMPARISONS else None
+            if op in ("+", "-") and lkind in _PTR_KINDS \
                     and rkind not in _PTR_KINDS:
                 kind = lkind
             elif op == "+" and rkind in _PTR_KINDS \
