@@ -368,10 +368,11 @@ class _Varying:
         return hit
 
 
-def _analyze_names(fn: ast.FuncDef,
-                   info: ProgramInfo) -> tuple[_Varying, frozenset[int]]:
+def _analyze_names(fn: ast.FuncDef, info: ProgramInfo,
+                   returns: set[int]) -> tuple[_Varying, frozenset[int]]:
     """One pass over the kernel body for two name-level, conservative
-    facts (shadowed declarations share one verdict).
+    facts (shadowed declarations share one verdict); ``returns`` holds
+    the nodes with a ``return`` under them.
 
     **Varying names** — params/locals that may hold different values
     across the lanes of one group, by fixpoint: a name becomes varying
@@ -389,7 +390,6 @@ def _analyze_names(fn: ast.FuncDef,
     allocation, not the parameter. A pointer-typed local or a reseated
     pointer parameter makes every pointer parameter count."""
     varies = _Varying(info.device_functions)
-    returns = _containing(fn.body, _is_return)
     # (target name, governing conds, rhs expr or None)
     records: list[tuple[str, tuple, Any]] = []
     pointers = {p.name: i for i, p in enumerate(fn.params)
@@ -1540,7 +1540,8 @@ class _WarpEmitter(_FnEmitter):
         self.barriers = _containing(fn.body, lambda n: type(
             n) is ast.Call and n.name in BARRIER_BUILTINS) if self.gen \
             else set()
-        self.varies, self.stored_params = _analyze_names(fn, info)
+        self.varies, self.stored_params = _analyze_names(fn, info,
+                                                         self.returns)
         # writable file-scope arrays live outside device allocations,
         # and a file-scope pointer may reach any of them: storage no
         # LaneTracker is known to watch
@@ -1781,6 +1782,8 @@ class _WarpEmitter(_FnEmitter):
 
     def _load(self, ref: tuple) -> str:
         space, base, ind, extra = ref
+        if space == "vec":
+            return self.atom(f"{base}[{self.L}]", force=True)
         args = f"C, {self.L}, {base}, {ind}"
         if space == "shared":
             return self.atom(f"_shared_load({args}"
@@ -1792,7 +1795,9 @@ class _WarpEmitter(_FnEmitter):
     def _store(self, ref: tuple, value: str) -> None:
         space, base, ind, extra = ref
         args = f"C, {self.L}, {base}, {ind}, {value}"
-        if space == "shared":
+        if space == "vec":
+            self.line(f"{base}[{self.L}] = {self.stored(value, extra)}")
+        elif space == "shared":
             self.line(f"_shared_store({args})")
         elif space == "local":
             self.line(f"_local_store({args}, {extra})")
@@ -1801,7 +1806,11 @@ class _WarpEmitter(_FnEmitter):
 
     def _target(self, target: ast.Expr, what: str) -> tuple:
         """The reference an assignment or increment (``what``) stores
-        through, and its element kind."""
+        through, and the kind it holds: a lane-vector local (space
+        ``vec``, with its coercion kind) or an element."""
+        if type(target) is ast.Ident:
+            py, kind, cokind = self.lookup(target.name)
+            return ("vec", py, None, cokind), kind
         if type(target) is ast.Index:
             return self._ref(target)
         code, kind, uni = self.sub(target.operand)
@@ -2005,16 +2014,7 @@ class _WarpEmitter(_FnEmitter):
         if not self.varies(e):
             return None if want_value else super()._assign(e, False)
         bop = e.op[:-1] if e.op != "=" else None
-        if type(target) is ast.Ident:
-            py, _kind, cokind = self.lookup(target.name)
-            code, kind = self.expr(e.value)
-            v = self.atom(code)
-            if bop:
-                v = self._combine(bop, self.atom(f"{py}[{self.L}]"), v)
-            self.charge(1)
-            self.line(f"{py}[{self.L}] = {self.stored(v, cokind)}")
-            return v, (None if bop else kind)
-        ref, _elem = self._target(target, "store")
+        ref, _held = self._target(target, "store")
         code, kind = self.expr(e.value)
         v = self.atom(code)
         if bop:
@@ -2031,18 +2031,11 @@ class _WarpEmitter(_FnEmitter):
         if not self.varies(e):
             return None if want_value else super()._incdec(e, False)
         step = "+ 1" if e.op == "++" else "- 1"
-        if type(target) is ast.Ident:
-            py, kind, cokind = self.lookup(target.name)
-            old = self.atom(f"{py}[{self.L}]", force=True)
-            new = self.atom(f"{old} {step}", force=True)
-            self.charge(1)
-            self.line(f"{py}[{self.L}] = {self.stored(new, cokind)}")
-        else:
-            ref, kind = self._target(target, "increment")
-            old = self._load(ref)
-            new = self.atom(f"{old} {step}", force=True)
-            self.charge(1)
-            self._store(ref, new)
+        ref, kind = self._target(target, "increment")
+        old = self._load(ref)
+        new = self.atom(f"{old} {step}", force=True)
+        self.charge(1)
+        self._store(ref, new)
         return (new if e.prefix else old), kind
 
     def _vatomic(self, e: ast.Call) -> tuple[str, Any]:

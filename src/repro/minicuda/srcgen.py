@@ -601,8 +601,9 @@ class _FnEmitter:
 
     # -- expressions -------------------------------------------------------------
 
-    #: Per expression class, a subclass's method for lane-varying
-    #: values (``simd._WarpEmitter``), None where the code below serves.
+    #: Per expression class, a subclass's method that sees the
+    #: expression first (``simd._WarpEmitter``: lane-varying code, or a
+    #: decline); it returns None where the code below serves.
     LANES: dict[type, Callable] = {}
 
     def expr(self, e: ast.Expr) -> tuple[str, Any]:
