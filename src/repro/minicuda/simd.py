@@ -1517,11 +1517,10 @@ class _WarpEmitter(_FnEmitter):
     The lanes running the code at hand are a local index array
     (``self.L``). An expression is *uniform* when no leaf of it varies
     across lanes (:class:`_Varying`): the inherited scalar emitter
-    writes it, as for one thread. The rest is
-    emitted here as lane vectors aligned with ``self.L``, through the
-    runtime above, and divergent control flow as index partitions of
-    ``self.L``. The charge batch flushes as ``S.instructions += n *
-    len(lanes)``.
+    writes it, as for one thread. The rest is emitted here as lane
+    vectors aligned with ``self.L``, through the runtime above, and
+    divergent control flow as index partitions of ``self.L``. The
+    charge batch flushes as ``S.instructions += n * len(lanes)``.
 
     An expression's kind is the one its emitted code carries. The tier
     declines (:class:`_SimdUnsupported`) where it emits what it cannot
