@@ -328,14 +328,17 @@ _LANE_INDEX_FNS = frozenset({"get_local_id", "get_group_id",
 
 class _Varying:
     """Whether an expression may differ across the lanes of a group: a
-    leaf under it is a name in :attr:`names`, ``threadIdx``,
-    ``blockIdx``, a load, an atomic, an OpenCL id or a device call.
-    :func:`_analyze_names` grows the names to a fixpoint asking it; the
-    emitter asks it after. Memoized per node; until the names are
-    :attr:`settled`, only a True verdict is final."""
+    leaf under it is a name in :attr:`names` that a local binds (not in
+    :attr:`free`), ``threadIdx``, ``blockIdx``, a load, an atomic, an
+    OpenCL id or a device call. :func:`_analyze_names` grows the names
+    to a fixpoint asking it; the emitter asks it after. Memoized per
+    node; until the names are :attr:`settled`, only a True verdict is
+    final."""
 
     def __init__(self, device_fns: dict):
         self.names: set[str] = set()
+        #: the ids of the identifiers no local or parameter binds
+        self.free: set[int] = set()
         self.device_fns = device_fns
         self.memo: dict[int, bool] = {}
         self.settled = False
@@ -346,8 +349,8 @@ class _Varying:
             return got
         cls = type(e)
         if cls is ast.Ident:
-            hit = e.name in self.names or e.name in ("threadIdx",
-                                                     "blockIdx")
+            hit = e.name in self.names and id(e) not in self.free \
+                or e.name in ("threadIdx", "blockIdx")
         elif cls is ast.Index or cls is ast.Unary and e.op == "*":
             hit = True  # all memory loads are lane-varying
         elif cls is ast.Call and (e.name in bi.ATOMIC_BUILTINS
@@ -380,7 +383,9 @@ def _analyze_names(fn: ast.FuncDef, info: ProgramInfo,
     which holds the names and judges every expression by them) or (b)
     any value under lane-divergent control flow (an enclosing
     condition that is itself varying, or a loop body with
-    break/continue/return).
+    break/continue/return). An identifier no local or parameter binds
+    where it stands (a builtin, a file-scope name) is not one of them,
+    though a local elsewhere shares its name.
 
     **Stored parameters** — indices of the pointer parameters the
     kernel may store through (plain or compound assignment,
@@ -395,6 +400,7 @@ def _analyze_names(fn: ast.FuncDef, info: ProgramInfo,
     pointers = {p.name: i for i, p in enumerate(fn.params)
                 if p.type.is_pointer}
     stored: set[str] = set()
+    scopes = [{p.name for p in fn.params}]
 
     def note_store(dest: ast.Expr) -> None:
         if type(dest) is ast.Unary and dest.op == "&":  # atomic target
@@ -409,7 +415,10 @@ def _analyze_names(fn: ast.FuncDef, info: ProgramInfo,
             return
         for node in ast.walk(e):
             cls = type(node)
-            if cls is ast.Assign or cls is ast.IncDec:
+            if cls is ast.Ident and all(node.name not in scope
+                                        for scope in scopes):
+                varies.free.add(id(node))
+            elif cls is ast.Assign or cls is ast.IncDec:
                 dest = node.target if cls is ast.Assign else node.operand
                 if type(dest) is not ast.Ident:
                     note_store(dest)
@@ -433,43 +442,51 @@ def _analyze_names(fn: ast.FuncDef, info: ProgramInfo,
                     collect_expr(a, conds)
                 if d.init is not None:
                     records.append((d.name, conds, d.init))
+                scopes[-1].add(d.name)
         elif cls is ast.ExprStmt:
             collect_expr(s.expr, conds)
         elif cls is ast.Block:
-            for inner in s.statements:
-                scan_stmt(inner, conds)
+            scan_scope(s.statements, conds)
         elif cls is ast.If:
             collect_expr(s.cond, conds)
             inner = conds + (s.cond,)
-            scan_stmt(s.then, inner)
+            scan_scope((s.then,), inner)
             if s.otherwise is not None:
-                scan_stmt(s.otherwise, inner)
+                scan_scope((s.otherwise,), inner)
         elif cls is ast.While or cls is ast.DoWhile:
             collect_expr(s.cond, conds)
             inner = conds + (s.cond,)
             if _leaves(s.body, returns):
                 inner = inner + (_ALWAYS_VARYING,)
-            scan_stmt(s.body, inner)
+            scan_scope((s.body,), inner)
         elif cls is ast.For:
+            scopes.append(set())  # the init's
             if s.init is not None:
                 scan_stmt(s.init, conds)
             collect_expr(s.cond, conds)
             inner = conds + ((s.cond,) if s.cond is not None else ())
             if _leaves(s.body, returns):
                 inner = inner + (_ALWAYS_VARYING,)
-            scan_stmt(s.body, inner)
+            scan_scope((s.body,), inner)
             collect_expr(s.step, inner)
+            scopes.pop()
         elif cls is ast.Switch:
             collect_expr(s.subject, conds)
-            inner = conds + (s.subject,)
-            for case in s.cases:
-                for st2 in case.statements:
-                    scan_stmt(st2, inner)
+            scan_scope([st for case in s.cases for st in case.statements],
+                       conds + (s.subject,))
         elif cls is ast.Return:
             collect_expr(s.value, conds)
         elif cls is ast.AccIndex:
             varies.names.add(s.var)  # one iteration per lane
+            scopes[-1].add(s.var)
         # Break/Continue/Empty: nothing to record
+
+    def scan_scope(stmts: Any, conds: tuple) -> None:
+        # a nested body is a scope, even where it is one statement
+        scopes.append(set())
+        for inner in stmts:
+            scan_stmt(inner, conds)
+        scopes.pop()
 
     scan_stmt(fn.body, ())
 
@@ -1613,14 +1630,6 @@ class _WarpEmitter(_FnEmitter):
         code, kind = self.expr(e)
         return code, _fold(kind), not self.varies(e)
 
-    def _kind_of(self, e: ast.Expr) -> Any:
-        """The kind of ``e``, emitted into a buffer that is dropped
-        (the numbers of its temporaries too)."""
-        counter = self.mod._counter
-        kind = self.subexpr(e)[3]
-        self.mod._counter = counter
-        return _fold(kind)
-
     def vint(self, code: str, kind: Any, uni: bool) -> str:
         """C int conversion unless already int-kind."""
         if kind in _INT_LIKE:
@@ -1707,24 +1716,20 @@ class _WarpEmitter(_FnEmitter):
 
     def _lane_leaf(self, e: ast.Ident | ast.Member) -> tuple | None:
         """A lane-vector local, ``threadIdx.x`` or ``blockIdx.x``, read
-        at the lanes."""
+        at the lanes. A local array's name may vary elsewhere: the
+        scalar code names its storage."""
         if not self.varies(e):
             return None
         if type(e) is ast.Ident:
             hit = self.lookup(e.name)
             if hit is not None and hit[0] in self.vec:
                 return self.atom(f"{hit[0]}[{self.L}]"), hit[1]
-            # the name varies elsewhere; here it is bound to storage, a
-            # base, or one value for every lane
-            code, kind = self._ident(e.name, e.pos)
-            if not _is_numeric(kind):
-                return code, kind
-            return self.atom(f"_bcast({code}, len({self.L}))"), kind
-        if not self._builtin_field(e):
-            return None
-        axis = "tid" if e.obj.name == "threadIdx" else "bid"
-        code = f"C.{axis}_axis({e.field_name!r})"
-        return (code if self.full else self.atom(f"{code}[{self.L}]")), "int"
+        elif self._builtin_field(e):
+            axis = "tid" if e.obj.name == "threadIdx" else "bid"
+            code = f"C.{axis}_axis({e.field_name!r})"
+            return (code if self.full else
+                    self.atom(f"{code}[{self.L}]")), "int"
+        return None
 
     def _md_direct(self, e: ast.Index) -> tuple | None:
         """``A[i][j]`` on a locally declared 2-D shared/local array:
@@ -2075,16 +2080,15 @@ class _WarpEmitter(_FnEmitter):
         if not self.varies(e):
             return self.atom(self.cond(e)), True
         if type(e) is ast.Binary and e.op in _COMPARISONS + ("==", "!="):
-            l, lk = self.expr(e.left)
-            r, rk = self.expr(e.right)
-            if not (_is_numeric(lk) and _is_numeric(rk)):
-                raise _SimdUnsupported("varying non-numeric condition")
+            (l, lk), (r, rk) = self.expr(e.left), self.expr(e.right)
+            kinds, code = (lk, rk), f"({l} {e.op} {r})"
             self.charge(1)
-            return self.atom(f"({l} {e.op} {r})", force=True), False
-        code, kind = self.expr(e)
-        if not _is_numeric(kind):
+        else:
+            code, kind = self.expr(e)
+            kinds, code = (kind,), f"({code} != 0)"
+        if not all(map(_is_numeric, kinds)):
             raise _SimdUnsupported("varying non-numeric condition")
-        return self.atom(f"({code} != 0)", force=True), False
+        return self.atom(code, force=True), False
 
     LANES = {ast.Ident: _lane_leaf, ast.Member: _lane_leaf,
              ast.Index: _lane_index, ast.Binary: _lane_binary,
@@ -2461,8 +2465,14 @@ class _WarpEmitter(_FnEmitter):
         iv_py, _k, cokind = self.lookup(iv)
         if iv_py not in self.vec or cokind != "int":
             return None
-        if amount is not None and self._kind_of(amount) != "int" \
-                or self._kind_of(bound) != "int":
+        # the kinds of the bound and step, from code dropped with its
+        # temporaries' numbers (it is emitted again after the body
+        # function); being _invariant, it leaves nothing else behind
+        counter = self.mod._counter
+        kinds = {_fold(self.subexpr(x)[3]) for x in (amount, bound)
+                 if x is not None}
+        self.mod._counter = counter
+        if kinds != {"int"}:
             return None
         gather = {iv_py}
         for node in ast.walk(s.body):

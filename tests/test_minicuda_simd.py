@@ -211,9 +211,9 @@ int main() { return 0; }
 
 
 class TestShadowedNames:
-    """Uniformity is judged by name: a name one scope makes lane-varying
-    is varying wherever it is read. Where it names one value for every
-    lane there — a builtin constant — the read is broadcast."""
+    """A name one scope makes lane-varying varies only where a local
+    binds it: where it names a builtin or a file-scope value there, the
+    read is uniform, as on every other tier."""
 
     SOURCE = """
 __global__ void k(int *b) {
@@ -238,6 +238,32 @@ int main() { return 0; }
         program.launch(rt, "k", 2, 32, buf.ptr(), engine="simd")
         assert tel.metrics.counter(KERNEL_REPLAYS_TOTAL).value(
             kernel="k") == 0
+
+    @pytest.mark.parametrize("use, expected", [
+        ("b[i] += blockDim.x * 10 + gridDim.x * 1000;", 2320),
+        ("b[i] += C[threadIdx.x % 4] * 100;", None),
+        ("b[i] += (C + 1)[threadIdx.x % 2] + *(C + 3);", None),
+        ("if (C != 0 && !!C) b[i] += 7;", None),
+        ("const int *p = C; b[i] += p[threadIdx.x % 4];", None),
+    ], ids=["dim3-fields", "index", "pointer-arithmetic", "condition",
+            "pointer-local"])
+    def test_a_shadowed_file_scope_name_is_uniform(self, use, expected):
+        source = f"""
+__constant__ int C[4] = {{1, 2, 3, 4}};
+__global__ void k(int *b) {{
+  int i = blockIdx.x * 32 + threadIdx.x;
+  {{ int C = threadIdx.x; int blockDim = C; int gridDim = C; b[i] = C + blockDim + gridDim; }}
+  b[i] = 0;
+  {use}
+}}
+int main() {{ return 0; }}
+"""
+        info = compile_source(source).info
+        assert isinstance(compile_kernel(info, "k"), CompiledSimdKernel)
+        outs, _ = assert_engines_identical(
+            source, "k", 2, 32, [np.zeros(64, np.int32)], [])
+        if expected is not None:
+            assert set(outs[0].tolist()) == {expected}
 
 
 class TestBarrierKernels:
