@@ -232,6 +232,8 @@ class Dashboard:
             kernels = cache["stats"].get("kernels", {})
             datasets = cache["stats"].get("datasets", {})
             definitions = cache["stats"].get("definitions", {})
+            pieces = int(definitions.get("statement_hits", 0)
+                         + definitions.get("statement_misses", 0))
             lines.append(
                 f"  caches: grading {results.get('hit_rate', 0.0):.0%} hit "
                 f"({int(results.get('entries', 0))} entries, "
@@ -241,7 +243,10 @@ class Dashboard:
                 f"({int(kernels.get('bytes_live', 0))} B live, "
                 f"{int(kernels.get('evictions', 0))} evicted), "
                 f"datasets {datasets.get('hit_rate', 0.0):.0%} hit, "
-                f"definitions {definitions.get('hit_rate', 0.0):.0%} hit "
+                f"definitions {definitions.get('hit_rate', 0.0):.0%} hit, "
+                f"statement pieces "
+                f"{definitions.get('statement_hit_rate', 0.0):.0%} of "
+                f"{pieces} hit "
                 f"({int(definitions.get('bytes_live', 0))} B live, "
                 f"{int(definitions.get('evictions', 0))} evicted), "
                 f"{results.get('seconds_saved', 0.0):.1f}s saved")

@@ -25,6 +25,7 @@ from typing import Any, Callable
 from repro.cache.policy import EvictionPolicy
 from repro.cache.stats import CacheStats
 from repro.telemetry import Telemetry
+from repro.telemetry.metrics import CounterSeries
 
 #: Roles handed out by :meth:`MemoTable.begin`.
 HIT = "hit"
@@ -86,8 +87,9 @@ class MemoTable:
                  cache_name: str = "memo"):
         self.policy = policy if policy is not None else EvictionPolicy()
         self.stats = stats if stats is not None else CacheStats()
-        self.telemetry = telemetry if telemetry is not None else Telemetry()
-        self.cache_name = cache_name
+        self._lookups: dict[str, CounterSeries] | None = None
+        self._cache_name = cache_name
+        self._telemetry = telemetry if telemetry is not None else Telemetry()
         self.memoize_errors = memoize_errors
         self._weigh = weigh or (lambda value: 1)
         self._on_evict = on_evict
@@ -96,6 +98,38 @@ class MemoTable:
         self._done: dict[str, Flight] = {}
         self._inflight: dict[str, Flight] = {}
         self.compute_count = 0  # times an owner actually did the work
+
+    # The lookup counter's series for this table, resolved at the first
+    # lookup after the telemetry bundle or the cache name is (re)set.
+
+    @property
+    def telemetry(self) -> Telemetry:
+        return self._telemetry
+
+    @telemetry.setter
+    def telemetry(self, telemetry: Telemetry) -> None:
+        self._telemetry = telemetry
+        self._lookups = None
+
+    @property
+    def cache_name(self) -> str:
+        return self._cache_name
+
+    @cache_name.setter
+    def cache_name(self, name: str) -> None:
+        self._cache_name = name
+        self._lookups = None
+
+    def _count(self, outcome: str) -> None:
+        lookups = self._lookups
+        if lookups is None:
+            counter = self._telemetry.metrics.counter(
+                "webgpu_cache_lookups_total",
+                "memo-table lookups by cache and outcome")
+            lookups = self._lookups = {
+                kind: counter.labels(cache=self._cache_name, outcome=kind)
+                for kind in ("hit", "join", "miss")}
+        lookups[outcome].inc()
 
     def _now(self) -> float:
         if self._clock is not None:
@@ -110,9 +144,6 @@ class MemoTable:
         role is ``HIT`` (value ready), ``OWNER`` (caller must compute
         and ``deliver``), or ``JOINED`` (another caller is computing)."""
         now = self._now()
-        lookups = self.telemetry.metrics.counter(
-            "webgpu_cache_lookups_total",
-            "memo-table lookups by cache and outcome")
         flight = self._done.get(key)
         if flight is not None:
             if flight.failed and not self.memoize_errors:
@@ -120,16 +151,16 @@ class MemoTable:
             else:
                 self.stats.record_hit()
                 self.policy.record_access(key, now)
-                lookups.inc(cache=self.cache_name, outcome="hit")
+                self._count("hit")
                 return HIT, flight
         flight = self._inflight.get(key)
         if flight is not None:
             flight.joiners += 1
             self.stats.dedup_hits += 1
-            lookups.inc(cache=self.cache_name, outcome="join")
+            self._count("join")
             return JOINED, flight
         self.stats.record_miss()
-        lookups.inc(cache=self.cache_name, outcome="miss")
+        self._count("miss")
         flight = Flight(key)
         self._inflight[key] = flight
         return OWNER, flight

@@ -49,7 +49,7 @@ from repro.labs.base import DATASETS
 from repro.labs.config import lab_fingerprint
 from repro.minicuda.codegen import KERNEL_CACHE
 from repro.minicuda.compiler import CompileCache
-from repro.minicuda.parser import DEFINITIONS
+from repro.minicuda.parser import definitions_snapshot
 from repro.storage import Bucket
 
 #: Synthetic seconds a cache hit costs (key lookup + payload fetch).
@@ -258,7 +258,9 @@ class PlatformCaches:
     :data:`repro.minicuda.codegen.KERNEL_CACHE`,
     :data:`repro.labs.base.DATASETS` and
     :data:`repro.minicuda.parser.DEFINITIONS` (read-only here: every
-    worker in the process shares them whether or not it has caches).
+    worker in the process shares them whether or not it has caches);
+    ``definitions`` tells its lookups of whole definitions from those of
+    statement pieces (:func:`repro.minicuda.parser.definitions_snapshot`).
     """
 
     def __init__(self, clock: Any = None, bucket: Bucket | None = None,
@@ -285,5 +287,5 @@ class PlatformCaches:
             "grades": self.grades.stats.snapshot(),
             "kernels": KERNEL_CACHE.stats.snapshot(),
             "datasets": DATASETS.stats.snapshot(),
-            "definitions": DEFINITIONS.stats.snapshot(),
+            "definitions": definitions_snapshot(),
         }

@@ -22,11 +22,13 @@ from __future__ import annotations
 import operator
 import re
 import time
+from dataclasses import replace
 from itertools import accumulate, repeat
 from typing import Any, Iterable, NamedTuple
 
 from repro.cache.memo import HIT, MemoTable
 from repro.cache.policy import SizeCappedPolicy
+from repro.cache.stats import CacheStats
 from repro.minicuda import ast_nodes as ast
 from repro.minicuda.diagnostics import CompileError, SourcePos
 from repro.minicuda.lexer import (
@@ -130,18 +132,31 @@ _SEPARATORS = re.compile(
 #: Bracket depth step per separator; a literal, ``;`` or ``#`` line is 0.
 _STEP = {"(": 1, "[": 1, "{": 1, ")": -1, "]": -1, "}": -1}
 
-#: What may follow the ``}`` of an initializer list within a declaration.
-_CONTINUES = re.compile(r"[ \t\r\n\f\v]*[;,=]")
+#: What, after a ``;`` or ``}``, goes on with the same statement or
+#: declaration: the rest of a declaration whose initializer list just
+#: closed, or the ``else`` of an ``if`` and the ``while`` of a ``do`` —
+#: the only rules that look past a statement's end. Whitespace and
+#: ``#`` lines (which the lexer drops or turns into PRAGMA) come first.
+_CONTINUES = re.compile(
+    rf"(?:[ \t\r\n\f\v]|{HASH_LINE})*(?:[;,=]|(?:else|while)(?![A-Za-z0-9_]))")
 
 
-def split_definitions(source: str) -> list[int] | None:
-    """Offsets that end the top-level definitions of ``source``: after
-    a ``;`` at bracket depth 0, and after a ``}`` that returns the depth
-    to 0 and is not followed by ``;``, ``,`` or ``=``. None when a
-    closer has no opener. What follows the last offset (an unclosed
-    tail, or only whitespace) is one more piece.
+#: A first line with no token on it.
+_BLANK_LINE = re.compile(r"[ \t\r\f\v]*\n")
 
-    The separators' depths and end offsets are running sums built in C
+
+class _Scan(NamedTuple):
+    """A text's separators, the bracket depth after each, and the offset
+    each ends at."""
+
+    separators: list[str]
+    depths: list[int]
+    ends: list[int]
+
+
+def _scan(source: str) -> _Scan | None:
+    """One pass over ``source``'s separators; None when a closer has no
+    opener. The depths and end offsets are running sums built in C
     (``accumulate`` over ``map``): a Python loop over the brackets cost
     a quarter of the lexer's time."""
     parts = _SEPARATORS.split(source)  # text, separator, text, ...
@@ -149,35 +164,249 @@ def split_definitions(source: str) -> list[int] | None:
     depths = list(accumulate(map(_STEP.get, separators, repeat(0))))
     if depths and min(depths) < 0:
         return None
-    ends = list(accumulate(map(len, parts)))[1::2]
-    return [end for separator, depth, end in zip(separators, depths, ends)
-            if depth == 0 and (separator == ";" or separator == "}"
-                               and _CONTINUES.match(source, end) is None)]
+    return _Scan(separators, depths, list(accumulate(map(len, parts)))[1::2])
+
+
+def _cuts(source: str, scan: _Scan, depth: int, lo: int, hi: int) -> list[int]:
+    """The splitter, at either depth: which of ``scan``'s separators
+    ``lo`` to ``hi`` end a piece at bracket depth ``depth`` (their
+    indices) — a ``;`` at that depth and a ``}`` that returns to it,
+    neither followed by what :data:`_CONTINUES` their statement, and a
+    ``{`` that opens it. At depth 0 the pieces are the top-level
+    definitions; at depth 1, in a function definition, its header
+    through the ``{`` that opens the body, then the body's statements."""
+    ends = scan.ends
+    return [k for k, separator, at in zip(range(lo, hi),
+                                          scan.separators[lo:hi],
+                                          scan.depths[lo:hi])
+            if at == depth and (
+                separator == "{" or (separator == ";" or separator == "}")
+                and _CONTINUES.match(source, ends[k]) is None)]
+
+
+def split_definitions(source: str, depth: int = 0) -> list[int] | None:
+    """Offsets that end the pieces of ``source`` at bracket depth
+    ``depth`` (see :func:`_cuts`), or None when a closer has no opener.
+    What follows the last offset — an unclosed tail, a definition's
+    closing brace, or only whitespace — is one more piece."""
+    scan = _scan(source)
+    if scan is None:
+        return None
+    return [scan.ends[k] for k in _cuts(source, scan, depth, 0, len(scan.ends))]
 
 
 class _Piece(NamedTuple):
-    """One definition's nodes, shared by every program that holds it:
-    nothing downstream of the parser writes to an AST node."""
+    """What one piece parsed to, shared by every program that holds it:
+    nothing downstream of the parser writes to an AST node. A file's
+    piece holds definitions; a definition's header, its function with an
+    empty body; a statement piece, statements; and a definition's tail,
+    the statements before its closing brace and what follows that."""
 
     functions: tuple[ast.FuncDef, ...]
     globals: tuple[ast.GlobalVar, ...]
+    statements: tuple[ast.Stmt, ...]
     chars: int  # the text's length: what the memo weighs
 
 
-#: Parsed pieces by (grammar, typedefs, start line and column, text) —
-#: the nodes embed their positions, so a definition that moved is a
-#: miss. Only pieces that parsed are stored. Weighed by text length;
-#: a piece's nodes and key take ~29 bytes per character. The cap was
-#: set on the attempt benchmark's ``edit_loop``, whose pieces are
-#: reused by the next edits of the same file, not across files:
-#: replayed slot by slot, its best lex + parse time fell 22% at 8 KiB,
-#: 24% at 24 KiB and 25% at 48 KiB; holding its whole working set
-#: (141 KiB of text, ~4 MiB) would add ~10% to its peak RSS, whose
-#: bound is 5%. 24 KiB adds 1.0 MiB.
+#: Parsed pieces by (grammar, typedefs, depth, start line and column,
+#: text) — the nodes embed their positions, so a piece that moved is a
+#: miss, and ``int a;`` is a global at depth 0 but a statement at depth
+#: 1. Depth 0 holds a file's definitions, depth 1 the headers, statements
+#: and tails of its function definitions. Only pieces that parsed are
+#: stored. Weighed by text length; a piece's nodes and key take ~BYTES
+#: bytes per character. The cap was set on the attempt benchmark's
+#: ``edit_loop``, whose pieces are reused by the next edits of the same
+#: file, not across files: replayed slot by slot with definitions alone,
+#: its best lex + parse time fell 22% at 8 KiB, 24% at 24 KiB and 25% at
+#: 48 KiB; holding its whole working set would add ~10% to its peak RSS,
+#: whose bound is 5%.
 DEFINITIONS = MemoTable(
     policy=SizeCappedPolicy(24 * 1024),
     weigh=lambda piece: piece.chars,
     cache_name="definitions")
+
+
+#: DEFINITIONS' lookups at depth 1 (the headers, statement pieces and
+#: tails of function definitions that missed), counted here as well as
+#: in ``DEFINITIONS.stats``: see :func:`definitions_snapshot`.
+STATEMENT_PIECES = CacheStats()
+
+
+def definitions_snapshot() -> dict[str, float]:
+    """:data:`DEFINITIONS`' stats with its lookups told apart by depth:
+    ``hits``, ``misses`` and ``hit_rate`` count top-level definitions,
+    ``statement_hits``, ``statement_misses`` and ``statement_hit_rate``
+    the depth-1 pieces; the rest (stores, bytes, evictions) is the
+    memo's."""
+    snap = DEFINITIONS.stats.snapshot()
+    pieces = STATEMENT_PIECES
+    definitions = CacheStats(hits=snap["hits"] - pieces.hits,
+                             misses=snap["misses"] - pieces.misses)
+    snap.update(hits=definitions.hits, misses=definitions.misses,
+                hit_rate=round(definitions.hit_rate, 4),
+                statement_hits=pieces.hits, statement_misses=pieces.misses,
+                statement_hit_rate=round(pieces.hit_rate, 4))
+    return snap
+
+
+class _Entry:
+    """One piece of this parse: its key, text and origin, what it parsed
+    to (``value``, once known) and, for a miss, its tokens. A function
+    definition that missed also holds its own pieces in ``parts``:
+    header, statement pieces, tail."""
+
+    __slots__ = ("key", "text", "origin", "value", "tokens", "parts")
+
+    def __init__(self, key: str, text: str, origin: tuple[int, int],
+                 value: _Piece | None):
+        self.key = key
+        self.text = text
+        self.origin = origin
+        self.value = value
+        self.tokens: list[Token] | None = None
+        self.parts: list[_Entry] | None = None
+
+
+def _look_up(text: str, ends: list[int], origin: tuple[int, int],
+             prefix: str, depth: int) -> list[_Entry]:
+    """``text`` cut at ``ends`` (the last piece runs to its end), each
+    piece looked up in :data:`DEFINITIONS` at ``depth``; ``origin`` is
+    the (line, column) of ``text``'s first character."""
+    entries = []
+    start, (line, first_column) = 0, origin
+    for end in (*ends, len(text)):
+        piece = text[start:end]
+        newline = text.rfind("\n", 0, start)
+        column = start - newline if newline >= 0 else first_column + start
+        # a piece whose first line holds no token lexes the same at any
+        # column: the line it starts on is all its key needs
+        at = 0 if _BLANK_LINE.match(piece) else column
+        key = f"{prefix}{depth}:{line}:{at}:{piece}"
+        role, flight = DEFINITIONS.begin(key)
+        value = flight.value if role == HIT else None
+        if depth:
+            if value is None:
+                STATEMENT_PIECES.record_miss()
+            else:
+                STATEMENT_PIECES.record_hit()
+        entries.append(_Entry(key, piece, (line, column), value))
+        line += piece.count("\n")
+        start = end
+    return entries
+
+
+class _Undecided(Exception):
+    """A definition's own pieces cannot decide it: parse it whole."""
+
+
+def _parse_part(parser: Any, part: _Entry, role: str, fail: Any) -> _Piece:
+    """One piece of a function definition, by its role: the header
+    (``func_head``), statements (``block_item*`` to the piece's EOF) or
+    the tail (``block_item*``, the closing brace, then what ``start``
+    reads after it). ``fail`` is the generated parser's soft failure."""
+    if role == "head":
+        function = parser.func_head()
+        if function is fail:
+            raise _Undecided
+        return _Piece((function,), (), (), len(part.text))
+    statements = []
+    while (statement := parser.block_item()) is not fail:
+        statements.append(statement)
+    stop = parser.tok
+    if role == "items":
+        if stop.kind is not TokenKind.EOF:
+            raise _Undecided  # a statement failed softly
+        return _Piece((), (), tuple(statements), len(part.text))
+    if stop.kind is not TokenKind.EOF and not stop.is_punct("}"):
+        raise _Undecided
+    parser.block_end()
+    rest = parser.start()
+    if rest is fail:
+        raise _Undecided
+    return _Piece(tuple(rest.functions), tuple(rest.globals),
+                  tuple(statements), len(part.text))
+
+
+def _parse_function(entry: _Entry, typedefs: frozenset[str],
+                    last: bool) -> _Piece:
+    """A function definition stitched from its header, statement pieces
+    and tail, each served from :data:`DEFINITIONS` or parsed from the
+    tokens lexed for it, raising what the whole file raises. Raises
+    :class:`_Undecided` where the definition's own parse must decide:
+    the header did not parse, or a statement piece ended too soon (an
+    error on its EOF, where the definition has more tokens)."""
+    from repro.minicuda.parser_gen import FAIL, MiniCudaParser
+    parts = entry.parts
+    assert parts is not None
+    for index, part in enumerate(parts):
+        if part.value is not None:
+            continue
+        role = "head" if index == 0 else \
+            "tail" if index == len(parts) - 1 else "items"
+        tokens = part.tokens
+        assert tokens is not None
+        try:
+            part.value = _parse_part(MiniCudaParser(tokens, typedefs), part,
+                                     role, FAIL)
+        except CompileError as exc:
+            if role == "head":
+                raise _Undecided from None
+            # an error on a token the whole file has too is its error;
+            # the tail's EOF is the definition's, the file's if it is last
+            if exc.diagnostics[0].pos != tokens[-1].pos \
+                    or role == "tail" and last:
+                raise
+            raise _Undecided from None
+        DEFINITIONS.deliver(part.key, part.value)
+    function = parts[0].value.functions[0]
+    tail = parts[-1].value
+    body = ast.Block(statements=[statement for part in parts[1:]
+                                 for statement in part.value.statements],
+                     pos=function.body.pos)
+    return _Piece((replace(function, body=body), *tail.functions),
+                  tail.globals, (), len(entry.text))
+
+
+def _file_parts(entry: _Entry, piece: _Piece) -> None:
+    """Store a function definition that was parsed whole under its own
+    pieces' keys too, as what each piece parses to: a statement belongs
+    to the piece its first token is in, and a header holds the function
+    with an empty body."""
+    parts = entry.parts
+    if parts is None or len(piece.functions) != 1 or piece.globals:
+        return
+    function = piece.functions[0]
+    held: list[list[ast.Stmt]] = [[] for _ in parts]
+    index = 1
+    for statement in function.body.statements:
+        at = (statement.pos.line, statement.pos.column)
+        while index + 1 < len(parts) and parts[index + 1].origin <= at:
+            index += 1
+        held[index].append(statement)
+    header = replace(function, body=ast.Block(statements=[],
+                                              pos=function.body.pos))
+    for part, statements in zip(parts, held):
+        if part.value is None:
+            part.value = _Piece((header,) if part is parts[0] else (), (),
+                                tuple(statements), len(part.text))
+            DEFINITIONS.deliver(part.key, part.value)
+
+
+def _parse_unit(entry: _Entry, typedefs: frozenset[str],
+                last: bool) -> _Piece | None:
+    """A top-level piece parsed as a translation unit, raising what the
+    whole file raises, or None where only the whole file can decide."""
+    from repro.minicuda.parser_gen import MiniCudaParser
+    tokens = entry.tokens or tokenize(entry.text, entry.origin)
+    try:
+        unit = MiniCudaParser(tokens, typedefs).parse_translation_unit()
+    except CompileError as exc:
+        # an error on a token the whole file has too is its error
+        if last or exc.diagnostics[0].pos != tokens[-1].pos:
+            raise
+        return None
+    return _Piece(tuple(unit.functions), tuple(unit.globals), (),
+                  len(entry.text))
 
 
 def _parse_file(source: str,
@@ -195,61 +424,76 @@ def _parse_file(source: str,
 
 def _parse_pieces(source: str,
                   typedefs: frozenset[str]) -> ast.TranslationUnit | None:
-    """``source`` parsed definition by definition, each one served from
-    :data:`DEFINITIONS` where it can be, and raising exactly what the
-    whole-file parse raises. None where the pieces cannot decide: the
-    split failed, a piece other than the last ended too soon (the error
-    sits on its EOF, where the whole file has more tokens), or the
-    stack ran out (whose position only the whole file's tokens give)."""
+    """``source`` parsed definition by definition — a function
+    definition that missed, statement by statement — each piece served
+    from :data:`DEFINITIONS` where it can be, and raising exactly what
+    the whole-file parse raises. None where the pieces cannot decide:
+    the split failed, a definition other than the last ended too soon
+    (the error sits on its EOF, where the whole file has more tokens),
+    or the stack ran out (whose position only the whole file's tokens
+    give)."""
     # Imported here, not at the top: ``python -m repro.minicuda.pegen``
     # imports this module (its runtime needs the names above) and must
     # still run when parser_gen.py is missing or stale.
-    from repro.minicuda.parser_gen import GRAMMAR_HASH, MiniCudaParser
-    ends = split_definitions(source)
-    if ends is None:
+    from repro.minicuda.parser_gen import GRAMMAR_HASH
+    scan = _scan(source)
+    if scan is None:
         return None
-    ends.append(len(source))
     prefix = f"{GRAMMAR_HASH}:{','.join(sorted(typedefs))}:"
-    pieces: list[_Piece | None] = []
-    misses: list[tuple[int, str, str, tuple[int, int]]] = []
-    start, line = 0, 1
-    for end in ends:
-        text = source[start:end]
-        column = start - source.rfind("\n", 0, start)
-        key = f"{prefix}{line}:{column}:{text}"
-        role, flight = DEFINITIONS.begin(key)
-        if role == HIT:
-            pieces.append(flight.value)
-        else:
-            misses.append((len(pieces), key, text, (line, column)))
-            pieces.append(None)
-        line += text.count("\n")
-        start = end
+    tops = _cuts(source, scan, 0, 0, len(scan.ends))
+    entries = _look_up(source, [scan.ends[k] for k in tops], (1, 1),
+                       prefix, 0)
+    misses: list[_Entry] = []  # what to lex, in file order
+    lo = start = 0
+    for entry, hi in zip(entries, (*tops, len(scan.ends))):
+        if entry.value is None:
+            misses.append(entry)
+            # a function definition: its first piece at depth 1 ends
+            # with the '{' after its parameters' ')'
+            inner = _cuts(source, scan, 1, lo, hi)
+            if inner and inner[0] > lo and scan.separators[inner[0]] == "{" \
+                    and scan.separators[inner[0] - 1] == ")":
+                entry.parts = _look_up(
+                    entry.text, [scan.ends[k] - start for k in inner],
+                    entry.origin, prefix, 1)
+                held = [part for part in entry.parts if part.value is None]
+                # one none of whose pieces is held is parsed whole
+                if len(held) < len(entry.parts):
+                    misses[-1:] = held
+        lo = hi + 1
+        start += len(entry.text)
     try:
         # lex every miss before parsing one: a lexer error anywhere is
         # what the whole file reports, ahead of any syntax error
-        lexed = [tokenize(text, origin) for _, _, text, origin in misses]
-        last = len(pieces) - 1
-        for (index, key, text, _), tokens in zip(misses, lexed):
-            try:
-                unit = MiniCudaParser(tokens, typedefs).parse_translation_unit()
-            except CompileError as exc:
-                # an error on a token the whole file has too is its error
-                if index == last or exc.diagnostics[0].pos != tokens[-1].pos:
-                    raise
-                return None
-            except RecursionError:
-                return None
-            piece = _Piece(tuple(unit.functions), tuple(unit.globals),
-                           len(text))
-            DEFINITIONS.deliver(key, piece)
-            pieces[index] = piece
+        for miss in misses:
+            miss.tokens = tokenize(miss.text, miss.origin)
+        last = len(entries) - 1
+        for index, entry in enumerate(entries):
+            if entry.value is not None:
+                continue
+            piece = None
+            if entry.tokens is None:
+                try:
+                    piece = _parse_function(entry, typedefs, index == last)
+                except _Undecided:
+                    pass
+            if piece is None:
+                piece = _parse_unit(entry, typedefs, index == last)
+                if piece is None:
+                    return None
+                _file_parts(entry, piece)
+            DEFINITIONS.deliver(entry.key, piece)
+            entry.value = piece
+    except RecursionError:
+        return None
     finally:
-        for _, key, _, _ in misses:
-            DEFINITIONS.abandon(key)
+        for entry in entries:
+            for piece in (entry, *(entry.parts or ())):
+                if piece.value is None:
+                    DEFINITIONS.abandon(piece.key)
     return ast.TranslationUnit(
-        functions=[f for piece in pieces for f in piece.functions],
-        globals=[g for piece in pieces for g in piece.globals])
+        functions=[f for entry in entries for f in entry.value.functions],
+        globals=[g for entry in entries for g in entry.value.globals])
 
 
 def parse(source: str,

@@ -18,7 +18,7 @@ from __future__ import annotations
 import re
 from typing import Mapping
 
-from repro.minicuda.diagnostics import CompileError, SourcePos, source_lines
+from repro.minicuda.diagnostics import LINE_BREAK, CompileError, SourcePos
 
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _INCLUDE = re.compile(r'#\s*include\s+[<"]([^>"]+)[>"]')
@@ -39,6 +39,10 @@ _SKIP = re.compile(r""""(?:[^"\\]|\\.)*"?|'(?:[^'\\]|\\.)*'?"""
                    r"""|//[^\n]*|/\*.*?\*/|/\*""", re.DOTALL)
 _NOT_NEWLINE = re.compile(r"[^\n]")
 _CONTINUATION = re.compile(r"\\\r?\n")
+#: Matches nowhere.
+_NOTHING = re.compile(r"(?!)")
+#: A line whose first character that is not whitespace is ``#``.
+_DIRECTIVE_LINE = re.compile(r"^[^\S\n]*#[^\n]*", re.MULTILINE)
 
 
 def _strip_comments(source: str) -> str:
@@ -106,92 +110,134 @@ class Preprocessor:
         if depth > 16:
             raise CompileError("#include nesting too deep")
         text = _strip_comments(_splice(source))
-        out_lines: list[str] = []
+        # one line break, as source_lines counts them; a final one does
+        # not start another line
+        if "\r" in text:
+            text = LINE_BREAK.sub("\n", text)
+        if text.endswith("\n"):
+            text = text[:-1]
+        out: list[str] = []  # chunks of whole lines, joined by line breaks
         # stack of booleans: is the current conditional branch active?
         cond_stack: list[bool] = []
         # parallel stack: has this level already consumed its #else?
         else_stack: list[bool] = []
-        for lineno, line in enumerate(source_lines(text), start=1):
+        lineno, at = 1, 0  # the line that starts at offset ``at``
+        for directive in _DIRECTIVE_LINE.finditer(text):
+            if directive.start() > at:
+                plain = text[at:directive.start() - 1]
+                self._plain_lines(plain, lineno, all(cond_stack), out)
+                lineno += plain.count("\n") + 1
+            at = directive.end() + 1
+            line = directive[0]
             stripped = line.strip()
             active = all(cond_stack)
-            if stripped.startswith("#"):
-                m = _IFDEF.match(stripped)
-                if m:
-                    defined = m.group(2) in self.macros
-                    want = defined if m.group(1) == "ifdef" else not defined
-                    cond_stack.append(want)
-                    else_stack.append(False)
-                    out_lines.append("")
-                    continue
-                if re.match(r"#\s*else\b", stripped):
-                    if not cond_stack:
-                        raise CompileError("#else without #ifdef",
-                                           SourcePos(lineno, 1))
-                    if else_stack[-1]:
-                        raise CompileError("duplicate #else",
-                                           SourcePos(lineno, 1))
-                    else_stack[-1] = True
-                    cond_stack[-1] = not cond_stack[-1]
-                    out_lines.append("")
-                    continue
-                if re.match(r"#\s*endif\b", stripped):
-                    if not cond_stack:
-                        raise CompileError("#endif without #ifdef",
-                                           SourcePos(lineno, 1))
-                    cond_stack.pop()
-                    else_stack.pop()
-                    out_lines.append("")
-                    continue
-                if not active:
-                    out_lines.append("")
-                    continue
-                m = _INCLUDE.match(stripped)
-                if m:
-                    name = m.group(1)
-                    if name in self.headers and name not in self.included:
-                        self.included.add(name)
-                        expanded = self._process(self.headers[name], depth + 1)
-                        out_lines.append(expanded)
-                    else:
-                        out_lines.append("")
-                    continue
-                m = _DEFINE_FUNC.match(stripped)
-                if m:
-                    params = [p.strip() for p in m.group(2).split(",") if p.strip()]
-                    self.macros[m.group(1)] = _Macro(m.group(1), params,
-                                                     m.group(3).strip())
-                    out_lines.append("")
-                    continue
-                m = _DEFINE_OBJ.match(stripped)
-                if m:
-                    self.macros[m.group(1)] = _Macro(m.group(1), None,
-                                                     (m.group(2) or "").strip())
-                    out_lines.append("")
-                    continue
-                m = _UNDEF.match(stripped)
-                if m:
-                    self.macros.pop(m.group(1), None)
-                    out_lines.append("")
-                    continue
-                if re.match(r"#\s*pragma\b", stripped):
-                    out_lines.append(line)
-                    continue
-                raise CompileError(f"unsupported preprocessor directive: "
-                                   f"{stripped.split()[0]}", SourcePos(lineno, 1))
-            if not active:
-                out_lines.append("")
+            number, lineno = lineno, lineno + 1
+            m = _IFDEF.match(stripped)
+            if m:
+                defined = m.group(2) in self.macros
+                want = defined if m.group(1) == "ifdef" else not defined
+                cond_stack.append(want)
+                else_stack.append(False)
+                out.append("")
                 continue
-            out_lines.append(self._expand_line(line, lineno))
+            if re.match(r"#\s*else\b", stripped):
+                if not cond_stack:
+                    raise CompileError("#else without #ifdef",
+                                       SourcePos(number, 1))
+                if else_stack[-1]:
+                    raise CompileError("duplicate #else",
+                                       SourcePos(number, 1))
+                else_stack[-1] = True
+                cond_stack[-1] = not cond_stack[-1]
+                out.append("")
+                continue
+            if re.match(r"#\s*endif\b", stripped):
+                if not cond_stack:
+                    raise CompileError("#endif without #ifdef",
+                                       SourcePos(number, 1))
+                cond_stack.pop()
+                else_stack.pop()
+                out.append("")
+                continue
+            if not active:
+                out.append("")
+                continue
+            m = _INCLUDE.match(stripped)
+            if m:
+                name = m.group(1)
+                if name in self.headers and name not in self.included:
+                    self.included.add(name)
+                    out.append(self._process(self.headers[name], depth + 1))
+                else:
+                    out.append("")
+                continue
+            m = _DEFINE_FUNC.match(stripped)
+            if m:
+                params = [p.strip() for p in m.group(2).split(",") if p.strip()]
+                self.macros[m.group(1)] = _Macro(m.group(1), params,
+                                                 m.group(3).strip())
+                out.append("")
+                continue
+            m = _DEFINE_OBJ.match(stripped)
+            if m:
+                self.macros[m.group(1)] = _Macro(m.group(1), None,
+                                                 (m.group(2) or "").strip())
+                out.append("")
+                continue
+            m = _UNDEF.match(stripped)
+            if m:
+                self.macros.pop(m.group(1), None)
+                out.append("")
+                continue
+            if re.match(r"#\s*pragma\b", stripped):
+                out.append(line)
+                continue
+            raise CompileError(f"unsupported preprocessor directive: "
+                               f"{stripped.split()[0]}",
+                               SourcePos(number, 1))
+        if at <= len(text):
+            self._plain_lines(text[at:], lineno, all(cond_stack), out)
         if cond_stack:
             raise CompileError("unterminated #ifdef")
-        return "\n".join(out_lines)
+        return "\n".join(out)
+
+    def _plain_lines(self, lines: str, lineno: int, active: bool,
+                     out: list[str]) -> None:
+        """A run of lines without a directive, the first numbered
+        ``lineno``: blanked where inactive; else copied whole but for
+        each line in which an identifier names a macro, which is
+        expanded."""
+        if not active:
+            out.append("\n" * lines.count("\n"))
+            return
+        at = 0  # where the lines not yet in ``out`` start
+        for use in self._macro_uses().finditer(lines):
+            if use.start() < at:
+                continue  # on a line expanded already
+            start = lines.rfind("\n", 0, use.start()) + 1
+            end = lines.find("\n", use.end())
+            end = len(lines) if end < 0 else end
+            if start > at:
+                out.append(lines[at:start - 1])
+            out.append(self._expand(lines[start:end], frozenset(),
+                                    lineno + lines.count("\n", 0, start), 0))
+            at = end + 1
+        if at <= len(lines):
+            out.append(lines[at:])
+
+    def _macro_uses(self) -> re.Pattern[str]:
+        """A macro's name at the end of a run of word characters: every
+        identifier that names a macro ends one (a line where the run
+        holds more is expanded for nothing, and comes out unchanged).
+        No look-behind: a pattern that opens with a literal lets the
+        regex engine skip to the candidates."""
+        names = sorted(name for name in self.macros if _IDENT.fullmatch(name))
+        if not names:
+            return _NOTHING
+        return re.compile(rf"(?:{'|'.join(map(re.escape, names))})"
+                          rf"(?![A-Za-z0-9_])")
 
     # -- macro expansion -----------------------------------------------------
-
-    def _expand_line(self, line: str, lineno: int) -> str:
-        if self.macros.keys().isdisjoint(_IDENT.findall(line)):
-            return line  # nothing to expand: _expand would rebuild it as is
-        return self._expand(line, frozenset(), lineno, 0)
 
     def _expand(self, text: str, hidden: frozenset[str], lineno: int,
                 depth: int) -> str:

@@ -74,6 +74,12 @@ class Counter:
         key = _label_key(labels)
         self._series[key] = self._series.get(key, 0.0) + amount
 
+    def labels(self, **labels: str) -> "CounterSeries":
+        """One series, resolved once: its ``inc`` skips building the
+        label key. The series appears when first incremented, as with
+        :meth:`inc`."""
+        return CounterSeries(self._series, _label_key(labels))
+
     def value(self, **labels: str) -> float:
         """Value of one series (0.0 if never incremented)."""
         return self._series.get(_label_key(labels), 0.0)
@@ -99,6 +105,22 @@ class Counter:
         if not self._series:
             lines.append(f"{self.name} 0")
         return lines
+
+
+class CounterSeries:
+    """A handle on one labeled series of a :class:`Counter`."""
+
+    __slots__ = ("_series", "_key")
+
+    def __init__(self, series: dict[tuple[tuple[str, str], ...], float],
+                 key: tuple[tuple[str, str], ...]):
+        self._series = series
+        self._key = key
+
+    def inc(self, amount: float = 1.0) -> None:
+        if amount < 0:
+            raise ValueError("counters only go up")
+        self._series[self._key] = self._series.get(self._key, 0.0) + amount
 
 
 class Gauge(Counter):

@@ -1,9 +1,27 @@
 """Preprocessor: comments, macros, includes, conditionals."""
 
+import random
+import re
+from pathlib import Path
+
 import pytest
 
+from repro.labs import ALL_LABS, EXTRA_LABS
+from repro.labs.mutations import MUTATIONS, buggy_source
 from repro.minicuda import CompileError, compile_source, preprocess
-from repro.minicuda.diagnostics import source_lines
+from repro.minicuda.diagnostics import SourcePos, source_lines
+from repro.minicuda.preprocessor import (
+    _DEFINE_FUNC,
+    _DEFINE_OBJ,
+    _IDENT,
+    _IFDEF,
+    _INCLUDE,
+    _UNDEF,
+    Preprocessor,
+    _Macro,
+    _splice,
+    _strip_comments,
+)
 
 
 class TestComments:
@@ -240,3 +258,152 @@ class TestDuplicateElse:
                          "#endif\n#else\nint y;\n#endif\n")
         assert "int x;" in out
         assert "int y;" not in out
+
+
+class LineLoop(Preprocessor):
+    """The loop that stripped, tested and scanned every line in Python,
+    kept as the reference the run-at-a-time one must equal byte for
+    byte."""
+
+    def _process(self, source: str, depth: int) -> str:
+        if depth > 16:
+            raise CompileError("#include nesting too deep")
+        text = _strip_comments(_splice(source))
+        out_lines: list[str] = []
+        # stack of booleans: is the current conditional branch active?
+        cond_stack: list[bool] = []
+        # parallel stack: has this level already consumed its #else?
+        else_stack: list[bool] = []
+        for lineno, line in enumerate(source_lines(text), start=1):
+            stripped = line.strip()
+            active = all(cond_stack)
+            if stripped.startswith("#"):
+                m = _IFDEF.match(stripped)
+                if m:
+                    defined = m.group(2) in self.macros
+                    want = defined if m.group(1) == "ifdef" else not defined
+                    cond_stack.append(want)
+                    else_stack.append(False)
+                    out_lines.append("")
+                    continue
+                if re.match(r"#\s*else\b", stripped):
+                    if not cond_stack:
+                        raise CompileError("#else without #ifdef",
+                                           SourcePos(lineno, 1))
+                    if else_stack[-1]:
+                        raise CompileError("duplicate #else",
+                                           SourcePos(lineno, 1))
+                    else_stack[-1] = True
+                    cond_stack[-1] = not cond_stack[-1]
+                    out_lines.append("")
+                    continue
+                if re.match(r"#\s*endif\b", stripped):
+                    if not cond_stack:
+                        raise CompileError("#endif without #ifdef",
+                                           SourcePos(lineno, 1))
+                    cond_stack.pop()
+                    else_stack.pop()
+                    out_lines.append("")
+                    continue
+                if not active:
+                    out_lines.append("")
+                    continue
+                m = _INCLUDE.match(stripped)
+                if m:
+                    name = m.group(1)
+                    if name in self.headers and name not in self.included:
+                        self.included.add(name)
+                        expanded = self._process(self.headers[name], depth + 1)
+                        out_lines.append(expanded)
+                    else:
+                        out_lines.append("")
+                    continue
+                m = _DEFINE_FUNC.match(stripped)
+                if m:
+                    params = [p.strip() for p in m.group(2).split(",") if p.strip()]
+                    self.macros[m.group(1)] = _Macro(m.group(1), params,
+                                                     m.group(3).strip())
+                    out_lines.append("")
+                    continue
+                m = _DEFINE_OBJ.match(stripped)
+                if m:
+                    self.macros[m.group(1)] = _Macro(m.group(1), None,
+                                                     (m.group(2) or "").strip())
+                    out_lines.append("")
+                    continue
+                m = _UNDEF.match(stripped)
+                if m:
+                    self.macros.pop(m.group(1), None)
+                    out_lines.append("")
+                    continue
+                if re.match(r"#\s*pragma\b", stripped):
+                    out_lines.append(line)
+                    continue
+                raise CompileError(f"unsupported preprocessor directive: "
+                                   f"{stripped.split()[0]}", SourcePos(lineno, 1))
+            if not active:
+                out_lines.append("")
+                continue
+            out_lines.append(self._expand_line(line, lineno))
+        if cond_stack:
+            raise CompileError("unterminated #ifdef")
+        return "\n".join(out_lines)
+
+    def _expand_line(self, line: str, lineno: int) -> str:
+        if self.macros.keys().isdisjoint(_IDENT.findall(line)):
+            return line  # nothing to expand: _expand would rebuild it as is
+        return self._expand(line, frozenset(), lineno, 0)
+
+
+
+def _outcome(preprocessor: Preprocessor, source: str) -> str:
+    try:
+        return preprocessor.process(source)
+    except CompileError as exc:
+        return f"error: {exc}"
+
+
+def _catalog_sources() -> list[str]:
+    texts = [lab.solution for lab in ALL_LABS + EXTRA_LABS]
+    texts += [lab.skeleton for lab in ALL_LABS + EXTRA_LABS]
+    texts += [buggy_source(mutation) for mutation in MUTATIONS]
+    examples = Path(__file__).parent.parent / "examples" / "cuda"
+    return texts + [path.read_text() for path in sorted(examples.glob("*.cu"))]
+
+
+#: Lines the shuffled sources below are made of, by weight: directives
+#: of every kind, macro uses and names that only end in a macro's, line
+#: breaks of every spelling, a comment across lines, and what makes the
+#: preprocessor fail.
+_LINES = {
+    "int a = 1;": 4, "  #define N 4": 2, "#define SQ(x) ((x) * (x))": 2,
+    "#undef N": 1, "#ifdef N": 2, "# ifndef M": 2, "#else": 1, "#endif": 3,
+    "#pragma acc parallel loop": 2, "int b[N] = {SQ(2)};": 4,
+    "x = SQ(N) + M;": 4, "": 4, "   ": 2, "\t# define M N": 2,
+    "#include \"h.h\"": 2, "#include <stdio.h>": 2, "/* a": 1,
+    "b */ int c;": 2, "char *s = \"N // not\";": 2, "y = N;\r": 2,
+    "z = 1; \\": 2, "#bogus": 1, "\f#endif": 1,
+    "q = 9N + xN + N9 + _N + 7x9N + \u00e9N + M(1);": 2,
+}
+
+
+def _shuffled_sources(count: int) -> list[str]:
+    rng = random.Random(40)
+    lines, weights = list(_LINES), list(_LINES.values())
+    return [rng.choice(("\n", "\r\n", "\r")).join(
+                rng.choices(lines, weights, k=rng.randint(0, 12)))
+            + rng.choice(("", "\n", "\n\n"))
+            for _ in range(count)]
+
+
+@pytest.mark.parametrize("source", _catalog_sources())
+def test_runs_of_plain_lines_preprocess_as_the_line_loop(source):
+    assert Preprocessor().process(source) == LineLoop().process(source)
+
+
+def test_directives_line_breaks_and_errors_preprocess_as_the_line_loop():
+    headers = {"h.h": "#define M 7\nint h = M;\n"}
+    for source in _shuffled_sources(3000):
+        for predefined in ({}, {"N": "2"}):
+            assert _outcome(Preprocessor(headers, predefined), source) == \
+                _outcome(LineLoop(headers, predefined), source), repr(source)

@@ -1,12 +1,14 @@
 """``parse()`` per definition: pieces, origins, the memo and exactness.
 
 ``repro.minicuda.parser.parse`` splits preprocessed text into top-level
-definitions, serves each from ``DEFINITIONS`` where it can, and stitches
-a fresh ``TranslationUnit``. Whatever it returns or raises must be what
-one ``MiniCudaParser`` run over the whole file returns or raises.
+definitions, serves each from ``DEFINITIONS`` where it can — a function
+definition that missed, statement by statement — and stitches a fresh
+``TranslationUnit``. Whatever it returns or raises must be what one
+``MiniCudaParser`` run over the whole file returns or raises.
 
-The token-deletion sweep runs a fixed-seed sample here; the exhaustive
-sweep (every token of every source, ~15 000 variants, ~30 s) runs with
+The token-deletion and line-insertion sweeps run fixed-seed samples
+here; the exhaustive sweeps (every token and every line of every
+source, ~25 000 variants, about two minutes) run with
 ``PYTHONPATH=src python -m tests.test_parse_definitions``.
 """
 
@@ -16,10 +18,13 @@ import random
 import re
 import sys
 from pathlib import Path
+from typing import Callable, Iterator, NamedTuple
 
 import pytest
 
-from benchmarks.attempt.workloads import EDITS
+from benchmarks.attempt.workloads import EDITS, undeclare_identifier
+from repro.cache.memo import MemoTable
+from repro.cache.policy import SizeCappedPolicy
 from repro.cluster import GpuWorker, PlatformCaches, WorkerConfig
 from repro.cluster.job import Job, JobKind
 from repro.labs import ALL_LABS, EXTRA_LABS, get_lab
@@ -31,6 +36,8 @@ from repro.minicuda.lexer import tokenize
 from repro.minicuda.parser import (
     DEFAULT_TYPEDEFS,
     DEFINITIONS,
+    STATEMENT_PIECES,
+    definitions_snapshot,
     parse,
     split_definitions,
 )
@@ -75,7 +82,7 @@ def piecewise(text: str) -> tuple[str, str]:
 
 
 def pieces(text: str) -> list[tuple[str, tuple[int, int]]]:
-    """(text, origin) of every piece ``parse`` would look up."""
+    """(text, origin) of every top-level piece ``parse`` would look up."""
     out, start, line = [], 0, 1
     for end in [*split_definitions(text), len(text)]:
         piece = text[start:end]
@@ -83,6 +90,31 @@ def pieces(text: str) -> list[tuple[str, tuple[int, int]]]:
         line += piece.count("\n")
         start = end
     return out
+
+
+def lookups(text: str) -> int:
+    """How many keys a parse of ``text`` looks up when nothing is held:
+    every top-level piece, and the header, statement pieces and tail of
+    each function definition among them."""
+    count = 0
+    for piece, _ in pieces(text):
+        ends = split_definitions(piece, 1)
+        function = bool(ends) and piece[ends[0] - 1] == "{" \
+            and piece[:ends[0] - 1].rstrip().endswith(")")
+        count += 1 + (len(ends) + 1 if function else 0)
+    return count
+
+
+class Lexed:
+    """Records the text of every ``tokenize`` call ``parse`` makes."""
+
+    def __init__(self, monkeypatch: pytest.MonkeyPatch):
+        self.texts: list[str] = []
+        monkeypatch.setattr(parser, "tokenize", self)
+
+    def __call__(self, text: str, origin: tuple[int, int] = (1, 1)):
+        self.texts.append(text)
+        return tokenize(text, origin)
 
 
 # -- origins and stitching -----------------------------------------------------
@@ -135,6 +167,24 @@ def test_split_rules():
     assert split_definitions("int a = (1));") is None
 
 
+def test_split_rules_at_depth_one():
+    # the header ends with the body's brace; each statement ends a piece,
+    # the one the closing brace ends is the tail
+    assert split_definitions("int f(int n) { n++; { n--; } return n; }", 1) \
+        == [14, 19, 28, 38]
+    # never before else or while, past blanks and # lines
+    assert split_definitions("int f() { if (c) a; else b; x; }", 1) \
+        == [9, 27, 30]
+    assert split_definitions("int f() { do {} while (c); x; }", 1) == [9, 26, 29]
+    assert split_definitions("int f() { a;\n# 7\n  while (c) x; }", 1) \
+        == [9, 31]
+    # a loop after its #pragma line is a piece of its own
+    assert split_definitions("int f() { a;\n#pragma acc loop\nfor(;;) x; }", 1) \
+        == [9, 12, 40]
+    # "elsewhere" is a name, not an else
+    assert split_definitions("int f() { a; elsewhere = 1; }", 1) == [9, 12, 27]
+
+
 def test_a_unit_is_fresh_but_its_definitions_are_shared():
     text = SOURCES[0]
     first, second = parse(text, TYPEDEFS), parse(text, TYPEDEFS)
@@ -152,7 +202,9 @@ def test_a_definition_is_keyed_by_its_position():
     parse(body + "int y;", TYPEDEFS)           # same place: a hit
     assert DEFINITIONS.stats.misses == misses + 1
     moved = parse("\n" + body + "int y;", TYPEDEFS)  # one line down
-    assert DEFINITIONS.stats.misses == misses + 4
+    # the file's three pieces, and the moved definition's header,
+    # statement and tail
+    assert DEFINITIONS.stats.misses == misses + 7
     assert moved.functions[0].pos.line == 2
 
 
@@ -163,7 +215,7 @@ def test_a_stale_grammar_misses(monkeypatch):
     monkeypatch.setattr(parser_gen, "GRAMMAR_HASH", "0" * 64)
     assert piecewise(text) == whole_file(text)
     assert DEFINITIONS.stats.hits == hits
-    assert DEFINITIONS.stats.misses == misses + len(pieces(text))
+    assert DEFINITIONS.stats.misses == misses + lookups(text)
 
 
 def test_other_typedefs_miss():
@@ -171,7 +223,7 @@ def test_other_typedefs_miss():
     parse(text, TYPEDEFS)
     misses = DEFINITIONS.stats.misses
     parse(text, TYPEDEFS | {"myHandle_t"})
-    assert DEFINITIONS.stats.misses == misses + len(pieces(text))
+    assert DEFINITIONS.stats.misses == misses + lookups(text)
 
 
 def test_errors_are_never_memoized():
@@ -180,9 +232,9 @@ def test_errors_are_never_memoized():
     for _ in range(2):
         with pytest.raises(CompileError, match="expected ';'"):
             parse(text, TYPEDEFS)
-    # the failing piece, the nonce and the tail missed twice; the error
-    # stopped the parse before the other two were parsed
-    assert DEFINITIONS.stats.misses == misses + 6
+    # every piece missed twice: the error stopped the parse before the
+    # pieces after it were parsed, and nothing before it was new
+    assert DEFINITIONS.stats.misses == misses + 2 * lookups(text)
     assert DEFINITIONS.stats.stores == stores
     assert DEFINITIONS.inflight_count == 0
 
@@ -205,7 +257,24 @@ def test_lookups_are_counted_and_reported():
     # two definitions and the empty tail
     assert lookups.value(cache="definitions", outcome="hit") == hits + 3
     assert PlatformCaches().snapshot()["definitions"] == \
-        DEFINITIONS.stats.snapshot()
+        definitions_snapshot()
+
+
+def test_statement_piece_lookups_are_told_apart():
+    text = "int g(int n) {\n  n++;\n  return n;\n}\n"
+    parse(text, TYPEDEFS)
+    before = definitions_snapshot()
+    parse(text.replace("n++", "n--"), TYPEDEFS)
+    after = definitions_snapshot()
+    # the definition missed; its header, return and tail hit, n-- missed
+    assert after["misses"] - before["misses"] == 1
+    assert after["hits"] - before["hits"] == 1  # the empty tail
+    assert after["statement_hits"] - before["statement_hits"] == 3
+    assert after["statement_misses"] - before["statement_misses"] == 1
+    assert after["statement_hits"] == STATEMENT_PIECES.hits
+    snap = DEFINITIONS.stats.snapshot()
+    assert after["hits"] + after["statement_hits"] == snap["hits"]
+    assert after["misses"] + after["statement_misses"] == snap["misses"]
 
 
 # -- exact diagnostics -----------------------------------------------------------
@@ -241,15 +310,118 @@ def test_nesting_too_deep_is_reported_where_the_whole_file_reports_it():
     assert "nested too deeply" in str(whole.value)
 
 
-def sweep(sample: int | None = None) -> tuple[int, int, list[str]]:
-    """Delete each token's text from each source (with :data:`NONCE`
-    appended; the memo warmed with the original) and compare ``parse``
-    with the whole-file parse. ``sample`` tokens per source with a fixed
-    seed, or every one. Returns (variants, decided by the pieces alone,
-    mismatches)."""
+# -- statement pieces ------------------------------------------------------------
+
+#: A function with one statement a line; ``@`` is the statement under test.
+FUNCTION = "int f(int c, int x) {\n  int a = 0;\n@\n  return a;\n}\n"
+
+
+def around(statement: str) -> str:
+    return FUNCTION.replace("@", statement)
+
+
+def held_around(statement: str) -> str:
+    """:data:`FUNCTION` around a placeholder as many lines long as
+    ``statement``: parsing it first leaves the header, the other
+    statements and the tail held, so ``around(statement)`` is decided
+    from pieces."""
+    return around("  x = 0;" + "\n" * statement.count("\n"))
+
+
+@pytest.mark.parametrize("statement", [
+    "  if (c) a = 1; else a = 2;",
+    "  do x++; while (c);",
+    "  do { } while (c);",
+    "  { } while (c) x++;",
+    "#pragma acc parallel loop\n  for (int i = 0; i < c; i++) a += i;",
+    "  int v[3] = {1, 2, 3};",
+    "  if (c) a = 1; else",    # the else takes the next line along
+    "  default: a = 1;",       # an error on the piece's first token
+    "  do { } x = 1;",         # one on the EOF of "do { }": the
+])                             # definition decides
+def test_a_statement_piece_is_what_the_whole_file_parses(statement,
+                                                         monkeypatch):
+    text = around(statement) + NONCE
+    parse(held_around(statement) + NONCE, TYPEDEFS)
+    lexed = Lexed(monkeypatch)
+    assert piecewise(text) == whole_file(text)
+    # lexed: the statement's piece, the nonce's and nothing else, unless
+    # the piece ended too soon and the whole definition was parsed
+    lexed_whole = [t for t in lexed.texts if t.startswith("int f(")]
+    assert lexed_whole == ([] if "x = 1" not in statement
+                           else [around(statement).rstrip("\n")])
+    assert any(statement.strip() in t for t in lexed.texts)
+    assert piecewise(text) == whole_file(text)  # and again, from the memo
+
+
+@pytest.mark.parametrize("tail", [
+    "\n",                  # only whitespace
+    "\n  a = ",            # half a statement
+    NONCE,                 # the next function, swallowed as a statement
+])
+def test_an_unclosed_last_function_is_split_too(tail, monkeypatch):
+    closed = around("  x = 0;")
+    parse(closed + NONCE, TYPEDEFS)
+    text = closed[:closed.rindex("}")].rstrip("\n") + tail
+    lexed = Lexed(monkeypatch)
+    assert whole_file(text)[0] == "err"
+    assert piecewise(text) == whole_file(text)
+    # the held header and statements were not lexed again
+    assert not any("return a;" in t for t in lexed.texts)
+
+
+def test_renaming_a_local_at_its_declaration_relexes_that_statement(
+        monkeypatch):
+    text = next(t for t in SOURCES if undeclare_identifier(t, "C"))
+    nonce = NONCE.replace("1234567890", "1234567891")
+    parse(text + NONCE, TYPEDEFS)
+    edited = undeclare_identifier(text, "C") + nonce
+    lexed = Lexed(monkeypatch)
+    assert piecewise(edited) == whole_file(edited)
+    renamed = [t for t in lexed.texts if "_C" in t]
+    assert len(renamed) == 1 and renamed[0].count(";") == 1
+    assert all(t in nonce for t in lexed.texts if t is not renamed[0])
+
+
+class Sweep(NamedTuple):
+    variants: int
+    decided: int  # without the whole-file parse
+    mismatches: list[str]
+    statement_hit_ratio: float  # of the variants' depth-1 lookups
+
+
+def deletions(text: str) -> Iterator[tuple[str, str]]:
+    """``text`` with one token's text deleted, for each token: (the
+    variant, what was deleted)."""
+    starts = [0]
+    for line in text.split("\n"):
+        starts.append(starts[-1] + len(line) + 1)
+    for token in tokenize(text)[:-1]:
+        at = starts[token.pos.line - 1] + token.pos.column - 1
+        yield text[:at] + text[at + len(token.text):], str(token)
+
+
+def insertions(text: str) -> Iterator[tuple[str, str]]:
+    """``text`` with a blank line, and separately ``int zz_1;``, inserted
+    before each of its lines: (the variant, what went where)."""
+    lines = text.split("\n")
+    for index in range(len(lines)):
+        for line in ("", "int zz_1;"):
+            yield ("\n".join([*lines[:index], line, *lines[index:]]),
+                   f"{line!r} before line {index + 1}")
+
+
+def sweep(edits: Callable[[str], Iterator[tuple[str, str]]],
+          sample: int | None = None, fresh: bool = False) -> Sweep:
+    """Apply ``edits`` to each source (with :data:`NONCE` appended; the
+    memo warmed with the original) and compare ``parse`` with the
+    whole-file parse on every variant, or on ``sample`` variants per
+    source picked with a fixed seed. ``fresh``: before each variant, a
+    new memo that holds the original alone (otherwise the variants
+    before it are held too)."""
     rng = random.Random(34)
-    fallbacks = 0
-    real = parser._parse_file
+    fallbacks = hits = looked_up = 0
+    real, memo = parser._parse_file, parser.DEFINITIONS
 
     def counted(*args):
         nonlocal fallbacks
@@ -261,29 +433,40 @@ def sweep(sample: int | None = None) -> tuple[int, int, list[str]]:
     try:
         for text in SOURCES:
             text += NONCE
-            starts = [0]
-            for line in text.split("\n"):
-                starts.append(starts[-1] + len(line) + 1)
-            tokens = tokenize(text)[:-1]
+            edited = list(edits(text))
             if sample is not None:
-                tokens = rng.sample(tokens, min(sample, len(tokens)))
+                edited = rng.sample(edited, min(sample, len(edited)))
             piecewise(text)
-            for token in tokens:
-                at = starts[token.pos.line - 1] + token.pos.column - 1
-                variant = text[:at] + text[at + len(token.text):]
+            for variant, what in edited:
+                if fresh:
+                    parser.DEFINITIONS = MemoTable(
+                        policy=SizeCappedPolicy(memo.policy.max_bytes),
+                        weigh=lambda piece: piece.chars)
+                    piecewise(text)
                 variants += 1
-                if piecewise(variant) != whole_file(variant):
-                    mismatches.append(f"{token} of {text[:60]!r}")
+                before = STATEMENT_PIECES.hits, STATEMENT_PIECES.lookups
+                outcome = piecewise(variant)
+                hits += STATEMENT_PIECES.hits - before[0]
+                looked_up += STATEMENT_PIECES.lookups - before[1]
+                if outcome != whole_file(variant):
+                    mismatches.append(f"{what} of {text[:60]!r}")
     finally:
-        parser._parse_file = real
-    return variants, variants - fallbacks, mismatches
+        parser._parse_file, parser.DEFINITIONS = real, memo
+    return Sweep(variants, variants - fallbacks, mismatches,
+                 hits / looked_up if looked_up else 0.0)
 
 
 def test_token_deletions_diagnose_as_the_whole_file():
-    variants, decided, mismatches = sweep(sample=30)
-    assert not mismatches
-    assert variants > 1000
-    assert decided > 0.75 * variants  # the pieces decide most variants
+    result = sweep(deletions, sample=30)
+    assert not result.mismatches
+    assert result.variants > 1000
+    assert result.decided > 0.75 * result.variants  # the pieces decide most
+
+
+def test_line_insertions_diagnose_as_the_whole_file():
+    result = sweep(insertions, sample=8, fresh=True)
+    assert not result.mismatches
+    assert result.variants == 8 * len(SOURCES)
 
 
 # -- shared nodes are never written ------------------------------------------
@@ -353,16 +536,22 @@ def test_the_dashboard_reports_the_definitions_memo():
     platform.compile_code("HPP-2015", user, "vector-add")
     stats = platform.dashboard.snapshot()["cache"]["stats"]["definitions"]
     assert stats["stores"] + stats["hits"] > 0
+    assert stats["statement_hits"] + stats["statement_misses"] > 0
     (line,) = [line for line in platform.dashboard.render().splitlines()
                if "caches:" in line]
-    assert re.search(r"definitions \d+% hit \(\d+ B live, \d+ evicted\)",
-                     line)
+    assert re.search(r"definitions \d+% hit, statement pieces \d+% of \d+ "
+                     r"hit \(\d+ B live, \d+ evicted\)", line)
 
 
 if __name__ == "__main__":
-    variants, decided, mismatches = sweep()
-    print(f"{variants} variants, {decided} decided by the pieces, "
-          f"{len(mismatches)} mismatches")
-    for mismatch in mismatches[:20]:
-        print("  mismatch:", mismatch)
-    sys.exit(1 if mismatches else 0)
+    failed = False
+    for name, edits, fresh in (("token deletions", deletions, False),
+                               ("line insertions", insertions, True)):
+        result = sweep(edits, fresh=fresh)
+        print(f"{name}: {result.variants} variants, {result.decided} "
+              f"decided by the pieces, {len(result.mismatches)} mismatches, "
+              f"statement pieces {result.statement_hit_ratio:.1%} hit")
+        for mismatch in result.mismatches[:20]:
+            print("  mismatch:", mismatch)
+        failed = failed or bool(result.mismatches)
+    sys.exit(1 if failed else 0)
