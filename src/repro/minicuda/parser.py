@@ -226,10 +226,11 @@ DEFINITIONS = MemoTable(
     cache_name="definitions")
 
 
-#: DEFINITIONS' lookups at depth 1 (the headers, statement pieces and
-#: tails of function definitions that missed), counted here as well as
-#: in ``DEFINITIONS.stats``: see :func:`definitions_snapshot`.
-STATEMENT_PIECES = CacheStats()
+#: DEFINITIONS' lookups told apart by depth: of top-level definitions,
+#: and of the headers, statement pieces and tails of the function
+#: definitions that missed (see :func:`definitions_snapshot`).
+DEFINITION_LOOKUPS = CacheStats()
+STATEMENT_LOOKUPS = CacheStats()
 
 
 def definitions_snapshot() -> dict[str, float]:
@@ -239,13 +240,11 @@ def definitions_snapshot() -> dict[str, float]:
     the depth-1 pieces; the rest (stores, bytes, evictions) is the
     memo's."""
     snap = DEFINITIONS.stats.snapshot()
-    pieces = STATEMENT_PIECES
-    definitions = CacheStats(hits=snap["hits"] - pieces.hits,
-                             misses=snap["misses"] - pieces.misses)
-    snap.update(hits=definitions.hits, misses=definitions.misses,
-                hit_rate=round(definitions.hit_rate, 4),
-                statement_hits=pieces.hits, statement_misses=pieces.misses,
-                statement_hit_rate=round(pieces.hit_rate, 4))
+    for prefix, lookups in (("", DEFINITION_LOOKUPS),
+                            ("statement_", STATEMENT_LOOKUPS)):
+        snap[f"{prefix}hits"] = lookups.hits
+        snap[f"{prefix}misses"] = lookups.misses
+        snap[f"{prefix}hit_rate"] = round(lookups.hit_rate, 4)
     return snap
 
 
@@ -267,11 +266,11 @@ class _Entry:
         self.parts: list[_Entry] | None = None
 
 
-def _look_up(text: str, ends: list[int], origin: tuple[int, int],
-             prefix: str, depth: int) -> list[_Entry]:
+def _pieces(text: str, ends: list[int], origin: tuple[int, int],
+            prefix: str, depth: int) -> list[_Entry]:
     """``text`` cut at ``ends`` (the last piece runs to its end), each
-    piece looked up in :data:`DEFINITIONS` at ``depth``; ``origin`` is
-    the (line, column) of ``text``'s first character."""
+    piece keyed at ``depth``; ``origin`` is the (line, column) of
+    ``text``'s first character."""
     entries = []
     start, (line, first_column) = 0, origin
     for end in (*ends, len(text)):
@@ -281,18 +280,23 @@ def _look_up(text: str, ends: list[int], origin: tuple[int, int],
         # a piece whose first line holds no token lexes the same at any
         # column: the line it starts on is all its key needs
         at = 0 if _BLANK_LINE.match(piece) else column
-        key = f"{prefix}{depth}:{line}:{at}:{piece}"
-        role, flight = DEFINITIONS.begin(key)
-        value = flight.value if role == HIT else None
-        if depth:
-            if value is None:
-                STATEMENT_PIECES.record_miss()
-            else:
-                STATEMENT_PIECES.record_hit()
-        entries.append(_Entry(key, piece, (line, column), value))
+        entries.append(_Entry(f"{prefix}{depth}:{line}:{at}:{piece}", piece,
+                              (line, column), None))
         line += piece.count("\n")
         start = end
     return entries
+
+
+def _fetch(entries: list[_Entry], lookups: CacheStats) -> None:
+    """Look each entry up in :data:`DEFINITIONS`, counted in
+    ``lookups``: a hit's value is what the memo holds."""
+    for entry in entries:
+        role, flight = DEFINITIONS.begin(entry.key)
+        if role == HIT:
+            entry.value = flight.value
+            lookups.record_hit()
+        else:
+            lookups.record_miss()
 
 
 class _Undecided(Exception):
@@ -386,7 +390,8 @@ def _file_parts(entry: _Entry, piece: _Piece) -> None:
     header = replace(function, body=ast.Block(statements=[],
                                               pos=function.body.pos))
     for part, statements in zip(parts, held):
-        if part.value is None:
+        # a piece looked up that missed, or one not looked up and not held
+        if part.value is None and DEFINITIONS.peek(part.key) is None:
             part.value = _Piece((header,) if part is parts[0] else (), (),
                                 tuple(statements), len(part.text))
             DEFINITIONS.deliver(part.key, part.value)
@@ -441,8 +446,9 @@ def _parse_pieces(source: str,
         return None
     prefix = f"{GRAMMAR_HASH}:{','.join(sorted(typedefs))}:"
     tops = _cuts(source, scan, 0, 0, len(scan.ends))
-    entries = _look_up(source, [scan.ends[k] for k in tops], (1, 1),
-                       prefix, 0)
+    entries = _pieces(source, [scan.ends[k] for k in tops], (1, 1),
+                      prefix, 0)
+    _fetch(entries, DEFINITION_LOOKUPS)
     misses: list[_Entry] = []  # what to lex, in file order
     lo = start = 0
     for entry, hi in zip(entries, (*tops, len(scan.ends))):
@@ -453,13 +459,17 @@ def _parse_pieces(source: str,
             inner = _cuts(source, scan, 1, lo, hi)
             if inner and inner[0] > lo and scan.separators[inner[0]] == "{" \
                     and scan.separators[inner[0] - 1] == ")":
-                entry.parts = _look_up(
+                entry.parts = parts = _pieces(
                     entry.text, [scan.ends[k] - start for k in inner],
                     entry.origin, prefix, 1)
-                held = [part for part in entry.parts if part.value is None]
-                # one none of whose pieces is held is parsed whole
-                if len(held) < len(entry.parts):
-                    misses[-1:] = held
+                # one whose header is not held is new here: it is parsed
+                # whole, and its pieces filed; else its pieces are
+                # looked up, and the ones that miss lexed
+                _fetch(parts[:1], STATEMENT_LOOKUPS)
+                if parts[0].value is not None:
+                    _fetch(parts[1:], STATEMENT_LOOKUPS)
+                    misses[-1:] = [part for part in parts
+                                   if part.value is None]
         lo = hi + 1
         start += len(entry.text)
     try:

@@ -36,7 +36,7 @@ from repro.minicuda.lexer import tokenize
 from repro.minicuda.parser import (
     DEFAULT_TYPEDEFS,
     DEFINITIONS,
-    STATEMENT_PIECES,
+    STATEMENT_LOOKUPS,
     definitions_snapshot,
     parse,
     split_definitions,
@@ -94,14 +94,13 @@ def pieces(text: str) -> list[tuple[str, tuple[int, int]]]:
 
 def lookups(text: str) -> int:
     """How many keys a parse of ``text`` looks up when nothing is held:
-    every top-level piece, and the header, statement pieces and tail of
-    each function definition among them."""
+    every top-level piece, and the header of each function definition
+    among them (whose other pieces are then filed, not looked up)."""
     count = 0
     for piece, _ in pieces(text):
         ends = split_definitions(piece, 1)
-        function = bool(ends) and piece[ends[0] - 1] == "{" \
-            and piece[:ends[0] - 1].rstrip().endswith(")")
-        count += 1 + (len(ends) + 1 if function else 0)
+        count += 2 if ends and piece[ends[0] - 1] == "{" \
+            and piece[:ends[0] - 1].rstrip().endswith(")") else 1
     return count
 
 
@@ -202,9 +201,8 @@ def test_a_definition_is_keyed_by_its_position():
     parse(body + "int y;", TYPEDEFS)           # same place: a hit
     assert DEFINITIONS.stats.misses == misses + 1
     moved = parse("\n" + body + "int y;", TYPEDEFS)  # one line down
-    # the file's three pieces, and the moved definition's header,
-    # statement and tail
-    assert DEFINITIONS.stats.misses == misses + 7
+    # the file's three pieces, and the moved definition's header
+    assert DEFINITIONS.stats.misses == misses + 5
     assert moved.functions[0].pos.line == 2
 
 
@@ -271,10 +269,8 @@ def test_statement_piece_lookups_are_told_apart():
     assert after["hits"] - before["hits"] == 1  # the empty tail
     assert after["statement_hits"] - before["statement_hits"] == 3
     assert after["statement_misses"] - before["statement_misses"] == 1
-    assert after["statement_hits"] == STATEMENT_PIECES.hits
-    snap = DEFINITIONS.stats.snapshot()
-    assert after["hits"] + after["statement_hits"] == snap["hits"]
-    assert after["misses"] + after["statement_misses"] == snap["misses"]
+    assert after["statement_hits"] == STATEMENT_LOOKUPS.hits
+    assert after["stores"] == DEFINITIONS.stats.stores
 
 
 # -- exact diagnostics -----------------------------------------------------------
@@ -388,6 +384,7 @@ class Sweep(NamedTuple):
     decided: int  # without the whole-file parse
     mismatches: list[str]
     statement_hit_ratio: float  # of the variants' depth-1 lookups
+    lexed_share: float  # of the variants' text, lexed by parse()
 
 
 def deletions(text: str) -> Iterator[tuple[str, str]]:
@@ -420,13 +417,18 @@ def sweep(edits: Callable[[str], Iterator[tuple[str, str]]],
     new memo that holds the original alone (otherwise the variants
     before it are held too)."""
     rng = random.Random(34)
-    fallbacks = hits = looked_up = 0
+    fallbacks = hits = looked_up = lexed = chars = 0
     real, memo = parser._parse_file, parser.DEFINITIONS
 
     def counted(*args):
         nonlocal fallbacks
         fallbacks += 1
         return real(*args)
+
+    def lex(text, origin=(1, 1)):
+        nonlocal lexed
+        lexed += len(text)
+        return tokenize(text, origin)
 
     parser._parse_file = counted
     variants, mismatches = 0, []
@@ -444,16 +446,20 @@ def sweep(edits: Callable[[str], Iterator[tuple[str, str]]],
                         weigh=lambda piece: piece.chars)
                     piecewise(text)
                 variants += 1
-                before = STATEMENT_PIECES.hits, STATEMENT_PIECES.lookups
+                before = STATEMENT_LOOKUPS.hits, STATEMENT_LOOKUPS.lookups
+                parser.tokenize = lex
                 outcome = piecewise(variant)
-                hits += STATEMENT_PIECES.hits - before[0]
-                looked_up += STATEMENT_PIECES.lookups - before[1]
+                parser.tokenize = tokenize
+                chars += len(variant)
+                hits += STATEMENT_LOOKUPS.hits - before[0]
+                looked_up += STATEMENT_LOOKUPS.lookups - before[1]
                 if outcome != whole_file(variant):
                     mismatches.append(f"{what} of {text[:60]!r}")
     finally:
         parser._parse_file, parser.DEFINITIONS = real, memo
+        parser.tokenize = tokenize
     return Sweep(variants, variants - fallbacks, mismatches,
-                 hits / looked_up if looked_up else 0.0)
+                 hits / looked_up if looked_up else 0.0, lexed / chars)
 
 
 def test_token_deletions_diagnose_as_the_whole_file():
@@ -550,7 +556,8 @@ if __name__ == "__main__":
         result = sweep(edits, fresh=fresh)
         print(f"{name}: {result.variants} variants, {result.decided} "
               f"decided by the pieces, {len(result.mismatches)} mismatches, "
-              f"statement pieces {result.statement_hit_ratio:.1%} hit")
+              f"statement pieces {result.statement_hit_ratio:.1%} hit, "
+              f"{result.lexed_share:.1%} of the text lexed")
         for mismatch in result.mismatches[:20]:
             print("  mismatch:", mismatch)
         failed = failed or bool(result.mismatches)
