@@ -184,6 +184,18 @@ def _cuts(source: str, scan: _Scan, depth: int, lo: int, hi: int) -> list[int]:
                 and _CONTINUES.match(source, ends[k]) is None)]
 
 
+def _body_opens(scan: _Scan, lo: int, hi: int) -> int | None:
+    """In a top-level piece (``scan``'s separators ``lo`` to ``hi``)
+    that is a function definition, the ``{`` that opens its body: its
+    first separator at depth 1 that may end a piece, after a ``)``."""
+    separators, depths = scan.separators, scan.depths
+    for k in range(lo, hi):
+        if depths[k] == 1 and separators[k] in ("{", ";", "}"):
+            return k if separators[k] == "{" and k > lo \
+                and separators[k - 1] == ")" else None
+    return None
+
+
 def split_definitions(source: str, depth: int = 0) -> list[int] | None:
     """Offsets that end the pieces of ``source`` at bracket depth
     ``depth`` (see :func:`_cuts`), or None when a closer has no opener.
@@ -206,6 +218,10 @@ class _Piece(NamedTuple):
     globals: tuple[ast.GlobalVar, ...]
     statements: tuple[ast.Stmt, ...]
     chars: int  # the text's length: what the memo weighs
+    #: A header's only: the key and text of the definition it was parsed
+    #: whole with, until an edit of that definition files its pieces
+    #: (:func:`_file_pieces`) — the one field that changes once stored.
+    unfiled: list[tuple[str, str]] | None = None
 
 
 #: Parsed pieces by (grammar, typedefs, depth, start line and column,
@@ -303,21 +319,16 @@ class _Undecided(Exception):
     """A definition's own pieces cannot decide it: parse it whole."""
 
 
-def _parse_part(parser: Any, part: _Entry, role: str, fail: Any) -> _Piece:
-    """One piece of a function definition, by its role: the header
-    (``func_head``), statements (``block_item*`` to the piece's EOF) or
-    the tail (``block_item*``, the closing brace, then what ``start``
-    reads after it). ``fail`` is the generated parser's soft failure."""
-    if role == "head":
-        function = parser.func_head()
-        if function is fail:
-            raise _Undecided
-        return _Piece((function,), (), (), len(part.text))
+def _parse_part(parser: Any, part: _Entry, tail: bool, fail: Any) -> _Piece:
+    """One piece of a function definition after its header: statements
+    (``block_item*`` to the piece's EOF), or the tail (``block_item*``,
+    the closing brace, then what ``start`` reads after it). ``fail`` is
+    the generated parser's soft failure."""
     statements = []
     while (statement := parser.block_item()) is not fail:
         statements.append(statement)
     stop = parser.tok
-    if role == "items":
+    if not tail:
         if stop.kind is not TokenKind.EOF:
             raise _Undecided  # a statement failed softly
         return _Piece((), (), tuple(statements), len(part.text))
@@ -333,68 +344,117 @@ def _parse_part(parser: Any, part: _Entry, role: str, fail: Any) -> _Piece:
 
 def _parse_function(entry: _Entry, typedefs: frozenset[str],
                     last: bool) -> _Piece:
-    """A function definition stitched from its header, statement pieces
-    and tail, each served from :data:`DEFINITIONS` or parsed from the
-    tokens lexed for it, raising what the whole file raises. Raises
-    :class:`_Undecided` where the definition's own parse must decide:
-    the header did not parse, or a statement piece ended too soon (an
-    error on its EOF, where the definition has more tokens)."""
+    """A function definition stitched from its held header, its statement
+    pieces and its tail, each served from :data:`DEFINITIONS` or parsed
+    from the tokens lexed for it, raising what the whole file raises.
+    Raises :class:`_Undecided` where the definition's own parse must
+    decide: a statement piece ended too soon (an error on its EOF, where
+    the definition has more tokens)."""
     from repro.minicuda.parser_gen import FAIL, MiniCudaParser
-    parts = entry.parts
-    assert parts is not None
-    for index, part in enumerate(parts):
+    head, *parts = entry.parts or ()
+    for part in parts:
         if part.value is not None:
             continue
-        role = "head" if index == 0 else \
-            "tail" if index == len(parts) - 1 else "items"
         tokens = part.tokens
         assert tokens is not None
+        tail = part is parts[-1]
         try:
             part.value = _parse_part(MiniCudaParser(tokens, typedefs), part,
-                                     role, FAIL)
+                                     tail, FAIL)
         except CompileError as exc:
-            if role == "head":
-                raise _Undecided from None
             # an error on a token the whole file has too is its error;
             # the tail's EOF is the definition's, the file's if it is last
-            if exc.diagnostics[0].pos != tokens[-1].pos \
-                    or role == "tail" and last:
+            if exc.diagnostics[0].pos != tokens[-1].pos or tail and last:
                 raise
             raise _Undecided from None
         DEFINITIONS.deliver(part.key, part.value)
-    function = parts[0].value.functions[0]
-    tail = parts[-1].value
-    body = ast.Block(statements=[statement for part in parts[1:]
+    function, tail = head.value.functions[0], parts[-1].value
+    body = ast.Block(statements=[statement for part in parts
                                  for statement in part.value.statements],
                      pos=function.body.pos)
     return _Piece((replace(function, body=body), *tail.functions),
                   tail.globals, (), len(entry.text))
 
 
-def _file_parts(entry: _Entry, piece: _Piece) -> None:
-    """Store a function definition that was parsed whole under its own
-    pieces' keys too, as what each piece parses to: a statement belongs
-    to the piece its first token is in, and a header holds the function
-    with an empty body."""
-    parts = entry.parts
-    if parts is None or len(piece.functions) != 1 or piece.globals:
+def _file_unfiled(parts: list[_Entry], prefix: str) -> None:
+    """``parts`` are a definition's pieces, its header held. Store the
+    pieces of the definition that header was last parsed whole with
+    under their own keys — if it shares a statement piece with
+    ``parts``: this is an edit of it — as what each parses to: a
+    statement belongs to the piece its first token is in. The header
+    forgets that definition either way."""
+    unfiled = parts[0].value.unfiled
+    if not unfiled:
         return
-    function = piece.functions[0]
-    held: list[list[ast.Stmt]] = [[] for _ in parts]
+    key, text = unfiled.pop()
+    flight = DEFINITIONS.peek(key)
+    if flight is None:
+        return  # evicted
+    filed = _pieces(text, split_definitions(text, 1), parts[0].origin,
+                    prefix, 1)
+    if {part.key for part in parts[1:-1]}.isdisjoint(
+            part.key for part in filed[1:-1]):
+        return
+    held: list[list[ast.Stmt]] = [[] for _ in filed]
     index = 1
-    for statement in function.body.statements:
+    for statement in flight.value.functions[0].body.statements:
         at = (statement.pos.line, statement.pos.column)
-        while index + 1 < len(parts) and parts[index + 1].origin <= at:
+        while index + 1 < len(filed) and filed[index + 1].origin <= at:
             index += 1
         held[index].append(statement)
-    header = replace(function, body=ast.Block(statements=[],
-                                              pos=function.body.pos))
-    for part, statements in zip(parts, held):
-        # a piece looked up that missed, or one not looked up and not held
-        if part.value is None and DEFINITIONS.peek(part.key) is None:
-            part.value = _Piece((header,) if part is parts[0] else (), (),
-                                tuple(statements), len(part.text))
-            DEFINITIONS.deliver(part.key, part.value)
+    for part, statements in zip(filed[1:], held[1:]):
+        if DEFINITIONS.peek(part.key) is None:
+            DEFINITIONS.deliver(part.key, _Piece(
+                (), (), tuple(statements), len(part.text)))
+
+
+def _look_up_function(entry: _Entry, source: str, scan: _Scan, lo: int,
+                      hi: int, start: int, prefix: str) -> list[_Entry]:
+    """What to lex of a top-level piece that missed (``source`` from
+    offset ``start``, ``scan``'s separators ``lo`` to ``hi``): the
+    piece itself — or, where it is a function definition whose header
+    and some statement are held, its pieces that miss. A definition
+    whose header is not held is new here, and one none of whose
+    statements is held is new at this place: either is parsed whole, and
+    its header remembers it (:func:`_hold_header`)."""
+    opens = _body_opens(scan, lo, hi)
+    if opens is None:
+        return [entry]
+    head, = _pieces(entry.text[:scan.ends[opens] - start], [], entry.origin,
+                    prefix, 1)
+    entry.parts = [head]
+    _fetch(entry.parts, STATEMENT_LOOKUPS)
+    if head.value is None:
+        return [entry]
+    parts = _pieces(entry.text, [scan.ends[k] - start
+                                 for k in _cuts(source, scan, 1, lo, hi)],
+                    entry.origin, prefix, 1)
+    parts[0] = head
+    _file_unfiled(parts, prefix)
+    _fetch(parts[1:], STATEMENT_LOOKUPS)
+    if all(part.value is None for part in parts[1:-1]):
+        for part in parts[1:]:
+            DEFINITIONS.abandon(part.key)
+        return [entry]
+    entry.parts = parts
+    return [part for part in parts if part.value is None]
+
+
+def _hold_header(entry: _Entry, piece: _Piece) -> None:
+    """A function definition was parsed whole: its header holds the
+    function with an empty body, and remembers the definition, whose
+    pieces an edit of it files (:func:`_file_unfiled`)."""
+    if not entry.parts or len(piece.functions) != 1 or piece.globals:
+        return
+    head, function = entry.parts[0], piece.functions[0]
+    if head.value is not None:
+        head.value.unfiled[:] = [(entry.key, entry.text)]
+        return
+    head.value = _Piece(
+        (replace(function, body=ast.Block(statements=[],
+                                          pos=function.body.pos)),),
+        (), (), len(head.text), [(entry.key, entry.text)])
+    DEFINITIONS.deliver(head.key, head.value)
 
 
 def _parse_unit(entry: _Entry, typedefs: frozenset[str],
@@ -453,23 +513,8 @@ def _parse_pieces(source: str,
     lo = start = 0
     for entry, hi in zip(entries, (*tops, len(scan.ends))):
         if entry.value is None:
-            misses.append(entry)
-            # a function definition: its first piece at depth 1 ends
-            # with the '{' after its parameters' ')'
-            inner = _cuts(source, scan, 1, lo, hi)
-            if inner and inner[0] > lo and scan.separators[inner[0]] == "{" \
-                    and scan.separators[inner[0] - 1] == ")":
-                entry.parts = parts = _pieces(
-                    entry.text, [scan.ends[k] - start for k in inner],
-                    entry.origin, prefix, 1)
-                # one whose header is not held is new here: it is parsed
-                # whole, and its pieces filed; else its pieces are
-                # looked up, and the ones that miss lexed
-                _fetch(parts[:1], STATEMENT_LOOKUPS)
-                if parts[0].value is not None:
-                    _fetch(parts[1:], STATEMENT_LOOKUPS)
-                    misses[-1:] = [part for part in parts
-                                   if part.value is None]
+            misses += _look_up_function(entry, source, scan, lo, hi, start,
+                                        prefix)
         lo = hi + 1
         start += len(entry.text)
     try:
@@ -491,7 +536,7 @@ def _parse_pieces(source: str,
                 piece = _parse_unit(entry, typedefs, index == last)
                 if piece is None:
                     return None
-                _file_parts(entry, piece)
+                _hold_header(entry, piece)
             DEFINITIONS.deliver(entry.key, piece)
             entry.value = piece
     except RecursionError:

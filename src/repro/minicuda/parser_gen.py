@@ -13,7 +13,7 @@ from repro.minicuda.pegen.runtime import FAIL, ParserBase
 
 _unused = (ast, SourcePos)
 
-GRAMMAR_HASH = "c04e00f1d471c96725fb054047a77ec602085273b66c1beabc3122903288eac1"
+GRAMMAR_HASH = "47e48c83983a878a979e928dd601305aed7132a758b3467f14db74542059098e"
 
 _BP_logical_or = {'||': 1, '&&': 2, '|': 3, '^': 4, '&': 5, '!=': 6, '==': 6, '<': 7, '<=': 7, '>': 7, '>=': 7, '<<': 8, '>>': 8, '+': 9, '-': 9, '%': 10, '*': 10, '/': 10}
 _KS_0 = frozenset({'__constant__', '__device__', '__global__', '__host__', '__kernel', '__shared__', 'extern', 'static'})
@@ -147,48 +147,6 @@ class MiniCudaParser(ParserBase):
         self._i = _mark
         return FAIL
 
-    def func_head(self):
-        # func_head
-        _mark = self._i
-        # | lead=(';' | PRAGMA)* quals=top_qual* t=c_type n=&&IDENT '(' params=param_list &&')' lb='{' EOF { self.make_external(self.pos_at(_mark + len(lead)), quals, t, n, ("func", (params, ast.Block(statements=[], pos=lb.pos))))[1] }
-        while True:
-            lead = []
-            while True:
-                _e10 = self._tokens[self._i]
-                if not (_e10.kind is _K_PRAGMA or _e10.kind is _K_PUNCT and _e10.text == ';'):
-                    break
-                self._i += 1
-                lead.append(_e10)
-            quals = []
-            while True:
-                _e11 = self._tokens[self._i]
-                if not (_e11.kind is _K_KEYWORD and _e11.text in _KS_0):
-                    break
-                self._i += 1
-                quals.append(_e11)
-            t = self.c_type()
-            if t is FAIL:
-                break
-            n = self.expect_ident()
-            _t12 = self._tokens[self._i]
-            if not (_t12.kind is _K_PUNCT and _t12.text == '('):
-                break
-            self._i += 1
-            params = self.param_list()
-            if params is FAIL:
-                break
-            self.expect_punct(')')
-            lb = self._tokens[self._i]
-            if not (lb.kind is _K_PUNCT and lb.text == '{'):
-                break
-            self._i += 1
-            _t14 = self._tokens[self._i]
-            if not (_t14.kind is _K_EOF):
-                break
-            return self.make_external(self.pos_at(_mark + len(lead)), quals, t, n, ("func", (params, ast.Block(statements=[], pos=lb.pos))))[1]
-        self._i = _mark
-        return FAIL
-
     def func_body(self):
         # func_body
         _mark = self._i
@@ -201,9 +159,9 @@ class MiniCudaParser(ParserBase):
             return None
         # | block
         if _k is _K_PUNCT and _x == '{':
-            _t16 = self.block()
-            if _t16 is not FAIL:
-                return _t16
+            _t11 = self.block()
+            if _t11 is not FAIL:
+                return _t11
         # | { self.expect_punct('{') }
         return self.expect_punct('{')
 
@@ -218,21 +176,21 @@ class MiniCudaParser(ParserBase):
             return []
         # | ps=','.param+ { self.filter_params(ps) }
         while True:
-            _e17 = self.param()
-            if _e17 is FAIL:
+            _e12 = self.param()
+            if _e12 is FAIL:
                 break
-            ps = [_e17]
+            ps = [_e12]
             while True:
-                _m18 = self._i
-                _t19 = self._tokens[self._i]
-                if not (_t19.kind is _K_PUNCT and _t19.text == ','):
+                _m13 = self._i
+                _t14 = self._tokens[self._i]
+                if not (_t14.kind is _K_PUNCT and _t14.text == ','):
                     break
                 self._i += 1
-                _e17 = self.param()
-                if _e17 is FAIL:
-                    self._i = _m18
+                _e12 = self.param()
+                if _e12 is FAIL:
+                    self._i = _m13
                     break
-                ps.append(_e17)
+                ps.append(_e12)
             return self.filter_params(ps)
         self._i = _mark
         return FAIL
@@ -247,8 +205,8 @@ class MiniCudaParser(ParserBase):
         if _k is _K_KEYWORD and _x == 'void':
             while True:
                 self._i += 1
-                _t21 = self._tokens[self._i]
-                if not (_t21.kind is _K_PUNCT and _t21.text == ')'):
+                _t16 = self._tokens[self._i]
+                if not (_t16.kind is _K_PUNCT and _t16.text == ')'):
                     break
                 return None
             self._i = _mark
@@ -256,31 +214,31 @@ class MiniCudaParser(ParserBase):
         while True:
             quals = []
             while True:
-                _e22 = self._tokens[self._i]
-                if not (_e22.kind is _K_KEYWORD and _e22.text in _KS_1):
+                _e17 = self._tokens[self._i]
+                if not (_e17.kind is _K_KEYWORD and _e17.text in _KS_1):
                     break
                 self._i += 1
-                quals.append(_e22)
+                quals.append(_e17)
             t = self.c_type()
             if t is FAIL:
                 break
             n = None
             while True:
-                _e23 = self._tokens[self._i]
-                if not (_e23.kind is _K_IDENT):
+                _e18 = self._tokens[self._i]
+                if not (_e18.kind is _K_IDENT):
                     break
                 self._i += 1
-                n = _e23
+                n = _e18
                 break
             dims = []
             while True:
-                _t25 = self._tokens[self._i]
-                if not (_t25.kind is _K_PUNCT and _t25.text == '['):
+                _t20 = self._tokens[self._i]
+                if not (_t20.kind is _K_PUNCT and _t20.text == '['):
                     break
-                _e24 = self.param_dim()
-                if _e24 is FAIL:
+                _e19 = self.param_dim()
+                if _e19 is FAIL:
                     break
-                dims.append(_e24)
+                dims.append(_e19)
             return self.make_param(quals, t, n, dims)
         self._i = _mark
         return FAIL
@@ -290,19 +248,19 @@ class MiniCudaParser(ParserBase):
         _mark = self._i
         # | '[' v=(!']' folded_adim)? &&']' { v }
         while True:
-            _t26 = self._tokens[self._i]
-            if not (_t26.kind is _K_PUNCT and _t26.text == '['):
+            _t21 = self._tokens[self._i]
+            if not (_t21.kind is _K_PUNCT and _t21.text == '['):
                 break
             self._i += 1
             v = None
             while True:
-                _t29 = self._tokens[self._i]
-                if _t29.kind is _K_PUNCT and _t29.text == ']':
+                _t24 = self._tokens[self._i]
+                if _t24.kind is _K_PUNCT and _t24.text == ']':
                     break
-                _t30 = self.folded_adim()
-                if _t30 is FAIL:
+                _t25 = self.folded_adim()
+                if _t25 is FAIL:
                     break
-                v = _t30
+                v = _t25
                 break
             self.expect_punct(']')
             return v
@@ -328,11 +286,11 @@ class MiniCudaParser(ParserBase):
         while True:
             quals = []
             while True:
-                _e32 = self._tokens[self._i]
-                if not (_e32.kind is _K_KEYWORD and _e32.text in _KS_2):
+                _e27 = self._tokens[self._i]
+                if not (_e27.kind is _K_KEYWORD and _e27.text in _KS_2):
                     break
                 self._i += 1
-                quals.append(_e32)
+                quals.append(_e27)
             t = self.c_type()
             if t is FAIL:
                 break
@@ -355,13 +313,13 @@ class MiniCudaParser(ParserBase):
                 break
             rest = []
             while True:
-                _t35 = self._tokens[self._i]
-                if not (_t35.kind is _K_PUNCT and _t35.text == ','):
+                _t30 = self._tokens[self._i]
+                if not (_t30.kind is _K_PUNCT and _t30.text == ','):
                     break
-                _e34 = self.extra_declarator()
-                if _e34 is FAIL:
+                _e29 = self.extra_declarator()
+                if _e29 is FAIL:
                     break
-                rest.append(_e34)
+                rest.append(_e29)
             return (first, rest)
         self._i = _mark
         return FAIL
@@ -371,17 +329,17 @@ class MiniCudaParser(ParserBase):
         _mark = self._i
         # | ',' stars='*'* n=&&IDENT suf=declarator_suffix { (stars, n, suf) }
         while True:
-            _t36 = self._tokens[self._i]
-            if not (_t36.kind is _K_PUNCT and _t36.text == ','):
+            _t31 = self._tokens[self._i]
+            if not (_t31.kind is _K_PUNCT and _t31.text == ','):
                 break
             self._i += 1
             stars = []
             while True:
-                _e37 = self._tokens[self._i]
-                if not (_e37.kind is _K_PUNCT and _e37.text == '*'):
+                _e32 = self._tokens[self._i]
+                if not (_e32.kind is _K_PUNCT and _e32.text == '*'):
                     break
                 self._i += 1
-                stars.append(_e37)
+                stars.append(_e32)
             n = self.expect_ident()
             suf = self.declarator_suffix()
             if suf is FAIL:
@@ -396,22 +354,22 @@ class MiniCudaParser(ParserBase):
         # | dims=decl_dim* init=initializer? { (dims, init) }
         dims = []
         while True:
-            _t39 = self._tokens[self._i]
-            if not (_t39.kind is _K_PUNCT and _t39.text == '['):
+            _t34 = self._tokens[self._i]
+            if not (_t34.kind is _K_PUNCT and _t34.text == '['):
                 break
-            _e38 = self.decl_dim()
-            if _e38 is FAIL:
+            _e33 = self.decl_dim()
+            if _e33 is FAIL:
                 break
-            dims.append(_e38)
+            dims.append(_e33)
         init = None
         while True:
-            _t41 = self._tokens[self._i]
-            if not (_t41.kind is _K_PUNCT and _t41.text in _PS_3):
+            _t36 = self._tokens[self._i]
+            if not (_t36.kind is _K_PUNCT and _t36.text in _PS_3):
                 break
-            _e40 = self.initializer()
-            if _e40 is FAIL:
+            _e35 = self.initializer()
+            if _e35 is FAIL:
                 break
-            init = _e40
+            init = _e35
             break
         return (dims, init)
 
@@ -420,8 +378,8 @@ class MiniCudaParser(ParserBase):
         _mark = self._i
         # | '[' v=folded_dim &&']' { v }
         while True:
-            _t42 = self._tokens[self._i]
-            if not (_t42.kind is _K_PUNCT and _t42.text == '['):
+            _t37 = self._tokens[self._i]
+            if not (_t37.kind is _K_PUNCT and _t37.text == '['):
                 break
             self._i += 1
             v = self.folded_dim()
@@ -479,9 +437,9 @@ class MiniCudaParser(ParserBase):
         _x = _t.text
         # | init_list
         if _k is _K_PUNCT and _x == '{':
-            _t47 = self.init_list()
-            if _t47 is not FAIL:
-                return _t47
+            _t42 = self.init_list()
+            if _t42 is not FAIL:
+                return _t42
         # | assignment
         return self.assignment()
 
@@ -496,12 +454,12 @@ class MiniCudaParser(ParserBase):
             self._i += 1
             items = []
             while True:
-                _m48 = self._i
-                _e49 = self.init_item()
-                if _e49 is FAIL:
+                _m43 = self._i
+                _e44 = self.init_item()
+                if _e44 is FAIL:
                     break
-                items.append(_e49)
-                if self._i == _m48:
+                items.append(_e44)
+                if self._i == _m43:
                     break
             self.expect_punct('}')
             return self.make_init_list(lb, items)
@@ -513,19 +471,19 @@ class MiniCudaParser(ParserBase):
         _mark = self._i
         # | !'}' v=init_value ','? { v }
         while True:
-            _t51 = self._tokens[self._i]
-            if _t51.kind is _K_PUNCT and _t51.text == '}':
+            _t46 = self._tokens[self._i]
+            if _t46.kind is _K_PUNCT and _t46.text == '}':
                 break
             v = self.init_value()
             if v is FAIL:
                 break
-            _t52 = None
+            _t47 = None
             while True:
-                _e53 = self._tokens[self._i]
-                if not (_e53.kind is _K_PUNCT and _e53.text == ','):
+                _e48 = self._tokens[self._i]
+                if not (_e48.kind is _K_PUNCT and _e48.text == ','):
                     break
                 self._i += 1
-                _t52 = _e53
+                _t47 = _e48
                 break
             return v
         self._i = _mark
@@ -538,30 +496,30 @@ class MiniCudaParser(ParserBase):
         while True:
             pre = []
             while True:
-                _e54 = self._tokens[self._i]
-                if not (_e54.kind is _K_KEYWORD and _e54.text == 'const'):
+                _e49 = self._tokens[self._i]
+                if not (_e49.kind is _K_KEYWORD and _e49.text == 'const'):
                     break
                 self._i += 1
-                pre.append(_e54)
+                pre.append(_e49)
             spec = self.type_spec()
             if spec is FAIL:
                 break
             post = []
             while True:
-                _e55 = self._tokens[self._i]
-                if not (_e55.kind is _K_KEYWORD and _e55.text == 'const'):
+                _e50 = self._tokens[self._i]
+                if not (_e50.kind is _K_KEYWORD and _e50.text == 'const'):
                     break
                 self._i += 1
-                post.append(_e55)
+                post.append(_e50)
             ptrs = []
             while True:
-                _t57 = self._tokens[self._i]
-                if not (_t57.kind is _K_PUNCT and _t57.text == '*'):
+                _t52 = self._tokens[self._i]
+                if not (_t52.kind is _K_PUNCT and _t52.text == '*'):
                     break
-                _e56 = self.pointer()
-                if _e56 is FAIL:
+                _e51 = self.pointer()
+                if _e51 is FAIL:
                     break
-                ptrs.append(_e56)
+                ptrs.append(_e51)
             return self.make_ctype(pre, spec, post, ptrs)
         self._i = _mark
         return FAIL
@@ -578,35 +536,35 @@ class MiniCudaParser(ParserBase):
             self._i += 1
             inner = None
             while True:
-                _e58 = self._tokens[self._i]
-                if not (_e58.kind is _K_KEYWORD and _e58.text in _KS_5):
+                _e53 = self._tokens[self._i]
+                if not (_e53.kind is _K_KEYWORD and _e53.text in _KS_5):
                     break
                 self._i += 1
-                inner = _e58
+                inner = _e53
                 break
             return self.spec_signed(s, inner)
         # | "long" ("long" | "int")? { "long" }
         if _k is _K_KEYWORD and _x == 'long':
             self._i += 1
-            _t60 = None
+            _t55 = None
             while True:
-                _e61 = self._tokens[self._i]
-                if not (_e61.kind is _K_KEYWORD and _e61.text in _KS_6):
+                _e56 = self._tokens[self._i]
+                if not (_e56.kind is _K_KEYWORD and _e56.text in _KS_6):
                     break
                 self._i += 1
-                _t60 = _e61
+                _t55 = _e56
                 break
             return "long"
         # | "short" "int"? { "int" }
         if _k is _K_KEYWORD and _x == 'short':
             self._i += 1
-            _t63 = None
+            _t58 = None
             while True:
-                _e64 = self._tokens[self._i]
-                if not (_e64.kind is _K_KEYWORD and _e64.text == 'int'):
+                _e59 = self._tokens[self._i]
+                if not (_e59.kind is _K_KEYWORD and _e59.text == 'int'):
                     break
                 self._i += 1
-                _t63 = _e64
+                _t58 = _e59
                 break
             return "int"
         # | b=base_type { b.text }
@@ -631,17 +589,17 @@ class MiniCudaParser(ParserBase):
         _mark = self._i
         # | '*' ("const" | "__restrict__")* { 1 }
         while True:
-            _t65 = self._tokens[self._i]
-            if not (_t65.kind is _K_PUNCT and _t65.text == '*'):
+            _t60 = self._tokens[self._i]
+            if not (_t60.kind is _K_PUNCT and _t60.text == '*'):
                 break
             self._i += 1
-            _t66 = []
+            _t61 = []
             while True:
-                _e67 = self._tokens[self._i]
-                if not (_e67.kind is _K_KEYWORD and _e67.text in _KS_8):
+                _e62 = self._tokens[self._i]
+                if not (_e62.kind is _K_KEYWORD and _e62.text in _KS_8):
                     break
                 self._i += 1
-                _t66.append(_e67)
+                _t61.append(_e62)
             return 1
         self._i = _mark
         return FAIL
@@ -654,14 +612,14 @@ class MiniCudaParser(ParserBase):
         _x = _t.text
         # | pragma_stmt
         if _k is _K_PRAGMA:
-            _t68 = self.pragma_stmt()
-            if _t68 is not FAIL:
-                return _t68
+            _t63 = self.pragma_stmt()
+            if _t63 is not FAIL:
+                return _t63
         # | block
         if _k is _K_PUNCT and _x == '{':
-            _t69 = self.block()
-            if _t69 is not FAIL:
-                return _t69
+            _t64 = self.block()
+            if _t64 is not FAIL:
+                return _t64
         # | t=';' { ast.Empty(pos=t.pos) }
         if _k is _K_PUNCT and _x == ';':
             t = _t
@@ -669,34 +627,34 @@ class MiniCudaParser(ParserBase):
             return ast.Empty(pos=t.pos)
         # | if_stmt
         if _k is _K_KEYWORD and _x == 'if':
-            _t70 = self.if_stmt()
-            if _t70 is not FAIL:
-                return _t70
+            _t65 = self.if_stmt()
+            if _t65 is not FAIL:
+                return _t65
         # | while_stmt
         if _k is _K_KEYWORD and _x == 'while':
-            _t71 = self.while_stmt()
-            if _t71 is not FAIL:
-                return _t71
+            _t66 = self.while_stmt()
+            if _t66 is not FAIL:
+                return _t66
         # | do_stmt
         if _k is _K_KEYWORD and _x == 'do':
-            _t72 = self.do_stmt()
-            if _t72 is not FAIL:
-                return _t72
+            _t67 = self.do_stmt()
+            if _t67 is not FAIL:
+                return _t67
         # | for_stmt
         if _k is _K_KEYWORD and _x == 'for':
-            _t73 = self.for_stmt()
-            if _t73 is not FAIL:
-                return _t73
+            _t68 = self.for_stmt()
+            if _t68 is not FAIL:
+                return _t68
         # | switch_stmt
         if _k is _K_KEYWORD and _x == 'switch':
-            _t74 = self.switch_stmt()
-            if _t74 is not FAIL:
-                return _t74
+            _t69 = self.switch_stmt()
+            if _t69 is not FAIL:
+                return _t69
         # | return_stmt
         if _k is _K_KEYWORD and _x == 'return':
-            _t75 = self.return_stmt()
-            if _t75 is not FAIL:
-                return _t75
+            _t70 = self.return_stmt()
+            if _t70 is not FAIL:
+                return _t70
         # | t="break" &&';' { ast.Break(pos=t.pos) }
         if _k is _K_KEYWORD and _x == 'break':
             t = _t
@@ -714,10 +672,10 @@ class MiniCudaParser(ParserBase):
             while True:
                 if not (_t.kind is _K_KEYWORD and _t.text in _KS_9 or _t.kind is _K_IDENT and _t.text in self.typedefs):
                     break
-                _t78 = self.declaration()
-                if _t78 is FAIL:
+                _t73 = self.declaration()
+                if _t73 is FAIL:
                     break
-                return _t78
+                return _t73
             self._i = _mark
         # | e=expression &&';' { ast.ExprStmt(expr=e, pos=self.pos_at(_mark)) }
         while True:
@@ -756,12 +714,12 @@ class MiniCudaParser(ParserBase):
             self._i += 1
             sts = []
             while True:
-                _e80 = self.block_item()
-                if _e80 is FAIL:
+                _e75 = self.block_item()
+                if _e75 is FAIL:
                     break
-                sts.append(_e80)
-            _t81 = self.block_end()
-            if _t81 is FAIL:
+                sts.append(_e75)
+            _t76 = self.block_end()
+            if _t76 is FAIL:
                 break
             return ast.Block(statements=sts, pos=lb.pos)
         self._i = _mark
@@ -772,11 +730,11 @@ class MiniCudaParser(ParserBase):
         _mark = self._i
         # | !'}' !EOF s=statement { s }
         while True:
-            _t82 = self._tokens[self._i]
-            if _t82.kind is _K_PUNCT and _t82.text == '}':
+            _t77 = self._tokens[self._i]
+            if _t77.kind is _K_PUNCT and _t77.text == '}':
                 break
-            _t83 = self._tokens[self._i]
-            if _t83.kind is _K_EOF:
+            _t78 = self._tokens[self._i]
+            if _t78.kind is _K_EOF:
                 break
             s = self.statement()
             if s is FAIL:
@@ -793,9 +751,9 @@ class MiniCudaParser(ParserBase):
         _x = _t.text
         # | '}'
         if _k is _K_PUNCT and _x == '}':
-            _t84 = _t
+            _t79 = _t
             self._i += 1
-            return _t84
+            return _t79
         # | { self.fail("unexpected end of file inside block") }
         return self.fail("unexpected end of file inside block")
 
@@ -818,13 +776,13 @@ class MiniCudaParser(ParserBase):
                 break
             e = None
             while True:
-                _t88 = self._tokens[self._i]
-                if not (_t88.kind is _K_KEYWORD and _t88.text == 'else'):
+                _t83 = self._tokens[self._i]
+                if not (_t83.kind is _K_KEYWORD and _t83.text == 'else'):
                     break
-                _e87 = self.else_clause()
-                if _e87 is FAIL:
+                _e82 = self.else_clause()
+                if _e82 is FAIL:
                     break
-                e = _e87
+                e = _e82
                 break
             return ast.If(cond=c, then=s, otherwise=e, pos=t.pos)
         self._i = _mark
@@ -835,8 +793,8 @@ class MiniCudaParser(ParserBase):
         _mark = self._i
         # | "else" s=statement { s }
         while True:
-            _t89 = self._tokens[self._i]
-            if not (_t89.kind is _K_KEYWORD and _t89.text == 'else'):
+            _t84 = self._tokens[self._i]
+            if not (_t84.kind is _K_KEYWORD and _t84.text == 'else'):
                 break
             self._i += 1
             s = self.statement()
@@ -879,8 +837,8 @@ class MiniCudaParser(ParserBase):
             b = self.statement()
             if b is FAIL:
                 break
-            _t92 = self.do_while_kw()
-            if _t92 is FAIL:
+            _t87 = self.do_while_kw()
+            if _t87 is FAIL:
                 break
             self.expect_punct('(')
             c = self.assignment()
@@ -900,9 +858,9 @@ class MiniCudaParser(ParserBase):
         _x = _t.text
         # | "while"
         if _k is _K_KEYWORD and _x == 'while':
-            _t96 = _t
+            _t91 = _t
             self._i += 1
-            return _t96
+            return _t91
         # | { self.fail("expected 'while' after do-body") }
         return self.fail("expected 'while' after do-body")
 
@@ -947,10 +905,10 @@ class MiniCudaParser(ParserBase):
             while True:
                 if not (_t.kind is _K_KEYWORD and _t.text in _KS_10 or _t.kind is _K_IDENT and _t.text in self.typedefs):
                     break
-                _t99 = self.declaration()
-                if _t99 is FAIL:
+                _t94 = self.declaration()
+                if _t94 is FAIL:
                     break
-                return _t99
+                return _t94
             self._i = _mark
         # | e=expression &&';' { ast.ExprStmt(expr=e, pos=e.pos) }
         while True:
@@ -1017,17 +975,17 @@ class MiniCudaParser(ParserBase):
                 break
             self.expect_punct(')')
             self.expect_punct('{')
-            _t108 = self.switch_head()
-            if _t108 is FAIL:
+            _t103 = self.switch_head()
+            if _t103 is FAIL:
                 break
             items = []
             while True:
-                _e109 = self.switch_item()
-                if _e109 is FAIL:
+                _e104 = self.switch_item()
+                if _e104 is FAIL:
                     break
-                items.append(_e109)
-            _t110 = self.switch_end()
-            if _t110 is FAIL:
+                items.append(_e104)
+            _t105 = self.switch_end()
+            if _t105 is FAIL:
                 break
             return self.make_switch(t, e, items)
         self._i = _mark
@@ -1068,11 +1026,11 @@ class MiniCudaParser(ParserBase):
             return ("default", d.pos)
         # | !'}' !EOF s=statement { ("stmt", s, self.pos_at(_mark)) }
         while True:
-            _t113 = self._tokens[self._i]
-            if _t113.kind is _K_PUNCT and _t113.text == '}':
+            _t108 = self._tokens[self._i]
+            if _t108.kind is _K_PUNCT and _t108.text == '}':
                 break
-            _t114 = self._tokens[self._i]
-            if _t114.kind is _K_EOF:
+            _t109 = self._tokens[self._i]
+            if _t109.kind is _K_EOF:
                 break
             s = self.statement()
             if s is FAIL:
@@ -1105,9 +1063,9 @@ class MiniCudaParser(ParserBase):
         _x = _t.text
         # | '}'
         if _k is _K_PUNCT and _x == '}':
-            _t115 = _t
+            _t110 = _t
             self._i += 1
-            return _t115
+            return _t110
         # | { self.fail("unexpected end of file inside switch") }
         return self.fail("unexpected end of file inside switch")
 
@@ -1161,15 +1119,15 @@ class MiniCudaParser(ParserBase):
                 break
             rest = None
             while True:
-                _t119 = self._tokens[self._i]
-                if not (_t119.kind is _K_PUNCT and _t119.text in _PS_12):
+                _t114 = self._tokens[self._i]
+                if not (_t114.kind is _K_PUNCT and _t114.text in _PS_12):
                     break
-                _m120 = self._i
-                op = _t119
+                _m115 = self._i
+                op = _t114
                 self._i += 1
                 v = self.assignment()
                 if v is FAIL:
-                    self._i = _m120
+                    self._i = _m115
                     break
                 rest = (op, v)
                 break
@@ -1187,20 +1145,20 @@ class MiniCudaParser(ParserBase):
                 break
             rest = None
             while True:
-                _t122 = self._tokens[self._i]
-                if not (_t122.kind is _K_PUNCT and _t122.text == '?'):
+                _t117 = self._tokens[self._i]
+                if not (_t117.kind is _K_PUNCT and _t117.text == '?'):
                     break
-                _m123 = self._i
-                _t124 = _t122
+                _m118 = self._i
+                _t119 = _t117
                 self._i += 1
                 t = self.assignment()
                 if t is FAIL:
-                    self._i = _m123
+                    self._i = _m118
                     break
-                _t125 = self.expect_punct(':')
+                _t120 = self.expect_punct(':')
                 o = self.conditional()
                 if o is FAIL:
-                    self._i = _m123
+                    self._i = _m118
                     break
                 rest = (t, o)
                 break
@@ -1272,8 +1230,8 @@ class MiniCudaParser(ParserBase):
             while True:
                 t = _t
                 self._i += 1
-                _t128 = self._tokens[self._i]
-                if not (_t128.kind is _K_KEYWORD and _t128.text in _KS_10 or _t128.kind is _K_IDENT and _t128.text in self.typedefs):
+                _t123 = self._tokens[self._i]
+                if not (_t123.kind is _K_KEYWORD and _t123.text in _KS_10 or _t123.kind is _K_IDENT and _t123.text in self.typedefs):
                     break
                 ty = self.c_type()
                 if ty is FAIL:
@@ -1296,8 +1254,8 @@ class MiniCudaParser(ParserBase):
             if p is FAIL:
                 break
             while True:
-                _t131 = self._tokens[self._i]
-                if not (_t131.kind is _K_PUNCT and _t131.text in _PS_15):
+                _t126 = self._tokens[self._i]
+                if not (_t126.kind is _K_PUNCT and _t126.text in _PS_15):
                     break
                 op = self.postfix_op()
                 if op is FAIL:
@@ -1407,13 +1365,13 @@ class MiniCudaParser(ParserBase):
             self._i += 1
             tail = None
             while True:
-                _t139 = self._tokens[self._i]
-                if not (_t139.kind is _K_PUNCT and _t139.text in _PS_17):
+                _t134 = self._tokens[self._i]
+                if not (_t134.kind is _K_PUNCT and _t134.text in _PS_17):
                     break
-                _e138 = self.call_tail()
-                if _e138 is FAIL:
+                _e133 = self.call_tail()
+                if _e133 is FAIL:
                     break
-                tail = _e138
+                tail = _e133
                 break
             return self.make_primary(n, tail)
         # | { self.fail_unexpected() }
@@ -1472,19 +1430,19 @@ class MiniCudaParser(ParserBase):
                 s = self.assignment()
                 if s is FAIL:
                     break
-                _t148 = None
+                _t143 = None
                 while True:
-                    _t150 = self._tokens[self._i]
-                    if not (_t150.kind is _K_PUNCT and _t150.text == ','):
+                    _t145 = self._tokens[self._i]
+                    if not (_t145.kind is _K_PUNCT and _t145.text == ','):
                         break
-                    _m151 = self._i
-                    _t152 = _t150
+                    _m146 = self._i
+                    _t147 = _t145
                     self._i += 1
-                    _t153 = self.assignment()
-                    if _t153 is FAIL:
-                        self._i = _m151
+                    _t148 = self.assignment()
+                    if _t148 is FAIL:
+                        self._i = _m146
                         break
-                    _t148 = (_t152, _t153)
+                    _t143 = (_t147, _t148)
                     break
                 return s
             self._i = _mark
@@ -1502,21 +1460,21 @@ class MiniCudaParser(ParserBase):
             return []
         # | ','.assignment+
         while True:
-            _e155 = self.assignment()
-            if _e155 is FAIL:
+            _e150 = self.assignment()
+            if _e150 is FAIL:
                 break
-            _t154 = [_e155]
+            _t149 = [_e150]
             while True:
-                _m156 = self._i
-                _t157 = self._tokens[self._i]
-                if not (_t157.kind is _K_PUNCT and _t157.text == ','):
+                _m151 = self._i
+                _t152 = self._tokens[self._i]
+                if not (_t152.kind is _K_PUNCT and _t152.text == ','):
                     break
                 self._i += 1
-                _e155 = self.assignment()
-                if _e155 is FAIL:
-                    self._i = _m156
+                _e150 = self.assignment()
+                if _e150 is FAIL:
+                    self._i = _m151
                     break
-                _t154.append(_e155)
-            return _t154
+                _t149.append(_e150)
+            return _t149
         self._i = _mark
         return FAIL
