@@ -376,25 +376,19 @@ def _parse_function(entry: _Entry, typedefs: frozenset[str],
                   tail.globals, (), len(entry.text))
 
 
-def _file_unfiled(parts: list[_Entry], prefix: str) -> None:
-    """``parts`` are a definition's pieces, its header held. Store the
-    pieces of the definition that header was last parsed whole with
-    under their own keys — if it shares a statement piece with
-    ``parts``: this is an edit of it — as what each parses to: a
-    statement belongs to the piece its first token is in. The header
-    forgets that definition either way."""
-    unfiled = parts[0].value.unfiled
+def _file_unfiled(head: _Entry, prefix: str) -> None:
+    """``head`` is a definition's header, held. Store the pieces of the
+    definition it was last parsed whole with under their own keys, once,
+    as what each parses to: a statement belongs to the piece its first
+    token is in."""
+    unfiled = head.value.unfiled
     if not unfiled:
         return
     key, text = unfiled.pop()
     flight = DEFINITIONS.peek(key)
     if flight is None:
         return  # evicted
-    filed = _pieces(text, split_definitions(text, 1), parts[0].origin,
-                    prefix, 1)
-    if {part.key for part in parts[1:-1]}.isdisjoint(
-            part.key for part in filed[1:-1]):
-        return
+    filed = _pieces(text, split_definitions(text, 1), head.origin, prefix, 1)
     held: list[list[ast.Stmt]] = [[] for _ in filed]
     index = 1
     for statement in flight.value.functions[0].body.statements:
@@ -430,7 +424,7 @@ def _look_up_function(entry: _Entry, source: str, scan: _Scan, lo: int,
                                  for k in _cuts(source, scan, 1, lo, hi)],
                     entry.origin, prefix, 1)
     parts[0] = head
-    _file_unfiled(parts, prefix)
+    _file_unfiled(head, prefix)
     _fetch(parts[1:], STATEMENT_LOOKUPS)
     if all(part.value is None for part in parts[1:-1]):
         for part in parts[1:]:
