@@ -218,9 +218,9 @@ class _Piece(NamedTuple):
     globals: tuple[ast.GlobalVar, ...]
     statements: tuple[ast.Stmt, ...]
     chars: int  # the text's length: what the memo weighs
-    #: A header's only: the key and text of the definition it was parsed
-    #: whole with, until an edit of that definition files its pieces
-    #: (:func:`_file_pieces`) — the one field that changes once stored.
+    #: A header's only: the key and text of the definition it was last
+    #: parsed whole with, whose pieces an edit of it files
+    #: (:func:`_file_shared`) — the one field that changes once stored.
     unfiled: list[tuple[str, str]] | None = None
 
 
@@ -376,28 +376,33 @@ def _parse_function(entry: _Entry, typedefs: frozenset[str],
                   tail.globals, (), len(entry.text))
 
 
-def _file_unfiled(head: _Entry, prefix: str) -> None:
-    """``head`` is a definition's header, held. Store the pieces of the
-    definition it was last parsed whole with under their own keys, once,
-    as what each parses to: a statement belongs to the piece its first
-    token is in."""
-    unfiled = head.value.unfiled
-    if not unfiled:
+def _file_shared(parts: list[_Entry], prefix: str) -> None:
+    """``parts`` are a function definition's pieces, its header held.
+    Store under their own keys the pieces it shares with the definition
+    that header was last parsed whole with, while that one is held: a
+    statement belongs to the piece its first token is in. So what an
+    edit keeps of a definition is filed when the edit comes, and only
+    that: a definition never edited files nothing."""
+    head = parts[0]
+    if not head.value.unfiled:
         return
-    key, text = unfiled.pop()
+    key, text = head.value.unfiled[0]
     flight = DEFINITIONS.peek(key)
     if flight is None:
         return  # evicted
-    filed = _pieces(text, split_definitions(text, 1), head.origin, prefix, 1)
-    held: list[list[ast.Stmt]] = [[] for _ in filed]
+    wanted = {part.key for part in parts[1:]}
+    kept = _pieces(text, split_definitions(text, 1), head.origin, prefix, 1)
+    if wanted.isdisjoint(part.key for part in kept[1:]):
+        return
+    held: list[list[ast.Stmt]] = [[] for _ in kept]
     index = 1
     for statement in flight.value.functions[0].body.statements:
         at = (statement.pos.line, statement.pos.column)
-        while index + 1 < len(filed) and filed[index + 1].origin <= at:
+        while index + 1 < len(kept) and kept[index + 1].origin <= at:
             index += 1
         held[index].append(statement)
-    for part, statements in zip(filed[1:], held[1:]):
-        if DEFINITIONS.peek(part.key) is None:
+    for part, statements in zip(kept[1:], held[1:]):
+        if part.key in wanted and DEFINITIONS.peek(part.key) is None:
             DEFINITIONS.deliver(part.key, _Piece(
                 (), (), tuple(statements), len(part.text)))
 
@@ -424,7 +429,7 @@ def _look_up_function(entry: _Entry, source: str, scan: _Scan, lo: int,
                                  for k in _cuts(source, scan, 1, lo, hi)],
                     entry.origin, prefix, 1)
     parts[0] = head
-    _file_unfiled(head, prefix)
+    _file_shared(parts, prefix)
     _fetch(parts[1:], STATEMENT_LOOKUPS)
     if all(part.value is None for part in parts[1:-1]):
         for part in parts[1:]:
@@ -437,8 +442,10 @@ def _look_up_function(entry: _Entry, source: str, scan: _Scan, lo: int,
 def _hold_header(entry: _Entry, piece: _Piece) -> None:
     """A function definition was parsed whole: its header holds the
     function with an empty body, and remembers the definition, whose
-    pieces an edit of it files (:func:`_file_unfiled`)."""
-    if not entry.parts or len(piece.functions) != 1 or piece.globals:
+    pieces an edit of it files (:func:`_file_shared`). Not for one of
+    fewer than two statements, of which an edit keeps none."""
+    if not entry.parts or len(piece.functions) != 1 or piece.globals \
+            or len(piece.functions[0].body.statements) < 2:
         return
     head, function = entry.parts[0], piece.functions[0]
     if head.value is not None:
@@ -531,7 +538,9 @@ def _parse_pieces(source: str,
                 if piece is None:
                     return None
                 _hold_header(entry, piece)
-            DEFINITIONS.deliver(entry.key, piece)
+                DEFINITIONS.deliver(entry.key, piece)
+            else:
+                DEFINITIONS.abandon(entry.key)
             entry.value = piece
     except RecursionError:
         return None

@@ -489,27 +489,35 @@ def _programs():
             yield get_lab(mutation.lab_slug), buggy_source(mutation)
 
 
-def test_running_a_program_writes_no_shared_definition():
+def _statements(unit):
+    return [s for function in unit.functions for s in function.body.statements]
+
+
+def test_running_a_program_writes_no_shared_definition(monkeypatch):
     """Compile and run each catalog program once per engine, each on a
     worker whose ``CompileCache`` keeps the program: every compile after
-    the first is served from the memo, so both runs execute the very
-    same nodes, and those nodes read the same afterwards."""
+    the first is served from the memo (a definition stitched from its
+    pieces is stitched again, from the same statement nodes), so both
+    runs execute the very same nodes, and those nodes read the same
+    afterwards."""
     workers = [GpuWorker(WorkerConfig(tags=ALL_TAGS, kernel_engine=engine),
                          compile_cache=CompileCache())
                for engine in ("simd", "codegen")]
+    lexed = Lexed(monkeypatch)
     for lab, source in _programs():
         try:
             unit = compile_source(source).info.unit
         except CompileError:
             continue
         before = [repr(node) for node in (*unit.functions, *unit.globals)]
-        misses = DEFINITIONS.stats.misses
+        lexed.texts.clear()
         for worker in workers:
             worker.process(Job(lab=lab, source=source,
                                kind=JobKind.RUN_DATASET, dataset_index=0))
-        assert DEFINITIONS.stats.misses == misses  # both ran shared nodes
+        assert not lexed.texts  # both ran shared nodes
         again = compile_source(source).info.unit
-        assert all(a is b for a, b in zip(again.functions, unit.functions))
+        assert all(a is b for a, b in zip(_statements(again),
+                                           _statements(unit)))
         assert [repr(node) for node in (*unit.functions, *unit.globals)] \
             == before, lab.slug
 
