@@ -401,10 +401,16 @@ def _file_shared(parts: list[_Entry], prefix: str) -> None:
         while index + 1 < len(kept) and kept[index + 1].origin <= at:
             index += 1
         held[index].append(statement)
+    unfiled = 0
     for part, statements in zip(kept[1:], held[1:]):
-        if part.key in wanted and DEFINITIONS.peek(part.key) is None:
-            DEFINITIONS.deliver(part.key, _Piece(
-                (), (), tuple(statements), len(part.text)))
+        if DEFINITIONS.peek(part.key) is None:
+            if part.key in wanted:
+                DEFINITIONS.deliver(part.key, _Piece(
+                    (), (), tuple(statements), len(part.text)))
+            else:
+                unfiled += 1
+    if not unfiled:
+        head.value.unfiled.clear()
 
 
 def _look_up_function(entry: _Entry, source: str, scan: _Scan, lo: int,
