@@ -9,9 +9,11 @@ independent reference the differential suites hold it to.
 
 It runs once per top-level definition: :func:`split_definitions` cuts
 the file, :data:`DEFINITIONS` keeps what each piece parsed to, and a
-program that holds a definition at the same place reuses its nodes —
-with the whole-file parse's result and diagnostics, which is the
-fallback wherever the pieces cannot decide.
+program that holds a definition at the same place reuses its nodes.
+An edited function definition is cut once more, between the statements
+of its body, and only the statements the edit touched are lexed and
+parsed. Either way the result and the diagnostics are the whole-file
+parse's, which is the fallback wherever the pieces cannot decide.
 
 What the generated parser's runtime and that reference both need —
 the typedef and qualifier sets, the constant folder — is defined here.
@@ -226,15 +228,20 @@ class _Piece(NamedTuple):
 
 #: Parsed pieces by (grammar, typedefs, depth, start line and column,
 #: text) — the nodes embed their positions, so a piece that moved is a
-#: miss, and ``int a;`` is a global at depth 0 but a statement at depth
-#: 1. Depth 0 holds a file's definitions, depth 1 the headers, statements
-#: and tails of its function definitions. Only pieces that parsed are
-#: stored. Weighed by text length; a piece's nodes and key take ~BYTES
-#: bytes per character. The cap was set on the attempt benchmark's
-#: ``edit_loop``, whose pieces are reused by the next edits of the same
-#: file, not across files: replayed slot by slot with definitions alone,
-#: its best lex + parse time fell 22% at 8 KiB, 24% at 24 KiB and 25% at
-#: 48 KiB; holding its whole working set would add ~10% to its peak RSS,
+#: miss (the column only counts where a token sits on the piece's first
+#: line), and ``int a;`` is a global at depth 0 but a statement at depth
+#: 1. Depth 0 holds the top-level pieces that were parsed whole; depth 1
+#: the headers of function definitions parsed whole, and the statement
+#: pieces and tails of the ones edited since. A definition stitched from
+#: its pieces is not stored again whole: the next parse stitches it anew
+#: from them. Only pieces that parsed are stored. Weighed by text length:
+#: on the attempt benchmark's ``edit_loop`` sources and edits, what the
+#: memo holds takes 32-39 bytes per character weighed (33-37 with
+#: definitions alone), ~0.8 MiB at the cap. The cap was set on that
+#: workload, whose pieces are reused by the next edits of the same file,
+#: not across files: replayed slot by slot with definitions alone, its
+#: best lex + parse time fell 22% at 8 KiB, 24% at 24 KiB and 25% at 48
+#: KiB; holding its whole working set would add ~10% to its peak RSS,
 #: whose bound is 5%.
 DEFINITIONS = MemoTable(
     policy=SizeCappedPolicy(24 * 1024),
@@ -377,12 +384,13 @@ def _parse_function(entry: _Entry, typedefs: frozenset[str],
 
 
 def _file_shared(parts: list[_Entry], prefix: str) -> None:
-    """``parts`` are a function definition's pieces, its header held.
-    Store under their own keys the pieces it shares with the definition
-    that header was last parsed whole with, while that one is held: a
-    statement belongs to the piece its first token is in. So what an
-    edit keeps of a definition is filed when the edit comes, and only
-    that: a definition never edited files nothing."""
+    """``parts`` are a function definition's pieces, its header held. If
+    it shares a piece with the definition that header remembers (it is
+    an edit of that one), store those pieces of that one under their own
+    keys, as what each parses to — a statement belongs to the piece its
+    first token is in — and forget it. So a definition files what its
+    first edit keeps of it, when that edit comes: one never edited files
+    nothing."""
     head = parts[0]
     if not head.value.unfiled:
         return
@@ -392,8 +400,9 @@ def _file_shared(parts: list[_Entry], prefix: str) -> None:
         return  # evicted
     wanted = {part.key for part in parts[1:]}
     kept = _pieces(text, split_definitions(text, 1), head.origin, prefix, 1)
-    if wanted.isdisjoint(part.key for part in kept[1:]):
+    if wanted.isdisjoint(part.key for part in kept[1:-1]):
         return
+    head.value.unfiled.clear()
     held: list[list[ast.Stmt]] = [[] for _ in kept]
     index = 1
     for statement in flight.value.functions[0].body.statements:
@@ -401,16 +410,10 @@ def _file_shared(parts: list[_Entry], prefix: str) -> None:
         while index + 1 < len(kept) and kept[index + 1].origin <= at:
             index += 1
         held[index].append(statement)
-    unfiled = 0
     for part, statements in zip(kept[1:], held[1:]):
-        if DEFINITIONS.peek(part.key) is None:
-            if part.key in wanted:
-                DEFINITIONS.deliver(part.key, _Piece(
-                    (), (), tuple(statements), len(part.text)))
-            else:
-                unfiled += 1
-    if not unfiled:
-        head.value.unfiled.clear()
+        if part.key in wanted and DEFINITIONS.peek(part.key) is None:
+            DEFINITIONS.deliver(part.key, _Piece(
+                (), (), tuple(statements), len(part.text)))
 
 
 def _look_up_function(entry: _Entry, source: str, scan: _Scan, lo: int,
@@ -455,7 +458,11 @@ def _hold_header(entry: _Entry, piece: _Piece) -> None:
         return
     head, function = entry.parts[0], piece.functions[0]
     if head.value is not None:
-        head.value.unfiled[:] = [(entry.key, entry.text)]
+        # it remembers the first definition parsed whole at it until
+        # that one is filed or evicted
+        unfiled = head.value.unfiled
+        if not unfiled or DEFINITIONS.peek(unfiled[0][0]) is None:
+            unfiled[:] = [(entry.key, entry.text)]
         return
     head.value = _Piece(
         (replace(function, body=ast.Block(statements=[],
@@ -496,10 +503,10 @@ def _parse_file(source: str,
 
 def _parse_pieces(source: str,
                   typedefs: frozenset[str]) -> ast.TranslationUnit | None:
-    """``source`` parsed definition by definition — a function
-    definition that missed, statement by statement — each piece served
-    from :data:`DEFINITIONS` where it can be, and raising exactly what
-    the whole-file parse raises. None where the pieces cannot decide:
+    """``source`` parsed definition by definition — an edited function
+    definition, statement by statement — each piece served from
+    :data:`DEFINITIONS` where it can be, and raising exactly what the
+    whole-file parse raises. None where the pieces cannot decide:
     the split failed, a definition other than the last ended too soon
     (the error sits on its EOF, where the whole file has more tokens),
     or the stack ran out (whose position only the whole file's tokens
@@ -567,8 +574,9 @@ def parse(source: str,
 
     Each top-level definition is lexed and parsed once per process and
     then served from :data:`DEFINITIONS` to every program that holds it
-    at the same position; the whole file is parsed in one go only where
-    the pieces cannot decide. Either way the result — a fresh
+    at the same position, and an edit of a function definition lexes
+    and parses only the statements it touched; the whole file is parsed
+    in one go only where the pieces cannot decide. Either way the result — a fresh
     :class:`ast.TranslationUnit`, or the :class:`CompileError` — is the
     whole-file parse's.
 
