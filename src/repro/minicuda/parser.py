@@ -384,25 +384,27 @@ def _parse_function(entry: _Entry, typedefs: frozenset[str],
 
 
 def _file_shared(parts: list[_Entry], prefix: str) -> None:
-    """``parts`` are a function definition's pieces, its header held. If
-    it shares a piece with the definition that header remembers (it is
-    an edit of that one), store those pieces of that one under their own
-    keys, as what each parses to — a statement belongs to the piece its
-    first token is in — and forget it. So a definition files what its
-    first edit keeps of it, when that edit comes: one never edited files
-    nothing."""
-    head = parts[0]
-    if not head.value.unfiled:
+    """``parts`` are a function definition's pieces, its header held.
+    The header forgets the definition it remembers; if this one shares
+    pieces with it (it is an edit of that one, and that one is still
+    held), those are stored under their own keys, as what each parses
+    to: a statement belongs to the piece its first token is in. So a
+    definition files what the first definition to find its header keeps
+    of it, when that one comes: one never edited files nothing."""
+    unfiled = parts[0].value.unfiled
+    if not unfiled:
         return
-    key, text = head.value.unfiled[0]
+    key, text = unfiled.pop()
     flight = DEFINITIONS.peek(key)
-    if flight is None:
-        return  # evicted
+    # evicted, or no statement of this one is in its text (a shared
+    # piece has the same text): there is nothing to cut it for
+    if flight is None or not any(part.text in text for part in parts[1:-1]):
+        return
     wanted = {part.key for part in parts[1:]}
-    kept = _pieces(text, split_definitions(text, 1), head.origin, prefix, 1)
+    kept = _pieces(text, split_definitions(text, 1), parts[0].origin,
+                   prefix, 1)
     if wanted.isdisjoint(part.key for part in kept[1:-1]):
         return
-    head.value.unfiled.clear()
     held: list[list[ast.Stmt]] = [[] for _ in kept]
     index = 1
     for statement in flight.value.functions[0].body.statements:
@@ -458,11 +460,8 @@ def _hold_header(entry: _Entry, piece: _Piece) -> None:
         return
     head, function = entry.parts[0], piece.functions[0]
     if head.value is not None:
-        # it remembers the first definition parsed whole at it until
-        # that one is filed or evicted
-        unfiled = head.value.unfiled
-        if not unfiled or DEFINITIONS.peek(unfiled[0][0]) is None:
-            unfiled[:] = [(entry.key, entry.text)]
+        if not head.value.unfiled:
+            head.value.unfiled.append((entry.key, entry.text))
         return
     head.value = _Piece(
         (replace(function, body=ast.Block(statements=[],
