@@ -117,10 +117,8 @@ class CounterSeries:
         self._series = series
         self._key = key
 
-    def inc(self, amount: float = 1.0) -> None:
-        if amount < 0:
-            raise ValueError("counters only go up")
-        self._series[self._key] = self._series.get(self._key, 0.0) + amount
+    def inc(self) -> None:
+        self._series[self._key] = self._series.get(self._key, 0.0) + 1.0
 
 
 class Gauge(Counter):

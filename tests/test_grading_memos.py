@@ -22,6 +22,7 @@ import numpy as np
 import pytest
 
 from repro.cache import LRUPolicy
+from repro.cache.memo import MemoTable
 from repro.cluster import GpuWorker, PlatformCaches, WorkerConfig
 from repro.cluster.job import Job, JobKind
 from repro.cluster.result_cache import GradingResultCache
@@ -30,6 +31,7 @@ from repro.labs.base import DATASETS
 from repro.labs.mutations import MUTATIONS, buggy_source
 from repro.minicuda import CompileCache, CompileError, HostEnv, compile_source
 from repro.minicuda import compiler
+from repro.telemetry import Telemetry
 
 CATALOG = ALL_LABS + EXTRA_LABS
 TAGS = frozenset({"cuda"}.union(*(lab.requirements for lab in CATALOG)))
@@ -164,6 +166,25 @@ def preprocessed(monkeypatch):
 
 
 SOURCE = get_lab("vector-add").solution
+
+
+def test_lookups_follow_a_telemetry_bundle_attached_later():
+    """A memo resolves its lookup series once, and again after its
+    bundle or name is set (as ``PlatformCaches.attach_telemetry``
+    does): counts land in the bundle and under the name of the time."""
+    memo = MemoTable(cache_name="before")
+    first = memo.telemetry
+    memo.begin("k")
+    memo.telemetry, memo.cache_name = Telemetry(), "after"
+    memo.begin("k")
+    memo.deliver("k", 1)
+    memo.begin("k")
+    old = first.metrics.counter(LOOKUPS)
+    new = memo.telemetry.metrics.counter(LOOKUPS)
+    assert old.value(cache="before", outcome="miss") == 1
+    assert new.value(cache="after", outcome="join") == 1
+    assert new.value(cache="after", outcome="hit") == 1
+    assert old.total() == 1 and new.total() == 2
 
 
 def counts(cache):
