@@ -1,8 +1,8 @@
 """``parse()`` per definition: pieces, origins, the memo and exactness.
 
 ``repro.minicuda.parser.parse`` splits preprocessed text into top-level
-definitions, serves each from ``DEFINITIONS`` where it can — a function
-definition that missed, statement by statement — and stitches a fresh
+definitions, serves each from ``DEFINITIONS`` where it can — an edited
+function definition, statement by statement — and stitches a fresh
 ``TranslationUnit``. Whatever it returns or raises must be what one
 ``MiniCudaParser`` run over the whole file returns or raises.
 
@@ -95,7 +95,8 @@ def pieces(text: str) -> list[tuple[str, tuple[int, int]]]:
 def lookups(text: str) -> int:
     """How many keys a parse of ``text`` looks up when nothing is held:
     every top-level piece, and the header of each function definition
-    among them (whose other pieces are then filed, not looked up)."""
+    among them (one whose header is not held is parsed whole, its other
+    pieces not looked up)."""
     count = 0
     for piece, _ in pieces(text):
         ends = split_definitions(piece, 1)
