@@ -22,7 +22,12 @@ from typing import Callable, Iterator, NamedTuple
 
 import pytest
 
-from benchmarks.attempt.workloads import EDITS, undeclare_identifier
+from benchmarks.attempt.workloads import (
+    EDITS,
+    Nonces,
+    undeclare_identifier,
+)
+from benchmarks.attempt.workloads import edit_loop as edit_loop_workload
 from repro.cache.memo import MemoTable
 from repro.cache.policy import SizeCappedPolicy
 from repro.cluster import GpuWorker, PlatformCaches, WorkerConfig
@@ -152,6 +157,20 @@ def test_the_stitched_unit_is_the_whole_file_unit(index):
         reference = whole_file(text)
         assert piecewise(text) == reference
         assert piecewise(text) == reference
+
+
+def test_every_edit_loop_attempt_parses_as_the_whole_file():
+    """The attempt benchmark's compile-button workload — every catalog
+    solution, skeleton, mutation and example and their four edits, with
+    fresh nonces — in one pass's order, so each edit meets the pieces
+    the attempts before it left."""
+    from benchmarks.attempt.measure import pass_order
+    workload = edit_loop_workload(7)
+    nonces = Nonces(7, "edit_loop")
+    for slot in pass_order(workload.slots, 7, 0):
+        for attempt in slot.attempts:
+            text = preprocess(nonces.apply(attempt))
+            assert piecewise(text) == whole_file(text), slot.name
 
 
 def test_split_rules():
