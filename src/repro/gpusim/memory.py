@@ -360,8 +360,7 @@ class SharedArray:
     bank conflicts when threads of a warp hit the same bank.
     """
 
-    __slots__ = ("name", "data", "dtype", "size", "_itemsize", "_cache",
-                 "lanes")
+    __slots__ = ("name", "data", "dtype", "size", "_itemsize", "lanes")
 
     NUM_BANKS = 32
 
@@ -375,12 +374,6 @@ class SharedArray:
         self.size = num_elements
         self.data = np.zeros(num_elements * blocks, dtype=self.dtype)
         self._itemsize = int(self.dtype.itemsize)
-        # Python-scalar mirror of ``data``, built by the first scalar
-        # read() and kept coherent by write(): shared reads dominate
-        # simulated kernels (tile loops hit each element many times)
-        # and a list index is ~20x cheaper than a numpy scalar read +
-        # .item(). A vector store drops it.
-        self._cache: list[Any] | None = None
         #: attached by the warp-SIMD engine when it declares the array
         self.lanes: LaneTracker | None = None
 
@@ -402,19 +395,12 @@ class SharedArray:
     def read(self, index: int) -> Any:
         if not 0 <= index < self.size:
             self._check(index)
-        cache = self._cache
-        if cache is None:
-            cache = self._cache = self.data.tolist()
-        return cache[index]
+        return self.data[index].item()
 
     def write(self, index: int, value: Any) -> None:
         if not 0 <= index < self.size:
             self._check(index)
-        data = self.data
-        data[index] = value  # numpy applies the dtype conversion
-        cache = self._cache
-        if cache is not None:
-            cache[index] = data[index].item()
+        self.data[index] = value  # numpy applies the dtype conversion
 
     # -- lane-vector access (warp-SIMD engine) -------------------------------
 
@@ -429,7 +415,6 @@ class SharedArray:
         ``at`` (duplicate indices: the last lane wins, like serial
         per-lane order; numpy fancy assignment matches)."""
         self.data[at] = values
-        self._cache = None
 
     def bank(self, index: int) -> int:
         """Which of the 32 banks a 4-byte word at ``index`` maps to."""

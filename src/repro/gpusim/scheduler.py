@@ -70,7 +70,7 @@ class BlockResult:
 def _packed_rows(traces: list[tuple[int, list[int]]],
                  chunks: list[tuple] = (),
                  banks_from_words: bool = False,
-                 width: int = 3) -> np.ndarray | None:
+                 width: int = 4) -> np.ndarray | None:
     """Concatenate per-warp flat traces into an (n, ``width``) int64
     array whose first column is the packed ``(warp << _SEQ_BITS) | seq``
     warp-request key. Returns None when no thread recorded anything.
@@ -82,9 +82,10 @@ def _packed_rows(traces: list[tuple[int, list[int]]],
     for a full-mask access). The row multiset is identical to
     per-thread recording, so the downstream coalescing / bank grouping
     is unaffected by who recorded the rows.
-    A line-profiled block records ``width`` 4: per-warp traces carry
-    the charging source line as a fourth int per access and chunks a
-    sixth field, ``lines``; columns 0-2 are the same either way.
+    An access row's fourth int is its charging source line: per-warp
+    traces always carry it, a chunk as a sixth field only when its
+    group is line-profiled (an unprofiled group's rows are three
+    wide). Columns 0-2 are what the totals read.
 
     With ``banks_from_words`` the chunks' col1 is ignored and the bank
     column is derived from the word column in one vectorized pass —
@@ -100,6 +101,7 @@ def _packed_rows(traces: list[tuple[int, list[int]]],
         rows_list.append(rows)
     if chunks:
         total = sum(c[0] for c in chunks)
+        width = len(chunks[0]) - 2
         # (width, total) C-contiguous fill; the transposed view has the
         # same (n, width) layout downstream consumers index by column
         buf = np.empty((width, total), dtype=np.int64)
@@ -140,21 +142,20 @@ class _BlockState:
     """Mutable execution state of one block (or warp-tier group of
     ``blocks``), shared by its threads.
 
-    Threads append raw access records to flat per-warp lists (three
-    ints per access); :meth:`finalize` groups them by warp request with
-    vectorized numpy reductions. This replaces the historical
-    ``dict[(warp, seq)] -> list[tuple]`` bookkeeping, which paid a
-    hash + setdefault + tuple allocation on every single memory access.
+    Threads append raw access records to flat per-warp lists (four
+    ints per access, the last its source line); :meth:`finalize`
+    groups them by warp request with vectorized numpy reductions. This
+    replaces the historical ``dict[(warp, seq)] -> list[tuple]``
+    bookkeeping, which paid a hash + setdefault + tuple allocation on
+    every single memory access.
     The threads of one warp share its lists: a row's key is its
     ``(warp, seq)``, and every reduction depends only on the multiset
     of rows, not on which list or in what order they were appended.
     """
 
-    #: set to ``self`` on :class:`_ProfiledBlockState`; engines test it
-    #: to decide whether to record line attribution
+    #: set to ``self`` on :class:`_ProfiledBlockState`: the one answer
+    #: to "is this launch line-profiled?" that every tier asks
     prof = None
-    #: ints per trace row: three, four with the source line
-    width = 3
 
     def __init__(self, device: Device, block_dim: Dim3, blocks: int = 1):
         self.device = device
@@ -169,9 +170,9 @@ class _BlockState:
         self.stats.threads = blocks * block_dim.count
         warp_size = device.spec.warp_size
         self.stats.warps = blocks * -(-block_dim.count // warp_size)
-        # per-warp flat traces: (warp, [seq, a, b, seq, a, b, ...])
-        # loads/stores record (seq, byte_address, nbytes); shared hits
-        # record (seq, bank, word).
+        # per-warp flat traces: (warp, [seq, a, b, line, seq, ...])
+        # loads/stores record (seq, byte_address, nbytes, line); shared
+        # hits record (seq, bank, word, line).
         self.load_traces: list[tuple[int, list[int]]] = []
         self.store_traces: list[tuple[int, list[int]]] = []
         self.shared_traces: list[tuple[int, list[int]]] = []
@@ -203,23 +204,20 @@ class _BlockState:
         """Convert raw access records into transaction/conflict counts;
         returns the packed (loads, stores, shared hits) rows."""
         st = self.stats
-        width = self.width
-        loads = _packed_rows(self.load_traces, self.load_chunks,
-                             width=width)
+        loads = _packed_rows(self.load_traces, self.load_chunks)
         if loads is not None:
             requests, transactions = self._coalesce(loads)
             st.global_load_requests += requests
             st.global_load_transactions += transactions
             st.bytes_read += int(loads[:, 2].sum())
-        stores = _packed_rows(self.store_traces, self.store_chunks,
-                              width=width)
+        stores = _packed_rows(self.store_traces, self.store_chunks)
         if stores is not None:
             requests, transactions = self._coalesce(stores)
             st.global_store_requests += requests
             st.global_store_transactions += transactions
             st.bytes_written += int(stores[:, 2].sum())
         hits = _packed_rows(self.shared_traces, self.shared_chunks,
-                            banks_from_words=True, width=width)
+                            banks_from_words=True)
         if hits is not None:
             st.shared_accesses += len(hits)
             st.bank_conflicts += self._bank_replays(hits)
@@ -263,20 +261,18 @@ class _ProfiledBlockState(_BlockState):
     """Block state that additionally builds a per-source-line ledger.
 
     Totals are computed by the base class's reductions — the 4th
-    (line) trace column is invisible to them — and the line attribution
+    (line) row column is invisible to them — and the line attribution
     runs as extra vectorized passes over the same rows. Per the
     profiler's parity contract, every attribution below depends only
     on the *multiset* of recorded rows, never on recording order, so
     differently-batched engines produce bit-identical ledgers.
     """
 
-    width = 4
-
     def __init__(self, device: Device, block_dim: Dim3, blocks: int = 1):
         super().__init__(device, block_dim, blocks)
         self.prof = self
         # dict-accumulated counters charged live by the thread contexts
-        # (and the engines' stats shims): line -> count
+        # and the engines' :class:`_LineStatsProxy`: line -> count
         self.instr_lines: dict[int, int] = {}
         self.atomic_lines: dict[int, int] = {}
         # per-warp branch traces: (warp, [bseq, line, taken, ...]);
@@ -307,7 +303,8 @@ class _ProfiledBlockState(_BlockState):
             profile.bump("shared_accesses",
                          dict(zip(lines.tolist(), counts.tolist())))
             self._line_bank_replays(hits, profile)
-        branches = _packed_rows(self.branch_traces, self.branch_chunks)
+        branches = _packed_rows(self.branch_traces, self.branch_chunks,
+                                width=3)
         if branches is not None:
             self._line_divergence(branches, profile)
         profile.bump("instructions", self.instr_lines)
@@ -374,20 +371,76 @@ class _ProfiledBlockState(_BlockState):
                      dict(zip(uline.tolist(), counts.tolist())))
 
 
+class _LineStatsProxy:
+    """Stands in for the block's ``KernelStats`` where a line-profiled
+    launch charges through a bare ``stats.instructions += n`` or
+    ``stats.atomic_ops += n`` (:attr:`ThreadContext.stats`, which the
+    scalar engine's ``S`` local reads, and the warp engine's
+    ``st.stats``): each setter forwards the delta to the real stats
+    *and* to the block's per-line ledger at ``owner.line`` — a thread
+    context's or a warp's current source line."""
+
+    __slots__ = ("_owner", "_stats", "_instr_lines", "_atomic_lines")
+
+    def __init__(self, owner: Any, stats: KernelStats,
+                 prof: _ProfiledBlockState):
+        self._owner = owner
+        self._stats = stats
+        self._instr_lines = prof.instr_lines
+        self._atomic_lines = prof.atomic_lines
+
+    @property
+    def instructions(self) -> int:
+        return self._stats.instructions
+
+    @instructions.setter
+    def instructions(self, value: int) -> None:
+        stats = self._stats
+        delta = value - stats.instructions
+        stats.instructions = value
+        lines = self._instr_lines
+        ln = self._owner.line
+        lines[ln] = lines.get(ln, 0) + delta
+
+    @property
+    def atomic_ops(self) -> int:
+        return self._stats.atomic_ops
+
+    @atomic_ops.setter
+    def atomic_ops(self, value: int) -> None:
+        stats = self._stats
+        delta = value - stats.atomic_ops
+        stats.atomic_ops = value
+        lines = self._atomic_lines
+        ln = self._owner.line
+        lines[ln] = lines.get(ln, 0) + delta
+
+
 class ThreadContext:
     """The per-thread view a kernel executes against.
 
-    Exposes CUDA's builtin variables plus checked, profiled accessors
-    for global/shared memory and atomics. The minicuda interpreter and
-    hand-written Python kernels both target this interface.
+    Exposes CUDA's builtin variables plus checked accessors for
+    global/shared memory and atomics that record every access for the
+    coalescing and bank-conflict models. The compiled scalar kernels
+    and the tests' tree-walking oracle both target this interface.
+
+    One class serves profiled and unprofiled launches. The engines keep
+    ``line`` pointed at the innermost enclosing statement's source line
+    (re-set before loop condition/step evaluation, saved/restored
+    around user device-function calls), and every access row carries
+    it. When the block state is line-profiled (its ``prof`` is set),
+    each charge also lands on ``line`` in the ledger: the accessors
+    bump it directly, bare ``stats.instructions += n`` charges go
+    through :attr:`stats`, then a :class:`_LineStatsProxy`, and
+    ``record_branch`` logs ``if`` outcomes keyed by the per-thread
+    branch sequence number ``bseq`` so finalize can detect intra-warp
+    divergence.
     """
 
     __slots__ = ("threadIdx", "blockIdx", "blockDim", "gridDim", "line",
-                 "_block", "_warp", "_seq", "_linear_tid", "_stats",
-                 "_loads", "_stores", "_shared_trace")
-
-    #: overridden to True on :class:`ProfiledThreadContext`
-    profiled = False
+                 "bseq", "stats", "_block", "_warp", "_seq", "_linear_tid",
+                 "_stats", "_lines", "_loads", "_stores", "_shared_trace",
+                 "_branches")
 
     def __init__(self, threadIdx: Idx3, blockIdx: Idx3, blockDim: Dim3,
                  gridDim: Dim3, block_state: _BlockState):
@@ -395,18 +448,25 @@ class ThreadContext:
         self.blockIdx = blockIdx
         self.blockDim = blockDim
         self.gridDim = gridDim
-        #: source line of the innermost statement running: compiled
-        #: kernels mark it whether or not the launch is profiled, and
-        #: only :class:`ProfiledThreadContext` charges anything to it
         self.line = 0
+        self.bseq = 0
         self._block = block_state
-        self._stats = block_state.stats
+        self._stats = stats = block_state.stats
         self._linear_tid = blockDim.linear_index(
             threadIdx.x, threadIdx.y, threadIdx.z)
         self._warp = self._linear_tid // block_state.device.spec.warp_size
         self._seq = 0
         self._loads, self._stores, self._shared_trace = \
             block_state.register_thread(self._warp)
+        prof = block_state.prof
+        if prof is None:
+            self.stats = stats
+            # per-line instruction ledger and branch trace: profiled only
+            self._lines = self._branches = None
+        else:
+            self.stats = _LineStatsProxy(self, stats, prof)
+            self._lines = prof.instr_lines
+            self._branches = prof.register_branches(self._warp)
 
     # -- indexing helpers -------------------------------------------------
 
@@ -420,10 +480,6 @@ class ThreadContext:
         return self.blockIdx.y * self.blockDim.y + self.threadIdx.y
 
     @property
-    def global_z(self) -> int:
-        return self.blockIdx.z * self.blockDim.z + self.threadIdx.z
-
-    @property
     def warp_id(self) -> int:
         return self._warp
 
@@ -432,8 +488,22 @@ class ThreadContext:
     def count_instr(self, n: int = 1) -> None:
         """Charge ``n`` dynamic instructions to this thread."""
         self._stats.instructions += n
+        lines = self._lines
+        if lines is not None:
+            ln = self.line
+            lines[ln] = lines.get(ln, 0) + n
+
+    def record_branch(self, line: int, taken: bool) -> None:
+        """Log one executed ``if`` (its line and which arm ran); only a
+        line-profiled launch calls this."""
+        self._branches += (self.bseq, line, 1 if taken else 0)
+        self.bseq += 1
 
     # -- global memory -----------------------------------------------------
+    #
+    # Each accessor charges its instruction to the real stats and, when
+    # profiled, to the line ledger directly rather than through the
+    # proxy's setter: these are the scalar tier's hottest calls.
 
     def load(self, ptr: DevicePtr, index: int = 0) -> Any:
         """Profiled, bounds-checked global load."""
@@ -443,9 +513,13 @@ class ThreadContext:
         i = ptr.offset + int(index)
         value = buf.read(i)
         nbytes = buf._itemsize
-        self._loads += (self._seq, buf._base + i * nbytes, nbytes)
+        ln = self.line
+        self._loads += (self._seq, buf._base + i * nbytes, nbytes, ln)
         self._seq += 1
         self._stats.instructions += 1
+        lines = self._lines
+        if lines is not None:
+            lines[ln] = lines.get(ln, 0) + 1
         return value
 
     def store(self, ptr: DevicePtr, index: int, value: Any) -> None:
@@ -454,9 +528,13 @@ class ThreadContext:
         i = ptr.offset + int(index)
         buf.write(i, value)
         nbytes = buf._itemsize
-        self._stores += (self._seq, buf._base + i * nbytes, nbytes)
+        ln = self.line
+        self._stores += (self._seq, buf._base + i * nbytes, nbytes, ln)
         self._seq += 1
         self._stats.instructions += 1
+        lines = self._lines
+        if lines is not None:
+            lines[ln] = lines.get(ln, 0) + 1
 
     # -- shared memory -------------------------------------------------------
 
@@ -481,17 +559,25 @@ class ThreadContext:
         index = int(index)
         # bank == word % NUM_BANKS: compute the word index once
         word = index * arr._itemsize // 4
-        self._shared_trace += (self._seq, word % _NUM_BANKS, word)
+        ln = self.line
+        self._shared_trace += (self._seq, word % _NUM_BANKS, word, ln)
         self._seq += 1
         self._stats.instructions += 1
+        lines = self._lines
+        if lines is not None:
+            lines[ln] = lines.get(ln, 0) + 1
         return arr.read(index)
 
     def shared_store(self, arr: SharedArray, index: int, value: Any) -> None:
         index = int(index)
         word = index * arr._itemsize // 4
-        self._shared_trace += (self._seq, word % _NUM_BANKS, word)
+        ln = self.line
+        self._shared_trace += (self._seq, word % _NUM_BANKS, word, ln)
         self._seq += 1
         self._stats.instructions += 1
+        lines = self._lines
+        if lines is not None:
+            lines[ln] = lines.get(ln, 0) + 1
         arr.write(index, value)
 
     # -- atomics ---------------------------------------------------------------
@@ -499,14 +585,15 @@ class ThreadContext:
     def _atomic(self, target: DevicePtr | SharedArray, index: int,
                 update: Callable[[Any], Any]) -> Any:
         index = int(index)
-        stats = self._block.stats
+        stats = self._stats
         if type(target) is DevicePtr:
             # fast path, as in load(): straight to the buffer
             target, index = target.buffer, target.offset + index
         old = target.read(index)
         target.write(index, update(old))
-        stats.atomic_ops += 1
-        stats.instructions += 1
+        charged = self.stats
+        charged.atomic_ops += 1
+        charged.instructions += 1
         if isinstance(target, SharedArray):
             # shared atomics serialise only within the block's SM; the
             # timing model charges them at a fraction of global cost
@@ -521,9 +608,10 @@ class ThreadContext:
             # transaction counters include atomic traffic
             addr = target.byte_address(index)
             nbytes = target.dtype.itemsize
-            self._loads += (self._seq, addr, nbytes)
+            ln = self.line
+            self._loads += (self._seq, addr, nbytes, ln)
             self._seq += 1
-            self._stores += (self._seq, addr, nbytes)
+            self._stores += (self._seq, addr, nbytes, ln)
             self._seq += 1
             hits = stats.atomic_addresses
             hits[addr] = hits.get(addr, 0) + 1
@@ -552,156 +640,6 @@ class ThreadContext:
     def printf(self, text: str) -> None:
         """Device-side printf (collected into the launch output)."""
         self._block.output.append(text)
-
-
-class _LineStatsProxy:
-    """Stands in for the block's ``KernelStats`` in compiled kernels
-    that charge instructions via bare ``stats.instructions += n`` (the
-    scalar engine's ``S`` local, the warp engine's ``st.stats``) when
-    the launch is line-profiled: the setter forwards the delta to the
-    real stats *and* to the per-line ledger at ``owner.line`` — a
-    thread context's or a warp's current source line."""
-
-    __slots__ = ("_owner", "_stats", "_lines")
-
-    def __init__(self, owner: Any, stats: KernelStats,
-                 lines: dict[int, int]):
-        self._owner = owner
-        self._stats = stats
-        self._lines = lines
-
-    @property
-    def instructions(self) -> int:
-        return self._stats.instructions
-
-    @instructions.setter
-    def instructions(self, value: int) -> None:
-        stats = self._stats
-        delta = value - stats.instructions
-        stats.instructions = value
-        lines = self._lines
-        ln = self._owner.line
-        lines[ln] = lines.get(ln, 0) + delta
-
-
-class ProfiledThreadContext(ThreadContext):
-    """Thread context that also attributes every charge to ``line``.
-
-    The engines keep ``line`` pointed at the innermost enclosing
-    statement's source line (re-set before loop condition/step
-    evaluation, saved/restored around user device-function calls); the
-    overridden accessors mirror the base bodies exactly, adding a 4th
-    line column to the access traces and dict accumulation for
-    instructions/atomics. ``record_branch`` logs per-thread ``if``
-    outcomes keyed by a per-thread branch sequence number so finalize
-    can detect intra-warp divergence.
-    """
-
-    __slots__ = ("bseq", "stats_proxy", "_instr_lines",
-                 "_atomic_lines", "_branches")
-
-    profiled = True
-
-    def __init__(self, threadIdx: Idx3, blockIdx: Idx3, blockDim: Dim3,
-                 gridDim: Dim3, block_state: _BlockState):
-        super().__init__(threadIdx, blockIdx, blockDim, gridDim,
-                         block_state)
-        self.bseq = 0
-        self._instr_lines = block_state.instr_lines
-        self._atomic_lines = block_state.atomic_lines
-        self._branches = block_state.register_branches(self._warp)
-        self.stats_proxy = _LineStatsProxy(self, self._stats,
-                                           self._instr_lines)
-
-    def count_instr(self, n: int = 1) -> None:
-        self._stats.instructions += n
-        il = self._instr_lines
-        ln = self.line
-        il[ln] = il.get(ln, 0) + n
-
-    def record_branch(self, line: int, taken: bool) -> None:
-        """Log one executed ``if`` (its line and which arm ran)."""
-        self._branches += (self.bseq, line, 1 if taken else 0)
-        self.bseq += 1
-
-    def load(self, ptr: DevicePtr, index: int = 0) -> Any:
-        ln = self.line
-        buf = ptr.buffer
-        i = ptr.offset + int(index)
-        value = buf.read(i)
-        nbytes = buf._itemsize
-        self._loads += (self._seq, buf._base + i * nbytes, nbytes, ln)
-        self._seq += 1
-        self._stats.instructions += 1
-        il = self._instr_lines
-        il[ln] = il.get(ln, 0) + 1
-        return value
-
-    def store(self, ptr: DevicePtr, index: int, value: Any) -> None:
-        ln = self.line
-        buf = ptr.buffer
-        i = ptr.offset + int(index)
-        buf.write(i, value)
-        nbytes = buf._itemsize
-        self._stores += (self._seq, buf._base + i * nbytes, nbytes, ln)
-        self._seq += 1
-        self._stats.instructions += 1
-        il = self._instr_lines
-        il[ln] = il.get(ln, 0) + 1
-
-    def shared_load(self, arr: SharedArray, index: int) -> Any:
-        index = int(index)
-        ln = self.line
-        word = index * arr._itemsize // 4
-        self._shared_trace += (self._seq, word % _NUM_BANKS, word, ln)
-        self._seq += 1
-        self._stats.instructions += 1
-        il = self._instr_lines
-        il[ln] = il.get(ln, 0) + 1
-        return arr.read(index)
-
-    def shared_store(self, arr: SharedArray, index: int, value: Any) -> None:
-        index = int(index)
-        ln = self.line
-        word = index * arr._itemsize // 4
-        self._shared_trace += (self._seq, word % _NUM_BANKS, word, ln)
-        self._seq += 1
-        self._stats.instructions += 1
-        il = self._instr_lines
-        il[ln] = il.get(ln, 0) + 1
-        arr.write(index, value)
-
-    def _atomic(self, target: DevicePtr | SharedArray, index: int,
-                update: Callable[[Any], Any]) -> Any:
-        index = int(index)
-        stats = self._block.stats
-        if type(target) is DevicePtr:
-            target, index = target.buffer, target.offset + index
-        old = target.read(index)
-        target.write(index, update(old))
-        stats.atomic_ops += 1
-        stats.instructions += 1
-        ln = self.line
-        al = self._atomic_lines
-        al[ln] = al.get(ln, 0) + 1
-        il = self._instr_lines
-        il[ln] = il.get(ln, 0) + 1
-        if isinstance(target, SharedArray):
-            addr = (id(target) << 20) + index
-            hits = stats.shared_atomic_addresses
-            hits[addr] = hits.get(addr, 0) + 1
-            stats.max_shared_atomic_contention = max(
-                stats.max_shared_atomic_contention, hits[addr])
-        else:
-            addr = target.byte_address(index)
-            nbytes = target.dtype.itemsize
-            self._loads += (self._seq, addr, nbytes, ln)
-            self._seq += 1
-            self._stores += (self._seq, addr, nbytes, ln)
-            self._seq += 1
-            hits = stats.atomic_addresses
-            hits[addr] = hits.get(addr, 0) + 1
-        return old
 
 
 def _coord(linear: np.ndarray, dim: Dim3, axis: str) -> np.ndarray:
@@ -790,6 +728,16 @@ class WarpContext:
     shared = ThreadContext.shared
 
 
+def _block_state(kernel: Callable[..., Any], device: Device,
+                 block: Dim3, blocks: int = 1) -> _BlockState:
+    """A fresh state for one block (or group of ``blocks``): the
+    ledger-building one when the bound kernel carries
+    ``profiled = True``."""
+    if getattr(kernel, "profiled", False):
+        return _ProfiledBlockState(device, block, blocks)
+    return _BlockState(device, block, blocks)
+
+
 def run_block(device: Device, kernel: Callable[..., Any], grid: Dim3,
               block: Dim3, block_idx: Idx3, args: tuple[Any, ...],
               is_generator: bool | None = None) -> BlockResult:
@@ -802,28 +750,20 @@ def run_block(device: Device, kernel: Callable[..., Any], grid: Dim3,
     """
     if is_generator is None:
         is_generator = inspect.isgeneratorfunction(kernel)
-    # line-profiled kernels (bound with kernel.profiled = True) get the
-    # ledger-building state + context; the unprofiled path pays nothing
-    # beyond this getattr
-    if getattr(kernel, "profiled", False):
-        state: _BlockState = _ProfiledBlockState(device, block)
-        ctx_cls: type[ThreadContext] = ProfiledThreadContext
-    else:
-        state = _BlockState(device, block)
-        ctx_cls = ThreadContext
+    state = _block_state(kernel, device, block)
 
     if not is_generator:
         # Barrier-free fast path: plain calls in linear-thread order —
         # no generator allocation, no next() driving, no barrier checks.
         for (x, y, z) in block.iter_points():
-            ctx = ctx_cls(Idx3(x, y, z), block_idx, block, grid, state)
+            ctx = ThreadContext(Idx3(x, y, z), block_idx, block, grid, state)
             kernel(ctx, *args)
         state.finalize()
         return BlockResult(stats=state.stats, output=state.output)
 
     threads = []
     for (x, y, z) in block.iter_points():
-        ctx = ctx_cls(Idx3(x, y, z), block_idx, block, grid, state)
+        ctx = ThreadContext(Idx3(x, y, z), block_idx, block, grid, state)
         threads.append(kernel(ctx, *args))
 
     live = list(range(len(threads)))
@@ -876,12 +816,10 @@ def run_grid(device: Device, kernel: Callable[..., Any], grid: Dim3,
     output: list[str] = []
     warp_run = getattr(kernel, "warp_run", None)
     if warp_run is not None:
-        state_cls = (_ProfiledBlockState if getattr(kernel, "profiled", False)
-                     else _BlockState)
         per_group = kernel.group_blocks(block, device.spec)
         for first in range(0, grid.count, per_group):
             blocks = min(per_group, grid.count - first)
-            state = state_cls(device, block, blocks)
+            state = _block_state(kernel, device, block, blocks)
             for _ in warp_run(WarpContext(state, first, blocks, block, grid)):
                 state.stats.barriers += blocks
             state.finalize()

@@ -561,7 +561,7 @@ class _WarpSt:
         self.prof = prof
         if prof is not None:
             self.bseqs = np.zeros(self.n, dtype=np.int64)
-            self.stats = _LineStatsProxy(self, self.stats, prof.instr_lines)
+            self.stats = _LineStatsProxy(self, self.stats, prof)
 
     def lane_warps(self, idx: np.ndarray) -> Any:
         """The warp id of each active lane in ``idx``."""
@@ -1337,10 +1337,7 @@ def _atomic(st: _WarpSt, idx: np.ndarray, name: str, target: Any, ind: Any,
     counts = [get(a, 0) + n for a, n in zip(keys, seg[3].tolist())]
     hits.update(zip(keys, counts))
     st.stats.instructions += k
-    stats.atomic_ops += k
-    if st.prof is not None:
-        al = st.prof.atomic_lines
-        al[st.line] = al.get(st.line, 0) + k
+    st.stats.atomic_ops += k
     if shared:
         # shared atomics serialise only within the block's SM
         worst = max(counts)

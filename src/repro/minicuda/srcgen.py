@@ -31,10 +31,10 @@ contract with the tests' tree-walking oracle
 * **One artifact, profiled or not** — the generated code always marks
   ``C.line`` at each statement (and before loop conditions and steps)
   and flushes its charge batch at statement boundaries; whether a
-  launch builds a line ledger is decided at bind time. A profiled
-  launch runs on ``ProfiledThreadContext`` objects; the prologue's
-  ``_P = C.profiled`` then picks the line-charging ``S`` and lets
-  ``if`` arms log their branch.
+  launch builds a line ledger is decided at bind time, and the block
+  state's ``prof`` answers it. The prologue's ``S = C.stats`` is then
+  the thread context's line-charging proxy, and ``_P = C._block.prof
+  is not None`` lets ``if`` arms log their branch.
 * **Memory-effect order** — every load/store/atomic/user-call is
   hoisted onto its own generated line in C evaluation order, so the
   per-thread access sequence (and therefore the coalescing and
@@ -150,7 +150,7 @@ from repro.minicuda.values import f32 as _f32_shared
 #: Bump when generated-source semantics change; part of the memo key so
 #: stale artifacts and unsupported verdicts are never recalled across
 #: compiler upgrades (see ``codegen.memo_key``).
-SRCGEN_VERSION = 7
+SRCGEN_VERSION = 8
 
 #: Estimated resident bytes of one compiled kernel — namespace and
 #: function objects, plus code-object bytes per character of generated
@@ -1257,10 +1257,10 @@ class _FnEmitter:
         if cls is ast.Empty:
             return
         # Mark the statement's line and flush the charge batch at both
-        # statement boundaries: when a profiled launch binds ``S`` to
-        # the thread's stats proxy, every ``S.instructions += n`` lands
-        # on whatever ``C.line`` holds at flush time, so a batch must
-        # never straddle a line change.
+        # statement boundaries: when a profiled launch's ``S`` is the
+        # thread's line-charging stats proxy, every ``S.instructions +=
+        # n`` lands on whatever ``C.line`` holds at flush time, so a
+        # batch must never straddle a line change.
         self.flush()
         self.mark(s.pos.line)
         if cls is ast.ExprStmt:
@@ -1707,7 +1707,7 @@ class _ModuleEmitter:
         if em.uses_host_env:
             out.append(pad + "H = I.host if I.host is not None else _NO_HOST")
         if em.uses_profiled:
-            out.append(pad + "_P = C.profiled")
+            out.append(pad + "_P = C._block.prof is not None")
         return out
 
     def _load(self, label: str) -> tuple[dict[str, Any], int]:
@@ -1731,12 +1731,9 @@ class _ModuleEmitter:
         for s in fn.body.statements:
             em.stmt(s)
         em.flush()
-        # the one per-launch fork: a profiled launch charges through
-        # the thread's line-attributing stats proxy
-        em.uses_profiled = True
         header = [f"def _mk(I{params}):",
                   "    def _t(C):"]
-        stats = ["        S = C.stats_proxy if _P else C._block.stats"]
+        stats = ["        S = C.stats"]
         footer = ["    return _t", ""]
         self.module_lines.extend(
             header + self._prologue(em, fn.pos) + stats + em.lines + footer)

@@ -11,6 +11,8 @@ generator method, so a ``__syncthreads()`` anywhere becomes a
 ``yield SYNC`` the gpusim scheduler steps threads through, and every
 global/shared access routes through the profiling
 :class:`~repro.gpusim.ThreadContext`. Steps are charged per AST node.
+:func:`assert_ledger_totals` is the invariant every tier's ledger
+keeps against its own ``KernelStats``.
 
 :class:`OracleInterpreter` is a subclass of the product's
 :class:`~repro.minicuda.interpreter.Interpreter`: it inherits the
@@ -73,6 +75,21 @@ from repro.minicuda.values import (
 #: Every engine a parity suite compares: the oracle first, so
 #: ``ENGINES[1:]`` is the product's.
 ENGINES = ("ast", *PRODUCT_ENGINES)
+
+#: The ``KernelStats`` counters a ``LineProfile`` also keeps per line
+#: (divergence has no whole-launch counter).
+LEDGER_TOTALS = ("instructions", "atomic_ops", "global_load_transactions",
+                 "global_store_transactions", "shared_accesses",
+                 "bank_conflicts")
+
+
+def assert_ledger_totals(stats: Any, *context: Any) -> None:
+    """A profiled launch's ledger is its charges split by line: each
+    counter's per-line sum is the ``KernelStats`` field, on any engine."""
+    lines = stats.line_profile.lines.values()
+    for counter in LEDGER_TOTALS:
+        assert sum(getattr(c, counter) for c in lines) \
+            == getattr(stats, counter), (*context, counter)
 
 
 class _Return(Exception):

@@ -12,6 +12,7 @@ from repro.gpusim import (
     LaunchConfigError,
     SYNC,
 )
+from tests.oracle_interpreter import assert_ledger_totals
 
 
 @pytest.fixture
@@ -284,6 +285,8 @@ class TestPinnedCounters:
         assert {f: getattr(stats, f) for f in self.COUNTERS[kernel]} \
             == self.COUNTERS[kernel]
         assert (stats.line_profile is not None) == profiled
+        if profiled:
+            assert_ledger_totals(stats)
 
 
 class TestHostApi:

@@ -32,7 +32,7 @@ from repro.telemetry import (
     KERNEL_REPLAYS_TOTAL,
     Telemetry,
 )
-from tests.oracle_interpreter import ENGINES
+from tests.oracle_interpreter import ENGINES, assert_ledger_totals
 
 pytestmark = pytest.mark.usefixtures("oracle")
 
@@ -166,8 +166,12 @@ class TestRacyKernelsEqualTheOracle:
         source, size = PROBES[name]
         ref_out, ref_stats = launch(source, size, "ast", profile)
         assert any(ref_out), "probe wrote nothing"
+        if profile:
+            assert_ledger_totals(ref_stats, "ast")
         for engine in ENGINES[1:]:
             out, stats = launch(source, size, engine, profile)
+            if profile:  # a speculated probe's simd launch replays
+                assert_ledger_totals(stats, engine)
             assert out == ref_out, engine
             assert ledger(stats) == ledger(ref_stats), engine
             assert stats.line_profile == ref_stats.line_profile, engine
@@ -400,10 +404,14 @@ class TestAtomicParity:
         *ref_out, ref_stats = launch_atomic(source, ctype, block, "ast",
                                             profile)
         assert ref_stats.atomic_ops > 0
+        if profile:
+            assert_ledger_totals(ref_stats, "ast")
         for engine in ENGINES[1:]:
             telemetry = Telemetry()
             *out, stats = launch_atomic(source, ctype, block, engine,
                                         profile, telemetry)
+            if profile:
+                assert_ledger_totals(stats, engine)
             assert out == ref_out, engine
             assert ledger(stats) == ledger(ref_stats), engine
             assert stats.line_profile == ref_stats.line_profile, engine

@@ -22,14 +22,14 @@ from repro.labs import get_lab
 from repro.labs.base import execute_lab_source
 from repro.minicuda import compile_source
 from repro.profiler import LineProfile, render_annotated
-from tests.oracle_interpreter import ENGINES
+from tests.oracle_interpreter import ENGINES, assert_ledger_totals
 
 pytestmark = pytest.mark.usefixtures("oracle")
 
 
 def profiled_ledgers(source, kernel, grid, block, arrays, scalars):
-    """Launch on every engine with profiling on; returns
-    {engine: (outputs, LineProfile)}."""
+    """Launch on every engine with profiling on, checking each ledger
+    against its own stats; returns {engine: (outputs, LineProfile)}."""
     program = compile_source(source)
     out = {}
     for engine in ENGINES:
@@ -42,7 +42,7 @@ def profiled_ledgers(source, kernel, grid, block, arrays, scalars):
         args = [b.ptr() for b in bufs] + list(scalars)
         stats = program.launch(rt, kernel, grid, block, *args,
                                engine=engine, profile=True)
-        assert stats.line_profile is not None, engine
+        assert_ledger_totals(stats, engine)
         out[engine] = ([rt.memcpy_dtoh(b) for b in bufs],
                        stats.line_profile)
     return out

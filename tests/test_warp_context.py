@@ -24,7 +24,6 @@ from hypothesis import given, settings, strategies as st
 from repro.gpusim import Device, GpuRuntime
 from repro.gpusim.grid import Dim3, Idx3
 from repro.gpusim.scheduler import (
-    ProfiledThreadContext,
     ThreadContext,
     WarpContext,
     _BlockState,
@@ -81,18 +80,16 @@ class TestGeometry:
     def test_any_shape(self, x, y, z):
         assert_lane_vectors_follow_thread_order(Dim3(x, y, z))
 
-    @pytest.mark.parametrize("state_cls,ctx_cls", [
-        (_BlockState, ThreadContext),
-        (_ProfiledBlockState, ProfiledThreadContext)])
+    @pytest.mark.parametrize("state_cls", [_BlockState, _ProfiledBlockState])
     def test_lane_is_the_thread_the_scalar_path_would_build(
-            self, state_cls, ctx_cls):
+            self, state_cls):
         block = Dim3(5, 7, 3)
         points = list(block.iter_points())
         state = state_cls(Device(), block)
         wctx = block_context(block, state)
         for i in (0, WARP - 1, WARP, block.count - 1):
-            ctx = ctx_cls(Idx3(*points[i]), Idx3(1, 2, 3), block, GRID,
-                          state)
+            ctx = ThreadContext(Idx3(*points[i]), Idx3(1, 2, 3), block,
+                                GRID, state)
             assert tuple(wctx.tid_axis(a)[i] for a in "xyz") == points[i]
             assert tuple(wctx.bid_axis(a)[i] for a in "xyz") == (1, 2, 3)
             assert ctx.warp_id == wctx.warp_ids[i]
@@ -223,7 +220,7 @@ def launch(source, engine, profile=False, telemetry=None):
 
 @pytest.fixture
 def contexts_built(monkeypatch):
-    """Counts ``ThreadContext`` constructions (profiled ones chain up)."""
+    """Counts ``ThreadContext`` constructions."""
     built = []
     init = ThreadContext.__init__
 
