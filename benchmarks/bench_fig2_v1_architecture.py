@@ -70,7 +70,7 @@ def test_fig2_push_dispatch_under_burst(benchmark):
 def test_fig2_health_eviction_keeps_service(benchmark):
     def run():
         platform, clock, students = make_platform(num_workers=3)
-        injector = FaultInjector(seed=1)
+        injector = FaultInjector()
         platform.tick_health()
         # one worker goes silent mid-course
         injector.silence(platform.worker_pool.workers[0])

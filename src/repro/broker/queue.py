@@ -265,16 +265,6 @@ class JobQueue:
         self._redeliver(lease, now, reason)
         return True
 
-    def ack_batch(self, job_ids: list[int],
-                  now: float | None = None) -> int:
-        """Retire many leases in one round-trip; returns acks landed."""
-        return sum(1 for job_id in job_ids if self.ack(job_id, now=now))
-
-    def nack_batch(self, failures: list[tuple[int, str]], now: float) -> int:
-        """Report many failed deliveries in one round-trip."""
-        return sum(1 for job_id, reason in failures
-                   if self.nack(job_id, now, reason=reason))
-
     def renew(self, job_ids: list[int], now: float) -> int:
         """Extend the lease deadline for every listed job still held —
         one round-trip covering a consumer's whole working set. Unknown
@@ -390,10 +380,6 @@ class JobQueue:
     def waiting(self) -> list[Job]:
         """Jobs currently queued (oldest first)."""
         return [item.job for item in self._items]
-
-    def in_flight(self) -> list[Job]:
-        """Jobs currently leased to a consumer."""
-        return [lease.job for lease in self._leases.values()]
 
     def dead_letters(self) -> list[DeadLetter]:
         return list(self._dead.values())

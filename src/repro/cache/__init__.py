@@ -45,7 +45,6 @@ from repro.cache.keys import (
     hash_bytes,
     hash_mapping,
     hash_text,
-    stable_digest_of,
 )
 from repro.cache.memo import HIT, JOINED, OWNER, Flight, MemoTable
 from repro.cache.policy import (
@@ -77,5 +76,4 @@ __all__ = [
     "hash_bytes",
     "hash_mapping",
     "hash_text",
-    "stable_digest_of",
 ]

@@ -113,9 +113,5 @@ class ContentAddressedStore:
     def total_bytes(self) -> int:
         return sum(self._sizes.values())
 
-    @property
-    def addresses(self) -> tuple[str, ...]:
-        return tuple(sorted(self._refcounts))
-
     def __len__(self) -> int:
         return len(self._refcounts)

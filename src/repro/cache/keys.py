@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from typing import Any, Iterable, Mapping
+from typing import Any, Mapping
 
 #: Separator that cannot occur inside a hex digest or a JSON dump.
 _SEP = b"\x1f"
@@ -48,16 +48,5 @@ def compose_key(*parts: Any) -> str:
         if isinstance(part, (list, tuple)):
             part = ",".join(str(p) for p in part)
         h.update(str(part).encode("utf-8"))
-        h.update(_SEP)
-    return h.hexdigest()
-
-
-def stable_digest_of(items: Iterable[tuple[str, str]]) -> str:
-    """Digest of (name, digest) pairs, order-insensitive."""
-    h = hashlib.sha256()
-    for name, digest in sorted(items):
-        h.update(name.encode("utf-8"))
-        h.update(_SEP)
-        h.update(digest.encode("utf-8"))
         h.update(_SEP)
     return h.hexdigest()

@@ -19,12 +19,6 @@ class PolicyStats:
     evicted_capacity: int = 0
     evicted_bytes: int = 0
 
-    def snapshot(self) -> dict[str, int]:
-        return {
-            "evicted_capacity": self.evicted_capacity,
-            "evicted_bytes": self.evicted_bytes,
-        }
-
 
 class EvictionPolicy:
     """Base policy: tracks nothing, never evicts."""

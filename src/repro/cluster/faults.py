@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 
 from repro.cluster.worker import GpuWorker
@@ -10,18 +9,9 @@ from repro.cluster.worker import GpuWorker
 
 @dataclass
 class FaultInjector:
-    """Deterministic (seeded) fault injection against a worker fleet."""
+    """Fault injection against a worker fleet, logged in order."""
 
-    seed: int = 0
     log: list[tuple[str, str]] = field(default_factory=list)
-
-    def __post_init__(self) -> None:
-        self._rng = random.Random(self.seed)
-
-    def crash(self, worker: GpuWorker) -> None:
-        """Kill a worker outright (process() fails, heartbeats stop)."""
-        worker.crash()
-        self.log.append(("crash", worker.name))
 
     def crash_mid_job(self, worker: GpuWorker) -> None:
         """Arm a crash that fires *between* job poll and completion —
@@ -57,17 +47,3 @@ class FaultInjector:
         report = fabric.crash_shard(name, now)
         self.log.append(("crash_shard", name))
         return report
-
-    def crash_random_shard(self, fabric, now: float):
-        """Crash one random shard (deterministic under the seed)."""
-        name = self._rng.choice(sorted(fabric.shards))
-        return self.crash_shard(fabric, name, now)
-
-    def crash_random(self, workers: list[GpuWorker]) -> GpuWorker | None:
-        """Crash one random alive worker; returns it (or None)."""
-        alive = [w for w in workers if w.alive]
-        if not alive:
-            return None
-        victim = self._rng.choice(alive)
-        self.crash(victim)
-        return victim

@@ -9,11 +9,14 @@ allotted time."
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 from repro.cluster.node import Clock
 from repro.cluster.worker import GpuWorker
 from repro.telemetry import WARNING, Telemetry
+
+if TYPE_CHECKING:
+    from repro.cluster.pool import WorkerPool
 
 
 @dataclass
@@ -43,7 +46,7 @@ class HealthMonitor:
         return [name for name, seen in self.last_seen.items()
                 if now - seen > self.timeout_s]
 
-    def evict_overdue(self, pool: "WorkerPoolLike",
+    def evict_overdue(self, pool: "WorkerPool",
                       evict: Callable[[str], bool] | None = None
                       ) -> list[str]:
         """Evict every overdue worker; returns the evicted names.
@@ -76,10 +79,3 @@ class HealthMonitor:
         """Worker left the fleet (scale-down or administrative removal):
         drop its heartbeat record so it is never reported overdue."""
         self.last_seen.pop(worker_name, None)
-
-
-class WorkerPoolLike:
-    """Protocol stub for documentation; see cluster.pool.WorkerPool."""
-
-    def evict(self, name: str) -> bool:  # pragma: no cover - interface
-        raise NotImplementedError

@@ -54,7 +54,3 @@ class Node:
 
     def restart(self) -> None:
         self.alive = True
-
-    def __repr__(self) -> str:
-        state = "up" if self.alive else "down"
-        return f"<{type(self).__name__} {self.name} ({self.zone}, {state})>"

@@ -32,9 +32,6 @@ class WorkerPool:
         """Remove a worker (health timeout or scale-down)."""
         return self._workers.pop(name, None) is not None
 
-    def get(self, name: str) -> GpuWorker | None:
-        return self._workers.get(name)
-
     @property
     def workers(self) -> list[GpuWorker]:
         return list(self._workers.values())

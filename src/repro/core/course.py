@@ -70,9 +70,6 @@ class Course:
         return self.db.find_one("enrollments", user_id=user_id,
                                 course=self.offering.key) is not None
 
-    def enrollment_count(self) -> int:
-        return len(self.db.find("enrollments", course=self.offering.key))
-
     def mark_completed(self, user_id: int, certificate: bool = False) -> None:
         row = self.db.find_one("enrollments", user_id=user_id,
                                course=self.offering.key)

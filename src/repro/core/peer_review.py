@@ -98,10 +98,6 @@ class PeerReviewEngine:
         return [self._to_assignment(r) for r in self.db.find(
             "peer_reviews", lab=lab, reviewer_id=reviewer_id)]
 
-    def reviews_received(self, lab: str, author_id: int) -> list[ReviewAssignment]:
-        return [self._to_assignment(r) for r in self.db.find(
-            "peer_reviews", lab=lab, author_id=author_id)]
-
     def completion_credit(self, lab: str, reviewer_id: int) -> float:
         """Fraction of assigned reviews this student completed (the
         grade_weight multiplier applies to this)."""

@@ -23,10 +23,6 @@ class PooledConnection:
         self.conn_id = conn_id
         self._open = True
 
-    @property
-    def is_open(self) -> bool:
-        return self._open
-
     def _require_open(self) -> Database:
         if not self._open:
             raise DatabaseError(f"connection {self.conn_id} has been released")
@@ -36,20 +32,8 @@ class PooledConnection:
     def insert(self, table: str, **values: Any) -> int:
         return self._require_open().insert(table, **values)
 
-    def update(self, table: str, row_id: int, **values: Any) -> dict[str, Any]:
-        return self._require_open().update(table, row_id, **values)
-
-    def delete(self, table: str, row_id: int) -> None:
-        self._require_open().delete(table, row_id)
-
-    def get(self, table: str, row_id: int) -> dict[str, Any]:
-        return self._require_open().get(table, row_id)
-
     def find(self, table: str, **conditions: Any) -> list[dict[str, Any]]:
         return self._require_open().find(table, **conditions)
-
-    def find_one(self, table: str, **conditions: Any) -> dict[str, Any] | None:
-        return self._require_open().find_one(table, **conditions)
 
     def release(self) -> None:
         if self._open:
@@ -86,10 +70,6 @@ class ConnectionPool:
     @property
     def in_use(self) -> int:
         return self._in_use
-
-    @property
-    def available(self) -> int:
-        return self.capacity - self._in_use
 
     def acquire(self) -> PooledConnection:
         with self._lock:

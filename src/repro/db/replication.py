@@ -29,11 +29,6 @@ class Replica:
         self._db = Database(name=f"{primary.name}:{name}")
         self.applied_lsn = 0
 
-    @property
-    def database(self) -> Database:
-        """The replica's local database (reads only, by convention)."""
-        return self._db
-
     def _ensure_tables(self) -> None:
         for table_name in self._primary.table_names:
             if not self._db.has_table(table_name):
@@ -116,13 +111,6 @@ class ReplicatedDatabase:
         self._replicas[zone] = replica
         replica.sync()
         return replica
-
-    def replica(self, zone: str) -> Replica:
-        return self._replicas[zone]
-
-    @property
-    def zones(self) -> tuple[str, ...]:
-        return tuple(self._replicas)
 
     def sync_all(self) -> dict[str, int]:
         """Sync every replica; returns records applied per zone."""

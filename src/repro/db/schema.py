@@ -119,10 +119,6 @@ class Schema:
                 if col not in self._by_name:
                     raise SchemaError(f"index references unknown column {col!r}")
 
-    @property
-    def column_names(self) -> tuple[str, ...]:
-        return tuple(c.name for c in self.columns)
-
     def column(self, name: str) -> Column:
         try:
             return self._by_name[name]

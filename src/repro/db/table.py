@@ -80,10 +80,6 @@ class Table:
     def __len__(self) -> int:
         return len(self._rows)
 
-    def __iter__(self) -> Iterator[dict[str, Any]]:
-        for row in self._rows.values():
-            yield dict(row)
-
     def insert(self, **values: Any) -> int:
         """Insert a row; returns the assigned primary key."""
         row = self.schema.validate_insert(values)

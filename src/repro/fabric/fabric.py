@@ -64,29 +64,10 @@ class _FabricQueueView:
             total.add(shard.queue.stats)
         return total
 
-    @property
-    def policy(self) -> DeliveryPolicy:
-        return self._fabric.policy
-
     def oldest_wait(self, now: float) -> float:
         return max((shard.queue.oldest_wait(now)
                     for shard in self._fabric.shards.values()),
                    default=0.0)
-
-    def waiting(self) -> list[Job]:
-        out: list[Job] = []
-        for shard in self._fabric.shards.values():
-            out.extend(shard.queue.waiting())
-        return out
-
-    def in_flight(self) -> list[Job]:
-        out: list[Job] = []
-        for shard in self._fabric._all_shards():
-            out.extend(shard.queue.in_flight())
-        return out
-
-    def dead_letters(self) -> list[DeadLetter]:
-        return self._fabric.dead_letters()
 
     def __len__(self) -> int:
         return self._fabric.depth()

@@ -144,10 +144,6 @@ class Device:
         self.bytes_allocated -= buf.nbytes
         buf.freed = True
 
-    @property
-    def live_allocations(self) -> int:
-        return len(self._allocs)
-
     # -- launch validation -------------------------------------------------
 
     def validate_launch(self, grid: Dim3, block: Dim3,

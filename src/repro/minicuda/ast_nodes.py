@@ -37,24 +37,6 @@ class CType:
     def is_void(self) -> bool:
         return self.base == "void" and not self.pointers
 
-    @property
-    def is_float(self) -> bool:
-        return self.base in ("float", "double") and not self.pointers
-
-    @property
-    def is_integer(self) -> bool:
-        return self.base in ("int", "unsigned", "long", "char", "short",
-                             "size_t", "bool") and not self.pointers
-
-    def deref(self) -> "CType":
-        if self.pointers < 1:
-            raise ValueError(f"cannot dereference non-pointer {self}")
-        return CType(self.base, self.pointers - 1, (), self.const)
-
-    def element(self) -> "CType":
-        """Element type of an array declarator."""
-        return CType(self.base, self.pointers, (), self.const)
-
     def __str__(self) -> str:
         s = ("const " if self.const else "") + self.base + "*" * self.pointers
         for d in self.array_dims:
@@ -361,9 +343,6 @@ class TranslationUnit:
             if fn.name == name:
                 return fn
         raise KeyError(name)
-
-    def kernels(self) -> Sequence[FuncDef]:
-        return [f for f in self.functions if f.is_kernel]
 
 
 #: The node classes :func:`walk` descends through.

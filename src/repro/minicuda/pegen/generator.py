@@ -270,18 +270,6 @@ class _Generator:
                 self._emit_method(name, group.alts, f"group {key}"))
         return self._synth[key]
 
-    def _probe_expr(self, la: Lookahead) -> str:
-        item = la.item
-        if isinstance(item, RuleRef):
-            target = self._resolve(item.name)
-            if target in self._level and self._level[target][1] > 1:
-                raise GrammarError(f"unsupported lookahead over {item}")
-        elif isinstance(item, Group):
-            target = self._synth_group(item)
-        else:
-            raise GrammarError(f"unsupported lookahead over {item}")
-        return f"self.{'pos_la' if la.positive else 'neg_la'}(self.{target})"
-
     # -- item emission ------------------------------------------------------
     #
     # Every emitter appends to ``out`` at indentation ``ind``; ``fail``
@@ -324,21 +312,19 @@ class _Generator:
                 raise GrammarError("lookaheads cannot be named")
             probed = item.item.token_class(self.grammar)
             if probed is None:
-                cond = f"not {self._probe_expr(item)}"
-            elif item.positive and at is not None and at[1] == probed:
+                raise GrammarError(f"unsupported lookahead over {item.item}")
+            if item.positive and at is not None and at[1] == probed:
                 return False
-            else:
-                tok = at[0] if at else f"_t{self._next_id()}"
-                if at is None:
-                    out.append(f"{ind}{tok} = self._tokens[self._i]")
-                cond = self._tok_test(probed, tok)
-                if item.positive:
-                    cond = f"not ({cond})"
+            tok = at[0] if at else f"_t{self._next_id()}"
+            if at is None:
+                out.append(f"{ind}{tok} = self._tokens[self._i]")
+            cond = self._tok_test(probed, tok)
+            if item.positive:
+                cond = f"not ({cond})"
             self._emit_fail(cond, fail, out, ind)
         elif isinstance(item, Forced):
             forced = sorted(item.item.token_class(self.grammar) or ())
-            if len(forced) != 1 or forced[0][0] not in (
-                    "PUNCT", "KEYWORD", "IDENT"):
+            if len(forced) != 1 or forced[0][0] not in ("PUNCT", "IDENT"):
                 raise GrammarError(f"cannot force-match {item.item}")
             kind, text = forced[0]
             call = f"self.expect_{kind.lower()}({'' if text is None else repr(text)})"

@@ -371,10 +371,6 @@ class Rule:
     #: two paths can call the rule at one position: worth memoizing
     reentrant: bool = False
 
-    def __str__(self) -> str:
-        body = "\n    | ".join(str(a) for a in self.alts)
-        return f"{self.name}:\n    | {body}"
-
 
 # ---------------------------------------------------------------- grammar
 
@@ -535,9 +531,6 @@ class Grammar:
                     for item in _iter_items(named.item):
                         if isinstance(item, Group):
                             yield item.alts
-
-    def __str__(self) -> str:
-        return "\n\n".join(str(rule) for rule in self.rules.values())
 
 
 def _iter_items(item: Item) -> Iterator[Item]:

@@ -67,9 +67,6 @@ class _Tok:
         self.text = text
         self.line = line
 
-    def __repr__(self) -> str:
-        return f"{self.kind}({self.text!r})@{self.line}"
-
 
 def _tokenize(text: str) -> list[_Tok]:
     toks: list[_Tok] = []

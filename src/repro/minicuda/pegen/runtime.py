@@ -4,7 +4,7 @@ The generated parser (:mod:`repro.minicuda.parser_gen`) contains only
 grammar-derived control flow — soft terminal matches included, which
 it tests inline; everything else lives here:
 
-* the token cursor, rule-level lookahead and the *forced* matchers,
+* the token cursor and the *forced* matchers,
   which raise the same committed ``CompileError`` diagnostics as the
   hand-written descent parser the tests keep as their reference
   (``tests/oracle_parser.py``);
@@ -37,7 +37,6 @@ from repro.minicuda.parser import (
 FAIL: Any = object()
 
 _PUNCT = TokenKind.PUNCT
-_KEYWORD = TokenKind.KEYWORD
 _IDENT = TokenKind.IDENT
 
 
@@ -133,20 +132,6 @@ class ParserBase:
     def pos_at(self, mark: int) -> SourcePos:
         return self._tokens[mark].pos
 
-    # -- lookaheads over a rule (single tokens are probed inline) ----------
-
-    def pos_la(self, rule: Callable) -> bool:
-        mark = self._i
-        ok = rule() is not FAIL
-        self._i = mark
-        return ok
-
-    def neg_la(self, rule: Callable) -> bool:
-        mark = self._i
-        ok = rule() is FAIL
-        self._i = mark
-        return ok
-
     # -- forced matchers (commit: match or raise, the oracle's messages) --
 
     def expect_punct(self, text: str) -> Token:
@@ -162,13 +147,6 @@ class ParserBase:
             self._i += 1
             return t
         raise CompileError(f"expected identifier, found {t.text!r}", t.pos)
-
-    def expect_keyword(self, text: str) -> Token:
-        t = self._tokens[self._i]
-        if t.kind is _KEYWORD and t.text == text:
-            self._i += 1
-            return t
-        raise CompileError(f"expected {text!r}, found {t.text!r}", t.pos)
 
     # -- committed failures ------------------------------------------------
 
@@ -387,7 +365,8 @@ class ParserBase:
     def fold_binary(self, first: ast.Expr, rest: list) -> ast.Expr:
         """Left-associate ``first (op operand)*``. The generator folds
         a ladder of rules with this action into one precedence-climbing
-        loop that builds the same nodes; a lone rule still calls it."""
+        loop that builds the same nodes; a rule that is no ladder level
+        (its operands are two different rules, say) still calls it."""
         left = first
         for op_tok, right in rest:
             left = ast.Binary(op=op_tok.text, left=left, right=right,

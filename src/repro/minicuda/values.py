@@ -55,10 +55,6 @@ class HostBuffer:
         self.data = data
         self.label = label
 
-    @property
-    def num_elements(self) -> int:
-        return int(self.data.size)
-
 
 class HostPtr:
     """A typed pointer into host memory."""
@@ -232,9 +228,6 @@ class VarRef:
         self.env = env
         self.name = name
 
-    def get(self) -> Any:
-        return self.env.get(self.name)
-
     def set(self, value: Any) -> None:
         self.env.assign(self.name, value)
 
@@ -251,9 +244,6 @@ class ElemRef:
     def __init__(self, target: Any, index: int):
         self.target = target
         self.index = int(index)
-
-    def get(self) -> Any:
-        return self.target.read(self.index)
 
     def set(self, value: Any) -> None:
         self.target.write(self.index, value)

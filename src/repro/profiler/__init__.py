@@ -176,9 +176,6 @@ class LineProfile:
             return NotImplemented
         return self.to_dict() == other.to_dict()
 
-    def __repr__(self) -> str:
-        return f"LineProfile({len(self.lines)} lines)"
-
 
 def merge_stats_profiles(stats_list: Iterable[Any]) -> LineProfile | None:
     """Merge the ``line_profile`` of every KernelStats that has one;

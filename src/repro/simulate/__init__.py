@@ -18,7 +18,7 @@ offering. This package models that population:
 """
 
 from repro.simulate.des import Event, SimClock, Simulator
-from repro.simulate.metrics import HitRateSeries, HourlySeries, weekly_profile
+from repro.simulate.metrics import HourlySeries, weekly_profile
 from repro.simulate.students import PopulationParams, StudentPopulation
 from repro.simulate.funnel import FunnelResult, simulate_funnel
 from repro.simulate.scenarios import (
@@ -44,7 +44,6 @@ __all__ = [
     "HPP_2013",
     "HPP_2014",
     "HPP_2015",
-    "HitRateSeries",
     "HourlySeries",
     "OfferingScenario",
     "PUMPS_2015",

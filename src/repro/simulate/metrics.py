@@ -93,49 +93,3 @@ def percentile(values: list[float], q: float) -> float:
     if not values:
         return 0.0
     return float(np.percentile(np.asarray(values), q))
-
-
-@dataclass
-class HitRateSeries:
-    """Cache hits vs misses bucketed by hour (per worker or fleet-wide).
-
-    The grading/compile caches (``repro.cache``) report a hit or a miss
-    per request; simulations bucket those here to see how the hit rate
-    climbs across a deadline spike (most resubmissions are duplicates,
-    so the rate rises as the storm progresses).
-    """
-
-    hours: int
-    hits: np.ndarray = field(default=None)    # type: ignore[assignment]
-    misses: np.ndarray = field(default=None)  # type: ignore[assignment]
-
-    def __post_init__(self) -> None:
-        if self.hits is None:
-            self.hits = np.zeros(self.hours, dtype=np.int64)
-        if self.misses is None:
-            self.misses = np.zeros(self.hours, dtype=np.int64)
-        if len(self.hits) != self.hours or len(self.misses) != self.hours:
-            raise ValueError("hits/misses length must equal hours")
-
-    def add(self, hour: int, hit: bool, count: int = 1) -> None:
-        if 0 <= hour < self.hours:
-            if hit:
-                self.hits[hour] += count
-            else:
-                self.misses[hour] += count
-
-    def rate(self, hour: int) -> float:
-        total = int(self.hits[hour]) + int(self.misses[hour])
-        return int(self.hits[hour]) / total if total else 0.0
-
-    def hourly_rates(self) -> np.ndarray:
-        totals = self.hits + self.misses
-        with np.errstate(divide="ignore", invalid="ignore"):
-            rates = np.where(totals > 0, self.hits / np.maximum(totals, 1),
-                             0.0)
-        return rates.astype(np.float64)
-
-    @property
-    def overall(self) -> float:
-        total = int(self.hits.sum()) + int(self.misses.sum())
-        return int(self.hits.sum()) / total if total else 0.0

@@ -65,10 +65,6 @@ class FleetSimResult:
         return percentile(self.waits, 95)
 
     @property
-    def p99_wait(self) -> float:
-        return percentile(self.waits, 99)
-
-    @property
     def gpu_hours(self) -> float:
         return self.worker_seconds / 3600.0
 

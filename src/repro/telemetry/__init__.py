@@ -18,7 +18,6 @@ from typing import Any
 from repro.telemetry.export import (
     dump_jsonl,
     read_jsonl,
-    render_trace,
     waterfall,
     write_jsonl,
 )
@@ -303,21 +302,16 @@ class Telemetry:
         return out
 
 
-def disabled() -> Telemetry:
-    """A fresh all-default bundle (metrics registry + NullTracer)."""
-    return Telemetry()
-
-
 __all__ = [
     "Counter", "Gauge", "Histogram", "MetricsRegistry",
     "merge_registries",
     "Tracer", "NullTracer", "Span", "NullSpan", "TraceContext",
     "NULL_SPAN", "INFO", "WARNING",
-    "Telemetry", "ExemplarStore", "disabled", "requirement_tag",
+    "Telemetry", "ExemplarStore", "requirement_tag",
     "STAGES", "STAGE_SECONDS", "WARP_ACTIVE_LANE_RATIO",
     "QUEUE_WAIT_SECONDS", "SLO_BURN", "ADMISSION_CLASSES", "job_class",
     "KERNEL_WALL_SECONDS", "KERNEL_SIM_SECONDS",
     "KERNEL_COMPILE_SECONDS", "KERNEL_EXEC_SECONDS",
     "KERNEL_REPLAYS_TOTAL",
-    "dump_jsonl", "write_jsonl", "read_jsonl", "waterfall", "render_trace",
+    "dump_jsonl", "write_jsonl", "read_jsonl", "waterfall",
 ]

@@ -13,7 +13,7 @@ import json
 from pathlib import Path
 from typing import IO, Any, Iterable
 
-from repro.telemetry.trace import Span, Tracer
+from repro.telemetry.trace import Span
 
 
 def spans_to_dicts(spans: Iterable[Span]) -> list[dict[str, Any]]:
@@ -126,9 +126,3 @@ def waterfall(spans: "Iterable[Span] | list[dict[str, Any]]",
                          f"@{event['time'] - t0:.3f}s"
                          + (f" ({detail})" if detail else ""))
     return "\n".join(lines)
-
-
-def render_trace(tracer: Tracer, trace_id: str | None = None,
-                 width: int = 48) -> str:
-    """Waterfall straight from a live tracer."""
-    return waterfall(tracer.spans, trace_id=trace_id, width=width)

@@ -13,17 +13,17 @@ All ids and timestamps derive from the simulated clock plus a
 monotonic counter, so the same simulation always produces the same
 trace, byte for byte — traces are replayable in tests.
 
-The default tracer on every platform is :class:`NullTracer`: every
-call is a no-op returning a shared :class:`NullSpan`, so the traced
-code path costs one attribute lookup and one call when tracing is off
-(benchmarked in ``benchmarks/bench_telemetry_overhead.py``).
+The default tracer on every platform is :class:`NullTracer`: it opens
+root spans and point events as the shared :class:`NullSpan`, and
+child spans are opened only behind ``tracer.enabled``, so the traced
+code path costs one attribute lookup when tracing is off (benchmarked
+in ``benchmarks/bench_telemetry_overhead.py``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Iterator
-from contextlib import contextmanager
+from typing import Any
 
 #: Event severity levels (mirrors logging, but only the two we need).
 INFO = "info"
@@ -88,10 +88,6 @@ class Span:
     def finished(self) -> bool:
         return self.end_time is not None
 
-    def set(self, **attrs: Any) -> "Span":
-        self.attrs.update(attrs)
-        return self
-
     def event(self, name: str, time: float | None = None,
               level: str = INFO, **attrs: Any) -> SpanEvent:
         event = SpanEvent(name=name,
@@ -128,10 +124,6 @@ class Span:
             out["events"] = [e.to_dict() for e in self.events]
         return out
 
-    def __repr__(self) -> str:
-        return (f"<Span {self.name} {self.span_id} "
-                f"[{self.start:.6f}, {self.end_time}]>")
-
 
 class NullSpan:
     """The do-nothing span every :class:`NullTracer` call returns."""
@@ -149,9 +141,6 @@ class NullSpan:
     context = None
     attrs: dict[str, Any] = {}
     events: list[SpanEvent] = []
-
-    def set(self, **attrs: Any) -> "NullSpan":
-        return self
 
     def event(self, name: str, time: float | None = None,
               level: str = INFO, **attrs: Any) -> None:
@@ -228,17 +217,6 @@ class Tracer:
         self._by_id[span.span_id] = span
         return span
 
-    @contextmanager
-    def span(self, name: str,
-             parent: "Span | TraceContext | None" = None,
-             **attrs: Any) -> Iterator[Span]:
-        """Context manager: opens at entry, ends at exit (clock times)."""
-        opened = self.start_span(name, parent=parent, **attrs)
-        try:
-            yield opened
-        finally:
-            opened.end(time=self._now(None))
-
     def log_event(self, name: str, time: float | None = None,
                   level: str = INFO,
                   parent: "Span | TraceContext | None" = None,
@@ -267,13 +245,6 @@ class Tracer:
         mine = [s for s in self.spans if s.trace_id == trace_id]
         return sorted(mine, key=lambda s: s.start)
 
-    def finished_spans(self) -> list[Span]:
-        return [s for s in self.spans if s.finished]
-
-    def clear(self) -> None:
-        self.spans.clear()
-        self._by_id.clear()
-
 
 class NullTracer:
     """The zero-overhead default: every call no-ops on a shared span."""
@@ -286,31 +257,10 @@ class NullTracer:
                     **attrs: Any) -> NullSpan:
         return NULL_SPAN
 
-    def start_span(self, name: str, parent: Any = None,
-                   time: float | None = None, **attrs: Any) -> NullSpan:
-        return NULL_SPAN
-
-    @contextmanager
-    def span(self, name: str, parent: Any = None,
-             **attrs: Any) -> Iterator[NullSpan]:
-        yield NULL_SPAN
-
     def log_event(self, name: str, time: float | None = None,
                   level: str = INFO, parent: Any = None,
                   **attrs: Any) -> NullSpan:
         return NULL_SPAN
 
-    def find(self, span_id: str) -> None:
-        return None
-
     def trace_ids(self) -> list[str]:
         return []
-
-    def for_trace(self, trace_id: str) -> list[Span]:
-        return []
-
-    def finished_spans(self) -> list[Span]:
-        return []
-
-    def clear(self) -> None:
-        return None

@@ -211,7 +211,7 @@ class TestShardFailover:
         fabric = make_fabric(num_shards=3)
         jobs = [job_for(f"c{i}") for i in range(30)]
         fabric.publish_batch(jobs, 0.0)
-        injector = FaultInjector(seed=7)
+        injector = FaultInjector()
         done = []
         now = 1.0
         for name in ("shard-0", "shard-1", "shard-2"):

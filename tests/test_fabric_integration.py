@@ -112,7 +112,7 @@ class TestFabricPlatform:
                   source=revision.source, course="HPP-2015",
                   submitted_at=clock.now())
         shard = platform.broker.publish(job, clock.now())
-        injector = FaultInjector(seed=3)
+        injector = FaultInjector()
         report = injector.crash_shard(platform.broker, shard, clock.now())
         assert report.waiting == 1
         results = platform.pump()

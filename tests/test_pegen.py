@@ -79,6 +79,17 @@ class TestMetaparser:
         with pytest.raises(GrammarError):
             parse_grammar("@start a\na: INT\na: IDENT\n")
 
+    def test_lookahead_over_a_multi_token_rule_rejected(self):
+        # lookaheads are probed inline, one token: a rule is no probe
+        with pytest.raises(GrammarError,
+                           match="unsupported lookahead over pair"):
+            generate_parser_source(
+                "@start start\nstart: !pair INT EOF\npair: INT INT\n")
+
+    def test_forced_keyword_rejected(self):
+        with pytest.raises(GrammarError, match="cannot force-match"):
+            generate_parser_source('@start start\nstart: &&"void" EOF\n')
+
 
 class TestLeftRecursion:
     def test_real_grammar_postfix_is_the_only_leader(self):
@@ -295,6 +306,19 @@ class TestLadder:
         assert self._shape(tree) == (1, "*", 2) and plus
         tree, plus = _run(parser_cls, "1 + 2 * 3")
         assert self._shape(tree) == (1, "+", (2, "*", 3)) and not plus
+
+    def test_a_fold_the_generator_cannot_ladder_calls_fold_binary(self):
+        # the right operand is another rule: not a ladder level
+        grammar = (
+            "@class FoldParser\n"
+            "@start start\n"
+            "start: e=sum EOF { e }\n"
+            "sum: f=atom rest=(op='+' r=other)* { self.fold_binary(f, rest) }\n"
+            "atom: t=INT { ast.IntLit(value=t.value, pos=t.pos) }\n"
+            "other: t=INT { ast.IntLit(value=t.value, pos=t.pos) }\n")
+        assert "self.fold_binary(" in generate_parser_source(grammar)
+        tree = _run(_build(grammar), "1 + 2 + 3")
+        assert self._shape(tree) == ((1, "+", 2), "+", 3)
 
     def test_the_real_ladder(self):
         namespace = _generate(REAL_GRAMMAR)

@@ -267,10 +267,6 @@ class TestTracer:
         assert spans == [root, child]
         assert other not in spans
         assert tracer.find(child.span_id) is child
-        child.end(time=2.0)
-        assert tracer.finished_spans() == [child]
-        tracer.clear()
-        assert tracer.spans == []
 
     def test_null_tracer_is_inert(self):
         tracer = NullTracer()
@@ -278,14 +274,11 @@ class TestTracer:
         span = tracer.start_trace("submit", time=1.0)
         assert span is NULL_SPAN
         assert not span                       # falsy: `if span:` guards
-        assert span.set(x=1) is NULL_SPAN
         assert span.end(time=9.0) is NULL_SPAN
         assert span.event("boom") is None
         assert span.to_dict() == {}
         assert tracer.log_event("x") is NULL_SPAN
         assert tracer.trace_ids() == []
-        with tracer.span("y") as inner:
-            assert inner is NULL_SPAN
 
 
 class TestTelemetryBundle:
