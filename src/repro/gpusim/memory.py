@@ -240,7 +240,6 @@ class DeviceBuffer:
         # hot-path precomputes (read/byte_address run per simulated
         # memory access; dtype comparisons and property hops add up)
         self._itemsize = int(self.dtype.itemsize)
-        self._is_bool = self.dtype == np.bool_
         self._base = self.alloc_id << 40
         #: set for the duration of a speculative warp-vector launch
         #: that may store to this allocation (see :class:`LaneTracker`)
@@ -267,7 +266,7 @@ class DeviceBuffer:
         if self.freed or not 0 <= index < self.data.size:
             self._check(index)
         value = self.data[index]
-        return bool(value) if self._is_bool else value.item()
+        return value.item()
 
     def write(self, index: int, value: Any) -> None:
         if self.freed or not 0 <= index < self.data.size:
@@ -336,12 +335,6 @@ class DevicePtr:
     def read(self, index: int = 0) -> Any:
         return self.buffer.read(self.offset + int(index))
 
-    def write(self, index: int, value: Any) -> None:
-        self.buffer.write(self.offset + int(index), value)
-
-    def byte_address(self, index: int = 0) -> int:
-        return self.buffer.byte_address(self.offset + int(index))
-
     def as_array(self, length: int | None = None) -> np.ndarray:
         """Host-side view of the pointed-to elements (for memcpy)."""
         end = None if length is None else self.offset + length
@@ -376,10 +369,6 @@ class SharedArray:
         self._itemsize = int(self.dtype.itemsize)
         #: attached by the warp-SIMD engine when it declares the array
         self.lanes: LaneTracker | None = None
-
-    @property
-    def num_elements(self) -> int:
-        return self.size
 
     @property
     def nbytes(self) -> int:

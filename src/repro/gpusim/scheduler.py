@@ -438,8 +438,8 @@ class ThreadContext:
     """
 
     __slots__ = ("threadIdx", "blockIdx", "blockDim", "gridDim", "line",
-                 "bseq", "stats", "_block", "_warp", "_seq", "_linear_tid",
-                 "_stats", "_lines", "_loads", "_stores", "_shared_trace",
+                 "bseq", "stats", "_block", "_warp", "_seq", "_stats",
+                 "_lines", "_loads", "_stores", "_shared_trace",
                  "_branches")
 
     def __init__(self, threadIdx: Idx3, blockIdx: Idx3, blockDim: Dim3,
@@ -452,9 +452,9 @@ class ThreadContext:
         self.bseq = 0
         self._block = block_state
         self._stats = stats = block_state.stats
-        self._linear_tid = blockDim.linear_index(
+        linear_tid = blockDim.linear_index(
             threadIdx.x, threadIdx.y, threadIdx.z)
-        self._warp = self._linear_tid // block_state.device.spec.warp_size
+        self._warp = linear_tid // block_state.device.spec.warp_size
         self._seq = 0
         self._loads, self._stores, self._shared_trace = \
             block_state.register_thread(self._warp)

@@ -259,6 +259,7 @@ class HostEnv:
 
     def _do_calloc(self, interp, args, pos) -> HostPtr:
         n, size = args
+        self.syscall("mmap")
         self.host_mallocs += 1
         data = np.zeros(max(1, int(n) * int(size)), dtype=np.uint8)
         return HostPtr(HostBuffer(data, f"calloc#{self.host_mallocs}"))

@@ -27,7 +27,7 @@ from repro.cluster import (
     PlatformCaches,
     WorkerConfig,
 )
-from repro.cluster.job import Job
+from repro.cluster.job import Job, JobResult, JobStatus
 from repro.db import Database
 from repro.fabric import BrokerFabric
 from repro.labs import get_lab
@@ -423,6 +423,20 @@ class TestWorkerDriver:
         assert result is not None and result.all_correct
         assert result.extra["container"].startswith("cuda")
         assert db.count("worker_metrics") >= 1
+
+    def test_a_failed_job_on_a_live_node_is_nacked_for_redelivery(
+            self, monkeypatch):
+        clock = ManualClock()
+        driver, broker, _, _ = self.make_driver(clock)
+        job = job_for(VECADD)
+        broker.publish(job, clock.now())
+        monkeypatch.setattr(driver.worker, "process", lambda job, **_: (
+            JobResult(job_id=job.job_id, status=JobStatus.FAILED,
+                      error="scratch disk full")))
+        assert driver.step() is None
+        assert driver.stats.nacks == 1
+        assert broker.queue.stats.nacked == 1
+        assert job.delivery.failures[-1]["reason"] == "scratch disk full"
 
     def test_empty_queue_returns_none(self):
         clock = ManualClock()

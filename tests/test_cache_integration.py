@@ -180,3 +180,28 @@ def test_grading_result_cache_eviction_releases_blobs():
     assert len(cache.memo) == 1
     assert len(cache.cas) == 1
     assert cache.stats.evictions == 2
+
+
+@pytest.mark.parametrize("policy", ["default", "never-evicts"])
+def test_a_corrupted_result_blob_is_a_miss_and_forgotten(policy):
+    from repro.cache import EvictionPolicy
+    from repro.cache.cas import blob_key
+    from repro.cluster.job import Job, JobKind, JobResult, JobStatus
+
+    clock = ManualClock()
+    cache = GradingResultCache(
+        clock=clock,
+        policy=EvictionPolicy() if policy == "never-evicts" else None)
+    job = Job(lab=VECADD, source=VECADD.solution, kind=JobKind.FULL_GRADING,
+              user="u", submitted_at=clock.now())
+    assert cache.fetch(job, worker_name="w", now=clock.now()) is None
+    cache.complete(job, JobResult(job_id=job.job_id,
+                                  status=JobStatus.COMPLETED,
+                                  worker_name="w", compile_ok=True))
+    address = cache.memo.peek(cache.key_for(job)).result()
+    cache.cas.bucket.put(blob_key(address), b"corrupted!")
+    assert cache.fetch(job, worker_name="w", now=clock.now()) is None
+    assert cache.cas.stats.integrity_failures == 1
+    # the entry and its blob reference are gone: the next fetch owns a
+    # fresh flight instead of re-reading the bad blob
+    assert len(cache.memo) == 0 and len(cache.cas) == 0

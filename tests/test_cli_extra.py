@@ -29,6 +29,26 @@ class TestCliRemainder:
         with pytest.raises(KeyError):
             main(["show-lab", "nope"])
 
+    def test_trace_attempt_prints_the_waterfall_and_writes_spans(
+            self, capsys, tmp_path):
+        spans = tmp_path / "spans.jsonl"
+        assert main(["trace-attempt", "vector-add", "--tag", "cuda",
+                     "--trace-out", str(spans)]) == 0
+        out = capsys.readouterr().out
+        assert "tracing the reference solution" in out
+        assert "grade: 90/100" in out
+        assert "stage latency for tag 'cuda'" in out
+        count = int(out.split("wrote ")[1].split(" span(s)")[0])
+        assert count == len(spans.read_text().splitlines()) > 0
+
+    def test_trace_attempt_of_a_given_source(self, capsys, tmp_path):
+        source = tmp_path / "attempt.cu"
+        source.write_text(get_lab("vector-add").skeleton)
+        assert main(["trace-attempt", "vector-add",
+                     "--source", str(source)]) == 0
+        out = capsys.readouterr().out
+        assert "grade:" in out and "stage latency (p50" in out
+
     def test_profile_attempt_rejects_unknown_engine(self, capsys):
         with pytest.raises(SystemExit) as exit_info:
             main(["profile-attempt", "vector-add", "--engine", "closur"])

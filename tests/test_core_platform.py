@@ -233,6 +233,49 @@ class TestDeliveryResilience:
                                            "mpi-stencil")
         assert len(history) == 1
 
+    def test_v2_fabric_cancels_a_job_no_worker_can_take(self):
+        from repro.fabric import FabricConfig
+        clock = ManualClock()
+        platform = WebGPU2(clock=clock, num_workers=1,
+                           fabric=FabricConfig(num_shards=2))
+        course = platform.create_course(
+            CourseOffering(code="PUMPS", year=2015), ["mpi-stencil"])
+        student = platform.users.register("s@x.com", "S", "pw")
+        course.enroll(student.user_id)
+        platform.save_code("PUMPS-2015", student, "mpi-stencil",
+                           get_lab("mpi-stencil").solution)
+        clock.advance(30)
+        attempt = platform.run_attempt("PUMPS-2015", student, "mpi-stencil")
+        assert attempt.status == "failed"
+        # cancelled, not left waiting for a capable worker
+        assert platform.broker.depth() == 0
+        assert not platform.broker.dead_letters()
+
+
+class TestLineProfile:
+    def test_a_ledger_the_fleet_attached_is_the_recomputed_one(self):
+        platform, clock, _, student = make_platform(
+            worker_config=WorkerConfig(line_profile=True))
+        platform.save_code("HPP-2015", student, "vector-add",
+                           VECADD.solution)
+        clock.advance(30)
+        platform.run_attempt("HPP-2015", student, "vector-add")
+        source, attached, violations = platform.get_line_profile(
+            "HPP-2015", student, "vector-add")
+        assert source == VECADD.solution and violations == ()
+        assert attached.total_instructions > 0
+        recomputed = make_platform()
+        recomputed[0].save_code("HPP-2015", recomputed[3], "vector-add",
+                                VECADD.solution)
+        assert recomputed[0].get_line_profile(
+            "HPP-2015", recomputed[3], "vector-add")[1] == attached
+
+    def test_code_that_no_longer_compiles_has_no_ledger(self):
+        platform, _, _, student = make_platform()
+        platform.save_code("HPP-2015", student, "vector-add", "int main() {")
+        assert platform.get_line_profile(
+            "HPP-2015", student, "vector-add") == ("int main() {", None, ())
+
     def test_evicted_driver_stops_polling(self):
         platform, clock, _, student = make_platform(WebGPU2)
         platform.tick_health()

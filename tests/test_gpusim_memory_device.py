@@ -56,6 +56,12 @@ class TestDeviceBuffer:
         buf.write(2, 3.5)
         assert buf.read(2) == pytest.approx(3.5)
 
+    def test_a_bool_element_reads_as_a_python_bool(self):
+        buf = DeviceBuffer(2, "bool")
+        buf.write(1, True)
+        assert [type(buf.read(i)) for i in (0, 1)] == [bool, bool]
+        assert [buf.read(i) for i in (0, 1)] == [False, True]
+
     def test_bounds_check_like_memcheck(self):
         buf = DeviceBuffer(4, "int")
         with pytest.raises(OutOfBoundsError):

@@ -176,6 +176,7 @@ def test_lookups_follow_a_telemetry_bundle_attached_later():
     first = memo.telemetry
     memo.begin("k")
     memo.telemetry, memo.cache_name = Telemetry(), "after"
+    assert memo.cache_name == "after"
     memo.begin("k")
     memo.deliver("k", 1)
     memo.begin("k")

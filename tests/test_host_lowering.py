@@ -27,7 +27,7 @@ from repro.labs.mutations import MUTATIONS, buggy_source
 from repro.minicuda import CompileError, HostEnv, compile_source
 from repro.minicuda import srcgen
 from repro.minicuda.semantic import MAX_EXPR_DEPTH, MAX_NESTING
-from repro.minicuda.interpreter import KernelHang
+from repro.minicuda.interpreter import InterpreterError, KernelHang
 from repro.minicuda.codegen import KERNEL_CACHE
 from repro.mpisim import run_mpi
 from tests import oracle_interpreter
@@ -652,6 +652,20 @@ int main() {{
             return
         for engine in ENGINES:
             assert run(source, engine)[0] == 2 * terms % 251, engine
+
+
+    def test_an_emitter_overflow_is_a_positioned_error(self, monkeypatch):
+        # the budgets above keep every checked program inside Python's
+        # stack; past them, a host function the emitter cannot lower
+        # is still a positioned error, not a raw RecursionError
+        def overflow(self, name):
+            raise RecursionError
+
+        monkeypatch.setattr(srcgen._ModuleEmitter, "compile_host", overflow)
+        info = compile_source("int main() { return 46013; }").info
+        with pytest.raises(InterpreterError,
+                           match="1:1: program is nested too deeply"):
+            srcgen.compile_host(info, "main")
 
 
 class TestNestingBudget:

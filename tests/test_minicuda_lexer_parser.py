@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from repro.minicuda import (CompileCache, CompileError, compile_source, parse,
                             tokenize)
 from repro.minicuda import ast_nodes as ast
+from repro.minicuda.diagnostics import SourcePos
 from repro.minicuda.lexer import KEYWORDS, PUNCTUATION, TokenKind
 
 
@@ -152,6 +153,13 @@ class TestParserExpressions:
         node = self.expr("a < b ? a : b")
         assert isinstance(node, ast.Conditional)
 
+    def test_arrow_is_a_member_of_the_dereference(self):
+        node = self.expr("p->y")
+        assert isinstance(node, ast.Member) and node.field_name == "y"
+        assert isinstance(node.obj, ast.Unary) and node.obj.op == "*"
+        assert node.obj.operand.name == "p"
+        assert node.pos == node.obj.pos == SourcePos(1, 17)  # the arrow
+
     def test_cast_of_malloc(self):
         node = self.expr("(float *)malloc(4)")
         assert isinstance(node, ast.Cast) and node.type.pointers == 1
@@ -222,6 +230,12 @@ _GAPS = st.lists(
                      "\n#pragma acc loop\n", "\r\n  # pragma omp for \r\n",
                      "\n#pragma\n"]),
     min_size=1, max_size=3).map("".join)
+
+
+class TestSourcePos:
+    def test_a_value_equal_and_hashed_by_line_and_column(self):
+        assert SourcePos(3, 4) == SourcePos(3, 4) != SourcePos(4, 3)
+        assert len({SourcePos(3, 4), SourcePos(3, 4), SourcePos(4, 3)}) == 2
 
 
 class TestTokenPositions:

@@ -727,3 +727,48 @@ int main() { return 0; }
             source, "vote", 2, 32, [data, np.zeros(4, np.int32)], [50])
         assert int(outs[1].sum()) == 50
         assert stats.atomic_ops == 50
+
+
+def one_kernel(params, body):
+    """A program of one kernel ``k`` whose ``i`` is ``threadIdx.x``."""
+    return (f"__global__ void k({params}) {{\n  int i = threadIdx.x;\n"
+            f"{body}\n}}\nint main() {{ return 0; }}\n")
+
+
+class TestRuntimeHelpers:
+    """Constructs no catalog kernel uses, each reaching a helper of the
+    generated code: outputs equal the oracle's on every engine, and C's
+    values."""
+
+    FLAGS = np.array([True, False, True, False])
+
+    @pytest.mark.parametrize("params, body, arrays, scalars, expected", [
+        # a load from a bool buffer is a C bool, promoted to int by ~
+        ("bool *f, int *o", "o[i] = ~f[i];",
+         [FLAGS, np.zeros(4, np.int32)], [], [-2, -1, -2, -1]),
+        # float % on lane vectors (simd._v_fmod)
+        ("float *a", "float v = a[i]; v %= 1.5f; a[i] = v;",
+         [np.array([1, 2, 3.5, -4], np.float32)], [], [1, 0.5, 0.5, -1]),
+        # bitwise compound assignment on lane vectors (simd._as_int_vals)
+        ("int *b", "int v = b[i]; v ^= 3; v <<= 1; b[i] = v;",
+         [np.arange(4, dtype=np.int32)], [], [6, 4, 2, 0]),
+        # a uniform condition choosing the uniform one of a uniform and
+        # a varying arm (simd._bcast)
+        ("int *b, int n", "b[i] = (n > 2) ? 7 : i;",
+         [np.zeros(4, np.int32)], [3], [7, 7, 7, 7]),
+    ], ids=["bool-load", "fmod", "bitwise-compound", "uniform-ternary"])
+    def test_matches_the_oracle(self, params, body, arrays, scalars,
+                                expected):
+        outs, _ = assert_engines_identical(one_kernel(params, body), "k",
+                                           1, 4, arrays, scalars)
+        assert outs[-1].tolist() == expected
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_double_and_bool_parameters_are_coerced_at_bind(self, engine):
+        program = compile_source(one_kernel(
+            "double d, bool f, float *o", "o[i] = f ? d : 0.5;"))
+        rt = GpuRuntime(Device())
+        out = rt.malloc(4, np.float32)
+        # an int for the double, an int for the bool
+        program.launch(rt, "k", 1, 4, 3, 2, out.ptr(), engine=engine)
+        assert rt.memcpy_dtoh(out).tolist() == [3.0] * 4

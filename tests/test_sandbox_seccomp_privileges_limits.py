@@ -13,8 +13,12 @@ from repro.sandbox import (
     TimeLimitExceeded,
     TimeLimiter,
 )
+from repro.cluster import GpuWorker, WorkerConfig
+from repro.cluster.job import Job, JobKind
+from repro.labs import get_lab
 from repro.sandbox.privileges import make_sandbox_context
-from repro.sandbox.syscalls import SyscallCategory, calls_in_category
+from repro.sandbox.syscalls import (BASELINE_WHITELIST, SyscallCategory,
+                                    calls_in_category)
 
 
 class TestSeccompPolicy:
@@ -71,6 +75,51 @@ class TestSyscallGate:
         # the fatal call is still in the audit trail
         assert gate.trace[-1] == "socket"
 
+
+#: (student call, the syscall its gate reports, allowed by the baseline)
+GATES = [
+    ("fclose(0)", "close", True),
+    ("fread(b, 4, 2, 0)", "read", True),
+    ("fwrite(b, 4, 2, 0)", "write", True),
+    ('remove("/var/log/auth.log")', "unlink", False),
+    ("connect(0, 0, 0)", "connect", False),
+]
+
+
+class TestSeccompGatesOnStudentCalls:
+    """The sandbox's verdict on each file/network builtin, through the
+    worker: the baseline whitelist's, then the opposite one under a
+    policy that flips only that call."""
+
+    @staticmethod
+    def outcome(policy, call):
+        worker = GpuWorker(WorkerConfig(policy=policy))
+        source = f"int main() {{ int b[2]; {call}; return 0; }}"
+        result = worker.process(Job(lab=get_lab("vector-add"), source=source,
+                                    kind=JobKind.RUN_DATASET))
+        return result.datasets[0]
+
+    @pytest.mark.parametrize("call, syscall, allowed", GATES,
+                             ids=[g[1] for g in GATES])
+    def test_baseline_verdict(self, call, syscall, allowed):
+        assert (syscall in BASELINE_WHITELIST) is allowed
+        ran = self.outcome(SeccompPolicy.baseline(), call)
+        if allowed:
+            assert ran.outcome == "ok"
+        else:
+            assert ran.outcome == "syscall_killed"
+            assert f"syscall {syscall!r} blocked" in ran.report
+
+    @pytest.mark.parametrize("call, syscall, allowed", GATES,
+                             ids=[g[1] for g in GATES])
+    def test_flipped_verdict(self, call, syscall, allowed):
+        flipped = SeccompPolicy("flipped", BASELINE_WHITELIST ^ {syscall})
+        ran = self.outcome(flipped, call)
+        if allowed:
+            assert ran.outcome == "syscall_killed"
+            assert f"syscall {syscall!r} blocked" in ran.report
+        else:
+            assert ran.outcome == "ok"
 
 class TestPrivileges:
     def test_sandbox_write_confined(self):

@@ -244,6 +244,28 @@ class TestAppRoutes:
                                       session_token=token))
         assert response.body.startswith("grade: 90.0")  # question unanswered
 
+    def test_questions_answers_and_profile(self, app):
+        app, _ = app
+        token = self.login(app)
+
+        def get(path):
+            return app.handle(Request("GET", path, session_token=token))
+
+        def answer(index, text):
+            return app.handle(Request(
+                "POST", f"/lab/vector-add/questions/{index}",
+                form={"answer": text}, session_token=token))
+
+        assert "No profiled kernel launches yet" in get(
+            "/lab/vector-add/profile").body
+        assert answer(0, "the grid overshoots").body == "saved"
+        assert answer(9, "no such question").status == 400
+        assert "the grid overshoots" in get("/lab/vector-add/questions").body
+        app.handle(Request("POST", "/lab/vector-add/code",
+                           form={"source": VECADD.solution},
+                           session_token=token))
+        assert "Hottest lines" in get("/lab/vector-add/profile").body
+
     def test_rate_limit_is_429(self, app):
         app, _ = app
         token = self.login(app)
