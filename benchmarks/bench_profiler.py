@@ -12,9 +12,10 @@ artifact, and the profiled run must add nothing to the kernel memo.
 
 This benchmark runs tiled matmul and a block reduction on both engines
 and the tests' tree-walking oracle (``tests/oracle_interpreter.py``,
-the ``ast`` baseline), profiled vs unprofiled, checks ledgers stay
-bit-identical across them, and records the slowdowns in
-``BENCH_profiler.json``.
+the ``ast`` baseline), profiled vs unprofiled in ``PAIRS`` alternating
+pairs of launches, checks ledgers stay bit-identical across them, and
+records in ``BENCH_profiler.json`` each cell's median paired multiple
+(profiled over unprofiled wall time) with its min and max.
 No hard floor on the profiled multiple: the simd engine executes a
 block per instruction but the ledger still charges per line, so its
 relative overhead is structurally larger — the JSON is the artifact.
@@ -32,6 +33,7 @@ import os
 import sys
 import time
 from pathlib import Path
+from statistics import median
 
 import numpy as np
 
@@ -53,6 +55,9 @@ FAST = bool(os.environ.get("WEBGPU_BENCH_FAST"))
 
 #: problem sizes: (matmul n, reduction n)
 SIZES = (24, 2_048) if FAST else (48, 8_192)
+
+#: alternating (unprofiled, profiled) launch pairs per kernel and engine
+PAIRS = 3
 
 MATMUL = """
 #define TILE 8
@@ -111,68 +116,74 @@ def _cases():
     ]
 
 
-def _run_case(source, kernel, grid, block, buf_specs, scalars, engine,
-              profile):
-    """Best-of-reps launch; returns (wall s, stats, outputs)."""
-    wall = float("inf")
-    elapsed = 0.0
-    for _ in range(3):
-        program = compile_source(source)
-        rt = GpuRuntime(Device())
-        bufs = []
-        for n, dtype, init in buf_specs:
-            buf = rt.malloc(n, dtype)
-            if init is not None:
-                rt.memcpy_htod(buf, init)
-            bufs.append(buf)
-        args = [b.ptr() for b in bufs] + list(scalars)
-        t0 = time.perf_counter()
-        stats = interpreter(program.info, rt, engine=engine,
-                            profile=profile).launch_kernel(
-            kernel, grid, block, tuple(args))
-        rep = time.perf_counter() - t0
-        wall = min(wall, rep)
-        elapsed += rep
-        if elapsed >= 1.0:
-            break
+def _launch(source, kernel, grid, block, buf_specs, scalars, engine,
+            profile):
+    """One launch on fresh buffers; returns (wall s, stats, outputs)."""
+    program = compile_source(source)
+    rt = GpuRuntime(Device())
+    bufs = []
+    for n, dtype, init in buf_specs:
+        buf = rt.malloc(n, dtype)
+        if init is not None:
+            rt.memcpy_htod(buf, init)
+        bufs.append(buf)
+    args = [b.ptr() for b in bufs] + list(scalars)
+    t0 = time.perf_counter()
+    stats = interpreter(program.info, rt, engine=engine,
+                        profile=profile).launch_kernel(
+        kernel, grid, block, tuple(args))
+    wall = time.perf_counter() - t0
     return wall, stats, [rt.memcpy_dtoh(b) for b in bufs]
 
 
 def test_profiler_cost():
     rows = []
-    record = {"fast_mode": FAST, "sizes": list(SIZES), "kernels": {}}
+    record = {"fast_mode": FAST, "sizes": list(SIZES), "pairs": PAIRS,
+              "kernels": {}}
     for name, source, kernel, grid, block, bufs, scalars in _cases():
         ledgers = {}
         entry = {}
         for engine in ENGINES:
-            wall_off, stats_off, outs_off = _run_case(
-                source, kernel, grid, block, bufs, scalars, engine, False)
-            computed = KERNEL_CACHE.compute_count
-            wall_on, stats_on, outs_on = _run_case(
-                source, kernel, grid, block, bufs, scalars, engine, True)
-            # profiling is a launch flag: the unprofiled run's kernel
-            assert KERNEL_CACHE.compute_count == computed, (name, engine)
-            # unprofiled launches never build a ledger
-            assert stats_off.line_profile is None, (name, engine)
-            # the ledger is the launch's charges, split by line
-            assert_ledger_totals(stats_on, name, engine)
-            # profiling must not perturb results or whole-kernel counts
-            for a, b in zip(outs_off, outs_on):
-                assert np.array_equal(a, b), (name, engine)
-            assert stats_off.instructions == stats_on.instructions, \
-                (name, engine)
+            walls_off, walls_on, computed = [], [], None
+            for _ in range(PAIRS):
+                wall_off, stats_off, outs_off = _launch(
+                    source, kernel, grid, block, bufs, scalars, engine,
+                    False)
+                if computed is None:
+                    computed = KERNEL_CACHE.compute_count
+                wall_on, stats_on, outs_on = _launch(
+                    source, kernel, grid, block, bufs, scalars, engine,
+                    True)
+                # profiling is a launch flag: the unprofiled run's kernel
+                assert KERNEL_CACHE.compute_count == computed, (name, engine)
+                # unprofiled launches never build a ledger
+                assert stats_off.line_profile is None, (name, engine)
+                # the ledger is the launch's charges, split by line
+                assert_ledger_totals(stats_on, name, engine)
+                # profiling must not perturb results or whole-kernel counts
+                for a, b in zip(outs_off, outs_on):
+                    assert np.array_equal(a, b), (name, engine)
+                assert stats_off.instructions == stats_on.instructions, \
+                    (name, engine)
+                walls_off.append(wall_off)
+                walls_on.append(wall_on)
             ledgers[engine] = stats_on.line_profile
-            multiple = wall_on / wall_off if wall_off else float("inf")
+            multiples = [on / off if off else float("inf")
+                         for off, on in zip(walls_off, walls_on)]
+            multiple = median(multiples)
             entry[engine] = {
-                "unprofiled_s": round(wall_off, 4),
-                "profiled_s": round(wall_on, 4),
+                "unprofiled_s": round(median(walls_off), 4),
+                "profiled_s": round(median(walls_on), 4),
                 "multiple": round(multiple, 2),
+                "multiple_min": round(min(multiples), 2),
+                "multiple_max": round(max(multiples), 2),
             }
             rows.append({
                 "kernel": name, "engine": engine,
-                "unprofiled_s": f"{wall_off:.3f}",
-                "profiled_s": f"{wall_on:.3f}",
-                "multiple": f"{multiple:.2f}x",
+                "unprofiled_s": f"{median(walls_off):.3f}",
+                "profiled_s": f"{median(walls_on):.3f}",
+                "multiple": f"{multiple:.2f}x "
+                            f"({min(multiples):.2f}-{max(multiples):.2f})",
             })
         # the ledger itself is part of the parity contract
         reference = ledgers["ast"]
