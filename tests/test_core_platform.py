@@ -251,31 +251,6 @@ class TestDeliveryResilience:
         assert platform.broker.depth() == 0
         assert not platform.broker.dead_letters()
 
-
-class TestLineProfile:
-    def test_a_ledger_the_fleet_attached_is_the_recomputed_one(self):
-        platform, clock, _, student = make_platform(
-            worker_config=WorkerConfig(line_profile=True))
-        platform.save_code("HPP-2015", student, "vector-add",
-                           VECADD.solution)
-        clock.advance(30)
-        platform.run_attempt("HPP-2015", student, "vector-add")
-        source, attached, violations = platform.get_line_profile(
-            "HPP-2015", student, "vector-add")
-        assert source == VECADD.solution and violations == ()
-        assert attached.total_instructions > 0
-        recomputed = make_platform()
-        recomputed[0].save_code("HPP-2015", recomputed[3], "vector-add",
-                                VECADD.solution)
-        assert recomputed[0].get_line_profile(
-            "HPP-2015", recomputed[3], "vector-add")[1] == attached
-
-    def test_code_that_no_longer_compiles_has_no_ledger(self):
-        platform, _, _, student = make_platform()
-        platform.save_code("HPP-2015", student, "vector-add", "int main() {")
-        assert platform.get_line_profile(
-            "HPP-2015", student, "vector-add") == ("int main() {", None, ())
-
     def test_evicted_driver_stops_polling(self):
         platform, clock, _, student = make_platform(WebGPU2)
         platform.tick_health()
@@ -364,6 +339,31 @@ class TestLineProfile:
         clock.advance(30)
         assert platform.run_attempt("HPP-2015", student,
                                     "vector-add").correct
+
+
+class TestLineProfile:
+    def test_a_ledger_the_fleet_attached_is_the_recomputed_one(self):
+        platform, clock, _, student = make_platform(
+            worker_config=WorkerConfig(line_profile=True))
+        platform.save_code("HPP-2015", student, "vector-add",
+                           VECADD.solution)
+        clock.advance(30)
+        platform.run_attempt("HPP-2015", student, "vector-add")
+        source, attached, violations = platform.get_line_profile(
+            "HPP-2015", student, "vector-add")
+        assert source == VECADD.solution and violations == ()
+        assert attached.total_instructions > 0
+        recomputed = make_platform()
+        recomputed[0].save_code("HPP-2015", recomputed[3], "vector-add",
+                                VECADD.solution)
+        assert recomputed[0].get_line_profile(
+            "HPP-2015", recomputed[3], "vector-add")[1] == attached
+
+    def test_code_that_no_longer_compiles_has_no_ledger(self):
+        platform, _, _, student = make_platform()
+        platform.save_code("HPP-2015", student, "vector-add", "int main() {")
+        assert platform.get_line_profile(
+            "HPP-2015", student, "vector-add") == ("int main() {", None, ())
 
 
 class TestDegradedFleet:
