@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Any, Iterator, Mapping
+from typing import Any, Mapping
 
 from repro.db.errors import DuplicateKeyError, NoSuchRowError, SchemaError
 from repro.db.query import Query

@@ -239,6 +239,10 @@ class _NoHost:
         raise InterpreterError(
             f"host builtin {name!r} requires a host environment", pos)
 
+    @staticmethod
+    def on_kernel_launch(name: str, stats: Any) -> None:
+        pass
+
 
 _NO_HOST = _NoHost()
 

@@ -245,6 +245,13 @@ class Tracer:
         mine = [s for s in self.spans if s.trace_id == trace_id]
         return sorted(mine, key=lambda s: s.start)
 
+    def finished_spans(self) -> list[Span]:
+        return [s for s in self.spans if s.finished]
+
+    def clear(self) -> None:
+        self.spans.clear()
+        self._by_id.clear()
+
 
 class NullTracer:
     """The zero-overhead default: every call no-ops on a shared span."""

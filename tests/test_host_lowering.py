@@ -33,6 +33,7 @@ from repro.mpisim import run_mpi
 from tests import oracle_interpreter
 from tests.oracle_interpreter import ENGINES
 from tests.test_lane_conflicts import ledger
+from tests.test_minicuda_simd import one_kernel
 
 pytestmark = pytest.mark.usefixtures("oracle")
 
@@ -553,6 +554,21 @@ int main() { hello(); return 0; }"""
                 interp.run_host_function("main")
             assert str(fault.value) == ("2:16: host builtin 'printf' "
                                         "requires a host environment"), engine
+
+    def test_a_kernel_launch_without_a_host(self):
+        source = one_kernel("int *out", "  out[i] = i + 5;")
+        program = compile_source(
+            source + "void run(int *d) { k<<<1, 4>>>(d); }\n")
+        assert srcgen.decline_reason(program.info, "run") is None
+        outputs = {}
+        for engine in ENGINES:
+            runtime = GpuRuntime(Device())
+            buf = runtime.malloc(4, "int")
+            interp = oracle_interpreter.interpreter(
+                program.info, runtime, engine=engine)
+            interp.run_host_function("run", (buf.ptr(),))
+            outputs[engine] = runtime.memcpy_dtoh(buf, 4).tolist()
+        assert outputs == {engine: [5, 6, 7, 8] for engine in ENGINES}
 
 
 class TestOperandFaults:

@@ -267,6 +267,10 @@ class TestTracer:
         assert spans == [root, child]
         assert other not in spans
         assert tracer.find(child.span_id) is child
+        child.end(time=2.0)
+        assert tracer.finished_spans() == [child]
+        tracer.clear()
+        assert tracer.spans == []
 
     def test_null_tracer_is_inert(self):
         tracer = NullTracer()
