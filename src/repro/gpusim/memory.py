@@ -340,9 +340,6 @@ class DevicePtr:
         end = None if length is None else self.offset + length
         return self.buffer.data[self.offset:end]
 
-    def __repr__(self) -> str:
-        return f"DevicePtr({self.buffer.label}+{self.offset})"
-
 
 class SharedArray:
     """A ``__shared__`` array: one block's, or — for the warp-SIMD

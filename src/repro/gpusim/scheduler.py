@@ -151,16 +151,25 @@ class _BlockState:
     The threads of one warp share its lists: a row's key is its
     ``(warp, seq)``, and every reduction depends only on the multiset
     of rows, not on which list or in what order they were appended.
+
+    ``instr`` and ``atomics`` are the launch's per-source-line
+    instruction and atomic-operation counters (:func:`_counters`),
+    shared by all its blocks: every charge of either counter, profiled
+    or not, bumps the count of the line it lands on, and the launch's
+    ``KernelStats`` totals are their sums (:func:`_settle`). A state
+    built without them gets a pair for line 0 alone.
     """
 
     #: set to ``self`` on :class:`_ProfiledBlockState`: the one answer
     #: to "is this launch line-profiled?" that every tier asks
     prof = None
 
-    def __init__(self, device: Device, block_dim: Dim3, blocks: int = 1):
+    def __init__(self, device: Device, block_dim: Dim3, blocks: int = 1,
+                 charges: tuple[list[int], list[int]] | None = None):
         self.device = device
         self.block_dim = block_dim
         self.blocks = blocks
+        self.instr, self.atomics = charges or _counters(1)
         # a __shared__ array holds every block's copy; shared_bytes
         # counts one block's, as the limit does
         self.shared: dict[str, SharedArray] = {}
@@ -262,19 +271,18 @@ class _ProfiledBlockState(_BlockState):
 
     Totals are computed by the base class's reductions — the 4th
     (line) row column is invisible to them — and the line attribution
-    runs as extra vectorized passes over the same rows. Per the
+    runs as extra vectorized passes over the same rows; the
+    instruction and atomic lines are the launch's own counters, which
+    :func:`_settle` adds to the merged ledger. Per the
     profiler's parity contract, every attribution below depends only
     on the *multiset* of recorded rows, never on recording order, so
     differently-batched engines produce bit-identical ledgers.
     """
 
-    def __init__(self, device: Device, block_dim: Dim3, blocks: int = 1):
-        super().__init__(device, block_dim, blocks)
+    def __init__(self, device: Device, block_dim: Dim3, blocks: int = 1,
+                 charges: tuple[list[int], list[int]] | None = None):
+        super().__init__(device, block_dim, blocks, charges)
         self.prof = self
-        # dict-accumulated counters charged live by the thread contexts
-        # and the engines' :class:`_LineStatsProxy`: line -> count
-        self.instr_lines: dict[int, int] = {}
-        self.atomic_lines: dict[int, int] = {}
         # per-warp branch traces: (warp, [bseq, line, taken, ...]);
         # SIMD chunks: (count, warp, bseqs, line, taken)
         self.branch_traces: list[tuple[int, list[int]]] = []
@@ -307,8 +315,6 @@ class _ProfiledBlockState(_BlockState):
                                 width=3)
         if branches is not None:
             self._line_divergence(branches, profile)
-        profile.bump("instructions", self.instr_lines)
-        profile.bump("atomic_ops", self.atomic_lines)
         self.stats.line_profile = profile
         return loads, stores, hits
 
@@ -371,51 +377,6 @@ class _ProfiledBlockState(_BlockState):
                      dict(zip(uline.tolist(), counts.tolist())))
 
 
-class _LineStatsProxy:
-    """Stands in for the block's ``KernelStats`` where a line-profiled
-    launch charges through a bare ``stats.instructions += n`` or
-    ``stats.atomic_ops += n`` (:attr:`ThreadContext.stats`, which the
-    scalar engine's ``S`` local reads, and the warp engine's
-    ``st.stats``): each setter forwards the delta to the real stats
-    *and* to the block's per-line ledger at ``owner.line`` — a thread
-    context's or a warp's current source line."""
-
-    __slots__ = ("_owner", "_stats", "_instr_lines", "_atomic_lines")
-
-    def __init__(self, owner: Any, stats: KernelStats,
-                 prof: _ProfiledBlockState):
-        self._owner = owner
-        self._stats = stats
-        self._instr_lines = prof.instr_lines
-        self._atomic_lines = prof.atomic_lines
-
-    @property
-    def instructions(self) -> int:
-        return self._stats.instructions
-
-    @instructions.setter
-    def instructions(self, value: int) -> None:
-        stats = self._stats
-        delta = value - stats.instructions
-        stats.instructions = value
-        lines = self._instr_lines
-        ln = self._owner.line
-        lines[ln] = lines.get(ln, 0) + delta
-
-    @property
-    def atomic_ops(self) -> int:
-        return self._stats.atomic_ops
-
-    @atomic_ops.setter
-    def atomic_ops(self, value: int) -> None:
-        stats = self._stats
-        delta = value - stats.atomic_ops
-        stats.atomic_ops = value
-        lines = self._atomic_lines
-        ln = self._owner.line
-        lines[ln] = lines.get(ln, 0) + delta
-
-
 class ThreadContext:
     """The per-thread view a kernel executes against.
 
@@ -427,20 +388,18 @@ class ThreadContext:
     One class serves profiled and unprofiled launches. The engines keep
     ``line`` pointed at the innermost enclosing statement's source line
     (re-set before loop condition/step evaluation, saved/restored
-    around user device-function calls), and every access row carries
-    it. When the block state is line-profiled (its ``prof`` is set),
-    each charge also lands on ``line`` in the ledger: the accessors
-    bump it directly, bare ``stats.instructions += n`` charges go
-    through :attr:`stats`, then a :class:`_LineStatsProxy`, and
-    ``record_branch`` logs ``if`` outcomes keyed by the per-thread
-    branch sequence number ``bseq`` so finalize can detect intra-warp
-    divergence.
+    around user device-function calls); every access row carries it,
+    and every charge bumps its count in the launch's per-line counters,
+    ``instr`` (which the compiled scalar kernels bind as ``S`` and bump
+    as ``S[C.line] += n``) and ``_atomics``. When the block state is
+    line-profiled (its ``prof`` is set), ``record_branch`` also logs
+    ``if`` outcomes keyed by the per-thread branch sequence number
+    ``bseq`` so finalize can detect intra-warp divergence.
     """
 
     __slots__ = ("threadIdx", "blockIdx", "blockDim", "gridDim", "line",
-                 "bseq", "stats", "_block", "_warp", "_seq", "_stats",
-                 "_lines", "_loads", "_stores", "_shared_trace",
-                 "_branches")
+                 "bseq", "instr", "_block", "_warp", "_seq", "_atomics",
+                 "_loads", "_stores", "_shared_trace", "_branches")
 
     def __init__(self, threadIdx: Idx3, blockIdx: Idx3, blockDim: Dim3,
                  gridDim: Dim3, block_state: _BlockState):
@@ -451,7 +410,8 @@ class ThreadContext:
         self.line = 0
         self.bseq = 0
         self._block = block_state
-        self._stats = stats = block_state.stats
+        self.instr = block_state.instr
+        self._atomics = block_state.atomics
         linear_tid = blockDim.linear_index(
             threadIdx.x, threadIdx.y, threadIdx.z)
         self._warp = linear_tid // block_state.device.spec.warp_size
@@ -459,14 +419,9 @@ class ThreadContext:
         self._loads, self._stores, self._shared_trace = \
             block_state.register_thread(self._warp)
         prof = block_state.prof
-        if prof is None:
-            self.stats = stats
-            # per-line instruction ledger and branch trace: profiled only
-            self._lines = self._branches = None
-        else:
-            self.stats = _LineStatsProxy(self, stats, prof)
-            self._lines = prof.instr_lines
-            self._branches = prof.register_branches(self._warp)
+        # the branch trace: profiled only
+        self._branches = None if prof is None else \
+            prof.register_branches(self._warp)
 
     # -- indexing helpers -------------------------------------------------
 
@@ -486,12 +441,8 @@ class ThreadContext:
     # -- instruction accounting --------------------------------------------
 
     def count_instr(self, n: int = 1) -> None:
-        """Charge ``n`` dynamic instructions to this thread."""
-        self._stats.instructions += n
-        lines = self._lines
-        if lines is not None:
-            ln = self.line
-            lines[ln] = lines.get(ln, 0) + n
+        """Charge ``n`` dynamic instructions to this thread's line."""
+        self.instr[self.line] += n
 
     def record_branch(self, line: int, taken: bool) -> None:
         """Log one executed ``if`` (its line and which arm ran); only a
@@ -500,10 +451,6 @@ class ThreadContext:
         self.bseq += 1
 
     # -- global memory -----------------------------------------------------
-    #
-    # Each accessor charges its instruction to the real stats and, when
-    # profiled, to the line ledger directly rather than through the
-    # proxy's setter: these are the scalar tier's hottest calls.
 
     def load(self, ptr: DevicePtr, index: int = 0) -> Any:
         """Profiled, bounds-checked global load."""
@@ -516,10 +463,7 @@ class ThreadContext:
         ln = self.line
         self._loads += (self._seq, buf._base + i * nbytes, nbytes, ln)
         self._seq += 1
-        self._stats.instructions += 1
-        lines = self._lines
-        if lines is not None:
-            lines[ln] = lines.get(ln, 0) + 1
+        self.instr[ln] += 1
         return value
 
     def store(self, ptr: DevicePtr, index: int, value: Any) -> None:
@@ -531,10 +475,7 @@ class ThreadContext:
         ln = self.line
         self._stores += (self._seq, buf._base + i * nbytes, nbytes, ln)
         self._seq += 1
-        self._stats.instructions += 1
-        lines = self._lines
-        if lines is not None:
-            lines[ln] = lines.get(ln, 0) + 1
+        self.instr[ln] += 1
 
     # -- shared memory -------------------------------------------------------
 
@@ -562,10 +503,7 @@ class ThreadContext:
         ln = self.line
         self._shared_trace += (self._seq, word % _NUM_BANKS, word, ln)
         self._seq += 1
-        self._stats.instructions += 1
-        lines = self._lines
-        if lines is not None:
-            lines[ln] = lines.get(ln, 0) + 1
+        self.instr[ln] += 1
         return arr.read(index)
 
     def shared_store(self, arr: SharedArray, index: int, value: Any) -> None:
@@ -574,10 +512,7 @@ class ThreadContext:
         ln = self.line
         self._shared_trace += (self._seq, word % _NUM_BANKS, word, ln)
         self._seq += 1
-        self._stats.instructions += 1
-        lines = self._lines
-        if lines is not None:
-            lines[ln] = lines.get(ln, 0) + 1
+        self.instr[ln] += 1
         arr.write(index, value)
 
     # -- atomics ---------------------------------------------------------------
@@ -585,15 +520,15 @@ class ThreadContext:
     def _atomic(self, target: DevicePtr | SharedArray, index: int,
                 update: Callable[[Any], Any]) -> Any:
         index = int(index)
-        stats = self._stats
         if type(target) is DevicePtr:
             # fast path, as in load(): straight to the buffer
             target, index = target.buffer, target.offset + index
         old = target.read(index)
         target.write(index, update(old))
-        charged = self.stats
-        charged.atomic_ops += 1
-        charged.instructions += 1
+        ln = self.line
+        self.instr[ln] += 1
+        self._atomics[ln] += 1
+        stats = self._block.stats
         if isinstance(target, SharedArray):
             # shared atomics serialise only within the block's SM; the
             # timing model charges them at a fraction of global cost
@@ -608,7 +543,6 @@ class ThreadContext:
             # transaction counters include atomic traffic
             addr = target.byte_address(index)
             nbytes = target.dtype.itemsize
-            ln = self.line
             self._loads += (self._seq, addr, nbytes, ln)
             self._seq += 1
             self._stores += (self._seq, addr, nbytes, ln)
@@ -728,29 +662,45 @@ class WarpContext:
     shared = ThreadContext.shared
 
 
-def _block_state(kernel: Callable[..., Any], device: Device,
-                 block: Dim3, blocks: int = 1) -> _BlockState:
-    """A fresh state for one block (or group of ``blocks``): the
-    ledger-building one when the bound kernel carries
-    ``profiled = True``."""
+def _counters(lines: int) -> tuple[list[int], list[int]]:
+    """A launch's (instructions, atomic ops) counters, one slot per
+    source line ``0 .. lines - 1`` its kernel can charge."""
+    return [0] * lines, [0] * lines
+
+
+def _settle(stats: KernelStats, instr: list[int],
+            atomics: list[int]) -> None:
+    """Set the finished launch's instruction and atomic totals to its
+    per-line counters' sums; a line-profiled launch's ledger takes the
+    counters themselves."""
+    stats.instructions = sum(instr)
+    stats.atomic_ops = sum(atomics)
+    profile = stats.line_profile
+    if profile is not None:
+        for name, counts in (("instructions", instr), ("atomic_ops", atomics)):
+            profile.bump(name, {ln: n for ln, n in enumerate(counts) if n})
+
+
+def _block_state(kernel: Callable[..., Any], device: Device, block: Dim3,
+                 charges: tuple[list[int], list[int]],
+                 blocks: int = 1) -> _BlockState:
+    """A fresh state for one block (or group of ``blocks``) of the
+    launch counting into ``charges``: the ledger-building one when the
+    bound kernel carries ``profiled = True``."""
     if getattr(kernel, "profiled", False):
-        return _ProfiledBlockState(device, block, blocks)
-    return _BlockState(device, block, blocks)
+        return _ProfiledBlockState(device, block, blocks, charges)
+    return _BlockState(device, block, blocks, charges)
 
 
 def run_block(device: Device, kernel: Callable[..., Any], grid: Dim3,
               block: Dim3, block_idx: Idx3, args: tuple[Any, ...],
-              is_generator: bool | None = None) -> BlockResult:
-    """Execute one block of a per-thread kernel to completion with
-    lockstep barriers.
-
-    ``is_generator`` may be supplied by :func:`run_grid` so the
-    ``inspect.isgeneratorfunction`` reflection runs once per launch
-    rather than once per thread per block.
-    """
-    if is_generator is None:
-        is_generator = inspect.isgeneratorfunction(kernel)
-    state = _block_state(kernel, device, block)
+              charges: tuple[list[int], list[int]],
+              is_generator: bool) -> BlockResult:
+    """Execute one block of a per-thread kernel (a generator function
+    when ``is_generator``) to completion with lockstep barriers,
+    charging instructions and atomics to the launch's ``charges`` (its
+    stats leave both at 0)."""
+    state = _block_state(kernel, device, block, charges)
 
     if not is_generator:
         # Barrier-free fast path: plain calls in linear-thread order —
@@ -810,27 +760,33 @@ def run_grid(device: Device, kernel: Callable[..., Any], grid: Dim3,
     numbers and per-lane warp ids, so cross-lane interleaving is
     unobservable in them; in *memory* the warp-SIMD tier answers for it
     by raising LaneConflict through here for its launcher to replay.
-    Any other kernel runs block by block (:func:`run_block`).
+    Any other kernel runs block by block (:func:`run_block`). Every
+    block and group charges the launch's one pair of per-line counters,
+    sized by the bound kernel's ``lines`` (1 where it has none), whose
+    sums become the merged stats' totals.
     """
     merged = KernelStats()
     output: list[str] = []
+    charges = _counters(getattr(kernel, "lines", 1))
     warp_run = getattr(kernel, "warp_run", None)
     if warp_run is not None:
         per_group = kernel.group_blocks(block, device.spec)
         for first in range(0, grid.count, per_group):
             blocks = min(per_group, grid.count - first)
-            state = _block_state(kernel, device, block, blocks)
+            state = _block_state(kernel, device, block, charges, blocks)
             for _ in warp_run(WarpContext(state, first, blocks, block, grid)):
                 state.stats.barriers += blocks
             state.finalize()
             merged.merge(state.stats)
             output.extend(state.output)
-        return merged, output
-    # decide generator-ness once per launch, not once per thread
-    is_generator = inspect.isgeneratorfunction(kernel)
-    for (bx, by, bz) in grid.iter_points():
-        result = run_block(device, kernel, grid, block, Idx3(bx, by, bz),
-                           args, is_generator=is_generator)
-        merged.merge(result.stats)
-        output.extend(result.output)
+    else:
+        # decide generator-ness once per launch, not once per thread
+        is_generator = inspect.isgeneratorfunction(kernel)
+        for (bx, by, bz) in grid.iter_points():
+            result = run_block(device, kernel, grid, block,
+                               Idx3(bx, by, bz), args, charges,
+                               is_generator=is_generator)
+            merged.merge(result.stats)
+            output.extend(result.output)
+    _settle(merged, *charges)
     return merged, output

@@ -19,11 +19,13 @@ import numpy as np
 from repro.gpusim.memory import DevicePtr
 from repro.minicuda.diagnostics import SourcePos
 from repro.minicuda.values import (
+    HOST_WROTE_DEVICE,
     NULL,
     ElemRef,
     HostBuffer,
     HostPtr,
     LocalArray,
+    MDView,
     MemoryFault,
     VarRef,
     dtype_for,
@@ -31,6 +33,18 @@ from repro.minicuda.values import (
 
 #: Values cudaMemcpy/MPI accept as host-side memory.
 HOST_MEMORY = (HostPtr, LocalArray)
+
+
+def _host_elements(value: Any, fault: str) -> np.ndarray:
+    """The host elements pointer-like ``value`` points at, to the end
+    of their storage (a 2-D local array's from its row on), for
+    ``memset``/``memcpy``; anything else raises ``MemoryFault(fault)``."""
+    offset = 0
+    if isinstance(value, MDView):
+        value, offset = value.storage, value.offset
+    if not isinstance(value, HOST_MEMORY):
+        raise MemoryFault(fault)
+    return value.as_array()[offset:]
 
 
 class ExitProgram(Exception):
@@ -199,6 +213,9 @@ class HostEnv:
             data = interp.runtime.memcpy_dtoh(src, count)
             dst.as_array(count)[:] = data
         elif kind == "d2d":
+            if not isinstance(dst, DevicePtr) or not isinstance(src, DevicePtr):
+                raise MemoryFault(
+                    "cudaMemcpyDeviceToDevice requires (device, device) pointers")
             count = int(nbytes) // src.dtype.itemsize
             data = interp.runtime.memcpy_dtoh(src, count)
             interp.runtime.memcpy_htod(dst, data)
@@ -269,16 +286,18 @@ class HostEnv:
 
     def _do_memset(self, interp, args, pos) -> Any:
         ptr, value, nbytes = args
-        if isinstance(ptr, HostPtr):
-            raw = ptr.buffer.data.view(np.uint8)
-            start = ptr.offset * ptr.buffer.data.dtype.itemsize
-            raw[start:start + int(nbytes)] = int(value) & 0xFF
+        fault = (HOST_WROTE_DEVICE if isinstance(ptr, DevicePtr)
+                 else "memset requires a host pointer")
+        raw = _host_elements(ptr, fault).view(np.uint8)
+        raw[:int(nbytes)] = int(value) & 0xFF
         return ptr
 
     def _do_memcpy(self, interp, args, pos) -> Any:
         dst, src, nbytes = args
-        count_d = int(nbytes) // dst.dtype.itemsize
-        dst.as_array(count_d)[:] = src.as_array(count_d)
+        fault = "memcpy requires (host, host) pointers"
+        to, frm = _host_elements(dst, fault), _host_elements(src, fault)
+        count = int(nbytes) // to.dtype.itemsize
+        to[:count] = frm[:count]
         return dst
 
     def _do_printf(self, interp, args, pos) -> int:

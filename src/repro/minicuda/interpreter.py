@@ -30,17 +30,21 @@ from repro.telemetry import KERNEL_COMPILE_SECONDS, KERNEL_REPLAYS_TOTAL
 from repro.gpusim.memory import DevicePtr, LaneConflict, SharedArray
 from repro.gpusim.scheduler import ThreadContext
 from repro.minicuda import ast_nodes as ast
+from repro.minicuda.codegen import _flatten_init_exprs
 from repro.minicuda.diagnostics import SourcePos
 from repro.minicuda.semantic import ProgramInfo
 from repro.minicuda.values import (
+    HOST_WROTE_DEVICE,
     NULL,
     CType,
+    ElemRef,
     Env,
     HostPtr,
     LocalArray,
     MDView,
     MemoryFault,
     NullPtr,
+    VarRef,
     coerce,
     dtype_for,
 )
@@ -203,9 +207,7 @@ def write_indexed(base: Any, index: Any, value: Any,
     """``base[index] = value`` dispatch shared by both engines."""
     if isinstance(base, DevicePtr):
         if ctx is None:
-            raise MemoryFault(
-                "segmentation fault: host code wrote through a device "
-                "pointer (use cudaMemcpy)")
+            raise MemoryFault(HOST_WROTE_DEVICE)
         ctx.store(base, int(index), value)
         return
     if isinstance(base, HostPtr):
@@ -265,7 +267,24 @@ def c_format(fmt: str, args: tuple[Any, ...]) -> str:
     try:
         return pyfmt % args if args else pyfmt
     except (TypeError, ValueError):
-        return fmt + " " + " ".join(str(a) for a in args)
+        return fmt + " " + " ".join(_c_text(a) for a in args)
+
+
+def _c_text(arg: Any) -> str:
+    """What :func:`c_format`'s fallback prints for one argument: a
+    pointer-like value names its storage and offset, so a program's
+    stdout never holds a CPython address."""
+    if isinstance(arg, (DevicePtr, HostPtr)):
+        return f"{type(arg).__name__}({arg.buffer.label}+{arg.offset})"
+    if isinstance(arg, MDView):
+        return f"MDView({_c_text(arg.storage)}+{arg.offset}, dims={arg.dims})"
+    if isinstance(arg, (LocalArray, SharedArray)):
+        return f"{type(arg).__name__}({arg.name})"
+    if isinstance(arg, VarRef):
+        return f"&{arg.name}"
+    if isinstance(arg, ElemRef):
+        return f"&{_c_text(arg.target)}[{arg.index}]"
+    return str(arg)
 
 
 class Interpreter:
@@ -324,7 +343,8 @@ class Interpreter:
             else:
                 target = LocalArray(decl.name, total, decl.type.base)
             if decl.init is not None:
-                values = _flatten_init(decl.init)[:total]
+                values = [_const_eval(e) for e in
+                          _flatten_init_exprs(decl.init)][:total]
                 # bulk init through the zero-copy ndarray view: one
                 # vectorized assignment instead of a per-element loop
                 dest = (target.buffer.as_ndarray()
@@ -542,7 +562,8 @@ def _as_dim3(value: Any) -> Dim3:
             raise InterpreterError(
                 f"invalid launch dimension {iv} (must be >= 1)")
         return Dim3(iv, 1, 1)
-    raise InterpreterError(f"invalid launch configuration value {value!r}")
+    raise InterpreterError(
+        f"invalid launch configuration value {_c_text(value)}")
 
 
 def _make_dim3(parts: list[Any], pos: SourcePos) -> Dim3:
@@ -573,16 +594,6 @@ def _opencl_index(name: str, dim: int, ctx: ThreadContext) -> int:
     if name == "get_global_size":
         return gd * bd
     raise AssertionError(name)  # pragma: no cover
-
-
-def _flatten_init(expr: ast.Expr) -> list[Any]:
-    if isinstance(expr, ast.Call) and expr.name == "__init_list__":
-        out: list[Any] = []
-        for item in expr.args:
-            out.extend(_flatten_init(item))
-        return out
-    value = _const_eval(expr)
-    return [value]
 
 
 def _const_eval(expr: ast.Expr) -> Any:

@@ -14,8 +14,10 @@ calls into the runtime below.
 
 Divergent control flow runs under lane masks: ``if``/``else`` without
 barriers executes both arms on index partitions, and a charge batch
-adds ``n * len(active lanes)`` instructions so ``KernelStats`` stays
-bit-identical to the tree-walking oracle. Memory accesses are
+adds ``n * len(active lanes)`` instructions to the group's current
+line in the launch's per-line counters, whose sums are the
+``KernelStats`` totals, so they stay bit-identical to the tree-walking
+oracle. Memory accesses are
 recorded as group-wide chunks (``_BlockState.load_chunks`` et al.)
 carrying each lane's warp id, numbered across the group, whose row
 multiset equals per-thread recording, so coalescing, bank conflicts,
@@ -94,7 +96,7 @@ from repro.gpusim.memory import (
 )
 from repro.gpusim.device import DeviceSpec
 from repro.gpusim.grid import Dim3
-from repro.gpusim.scheduler import SYNC, WarpContext, _LineStatsProxy
+from repro.gpusim.scheduler import SYNC, WarpContext
 from repro.minicuda import ast_nodes as ast
 from repro.minicuda import builtins as bi
 from repro.minicuda.codegen import (
@@ -508,10 +510,14 @@ def _analyze_names(fn: ast.FuncDef, info: ProgramInfo,
 
 class _WarpSt:
     """Runtime state for one group's vectorized execution: one lane
-    per thread, accounted per 32-lane warp of one block."""
+    per thread, accounted per 32-lane warp of one block. Generated code
+    keeps ``line`` at the innermost enclosing statement; every charge,
+    the generated flushes' and the runtime helpers', bumps ``line``'s
+    count in the launch's per-line counters (``instr``, which the
+    generated code binds as ``S``, and ``atomics``)."""
 
     __slots__ = ("wctx", "tid_axis", "bid_axis", "n", "interp",
-                 "stats", "block", "warp_ids", "seqs", "ops", "slots",
+                 "instr", "atomics", "block", "warp_ids", "seqs", "ops", "slots",
                  "idx_all", "md_ok", "prof", "line", "bseqs", "trackers",
                  "keys", "intervals", "bases")
 
@@ -521,8 +527,9 @@ class _WarpSt:
         self.bid_axis = wctx.bid_axis
         self.n = wctx.n
         self.interp = interp
-        self.block = wctx._block
-        self.stats = self.block.stats
+        self.block = block = wctx._block
+        self.instr = block.instr
+        self.atomics = block.atomics
         # each lane's warp id, the warp column of every record; a
         # plain 0 while the group is one warp
         self.warp_ids = (wctx.warp_ids if wctx.blocks * wctx.blockDim.count
@@ -552,16 +559,12 @@ class _WarpSt:
         self.intervals = 0
         # shared-array size -> each lane's block base in group storage
         self.bases: dict[int, np.ndarray] = {}
-        # generated code keeps ``line`` at the innermost enclosing
-        # statement. A line-profiled group exposes itself via .prof;
-        # then charges go through a proxy that attributes them to
-        # ``line``, and ``bseqs`` counts per-lane branch sequence numbers
+        # a line-profiled group exposes itself via .prof; then
+        # ``bseqs`` counts per-lane branch sequence numbers
         self.line = 0
-        prof = self.block.prof
-        self.prof = prof
+        self.prof = prof = block.prof
         if prof is not None:
             self.bseqs = np.zeros(self.n, dtype=np.int64)
-            self.stats = _LineStatsProxy(self, self.stats, prof)
 
     def lane_warps(self, idx: np.ndarray) -> Any:
         """The warp id of each active lane in ``idx``."""
@@ -827,8 +830,8 @@ def _run_flat(p: _FlatPlan, st: _WarpSt, idx: np.ndarray) -> bool:
     if np.any(keys[idx] % KEY_FIELD_LIMITS["iteration"] < trips):
         raise _Replay("flattened loop past the lane key's bits")
     # (trip + 1) conditions and trip steps per lane
-    st.stats.instructions += ((total + m) * p.bound_charge
-                              + total * p.step_charge)
+    st.instr[st.line] += ((total + m) * p.bound_charge
+                          + total * p.step_charge)
     interp.steps += total
     live = np.flatnonzero(trips)
     if len(live):
@@ -1336,8 +1339,8 @@ def _atomic(st: _WarpSt, idx: np.ndarray, name: str, target: Any, ind: Any,
     get = hits.get
     counts = [get(a, 0) + n for a, n in zip(keys, seg[3].tolist())]
     hits.update(zip(keys, counts))
-    st.stats.instructions += k
-    st.stats.atomic_ops += k
+    st.instr[st.line] += k
+    st.atomics[st.line] += k
     if shared:
         # shared atomics serialise only within the block's SM
         worst = max(counts)
@@ -1405,7 +1408,7 @@ def _global_load(st: _WarpSt, idx: np.ndarray, base: Any,
         buf.lanes.load(i, st.lane_keys(idx))
     nb = buf._itemsize
     st.record(st.block.load_chunks, idx, buf._base + i * nb, nb)
-    st.stats.instructions += k
+    st.instr[st.line] += k
     return vals
 
 
@@ -1425,7 +1428,7 @@ def _global_store(st: _WarpSt, idx: np.ndarray, base: Any, ind: Any,
         buf.lanes.store(i, st.lane_keys(idx))
     nb = buf._itemsize
     st.record(st.block.store_chunks, idx, buf._base + i * nb, nb)
-    st.stats.instructions += len(idx)
+    st.instr[st.line] += len(idx)
 
 
 def _shared_index(st: _WarpSt, idx: np.ndarray, arr: SharedArray,
@@ -1454,7 +1457,7 @@ def _shared_load(st: _WarpSt, idx: np.ndarray, arr: Any, ind: Any,
     else:
         vals = np.full(len(idx), arr.data[at], carrier)
     st.record(st.block.shared_chunks, idx, 0, words)
-    st.stats.instructions += len(idx)
+    st.instr[st.line] += len(idx)
     arr.lanes.load(at, st.lane_keys(idx))
     return vals
 
@@ -1466,7 +1469,7 @@ def _shared_store(st: _WarpSt, idx: np.ndarray, arr: Any, ind: Any,
         values = values[-1]  # every lane stores one element: the last wins
     arr.store_lanes(at, values)
     st.record(st.block.shared_chunks, idx, 0, words)
-    st.stats.instructions += len(idx)
+    st.instr[st.line] += len(idx)
     arr.lanes.store(at, st.lane_keys(idx))
 
 
@@ -1488,7 +1491,7 @@ def _local_load(st: _WarpSt, idx: np.ndarray, rows: np.ndarray,
                 ind: Any, name: str) -> np.ndarray:
     # srcgen charges local-array reads explicitly (LocalArray.read
     # records no trace)
-    st.stats.instructions += len(idx)
+    st.instr[st.line] += len(idx)
     _local_oob(ind, rows.shape[1], name)
     carrier = _F64 if rows.dtype.kind == "f" else _I64
     return rows[idx, ind].astype(carrier)
@@ -1496,7 +1499,7 @@ def _local_load(st: _WarpSt, idx: np.ndarray, rows: np.ndarray,
 
 def _local_store(st: _WarpSt, idx: np.ndarray, rows: np.ndarray,
                  ind: Any, values: Any, name: str) -> None:
-    st.stats.instructions += len(idx)
+    st.instr[st.line] += len(idx)
     _local_oob(ind, rows.shape[1], name)
     rows[idx, ind] = values
 
@@ -1534,7 +1537,7 @@ class _WarpEmitter(_FnEmitter):
     writes it, as for one thread. The rest is emitted here as lane
     vectors aligned with ``self.L``, through the runtime above, and
     divergent control flow as index partitions of ``self.L``. The
-    charge batch flushes as ``S.instructions += n * len(lanes)``.
+    charge batch flushes as ``S[C.line] += n * len(lanes)``.
 
     An expression's kind is the one its emitted code carries. The tier
     declines (:class:`_SimdUnsupported`) where it emits what it cannot
@@ -1582,7 +1585,7 @@ class _WarpEmitter(_FnEmitter):
 
     def flush(self) -> None:
         if self.pending:
-            self.line(f"S.instructions += {self.pending} * len({self.L})")
+            self.line(f"S[C.line] += {self.pending} * len({self.L})")
             self.pending = 0
 
     def lanes(self, code: str) -> str:
@@ -2488,7 +2491,7 @@ class _WarpEmitter(_FnEmitter):
         lanes = f"_L{self.mod.nextvar()}"
         self.line(f"def {body}(C, {lanes}, {params}):")
         self.indent += 1
-        self.line("S = C.stats")
+        self.line("S = C.instr")
         saved = self.loop_depth
         self.loop_depth = 0
         self.block(_nested(s.body), lanes, False)
@@ -2534,7 +2537,7 @@ class _WarpEmitter(_FnEmitter):
             raise _SimdUnsupported("return in barrier kernel")
         self.block(fn.body.statements, "_L0", True)
         wctx = "C.wctx"
-        head = ["I = C.interp", "S = C.stats", "_P = C.prof is not None",
+        head = ["I = C.interp", "S = C.instr", "_P = C.prof is not None",
                 "_L0 = C.idx_all", "_ret = []"]
         head += [f"_bi_{name} = {wctx}.{name}"
                  for name in sorted(self.used_builtins)]
@@ -2550,7 +2553,7 @@ class _WarpEmitter(_FnEmitter):
             fn.name, [_make_coercer(p.type) for p in fn.params],
             tuple(p.name or f"_unnamed{i}" for i, p in enumerate(fn.params)),
             ns["_w"], self.has_yield, fn.pos, self.stored_params,
-            self.shared_bytes, nbytes)
+            self.shared_bytes, nbytes, self.mod.lines)
 
 
 # -- compiled kernel object ---------------------------------------------------
@@ -2619,16 +2622,18 @@ class CompiledSimdKernel:
 
     __slots__ = ("name", "coercers", "param_names", "fn", "is_gen",
                  "entry_pos", "stored_params", "shared_bytes", "nbytes",
-                 "demoted", "_src")
+                 "lines", "demoted", "_src")
 
     tier = "simd"
 
     def __init__(self, name: str, coercers: list,
                  param_names: tuple[str, ...], fn: Callable, is_gen: bool,
                  entry_pos: Any, stored_params: frozenset[int],
-                 shared_bytes: int, nbytes: int):
+                 shared_bytes: int, nbytes: int, lines: int):
         self.name = name
         self.nbytes = nbytes
+        #: one past the last source line its code marks
+        self.lines = lines
         self.coercers = coercers
         self.param_names = param_names
         self.fn = fn
@@ -2668,6 +2673,7 @@ class CompiledSimdKernel:
             raise AssertionError("warp kernel called per thread")
 
         thread_fn.profiled = interp.profile
+        thread_fn.lines = self.lines
         args2 = tuple(a if co is None else co(a)
                       for co, a in zip(self.coercers, args))
         fn, is_gen, entry_pos = self.fn, self.is_gen, self.entry_pos
@@ -2754,9 +2760,10 @@ def compile_kernel(info: ProgramInfo, name: str):
     (:func:`_verdict`; a declined one keeps its reason for
     :func:`decline_reason`). One artifact serves profiled and
     unprofiled launches alike: its code always marks the group's
-    current source line, and only a launch bound by a profiling
-    interpreter logs branches and charges lines — access chunks then
-    carry the charging line as a sixth column."""
+    current source line and charges every launch's per-line counters
+    there; only a launch bound by a profiling interpreter logs
+    branches, and its access chunks carry the charging line as a sixth
+    column."""
     value = _verdict(info, name)
     if type(value) is CompiledSimdKernel:
         return value.scalar(info) if value.demoted else value

@@ -21,20 +21,21 @@ of every kernel's ladder and the only executor of host code. Its
 contract with the tests' tree-walking oracle
 (``tests/oracle_interpreter.py``):
 
-* **KernelStats parity** — every ``stats.instructions`` charge point of
-  the tree-walker is preserved, and all memory traffic still routes
+* **KernelStats parity** — every instruction charge point of the
+  tree-walker is preserved, and all memory traffic still routes
   through the profiling :class:`ThreadContext`, so the profiled
   counters are bit-identical to the oracle. Charges in a
   straight-line stretch of one statement are batched into one
-  ``S.instructions += n`` (totals are identical; only the interleaving
+  ``S[C.line] += n`` (totals are identical; only the interleaving
   of the counter bumps differs, which nothing observes mid-kernel).
 * **One artifact, profiled or not** — the generated code always marks
   ``C.line`` at each statement (and before loop conditions and steps)
-  and flushes its charge batch at statement boundaries; whether a
-  launch builds a line ledger is decided at bind time, and the block
-  state's ``prof`` answers it. The prologue's ``S = C.stats`` is then
-  the thread context's line-charging proxy, and ``_P = C._block.prof
-  is not None`` lets ``if`` arms log their branch.
+  and flushes its charge batch at statement boundaries. The
+  prologue's ``S = C.instr`` is the launch's per-line instruction
+  counters, the one charge target of every launch; whether a launch
+  also builds a line ledger is decided at bind time, and the block
+  state's ``prof`` answers it: ``_P = C._block.prof is not None`` lets
+  ``if`` arms log their branch.
 * **Memory-effect order** — every load/store/atomic/user-call is
   hoisted onto its own generated line in C evaluation order, so the
   per-thread access sequence (and therefore the coalescing and
@@ -399,17 +400,19 @@ def _arith_kind(left: Any, right: Any) -> Any:
 class CompiledSrcKernel:
     """A kernel lowered to generated Python source."""
 
-    __slots__ = ("name", "factory", "is_gen", "coercers", "nbytes")
+    __slots__ = ("name", "factory", "is_gen", "coercers", "nbytes", "lines")
 
     tier = "codegen"
 
     def __init__(self, name: str, factory: Callable, is_gen: bool,
-                 coercers: list, nbytes: int):
+                 coercers: list, nbytes: int, lines: int):
         self.name = name
         self.nbytes = nbytes
         self.factory = factory
         self.is_gen = is_gen
         self.coercers = coercers
+        #: one past the last source line its code marks
+        self.lines = lines
 
     def bind(self, interp: Any, args: tuple[Any, ...]) -> Callable:
         """Per-launch thread callable; plain function unless the kernel
@@ -419,6 +422,7 @@ class CompiledSrcKernel:
                       for co, a in zip(self.coercers, args))
         thread_fn = self.factory(interp, *args2)
         thread_fn.profiled = interp.profile
+        thread_fn.lines = self.lines
         return thread_fn
 
 
@@ -480,7 +484,7 @@ class _FnEmitter:
 
     def flush(self) -> None:
         if self.pending:
-            self.line(f"S.instructions += {self.pending}")
+            self.line(f"S[C.line] += {self.pending}")
             self.pending = 0
 
     def charge(self, n: int = 1) -> None:
@@ -489,9 +493,10 @@ class _FnEmitter:
 
     def mark(self, line: int) -> None:
         """Point ``C.line`` at source line ``line`` (device code only):
-        a profiled launch charges what follows to it."""
+        what follows charges to it."""
         if not self.host:
             self.line(f"C.line = {line}")
+            self.mod.lines = max(self.mod.lines, line + 1)
 
     def tmp(self) -> str:
         return self.mod.tmp()
@@ -1257,10 +1262,9 @@ class _FnEmitter:
         if cls is ast.Empty:
             return
         # Mark the statement's line and flush the charge batch at both
-        # statement boundaries: when a profiled launch's ``S`` is the
-        # thread's line-charging stats proxy, every ``S.instructions +=
-        # n`` lands on whatever ``C.line`` holds at flush time, so a
-        # batch must never straddle a line change.
+        # statement boundaries: every ``S[C.line] += n`` lands on
+        # whatever ``C.line`` holds at flush time, so a batch must
+        # never straddle a line change.
         self.flush()
         self.mark(s.pos.line)
         if cls is ast.ExprStmt:
@@ -1624,6 +1628,8 @@ class _ModuleEmitter:
         self._counter = 0
         self._objects: dict[int, str] = {}
         self.callees: dict[str, str] = {}
+        #: one past the last source line the module's code marks
+        self.lines = 1
 
     def tmp(self) -> str:
         self._counter += 1
@@ -1733,14 +1739,14 @@ class _ModuleEmitter:
         em.flush()
         header = [f"def _mk(I{params}):",
                   "    def _t(C):"]
-        stats = ["        S = C.stats"]
+        charges = ["        S = C.instr"]
         footer = ["    return _t", ""]
         self.module_lines.extend(
-            header + self._prologue(em, fn.pos) + stats + em.lines + footer)
+            header + self._prologue(em, fn.pos) + charges + em.lines + footer)
         ns, nbytes = self._load(fn.name)
         coercers = [_make_coercer(p.type) for p in fn.params]
         return CompiledSrcKernel(fn.name, ns["_mk"], em.has_yield,
-                                 coercers, nbytes)
+                                 coercers, nbytes, self.lines)
 
     def compile_host(self, name: str) -> "CompiledHostFn":
         pyfn = self.ensure_callee(name, host=True)

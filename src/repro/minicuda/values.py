@@ -65,10 +65,6 @@ class HostPtr:
         self.buffer = buffer
         self.offset = offset
 
-    @property
-    def dtype(self) -> np.dtype:
-        return self.buffer.data.dtype
-
     def __add__(self, n: int) -> "HostPtr":
         return HostPtr(self.buffer, self.offset + int(n))
 
@@ -108,12 +104,14 @@ class HostPtr:
         view = raw[byte_off:].view(dtype)
         return HostPtr(HostBuffer(view, self.buffer.label), 0)
 
-    def __repr__(self) -> str:
-        return f"HostPtr({self.buffer.label}+{self.offset})"
-
 
 class MemoryFault(Exception):
     """The simulated process touched memory it should not have."""
+
+
+#: What host code storing through a device pointer faults with.
+HOST_WROTE_DEVICE = ("segmentation fault: host code wrote through a device "
+                     "pointer (use cudaMemcpy)")
 
 
 class NullPtr:
@@ -181,9 +179,6 @@ class MDView:
                 "array access")
         return self.offset + index
 
-    def __repr__(self) -> str:
-        return f"MDView({self.storage!r}, dims={self.dims})"
-
 
 class LocalArray:
     """A per-thread (or host-local) C array."""
@@ -213,10 +208,6 @@ class LocalArray:
     def as_array(self, length: int | None = None) -> np.ndarray:
         """Host-side view (lets local arrays act as cudaMemcpy targets)."""
         return self.data[:length] if length is not None else self.data
-
-    @property
-    def dtype(self) -> np.dtype:
-        return self.data.dtype
 
 
 class VarRef:

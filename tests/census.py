@@ -3,6 +3,9 @@
     PYTHONPATH=src python -m tests.census            # diff against the file
     PYTHONPATH=src python -m tests.census --update   # rewrite it, print the diff
 
+Either ends with one line counting what moved (:func:`summary`): module
+hashes apart from totals, verdicts and decline reasons.
+
 The collection, in this order: every catalog lab's solution and
 skeleton, ``examples/cuda/*.cu``, every mutation's buggy source, and
 every string literal in ``tests/*.py`` that holds ``__global__`` and
@@ -123,6 +126,32 @@ def diff(expected: str, actual: str) -> str:
         "tests/golden/kernel_census.json", "re-derived"))
 
 
+def summary(expected: dict, actual: dict) -> str:
+    """One line counting what moved between two censuses, emitted bytes
+    apart from outcomes: module hashes, totals, verdicts (lowered
+    against declined, or a kernel come or gone) and decline reasons."""
+    hashes = verdicts = reasons = 0
+    old, new = expected.get("origins", {}), actual["origins"]
+    for origin in old.keys() | new.keys():
+        was, now = old.get(origin, {}), new.get(origin, {})
+        for name in was.keys() | now.keys():
+            a, b = was.get(name, {}), now.get(name, {})
+            ma, mb = a.get("modules", []), b.get("modules", [])
+            hashes += sum(x != y for x, y in zip(ma, mb)) \
+                + abs(len(ma) - len(mb))
+            if name.startswith("host:"):
+                continue
+            va, vb = a.get("verdict"), b.get("verdict")
+            if (va == "lowered") != (vb == "lowered") or None in (va, vb):
+                verdicts += va != vb
+            else:
+                reasons += va != vb
+    totals = sum(expected.get("totals", {}).get(k) != v
+                 for k, v in actual["totals"].items())
+    return (f"census: {hashes} module hashes, {totals} totals, "
+            f"{verdicts} verdicts, {reasons} reasons changed")
+
+
 def main(argv: list[str]) -> int:
     update = "--update" in argv
     actual = render(derive())
@@ -132,6 +161,7 @@ def main(argv: list[str]) -> int:
         GOLDEN.write_text(actual)
     print(changes or "census unchanged", end="" if changes else "\n")
     print(json.dumps(json.loads(actual)["totals"]))
+    print(summary(json.loads(expected or "{}"), json.loads(actual)))
     return 0 if update or not changes else 1
 
 

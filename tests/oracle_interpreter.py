@@ -116,6 +116,10 @@ class OracleInterpreter(Interpreter):
         super().__init__(info, runtime, host_env, max_steps, "codegen",
                          profile)
         self.engine = "ast"
+        # a launch's per-line counters span every statement line, the
+        # only lines the walker points ``ctx.line`` at
+        self.lines = 1 + max((node.pos.line for node in ast.walk(info.unit)
+                              if isinstance(node, ast.Stmt)), default=0)
 
     def _step(self, pos: SourcePos) -> None:
         self.steps += 1
@@ -142,6 +146,7 @@ class OracleInterpreter(Interpreter):
             yield from self._call_user_function(fn, coerced, ctx)
 
         kernel_thread.profiled = self.profile
+        kernel_thread.lines = self.lines
         return kernel_thread, "ast"
 
     # -- function invocation ------------------------------------------------------

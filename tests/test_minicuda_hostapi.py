@@ -75,6 +75,22 @@ int main() {
         with pytest.raises(MemoryFault):
             run(source)
 
+    def test_memcpy_device_to_device(self):
+        _, env, _ = run('int main() { int *a; int *b; int h[2]; h[1] = 7;'
+                        ' cudaMalloc((void **)&a, 8); cudaMalloc((void **)&b, 8);'
+                        ' cudaMemcpy(a, h, 8, cudaMemcpyHostToDevice);'
+                        ' cudaMemcpy(b, a, 8, cudaMemcpyDeviceToDevice);'
+                        ' h[1] = 0; cudaMemcpy(h, b, 8, cudaMemcpyDeviceToHost);'
+                        ' printf("%d", h[1]); return 0; }')
+        assert env.stdout == ["7"]
+
+    def test_memcpy_device_to_device_from_host_memory_faults(self):
+        with pytest.raises(MemoryFault, match=r"cudaMemcpyDeviceToDevice "
+                           r"requires \(device, device\) pointers"):
+            run("int main() { int *d; int h[2];"
+                " cudaMalloc((void **)&d, 8);"
+                " cudaMemcpy(d, h, 8, cudaMemcpyDeviceToDevice); return 0; }")
+
     def test_memset(self):
         source = """
 int main() {
@@ -235,11 +251,28 @@ class TestStdlibAndRuntimeStubs:
                         ' printf("%.1f %.1f", b[1], c[1]); return 0; }')
         assert env.stdout == ["2.5 2.5"]
 
-    def test_memcpy_on_a_non_pointer_is_a_raw_python_error(self):
-        # a product fault, not the student's: no classified outcome yet
-        with pytest.raises(AttributeError, match="no attribute 'dtype'"):
+    def test_memcpy_on_a_non_pointer_is_a_memory_fault(self):
+        with pytest.raises(MemoryFault,
+                           match=r"memcpy requires \(host, host\) pointers"):
             run("int main() { int x = 3; int y = 4; memcpy(x, y, 4);"
                 " return 0; }")
+
+    def test_memset_through_a_device_pointer_faults(self):
+        with pytest.raises(MemoryFault, match="segmentation fault: host code"
+                           " wrote through a device pointer"):
+            run("int main() { int *d; cudaMalloc((void **)&d, 16);"
+                " memset(d, 1, 16); return 0; }")
+
+    def test_memset_on_a_non_pointer_is_a_memory_fault(self):
+        with pytest.raises(MemoryFault, match="memset requires a host pointer"):
+            run("int main() { int x = 3; memset(x, 0, 4); return 0; }")
+
+    def test_memset_fills_local_arrays(self):
+        _, env, _ = run('int main() { int a[4]; int b[2][2];'
+                        ' a[3] = 9; b[1][1] = 9;'
+                        ' memset(a, 0, 16); memset(b, 1, 16);'
+                        ' printf("%d %d", a[3], b[1][1]); return 0; }')
+        assert env.stdout == ["0 16843009"]
 
     def test_fprintf_writes_to_program_output(self):
         _, env, _ = run('int main() { fprintf(stderr, "x=%d", 3); return 0; }')
@@ -272,20 +305,21 @@ class TestStdlibAndRuntimeStubs:
                         ' remove("/x"), connect(0, 0, 0)); return 0; }')
         assert env.stdout == ["0 0 0 -1 -1"]
 
-    def test_printf_of_a_pointer_prints_its_repr(self):
+    def test_printf_of_a_pointer_names_its_storage(self):
         # %p is not a supported conversion: c_format falls back to the
-        # format text followed by each argument's repr
-        _, env, _ = run('int main() { float *d; float *h = NULL;'
-                        ' cudaMalloc((void **)&d, 16);'
-                        ' float *m = (float *)malloc(16);'
-                        ' float a[2][2];'
-                        ' printf("%p", d); printf("%p", m); printf("%p", h);'
-                        ' printf("%p", a); return 0; }')
-        dev, host, null, view = env.stdout
-        assert dev.startswith("%p DevicePtr(") and dev.endswith("+0)")
-        assert host == "%p HostPtr(malloc#1+0)"
-        assert null == "%p NULL"
-        assert view.startswith("%p MDView(") and view.endswith("dims=(2, 2))")
+        # format text followed by each argument's storage and offset
+        source = ('int main() { float *d; float *h = NULL; int x = 1;'
+                  ' cudaMalloc((void **)&d, 16);'
+                  ' float *m = (float *)malloc(16);'
+                  ' float a[2][2];'
+                  ' printf("%p", d + 1); printf("%p", m); printf("%p", h);'
+                  ' printf("%p", a); printf("%p", &x); return 0; }')
+        first = run(source)[1].stdout
+        assert first == ["%p DevicePtr(d+1)", "%p HostPtr(malloc#1+0)",
+                         "%p NULL", "%p MDView(LocalArray(a)+0, dims=(2, 2))",
+                         "%p &x"]
+        assert run(source)[1].stdout == first
+        assert not any("object at" in text for text in first)
 
     def test_mpi_barrier_and_allreduce(self):
         from repro.mpisim import run_mpi
