@@ -251,7 +251,7 @@ class TestStdlibAndRuntimeStubs:
                         ' printf("%.1f %.1f", b[1], c[1]); return 0; }')
         assert env.stdout == ["2.5 2.5"]
 
-    def test_memcpy_on_a_non_pointer_is_a_memory_fault(self):
+    def test_memcpy_on_a_non_pointer_memory_faults(self):
         with pytest.raises(MemoryFault,
                            match=r"memcpy requires \(host, host\) pointers"):
             run("int main() { int x = 3; int y = 4; memcpy(x, y, 4);"
