@@ -16,7 +16,10 @@ the ``ast`` baseline), profiled vs unprofiled in ``PAIRS`` alternating
 pairs of launches after one untimed warm-up launch that compiles the
 kernel, checks ledgers stay bit-identical across them, and
 records in ``BENCH_profiler.json`` each cell's median paired multiple
-(profiled over unprofiled wall time) with its min and max.
+(profiled over unprofiled wall time) with its min and max. Beside each
+multiple it records the work behind it: the Python calls (cProfile
+``total_calls``) of one untimed unprofiled and one untimed profiled
+launch, a count the host's timing noise does not move.
 No hard floor on the profiled multiple: the simd engine executes a
 block per instruction but the ledger still charges per line, so its
 relative overhead is structurally larger — the JSON is the artifact.
@@ -29,8 +32,10 @@ profiled run.
 
 from __future__ import annotations
 
+import cProfile
 import json
 import os
+import pstats
 import sys
 import time
 from pathlib import Path
@@ -118,8 +123,9 @@ def _cases():
 
 
 def _launch(source, kernel, grid, block, buf_specs, scalars, engine,
-            profile):
-    """One launch on fresh buffers; returns (wall s, stats, outputs)."""
+            profile, counter=None):
+    """One launch on fresh buffers; returns (wall s, stats, outputs).
+    A ``counter`` (a ``cProfile.Profile``) records the timed part alone."""
     program = compile_source(source)
     rt = GpuRuntime(Device())
     bufs = []
@@ -129,11 +135,15 @@ def _launch(source, kernel, grid, block, buf_specs, scalars, engine,
             rt.memcpy_htod(buf, init)
         bufs.append(buf)
     args = [b.ptr() for b in bufs] + list(scalars)
+    if counter is not None:
+        counter.enable()
     t0 = time.perf_counter()
     stats = interpreter(program.info, rt, engine=engine,
                         profile=profile).launch_kernel(
         kernel, grid, block, tuple(args))
     wall = time.perf_counter() - t0
+    if counter is not None:
+        counter.disable()
     return wall, stats, [rt.memcpy_dtoh(b) for b in bufs]
 
 
@@ -150,6 +160,12 @@ def test_profiler_cost():
             _launch(source, kernel, grid, block, bufs, scalars, engine,
                     False)
             computed = KERNEL_CACHE.compute_count
+            calls = {}
+            for profile in (False, True):
+                counter = cProfile.Profile()
+                _launch(source, kernel, grid, block, bufs, scalars, engine,
+                        profile, counter)
+                calls[profile] = pstats.Stats(counter).total_calls
             for _ in range(PAIRS):
                 wall_off, stats_off, outs_off = _launch(
                     source, kernel, grid, block, bufs, scalars, engine,
@@ -180,6 +196,8 @@ def test_profiler_cost():
                 "multiple": round(multiple, 2),
                 "multiple_min": round(min(multiples), 2),
                 "multiple_max": round(max(multiples), 2),
+                "unprofiled_calls": calls[False],
+                "profiled_calls": calls[True],
             }
             rows.append({
                 "kernel": name, "engine": engine,
@@ -187,6 +205,7 @@ def test_profiler_cost():
                 "profiled_s": f"{median(walls_on):.3f}",
                 "multiple": f"{multiple:.2f}x "
                             f"({min(multiples):.2f}-{max(multiples):.2f})",
+                "calls": f"{calls[False]} / {calls[True]}",
             })
         # the ledger itself is part of the parity contract
         reference = ledgers["ast"]

@@ -50,6 +50,7 @@ from repro.labs.config import lab_fingerprint
 from repro.minicuda.codegen import KERNEL_CACHE
 from repro.minicuda.compiler import CompileCache
 from repro.minicuda.parser import definitions_snapshot
+from repro.profiler import LineProfile, check_line_budgets
 from repro.storage import Bucket
 
 #: Synthetic seconds a cache hit costs (key lookup + payload fetch).
@@ -79,6 +80,7 @@ def serialize_result(result: JobResult) -> bytes:
             "stdout": list(d.stdout),
             "kernel_seconds": d.kernel_seconds,
             "profile": d.profile,
+            "line_profile": d.line_profile and d.line_profile.to_dict(),
         } for d in result.datasets],
     }
     return json.dumps(payload, sort_keys=True).encode("utf-8")
@@ -102,6 +104,7 @@ def revive_result(payload: bytes, job: Job, worker_name: str,
         error=data["error"],
     )
     for d in data["datasets"]:
+        ledger = d["line_profile"] and LineProfile.from_dict(d["line_profile"])
         result.datasets.append(DatasetOutcome(
             dataset_index=d["dataset_index"],
             outcome=d["outcome"],
@@ -109,7 +112,12 @@ def revive_result(payload: bytes, job: Job, worker_name: str,
             report=d["report"],
             stdout=tuple(d["stdout"]),
             kernel_seconds=d["kernel_seconds"],
-            profile=d["profile"]))
+            profile=d["profile"],
+            line_profile=ledger,
+            # the budgets are the lab's current ones, not the cached run's
+            budget_violations=tuple(check_line_budgets(
+                job.lab.line_budgets, ledger, job.source))
+            if ledger and job.lab.line_budgets else ()))
     result.extra["cache_hit"] = True
     result.extra["cached_service_s"] = data["service_seconds"]
     return result

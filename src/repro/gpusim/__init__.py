@@ -28,7 +28,7 @@ from repro.gpusim.device import (DeviceSpec, Device, OccupancyReport,
                                  KEPLER_K20, FERMI_C2050, PASCAL_P100)
 from repro.gpusim.grid import Dim3, Idx3, dim3
 from repro.gpusim.memory import DeviceBuffer, DevicePtr, SharedArray
-from repro.gpusim.scheduler import SYNC, ThreadContext, BlockResult
+from repro.gpusim.scheduler import SYNC, ThreadContext
 from repro.gpusim.timing import KernelStats, TimingModel
 from repro.gpusim.host import GpuRuntime, GpuEvent
 from repro.gpusim.errors import (
@@ -42,7 +42,6 @@ from repro.gpusim.errors import (
 
 __all__ = [
     "BarrierDivergenceError",
-    "BlockResult",
     "Device",
     "DeviceBuffer",
     "DevicePtr",

@@ -34,7 +34,6 @@ Three things keep the grading hot loop cheap:
 from __future__ import annotations
 
 import inspect
-from dataclasses import dataclass, field
 from typing import Any, Callable
 
 import numpy as np
@@ -44,7 +43,7 @@ from repro.gpusim.errors import BarrierDivergenceError, LaunchConfigError
 from repro.gpusim.grid import Dim3, Idx3
 from repro.gpusim.memory import DevicePtr, SharedArray
 from repro.gpusim.timing import SEGMENT_BYTES, KernelStats
-from repro.profiler import LineProfile
+from repro.profiler import LineCounters, LineProfile
 
 #: Sentinel yielded by kernel generators at ``__syncthreads()``.
 SYNC = object()
@@ -57,14 +56,6 @@ _NUM_BANKS = SharedArray.NUM_BANKS
 #: a (warp, seq) warp-request key into one int64. The interpreter step
 #: budget (default 5e7) bounds seq far below 2**40.
 _SEQ_BITS = 40
-
-
-@dataclass
-class BlockResult:
-    """Stats and output for one executed block."""
-
-    stats: KernelStats
-    output: list[str] = field(default_factory=list)
 
 
 def _packed_rows(traces: list[tuple[int, list[int]]],
@@ -152,24 +143,28 @@ class _BlockState:
     ``(warp, seq)``, and every reduction depends only on the multiset
     of rows, not on which list or in what order they were appended.
 
-    ``instr`` and ``atomics`` are the launch's per-source-line
-    instruction and atomic-operation counters (:func:`_counters`),
-    shared by all its blocks: every charge of either counter, profiled
-    or not, bumps the count of the line it lands on, and the launch's
-    ``KernelStats`` totals are their sums (:func:`_settle`). A state
-    built without them gets a pair for line 0 alone.
+    ``charges`` are the launch's per-source-line counters
+    (:func:`_counters`), shared by all its blocks. Every charge of an
+    instruction or atomic, profiled or not, bumps its line's count in
+    ``instr`` / ``atomics``. A line-profiled launch also has the five
+    memory and branch counters, which :meth:`finalize` fills inside the
+    totals' own reductions; its state is then its own ``prof`` (the one
+    answer to "is this launch line-profiled?" that every tier asks) and
+    logs branches. :func:`_settle` turns the counters into the launch's
+    totals and ledger. A state built without charges gets unprofiled
+    ones for line 0 alone.
     """
 
-    #: set to ``self`` on :class:`_ProfiledBlockState`: the one answer
-    #: to "is this launch line-profiled?" that every tier asks
     prof = None
 
     def __init__(self, device: Device, block_dim: Dim3, blocks: int = 1,
-                 charges: tuple[list[int], list[int]] | None = None):
+                 charges: tuple | None = None):
         self.device = device
         self.block_dim = block_dim
         self.blocks = blocks
-        self.instr, self.atomics = charges or _counters(1)
+        (self.instr, self.load_lines, self.store_lines, self.shared_lines,
+         self.conflict_lines, self.atomics, self.branch_lines) = \
+            charges or _counters(1)
         # a __shared__ array holds every block's copy; shared_bytes
         # counts one block's, as the limit does
         self.shared: dict[str, SharedArray] = {}
@@ -197,6 +192,13 @@ class _BlockState:
         self.store_chunks: list[tuple] = []
         self.shared_chunks: list[tuple] = []
         self.output: list[str] = []
+        if self.branch_lines is not None:
+            self.prof = self
+            # per-warp branch traces: (warp, [bseq, line, taken, ...]);
+            # SIMD chunks: (count, warp, bseqs, line, taken)
+            self.branch_traces: list[tuple[int, list[int]]] = []
+            self.branch_chunks: list[tuple] = []
+            self._warp_branches: dict[int, list[int]] = {}
 
     def register_thread(self, warp: int) -> tuple[list[int], list[int], list[int]]:
         """The (loads, stores, shared) trace lists of a thread in
@@ -209,19 +211,31 @@ class _BlockState:
             self.shared_traces.append((warp, lists[2]))
         return lists
 
-    def finalize(self) -> tuple[np.ndarray | None, ...]:
-        """Convert raw access records into transaction/conflict counts;
-        returns the packed (loads, stores, shared hits) rows."""
+    def register_branches(self, warp: int) -> list[int]:
+        """The branch trace list of a thread in ``warp``: its warp's
+        (line-profiled launches only)."""
+        branches = self._warp_branches.get(warp)
+        if branches is None:
+            branches = self._warp_branches[warp] = []
+            self.branch_traces.append((warp, branches))
+        return branches
+
+    def finalize(self) -> None:
+        """Convert raw access records into transaction/conflict counts,
+        and, when line-profiled, into the launch's per-line counters.
+        Per the profiler's parity contract every line attribution
+        depends only on the multiset of rows, never on their order."""
         st = self.stats
         loads = _packed_rows(self.load_traces, self.load_chunks)
         if loads is not None:
-            requests, transactions = self._coalesce(loads)
+            requests, transactions = self._coalesce(loads, self.load_lines)
             st.global_load_requests += requests
             st.global_load_transactions += transactions
             st.bytes_read += int(loads[:, 2].sum())
         stores = _packed_rows(self.store_traces, self.store_chunks)
         if stores is not None:
-            requests, transactions = self._coalesce(stores)
+            requests, transactions = self._coalesce(stores,
+                                                    self.store_lines)
             st.global_store_requests += requests
             st.global_store_transactions += transactions
             st.bytes_written += int(stores[:, 2].sum())
@@ -229,13 +243,23 @@ class _BlockState:
                             banks_from_words=True)
         if hits is not None:
             st.shared_accesses += len(hits)
-            st.bank_conflicts += self._bank_replays(hits)
-        return loads, stores, hits
+            st.bank_conflicts += self._bank_replays(hits,
+                                                    self.conflict_lines)
+            if self.shared_lines is not None:
+                _tally(self.shared_lines, hits[:, 3])
+        if self.prof is not None:
+            branches = _packed_rows(self.branch_traces, self.branch_chunks,
+                                    width=3)
+            if branches is not None:
+                _divergence(branches, self.branch_lines)
 
     @staticmethod
-    def _coalesce(rows: np.ndarray) -> tuple[int, int]:
+    def _coalesce(rows: np.ndarray,
+                  line_counts: np.ndarray | None) -> tuple[int, int]:
         """(warp requests, 128-byte segment transactions) for packed
-        (key, byte_address, nbytes) access rows."""
+        (key, byte_address, nbytes) access rows; with ``line_counts``,
+        each transaction also counts against the least source line
+        among the accesses it merged."""
         keys = rows[:, 0]
         segments = rows[:, 1] // SEGMENT_BYTES
         order = np.lexsort((segments, keys))
@@ -243,138 +267,57 @@ class _BlockState:
         segments = segments[order]
         new_request = _first_of_group(keys)
         new_transaction = _first_of_group(keys, segments)
+        if line_counts is not None:
+            _tally(line_counts, np.minimum.reduceat(
+                rows[order, 3], np.flatnonzero(new_transaction)))
         return int(new_request.sum()), int(new_transaction.sum())
 
     @staticmethod
-    def _bank_replays(rows: np.ndarray) -> int:
+    def _bank_replays(rows: np.ndarray,
+                      line_counts: np.ndarray | None) -> int:
         """Total serialised bank-conflict replays for packed
         (key, bank, word) shared-access rows: per warp request, the
-        replay count is (max distinct words on any one bank) - 1."""
+        replay count is (max distinct words on any one bank) - 1. With
+        ``line_counts``, a request's replays count against the least
+        source line among its rows."""
         keys, banks, words = rows[:, 0], rows[:, 1], rows[:, 2]
         order = np.lexsort((words, banks, keys))
         keys, banks, words = keys[order], banks[order], words[order]
         # distinct (key, bank, word) triples; duplicates are broadcasts
         distinct = _first_of_group(keys, banks, words)
-        keys, banks = keys[distinct], banks[distinct]
+        dkeys, banks = keys[distinct], banks[distinct]
         # distinct-word count per (key, bank) group
-        group_start = np.flatnonzero(_first_of_group(keys, banks))
-        group_sizes = np.diff(np.append(group_start, len(keys)))
-        group_keys = keys[group_start]
+        group_start = np.flatnonzero(_first_of_group(dkeys, banks))
+        group_sizes = np.diff(np.append(group_start, len(dkeys)))
+        group_keys = dkeys[group_start]
         # max group size per warp-request key
         key_start = np.flatnonzero(_first_of_group(group_keys))
-        replays = np.maximum.reduceat(group_sizes, key_start)
-        return int((replays - 1).sum())
-
-
-class _ProfiledBlockState(_BlockState):
-    """Block state that additionally builds a per-source-line ledger.
-
-    Totals are computed by the base class's reductions — the 4th
-    (line) row column is invisible to them — and the line attribution
-    runs as extra vectorized passes over the same rows; the
-    instruction and atomic lines are the launch's own counters, which
-    :func:`_settle` adds to the merged ledger. Per the
-    profiler's parity contract, every attribution below depends only
-    on the *multiset* of recorded rows, never on recording order, so
-    differently-batched engines produce bit-identical ledgers.
-    """
-
-    def __init__(self, device: Device, block_dim: Dim3, blocks: int = 1,
-                 charges: tuple[list[int], list[int]] | None = None):
-        super().__init__(device, block_dim, blocks, charges)
-        self.prof = self
-        # per-warp branch traces: (warp, [bseq, line, taken, ...]);
-        # SIMD chunks: (count, warp, bseqs, line, taken)
-        self.branch_traces: list[tuple[int, list[int]]] = []
-        self.branch_chunks: list[tuple] = []
-        self._warp_branches: dict[int, list[int]] = {}
-
-    def register_branches(self, warp: int) -> list[int]:
-        """The branch trace list of a thread in ``warp``: its warp's."""
-        branches = self._warp_branches.get(warp)
-        if branches is None:
-            branches = self._warp_branches[warp] = []
-            self.branch_traces.append((warp, branches))
-        return branches
-
-    def finalize(self) -> tuple[np.ndarray | None, ...]:
-        loads, stores, hits = super().finalize()
-        profile = LineProfile()
-        if loads is not None:
-            self._line_transactions(loads, profile,
-                                    "global_load_transactions")
-        if stores is not None:
-            self._line_transactions(stores, profile,
-                                    "global_store_transactions")
-        if hits is not None:
-            lines, counts = np.unique(hits[:, 3], return_counts=True)
-            profile.bump("shared_accesses",
-                         dict(zip(lines.tolist(), counts.tolist())))
-            self._line_bank_replays(hits, profile)
-        branches = _packed_rows(self.branch_traces, self.branch_chunks,
-                                width=3)
-        if branches is not None:
-            self._line_divergence(branches, profile)
-        self.stats.line_profile = profile
-        return loads, stores, hits
-
-    @staticmethod
-    def _line_transactions(rows: np.ndarray, profile: LineProfile,
-                           counter: str) -> None:
-        """Attribute each coalesced 128-byte transaction to the minimum
-        source line among the accesses it merged."""
-        keys = rows[:, 0]
-        segments = rows[:, 1] // SEGMENT_BYTES
-        lines = rows[:, 3]
-        # line is the least-significant sort key, so the first row of
-        # each (key, segment) group carries the group's minimum line
-        order = np.lexsort((lines, segments, keys))
-        keys = keys[order]
-        segments = segments[order]
-        tx_lines = lines[order][_first_of_group(keys, segments)]
-        uline, counts = np.unique(tx_lines, return_counts=True)
-        profile.bump(counter, dict(zip(uline.tolist(), counts.tolist())))
-
-    @staticmethod
-    def _line_bank_replays(rows: np.ndarray, profile: LineProfile) -> None:
-        """Attribute each warp request's serialised replays to the
-        request's minimum source line (mirrors :meth:`_bank_replays`)."""
-        keys, banks, words, lines = (rows[:, 0], rows[:, 1], rows[:, 2],
-                                     rows[:, 3])
-        order = np.lexsort((lines, words, banks, keys))
-        keys, banks, words, lines = (keys[order], banks[order],
-                                     words[order], lines[order])
-        distinct = _first_of_group(keys, banks, words)
-        keys, banks, lines = keys[distinct], banks[distinct], lines[distinct]
-        group_start = np.flatnonzero(_first_of_group(keys, banks))
-        group_sizes = np.diff(np.append(group_start, len(keys)))
-        group_keys = keys[group_start]
-        key_start = np.flatnonzero(_first_of_group(group_keys))
         replays = np.maximum.reduceat(group_sizes, key_start) - 1
-        key_row_start = np.flatnonzero(_first_of_group(keys))
-        key_lines = np.minimum.reduceat(lines, key_row_start)
-        per_line: dict[int, int] = {}
-        for line, extra in zip(key_lines.tolist(), replays.tolist()):
-            if extra:
-                per_line[line] = per_line.get(line, 0) + extra
-        profile.bump("bank_conflicts", per_line)
+        if line_counts is not None:
+            _tally(line_counts, np.minimum.reduceat(
+                rows[order, 3], np.flatnonzero(_first_of_group(keys))),
+                replays)
+        return int(replays.sum())
 
-    @staticmethod
-    def _line_divergence(rows: np.ndarray, profile: LineProfile) -> None:
-        """Count one divergent branch per (warp, branch-seq, line) group
-        whose threads disagreed on the taken arm. Rows are packed
-        (key=(warp<<SEQ)|bseq, line, taken)."""
-        keys, lines, taken = rows[:, 0], rows[:, 1], rows[:, 2]
-        order = np.lexsort((taken, lines, keys))
-        keys, lines, taken = keys[order], lines[order], taken[order]
-        starts = np.flatnonzero(_first_of_group(keys, lines))
-        ends = np.append(starts[1:], len(keys)) - 1
-        # taken is sorted within each group: divergent iff first != last
-        divergent = taken[starts] != taken[ends]
-        div_lines = lines[starts][divergent]
-        uline, counts = np.unique(div_lines, return_counts=True)
-        profile.bump("divergent_branches",
-                     dict(zip(uline.tolist(), counts.tolist())))
+
+def _tally(counts: np.ndarray, lines: np.ndarray,
+           weights: np.ndarray | None = None) -> None:
+    """Add one per entry of ``lines`` (or that entry's ``weights``) to
+    the per-line ``counts``, in work proportional to ``lines``."""
+    np.add.at(counts, lines, 1 if weights is None else weights)
+
+
+def _divergence(rows: np.ndarray, line_counts: np.ndarray) -> None:
+    """Count one divergent branch per (warp, branch-seq, line) group
+    whose threads disagreed on the taken arm. Rows are packed
+    (key=(warp<<SEQ)|bseq, line, taken)."""
+    keys, lines, taken = rows[:, 0], rows[:, 1], rows[:, 2]
+    order = np.lexsort((taken, lines, keys))
+    keys, lines, taken = keys[order], lines[order], taken[order]
+    starts = np.flatnonzero(_first_of_group(keys, lines))
+    ends = np.append(starts[1:], len(keys)) - 1
+    # taken is sorted within each group: divergent iff first != last
+    _tally(line_counts, lines[starts][taken[starts] != taken[ends]])
 
 
 class ThreadContext:
@@ -388,13 +331,15 @@ class ThreadContext:
     One class serves profiled and unprofiled launches. The engines keep
     ``line`` pointed at the innermost enclosing statement's source line
     (re-set before loop condition/step evaluation, saved/restored
-    around user device-function calls); every access row carries it,
-    and every charge bumps its count in the launch's per-line counters,
-    ``instr`` (which the compiled scalar kernels bind as ``S`` and bump
-    as ``S[C.line] += n``) and ``_atomics``. When the block state is
-    line-profiled (its ``prof`` is set), ``record_branch`` also logs
-    ``if`` outcomes keyed by the per-thread branch sequence number
-    ``bseq`` so finalize can detect intra-warp divergence.
+    around user device-function calls). Every charge bumps its count
+    in the launch's per-line counters, ``instr`` (which the compiled
+    scalar kernels bind as ``S`` and bump as ``S[C.line] += n``) and
+    ``_atomics``; every access row carries it, from which the block
+    state's finalize counts a line-profiled launch's memory counters.
+    When the launch is line-profiled (the block state's ``prof`` is
+    set), ``record_branch`` also logs ``if`` outcomes keyed by the
+    per-thread branch sequence number ``bseq`` so finalize can count
+    intra-warp divergence.
     """
 
     __slots__ = ("threadIdx", "blockIdx", "blockDim", "gridDim", "line",
@@ -662,45 +607,43 @@ class WarpContext:
     shared = ThreadContext.shared
 
 
-def _counters(lines: int) -> tuple[list[int], list[int]]:
-    """A launch's (instructions, atomic ops) counters, one slot per
-    source line ``0 .. lines - 1`` its kernel can charge."""
-    return [0] * lines, [0] * lines
+def _counters(lines: int, profiled: bool = False) -> tuple:
+    """A launch's per-source-line counters, one slot per line
+    ``0 .. lines - 1`` its kernel can charge, in ``LINE_COUNTER_FIELDS``
+    order. Instructions and atomic ops are lists, which every launch
+    bumps per charge; the memory and branch counters are ``int64``
+    arrays that only a line-profiled launch has (None otherwise)."""
+    instr, atomics = [0] * lines, [0] * lines
+    if not profiled:
+        return instr, None, None, None, None, atomics, None
+    loads, stores, shared, conflicts, branches = np.zeros(
+        (5, lines), dtype=np.int64)
+    return instr, loads, stores, shared, conflicts, atomics, branches
 
 
-def _settle(stats: KernelStats, instr: list[int],
-            atomics: list[int]) -> None:
+def _settle(stats: KernelStats, charges: tuple) -> None:
     """Set the finished launch's instruction and atomic totals to its
-    per-line counters' sums; a line-profiled launch's ledger takes the
-    counters themselves."""
+    per-line counters' sums; a line-profiled launch's ledger is built
+    here, once, from all seven counters."""
+    instr, *_, atomics, branches = charges
     stats.instructions = sum(instr)
     stats.atomic_ops = sum(atomics)
-    profile = stats.line_profile
-    if profile is not None:
-        for name, counts in (("instructions", instr), ("atomic_ops", atomics)):
-            profile.bump(name, {ln: n for ln, n in enumerate(counts) if n})
-
-
-def _block_state(kernel: Callable[..., Any], device: Device, block: Dim3,
-                 charges: tuple[list[int], list[int]],
-                 blocks: int = 1) -> _BlockState:
-    """A fresh state for one block (or group of ``blocks``) of the
-    launch counting into ``charges``: the ledger-building one when the
-    bound kernel carries ``profiled = True``."""
-    if getattr(kernel, "profiled", False):
-        return _ProfiledBlockState(device, block, blocks, charges)
-    return _BlockState(device, block, blocks, charges)
+    if branches is not None:
+        table = np.array(charges, dtype=np.int64)
+        hot = np.flatnonzero(table.any(axis=0))
+        stats.line_profile = LineProfile({
+            line: LineCounters(*counts)
+            for line, counts in zip(hot.tolist(), table[:, hot].T.tolist())})
 
 
 def run_block(device: Device, kernel: Callable[..., Any], grid: Dim3,
               block: Dim3, block_idx: Idx3, args: tuple[Any, ...],
-              charges: tuple[list[int], list[int]],
-              is_generator: bool) -> BlockResult:
+              charges: tuple, is_generator: bool) -> _BlockState:
     """Execute one block of a per-thread kernel (a generator function
     when ``is_generator``) to completion with lockstep barriers,
-    charging instructions and atomics to the launch's ``charges`` (its
-    stats leave both at 0)."""
-    state = _block_state(kernel, device, block, charges)
+    charging the launch's per-line counters ``charges``; returns its
+    finalized state (whose stats leave instructions and atomics at 0)."""
+    state = _BlockState(device, block, charges=charges)
 
     if not is_generator:
         # Barrier-free fast path: plain calls in linear-thread order —
@@ -709,7 +652,7 @@ def run_block(device: Device, kernel: Callable[..., Any], grid: Dim3,
             ctx = ThreadContext(Idx3(x, y, z), block_idx, block, grid, state)
             kernel(ctx, *args)
         state.finalize()
-        return BlockResult(stats=state.stats, output=state.output)
+        return state
 
     threads = []
     for (x, y, z) in block.iter_points():
@@ -743,7 +686,7 @@ def run_block(device: Device, kernel: Callable[..., Any], grid: Dim3,
         live = arrived
 
     state.finalize()
-    return BlockResult(stats=state.stats, output=state.output)
+    return state
 
 
 def run_grid(device: Device, kernel: Callable[..., Any], grid: Dim3,
@@ -761,19 +704,21 @@ def run_grid(device: Device, kernel: Callable[..., Any], grid: Dim3,
     unobservable in them; in *memory* the warp-SIMD tier answers for it
     by raising LaneConflict through here for its launcher to replay.
     Any other kernel runs block by block (:func:`run_block`). Every
-    block and group charges the launch's one pair of per-line counters,
-    sized by the bound kernel's ``lines`` (1 where it has none), whose
-    sums become the merged stats' totals.
+    block and group charges the launch's one set of per-line counters,
+    sized by the bound kernel's ``lines`` (1 where it has none) and
+    line-profiled when it carries ``profiled = True``; their sums
+    become the merged stats' totals, and they are its ledger.
     """
     merged = KernelStats()
     output: list[str] = []
-    charges = _counters(getattr(kernel, "lines", 1))
+    charges = _counters(getattr(kernel, "lines", 1),
+                        getattr(kernel, "profiled", False))
     warp_run = getattr(kernel, "warp_run", None)
     if warp_run is not None:
         per_group = kernel.group_blocks(block, device.spec)
         for first in range(0, grid.count, per_group):
             blocks = min(per_group, grid.count - first)
-            state = _block_state(kernel, device, block, charges, blocks)
+            state = _BlockState(device, block, blocks, charges)
             for _ in warp_run(WarpContext(state, first, blocks, block, grid)):
                 state.stats.barriers += blocks
             state.finalize()
@@ -783,10 +728,10 @@ def run_grid(device: Device, kernel: Callable[..., Any], grid: Dim3,
         # decide generator-ness once per launch, not once per thread
         is_generator = inspect.isgeneratorfunction(kernel)
         for (bx, by, bz) in grid.iter_points():
-            result = run_block(device, kernel, grid, block,
-                               Idx3(bx, by, bz), args, charges,
-                               is_generator=is_generator)
-            merged.merge(result.stats)
-            output.extend(result.output)
-    _settle(merged, *charges)
+            state = run_block(device, kernel, grid, block,
+                              Idx3(bx, by, bz), args, charges,
+                              is_generator=is_generator)
+            merged.merge(state.stats)
+            output.extend(state.output)
+    _settle(merged, charges)
     return merged, output

@@ -63,7 +63,8 @@ class KernelStats:
     #: same, for __shared__ targets (serialise only within their SM)
     shared_atomic_addresses: dict[int, int] = field(default_factory=dict)
     #: optional per-source-line ledger (a repro.profiler.LineProfile);
-    #: None unless the launch ran under the line profiler. Duck-typed so
+    #: None unless the launch ran under the line profiler, which builds
+    #: it once per launch (``merge`` leaves it alone). Duck-typed so
     #: the timing layer stays import-free of the profiler package.
     line_profile: Any = None
 
@@ -95,11 +96,6 @@ class KernelStats:
         self.max_shared_atomic_contention = max(
             self.max_shared_atomic_contention,
             other.max_shared_atomic_contention)
-        if other.line_profile is not None:
-            if self.line_profile is None:
-                self.line_profile = other.line_profile.copy()
-            else:
-                self.line_profile.merge(other.line_profile)
 
     @property
     def global_transactions(self) -> int:

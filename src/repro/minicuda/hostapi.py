@@ -31,20 +31,46 @@ from repro.minicuda.values import (
     dtype_for,
 )
 
-#: Values cudaMemcpy/MPI accept as host-side memory.
-HOST_MEMORY = (HostPtr, LocalArray)
-
-
-def _host_elements(value: Any, fault: str) -> np.ndarray:
-    """The host elements pointer-like ``value`` points at, to the end
-    of their storage (a 2-D local array's from its row on), for
-    ``memset``/``memcpy``; anything else raises ``MemoryFault(fault)``."""
+def _host_storage(value: Any, fault: str) -> tuple[str, np.ndarray, int]:
+    """(label, storage, element offset) of the host memory pointer-like
+    ``value`` points into: a ``HostPtr``'s buffer or a ``LocalArray``
+    (an ``MDView`` over either from its offset). ``&x`` of a scalar is
+    one-element storage holding ``x``, which a writer hands back with
+    :func:`_write_back`. Anything else raises ``MemoryFault(fault)``."""
     offset = 0
     if isinstance(value, MDView):
         value, offset = value.storage, value.offset
-    if not isinstance(value, HOST_MEMORY):
-        raise MemoryFault(fault)
-    return value.as_array()[offset:]
+    if isinstance(value, HostPtr):
+        return value.buffer.label, value.buffer.data, offset + value.offset
+    if isinstance(value, LocalArray):
+        return value.name, value.data, offset
+    if isinstance(value, VarRef) and isinstance(
+            scalar := value.env.get(value.name), (int, float)):
+        return (f"&{value.name}",
+                np.array([scalar], dtype_for(value.ctype.base)), 0)
+    raise MemoryFault(fault)
+
+
+def _span(storage: tuple[str, np.ndarray, int], count: int,
+          access: str) -> np.ndarray:
+    """Exactly ``count`` elements of ``(label, data, offset)`` storage
+    from its offset, as a view; a range past the storage raises the
+    ``access`` (e.g. ``"host read"``) bounds fault of its first element
+    outside."""
+    label, data, offset = storage
+    end = offset + count
+    if not 0 <= offset <= end <= data.size:
+        index = offset if not 0 <= offset < data.size else data.size
+        raise MemoryFault(f"{access} out of bounds: index {index} of "
+                          f"{label} [{data.size}]")
+    return data[offset:end]
+
+
+def _write_back(value: Any, cells: np.ndarray) -> None:
+    """Store a filled one-element range of ``&x`` in ``x`` (any other
+    :func:`_span` range is a view, filled in place)."""
+    if isinstance(value, VarRef) and len(cells):
+        value.set(cells[0].item())
 
 
 class ExitProgram(Exception):
@@ -200,18 +226,21 @@ class HostEnv:
     def _do_cudaMemcpy(self, interp: Any, args: tuple, pos: SourcePos) -> int:
         dst, src, nbytes, kind = args
         if kind == "h2d":
-            if not isinstance(dst, DevicePtr) or not isinstance(src, HOST_MEMORY):
-                raise MemoryFault(
-                    "cudaMemcpyHostToDevice requires (device, host) pointers")
+            fault = "cudaMemcpyHostToDevice requires (device, host) pointers"
+            if not isinstance(dst, DevicePtr):
+                raise MemoryFault(fault)
             count = int(nbytes) // dst.dtype.itemsize
-            interp.runtime.memcpy_htod(dst, src.as_array(count))
+            interp.runtime.memcpy_htod(
+                dst, _span(_host_storage(src, fault), count, "host read"))
         elif kind == "d2h":
-            if not isinstance(dst, HOST_MEMORY) or not isinstance(src, DevicePtr):
-                raise MemoryFault(
-                    "cudaMemcpyDeviceToHost requires (host, device) pointers")
+            fault = "cudaMemcpyDeviceToHost requires (host, device) pointers"
+            if not isinstance(src, DevicePtr):
+                raise MemoryFault(fault)
             count = int(nbytes) // src.dtype.itemsize
             data = interp.runtime.memcpy_dtoh(src, count)
-            dst.as_array(count)[:] = data
+            target = _span(_host_storage(dst, fault), count, "host write")
+            target[:] = data
+            _write_back(dst, target)
         elif kind == "d2d":
             if not isinstance(dst, DevicePtr) or not isinstance(src, DevicePtr):
                 raise MemoryFault(
@@ -228,7 +257,8 @@ class HostEnv:
         if not isinstance(ptr, DevicePtr):
             raise MemoryFault("cudaMemset of a non-device pointer")
         count = int(nbytes) // ptr.dtype.itemsize
-        ptr.as_array(count)[:] = value
+        _span((ptr.buffer.label, ptr.buffer.data, ptr.offset), count,
+              "device write")[:] = value
         return 0
 
     def _do_cudaMemcpyToSymbol(self, interp: Any, args: tuple,
@@ -238,8 +268,11 @@ class HostEnv:
             raise HostApiError(f"{pos}: cudaMemcpyToSymbol target must be a "
                                "__constant__ symbol")
         count = int(nbytes) // symbol.dtype.itemsize
-        data = src.as_array(count) if isinstance(src, HOST_MEMORY) else src
-        symbol.buffer.data[symbol.offset:symbol.offset + count] = data[:count]
+        fault = "cudaMemcpyToSymbol requires a host source"
+        data = _span(_host_storage(src, fault), count, "host read")
+        # a read-only symbol: the host path writes its storage directly
+        _span((symbol.buffer.label, symbol.buffer.data, symbol.offset),
+              count, "device write")[:] = data
         return 0
 
     def _do_cudaDeviceSynchronize(self, interp, args, pos) -> int:
@@ -288,16 +321,23 @@ class HostEnv:
         ptr, value, nbytes = args
         fault = (HOST_WROTE_DEVICE if isinstance(ptr, DevicePtr)
                  else "memset requires a host pointer")
-        raw = _host_elements(ptr, fault).view(np.uint8)
-        raw[:int(nbytes)] = int(value) & 0xFF
+        nbytes = int(nbytes)
+        storage = _host_storage(ptr, fault)
+        cells = _span(storage, -(-nbytes // storage[1].itemsize),
+                      "host write")
+        cells.view(np.uint8)[:nbytes] = int(value) & 0xFF
+        _write_back(ptr, cells)
         return ptr
 
     def _do_memcpy(self, interp, args, pos) -> Any:
         dst, src, nbytes = args
         fault = "memcpy requires (host, host) pointers"
-        to, frm = _host_elements(dst, fault), _host_elements(src, fault)
-        count = int(nbytes) // to.dtype.itemsize
-        to[:count] = frm[:count]
+        to = _host_storage(dst, fault)
+        count = int(nbytes) // to[1].itemsize
+        data = _span(_host_storage(src, fault), count, "host read")
+        target = _span(to, count, "host write")
+        target[:] = data
+        _write_back(dst, target)
         return dst
 
     def _do_printf(self, interp, args, pos) -> int:
@@ -421,7 +461,7 @@ class HostEnv:
 
     def _do_wbSolution(self, interp, args, pos) -> int:
         ptr_index = next((i for i, a in enumerate(args)
-                          if isinstance(a, HOST_MEMORY)), None)
+                          if isinstance(a, (HostPtr, LocalArray))), None)
         if ptr_index is None:
             raise HostApiError(f"{pos}: wbSolution needs a host pointer")
         ptr = args[ptr_index]

@@ -514,7 +514,10 @@ class _WarpSt:
     keeps ``line`` at the innermost enclosing statement; every charge,
     the generated flushes' and the runtime helpers', bumps ``line``'s
     count in the launch's per-line counters (``instr``, which the
-    generated code binds as ``S``, and ``atomics``)."""
+    generated code binds as ``S``, and ``atomics``). In a line-profiled
+    launch (``prof``, the block state, is set) every access chunk also
+    carries ``line``, from which the block state's finalize counts the
+    memory counters, and ``log_branch`` records ``if`` outcomes."""
 
     __slots__ = ("wctx", "tid_axis", "bid_axis", "n", "interp",
                  "instr", "atomics", "block", "warp_ids", "seqs", "ops", "slots",
@@ -559,8 +562,8 @@ class _WarpSt:
         self.intervals = 0
         # shared-array size -> each lane's block base in group storage
         self.bases: dict[int, np.ndarray] = {}
-        # a line-profiled group exposes itself via .prof; then
-        # ``bseqs`` counts per-lane branch sequence numbers
+        # a line-profiled launch's block state is its own .prof;
+        # then ``bseqs`` counts per-lane branch sequence numbers
         self.line = 0
         self.prof = prof = block.prof
         if prof is not None:

@@ -12,6 +12,8 @@ from repro.gpusim import (
     LaunchConfigError,
     SYNC,
 )
+from repro.gpusim.grid import Dim3, Idx3
+from repro.gpusim.scheduler import ThreadContext, _BlockState, _counters
 from tests.oracle_interpreter import assert_ledger_totals
 
 
@@ -220,6 +222,42 @@ class TestProfilingCounters:
         assert stats.atomic_ops == 32
         assert stats.global_load_requests == 0
         assert stats.bytes_read == 0
+
+    def test_unprofiled_state_logs_no_branches(self):
+        block = Dim3(64)
+        state = _BlockState(Device(), block)
+        assert state.prof is None
+        assert not hasattr(state, "branch_traces")
+        ctx = ThreadContext(Idx3(0, 0, 0), Idx3(0, 0, 0), block, Dim3(1),
+                            state)
+        assert ctx._branches is None
+        profiled = _BlockState(Device(), block, charges=_counters(1, True))
+        assert profiled.prof is profiled
+
+    def test_profiled_plain_kernel_charges_line_zero(self, rt):
+        """A plain-Python kernel has no ``lines``: its launch counts
+        into one slot, and every access row carries line 0."""
+        src = rt.malloc_like(np.arange(64, dtype=np.float32))
+        dst = rt.malloc(64, "float")
+
+        def kernel(ctx, src, dst):
+            s = ctx.shared("b", 64, "float")
+            ctx.shared_store(s, ctx.threadIdx.x * 2 % 64,
+                             ctx.load(src.ptr(), ctx.global_x))
+            ctx.store(dst.ptr(), ctx.global_x * 3 % 64,
+                      ctx.shared_load(s, ctx.threadIdx.x))
+
+        launched = functools.partial(kernel)
+        launched.profiled = True
+        stats = rt.launch(launched, (1,), (64,), src, dst)
+        assert list(stats.line_profile.lines) == [0]
+        line = stats.line_profile.counters(0)
+        assert line.global_load_transactions == 2
+        assert line.global_store_transactions \
+            == stats.global_store_transactions > 2
+        assert line.shared_accesses == 128
+        assert line.bank_conflicts == stats.bank_conflicts > 0
+        assert_ledger_totals(stats)
 
 
 def _scattered(ctx, src, dst, counts):

@@ -346,6 +346,103 @@ int main() {
         assert run_mpi(3, rank_main) == [["3 3"]] * 3
 
 
+#: host copies past a buffer's end -> (program body, the bounds fault);
+#: every one used to raise a numpy error or copy less and run on
+OVERRUNS = {
+    "memcpy_past_the_source": (
+        "float a[2]; float *m = (float *)malloc(64); memcpy(m, a, 64);",
+        r"host read out of bounds: index 2 of a \[2\]"),
+    "memcpy_two_short_buffers": (
+        "float a[2]; float b[2]; memcpy(b, a, 64);",
+        r"host read out of bounds: index 2 of a \[2\]"),
+    "memset_past_the_end": (
+        "float a[2]; memset(a, 0, 64);",
+        r"host write out of bounds: index 2 of a \[2\]"),
+    "d2h_past_the_host_array": (
+        "float a[2]; float *d; cudaMalloc((void **)&d, 64);"
+        " cudaMemcpy(a, d, 64, cudaMemcpyDeviceToHost);",
+        r"host write out of bounds: index 2 of a \[2\]"),
+    "h2d_from_a_short_host_array": (
+        "float a[2]; float *d; cudaMalloc((void **)&d, 64);"
+        " cudaMemcpy(d, a, 64, cudaMemcpyHostToDevice);",
+        r"host read out of bounds: index 2 of a \[2\]"),
+    "cudaMemset_past_the_end": (
+        "float *d; cudaMalloc((void **)&d, 8); cudaMemset(d, 0, 64);",
+        r"device write out of bounds: index 2 of d \[2\]"),
+    "symbol_from_a_short_array": (
+        "float a[2]; cudaMemcpyToSymbol(c, a, 64);",
+        r"host read out of bounds: index 2 of a \[2\]"),
+    "symbol_past_its_end": (
+        "float a[32]; cudaMemcpyToSymbol(c, a, 128);",
+        r"device write out of bounds: index 16 of __constant__ c \[16\]"),
+    "scalar_source_past_one": (
+        "float x = 1.5f; float y[4]; memcpy(y, &x, 16);",
+        r"host read out of bounds: index 1 of &x \[1\]"),
+    "scalar_target_past_one": (
+        "int x; int *d; cudaMalloc((void **)&d, 8);"
+        " cudaMemcpy(&x, d, 8, cudaMemcpyDeviceToHost);",
+        r"host write out of bounds: index 1 of &x \[1\]"),
+}
+
+
+class TestHostCopyBounds:
+    """Every host-side copy takes exactly its count of elements: a
+    count past either buffer is the bounds fault a read or write of
+    the first element outside would raise."""
+
+    @pytest.mark.parametrize("body,fault", OVERRUNS.values(), ids=OVERRUNS)
+    def test_overrun_faults(self, body, fault):
+        with pytest.raises(MemoryFault, match=fault):
+            run("__constant__ float c[16];\n"
+                f"int main() {{ {body} return 0; }}")
+
+    def test_a_copy_within_both_runs(self):
+        _, env, _ = run("int main() { float a[4]; float *m = (float *)"
+                        "malloc(64); a[1] = 2.5f; memcpy(m + 2, a, 8);"
+                        ' printf("%.1f", m[3]); return 0; }')
+        assert env.stdout == ["2.5"]
+
+
+#: ``&x`` of a scalar as a copy's host side -> (program body, stdout)
+SCALAR_ADDRESSES = {
+    "d2h_into_a_scalar": (
+        "float sum = 0.0f; float h[1]; float *d; h[0] = 4.5f;"
+        " cudaMalloc((void **)&d, 4);"
+        " cudaMemcpy(d, h, 4, cudaMemcpyHostToDevice);"
+        " cudaMemcpy(&sum, d, sizeof(float), cudaMemcpyDeviceToHost);"
+        ' printf("%.1f", sum);', "4.5"),
+    "memcpy_between_scalars": (
+        "float x = 1.5f; float y = 0.0f; memcpy(&y, &x, sizeof(float));"
+        ' printf("%.1f", y);', "1.5"),
+    "h2d_from_a_scalar": (
+        "int x = 7; int h[1]; int *d; cudaMalloc((void **)&d, 4);"
+        " cudaMemcpy(d, &x, sizeof(int), cudaMemcpyHostToDevice);"
+        " cudaMemcpy(h, d, 4, cudaMemcpyDeviceToHost);"
+        ' printf("%d", h[0]);', "7"),
+    "memset_of_a_scalar": (
+        'int x = 7; memset(&x, 1, sizeof(int)); printf("%d", x);',
+        "16843009"),
+}
+
+
+class TestScalarAddresses:
+    """``&x`` of a scalar is a one-element host range."""
+
+    @pytest.mark.parametrize("body,stdout", SCALAR_ADDRESSES.values(),
+                             ids=SCALAR_ADDRESSES)
+    def test_copies_one_element(self, body, stdout):
+        _, env, _ = run(f"int main() {{ {body} return 0; }}")
+        assert env.stdout == [stdout]
+
+    def test_symbol_from_a_scalar(self):
+        result, _, _ = run("__constant__ float c[2];\n"
+                           "int main() { float x = 2.5f;"
+                           " cudaMemcpyToSymbol(c, &x, sizeof(float));"
+                           " return 0; }")
+        symbol = result.interpreter.globals.get("c")
+        assert symbol.buffer.data.tolist() == [2.5, 0.0]
+
+
 class TestKernelLaunchEngines:
     """The full host path (cudaMalloc/Memcpy + <<<>>>) under every
     kernel execution engine must produce the same solution and the

@@ -10,11 +10,14 @@ surfaces.
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.cache.cas import ContentAddressedStore
 from repro.cluster import GpuWorker, ManualClock, WorkerConfig
 from repro.cluster.job import DatasetOutcome, Job, JobKind
+from repro.cluster.result_cache import GradingResultCache
 from repro.core.feedback import FeedbackEngine
 from repro.gpusim import Device, GpuRuntime
 from repro.labs import get_lab
@@ -280,6 +283,34 @@ class TestWorkerProfileIntegration:
         outcome = result.datasets[0]
         assert outcome.budget_violations
         assert isinstance(outcome.budget_violations[0], BudgetViolation)
+
+
+    def test_a_cached_outcome_keeps_its_ledger_and_violations(self):
+        budgets = (LineBudget(r"in1\[i\]\s*\+\s*in2\[i\]",
+                              "global_load_transactions", 0),)
+        lab = dataclasses.replace(VECADD, dataset_sizes=(
+            VECADD.dataset_sizes[0],), line_budgets=budgets)
+        worker = GpuWorker(WorkerConfig(line_profile=True),
+                           clock=ManualClock(), name="prof-worker",
+                           result_cache=GradingResultCache())
+        first = worker.process(Job(lab=lab, source=lab.solution))
+        again = worker.process(Job(lab=lab, source=lab.solution))
+        assert worker.cache_hits == 1 and again.extra["cache_hit"]
+        (ran,), (revived,) = first.datasets, again.datasets
+        assert ran.line_profile.lines and ran.budget_violations
+        assert revived.line_profile == ran.line_profile
+        assert revived.budget_violations == ran.budget_violations
+        advice = FeedbackEngine().analyze(lab, again)
+        assert advice == FeedbackEngine().analyze(lab, first)
+        assert any("Line budget exceeded" in f.message for f in advice)
+        # a hit checks the lab's current budgets, which its key ignores
+        relaxed = dataclasses.replace(lab, line_budgets=(
+            dataclasses.replace(budgets[0], max_value=10**6),))
+        (relaxed_hit,) = worker.process(
+            Job(lab=relaxed, source=lab.solution)).datasets
+        assert worker.cache_hits == 2
+        assert relaxed_hit.line_profile == ran.line_profile
+        assert relaxed_hit.budget_violations == ()
 
 
 def _fingerprint_of(worker, job):

@@ -27,7 +27,7 @@ from repro.gpusim.scheduler import (
     ThreadContext,
     WarpContext,
     _BlockState,
-    _ProfiledBlockState,
+    _counters,
 )
 from repro.minicuda import compile_source
 from repro.minicuda.simd import CompiledSimdKernel, compile_kernel
@@ -80,12 +80,13 @@ class TestGeometry:
     def test_any_shape(self, x, y, z):
         assert_lane_vectors_follow_thread_order(Dim3(x, y, z))
 
-    @pytest.mark.parametrize("state_cls", [_BlockState, _ProfiledBlockState])
+    @pytest.mark.parametrize("profiled", [False, True],
+                             ids=["plain", "profiled"])
     def test_lane_is_the_thread_the_scalar_path_would_build(
-            self, state_cls):
+            self, profiled):
         block = Dim3(5, 7, 3)
         points = list(block.iter_points())
-        state = state_cls(Device(), block)
+        state = _BlockState(Device(), block, charges=_counters(1, profiled))
         wctx = block_context(block, state)
         for i in (0, WARP - 1, WARP, block.count - 1):
             ctx = ThreadContext(Idx3(*points[i]), Idx3(1, 2, 3), block,
