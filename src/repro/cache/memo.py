@@ -46,7 +46,9 @@ class Flight:
         self.value: Any = None
         self.error: BaseException | None = None
         self.joiners = 0
-        self.callbacks: list[Callable[[Any], None]] = []
+        # made by the first on_delivery: most flights never get one, and
+        # a memo can hold thousands of finished ones
+        self.callbacks: list[Callable[[Any], None]] | None = None
 
     def result(self) -> Any:
         """The delivered value (raises if the flight failed/unfinished)."""
@@ -62,6 +64,8 @@ class Flight:
         if already done)."""
         if self.done and not self.failed:
             callback(self.value)
+        elif self.callbacks is None:
+            self.callbacks = [callback]
         else:
             self.callbacks.append(callback)
 
@@ -178,9 +182,9 @@ class MemoTable:
         self.stats.record_store(size)
         self.policy.record_store(key, size, self._now())
         self._evict()
-        for callback in flight.callbacks:
+        callbacks, flight.callbacks = flight.callbacks, None
+        for callback in callbacks or ():
             callback(value)
-        flight.callbacks.clear()
         return flight
 
     def fail(self, key: str, error: BaseException) -> Flight:

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Any, Optional
 
 from repro.minicuda.diagnostics import SourcePos
@@ -10,7 +10,7 @@ from repro.minicuda.diagnostics import SourcePos
 
 # ---------------------------------------------------------------- types
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CType:
     """A C type: base scalar name, pointer depth, optional array dims.
 
@@ -46,42 +46,42 @@ class CType:
 
 # ------------------------------------------------------------ expressions
 
-@dataclass
+@dataclass(slots=True)
 class Expr:
     pos: SourcePos = field(default_factory=SourcePos, kw_only=True)
 
 
-@dataclass
+@dataclass(slots=True)
 class IntLit(Expr):
     value: int
 
 
-@dataclass
+@dataclass(slots=True)
 class FloatLit(Expr):
     value: float
 
 
-@dataclass
+@dataclass(slots=True)
 class StrLit(Expr):
     value: str
 
 
-@dataclass
+@dataclass(slots=True)
 class BoolLit(Expr):
     value: bool
 
 
-@dataclass
+@dataclass(slots=True)
 class NullLit(Expr):
     pass
 
 
-@dataclass
+@dataclass(slots=True)
 class Ident(Expr):
     name: str
 
 
-@dataclass
+@dataclass(slots=True)
 class Member(Expr):
     """``obj.field`` (dim3/builtin index variables only)."""
 
@@ -89,7 +89,7 @@ class Member(Expr):
     field_name: str
 
 
-@dataclass
+@dataclass(slots=True)
 class Index(Expr):
     """``base[index]``."""
 
@@ -97,7 +97,7 @@ class Index(Expr):
     index: Expr
 
 
-@dataclass
+@dataclass(slots=True)
 class Call(Expr):
     """``callee(args...)`` — callee is an identifier in this subset."""
 
@@ -105,7 +105,7 @@ class Call(Expr):
     args: list[Expr]
 
 
-@dataclass
+@dataclass(slots=True)
 class KernelLaunch(Expr):
     """``name<<<grid, block[, shared]>>>(args...)``."""
 
@@ -116,7 +116,7 @@ class KernelLaunch(Expr):
     args: list[Expr]
 
 
-@dataclass
+@dataclass(slots=True)
 class Unary(Expr):
     """Prefix unary: ``- + ! ~ * &``."""
 
@@ -124,7 +124,7 @@ class Unary(Expr):
     operand: Expr
 
 
-@dataclass
+@dataclass(slots=True)
 class IncDec(Expr):
     """``++x / x++ / --x / x--``."""
 
@@ -133,14 +133,14 @@ class IncDec(Expr):
     prefix: bool
 
 
-@dataclass
+@dataclass(slots=True)
 class Binary(Expr):
     op: str
     left: Expr
     right: Expr
 
 
-@dataclass
+@dataclass(slots=True)
 class Assign(Expr):
     """``target op value`` where op in = += -= *= /= %= &= |= ^= <<= >>=."""
 
@@ -149,7 +149,7 @@ class Assign(Expr):
     value: Expr
 
 
-@dataclass
+@dataclass(slots=True)
 class Conditional(Expr):
     """``cond ? then : otherwise``."""
 
@@ -158,7 +158,7 @@ class Conditional(Expr):
     otherwise: Expr
 
 
-@dataclass
+@dataclass(slots=True)
 class Cast(Expr):
     """``(type) value``."""
 
@@ -166,7 +166,7 @@ class Cast(Expr):
     value: Expr
 
 
-@dataclass
+@dataclass(slots=True)
 class SizeOf(Expr):
     """``sizeof(type)`` — types only, not expressions."""
 
@@ -175,12 +175,12 @@ class SizeOf(Expr):
 
 # ------------------------------------------------------------- statements
 
-@dataclass
+@dataclass(slots=True)
 class Stmt:
     pos: SourcePos = field(default_factory=SourcePos, kw_only=True)
 
 
-@dataclass
+@dataclass(slots=True)
 class Declarator:
     """One declared name inside a declaration statement."""
 
@@ -190,43 +190,43 @@ class Declarator:
     ctor_args: list[Expr] = field(default_factory=list)  # dim3 g(x, y);
 
 
-@dataclass
+@dataclass(slots=True)
 class DeclStmt(Stmt):
     declarators: list[Declarator]
     shared: bool = False      # __shared__
     constant: bool = False    # __constant__ (file scope)
 
 
-@dataclass
+@dataclass(slots=True)
 class ExprStmt(Stmt):
     expr: Expr
 
 
-@dataclass
+@dataclass(slots=True)
 class Block(Stmt):
     statements: list[Stmt]
 
 
-@dataclass
+@dataclass(slots=True)
 class If(Stmt):
     cond: Expr
     then: Stmt
     otherwise: Optional[Stmt]
 
 
-@dataclass
+@dataclass(slots=True)
 class While(Stmt):
     cond: Expr
     body: Stmt
 
 
-@dataclass
+@dataclass(slots=True)
 class DoWhile(Stmt):
     body: Stmt
     cond: Expr
 
 
-@dataclass
+@dataclass(slots=True)
 class For(Stmt):
     init: Optional[Stmt]      # DeclStmt or ExprStmt
     cond: Optional[Expr]
@@ -234,7 +234,7 @@ class For(Stmt):
     body: Stmt
 
 
-@dataclass
+@dataclass(slots=True)
 class SwitchCase:
     """One ``case CONST:`` (value) or ``default:`` (value None) arm."""
 
@@ -242,7 +242,7 @@ class SwitchCase:
     statements: list["Stmt"]
 
 
-@dataclass
+@dataclass(slots=True)
 class Switch(Stmt):
     """C ``switch`` with fallthrough semantics."""
 
@@ -250,27 +250,27 @@ class Switch(Stmt):
     cases: list[SwitchCase]
 
 
-@dataclass
+@dataclass(slots=True)
 class Return(Stmt):
     value: Optional[Expr]
 
 
-@dataclass
+@dataclass(slots=True)
 class Break(Stmt):
     pass
 
 
-@dataclass
+@dataclass(slots=True)
 class Continue(Stmt):
     pass
 
 
-@dataclass
+@dataclass(slots=True)
 class Empty(Stmt):
     pass
 
 
-@dataclass
+@dataclass(slots=True)
 class AccParallelLoop(Stmt):
     """An OpenACC ``#pragma acc parallel loop`` (or ``kernels``)
     annotating a canonical for-loop: the loop's iterations execute on
@@ -281,7 +281,7 @@ class AccParallelLoop(Stmt):
     loop: "For"
 
 
-@dataclass
+@dataclass(slots=True)
 class AccIndex(Stmt):
     """First statement of an outlined OpenACC kernel (never parsed; see
     ``interpreter.outline_acc``): declare the loop variable as
@@ -296,14 +296,14 @@ class AccIndex(Stmt):
 
 # ------------------------------------------------------------- top level
 
-@dataclass
+@dataclass(slots=True)
 class Param:
     name: str
     type: CType
     opencl_global: bool = False  # OpenCL __global qualifier
 
 
-@dataclass
+@dataclass(slots=True)
 class FuncDef:
     name: str
     return_type: CType
@@ -322,7 +322,7 @@ class FuncDef:
         return "__device__" in self.qualifiers
 
 
-@dataclass
+@dataclass(slots=True)
 class GlobalVar:
     """File-scope variable (notably ``__constant__`` arrays)."""
 
@@ -330,7 +330,7 @@ class GlobalVar:
     pos: SourcePos = field(default_factory=SourcePos)
 
 
-@dataclass
+@dataclass(slots=True)
 class TranslationUnit:
     functions: list[FuncDef]
     globals: list[GlobalVar]
@@ -350,6 +350,20 @@ NODES = (Expr, Stmt, FuncDef, GlobalVar, TranslationUnit, Declarator, Param)
 _WALKED = NODES + (list,)
 
 
+class _Fields(dict):
+    def __missing__(self, cls: type) -> tuple[str, ...]:
+        names = self[cls] = tuple(f.name for f in fields(cls))
+        return names
+
+
+#: Each node class's field names in declaration order, filled on first
+#: use: what :func:`walk` and the engines' own tree passes read of a
+#: node. Every node class is slotted — the definitions memo holds
+#: parsed nodes for the life of the process, and a ``__dict__`` per
+#: node was a seventh of its bytes — so a node has no ``vars``.
+FIELDS = _Fields()
+
+
 def walk(node: Any):
     """Yield every AST node reachable from ``node`` (pre-order).
 
@@ -364,5 +378,6 @@ def walk(node: Any):
             stack.extend(reversed(node))
         elif isinstance(node, NODES):
             yield node
-            stack.extend([value for value in vars(node).values()
-                          if isinstance(value, _WALKED)][::-1])
+            stack.extend([value for name in FIELDS[type(node)]
+                          if isinstance(value := getattr(node, name),
+                                        _WALKED)][::-1])

@@ -264,6 +264,10 @@ class HostEnv:
     def _do_cudaMemcpyToSymbol(self, interp: Any, args: tuple,
                                pos: SourcePos) -> int:
         symbol, src, nbytes = args
+        if isinstance(symbol, MDView) and isinstance(symbol.storage,
+                                                     DevicePtr):
+            # a __constant__ array of two or more dimensions
+            symbol = symbol.storage + symbol.offset
         if not isinstance(symbol, DevicePtr):
             raise HostApiError(f"{pos}: cudaMemcpyToSymbol target must be a "
                                "__constant__ symbol")

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import enum
 import re
+from sys import intern
 from typing import Any
 
 from repro.minicuda.diagnostics import CompileError, SourcePos
@@ -139,11 +140,15 @@ def tokenize(source: str, origin: tuple[int, int] = (1, 1)) -> list[Token]:
             line += 1
             next_start = next(later_starts)
         pos = SourcePos(line, start - line_start + 1)
+        # a name, keyword or operator is one string however often it
+        # occurs: the nodes the definitions memo holds for the life of
+        # the process repeat a few hundred of them thousands of times
         if group == "ident":
+            text = intern(text)
             append(Token(TokenKind.KEYWORD if text in KEYWORDS
                          else TokenKind.IDENT, text, pos))
         elif group == "punct":
-            append(Token(TokenKind.PUNCT, text, pos))
+            append(Token(TokenKind.PUNCT, intern(text), pos))
         elif group == "int":
             digits = text.rstrip("uUlL")
             append(Token(TokenKind.INT, text, pos,

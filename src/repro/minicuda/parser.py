@@ -25,6 +25,8 @@ import operator
 import re
 import time
 from dataclasses import replace
+from functools import lru_cache
+from hashlib import blake2b
 from itertools import accumulate, repeat
 from typing import Any, Iterable, NamedTuple
 
@@ -223,10 +225,10 @@ class _Piece(NamedTuple):
     globals: tuple[ast.GlobalVar, ...]
     statements: tuple[ast.Stmt, ...]
     chars: int  # the text's length: what the memo weighs
-    #: A header's only: the key and text of the definition it was last
-    #: parsed whole with, whose pieces an edit of it files
+    #: A header's only: the key of the definition it was last parsed
+    #: whole with, whose pieces an edit of it files
     #: (:func:`_file_shared`) — the one field that changes once stored.
-    unfiled: list[tuple[str, str]] | None = None
+    unfiled: list[str] | None = None
 
 
 #: Parsed pieces by (grammar, typedefs, depth, start line and column,
@@ -237,17 +239,23 @@ class _Piece(NamedTuple):
 #: the headers of function definitions parsed whole, and the statement
 #: pieces and tails of the ones edited since. A definition stitched from
 #: its pieces is not stored again whole: the next parse stitches it anew
-#: from them. Only pieces that parsed are stored. Weighed by text length:
-#: on the attempt benchmark's ``edit_loop`` sources and edits, what the
-#: memo holds takes 32-39 bytes per character weighed (33-37 with
-#: definitions alone), ~0.8 MiB at the cap. The cap was set on that
-#: workload, whose pieces are reused by the next edits of the same file,
-#: not across files: replayed slot by slot with definitions alone, its
-#: best lex + parse time fell 22% at 8 KiB, 24% at 24 KiB and 25% at 48
-#: KiB; holding its whole working set would add ~10% to its peak RSS,
-#: whose bound is 5%.
+#: from them. Only pieces that parsed are stored.
+#:
+#: Weighed by text length. What the memo holds — slotted nodes, interned
+#: names, keys that open with a 16-digit digest — takes 18.3-18.8 bytes
+#: per character weighed (a ``gc.get_referents`` walk from its entries;
+#: tier-1 and the parser CI job fail above 19), ~1.8 MiB at the cap. The
+#: cap is set from the 5% ``peak_rss_mb`` bound of the attempt
+#: benchmark, which makes 12 passes over every slot, shuffled each pass:
+#: a piece comes back after every other slot. The first pass stores
+#: ``edit_loop`` 134 K characters, ``catalog_grade`` 69 K,
+#: ``kernel_scale`` 30 K and ``deadline_storm`` 29 K, and each later one
+#: its nonces' 0-7.5 K. At 96 KiB only ``edit_loop`` evicts; its
+#: ``peak_rss_mb`` moves +2.6%, ``catalog_grade``'s +1.5%, and
+#: ``kernel_scale``'s and ``deadline_storm``'s fall (-1.4%, -4.6%). 128
+#: KiB moved ``edit_loop`` +4.5%.
 DEFINITIONS = MemoTable(
-    policy=SizeCappedPolicy(24 * 1024),
+    policy=SizeCappedPolicy(96 * 1024),
     weigh=lambda piece: piece.chars,
     cache_name="definitions")
 
@@ -397,11 +405,15 @@ def _file_shared(parts: list[_Entry], prefix: str) -> None:
     unfiled = parts[0].value.unfiled
     if not unfiled:
         return
-    key, text = unfiled.pop()
+    key = unfiled.pop()
     flight = DEFINITIONS.peek(key)
-    # evicted, or no statement of this one is in its text (a shared
-    # piece has the same text): there is nothing to cut it for
-    if flight is None or not any(part.text in text for part in parts[1:-1]):
+    if flight is None:  # evicted
+        return
+    # a key ends with its text, as long as the piece it holds weighs
+    text = key[len(key) - flight.value.chars:]
+    # no statement of this one is in its text (a shared piece has the
+    # same text): there is nothing to cut it for
+    if not any(part.text in text for part in parts[1:-1]):
         return
     wanted = {part.key for part in parts[1:]}
     kept = _pieces(text, split_definitions(text, 1), parts[0].origin,
@@ -464,12 +476,12 @@ def _hold_header(entry: _Entry, piece: _Piece) -> None:
     head, function = entry.parts[0], piece.functions[0]
     if head.value is not None:
         if not head.value.unfiled:
-            head.value.unfiled.append((entry.key, entry.text))
+            head.value.unfiled.append(entry.key)
         return
     head.value = _Piece(
         (replace(function, body=ast.Block(statements=[],
                                           pos=function.body.pos)),),
-        (), (), len(head.text), [(entry.key, entry.text)])
+        (), (), len(head.text), [entry.key])
     DEFINITIONS.deliver(head.key, head.value)
 
 
@@ -503,6 +515,16 @@ def _parse_file(source: str,
                            _too_deep(tokens, parser._i)) from None
 
 
+@lru_cache(maxsize=8)
+def _key_prefix(grammar_hash: str, typedefs: frozenset[str]) -> str:
+    """What every piece key of a parse starts with: a 16-digit digest of
+    the grammar's hash and the sorted typedef names, in place of the
+    ~130 characters they spell, which every held key repeated."""
+    names = ",".join(sorted(typedefs))
+    return blake2b(f"{grammar_hash}:{names}".encode(),
+                   digest_size=8).hexdigest() + ":"
+
+
 def _parse_pieces(source: str,
                   typedefs: frozenset[str]) -> ast.TranslationUnit | None:
     """``source`` parsed definition by definition — an edited function
@@ -520,7 +542,7 @@ def _parse_pieces(source: str,
     scan = _scan(source)
     if scan is None:
         return None
-    prefix = f"{GRAMMAR_HASH}:{','.join(sorted(typedefs))}:"
+    prefix = _key_prefix(GRAMMAR_HASH, typedefs)
     tops = _cuts(source, scan, 0, 0, len(scan.ends))
     entries = _pieces(source, [scan.ends[k] for k in tops], (1, 1),
                       prefix, 0)

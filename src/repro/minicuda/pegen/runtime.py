@@ -20,6 +20,7 @@ it tests inline; everything else lives here:
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Any, Callable, Iterable
 
 from repro.minicuda import ast_nodes as ast
@@ -38,6 +39,14 @@ FAIL: Any = object()
 
 _PUNCT = TokenKind.PUNCT
 _IDENT = TokenKind.IDENT
+
+# The definitions memo holds parsed nodes for the life of the process,
+# and nothing downstream of the parser writes to a node: a value most
+# nodes would hold a copy of is one object. A set of function
+# qualifiers per definition was 2% of the memo's bytes, an empty
+# constructor argument list per declarator another 2%.
+_qualifiers = lru_cache(maxsize=64)(frozenset)
+_NO_CTOR_ARGS: list[ast.Expr] = []
 
 
 def memoize(method: Callable) -> Callable:
@@ -195,7 +204,7 @@ class ParserBase:
             dtype = ast.CType(dtype.base, dtype.pointers, tuple(dims),
                               dtype.const)
         init = None
-        ctor_args: list[ast.Expr] = []
+        ctor_args = _NO_CTOR_ARGS
         if init_spec is not None:
             tag, value = init_spec
             if tag == "=":
@@ -256,8 +265,8 @@ class ParserBase:
             prototype = body is None
             if prototype:
                 body = ast.Block(statements=[], pos=pos)
-            qualifiers = frozenset(t for t in texts
-                                   if t in FUNCTION_QUALIFIERS)
+            qualifiers = _qualifiers(tuple(t for t in texts
+                                           if t in FUNCTION_QUALIFIERS))
             return ("func", ast.FuncDef(
                 name=name_tok.text, return_type=rtype, params=params,
                 body=body, qualifiers=qualifiers, pos=pos,

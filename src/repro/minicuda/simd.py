@@ -278,7 +278,8 @@ def _containing(root: Any, hit: Callable[[Any], bool]) -> set[int]:
 
     def visit(node: Any) -> bool:
         inside = hit(node)
-        for value in vars(node).values():
+        for name in ast.FIELDS[type(node)]:
+            value = getattr(node, name)
             for child in value if type(value) is list else (value,):
                 if isinstance(child, ast.NODES) and visit(child):
                     inside = True
@@ -361,7 +362,8 @@ class _Varying:
             hit = True
         else:
             hit = False
-            for value in vars(e).values():
+            for name in ast.FIELDS[cls]:
+                value = getattr(e, name)
                 if type(value) is list:
                     hit = any(map(self, value))
                 elif isinstance(value, ast.Expr):

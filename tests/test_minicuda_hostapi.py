@@ -443,6 +443,45 @@ class TestScalarAddresses:
         assert symbol.buffer.data.tolist() == [2.5, 0.0]
 
 
+CONSTANT_MATRIX = """
+__constant__ float M[2][2];
+__global__ void twice(float *out) {
+  int i = threadIdx.x;
+  out[i] = 2.0f * M[i / 2][i % 2];
+}
+int main() {
+  float h[5] = {1.0f, 2.0f, 3.0f, 4.0f, 5.0f};
+  float r[4];
+  float *d;
+  cudaMemcpyToSymbol(M, h, COUNT * sizeof(float));
+  cudaMalloc((void **)&d, 4 * sizeof(float));
+  twice<<<1, 4>>>(d);
+  cudaMemcpy(r, d, 4 * sizeof(float), cudaMemcpyDeviceToHost);
+  printf("%.1f %.1f %.1f %.1f", r[0], r[1], r[2], r[3]);
+  return 0;
+}
+"""
+
+
+class TestTwoDimensionalConstant:
+    """A ``__constant__`` array of two dimensions is a copy target too,
+    and its kernel reads what the host copied, on either kernel tier."""
+
+    @pytest.mark.parametrize("engine", ("codegen", "simd"))
+    def test_a_kernel_reads_the_copied_matrix(self, engine):
+        program = compile_source(CONSTANT_MATRIX.replace("COUNT", "4"))
+        env = HostEnv()
+        result = program.run_main(runtime=GpuRuntime(Device()),
+                                  host_env=env, engine=engine)
+        assert result.exit_code == 0
+        assert env.stdout == ["2.0 4.0 6.0 8.0"]
+
+    def test_a_copy_past_its_end_faults(self):
+        with pytest.raises(MemoryFault, match=r"device write out of bounds: "
+                                              r"index 4 of __constant__ M \[4\]"):
+            run(CONSTANT_MATRIX.replace("COUNT", "5"))
+
+
 class TestKernelLaunchEngines:
     """The full host path (cudaMalloc/Memcpy + <<<>>>) under every
     kernel execution engine must produce the same solution and the

@@ -9,14 +9,18 @@ function definition, statement by statement — and stitches a fresh
 The token-deletion and line-insertion sweeps run fixed-seed samples
 here; the exhaustive sweeps (every token and every line of every
 source, ~25 000 variants, about two minutes) run with
-``PYTHONPATH=src python -m tests.test_parse_definitions``.
+``PYTHONPATH=src python -m tests.test_parse_definitions``, which then
+prints what the memo takes per weighed character over the same
+sources and fails above :data:`BYTES_PER_CHAR`.
 """
 
 from __future__ import annotations
 
+import gc
 import random
 import re
 import sys
+import types
 from pathlib import Path
 from typing import Callable, Iterator, NamedTuple
 
@@ -35,6 +39,7 @@ from repro.cluster.job import Job, JobKind
 from repro.labs import ALL_LABS, EXTRA_LABS, get_lab
 from repro.labs.mutations import MUTATIONS, buggy_source
 from repro.minicuda import CompileCache, parser, parser_gen
+from repro.minicuda import ast_nodes as ast
 from repro.minicuda.compiler import EXTRA_TYPEDEFS, compile_source
 from repro.minicuda.diagnostics import CompileError
 from repro.minicuda.lexer import tokenize
@@ -110,12 +115,32 @@ def lookups(text: str) -> int:
     return count
 
 
+def new_memo() -> MemoTable:
+    """An empty :data:`DEFINITIONS` under the same cap."""
+    return MemoTable(policy=SizeCappedPolicy(DEFINITIONS.policy.max_bytes),
+                     weigh=lambda piece: piece.chars,
+                     cache_name="definitions")
+
+
+@pytest.fixture
+def fresh_definitions(monkeypatch: pytest.MonkeyPatch) -> MemoTable:
+    """Run the test on an empty memo. What a parse lexes depends on
+    what is held, and a memo large enough to hold the catalog keeps what
+    earlier tests left: a header that already filed the definition it
+    remembered, say, whose statement pieces were evicted since, makes
+    an edit of that definition lex all of it again."""
+    memo = new_memo()
+    monkeypatch.setattr(parser, "DEFINITIONS", memo)
+    return memo
+
+
 class Lexed:
     """Records the text of every ``tokenize`` call ``parse`` makes."""
 
-    def __init__(self, monkeypatch: pytest.MonkeyPatch):
+    def __init__(self, monkeypatch: pytest.MonkeyPatch | None = None):
         self.texts: list[str] = []
-        monkeypatch.setattr(parser, "tokenize", self)
+        if monkeypatch is not None:
+            monkeypatch.setattr(parser, "tokenize", self)
 
     def __call__(self, text: str, origin: tuple[int, int] = (1, 1)):
         self.texts.append(text)
@@ -278,6 +303,7 @@ def test_lookups_are_counted_and_reported():
         definitions_snapshot()
 
 
+@pytest.mark.usefixtures("fresh_definitions")
 def test_statement_piece_lookups_are_told_apart():
     text = "int g(int n) {\n  n++;\n  return n;\n}\n"
     parse(text, TYPEDEFS)
@@ -290,7 +316,7 @@ def test_statement_piece_lookups_are_told_apart():
     assert after["statement_hits"] - before["statement_hits"] == 3
     assert after["statement_misses"] - before["statement_misses"] == 1
     assert after["statement_hits"] == STATEMENT_LOOKUPS.hits
-    assert after["stores"] == DEFINITIONS.stats.stores
+    assert after["stores"] == parser.DEFINITIONS.stats.stores
 
 
 # -- exact diagnostics -----------------------------------------------------------
@@ -355,6 +381,7 @@ def held_around(statement: str) -> str:
     "  default: a = 1;",       # an error on the piece's first token
     "  do { } x = 1;",         # one on the EOF of "do { }": the
 ])                             # definition decides
+@pytest.mark.usefixtures("fresh_definitions")
 def test_a_statement_piece_is_what_the_whole_file_parses(statement,
                                                          monkeypatch):
     text = around(statement) + NONCE
@@ -375,6 +402,7 @@ def test_a_statement_piece_is_what_the_whole_file_parses(statement,
     "\n  a = ",            # half a statement
     NONCE,                 # the next function, swallowed as a statement
 ])
+@pytest.mark.usefixtures("fresh_definitions")
 def test_an_unclosed_last_function_is_split_too(tail, monkeypatch):
     closed = around("  x = 0;")
     parse(closed + NONCE, TYPEDEFS)
@@ -386,6 +414,7 @@ def test_an_unclosed_last_function_is_split_too(tail, monkeypatch):
     assert not any("return a;" in t for t in lexed.texts)
 
 
+@pytest.mark.usefixtures("fresh_definitions")
 def test_renaming_a_local_at_its_declaration_relexes_that_statement(
         monkeypatch):
     text = next(t for t in SOURCES if undeclare_identifier(t, "C"))
@@ -461,9 +490,7 @@ def sweep(edits: Callable[[str], Iterator[tuple[str, str]]],
             piecewise(text)
             for variant, what in edited:
                 if fresh:
-                    parser.DEFINITIONS = MemoTable(
-                        policy=SizeCappedPolicy(memo.policy.max_bytes),
-                        weigh=lambda piece: piece.chars)
+                    parser.DEFINITIONS = new_memo()
                     piecewise(text)
                 variants += 1
                 before = STATEMENT_LOOKUPS.hits, STATEMENT_LOOKUPS.lookups
@@ -495,6 +522,98 @@ def test_line_insertions_diagnose_as_the_whole_file():
     assert result.variants == 8 * len(SOURCES)
 
 
+# -- what the memo holds, and at what cost --------------------------------------
+
+#: The most bytes the memo may take per character it weighs: its nodes,
+#: keys and bookkeeping, reached from its entries. The cap in
+#: ``parser.DEFINITIONS`` is sized at this cost.
+BYTES_PER_CHAR = 19
+
+#: Shared code, not data a memo entry holds.
+_CODE = (type, types.FunctionType, types.BuiltinFunctionType,
+         types.ModuleType)
+
+
+def memo_bytes(memo: MemoTable) -> int:
+    """The deep size of what ``memo`` holds: every object reachable
+    from its entries and its policy's ledger (a ``gc.get_referents``
+    walk that stops at types, functions and modules), each counted
+    once."""
+    seen: set[int] = set()
+    stack: list = [memo._done, memo.policy._entries]
+    total = 0
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, _CODE):
+            continue
+        seen.add(id(obj))
+        total += sys.getsizeof(obj)
+        stack.extend(gc.get_referents(obj))
+    return total
+
+
+class Pass(NamedTuple):
+    nonces: list[str]  # the functions appended, in parse order
+    lexed: list[str]  # what parse() lexed
+    statement_misses: int
+
+
+def replay(texts: list[str], passes: int = 2, seed: int = 49) -> list[Pass]:
+    """Parse each of ``texts`` with a nonce function appended, as the
+    attempt benchmark submits them, once per pass in a seeded shuffle."""
+    rng, number, done = random.Random(seed), 0, []
+    lexed = Lexed()
+    parser.tokenize = lexed
+    try:
+        for _ in range(passes):
+            order = list(texts)
+            rng.shuffle(order)
+            nonces, lexed.texts = [], []
+            misses = STATEMENT_LOOKUPS.misses
+            for text in order:
+                number += 1
+                nonce = f"int wb_nonce_{number:010d}(void){{return {number};}}"
+                nonces.append(nonce)
+                parse(f"{text}\n{nonce}\n", TYPEDEFS)
+            done.append(Pass(nonces, lexed.texts,
+                             STATEMENT_LOOKUPS.misses - misses))
+    finally:
+        parser.tokenize = tokenize
+    return done
+
+
+CATALOG_SOURCES = [preprocess(text) for lab in CATALOG
+                   for text in (lab.solution, lab.skeleton)]
+
+
+@pytest.mark.usefixtures("fresh_definitions")
+def test_the_default_cap_holds_the_catalog():
+    """Every catalog solution and skeleton stays held: a second pass
+    over them lexes and misses nothing but each attempt's nonce function
+    (its piece, then its header) — a definition stitched from held
+    pieces misses whole and hits every piece."""
+    _, second = replay(CATALOG_SOURCES)
+    assert [text.strip() for text in second.lexed] == second.nonces
+    assert second.statement_misses == len(CATALOG_SOURCES)
+
+
+def test_a_held_character_costs_at_most_its_bound(fresh_definitions):
+    replay(CATALOG_SOURCES)
+    weighed = fresh_definitions.policy.total_bytes
+    assert weighed > 0.5 * sum(map(len, CATALOG_SOURCES))
+    assert memo_bytes(fresh_definitions) <= BYTES_PER_CHAR * weighed
+
+
+def test_no_node_has_a_dict():
+    classes, stack = [], list(ast.NODES)
+    while stack:
+        cls = stack.pop()
+        classes.append(cls)
+        stack.extend(cls.__subclasses__())
+    assert len(classes) > 30
+    assert [cls.__name__ for cls in classes if "__dict__" in dir(cls)] == []
+
+
 # -- shared nodes are never written ------------------------------------------
 
 ALL_TAGS = frozenset({"cuda"}.union(*(lab.requirements for lab in CATALOG)))
@@ -513,6 +632,7 @@ def _statements(unit):
     return [s for function in unit.functions for s in function.body.statements]
 
 
+@pytest.mark.usefixtures("fresh_definitions")
 def test_running_a_program_writes_no_shared_definition(monkeypatch):
     """Compile and run each catalog program once per engine, each on a
     worker whose ``CompileCache`` keeps the program: every compile after
@@ -589,4 +709,11 @@ if __name__ == "__main__":
         for mismatch in result.mismatches[:20]:
             print("  mismatch:", mismatch)
         failed = failed or bool(result.mismatches)
+    parser.DEFINITIONS = new_memo()
+    replay(SOURCES)
+    weighed = parser.DEFINITIONS.policy.total_bytes
+    per_char = memo_bytes(parser.DEFINITIONS) / weighed
+    print(f"definitions memo: {per_char:.2f} bytes per weighed character "
+          f"({weighed} characters held; bound {BYTES_PER_CHAR})")
+    failed = failed or per_char > BYTES_PER_CHAR
     sys.exit(1 if failed else 0)
