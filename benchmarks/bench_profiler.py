@@ -19,7 +19,12 @@ records in ``BENCH_profiler.json`` each cell's median paired multiple
 (profiled over unprofiled wall time) with its min and max. Beside each
 multiple it records the work behind it: the Python calls (cProfile
 ``total_calls``) of one untimed unprofiled and one untimed profiled
-launch, a count the host's timing noise does not move.
+launch, a count the host's timing noise does not move, and the
+unprofiled launch's calls split by who was called (:func:`_split`):
+generated code, ``ThreadContext`` accessors, buffer and
+``SharedArray`` reads, operator and coercion helpers, and the rest. A
+``codegen`` launch calls no ``ThreadContext`` load or store accessor:
+its accesses are emitted in line.
 No hard floor on the profiled multiple: the simd engine executes a
 block per instruction but the ledger still charges per line, so its
 relative overhead is structurally larger — the JSON is the artifact.
@@ -47,6 +52,7 @@ from conftest import print_table
 
 from repro.gpusim import Device, GpuRuntime
 from repro.gpusim.grid import Dim3
+from repro.gpusim.scheduler import ThreadContext
 from repro.minicuda import compile_source
 from repro.minicuda.codegen import KERNEL_CACHE
 
@@ -106,6 +112,42 @@ int main() { return 0; }
 """
 
 
+#: The runtime's operator and coercion helpers generated code calls.
+_OPERATORS = {"_c_div", "_c_mod", "checked", "c_unary", "_truthy", "f32",
+              "_c_eq", "_c_ne", "_coerce_int", "_coerce_f32",
+              "_coerce_f64", "_coerce_bool"}
+
+#: The thread context's memory accessors a scalar kernel once called.
+ACCESSORS = ("load", "store", "shared_load", "shared_store")
+
+
+def _split(stats: pstats.Stats) -> dict[str, int]:
+    """A profile's calls by who was called: generated code, the thread
+    context's methods (``accessor:<name>`` keeps each memory accessor's
+    own count), device buffer and ``SharedArray`` reads and writes
+    (with numpy's ``.item``), operator and coercion helpers, and
+    everything else."""
+    split = dict.fromkeys(("generated", "accessors", "storage",
+                           "operators", "other"), 0)
+    split.update({f"accessor:{name}": 0 for name in ACCESSORS})
+    for (path, _line, name), (_prim, calls, *_rest) in stats.stats.items():
+        if path.startswith("<minicuda-srcgen"):
+            group = "generated"
+        elif path.endswith("scheduler.py") and name in vars(ThreadContext) \
+                and name != "__init__":
+            group = "accessors"
+            if name in ACCESSORS:
+                split[f"accessor:{name}"] += calls
+        elif path.endswith("memory.py") or "'item'" in name:
+            group = "storage"
+        elif name in _OPERATORS:
+            group = "operators"
+        else:
+            group = "other"
+        split[group] += calls
+    return split
+
+
 def _cases():
     mm_n, r_n = SIZES
     A = (np.arange(mm_n * mm_n, dtype=np.float32) % 7)
@@ -160,12 +202,18 @@ def test_profiler_cost():
             _launch(source, kernel, grid, block, bufs, scalars, engine,
                     False)
             computed = KERNEL_CACHE.compute_count
-            calls = {}
+            calls, split = {}, None
             for profile in (False, True):
                 counter = cProfile.Profile()
                 _launch(source, kernel, grid, block, bufs, scalars, engine,
                         profile, counter)
-                calls[profile] = pstats.Stats(counter).total_calls
+                counted = pstats.Stats(counter)
+                calls[profile] = counted.total_calls
+                split = split or _split(counted)
+            if engine == "codegen":
+                # every load and store is emitted in line
+                assert not any(split[f"accessor:{name}"]
+                               for name in ACCESSORS), (name, split)
             for _ in range(PAIRS):
                 wall_off, stats_off, outs_off = _launch(
                     source, kernel, grid, block, bufs, scalars, engine,
@@ -198,6 +246,7 @@ def test_profiler_cost():
                 "multiple_max": round(max(multiples), 2),
                 "unprofiled_calls": calls[False],
                 "profiled_calls": calls[True],
+                "unprofiled_split": split,
             }
             rows.append({
                 "kernel": name, "engine": engine,

@@ -16,24 +16,24 @@ shared accesses are checked for bank conflicts.
 Three things keep the grading hot loop cheap:
 
 * barrier-free kernels (plain functions) run as direct calls — no
-  generator allocation, no ``next()`` driving, no lockstep machinery;
+  generator to drive, no lockstep machinery;
 * a kernel carrying a ``warp_run`` executor (the warp-SIMD engine's)
   runs a group of consecutive blocks at a time against one
   :class:`WarpContext` — launch geometry as lane vectors, no
-  per-thread objects — so such a launch allocates O(groups), not
-  O(threads), and pays one :meth:`_BlockState.finalize` per group;
-* access tracking appends to flat per-warp arrays (or group-wide
-  chunks) and :meth:`_BlockState.finalize` reduces them with
-  vectorized numpy segment/bank grouping instead of dict-of-lists
-  bookkeeping. Warp ids are numbered across a group, so no request
-  spans two blocks. The resulting :class:`KernelStats` are
-  bit-identical to the historical per-access dictionary
-  implementation.
+  per-thread objects — and pays one :meth:`_BlockState.finalize` per
+  group;
+* access tracking appends flat rows to per-warp lists (or group-wide
+  chunks), which :meth:`_BlockState.finalize` reduces with vectorized
+  numpy segment/bank grouping. Warp ids are numbered across a group,
+  so no request spans two blocks.
 """
 
 from __future__ import annotations
 
+import copy
+import functools
 import inspect
+import itertools
 from typing import Any, Callable
 
 import numpy as np
@@ -48,9 +48,8 @@ from repro.profiler import LineCounters, LineProfile
 #: Sentinel yielded by kernel generators at ``__syncthreads()``.
 SYNC = object()
 
-#: Local alias of :data:`SharedArray.NUM_BANKS` for the per-access
-#: bank computation in the thread-context hot path.
-_NUM_BANKS = SharedArray.NUM_BANKS
+#: Bits a bank number takes (a bank being a word % NUM_BANKS).
+_BANK_BITS = (SharedArray.NUM_BANKS - 1).bit_length()
 
 #: Bits reserved for the per-thread access sequence number when packing
 #: a (warp, seq) warp-request key into one int64. The interpreter step
@@ -59,57 +58,44 @@ _SEQ_BITS = 40
 
 
 def _packed_rows(traces: list[tuple[int, list[int]]],
-                 chunks: list[tuple] = (),
-                 banks_from_words: bool = False,
-                 width: int = 4) -> np.ndarray | None:
-    """Concatenate per-warp flat traces into an (n, ``width``) int64
-    array whose first column is the packed ``(warp << _SEQ_BITS) | seq``
-    warp-request key. Returns None when no thread recorded anything.
+                 chunks: list[tuple] = (), width: int = 4,
+                 skip: int = 0) -> np.ndarray | None:
+    """Concatenate per-warp flat traces (``width`` ints a row, the last
+    its charging source line) into an (n, ``width``) int64 array whose
+    first column is the packed ``(warp << _SEQ_BITS) | seq`` key of
+    the row's warp request; None when no thread recorded anything.
 
-    ``chunks`` carries block-wide access batches recorded by the SIMD
-    engine: ``(count, warp, seqs, col1, col2)`` where ``warp`` (each
-    lane's warp id) / ``seqs`` / ``col1`` / ``col2`` are scalars or
-    length-``count`` arrays (scalars broadcast — e.g. one uniform seq
-    for a full-mask access). The row multiset is identical to
-    per-thread recording, so the downstream coalescing / bank grouping
-    is unaffected by who recorded the rows.
-    An access row's fourth int is its charging source line: per-warp
-    traces always carry it, a chunk as a sixth field only when its
-    group is line-profiled (an unprofiled group's rows are three
-    wide). Columns 0-2 are what the totals read.
-
-    With ``banks_from_words`` the chunks' col1 is ignored and the bank
-    column is derived from the word column in one vectorized pass —
-    shared-access recorders then skip a ``% NUM_BANKS`` per access.
-    (Per-warp traces always carry their bank already.)
+    ``chunks`` are the SIMD engine's group-wide batches, ``(count,
+    warp, seqs, *columns)``, each a scalar (broadcast) or a
+    length-``count`` array, with a line column only when the group is
+    line-profiled; the first ``skip`` columns are no rows' (a shared
+    chunk's unused bank slot). The row multiset is per-thread
+    recording's, so the reductions downstream cannot tell them apart.
     """
     rows_list = []
-    for warp, flat in traces:
-        if not flat:
-            continue
-        rows = np.asarray(flat, dtype=np.int64).reshape(-1, width)
-        rows[:, 0] |= warp << _SEQ_BITS
+    counts = [len(flat) // width for _warp, flat in traces]
+    total = sum(counts)
+    if total:
+        rows = np.fromiter(itertools.chain.from_iterable(
+            flat for _warp, flat in traces), np.int64,
+            total * width).reshape(total, width)
+        rows[:, 0] |= np.repeat([warp << _SEQ_BITS for warp, _f in traces],
+                                counts)
         rows_list.append(rows)
     if chunks:
         total = sum(c[0] for c in chunks)
-        width = len(chunks[0]) - 2
         # (width, total) C-contiguous fill; the transposed view has the
         # same (n, width) layout downstream consumers index by column
-        buf = np.empty((width, total), dtype=np.int64)
+        buf = np.empty((len(chunks[0]) - 2 - skip, total), dtype=np.int64)
         pos = 0
-        for count, warp, seqs, col1, col2, *line in chunks:
+        for count, warp, seqs, *columns in chunks:
             end = pos + count
             key = buf[0, pos:end]
             key[...] = seqs
             key |= warp << _SEQ_BITS
-            if not banks_from_words:
-                buf[1, pos:end] = col1
-            buf[2, pos:end] = col2
-            if line:
-                buf[3, pos:end] = line[0]
+            for row, column in enumerate(columns[skip:], 1):
+                buf[row, pos:end] = column
             pos = end
-        if banks_from_words:
-            np.mod(buf[2], _NUM_BANKS, out=buf[1])
         rows_list.append(buf.T)
     if not rows_list:
         return None
@@ -133,15 +119,11 @@ class _BlockState:
     """Mutable execution state of one block (or warp-tier group of
     ``blocks``), shared by its threads.
 
-    Threads append raw access records to flat per-warp lists (four
-    ints per access, the last its source line); :meth:`finalize`
-    groups them by warp request with vectorized numpy reductions. This
-    replaces the historical ``dict[(warp, seq)] -> list[tuple]``
-    bookkeeping, which paid a hash + setdefault + tuple allocation on
-    every single memory access.
-    The threads of one warp share its lists: a row's key is its
-    ``(warp, seq)``, and every reduction depends only on the multiset
-    of rows, not on which list or in what order they were appended.
+    Threads append raw access rows to flat per-warp lists (the last
+    int of a row its source line); :meth:`finalize` groups them by warp
+    request with vectorized numpy reductions. The threads of one warp
+    share its lists: a row's key is its ``(warp, seq)``, and every
+    reduction depends only on the multiset of rows.
 
     ``charges`` are the launch's per-source-line counters
     (:func:`_counters`), shared by all its blocks. Every charge of an
@@ -172,11 +154,11 @@ class _BlockState:
         self.stats = KernelStats()
         self.stats.blocks = blocks
         self.stats.threads = blocks * block_dim.count
-        warp_size = device.spec.warp_size
+        self.warp_size = warp_size = device.spec.warp_size
         self.stats.warps = blocks * -(-block_dim.count // warp_size)
         # per-warp flat traces: (warp, [seq, a, b, line, seq, ...])
         # loads/stores record (seq, byte_address, nbytes, line); shared
-        # hits record (seq, bank, word, line).
+        # hits record (seq, word, line), their bank being the word's.
         self.load_traces: list[tuple[int, list[int]]] = []
         self.store_traces: list[tuple[int, list[int]]] = []
         self.shared_traces: list[tuple[int, list[int]]] = []
@@ -239,14 +221,13 @@ class _BlockState:
             st.global_store_requests += requests
             st.global_store_transactions += transactions
             st.bytes_written += int(stores[:, 2].sum())
-        hits = _packed_rows(self.shared_traces, self.shared_chunks,
-                            banks_from_words=True)
+        hits = _packed_rows(self.shared_traces, self.shared_chunks, 3, 1)
         if hits is not None:
             st.shared_accesses += len(hits)
             st.bank_conflicts += self._bank_replays(hits,
                                                     self.conflict_lines)
             if self.shared_lines is not None:
-                _tally(self.shared_lines, hits[:, 3])
+                _tally(self.shared_lines, hits[:, 2])
         if self.prof is not None:
             branches = _packed_rows(self.branch_traces, self.branch_chunks,
                                     width=3)
@@ -276,27 +257,36 @@ class _BlockState:
     def _bank_replays(rows: np.ndarray,
                       line_counts: np.ndarray | None) -> int:
         """Total serialised bank-conflict replays for packed
-        (key, bank, word) shared-access rows: per warp request, the
-        replay count is (max distinct words on any one bank) - 1. With
-        ``line_counts``, a request's replays count against the least
-        source line among its rows."""
-        keys, banks, words = rows[:, 0], rows[:, 1], rows[:, 2]
-        order = np.lexsort((words, banks, keys))
-        keys, banks, words = keys[order], banks[order], words[order]
-        # distinct (key, bank, word) triples; duplicates are broadcasts
-        distinct = _first_of_group(keys, banks, words)
-        dkeys, banks = keys[distinct], banks[distinct]
-        # distinct-word count per (key, bank) group
-        group_start = np.flatnonzero(_first_of_group(dkeys, banks))
-        group_sizes = np.diff(np.append(group_start, len(dkeys)))
-        group_keys = dkeys[group_start]
-        # max group size per warp-request key
-        key_start = np.flatnonzero(_first_of_group(group_keys))
-        replays = np.maximum.reduceat(group_sizes, key_start) - 1
+        (key, word) shared-access rows: per warp request, the replay
+        count is (max distinct words on any one bank) - 1, a word's
+        bank being ``word % NUM_BANKS``. With ``line_counts``, a
+        request's replays count against the least source line among
+        its rows."""
+        keys, words = rows[:, 0], rows[:, 1]
+        # (key, bank, word) packed into one int64, sorted once; keys
+        # too wide for that are replaced by their ranks
+        wide = int(words.max()).bit_length()
+        key_shift = _BANK_BITS + wide
+        if int(keys.max()).bit_length() + key_shift > 62:
+            keys = np.unique(keys, return_inverse=True)[1]
+        packed = keys << key_shift | words % SharedArray.NUM_BANKS << wide \
+            | words
+        if line_counts is None:
+            packed = np.sort(packed)
+        else:
+            order = np.argsort(packed)
+            packed = packed[order]
+        # distinct triples (duplicates are broadcasts), then their
+        # count per (key, bank) and its max per key
+        groups = packed[_first_of_group(packed)] >> wide
+        starts = np.flatnonzero(_first_of_group(groups))
+        sizes = np.diff(np.append(starts, len(groups)))
+        replays = np.maximum.reduceat(sizes, np.flatnonzero(
+            _first_of_group(groups[starts] >> _BANK_BITS))) - 1
         if line_counts is not None:
             _tally(line_counts, np.minimum.reduceat(
-                rows[order, 3], np.flatnonzero(_first_of_group(keys))),
-                replays)
+                rows[order, 2], np.flatnonzero(_first_of_group(
+                    packed >> key_shift))), replays)
         return int(replays.sum())
 
 
@@ -321,30 +311,27 @@ def _divergence(rows: np.ndarray, line_counts: np.ndarray) -> None:
 
 
 class ThreadContext:
-    """The per-thread view a kernel executes against.
+    """The per-thread view a kernel executes against: CUDA's builtin
+    variables, the thread's access sequence number ``seq`` and its
+    warp's trace lists (``loads``/``stores``: ``(seq, address, bytes,
+    line)`` rows; ``shared_trace``: ``(seq, word, line)``), and checked
+    accessors for global/shared memory and atomics that append those
+    rows for the coalescing and bank-conflict models. Plain-Python
+    kernels and the tests' tree-walking oracle call the accessors; the
+    compiled scalar kernels do what they do in line, on these fields.
 
-    Exposes CUDA's builtin variables plus checked accessors for
-    global/shared memory and atomics that record every access for the
-    coalescing and bank-conflict models. The compiled scalar kernels
-    and the tests' tree-walking oracle both target this interface.
-
-    One class serves profiled and unprofiled launches. The engines keep
-    ``line`` pointed at the innermost enclosing statement's source line
-    (re-set before loop condition/step evaluation, saved/restored
-    around user device-function calls). Every charge bumps its count
-    in the launch's per-line counters, ``instr`` (which the compiled
-    scalar kernels bind as ``S`` and bump as ``S[C.line] += n``) and
-    ``_atomics``; every access row carries it, from which the block
-    state's finalize counts a line-profiled launch's memory counters.
-    When the launch is line-profiled (the block state's ``prof`` is
-    set), ``record_branch`` also logs ``if`` outcomes keyed by the
-    per-thread branch sequence number ``bseq`` so finalize can count
-    intra-warp divergence.
+    Before an accessor runs, ``line`` holds the charging statement's
+    source line: every charge bumps its count in the launch's per-line
+    counters (``instr``, which compiled kernels bind as ``S``, and
+    ``_atomics``), and every row carries it. When the launch is
+    line-profiled (the block state's ``prof`` is set), ``record_branch``
+    also logs ``if`` outcomes keyed by the per-thread branch sequence
+    number ``bseq``, so finalize can count intra-warp divergence.
     """
 
     __slots__ = ("threadIdx", "blockIdx", "blockDim", "gridDim", "line",
-                 "bseq", "instr", "_block", "_warp", "_seq", "_atomics",
-                 "_loads", "_stores", "_shared_trace", "_branches")
+                 "bseq", "instr", "seq", "loads", "stores", "shared_trace",
+                 "_block", "_warp", "_atomics", "_branches")
 
     def __init__(self, threadIdx: Idx3, blockIdx: Idx3, blockDim: Dim3,
                  gridDim: Dim3, block_state: _BlockState):
@@ -357,12 +344,13 @@ class ThreadContext:
         self._block = block_state
         self.instr = block_state.instr
         self._atomics = block_state.atomics
-        linear_tid = blockDim.linear_index(
-            threadIdx.x, threadIdx.y, threadIdx.z)
-        self._warp = linear_tid // block_state.device.spec.warp_size
-        self._seq = 0
-        self._loads, self._stores, self._shared_trace = \
-            block_state.register_thread(self._warp)
+        self._warp = warp = ((threadIdx.z * blockDim.y + threadIdx.y)
+                             * blockDim.x + threadIdx.x) \
+            // block_state.warp_size
+        self.seq = 0
+        self.loads, self.stores, self.shared_trace = \
+            block_state._warp_lists.get(warp) \
+            or block_state.register_thread(warp)
         prof = block_state.prof
         # the branch trace: profiled only
         self._branches = None if prof is None else \
@@ -397,30 +385,28 @@ class ThreadContext:
 
     # -- global memory -----------------------------------------------------
 
-    def load(self, ptr: DevicePtr, index: int = 0) -> Any:
-        """Profiled, bounds-checked global load."""
-        # resolve the buffer index once instead of paying read +
-        # byte_address + dtype wrapper hops
+    def _global_row(self, trace: list[int], ptr: DevicePtr,
+                    index: int) -> tuple[Any, int]:
+        """Append a global access's row to ``trace`` and charge it;
+        returns the (buffer, element) accessed."""
         buf = ptr.buffer
         i = ptr.offset + int(index)
-        value = buf.read(i)
         nbytes = buf._itemsize
         ln = self.line
-        self._loads += (self._seq, buf._base + i * nbytes, nbytes, ln)
-        self._seq += 1
+        trace += (self.seq, buf._base + i * nbytes, nbytes, ln)
+        self.seq += 1
         self.instr[ln] += 1
-        return value
+        return buf, i
+
+    def load(self, ptr: DevicePtr, index: int = 0) -> Any:
+        """Profiled, bounds-checked global load."""
+        buf, i = self._global_row(self.loads, ptr, index)
+        return buf.read(i)
 
     def store(self, ptr: DevicePtr, index: int, value: Any) -> None:
         """Profiled, bounds-checked global store."""
-        buf = ptr.buffer
-        i = ptr.offset + int(index)
+        buf, i = self._global_row(self.stores, ptr, index)
         buf.write(i, value)
-        nbytes = buf._itemsize
-        ln = self.line
-        self._stores += (self._seq, buf._base + i * nbytes, nbytes, ln)
-        self._seq += 1
-        self.instr[ln] += 1
 
     # -- shared memory -------------------------------------------------------
 
@@ -441,24 +427,20 @@ class ThreadContext:
             block.shared_bytes += arr.nbytes
         return arr
 
-    def shared_load(self, arr: SharedArray, index: int) -> Any:
+    def _shared_row(self, arr: SharedArray, index: int) -> int:
+        """Append a shared access's row and charge it; the element."""
         index = int(index)
-        # bank == word % NUM_BANKS: compute the word index once
-        word = index * arr._itemsize // 4
         ln = self.line
-        self._shared_trace += (self._seq, word % _NUM_BANKS, word, ln)
-        self._seq += 1
+        self.shared_trace += (self.seq, index * arr._itemsize // 4, ln)
+        self.seq += 1
         self.instr[ln] += 1
-        return arr.read(index)
+        return index
+
+    def shared_load(self, arr: SharedArray, index: int) -> Any:
+        return arr.read(self._shared_row(arr, index))
 
     def shared_store(self, arr: SharedArray, index: int, value: Any) -> None:
-        index = int(index)
-        word = index * arr._itemsize // 4
-        ln = self.line
-        self._shared_trace += (self._seq, word % _NUM_BANKS, word, ln)
-        self._seq += 1
-        self.instr[ln] += 1
-        arr.write(index, value)
+        arr.write(self._shared_row(arr, index), value)
 
     # -- atomics ---------------------------------------------------------------
 
@@ -488,10 +470,10 @@ class ThreadContext:
             # transaction counters include atomic traffic
             addr = target.byte_address(index)
             nbytes = target.dtype.itemsize
-            self._loads += (self._seq, addr, nbytes, ln)
-            self._seq += 1
-            self._stores += (self._seq, addr, nbytes, ln)
-            self._seq += 1
+            self.loads += (self.seq, addr, nbytes, ln)
+            self.seq += 1
+            self.stores += (self.seq, addr, nbytes, ln)
+            self.seq += 1
             hits = stats.atomic_addresses
             hits[addr] = hits.get(addr, 0) + 1
         return old
@@ -587,17 +569,11 @@ class WarpContext:
         """The same group seen through lanes ``owners``: lane ``v`` of
         the result is lane ``owners[v]`` of this one (a lane may repeat),
         with its thread, block rank and warp id."""
-        sub = WarpContext.__new__(WarpContext)
-        sub.blockDim = self.blockDim
-        sub.gridDim = self.gridDim
-        sub.first = self.first
-        sub.blocks = self.blocks
+        sub = copy.copy(self)
         sub.n = len(owners)
-        sub.warp_size = self.warp_size
         sub.warp_ids = self.warp_ids[owners]
         sub.rank = self.rank[owners]
         sub.thread = self.thread[owners]
-        sub._block = self._block
         sub._tid = {}
         sub._bid = {}
         return sub
@@ -636,30 +612,28 @@ def _settle(stats: KernelStats, charges: tuple) -> None:
             for line, counts in zip(hot.tolist(), table[:, hot].T.tolist())})
 
 
+@functools.lru_cache(maxsize=16)
+def _thread_points(block: Dim3) -> tuple[Idx3, ...]:
+    """The ``threadIdx`` of each thread of a ``block``-shaped block, in
+    linear order: built once per shape, not per thread."""
+    return tuple(Idx3(*point) for point in block.iter_points())
+
+
 def run_block(device: Device, kernel: Callable[..., Any], grid: Dim3,
               block: Dim3, block_idx: Idx3, args: tuple[Any, ...],
-              charges: tuple, is_generator: bool) -> _BlockState:
+              charges: tuple, is_generator: bool,
+              points: tuple[Idx3, ...]) -> _BlockState:
     """Execute one block of a per-thread kernel (a generator function
     when ``is_generator``) to completion with lockstep barriers,
     charging the launch's per-line counters ``charges``; returns its
-    finalized state (whose stats leave instructions and atomics at 0)."""
+    finalized state (whose stats leave instructions and atomics at 0).
+    ``points`` are its threads' ``threadIdx`` (:func:`_thread_points`)."""
     state = _BlockState(device, block, charges=charges)
-
-    if not is_generator:
-        # Barrier-free fast path: plain calls in linear-thread order —
-        # no generator allocation, no next() driving, no barrier checks.
-        for (x, y, z) in block.iter_points():
-            ctx = ThreadContext(Idx3(x, y, z), block_idx, block, grid, state)
-            kernel(ctx, *args)
-        state.finalize()
-        return state
-
-    threads = []
-    for (x, y, z) in block.iter_points():
-        ctx = ThreadContext(Idx3(x, y, z), block_idx, block, grid, state)
-        threads.append(kernel(ctx, *args))
-
-    live = list(range(len(threads)))
+    # a barrier-free kernel runs to completion here, in linear-thread
+    # order: plain calls, no generator to drive
+    threads = [kernel(ThreadContext(point, block_idx, block, grid, state),
+                      *args) for point in points]
+    live = list(range(len(threads))) if is_generator else ()
     while live:
         arrived: list[int] = []
         finished: list[int] = []
@@ -730,7 +704,7 @@ def run_grid(device: Device, kernel: Callable[..., Any], grid: Dim3,
         for (bx, by, bz) in grid.iter_points():
             state = run_block(device, kernel, grid, block,
                               Idx3(bx, by, bz), args, charges,
-                              is_generator=is_generator)
+                              is_generator, _thread_points(block))
             merged.merge(state.stats)
             output.extend(state.output)
     _settle(merged, charges)

@@ -346,7 +346,10 @@ class TranslationUnit:
 
 
 #: The node classes :func:`walk` descends through.
-NODES = (Expr, Stmt, FuncDef, GlobalVar, TranslationUnit, Declarator, Param)
+NODES = (Expr, Stmt, SwitchCase, FuncDef, GlobalVar, TranslationUnit,
+         Declarator, Param)
+#: The classes here that are values, not nodes: no walk enters them.
+LEAVES = (CType,)
 _WALKED = NODES + (list,)
 
 

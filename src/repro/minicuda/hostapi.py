@@ -268,15 +268,22 @@ class HostEnv:
                                                      DevicePtr):
             # a __constant__ array of two or more dimensions
             symbol = symbol.storage + symbol.offset
-        if not isinstance(symbol, DevicePtr):
+        if isinstance(symbol, DevicePtr):
+            # a read-only symbol: the host path writes its storage directly
+            target = (symbol.buffer.label, symbol.buffer.data, symbol.offset)
+        elif isinstance(symbol, VarRef):  # a scalar __constant__
+            target = (f"__constant__ {symbol.name}", np.array(
+                [symbol.env.get(symbol.name)], dtype_for(symbol.ctype.base)),
+                0)
+        else:
             raise HostApiError(f"{pos}: cudaMemcpyToSymbol target must be a "
                                "__constant__ symbol")
-        count = int(nbytes) // symbol.dtype.itemsize
+        count = int(nbytes) // target[1].dtype.itemsize
         fault = "cudaMemcpyToSymbol requires a host source"
         data = _span(_host_storage(src, fault), count, "host read")
-        # a read-only symbol: the host path writes its storage directly
-        _span((symbol.buffer.label, symbol.buffer.data, symbol.offset),
-              count, "device write")[:] = data
+        cells = _span(target, count, "device write")
+        cells[:] = data
+        _write_back(symbol, cells)
         return 0
 
     def _do_cudaDeviceSynchronize(self, interp, args, pos) -> int:

@@ -10,15 +10,28 @@ AST assembly).
 ``parser_gen.py``; ``--check`` verifies it is fresh (used by CI).
 """
 
-from repro.minicuda.pegen.generator import generate_parser_source
-from repro.minicuda.pegen.grammar import Grammar, GrammarError
-from repro.minicuda.pegen.metaparser import parse_grammar
+import importlib
+
 from repro.minicuda.pegen.runtime import (
     FAIL,
     ParserBase,
     memoize,
     memoize_left_rec,
 )
+
+#: The build-time names, imported on first use (PEP 562): the parser a
+#: compile runs needs only :mod:`runtime`, so a worker's first compile
+#: does not load the grammar model, the metaparser or the generator.
+_LAZY = {"generate_parser_source": "generator", "Grammar": "grammar",
+         "GrammarError": "grammar", "parse_grammar": "metaparser"}
+
+
+def __getattr__(name: str):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__name__}.{module}"), name)
+
 
 __all__ = [
     "FAIL",

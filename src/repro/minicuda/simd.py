@@ -1553,6 +1553,7 @@ class _WarpEmitter(_FnEmitter):
     def __init__(self, mod: _ModuleEmitter, fn: ast.FuncDef):
         super().__init__(mod, fn, is_device=True)
         self.boxed = frozenset()  # an address-of declines
+        self.inline = False  # uniform code keeps the runtime helpers
         info = mod.info
         self.fn = fn
         self.gen = fn.name in info.barrier_functions
@@ -1592,6 +1593,10 @@ class _WarpEmitter(_FnEmitter):
         if self.pending:
             self.line(f"S[C.line] += {self.pending} * len({self.L})")
             self.pending = 0
+
+    def mark(self, line: int) -> None:
+        super().mark(line)
+        self.line(f"C.line = {line}")  # the runtime helpers charge it
 
     def lanes(self, code: str) -> str:
         """A new lane-set local holding ``code``."""

@@ -22,15 +22,21 @@ contract with the tests' tree-walking oracle
 (``tests/oracle_interpreter.py``):
 
 * **KernelStats parity** — every instruction charge point of the
-  tree-walker is preserved, and all memory traffic still routes
-  through the profiling :class:`ThreadContext`, so the profiled
-  counters are bit-identical to the oracle. Charges in a
-  straight-line stretch of one statement are batched into one
-  ``S[C.line] += n`` (totals are identical; only the interleaving
-  of the counter bumps differs, which nothing observes mid-kernel).
-* **One artifact, profiled or not** — the generated code always marks
-  ``C.line`` at each statement (and before loop conditions and steps)
-  and flushes its charge batch at statement boundaries. The
+  tree-walker is preserved, and every memory access keeps what the
+  profiling :class:`ThreadContext` accessor for it does, emitted in
+  line by one helper (:meth:`_FnEmitter._access`): the storage's own
+  bounds test and fault (the faulting path calls the accessor, which
+  raises), its ``(seq, word, line)`` shared or ``(seq, address, bytes,
+  line)`` global row appended to the thread's trace list the prologue
+  binds (``_TH = C.shared_trace``, ``_TL``, ``_TS``), and its charge.
+  So the counters are bit-identical to the oracle. A kernel keeps its
+  access sequence number and the launch's step count in locals
+  (``_q``, ``_n``), written back around whatever reads them: a call
+  that hands over ``C`` (``read_indexed`` for a base that is not a
+  device pointer, an atomic, a device function) or a barrier.
+* **One artifact, profiled or not** — charges of one statement are
+  batched into one ``S[line] += n`` on a literal line; ``C.line`` is
+  set only before a call that charges through the context. The
   prologue's ``S = C.instr`` is the launch's per-line instruction
   counters, the one charge target of every launch; whether a launch
   also builds a line ledger is decided at bind time, and the block
@@ -40,16 +46,16 @@ contract with the tests' tree-walking oracle
   hoisted onto its own generated line in C evaluation order, so the
   per-thread access sequence (and therefore the coalescing and
   bank-conflict model) matches the oracle exactly.
-* **Operand faults** — an operator whose operands the emitter cannot
-  prove numbers goes through ``interpreter.C_BINARY`` (or ``c_unary``),
-  so a pointer times an int is the oracle's
-  positioned ``invalid operands`` error; proven numbers keep plain
-  Python operators.
+* **Operators** — proven numbers keep plain Python operators, and in
+  device code ``/``, ``%`` and ``float`` rounding on known kinds are
+  the helpers' arithmetic spelled out; an operator whose operands the
+  emitter cannot prove numbers goes through ``interpreter.C_BINARY``
+  (or ``c_unary``), so a pointer times an int is the oracle's
+  positioned ``invalid operands`` error.
 * **Step accounting** is deliberately coarser than the tree-walker's:
   one step of the shared budget per function entry and per loop
-  iteration (rather than per AST node), which still bounds every
-  non-terminating program while keeping the hot loop free of per-node
-  bookkeeping. :class:`KernelHang` carries the same message.
+  iteration, which still bounds every non-terminating program.
+  :class:`KernelHang` carries the same message.
 * **Thread-major, always** — every kernel executes lane by lane (one
   call of the generated function per thread, in linear thread order
   between barriers), exactly the oracle's order. The warp-SIMD tier
@@ -70,9 +76,9 @@ function is compiled into one module with every host function it
 calls, and keyed per definition (:func:`definition_keys`): an attempt
 that edits only a kernel reuses its ``main``.
 
-Error-path divergence is deliberate and documented: a kernel that
-faults mid-statement may have batched instruction charges not yet
-flushed. Successful runs are bit-identical.
+Error-path divergence is deliberate: a kernel that faults
+mid-statement may have batched charges not yet flushed. Successful
+runs are bit-identical.
 
 Compiled kernels and host functions are memoized per definition
 (:func:`definition_keys`: the function's own source and position, the
@@ -87,15 +93,14 @@ times.
 from __future__ import annotations
 
 import bisect
+import ctypes
 import itertools
+import math
 from typing import Any, Callable, Sequence
 
-import numpy as np
-
 from repro.cache.keys import hash_text
-
 from repro.gpusim.grid import Dim3
-from repro.gpusim.memory import DevicePtr, SharedArray
+from repro.gpusim.memory import CTYPE_TO_DTYPE, DevicePtr, SharedArray
 from repro.gpusim.scheduler import SYNC, ThreadContext
 from repro.minicuda import ast_nodes as ast
 from repro.minicuda import builtins as bi
@@ -109,6 +114,7 @@ from repro.minicuda.codegen import (
     _coerce_f32,
     _coerce_f64,
     _coerce_int,
+    _NUMS,
     _flatten_init_exprs,
     _make_coercer,
     memo_key,
@@ -144,14 +150,14 @@ from repro.minicuda.values import (
     NullPtr,
     VarRef,
     coerce,
+    f32,
     sizeof_ctype,
 )
-from repro.minicuda.values import f32 as _f32_shared
 
 #: Bump when generated-source semantics change; part of the memo key so
 #: stale artifacts and unsupported verdicts are never recalled across
 #: compiler upgrades (see ``codegen.memo_key``).
-SRCGEN_VERSION = 8
+SRCGEN_VERSION = 9
 
 #: Estimated resident bytes of one compiled kernel — namespace and
 #: function objects, plus code-object bytes per character of generated
@@ -187,9 +193,7 @@ def _c_eq(a: Any, b: Any) -> int:
 
 
 def _c_ne(a: Any, b: Any) -> int:
-    if isinstance(a, NullPtr) or isinstance(b, NullPtr):
-        return int((a is NULL) != (b is NULL))
-    return int(a != b)
+    return 1 - _c_eq(a, b)
 
 
 def _cast_ptr(value: Any, base: str, pos: Any) -> Any:
@@ -246,12 +250,6 @@ class _NoHost:
 
 
 _NO_HOST = _NoHost()
-
-
-#: The shared binary32 rounding helper (``values.f32``): every engine
-#: routes ``float``-typed coercion through this one function so the
-#: scalar and SIMD tiers provably round identically.
-_f32_round = _f32_shared
 
 
 def _md_oob(i: int, d0: int, j: int, d1: int) -> None:
@@ -332,8 +330,12 @@ _BASE_NS: dict[str, Any] = {
     "_co_f32": _coerce_f32,
     "_co_f64": _coerce_f64,
     "_co_bool": _coerce_bool,
-    "_f32": np.float32,
-    "_f32f": _f32_round,
+    # binary32 rounding: the helper every engine routes ``float``
+    # coercion through, and the ctypes type it rounds with
+    "_f32f": f32,
+    "_f32c": ctypes.c_float,
+    "_fmod": math.fmod,
+    "_NUMS": _NUMS,
 }
 for _name, _impl in _MATH_IMPL.items():
     _BASE_NS[f"_m_{_name}"] = _impl
@@ -353,6 +355,10 @@ _PTR_ELEM = {"float": "float", "double": "float", "int": "int",
 #: The typed-pointer kinds.
 _PTR_KINDS = frozenset(("ptr", elem) for elem in ("int", "float", None))
 
+#: Per coercion kind, the conversion of a number, in line.
+_CONVERT = {"int": "int({})", "f32": "_f32c({}).value", "f64": "float({})",
+            "bool": "bool({})"}
+
 _FLOAT_MATH = frozenset({
     "sqrt", "sqrtf", "rsqrtf", "exp", "expf", "log", "logf", "log2f",
     "pow", "powf", "sin", "sinf", "cos", "cosf", "tanf", "__fdividef",
@@ -361,6 +367,13 @@ _INT_MATH = frozenset({"floor", "floorf", "ceil", "ceilf",
                        "round", "roundf"})
 
 _BUILTIN_IDX = ("threadIdx", "blockIdx", "blockDim", "gridDim")
+
+#: The thread context's trace lists, by the local the code binds each to.
+_TRACES = {"_TL": "loads", "_TS": "stores", "_TH": "shared_trace"}
+
+#: What a kernel keeps in a local: its access sequence number and the
+#: launch's step count (no other thread runs until it yields or ends).
+_LOCALS = {"C.seq": "_q", "I.steps": "_n", "I.max_steps": "_mx"}
 
 
 def _ctype_kinds(ctype: ast.CType | None) -> tuple[Any, str | None]:
@@ -386,6 +399,17 @@ def _ctype_kinds(ctype: ast.CType | None) -> tuple[Any, str | None]:
 
 def _is_numeric(kind: Any) -> bool:
     return kind in _NUMERIC
+
+
+def _is_element(e: ast.Expr) -> bool:
+    """``e`` names an element: ``a[i]`` or ``*p``."""
+    return type(e) is ast.Index or type(e) is ast.Unary and e.op == "*"
+
+
+def _element_kind(place: tuple) -> Any:
+    """What an element at ``place`` holds: "num" in numeric storage,
+    unknown through a pointer (which may hold an array's row)."""
+    return None if place[0] == "global" else "num"
 
 
 def _arith_kind(left: Any, right: Any) -> Any:
@@ -470,12 +494,22 @@ class _FnEmitter:
         self.has_yield = False
         self.used_builtins: set[str] = set()
         self.used_fields: set[tuple[str, str]] = set()
-        self.used_ctx: set[str] = set()
         self.uses_warpsize = False
         #: per enclosing loop or ``switch``, what emits a ``continue``
         self.loop_stack: list[Callable[[], None]] = []
         #: operators around the expression being emitted
         self.depth = 0
+        #: the source line what is emitted now charges (:meth:`mark`)
+        self.at = 0
+        #: operators and coercions on known kinds in line (device code;
+        #: the warp tier's uniform code keeps the helpers)
+        self.inline = not host
+        #: keeps the context's hot fields in locals (:data:`_LOCALS`)
+        self.kernel = not is_device
+        #: the thread trace lists its accesses append to
+        self.traces: set[str] = set()
+        #: declared array's python name -> its place (:meth:`_place`)
+        self.arrays: dict[str, tuple] = {}
 
     # -- low-level emission -------------------------------------------------
 
@@ -484,7 +518,7 @@ class _FnEmitter:
 
     def flush(self) -> None:
         if self.pending:
-            self.line(f"S[C.line] += {self.pending}")
+            self.line(f"S[{self.at}] += {self.pending}")
             self.pending = 0
 
     def charge(self, n: int = 1) -> None:
@@ -492,11 +526,40 @@ class _FnEmitter:
             self.pending += n
 
     def mark(self, line: int) -> None:
-        """Point ``C.line`` at source line ``line`` (device code only):
-        what follows charges to it."""
+        """Make source line ``line`` current (device code only): what
+        follows charges to it, as a literal index. ``C.line`` is set
+        only where the runtime reads it (:meth:`ctx_call`)."""
         if not self.host:
-            self.line(f"C.line = {line}")
+            self.at = line
             self.mod.lines = max(self.mod.lines, line + 1)
+
+    def var(self, field: str) -> str:
+        """Where the code at hand keeps context ``field``."""
+        return _LOCALS[field] if self.kernel else field
+
+    def spill(self, code: str, *fields: str) -> None:
+        """Emit ``code`` with a kernel's locals of ``fields`` written
+        back before it and reloaded after."""
+        for field in fields if self.kernel else ():
+            self.line(f"{field} = {_LOCALS[field]}")
+        self.line(code)
+        for field in fields if self.kernel else ():
+            self.line(f"{_LOCALS[field]} = {field}")
+
+    def ctx_call(self, code: str, *fields: str) -> None:
+        """Emit ``code``, a statement that hands ``C`` to the runtime:
+        around it the context's ``line`` and access sequence number
+        (and ``fields``) are the thread's."""
+        self.line(f"C.line = {self.at}")
+        self.spill(code, "C.seq", *fields)
+
+    def row(self, trace: str, columns: str) -> None:
+        """Append the thread's next access row, ``(seq, columns,
+        line)``, to the trace list ``trace``."""
+        self.traces.add(trace)
+        seq = self.var("C.seq")
+        self.line(f"{trace} += ({seq}, {columns}, {self.at})")
+        self.line(f"{seq} += 1")
 
     def tmp(self) -> str:
         return self.mod.tmp()
@@ -516,12 +579,6 @@ class _FnEmitter:
         """Code that raises ``message`` at ``pos`` when it runs: where
         a checked program never reaches."""
         return f"_err({message!r}, {self.pos(pos)})", None
-
-    def cm(self, method: str) -> str:
-        """A prologue-hoisted bound ctx method (``_cm_x = C.x``) —
-        saves the descriptor bind on every hot memory access."""
-        self.used_ctx.add(method)
-        return f"_cm_{method}"
 
     # -- scopes ---------------------------------------------------------------
 
@@ -558,33 +615,28 @@ class _FnEmitter:
 
     def coerced(self, code: str, kind: Any, cokind: str | None) -> str:
         """Wrap ``code`` with the declared-type coercion, eliding it
-        when the static value kind proves it a no-op."""
-        if cokind is None:
+        when the static value kind proves it a no-op; in device code in
+        line (``_co_*``'s test spelled out, ``float`` rounding as the
+        ctypes round trip of ``values.f32``)."""
+        if cokind is None or cokind == "int" and kind == "int" \
+                or cokind == "f64" and kind == "float":
             return code
-        if cokind == "int":
-            if kind == "int":
-                return code
-            if kind in ("bool", "float"):
-                return f"int({code})"
-            return f"_co_int({code})"
-        if cokind == "f32":
-            if _is_numeric(kind):
-                return f"_f32f({code})"
-            return f"_co_f32({code})"
-        if cokind == "f64":
-            if kind == "float":
-                return code
-            if _is_numeric(kind):
-                return f"float({code})"
-            return f"_co_f64({code})"
-        if cokind == "bool":
-            if _is_numeric(kind):
-                return f"bool({code})"
-            return f"_co_bool({code})"
-        return code
+        conv = _CONVERT[cokind] if self.inline or cokind != "f32" \
+            else "_f32f({})"
+        # (a number of unknown type goes through ``_co_int`` off line)
+        if _is_numeric(kind) and (self.inline or kind != "num"
+                                  or cokind != "int"):
+            return conv.format(code)
+        if not self.inline:
+            return f"_co_{cokind}({code})"
+        t = self.atom(code)
+        return f"({conv.format(t)} if isinstance({t}, _NUMS) else {t})"
 
-    def as_int(self, code: str, kind: Any) -> str:
-        return code if kind in _INT_LIKE else f"int({code})"
+    @staticmethod
+    def as_int(code: str, kind: Any) -> str:
+        """``code`` as a Python ``int`` (a ``bool`` too: it indexes
+        numpy storage), as the accessors' ``int(index)`` makes it."""
+        return code if kind == "int" else f"int({code})"
 
     # -- buffered sub-compilation ----------------------------------------------
 
@@ -706,137 +758,122 @@ class _FnEmitter:
         return (f"member_value({obj_code}, {field!r}, {self.pos(e.pos)})",
                 None)
 
-    def _md_direct(self, e: ast.Index) -> tuple | None:
-        """Recognise ``A[i][j]`` on a locally declared 2-D shared/local
-        array: its dims and flat storage are known at compile time, so
-        the access can bypass the MDView ``sub``/``flat_index`` chain."""
+    # -- memory accesses -------------------------------------------------------
+
+    def _place(self, e: ast.Index | ast.Unary) -> tuple:
+        """Evaluate, in C order, the element ``e`` (``a[i]`` or ``*p``)
+        names: a place for :meth:`_access` — ``(space, storage, its
+        data, index, bound, item size)`` in a local or shared array
+        (``bound``: what the index is still to be checked against; the
+        item size None where only the array knows it), else
+        ``("global", base, index code, its kind, pos, base kind)``.
+        ``A[i][j]`` on a declared 2-D array goes straight to its flat
+        storage, checked as MDView ``sub`` and ``flat_index`` would."""
+        if type(e) is ast.Unary:
+            return self._place_at(self.atom(self.expr(e.operand)[0]), None,
+                                  "0", "int", e.pos)
         inner = e.base
-        if type(inner) is not ast.Index or type(inner.base) is not ast.Ident:
-            return None
-        hit = self.lookup(inner.base.name)
-        if hit is None:
-            return None
-        vkind = hit[1]
-        if not (isinstance(vkind, tuple) and len(vkind) == 3
-                and vkind[0] in ("shared_md", "local_md")
-                and len(vkind[1]) == 2):
-            return None
-        return vkind[0], vkind[2], vkind[1], inner.index, e.index
+        hit = type(inner) is ast.Index and type(inner.base) is ast.Ident \
+            and self.lookup(inner.base.name)
+        array = hit and self.arrays.get(hit[0])
+        if array and hit[1][0].endswith("_md") and len(hit[1][1]) == 2:
+            (d0, d1), (i, j) = hit[1][1], [
+                self.atom(self.as_int(*self.expr(node)))
+                for node in (inner.index, e.index)]
+            self.line(f"if not (0 <= {i} < {d0} and 0 <= {j} < {d1}):")
+            self.line(f"    _md_oob({i}, {d0}, {j}, {d1})")
+            space, store, data, bound, size = array
+            return space, store, data, self.atom(f"{i} * {d1} + {j}",
+                                                 force=True), bound, size
+        base_code, kind = self.expr(e.base)
+        icode, ikind = self.expr(e.index)
+        return self._place_at(self.atom(base_code), kind, icode, ikind, e.pos)
 
-    def _md_flat(self, d0: int, d1: int, i_node: ast.Expr,
-                 j_node: ast.Expr) -> str:
-        """Emit the checked flat index for a direct 2-D access.
-        The bounds test mirrors MDView ``sub`` + ``flat_index``
-        (see :func:`_md_oob` for the matching fault messages)."""
-        icode, ikind = self.expr(i_node)
-        i = self.atom(self.as_int(icode, ikind))
-        jcode, jkind = self.expr(j_node)
-        j = self.atom(self.as_int(jcode, jkind))
-        self.line(f"if not (0 <= {i} < {d0} and 0 <= {j} < {d1}):")
-        self.line(f"    _md_oob({i}, {d0}, {j}, {d1})")
-        return f"({i} * {d1} + {j})"
+    def _place_at(self, base: str, kind: Any, icode: str, ikind: Any,
+                  pos: Any) -> tuple:
+        """The place of ``base[icode]``, ``base`` of value kind
+        ``kind``: the declared array's own data and bound, or what a
+        pointer to its row, or to it, holds at run time."""
+        space = kind[0] if isinstance(kind, tuple) else None
+        if space not in ("shared", "local", "shared_sub", "local_sub"):
+            return "global", base, self.atom(icode), ikind, pos, kind
+        index = self.atom(self.as_int(icode, ikind))
+        if space.endswith("_sub"):  # a row of a 2-D array
+            index = self.atom(f"{base}.flat_index({index})", force=True)
+            space, base = space[:-4], f"{base}.storage"
+        elif base in self.arrays:  # the declared array itself
+            space, store, data, bound, size = self.arrays[base]
+            return space, store, data, index, bound, size
+        bound = f"{base}.size" if space == "shared" else f"{base}.data.size"
+        return space, base, f"{base}.data", index, bound, None
 
-    def _index_pair(self, e: ast.Index) -> tuple[str, Any, str, Any]:
-        direct = self._md_direct(e)
-        if direct is not None:
-            space, store, (d0, d1), i_node, j_node = direct
-            flat = self._md_flat(d0, d1, i_node, j_node)
-            kind = ("shared_flat",) if space == "shared_md" \
-                else ("local_flat",)
-            return store, kind, flat, "int"
-        base_code, base_kind = self.expr(e.base)
-        base = self.atom(base_code)
-        index_code, index_kind = self.expr(e.index)
-        return base, base_kind, index_code, index_kind
+    def _access(self, place: tuple, value: str | None = None) -> str:
+        """Emit a load at ``place`` (:meth:`_place`) into a temporary,
+        which it returns, or a store of ``value``, doing what the
+        storage's accessor does: on the faulting path it calls that
+        accessor, which raises; a shared access appends its ``(seq,
+        word, line)`` row; one instruction is charged."""
+        t = self.tmp() if value is None else value
+        if place[0] == "global":
+            return self._global(*place[1:5], t, value)
+        space, store, data, index, bound, size = place
+        if bound is not None:
+            call = "read({})" if value is None else "write({}, " + t + ")"
+            self.line(f"if not 0 <= {index} < {bound}: "
+                      f"{store}.{call.format(index)}")
+        if space == "shared":
+            self.row("_TH", index if size == 4 else
+                     f"{index} * {size or f'{store}._itemsize'} // 4")
+        self.charge(1)
+        self.line(f"{t} = {data}.item({index})" if value is None
+                  else f"{data}[{index}] = {t}")
+        return t
+
+    def _global(self, base: str, icode: str, ikind: Any, pos: Any, t: str,
+                value: str | None) -> str:
+        """:meth:`_access` through a pointer: a device pointer's buffer
+        in line, with its ``(seq, address, bytes, line)`` row; any other
+        base, and host code, through the walker's dispatch."""
+        walker = (f"{t} = read_indexed({base}, {icode}, {{}}, "
+                  if value is None else
+                  f"write_indexed({base}, {icode}, {t}, {{}}, ") \
+            + f"{self.pos(pos)})"
+        if self.host:
+            self.line(walker.format("None"))
+            return t
+        buf, i = self.tmp(), self.tmp()
+        self.line(f"if type({base}) is DevicePtr:")
+        self.indent += 1
+        self.line(f"{buf} = {base}.buffer")
+        self.line(f"{i} = {base}.offset + {self.as_int(icode, ikind)}")
+        check = f"{buf}.freed or not 0 <= {i} < {buf}.data.size: {buf}."
+        if value is None:
+            self.line(f"if {check}read({i})")
+            self.line(f"{t} = {buf}.data.item({i})")
+        else:
+            self.line(f"if {buf}.read_only or {check}write({i}, {t})")
+            self.line(f"{buf}.data[{i}] = {t}")
+        self.row("_TL" if value is None else "_TS",
+                 f"{buf}._base + {i} * {buf}._itemsize, {buf}._itemsize")
+        self.line(f"S[{self.at}] += 1")
+        self.indent -= 1
+        self.line("else:")
+        self.indent += 1
+        self.ctx_call(walker.format("C"))
+        self.indent -= 1
+        return t
 
     def _index_read(self, e: ast.Index) -> tuple[str, Any]:
-        base, bkind, icode, ikind = self._index_pair(e)
-        if isinstance(bkind, tuple) and bkind[0] in ("shared_md",
-                                                     "local_md"):
-            sub = self.tmp()
-            self.line(f"{sub} = {base}.sub({self.as_int(icode, ikind)})")
-            if len(bkind[1]) == 2:
-                return sub, (bkind[0].split('_')[0] + "_sub",)
+        place = self._place(e)
+        _g, base, icode, ikind, _pos, kind = place
+        if _g == "global" and isinstance(kind, tuple) \
+                and kind[0] in ("shared_md", "local_md"):
+            sub = self.atom(f"{base}.sub({self.as_int(icode, ikind)})",
+                            force=True)
+            if len(kind[1]) == 2:
+                return sub, (kind[0].split('_')[0] + "_sub",)
             return sub, None
-        return self._emit_load_from(base, bkind, icode, ikind, e.pos)
-
-    def _emit_store(self, base: str, bkind: Any, icode: str, ikind: Any,
-                    value: str, pos: Any) -> None:
-        if bkind == "shared":
-            self.line(f"{self.cm('shared_store')}({base}, {icode}, "
-                      f"{value})")
-            return
-        if bkind == "localarray":
-            self.charge(1)
-            self.line(f"{base}.write({self.as_int(icode, ikind)}, {value})")
-            return
-        if isinstance(bkind, tuple) and bkind[0] == "shared_flat":
-            self.line(f"{self.cm('shared_store')}({base}, {icode}, "
-                      f"{value})")
-            return
-        if isinstance(bkind, tuple) and bkind[0] == "local_flat":
-            self.charge(1)
-            self.line(f"{base}.write({icode}, {value})")
-            return
-        if isinstance(bkind, tuple) and bkind[0] == "shared_sub":
-            self.line(f"{self.cm('shared_store')}({base}.storage, "
-                      f"{base}.flat_index({self.as_int(icode, ikind)}), "
-                      f"{value})")
-            return
-        if isinstance(bkind, tuple) and bkind[0] == "local_sub":
-            self.charge(1)
-            self.line(f"{base}.storage.write("
-                      f"{base}.flat_index({self.as_int(icode, ikind)}), "
-                      f"{value})")
-            return
-        if self.host:
-            self.line(f"write_indexed({base}, {icode}, {value}, None, "
-                      f"{self.pos(pos)})")
-            return
-        self.line(f"if type({base}) is DevicePtr:")
-        self.line(f"    {self.cm('store')}({base}, "
-                  f"{self.as_int(icode, ikind)}, {value})")
-        self.line("else:")
-        self.line(f"    write_indexed({base}, {icode}, {value}, C, "
-                  f"{self.pos(pos)})")
-
-    def _emit_load_from(self, base: str, bkind: Any, icode: str, ikind: Any,
-                        pos: Any) -> tuple[str, Any]:
-        """Load ``base[icode]`` into a temporary; returns it and its
-        kind — "num" from numeric storage, unknown through a pointer
-        (which may hold an array's row)."""
-        t = self.tmp()
-        kind = "num"
-        if bkind == "shared":
-            self.line(f"{t} = {self.cm('shared_load')}({base}, {icode})")
-        elif bkind == "localarray":
-            self.charge(1)
-            self.line(f"{t} = {base}.read({self.as_int(icode, ikind)})")
-        elif isinstance(bkind, tuple) and bkind[0] == "shared_flat":
-            self.line(f"{t} = {self.cm('shared_load')}({base}, {icode})")
-        elif isinstance(bkind, tuple) and bkind[0] == "local_flat":
-            self.charge(1)
-            self.line(f"{t} = {base}.read({icode})")
-        elif isinstance(bkind, tuple) and bkind[0] == "shared_sub":
-            self.line(f"{t} = {self.cm('shared_load')}({base}.storage, "
-                      f"{base}.flat_index({self.as_int(icode, ikind)}))")
-        elif isinstance(bkind, tuple) and bkind[0] == "local_sub":
-            self.charge(1)
-            self.line(f"{t} = {base}.storage.read("
-                      f"{base}.flat_index({self.as_int(icode, ikind)}))")
-        elif self.host:
-            kind = None
-            self.line(f"{t} = read_indexed({base}, {icode}, None, "
-                      f"{self.pos(pos)})")
-        else:
-            kind = None
-            icode = self.atom(icode)
-            self.line(
-                f"{t} = {self.cm('load')}({base}, "
-                f"{self.as_int(icode, ikind)}) "
-                f"if type({base}) is DevicePtr "
-                f"else read_indexed({base}, {icode}, C, {self.pos(pos)})")
-        return t, kind
+        return self._access(place), _element_kind(place)
 
     def _binary(self, e: ast.Binary) -> tuple[str, Any]:
         op = e.op
@@ -872,17 +909,39 @@ class _FnEmitter:
             return f"{checked}({lcode}, {rcode}, {self.pos(pos)})", kind
         if op in _COMPARISONS or op in ("==", "!="):
             return f"(1 if {lcode} {op} {rcode} else 0)", "int"
+        kind = _arith_kind(lkind, rkind)
         if op in ("+", "-", "*"):
-            return f"({lcode} {op} {rcode})", _arith_kind(lkind, rkind)
-        if op == "/":
-            return f"_c_div({lcode}, {rcode})", _arith_kind(lkind, rkind)
-        if op == "%":
-            return f"_c_mod({lcode}, {rcode})", _arith_kind(lkind, rkind)
+            return f"({lcode} {op} {rcode})", kind
+        if op in ("/", "%"):
+            return self._divide(op, lcode, rcode, kind), kind
         if op in ("<<", ">>", "&", "|", "^"):
             li = lcode if lkind in _INT_LIKE else f"int({lcode})"
             ri = rcode if rkind in _INT_LIKE else f"int({rcode})"
             return f"({li} {op} {ri})", "int"
         raise UnsupportedConstruct(f"binary operator {op!r}")
+
+    def _divide(self, op: str, a: str, b: str, kind: Any) -> str:
+        """C's ``a / b`` or ``a % b`` on numbers of arithmetic ``kind``:
+        in device code, where the kinds tell ints from floats, the
+        arithmetic of ``_c_div``/``_c_mod`` in line (a zero divisor
+        still calls the helper, for its fault or infinity)."""
+        helper = "_c_div" if op == "/" else "_c_mod"
+        if not self.inline or kind not in ("int", "float"):
+            return f"{helper}({a}, {b})"
+        if kind == "float":
+            if op == "%":
+                return f"_fmod({a}, {b})"
+            a, b = self.atom(a), self.atom(b)
+            return f"({a} / {b} if {b} else _c_div({a}, {b}))"
+        # a quotient truncates, a remainder takes the dividend's sign
+        a, b = self.atom(a), self.atom(b)
+        if b.isdigit() and b != "0":
+            neg = f"-(-{a} // {b})" if op == "/" else f"-(-{a} % {b})"
+            return f"({a} {op.replace('/', '//')} {b} if {a} >= 0 else {neg})"
+        same, other = ((f"{a} // {b}", f"-(-{a} // {b})") if op == "/"
+                       else (f"{a} % {b}", f"{a} % -{b}"))
+        return (f"(({same} if ({a} < 0) == ({b} < 0) else {other}) "
+                f"if {b} else {helper}({a}, {b}))")
 
     def _operands(self, e: ast.Binary | ast.Unary, *kinds: Any) -> None:
         """Where a subclass declines operator ``e`` by the kinds of its
@@ -900,21 +959,27 @@ class _FnEmitter:
             if e.op == "&&":
                 return f"({rbool} if {lbool} else 0)", "int"
             return f"(1 if {lbool} else {rbool})", "int"
+        if e.op == "&&":
+            return self._select(lbool, (rlines, rbool, rcharges),
+                                ([], "0", 0)), "int"
+        return self._select(f"not ({lbool})", (rlines, rbool, rcharges),
+                            ([], "1", 0)), "int"
+
+    def _select(self, test: str, *arms: tuple) -> str:
+        """An ``if`` on ``test`` between two sub-expressions' (lines,
+        code, charges) (:meth:`subexpr`); the temporary it sets."""
         t = self.tmp()
         self.flush()
-        if e.op == "&&":
-            self.line(f"if {lbool}:")
-        else:
-            self.line(f"if not ({lbool}):")
-        self.indent += 1
-        self.splice(rlines)
-        self.pending = rcharges
-        self.flush()
-        self.line(f"{t} = {rbool}")
-        self.indent -= 1
-        self.line("else:")
-        self.line(f"    {t} = {'0' if e.op == '&&' else '1'}")
-        return t, "int"
+        for head, (lines, code, charges) in zip((f"if {test}:", "else:"),
+                                                arms):
+            self.line(head)
+            self.indent += 1
+            self.splice(lines)
+            self.pending = charges
+            self.flush()
+            self.line(f"{t} = {code}")
+            self.indent -= 1
+        return t
 
     def _conditional(self, e: ast.Conditional) -> tuple[str, Any]:
         ccode, ckind = self.expr(e.cond)
@@ -924,23 +989,8 @@ class _FnEmitter:
         kind = tkind if tkind == ekind else None
         if not tlines and not elines and not tcharges and not echarges:
             return f"({tcode} if {cbool} else {ecode})", kind
-        t = self.tmp()
-        self.flush()
-        self.line(f"if {cbool}:")
-        self.indent += 1
-        self.splice(tlines)
-        self.pending = tcharges
-        self.flush()
-        self.line(f"{t} = {tcode}")
-        self.indent -= 1
-        self.line("else:")
-        self.indent += 1
-        self.splice(elines)
-        self.pending = echarges
-        self.flush()
-        self.line(f"{t} = {ecode}")
-        self.indent -= 1
-        return t, kind
+        return self._select(cbool, (tlines, tcode, tcharges),
+                            (elines, ecode, echarges)), kind
 
     def _unary(self, e: ast.Unary) -> tuple[str, Any]:
         op = e.op
@@ -949,8 +999,8 @@ class _FnEmitter:
         code, kind = self.expr(e.operand)
         if op == "*":
             self.charge(1)
-            return self._emit_load_from(self.atom(code), None, "0", "int",
-                                        e.pos)
+            return self._access(self._place_at(self.atom(code), None, "0",
+                                               "int", e.pos)), None
         self._operands(e, kind)
         self.charge(1)
         if op == "+":
@@ -1030,35 +1080,19 @@ class _FnEmitter:
                 return (t, vk) if want_value else ("0", "int")
             return self.fault(f"assignment to undefined variable {name!r}",
                               target.pos)
-        if isinstance(target, ast.Index):
-            base, bkind, icode, ikind = self._index_pair(target)
-            icode = self.atom(icode)
-            vcode, vk = self.expr(e.value)
-            if compound:
-                cur, curk = self._emit_load_from(base, bkind, icode, ikind,
-                                                 target.pos)
-                vcode, vk = self._operate(bop, cur, curk, vcode, vk, e.pos)
-                vcode = self.atom(vcode, force=True)
-            elif want_value:
-                vcode = self.atom(vcode, force=True)
-            self.charge(1)
-            self._emit_store(base, bkind, icode, ikind, vcode, target.pos)
-            return vcode, vk
-        if isinstance(target, ast.Unary) and target.op == "*":
-            pcode, _ = self.expr(target.operand)
-            ptr = self.atom(pcode)
-            vcode, vk = self.expr(e.value)
-            if compound:
-                cur, curk = self._emit_load_from(ptr, None, "0", "int",
-                                                 target.pos)
-                vcode, vk = self._operate(bop, cur, curk, vcode, vk, e.pos)
-                vcode = self.atom(vcode, force=True)
-            elif want_value:
-                vcode = self.atom(vcode, force=True)
-            self.charge(1)
-            self._emit_store(ptr, None, "0", "int", vcode, target.pos)
-            return vcode, vk
-        return self.fault("expression is not assignable", target.pos)
+        if not _is_element(target):
+            return self.fault("expression is not assignable", target.pos)
+        place = self._place(target)
+        vcode, vk = self.expr(e.value)
+        if compound:
+            vcode, vk = self._operate(bop, self._access(place),
+                                      _element_kind(place), vcode, vk, e.pos)
+            vcode = self.atom(vcode, force=True)
+        elif want_value:
+            vcode = self.atom(vcode, force=True)
+        self.charge(1)
+        self._access(place, vcode)
+        return vcode, vk
 
     def _incdec(self, e: ast.IncDec, want_value: bool) -> tuple[str, Any]:
         bop = e.op[0]
@@ -1092,20 +1126,14 @@ class _FnEmitter:
                 return (new if e.prefix else old), None
             return self.fault(f"assignment to undefined variable {name!r}",
                               target.pos)
-        if isinstance(target, ast.Index):
-            base, bkind, icode, ikind = self._index_pair(target)
-            icode = self.atom(icode)
-        elif isinstance(target, ast.Unary) and target.op == "*":
-            pcode, _ = self.expr(target.operand)
-            base, bkind, icode, ikind = self.atom(pcode), None, "0", "int"
-        else:
+        if not _is_element(target):
             return self.fault("expression is not assignable", target.pos)
-        old, kind = self._emit_load_from(base, bkind, icode, ikind,
-                                         target.pos)
+        place = self._place(target)
+        old, kind = self._access(place), _element_kind(place)
         new = self.atom(self._operate(bop, old, kind, "1", "int", e.pos)[0],
                         force=True)
         self.charge(1)
-        self._emit_store(base, bkind, icode, ikind, new, target.pos)
+        self._access(place, new)
         return (new if e.prefix else old), kind
 
     # -- calls -------------------------------------------------------------------
@@ -1142,23 +1170,20 @@ class _FnEmitter:
         fn = self.mod.info.device_functions.get(name)
         if fn is not None:
             pyfn = self.mod.ensure_callee(name)
-            codes = [self.expr(a)[0] for a in e.args]
+            args = [self.expr(a) for a in e.args]
+            # the arguments arrive coerced to the parameters' types
+            codes = [self.coerced(code, kind, _ctype_kinds(p.type)[1])
+                     for (code, kind), p in zip(args, fn.params)]
+            codes += [code for code, _kind in args[len(codes):]]
             self.charge(1)
             t = self.tmp()
-            argstr = ", ".join([""] + codes) if codes else ""
-            # callee statements re-mark C.line; the call charge and
-            # everything after belongs to the call site
-            self.flush()
-            sv = self.tmp()
-            self.line(f"{sv} = C.line")
             # a callee that may reach a barrier is a generator: its
             # yields are this thread's
-            call = f"{pyfn}(C, I, S{argstr})"
+            call = f"{pyfn}(C, I, S{''.join(', ' + c for c in codes)})"
             if name in self.mod.info.barrier_functions:
                 call = f"yield from {call}"
                 self.has_yield = True
-            self.line(f"{t} = {call}")
-            self.line(f"C.line = {sv}")
+            self.ctx_call(f"{t} = {call}", "I.steps")
             return t, None
         return self.fault(f"unknown device function {name!r}", e.pos)
 
@@ -1173,6 +1198,16 @@ class _FnEmitter:
         ``&x`` arguments arrive as ``VarRef``s through ``_unary``."""
         name = e.name
         codes = [self.expr(a)[0] for a in e.args]
+        symbol = e.args[0] if e.args else None
+        if name == "cudaMemcpyToSymbol" and type(symbol) is ast.Ident \
+                and self.lookup(symbol.name) is None and any(
+                    g.decl.constant and not d.type.is_array
+                    and d.name == symbol.name
+                    for g in self.mod.info.unit.globals
+                    for d in g.decl.declarators):
+            # a scalar __constant__ is copied to through a reference,
+            # as ``&x`` is
+            codes[0] = f"VarRef(I.globals, {symbol.name!r})"
         t = self.tmp()
         if self._host_callee(name) is not None:
             pyfn = self.mod.ensure_callee(name, host=True)
@@ -1218,16 +1253,10 @@ class _FnEmitter:
         vals = [self.atom(self.expr(a)[0]) for a in e.args[1:]]
         self.line(resolve)
         t = self.tmp()
+        method = "atomic_" + name[6:].lower()  # atomicCAS: atomic_cas
         if name == "atomicSub":
-            self.line(f"{t} = C.atomic_add({rt}, {ri}, -{vals[0]})")
-        elif name == "atomicCAS":
-            self.line(f"{t} = C.atomic_cas({rt}, {ri}, {vals[0]}, "
-                      f"{vals[1]})")
-        else:
-            method = {"atomicAdd": "atomic_add", "atomicMax": "atomic_max",
-                      "atomicMin": "atomic_min",
-                      "atomicExch": "atomic_exch"}[name]
-            self.line(f"{t} = C.{method}({rt}, {ri}, {vals[0]})")
+            method, vals[0] = "atomic_add", f"-{vals[0]}"
+        self.ctx_call(f"{t} = C.{method}({rt}, {ri}, {', '.join(vals)})")
         return t, None
 
     # -- conditions ----------------------------------------------------------------
@@ -1262,39 +1291,22 @@ class _FnEmitter:
         if cls is ast.Empty:
             return
         # Mark the statement's line and flush the charge batch at both
-        # statement boundaries: every ``S[C.line] += n`` lands on
-        # whatever ``C.line`` holds at flush time, so a batch must
-        # never straddle a line change.
+        # statement boundaries: a flush charges the line current when
+        # it is emitted, so a batch must never straddle a line change.
         self.flush()
         self.mark(s.pos.line)
-        if cls is ast.ExprStmt:
-            self._effect(s.expr)
-        elif cls is ast.DeclStmt:
-            for decl in s.declarators:
-                self._declarator(decl, s)
-        elif cls is ast.If:
-            self._if(s)
-        elif cls is ast.While:
-            self._while(s)
-        elif cls is ast.DoWhile:
-            self._dowhile(s)
-        elif cls is ast.For:
-            self._for(s)
-        elif cls is ast.Return:
-            self._return(s)
-        elif cls is ast.Break:
-            self._break(s)
-        elif cls is ast.Continue:
-            self._continue(s)
-        elif cls is ast.Switch:
-            self._switch(s)
-        elif cls is ast.AccIndex:
-            self._acc_index(s)
-        elif cls is ast.AccParallelLoop and self.host:
-            self._acc_loop(s)
-        else:
+        method = _STATEMENTS.get(cls)
+        if method is None or cls is ast.AccParallelLoop and not self.host:
             raise UnsupportedConstruct(f"statement {cls.__name__}")
+        getattr(self, method)(s)
         self.flush()
+
+    def _expr_stmt(self, s: ast.ExprStmt) -> None:
+        self._effect(s.expr)
+
+    def _decl_stmt(self, s: ast.DeclStmt) -> None:
+        for decl in s.declarators:
+            self._declarator(decl, s)
 
     def _effect(self, expr: ast.Expr) -> None:
         """``expr`` for its effects alone: an expression statement, a
@@ -1306,7 +1318,7 @@ class _FnEmitter:
                 if not code.isidentifier():
                     self.line(code)
             self.flush()
-            self.line("yield SYNC")
+            self.spill("yield SYNC", "I.steps")
             self.has_yield = True
             return
         if isinstance(expr, ast.Assign):
@@ -1322,65 +1334,47 @@ class _FnEmitter:
     def _declarator(self, decl: ast.Declarator, s: ast.DeclStmt) -> None:
         ctype = decl.type
         name = decl.name
-        if s.shared:
-            if self.host:
+        if s.shared or ctype.is_array:
+            if s.shared and self.host:
                 raise UnsupportedConstruct("__shared__ outside device code")
             dims = tuple(ctype.array_dims or (1,))
-            total = 1
-            for d in dims:
-                total *= d
-            md = len(ctype.array_dims) > 1
-            alloc = f"C.shared({name!r}, {total}, {ctype.base!r})"
-            if md:
-                # keep the flat storage in its own local so 2-D
-                # accesses can bypass the MDView wrapper entirely
-                store = f"_s{self.mod.nextvar()}_{name}"
-                py = self.declare(name, ("shared_md", dims, store), None)
-                self.line(f"{store} = {alloc}")
-                self.line(f"{py} = MDView({store}, {dims!r})")
-            else:
-                py = self.declare(name, "shared", None)
-                self.line(f"{py} = {alloc}")
-            return
-        if ctype.is_array:
-            total = 1
-            for d in ctype.array_dims:
-                total *= d
-            dims = tuple(ctype.array_dims)
+            total = math.prod(dims)
+            space = "shared" if s.shared else "local"
+            inits = [] if decl.init is None else [
+                self.atom(self.expr(e2)[0])
+                for e2 in _flatten_init_exprs(decl.init)]
+            # a shared array's element size and bound are known where no
+            # other declaration of its name may have allocated it first
+            size = s.shared and self.mod.shared_size(name, (total,
+                                                            ctype.base))
             md = len(dims) > 1
-            init_codes = None
-            if decl.init is not None:
-                init_codes = [self.atom(self.expr(e2)[0])
-                              for e2 in _flatten_init_exprs(decl.init)]
+            py = self.declare(name, (f"{space}_md", dims) if md else (space,),
+                              None, ctype)
+            n = self.mod.nextvar()
+            # a 2-D array's flat storage in a local of its own, which
+            # its direct accesses index
+            store, data = f"_s{n}_{name}" if md else py, f"_d{n}_{name}"
+            bound = total if size or not s.shared else f"{store}.size"
+            self.arrays[py] = (space, store, data,
+                               None if md and bound == total else bound,
+                               size or None)
+            self.line(f"{store} = " + (
+                f"C.shared({name!r}, {total}, {ctype.base!r})" if s.shared
+                else f"LocalArray({name!r}, {total}, {ctype.base!r})"))
+            self.line(f"{data} = {store}.data")
+            for i, code in enumerate(inits[:total]):
+                self.line(f"{data}[{i}] = {code}")
             if md:
-                arr = f"_s{self.mod.nextvar()}_{name}"
-                py = self.declare(name, ("local_md", dims, arr), None, ctype)
-            else:
-                arr = self.tmp()
-                py = self.declare(name, "localarray", None, ctype)
-            self.line(f"{arr} = LocalArray({name!r}, {total}, "
-                      f"{ctype.base!r})")
-            if init_codes is not None:
-                for i, code in enumerate(init_codes[:total]):
-                    self.line(f"{arr}.write({i}, {code})")
-            if md:
-                self.line(f"{py} = MDView({arr}, {dims!r})")
-            else:
-                self.line(f"{py} = {arr}")
+                self.line(f"{py} = MDView({store}, {dims!r})")
             return
         if ctype.base == "dim3" and not ctype.is_pointer:
             if decl.ctor_args:
                 parts = [self.expr(a)[0] for a in decl.ctor_args]
-                py = self.declare(name, "dim3", None, ctype)
-                self.line(f"{py} = _make_dim3([{', '.join(parts)}], "
-                          f"{self.pos(s.pos)})")
-            elif decl.init is not None:
-                code, _ = self.expr(decl.init)
-                py = self.declare(name, "dim3", None, ctype)
-                self.line(f"{py} = {code}")
+                code = f"_make_dim3([{', '.join(parts)}], {self.pos(s.pos)})"
             else:
-                py = self.declare(name, "dim3", None, ctype)
-                self.line(f"{py} = Dim3(1, 1, 1)")
+                code = "Dim3(1, 1, 1)" if decl.init is None \
+                    else self.expr(decl.init)[0]
+            self.line(f"{self.declare(name, 'dim3', None, ctype)} = {code}")
             return
         vkind, cokind = _ctype_kinds(ctype)
         if decl.init is not None:
@@ -1404,7 +1398,9 @@ class _FnEmitter:
         gid = self.tmp()
         self.line(f"{gid} = C.blockIdx.x * C.blockDim.x + C.threadIdx.x")
         self.line(f"if {gid} >= {self.lookup(ACC_COUNT)[0]}:")
-        self.line("    return")
+        self.indent += 1
+        self._exit("return")
+        self.indent -= 1
         vkind, cokind = _ctype_kinds(s.type)
         py = self.declare(s.var, vkind, cokind, s.type)
         index = f"({self.lookup(ACC_START)[0]} + {gid})"
@@ -1463,8 +1459,8 @@ class _FnEmitter:
         self.indent -= 1
 
     def _steps(self, pos: Any) -> None:
-        self.line("I.steps += 1")
-        self.line("if I.steps > I.max_steps:")
+        self.line(f"{self.var('I.steps')} += 1")
+        self.line(f"if {self.var('I.steps')} > {self.var('I.max_steps')}:")
         self.line(f"    raise KernelHang(_HANG_MSG, {self.pos(pos)})")
 
     def _loop_body(self, body: ast.Stmt, tail: Callable[[], None]) -> None:
@@ -1484,7 +1480,7 @@ class _FnEmitter:
 
     def _loop_test(self, s: ast.While | ast.DoWhile | ast.For) -> None:
         """Leave loop ``s`` unless its condition holds; the body moved
-        ``C.line``, and the condition's charges belong to the loop."""
+        the current line, and the condition's charges are the loop's."""
         self.mark(s.pos.line)
         cond = self.cond(s.cond)
         self.flush()
@@ -1594,7 +1590,7 @@ class _FnEmitter:
     def _return(self, s: ast.Return) -> None:
         if s.value is None:
             self.flush()
-            self.line("return" if not self.is_device else "return None")
+            self._exit("return" if not self.is_device else "return None")
             return
         code, _ = self.expr(s.value)
         self.flush()
@@ -1603,7 +1599,14 @@ class _FnEmitter:
         else:
             if not (code.isidentifier() or code.isdigit()):
                 self.line(code)
-            self.line("return")
+            self._exit("return")
+
+    def _exit(self, code: str) -> None:
+        """``code``, which leaves the function: a kernel writes back its
+        step count first."""
+        if self.kernel:
+            self.line("I.steps = _n")
+        self.line(code)
 
     def _break(self, s: ast.Break) -> None:
         self.flush()
@@ -1612,6 +1615,15 @@ class _FnEmitter:
     def _continue(self, s: ast.Continue) -> None:
         self.flush()
         self.loop_stack[-1]()
+
+
+#: Statement class -> the :class:`_FnEmitter` method that emits it.
+_STATEMENTS = {
+    ast.ExprStmt: "_expr_stmt", ast.DeclStmt: "_decl_stmt", ast.If: "_if",
+    ast.While: "_while", ast.DoWhile: "_dowhile", ast.For: "_for",
+    ast.Return: "_return", ast.Break: "_break", ast.Continue: "_continue",
+    ast.Switch: "_switch", ast.AccIndex: "_acc_index",
+    ast.AccParallelLoop: "_acc_loop"}
 
 
 # -- module assembly ---------------------------------------------------------
@@ -1634,6 +1646,20 @@ class _ModuleEmitter:
     def tmp(self) -> str:
         self._counter += 1
         return f"_t{self._counter}"
+
+    def shared_size(self, name: str, shape: tuple[int, str]) -> int | None:
+        """The element size of ``__shared__`` array ``name`` of
+        ``shape`` (elements, base type) when every ``__shared__``
+        declaration of the name in the program's device code has that
+        shape, so that whichever runs first allocates it so; else None."""
+        shapes = {(math.prod(d.type.array_dims or (1,)), d.type.base)
+                  for fn in (*self.info.kernels.values(),
+                             *self.info.device_functions.values())
+                  for node in ast.walk(fn.body)
+                  if type(node) is ast.DeclStmt and node.shared
+                  for d in node.declarators if d.name == name}
+        dtype = CTYPE_TO_DTYPE.get(shape[1])
+        return dtype.itemsize if dtype and shapes == {shape} else None
 
     def nextvar(self) -> int:
         self._counter += 1
@@ -1679,8 +1705,9 @@ class _ModuleEmitter:
 
     def _bind_params(self, em: _FnEmitter, fn: ast.FuncDef) -> str:
         """Declare the parameters and emit their copies into locals
-        (coerced to the declared type for a called function; a
-        kernel's arguments are coerced once per launch, at bind)."""
+        (coerced to the declared type for a called host function; a
+        device function's caller coerces its arguments, and a kernel's
+        are coerced once per launch, at bind)."""
         em.push()
         params = []
         for i, param in enumerate(fn.params):
@@ -1688,26 +1715,26 @@ class _ModuleEmitter:
             py = em.declare(param.name or f"_unnamed{i}", vkind, cokind,
                             param.type)
             params.append(f"_a{i}")
-            if _make_coercer(param.type) is None or not em.is_device:
-                em.line(f"{py} = _a{i}")
-            else:
-                fname = {"int": "_co_int", "f32": "_co_f32",
-                         "f64": "_co_f64", "bool": "_co_bool"}[cokind]
-                em.line(f"{py} = {fname}(_a{i})")
+            em.line(f"{py} = _a{i}" if cokind is None or not em.is_device
+                    or em.inline else f"{py} = _co_{cokind}(_a{i})")
         em.push()
         return ", ".join([""] + params) if params else ""
 
     def _prologue(self, em: _FnEmitter, pos: Any) -> list[str]:
         pad = "    " if em.is_device else "        "
-        out = [pad + "I.steps += 1",
-               pad + "if I.steps > I.max_steps:",
+        steps, limit = em.var("I.steps"), em.var("I.max_steps")
+        out = [pad + f"{steps} += 1" if steps == "I.steps" else
+               pad + "_n, _mx = I.steps + 1, I.max_steps",
+               pad + f"if {steps} > {limit}:",
                pad + f"    raise KernelHang(_HANG_MSG, {self.pos(pos)})"]
         for name in sorted(em.used_builtins):
             out.append(pad + f"_bi_{name} = C.{name}")
         for name, fld in sorted(em.used_fields):
             out.append(pad + f"_bi_{name}_{fld} = C.{name}.{fld}")
-        for method in sorted(em.used_ctx):
-            out.append(pad + f"_cm_{method} = C.{method}")
+        for trace in sorted(em.traces):
+            out.append(pad + f"{trace} = C.{_TRACES[trace]}")
+        if em.kernel:
+            out.append(pad + "_q = C.seq")
         if em.uses_warpsize:
             out.append(pad + "_warpSize = C._block.device.spec.warp_size")
         if em.uses_host_env:
@@ -1740,7 +1767,7 @@ class _ModuleEmitter:
         header = [f"def _mk(I{params}):",
                   "    def _t(C):"]
         charges = ["        S = C.instr"]
-        footer = ["    return _t", ""]
+        footer = ["        I.steps = _n", "    return _t", ""]
         self.module_lines.extend(
             header + self._prologue(em, fn.pos) + charges + em.lines + footer)
         ns, nbytes = self._load(fn.name)
@@ -1788,9 +1815,7 @@ def compile_kernel(info: ProgramInfo, name: str) -> CompiledSrcKernel | None:
     which). Both outcomes are memoized in the shared
     :data:`repro.minicuda.codegen.KERNEL_CACHE` — and nowhere else: an
     evicted kernel is recompiled — under a versioned ``codegen`` engine
-    key. Profiled and unprofiled launches share the one artifact: it
-    always marks ``C.line``, and only a profiled launch (``bind``)
-    charges anything to it.
+    key. Profiled and unprofiled launches share the one artifact.
     """
     value = _kernel_verdict(info, name)
     return None if type(value) is Declined else value

@@ -327,6 +327,43 @@ class TestPinnedCounters:
             assert_ledger_totals(stats)
 
 
+class TestBankReplays:
+    """The one-sort bank-replay reduction against its definition: per
+    warp request, the most distinct words on one bank, less one,
+    charged to the request's least line."""
+
+    @staticmethod
+    def reference(rows):
+        words_on = {}
+        for key, word, line in rows.tolist():
+            request = words_on.setdefault(key, [{}, line])
+            request[0].setdefault(word % 32, set()).add(word)
+            request[1] = min(request[1], line)
+        replays, lines = 0, {}
+        for per_bank, line in words_on.values():
+            extra = max(map(len, per_bank.values())) - 1
+            replays += extra
+            lines[line] = lines.get(line, 0) + extra
+        return replays, lines
+
+    @pytest.mark.parametrize("word_bits", (6, 24))
+    @pytest.mark.parametrize("warp_bits", (0, 20))
+    def test_matches_the_definition(self, word_bits, warp_bits):
+        # wide words and warp ids take the rank-keyed path
+        rng = np.random.default_rng(word_bits + warp_bits)
+        n = 3000
+        keys = rng.integers(0, 1 << warp_bits, n) << 40 \
+            | rng.integers(0, 40, n)
+        rows = np.stack([keys, rng.integers(0, 1 << word_bits, n),
+                         rng.integers(1, 9, n)], axis=1).astype(np.int64)
+        counts = np.zeros(9, dtype=np.int64)
+        replays, lines = self.reference(rows)
+        assert _BlockState._bank_replays(rows, None) == replays
+        assert _BlockState._bank_replays(rows, counts) == replays
+        assert {i: int(c) for i, c in enumerate(counts) if c} == \
+            {line: c for line, c in lines.items() if c}
+
+
 class TestHostApi:
     def test_memcpy_roundtrip(self, rt):
         data = np.arange(100, dtype=np.float32)

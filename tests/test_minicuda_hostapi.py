@@ -482,6 +482,42 @@ class TestTwoDimensionalConstant:
             run(CONSTANT_MATRIX.replace("COUNT", "5"))
 
 
+def constant_scalar(count):
+    return f"""
+__constant__ float c;
+__global__ void scale(float *out) {{ out[threadIdx.x] = c * threadIdx.x; }}
+int main() {{
+  float x[2] = {{2.5f, 9.0f}};
+  float r[4];
+  float *d;
+  cudaMemcpyToSymbol(c, x, {count} * sizeof(float));
+  cudaMalloc((void **)&d, 4 * sizeof(float));
+  scale<<<1, 4>>>(d);
+  cudaMemcpy(r, d, 4 * sizeof(float), cudaMemcpyDeviceToHost);
+  printf("%.1f %.1f", c, r[3]);
+  return 0;
+}}
+"""
+
+
+class TestScalarConstant:
+    """A scalar ``__constant__`` is a copy target of one element."""
+
+    @pytest.mark.parametrize("engine", ("codegen", "simd"))
+    def test_a_kernel_reads_the_copied_scalar(self, engine):
+        program = compile_source(constant_scalar(1))
+        env = HostEnv()
+        result = program.run_main(runtime=GpuRuntime(Device()),
+                                  host_env=env, engine=engine)
+        assert result.exit_code == 0
+        assert env.stdout == ["2.5 7.5"]
+
+    def test_a_copy_past_one_element_faults(self):
+        with pytest.raises(MemoryFault, match=r"device write out of bounds: "
+                                              r"index 1 of __constant__ c \[1\]"):
+            run(constant_scalar(2))
+
+
 class TestKernelLaunchEngines:
     """The full host path (cudaMalloc/Memcpy + <<<>>>) under every
     kernel execution engine must produce the same solution and the

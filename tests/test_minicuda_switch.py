@@ -164,3 +164,54 @@ int main() {
   return 0;
 }
 """)
+
+
+class TestSwitchArmsAreWalked:
+    """A ``switch``'s arms are nodes like any other statement's body."""
+
+    def test_every_node_class_is_walked_or_a_leaf(self):
+        import dataclasses
+
+        from repro.minicuda import ast_nodes as ast
+
+        classes = [cls for cls in vars(ast).values()
+                   if isinstance(cls, type) and dataclasses.is_dataclass(cls)
+                   and cls.__module__ == ast.__name__]
+        assert ast.SwitchCase in classes
+        for cls in classes:
+            assert issubclass(cls, ast.NODES) != (cls in ast.LEAVES), cls
+
+    def test_walk_reaches_a_case_arm(self):
+        from repro.minicuda import ast_nodes as ast
+
+        fn = compile_source("""
+int main() {
+  int c = 0;
+  switch (c) { case 0: c = 7; break; }
+  return c;
+}
+""").info.host_functions["main"]
+        assigned = [node.value.value for node in ast.walk(fn.body)
+                    if type(node) is ast.Assign]
+        assert assigned == [7]
+
+    @pytest.mark.parametrize("engine", ["codegen", "simd"])
+    def test_address_taken_in_a_case_arm(self, engine):
+        # ``&d`` only inside an arm: ``d`` must live in a box for the
+        # arm's cudaMalloc to write through (a raw KeyError before);
+        # an f-string, so that the kernel is no census origin
+        source = f"""
+__global__ void fill(float *d) {{ d[threadIdx.x] = {2.5}f; }}
+int main() {{
+  int c = 0;
+  float *d = NULL;
+  switch (c) {{ case 0: cudaMalloc((void **)&d, 16); break; }}
+  fill<<<1, 4>>>(d);
+  float h[4];
+  cudaMemcpy(h, d, 16, cudaMemcpyDeviceToHost);
+  return (int)(h[3] * 2);
+}}
+"""
+        result = compile_source(source).run_main(host_env=HostEnv(),
+                                                 engine=engine)
+        assert result.exit_code == 5

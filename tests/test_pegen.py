@@ -586,3 +586,23 @@ class TestFreshness:
 
         assert main(["--check"]) == 0
         assert "up to date" in capsys.readouterr().out
+
+
+class TestColdImport:
+    def test_the_parser_does_not_load_the_generator(self):
+        """The generated parser needs only the pegen runtime: a fresh
+        interpreter that imports it (and compiles a program) has not
+        loaded the grammar model, the metaparser or the generator."""
+        import subprocess
+
+        probe = (
+            "import sys\n"
+            "import repro.minicuda.parser_gen\n"
+            "from repro.minicuda import compile_source\n"
+            "compile_source('int main() { return 0; }')\n"
+            "print(sorted(m for m in sys.modules if '.pegen.' in m))\n")
+        out = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True,
+            check=True, env={"PYTHONPATH": str(PKG_DIR.parent.parent)})
+        assert out.stdout.split("\n")[0] == \
+            "['repro.minicuda.pegen.runtime']"
