@@ -337,6 +337,10 @@ class TranslationUnit:
     #: The preprocessed text every position points into (``parse`` sets
     #: it; empty for a unit built by hand).
     source: str = field(default="", repr=False, compare=False)
+    #: The typedef names ``source`` was parsed under (``parse`` sets
+    #: them too).
+    typedefs: frozenset[str] = field(default=frozenset(), repr=False,
+                                     compare=False)
 
     def function(self, name: str) -> FuncDef:
         for fn in self.functions:

@@ -615,6 +615,7 @@ def parse(source: str,
         if unit is None:
             unit = _parse_file(source, typedefs)
         unit.source = source
+        unit.typedefs = typedefs
         return unit
     finally:
         if telemetry is not None:

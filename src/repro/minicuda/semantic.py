@@ -3,13 +3,46 @@
 Produces a :class:`ProgramInfo` describing kernels and host entry
 points, or raises :class:`CompileError` with every diagnostic found
 (the worker relays them all to the student at once, like nvcc).
+
+Each function definition is checked once per process: :data:`FACTS`
+keeps what its check found, and a program that holds the same
+definition at the same place reuses that.
+
+* **Key.** A 16-byte digest of the typedef names the text was parsed
+  under and the definition's source span at its start position — the
+  span :func:`definition_spans` cuts once per program, which
+  ``srcgen.definition_keys`` hashes too.
+* **Facts.** Its diagnostics in order; an early ``program is nested
+  too deeply`` stop; the user functions it calls (``calls``); whether
+  it calls a barrier builtin and which names it calls (for
+  ``barrier_functions``); and every file-scope name its check read,
+  with the answer the name got: a constant's type, a kernel's arity, a
+  device or host function's arity and void-ness.
+* **Dependency rule.** An entry is reused only while every name it
+  read gets the same answer from the new program's top level. A
+  function's own scope chain ends in the file scope, which answers a
+  miss from the program's constants and notes the name, so a function
+  depends on the globals it reads and on no other.
+* **Replay.** The top level is checked anew. Its diagnostics come
+  first, then each function's, in file order; a stop raises at its
+  function, dropping the diagnostics before it and the functions
+  after it, exactly as a check does. ``barrier_functions`` is the same
+  fixpoint, over each definition's barrier facts.
+* **Bound.** :data:`FACTS` is capped by weight (:func:`_weigh`); a unit
+  built without source text is checked without it.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
 from dataclasses import dataclass, field
+from functools import lru_cache
+from hashlib import blake2b
+from typing import Any, NamedTuple
 
+from repro.cache.memo import MemoTable
+from repro.cache.policy import SizeCappedPolicy
 from repro.minicuda import ast_nodes as ast
 from repro.minicuda import builtins as bi
 from repro.minicuda.diagnostics import CompileError, Diagnostic, SourcePos
@@ -72,6 +105,10 @@ class ProgramInfo:
     #: (``srcgen.definition_keys``), computed on first use, once per
     #: program.
     definition_keys: dict[str, str] = field(default_factory=dict)
+    #: Top-level item start -> its source span
+    #: (:func:`definition_spans`), cut on first use, once per program,
+    #: and dropped once ``definition_keys`` are made from them.
+    spans: dict[SourcePos, str] = field(default_factory=dict)
     #: OpenACC loops outlined into kernels (``acc@<line>``), filled as
     #: each loop first executes — never by the front end, so a compile
     #: pays nothing for them and ``kernels`` lists only what the
@@ -119,11 +156,115 @@ class _Scope:
         return None
 
 
+#: What a check asks the file scope, by kind: the index of the table of
+#: the program's top level (:attr:`Analyzer.tables`) that answers.
+_CONSTANT, _KERNEL, _DEVICE, _HOST = range(4)
+
+
+def _answer(kind: int, item: Any) -> Any:
+    """What a check reads of the top-level item a name of ``kind``
+    found, None where it found none: a constant's type, a kernel's
+    arity, a device or host function's arity and void-ness."""
+    if item is None:
+        return None
+    if kind == _CONSTANT:
+        return item.type
+    if kind == _KERNEL:
+        return len(item.params)
+    return len(item.params), item.return_type.is_void
+
+
+class _Facts(NamedTuple):
+    """What checking one function definition found, kept in
+    :data:`FACTS` (see the module docstring)."""
+
+    diagnostics: tuple[Diagnostic, ...]
+    stop: Diagnostic | None  # a nesting budget ran out
+    calls: tuple[str, ...]  # its entry in ``ProgramInfo.calls``
+    barrier: bool  # a kernel or device function calls a barrier builtin
+    called: tuple[str, ...]  # the other names a device-side one calls
+    #: (kind, name, answer) of each file-scope name it read
+    reads: tuple[tuple[int, str, Any], ...]
+
+
+def _holds(facts: _Facts, tables: tuple[dict[str, Any], ...]) -> bool:
+    """Does every name ``facts`` read answer the same from ``tables``?"""
+    return all(_answer(kind, tables[kind].get(name)) == answer
+               for kind, name, answer in facts.reads)
+
+
+def _weigh(facts: _Facts) -> int:
+    """What an entry of :data:`FACTS` weighs, in units of 80-90 bytes:
+    five for its digest, record and table slots, three per diagnostic
+    and one per name it holds."""
+    return (5 + 3 * len(facts.diagnostics) + len(facts.calls)
+            + len(facts.called) + len(facts.reads))
+
+
+#: Each checked function definition's facts, by a digest of its span at
+#: its position and the typedef names it was parsed under (see the
+#: module docstring). Capped by weight. The attempt benchmark's
+#: ``edit_loop`` makes 12 passes over its 52 slots, shuffled each pass,
+#: and each pass stores its one-off nonce helpers and edits besides what
+#: the next pass reuses: in process, at seeds 3, 5 and 17, 4 608 units
+#: keep every reuse after the first pass (70.2% of lookups hit), 4 096
+#: lose a twentieth of them. 5 120 leaves a margin, at ~400 KB.
+FACTS = MemoTable(policy=SizeCappedPolicy(5120), weigh=_weigh,
+                  cache_name="semantic")
+
+
+def definition_spans(info: ProgramInfo) -> dict[SourcePos, str]:
+    """Each top-level item's source span by its start position: the
+    position, a NUL, and the text from there to where the next item
+    starts, less trailing whitespace. :data:`FACTS` keys on a function's
+    span and ``srcgen.definition_keys`` hashes them. Cut on first use,
+    once per program; empty for a unit built without source text."""
+    spans = info.spans
+    text = info.unit.source
+    if spans or not text:
+        return spans
+    # characters before each line, less its line breaks
+    before = [0, *itertools.accumulate(map(len, text.split("\n")))]
+    items = (*info.unit.functions, *info.unit.globals)
+    offsets = [before[item.pos.line - 1] + item.pos.line + item.pos.column - 2
+               for item in items]
+    # a top-level item runs to where the next one starts
+    starts = sorted(offsets)
+    spans = {}
+    for item, start in zip(items, offsets):
+        after = bisect.bisect_right(starts, start)
+        end = starts[after] if after < len(starts) else len(text)
+        spans[item.pos] = f"{item.pos}\0{text[start:end].rstrip()}"
+    # one assignment: a concurrent reader sees no spans or all of them
+    info.spans = spans
+    return spans
+
+
+@lru_cache(maxsize=8)
+def _key_prefix(typedefs: frozenset[str]) -> bytes:
+    """What every key of a unit parsed under ``typedefs`` starts with."""
+    return ",".join(sorted(typedefs)).encode() + b"\0"
+
+
+def _key(prefix: bytes, span: str) -> bytes:
+    return blake2b(prefix + span.encode("utf-8", "surrogatepass"),
+                   digest_size=16).digest()
+
+
 class Analyzer:
     def __init__(self, unit: ast.TranslationUnit):
         self.unit = unit
+        #: every diagnostic so far, in order: a function's check moves
+        #: its own into its facts, and :meth:`analyze` adds them back
         self.diagnostics: list[Diagnostic] = []
-        self.info = ProgramInfo(unit=unit)
+        self.info = info = ProgramInfo(unit=unit)
+        #: the program's top level, by kind (``_CONSTANT`` ...)
+        self.tables = (info.constants, info.kernels, info.device_functions,
+                       info.host_functions)
+        #: what the function being checked read of the top level, by
+        #: kind (name -> answer), and the user functions it calls
+        self.reads: tuple[dict[str, Any], ...] = ()
+        self.calls: set[str] = set()
         #: :data:`MAX_NESTING` levels around the node being checked
         self.nesting = 0
 
@@ -132,34 +273,102 @@ class Analyzer:
 
     def analyze(self) -> ProgramInfo:
         self._collect_top_level()
+        spans = definition_spans(self.info)
+        prefix = _key_prefix(self.unit.typedefs)
+        errors = self.diagnostics
+        facts_of: dict[int, _Facts] = {}
         for fn in self.unit.functions:
-            if not self._is_prototype(fn):
-                try:
-                    self._check_function(fn)
-                except RecursionError:
-                    # nesting the expression budget does not bound
-                    raise CompileError(_TOO_DEEP, fn.pos) from None
-        if self.diagnostics:
-            raise CompileError(self.diagnostics)
-        self._collect_barrier_functions()
+            if self._is_prototype(fn):
+                continue
+            span = spans.get(fn.pos)
+            facts = self._facts(fn, None if span is None
+                                else _key(prefix, span))
+            if facts.stop is not None:
+                raise CompileError([facts.stop])
+            errors += facts.diagnostics
+            if facts.calls:
+                self.info.calls.setdefault(fn.name, set()).update(facts.calls)
+            facts_of[id(fn)] = facts
+        if errors:
+            raise CompileError(errors)
+        self._collect_barrier_functions(facts_of)
         return self.info
 
-    def _collect_barrier_functions(self) -> None:
+    def _facts(self, fn: ast.FuncDef, key: bytes | None) -> _Facts:
+        """``fn``'s facts: held under ``key`` while every name they read
+        answers the same here, else checked (and held, unless ``key`` is
+        None)."""
+        if key is not None:
+            flight = FACTS.peek(key)
+            if flight is not None and _holds(flight.value, self.tables):
+                FACTS.begin(key)  # counted as a hit
+                return flight.value
+            if flight is not None:
+                FACTS.invalidate(key)
+            FACTS.begin(key)  # counted as a miss
+        try:
+            facts = self._check(fn)
+        except RecursionError:
+            # nesting the budgets do not bound; where the stack ran out
+            # depends on the caller, so this stop is not held
+            if key is not None:
+                FACTS.abandon(key)
+            raise CompileError(_TOO_DEEP, fn.pos) from None
+        if key is not None:
+            FACTS.deliver(key, facts)
+        return facts
+
+    def _check(self, fn: ast.FuncDef) -> _Facts:
+        """Check ``fn``, noting what it reads of the top level."""
+        start = len(self.diagnostics)
+        reads = self.reads = ({}, {}, {}, {})
+        self.calls = set()
+        stop = None
+        try:
+            self._check_function(fn)
+        except CompileError as exc:  # a nesting budget ran out
+            stop = exc.diagnostics[0]
+        found = tuple(self.diagnostics[start:])
+        del self.diagnostics[start:]
+        barrier, called = False, set()
+        if stop is None and (fn.is_kernel or fn.is_device):
+            for node in ast.walk(fn.body):
+                if isinstance(node, ast.Call):
+                    if node.name in BARRIER_BUILTINS:
+                        barrier = True
+                    else:
+                        called.add(node.name)
+        return _Facts(
+            found, stop, tuple(self.calls), barrier, tuple(called),
+            tuple((kind, name, answer)
+                  for kind, answers in enumerate(reads)
+                  for name, answer in answers.items()))
+
+    def _read(self, kind: int, name: str) -> Any:
+        """What the top level answers for ``name`` of ``kind``
+        (:func:`_answer`), noted in the facts of the function being
+        checked."""
+        answers = self.reads[kind]
+        if name in answers:
+            return answers[name]
+        answer = answers[name] = _answer(kind, self.tables[kind].get(name))
+        return answer
+
+    def _collect_barrier_functions(self, facts_of: dict[int, _Facts]) -> None:
         """Mark kernels/device functions that may reach a barrier,
         closing over device-function calls with a fixpoint (handles
-        mutual recursion without revisiting)."""
+        mutual recursion without revisiting). ``facts_of``: each checked
+        definition's facts, by the identity of its node."""
         device_fns = {**self.info.kernels, **self.info.device_functions}
         calls: dict[str, set[str]] = {}
         uses = self.info.barrier_functions
         for name, fn in device_fns.items():
-            called: set[str] = set()
-            for node in ast.walk(fn.body):
-                if isinstance(node, ast.Call):
-                    if node.name in BARRIER_BUILTINS:
-                        uses.add(name)
-                    elif node.name in self.info.device_functions:
-                        called.add(node.name)
-            calls[name] = called
+            facts = facts_of.get(id(fn))  # None for a prototype
+            if facts is not None and facts.barrier:
+                uses.add(name)
+            calls[name] = set() if facts is None else \
+                {callee for callee in facts.called
+                 if callee in self.info.device_functions}
         changed = True
         while changed:
             changed = False
@@ -203,13 +412,14 @@ class Analyzer:
 
     def _check_function(self, fn: ast.FuncDef) -> None:
         device_side = fn.is_kernel or fn.is_device
-        scope = _Scope()
-        for gname, decl in self.info.constants.items():
-            scope.declare(gname, decl.type)
+        # the parameters' own scope: it ends the chain, and a name no
+        # scope declares is the file scope's (``_read``), so a parameter
+        # may shadow a global
+        params = _Scope()
         for param in fn.params:
-            if param.name and not scope.declare(param.name, param.type):
+            if param.name and not params.declare(param.name, param.type):
                 self.error(f"duplicate parameter {param.name!r}", fn.pos)
-        self._check_block(fn.body, _Scope(scope), fn, device_side,
+        self._check_block(fn.body, _Scope(params), fn, device_side,
                           frozenset())
 
     def _nest(self, levels: int, pos: SourcePos) -> None:
@@ -354,11 +564,12 @@ class Analyzer:
                              ast.BoolLit, ast.NullLit, ast.SizeOf)):
             return
         if isinstance(expr, ast.Ident):
-            if scope.lookup(expr.name) is not None:
+            if scope.lookup(expr.name) is not None \
+                    or self._read(_CONSTANT, expr.name) is not None:
                 return
             known = (bi.known_in_device(expr.name) if device
                      else bi.known_in_host(expr.name))
-            if not known and expr.name not in self.info.constants:
+            if not known:
                 self.error(f"use of undeclared identifier {expr.name!r}",
                            expr.pos)
             return
@@ -383,13 +594,13 @@ class Analyzer:
             if device:
                 self.error("kernel launch inside device code is not "
                            "supported", expr.pos)
-            target = self.info.kernels.get(expr.name)
-            if target is None:
+            arity = self._read(_KERNEL, expr.name)
+            if arity is None:
                 self.error(f"launch of unknown kernel {expr.name!r}",
                            expr.pos)
-            elif len(expr.args) != len(target.params):
+            elif len(expr.args) != arity:
                 self.error(
-                    f"kernel {expr.name!r} expects {len(target.params)} "
+                    f"kernel {expr.name!r} expects {arity} "
                     f"argument(s), got {len(expr.args)}", expr.pos)
             self._check_expr(expr.grid, scope, fn, device, depth)
             self._check_expr(expr.block, scope, fn, device, depth)
@@ -448,24 +659,24 @@ class Analyzer:
             return
         if device and name in BARRIER_BUILTINS and not discarded:
             self.error(_VOID_USED, call.pos)
-        user_fn = None
         if device:
-            user_fn = self.info.device_functions.get(name)
+            user_fn = self._read(_DEVICE, name)
             builtin_arity = bi.DEVICE_BUILTINS.get(name,
                                                    bi.MATH_BUILTINS.get(name))
             known = name in bi.DEVICE_BUILTINS or name in bi.MATH_BUILTINS
         else:
-            user_fn = self.info.host_functions.get(name)
+            user_fn = self._read(_HOST, name)
             builtin_arity = bi.HOST_BUILTINS.get(name,
                                                  bi.MATH_BUILTINS.get(name))
             known = name in bi.HOST_BUILTINS or name in bi.MATH_BUILTINS
         if user_fn is not None:
-            self.info.calls.setdefault(fn.name, set()).add(name)
-            if len(call.args) != len(user_fn.params):
+            self.calls.add(name)
+            arity, void = user_fn
+            if len(call.args) != arity:
                 self.error(
-                    f"function {name!r} expects {len(user_fn.params)} "
+                    f"function {name!r} expects {arity} "
                     f"argument(s), got {len(call.args)}", call.pos)
-            if user_fn.return_type.is_void and not discarded:
+            if void and not discarded:
                 self.error(_VOID_USED, call.pos)
             return
         if known:
@@ -476,9 +687,9 @@ class Analyzer:
             return
         side = "device" if device else "host"
         hint = ""
-        if not device and name in self.info.kernels:
+        if not device and self._read(_KERNEL, name) is not None:
             hint = " (kernels are launched with <<<...>>>)"
-        if device and name in self.info.host_functions:
+        if device and self._read(_HOST, name) is not None:
             hint = " (host functions cannot be called from device code)"
         self.error(f"call to unknown {side} function {name!r}{hint}",
                    call.pos)
@@ -487,7 +698,8 @@ class Analyzer:
         """An array names storage, not a value: C assigns to its
         elements, never to the array."""
         if isinstance(target, ast.Ident):
-            ctype = scope.lookup(target.name)
+            ctype = scope.lookup(target.name) \
+                or self._read(_CONSTANT, target.name)
             if ctype is not None and ctype.is_array:
                 self.error("array type is not assignable", target.pos)
 

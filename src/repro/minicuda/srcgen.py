@@ -92,9 +92,7 @@ times.
 
 from __future__ import annotations
 
-import bisect
 import ctypes
-import itertools
 import math
 from typing import Any, Callable, Sequence
 
@@ -138,7 +136,11 @@ from repro.minicuda.interpreter import (
     read_indexed,
     write_indexed,
 )
-from repro.minicuda.semantic import BARRIER_BUILTINS, ProgramInfo
+from repro.minicuda.semantic import (
+    BARRIER_BUILTINS,
+    ProgramInfo,
+    definition_spans,
+)
 from repro.minicuda.values import (
     NULL,
     ElemRef,
@@ -1837,8 +1839,9 @@ class CompiledHostFn:
 
 def definition_keys(info: ProgramInfo) -> dict[str, str]:
     """The memo key of each kernel and host function of ``info``: a
-    hash of the source text and start position of the function and of
-    every user function it calls, transitively — one generated module
+    hash of the source span (:func:`semantic.definition_spans`: text
+    and start position) of the function and of every user function it
+    calls, transitively — one generated module
     holds them all, and embeds their positions — and of every
     file-scope declaration. That is every input a lowering reads, so
     the rest of the file (``main``, a nonce function, other kernels)
@@ -1850,29 +1853,13 @@ def definition_keys(info: ProgramInfo) -> dict[str, str]:
     if keys:
         return keys
     unit = info.unit
-    text = unit.source
-    if not text:
+    if not unit.source:
         keys = dict.fromkeys((*info.kernels, *info.host_functions),
                              info.fingerprint)
     else:
-        # characters before each line, less its line breaks
-        before = [0, *itertools.accumulate(map(len, text.split("\n")))]
-
-        def offset(pos: Any) -> int:
-            return before[pos.line - 1] + pos.line + pos.column - 2
-
-        # a top-level item runs to where the next one starts
-        starts = sorted(offset(item.pos)
-                        for item in (*unit.functions, *unit.globals))
-
-        def span(pos: Any) -> str:
-            start = offset(pos)
-            after = bisect.bisect_right(starts, start)
-            end = starts[after] if after < len(starts) else len(text)
-            return f"{pos}\0{text[start:end].rstrip()}"
-
-        shared = "\0".join(span(gvar.pos) for gvar in unit.globals)
-        own = {name: span(fn.pos)
+        spans = definition_spans(info)
+        shared = "\0".join(spans[gvar.pos] for gvar in unit.globals)
+        own = {name: spans[fn.pos]
                for functions in (info.kernels, info.device_functions,
                                  info.host_functions)
                for name, fn in functions.items()}
@@ -1889,6 +1876,9 @@ def definition_keys(info: ProgramInfo) -> dict[str, str]:
                            for callee in sorted(closure))]))
     # one assignment: a concurrent reader sees no keys or all of them
     info.definition_keys = keys
+    # the spans' last reader: a compile cache that holds the program
+    # need not hold their copy of its text
+    info.spans = {}
     return keys
 
 

@@ -128,6 +128,11 @@ class BlacklistScanner:
         # name and not hide it
         escaped = "|".join(_CONTINUATIONS.join(map(re.escape, e)) for e in
                            sorted(self.entries, key=len, reverse=True))
+        # what a text must hold for the pattern to match, unless a
+        # backslash-newline splits a name: an entry that holds another
+        # (``execve``, ``exec``) needs no search of its own
+        self._needles = tuple(e for e in self.entries if not any(
+            other != e and other in e for other in self.entries))
         # match as a standalone identifier token
         self._pattern = re.compile(rf"(?<![A-Za-z0-9_])({escaped})"
                                    rf"(?!{_CONTINUATIONS}[A-Za-z0-9_])")
@@ -139,6 +144,15 @@ class BlacklistScanner:
             if self.preprocessor is not None:
                 text = self.preprocessor(text)
             text = strip_comments_and_strings(text)
+        # a match is an entry, whole or split by backslash-newlines: a
+        # text with neither cannot match, and skips the pattern
+        if "\\\n" not in text and "\\\r\n" not in text \
+                and not any(map(text.__contains__, self._needles)):
+            return []
+        return self._matches(text)
+
+    def _matches(self, text: str) -> list[BlacklistMatch]:
+        """Every match of the pattern in ``text``, in order."""
         matches: list[BlacklistMatch] = []
         lines = None
         for m in self._pattern.finditer(text):

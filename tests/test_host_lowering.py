@@ -319,6 +319,29 @@ int main() {
             assert code == 7, engine
             assert env.stdout == ["1\n", "2\n", "2.500000\n"], engine
 
+    def test_a_parameter_shadows_a_file_scope_name(self):
+        source = """
+int n = 4;
+__constant__ float M[3];
+__global__ void k(float *M, int n) {
+  int i = threadIdx.x;
+  if (i < n) M[i] = i;
+}
+int twice(int n) { return n * 2; }
+int main() {
+  float *d;
+  float h[3];
+  cudaMalloc((void **)&d, 3 * sizeof(float));
+  k<<<1, 3>>>(d, 3);
+  cudaMemcpy(h, d, 3 * sizeof(float), cudaMemcpyDeviceToHost);
+  printf("%d %d %.1f %.1f %.1f\\n", twice(5), n, h[0], h[1], h[2]);
+  return 0;
+}"""
+        assert lowered(source, "twice") and lowered(source)
+        for engine in ENGINES:
+            code, env = run(source, engine)
+            assert (code, env.stdout) == (0, ["10 4 0.0 1.0 2.0\n"]), engine
+
 
 class TestTheKey:
     """A host module is keyed per definition: the source of the

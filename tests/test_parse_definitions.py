@@ -11,7 +11,10 @@ here; the exhaustive sweeps (every token and every line of every
 source, ~25 000 variants, about two minutes) run with
 ``PYTHONPATH=src python -m tests.test_parse_definitions``, which then
 prints what the memo takes per weighed character over the same
-sources and fails above :data:`BYTES_PER_CHAR`.
+sources and fails above :data:`BYTES_PER_CHAR`. Either way each
+variant that parses is analysed twice, on the semantic memo the
+variants before it warmed and on an empty one
+(``repro.minicuda.semantic.FACTS``), and the two must agree.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ from repro.cluster import GpuWorker, PlatformCaches, WorkerConfig
 from repro.cluster.job import Job, JobKind
 from repro.labs import ALL_LABS, EXTRA_LABS, get_lab
 from repro.labs.mutations import MUTATIONS, buggy_source
-from repro.minicuda import CompileCache, parser, parser_gen
+from repro.minicuda import CompileCache, parser, parser_gen, semantic
 from repro.minicuda import ast_nodes as ast
 from repro.minicuda.compiler import EXTRA_TYPEDEFS, compile_source
 from repro.minicuda.diagnostics import CompileError
@@ -89,6 +92,40 @@ def piecewise(text: str) -> tuple[str, str]:
         return ("ok", repr(parse(text, TYPEDEFS)))
     except CompileError as exc:
         return ("err", str(exc))
+
+
+def new_facts() -> MemoTable:
+    """An empty :data:`semantic.FACTS` under the same cap."""
+    return MemoTable(policy=SizeCappedPolicy(semantic.FACTS.policy.max_bytes),
+                     weigh=semantic._weigh, cache_name="semantic")
+
+
+def analysis(unit: ast.TranslationUnit) -> tuple:
+    """What an analysis of ``unit`` shows: the full error text, or every
+    table of the ``ProgramInfo`` (functions by the identity of their
+    node)."""
+    try:
+        info = semantic.analyze(unit)
+    except CompileError as exc:
+        return ("error", str(exc))
+
+    def nodes(table):
+        return {name: id(node) for name, node in table.items()}
+
+    return ("ok", nodes(info.kernels), nodes(info.device_functions),
+            nodes(info.host_functions), nodes(info.constants),
+            {name: set(callees) for name, callees in info.calls.items()},
+            set(info.barrier_functions))
+
+
+def cold_analysis(unit: ast.TranslationUnit) -> tuple:
+    """:func:`analysis` on an empty semantic memo, which is then put
+    back."""
+    memo, semantic.FACTS = semantic.FACTS, new_facts()
+    try:
+        return analysis(unit)
+    finally:
+        semantic.FACTS = memo
 
 
 def pieces(text: str) -> list[tuple[str, tuple[int, int]]]:
@@ -434,6 +471,7 @@ class Sweep(NamedTuple):
     mismatches: list[str]
     statement_hit_ratio: float  # of the variants' depth-1 lookups
     lexed_share: float  # of the variants' text, lexed by parse()
+    analysed: int  # variants that parsed: analysed warm and cold
 
 
 def deletions(text: str) -> Iterator[tuple[str, str]]:
@@ -462,11 +500,12 @@ def sweep(edits: Callable[[str], Iterator[tuple[str, str]]],
     """Apply ``edits`` to each source (with :data:`NONCE` appended; the
     memo warmed with the original) and compare ``parse`` with the
     whole-file parse on every variant, or on ``sample`` variants per
-    source picked with a fixed seed. ``fresh``: before each variant, a
-    new memo that holds the original alone (otherwise the variants
-    before it are held too)."""
+    source picked with a fixed seed; and a variant's analysis on the
+    semantic memo the ones before it left with a cold one. ``fresh``:
+    before each variant, a new parser memo that holds the original alone
+    (otherwise the variants before it are held too)."""
     rng = random.Random(34)
-    fallbacks = hits = looked_up = lexed = chars = 0
+    fallbacks = hits = looked_up = lexed = chars = analysed = 0
     real, memo = parser._parse_file, parser.DEFINITIONS
 
     def counted(*args):
@@ -502,17 +541,25 @@ def sweep(edits: Callable[[str], Iterator[tuple[str, str]]],
                 looked_up += STATEMENT_LOOKUPS.lookups - before[1]
                 if outcome != whole_file(variant):
                     mismatches.append(f"{what} of {text[:60]!r}")
+                elif outcome[0] == "ok":
+                    analysed += 1
+                    unit = parse(variant, TYPEDEFS)
+                    if analysis(unit) != cold_analysis(unit):
+                        mismatches.append(
+                            f"analysis after {what} of {text[:60]!r}")
     finally:
         parser._parse_file, parser.DEFINITIONS = real, memo
         parser.tokenize = tokenize
     return Sweep(variants, variants - fallbacks, mismatches,
-                 hits / looked_up if looked_up else 0.0, lexed / chars)
+                 hits / looked_up if looked_up else 0.0, lexed / chars,
+                 analysed)
 
 
 def test_token_deletions_diagnose_as_the_whole_file():
     result = sweep(deletions, sample=30)
     assert not result.mismatches
     assert result.variants > 1000
+    assert result.analysed > 100
     assert result.decided > 0.75 * result.variants  # the pieces decide most
 
 
@@ -520,6 +567,7 @@ def test_line_insertions_diagnose_as_the_whole_file():
     result = sweep(insertions, sample=8, fresh=True)
     assert not result.mismatches
     assert result.variants == 8 * len(SOURCES)
+    assert result.analysed > 0.9 * result.variants
 
 
 # -- what the memo holds, and at what cost --------------------------------------
@@ -705,7 +753,8 @@ if __name__ == "__main__":
         print(f"{name}: {result.variants} variants, {result.decided} "
               f"decided by the pieces, {len(result.mismatches)} mismatches, "
               f"statement pieces {result.statement_hit_ratio:.1%} hit, "
-              f"{result.lexed_share:.1%} of the text lexed")
+              f"{result.lexed_share:.1%} of the text lexed, "
+              f"{result.analysed} analysed warm and cold")
         for mismatch in result.mismatches[:20]:
             print("  mismatch:", mismatch)
         failed = failed or bool(result.mismatches)

@@ -3,7 +3,10 @@
 import pytest
 
 from repro.sandbox import BlacklistScanner, BlacklistViolation, ScanMode
-from repro.sandbox.blacklist import strip_comments_and_strings
+from repro.sandbox.blacklist import (
+    DEFAULT_BLACKLIST,
+    strip_comments_and_strings,
+)
 
 
 class TestRawMode:
@@ -105,3 +108,59 @@ class TestStripper:
         scanner = BlacklistScanner(entries=["mmap"])
         assert scanner.scan("mmap(0, 4096);") != []
         assert scanner.scan("asm();") == []
+
+
+def _texts():
+    """Every entry alone, in a call, split by a backslash-newline at each
+    inner position (``\\n`` and ``\\r\\n``), inside longer identifiers,
+    in a comment and in a string; then every catalog source."""
+    from repro.labs import ALL_LABS, EXTRA_LABS
+    for entry in DEFAULT_BLACKLIST:
+        yield entry
+        yield f"int x;\n  {entry}(1);"
+        for at in range(1, len(entry)):
+            for newline in ("\n", "\r\n"):
+                yield f"int x;\n  {entry[:at]}\\{newline}{entry[at:]}(0);"
+        yield f"my{entry} = {entry}s + _{entry}_;"
+        yield f"// never {entry}\nint a;"
+        yield f'char *s = "{entry}";'
+    for lab in ALL_LABS + EXTRA_LABS:
+        yield lab.solution
+        yield lab.skeleton
+
+
+class TestTheFastPath:
+    """``scan`` skips the pattern where the text holds no entry and no
+    backslash-newline splice; it must return what the pattern finds."""
+
+    @pytest.mark.parametrize("mode", list(ScanMode))
+    def test_the_scan_is_the_patterns(self, mode):
+        scanner = BlacklistScanner(mode=mode)
+        found = 0
+        for text in _texts():
+            prepared = text if mode is ScanMode.RAW \
+                else strip_comments_and_strings(text)
+            matches = scanner.scan(text)
+            assert matches == scanner._matches(prepared), repr(text)
+            found += bool(matches)
+        # raw: each entry alone, in a call, spliced, in a comment and in
+        # a string; preprocessed: not the comment or the string
+        per_entry = sum(2 * len(entry) for entry in DEFAULT_BLACKLIST)
+        assert found == per_entry + (2 * len(DEFAULT_BLACKLIST)
+                                     if mode is ScanMode.RAW else 0)
+
+    def test_a_preprocessor_runs_before_either(self):
+        from repro.minicuda import preprocess
+        scanner = BlacklistScanner(mode=ScanMode.PREPROCESSED,
+                                   preprocessor=preprocess)
+        source = "#define RUN system\nint main() { RUN(\"ls\"); }\n"
+        match, = scanner.scan(source)
+        assert match == scanner._matches(
+            strip_comments_and_strings(preprocess(source)))[0]
+        assert (match.entry, match.line) == ("system", 2)
+
+    def test_custom_entries_that_hold_each_other(self):
+        scanner = BlacklistScanner(entries=["execve", "exec", "mmap("])
+        assert scanner.scan("execve(p);") == scanner._matches("execve(p);")
+        assert [m.entry for m in scanner.scan("x = mmap(\"\");")] == ["mmap("]
+        assert scanner.scan("int executor;") == []
