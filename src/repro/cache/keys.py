@@ -23,8 +23,10 @@ def hash_bytes(data: bytes) -> str:
 
 
 def hash_text(text: str) -> str:
-    """sha256 hex digest of UTF-8 text (the program-hash primitive)."""
-    return hash_bytes(text.encode("utf-8"))
+    """sha256 hex digest of UTF-8 text (the program-hash primitive). A
+    lone surrogate, which a student's source may hold, encodes as its
+    own three bytes; every valid string keeps its UTF-8 bytes."""
+    return hash_bytes(text.encode("utf-8", "surrogatepass"))
 
 
 def hash_mapping(mapping: Mapping[str, Any]) -> str:
@@ -47,6 +49,6 @@ def compose_key(*parts: Any) -> str:
             part = sorted(str(p) for p in part)
         if isinstance(part, (list, tuple)):
             part = ",".join(str(p) for p in part)
-        h.update(str(part).encode("utf-8"))
+        h.update(str(part).encode("utf-8", "surrogatepass"))
         h.update(_SEP)
     return h.hexdigest()

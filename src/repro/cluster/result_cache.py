@@ -151,10 +151,9 @@ class GradingResultCache:
         #: other limits) must never share a grade.
         self._fingerprints: dict[LabDefinition, str] = {}
 
-    def _weigh_address(self, address: Any) -> int:
-        if isinstance(address, str) and self.cas.contains(address):
-            return self.cas.size_of(address)
-        return 0
+    def _weigh_address(self, address: str) -> int:
+        # every held key holds a reference on its blob
+        return self.cas.size_of(address)
 
     def _release_address(self, key: str, address: Any) -> None:
         if isinstance(address, str) and self.cas.contains(address):

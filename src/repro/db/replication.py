@@ -72,10 +72,8 @@ class Replica:
                 idx.add(record.row_id, stored)
         elif record.op == "update":
             table.update(record.row_id, **record.values)
-        elif record.op == "delete":
+        else:  # "delete": Database writes no other log op
             table.delete(record.row_id)
-        else:  # pragma: no cover - log records are produced by Database only
-            raise ValueError(f"unknown log op {record.op!r}")
 
     # read helpers mirroring Database
     def find(self, table: str, **conditions: Any) -> list[dict[str, Any]]:

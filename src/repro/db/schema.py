@@ -31,9 +31,7 @@ class ColumnType(enum.Enum):
             return isinstance(value, bool)
         if self is ColumnType.JSON:
             return _is_jsonable(value)
-        if self is ColumnType.BLOB:
-            return isinstance(value, (bytes, bytearray))
-        raise AssertionError(f"unknown column type {self}")
+        return isinstance(value, (bytes, bytearray))  # BLOB, the last
 
 
 def _is_jsonable(value: Any) -> bool:

@@ -319,9 +319,7 @@ class BrokerFabric:
         target = self.ring.shard_for(self.key_for(job))
         if target == donor.name:
             return False
-        taken = donor.take(job.job_id)
-        if taken is None:
-            return False
+        taken = donor.take(job.job_id)  # a waiting job: always there
         self.shards[target].restore(taken[0], taken[1],
                                     not_before=not_before)
         self._route[job.job_id] = target

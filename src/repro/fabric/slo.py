@@ -60,11 +60,11 @@ def _window_p95(window: dict[int, int]) -> float:
         return 0.0
     rank = max(1, math.ceil(0.95 * count))
     cumulative = 0
+    # rank <= count: some bucket's running total reaches it
     for idx in sorted(window):
         cumulative += window[idx]
         if cumulative >= rank:
             return bucket_upper(idx)
-    return bucket_upper(max(window))  # pragma: no cover
 
 
 class SLOBurnMeter:

@@ -8,14 +8,10 @@ kernel compilers — :mod:`repro.minicuda.srcgen` (``codegen``) and
   single-flight kernel memo, keyed by engine tag, engine version,
   definition key (``srcgen.definition_keys``) and function name. It
   is the *only* owner of a
-  compiled kernel, a compiled host function or a decline verdict:
-  nothing hangs off the ``ProgramInfo`` (which a ``CompileCache`` may
+  compiled kernel or a compiled host function: nothing hangs off the ``ProgramInfo`` (which a ``CompileCache`` may
   pin for much longer), so an eviction frees the artifact, its byte
   cap is what the process holds, and a relaunch after eviction
   recompiles;
-* :class:`UnsupportedConstruct` — how a compiler declines a function —
-  and :class:`Declined`, the verdict memoized in its place (the reason
-  kept; the caller steps down the ladder);
 * the baked coercers (``_coerce_*`` / :func:`_make_coercer`) that
   mirror :func:`repro.minicuda.values.coerce` branch for branch, and a
   few constants both emitters must agree on with the tree-walker.
@@ -33,27 +29,6 @@ from typing import Any, Callable
 from repro.cache import MemoTable, SizeCappedPolicy
 from repro.minicuda import ast_nodes as ast
 from repro.minicuda.values import _INT_BASES, f32
-
-
-class UnsupportedConstruct(Exception):
-    """A kernel compiler cannot lower this AST; use the next tier down."""
-
-
-#: What a memoized decline verdict is charged: its key string, reason
-#: and flight record.
-_VERDICT_NBYTES = 512
-
-
-class Declined:
-    """A memoized decline verdict: the construct (or rule) that keeps
-    a function off a compiled tier."""
-
-    __slots__ = ("reason",)
-
-    nbytes = _VERDICT_NBYTES
-
-    def __init__(self, reason: str):
-        self.reason = reason
 
 
 #: ``KernelHang`` message of every compiled tier: they charge the shared
@@ -117,8 +92,9 @@ def _flatten_init_exprs(expr: ast.Expr) -> list[ast.Expr]:
 # -- cross-program kernel memo ---------------------------------------------
 
 #: Cross-program memo table: (engine, engine version, definition key,
-#: function name) → compiled kernel or host function (or a
-#: :class:`Declined` verdict). The definition key
+#: function name) → compiled kernel or host function (the warp tier's
+#: entry may be its decline, which carries the scalar kernel). The
+#: definition key
 #: (``srcgen.definition_keys``) hashes the function's source and
 #: position, the functions it calls and the file-scope declarations,
 #: so programs that differ elsewhere share the entry — and a demotion
@@ -145,8 +121,8 @@ def memo_key(engine: str, version: int, definition: str,
     ``definition`` key, namespaced by engine + engine version
     (``srcgen.SRCGEN_VERSION``, ``simd.SIMD_VERSION``) so a table that
     outlives an engine upgrade (long-running worker, persisted CAS)
-    never replays a stale artifact or — worse — a stale ``None``
-    verdict from the previous compiler (regression: the key used to be
+    never replays a stale artifact or a stale decline from the
+    previous compiler (regression: the key used to be
     ``kernelcode:{fingerprint}:{name}``, which pinned pre-upgrade
-    unsupported verdicts forever)."""
+    verdicts forever)."""
     return f"kernelcode:{engine}:v{version}:{definition}:{name}"

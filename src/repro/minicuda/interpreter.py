@@ -371,14 +371,14 @@ class Interpreter:
         return srcgen.compile_host(self.info, name)(
             self, *self._coerce_args(fn, args))
 
-    def make_kernel(self, name: str,
-                    args: tuple[Any, ...]) -> Callable[[ThreadContext], Any]:
-        """Package kernel ``name`` as a gpusim per-thread callable.
+    def make_kernel(self, name: str, args: tuple[Any, ...]) -> Any:
+        """Package kernel ``name`` as what gpusim launches.
 
         Under the default ``simd`` engine an eligible kernel is lowered
         to block-wide numpy array programs with masked lane predication
-        (memoized per definition) and the callable carries the block
-        executor plus the launch's ``speculation`` undo log — launch it
+        (memoized per definition) and binds to a ``simd.WarpLaunch``,
+        which holds the group executor plus the launch's
+        ``speculation`` undo log — launch it
         through :meth:`launch_kernel`, which replays on the scalar tier
         when lane order would have shown or a lane faulted. Ineligible
         or demoted kernels fall to ``codegen``: real Python source per
@@ -390,7 +390,7 @@ class Interpreter:
         return self._bind_kernel(name, args)[0]
 
     def _bind_kernel(self, name: str, args: tuple[Any, ...]
-                     ) -> tuple[Callable[[ThreadContext], Any], str]:
+                     ) -> tuple[Any, str]:
         """:meth:`make_kernel`, plus the tier that will actually run
         the kernel (what the engine histograms are labelled with)."""
         fn = self.info.kernel_def(name)
@@ -402,11 +402,6 @@ class Interpreter:
         telemetry = getattr(self.runtime, "telemetry", None)
         start = time.perf_counter() if telemetry is not None else 0.0
         compiled = backend.compile_kernel(self.info, name)
-        if compiled is None:
-            # the scalar emitter lowers every checked kernel: this is a
-            # budget the front end let through
-            raise InterpreterError(srcgen.decline_reason(self.info, name),
-                                   fn.pos)
         if telemetry is not None:
             telemetry.metrics.histogram(
                 KERNEL_COMPILE_SECONDS,
@@ -591,9 +586,7 @@ def _opencl_index(name: str, dim: int, ctx: ThreadContext) -> int:
         return bd
     if name == "get_num_groups":
         return gd
-    if name == "get_global_size":
-        return gd * bd
-    raise AssertionError(name)  # pragma: no cover
+    return gd * bd  # get_global_size, the last of _OPENCL_INDEX_FNS
 
 
 def _const_eval(expr: ast.Expr) -> Any:
@@ -602,7 +595,7 @@ def _const_eval(expr: ast.Expr) -> Any:
         return expr.value
     if isinstance(expr, ast.Unary) and expr.op == "-":
         return -_const_eval(expr.operand)
-    if isinstance(expr, ast.Binary):
+    if isinstance(expr, ast.Binary) and expr.op in _BINOPS:
         left, right = _const_eval(expr.left), _const_eval(expr.right)
         return _BINOPS[expr.op](left, right)
     raise InterpreterError("global initialiser must be constant", expr.pos)

@@ -341,21 +341,18 @@ def _parse_part(parser: Any, part: _Entry, tail: bool, fail: Any) -> _Piece:
     """One piece of a function definition after its header: statements
     (``block_item*`` to the piece's EOF), or the tail (``block_item*``,
     the closing brace, then what ``start`` reads after it). ``fail`` is
-    the generated parser's soft failure."""
+    the generated parser's soft failure, which ``block_item`` gives only
+    at a closing brace or the end (elsewhere it raises where it stops)
+    and ``start`` never gives."""
     statements = []
     while (statement := parser.block_item()) is not fail:
         statements.append(statement)
-    stop = parser.tok
     if not tail:
-        if stop.kind is not TokenKind.EOF:
-            raise _Undecided  # a statement failed softly
+        if parser.tok.kind is not TokenKind.EOF:
+            raise _Undecided  # a brace this piece should not hold
         return _Piece((), (), tuple(statements), len(part.text))
-    if stop.kind is not TokenKind.EOF and not stop.is_punct("}"):
-        raise _Undecided
     parser.block_end()
     rest = parser.start()
-    if rest is fail:
-        raise _Undecided
     return _Piece(tuple(rest.functions), tuple(rest.globals),
                   tuple(statements), len(part.text))
 

@@ -127,10 +127,8 @@ class ParserBase:
     # -- entry point -------------------------------------------------------
 
     def parse_translation_unit(self) -> ast.TranslationUnit:
-        unit = getattr(self, self.START_RULE)()
-        if unit is FAIL:  # pragma: no cover - start never soft-fails
-            raise CompileError("parse failed", self.tok.pos)
-        return unit
+        # the start rule never soft-fails: it raises where it stops
+        return getattr(self, self.START_RULE)()
 
     # -- cursor ------------------------------------------------------------
 

@@ -504,7 +504,7 @@ class Analyzer:
             self._check_acc_loop(stmt, scope, fn)
         elif isinstance(stmt, ast.Empty):
             pass
-        else:  # pragma: no cover - parser produces no other nodes
+        else:  # the parser produces no other statement
             raise AssertionError(f"unknown statement {stmt!r}")
 
     def _check_for(self, loop: ast.For, scope: _Scope, fn: ast.FuncDef,
@@ -648,7 +648,7 @@ class Analyzer:
         if isinstance(expr, ast.Cast):
             self._check_expr(expr.value, scope, fn, device, depth)
             return
-        raise AssertionError(f"unknown expression {expr!r}")  # pragma: no cover
+        raise AssertionError(f"unknown expression {expr!r}")
 
     def _check_call(self, call: ast.Call, scope: _Scope, fn: ast.FuncDef,
                     device: bool, depth: int, discarded: bool) -> None:

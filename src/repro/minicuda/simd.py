@@ -26,7 +26,7 @@ one block. A group's ``__shared__`` array holds its blocks' copies
 side by side, each lane offset to its own block's.
 
 Eligibility is decided per kernel at compile time, by the one pass
-that emits it: the emitter raises :class:`_SimdUnsupported` where it
+that emits it: the emitter raises :class:`UnsupportedConstruct` where it
 reaches a construct the tier cannot run, judging by the kinds the
 emitted code carries and by one memoized uniformity predicate
 (:class:`_Varying`), and the kernel falls back to the scalar
@@ -101,8 +101,6 @@ from repro.minicuda import ast_nodes as ast
 from repro.minicuda import builtins as bi
 from repro.minicuda.codegen import (
     KERNEL_CACHE,
-    Declined,
-    UnsupportedConstruct,
     _HANG_MSG,
     _OPENCL_INDEX_FNS,
     _make_coercer,
@@ -112,7 +110,6 @@ from repro.minicuda.interpreter import (
     _MATH_IMPL,
     ACC_COUNT,
     ACC_START,
-    InterpreterError,
     KernelHang,
 )
 from repro.minicuda.semantic import BARRIER_BUILTINS, ProgramInfo
@@ -135,7 +132,6 @@ from repro.minicuda.srcgen import (
     _nested,
     _resolve_atomic,
     _TOO_DEEP,
-    decline_reason as _scalar_decline_reason,
     kernel_key,
 )
 from repro.minicuda.values import (
@@ -157,8 +153,9 @@ _F64DT = np.dtype(np.float64)
 _EMPTY = np.empty(0, dtype=np.intp)
 
 
-class _SimdUnsupported(UnsupportedConstruct):
-    """Kernel uses a construct the SIMD tier cannot lower; fall back."""
+class UnsupportedConstruct(Exception):
+    """Kernel uses a construct the warp tier cannot lower; the scalar
+    tier runs it."""
 
 
 class _Replay(Exception):
@@ -172,12 +169,12 @@ class _Replay(Exception):
 
 class _Declined:
     """The memoized fallback verdict: the construct the lowering
-    stopped at, and the scalar tier's own verdict — the kernel that
-    runs in this tier's place, or its decline."""
+    stopped at, and the scalar kernel that runs in this tier's
+    place."""
 
     __slots__ = ("src", "reason", "nbytes")
 
-    def __init__(self, src: CompiledSrcKernel | Declined, reason: str):
+    def __init__(self, src: CompiledSrcKernel, reason: str):
         self.src = src
         self.reason = reason
         self.nbytes = src.nbytes
@@ -245,9 +242,11 @@ def _as_int_vals(v: Any) -> Any:
 def _co_vec(cokind: str, v: Any) -> Any:
     """Apply a declared-type coercion to a scalar or lane vector.
 
-    The scalar arms are exactly ``values.coerce``; the vector arms are
-    the provably bit-identical numpy casts (``f32`` round-trips
-    through binary32 either way)."""
+    The scalar arms are exactly ``values.coerce``'s, for the two
+    coercions a uniform value stored into a lane-vector local takes
+    (:meth:`_WarpEmitter.stored`; a cast of a lane-varying operand
+    casts a vector); the vector arms are the provably bit-identical
+    numpy casts (``f32`` round-trips through binary32 either way)."""
     if isinstance(v, np.ndarray):
         if cokind == "int":
             return v if v.dtype == _I64DT else v.astype(_I64)
@@ -256,13 +255,7 @@ def _co_vec(cokind: str, v: Any) -> Any:
         if cokind == "f64":
             return v if v.dtype == _F64DT else v.astype(_F64)
         return (v != 0).astype(_I64)  # bool
-    if cokind == "int":
-        return int(v)
-    if cokind == "f32":
-        return f32(v)
-    if cokind == "f64":
-        return float(v)
-    return bool(v)
+    return f32(v) if cokind == "f32" else bool(v)
 
 
 # -- uniformity analysis -----------------------------------------------------
@@ -536,9 +529,10 @@ class _WarpSt:
         self.instr = block.instr
         self.atomics = block.atomics
         # each lane's warp id, the warp column of every record; a
-        # plain 0 while the group is one warp
-        self.warp_ids = (wctx.warp_ids if wctx.blocks * wctx.blockDim.count
-                         > wctx.warp_size else 0)
+        # plain 0 while the group is one warp: one block of at most a
+        # warp's threads (two blocks are two warps, however narrow)
+        self.warp_ids = (wctx.warp_ids if wctx.blocks > 1
+                         or wctx.blockDim.count > wctx.warp_size else 0)
         # per-lane access sequence numbers; kept as one Python int
         # while every access so far has been full-mask (the hot case),
         # materialized to an int64 array on the first partial-mask op
@@ -893,9 +887,9 @@ def _flat_shape(s: ast.For) -> tuple | None:
       (:func:`_invariant`);
     - a body that assigns only variables it declares — nothing is
       carried from one iteration to the next in a register —, has no
-      ``break``, ``continue``, ``return``, barrier or inner loop, and
-      performs an atomic (where statement-major order across iterations
-      would otherwise conflict)."""
+      ``break``, ``continue``, ``return`` or inner loop, and performs an
+      atomic (where statement-major order across iterations would
+      otherwise conflict). A loop with a barrier never gets here."""
     init, cond, step = s.init, s.cond, s.step
     if type(init) is not ast.DeclStmt or init.shared \
             or len(init.declarators) != 1:
@@ -930,8 +924,6 @@ def _flat_shape(s: ast.For) -> tuple | None:
                    ast.DoWhile, ast.Switch):
             return None
         if cls is ast.Call:
-            if node.name in BARRIER_BUILTINS:
-                return None
             atomic = atomic or node.name in bi.ATOMIC_BUILTINS
         elif cls is ast.Assign or cls is ast.IncDec:
             dest = node.target if cls is ast.Assign else node.operand
@@ -1042,18 +1034,14 @@ def _lane_vector(v: Any, k: int, floats: bool) -> np.ndarray | None:
     a float64 (``floats``) or int64 lane vector. None where numpy could
     compute another value than the lane loop's Python arithmetic: an
     integer int64 cannot hold, or one past 2**53 meeting a float."""
-    if isinstance(v, np.ndarray):
+    if isinstance(v, np.ndarray):  # an int64 or float64 lane vector
         if v.dtype.kind == "f":
             return v.astype(_F64, copy=False)
-        if v.dtype.kind not in "biu":
-            return None
         if floats:
             return v.astype(_F64) if _magnitude(v) <= _EXACT_INT else None
         return v.astype(_I64, copy=False)
     if isinstance(v, (float, np.floating)):
         return np.full(k, v, _F64)
-    if not isinstance(v, (int, np.integer, np.bool_)):
-        return None
     v = int(v)
     if floats:
         return np.full(k, float(v)) if abs(v) <= _EXACT_INT else None
@@ -1309,8 +1297,6 @@ def _atomic(st: _WarpSt, idx: np.ndarray, name: str, target: Any, ind: Any,
     if name == "atomicSub":
         vals[0] = -vals[0]
     k = len(idx)
-    if not k:
-        return np.empty(0, carrier)
     # the element checks fault first, as the scalar accessors do
     if isinstance(ind, np.ndarray):
         target._check_lanes(ind)
@@ -1545,7 +1531,7 @@ class _WarpEmitter(_FnEmitter):
     charge batch flushes as ``S[C.line] += n * len(lanes)``.
 
     An expression's kind is the one its emitted code carries. The tier
-    declines (:class:`_SimdUnsupported`) where it emits what it cannot
+    declines (:class:`UnsupportedConstruct`) where it emits what it cannot
     run: in the ``_lane_*`` methods, which see every expression first
     (``LANES``), and in :meth:`_ident`, :meth:`_member` and
     :meth:`_operands` for what it declines even when uniform."""
@@ -1662,7 +1648,7 @@ class _WarpEmitter(_FnEmitter):
                 isinstance(kind, tuple) and kind[0] in _STORAGE):
             # a pointer/dim3/unknown local taking lane-divergent values
             # has no vector representation
-            raise _SimdUnsupported(f"varying non-numeric local {name!r}")
+            raise UnsupportedConstruct(f"varying non-numeric local {name!r}")
         py = self.declare(name, kind, cokind)
         if vary and kind in ("int", "float"):
             self.vec.add(py)
@@ -1673,15 +1659,15 @@ class _WarpEmitter(_FnEmitter):
     def _ident(self, name: str, pos: Any) -> tuple[str, Any]:
         if self.lookup(name) is None:
             if name in self.untracked_globals:
-                raise _SimdUnsupported(f"__device__ storage {name!r}")
+                raise UnsupportedConstruct(f"__device__ storage {name!r}")
             if name in ("threadIdx", "blockIdx"):  # lane-varying dim3s
-                raise _SimdUnsupported(f"bare {name} value")
+                raise UnsupportedConstruct(f"bare {name} value")
         return super()._ident(name, pos)
 
     def _member(self, e: ast.Member) -> tuple[str, Any]:
         code, kind = super()._member(e)
         if kind is None:  # not a field of a dim3
-            raise _SimdUnsupported(f"member access .{e.field_name}")
+            raise UnsupportedConstruct(f"member access .{e.field_name}")
         return code, kind
 
     def _operands(self, e: ast.Binary | ast.Unary, *kinds: Any) -> None:
@@ -1695,28 +1681,28 @@ class _WarpEmitter(_FnEmitter):
         uni = not self.varies(e)
         if len(kinds) == 1:
             if op == "-" or op == "~":
-                raise _SimdUnsupported(f"unary {op} on non-numeric")
+                raise UnsupportedConstruct(f"unary {op} on non-numeric")
             if op == "!" and not uni:
-                raise _SimdUnsupported("varying non-numeric !")
+                raise UnsupportedConstruct("varying non-numeric !")
             return
         lk, rk = (_fold(k) for k in kinds)
         if op == "&&" or op == "||":
-            raise _SimdUnsupported("non-numeric logical operand")
+            raise UnsupportedConstruct("non-numeric logical operand")
         if op in _COMPARISONS or op in ("==", "!="):
             if not uni:
-                raise _SimdUnsupported("varying non-numeric comparison")
+                raise UnsupportedConstruct("varying non-numeric comparison")
         elif op in ("+", "-", "*"):
             # pointer arithmetic: uniform base ± uniform offset
             if not uni or lk not in _PTR_KINDS and not (
                     op == "+" and rk in _PTR_KINDS):
-                raise _SimdUnsupported(f"binary {op} on {lk}/{rk}")
+                raise UnsupportedConstruct(f"binary {op} on {lk}/{rk}")
         elif op == "/" or op == "%":
-            raise _SimdUnsupported(f"{op} on {lk}/{rk}")
+            raise UnsupportedConstruct(f"{op} on {lk}/{rk}")
         else:
-            raise _SimdUnsupported(f"bitwise {op} on {lk}/{rk}")
+            raise UnsupportedConstruct(f"bitwise {op} on {lk}/{rk}")
 
     def _no_lanes(self, e: ast.Expr) -> None:
-        raise _SimdUnsupported(f"expression {type(e).__name__}")
+        raise UnsupportedConstruct(f"expression {type(e).__name__}")
 
     # -- expressions -----------------------------------------------------------
 
@@ -1784,7 +1770,7 @@ class _WarpEmitter(_FnEmitter):
             return ("local", base, ind, repr(bk[3])), bk[2]
         if bu and (bk is None or bk in _PTR_KINDS):
             return ("global", base, ind, None), (bk[1] if bk else None)
-        raise _SimdUnsupported(bad or f"index on base of kind {bk!r}")
+        raise UnsupportedConstruct(bad or f"index on base of kind {bk!r}")
 
     def _tid_field(self, e: ast.Expr) -> str | None:
         """The axis of a plain ``threadIdx.<axis>`` read: a group
@@ -1829,7 +1815,7 @@ class _WarpEmitter(_FnEmitter):
             return self._ref(target)
         code, kind, uni = self.sub(target.operand)
         if not uni:
-            raise _SimdUnsupported(f"{what} through varying pointer")
+            raise UnsupportedConstruct(f"{what} through varying pointer")
         return ("global", self.atom(code), "0", None), \
             (kind[1] if kind in _PTR_KINDS else None)
 
@@ -1934,9 +1920,9 @@ class _WarpEmitter(_FnEmitter):
         if cu:
             return out, kind
         if not _is_numeric(ck):
-            raise _SimdUnsupported("varying non-numeric ternary cond")
+            raise UnsupportedConstruct("varying non-numeric ternary cond")
         if kind not in ("int", "float"):
-            raise _SimdUnsupported("varying ternary on non-numeric arms")
+            raise UnsupportedConstruct("varying ternary on non-numeric arms")
         self.lines.insert(at, "    " * self.indent + (
             f"{out} = np.empty(len({L}), "
             f"{'_F64' if kind == 'float' else '_I64'})"))
@@ -1946,13 +1932,13 @@ class _WarpEmitter(_FnEmitter):
         op = e.op
         if op == "&":
             # only an atomic's target takes an address in device code
-            raise _SimdUnsupported("address-of expression")
+            raise UnsupportedConstruct("address-of expression")
         if not self.varies(e):
             return None
         v, vk, vu = self.sub(e.operand)
         if op == "*":
             if not vu:
-                raise _SimdUnsupported("deref of varying pointer")
+                raise UnsupportedConstruct("deref of varying pointer")
             self.charge(1)
             return self._load(("global", self.atom(v), "0", None)), \
                 (vk[1] if vk in _PTR_KINDS else None)
@@ -1968,7 +1954,7 @@ class _WarpEmitter(_FnEmitter):
     def _lane_cast(self, e: ast.Cast) -> tuple | None:
         if e.type.is_pointer:
             self.expr(e.value)  # the operand's own declines come first
-            raise _SimdUnsupported("pointer cast")
+            raise UnsupportedConstruct("pointer cast")
         if not self.varies(e):
             return None
         code, kind = self.expr(e.value)
@@ -1984,12 +1970,12 @@ class _WarpEmitter(_FnEmitter):
         if name in _OPENCL_INDEX_FNS:
             d, dk, du = self.sub(e.args[0])
             if not du:
-                raise _SimdUnsupported("varying OpenCL index dimension")
+                raise UnsupportedConstruct("varying OpenCL index dimension")
             return self.atom(f"_ocl(C, {self.L}, {name!r}, "
                              f"{self.vint(d, dk, du)})"), "int"
         if name not in bi.MATH_BUILTINS:
             # dim3(...), printf, device functions: scalar tiers only
-            raise _SimdUnsupported(f"call to {name!r}")
+            raise UnsupportedConstruct(f"call to {name!r}")
         if not self.varies(e):
             return None
         args = [self.expr(a) for a in e.args]
@@ -2001,7 +1987,7 @@ class _WarpEmitter(_FnEmitter):
             kinds = {_fold(k) for _code, k in args}
             kind = kinds.pop()
             if kinds or not _is_numeric(kind):
-                raise _SimdUnsupported(f"varying polymorphic {name}()")
+                raise UnsupportedConstruct(f"varying polymorphic {name}()")
         self.charge(1)
         ufunc = self.mod.obj(np.frompyfunc(_MATH_IMPL[name], len(args), 1),
                              "uf")
@@ -2024,7 +2010,7 @@ class _WarpEmitter(_FnEmitter):
                      want_value: bool = True) -> tuple | None:
         target = e.target
         if type(target) is ast.Ident and self.lookup(target.name) is None:
-            raise _SimdUnsupported(f"assignment to global {target.name!r}")
+            raise UnsupportedConstruct(f"assignment to global {target.name!r}")
         if not self.varies(e):
             return None if want_value else super()._assign(e, False)
         bop = e.op[:-1] if e.op != "=" else None
@@ -2041,7 +2027,7 @@ class _WarpEmitter(_FnEmitter):
                      want_value: bool = True) -> tuple | None:
         target = e.operand
         if type(target) is ast.Ident and self.lookup(target.name) is None:
-            raise _SimdUnsupported(f"increment of global {target.name!r}")
+            raise UnsupportedConstruct(f"increment of global {target.name!r}")
         if not self.varies(e):
             return None if want_value else super()._incdec(e, False)
         step = "+ 1" if e.op == "++" else "- 1"
@@ -2060,7 +2046,7 @@ class _WarpEmitter(_FnEmitter):
             (space, base, i, _extra), kind = self._ref(
                 ref.operand, "atomic address target")
             if not _is_numeric(kind):
-                raise _SimdUnsupported(
+                raise UnsupportedConstruct(
                     "atomic on untyped " + (
                         "pointer" if space == "global" else "storage"))
             if space == "local":
@@ -2072,11 +2058,11 @@ class _WarpEmitter(_FnEmitter):
         else:
             code, rk, ru = self.sub(ref)
             if not ru:
-                raise _SimdUnsupported("varying atomic reference")
+                raise UnsupportedConstruct("varying atomic reference")
             kind = (rk[1] if isinstance(rk, tuple)
                     and rk[0] in ("ptr", "shared") else None)
             if not _is_numeric(kind):
-                raise _SimdUnsupported("atomic on untyped reference")
+                raise UnsupportedConstruct("atomic on untyped reference")
             self.line(f"{tgt}, {ind} = _resolve_atomic({code}, {pos})")
         vals = [self.atom(self.expr(a)[0]) for a in e.args[1:]]
         return self.atom(
@@ -2097,7 +2083,7 @@ class _WarpEmitter(_FnEmitter):
             code, kind = self.expr(e)
             kinds, code = (kind,), f"({code} != 0)"
         if not all(map(_is_numeric, kinds)):
-            raise _SimdUnsupported("varying non-numeric condition")
+            raise UnsupportedConstruct("varying non-numeric condition")
         return self.atom(code, force=True), False
 
     LANES = {ast.Ident: _lane_leaf, ast.Member: _lane_leaf,
@@ -2117,7 +2103,7 @@ class _WarpEmitter(_FnEmitter):
         control = _CONTROL.get(cls)
         if self.gen and control is None and cls is not ast.ExprStmt \
                 and id(s) in self.barriers:
-            raise _SimdUnsupported("barrier in unsupported construct")
+            raise UnsupportedConstruct("barrier in unsupported construct")
         if control is not None:
             # the inherited statement wrapper, inline: a Python frame
             # less per level of nesting; these guard only their heads
@@ -2127,11 +2113,8 @@ class _WarpEmitter(_FnEmitter):
             self.flush()
             return
         guarded = self.guard()
-        mark = len(self.lines)
-        super().stmt(s)
+        super().stmt(s)  # never empty: it marks its line first
         if guarded:
-            if len(self.lines) == mark:
-                self.line("pass")
             self.indent -= 1
 
     def _effect(self, e: ast.Expr) -> None:
@@ -2146,8 +2129,6 @@ class _WarpEmitter(_FnEmitter):
             self.line("yield SYNC")
             self.has_yield = True
             return
-        if self.gen and id(e) in self.barriers:
-            raise _SimdUnsupported("barrier inside expression statement")
         if cls in (ast.Ident, ast.IntLit, ast.FloatLit, ast.BoolLit,
                    ast.NullLit):
             return  # bare identifier/literal statements do nothing
@@ -2165,10 +2146,10 @@ class _WarpEmitter(_FnEmitter):
     def _declarator(self, d: ast.Declarator, s: ast.DeclStmt) -> None:
         ctype, name = d.type, d.name
         if d.ctor_args:
-            raise _SimdUnsupported("dim3 constructor declaration")
+            raise UnsupportedConstruct("dim3 constructor declaration")
         if s.shared or ctype.array_dims:
             if not s.shared and d.init is not None:
-                raise _SimdUnsupported("local array initializer")
+                raise UnsupportedConstruct("local array initializer")
             dims = tuple(ctype.array_dims) or (1,)
             total = math.prod(dims)
             ek = _PTR_ELEM.get(ctype.base)
@@ -2188,7 +2169,7 @@ class _WarpEmitter(_FnEmitter):
             return
         vkind, cokind = _ctype_kinds(ctype)
         if vkind == "dim3":
-            raise _SimdUnsupported("dim3 local")
+            raise UnsupportedConstruct("dim3 local")
         code = kind = None
         if d.init is not None:
             code, kind = self.expr(d.init)
@@ -2208,9 +2189,7 @@ class _WarpEmitter(_FnEmitter):
 
     def _acc_index(self, s: ast.AccIndex) -> None:
         vkind, cokind = _ctype_kinds(s.type)
-        py, vary = self.bind(s.var, vkind, cokind)
-        if not vary:
-            raise _SimdUnsupported("non-numeric OpenACC loop variable")
+        py, _vary = self.bind(s.var, vkind, cokind)  # a lane vector
         L = self.L
         gid = self.atom(f"C.bid_axis('x')[{L}] * C.wctx.blockDim.x "
                         f"+ C.tid_axis('x')[{L}]", force=True)
@@ -2222,24 +2201,20 @@ class _WarpEmitter(_FnEmitter):
 
     def _return(self, s: ast.Return) -> None:
         if s.value is not None:
-            raise _SimdUnsupported("return with a value")
+            raise UnsupportedConstruct("return with a value")
         if self.loop_depth:  # an enclosing loop drops these lanes
             self.line(f"_ret.append({self.L})")
         self.line(f"{self.L} = _EMPTY")
 
     def _break(self, s: ast.Break) -> None:
-        if not self.loop_depth:
-            raise _SimdUnsupported("break outside loop")
         self.line(f"{self.brk}.append({self.L})")
         self.line(f"{self.L} = _EMPTY")
 
     def _continue(self, s: ast.Continue) -> None:
-        if not self.loop_depth:
-            raise _SimdUnsupported("continue outside loop")
         self.line(f"{self.L} = _EMPTY")
 
     def _switch(self, s: ast.Switch) -> None:
-        raise _SimdUnsupported("statement Switch")
+        raise UnsupportedConstruct("statement Switch")
 
     def _if(self, s: ast.If) -> None:
         uni = not self.varies(s.cond)
@@ -2257,7 +2232,7 @@ class _WarpEmitter(_FnEmitter):
         guarded = self.guard()
         code, _u = self.vcond(s.cond)
         if not uni and self.gen and id(s) in self.barriers:
-            raise _SimdUnsupported("barrier under divergent if")
+            raise UnsupportedConstruct("barrier under divergent if")
         self.flush()
         if uni:
             self.line(f"{c} = {code}")
@@ -2293,14 +2268,14 @@ class _WarpEmitter(_FnEmitter):
         if not (self.gen and id(s) in self.barriers):
             return False
         if _leaves(s.body, self.returns):
-            raise _SimdUnsupported("break/continue across a barrier")
+            raise UnsupportedConstruct("break/continue across a barrier")
         return True
 
     def _uniform_loop(self, s: Any, barrier: bool) -> bool:
         uni = s.cond is None or not self.varies(s.cond)
         if barrier and not uni:
             self.vcond(s.cond)  # the condition's own declines come first
-            raise _SimdUnsupported("barrier in divergent loop")
+            raise UnsupportedConstruct("barrier in divergent loop")
         return uni
 
     def _loop(self, s: Any, uni: bool, top: Callable[[str], str],
@@ -2418,7 +2393,8 @@ class _WarpEmitter(_FnEmitter):
         self.push()  # the for-scope: holds the init's declarations
         if s.init is not None:
             if id(s.init) in self.barriers:  # it runs once, before the loop
-                raise _SimdUnsupported("barrier under lane-divergent control")
+                raise UnsupportedConstruct(
+                    "barrier under lane-divergent control")
             self.stmt(s.init)
         uni = self._uniform_loop(s, barrier)
         call = None if barrier else self._flat(s)
@@ -2544,7 +2520,7 @@ class _WarpEmitter(_FnEmitter):
                          f"{'_F64' if kind == 'float' else '_I64'})"
                          if vary else f"{py} = _a{i}")
         if self.gen and id(fn.body) in self.returns:
-            raise _SimdUnsupported("return in barrier kernel")
+            raise UnsupportedConstruct("return in barrier kernel")
         self.block(fn.body.statements, "_L0", True)
         wctx = "C.wctx"
         head = ["I = C.interp", "S = C.instr", "_P = C.prof is not None",
@@ -2569,8 +2545,8 @@ class _WarpEmitter(_FnEmitter):
 # -- compiled kernel object ---------------------------------------------------
 
 class Speculation:
-    """Undo log of one speculative launch, carried by the bound kernel
-    as ``thread_fn.speculation`` for ``Interpreter.launch_kernel``.
+    """Undo log of one speculative launch, carried by the bound launch
+    (:class:`WarpLaunch`) for ``Interpreter.launch_kernel``.
 
     Creating it snapshots every allocation the kernel may store to and
     hangs a fresh :class:`LaneTracker` on each; everything else a
@@ -2604,10 +2580,6 @@ class Speculation:
         if isinstance(exc, LaneConflict):
             kernel.demoted = exc.describe()
         src = kernel.scalar(interp.info)
-        if src is None:
-            raise InterpreterError(
-                _scalar_decline_reason(interp.info, kernel.name),
-                interp.info.kernel_def(kernel.name).pos)
         return src.bind(interp, self.args), src.tier
 
     def release(self) -> None:
@@ -2621,13 +2593,12 @@ class CompiledSimdKernel:
     of lanes, ``fn(st, *args)`` (:class:`_WarpEmitter`), a generator
     when the kernel has a barrier.
 
-    Binding attaches the group executor the scheduler prefers —
-    ``warp_run``, a generator over one group's
+    Binding returns a :class:`WarpLaunch`: the group executor the
+    scheduler runs — ``warp_run``, a generator over one group's
     :class:`~repro.gpusim.scheduler.WarpContext` that yields at each
     barrier (a barrier-free kernel's never does), and
-    :meth:`group_blocks`, how many blocks a group holds — and the
-    launch's :class:`Speculation` to a carrier function the scheduler
-    never calls. The scalar kernel a replay runs on is compiled by the
+    :meth:`group_blocks`, how many blocks a group holds — with the
+    launch's :class:`Speculation`. The scalar kernel a replay runs on is compiled by the
     first replay (:meth:`scalar`), inside this memo entry."""
 
     __slots__ = ("name", "coercers", "param_names", "fn", "is_gen",
@@ -2655,7 +2626,7 @@ class CompiledSimdKernel:
         #: empty until one does: ``compile_kernel`` hands out the
         #: scalar kernel from then on
         self.demoted = ""
-        self._src: CompiledSrcKernel | Declined | None = None
+        self._src: CompiledSrcKernel | None = None
 
     def group_blocks(self, block: Dim3, spec: DeviceSpec) -> int:
         """How many consecutive blocks of shape ``block`` one group
@@ -2667,23 +2638,17 @@ class CompiledSimdKernel:
             spec.max_threads_per_block // block.count,
             spec.shared_mem_per_block // max(self.shared_bytes, 1)))
 
-    def scalar(self, info: ProgramInfo) -> CompiledSrcKernel | None:
-        """The scalar kernel of the same source (None where the scalar
-        emitter declines it), compiled on first use; the memo entry
-        weighs that much more from then on."""
+    def scalar(self, info: ProgramInfo) -> CompiledSrcKernel:
+        """The scalar kernel of the same source, compiled on first use;
+        the memo entry weighs that much more from then on."""
         src = self._src
         if src is None:
             src = self._src = _compile_scalar(info, self.name)
             self.nbytes += src.nbytes
             KERNEL_CACHE.grow(_memo_key(info, self.name), src.nbytes)
-        return None if type(src) is Declined else src
+        return src
 
-    def bind(self, interp: Any, args: tuple[Any, ...]) -> Callable:
-        def thread_fn(ctx: Any) -> None:  # the scheduler runs warp_run
-            raise AssertionError("warp kernel called per thread")
-
-        thread_fn.profiled = interp.profile
-        thread_fn.lines = self.lines
+    def bind(self, interp: Any, args: tuple[Any, ...]) -> "WarpLaunch":
         args2 = tuple(a if co is None else co(a)
                       for co, a in zip(self.coercers, args))
         fn, is_gen, entry_pos = self.fn, self.is_gen, self.entry_pos
@@ -2694,9 +2659,8 @@ class CompiledSimdKernel:
             arg = args2[i]
             if type(arg) is DevicePtr and not arg.buffer.read_only:
                 buffers.setdefault(arg.buffer, self.param_names[i])
-        thread_fn.speculation = Speculation(self, interp, args, buffers)
+        speculation = Speculation(self, interp, args, buffers)
         trackers = [buf.lanes for buf in buffers]
-        thread_fn.group_blocks = self.group_blocks
 
         def warp_run(wctx: WarpContext):
             interp.steps += wctx.n
@@ -2713,9 +2677,31 @@ class CompiledSimdKernel:
                 tracker.reset()
             occ[0] += st.ops
             occ[1] += st.slots
-        thread_fn.warp_run = warp_run
-        thread_fn.lane_occupancy = occ
-        return thread_fn
+        return WarpLaunch(warp_run, self.group_blocks, speculation,
+                          self.lines, interp.profile, occ)
+
+
+class WarpLaunch:
+    """One bound launch of a :class:`CompiledSimdKernel`: no per-thread
+    callable, only what the runtime reads — the group executor
+    ``warp_run`` and ``group_blocks`` (the scheduler), the per-line
+    counters' bound ``lines`` and ``profiled`` (the scheduler), the
+    ``speculation`` undo log (``Interpreter.launch_kernel``) and
+    ``lane_occupancy``, this launch's [active-lane ops, lane slots]
+    (the runtime's telemetry)."""
+
+    __slots__ = ("warp_run", "group_blocks", "speculation", "lines",
+                 "profiled", "lane_occupancy")
+
+    def __init__(self, warp_run: Callable, group_blocks: Callable,
+                 speculation: Speculation, lines: int, profiled: bool,
+                 lane_occupancy: list[int]):
+        self.warp_run = warp_run
+        self.group_blocks = group_blocks
+        self.speculation = speculation
+        self.lines = lines
+        self.profiled = profiled
+        self.lane_occupancy = lane_occupancy
 
 
 # -- memoized program → kernel compilation ------------------------------------
@@ -2763,10 +2749,10 @@ def compile_kernel(info: ProgramInfo, name: str):
     """Compile kernel ``name`` for the warp-SIMD tier.
 
     Returns a :class:`CompiledSimdKernel` when the kernel is eligible,
-    the scalar :class:`CompiledSrcKernel` when the SIMD lowering hit an
-    unsupported construct or a lane-conflict replay has demoted the
-    kernel (the fallback ladder: simd → codegen), or None when the
-    source emitter declines it too. All verdicts are memoized
+    else the scalar :class:`CompiledSrcKernel`: when the SIMD lowering
+    hit an unsupported construct or a lane-conflict replay has demoted
+    the kernel (the fallback ladder: simd → codegen, whose emitter is
+    total). All verdicts are memoized
     (:func:`_verdict`; a declined one keeps its reason for
     :func:`decline_reason`). One artifact serves profiled and
     unprofiled launches alike: its code always marks the group's
@@ -2777,4 +2763,4 @@ def compile_kernel(info: ProgramInfo, name: str):
     value = _verdict(info, name)
     if type(value) is CompiledSimdKernel:
         return value.scalar(info) if value.demoted else value
-    return None if type(value.src) is Declined else value.src
+    return value.src

@@ -104,8 +104,6 @@ from repro.minicuda import ast_nodes as ast
 from repro.minicuda import builtins as bi
 from repro.minicuda.codegen import (
     KERNEL_CACHE,
-    Declined,
-    UnsupportedConstruct,
     _HANG_MSG,
     _OPENCL_INDEX_FNS,
     _coerce_bool,
@@ -378,12 +376,11 @@ _TRACES = {"_TL": "loads", "_TS": "stores", "_TH": "shared_trace"}
 _LOCALS = {"C.seq": "_q", "I.steps": "_n", "I.max_steps": "_mx"}
 
 
-def _ctype_kinds(ctype: ast.CType | None) -> tuple[Any, str | None]:
-    """(value kind after coercion, coercer kind) for a declared type."""
-    if ctype is not None and ctype.is_pointer:
+def _ctype_kinds(ctype: ast.CType) -> tuple[Any, str | None]:
+    """(value kind after coercion, coercer kind) for a declared type
+    that is not an array."""
+    if ctype.is_pointer:
         return ("ptr", _PTR_ELEM.get(ctype.base)), None
-    if ctype is None or ctype.is_array:
-        return None, None
     from repro.minicuda.values import _INT_BASES
     base = ctype.base
     if base in _INT_BASES and base != "bool":
@@ -415,11 +412,9 @@ def _element_kind(place: tuple) -> Any:
 
 
 def _arith_kind(left: Any, right: Any) -> Any:
-    """The kind of ``left op right`` for ``+ - * / %``."""
+    """The kind of ``left op right`` for ``+ - * / %`` on numbers."""
     if left in _INT_LIKE and right in _INT_LIKE:
         return "int"
-    if not (_is_numeric(left) and _is_numeric(right)):
-        return None
     return "float" if "float" in (left, right) else "num"
 
 
@@ -706,11 +701,8 @@ class _FnEmitter:
             out = repr(sizeof_ctype(e.type)), "int"
         elif cls is ast.Call:
             out = self._call(e)
-        elif cls is ast.KernelLaunch:
-            out = (self._launch(e) if self.host else
-                   self.fault("dynamic parallelism is not supported", e.pos))
-        else:
-            raise UnsupportedConstruct(f"expression {cls.__name__}")
+        else:  # ast.KernelLaunch, which only host code may hold
+            out = self._launch(e)
         if self.depth % _HOIST_DEPTH == 0:
             out = self.atom(out[0]), out[1]
         self.depth -= 1
@@ -916,11 +908,10 @@ class _FnEmitter:
             return f"({lcode} {op} {rcode})", kind
         if op in ("/", "%"):
             return self._divide(op, lcode, rcode, kind), kind
-        if op in ("<<", ">>", "&", "|", "^"):
-            li = lcode if lkind in _INT_LIKE else f"int({lcode})"
-            ri = rcode if rkind in _INT_LIKE else f"int({rcode})"
-            return f"({li} {op} {ri})", "int"
-        raise UnsupportedConstruct(f"binary operator {op!r}")
+        # a shift or a bitwise operator
+        li = lcode if lkind in _INT_LIKE else f"int({lcode})"
+        ri = rcode if rkind in _INT_LIKE else f"int({rcode})"
+        return f"({li} {op} {ri})", "int"
 
     def _divide(self, op: str, a: str, b: str, kind: Any) -> str:
         """C's ``a / b`` or ``a % b`` on numbers of arithmetic ``kind``:
@@ -1083,7 +1074,7 @@ class _FnEmitter:
             return self.fault(f"assignment to undefined variable {name!r}",
                               target.pos)
         if not _is_element(target):
-            return self.fault("expression is not assignable", target.pos)
+            return self._unassignable(target)
         place = self._place(target)
         vcode, vk = self.expr(e.value)
         if compound:
@@ -1095,6 +1086,14 @@ class _FnEmitter:
         self.charge(1)
         self._access(place, vcode)
         return vcode, vk
+
+    def _unassignable(self, target: ast.Expr) -> tuple[str, None]:
+        """A store to a ``dim3`` field, which the oracle refuses: the
+        fault is a statement of its own, so that a store whose value
+        is dropped still raises it."""
+        code, kind = self.fault("expression is not assignable", target.pos)
+        self.line(code)
+        return code, kind
 
     def _incdec(self, e: ast.IncDec, want_value: bool) -> tuple[str, Any]:
         bop = e.op[0]
@@ -1129,7 +1128,7 @@ class _FnEmitter:
             return self.fault(f"assignment to undefined variable {name!r}",
                               target.pos)
         if not _is_element(target):
-            return self.fault("expression is not assignable", target.pos)
+            return self._unassignable(target)
         place = self._place(target)
         old, kind = self._access(place), _element_kind(place)
         new = self.atom(self._operate(bop, old, kind, "1", "int", e.pos)[0],
@@ -1297,10 +1296,7 @@ class _FnEmitter:
         # it is emitted, so a batch must never straddle a line change.
         self.flush()
         self.mark(s.pos.line)
-        method = _STATEMENTS.get(cls)
-        if method is None or cls is ast.AccParallelLoop and not self.host:
-            raise UnsupportedConstruct(f"statement {cls.__name__}")
-        getattr(self, method)(s)
+        getattr(self, _STATEMENTS[cls])(s)
         self.flush()
 
     def _expr_stmt(self, s: ast.ExprStmt) -> None:
@@ -1337,8 +1333,6 @@ class _FnEmitter:
         ctype = decl.type
         name = decl.name
         if s.shared or ctype.is_array:
-            if s.shared and self.host:
-                raise UnsupportedConstruct("__shared__ outside device code")
             dims = tuple(ctype.array_dims or (1,))
             total = math.prod(dims)
             space = "shared" if s.shared else "local"
@@ -1749,12 +1743,7 @@ class _ModuleEmitter:
         """Compile and execute the module; returns its namespace and
         the estimated resident bytes the kernel memo charges for it."""
         source = "\n".join(self.module_lines)
-        try:
-            code = compile(source, f"<minicuda-srcgen:{label}>", "exec")
-        except SyntaxError as exc:
-            # CPython's own nesting limit, e.g. a 250-term sum
-            raise UnsupportedConstruct(
-                f"generated source rejected: {exc.msg}") from None
+        code = compile(source, f"<minicuda-srcgen:{label}>", "exec")
         ns = dict(_BASE_NS)
         ns.update(self.ns)
         exec(code, ns)  # noqa: S102 - our own generated source
@@ -1785,42 +1774,41 @@ class _ModuleEmitter:
 
 # -- memoized program → compiled function -------------------------------------
 
-#: Why a lowering that ran out of Python stack declines (the same words
+#: Why a lowering that ran out of Python stack fails (the same words
 #: the front end uses when *it* does).
 _TOO_DEEP = "program is nested too deeply"
 
 
-def _compile_scalar(info: ProgramInfo,
-                    name: str) -> CompiledSrcKernel | Declined:
+def _lower(info: ProgramInfo, fn: ast.FuncDef, host: bool):
+    """Un-memoized: kernel or host function ``fn`` as generated
+    Python. The emitter is total on checked programs; the one way it
+    can fail is to run out of Python stack where a front-end budget
+    let a program through, which ends here, as the positioned
+    ``program is nested too deeply``, for kernels and host functions
+    alike, and is memoized nowhere."""
+    try:
+        emitter = _ModuleEmitter(info)
+        return (emitter.compile_host(fn.name) if host
+                else emitter.compile_kernel(fn))
+    except RecursionError:
+        raise InterpreterError(_TOO_DEEP, fn.pos) from None
+
+
+def _compile_scalar(info: ProgramInfo, name: str) -> CompiledSrcKernel:
     """Un-memoized :func:`compile_kernel`; the warp tier compiles its
     scalar kernel through this, inside its own memo entry."""
-    try:
-        return _ModuleEmitter(info).compile_kernel(info.kernel_def(name))
-    except UnsupportedConstruct as exc:
-        return Declined(str(exc))
-    except RecursionError:
-        return Declined(_TOO_DEEP)
+    return _lower(info, info.kernel_def(name), host=False)
 
 
-def _kernel_verdict(info: ProgramInfo,
-                    name: str) -> CompiledSrcKernel | Declined:
+def compile_kernel(info: ProgramInfo, name: str) -> CompiledSrcKernel:
+    """Compile kernel ``name`` to generated Python source, memoized in
+    the shared :data:`repro.minicuda.codegen.KERNEL_CACHE` — and
+    nowhere else: an evicted kernel is recompiled — under a versioned
+    ``codegen`` engine key. Profiled and unprofiled launches share the
+    one artifact."""
     key = memo_key("codegen", SRCGEN_VERSION, kernel_key(info, name), name)
     return KERNEL_CACHE.get_or_compute(
         key, lambda: _compile_scalar(info, name))[0]
-
-
-def compile_kernel(info: ProgramInfo, name: str) -> CompiledSrcKernel | None:
-    """Compile kernel ``name`` to generated Python source.
-
-    Returns None only where a budget of the front end failed to keep
-    the emitter inside Python's limits (:func:`decline_reason` says
-    which). Both outcomes are memoized in the shared
-    :data:`repro.minicuda.codegen.KERNEL_CACHE` — and nowhere else: an
-    evicted kernel is recompiled — under a versioned ``codegen`` engine
-    key. Profiled and unprofiled launches share the one artifact.
-    """
-    value = _kernel_verdict(info, name)
-    return None if type(value) is Declined else value
 
 
 # -- host functions -----------------------------------------------------------
@@ -1898,38 +1886,15 @@ def kernel_key(info: ProgramInfo, name: str) -> str:
     return key
 
 
-def _host_verdict(info: ProgramInfo, name: str) -> CompiledHostFn | Declined:
-    key = memo_key("host", SRCGEN_VERSION, definition_keys(info)[name], name)
-    return KERNEL_CACHE.get_or_compute(
-        key, lambda: _compile_host(info, name))[0]
-
-
-def _compile_host(info: ProgramInfo, name: str) -> CompiledHostFn | Declined:
-    try:
-        return _ModuleEmitter(info).compile_host(name)
-    except UnsupportedConstruct as exc:
-        return Declined(str(exc))
-    except RecursionError:
-        return Declined(_TOO_DEEP)
+def _compile_host(info: ProgramInfo, name: str) -> CompiledHostFn:
+    return _lower(info, info.host_functions[name], host=True)
 
 
 def compile_host(info: ProgramInfo, name: str) -> Callable:
     """Host function ``name`` as generated Python, ``call(interp,
     *args)``, lowered together with every host function it calls. The
     artifact is memoized in the kernel memo under a versioned ``host``
-    key per definition (:func:`definition_keys`) and nowhere else. Where a
-    front-end budget failed to keep the emitter inside Python's limits
-    this raises the positioned :class:`InterpreterError` instead."""
-    value = _host_verdict(info, name)
-    if type(value) is Declined:
-        raise InterpreterError(value.reason, info.host_functions[name].pos)
-    return value.call
-
-
-def decline_reason(info: ProgramInfo, name: str) -> str | None:
-    """Why this emitter does not lower kernel or host function ``name``
-    (None when it does — for every checked program). Recalled from
-    the memoized verdict."""
-    value = (_host_verdict(info, name) if name in info.host_functions
-             else _kernel_verdict(info, name))
-    return value.reason if type(value) is Declined else None
+    key per definition (:func:`definition_keys`) and nowhere else."""
+    key = memo_key("host", SRCGEN_VERSION, definition_keys(info)[name], name)
+    return KERNEL_CACHE.get_or_compute(
+        key, lambda: _compile_host(info, name))[0].call

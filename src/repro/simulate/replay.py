@@ -63,14 +63,12 @@ def replay_cohort(platform: WebGPU, course_key: str, lab_slug: str,
             "pw", now=clock.now())
         course.enroll(student.user_id, now=clock.now())
 
-        # everyone starts from the skeleton and compiles it
+        # everyone starts from the skeleton and compiles it: a new
+        # user's first action, which no rate limit refuses
         platform.save_code(course_key, student, lab_slug, lab.skeleton)
         clock.advance(think_time_s)
-        try:
-            platform.compile_code(course_key, student, lab_slug)
-            stats.compiles += 1
-        except RateLimited:
-            stats.rate_limited += 1
+        platform.compile_code(course_key, student, lab_slug)
+        stats.compiles += 1
 
         # weaker students iterate through buggy versions first
         buggy_iterations = rng.choices((0, 1, 2), weights=(4, 4, 2))[0]

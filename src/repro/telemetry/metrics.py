@@ -193,13 +193,13 @@ class _HistogramSeries:
             raise ValueError(f"quantile must be in [0, 1], got {q}")
         if self.count == 0:
             return 0.0
+        # rank <= count: some bucket's running total reaches it
         rank = max(1, math.ceil(q * self.count))
         cumulative = 0
         for idx in sorted(self.buckets):
             cumulative += self.buckets[idx]
             if cumulative >= rank:
                 return min(max(bucket_upper(idx), self.min), self.max)
-        return self.max  # pragma: no cover - rank <= count always hits
 
     @property
     def mean(self) -> float:

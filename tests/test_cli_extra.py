@@ -141,3 +141,52 @@ class TestQuestionsView:
         lab = dataclasses.replace(get_lab("vector-add"), questions=())
         html = render_questions_view(lab, {})
         assert "no questions" in html
+
+
+class TestCliExits:
+    """Each way ``run-lab`` and ``profile-attempt`` end, through a
+    source file."""
+
+    VECADD = get_lab("vector-add")
+
+    def probe(self, tmp_path, source):
+        path = tmp_path / "probe.cu"
+        path.write_text(source)
+        return str(path)
+
+    def test_run_lab_counts_a_runtime_error(self, capsys, tmp_path):
+        crash = self.VECADD.solution.replace(
+            'wbLog(TRACE, "The input length is ", inputLength);',
+            "int zz = 0; inputLength = inputLength / zz;")
+        assert main(["run-lab", "vector-add", "--dataset", "0", "--source",
+                     self.probe(tmp_path, crash)]) == 1
+        assert "dataset 0: RUNTIME ERROR: integer division by zero" \
+            in capsys.readouterr().out
+
+    def test_profile_attempt_of_a_compile_error(self, capsys, tmp_path):
+        bad = self.VECADD.solution.replace("int i =", "int i = =")
+        assert main(["profile-attempt", "vector-add", "--source",
+                     self.probe(tmp_path, bad)]) == 2
+        assert "COMPILE ERROR" in capsys.readouterr().out
+
+    def test_profile_attempt_without_a_launch(self, capsys, tmp_path):
+        from tests.test_feedback import _without_launch
+        assert main(["profile-attempt", "vector-add", "--source",
+                     self.probe(tmp_path,
+                                _without_launch(self.VECADD.solution))]) == 0
+        assert "no profiled kernel launches" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("ceiling, code, said", [
+        (0, 1, "line-budget violations:"),
+        (10 ** 9, 0, "all 1 line budget(s) satisfied")])
+    def test_profile_attempt_against_line_budgets(self, capsys, monkeypatch,
+                                                  ceiling, code, said):
+        import dataclasses
+
+        from repro import cli
+        from repro.profiler import LineBudget
+        lab = dataclasses.replace(self.VECADD, line_budgets=(
+            LineBudget(r"out\[i\] =", "global_load_transactions", ceiling),))
+        monkeypatch.setattr(cli, "get_lab", lambda slug: lab)
+        assert main(["profile-attempt", "vector-add"]) == code
+        assert said in capsys.readouterr().out

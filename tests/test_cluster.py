@@ -19,6 +19,7 @@ from repro.cluster import (
 )
 from repro.cluster.job import JobKind
 from repro.labs import get_lab
+from repro.minicuda import CompileCache
 from repro.minicuda.interpreter import InterpreterError
 
 
@@ -100,6 +101,21 @@ class TestWorkerEvaluation:
         result = dispatcher.dispatch(make_job(kind=JobKind.FULL_GRADING))
         assert len(result.datasets) == len(VECADD.dataset_sizes)
         assert result.all_correct
+
+    @pytest.mark.parametrize("cached", (False, True),
+                             ids=("uncached", "compile-cache"))
+    def test_a_lone_surrogate_grades(self, clock, cached):
+        # a JSON "\ud800" escape decodes to the lone surrogate itself;
+        # hashing the source must not make it an internal error
+        start = VECADD.solution.index("{", VECADD.solution.index("int main"))
+        source = (VECADD.solution[:start + 1] + '\n  printf("a\ud800b\\n");'
+                  + VECADD.solution[start + 1:])
+        worker = GpuWorker(WorkerConfig(), clock=clock,
+                           compile_cache=CompileCache() if cached else None)
+        result = worker.process(make_job(source, kind=JobKind.FULL_GRADING))
+        assert result.compile_ok, result.compile_message
+        assert [d.outcome for d in result.datasets] == \
+            ["ok"] * len(VECADD.dataset_sizes)
 
     def test_outcome_accounting(self, pool, dispatcher):
         dispatcher.dispatch(make_job())

@@ -20,7 +20,9 @@ from repro.cluster.job import Job, JobKind
 from repro.gpusim import Device, GpuRuntime
 from repro.labs import get_lab
 from repro.labs.mutations import MUTATIONS, buggy_source
-from repro.minicuda import HostEnv, compile_source, srcgen
+from repro.minicuda import HostEnv, compile_source, parse, srcgen
+from repro.minicuda.compiler import CompiledProgram
+from repro.minicuda.semantic import analyze
 from repro.minicuda.codegen import KERNEL_CACHE
 from repro.minicuda.simd import _verdict, compile_kernel
 from repro.minicuda.srcgen import CompiledSrcKernel
@@ -175,3 +177,15 @@ def test_grading_bfs_twice_with_different_nonces_replays_once():
         assert result.all_correct
     assert telemetry.metrics.counter(KERNEL_REPLAYS_TOTAL).value(
         kernel="bfsKernel") == 1
+
+
+def test_a_unit_without_source_text_keys_every_function_on_the_program():
+    # no spans to hash: every function keys on the program itself
+    unit = parse("void f() {}\nint main() { f(); return 2; }")
+    unit.source = ""
+    info = analyze(unit)
+    assert srcgen.definition_keys(info) == dict.fromkeys(
+        ("f", "main"), info.fingerprint)
+    program = CompiledProgram("", "", info)
+    assert program.run_main(host_env=HostEnv(), engine="codegen") \
+        .exit_code == 2

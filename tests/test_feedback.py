@@ -182,3 +182,69 @@ class TestPlatformIntegration:
         assert hint is not None
         assert platform.hints.hints_taken(student.user_id,
                                           "vector-add") == 1
+
+
+def _without_launch(source):
+    """VECADD computed on the host: no kernel runs, so no profile."""
+    start = source.index("vecAdd<<<")
+    source = source[:start] + source[source.index(";", start) + 1:]
+    return source.replace(
+        "wbSolution(", "for (int q = 0; q < inputLength; q++) "
+        "hostOutput[q] = hostInput1[q] + hostInput2[q];\n  wbSolution(")
+
+
+#: id -> (VECADD's solution -> the attempt, dataset, the category and a
+#: phrase of the advice it gets)
+RULES = {
+    "argument-count": (lambda s: s.replace(
+        "(deviceInput1, deviceInput2, deviceOutput,",
+        "(deviceInput1, deviceInput2,"), 0, "compile", "argument count"),
+    "shared-in-host-code": (lambda s: s.replace(
+        "int main(int argc, char **argv) {",
+        "int main(int argc, char **argv) {\n  __shared__ float junk[4];"),
+        0, "compile", "only exists inside device code"),
+    "any-other-compile-error": (lambda s: s.replace("int i =", "int i = ="),
+                                0, "compile", "top-down"),
+    "forbidden-system-call": (lambda s: s.replace(
+        "cudaDeviceSynchronize();",
+        'cudaDeviceSynchronize(); fopen("/etc/shadow", "r");'), 0,
+        "security", "system call outside the lab's whitelist"),
+    "kernel-given-a-host-pointer": (lambda s: s.replace(
+        "(deviceInput1, deviceInput2, deviceOutput,",
+        "(hostInput1, deviceInput2, deviceOutput,"), 0, "runtime",
+        "received a host pointer"),
+    "any-other-crash": (lambda s: s.replace(
+        'wbLog(TRACE, "The input length is ", inputLength);',
+        "int zz = 0; inputLength = inputLength / zz;"), 0, "runtime",
+        "crashed: integer division by zero"),
+    "bank-conflicts": (lambda s: s.replace(
+        "    out[i] = in1[i] + in2[i];",
+        "    __shared__ float t[8192];\n"
+        "    t[(threadIdx.x * 32) % 8192] = in1[i] + in2[i];\n"
+        "    out[i] = t[(threadIdx.x * 32) % 8192];"), 1, "perf",
+        "bank conflicts are serialising"),
+    "atomic-contention": (lambda s: s.replace(
+        "    out[i] = in1[i] + in2[i];",
+        "    atomicAdd(&in1[0], 0.0f);\n    out[i] = in1[i] + in2[i];"), 1,
+        "perf", "hit the same address with atomics"),
+    "global-loads-of-one-line": (lambda s: s.replace(
+        "    out[i] = in1[i] + in2[i];",
+        "    float t = in1[(i * 37) % len];\n"
+        "    out[i] = in1[i] + in2[i] + t * 0.0f;"), 3, "perf",
+        "global-load transactions"),
+}
+
+
+@pytest.mark.parametrize("name", RULES)
+def test_each_rule_through_a_program(name):
+    attempt, dataset, category, phrase = RULES[name]
+    worker = GpuWorker(WorkerConfig(line_profile=True), clock=ManualClock())
+    result = worker.process(Job(lab=VECADD, source=attempt(VECADD.solution),
+                                dataset_index=dataset))
+    feedback = FeedbackEngine().analyze(VECADD, result)
+    assert any(f.category == category and phrase in f.message
+               for f in feedback), feedback
+
+
+def test_a_correct_run_without_a_kernel_gets_no_advice(worker):
+    assert analyze(worker, VECADD, _without_launch(VECADD.solution)) == []

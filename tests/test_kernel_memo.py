@@ -19,7 +19,7 @@ import pytest
 from repro.gpusim import Device, GpuRuntime
 from repro.minicuda import CompileCache, HostEnv, compile_source
 from repro.minicuda import simd, srcgen
-from repro.minicuda.codegen import _VERDICT_NBYTES, KERNEL_CACHE
+from repro.minicuda.codegen import KERNEL_CACHE
 from repro.minicuda.interpreter import Interpreter
 from repro.minicuda.parser import parse
 from repro.minicuda.semantic import ProgramInfo, analyze
@@ -151,13 +151,10 @@ def test_a_replay_weighs_its_scalar_kernel_when_it_compiles_it():
 
 def test_bytes_live_is_what_the_process_holds():
     flood()
-    held = [flight.value for flight in KERNEL_CACHE._done.values()
-            if flight.value is not None]
-    verdicts = len(KERNEL_CACHE) - len(held)
+    held = [flight.value for flight in KERNEL_CACHE._done.values()]
     assert KERNEL_CACHE.stats.bytes_live <= CAP
-    assert KERNEL_CACHE.stats.bytes_live == (
-        sum(kernel.nbytes for kernel in held)
-        + verdicts * _VERDICT_NBYTES)
+    assert KERNEL_CACHE.stats.bytes_live == sum(
+        kernel.nbytes for kernel in held)
     alive = sum(type(obj) is simd.CompiledSimdKernel
                 for obj in gc.get_objects())
     assert alive == sum(type(kernel) is simd.CompiledSimdKernel

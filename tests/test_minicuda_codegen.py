@@ -216,7 +216,8 @@ __global__ void k(float *out) {
 int main() { return 0; }
 """
         program = compile_source(source)
-        assert srcgen.compile_kernel(program.info, "k") is not None
+        assert type(srcgen.compile_kernel(program.info, "k")) \
+            is srcgen.CompiledSrcKernel
         rt = GpuRuntime(Device())
         out = rt.malloc(8, "float")
         program.launch(rt, "k", 1, 8, out.ptr(), engine="codegen")
@@ -353,7 +354,7 @@ int main() { return 0; }
 """
         program = compile_source(source)
         compiled = srcgen.compile_kernel(program.info, "k")
-        assert compiled is not None
+        assert type(compiled) is srcgen.CompiledSrcKernel
         assert not compiled.is_gen
         rt = GpuRuntime(Device())
         interp = Interpreter(program.info, rt, None, engine="codegen")
@@ -376,7 +377,7 @@ int main() { return 0; }
 """
         program = compile_source(source)
         compiled = srcgen.compile_kernel(program.info, "k")
-        assert compiled is not None
+        assert type(compiled) is srcgen.CompiledSrcKernel
         assert compiled.is_gen
         rt = GpuRuntime(Device())
         interp = Interpreter(program.info, rt, None, engine="codegen")

@@ -576,3 +576,10 @@ int main() {
             for engine in ENGINES:
                 assert getattr(stats[engine], fld) == \
                     getattr(stats["ast"], fld), (engine, fld)
+
+
+def test_every_host_builtin_has_its_handler():
+    # HostEnv.call dispatches on the name alone
+    from repro.minicuda.builtins import HOST_BUILTINS
+    assert [name for name in HOST_BUILTINS
+            if not hasattr(HostEnv, f"_do_{name}")] == []

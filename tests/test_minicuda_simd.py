@@ -10,6 +10,7 @@ scalar codegen tier for ineligible kernels.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from pathlib import Path
 
@@ -21,7 +22,8 @@ from repro.gpusim.errors import InvalidPointerError
 from repro.gpusim.grid import Dim3
 from repro.labs import ALL_LABS, EXTRA_LABS, execute_lab_source, get_lab
 from repro.labs.mutations import MUTATIONS, buggy_source
-from repro.minicuda import compile_source
+from repro.minicuda import compile_source, simd
+from repro.minicuda.interpreter import KernelHang
 from repro.minicuda.simd import (
     CompiledSimdKernel,
     compile_kernel,
@@ -449,6 +451,12 @@ DECLINES = [
      _I + "while (i < n) { __syncthreads(); i++; }"),
     ("barrier under lane-divergent control", "", "int *b",
      _I + "for (__syncthreads(); i < 1; i++) {}"),
+    ("barrier in unsupported construct", "", "int *b",
+     _I + "switch (i) { case 0: __syncthreads(); break; }"),
+    ("break/continue across a barrier", "", "int *b",
+     "for (int j = 0; j < 2; j++) { if (j) break; __syncthreads(); }"),
+    ("return in barrier kernel", "", "int *b",
+     _I + "__syncthreads(); if (i > 0) return; b[i] = 3;"),
 ]
 
 
@@ -772,3 +780,242 @@ class TestRuntimeHelpers:
         # an int for the double, an int for the bool
         program.launch(rt, "k", 1, 4, 3, 2, out.ptr(), engine=engine)
         assert rt.memcpy_dtoh(out).tolist() == [3.0] * 4
+
+
+#: id -> (params, body, scalars, what the first buffer holds after a
+#: <<<1, 4>>> launch, or the fault every engine ends in). The buffer is
+#: four zeros of the first parameter's element type.
+RARE_DTYPES = {"float": np.float32, "long": np.int64, "int": np.int32}
+RARE_PATHS = {
+    # a loop left by returns at two statements (simd._merge of both)
+    "returns-in-a-loop": ("int *o", "for (int j = 0; j < 3; j++) { "
+                          "if (i == 0) return; if (i == 1) return; "
+                          "o[i] += 1; }", [], [0, 0, 3, 3]),
+    "varying-do-while": ("int *o", "int j = 0; do { o[i] += 1; j++; } "
+                         "while (j < i);", [], [1, 1, 2, 3]),
+    "reseated-pointer": ("int *o", "int *p = o; p = p + 1; p[i % 3] = 5;",
+                         [], [0, 5, 5, 5]),
+    "int-plus-pointer": ("int *o", "int *p = 1 + o; p[i % 3] = 7;", [],
+                         [0, 7, 7, 7]),
+    "local-2d-array": ("int *o", "int l[2][2]; l[i % 2][1] = i; "
+                       "o[i] = l[i % 2][1];", [], [0, 1, 2, 3]),
+    "store-through-deref": ("int *o", "*o = 9;", [], [9, 0, 0, 0]),
+    "compound-through-deref": ("int *o", "*(o + 1) += 4;", [],
+                               [0, 16, 0, 0]),
+    "varying-logical-and": ("int *o", "o[i] = (i > 1) && (o[i] == 0);", [],
+                            [0, 0, 1, 1]),
+    "varying-logical-or": ("int *o", "o[i] = (i > 1) || (o[i] == 0);", [],
+                           [1, 1, 1, 1]),
+    "unary-operators": ("int *o", "o[i] = -(i + 1); o[i] = ~o[i]; "
+                        "o[i] = !o[i];", [], [1, 0, 0, 0]),
+    "casts": ("int *o, float s", "o[i] = (int)(i * 1.5f) + (int)s "
+              "+ (int)(float)(i / 2);", [2.5], [2, 3, 6, 7]),
+    "float-index": ("int *o, float s", "float f = i * 0.5f; o[f] = 1; "
+                    "o[s] += 2;", [1.5], [1, 3, 0, 0]),
+    "double-and-bool-locals": ("float *o, double s", "double d = i * 0.5; "
+                               "bool b = i; double u = s; bool v = s; "
+                               "int n = s; o[i] = d + b + u + v + n;",
+                               [2.5], [5.5, 7.0, 7.5, 8.0]),
+    "if-else-if": ("int *o", "if (i > 1) { o[i] = 3; } else if (i > 0) "
+                   "{ o[i] = 2; } else { o[i] = 1; }", [], [1, 2, 3, 3]),
+    "statements-of-no-effect": ("int *o", "i; i + 1; o[i] = 1;", [],
+                                [1, 1, 1, 1]),
+    "uninitialised-pointer": ("int *o", "float *p; o[i] = p == NULL;", [],
+                              [1, 1, 1, 1]),
+    "barrier-then-bare-name": ("int *o", "__shared__ int s[4]; s[i] = i; "
+                               "__syncthreads(); o[i] = s[3 - i]; i;", [],
+                               [3, 2, 1, 0]),
+    "uniform-shared-index": ("int *o", "__shared__ int s[4]; s[2] = i; "
+                             "__syncthreads(); o[i] = s[2];", [],
+                             [3, 3, 3, 3]),
+    "float-divides-by-zero": ("float *o", "o[i] = (i - 1.5f) / (i % 2);",
+                              [], [-math.inf, -0.5, math.inf, 1.5]),
+    # loops shaped like a flattened one, that run in lockstep instead
+    # (simd._flat_shape, simd._invariant)
+    "flat-loop": ("int *o", "for (int j = i; j < 4; j++) "
+                  "{ atomicAdd(&o[j], 1); }", [], [1, 2, 3, 4]),
+    "bound-reads-the-variable": ("int *o", "for (int j = i; j < 4 + (j - j);"
+                                 " j++) { atomicAdd(&o[0], 1); }", [],
+                                 [10, 0, 0, 0]),
+    "bound-short-circuits": ("int *o, int n", "for (int j = i; j < (n && 4);"
+                             " j++) { atomicAdd(&o[0], 1); }", [1],
+                             [1, 0, 0, 0]),
+    "bound-dereferences": ("int *o", "for (int j = i; j < *o + 4; j++) "
+                           "{ atomicAdd(&o[1], 1); }", [], [0, 10, 0, 0]),
+    "bound-negates": ("int *o, int n", "for (int j = i; j < -n; j++) "
+                      "{ atomicAdd(&o[1], 1); }", [-4], [0, 10, 0, 0]),
+    "bound-loads": ("int *o", "for (int j = i; j < o[3] + 4; j++) "
+                    "{ atomicAdd(&o[1], 1); }", [], [0, 10, 0, 0]),
+    "init-assigns": ("int *o", "int j; for (j = i; j < 4; j++) "
+                     "{ atomicAdd(&o[j], 1); }", [], [1, 2, 3, 4]),
+    "init-declares-two": ("int *o", "for (int j = i, k = 0; j < 4; j++) "
+                          "{ atomicAdd(&o[j], 1); }", [], [1, 2, 3, 4]),
+    "init-uninitialised": ("int *o", "for (int j; j < 4; j++) "
+                           "{ atomicAdd(&o[0], 1); }", [], [16, 0, 0, 0]),
+    "not-equal-bound": ("int *o", "for (int j = i; j != 4; j++) "
+                        "{ atomicAdd(&o[j], 1); }", [], [1, 2, 3, 4]),
+    "assigned-step": ("int *o", "for (int j = i; j < 4; j = j + 1) "
+                      "{ atomicAdd(&o[j], 1); }", [], [1, 2, 3, 4]),
+    "body-shadows-the-variable": ("int *o", "for (int j = i; j < 4; j++) "
+                                  "{ int j = 0; atomicAdd(&o[j], 1); }",
+                                  [], [10, 0, 0, 0]),
+    "body-stores-an-outer-local": ("int *o", "int l[4]; for (int j = i; "
+                                   "j < 4; j++) { atomicAdd(&o[j], 1); "
+                                   "l[j] = 1; } o[i] += l[3];", [],
+                                   [2, 3, 4, 5]),
+    "flat-loop-under-an-if": ("int *o", "if (i > 1) { for (int j = i; j < 4;"
+                              " j++) { atomicAdd(&o[j], 1); } }", [],
+                              [0, 0, 1, 2]),
+    "flat-bounds-past-int64": ("int *o, int n", "for (int j = i; j < n; "
+                               "j += n) { atomicAdd(&o[0], 1); }",
+                               [1 << 62], [4, 0, 0, 0]),
+    "float-bound": ("int *o", "for (int j = i; j < 4.5f; j++) "
+                    "{ atomicAdd(&o[j], 1); }", [],
+                    ("OutOfBoundsError",
+                     "index 4 out of bounds for alloc [4 x int32]")),
+    "atomic-on-a-local": ("int *o", "int l[4]; atomicAdd(&l[i], 1);", [],
+                          ("MemoryFault",
+                           "atomics require device or shared memory")),
+    "atomic-operand-past-the-type": ("int *o", "atomicMax(&o[0], "
+                                     "5000000000);", [],
+                                     ("OverflowError", "Python integer "
+                                      "5000000000 out of bounds for int32")),
+    "uniform-shared-index-past-the-end": (
+        "int *o, int n", "__shared__ int s[4]; s[n] = i;", [7],
+        ("OutOfBoundsError",
+         "index 7 out of bounds for __shared__ s [4 x int32]")),
+    "casts-to-double-and-bool": ("float *o", "o[i] = (double)i * 0.5 "
+                                 "+ (bool)i;", [], [0.0, 1.5, 2.0, 2.5]),
+    "uniform-values-into-varying-locals": ("float *o", "float f = i; f = 2; "
+                                           "bool b = i; b = 3; o[i] = f + b;",
+                                           [], [3.0, 3.0, 3.0, 3.0]),
+    "uniform-left-operand-of-a-logical": ("int *o, int n", "o[i] = (n > 1) "
+                                          "&& (o[i] == 0); o[i] += (n > 5) "
+                                          "|| (i > 1);", [3], [1, 1, 2, 2]),
+    "unary-plus": ("int *o", "o[i] = +i;", [], [0, 1, 2, 3]),
+    "uniform-math-call": ("float *o", "o[i] = i + sqrtf(4.0f);", [],
+                          [2.0, 3.0, 4.0, 5.0]),
+    "empty-if": ("int *o", "if (i > 1) { } o[i] = 1;", [], [1, 1, 1, 1]),
+    "call-statement": ("float *o", "sqrtf(o[i]); o[i] = 1;", [],
+                       [1.0, 1.0, 1.0, 1.0]),
+    "opencl-barrier": ("int *o", "__shared__ int s[4]; s[i] = i; "
+                       "barrier(CLK_LOCAL_MEM_FENCE); o[i] = s[3 - i];", [],
+                       [3, 2, 1, 0]),
+    "reseated-parameter": ("int *o", "o = o + 1; o[i % 3] = 5;", [],
+                           [0, 5, 5, 5]),
+    "dim3-parameter": ("int *o, dim3 d", "o[i] = d.x + d.y;", [Dim3(2, 3, 1)],
+                       [5, 5, 5, 5]),
+    "printf-of-nothing": ("int *o", "printf(); o[i] = 1;", [], [1, 1, 1, 1]),
+    "do-while-with-break": ("int *o", "int j = 0; do { j++; if (j > i) break;"
+                            " o[i] += 1; } while (j < 3);", [], [0, 1, 2, 3]),
+    "atomic-with-no-lane": ("int *o", "if (i > 10) atomicAdd(&o[0], 1);", [],
+                            [0, 0, 0, 0]),
+    "if-else-after-a-return": ("int *o", "if (i > 1) { return; } if (i > 0) "
+                               "{ o[i] = 2; } else { o[i] = 1; }", [],
+                               [1, 2, 0, 0]),
+    "void-cast-of-a-varying-value": ("int *o", "(void)(o[i] + i); o[i] = 1;",
+                                     [], [1, 1, 1, 1]),
+    "uniform-math-call-statement": ("int *o", "sqrtf(2.0f); o[i] = 1;", [],
+                                    [1, 1, 1, 1]),
+    "barrier-with-an-argument": ("int *o", "__shared__ int s[4]; s[i] = i; "
+                                 "barrier(CLK_LOCAL_MEM_FENCE | "
+                                 "CLK_GLOBAL_MEM_FENCE); o[i] = s[3 - i];",
+                                 [], [3, 2, 1, 0]),
+    "uniform-if-after-a-return": ("int *o, int n", "if (i == 0) return; "
+                                  "if (n > 1) { o[i] = 1; } else "
+                                  "{ o[i] = 2; }", [2], [0, 1, 1, 1]),
+    "flat-loop-after-a-return": ("int *o", "if (i == 0) return; for (int j ="
+                                 " i; j < 4; j++) { atomicAdd(&o[j], 1); }",
+                                 [], [0, 1, 2, 3]),
+    "atomic-on-a-local-scalar": ("int *o", "int x = 0; atomicAdd(&x, 1);", [],
+                                 ("InterpreterError", "3:12: atomic target "
+                                  "must be a memory location, got VarRef")),
+    "float-operand-meets-a-huge-integer": ("long *o, long n", "o[i] = n; "
+                                           "atomicAdd(&o[0], 0.5f);",
+                                           [1 << 60], [1 << 60] * 4),
+    "partial-sums-past-int64": ("long *o, long n", "atomicAdd(&o[0], n);",
+                                [1 << 62], ("OverflowError", "Python int too "
+                                            "large to convert to C long")),
+    "integer-divides-by-zero": ("int *o", "o[i] = 10 / (i - 2);", [],
+                                ("MemoryFault", "integer division by zero")),
+    "integer-modulo-by-zero": ("int *o", "o[i] = 10 % (i - 2);", [],
+                               ("MemoryFault", "integer modulo by zero")),
+    "float-modulo-by-zero": ("float *o", "float v = i; v %= 0.0f; o[i] = v;",
+                             [], ("ValueError", "math domain error")),
+}
+
+
+class TestRarePaths:
+    """Constructs no catalog kernel uses, each reaching one branch of
+    the warp tier or of the scalar code under it: every engine equals
+    the oracle in outputs and counters, or ends in its fault."""
+
+    @pytest.mark.parametrize("name", RARE_PATHS)
+    def test_matches_the_oracle(self, name):
+        params, body, scalars, expected = RARE_PATHS[name]
+        dtype = RARE_DTYPES[params.split()[0]]
+        source = one_kernel(params, body)
+        arrays = [np.zeros(4, dtype)]
+        if isinstance(expected, tuple):
+            faults = {engine: fault_of(source, "k", 1, 4, arrays, scalars,
+                                       engine) for engine in ENGINES}
+            assert faults == dict.fromkeys(ENGINES, expected)
+            return
+        outs, _ = assert_engines_identical(source, "k", 1, 4, arrays,
+                                           scalars)
+        assert outs[0].tolist() == expected
+
+    def test_a_group_past_the_lane_keys_bits_replays(self):
+        # a device whose blocks hold more threads than a lane key can
+        # number: the warp tier gives the launch to the scalar tier
+        spec = dataclasses.replace(Device().spec, max_threads_per_block=4096,
+                                   max_block_dim=(4096, 1024, 64))
+        program = compile_source(one_kernel("int *o", "o[i] = i;"))
+        outs = {}
+        for engine in ENGINES[1:]:
+            rt = GpuRuntime(Device(spec))
+            buf = rt.malloc(2100, "int")
+            program.launch(rt, "k", 1, 2100, buf.ptr(), engine=engine)
+            outs[engine] = rt.memcpy_dtoh(buf).tolist()
+        assert outs["simd"] == outs["codegen"] == list(range(2100))
+
+    @pytest.mark.parametrize("field, body", [
+        ("interval", "__shared__ int s[4]; s[i] = i; __syncthreads(); "
+         "s[i] += 1; __syncthreads(); o[i] = s[3 - i];"),
+        ("iteration", "for (int j = i; j < 8; j++) { atomicAdd(&o[j % 4], 1);"
+         " }"),
+    ])
+    def test_a_lane_key_field_past_its_bits_replays(self, field, body,
+                                                    monkeypatch):
+        # two barrier intervals, or a thread's eight flattened passes,
+        # against a field of one bit
+        monkeypatch.setitem(simd.KEY_FIELD_LIMITS, field, 2)
+        telemetry = Telemetry()
+        source = one_kernel("int *o", body)
+        assert_engines_identical(source, "k", 1, 4, [np.zeros(4, np.int32)],
+                                 [])
+        rt = GpuRuntime(Device(), telemetry=telemetry)
+        buf = rt.malloc(4, "int")
+        compile_source(source).launch(rt, "k", 1, 4, buf.ptr(), engine="simd")
+        assert telemetry.metrics.counter(KERNEL_REPLAYS_TOTAL).total() == 1
+
+    def test_a_launch_past_the_step_budget_hangs_on_entry(self):
+        program = compile_source(one_kernel("int *o", "o[i] = i;"))
+        rt = GpuRuntime(Device())
+        with pytest.raises(KernelHang, match="execution step budget "
+                           "exhausted"):
+            program.launch(rt, "k", 1, 4, rt.malloc(4, "int").ptr(),
+                           engine="simd", max_steps=2)
+
+    def test_opencl_index_functions_in_narrow_blocks(self):
+        # two blocks of three threads share one warp-tier group: still
+        # two warps, one store request each
+        source = one_kernel("int *o", "o[get_global_id(0)] = get_local_id(0)"
+                            " + 10 * get_group_id(0) + 100 * get_local_size(0)"
+                            " + 1000 * get_num_groups(0)"
+                            " + 10000 * get_global_size(0);")
+        outs, stats = assert_engines_identical(
+            source, "k", 2, 3, [np.zeros(6, np.int32)], [])
+        assert outs[0].tolist() == [62300, 62301, 62302,
+                                    62310, 62311, 62312]
+        assert stats.global_store_requests == 2

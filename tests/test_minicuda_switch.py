@@ -130,6 +130,12 @@ int main() {
 }
 """)
 
+    def test_a_statement_before_the_first_label_rejected(self):
+        with pytest.raises(CompileError, match="1:38: statement before the "
+                           "first case label"):
+            compile_source("int main() { int x = 1; switch (x) { x = 2; "
+                           "case 1: break; } return x; }")
+
     def test_duplicate_labels_rejected(self):
         with pytest.raises(CompileError, match="duplicate case"):
             compile_source("""

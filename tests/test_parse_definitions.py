@@ -266,7 +266,9 @@ def test_split_rules_at_depth_one():
     assert split_definitions("int f() { a; elsewhere = 1; }", 1) == [9, 12, 27]
 
 
-def test_a_unit_is_fresh_but_its_definitions_are_shared():
+def test_a_unit_is_fresh_but_its_definitions_are_shared(fresh_definitions):
+    # on an empty memo: a definition assembled from the statement pieces
+    # of a held header is not held whole, and is built again each parse
     text = SOURCES[0]
     first, second = parse(text, TYPEDEFS), parse(text, TYPEDEFS)
     assert first is not second and first.functions is not second.functions
@@ -766,3 +768,21 @@ if __name__ == "__main__":
           f"({weighed} characters held; bound {BYTES_PER_CHAR})")
     failed = failed or per_char > BYTES_PER_CHAR
     sys.exit(1 if failed else 0)
+
+
+def test_a_statement_piece_that_holds_a_brace_is_undecided():
+    # the splitter cuts no piece so; if one did, the definition would
+    # be parsed whole rather than lose what follows the brace
+    from repro.minicuda.parser_gen import MiniCudaParser
+    from repro.minicuda.pegen.runtime import FAIL
+    piece = parser._Entry("key", "}", (1, 1), None)
+    with pytest.raises(parser._Undecided):
+        parser._parse_part(MiniCudaParser(tokenize("}"), TYPEDEFS), piece,
+                           False, FAIL)
+
+
+def test_an_edit_whose_original_was_evicted_files_nothing():
+    header = parser._Entry("key", "", (1, 1), parser._Piece(
+        (), (), (), 0, unfiled=["a key no longer held"]))
+    parser._file_shared([header], "")
+    assert header.value.unfiled == []

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 import sys
 import time
 from pathlib import Path
@@ -587,6 +588,16 @@ class TestFreshness:
         assert main(["--check"]) == 0
         assert "up to date" in capsys.readouterr().out
 
+    def test_the_cli_rewrites_a_stale_parser(self, capsys, tmp_path,
+                                             monkeypatch):
+        from repro.minicuda.pegen import __main__ as cli
+
+        monkeypatch.setattr(cli, "OUTPUT_PATH", tmp_path / "parser_gen.py")
+        assert cli.main(["--check"]) == 1  # no file yet: stale
+        assert "STALE" in capsys.readouterr().err
+        assert cli.main([]) == 0
+        assert cli.main(["--check"]) == 0
+
 
 class TestColdImport:
     def test_the_parser_does_not_load_the_generator(self):
@@ -606,3 +617,48 @@ class TestColdImport:
             check=True, env={"PYTHONPATH": str(PKG_DIR.parent.parent)})
         assert out.stdout.split("\n")[0] == \
             "['repro.minicuda.pegen.runtime']"
+
+
+#: id -> (grammar, the GrammarError it is refused with)
+BAD_GRAMMARS = {
+    "character": ("@start a\na: INT $\n",
+                  "grammar line 2: unexpected character '$'"),
+    "unbalanced-action": ("@start a\na: INT { x\n",
+                          "grammar line 2: unbalanced action"),
+    "directive": ("@nope x\n@start a\na: INT EOF\n",
+                  "grammar line 1: unknown directive '@nope'"),
+    "no-alternatives": ("@start a\na:\n", "rule 'a' has no alternatives"),
+    "empty-alternative": ("@start a\na:\n    | INT\n    |\n",
+                          "grammar line 4: empty alternative"),
+    "token-kind": ("@start a\na: FOO EOF\n",
+                   "grammar line 2: unknown token kind 'FOO'"),
+    "start-rule": ("@start b\na: INT EOF\n", "missing start rule 'b'"),
+    "named-lookahead": ("@start a\na: x=&INT INT EOF\n",
+                        "lookaheads cannot be named"),
+    "ladder-order": (
+        "@start s\ns: e=add EOF { e }\n"
+        "add: l=mul r=(op='+' x=mul)* { self.fold_binary(l, r) }\n"
+        "mul: l=atom r=(op='+' x=atom)* { self.fold_binary(l, r) }\n"
+        "atom: t=INT { t }\n",
+        "ladder 'add': an operator of 'mul' already binds at a looser "
+        "level"),
+}
+
+
+@pytest.mark.parametrize("name", BAD_GRAMMARS)
+def test_a_bad_grammar_is_refused(name):
+    grammar, message = BAD_GRAMMARS[name]
+    with pytest.raises(GrammarError, match=re.escape(message)):
+        generate_parser_source(grammar)
+
+
+def test_a_nested_action_and_a_repeat_of_one_or_more():
+    parser_cls = _build("@class PlusParser\n@start start\n"
+                        "start: t=INT+ EOF { {len(t): t[0].value} }\n")
+    assert parser_cls(tokenize("4 5 6")).parse_translation_unit() == {3: 4}
+
+
+def test_an_unknown_attribute_of_the_package():
+    from repro.minicuda import pegen
+    with pytest.raises(AttributeError, match="has no attribute 'nope'"):
+        pegen.nope

@@ -9,12 +9,15 @@ raises: the diagnostics' full text, ``kernels``, ``device_functions``,
 
 from __future__ import annotations
 
+import copy
+
 import pytest
 
 from benchmarks.attempt.workloads import Nonces
 from benchmarks.attempt.workloads import edit_loop as edit_loop_workload
 from repro.cache.memo import MemoTable
 from repro.labs.mutations import MUTATIONS, buggy_source
+from repro.minicuda import ast_nodes as ast
 from repro.minicuda import parse, semantic
 from repro.minicuda.diagnostics import CompileError
 from repro.minicuda.preprocessor import preprocess
@@ -385,3 +388,38 @@ def test_lookups_are_counted_under_their_own_name(facts):
     analysed(text.replace("int f(int a)", "int f(int a, int b)"))
     assert lookups.value(cache="semantic", outcome="hit") == hits + 2
     assert lookups.value(cache="semantic", outcome="miss") == misses + 4
+
+
+# -- the nets under the checks ---------------------------------------------------
+
+def test_a_check_that_overflows_is_a_positioned_stop_held_nowhere(
+        facts, monkeypatch):
+    # the budgets keep checked programs inside Python's stack; past
+    # them, the stop is positioned and the memo keeps no entry
+    def overflow(self, fn):
+        raise RecursionError
+
+    monkeypatch.setattr(semantic.Analyzer, "_check", overflow)
+    with pytest.raises(CompileError, match="2:1: program is nested too "
+                       "deeply"):
+        semantic.analyze(parse("\nvoid f() {}", TYPEDEFS))
+    assert len(facts) == 0 and not facts._inflight
+
+
+@pytest.mark.parametrize("where", ("statement", "expression"))
+def test_a_node_class_the_parser_never_makes_is_refused(where):
+    # the front end's assertion of node kinds, which lets the emitters
+    # lower every node it passes without one of their own
+    class Foreign(ast.Stmt if where == "statement" else ast.Expr):
+        pass
+
+    # a copy: the parser shares its memoized nodes between parses
+    unit = copy.deepcopy(parse("void f() { 1; }", TYPEDEFS))
+    unit.source = ""  # checked without the memo
+    body = unit.functions[0].body.statements
+    if where == "statement":
+        body[0] = Foreign()
+    else:
+        body[0].expr = Foreign()
+    with pytest.raises(AssertionError, match=f"unknown {where}"):
+        semantic.analyze(unit)
