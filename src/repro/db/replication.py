@@ -72,7 +72,8 @@ class Replica:
                 idx.add(record.row_id, stored)
         elif record.op == "update":
             table.update(record.row_id, **record.values)
-        else:  # "delete": Database writes no other log op
+        else:  # Database writes no other log op
+            assert record.op == "delete", record.op
             table.delete(record.row_id)
 
     # read helpers mirroring Database

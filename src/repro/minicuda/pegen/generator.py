@@ -147,7 +147,8 @@ class _Generator:
         return self._test(terminals, f"{tok}.kind", f"{tok}.text")
 
     def _resolve(self, name: str) -> str:
-        """Follow ``a: b`` aliases to the rule that does the work."""
+        """Follow ``a: b`` aliases to the rule that does the work. Aliases
+        that lead back to themselves match nothing: a grammar error."""
         seen = {name}
         while True:
             alts = self.grammar.rules[name].alts
@@ -158,7 +159,8 @@ class _Generator:
                 return name
             name = alts[0].items[0].item.name
             if name in seen:
-                return name
+                raise GrammarError(
+                    f"rule {name!r} only passes through to itself")
             seen.add(name)
 
     def _rule_call(self, name: str) -> str:

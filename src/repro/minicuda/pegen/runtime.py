@@ -331,10 +331,7 @@ class ParserBase:
                 seen_default = True
                 current = ast.SwitchCase(value=None, statements=[])
                 cases.append(current)
-            else:
-                if current is None:
-                    raise CompileError(
-                        "statement before the first case label", item[2])
+            else:   # the grammar's switch_head put a label first
                 current.statements.append(item[1])
         values = [c.value for c in cases if c.value is not None]
         if len(values) != len(set(values)):

@@ -255,7 +255,10 @@ def _co_vec(cokind: str, v: Any) -> Any:
         if cokind == "f64":
             return v if v.dtype == _F64DT else v.astype(_F64)
         return (v != 0).astype(_I64)  # bool
-    return f32(v) if cokind == "f32" else bool(v)
+    if cokind == "f32":
+        return f32(v)
+    assert cokind == "bool", cokind
+    return bool(v)
 
 
 # -- uniformity analysis -----------------------------------------------------

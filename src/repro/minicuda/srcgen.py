@@ -1886,10 +1886,6 @@ def kernel_key(info: ProgramInfo, name: str) -> str:
     return key
 
 
-def _compile_host(info: ProgramInfo, name: str) -> CompiledHostFn:
-    return _lower(info, info.host_functions[name], host=True)
-
-
 def compile_host(info: ProgramInfo, name: str) -> Callable:
     """Host function ``name`` as generated Python, ``call(interp,
     *args)``, lowered together with every host function it calls. The
@@ -1897,4 +1893,5 @@ def compile_host(info: ProgramInfo, name: str) -> Callable:
     key per definition (:func:`definition_keys`) and nowhere else."""
     key = memo_key("host", SRCGEN_VERSION, definition_keys(info)[name], name)
     return KERNEL_CACHE.get_or_compute(
-        key, lambda: _compile_host(info, name))[0].call
+        key, lambda: _lower(info, info.host_functions[name],
+                            host=True))[0].call

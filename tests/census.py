@@ -93,9 +93,9 @@ def derive() -> dict:
                     verdict = lowered.reason
                 entry[name] = {"verdict": verdict,
                                "modules": [_sha(m) for m in modules]}
-            for name in info.host_functions:
+            for name, fn in info.host_functions.items():
                 del modules[:]
-                srcgen._compile_host(info, name)
+                srcgen._lower(info, fn, host=True)
                 entry[f"host:{name}"] = {"modules": [_sha(m) for m in modules]}
             origins[origin] = entry
     finally:

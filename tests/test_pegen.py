@@ -72,6 +72,11 @@ class TestMetaparser:
             parse_grammar("@start a\na (memo): INT\n")
         assert "(memo)" not in REAL_GRAMMAR
 
+    def test_a_first_bar_may_share_the_rule_line(self):
+        parser_cls = _build("@class BarParser\n@start a\n"
+                            "a: | t=INT EOF { t.value }\n    | EOF { 0 }\n")
+        assert _run(parser_cls, "7") == 7 and _run(parser_cls, "") == 0
+
     def test_undefined_rule_reference_rejected(self):
         with pytest.raises(GrammarError):
             parse_grammar("@start start\nstart: nonesuch EOF\n")
@@ -318,6 +323,18 @@ class TestLadder:
             "atom: t=INT { ast.IntLit(value=t.value, pos=t.pos) }\n"
             "other: t=INT { ast.IntLit(value=t.value, pos=t.pos) }\n")
         assert "self.fold_binary(" in generate_parser_source(grammar)
+        tree = _run(_build(grammar), "1 + 2 + 3")
+        assert self._shape(tree) == ((1, "+", 2), "+", 3)
+
+    def test_a_group_with_its_own_action_is_not_a_ladder_level(self):
+        grammar = (
+            "@class ActionParser\n"
+            "@start start\n"
+            "start: e=sum EOF { e }\n"
+            "sum: f=atom rest=(op='+' r=atom { (op, r) })* "
+            "{ self.fold_binary(f, rest) }\n"
+            "atom: t=INT { ast.IntLit(value=t.value, pos=t.pos) }\n")
+        assert "_BP_" not in generate_parser_source(grammar)
         tree = _run(_build(grammar), "1 + 2 + 3")
         assert self._shape(tree) == ((1, "+", 2), "+", 3)
 
@@ -642,6 +659,12 @@ BAD_GRAMMARS = {
         "atom: t=INT { t }\n",
         "ladder 'add': an operator of 'mul' already binds at a looser "
         "level"),
+    "alias-cycle": ("@start s\ns: x=a EOF { x }\na: b\nb: a\n",
+                    "rule 'a' only passes through to itself"),
+    "optional-repeat": ("@start s\ns: x=INT?* EOF { x }\n",
+                        "no call form for item INT?"),
+    "item": ("@start s\ns: ? INT EOF\n",
+             "grammar line 2: expected an item, found '?'"),
 }
 
 
