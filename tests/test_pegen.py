@@ -420,6 +420,10 @@ class TestPackratMemo:
 
         parser = P(tokenize("1 + 2 + 3"))
         assert parser.parse_translation_unit() == ((1, 2), 3)
+        # no seed grows where the rule cannot start: the failure stays
+        parser = P(tokenize("+ 1"))
+        assert parser.parse_translation_unit() is FAIL
+        assert parser._i == 0 and parser._memo == {(0, "x"): (FAIL, 0)}
 
     def test_only_a_rule_two_paths_can_reenter_is_memoized(self):
         namespace = _generate(
